@@ -18,7 +18,7 @@
 
 use crate::{cost, dataflow, source, Diagnostic, LintContext};
 use datalog::ast::{Atom, Program, Rule, Term};
-use datalog::depgraph::DepGraph;
+use datalog::predgraph::DepGraph;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::fmt;

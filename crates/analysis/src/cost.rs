@@ -36,7 +36,7 @@
 use crate::checks::SccRule;
 use crate::Diagnostic;
 use datalog::ast::{Program, Rule};
-use datalog::depgraph::DepGraph;
+use datalog::predgraph::DepGraph;
 use datalog::seminaive::plan_masks;
 use std::collections::HashMap;
 

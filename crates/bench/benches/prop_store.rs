@@ -1,12 +1,16 @@
 //! **E-6** — proposition store throughput (§3.1's "Proposition Base").
 //!
-//! Compares the in-memory and log-backed physical representations on
-//! TELL throughput, and measures the four access paths.
+//! Measures TELL throughput of the in-memory proposition store, what
+//! the op journal — the one way a KB reaches disk — adds to a `Gkbms`
+//! TELL stream, journal recovery, and the four access paths. fsync
+//! policies are `BENCH_durability.json`'s subject, and the per-layer
+//! `journal.*` metrics of the e2e benchmark decompose a served write.
 
 use bench::isa_chain_kb;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use gkbms::Gkbms;
+use std::path::PathBuf;
 use std::time::Duration;
-use telos::backend::KbBackend;
 use telos::Kb;
 
 fn tell_n(kb: &mut Kb, n: usize) {
@@ -17,27 +21,50 @@ fn tell_n(kb: &mut Kb, n: usize) {
     }
 }
 
+/// The same workload as [`tell_n`] through the GKBMS: one TELL op per
+/// object (linted, applied, and — when a journal is attached — logged),
+/// made durable by one fsync at the end.
+fn tell_n_ops(g: &mut Gkbms, n: usize) {
+    g.tell_src("TELL TokenClass end").expect("fresh");
+    for i in 0..n {
+        g.tell_src(&format!("TELL tok{i} in TokenClass end"))
+            .expect("classify");
+    }
+    if let Some(journal) = g.journal_mut() {
+        journal.sync().expect("sync");
+    }
+}
+
+fn journal_dir(tag: &str) -> PathBuf {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("cb-bench-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 fn bench_tell(c: &mut Criterion) {
     let mut group = c.benchmark_group("prop_store/tell");
     for n in [100usize, 1000] {
         group.bench_with_input(BenchmarkId::new("memory", n), &n, |b, &n| {
             b.iter_batched(Kb::new, |mut kb| tell_n(&mut kb, n), BatchSize::SmallInput);
         });
-        group.bench_with_input(BenchmarkId::new("log", n), &n, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("gkbms_memory", n), &n, |b, &n| {
+            b.iter_batched(
+                || Gkbms::new().expect("boot"),
+                |mut g| tell_n_ops(&mut g, n),
+                BatchSize::SmallInput,
+            );
+        });
+        group.bench_with_input(BenchmarkId::new("gkbms_journal", n), &n, |b, &n| {
             b.iter_batched(
                 || {
-                    let mut path = std::env::temp_dir();
-                    path.push(format!("cb-bench-{}-{n}.log", std::process::id()));
-                    let _ = std::fs::remove_file(&path);
-                    (
-                        Kb::with_backend(KbBackend::log(&path).expect("open")).expect("boot"),
-                        path,
-                    )
+                    let dir = journal_dir(&format!("tell-{n}"));
+                    (Gkbms::recover(&dir).expect("open").0, dir)
                 },
-                |(mut kb, path)| {
-                    tell_n(&mut kb, n);
-                    drop(kb);
-                    let _ = std::fs::remove_file(path);
+                |(mut g, dir)| {
+                    tell_n_ops(&mut g, n);
+                    drop(g);
+                    let _ = std::fs::remove_dir_all(dir);
                 },
                 BatchSize::SmallInput,
             );
@@ -68,22 +95,17 @@ fn bench_access_paths(c: &mut Criterion) {
 }
 
 fn bench_recovery(c: &mut Criterion) {
-    // Replay cost: reopen a 2000-proposition log.
-    let mut path = std::env::temp_dir();
-    path.push(format!("cb-bench-recover-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    {
-        let mut kb = Kb::with_backend(KbBackend::log(&path).expect("open")).expect("boot");
-        tell_n(&mut kb, 1000);
-        kb.sync().expect("sync");
-    }
+    // Replay cost: recover a journal of 1001 TELL ops (2001 propositions).
+    let dir = journal_dir("recover");
+    tell_n_ops(&mut Gkbms::recover(&dir).expect("open").0, 1000);
     c.bench_function("prop_store/recovery_1000", |b| {
         b.iter(|| {
-            let kb = Kb::with_backend(KbBackend::log(&path).expect("open")).expect("replay");
-            std::hint::black_box(kb.len())
+            let (g, report) = Gkbms::recover(&dir).expect("replay");
+            assert_eq!(report.replayed_ops, 1001);
+            std::hint::black_box(g.kb().len())
         })
     });
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn config() -> Criterion {

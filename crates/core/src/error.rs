@@ -35,6 +35,10 @@ pub enum GkbmsError {
         /// The out-of-range index.
         index: usize,
     },
+    /// [`crate::Gkbms::recover`] was pointed at something that exists
+    /// but is not a directory — typically a file from another tool or
+    /// format. A journal is a directory holding `snapshot` and `wal`.
+    NotAJournal(std::path::PathBuf),
 }
 
 /// Convenient alias used throughout the crate.
@@ -73,6 +77,11 @@ impl fmt::Display for GkbmsError {
             GkbmsError::IdOverflow { index } => {
                 write!(f, "proposition index {index} exceeds the 32-bit id space")
             }
+            GkbmsError::NotAJournal(path) => write!(
+                f,
+                "`{}` is not a journal: a journal is a directory (`snapshot` + `wal`), not a file",
+                path.display()
+            ),
         }
     }
 }

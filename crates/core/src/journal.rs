@@ -266,9 +266,13 @@ impl Gkbms {
     /// GKBMS from it: loads the checkpoint snapshot if one exists,
     /// replays the WAL tail (truncating a torn final record), then
     /// attaches the journal so every further committed mutation is
-    /// appended at commit time.
+    /// appended at commit time. A `dir` that exists but is not a
+    /// directory is refused with [`GkbmsError::NotAJournal`].
     pub fn recover(dir: impl AsRef<Path>) -> GkbmsResult<(Gkbms, RecoveryReport)> {
         let dir = dir.as_ref();
+        if dir.exists() && !dir.is_dir() {
+            return Err(GkbmsError::NotAJournal(dir.to_path_buf()));
+        }
         std::fs::create_dir_all(dir)
             .map_err(|e| telos::TelosError::Storage(storage::StorageError::Io(e)))?;
         let start = Instant::now();

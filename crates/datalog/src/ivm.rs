@@ -30,6 +30,7 @@ use crate::ast::{Program, Value};
 use crate::db::Database;
 use crate::error::{DatalogError, DatalogResult};
 use crate::intern::{intern, IVal, Symbol};
+use crate::predgraph::DepGraph;
 use crate::seminaive::{compile, match_row, unwind, ArgSpec, CRule};
 use crate::stratify::stratify;
 use std::collections::{HashMap, HashSet};
@@ -266,113 +267,33 @@ impl MaterializedView {
 // ---------------------------------------------------------------------
 
 fn build_strata(program: &Program) -> DatalogResult<Vec<Stratum>> {
-    // Head predicates in first-seen order, with edges head → IDB body.
-    let mut order: Vec<String> = Vec::new();
-    let mut id: HashMap<String, usize> = HashMap::new();
+    // `sccs()` lists components dependencies-first along head → body
+    // edges, which is exactly evaluation order. Negated body predicates
+    // land in an earlier component because stratification already
+    // rejected any cycle through a negative edge. Components of purely
+    // extensional predicates define nothing and are skipped.
+    let graph = DepGraph::of(program);
+    let sccs = graph.sccs();
+    let mut rules_of: Vec<Vec<CRule>> = vec![Vec::new(); sccs.comps.len()];
     for r in &program.rules {
-        if !id.contains_key(&r.head.pred) {
-            id.insert(r.head.pred.clone(), order.len());
-            order.push(r.head.pred.clone());
-        }
+        let head = graph.pred_index(&r.head.pred).expect("head is in graph");
+        rules_of[sccs.comp_of[head]].push(compile(r)?);
     }
-    let n = order.len();
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for r in &program.rules {
-        let h = id[&r.head.pred];
-        for l in &r.body {
-            if let Some(&b) = id.get(&l.atom.pred) {
-                if !edges[h].contains(&b) {
-                    edges[h].push(b);
-                }
-            }
-        }
-    }
-    // Tarjan emits SCCs dependencies-first along head → body edges,
-    // which is exactly evaluation order. Negated body predicates land
-    // in an earlier SCC because stratification already rejected any
-    // cycle through a negative edge.
-    let sccs = tarjan_sccs(n, &edges);
-    let mut strata = Vec::with_capacity(sccs.len());
-    for scc in sccs {
-        let names: HashSet<&str> = scc.iter().map(|&i| order[i].as_str()).collect();
-        let mut rules = Vec::new();
-        let mut recursive = scc.len() > 1;
-        for r in &program.rules {
-            if !names.contains(r.head.pred.as_str()) {
-                continue;
-            }
-            if r.body.iter().any(|l| names.contains(l.atom.pred.as_str())) {
-                recursive = true;
-            }
-            rules.push(compile(r)?);
+    let mut strata = Vec::new();
+    for (c, rules) in rules_of.into_iter().enumerate() {
+        if rules.is_empty() {
+            continue;
         }
         strata.push(Stratum {
             rules,
-            heads: names.iter().map(|s| intern(s)).collect(),
-            recursive,
+            heads: sccs.comps[c]
+                .iter()
+                .map(|&p| intern(graph.name(p)))
+                .collect(),
+            recursive: sccs.is_recursive(&graph, c),
         });
     }
     Ok(strata)
-}
-
-/// Tarjan's algorithm; returns SCCs in reverse topological order of the
-/// condensation (every SCC after the SCCs it depends on).
-fn tarjan_sccs(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    struct State<'a> {
-        edges: &'a [Vec<usize>],
-        index: Vec<Option<usize>>,
-        low: Vec<usize>,
-        on_stack: Vec<bool>,
-        stack: Vec<usize>,
-        next: usize,
-        out: Vec<Vec<usize>>,
-    }
-    fn visit(s: &mut State, v: usize) {
-        let i = s.next;
-        s.next += 1;
-        s.index[v] = Some(i);
-        s.low[v] = i;
-        s.stack.push(v);
-        s.on_stack[v] = true;
-        for k in 0..s.edges[v].len() {
-            let w = s.edges[v][k];
-            match s.index[w] {
-                None => {
-                    visit(s, w);
-                    s.low[v] = s.low[v].min(s.low[w]);
-                }
-                Some(wi) if s.on_stack[w] => s.low[v] = s.low[v].min(wi),
-                Some(_) => {}
-            }
-        }
-        if s.low[v] == i {
-            let mut scc = Vec::new();
-            loop {
-                let w = s.stack.pop().expect("tarjan stack");
-                s.on_stack[w] = false;
-                scc.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            s.out.push(scc);
-        }
-    }
-    let mut s = State {
-        edges,
-        index: vec![None; n],
-        low: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next: 0,
-        out: Vec::new(),
-    };
-    for v in 0..n {
-        if s.index[v].is_none() {
-            visit(&mut s, v);
-        }
-    }
-    s.out
 }
 
 // ---------------------------------------------------------------------
@@ -1090,6 +1011,37 @@ mod tests {
         assert_eq!(v.strata.len(), 2);
         assert!(v.strata[0].recursive, "p is recursive");
         assert!(!v.strata[1].recursive, "q is not");
+    }
+
+    #[test]
+    fn deep_rule_chain_compiles_on_a_connection_sized_stack() {
+        // One `RegisterView` request can carry this program (≈1.2 MB,
+        // under the 16 MiB frame cap), and the server compiles it on a
+        // connection thread with the default 2 MiB stack: stratum
+        // construction must not recurse once per chain link.
+        // The chain is written top-first, so a depth-first walk from
+        // the first head descends through every link.
+        const LINKS: usize = 50_000;
+        let mut src = String::new();
+        for i in (1..LINKS).rev() {
+            src.push_str(&format!("p{i}(X) :- p{}(X).\n", i - 1));
+        }
+        src.push_str("p0(X) :- base(X).\n");
+        let strata = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let view = MaterializedView::new(Program::parse(&src).unwrap()).unwrap();
+                // p_i's stratum directly precedes p_{i+1}'s.
+                let order_ok = view
+                    .strata
+                    .windows(2)
+                    .all(|w| w[0].heads.contains(&w[1].rules[0].lits[0].pred));
+                (view.strata.len(), order_ok)
+            })
+            .unwrap()
+            .join()
+            .expect("view compilation must not overflow the stack");
+        assert_eq!(strata, (LINKS, true));
     }
 
     #[test]

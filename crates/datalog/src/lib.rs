@@ -55,11 +55,11 @@
 
 pub mod ast;
 pub mod db;
-pub mod depgraph;
 pub mod error;
 pub mod intern;
 pub mod ivm;
 pub mod magic;
+pub mod predgraph;
 pub mod seminaive;
 pub mod stratify;
 pub mod topdown;

@@ -7,8 +7,8 @@
 //! [`DatalogError::NotStratifiable`].
 
 use crate::ast::Program;
-use crate::depgraph::DepGraph;
 use crate::error::{DatalogError, DatalogResult};
+use crate::predgraph::DepGraph;
 use std::collections::HashMap;
 
 /// The stratification result: for each IDB predicate its stratum, and

@@ -17,17 +17,6 @@ pub enum StorageError {
     },
     /// A record exceeded the maximum encodable length.
     RecordTooLarge(usize),
-    /// A requested page lies beyond the end of the file.
-    PageOutOfBounds(u64),
-    /// A heap slot reference does not denote a live record.
-    InvalidSlot {
-        /// Page number of the bad reference.
-        page: u64,
-        /// Slot index of the bad reference.
-        slot: u16,
-    },
-    /// The store was opened with an incompatible on-disk format version.
-    BadFormatVersion(u32),
 }
 
 /// Convenient alias used throughout the crate.
@@ -43,11 +32,6 @@ impl fmt::Display for StorageError {
             StorageError::RecordTooLarge(n) => {
                 write!(f, "record of {n} bytes exceeds maximum encodable length")
             }
-            StorageError::PageOutOfBounds(p) => write!(f, "page {p} out of bounds"),
-            StorageError::InvalidSlot { page, slot } => {
-                write!(f, "invalid heap slot {slot} on page {page}")
-            }
-            StorageError::BadFormatVersion(v) => write!(f, "unsupported format version {v}"),
         }
     }
 }
@@ -88,12 +72,7 @@ mod tests {
     }
 
     #[test]
-    fn display_misc() {
+    fn display_too_large() {
         assert!(StorageError::RecordTooLarge(7).to_string().contains('7'));
-        assert!(StorageError::PageOutOfBounds(3).to_string().contains('3'));
-        assert!(StorageError::InvalidSlot { page: 1, slot: 2 }
-            .to_string()
-            .contains("slot 2"));
-        assert!(StorageError::BadFormatVersion(9).to_string().contains('9'));
     }
 }

@@ -1,33 +1,21 @@
 #![warn(missing_docs)]
 
-//! Physical storage substrate for the proposition base.
+//! The on-disk primitives of the op journal and the wire framing.
 //!
-//! The paper (§3.1) requires that "several physical representations
-//! (e.g. Prolog workspaces, external databases) of propositions can be
-//! managed by the proposition base". This crate provides the building
-//! blocks for such representations:
+//! A persisted knowledge base is an op journal (`gkbms::journal`:
+//! checkpoint snapshot + write-ahead log); this crate holds the three
+//! pieces that journal, the server's frame codec and the replication
+//! tail reader are built from, and nothing else:
 //!
-//! * [`record`] — a length-prefixed, CRC-checked binary record format;
-//! * [`log`] — an append-only segment log with torn-tail recovery;
-//! * [`crash`] — crash-injection helpers for durability tests;
-//! * [`kv`] — a log-structured key-value store with compaction;
-//! * [`pager`] — a fixed-size page cache with LRU eviction;
-//! * [`heap`] — a slotted heap file of variable-length records on top of
-//!   the pager;
-//! * [`index`] — ordered in-memory secondary indexes.
-//!
-//! The `telos` crate builds its persistent proposition-base backend from
-//! these pieces; an in-memory backend needs only [`index`].
+//! * [`record`] — a length-prefixed, CRC-checked binary record format
+//!   (one WAL record, one snapshot record, one wire frame);
+//! * [`log`] — an append-only record log with torn-tail recovery;
+//! * [`crash`] — crash-injection helpers for durability tests.
 
 pub mod crash;
 pub mod error;
-pub mod heap;
-pub mod index;
-pub mod kv;
 pub mod log;
-pub mod pager;
 pub mod record;
 
 pub use error::{StorageError, StorageResult};
-pub use kv::KvStore;
 pub use log::{AppendLog, Lsn};

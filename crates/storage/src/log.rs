@@ -1,7 +1,7 @@
 //! Append-only record log with torn-tail recovery.
 //!
-//! The log is the durability primitive behind the persistent proposition
-//! base: every `TELL` appends one record, and recovery replays the log in
+//! The log is the durability primitive behind the op journal: every
+//! committed mutation appends one record, and recovery replays the log in
 //! order. A torn write at the very tail (process killed mid-append) is
 //! truncated away; corruption anywhere *before* the tail is a hard error,
 //! because silently dropping interior history would violate the paper's

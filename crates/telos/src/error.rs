@@ -26,7 +26,8 @@ pub enum TelosError {
     Assertion(String),
     /// An interval was constructed with end before start.
     BadInterval(String),
-    /// The persistent backend failed.
+    /// A journal or snapshot file operation failed. Raised by `gkbms`
+    /// (`persist`, `journal`); the kernel itself does no I/O.
     Storage(storage::StorageError),
     /// An operation requires a proposition that is no longer believed.
     NotBelieved(PropId),

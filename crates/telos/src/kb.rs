@@ -12,7 +12,6 @@
 //! proposition's belief interval, so past states remain queryable
 //! (`*_at` variants) — the basis of temporal navigation (§3.3.1).
 
-use crate::backend::KbBackend;
 use crate::error::{TelosError, TelosResult};
 use crate::omega::{self, Builtins};
 use crate::prop::{PropId, Proposition};
@@ -42,23 +41,14 @@ pub struct Kb {
     by_dest: PIndex<PropId>,
     /// Belief-time clock: advanced by [`Kb::tick`].
     clock: i64,
-    backend: KbBackend,
     builtins: Builtins,
     sym_instanceof: Symbol,
     sym_isa: Symbol,
 }
 
 impl Kb {
-    /// A fresh in-memory KB with the ω-level bootstrapped.
+    /// A fresh KB with the ω-level bootstrapped.
     pub fn new() -> Self {
-        Kb::with_backend(KbBackend::Memory).expect("in-memory bootstrap cannot fail")
-    }
-
-    /// Opens a KB on the given backend. An empty backend is
-    /// bootstrapped (and the bootstrap recorded); a non-empty one is
-    /// replayed.
-    pub fn with_backend(mut backend: KbBackend) -> TelosResult<Self> {
-        let replayed = backend.load()?;
         let mut symbols = SymbolTable::new();
         let sym_instanceof = symbols.intern(L_INSTANCEOF);
         let sym_isa = symbols.intern(L_ISA);
@@ -70,73 +60,46 @@ impl Kb {
             by_label: PIndex::new(),
             by_dest: PIndex::new(),
             clock: 0,
-            backend: KbBackend::Memory, // installed after replay
             builtins: Builtins::placeholder(),
             sym_instanceof,
             sym_isa,
         };
-        match replayed {
-            Some(ops) => {
-                kb.replay(ops)?;
-                kb.backend = backend;
-                kb.builtins = Builtins::resolve(&kb)?;
-            }
-            None => {
-                kb.backend = backend;
-                kb.builtins = omega::bootstrap(&mut kb)?;
-            }
-        }
-        Ok(kb)
+        kb.builtins = omega::bootstrap(&mut kb);
+        kb
     }
 
-    fn replay(&mut self, ops: Vec<crate::backend::LogOp>) -> TelosResult<()> {
-        use crate::backend::LogOp;
-        for op in ops {
-            match op {
-                LogOp::Create {
-                    id,
-                    source,
-                    label,
-                    dest,
-                    history,
-                    belief_start,
-                } => {
-                    if id.idx() != self.props.len() {
-                        return Err(TelosError::Storage(storage::StorageError::Corrupt {
-                            offset: 0,
-                            detail: format!("replay id gap at {id:?}"),
-                        }));
-                    }
-                    let label = self.symbols.intern(&label);
-                    let prop = Proposition {
-                        id,
-                        source,
-                        label,
-                        dest,
-                        history,
-                        belief: Interval::from_tick(belief_start),
-                    };
-                    self.index_prop(&prop);
-                    self.props.push(prop);
-                }
-                LogOp::Close { id, at } => {
-                    self.apply_close(id, at)?;
-                }
-                LogOp::Tick { to } => {
-                    self.clock = to;
-                }
-            }
-        }
-        Ok(())
+    /// The id the next created proposition will get.
+    pub(crate) fn next_id(&self) -> PropId {
+        PropId(self.props.len() as u32)
     }
 
-    fn index_prop(&mut self, p: &Proposition) {
-        self.by_source.insert(p.source, p.id);
-        self.by_label.insert(p.label, p.id);
-        self.by_dest.insert(p.dest, p.id);
-        if p.is_individual() {
-            self.by_name.insert(p.label, p.id);
+    /// Appends `<source, label, dest, history>`, believed from now on.
+    /// Cannot fail: callers vouch that each endpoint exists or is
+    /// [`Kb::next_id`] (the self-reference of an individual).
+    pub(crate) fn append(
+        &mut self,
+        source: PropId,
+        label: Symbol,
+        dest: PropId,
+        history: Interval,
+    ) -> PropId {
+        let id = self.next_id();
+        let prop = Proposition {
+            id,
+            source,
+            label,
+            dest,
+            history,
+            belief: Interval::from_tick(self.clock),
+        };
+        self.by_source.insert(source, id);
+        self.by_label.insert(label, id);
+        self.by_dest.insert(dest, id);
+        if prop.is_individual() {
+            self.by_name.insert(label, id);
         }
+        self.props.push(prop);
+        id
     }
 
     fn apply_close(&mut self, id: PropId, at: i64) -> TelosResult<()> {
@@ -165,7 +128,6 @@ impl Kb {
     /// returns the new tick.
     pub fn tick(&mut self) -> i64 {
         self.clock += 1;
-        self.backend.record_tick(self.clock);
         self.clock
     }
 
@@ -207,20 +169,7 @@ impl Kb {
         if dest.idx() >= self.props.len() {
             return Err(TelosError::UnknownProposition(dest));
         }
-        let id = PropId(self.props.len() as u32);
-        let prop = Proposition {
-            id,
-            source,
-            label,
-            dest,
-            history,
-            belief: Interval::from_tick(self.clock),
-        };
-        self.index_prop(&prop);
-        self.backend
-            .record_create(&prop, self.symbols.resolve(label))?;
-        self.props.push(prop);
-        Ok(id)
+        Ok(self.append(source, label, dest, history))
     }
 
     /// Finds the believed individual named `name`, or creates a
@@ -235,19 +184,8 @@ impl Kb {
         if let Some(&id) = self.by_name.get(&sym) {
             return Ok(id);
         }
-        let id = PropId(self.props.len() as u32);
-        let prop = Proposition {
-            id,
-            source: id,
-            label: sym,
-            dest: id,
-            history,
-            belief: Interval::from_tick(self.clock),
-        };
-        self.index_prop(&prop);
-        self.backend.record_create(&prop, name)?;
-        self.props.push(prop);
-        Ok(id)
+        let id = self.next_id();
+        Ok(self.append(id, sym, id, history))
     }
 
     /// The believed individual named `name`, if any.
@@ -354,9 +292,7 @@ impl Kb {
         if !self.get(id)?.is_believed() {
             return Err(TelosError::NotBelieved(id));
         }
-        self.apply_close(id, at)?;
-        self.backend.record_close(id, at)?;
-        Ok(())
+        self.apply_close(id, at)
     }
 
     /// Stops believing `id` and, transitively, every believed link that
@@ -372,7 +308,6 @@ impl Kb {
         let mut seen = HashSet::from([id]);
         while let Some(cur) = queue.pop_front() {
             self.apply_close(cur, at)?;
-            self.backend.record_close(cur, at)?;
             untold.push(cur);
             let dependents: Vec<PropId> = self
                 .by_source
@@ -600,11 +535,6 @@ impl Kb {
             .filter(|p| p.believed_at(t))
             .map(|p| p.id)
             .collect()
-    }
-
-    /// Flushes the backend (fsync for the log backend).
-    pub fn sync(&mut self) -> TelosResult<()> {
-        self.backend.sync()
     }
 
     // ----- snapshot reads -------------------------------------------------

@@ -23,15 +23,17 @@
 //!   aggregation/typing) as checkable judgements;
 //! * [`assertion`] — the logic-based assertion language used by rule and
 //!   constraint propositions;
-//! * [`backend`] — physical representations of the proposition base
-//!   (in-memory, and persistent on the `storage` crate);
 //! * [`pvec`] / [`version`] — persistent chunked storage and immutable
 //!   [`version::KbVersion`] captures, the basis of the server's MVCC
 //!   read path (readers pin a version; the writer publishes new ones).
+//!
+//! The proposition base is an in-memory structure with two physical
+//! representations behind [`PropStore`]: the live [`Kb`] and the
+//! immutable [`KbVersion`]. It does no I/O — a KB is made durable one
+//! level up, by `gkbms::journal` logging the operations that built it.
 
 pub mod assertion;
 pub mod axioms;
-pub mod backend;
 pub mod error;
 pub mod kb;
 pub mod omega;

@@ -12,11 +12,11 @@
 //! Because everything is a proposition, the GKBMS metamodel of §3.2 is
 //! built *on top of* this level with ordinary TELLs — no kernel change.
 
-use crate::error::TelosResult;
-use crate::kb::Kb;
+use crate::kb::{Kb, L_INSTANCEOF, L_ISA};
 use crate::prop::PropId;
+use crate::time::interval::Interval;
 
-/// Names of the ω-level individuals, stable across replay.
+/// Names of the ω-level individuals.
 pub mod names {
     /// The class of all propositions.
     pub const PROPOSITION: &str = "Proposition";
@@ -75,8 +75,8 @@ pub struct Builtins {
 }
 
 impl Builtins {
-    /// A placeholder used only during backend replay, before
-    /// [`Builtins::resolve`] runs.
+    /// The value a [`Kb`] under construction holds until
+    /// [`bootstrap`] has created the objects.
     pub(crate) fn placeholder() -> Self {
         let z = PropId(0);
         Builtins {
@@ -94,68 +94,65 @@ impl Builtins {
             isa_1: z,
         }
     }
-
-    /// Resolves the builtin ids by name after a replay.
-    pub(crate) fn resolve(kb: &Kb) -> TelosResult<Self> {
-        Ok(Builtins {
-            proposition: kb.expect(names::PROPOSITION)?,
-            class: kb.expect(names::CLASS)?,
-            token: kb.expect(names::TOKEN)?,
-            simple_class: kb.expect(names::SIMPLE_CLASS)?,
-            meta_class: kb.expect(names::META_CLASS)?,
-            metameta_class: kb.expect(names::METAMETA_CLASS)?,
-            assertion: kb.expect(names::ASSERTION)?,
-            behaviour: kb.expect(names::BEHAVIOUR)?,
-            instance_of_omega: kb.expect(names::INSTANCE_OF_OMEGA)?,
-            isa_omega: kb.expect(names::ISA_OMEGA)?,
-            attribute_omega: kb.expect(names::ATTRIBUTE_OMEGA)?,
-            isa_1: kb.expect(names::ISA_1)?,
-        })
-    }
 }
 
-/// Creates the ω-level in a fresh KB.
-pub(crate) fn bootstrap(kb: &mut Kb) -> TelosResult<Builtins> {
-    let proposition = kb.individual(names::PROPOSITION)?;
-    let class = kb.individual(names::CLASS)?;
-    let token = kb.individual(names::TOKEN)?;
-    let simple_class = kb.individual(names::SIMPLE_CLASS)?;
-    let meta_class = kb.individual(names::META_CLASS)?;
-    let metameta_class = kb.individual(names::METAMETA_CLASS)?;
-    let assertion = kb.individual(names::ASSERTION)?;
-    let behaviour = kb.individual(names::BEHAVIOUR)?;
+/// Creates the individual `name` (the caller knows it is new).
+fn node(kb: &mut Kb, name: &str) -> PropId {
+    let id = kb.next_id();
+    let label = kb.intern(name);
+    kb.append(id, label, id, Interval::always())
+}
+
+/// Creates the link `<x, label, y, Always>` between existing objects
+/// (the caller knows it is new and, for `isa`, acyclic).
+fn link(kb: &mut Kb, x: PropId, label: &str, y: PropId) {
+    let label = kb.intern(label);
+    kb.append(x, label, y, Interval::always());
+}
+
+/// Creates the ω-level in an empty KB. The structure is fixed, so it
+/// is appended directly: no lookup, duplicate or cycle check can fire.
+pub(crate) fn bootstrap(kb: &mut Kb) -> Builtins {
+    let proposition = node(kb, names::PROPOSITION);
+    let class = node(kb, names::CLASS);
+    let token = node(kb, names::TOKEN);
+    let simple_class = node(kb, names::SIMPLE_CLASS);
+    let meta_class = node(kb, names::META_CLASS);
+    let metameta_class = node(kb, names::METAMETA_CLASS);
+    let assertion = node(kb, names::ASSERTION);
+    let behaviour = node(kb, names::BEHAVIOUR);
 
     // Every class is a proposition; every simple/meta/metameta class is
     // a class; tokens are plain propositions.
-    kb.specialize(class, proposition)?;
-    kb.specialize(token, proposition)?;
+    link(kb, class, L_ISA, proposition);
+    link(kb, token, L_ISA, proposition);
     for level in [simple_class, meta_class, metameta_class] {
-        kb.specialize(level, class)?;
-        kb.instantiate(level, class)?;
+        link(kb, level, L_ISA, class);
+        link(kb, level, L_INSTANCEOF, class);
     }
-    kb.instantiate(assertion, class)?;
-    kb.instantiate(behaviour, class)?;
+    link(kb, assertion, L_INSTANCEOF, class);
+    link(kb, behaviour, L_INSTANCEOF, class);
 
     // The predefined link classes, as the paper writes them:
     //   InstanceOf_omega = <PROPOSITION, instanceof, CLASS, Always>.
     // They are attribute-like propositions between builtin nodes, named
     // individually so they can be retrieved and extended.
-    let instance_of_omega = kb.individual(names::INSTANCE_OF_OMEGA)?;
-    kb.put_attr(instance_of_omega, "from", proposition)?;
-    kb.put_attr(instance_of_omega, "to", class)?;
-    let isa_omega = kb.individual(names::ISA_OMEGA)?;
-    kb.put_attr(isa_omega, "from", class)?;
-    kb.put_attr(isa_omega, "to", class)?;
-    let attribute_omega = kb.individual(names::ATTRIBUTE_OMEGA)?;
-    kb.put_attr(attribute_omega, "from", proposition)?;
-    kb.put_attr(attribute_omega, "to", proposition)?;
-    let isa_1 = kb.individual(names::ISA_1)?;
-    kb.put_attr(isa_1, "from", simple_class)?;
-    kb.put_attr(isa_1, "to", simple_class)?;
-    kb.specialize(isa_1, isa_omega)?;
+    let instance_of_omega = node(kb, names::INSTANCE_OF_OMEGA);
+    link(kb, instance_of_omega, "from", proposition);
+    link(kb, instance_of_omega, "to", class);
+    let isa_omega = node(kb, names::ISA_OMEGA);
+    link(kb, isa_omega, "from", class);
+    link(kb, isa_omega, "to", class);
+    let attribute_omega = node(kb, names::ATTRIBUTE_OMEGA);
+    link(kb, attribute_omega, "from", proposition);
+    link(kb, attribute_omega, "to", proposition);
+    let isa_1 = node(kb, names::ISA_1);
+    link(kb, isa_1, "from", simple_class);
+    link(kb, isa_1, "to", simple_class);
+    link(kb, isa_1, L_ISA, isa_omega);
 
     kb.tick();
-    Ok(Builtins {
+    Builtins {
         proposition,
         class,
         token,
@@ -168,7 +165,7 @@ pub(crate) fn bootstrap(kb: &mut Kb) -> TelosResult<Builtins> {
         isa_omega,
         attribute_omega,
         isa_1,
-    })
+    }
 }
 
 #[cfg(test)]

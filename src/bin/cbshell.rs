@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! cargo run --bin cbshell                       # in-memory KB
-//! cargo run --bin cbshell -- mykb.log           # persistent KB
+//! cargo run --bin cbshell -- --journal kbdir    # persistent KB
 //! echo 'ask p/Paper : true' | cargo run --bin cbshell
 //! cargo run --bin cbshell -- --listen 127.0.0.1:4711   # serve a KB
 //! cargo run --bin cbshell -- --listen 127.0.0.1:4711 --journal kbdir \
@@ -13,11 +13,14 @@
 //! cargo run --bin cbshell -- --connect 127.0.0.1:4711  # talk to one
 //! ```
 //!
-//! With `--journal <dir>` the served KB recovers from `<dir>` (snapshot
-//! plus WAL tail) and journals every committed mutation before it is
-//! acknowledged. `--fsync` picks the durability policy (`always`,
-//! `group[:<ms>]`, `none`); `--checkpoint-every <n>` compacts the WAL
-//! into a fresh snapshot after every `n` journaled ops.
+//! With `--journal <dir>` the KB — local or served — recovers from
+//! `<dir>` (snapshot plus WAL tail) and journals every committed
+//! mutation; it is the one on-disk format, so a directory written by a
+//! local shell can be served with `--listen` and vice versa. The local
+//! shell fsyncs the journal when it quits; the server journals before
+//! it acknowledges, under the durability policy `--fsync` picks
+//! (`always`, `group[:<ms>]`, `none`), and `--checkpoint-every <n>`
+//! compacts the WAL into a fresh snapshot after every `n` journaled ops.
 //!
 //! With `--follow <addr>` the server starts as a read replica of the
 //! leader at `<addr>`: it subscribes with its applied position, applies
@@ -64,20 +67,20 @@
 //! When a script is piped in (non-interactive), any `error:` response
 //! makes the process exit non-zero, so CI can assert on scripts.
 
+use conceptbase::gkbms::{Gkbms, GkbmsError, RecoveryReport};
 use conceptbase::modelbase::BrowseSession;
 use conceptbase::objectbase::consistency::check_full;
-use conceptbase::objectbase::frame::ObjectFrame;
 use conceptbase::objectbase::query::ask_with_stats;
-use conceptbase::objectbase::transform::{frame_of, tell, untell_object};
+use conceptbase::objectbase::transform::frame_of;
 use conceptbase::server::{Client, ClientError, Config, Server};
 use conceptbase::telos::assertion;
-use conceptbase::telos::backend::KbBackend;
-use conceptbase::telos::Kb;
 use std::io::{BufRead, Write};
 
-/// Local-mode shell state: the KB plus the counters of the last ASK.
+/// Local-mode shell state: the GKBMS (writes go through it so a
+/// journaled one logs them; reads go to its KB) plus the counters of
+/// the last ASK.
 struct Shell {
-    kb: Kb,
+    g: Gkbms,
     last_ask: Option<(usize, usize)>, // (index_probes, tuples_scanned)
 }
 
@@ -89,27 +92,23 @@ fn dispatch(shell: &mut Shell, line: &str) -> Option<String> {
         Some((c, r)) => (c, r.trim()),
         None => (line, ""),
     };
-    let kb = &mut shell.kb;
+    let g = &mut shell.g;
     let out = match cmd {
         "" => String::new(),
         "quit" | "exit" => return None,
         "help" => "commands: tell untell ask holds show isa instances attrs check stats \\stats \
              \\metrics \\lint \\explain quit"
             .to_string(),
-        "tell" => match ObjectFrame::parse(&format!("TELL {rest}")) {
-            Err(e) => format!("error: {e}"),
-            Ok(frame) => match tell(kb, &frame) {
+        "tell" => {
+            let before = g.kb().len();
+            match g.tell_src(&format!("TELL {rest}")) {
                 Err(e) => format!("error: {e}"),
-                Ok(receipt) => format!(
-                    "ok: {} ({} propositions)",
-                    kb.display(receipt.object),
-                    receipt.created.len()
-                ),
-            },
-        },
-        "untell" => match untell_object(kb, rest) {
+                Ok(n) => format!("ok: {n} object(s) ({} propositions)", g.kb().len() - before),
+            }
+        }
+        "untell" => match g.untell(rest) {
             Err(e) => format!("error: {e}"),
-            Ok(untold) => format!("ok: {} propositions untold", untold.len()),
+            Ok(untold) => format!("ok: {untold} propositions untold"),
         },
         "ask" => {
             // ask <var>/<class> : <expr>
@@ -119,7 +118,7 @@ fn dispatch(shell: &mut Shell, line: &str) -> Option<String> {
                 Some((binding, expr)) => match binding.trim().split_once('/') {
                     None => "usage: ask <var>/<class> : <expr>".to_string(),
                     Some((var, class)) => {
-                        match ask_with_stats(kb, var.trim(), class.trim(), expr.trim()) {
+                        match ask_with_stats(g.kb(), var.trim(), class.trim(), expr.trim()) {
                             Err(e) => format!("error: {e}"),
                             Ok((hits, stats)) => {
                                 shell.last_ask = Some((stats.index_probes, stats.tuples_scanned));
@@ -136,19 +135,19 @@ fn dispatch(shell: &mut Shell, line: &str) -> Option<String> {
         }
         "holds" => match assertion::parse(rest) {
             Err(e) => format!("error: {e}"),
-            Ok(expr) => match assertion::eval(kb, &expr, &mut assertion::Env::new()) {
+            Ok(expr) => match assertion::eval(g.kb(), &expr, &mut assertion::Env::new()) {
                 Err(e) => format!("error: {e}"),
                 Ok(v) => v.to_string(),
             },
         },
-        "show" => match kb.lookup(rest) {
+        "show" => match g.kb().lookup(rest) {
             None => format!("error: unknown object `{rest}`"),
-            Some(id) => match frame_of(kb, id) {
+            Some(id) => match frame_of(g.kb(), id) {
                 Err(e) => format!("error: {e}"),
                 Ok(frame) => frame.to_string(),
             },
         },
-        "isa" | "instances" => match BrowseSession::start(kb, rest) {
+        "isa" | "instances" => match BrowseSession::start(g.kb(), rest) {
             Err(e) => format!("error: {e}"),
             Ok(session) => {
                 if cmd == "isa" {
@@ -158,12 +157,12 @@ fn dispatch(shell: &mut Shell, line: &str) -> Option<String> {
                 }
             }
         },
-        "attrs" => match BrowseSession::start(kb, rest) {
+        "attrs" => match BrowseSession::start(g.kb(), rest) {
             Err(e) => format!("error: {e}"),
             Ok(session) => session.attribute_table().render(),
         },
         "check" => {
-            let (violations, stats) = check_full(kb);
+            let (violations, stats) = check_full(g.kb());
             if violations.is_empty() {
                 format!(
                     "consistent ({} constraints over {} classes)",
@@ -179,9 +178,9 @@ fn dispatch(shell: &mut Shell, line: &str) -> Option<String> {
         }
         "stats" => format!(
             "propositions: {} total, {} believed; belief tick: {}",
-            kb.len(),
-            kb.believed_count(),
-            kb.now()
+            g.kb().len(),
+            g.kb().believed_count(),
+            g.kb().now()
         ),
         "\\stats" => match shell.last_ask {
             None => "no ASK yet".to_string(),
@@ -196,26 +195,19 @@ fn dispatch(shell: &mut Shell, line: &str) -> Option<String> {
             } else {
                 match std::fs::read_to_string(rest) {
                     Err(e) => format!("error: cannot read {rest}: {e}"),
-                    Ok(src) => {
-                        let ctx = conceptbase::analysis::LintContext::from_kb(kb);
-                        let diags = conceptbase::analysis::lint_source(&src, &ctx);
-                        conceptbase::analysis::render(rest, &src, &diags)
-                            .trim_end()
-                            .to_string()
-                    }
+                    Ok(src) => conceptbase::analysis::render(rest, &src, &g.lint_src(&src))
+                        .trim_end()
+                        .to_string(),
                 }
             }
         }
         // \explain [rules…] — the evaluator's join plan and cost
         // estimate for the base program, the stored rules, and any
         // extra inline rules.
-        "\\explain" => {
-            let ctx = conceptbase::analysis::LintContext::from_kb(kb);
-            match conceptbase::analysis::explain_source(rest, &ctx) {
-                Ok(plan) => plan.trim_end().to_string(),
-                Err(e) => format!("error: {e}"),
-            }
-        }
+        "\\explain" => match g.explain_src(rest) {
+            Ok(plan) => plan.trim_end().to_string(),
+            Err(e) => format!("error: {e}"),
+        },
         other => format!("unknown command `{other}` (try `help`)"),
     };
     Some(out)
@@ -410,34 +402,50 @@ fn needs_more(buffer: &str) -> bool {
     first == "tell" && buffer.split_whitespace().next_back() != Some("end")
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--listen") => {
-            let opts = ListenOpts::parse(&args[1..])?;
-            return listen(&opts);
-        }
-        Some("--connect") => {
-            let addr = args
-                .get(1)
-                .ok_or("usage: cbshell --connect <host:port>")?
-                .clone();
-            return connect(&addr);
-        }
-        _ => {}
+const USAGE: &str = "usage: cbshell [--journal <dir>]\n       \
+     cbshell --listen [<addr>] [--journal <dir>] [--fsync <policy>] …\n       \
+     cbshell --connect <host:port>\n\
+     a persistent KB is a journal directory: pass it with --journal <dir>";
+
+fn main() {
+    if let Err(e) = run() {
+        eprintln!("cbshell: {e}");
+        std::process::exit(1);
     }
-    let kb = match args.first() {
-        Some(path) => Kb::with_backend(KbBackend::log(path)?)?,
-        None => Kb::new(),
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let g = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["--listen", ..] => return listen(&ListenOpts::parse(&args[1..])?),
+        ["--connect", addr] => return connect(addr),
+        [] => Gkbms::new()?,
+        ["--journal", dir] => recover(dir.as_ref())?.0,
+        _ => return Err(USAGE.into()),
     };
-    let mut shell = Shell { kb, last_ask: None };
+    let mut shell = Shell { g, last_ask: None };
     let interactive = atty_guess();
     if interactive {
         println!("ConceptBase-rs shell — `help` for commands, `quit` to leave.");
     }
-    let had_error = repl(interactive, |line| dispatch(&mut shell, line))?;
-    shell.kb.sync()?;
-    script_exit(interactive, had_error)
+    let outcome = repl(interactive, |line| dispatch(&mut shell, line));
+    // The session's writes become durable on the way out, whether the
+    // loop ended on `quit`, on EOF or on an I/O error.
+    if let Some(journal) = shell.g.journal_mut() {
+        journal.sync()?;
+    }
+    script_exit(interactive, outcome?)
+}
+
+/// [`Gkbms::recover`] with the error rendered for the command line.
+fn recover(dir: &std::path::Path) -> Result<(Gkbms, RecoveryReport), String> {
+    Gkbms::recover(dir).map_err(|e| match e {
+        GkbmsError::NotAJournal(_) => format!(
+            "{e}\nhint: name a directory; a missing one is created, and a file \
+             written by another tool cannot be imported"
+        ),
+        e => e.to_string(),
+    })
 }
 
 /// `--listen` options: address plus durability knobs.
@@ -509,7 +517,7 @@ impl ListenOpts {
 fn listen(opts: &ListenOpts) -> Result<(), Box<dyn std::error::Error>> {
     let state = match &opts.journal {
         Some(dir) => {
-            let (g, report) = conceptbase::gkbms::Gkbms::recover(dir)?;
+            let (g, report) = recover(dir)?;
             println!(
                 "gkbms: recovered from {} (snapshot: {}, {} WAL op(s) replayed in {:?})",
                 dir.display(),
@@ -525,7 +533,7 @@ fn listen(opts: &ListenOpts) -> Result<(), Box<dyn std::error::Error>> {
             }
             g
         }
-        None => conceptbase::gkbms::Gkbms::new()?,
+        None => Gkbms::new()?,
     };
     let cfg = Config {
         fsync: opts.fsync,
@@ -623,7 +631,7 @@ mod tests {
 
     fn seeded_shell() -> Shell {
         let mut shell = Shell {
-            kb: Kb::new(),
+            g: Gkbms::new().unwrap(),
             last_ask: None,
         };
         for cmd in [
@@ -727,7 +735,7 @@ mod tests {
 
     #[test]
     fn remote_shell_roundtrip() {
-        let state = conceptbase::gkbms::Gkbms::new().unwrap();
+        let state = Gkbms::new().unwrap();
         let server = Server::bind("127.0.0.1:0", state, Config::default()).unwrap();
         let addr = server.local_addr();
         let mut client = Client::connect(addr).unwrap();
@@ -804,7 +812,7 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("cb-shell-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (state, _) = conceptbase::gkbms::Gkbms::recover(&dir).unwrap();
+        let (state, _) = Gkbms::recover(&dir).unwrap();
         let server = Server::bind("127.0.0.1:0", state, Config::default()).unwrap();
         let addr = server.local_addr();
         let mut client = Client::connect(addr).unwrap();
@@ -833,7 +841,7 @@ mod tests {
             "bare \\lint needs a usage hint"
         );
 
-        let state = conceptbase::gkbms::Gkbms::new().unwrap();
+        let state = Gkbms::new().unwrap();
         let server = Server::bind("127.0.0.1:0", state, Config::default()).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
         let (session, _) = client.hello().unwrap();
@@ -855,7 +863,7 @@ mod tests {
         let bad = dispatch(&mut shell, "\\explain p(X) :- q(X").unwrap();
         assert!(bad.starts_with("error"), "{bad}");
 
-        let state = conceptbase::gkbms::Gkbms::new().unwrap();
+        let state = Gkbms::new().unwrap();
         let server = Server::bind("127.0.0.1:0", state, Config::default()).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
         let (session, _) = client.hello().unwrap();
@@ -868,7 +876,7 @@ mod tests {
 
     #[test]
     fn view_commands_remote() {
-        let state = conceptbase::gkbms::Gkbms::new().unwrap();
+        let state = Gkbms::new().unwrap();
         let server = Server::bind("127.0.0.1:0", state, Config::default()).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
         let (session, _) = client.hello().unwrap();
@@ -892,7 +900,7 @@ mod tests {
     #[test]
     fn recall_command_remote() {
         use conceptbase::gkbms::synth;
-        let mut state = conceptbase::gkbms::Gkbms::new().unwrap();
+        let mut state = Gkbms::new().unwrap();
         let h = synth::generate_into(
             &mut state,
             &synth::SynthConfig {

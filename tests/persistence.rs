@@ -1,70 +1,67 @@
-//! Integration: the persistent proposition base — "several physical
-//! representations of propositions can be managed by the proposition
-//! base" (§3.1) — across the object processor.
+//! Integration: the persistent knowledge base. A KB reaches disk one
+//! way — as an op journal (`Gkbms::recover` = snapshot + WAL tail) —
+//! and what the object processor told must come back from it intact.
 
-use conceptbase::objectbase::frame::ObjectFrame;
-use conceptbase::objectbase::transform::{frame_of, tell_all};
-use conceptbase::storage::heap::HeapFile;
-use conceptbase::telos::backend::KbBackend;
-use conceptbase::telos::Kb;
+use conceptbase::gkbms::{Gkbms, GkbmsError};
+use conceptbase::objectbase::transform::frame_of;
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("cb-int-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&p);
     let _ = std::fs::remove_file(&p);
     p
 }
 
+/// Closes a journaled GKBMS the way a clean shutdown does.
+fn close(mut g: Gkbms) {
+    g.journal_mut().unwrap().sync().unwrap();
+}
+
 #[test]
 fn frames_survive_reopen() {
-    let path = tmp("frames");
-    {
-        let mut kb = Kb::with_backend(KbBackend::log(&path).unwrap()).unwrap();
-        tell_all(
-            &mut kb,
-            &ObjectFrame::parse_all(
-                "TELL TDL_EntityClass isA Class end\n\
-                 TELL Person end\n\
-                 TELL Paper in TDL_EntityClass with attribute author : Person end\n\
-                 TELL Invitation in TDL_EntityClass isA Paper with\n\
-                   attribute sender : Person\n\
-                   constraint hasSender : $ forall i/Invitation i.sender defined $\n\
-                 end",
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        kb.sync().unwrap();
-    }
-    let kb = Kb::with_backend(KbBackend::log(&path).unwrap()).unwrap();
+    let dir = tmp("frames");
+    let (mut g, _) = Gkbms::recover(&dir).unwrap();
+    g.tell_src(
+        "TELL TDL_EntityClass isA Class end\n\
+         TELL Person end\n\
+         TELL Paper in TDL_EntityClass with attribute author : Person end\n\
+         TELL Invitation in TDL_EntityClass isA Paper with\n\
+           attribute sender : Person\n\
+           constraint hasSender : $ forall i/Invitation i.sender defined $\n\
+         end",
+    )
+    .unwrap();
+    close(g);
+    let (g, report) = Gkbms::recover(&dir).unwrap();
+    assert_eq!(report.replayed_ops, 1);
+    let kb = g.kb();
     let invitation = kb.lookup("Invitation").unwrap();
-    let back = frame_of(&kb, invitation).unwrap();
+    let back = frame_of(kb, invitation).unwrap();
     assert_eq!(back.classes, vec!["TDL_EntityClass"]);
     assert_eq!(back.isa, vec!["Paper"]);
     assert_eq!(back.attrs.len(), 1);
     assert_eq!(back.constraints.len(), 1);
     // The reopened KB is still axiom-clean and queryable.
-    assert!(conceptbase::telos::axioms::check_all(&kb).is_empty());
+    assert!(conceptbase::telos::axioms::check_all(kb).is_empty());
     let paper = kb.lookup("Paper").unwrap();
     assert!(kb.isa_ancestors(invitation).contains(&paper));
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn untold_history_survives_reopen() {
-    let path = tmp("history");
-    let t_alive;
-    {
-        let mut kb = Kb::with_backend(KbBackend::log(&path).unwrap()).unwrap();
-        let a = kb.individual("InvitationRel").unwrap();
-        let c = kb.individual("DBPL_Rel").unwrap();
-        let link = kb.instantiate(a, c).unwrap();
-        t_alive = kb.now();
-        kb.untell_cascade(link).unwrap();
-        kb.sync().unwrap();
-    }
-    let kb = Kb::with_backend(KbBackend::log(&path).unwrap()).unwrap();
+    let dir = tmp("history");
+    let (mut g, _) = Gkbms::recover(&dir).unwrap();
+    g.tell_src("TELL DBPL_Rel end TELL InvitationRel in DBPL_Rel end")
+        .unwrap();
+    let t_alive = g.kb().now();
+    // Untelling the class cascades to the classification link only.
+    g.untell("DBPL_Rel").unwrap();
+    close(g);
+    let (g, _) = Gkbms::recover(&dir).unwrap();
+    let kb = g.kb();
     let a = kb.lookup("InvitationRel").unwrap();
     assert!(kb.classes_of(a).is_empty(), "link no longer believed");
     assert_eq!(
@@ -72,80 +69,131 @@ fn untold_history_survives_reopen() {
         1,
         "temporal query sees it"
     );
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn many_objects_roundtrip() {
-    let path = tmp("bulk");
-    {
-        let mut kb = Kb::with_backend(KbBackend::log(&path).unwrap()).unwrap();
-        let class = kb.individual("DesignObjectToken").unwrap();
-        for i in 0..500 {
-            let o = kb.individual(&format!("obj{i}")).unwrap();
-            kb.instantiate(o, class).unwrap();
-        }
-        kb.sync().unwrap();
+fn many_objects_roundtrip_with_identical_ids_and_clock() {
+    let dir = tmp("bulk");
+    let (mut g, _) = Gkbms::recover(&dir).unwrap();
+    g.tell_src("TELL DesignObjectToken end").unwrap();
+    for batch in 0..10 {
+        let src: String = (batch * 50..(batch + 1) * 50)
+            .map(|i| format!("TELL obj{i} in DesignObjectToken end\n"))
+            .collect();
+        g.tell_src(&src).unwrap();
     }
-    let kb = Kb::with_backend(KbBackend::log(&path).unwrap()).unwrap();
+    g.untell("obj7").unwrap();
+    let names = ["DesignObjectToken", "obj0", "obj8", "obj250", "obj499"];
+    let ids_before: Vec<_> = names.iter().map(|n| g.kb().lookup(n)).collect();
+    let (len_before, now_before) = (g.kb().len(), g.kb().now());
+    close(g);
+    let (g, report) = Gkbms::recover(&dir).unwrap();
+    assert_eq!(report.replayed_ops, 12);
+    let kb = g.kb();
     let class = kb.lookup("DesignObjectToken").unwrap();
-    assert_eq!(kb.instances_of(class).len(), 500);
-    std::fs::remove_file(&path).unwrap();
+    assert_eq!(kb.instances_of(class).len(), 499);
+    // Replay rebuilds the very same proposition base: same ids for the
+    // same names, same size, same belief tick.
+    let ids_after: Vec<_> = names.iter().map(|n| kb.lookup(n)).collect();
+    assert_eq!(ids_after, ids_before);
+    assert!(ids_after.iter().all(Option::is_some));
+    assert_eq!((kb.len(), kb.now()), (len_before, now_before));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn dbpl_sources_stored_in_heap_file() {
-    // The "sources recorded outside the GKB" (fig 2-5) can live in the
-    // storage substrate: code frames in a slotted heap file.
-    use conceptbase::langs::dbpl::DbplModule;
-    use conceptbase::langs::mapping::{MappingStrategy, MoveDown};
-    use conceptbase::langs::taxisdl::document_model;
-    let path = tmp("heap");
-    let out = MoveDown.map_hierarchy(&document_model(), "Paper").unwrap();
-    let mut module = DbplModule::new("DocumentDB");
-    for d in out.decls {
-        module.add(d).unwrap();
-    }
-    let mut heap = HeapFile::open(&path, 8).unwrap();
-    let mut rids = Vec::new();
-    for d in &module.decls {
-        let frame = module.code_frame(d.name()).unwrap();
-        rids.push((d.name().to_string(), heap.insert(frame.as_bytes()).unwrap()));
-    }
-    heap.flush().unwrap();
-    // Reopen and verify each code frame.
-    let mut heap = HeapFile::open(&path, 8).unwrap();
-    for (name, rid) in rids {
-        let bytes = heap.get(rid).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        assert!(text.contains(&name), "{name} frame corrupted");
-    }
+fn recover_refuses_a_regular_file() {
+    // E.g. a proposition log written by a pre-journal cbshell.
+    let path = tmp("notdir");
+    std::fs::write(&path, b"not a journal").unwrap();
+    let err = match Gkbms::recover(&path) {
+        Ok(_) => panic!("a regular file is not a journal"),
+        Err(e) => e,
+    };
+    assert!(matches!(&err, GkbmsError::NotAJournal(p) if p == &path));
+    let msg = err.to_string();
+    assert!(msg.contains(path.to_str().unwrap()), "{msg}");
+    assert!(msg.contains("directory"), "{msg}");
+    assert!(msg.contains("snapshot") && msg.contains("wal"), "{msg}");
+    assert_eq!(std::fs::read(&path).unwrap(), b"not a journal", "untouched");
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Runs the `cbshell` binary on a piped script; returns (stdout, stderr, ok).
+fn cbshell(args: &[&str], script: &str) -> (String, String, bool) {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cbshell"))
+        .args(args)
+        .env_remove("CBSHELL_BANNER")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(script.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    (
+        String::from_utf8(out.stdout).unwrap(),
+        String::from_utf8(out.stderr).unwrap(),
+        out.status.success(),
+    )
+}
+
 #[test]
-fn kv_store_as_source_index() {
-    use conceptbase::storage::KvStore;
-    let path = tmp("kv");
-    {
-        let mut kv = KvStore::open(&path).unwrap();
-        kv.set(
-            b"design.tdl#Invitation",
-            b"EntityClass Invitation isA Paper ...",
-        )
-        .unwrap();
-        kv.set(b"design.tdl#Paper", b"EntityClass Paper ...")
-            .unwrap();
-        kv.set(
-            b"dbpl://DocumentDB#InvitationRel",
-            b"RELATION InvitationRel ...",
-        )
-        .unwrap();
-        kv.sync().unwrap();
-    }
-    let kv = KvStore::open(&path).unwrap();
-    let tdl_sources: Vec<_> = kv.scan_prefix(b"design.tdl#").collect();
-    assert_eq!(tdl_sources.len(), 2);
-    assert!(kv.get(b"dbpl://DocumentDB#InvitationRel").is_some());
+fn local_shell_and_server_share_one_journal_format() {
+    use conceptbase::server::{Client, Config, Server};
+    let dir = tmp("shell");
+    let d = dir.to_str().unwrap();
+    const READS: &str = "show Invitation\nask p/Paper : true\nstats\n";
+    let (first, _, ok) = cbshell(
+        &["--journal", d],
+        &format!(
+            "tell Paper end\ntell Invitation isA Paper end\ntell inv1 in Invitation end\n\
+             tell inv2 in Invitation end\nuntell inv2\n{READS}quit\n"
+        ),
+    );
+    assert!(ok, "{first}");
+    let answers = first.split_once("untold\n").expect("untell ack").1;
+    assert!(answers.contains("isA Paper") && answers.contains("inv1"));
+    assert!(!answers.contains("inv2"), "{answers}");
+    // A second session (ended by EOF, not `quit`) sees the same frame,
+    // the same answers and the same belief tick.
+    let (second, _, ok) = cbshell(&["--journal", d], READS);
+    assert!(ok, "{second}");
+    assert_eq!(second, answers);
+    // What `cbshell --listen --journal <dir>` does with that directory.
+    let (g, report) = Gkbms::recover(&dir).unwrap();
+    assert_eq!(report.replayed_ops, 5);
+    let server = Server::bind("127.0.0.1:0", g, Config::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (session, _) = client.hello().unwrap();
+    let reply = client.ask(session, "p", "Paper", "true").unwrap();
+    assert_eq!(reply.answers, vec!["inv1"]);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn shell_rejects_a_positional_path_and_a_file_journal() {
+    let path = tmp("oldlog");
+    std::fs::write(&path, b"pre-journal proposition log").unwrap();
+    let p = path.to_str().unwrap();
+    let (_, err, ok) = cbshell(&[p], "stats\n");
+    assert!(!ok);
+    assert!(
+        err.contains("usage") && err.contains("--journal <dir>"),
+        "{err}"
+    );
+    let (_, err, ok) = cbshell(&["--journal", p], "stats\n");
+    assert!(!ok);
+    assert!(err.contains(p) && err.contains("not a journal"), "{err}");
+    assert!(err.contains("hint:"), "{err}");
     std::fs::remove_file(&path).unwrap();
 }

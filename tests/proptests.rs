@@ -6,7 +6,6 @@ use conceptbase::datalog::{magic, seminaive, topdown};
 use conceptbase::rms::atms::Atms;
 use conceptbase::rms::jtms::Jtms;
 use conceptbase::storage::record;
-use conceptbase::storage::KvStore;
 use conceptbase::telos::time::allen::{AllenNetwork, AllenRel, RelSet};
 use conceptbase::telos::{Interval, Kb};
 use proptest::prelude::*;
@@ -98,49 +97,6 @@ proptest! {
             record::ReadOutcome::Record(p) => prop_assert_eq!(p, payload),
             other => prop_assert!(false, "unexpected {:?}", other),
         }
-    }
-
-    #[test]
-    fn kv_recovery_matches_model(
-        ops in prop::collection::vec(
-            (0u8..3, 0u8..8, any::<u8>()),
-            1..40,
-        )
-    ) {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "cb-prop-kv-{}-{:x}",
-            std::process::id(),
-            ops.iter().fold(0u64, |h, (a, b, c)| h
-                .wrapping_mul(31)
-                .wrapping_add(*a as u64 + *b as u64 * 7 + *c as u64 * 13))
-        ));
-        let _ = std::fs::remove_file(&path);
-        let mut model = std::collections::BTreeMap::new();
-        {
-            let mut kv = KvStore::open(&path).unwrap();
-            for (op, k, v) in &ops {
-                let key = vec![*k];
-                match op {
-                    0 | 1 => {
-                        kv.set(&key, &[*v]).unwrap();
-                        model.insert(key, vec![*v]);
-                    }
-                    _ => {
-                        kv.delete(&key).unwrap();
-                        model.remove(&key);
-                    }
-                }
-            }
-            kv.sync().unwrap();
-        }
-        let kv = KvStore::open(&path).unwrap();
-        let recovered: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = kv
-            .scan()
-            .map(|(k, v)| (k.to_vec(), v.to_vec()))
-            .collect();
-        let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(recovered, model);
     }
 
     // ---------- inference engines ----------
