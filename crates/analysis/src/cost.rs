@@ -4,10 +4,13 @@
 //!
 //! # CB012 — join-cost estimation
 //!
-//! The model mirrors the semi-naive evaluator's actual plan
-//! ([`datalog::seminaive::plan_masks`]): positive literals first, each
-//! probing the per-predicate hash index on the binding-pattern mask the
-//! planner would use. Costs follow a textbook System-R-style estimate:
+//! The model mirrors the plan the shared join kernel follows in the
+//! naive round of an evaluation ([`datalog::seminaive::plan_masks`]):
+//! positive literals first, each probing the per-predicate hash index
+//! on the binding-pattern mask the kernel derives when it reaches the
+//! literal. (Semi-naive rounds and view maintenance start from the
+//! delta literal instead, which only makes them cheaper than this
+//! estimate.) Costs follow a textbook System-R-style estimate:
 //!
 //! * a literal with an empty mask is a **scan** — every tuple of the
 //!   relation joins with every intermediate row (a cross join unless it
@@ -80,8 +83,8 @@ pub struct RuleCost {
     pub cost: f64,
 }
 
-/// Estimates one rule bottom-up along the exact join order and binding
-/// masks the evaluator compiles ([`plan_masks`]). When `diags` is
+/// Estimates one rule bottom-up along the join order and binding masks
+/// of the evaluator's naive round ([`plan_masks`]). When `diags` is
 /// given, cross joins past [`CROSS_ROWS_WARN`] are reported against
 /// `subject` as CB012.
 pub fn rule_cost(

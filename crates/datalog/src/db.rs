@@ -267,6 +267,11 @@ impl Database {
             .is_some_and(|r| r.arity == row.len() && r.find(row).is_some())
     }
 
+    /// Whether `pred` holds at least one tuple.
+    pub(crate) fn has_tuples(&self, pred: Symbol) -> bool {
+        self.rel(pred).is_some_and(|r| r.len() > 0)
+    }
+
     /// Removes an interned row under `pred`; returns whether it was
     /// present. An empty relation stays registered (same arity).
     pub(crate) fn remove_ivals(&mut self, pred: Symbol, row: &[IVal]) -> bool {

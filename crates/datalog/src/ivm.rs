@@ -25,14 +25,31 @@
 //! The extensional base itself is counted: re-telling a present fact
 //! raises its support, and an UNTELL only removes the fact — and
 //! propagates a deletion delta — when no independent support remains.
+//!
+//! # Delta joins
+//!
+//! Every join here runs on the crate's one join kernel
+//! (`datalog::join`, shared with [`crate::seminaive::evaluate`]); this
+//! module only says which state each body position reads. The committed
+//! `model` stays the *old* state for a whole refresh, and the states a
+//! delta rule needs are overlays on it: new = `(model ∪ inserts) \
+//! deletes`, old ∩ new = `model \ deletes`, and inside a DRed stratum
+//! additionally `\ pending ∪ inserted`. The overlay parts are pairwise
+//! disjoint, so no tuple is visited twice and instantiation counts are
+//! exact; positions before the delta position read a state without the
+//! delta, so each changed instantiation is produced by exactly one
+//! delta rule. The kernel's probe, scan and instantiation counters for
+//! a refresh are returned in [`ApplyStats`].
 
 use crate::ast::{Program, Value};
 use crate::db::Database;
 use crate::error::{DatalogError, DatalogResult};
 use crate::intern::{intern, IVal, Symbol};
+use crate::join::{compile, CRule, Join, Source};
 use crate::predgraph::DepGraph;
-use crate::seminaive::{compile, match_row, unwind, ArgSpec, CRule};
+use crate::seminaive::EvalStats;
 use crate::stratify::stratify;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 /// A ground fact addressed by predicate name: one TELL or UNTELL unit.
@@ -47,6 +64,13 @@ pub struct ApplyStats {
     pub edb_deletes: usize,
     /// Derived tuples whose presence flipped either way.
     pub derived_changes: usize,
+    /// Index probes issued by the refresh's delta joins.
+    pub index_probes: usize,
+    /// Candidate tuples the refresh's delta joins iterated.
+    pub tuples_scanned: usize,
+    /// Rule-body instantiations the refresh's delta joins completed
+    /// (lost, gained, over-deleted and rederived alike).
+    pub derivations: usize,
 }
 
 impl ApplyStats {
@@ -67,6 +91,21 @@ impl ApplyStats {
             "Presence-changing delta tuples propagated through views"
         )
         .add(self.delta_tuples() as u64);
+        obs::counter!(
+            "datalog_ivm_index_probes_total",
+            "Index probes issued by view-maintenance joins"
+        )
+        .add(self.index_probes as u64);
+        obs::counter!(
+            "datalog_ivm_tuples_scanned_total",
+            "Candidate tuples iterated by view-maintenance joins"
+        )
+        .add(self.tuples_scanned as u64);
+        obs::counter!(
+            "datalog_ivm_derivations_total",
+            "Rule-body instantiations completed by view-maintenance joins"
+        )
+        .add(self.derivations as u64);
     }
 }
 
@@ -222,13 +261,17 @@ impl MaterializedView {
             idb_support,
             ..
         } = self;
+        let mut work = EvalStats::default();
         for st in strata.iter() {
             stats.derived_changes += if st.recursive {
-                dred_apply(st, model, &mut i_all, &mut d_all)?
+                dred_apply(st, model, &mut i_all, &mut d_all, &mut work)?
             } else {
-                counting_apply(st, model, &mut i_all, &mut d_all, idb_support)?
+                counting_apply(st, model, &mut i_all, &mut d_all, idb_support, &mut work)?
             };
         }
+        stats.index_probes = work.index_probes;
+        stats.tuples_scanned = work.tuples_scanned;
+        stats.derivations = work.derivations;
 
         // Commit: the old model becomes the new one.
         let removals: Vec<(Symbol, Vec<IVal>)> = d_all
@@ -297,215 +340,37 @@ fn build_strata(program: &Program) -> DatalogResult<Vec<Stratum>> {
 }
 
 // ---------------------------------------------------------------------
-// The delta join core: one join over per-position source overlays.
+// Delta joins: the shared kernel over overlays of the maintained state.
 // ---------------------------------------------------------------------
 
-/// Where one body position reads from during a delta join. Positive
-/// sources are overlays `(∪ parts) \ (∪ minus)` with pairwise-disjoint
-/// parts, so iteration never visits a tuple twice.
-enum PosCfg<'a> {
-    /// Positive literal over an overlay state.
-    Pos {
-        parts: Vec<&'a Database>,
-        minus: Vec<&'a Database>,
-    },
-    /// Positive literal restricted to a delta relation.
-    PosDelta(&'a Database),
-    /// Negated literal: the ground tuple must be absent from the state.
-    NegAbsent {
-        parts: Vec<&'a Database>,
-        minus: Vec<&'a Database>,
-    },
-    /// Negated literal in the delta role: the ground tuple must be in
-    /// the flipped set (inserts when deleting, deletes when inserting).
-    NegIn(&'a Database),
-}
-
-fn ground_lit(args: &[ArgSpec], pred: Symbol, env: &[Option<IVal>]) -> DatalogResult<Vec<IVal>> {
-    let mut row = Vec::with_capacity(args.len());
-    for a in args {
-        match a {
-            ArgSpec::Const(c) => row.push(*c),
-            ArgSpec::Var(s) => match env[*s as usize] {
-                Some(v) => row.push(v),
-                None => return Err(DatalogError::NonGroundNegation(pred.as_str().to_string())),
-            },
-        }
-    }
-    Ok(row)
-}
-
-fn in_state(parts: &[&Database], minus: &[&Database], pred: Symbol, row: &[IVal]) -> bool {
-    parts.iter().any(|d| d.contains_ivals(pred, row))
-        && !minus.iter().any(|d| d.contains_ivals(pred, row))
-}
-
-/// The join order for one delta rule: the delta literal (when
-/// positive) first, so the join is driven by the change rather than by
-/// a scan of the full state, then the remaining positive literals in
-/// rule order, then the negations — ground by rule safety once every
-/// positive literal has run. The result multiset of a join does not
-/// depend on literal order, so counting semantics are unaffected.
-fn join_order(rule: &CRule, cfgs: &[PosCfg]) -> Vec<usize> {
-    let delta_pos = cfgs.iter().position(|c| matches!(c, PosCfg::PosDelta(_)));
-    let mut order = Vec::with_capacity(rule.lits.len());
-    order.extend(delta_pos);
-    for (i, l) in rule.lits.iter().enumerate() {
-        if Some(i) != delta_pos && !l.negated {
-            order.push(i);
-        }
-    }
-    for (i, l) in rule.lits.iter().enumerate() {
-        if Some(i) != delta_pos && l.negated {
-            order.push(i);
-        }
-    }
-    order
-}
-
-/// Joins the literals `order[pos..]` with each position reading its
-/// configured source, pushing every complete head instantiation
-/// (duplicates included — counting needs them) onto `out`.
-fn join_cfg(
+/// Runs one delta join, returning every head instantiation (duplicates
+/// included — counting needs them). Collected rather than streamed
+/// because the callers go on to update sets the sources read.
+fn run_join(
     rule: &CRule,
-    cfgs: &[PosCfg],
-    order: &[usize],
-    pos: usize,
-    env: &mut [Option<IVal>],
-    trail: &mut Vec<u16>,
-    out: &mut Vec<Vec<IVal>>,
-) -> DatalogResult<()> {
-    if pos == order.len() {
-        let row: Vec<IVal> = rule
-            .head
-            .iter()
-            .map(|a| match a {
-                ArgSpec::Const(c) => *c,
-                ArgSpec::Var(s) => env[*s as usize].expect("safety: head var bound"),
-            })
-            .collect();
-        out.push(row);
-        return Ok(());
-    }
-    let lit = &rule.lits[order[pos]];
-    match &cfgs[order[pos]] {
-        PosCfg::NegAbsent { parts, minus } => {
-            let row = ground_lit(&lit.args, lit.pred, env)?;
-            if !in_state(parts, minus, lit.pred, &row) {
-                join_cfg(rule, cfgs, order, pos + 1, env, trail, out)?;
-            }
-        }
-        PosCfg::NegIn(db) => {
-            let row = ground_lit(&lit.args, lit.pred, env)?;
-            if db.contains_ivals(lit.pred, &row) {
-                join_cfg(rule, cfgs, order, pos + 1, env, trail, out)?;
-            }
-        }
-        PosCfg::Pos { parts, minus } => {
-            for part in parts {
-                scan_part(rule, cfgs, order, pos, part, minus, env, trail, out)?;
-            }
-        }
-        PosCfg::PosDelta(db) => scan_part(rule, cfgs, order, pos, db, &[], env, trail, out)?,
-    }
-    Ok(())
-}
-
-/// Iterates the matches of `rule.lits[order[pos]]` in one overlay
-/// part, skipping rows subtracted by `minus`, and recurses.
-///
-/// The binding-pattern mask is computed from the *runtime* env, not
-/// taken from the compiled literal: delta joins run the literals out
-/// of rule order (delta first, or seeded from a head tuple during
-/// rederivation), so the compile-time left-to-right mask would miss
-/// bindings and degrade indexed probes to full scans of the model.
-#[allow(clippy::too_many_arguments)]
-fn scan_part(
-    rule: &CRule,
-    cfgs: &[PosCfg],
-    order: &[usize],
-    pos: usize,
-    part: &Database,
-    minus: &[&Database],
-    env: &mut [Option<IVal>],
-    trail: &mut Vec<u16>,
-    out: &mut Vec<Vec<IVal>>,
-) -> DatalogResult<()> {
-    let lit = &rule.lits[order[pos]];
-    let Some(rel) = part.rel(lit.pred) else {
-        return Ok(());
-    };
-    if rel.arity != lit.args.len() {
-        return Ok(());
-    }
-    let mut mask: u32 = 0;
-    for (j, a) in lit.args.iter().enumerate() {
-        let bound = match a {
-            ArgSpec::Const(_) => true,
-            ArgSpec::Var(s) => env[*s as usize].is_some(),
-        };
-        if bound {
-            mask |= 1 << j;
-        }
-    }
-    let mark = trail.len();
-    if mask != 0 && mask.count_ones() as usize == lit.args.len() {
-        // Fully ground: a membership probe, no index needed.
-        let row = ground_lit(&lit.args, lit.pred, env)?;
-        if part.contains_ivals(lit.pred, &row)
-            && !minus.iter().any(|d| d.contains_ivals(lit.pred, &row))
-        {
-            join_cfg(rule, cfgs, order, pos + 1, env, trail, out)?;
-        }
-    } else if mask != 0 {
-        let key: Vec<IVal> = lit
-            .args
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| mask & (1 << j) != 0)
-            .map(|(_, a)| match a {
-                ArgSpec::Const(c) => *c,
-                ArgSpec::Var(s) => env[*s as usize].expect("masked var bound"),
-            })
-            .collect();
-        let index = rel.index_for(mask);
-        if let Some(ids) = index.get(&key) {
-            for &id in ids {
-                let row = rel.row(id);
-                if minus.iter().any(|d| d.contains_ivals(lit.pred, row)) {
-                    continue;
-                }
-                if match_row(&lit.args, row, env, trail) {
-                    join_cfg(rule, cfgs, order, pos + 1, env, trail, out)?;
-                }
-                unwind(env, trail, mark);
-            }
-        }
-    } else {
-        for row in rel.rows() {
-            if minus.iter().any(|d| d.contains_ivals(lit.pred, row)) {
-                continue;
-            }
-            if match_row(&lit.args, row, env, trail) {
-                join_cfg(rule, cfgs, order, pos + 1, env, trail, out)?;
-            }
-            unwind(env, trail, mark);
-        }
-    }
-    Ok(())
-}
-
-fn run_join(rule: &CRule, cfgs: &[PosCfg]) -> DatalogResult<Vec<Vec<IVal>>> {
-    let order = join_order(rule, cfgs);
-    let mut env = vec![None; rule.nslots];
-    let mut trail = Vec::new();
+    sources: Vec<Source>,
+    work: &mut EvalStats,
+) -> DatalogResult<Vec<Vec<IVal>>> {
     let mut out = Vec::new();
-    join_cfg(rule, cfgs, &order, 0, &mut env, &mut trail, &mut out)?;
+    Join::new(rule, sources).run(&mut rule.fresh_env(), work, &mut |row| {
+        out.push(row);
+        Ok(())
+    })?;
     Ok(out)
 }
 
-fn has_pred(db: &Database, pred: Symbol) -> bool {
-    db.rel(pred).is_some_and(|r| r.len() > 0)
+/// Every position reads `state`, except an optional delta position.
+fn with_delta<'a>(
+    rule: &CRule,
+    state: &Source<'a>,
+    delta: Option<(usize, &'a Database)>,
+) -> Vec<Source<'a>> {
+    (0..rule.lits.len())
+        .map(|j| match delta {
+            Some((i, d)) if i == j => Source::Delta(d),
+            _ => state.clone(),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -525,64 +390,42 @@ fn counting_apply(
     i_all: &mut Database,
     d_all: &mut Database,
     support: &mut HashMap<(Symbol, Vec<IVal>), i64>,
+    work: &mut EvalStats,
 ) -> DatalogResult<usize> {
     let mut net: HashMap<(Symbol, Vec<IVal>), i64> = HashMap::new();
     for rule in &st.rules {
         for (i, lit) in rule.lits.iter().enumerate() {
             for deleting in [true, false] {
-                let delta_src: &Database = match (deleting, lit.negated) {
-                    (true, false) => d_all,
-                    (true, true) => i_all,
-                    (false, false) => i_all,
-                    (false, true) => d_all,
+                // A negated literal loses instantiations to inserts
+                // and gains them from deletes.
+                let delta_src: &Database = if deleting != lit.negated {
+                    d_all
+                } else {
+                    i_all
                 };
-                if !has_pred(delta_src, lit.pred) {
+                if !delta_src.has_tuples(lit.pred) {
                     continue;
                 }
-                let cfgs: Vec<PosCfg> = rule
+                let sources = rule
                     .lits
                     .iter()
                     .enumerate()
                     .map(|(j, l)| match j.cmp(&i) {
-                        std::cmp::Ordering::Less => {
-                            if l.negated {
-                                // Holds in both old and new: absent
-                                // from old ∪ new = model ∪ inserts.
-                                PosCfg::NegAbsent {
-                                    parts: vec![model, i_all],
-                                    minus: vec![],
-                                }
-                            } else {
-                                // old ∩ new = model \ deletes.
-                                PosCfg::Pos {
-                                    parts: vec![model],
-                                    minus: vec![d_all],
-                                }
-                            }
-                        }
-                        std::cmp::Ordering::Equal => {
-                            if l.negated {
-                                PosCfg::NegIn(delta_src)
-                            } else {
-                                PosCfg::PosDelta(delta_src)
-                            }
-                        }
-                        std::cmp::Ordering::Greater => {
-                            let (parts, minus): (Vec<&Database>, Vec<&Database>) = if deleting {
-                                (vec![model], vec![]) // old
-                            } else {
-                                (vec![model, i_all], vec![d_all]) // new
-                            };
-                            if l.negated {
-                                PosCfg::NegAbsent { parts, minus }
-                            } else {
-                                PosCfg::Pos { parts, minus }
-                            }
-                        }
+                        // Before `i` a literal holds in both old and
+                        // new: negated, absent from old ∪ new = model ∪
+                        // inserts; positive, in old ∩ new = model \
+                        // deletes.
+                        Ordering::Less if l.negated => Source::State(vec![model, i_all], vec![]),
+                        Ordering::Less => Source::State(vec![model], vec![d_all]),
+                        Ordering::Equal => Source::Delta(delta_src),
+                        // After `i`: the old state when deleting, the
+                        // new one when inserting.
+                        Ordering::Greater if deleting => Source::State(vec![model], vec![]),
+                        Ordering::Greater => Source::State(vec![model, i_all], vec![d_all]),
                     })
                     .collect();
                 let sign = if deleting { -1 } else { 1 };
-                for row in run_join(rule, &cfgs)? {
+                for row in run_join(rule, sources, work)? {
                     *net.entry((rule.head_pred, row)).or_insert(0) += sign;
                 }
             }
@@ -619,25 +462,10 @@ fn recount_stratum(
     model: &Database,
     support: &mut HashMap<(Symbol, Vec<IVal>), i64>,
 ) -> DatalogResult<()> {
+    let settled = Source::State(vec![model], vec![]);
     for rule in &st.rules {
-        let cfgs: Vec<PosCfg> = rule
-            .lits
-            .iter()
-            .map(|l| {
-                if l.negated {
-                    PosCfg::NegAbsent {
-                        parts: vec![model],
-                        minus: vec![],
-                    }
-                } else {
-                    PosCfg::Pos {
-                        parts: vec![model],
-                        minus: vec![],
-                    }
-                }
-            })
-            .collect();
-        for row in run_join(rule, &cfgs)? {
+        let sources = with_delta(rule, &settled, None);
+        for row in run_join(rule, sources, &mut EvalStats::default())? {
             *support.entry((rule.head_pred, row)).or_insert(0) += 1;
         }
     }
@@ -658,47 +486,40 @@ fn recount_stratum(
 /// 3. **Insert**: a semi-naive pass folds in derivations enabled by
 ///    lower-stratum changes, restoring over-deleted tuples or adding
 ///    brand-new ones, and propagating through the recursion.
+///
+/// Both fixpoints open with a round seeded by the lower-stratum changes
+/// (`frontier` is `None`) and continue with rounds driven by what the
+/// previous round marked or admitted in this stratum.
 fn dred_apply(
     st: &Stratum,
     model: &Database,
     i_all: &mut Database,
     d_all: &mut Database,
+    work: &mut EvalStats,
 ) -> DatalogResult<usize> {
-    // Over-delete.
+    // Over-delete: deletes at positive positions, inserts under
+    // negation.
+    let old_state = Source::State(vec![model], vec![]);
     let mut pending = Database::new();
     let mut removed_list: Vec<(Symbol, Vec<IVal>)> = Vec::new();
-    let mut frontier = Database::new();
-    for rule in &st.rules {
-        for (i, lit) in rule.lits.iter().enumerate() {
-            if st.heads.contains(&lit.pred) {
-                continue; // same-stratum deltas are handled in rounds
-            }
-            let delta_src: &Database = if lit.negated { i_all } else { d_all };
-            if !has_pred(delta_src, lit.pred) {
-                continue;
-            }
-            let cfgs = old_state_cfgs(rule, model, Some((i, delta_src)));
-            for row in run_join(rule, &cfgs)? {
-                mark_deleted(
-                    rule.head_pred,
-                    row,
-                    model,
-                    &mut pending,
-                    &mut frontier,
-                    &mut removed_list,
-                )?;
-            }
-        }
-    }
-    while frontier.total() > 0 {
+    let mut frontier: Option<Database> = None;
+    loop {
         let mut next = Database::new();
         for rule in &st.rules {
             for (i, lit) in rule.lits.iter().enumerate() {
-                if lit.negated || !st.heads.contains(&lit.pred) || !has_pred(&frontier, lit.pred) {
+                let same_stratum = st.heads.contains(&lit.pred);
+                let delta_src: &Database = match &frontier {
+                    None if same_stratum => continue,
+                    None if lit.negated => i_all,
+                    None => d_all,
+                    Some(_) if lit.negated || !same_stratum => continue,
+                    Some(f) => f,
+                };
+                if !delta_src.has_tuples(lit.pred) {
                     continue;
                 }
-                let cfgs = old_state_cfgs(rule, model, Some((i, &frontier)));
-                for row in run_join(rule, &cfgs)? {
+                let sources = with_delta(rule, &old_state, Some((i, delta_src)));
+                for row in run_join(rule, sources, work)? {
                     mark_deleted(
                         rule.head_pred,
                         row,
@@ -710,7 +531,10 @@ fn dred_apply(
                 }
             }
         }
-        frontier = next;
+        if next.total() == 0 {
+            break;
+        }
+        frontier = Some(next);
     }
 
     // Rederive: keep over-deleted tuples that still have a derivation
@@ -724,17 +548,15 @@ fn dred_apply(
             }
             let mut found = false;
             for rule in st.rules.iter().filter(|r| r.head_pred == *sym) {
-                let mut env = vec![None; rule.nslots];
-                if !seed_head(rule, row, &mut env) {
+                let Some(mut env) = rule.env_for_head(row) else {
                     continue;
-                }
-                let cfgs = new_state_cfgs(rule, model, i_all, d_all, &pending, None, None);
-                let order = join_order(rule, &cfgs);
-                let mut trail = Vec::new();
-                let mut out = Vec::new();
-                join_cfg(rule, &cfgs, &order, 0, &mut env, &mut trail, &mut out)?;
-                if !out.is_empty() {
+                };
+                let state = new_state(model, i_all, d_all, &pending, None);
+                Join::new(rule, with_delta(rule, &state, None)).run(&mut env, work, &mut |_| {
                     found = true;
+                    Ok(())
+                })?;
+                if found {
                     break;
                 }
             }
@@ -749,60 +571,27 @@ fn dred_apply(
     }
 
     // Insert: semi-naive over the new state, seeded by lower-stratum
-    // changes (inserts at positive positions, deletes under negation).
+    // inserts at positive positions and deletes under negation.
     let mut inserted = Database::new();
-    let mut frontier = Database::new();
-    for rule in &st.rules {
-        for (i, lit) in rule.lits.iter().enumerate() {
-            if st.heads.contains(&lit.pred) {
-                continue;
-            }
-            let delta_src: &Database = if lit.negated { d_all } else { i_all };
-            if !has_pred(delta_src, lit.pred) {
-                continue;
-            }
-            let out = {
-                let cfgs = new_state_cfgs(
-                    rule,
-                    model,
-                    i_all,
-                    d_all,
-                    &pending,
-                    Some(&inserted),
-                    Some((i, delta_src)),
-                );
-                run_join(rule, &cfgs)?
-            };
-            for row in out {
-                admit_insert(
-                    rule.head_pred,
-                    row,
-                    model,
-                    &mut pending,
-                    &mut inserted,
-                    &mut frontier,
-                )?;
-            }
-        }
-    }
-    while frontier.total() > 0 {
+    let mut frontier: Option<Database> = None;
+    loop {
         let mut next = Database::new();
         for rule in &st.rules {
             for (i, lit) in rule.lits.iter().enumerate() {
-                if lit.negated || !st.heads.contains(&lit.pred) || !has_pred(&frontier, lit.pred) {
+                let same_stratum = st.heads.contains(&lit.pred);
+                let delta_src: &Database = match &frontier {
+                    None if same_stratum => continue,
+                    None if lit.negated => d_all,
+                    None => i_all,
+                    Some(_) if lit.negated || !same_stratum => continue,
+                    Some(f) => f,
+                };
+                if !delta_src.has_tuples(lit.pred) {
                     continue;
                 }
                 let out = {
-                    let cfgs = new_state_cfgs(
-                        rule,
-                        model,
-                        i_all,
-                        d_all,
-                        &pending,
-                        Some(&inserted),
-                        Some((i, &frontier)),
-                    );
-                    run_join(rule, &cfgs)?
+                    let state = new_state(model, i_all, d_all, &pending, Some(&inserted));
+                    run_join(rule, with_delta(rule, &state, Some((i, delta_src))), work)?
                 };
                 for row in out {
                     admit_insert(
@@ -816,7 +605,10 @@ fn dred_apply(
                 }
             }
         }
-        frontier = next;
+        if next.total() == 0 {
+            break;
+        }
+        frontier = Some(next);
     }
 
     let changes = pending.total() + inserted.total();
@@ -825,102 +617,18 @@ fn dred_apply(
     Ok(changes)
 }
 
-/// Every position reads the old state (`model`), except an optional
-/// delta position.
-fn old_state_cfgs<'a>(
-    rule: &CRule,
-    model: &'a Database,
-    delta: Option<(usize, &'a Database)>,
-) -> Vec<PosCfg<'a>> {
-    rule.lits
-        .iter()
-        .enumerate()
-        .map(|(j, l)| {
-            if let Some((i, d)) = delta {
-                if j == i {
-                    return if l.negated {
-                        PosCfg::NegIn(d)
-                    } else {
-                        PosCfg::PosDelta(d)
-                    };
-                }
-            }
-            if l.negated {
-                PosCfg::NegAbsent {
-                    parts: vec![model],
-                    minus: vec![],
-                }
-            } else {
-                PosCfg::Pos {
-                    parts: vec![model],
-                    minus: vec![],
-                }
-            }
-        })
-        .collect()
-}
-
-/// Every position reads the in-progress new state — lower strata as
-/// `(model ∪ i_all) \ d_all`, this stratum as
-/// `(model \ pending) ∪ inserted` — except an optional delta position.
-fn new_state_cfgs<'a>(
-    rule: &CRule,
+/// The in-progress new state: lower strata as `(model ∪ i_all) \ d_all`,
+/// this stratum as `(model \ pending) ∪ inserted`.
+fn new_state<'a>(
     model: &'a Database,
     i_all: &'a Database,
     d_all: &'a Database,
     pending: &'a Database,
     inserted: Option<&'a Database>,
-    delta: Option<(usize, &'a Database)>,
-) -> Vec<PosCfg<'a>> {
-    rule.lits
-        .iter()
-        .enumerate()
-        .map(|(j, l)| {
-            if let Some((i, d)) = delta {
-                if j == i {
-                    return if l.negated {
-                        PosCfg::NegIn(d)
-                    } else {
-                        PosCfg::PosDelta(d)
-                    };
-                }
-            }
-            let mut parts = vec![model, i_all];
-            if let Some(ins) = inserted {
-                parts.push(ins);
-            }
-            let minus = vec![d_all, pending];
-            if l.negated {
-                PosCfg::NegAbsent { parts, minus }
-            } else {
-                PosCfg::Pos { parts, minus }
-            }
-        })
-        .collect()
-}
-
-/// Binds a rule's head against a concrete tuple, seeding the slots the
-/// body join starts from. Fails on constant or repeated-variable
-/// mismatch.
-fn seed_head(rule: &CRule, row: &[IVal], env: &mut [Option<IVal>]) -> bool {
-    for (a, &v) in rule.head.iter().zip(row) {
-        match a {
-            ArgSpec::Const(c) => {
-                if *c != v {
-                    return false;
-                }
-            }
-            ArgSpec::Var(s) => match env[*s as usize] {
-                Some(b) => {
-                    if b != v {
-                        return false;
-                    }
-                }
-                None => env[*s as usize] = Some(v),
-            },
-        }
-    }
-    true
+) -> Source<'a> {
+    let mut parts = vec![model, i_all];
+    parts.extend(inserted);
+    Source::State(parts, vec![d_all, pending])
 }
 
 fn mark_deleted(
@@ -1259,6 +967,35 @@ mod tests {
             t
         };
         assert_eq!(maintained, rebuilt);
+    }
+
+    #[test]
+    fn apply_reports_the_join_work_of_the_refresh() {
+        // 16 disjoint depth-64 chains; untelling the last edge of one
+        // of them must cost joins over that chain only, and say so.
+        const DEPTH: i64 = 64;
+        let prog =
+            Program::parse("path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).")
+                .unwrap();
+        let mut v = MaterializedView::new(prog).unwrap();
+        let load: Vec<Fact> = (0..16)
+            .flat_map(|c| (0..DEPTH).map(move |d| fact("edge", &[c * 100 + d, c * 100 + d + 1])))
+            .collect();
+        let loaded = v.apply(&load, &[]).unwrap();
+        assert!(loaded.derivations >= loaded.derived_changes);
+        let paths = v.model().count("path");
+        assert_eq!(paths, 16 * 64 * 65 / 2);
+
+        let stats = v.apply(&[], &[fact("edge", &[DEPTH - 1, DEPTH])]).unwrap();
+        assert_eq!(stats.derived_changes, 64, "path(x, 64) for every x < 64");
+        assert!(stats.derivations >= 64, "each lost path was derived once");
+        assert!(stats.index_probes > 0);
+        assert!(
+            stats.tuples_scanned * 10 < paths,
+            "scanned {} of {paths} path tuples",
+            stats.tuples_scanned
+        );
+        assert_matches_recompute(&v);
     }
 
     #[test]

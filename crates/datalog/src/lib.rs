@@ -28,22 +28,35 @@
 //! relation carries **secondary hash indexes keyed on binding
 //! patterns** — bitmasks of bound argument positions. An index is
 //! built lazily the first time a join probes its pattern and is
-//! maintained incrementally on insert. The engines exploit it
-//! uniformly:
+//! maintained incrementally on insert and remove.
 //!
-//! * [`seminaive`] compiles each rule to slot form, derives the
-//!   binding mask of every body literal from the join order, and
-//!   probes instead of scanning — delta relations included
-//!   ([`seminaive::evaluate_scan`] keeps the pre-index core for
-//!   ablation);
-//! * [`topdown`] resolves EDB subgoals through [`Database::probe`]
-//!   with the goal's bound arguments as the pattern;
-//! * [`magic`] evaluates the transformed program on the indexed
-//!   bottom-up engine and probes the answer relation with the query
-//!   constants.
+//! Bottom-up evaluation has **one join kernel** (the private `join`
+//! module): a rule compiled to slot form, one *source* per body
+//! position saying where that literal reads from, and a single
+//! recursive indexed join — the positive delta literal first, binding
+//! mask and probe key taken from the run-time environment, a fully
+//! ground literal a plain membership test. Its callers only choose
+//! sources:
 //!
-//! [`seminaive::EvalStats`] reports `index_probes` and
-//! `tuples_scanned` so benches can quantify the effect.
+//! * [`seminaive::evaluate`] — the model so far, one position per rule
+//!   version restricted to the previous round's delta;
+//! * [`ivm`] — overlays of the maintained model and the pending
+//!   insert/delete sets (old state, new state, old ∩ new), one position
+//!   restricted to a change set, or the environment pre-seeded from a
+//!   head tuple for rederivation;
+//! * [`magic`] evaluates the transformed program through
+//!   [`seminaive::evaluate`] and probes the answer relation with the
+//!   query constants.
+//!
+//! Off that kernel by design: [`seminaive::evaluate_scan`], the
+//! pre-index scan core kept as the independent oracle of the
+//! differential tests and the E-2 ablation, and [`topdown`], which
+//! resolves EDB subgoals through [`Database::probe`] with the goal's
+//! bound arguments as the pattern.
+//!
+//! [`seminaive::EvalStats`] reports `index_probes`, `tuples_scanned`
+//! and `derivations` for every kernel run; [`ivm::ApplyStats`] carries
+//! the same three per view refresh.
 //!
 //! # Incremental view maintenance
 //!
@@ -58,6 +71,7 @@ pub mod db;
 pub mod error;
 pub mod intern;
 pub mod ivm;
+mod join;
 pub mod magic;
 pub mod predgraph;
 pub mod seminaive;

@@ -12,21 +12,25 @@
 //!
 //! # Join evaluation
 //!
-//! [`evaluate`] compiles each rule once per stratum: variables become
-//! numbered slots, constants are interned ([`IVal`]), and every body
-//! literal gets a **binding-pattern mask** — the set of argument
-//! positions that are ground when the join reaches it (constants, plus
-//! variables bound by earlier literals). The join core then asks the
-//! [`Database`] for the secondary index on that mask and iterates only
-//! the rows carrying the probe key, instead of scanning the relation
-//! and unifying tuple by tuple. Delta relations are joined through the
-//! same index path. The pre-index scan evaluator survives as
-//! [`evaluate_scan`] for ablation benchmarks and differential tests.
+//! [`evaluate`] compiles each rule once per stratum and runs it through
+//! the crate's one join kernel (`datalog::join`, shared with
+//! [`crate::ivm`]): this module only decides *which source each body
+//! position reads*. In the naive first round of a stratum every
+//! position reads the model so far; in a semi-naive round with the
+//! delta at position *p*, positions before *p* read the model minus the
+//! delta, *p* reads the delta — and drives the join, so a round costs
+//! in proportion to what the previous one derived — and positions
+//! after *p* read the model. The kernel probes the [`Database`]'s
+//! secondary index for whatever is bound when it reaches a literal
+//! instead of scanning the relation. The pre-index scan evaluator
+//! survives as [`evaluate_scan`]: it shares no code with the kernel,
+//! which makes it the independent oracle of the differential tests.
 
 use crate::ast::{Literal, Program, Rule, Term, Value};
 use crate::db::Database;
 use crate::error::{DatalogError, DatalogResult};
-use crate::intern::{intern, IVal, Symbol};
+use crate::intern::{IVal, Symbol};
+use crate::join::{compile, CRule, Join, Source};
 use crate::stratify::stratify;
 use std::collections::{HashMap, HashSet};
 
@@ -79,269 +83,7 @@ impl EvalStats {
     }
 }
 
-// ---------------------------------------------------------------------
-// Compiled rules: the hash-join path.
-// ---------------------------------------------------------------------
-
-/// A compiled argument: interned constant or variable slot.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ArgSpec {
-    Const(IVal),
-    Var(u16),
-}
-
-/// A compiled body literal with its binding-pattern mask.
-#[derive(Debug, Clone)]
-pub(crate) struct CLit {
-    pub(crate) pred: Symbol,
-    pub(crate) negated: bool,
-    pub(crate) args: Vec<ArgSpec>,
-    /// Positions ground when the join reaches this literal.
-    pub(crate) mask: u32,
-    /// `args` at `mask`'s positions, ascending — the probe key recipe.
-    pub(crate) key_spec: Vec<ArgSpec>,
-}
-
-/// A compiled rule: positives first, negatives last (as
-/// [`ordered_body`] orders them), variables renamed to slots.
-#[derive(Debug, Clone)]
-pub(crate) struct CRule {
-    pub(crate) head_pred: Symbol,
-    pub(crate) head: Vec<ArgSpec>,
-    pub(crate) lits: Vec<CLit>,
-    pub(crate) nslots: usize,
-}
-
-pub(crate) fn compile(rule: &Rule) -> DatalogResult<CRule> {
-    let body = ordered_body(rule);
-    let mut slots: HashMap<&str, u16> = HashMap::new();
-    let mut bound: HashSet<u16> = HashSet::new();
-    let mut lits = Vec::with_capacity(body.len());
-    for lit in body {
-        let mut args = Vec::with_capacity(lit.atom.args.len());
-        let mut mask: u32 = 0;
-        let mut newly = Vec::new();
-        for (j, t) in lit.atom.args.iter().enumerate() {
-            match t {
-                Term::Const(v) => {
-                    args.push(ArgSpec::Const(IVal::from_value(v)));
-                    if j < 32 {
-                        mask |= 1 << j;
-                    }
-                }
-                Term::Var(name) => {
-                    let next = u16::try_from(slots.len()).expect("fewer than 2^16 variables");
-                    let s = *slots.entry(name.as_str()).or_insert(next);
-                    if bound.contains(&s) {
-                        if j < 32 {
-                            mask |= 1 << j;
-                        }
-                    } else {
-                        // First occurrence (possibly repeated within
-                        // this literal — the join checks that at match
-                        // time, it cannot go into the probe key).
-                        newly.push(s);
-                    }
-                    args.push(ArgSpec::Var(s));
-                }
-            }
-        }
-        bound.extend(newly);
-        let key_spec = {
-            let mut key = Vec::with_capacity(mask.count_ones() as usize);
-            let mut m = mask;
-            while m != 0 {
-                key.push(args[m.trailing_zeros() as usize]);
-                m &= m - 1;
-            }
-            key
-        };
-        lits.push(CLit {
-            pred: intern(&lit.atom.pred),
-            negated: lit.negated,
-            args,
-            mask,
-            key_spec,
-        });
-    }
-    let head = rule
-        .head
-        .args
-        .iter()
-        .map(|t| match t {
-            Term::Const(v) => Ok(ArgSpec::Const(IVal::from_value(v))),
-            Term::Var(name) => slots
-                .get(name.as_str())
-                .map(|&s| ArgSpec::Var(s))
-                .ok_or_else(|| {
-                    DatalogError::UnsafeRule(format!("unbound head variable in `{rule}`"))
-                }),
-        })
-        .collect::<DatalogResult<Vec<_>>>()?;
-    Ok(CRule {
-        head_pred: intern(&rule.head.pred),
-        head,
-        lits,
-        nslots: slots.len(),
-    })
-}
-
-/// One join invocation: `total` is everything known, and body position
-/// `delta_pos` (usize::MAX for none) reads from `delta` instead.
-struct JoinCtx<'a> {
-    total: &'a Database,
-    delta: Option<&'a Database>,
-    delta_pos: usize,
-}
-
-impl JoinCtx<'_> {
-    /// Extends `env` through `rule.lits[pos..]`, emitting one head row
-    /// per complete instantiation. `trail` records slots bound below
-    /// the caller's mark so they can be unwound.
-    fn join(
-        &self,
-        rule: &CRule,
-        pos: usize,
-        env: &mut [Option<IVal>],
-        trail: &mut Vec<u16>,
-        stats: &mut EvalStats,
-        emit: &mut dyn FnMut(&[IVal]) -> DatalogResult<()>,
-    ) -> DatalogResult<()> {
-        if pos == rule.lits.len() {
-            stats.derivations += 1;
-            let row: Vec<IVal> = rule
-                .head
-                .iter()
-                .map(|a| match a {
-                    ArgSpec::Const(c) => *c,
-                    ArgSpec::Var(s) => env[*s as usize].expect("safety: head var bound"),
-                })
-                .collect();
-            return emit(&row);
-        }
-        let lit = &rule.lits[pos];
-        if lit.negated {
-            let mut row = Vec::with_capacity(lit.args.len());
-            for a in &lit.args {
-                match a {
-                    ArgSpec::Const(c) => row.push(*c),
-                    ArgSpec::Var(s) => match env[*s as usize] {
-                        Some(v) => row.push(v),
-                        None => {
-                            return Err(DatalogError::NonGroundNegation(
-                                lit.pred.as_str().to_string(),
-                            ))
-                        }
-                    },
-                }
-            }
-            if !self.total.contains_ivals(lit.pred, &row) {
-                self.join(rule, pos + 1, env, trail, stats, emit)?;
-            }
-            return Ok(());
-        }
-        let source = if pos == self.delta_pos {
-            self.delta.expect("delta_pos implies delta")
-        } else {
-            self.total
-        };
-        // In a semi-naive round, positions before the delta position
-        // must read the *old* state (total minus this round's delta):
-        // an instantiation whose earlier literal also matches a delta
-        // tuple belongs to the rule version whose delta position is
-        // that earlier literal, so producing it here would attempt —
-        // and count — the same derivation twice.
-        let exclude = if pos < self.delta_pos {
-            self.delta
-        } else {
-            None
-        };
-        let Some(rel) = source.rel(lit.pred) else {
-            return Ok(());
-        };
-        if rel.arity != lit.args.len() {
-            return Ok(());
-        }
-        let mark = trail.len();
-        if lit.mask != 0 {
-            let key: Vec<IVal> = lit
-                .key_spec
-                .iter()
-                .map(|a| match a {
-                    ArgSpec::Const(c) => *c,
-                    ArgSpec::Var(s) => env[*s as usize].expect("masked var bound"),
-                })
-                .collect();
-            stats.index_probes += 1;
-            let index = rel.index_for(lit.mask);
-            if let Some(ids) = index.get(&key) {
-                stats.tuples_scanned += ids.len();
-                for &id in ids {
-                    let row = rel.row(id);
-                    if exclude.is_some_and(|d| d.contains_ivals(lit.pred, row)) {
-                        continue;
-                    }
-                    if match_row(&lit.args, row, env, trail) {
-                        self.join(rule, pos + 1, env, trail, stats, emit)?;
-                    }
-                    unwind(env, trail, mark);
-                }
-            }
-        } else {
-            stats.tuples_scanned += rel.len();
-            for row in rel.rows() {
-                if exclude.is_some_and(|d| d.contains_ivals(lit.pred, row)) {
-                    continue;
-                }
-                if match_row(&lit.args, row, env, trail) {
-                    self.join(rule, pos + 1, env, trail, stats, emit)?;
-                }
-                unwind(env, trail, mark);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Matches `row` against `args`, binding fresh slots (recorded on
-/// `trail`). On mismatch the caller unwinds to its mark.
-pub(crate) fn match_row(
-    args: &[ArgSpec],
-    row: &[IVal],
-    env: &mut [Option<IVal>],
-    trail: &mut Vec<u16>,
-) -> bool {
-    for (a, &v) in args.iter().zip(row) {
-        match a {
-            ArgSpec::Const(c) => {
-                if *c != v {
-                    return false;
-                }
-            }
-            ArgSpec::Var(s) => match env[*s as usize] {
-                Some(b) => {
-                    if b != v {
-                        return false;
-                    }
-                }
-                None => {
-                    env[*s as usize] = Some(v);
-                    trail.push(*s);
-                }
-            },
-        }
-    }
-    true
-}
-
-pub(crate) fn unwind(env: &mut [Option<IVal>], trail: &mut Vec<u16>, mark: usize) {
-    for &s in &trail[mark..] {
-        env[s as usize] = None;
-    }
-    trail.truncate(mark);
-}
-
-/// Evaluates `program` over `edb` with indexed hash joins, returning
+/// Evaluates `program` over `edb` through the join kernel, returning
 /// the full model (EDB + derived facts) and statistics.
 pub fn evaluate(program: &Program, edb: &Database) -> DatalogResult<(Database, EvalStats)> {
     program.validate()?;
@@ -356,61 +98,70 @@ pub fn evaluate(program: &Program, edb: &Database) -> DatalogResult<(Database, E
             .collect::<DatalogResult<_>>()?;
         let idb: HashSet<Symbol> = rules.iter().map(|r| r.head_pred).collect();
 
-        // Round 1: naive evaluation against everything known so far.
-        let mut delta = Database::new();
-        stats.rounds += 1;
-        let ctx = JoinCtx {
-            total: &total,
-            delta: None,
-            delta_pos: usize::MAX,
-        };
-        for rule in &rules {
-            let mut env = vec![None; rule.nslots];
-            let mut trail = Vec::new();
-            ctx.join(rule, 0, &mut env, &mut trail, &mut stats, &mut |row| {
-                if !ctx.total.contains_ivals(rule.head_pred, row) {
-                    delta.insert_ivals(rule.head_pred, row)?;
-                }
-                Ok(())
-            })?;
-        }
-        stats.new_facts += total.absorb(&delta)?;
-
-        // Semi-naive rounds: one rule version per positive literal over
-        // an IDB predicate of this stratum, that literal restricted to
-        // the previous round's delta.
-        while delta.total() > 0 {
+        // Round 1 is naive: every rule once, against everything known
+        // so far. Each later round runs one version of a rule per
+        // positive literal over an IDB predicate of this stratum, that
+        // literal restricted to the previous round's delta.
+        let mut delta: Option<Database> = None;
+        loop {
             stats.rounds += 1;
             let mut next = Database::new();
             for rule in &rules {
-                for (pos, lit) in rule.lits.iter().enumerate() {
-                    if lit.negated || !idb.contains(&lit.pred) {
-                        continue;
-                    }
-                    if delta.rel(lit.pred).is_none_or(|r| r.len() == 0) {
-                        continue;
-                    }
-                    let ctx = JoinCtx {
-                        total: &total,
-                        delta: Some(&delta),
-                        delta_pos: pos,
-                    };
-                    let mut env = vec![None; rule.nslots];
-                    let mut trail = Vec::new();
-                    ctx.join(rule, 0, &mut env, &mut trail, &mut stats, &mut |row| {
-                        if !ctx.total.contains_ivals(rule.head_pred, row) {
-                            next.insert_ivals(rule.head_pred, row)?;
+                // `None` is the naive version, `Some(p)` the one whose
+                // delta position is `p`.
+                let versions: Vec<Option<usize>> = match &delta {
+                    None => vec![None],
+                    Some(d) => (0..rule.lits.len())
+                        .filter(|&p| {
+                            let lit = &rule.lits[p];
+                            !lit.negated && idb.contains(&lit.pred) && d.has_tuples(lit.pred)
+                        })
+                        .map(Some)
+                        .collect(),
+                };
+                for p in versions {
+                    let sources = version_sources(rule, &total, p.zip(delta.as_ref()));
+                    let mut emit = |row: Vec<IVal>| {
+                        if !total.contains_ivals(rule.head_pred, &row) {
+                            next.insert_ivals(rule.head_pred, &row)?;
                         }
                         Ok(())
-                    })?;
+                    };
+                    Join::new(rule, sources).run(&mut rule.fresh_env(), &mut stats, &mut emit)?;
                 }
             }
             stats.new_facts += total.absorb(&next)?;
-            delta = next;
+            if next.total() == 0 {
+                break;
+            }
+            delta = Some(next);
         }
     }
     stats.publish();
     Ok((total, stats))
+}
+
+/// Where each body position of one rule version reads from: `total`
+/// everywhere in the naive version; with the delta at position `p`,
+/// `p` reads the delta and the positive positions before it read the
+/// *old* state, `total` minus the delta. An instantiation whose earlier
+/// literal also matches a delta tuple belongs to the version whose
+/// delta position is that earlier literal, so producing it here would
+/// attempt — and count — the same derivation twice.
+fn version_sources<'a>(
+    rule: &CRule,
+    total: &'a Database,
+    delta: Option<(usize, &'a Database)>,
+) -> Vec<Source<'a>> {
+    rule.lits
+        .iter()
+        .enumerate()
+        .map(|(j, lit)| match delta {
+            Some((p, d)) if j == p => Source::Delta(d),
+            Some((p, d)) if j < p && !lit.negated => Source::State(vec![total], vec![d]),
+            _ => Source::State(vec![total], vec![]),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -456,13 +207,14 @@ fn ordered_body(rule: &Rule) -> Vec<&Literal> {
     out
 }
 
-/// The planner's join order and binding-pattern masks for `rule`,
-/// exposed for cost estimation: one entry per body literal in
-/// evaluation order (positives first, negatives last — exactly
-/// [`ordered_body`]), carrying the index of the literal in
-/// `rule.body` and the bound-positions mask the join will probe with
-/// (constants plus variables bound by earlier literals). Positions
-/// ≥ 32 are never masked, mirroring [`compile`].
+/// The join order and binding-pattern masks of `rule` when no position
+/// is a delta, exposed for cost estimation: one entry per body literal
+/// in evaluation order (positives first, negatives last — exactly
+/// [`ordered_body`]), carrying the index of the literal in `rule.body`
+/// and the bound-positions mask the join probes with (constants plus
+/// variables bound by earlier literals). This is a compile-time mirror
+/// of what the join kernel does in [`evaluate`]'s naive round — same
+/// order, and like the kernel it never masks positions ≥ 32.
 pub fn plan_masks(rule: &Rule) -> Vec<(usize, u32)> {
     let mut order: Vec<usize> = (0..rule.body.len())
         .filter(|&i| !rule.body[i].negated)

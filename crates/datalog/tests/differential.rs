@@ -3,8 +3,11 @@
 //! Random stratified programs and fact sets are thrown at all
 //! evaluation paths — indexed semi-naive ([`seminaive::evaluate`]),
 //! the pre-index scan core ([`seminaive::evaluate_scan`]), top-down
-//! with tabling, and magic sets — and the answer sets must be
-//! identical. The generator builds programs that are stratified and
+//! with tabling, magic sets, and incremental maintenance
+//! ([`MaterializedView`]) — and the answer sets must be identical.
+//! `evaluate` and the maintained view run on one join kernel, so the
+//! scan core, which shares no code with it, is the oracle that keeps
+//! the comparison independent. The generator builds programs that are stratified and
 //! safe *by construction*: predicates carry levels, positive literals
 //! may reference any level up to the head's (so recursion is
 //! generated), negated literals only strictly lower levels, and head /
@@ -13,6 +16,7 @@
 
 use datalog::ast::{Atom, Literal, Program, Rule, Term, Value};
 use datalog::db::Database;
+use datalog::ivm::{Fact, MaterializedView};
 use datalog::{magic, seminaive, topdown};
 use proptest::prelude::*;
 
@@ -187,6 +191,15 @@ fn sorted_tuples(db: &Database, pred: &str) -> Vec<Vec<Value>> {
     out
 }
 
+/// Every non-empty predicate of `db` with its sorted tuples.
+fn all_tuples(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
+    db.preds()
+        .into_iter()
+        .map(|pred| (pred.to_string(), sorted_tuples(db, pred)))
+        .filter(|(_, tuples)| !tuples.is_empty())
+        .collect()
+}
+
 /// All answers to the fully-open goal for `pred/arity` via tabled
 /// top-down resolution, as sorted ground tuples.
 fn topdown_tuples(program: &Program, edb: &Database, pred: &str, arity: usize) -> Vec<Vec<Value>> {
@@ -226,8 +239,8 @@ proptest! {
     ) {
         let program = gen_program(seed, true);
         let edb = build_edb(&edges, &nodes);
-        let (indexed, _) = seminaive::evaluate(&program, &edb).expect("indexed");
-        let (scan, _) = seminaive::evaluate_scan(&program, &edb).expect("scan");
+        let (indexed, indexed_stats) = seminaive::evaluate(&program, &edb).expect("indexed");
+        let (scan, scan_stats) = seminaive::evaluate_scan(&program, &edb).expect("scan");
         for pred in scan.preds() {
             prop_assert_eq!(
                 sorted_tuples(&indexed, pred),
@@ -236,6 +249,53 @@ proptest! {
             );
         }
         prop_assert_eq!(indexed.total(), scan.total());
+        // Both cores attempt each rule instantiation exactly once.
+        prop_assert_eq!(
+            indexed_stats.derivations, scan_stats.derivations,
+            "derivation counts differ for program:\n{}", program_text(&program)
+        );
+    }
+
+    /// A view maintained through random insert/delete batches equals,
+    /// after every batch and on every predicate, both recomputations
+    /// over its extensional state — the kernel's and the scan oracle's
+    /// — and rebuilding it changes nothing.
+    #[test]
+    fn maintained_view_equals_both_recomputations_under_churn(
+        batches in prop::collection::vec(
+            prop::collection::vec((any::<bool>(), any::<bool>(), 0u8..5, 0u8..5), 1..6),
+            1..8,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let program = gen_program(seed, true);
+        let mut view = MaterializedView::new(program.clone()).expect("view");
+        for batch in &batches {
+            let (mut inserts, mut deletes): (Vec<Fact>, Vec<Fact>) = (Vec::new(), Vec::new());
+            for &(insert, is_edge, a, b) in batch {
+                let c = |n: u8| Value::sym(format!("c{n}"));
+                let fact: Fact = if is_edge {
+                    ("edge".to_string(), vec![c(a), c(b)])
+                } else {
+                    ("node".to_string(), vec![c(a)])
+                };
+                if insert { inserts.push(fact) } else { deletes.push(fact) }
+            }
+            view.apply(&inserts, &deletes).expect("apply");
+            let (kernel, _) = seminaive::evaluate(&program, view.edb()).expect("indexed");
+            let (scan, _) = seminaive::evaluate_scan(&program, view.edb()).expect("scan");
+            prop_assert_eq!(
+                all_tuples(view.model()), all_tuples(&scan),
+                "view differs from the scan oracle for program:\n{}", program_text(&program)
+            );
+            prop_assert_eq!(
+                all_tuples(&kernel), all_tuples(&scan),
+                "kernel differs from the scan oracle for program:\n{}", program_text(&program)
+            );
+        }
+        let maintained = all_tuples(view.model());
+        view.rebuild().expect("rebuild");
+        prop_assert_eq!(all_tuples(view.model()), maintained, "rebuild changed the model");
     }
 
     /// Tabled top-down resolution enumerates exactly the bottom-up
@@ -438,4 +498,41 @@ fn regression_repeated_variables() {
     let same_var_goal = Atom::new("edge", vec![Term::var("V"), Term::var("V")]);
     let hits = td.query(&same_var_goal).unwrap();
     assert_eq!(hits.len(), 1, "only edge(a, a) matches edge(V, V)");
+}
+
+/// A body literal wider than the 32-bit binding mask, reached with its
+/// *last* argument already bound: positions ≥ 32 never enter a probe
+/// key, on any path. `w` is reached fully ground (a membership test),
+/// `v` with its first argument free (an index probe on the 31 maskable
+/// constants, the bound 33rd argument checked against each row). The
+/// maintained view used to shift its mask past 32 bits here.
+#[test]
+fn regression_literal_wider_than_the_binding_mask() {
+    let cs = vec!["c"; 31].join(", ");
+    let program = Program::parse(&format!(
+        "w(c, {cs}, X) :- in_(X, C).\n\
+         q(X) :- in_(X, C), w(c, {cs}, X).\n\
+         v(C, {cs}, X) :- in_(X, C).\n\
+         r(X, Y) :- in_(X, C), v(Y, {cs}, X)."
+    ))
+    .unwrap();
+    let in_ =
+        |x: &str, c: &str| -> Fact { ("in_".to_string(), vec![Value::sym(x), Value::sym(c)]) };
+    let mut view = MaterializedView::new(program.clone()).unwrap();
+    let check = |view: &MaterializedView, q: &[&str]| {
+        let (indexed, _) = seminaive::evaluate(&program, view.edb()).unwrap();
+        let (scan, _) = seminaive::evaluate_scan(&program, view.edb()).unwrap();
+        assert_eq!(all_tuples(&indexed), all_tuples(&scan));
+        assert_eq!(all_tuples(view.model()), all_tuples(&scan));
+        let expect: Vec<Vec<Value>> = q.iter().map(|x| vec![Value::sym(*x)]).collect();
+        assert_eq!(sorted_tuples(&scan, "q"), expect);
+        assert_eq!(scan.count("r"), q.len());
+    };
+    check(&view, &[]);
+    view.apply(&[in_("a", "k"), in_("b", "k")], &[]).unwrap();
+    check(&view, &["a", "b"]);
+    view.apply(&[], &[in_("a", "k")]).unwrap();
+    check(&view, &["b"]);
+    view.apply(&[in_("a", "j")], &[in_("b", "k")]).unwrap();
+    check(&view, &["a"]);
 }

@@ -705,6 +705,45 @@ fn registered_view_maintains_and_pins_over_the_wire() {
     server.shutdown().unwrap();
 }
 
+/// A view whose rule body holds a literal wider than the 32-bit
+/// binding mask (one ~300-byte `RegisterView` frame) registers, is
+/// maintained under TELL/UNTELL, answers what a from-scratch scan
+/// evaluation answers — and leaves the connection serving. The
+/// maintenance join used to shift its mask past 32 bits and panic the
+/// connection thread.
+#[test]
+fn wide_literal_view_registers_and_maintains_over_the_wire() {
+    use conceptbase::datalog::{seminaive, Program};
+    use conceptbase::objectbase::query::{base_program, to_edb};
+
+    let (server, addr) = start(quick_cfg());
+    let mut c = Client::connect(addr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end").unwrap();
+    c.tell(s, "TELL p1 in Paper end").unwrap();
+    let cs = vec!["c"; 32].join(", ");
+    let rules = format!("w({cs}, X) :- in_(X, C).\nq(X) :- in_(X, C), w({cs}, X).");
+    let done = c.register_view(s, "wide", &rules).unwrap();
+    assert!(done.contains("registered view `wide`"), "{done}");
+
+    c.tell(s, "TELL p2 in Paper end").unwrap();
+    c.tell(s, "TELL p3 in Paper end").unwrap();
+    c.untell(s, "p2").unwrap();
+    c.refresh(s).unwrap();
+    let got = c.view_ask(s, "wide", "q").unwrap();
+    assert!(got.contains(&"p3".to_string()) && !got.contains(&"p2".to_string()));
+    assert!(c.ping().is_ok(), "the connection must still be served");
+    c.bye(s).unwrap();
+
+    let served = server.shutdown().unwrap();
+    let mut program = base_program();
+    program.rules.extend(Program::parse(&rules).unwrap().rules);
+    let (model, _) = seminaive::evaluate_scan(&program, &to_edb(served.kb()).unwrap()).unwrap();
+    let mut want: Vec<String> = model.tuples("q").map(|t| t[0].to_string()).collect();
+    want.sort();
+    assert_eq!(got, want, "maintained view != recomputation");
+}
+
 /// The `Explain` wire op renders the evaluator's join plan and cost
 /// estimate against the live KB — and extra rules sent with the
 /// request are costed alongside the stored base.
