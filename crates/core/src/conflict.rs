@@ -14,6 +14,7 @@
 //! same trap is flagged.
 
 use crate::error::{GkbmsError, GkbmsResult};
+use crate::persist::JournalOp;
 use crate::system::Gkbms;
 
 /// The outcome of an automatic conflict resolution.
@@ -57,7 +58,9 @@ impl Gkbms {
         };
         let nogood: Vec<String> = among.iter().map(|s| s.to_string()).collect();
         self.nogoods.push(nogood.clone());
-        self.journal_append(crate::persist::encode_nogood(&nogood))?;
+        self.journal_append(JournalOp::Nogood {
+            decisions: nogood.clone(),
+        })?;
         let affected = self.retract_decision(&culprit)?;
         Ok(ConflictResolution {
             description: description.to_string(),

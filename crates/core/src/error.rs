@@ -102,6 +102,15 @@ impl From<telos::TelosError> for GkbmsError {
     }
 }
 
+/// Journal, snapshot and record-decoding failures surface as the
+/// proposition processor's storage error, where they have always been
+/// reported.
+impl From<storage::StorageError> for GkbmsError {
+    fn from(e: storage::StorageError) -> Self {
+        GkbmsError::Telos(telos::TelosError::Storage(e))
+    }
+}
+
 impl From<objectbase::ObError> for GkbmsError {
     fn from(e: objectbase::ObError) -> Self {
         GkbmsError::Object(e)

@@ -24,7 +24,7 @@
 //! prefix of the committed op sequence — never a subset with holes.
 
 use crate::error::{GkbmsError, GkbmsResult};
-use crate::persist;
+use crate::persist::{self, JournalOp};
 use crate::system::Gkbms;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -273,8 +273,7 @@ impl Gkbms {
         if dir.exists() && !dir.is_dir() {
             return Err(GkbmsError::NotAJournal(dir.to_path_buf()));
         }
-        std::fs::create_dir_all(dir)
-            .map_err(|e| telos::TelosError::Storage(storage::StorageError::Io(e)))?;
+        std::fs::create_dir_all(dir).map_err(storage::StorageError::Io)?;
         let start = Instant::now();
         let snap = dir.join(SNAPSHOT_FILE);
         let snapshot_loaded = snap.exists();
@@ -288,14 +287,12 @@ impl Gkbms {
         // publishing its snapshot and truncating the WAL — the snapshot
         // already holds them, so replaying them would double-apply.
         let covered = g.snapshot_covers;
-        let mut journal = Journal::open_in(dir).map_err(telos::TelosError::Storage)?;
+        let mut journal = Journal::open_in(dir)?;
         let wal_truncated = matches!(journal.wal.tail_state(), TailState::TruncatedAt(_));
         let framed: Vec<Vec<u8>> = journal
             .wal
-            .iter()
-            .map_err(telos::TelosError::Storage)?
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(telos::TelosError::Storage)?
+            .iter()?
+            .collect::<Result<Vec<_>, _>>()?
             .into_iter()
             .map(|(_, p)| p)
             .collect();
@@ -303,7 +300,7 @@ impl Gkbms {
         let mut replayed_ops = 0u64;
         let mut last_seq = covered;
         for f in &framed {
-            let (seq, epoch, payload) = decode_framed(f).map_err(telos::TelosError::Storage)?;
+            let (seq, epoch, payload) = decode_framed(f)?;
             // The epoch of every frame counts, even skipped ones: the
             // snapshot may predate a promotion whose records the WAL
             // still holds.
@@ -329,10 +326,7 @@ impl Gkbms {
             // records would open its own crash window. A mixed WAL is
             // left in place — replay skips covered records per record,
             // and the next checkpoint truncates them.
-            journal
-                .wal
-                .truncate_all()
-                .map_err(telos::TelosError::Storage)?;
+            journal.wal.truncate_all()?;
         }
         g.journal = Some(journal);
         let report = RecoveryReport {
@@ -376,7 +370,7 @@ impl Gkbms {
         self.save_snapshot(&dir.join(SNAPSHOT_FILE), covered)?;
         let j = self.journal.as_mut().expect("journal checked above");
         let compacted = j.ops_since_checkpoint;
-        j.wal.truncate_all().map_err(telos::TelosError::Storage)?;
+        j.wal.truncate_all()?;
         j.ops_since_checkpoint = 0;
         let report = CheckpointReport {
             compacted_ops: compacted,
@@ -406,13 +400,12 @@ impl Gkbms {
         self.journal.as_mut()
     }
 
-    /// Appends an encoded op to the journal, if one is attached.
-    /// Called by every mutation method at its commit point.
-    pub(crate) fn journal_append(&mut self, payload: Vec<u8>) -> GkbmsResult<()> {
+    /// Appends an op to the journal, if one is attached. Called by
+    /// every mutation method at its commit point.
+    pub(crate) fn journal_append(&mut self, op: JournalOp) -> GkbmsResult<()> {
         let epoch = self.epoch;
         if let Some(j) = self.journal.as_mut() {
-            j.append(epoch, &payload)
-                .map_err(telos::TelosError::Storage)?;
+            j.append(epoch, &op.encode())?;
         }
         Ok(())
     }
@@ -436,8 +429,7 @@ impl Gkbms {
         self.epoch = self.epoch.max(epoch);
         self.replica_applied = seq;
         if let Some(j) = self.journal.as_mut() {
-            j.append_replicated(seq, epoch, payload)
-                .map_err(telos::TelosError::Storage)?;
+            j.append_replicated(seq, epoch, payload)?;
         }
         Ok(())
     }
@@ -455,8 +447,7 @@ impl Gkbms {
         payloads: Vec<Vec<u8>>,
     ) -> GkbmsResult<(Gkbms, RecoveryReport)> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| telos::TelosError::Storage(storage::StorageError::Io(e)))?;
+        std::fs::create_dir_all(dir).map_err(storage::StorageError::Io)?;
         Gkbms::write_payloads_atomic(&dir.join(SNAPSHOT_FILE), payloads)?;
         // The local WAL (if any) predates the snapshot we were just
         // shipped — a replica only falls back to snapshot transfer when
@@ -464,8 +455,7 @@ impl Gkbms {
         // stale records are covered and must not replay over it.
         let wal = dir.join(WAL_FILE);
         if wal.exists() {
-            std::fs::remove_file(&wal)
-                .map_err(|e| telos::TelosError::Storage(storage::StorageError::Io(e)))?;
+            std::fs::remove_file(&wal).map_err(storage::StorageError::Io)?;
         }
         Gkbms::recover(dir)
     }
@@ -491,9 +481,9 @@ impl Gkbms {
     pub fn promote(&mut self) -> GkbmsResult<u64> {
         self.epoch += 1;
         let epoch = self.epoch;
-        self.journal_append(persist::encode_seal(epoch))?;
+        self.journal_append(JournalOp::Seal { epoch })?;
         if let Some(j) = self.journal.as_mut() {
-            j.sync().map_err(telos::TelosError::Storage)?;
+            j.sync()?;
         }
         obs::counter!(
             "gkbms_replication_promotions_total",

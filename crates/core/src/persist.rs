@@ -21,344 +21,266 @@
 //! [`apply_record`] exactly as `load` does.
 
 use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, ToolSpec};
-use crate::error::{GkbmsError, GkbmsResult};
+use crate::error::GkbmsResult;
 use crate::system::{DecisionRecord, DecisionRequest, Gkbms, TellEvent};
 use std::path::Path;
-use storage::record::codec::{self, Cursor};
-use storage::AppendLog;
+use storage::record::codec::{Cursor, Wire};
+use storage::{AppendLog, StorageResult};
 
-const OP_OBJECT_CLASS: u32 = 1;
-const OP_DECISION_CLASS: u32 = 2;
-const OP_TOOL: u32 = 3;
-const OP_REGISTER: u32 = 4;
-const OP_EXECUTE: u32 = 5;
-const OP_RETRACT: u32 = 6;
-const OP_NOGOOD: u32 = 7;
-const OP_TELL: u32 = 8;
-const OP_UNTELL: u32 = 9;
-/// Snapshot-meta record: the journal op sequence a checkpoint snapshot
-/// covers. Written as the first record of every checkpoint snapshot and
-/// never journaled itself; recovery skips WAL records at or below the
-/// covered sequence, which makes the snapshot's atomic rename the
-/// commit point of a checkpoint (see `Gkbms::checkpoint`).
-const OP_CHECKPOINT_COVERS: u32 = 10;
-/// Epoch seal: a promoted replica bumps its sequence epoch and appends
-/// this marker as its first own journal record, making the promotion
-/// point durable even before the first post-promotion mutation. Replay
-/// raises the epoch and changes no other state; records framed with a
-/// lower epoch are fenced off by the replication applier.
-const OP_SEAL: u32 = 11;
-/// A registered materialized view: name plus user rules. Replayed
-/// through [`Gkbms::register_view`], which rebuilds the model from the
-/// KB state at that point of the history — so recovery and replication
-/// both reconstruct maintained views for free.
-const OP_REGISTER_VIEW: u32 = 12;
+storage::op_table! {
+    /// One op of the replayable history — a journal record, a line of
+    /// a saved history, a shipped replication payload. Shared between
+    /// `save` (bulk history) and the live journal (one record per
+    /// committed mutation), so both on-disk forms replay through the
+    /// one [`apply_record`] below.
+    #[derive(Debug)]
+    pub(crate) enum JournalOp {
+        /// A design-object class definition.
+        1 ObjectClass "object_class" {
+            name: String,
+            level: String,
+            parent: Option<String>,
+        },
+        /// A decision class definition.
+        2 DecisionClass "decision_class" { class: DecisionClass },
+        /// A tool registration.
+        3 Tool "tool" { spec: ToolSpec },
+        /// A design-object registration.
+        4 Register "register" {
+            name: String,
+            class: String,
+            source: String,
+        },
+        /// An executed decision, stored as the request that replays it.
+        5 Execute "execute" { request: DecisionRequest },
+        /// An explicit retraction (cascades are re-derived on replay).
+        6 Retract "retract" { name: String },
+        /// A recorded nogood: decisions that must not be effective
+        /// together.
+        7 Nogood "nogood" { decisions: Vec<String> },
+        /// A raw TELL of frame source text.
+        8 Tell "tell" { src: String },
+        /// A raw UNTELL of an object.
+        9 Untell "untell" { name: String },
+        /// Snapshot-meta record: the journal op sequence a checkpoint
+        /// snapshot covers. Written as the first record of every
+        /// checkpoint snapshot and never journaled itself; recovery
+        /// skips WAL records at or below the covered sequence, which
+        /// makes the snapshot's atomic rename the commit point of a
+        /// checkpoint (see `Gkbms::checkpoint`).
+        10 CheckpointCovers "checkpoint_covers" {
+            covered_seq: u64,
+            epoch: u64,
+        },
+        /// Epoch seal: a promoted replica bumps its sequence epoch and
+        /// appends this marker as its first own journal record, making
+        /// the promotion point durable even before the first
+        /// post-promotion mutation. Replay raises the epoch and changes
+        /// no other state; records framed with a lower epoch are fenced
+        /// off by the replication applier.
+        11 Seal "seal" { epoch: u64 },
+        /// A registered materialized view: name plus user rules.
+        /// Replayed through [`Gkbms::register_view`], which rebuilds the
+        /// model from the KB state at that point of the history — so
+        /// recovery and replication both reconstruct maintained views
+        /// for free.
+        12 RegisterView "register_view" {
+            name: String,
+            rules: String,
+        },
+    }
+}
 
-fn put_opt_str(out: &mut Vec<u8>, v: &Option<String>) {
-    match v {
-        None => codec::put_u32(out, 0),
-        Some(s) => {
-            codec::put_u32(out, 1);
-            codec::put_str(out, s);
+impl JournalOp {
+    /// The op that replays an executed decision.
+    fn execute(r: &DecisionRecord) -> JournalOp {
+        JournalOp::Execute {
+            request: DecisionRequest {
+                class: r.class.clone(),
+                name: r.name.clone(),
+                performer: r.performer.clone(),
+                tool: r.tool.clone(),
+                inputs: r.inputs.clone(),
+                outputs: r
+                    .outputs
+                    .iter()
+                    .cloned()
+                    .zip(r.output_classes.iter().cloned())
+                    .collect(),
+                discharges: r.discharges.clone(),
+            },
         }
     }
 }
 
-fn get_opt_str(c: &mut Cursor<'_>) -> GkbmsResult<Option<String>> {
-    match c.get_u32().map_err(telos::TelosError::Storage)? {
-        0 => Ok(None),
-        1 => Ok(Some(
-            c.get_str().map_err(telos::TelosError::Storage)?.to_string(),
-        )),
-        other => Err(GkbmsError::Unknown(format!(
-            "optional-string tag {other} in saved history"
-        ))),
+impl Wire for DecisionDimension {
+    fn put(&self, out: &mut Vec<u8>) {
+        let tag: u32 = match self {
+            DecisionDimension::Mapping => 0,
+            DecisionDimension::Refinement => 1,
+            DecisionDimension::Choice => 2,
+        };
+        tag.put(out);
     }
-}
-
-fn put_str_list(out: &mut Vec<u8>, v: &[String]) {
-    codec::put_u32(out, v.len() as u32);
-    for s in v {
-        codec::put_str(out, s);
-    }
-}
-
-fn get_str_list(c: &mut Cursor<'_>) -> Result<Vec<String>, storage::StorageError> {
-    let n = c.get_u32()? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(c.get_str()?.to_string());
-    }
-    Ok(out)
-}
-
-fn dimension_tag(d: DecisionDimension) -> u32 {
-    match d {
-        DecisionDimension::Mapping => 0,
-        DecisionDimension::Refinement => 1,
-        DecisionDimension::Choice => 2,
-    }
-}
-
-fn dimension_from(tag: u32) -> GkbmsResult<DecisionDimension> {
-    Ok(match tag {
-        0 => DecisionDimension::Mapping,
-        1 => DecisionDimension::Refinement,
-        2 => DecisionDimension::Choice,
-        other => {
-            return Err(GkbmsError::Unknown(format!(
-                "decision dimension tag {other} in saved history"
-            )))
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        match c.get_u32()? {
+            0 => Ok(DecisionDimension::Mapping),
+            1 => Ok(DecisionDimension::Refinement),
+            2 => Ok(DecisionDimension::Choice),
+            other => Err(c.corrupt(format!("unknown decision dimension tag {other}"))),
         }
-    })
-}
-
-// ----- op encoders ----------------------------------------------------------
-//
-// Shared between `save` (bulk history) and the live journal (one record
-// per committed mutation), so both on-disk forms replay through the one
-// `apply_record` below.
-
-pub(crate) fn encode_object_class(name: &str, level: &str, parent: Option<&str>) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_OBJECT_CLASS);
-    codec::put_str(&mut p, name);
-    codec::put_str(&mut p, level);
-    put_opt_str(&mut p, &parent.map(|s| s.to_string()));
-    p
-}
-
-pub(crate) fn encode_decision_class(dc: &DecisionClass) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_DECISION_CLASS);
-    codec::put_str(&mut p, &dc.name);
-    put_opt_str(&mut p, &dc.specializes);
-    codec::put_u32(&mut p, dimension_tag(dc.dimension));
-    put_str_list(&mut p, &dc.from_classes);
-    put_str_list(&mut p, &dc.to_classes);
-    put_opt_str(&mut p, &dc.precondition);
-    codec::put_u32(&mut p, dc.obligations.len() as u32);
-    for ob in &dc.obligations {
-        codec::put_str(&mut p, &ob.name);
-        codec::put_str(&mut p, &ob.statement);
     }
-    p
 }
 
-pub(crate) fn encode_tool(t: &ToolSpec) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_TOOL);
-    codec::put_str(&mut p, &t.name);
-    codec::put_u32(&mut p, t.automatic as u32);
-    put_str_list(&mut p, &t.executes);
-    put_str_list(&mut p, &t.guarantees);
-    p
-}
-
-pub(crate) fn encode_register(name: &str, class: &str, source: &str) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_REGISTER);
-    codec::put_str(&mut p, name);
-    codec::put_str(&mut p, class);
-    codec::put_str(&mut p, source);
-    p
-}
-
-pub(crate) fn encode_execute(r: &DecisionRecord) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_EXECUTE);
-    codec::put_str(&mut p, &r.class);
-    codec::put_str(&mut p, &r.name);
-    codec::put_str(&mut p, &r.performer);
-    put_opt_str(&mut p, &r.tool);
-    put_str_list(&mut p, &r.inputs);
-    codec::put_u32(&mut p, r.outputs.len() as u32);
-    for (o, c) in r.outputs.iter().zip(&r.output_classes) {
-        codec::put_str(&mut p, o);
-        codec::put_str(&mut p, c);
+impl Wire for Obligation {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.name.put(out);
+        self.statement.put(out);
     }
-    codec::put_u32(&mut p, r.discharges.len() as u32);
-    for d in &r.discharges {
-        match d {
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        Ok(Obligation {
+            name: Wire::get(c)?,
+            statement: Wire::get(c)?,
+        })
+    }
+}
+
+impl Wire for DecisionClass {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.name.put(out);
+        self.specializes.put(out);
+        self.dimension.put(out);
+        self.from_classes.put(out);
+        self.to_classes.put(out);
+        self.precondition.put(out);
+        self.obligations.put(out);
+    }
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        Ok(DecisionClass {
+            name: Wire::get(c)?,
+            specializes: Wire::get(c)?,
+            dimension: Wire::get(c)?,
+            from_classes: Wire::get(c)?,
+            to_classes: Wire::get(c)?,
+            precondition: Wire::get(c)?,
+            obligations: Wire::get(c)?,
+        })
+    }
+}
+
+impl Wire for ToolSpec {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.name.put(out);
+        self.automatic.put(out);
+        self.executes.put(out);
+        self.guarantees.put(out);
+    }
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        Ok(ToolSpec {
+            name: Wire::get(c)?,
+            automatic: Wire::get(c)?,
+            executes: Wire::get(c)?,
+            guarantees: Wire::get(c)?,
+        })
+    }
+}
+
+impl Wire for Discharge {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
             Discharge::Formal { obligation } => {
-                codec::put_u32(&mut p, 0);
-                codec::put_str(&mut p, obligation);
+                0u32.put(out);
+                obligation.put(out);
             }
             Discharge::Signature { obligation, by } => {
-                codec::put_u32(&mut p, 1);
-                codec::put_str(&mut p, obligation);
-                codec::put_str(&mut p, by);
+                1u32.put(out);
+                obligation.put(out);
+                by.put(out);
             }
         }
     }
-    p
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        let kind = c.get_u32()?;
+        let obligation = String::get(c)?;
+        match kind {
+            0 => Ok(Discharge::Formal { obligation }),
+            1 => Ok(Discharge::Signature {
+                obligation,
+                by: String::get(c)?,
+            }),
+            k => Err(c.corrupt(format!("unknown discharge kind {k}"))),
+        }
+    }
 }
 
-pub(crate) fn encode_retract(name: &str) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_RETRACT);
-    codec::put_str(&mut p, name);
-    p
-}
-
-pub(crate) fn encode_nogood(ng: &[String]) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_NOGOOD);
-    put_str_list(&mut p, ng);
-    p
-}
-
-pub(crate) fn encode_tell(src: &str) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_TELL);
-    codec::put_str(&mut p, src);
-    p
-}
-
-pub(crate) fn encode_untell(name: &str) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_UNTELL);
-    codec::put_str(&mut p, name);
-    p
-}
-
-pub(crate) fn encode_register_view(name: &str, rules: &str) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_REGISTER_VIEW);
-    codec::put_str(&mut p, name);
-    codec::put_str(&mut p, rules);
-    p
-}
-
-pub(crate) fn encode_checkpoint_covers(covered_seq: u64, epoch: u64) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_CHECKPOINT_COVERS);
-    codec::put_u64(&mut p, covered_seq);
-    codec::put_u64(&mut p, epoch);
-    p
-}
-
-pub(crate) fn encode_seal(epoch: u64) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, OP_SEAL);
-    codec::put_u64(&mut p, epoch);
-    p
+impl Wire for DecisionRequest {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.class.put(out);
+        self.name.put(out);
+        self.performer.put(out);
+        self.tool.put(out);
+        self.inputs.put(out);
+        self.outputs.put(out);
+        self.discharges.put(out);
+    }
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        Ok(DecisionRequest {
+            class: Wire::get(c)?,
+            name: Wire::get(c)?,
+            performer: Wire::get(c)?,
+            tool: Wire::get(c)?,
+            inputs: Wire::get(c)?,
+            outputs: Wire::get(c)?,
+            discharges: Wire::get(c)?,
+        })
+    }
 }
 
 /// Decodes one op record and applies it to `g` through the public
-/// mutation API — the single replay path used by [`Gkbms::load`] and by
-/// journal recovery.
+/// mutation API — the single replay path used by [`Gkbms::load`], by
+/// journal recovery and by replicas.
 pub(crate) fn apply_record(g: &mut Gkbms, payload: &[u8]) -> GkbmsResult<()> {
-    let mut c = Cursor::new(payload);
-    let tag = c.get_u32().map_err(telos::TelosError::Storage)?;
-    match tag {
-        OP_OBJECT_CLASS => {
-            let name = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let level = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let parent = get_opt_str(&mut c)?;
+    match JournalOp::decode(payload)? {
+        JournalOp::ObjectClass {
+            name,
+            level,
+            parent,
+        } => {
             g.define_object_class(&name, &level, parent.as_deref())?;
         }
-        OP_DECISION_CLASS => {
-            let name = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let specializes = get_opt_str(&mut c)?;
-            let dim = dimension_from(c.get_u32().map_err(telos::TelosError::Storage)?)?;
-            let from = get_str_list(&mut c).map_err(telos::TelosError::Storage)?;
-            let to = get_str_list(&mut c).map_err(telos::TelosError::Storage)?;
-            let pre = get_opt_str(&mut c)?;
-            let n = c.get_u32().map_err(telos::TelosError::Storage)? as usize;
-            let mut dc = DecisionClass::new(name, dim);
-            dc.specializes = specializes;
-            dc.from_classes = from;
-            dc.to_classes = to;
-            dc.precondition = pre;
-            for _ in 0..n {
-                let oname = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-                let stmt = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-                dc.obligations.push(Obligation {
-                    name: oname,
-                    statement: stmt,
-                });
-            }
-            g.define_decision_class(dc)?;
+        JournalOp::DecisionClass { class } => {
+            g.define_decision_class(class)?;
         }
-        OP_TOOL => {
-            let name = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let automatic = c.get_u32().map_err(telos::TelosError::Storage)? != 0;
-            let executes = get_str_list(&mut c).map_err(telos::TelosError::Storage)?;
-            let guarantees = get_str_list(&mut c).map_err(telos::TelosError::Storage)?;
-            let mut spec = ToolSpec::new(name, automatic);
-            spec.executes = executes;
-            spec.guarantees = guarantees;
+        JournalOp::Tool { spec } => {
             g.register_tool(spec)?;
         }
-        OP_REGISTER => {
-            let name = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let class = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let source = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
+        JournalOp::Register {
+            name,
+            class,
+            source,
+        } => {
             g.register_object(&name, &class, &source)?;
         }
-        OP_EXECUTE => {
-            let class = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let name = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let performer = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let tool = get_opt_str(&mut c)?;
-            let inputs = get_str_list(&mut c).map_err(telos::TelosError::Storage)?;
-            let n_out = c.get_u32().map_err(telos::TelosError::Storage)? as usize;
-            let mut req = DecisionRequest::new(&class, &name, &performer);
-            req.tool = tool;
-            req.inputs = inputs;
-            for _ in 0..n_out {
-                let o = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-                let oc = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-                req.outputs.push((o, oc));
-            }
-            let n_dis = c.get_u32().map_err(telos::TelosError::Storage)? as usize;
-            for _ in 0..n_dis {
-                let kind = c.get_u32().map_err(telos::TelosError::Storage)?;
-                let obligation = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-                req.discharges.push(if kind == 0 {
-                    Discharge::Formal { obligation }
-                } else {
-                    let by = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-                    Discharge::Signature { obligation, by }
-                });
-            }
-            g.execute(req)?;
+        JournalOp::Execute { request } => {
+            g.execute(request)?;
         }
-        OP_RETRACT => {
-            let name = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
+        JournalOp::Retract { name } => {
             g.retract_decision(&name)?;
         }
-        OP_NOGOOD => {
-            let ng = get_str_list(&mut c).map_err(telos::TelosError::Storage)?;
-            g.nogoods.push(ng);
+        JournalOp::Nogood { decisions } => g.nogoods.push(decisions),
+        JournalOp::Tell { src } => {
+            g.tell_src(&src)?;
         }
-        OP_TELL => {
-            let src = c.get_str().map_err(telos::TelosError::Storage)?;
-            g.tell_src(src)?;
+        JournalOp::Untell { name } => {
+            g.untell(&name)?;
         }
-        OP_UNTELL => {
-            let name = c.get_str().map_err(telos::TelosError::Storage)?;
-            g.untell(name)?;
-        }
-        OP_CHECKPOINT_COVERS => {
-            g.snapshot_covers = c.get_u64().map_err(telos::TelosError::Storage)?;
-            let epoch = c.get_u64().map_err(telos::TelosError::Storage)?;
+        JournalOp::CheckpointCovers { covered_seq, epoch } => {
+            g.snapshot_covers = covered_seq;
             g.epoch = g.epoch.max(epoch);
         }
-        OP_SEAL => {
-            let epoch = c.get_u64().map_err(telos::TelosError::Storage)?;
-            g.epoch = g.epoch.max(epoch);
-        }
-        OP_REGISTER_VIEW => {
-            let name = c.get_str().map_err(telos::TelosError::Storage)?.to_string();
-            let rules = c.get_str().map_err(telos::TelosError::Storage)?;
-            g.register_view(&name, rules)?;
-        }
-        other => {
-            return Err(GkbmsError::Unknown(format!(
-                "op tag {other} in saved history"
-            )))
+        JournalOp::Seal { epoch } => g.epoch = g.epoch.max(epoch),
+        JournalOp::RegisterView { name, rules } => {
+            g.register_view(&name, &rules)?;
         }
     }
     Ok(())
@@ -381,15 +303,14 @@ fn write_log_atomic(path: &Path, payloads: Vec<Vec<u8>>) -> GkbmsResult<()> {
     let tmp = save_tmp_path(path);
     let _ = std::fs::remove_file(&tmp);
     {
-        let mut log = AppendLog::open(&tmp).map_err(telos::TelosError::Storage)?;
+        let mut log = AppendLog::open(&tmp)?;
         for payload in payloads {
-            log.append(&payload).map_err(telos::TelosError::Storage)?;
+            log.append(&payload)?;
         }
-        log.sync().map_err(telos::TelosError::Storage)?;
+        log.sync()?;
     }
-    std::fs::rename(&tmp, path)
-        .map_err(|e| telos::TelosError::Storage(storage::StorageError::Io(e)))?;
-    storage::log::sync_parent_dir(path).map_err(telos::TelosError::Storage)?;
+    std::fs::rename(&tmp, path).map_err(storage::StorageError::Io)?;
+    storage::log::sync_parent_dir(path)?;
     Ok(())
 }
 
@@ -399,19 +320,33 @@ impl Gkbms {
     /// retractions and raw TELL/UNTELL traffic interleaved by commit
     /// sequence number, then nogoods.
     pub(crate) fn history_payloads(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        for (name, level, parent) in &self.object_class_log {
-            out.push(encode_object_class(name, level, parent.as_deref()));
-        }
-        for name in &self.class_order {
-            out.push(encode_decision_class(&self.classes[name]));
-        }
-        for name in &self.tool_order {
-            out.push(encode_tool(&self.tools[name]));
-        }
-        for (name, class, source) in &self.register_log {
-            out.push(encode_register(name, class, source));
-        }
+        let definitions = self
+            .object_class_log
+            .iter()
+            .map(|(name, level, parent)| JournalOp::ObjectClass {
+                name: name.clone(),
+                level: level.clone(),
+                parent: parent.clone(),
+            })
+            .chain(
+                self.class_order
+                    .iter()
+                    .map(|name| JournalOp::DecisionClass {
+                        class: self.classes[name].clone(),
+                    }),
+            )
+            .chain(self.tool_order.iter().map(|name| JournalOp::Tool {
+                spec: self.tools[name].clone(),
+            }))
+            .chain(
+                self.register_log
+                    .iter()
+                    .map(|(name, class, source)| JournalOp::Register {
+                        name: name.clone(),
+                        class: class.clone(),
+                        source: source.clone(),
+                    }),
+            );
 
         // Interleave executions, explicit retractions and raw tells by
         // their shared monotonic commit sequence number. Sorting by
@@ -434,25 +369,29 @@ impl Gkbms {
             .chain(self.tell_log.iter().map(|(s, _, ev)| (*s, Ev::Tell(ev))))
             .collect();
         events.sort_by_key(|(s, _)| *s);
-        for (_, ev) in events {
-            out.push(match ev {
-                Ev::Exec(r) => encode_execute(r),
-                Ev::Retract(name) => encode_retract(name),
-                Ev::Tell(TellEvent::Tell(src)) => encode_tell(src),
-                Ev::Tell(TellEvent::Untell(name)) => encode_untell(name),
-            });
-        }
-        for ng in &self.nogoods {
-            out.push(encode_nogood(ng));
-        }
+        let events = events.into_iter().map(|(_, ev)| match ev {
+            Ev::Exec(r) => JournalOp::execute(r),
+            Ev::Retract(name) => JournalOp::Retract { name: name.into() },
+            Ev::Tell(TellEvent::Tell(src)) => JournalOp::Tell { src: src.clone() },
+            Ev::Tell(TellEvent::Untell(name)) => JournalOp::Untell { name: name.clone() },
+        });
+        let nogoods = self.nogoods.iter().map(|ng| JournalOp::Nogood {
+            decisions: ng.clone(),
+        });
         // View registrations replay last, over the fully reconstructed
         // state: the model a registration builds from the final state
         // equals the model maintained through the history, so only the
         // `as_of` watermark is (conservatively) later than it was live.
-        for v in &self.views {
-            out.push(encode_register_view(v.name(), v.rules()));
-        }
-        out
+        let views = self.views.iter().map(|v| JournalOp::RegisterView {
+            name: v.name().into(),
+            rules: v.rules().into(),
+        });
+        definitions
+            .chain(events)
+            .chain(nogoods)
+            .chain(views)
+            .map(|op| op.encode())
+            .collect()
     }
 
     /// Saves the complete history to `path`, crash-atomically replacing
@@ -465,12 +404,16 @@ impl Gkbms {
     }
 
     /// Saves a checkpoint snapshot: the complete history prefixed with
-    /// an [`OP_CHECKPOINT_COVERS`] record naming the journal op
+    /// a [`JournalOp::CheckpointCovers`] record naming the journal op
     /// sequence (and sequence epoch) the snapshot covers, so recovery
     /// can tell WAL records the snapshot already holds from genuinely
     /// newer ones.
     pub(crate) fn save_snapshot(&self, path: &Path, covered_seq: u64) -> GkbmsResult<()> {
-        let mut payloads = vec![encode_checkpoint_covers(covered_seq, self.epoch)];
+        let mut payloads = vec![JournalOp::CheckpointCovers {
+            covered_seq,
+            epoch: self.epoch,
+        }
+        .encode()];
         payloads.extend(self.history_payloads());
         write_log_atomic(path, payloads)
     }
@@ -485,12 +428,10 @@ impl Gkbms {
     /// Loads a saved history, re-executing it into a fresh GKBMS.
     pub fn load(path: impl AsRef<Path>) -> GkbmsResult<Gkbms> {
         let mut g = Gkbms::new()?;
-        let mut log = AppendLog::open(path).map_err(telos::TelosError::Storage)?;
+        let mut log = AppendLog::open(path)?;
         let items: Vec<Vec<u8>> = log
-            .iter()
-            .map_err(telos::TelosError::Storage)?
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(telos::TelosError::Storage)?
+            .iter()?
+            .collect::<Result<Vec<_>, _>>()?
             .into_iter()
             .map(|(_, payload)| payload)
             .collect();
@@ -504,9 +445,11 @@ impl Gkbms {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::GkbmsError;
     use crate::metamodel::kernel;
     use crate::system::tests::scenario_gkbms;
     use std::path::PathBuf;
+    use storage::record::codec;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -728,53 +671,103 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The fixture holds a sample per row (strings "Paper", `u64` 7,
+    /// `Some` and one-element lists plus `None`/empty variants, every
+    /// dimension and discharge kind) as encoded by the twelve
+    /// hand-written `encode_*` functions this table replaced.
     #[test]
-    fn opt_str_roundtrips_and_rejects_bad_tags() {
-        for v in [None, Some(String::new()), Some("parent".to_string())] {
-            let mut buf = Vec::new();
-            put_opt_str(&mut buf, &v);
-            let mut c = Cursor::new(&buf);
-            assert_eq!(get_opt_str(&mut c).unwrap(), v);
+    fn journal_op_table_matches_the_golden_bytes() {
+        JournalOp::check_golden(include_str!("../../../tests/fixtures/wire/journal_op.hex"));
+        assert_eq!(JournalOp::OPS.len(), 12);
+    }
+
+    /// Appends `payload` as the only record of a fresh history file and
+    /// loads it.
+    fn load_single_record(name: &str, payload: &[u8]) -> GkbmsResult<Gkbms> {
+        let path = tmp(name);
+        {
+            let mut log = AppendLog::open(&path).unwrap();
+            log.append(payload).unwrap();
+            log.sync().unwrap();
         }
-        // Any tag other than 0/1 is corruption, not an implicit Some.
-        for tag in [2u32, 7, u32::MAX] {
-            let mut buf = Vec::new();
-            codec::put_u32(&mut buf, tag);
-            codec::put_str(&mut buf, "payload");
-            let mut c = Cursor::new(&buf);
-            let err = get_opt_str(&mut c).unwrap_err();
-            assert!(
-                matches!(&err, GkbmsError::Unknown(m) if m.contains(&tag.to_string())),
-                "tag {tag}: {err}"
-            );
+        let loaded = Gkbms::load(&path);
+        std::fs::remove_file(&path).unwrap();
+        loaded
+    }
+
+    fn corrupt_detail(loaded: GkbmsResult<Gkbms>) -> String {
+        match loaded {
+            Ok(_) => panic!("corrupt record accepted"),
+            Err(GkbmsError::Telos(telos::TelosError::Storage(
+                storage::StorageError::Corrupt { detail, .. },
+            ))) => detail,
+            Err(other) => panic!("expected a typed corruption error, got {other}"),
         }
     }
 
     #[test]
     fn corrupt_opt_str_tag_in_saved_history_is_rejected() {
-        let path = tmp("opt-tag");
-        // An OP_OBJECT_CLASS record whose parent tag is 2: the old
-        // decoder silently read it as Some, masking the corruption.
+        // An ObjectClass record whose parent tag is 2: a lenient
+        // decoder would read it as Some, masking the corruption.
         let mut p = Vec::new();
-        codec::put_u32(&mut p, OP_OBJECT_CLASS);
+        codec::put_u32(&mut p, 1);
         codec::put_str(&mut p, "Rogue");
         codec::put_str(&mut p, "Implementation");
         codec::put_u32(&mut p, 2);
         codec::put_str(&mut p, kernel::DBPL_CONSTRUCTOR);
-        {
-            let mut log = AppendLog::open(&path).unwrap();
-            log.append(&p).unwrap();
-            log.sync().unwrap();
+        let detail = corrupt_detail(load_single_record("opt-tag", &p));
+        assert!(detail.contains("option tag 2"), "{detail}");
+    }
+
+    /// The hand-written replay read every discharge kind other than 0
+    /// as `Signature`; a kind no encoder writes is corruption.
+    #[test]
+    fn unknown_discharge_kind_in_saved_history_is_rejected() {
+        let mut p = Vec::new();
+        codec::put_u32(&mut p, 5);
+        for s in ["TDL_MappingDec", "mapInvitations", "dev"] {
+            codec::put_str(&mut p, s);
         }
-        let err = match Gkbms::load(&path) {
-            Ok(_) => panic!("corrupt tag accepted"),
-            Err(e) => e,
-        };
-        assert!(
-            matches!(&err, GkbmsError::Unknown(m) if m.contains("optional-string tag 2")),
-            "{err}"
-        );
-        std::fs::remove_file(&path).unwrap();
+        for _ in 0..3 {
+            codec::put_u32(&mut p, 0); // no tool, no inputs, no outputs
+        }
+        codec::put_u32(&mut p, 1); // one discharge …
+        codec::put_u32(&mut p, 7); // … of a kind that does not exist
+        codec::put_str(&mut p, "normalized");
+        codec::put_str(&mut p, "dev");
+        let detail = corrupt_detail(load_single_record("discharge-kind", &p));
+        assert!(detail.contains("unknown discharge kind 7"), "{detail}");
+    }
+
+    /// The hand-written replay never checked that a record was
+    /// consumed: bytes after a well-formed op replayed silently.
+    #[test]
+    fn trailing_bytes_after_a_journal_op_are_rejected() {
+        let mut p = JournalOp::Tell {
+            src: "TELL Paper end".into(),
+        }
+        .encode();
+        assert!(load_single_record("trailing-ok", &p).is_ok());
+        p.push(0);
+        let detail = corrupt_detail(load_single_record("trailing", &p));
+        assert!(detail.contains("trailing bytes after `tell`"), "{detail}");
+        // The same record shipped to a replica is refused the same way.
+        let mut replica = Gkbms::new().unwrap();
+        assert!(replica.apply_replicated(1, 1, &p).is_err());
+        assert!(replica.kb().lookup("Paper").is_none());
+    }
+
+    /// The hand-written list reader sized its allocation by a count
+    /// straight from the file; a count the record cannot hold must be
+    /// a clean error, not an attempted multi-gigabyte allocation.
+    #[test]
+    fn absurd_list_count_in_saved_history_is_a_clean_error() {
+        let mut p = Vec::new();
+        codec::put_u32(&mut p, 7); // Nogood
+        codec::put_u32(&mut p, u32::MAX);
+        codec::put_str(&mut p, "normalize");
+        let detail = corrupt_detail(load_single_record("list-count", &p));
+        assert!(detail.contains("truncated"), "{detail}");
     }
 
     #[test]

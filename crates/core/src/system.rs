@@ -12,13 +12,14 @@
 use crate::decisions::{DecisionClass, Discharge, ToolSpec};
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::{self, names, ProcessModel};
+use crate::persist::JournalOp;
 use rms::jtms::{Jtms, JtmsNodeId};
 use std::collections::HashMap;
 use telos::assertion;
 use telos::{Kb, PropId};
 
 /// A request to execute a design decision.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionRequest {
     /// Decision class name.
     pub class: String,
@@ -311,7 +312,7 @@ impl Gkbms {
         let seq = self.next_seq();
         self.tell_log
             .push((seq, tick, TellEvent::Tell(src.to_string())));
-        self.journal_append(crate::persist::encode_tell(src))?;
+        self.journal_append(JournalOp::Tell { src: src.into() })?;
         obs::counter!("gkbms_tells_total", "Frames TELLed into the knowledge base")
             .add(frames.len() as u64);
         Ok((frames.len(), diags))
@@ -413,7 +414,7 @@ impl Gkbms {
         let seq = self.next_seq();
         self.tell_log
             .push((seq, tick, TellEvent::Untell(name.to_string())));
-        self.journal_append(crate::persist::encode_untell(name))?;
+        self.journal_append(JournalOp::Untell { name: name.into() })?;
         obs::counter!(
             "gkbms_untells_total",
             "Objects UNTELLed (belief intervals closed)"
@@ -491,7 +492,11 @@ impl Gkbms {
             level.to_string(),
             parent.map(|s| s.to_string()),
         ));
-        self.journal_append(crate::persist::encode_object_class(name, level, parent))?;
+        self.journal_append(JournalOp::ObjectClass {
+            name: name.into(),
+            level: level.into(),
+            parent: parent.map(Into::into),
+        })?;
         Ok(c)
     }
 
@@ -536,10 +541,9 @@ impl Gkbms {
                 .ok_or_else(|| GkbmsError::Unknown(format!("decision class `{parent}`")))?;
             self.kb.specialize(prop, p)?;
         }
-        let payload = crate::persist::encode_decision_class(&dc);
         self.class_order.push(dc.name.clone());
-        self.classes.insert(dc.name.clone(), dc);
-        self.journal_append(payload)?;
+        self.classes.insert(dc.name.clone(), dc.clone());
+        self.journal_append(JournalOp::DecisionClass { class: dc })?;
         Ok(prop)
     }
 
@@ -562,10 +566,9 @@ impl Gkbms {
             // The BY association at the class level (fig 2-6).
             self.kb.put_attr(d, names::BY_I, prop)?;
         }
-        let payload = crate::persist::encode_tool(&spec);
         self.tool_order.push(spec.name.clone());
-        self.tools.insert(spec.name.clone(), spec);
-        self.journal_append(payload)?;
+        self.tools.insert(spec.name.clone(), spec.clone());
+        self.journal_append(JournalOp::Tool { spec })?;
         Ok(prop)
     }
 
@@ -606,7 +609,11 @@ impl Gkbms {
         self.graph_cache = None;
         self.register_log
             .push((name.to_string(), class.to_string(), source.to_string()));
-        self.journal_append(crate::persist::encode_register(name, class, source))?;
+        self.journal_append(JournalOp::Register {
+            name: name.into(),
+            class: class.into(),
+            source: source.into(),
+        })?;
         Ok(obj)
     }
 
@@ -949,8 +956,9 @@ impl Gkbms {
             retracted: false,
             prop: decision,
         });
-        let payload = crate::persist::encode_execute(self.records.last().unwrap());
-        self.journal_append(payload)?;
+        self.journal_append(JournalOp::Execute {
+            request: req.clone(),
+        })?;
         self.graph_cache = None;
         obs::counter!(
             "gkbms_decisions_executed_total",
@@ -1045,7 +1053,7 @@ impl Gkbms {
         let t = self.kb.tick();
         let seq = self.next_seq();
         self.retraction_log.push((seq, t, name.to_string()));
-        self.journal_append(crate::persist::encode_retract(name))?;
+        self.journal_append(JournalOp::Retract { name: name.into() })?;
         self.graph_cache = None;
         obs::counter!(
             "gkbms_decisions_retracted_total",

@@ -21,6 +21,7 @@
 //! observes a refresh from a newer tick.
 
 use crate::error::{GkbmsError, GkbmsResult};
+use crate::persist::JournalOp;
 use crate::system::Gkbms;
 use datalog::ast::{Program, Value};
 use datalog::ivm::{Fact, MaterializedView};
@@ -152,7 +153,10 @@ impl Gkbms {
             view,
             as_of,
         });
-        self.journal_append(crate::persist::encode_register_view(name, rules))?;
+        self.journal_append(JournalOp::RegisterView {
+            name: name.into(),
+            rules: rules.into(),
+        })?;
         obs::gauge!(
             "gkbms_views_registered",
             "Materialized deductive views currently registered"

@@ -8,17 +8,11 @@
 //! below 100) — the leader answers a rejected subscription with a
 //! plain error response on the same socket.
 
-use crate::error::{ReplError, ReplResult};
-use storage::record::codec::{self, Cursor};
+use storage::record::codec::{Cursor, Wire};
+use storage::StorageResult;
 
 /// First stream-message opcode; anything below is a `Response`.
 pub const MSG_BASE: u32 = 100;
-const MSG_HELLO: u32 = 100;
-const MSG_SNAPSHOT_START: u32 = 101;
-const MSG_SNAPSHOT_CHUNK: u32 = 102;
-const MSG_SNAPSHOT_END: u32 = 103;
-const MSG_OPS: u32 = 104;
-const MSG_HEARTBEAT: u32 = 105;
 
 /// One WAL record in flight: the exact frame fields the leader's
 /// journal holds, so the follower can apply the payload and append an
@@ -33,204 +27,91 @@ pub struct ShippedRecord {
     pub payload: Vec<u8>,
 }
 
-/// A message on the replication stream, leader → follower.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplMsg {
-    /// First message after an accepted subscription.
-    Hello {
-        /// The leader's last committed op sequence.
-        leader_seq: u64,
-        /// The leader's sequence epoch.
-        epoch: u64,
-    },
-    /// The follower is behind the leader's checkpoint truncation
-    /// horizon: a full snapshot follows, then the WAL tail.
-    SnapshotStart {
-        /// Op sequence the snapshot covers; tail shipping resumes at
-        /// the next sequence.
-        covered_seq: u64,
-        /// Epoch recorded in the snapshot's coverage record.
-        epoch: u64,
-    },
-    /// A batch of snapshot history records (the same payloads a
-    /// checkpoint snapshot file holds, coverage record included).
-    SnapshotChunk {
-        /// History op payloads, in replay order.
-        payloads: Vec<Vec<u8>>,
-    },
-    /// The snapshot stream is complete; WAL records follow.
-    SnapshotEnd,
-    /// A batch of committed WAL records in sequence order.
-    Ops {
-        /// The leader's last committed op sequence at send time (lets
-        /// the follower measure its lag without a round trip).
-        leader_seq: u64,
-        /// The records, consecutive by sequence.
-        records: Vec<ShippedRecord>,
-    },
-    /// Keep-alive when no commits arrive; also refreshes the
-    /// follower's view of the leader position.
-    Heartbeat {
-        /// The leader's last committed op sequence.
-        leader_seq: u64,
-        /// The leader's sequence epoch.
-        epoch: u64,
-    },
+impl Wire for ShippedRecord {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.seq.put(out);
+        self.epoch.put(out);
+        self.payload.put(out);
+    }
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        Ok(ShippedRecord {
+            seq: Wire::get(c)?,
+            epoch: Wire::get(c)?,
+            payload: Wire::get(c)?,
+        })
+    }
+}
+
+storage::op_table! {
+    /// A message on the replication stream, leader → follower.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ReplMsg {
+        /// First message after an accepted subscription.
+        100 Hello "hello" {
+            /// The leader's last committed op sequence.
+            leader_seq: u64,
+            /// The leader's sequence epoch.
+            epoch: u64,
+        },
+        /// The follower is behind the leader's checkpoint truncation
+        /// horizon: a full snapshot follows, then the WAL tail.
+        101 SnapshotStart "snapshot_start" {
+            /// Op sequence the snapshot covers; tail shipping resumes at
+            /// the next sequence.
+            covered_seq: u64,
+            /// Epoch recorded in the snapshot's coverage record.
+            epoch: u64,
+        },
+        /// A batch of snapshot history records (the same payloads a
+        /// checkpoint snapshot file holds, coverage record included).
+        102 SnapshotChunk "snapshot_chunk" {
+            /// History op payloads, in replay order.
+            payloads: Vec<Vec<u8>>,
+        },
+        /// The snapshot stream is complete; WAL records follow.
+        103 SnapshotEnd "snapshot_end",
+        /// A batch of committed WAL records in sequence order.
+        104 Ops "ops" {
+            /// The leader's last committed op sequence at send time (lets
+            /// the follower measure its lag without a round trip).
+            leader_seq: u64,
+            /// The records, consecutive by sequence.
+            records: Vec<ShippedRecord>,
+        },
+        /// Keep-alive when no commits arrive; also refreshes the
+        /// follower's view of the leader position.
+        105 Heartbeat "heartbeat" {
+            /// The leader's last committed op sequence.
+            leader_seq: u64,
+            /// The leader's sequence epoch.
+            epoch: u64,
+        },
+    }
 }
 
 impl ReplMsg {
-    /// Encodes the message as a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        match self {
-            ReplMsg::Hello { leader_seq, epoch } => {
-                codec::put_u32(&mut p, MSG_HELLO);
-                codec::put_u64(&mut p, *leader_seq);
-                codec::put_u64(&mut p, *epoch);
-            }
-            ReplMsg::SnapshotStart { covered_seq, epoch } => {
-                codec::put_u32(&mut p, MSG_SNAPSHOT_START);
-                codec::put_u64(&mut p, *covered_seq);
-                codec::put_u64(&mut p, *epoch);
-            }
-            ReplMsg::SnapshotChunk { payloads } => {
-                codec::put_u32(&mut p, MSG_SNAPSHOT_CHUNK);
-                codec::put_u32(&mut p, payloads.len() as u32);
-                for pay in payloads {
-                    codec::put_bytes(&mut p, pay);
-                }
-            }
-            ReplMsg::SnapshotEnd => codec::put_u32(&mut p, MSG_SNAPSHOT_END),
-            ReplMsg::Ops {
-                leader_seq,
-                records,
-            } => {
-                codec::put_u32(&mut p, MSG_OPS);
-                codec::put_u64(&mut p, *leader_seq);
-                codec::put_u32(&mut p, records.len() as u32);
-                for r in records {
-                    codec::put_u64(&mut p, r.seq);
-                    codec::put_u64(&mut p, r.epoch);
-                    codec::put_bytes(&mut p, &r.payload);
-                }
-            }
-            ReplMsg::Heartbeat { leader_seq, epoch } => {
-                codec::put_u32(&mut p, MSG_HEARTBEAT);
-                codec::put_u64(&mut p, *leader_seq);
-                codec::put_u64(&mut p, *epoch);
-            }
-        }
-        p
-    }
-
     /// Peeks the opcode of a frame payload without decoding it — used
     /// to distinguish stream messages (≥ [`MSG_BASE`]) from ordinary
     /// responses sharing the socket.
     pub fn peek_opcode(payload: &[u8]) -> Option<u32> {
         Cursor::new(payload).get_u32().ok()
     }
-
-    /// Decodes a frame payload, rejecting trailing bytes.
-    pub fn decode(payload: &[u8]) -> ReplResult<ReplMsg> {
-        let mut c = Cursor::new(payload);
-        let op = c.get_u32()?;
-        let msg = match op {
-            MSG_HELLO => ReplMsg::Hello {
-                leader_seq: c.get_u64()?,
-                epoch: c.get_u64()?,
-            },
-            MSG_SNAPSHOT_START => ReplMsg::SnapshotStart {
-                covered_seq: c.get_u64()?,
-                epoch: c.get_u64()?,
-            },
-            MSG_SNAPSHOT_CHUNK => {
-                let n = c.get_u32()? as usize;
-                let mut payloads = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    payloads.push(c.get_bytes()?.to_vec());
-                }
-                ReplMsg::SnapshotChunk { payloads }
-            }
-            MSG_SNAPSHOT_END => ReplMsg::SnapshotEnd,
-            MSG_OPS => {
-                let leader_seq = c.get_u64()?;
-                let n = c.get_u32()? as usize;
-                let mut records = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    records.push(ShippedRecord {
-                        seq: c.get_u64()?,
-                        epoch: c.get_u64()?,
-                        payload: c.get_bytes()?.to_vec(),
-                    });
-                }
-                ReplMsg::Ops {
-                    leader_seq,
-                    records,
-                }
-            }
-            MSG_HEARTBEAT => ReplMsg::Heartbeat {
-                leader_seq: c.get_u64()?,
-                epoch: c.get_u64()?,
-            },
-            other => {
-                return Err(ReplError::Protocol(format!(
-                    "unknown replication opcode {other}"
-                )))
-            }
-        };
-        if !c.is_exhausted() {
-            return Err(ReplError::Protocol(
-                "trailing bytes after replication message".into(),
-            ));
-        }
-        Ok(msg)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storage::record::codec;
 
+    /// The fixture holds a sample per row (`u64` 7, bytes `00 ff 62`,
+    /// one-element and empty lists) as encoded by the hand-written
+    /// encoder this table replaced.
     #[test]
-    fn roundtrip_every_variant() {
-        let msgs = vec![
-            ReplMsg::Hello {
-                leader_seq: 42,
-                epoch: 3,
-            },
-            ReplMsg::SnapshotStart {
-                covered_seq: 17,
-                epoch: 2,
-            },
-            ReplMsg::SnapshotChunk {
-                payloads: vec![b"one".to_vec(), Vec::new(), b"\x00\xffbin".to_vec()],
-            },
-            ReplMsg::SnapshotEnd,
-            ReplMsg::Ops {
-                leader_seq: 99,
-                records: vec![
-                    ShippedRecord {
-                        seq: 98,
-                        epoch: 1,
-                        payload: b"alpha".to_vec(),
-                    },
-                    ShippedRecord {
-                        seq: 99,
-                        epoch: 2,
-                        payload: Vec::new(),
-                    },
-                ],
-            },
-            ReplMsg::Heartbeat {
-                leader_seq: 7,
-                epoch: 1,
-            },
-        ];
-        for m in msgs {
-            let bytes = m.encode();
-            assert!(ReplMsg::peek_opcode(&bytes).unwrap() >= MSG_BASE);
-            assert_eq!(ReplMsg::decode(&bytes).unwrap(), m);
-        }
+    fn message_table_matches_the_golden_bytes() {
+        ReplMsg::check_golden(include_str!("../../../tests/fixtures/wire/repl_msg.hex"));
+        assert_eq!(ReplMsg::OPS.len(), 6);
+        // A follower tells stream messages from refusals by opcode alone.
+        assert!(ReplMsg::OPS.iter().all(|(op, _)| *op >= MSG_BASE));
     }
 
     #[test]
@@ -239,13 +120,13 @@ mod tests {
         codec::put_u32(&mut p, 250);
         assert!(matches!(
             ReplMsg::decode(&p),
-            Err(ReplError::Protocol(m)) if m.contains("250")
+            Err(e) if e.to_string().contains("250")
         ));
         let mut ok = ReplMsg::SnapshotEnd.encode();
         ok.push(0);
         assert!(matches!(
             ReplMsg::decode(&ok),
-            Err(ReplError::Protocol(m)) if m.contains("trailing")
+            Err(e) if e.to_string().contains("trailing")
         ));
     }
 
@@ -254,7 +135,7 @@ mod tests {
         // A proto Response frame starts with its opcode (< 100); the
         // follower uses the peek to route between the two decoders.
         let mut resp = Vec::new();
-        codec::put_u32(&mut resp, 7); // RESP_ERROR
+        codec::put_u32(&mut resp, 7); // Response::Error
         assert!(ReplMsg::peek_opcode(&resp).unwrap() < MSG_BASE);
     }
 }

@@ -16,6 +16,18 @@
 //! sessions pin a watermark instead of copying state, and writers
 //! only ever add or close intervals above every pinned watermark.
 
+// No panic on a serving path: a connection thread that unwinds takes
+// its client's socket (and, mid-commit, a poisoned lock) with it.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
+
 pub mod client;
 pub mod proto;
 pub mod server;
@@ -25,7 +37,9 @@ pub use client::{
     AskReply, Client, ClientError, ClientResult, ReplicaStatus, ServerError, SessionStats,
     DEFAULT_READ_TIMEOUT,
 };
-pub use proto::{ErrorCode, Request, Response, WireDecision, WireDiagnostic, WireDischarge};
+pub use proto::{
+    ErrorCode, OpClass, Request, Response, WireDecision, WireDiagnostic, WireDischarge,
+};
 pub use server::{Config, JoinError, Server, SlowQuery};
 
 #[cfg(test)]

@@ -20,51 +20,21 @@
 //!
 //! # Payload layout
 //!
-//! The payload is encoded with [`storage::record::codec`] primitives
-//! (little-endian integers, `u32`-length-prefixed UTF-8 strings). The
-//! first field is always a `u32` *opcode*; the remaining fields depend
-//! on the opcode:
+//! The payload is a `u32` *opcode* followed by the op's fields, each
+//! encoded by its [`storage::record::codec::Wire`] impl (little-endian
+//! integers, `bool` and `Option` as a strict 0/1 `u32` tag,
+//! `u32`-length-prefixed UTF-8 strings, `u32`-count-prefixed lists):
 //!
 //! ```text
 //! request  := op:u32 fields*
 //! response := op:u32 fields*
 //! ```
 //!
-//! ## Request opcodes
-//!
-//! | op | name                 | fields after the opcode                    |
-//! |----|----------------------|--------------------------------------------|
-//! |  1 | `Hello`              | —                                          |
-//! |  2 | `Bye`                | `session:u64`                              |
-//! |  3 | `Refresh`            | `session:u64`                              |
-//! |  4 | `Ping`               | —                                          |
-//! |  5 | `Tell`               | `session:u64 src:str`                      |
-//! |  6 | `Untell`             | `session:u64 name:str`                     |
-//! |  7 | `Ask`                | `session:u64 var:str class:str expr:str`   |
-//! |  8 | `Holds`              | `session:u64 expr:str`                     |
-//! |  9 | `Show`               | `session:u64 name:str`                     |
-//! | 10 | `ApplicableDecisions`| `session:u64 object:str`                   |
-//! | 11 | `Execute`            | `session:u64` + decision request (below)   |
-//! | 12 | `RetractDecision`    | `session:u64 name:str`                     |
-//! | 13 | `History`            | `session:u64`                              |
-//! | 14 | `ObjectHistory`      | `session:u64 object:str`                   |
-//! | 15 | `SessionStats`       | `session:u64`                              |
-//! | 16 | `Save`               | `session:u64 path:str`                     |
-//! | 17 | `Load`               | `session:u64 path:str`                     |
-//! | 18 | `Shutdown`           | `session:u64`                              |
-//! | 19 | `Sleep`              | `session:u64 millis:u64` (diagnostic)      |
-//! | 20 | `RegisterObject`     | `session:u64 name:str class:str source:str`|
-//! | 21 | `Status`             | `session:u64`                              |
-//! | 22 | `Metrics`            | —                                          |
-//! | 23 | `Checkpoint`         | `session:u64`                              |
-//! | 24 | `Lint`               | `session:u64 src:str`                      |
-//! | 25 | `Replicate`          | `applied_seq:u64 epoch:u64`                |
-//! | 26 | `Promote`            | `session:u64`                              |
-//! | 27 | `ReplStatus`         | —                                          |
-//! | 28 | `RegisterView`       | `session:u64 name:str rules:str`           |
-//! | 29 | `ViewAsk`            | `session:u64 name:str pred:str`            |
-//! | 30 | `Recall`             | `session:u64 name:str limit:u32`           |
-//! | 31 | `Explain`            | `session:u64 src:str`                      |
+//! The two op tables — [`Request`] and [`Response`] below — are the
+//! protocol definition: each row gives a variant's opcode, its metrics
+//! label, (for requests) its [`OpClass`], and its fields in wire
+//! order, and the codec, `op_name()` and `class()` are generated from
+//! it. The rendered documentation of each variant repeats the row.
 //!
 //! `Replicate` is the subscription handshake of the replication
 //! subsystem: a follower (or any tailer) announces the last op
@@ -76,9 +46,9 @@
 //! checkpoint horizon, then the WAL tail, then live group commits.
 //! Those stream frames use opcodes at or above
 //! `replication::msg::MSG_BASE` (100) so they can never be confused
-//! with the `Response` opcodes below.
+//! with the `Response` opcodes.
 //!
-//! The `Execute` decision request is encoded as:
+//! The `Execute` decision request ([`WireDecision`]) is encoded as:
 //!
 //! ```text
 //! class:str name:str performer:str
@@ -88,24 +58,6 @@
 //! n_discharges:u32 (kind:u32 obligation:str [by:str])*   // kind 0=Formal, 1=Signature
 //! ```
 //!
-//! ## Response opcodes
-//!
-//! | op | name          | fields after the opcode                          |
-//! |----|---------------|--------------------------------------------------|
-//! |  1 | `Welcome`     | `session:u64 watermark:i64`                      |
-//! |  2 | `Done`        | `text:str`                                       |
-//! |  3 | `Names`       | `probes:u64 scanned:u64 n:u32 name:str*`         |
-//! |  4 | `Truth`       | `value:u32` (0 = false, 1 = true)                |
-//! |  5 | `Table`       | `text:str` (rendered table / frame text)         |
-//! |  6 | `SessionInfo` | `session:u64 watermark:i64 kb_now:i64 requests:u64 believed:u64 probes:u64 scanned:u64` |
-//! |  7 | `Error`       | `code:u32 message:str`                           |
-//! |  8 | `Metrics`     | `text:str` (Prometheus text exposition)          |
-//! |  9 | `Diagnostics` | `n:u32` + diagnostic* (below)                    |
-//! | 10 | `Redirect`    | `leader:str`                                     |
-//! | 11 | `Stale`       | `applied_seq:u64 lag:u64 inner:bytes`            |
-//! | 12 | `ReplInfo`    | `is_leader:u32 leader:str applied_seq:u64 leader_seq:u64 epoch:u64 connected:u32` |
-//! | 13 | `RecallHits`  | `n:u32 (decision:str score_bits:u64 retracted:u32)*` |
-//!
 //! `Redirect` answers writes sent to a read replica: the payload
 //! names the leader's address so the client can fail fast and retry
 //! there. `Stale` wraps every *read* served by a follower: it carries
@@ -114,7 +66,7 @@
 //! staleness is surfaced on every reply rather than discovered by
 //! side-channel.
 //!
-//! Each `Diagnostics` entry is encoded as:
+//! Each `Diagnostics` entry ([`WireDiagnostic`]) is encoded as:
 //!
 //! ```text
 //! severity:u32 (0 = warning, 1 = error)
@@ -123,7 +75,7 @@
 //! has_line:u32 [line:u64]
 //! ```
 //!
-//! `Names.probes`/`Names.scanned` carry the deductive [`EvalStats`]
+//! `Names.probes`/`Names.scanned` carry the deductive `EvalStats`
 //! counters for `Ask` answers and are zero for other `Names` replies
 //! (e.g. retraction cascades).
 //!
@@ -148,53 +100,24 @@
 //! Work-carrying requests pass through a bounded admission gate; when
 //! the server is saturated it answers [`ErrorCode::Overloaded`]
 //! without touching the knowledge base, and the client is expected to
-//! back off and retry. Control requests (`Hello`, `Bye`, `Ping`,
-//! `Shutdown`) bypass the gate so a saturated server can still be
-//! inspected and stopped. After shutdown begins, in-flight requests
-//! drain normally and subsequent ones get [`ErrorCode::ShuttingDown`].
-//! `Metrics` is also a control request: a saturated server must still
-//! be scrapable, otherwise the one moment observability matters most
-//! is the one moment it goes dark.
+//! back off and retry. The rule for who bypasses the gate is
+//! `class == `[`OpClass::Control`]: those requests manage sessions, the
+//! server's lifecycle, its metrics and its replication role, so a
+//! saturated server can still be inspected, scraped, promoted and
+//! stopped — otherwise the one moment observability matters most is
+//! the one moment it goes dark. After shutdown begins, in-flight
+//! requests drain normally and subsequent ones get
+//! [`ErrorCode::ShuttingDown`].
 
 use std::io::{self, Read, Write};
-use storage::record::{self, codec};
+use storage::record;
+use storage::record::codec::{Cursor, Wire};
+use storage::StorageResult;
 
-/// Discharge of a dependency obligation, mirroring
-/// [`gkbms::system::Discharge`] on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireDischarge {
-    /// Formally verified discharge.
-    Formal {
-        /// Name of the obligation object being discharged.
-        obligation: String,
-    },
-    /// Discharge by a signed-off decision.
-    Signature {
-        /// Name of the obligation object being discharged.
-        obligation: String,
-        /// Name of the agent signing off.
-        by: String,
-    },
-}
-
-/// A decision execution request, mirroring [`gkbms::system::DecisionRequest`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireDecision {
-    /// Decision class to instantiate.
-    pub class: String,
-    /// Name of the new decision object.
-    pub name: String,
-    /// Performing agent.
-    pub performer: String,
-    /// Optional tool used.
-    pub tool: Option<String>,
-    /// Input design objects.
-    pub inputs: Vec<String>,
-    /// Output design objects as `(name, class)`.
-    pub outputs: Vec<(String, String)>,
-    /// Obligations discharged by this decision.
-    pub discharges: Vec<WireDischarge>,
-}
+/// A decision execution request and its obligation discharges: the
+/// knowledge base's own types, so the `Execute` request and the
+/// journal's `execute` op share one definition and one encoding.
+pub use gkbms::{DecisionRequest as WireDecision, Discharge as WireDischarge};
 
 /// One diagnostic from the rule-base static analyzer, mirroring
 /// [`analysis::Diagnostic`] on the wire.
@@ -239,227 +162,270 @@ impl WireDiagnostic {
     }
 }
 
-/// A client-to-server request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Open a session; the reply pins the snapshot watermark.
-    Hello,
-    /// Close a session.
-    Bye {
-        /// Session to close.
-        session: u64,
-    },
-    /// Re-pin the session watermark to the current belief time.
-    Refresh {
-        /// Session to refresh.
-        session: u64,
-    },
-    /// Liveness probe; bypasses admission control.
-    Ping,
-    /// TELL one or more objects in objectbase concrete syntax.
-    Tell {
-        /// Issuing session.
-        session: u64,
-        /// Source text (`tell … end`, possibly several frames).
-        src: String,
-    },
-    /// UNTELL an object by name.
-    Untell {
-        /// Issuing session.
-        session: u64,
-        /// Object to untell.
-        name: String,
-    },
-    /// Deductive query: instances of `class` satisfying `expr`.
-    Ask {
-        /// Issuing session (answers are snapshot-pinned).
-        session: u64,
-        /// Query variable name.
-        var: String,
-        /// Class the variable ranges over.
-        class: String,
-        /// Assertion-language body.
-        expr: String,
-    },
-    /// Evaluate a closed assertion against the session snapshot.
-    Holds {
-        /// Issuing session.
-        session: u64,
-        /// Assertion-language expression.
-        expr: String,
-    },
-    /// Render the *current* frame of an object (not snapshot-pinned).
-    Show {
-        /// Issuing session.
-        session: u64,
-        /// Object to show.
-        name: String,
-    },
-    /// Decision classes applicable to a design object.
-    ApplicableDecisions {
-        /// Issuing session.
-        session: u64,
-        /// Design object name.
-        object: String,
-    },
-    /// Execute a design decision.
-    Execute {
-        /// Issuing session.
-        session: u64,
-        /// The decision to perform.
-        decision: WireDecision,
-    },
-    /// Retract a decision and its dependents.
-    RetractDecision {
-        /// Issuing session.
-        session: u64,
-        /// Decision object to retract.
-        name: String,
-    },
-    /// The process view: all decisions in causal order.
-    History {
-        /// Issuing session.
-        session: u64,
-    },
-    /// Belief-time history of one object.
-    ObjectHistory {
-        /// Issuing session.
-        session: u64,
-        /// Object to trace.
-        object: String,
-    },
-    /// Per-session statistics (watermark, counters, last ASK stats).
-    SessionStats {
-        /// Session to inspect.
-        session: u64,
-    },
-    /// Persist the knowledge base to a server-side path.
-    Save {
-        /// Issuing session.
-        session: u64,
-        /// Server-side file path.
-        path: String,
-    },
-    /// Replace the knowledge base from a server-side path.
-    Load {
-        /// Issuing session.
-        session: u64,
-        /// Server-side file path.
-        path: String,
-    },
-    /// Begin graceful shutdown; bypasses admission control.
-    Shutdown {
-        /// Issuing session.
-        session: u64,
-    },
-    /// Diagnostic: hold an admission slot for `millis` ms. Used by
-    /// the backpressure and drain tests to create deterministic load.
-    Sleep {
-        /// Issuing session.
-        session: u64,
-        /// How long to hold the slot.
-        millis: u64,
-    },
-    /// Register a design object (name, class, source text).
-    RegisterObject {
-        /// Issuing session.
-        session: u64,
-        /// New object name.
-        name: String,
-        /// Object class.
-        class: String,
-        /// Source/document text.
-        source: String,
-    },
-    /// The status view of all design objects.
-    Status {
-        /// Issuing session.
-        session: u64,
-    },
-    /// Scrape the server's metrics registry (Prometheus text format).
-    /// Sessionless and admission-exempt, like `Ping`.
-    Metrics,
-    /// Compact the server's journal: write a crash-atomic snapshot and
-    /// truncate the WAL. Rejected if the server runs without a journal.
-    Checkpoint {
-        /// Issuing session.
-        session: u64,
-    },
-    /// Statically analyze source text against the live knowledge base
-    /// without admitting it. Always answers [`Response::Diagnostics`];
-    /// a clean bill of health is an empty list.
-    Lint {
-        /// Issuing session.
-        session: u64,
-        /// Source text to analyze (CML frames or a datalog program).
-        src: String,
-    },
-    /// Subscribe to the leader's committed record stream. Sessionless;
-    /// on success the connection becomes a push stream of
-    /// `replication::ReplMsg` frames and never carries requests again.
-    Replicate {
-        /// Last op sequence the subscriber has applied (0 = nothing).
-        applied_seq: u64,
-        /// The subscriber's sequence epoch; the leader fences
-        /// subscribers from a *newer* epoch (they outrank it).
-        epoch: u64,
-    },
-    /// Seal the follower's log and make it writable: bumps the
-    /// sequence epoch, journals a durable seal record, and stops the
-    /// apply loop. Records framed with the old epoch are refused from
-    /// here on. Rejected on a server that is already the leader.
-    Promote {
-        /// Issuing session.
-        session: u64,
-    },
-    /// Inspect the server's replication role and positions.
-    /// Sessionless and admission-exempt, like `Metrics`.
-    ReplStatus,
-    /// Register a materialized deductive view: the base closure rules
-    /// plus optional user rules, built once and maintained
-    /// incrementally under every subsequent TELL/UNTELL.
-    RegisterView {
-        /// Issuing session.
-        session: u64,
-        /// View name (unique per knowledge base).
-        name: String,
-        /// Extra datalog rules layered over the base program (may be
-        /// empty).
-        rules: String,
-    },
-    /// Read one predicate of a registered view. Snapshot-pinned: a
-    /// session whose watermark predates the view's last refresh gets
-    /// answers evaluated at its own watermark, never the newer model.
-    ViewAsk {
-        /// Issuing session.
-        session: u64,
-        /// The registered view to read.
-        name: String,
-        /// Predicate whose tuples are wanted (e.g. `inT`).
-        pred: String,
-    },
-    /// Structure-similarity recall: which past decisions looked like
-    /// the named one? Answers [`Response::RecallHits`], best first;
-    /// retracted precedents are included and flagged.
-    Recall {
-        /// Issuing session.
-        session: u64,
-        /// The probe decision's instance name.
-        name: String,
-        /// Maximum number of hits.
-        limit: u32,
-    },
-    /// Render the deductive evaluator's join plan and cost estimate
-    /// for the base program, the stored rules, and any extra rules in
-    /// `src`, against the knowledge base's measured EDB cardinalities.
-    /// Read-only; answers [`Response::Done`] with the rendered plan.
-    Explain {
-        /// Issuing session.
-        session: u64,
-        /// Extra datalog rules to cost alongside the stored rule base
-        /// (may be empty).
-        src: String,
-    },
+impl Wire for WireDiagnostic {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_error.put(out);
+        self.code.put(out);
+        self.subject.put(out);
+        self.message.put(out);
+        self.witness.put(out);
+        self.line.put(out);
+    }
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        Ok(WireDiagnostic {
+            is_error: Wire::get(c)?,
+            code: Wire::get(c)?,
+            subject: Wire::get(c)?,
+            message: Wire::get(c)?,
+            witness: Wire::get(c)?,
+            line: Wire::get(c)?,
+        })
+    }
+}
+
+/// How the server admits and routes a request — the class column of
+/// the [`Request`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpClass {
+    /// Manages sessions, the server's lifecycle, its metrics or its
+    /// replication role. Bypasses the admission gate and the draining
+    /// check, so a saturated or draining server can still be managed
+    /// (and scraped); served by leader and follower alike.
+    Control,
+    /// Work that leaves the knowledge base as it is. Passes the
+    /// admission gate; a follower serves it at its applied watermark,
+    /// wrapped in [`Response::Stale`]. `Checkpoint` is a read in this
+    /// sense: it only compacts the local journal, which a replica may
+    /// do freely.
+    Read,
+    /// Mutates the knowledge base. Passes the admission gate; a
+    /// follower answers [`Response::Redirect`] instead of serving it.
+    Write,
+}
+
+storage::op_table! {
+    /// A client-to-server request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request: OpClass {
+        /// Open a session; the reply pins the snapshot watermark.
+        1 Hello "hello" Control,
+        /// Close a session.
+        2 Bye "bye" Control {
+            /// Session to close.
+            session: u64,
+        },
+        /// Re-pin the session watermark to the current belief time.
+        3 Refresh "refresh" Read {
+            /// Session to refresh.
+            session: u64,
+        },
+        /// Liveness probe; bypasses admission control.
+        4 Ping "ping" Control,
+        /// TELL one or more objects in objectbase concrete syntax.
+        5 Tell "tell" Write {
+            /// Issuing session.
+            session: u64,
+            /// Source text (`tell … end`, possibly several frames).
+            src: String,
+        },
+        /// UNTELL an object by name.
+        6 Untell "untell" Write {
+            /// Issuing session.
+            session: u64,
+            /// Object to untell.
+            name: String,
+        },
+        /// Deductive query: instances of `class` satisfying `expr`.
+        7 Ask "ask" Read {
+            /// Issuing session (answers are snapshot-pinned).
+            session: u64,
+            /// Query variable name.
+            var: String,
+            /// Class the variable ranges over.
+            class: String,
+            /// Assertion-language body.
+            expr: String,
+        },
+        /// Evaluate a closed assertion against the session snapshot.
+        8 Holds "holds" Read {
+            /// Issuing session.
+            session: u64,
+            /// Assertion-language expression.
+            expr: String,
+        },
+        /// Render the *current* frame of an object (not snapshot-pinned).
+        9 Show "show" Read {
+            /// Issuing session.
+            session: u64,
+            /// Object to show.
+            name: String,
+        },
+        /// Decision classes applicable to a design object.
+        10 ApplicableDecisions "applicable" Read {
+            /// Issuing session.
+            session: u64,
+            /// Design object name.
+            object: String,
+        },
+        /// Execute a design decision.
+        11 Execute "execute" Write {
+            /// Issuing session.
+            session: u64,
+            /// The decision to perform.
+            decision: WireDecision,
+        },
+        /// Retract a decision and its dependents.
+        12 RetractDecision "retract" Write {
+            /// Issuing session.
+            session: u64,
+            /// Decision object to retract.
+            name: String,
+        },
+        /// The process view: all decisions in causal order.
+        13 History "history" Read {
+            /// Issuing session.
+            session: u64,
+        },
+        /// Belief-time history of one object.
+        14 ObjectHistory "object_history" Read {
+            /// Issuing session.
+            session: u64,
+            /// Object to trace.
+            object: String,
+        },
+        /// Per-session statistics (watermark, counters, last ASK stats).
+        15 SessionStats "session_stats" Read {
+            /// Session to inspect.
+            session: u64,
+        },
+        /// Persist the knowledge base to a server-side path.
+        16 Save "save" Read {
+            /// Issuing session.
+            session: u64,
+            /// Server-side file path.
+            path: String,
+        },
+        /// Replace the knowledge base from a server-side path.
+        17 Load "load" Write {
+            /// Issuing session.
+            session: u64,
+            /// Server-side file path.
+            path: String,
+        },
+        /// Begin graceful shutdown; bypasses admission control.
+        18 Shutdown "shutdown" Control {
+            /// Issuing session.
+            session: u64,
+        },
+        /// Diagnostic: hold an admission slot for `millis` ms. Used by
+        /// the backpressure and drain tests to create deterministic load.
+        19 Sleep "sleep" Read {
+            /// Issuing session.
+            session: u64,
+            /// How long to hold the slot.
+            millis: u64,
+        },
+        /// Register a design object (name, class, source text).
+        20 RegisterObject "register" Write {
+            /// Issuing session.
+            session: u64,
+            /// New object name.
+            name: String,
+            /// Object class.
+            class: String,
+            /// Source/document text.
+            source: String,
+        },
+        /// The status view of all design objects.
+        21 Status "status" Read {
+            /// Issuing session.
+            session: u64,
+        },
+        /// Scrape the server's metrics registry (Prometheus text format).
+        /// Sessionless and admission-exempt, like `Ping`.
+        22 Metrics "metrics" Control,
+        /// Compact the server's journal: write a crash-atomic snapshot and
+        /// truncate the WAL. Rejected if the server runs without a journal.
+        23 Checkpoint "checkpoint" Read {
+            /// Issuing session.
+            session: u64,
+        },
+        /// Statically analyze source text against the live knowledge base
+        /// without admitting it. Always answers [`Response::Diagnostics`];
+        /// a clean bill of health is an empty list.
+        24 Lint "lint" Read {
+            /// Issuing session.
+            session: u64,
+            /// Source text to analyze (CML frames or a datalog program).
+            src: String,
+        },
+        /// Subscribe to the leader's committed record stream. Sessionless;
+        /// on success the connection becomes a push stream of
+        /// `replication::ReplMsg` frames and never carries requests again.
+        25 Replicate "replicate" Control {
+            /// Last op sequence the subscriber has applied (0 = nothing).
+            applied_seq: u64,
+            /// The subscriber's sequence epoch; the leader fences
+            /// subscribers from a *newer* epoch (they outrank it).
+            epoch: u64,
+        },
+        /// Seal the follower's log and make it writable: bumps the
+        /// sequence epoch, journals a durable seal record, and stops the
+        /// apply loop. Records framed with the old epoch are refused from
+        /// here on. Rejected on a server that is already the leader.
+        26 Promote "promote" Control {
+            /// Issuing session.
+            session: u64,
+        },
+        /// Inspect the server's replication role and positions.
+        /// Sessionless and admission-exempt, like `Metrics`.
+        27 ReplStatus "repl_status" Control,
+        /// Register a materialized deductive view: the base closure rules
+        /// plus optional user rules, built once and maintained
+        /// incrementally under every subsequent TELL/UNTELL.
+        28 RegisterView "register_view" Write {
+            /// Issuing session.
+            session: u64,
+            /// View name (unique per knowledge base).
+            name: String,
+            /// Extra datalog rules layered over the base program (may be
+            /// empty).
+            rules: String,
+        },
+        /// Read one predicate of a registered view. Snapshot-pinned: a
+        /// session whose watermark predates the view's last refresh gets
+        /// answers evaluated at its own watermark, never the newer model.
+        29 ViewAsk "view_ask" Read {
+            /// Issuing session.
+            session: u64,
+            /// The registered view to read.
+            name: String,
+            /// Predicate whose tuples are wanted (e.g. `inT`).
+            pred: String,
+        },
+        /// Structure-similarity recall: which past decisions looked like
+        /// the named one? Answers [`Response::RecallHits`], best first;
+        /// retracted precedents are included and flagged.
+        30 Recall "recall" Read {
+            /// Issuing session.
+            session: u64,
+            /// The probe decision's instance name.
+            name: String,
+            /// Maximum number of hits.
+            limit: u32,
+        },
+        /// Render the deductive evaluator's join plan and cost estimate
+        /// for the base program, the stored rules, and any extra rules in
+        /// `src`, against the knowledge base's measured EDB cardinalities.
+        /// Read-only; answers [`Response::Done`] with the rendered plan.
+        31 Explain "explain" Read {
+            /// Issuing session.
+            session: u64,
+            /// Extra datalog rules to cost alongside the stored rule base
+            /// (may be empty).
+            src: String,
+        },
+    }
 }
 
 /// Typed error codes carried by [`Response::Error`].
@@ -528,6 +494,16 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
+impl Wire for ErrorCode {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u32).put(out);
+    }
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        let raw = c.get_u32()?;
+        ErrorCode::from_u32(raw).ok_or_else(|| c.corrupt(format!("unknown error code {raw}")))
+    }
+}
+
 /// One hit of a structure-similarity recall answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireRecallHit {
@@ -547,913 +523,127 @@ impl WireRecallHit {
     }
 }
 
-/// A server-to-client response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// Session opened.
-    Welcome {
-        /// The new session id.
-        session: u64,
-        /// Belief-time watermark pinned for the session.
-        watermark: i64,
-    },
-    /// Generic success with human-readable detail.
-    Done {
-        /// What happened.
-        text: String,
-    },
-    /// A list of names (ASK answers, retraction cascades, …).
-    Names {
-        /// Deductive index probes (ASK only; 0 otherwise).
-        probes: u64,
-        /// Tuples scanned during evaluation (ASK only; 0 otherwise).
-        scanned: u64,
-        /// The names.
-        names: Vec<String>,
-    },
-    /// A boolean verdict (HOLDS).
-    Truth {
-        /// The verdict.
-        value: bool,
-    },
-    /// Rendered tabular or frame text.
-    Table {
-        /// The rendered text.
-        text: String,
-    },
-    /// Per-session statistics.
-    SessionInfo {
-        /// Session id.
-        session: u64,
-        /// Pinned belief-time watermark.
-        watermark: i64,
-        /// The knowledge base's current belief time.
-        kb_now: i64,
-        /// Requests served for this session.
-        requests: u64,
-        /// Propositions believed at the watermark.
-        believed: u64,
-        /// Index probes of the session's last ASK.
-        probes: u64,
-        /// Tuples scanned by the session's last ASK.
-        scanned: u64,
-    },
-    /// A typed failure.
-    Error {
-        /// Machine-readable error class.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
-    /// Metrics scrape result (Prometheus text exposition format).
-    Metrics {
-        /// The rendered exposition text.
-        text: String,
-    },
-    /// The static analyzer's verdict on a `Lint` request (empty when
-    /// the source is clean).
-    Diagnostics {
-        /// The diagnostics, errors first.
-        diags: Vec<WireDiagnostic>,
-    },
-    /// A write reached a read replica; retry against the leader.
-    Redirect {
-        /// The leader's address, as configured on the follower.
-        leader: String,
-    },
-    /// A read served by a follower, wrapped with its staleness. The
-    /// inner payload is an ordinary encoded [`Response`].
-    Stale {
-        /// The follower's applied op sequence at answer time.
-        applied_seq: u64,
-        /// How many committed leader ops the follower still lacks.
-        lag: u64,
-        /// The encoded inner response.
-        inner: Vec<u8>,
-    },
-    /// The server's replication role and stream positions.
-    ReplInfo {
-        /// True on the leader (or a promoted follower).
-        is_leader: bool,
-        /// The leader address a follower ships from (empty on the
-        /// leader itself).
-        leader: String,
-        /// Ops applied locally.
-        applied_seq: u64,
-        /// The leader's committed sequence as last observed.
-        leader_seq: u64,
-        /// The server's sequence epoch.
-        epoch: u64,
-        /// True while a follower's subscription is live.
-        connected: bool,
-    },
-    /// Answer to a structure-similarity recall, best hit first.
-    RecallHits {
-        /// The scored hits.
-        hits: Vec<WireRecallHit>,
-    },
-}
-
-const REQ_HELLO: u32 = 1;
-const REQ_BYE: u32 = 2;
-const REQ_REFRESH: u32 = 3;
-const REQ_PING: u32 = 4;
-const REQ_TELL: u32 = 5;
-const REQ_UNTELL: u32 = 6;
-const REQ_ASK: u32 = 7;
-const REQ_HOLDS: u32 = 8;
-const REQ_SHOW: u32 = 9;
-const REQ_APPLICABLE: u32 = 10;
-const REQ_EXECUTE: u32 = 11;
-const REQ_RETRACT: u32 = 12;
-const REQ_HISTORY: u32 = 13;
-const REQ_OBJECT_HISTORY: u32 = 14;
-const REQ_SESSION_STATS: u32 = 15;
-const REQ_SAVE: u32 = 16;
-const REQ_LOAD: u32 = 17;
-const REQ_SHUTDOWN: u32 = 18;
-const REQ_SLEEP: u32 = 19;
-const REQ_REGISTER: u32 = 20;
-const REQ_STATUS: u32 = 21;
-const REQ_METRICS: u32 = 22;
-const REQ_CHECKPOINT: u32 = 23;
-const REQ_LINT: u32 = 24;
-const REQ_REPLICATE: u32 = 25;
-const REQ_PROMOTE: u32 = 26;
-const REQ_REPL_STATUS: u32 = 27;
-const REQ_REGISTER_VIEW: u32 = 28;
-const REQ_VIEW_ASK: u32 = 29;
-const REQ_RECALL: u32 = 30;
-const REQ_EXPLAIN: u32 = 31;
-
-const RESP_WELCOME: u32 = 1;
-const RESP_DONE: u32 = 2;
-const RESP_NAMES: u32 = 3;
-const RESP_TRUTH: u32 = 4;
-const RESP_TABLE: u32 = 5;
-const RESP_SESSION_INFO: u32 = 6;
-const RESP_ERROR: u32 = 7;
-const RESP_METRICS: u32 = 8;
-const RESP_DIAGNOSTICS: u32 = 9;
-const RESP_REDIRECT: u32 = 10;
-const RESP_STALE: u32 = 11;
-const RESP_REPL_INFO: u32 = 12;
-const RESP_RECALL_HITS: u32 = 13;
-
-/// Decode failure: the payload did not parse as a valid message.
-#[derive(Debug)]
-pub struct DecodeError(pub String);
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "protocol decode error: {}", self.0)
+impl Wire for WireRecallHit {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.decision.put(out);
+        self.score_bits.put(out);
+        self.retracted.put(out);
+    }
+    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+        Ok(WireRecallHit {
+            decision: Wire::get(c)?,
+            score_bits: Wire::get(c)?,
+            retracted: Wire::get(c)?,
+        })
     }
 }
 
-impl std::error::Error for DecodeError {}
-
-impl From<storage::StorageError> for DecodeError {
-    fn from(e: storage::StorageError) -> Self {
-        DecodeError(e.to_string())
-    }
-}
-
-type Decode<T> = Result<T, DecodeError>;
-
-fn encode_decision(out: &mut Vec<u8>, d: &WireDecision) {
-    codec::put_str(out, &d.class);
-    codec::put_str(out, &d.name);
-    codec::put_str(out, &d.performer);
-    match &d.tool {
-        Some(t) => {
-            codec::put_u32(out, 1);
-            codec::put_str(out, t);
-        }
-        None => codec::put_u32(out, 0),
-    }
-    codec::put_u32(out, d.inputs.len() as u32);
-    for i in &d.inputs {
-        codec::put_str(out, i);
-    }
-    codec::put_u32(out, d.outputs.len() as u32);
-    for (n, c) in &d.outputs {
-        codec::put_str(out, n);
-        codec::put_str(out, c);
-    }
-    codec::put_u32(out, d.discharges.len() as u32);
-    for dis in &d.discharges {
-        match dis {
-            WireDischarge::Formal { obligation } => {
-                codec::put_u32(out, 0);
-                codec::put_str(out, obligation);
-            }
-            WireDischarge::Signature { obligation, by } => {
-                codec::put_u32(out, 1);
-                codec::put_str(out, obligation);
-                codec::put_str(out, by);
-            }
-        }
-    }
-}
-
-fn decode_decision(c: &mut codec::Cursor<'_>) -> Decode<WireDecision> {
-    let class = c.get_str()?.to_string();
-    let name = c.get_str()?.to_string();
-    let performer = c.get_str()?.to_string();
-    let tool = if c.get_u32()? != 0 {
-        Some(c.get_str()?.to_string())
-    } else {
-        None
-    };
-    let n_in = c.get_u32()? as usize;
-    let mut inputs = Vec::with_capacity(n_in.min(1024));
-    for _ in 0..n_in {
-        inputs.push(c.get_str()?.to_string());
-    }
-    let n_out = c.get_u32()? as usize;
-    let mut outputs = Vec::with_capacity(n_out.min(1024));
-    for _ in 0..n_out {
-        let n = c.get_str()?.to_string();
-        let cl = c.get_str()?.to_string();
-        outputs.push((n, cl));
-    }
-    let n_dis = c.get_u32()? as usize;
-    let mut discharges = Vec::with_capacity(n_dis.min(1024));
-    for _ in 0..n_dis {
-        let kind = c.get_u32()?;
-        let obligation = c.get_str()?.to_string();
-        discharges.push(match kind {
-            0 => WireDischarge::Formal { obligation },
-            1 => WireDischarge::Signature {
-                obligation,
-                by: c.get_str()?.to_string(),
-            },
-            k => return Err(DecodeError(format!("unknown discharge kind {k}"))),
-        });
-    }
-    Ok(WireDecision {
-        class,
-        name,
-        performer,
-        tool,
-        inputs,
-        outputs,
-        discharges,
-    })
-}
-
-fn encode_diagnostic(out: &mut Vec<u8>, d: &WireDiagnostic) {
-    codec::put_u32(out, u32::from(d.is_error));
-    codec::put_str(out, &d.code);
-    codec::put_str(out, &d.subject);
-    codec::put_str(out, &d.message);
-    match &d.witness {
-        Some(w) => {
-            codec::put_u32(out, 1);
-            codec::put_str(out, w);
-        }
-        None => codec::put_u32(out, 0),
-    }
-    match d.line {
-        Some(l) => {
-            codec::put_u32(out, 1);
-            codec::put_u64(out, l);
-        }
-        None => codec::put_u32(out, 0),
-    }
-}
-
-fn decode_diagnostic(c: &mut codec::Cursor<'_>) -> Decode<WireDiagnostic> {
-    let is_error = c.get_u32()? != 0;
-    let code = c.get_str()?.to_string();
-    let subject = c.get_str()?.to_string();
-    let message = c.get_str()?.to_string();
-    let witness = if c.get_u32()? != 0 {
-        Some(c.get_str()?.to_string())
-    } else {
-        None
-    };
-    let line = if c.get_u32()? != 0 {
-        Some(c.get_u64()?)
-    } else {
-        None
-    };
-    Ok(WireDiagnostic {
-        is_error,
-        code,
-        subject,
-        message,
-        witness,
-        line,
-    })
-}
-
-impl Request {
-    /// Encodes the request into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Request::Hello => codec::put_u32(&mut out, REQ_HELLO),
-            Request::Bye { session } => {
-                codec::put_u32(&mut out, REQ_BYE);
-                codec::put_u64(&mut out, *session);
-            }
-            Request::Refresh { session } => {
-                codec::put_u32(&mut out, REQ_REFRESH);
-                codec::put_u64(&mut out, *session);
-            }
-            Request::Ping => codec::put_u32(&mut out, REQ_PING),
-            Request::Tell { session, src } => {
-                codec::put_u32(&mut out, REQ_TELL);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, src);
-            }
-            Request::Untell { session, name } => {
-                codec::put_u32(&mut out, REQ_UNTELL);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, name);
-            }
-            Request::Ask {
-                session,
-                var,
-                class,
-                expr,
-            } => {
-                codec::put_u32(&mut out, REQ_ASK);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, var);
-                codec::put_str(&mut out, class);
-                codec::put_str(&mut out, expr);
-            }
-            Request::Holds { session, expr } => {
-                codec::put_u32(&mut out, REQ_HOLDS);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, expr);
-            }
-            Request::Show { session, name } => {
-                codec::put_u32(&mut out, REQ_SHOW);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, name);
-            }
-            Request::ApplicableDecisions { session, object } => {
-                codec::put_u32(&mut out, REQ_APPLICABLE);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, object);
-            }
-            Request::Execute { session, decision } => {
-                codec::put_u32(&mut out, REQ_EXECUTE);
-                codec::put_u64(&mut out, *session);
-                encode_decision(&mut out, decision);
-            }
-            Request::RetractDecision { session, name } => {
-                codec::put_u32(&mut out, REQ_RETRACT);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, name);
-            }
-            Request::History { session } => {
-                codec::put_u32(&mut out, REQ_HISTORY);
-                codec::put_u64(&mut out, *session);
-            }
-            Request::ObjectHistory { session, object } => {
-                codec::put_u32(&mut out, REQ_OBJECT_HISTORY);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, object);
-            }
-            Request::SessionStats { session } => {
-                codec::put_u32(&mut out, REQ_SESSION_STATS);
-                codec::put_u64(&mut out, *session);
-            }
-            Request::Save { session, path } => {
-                codec::put_u32(&mut out, REQ_SAVE);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, path);
-            }
-            Request::Load { session, path } => {
-                codec::put_u32(&mut out, REQ_LOAD);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, path);
-            }
-            Request::Shutdown { session } => {
-                codec::put_u32(&mut out, REQ_SHUTDOWN);
-                codec::put_u64(&mut out, *session);
-            }
-            Request::Sleep { session, millis } => {
-                codec::put_u32(&mut out, REQ_SLEEP);
-                codec::put_u64(&mut out, *session);
-                codec::put_u64(&mut out, *millis);
-            }
-            Request::RegisterObject {
-                session,
-                name,
-                class,
-                source,
-            } => {
-                codec::put_u32(&mut out, REQ_REGISTER);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, name);
-                codec::put_str(&mut out, class);
-                codec::put_str(&mut out, source);
-            }
-            Request::Status { session } => {
-                codec::put_u32(&mut out, REQ_STATUS);
-                codec::put_u64(&mut out, *session);
-            }
-            Request::Metrics => codec::put_u32(&mut out, REQ_METRICS),
-            Request::Checkpoint { session } => {
-                codec::put_u32(&mut out, REQ_CHECKPOINT);
-                codec::put_u64(&mut out, *session);
-            }
-            Request::Lint { session, src } => {
-                codec::put_u32(&mut out, REQ_LINT);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, src);
-            }
-            Request::Replicate { applied_seq, epoch } => {
-                codec::put_u32(&mut out, REQ_REPLICATE);
-                codec::put_u64(&mut out, *applied_seq);
-                codec::put_u64(&mut out, *epoch);
-            }
-            Request::Promote { session } => {
-                codec::put_u32(&mut out, REQ_PROMOTE);
-                codec::put_u64(&mut out, *session);
-            }
-            Request::ReplStatus => codec::put_u32(&mut out, REQ_REPL_STATUS),
-            Request::RegisterView {
-                session,
-                name,
-                rules,
-            } => {
-                codec::put_u32(&mut out, REQ_REGISTER_VIEW);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, name);
-                codec::put_str(&mut out, rules);
-            }
-            Request::ViewAsk {
-                session,
-                name,
-                pred,
-            } => {
-                codec::put_u32(&mut out, REQ_VIEW_ASK);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, name);
-                codec::put_str(&mut out, pred);
-            }
-            Request::Recall {
-                session,
-                name,
-                limit,
-            } => {
-                codec::put_u32(&mut out, REQ_RECALL);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, name);
-                codec::put_u32(&mut out, *limit);
-            }
-            Request::Explain { session, src } => {
-                codec::put_u32(&mut out, REQ_EXPLAIN);
-                codec::put_u64(&mut out, *session);
-                codec::put_str(&mut out, src);
-            }
-        }
-        out
-    }
-
-    /// Decodes a request from a frame payload.
-    pub fn decode(payload: &[u8]) -> Decode<Request> {
-        let mut c = codec::Cursor::new(payload);
-        let op = c.get_u32()?;
-        let req = match op {
-            REQ_HELLO => Request::Hello,
-            REQ_BYE => Request::Bye {
-                session: c.get_u64()?,
-            },
-            REQ_REFRESH => Request::Refresh {
-                session: c.get_u64()?,
-            },
-            REQ_PING => Request::Ping,
-            REQ_TELL => Request::Tell {
-                session: c.get_u64()?,
-                src: c.get_str()?.to_string(),
-            },
-            REQ_UNTELL => Request::Untell {
-                session: c.get_u64()?,
-                name: c.get_str()?.to_string(),
-            },
-            REQ_ASK => Request::Ask {
-                session: c.get_u64()?,
-                var: c.get_str()?.to_string(),
-                class: c.get_str()?.to_string(),
-                expr: c.get_str()?.to_string(),
-            },
-            REQ_HOLDS => Request::Holds {
-                session: c.get_u64()?,
-                expr: c.get_str()?.to_string(),
-            },
-            REQ_SHOW => Request::Show {
-                session: c.get_u64()?,
-                name: c.get_str()?.to_string(),
-            },
-            REQ_APPLICABLE => Request::ApplicableDecisions {
-                session: c.get_u64()?,
-                object: c.get_str()?.to_string(),
-            },
-            REQ_EXECUTE => Request::Execute {
-                session: c.get_u64()?,
-                decision: decode_decision(&mut c)?,
-            },
-            REQ_RETRACT => Request::RetractDecision {
-                session: c.get_u64()?,
-                name: c.get_str()?.to_string(),
-            },
-            REQ_HISTORY => Request::History {
-                session: c.get_u64()?,
-            },
-            REQ_OBJECT_HISTORY => Request::ObjectHistory {
-                session: c.get_u64()?,
-                object: c.get_str()?.to_string(),
-            },
-            REQ_SESSION_STATS => Request::SessionStats {
-                session: c.get_u64()?,
-            },
-            REQ_SAVE => Request::Save {
-                session: c.get_u64()?,
-                path: c.get_str()?.to_string(),
-            },
-            REQ_LOAD => Request::Load {
-                session: c.get_u64()?,
-                path: c.get_str()?.to_string(),
-            },
-            REQ_SHUTDOWN => Request::Shutdown {
-                session: c.get_u64()?,
-            },
-            REQ_SLEEP => Request::Sleep {
-                session: c.get_u64()?,
-                millis: c.get_u64()?,
-            },
-            REQ_REGISTER => Request::RegisterObject {
-                session: c.get_u64()?,
-                name: c.get_str()?.to_string(),
-                class: c.get_str()?.to_string(),
-                source: c.get_str()?.to_string(),
-            },
-            REQ_STATUS => Request::Status {
-                session: c.get_u64()?,
-            },
-            REQ_METRICS => Request::Metrics,
-            REQ_CHECKPOINT => Request::Checkpoint {
-                session: c.get_u64()?,
-            },
-            REQ_LINT => Request::Lint {
-                session: c.get_u64()?,
-                src: c.get_str()?.to_string(),
-            },
-            REQ_REPLICATE => Request::Replicate {
-                applied_seq: c.get_u64()?,
-                epoch: c.get_u64()?,
-            },
-            REQ_PROMOTE => Request::Promote {
-                session: c.get_u64()?,
-            },
-            REQ_REPL_STATUS => Request::ReplStatus,
-            REQ_REGISTER_VIEW => Request::RegisterView {
-                session: c.get_u64()?,
-                name: c.get_str()?.to_string(),
-                rules: c.get_str()?.to_string(),
-            },
-            REQ_VIEW_ASK => Request::ViewAsk {
-                session: c.get_u64()?,
-                name: c.get_str()?.to_string(),
-                pred: c.get_str()?.to_string(),
-            },
-            REQ_RECALL => Request::Recall {
-                session: c.get_u64()?,
-                name: c.get_str()?.to_string(),
-                limit: c.get_u32()?,
-            },
-            REQ_EXPLAIN => Request::Explain {
-                session: c.get_u64()?,
-                src: c.get_str()?.to_string(),
-            },
-            op => return Err(DecodeError(format!("unknown request opcode {op}"))),
-        };
-        if !c.is_exhausted() {
-            return Err(DecodeError("trailing bytes after request".into()));
-        }
-        Ok(req)
-    }
-
-    /// Cheap peek used by the connection handler: decodes the payload
-    /// only if it is a `Replicate` subscription, whose `(applied_seq,
-    /// epoch)` it returns. A subscription takes the connection over as
-    /// a push stream, so it is routed before ordinary dispatch.
-    pub fn decode_replicate(payload: &[u8]) -> Option<(u64, u64)> {
-        let mut c = codec::Cursor::new(payload);
-        if c.get_u32().ok()? != REQ_REPLICATE {
-            return None;
-        }
-        let applied_seq = c.get_u64().ok()?;
-        let epoch = c.get_u64().ok()?;
-        c.is_exhausted().then_some((applied_seq, epoch))
-    }
-
-    /// The session id this request claims, if any.
-    pub fn session(&self) -> Option<u64> {
-        match self {
-            Request::Hello
-            | Request::Ping
-            | Request::Metrics
-            | Request::Replicate { .. }
-            | Request::ReplStatus => None,
-            Request::Bye { session }
-            | Request::Refresh { session }
-            | Request::Tell { session, .. }
-            | Request::Untell { session, .. }
-            | Request::Ask { session, .. }
-            | Request::Holds { session, .. }
-            | Request::Show { session, .. }
-            | Request::ApplicableDecisions { session, .. }
-            | Request::Execute { session, .. }
-            | Request::RetractDecision { session, .. }
-            | Request::History { session }
-            | Request::ObjectHistory { session, .. }
-            | Request::SessionStats { session }
-            | Request::Save { session, .. }
-            | Request::Load { session, .. }
-            | Request::Shutdown { session }
-            | Request::Sleep { session, .. }
-            | Request::RegisterObject { session, .. }
-            | Request::Status { session }
-            | Request::Checkpoint { session }
-            | Request::Lint { session, .. }
-            | Request::Promote { session }
-            | Request::RegisterView { session, .. }
-            | Request::ViewAsk { session, .. }
-            | Request::Recall { session, .. }
-            | Request::Explain { session, .. } => Some(*session),
-        }
-    }
-
-    /// True for control requests that bypass the admission gate so a
-    /// saturated or draining server can still be managed (and scraped).
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Request::Hello
-                | Request::Bye { .. }
-                | Request::Ping
-                | Request::Shutdown { .. }
-                | Request::Metrics
-                | Request::Replicate { .. }
-                | Request::Promote { .. }
-                | Request::ReplStatus
-        )
-    }
-
-    /// Stable lower-case operation name, used as the `op` label of the
-    /// server's per-request metrics.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Hello => "hello",
-            Request::Bye { .. } => "bye",
-            Request::Refresh { .. } => "refresh",
-            Request::Ping => "ping",
-            Request::Tell { .. } => "tell",
-            Request::Untell { .. } => "untell",
-            Request::Ask { .. } => "ask",
-            Request::Holds { .. } => "holds",
-            Request::Show { .. } => "show",
-            Request::ApplicableDecisions { .. } => "applicable",
-            Request::Execute { .. } => "execute",
-            Request::RetractDecision { .. } => "retract",
-            Request::History { .. } => "history",
-            Request::ObjectHistory { .. } => "object_history",
-            Request::SessionStats { .. } => "session_stats",
-            Request::Save { .. } => "save",
-            Request::Load { .. } => "load",
-            Request::Shutdown { .. } => "shutdown",
-            Request::Sleep { .. } => "sleep",
-            Request::RegisterObject { .. } => "register",
-            Request::Status { .. } => "status",
-            Request::Metrics => "metrics",
-            Request::Checkpoint { .. } => "checkpoint",
-            Request::Lint { .. } => "lint",
-            Request::Replicate { .. } => "replicate",
-            Request::Promote { .. } => "promote",
-            Request::ReplStatus => "repl_status",
-            Request::RegisterView { .. } => "register_view",
-            Request::ViewAsk { .. } => "view_ask",
-            Request::Recall { .. } => "recall",
-            Request::Explain { .. } => "explain",
-        }
-    }
-}
-
-impl Response {
-    /// Encodes the response into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Response::Welcome { session, watermark } => {
-                codec::put_u32(&mut out, RESP_WELCOME);
-                codec::put_u64(&mut out, *session);
-                codec::put_i64(&mut out, *watermark);
-            }
-            Response::Done { text } => {
-                codec::put_u32(&mut out, RESP_DONE);
-                codec::put_str(&mut out, text);
-            }
-            Response::Names {
-                probes,
-                scanned,
-                names,
-            } => {
-                codec::put_u32(&mut out, RESP_NAMES);
-                codec::put_u64(&mut out, *probes);
-                codec::put_u64(&mut out, *scanned);
-                codec::put_u32(&mut out, names.len() as u32);
-                for n in names {
-                    codec::put_str(&mut out, n);
-                }
-            }
-            Response::Truth { value } => {
-                codec::put_u32(&mut out, RESP_TRUTH);
-                codec::put_u32(&mut out, u32::from(*value));
-            }
-            Response::Table { text } => {
-                codec::put_u32(&mut out, RESP_TABLE);
-                codec::put_str(&mut out, text);
-            }
-            Response::SessionInfo {
-                session,
-                watermark,
-                kb_now,
-                requests,
-                believed,
-                probes,
-                scanned,
-            } => {
-                codec::put_u32(&mut out, RESP_SESSION_INFO);
-                codec::put_u64(&mut out, *session);
-                codec::put_i64(&mut out, *watermark);
-                codec::put_i64(&mut out, *kb_now);
-                codec::put_u64(&mut out, *requests);
-                codec::put_u64(&mut out, *believed);
-                codec::put_u64(&mut out, *probes);
-                codec::put_u64(&mut out, *scanned);
-            }
-            Response::Error { code, message } => {
-                codec::put_u32(&mut out, RESP_ERROR);
-                codec::put_u32(&mut out, *code as u32);
-                codec::put_str(&mut out, message);
-            }
-            Response::Metrics { text } => {
-                codec::put_u32(&mut out, RESP_METRICS);
-                codec::put_str(&mut out, text);
-            }
-            Response::Diagnostics { diags } => {
-                codec::put_u32(&mut out, RESP_DIAGNOSTICS);
-                codec::put_u32(&mut out, diags.len() as u32);
-                for d in diags {
-                    encode_diagnostic(&mut out, d);
-                }
-            }
-            Response::Redirect { leader } => {
-                codec::put_u32(&mut out, RESP_REDIRECT);
-                codec::put_str(&mut out, leader);
-            }
-            Response::Stale {
-                applied_seq,
-                lag,
-                inner,
-            } => {
-                codec::put_u32(&mut out, RESP_STALE);
-                codec::put_u64(&mut out, *applied_seq);
-                codec::put_u64(&mut out, *lag);
-                codec::put_bytes(&mut out, inner);
-            }
-            Response::ReplInfo {
-                is_leader,
-                leader,
-                applied_seq,
-                leader_seq,
-                epoch,
-                connected,
-            } => {
-                codec::put_u32(&mut out, RESP_REPL_INFO);
-                codec::put_u32(&mut out, u32::from(*is_leader));
-                codec::put_str(&mut out, leader);
-                codec::put_u64(&mut out, *applied_seq);
-                codec::put_u64(&mut out, *leader_seq);
-                codec::put_u64(&mut out, *epoch);
-                codec::put_u32(&mut out, u32::from(*connected));
-            }
-            Response::RecallHits { hits } => {
-                codec::put_u32(&mut out, RESP_RECALL_HITS);
-                codec::put_u32(&mut out, hits.len() as u32);
-                for h in hits {
-                    codec::put_str(&mut out, &h.decision);
-                    codec::put_u64(&mut out, h.score_bits);
-                    codec::put_u32(&mut out, u32::from(h.retracted));
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes a response from a frame payload.
-    pub fn decode(payload: &[u8]) -> Decode<Response> {
-        let mut c = codec::Cursor::new(payload);
-        let op = c.get_u32()?;
-        let resp = match op {
-            RESP_WELCOME => Response::Welcome {
-                session: c.get_u64()?,
-                watermark: c.get_i64()?,
-            },
-            RESP_DONE => Response::Done {
-                text: c.get_str()?.to_string(),
-            },
-            RESP_NAMES => {
-                let probes = c.get_u64()?;
-                let scanned = c.get_u64()?;
-                let n = c.get_u32()? as usize;
-                let mut names = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    names.push(c.get_str()?.to_string());
-                }
-                Response::Names {
-                    probes,
-                    scanned,
-                    names,
-                }
-            }
-            RESP_TRUTH => Response::Truth {
-                value: c.get_u32()? != 0,
-            },
-            RESP_TABLE => Response::Table {
-                text: c.get_str()?.to_string(),
-            },
-            RESP_SESSION_INFO => Response::SessionInfo {
-                session: c.get_u64()?,
-                watermark: c.get_i64()?,
-                kb_now: c.get_i64()?,
-                requests: c.get_u64()?,
-                believed: c.get_u64()?,
-                probes: c.get_u64()?,
-                scanned: c.get_u64()?,
-            },
-            RESP_ERROR => {
-                let raw = c.get_u32()?;
-                let code = ErrorCode::from_u32(raw)
-                    .ok_or_else(|| DecodeError(format!("unknown error code {raw}")))?;
-                Response::Error {
-                    code,
-                    message: c.get_str()?.to_string(),
-                }
-            }
-            RESP_METRICS => Response::Metrics {
-                text: c.get_str()?.to_string(),
-            },
-            RESP_DIAGNOSTICS => {
-                let n = c.get_u32()? as usize;
-                let mut diags = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    diags.push(decode_diagnostic(&mut c)?);
-                }
-                Response::Diagnostics { diags }
-            }
-            RESP_REDIRECT => Response::Redirect {
-                leader: c.get_str()?.to_string(),
-            },
-            RESP_STALE => Response::Stale {
-                applied_seq: c.get_u64()?,
-                lag: c.get_u64()?,
-                inner: c.get_bytes()?.to_vec(),
-            },
-            RESP_REPL_INFO => Response::ReplInfo {
-                is_leader: c.get_u32()? != 0,
-                leader: c.get_str()?.to_string(),
-                applied_seq: c.get_u64()?,
-                leader_seq: c.get_u64()?,
-                epoch: c.get_u64()?,
-                connected: c.get_u32()? != 0,
-            },
-            RESP_RECALL_HITS => {
-                let n = c.get_u32()? as usize;
-                let mut hits = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    hits.push(WireRecallHit {
-                        decision: c.get_str()?.to_string(),
-                        score_bits: c.get_u64()?,
-                        retracted: c.get_u32()? != 0,
-                    });
-                }
-                Response::RecallHits { hits }
-            }
-            op => return Err(DecodeError(format!("unknown response opcode {op}"))),
-        };
-        if !c.is_exhausted() {
-            return Err(DecodeError("trailing bytes after response".into()));
-        }
-        Ok(resp)
+storage::op_table! {
+    /// A server-to-client response.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Response {
+        /// Session opened.
+        1 Welcome "welcome" {
+            /// The new session id.
+            session: u64,
+            /// Belief-time watermark pinned for the session.
+            watermark: i64,
+        },
+        /// Generic success with human-readable detail.
+        2 Done "done" {
+            /// What happened.
+            text: String,
+        },
+        /// A list of names (ASK answers, retraction cascades, …).
+        3 Names "names" {
+            /// Deductive index probes (ASK only; 0 otherwise).
+            probes: u64,
+            /// Tuples scanned during evaluation (ASK only; 0 otherwise).
+            scanned: u64,
+            /// The names.
+            names: Vec<String>,
+        },
+        /// A boolean verdict (HOLDS).
+        4 Truth "truth" {
+            /// The verdict.
+            value: bool,
+        },
+        /// Rendered tabular or frame text.
+        5 Table "table" {
+            /// The rendered text.
+            text: String,
+        },
+        /// Per-session statistics.
+        6 SessionInfo "session_info" {
+            /// Session id.
+            session: u64,
+            /// Pinned belief-time watermark.
+            watermark: i64,
+            /// The knowledge base's current belief time.
+            kb_now: i64,
+            /// Requests served for this session.
+            requests: u64,
+            /// Propositions believed at the watermark.
+            believed: u64,
+            /// Index probes of the session's last ASK.
+            probes: u64,
+            /// Tuples scanned by the session's last ASK.
+            scanned: u64,
+        },
+        /// A typed failure.
+        7 Error "error" {
+            /// Machine-readable error class.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String,
+        },
+        /// Metrics scrape result (Prometheus text exposition format).
+        8 Metrics "metrics" {
+            /// The rendered exposition text.
+            text: String,
+        },
+        /// The static analyzer's verdict on a `Lint` request (empty when
+        /// the source is clean).
+        9 Diagnostics "diagnostics" {
+            /// The diagnostics, errors first.
+            diags: Vec<WireDiagnostic>,
+        },
+        /// A write reached a read replica; retry against the leader.
+        10 Redirect "redirect" {
+            /// The leader's address, as configured on the follower.
+            leader: String,
+        },
+        /// A read served by a follower, wrapped with its staleness. The
+        /// inner payload is an ordinary encoded [`Response`].
+        11 Stale "stale" {
+            /// The follower's applied op sequence at answer time.
+            applied_seq: u64,
+            /// How many committed leader ops the follower still lacks.
+            lag: u64,
+            /// The encoded inner response.
+            inner: Vec<u8>,
+        },
+        /// The server's replication role and stream positions.
+        12 ReplInfo "repl_info" {
+            /// True on the leader (or a promoted follower).
+            is_leader: bool,
+            /// The leader address a follower ships from (empty on the
+            /// leader itself).
+            leader: String,
+            /// Ops applied locally.
+            applied_seq: u64,
+            /// The leader's committed sequence as last observed.
+            leader_seq: u64,
+            /// The server's sequence epoch.
+            epoch: u64,
+            /// True while a follower's subscription is live.
+            connected: bool,
+        },
+        /// Answer to a structure-similarity recall, best hit first.
+        13 RecallHits "recall_hits" {
+            /// The scored hits.
+            hits: Vec<WireRecallHit>,
+        },
     }
 }
 
@@ -1558,119 +748,72 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<FrameRead> {
     }
     Ok(FrameRead::Frame(payload))
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storage::record::codec;
 
-    fn roundtrip_req(req: Request) {
-        let bytes = req.encode();
-        assert_eq!(Request::decode(&bytes).expect("decode"), req);
-    }
+    // The golden fixtures hold, for every row, a sample built from
+    // per-type sample values (`u64` 7, `i64` -3, `u32` 5, `bool` true,
+    // strings "Paper", bytes `00 ff 62`, `Some` and one-element lists,
+    // plus `None`/empty/other-tag variants), encoded by the hand-written
+    // encoders these tables replaced.
 
-    fn roundtrip_resp(resp: Response) {
-        let bytes = resp.encode();
-        assert_eq!(Response::decode(&bytes).expect("decode"), resp);
+    #[test]
+    fn request_table_matches_the_golden_bytes() {
+        let samples =
+            Request::check_golden(include_str!("../../../tests/fixtures/wire/request.hex"));
+        assert_eq!(Request::OPS.len(), 31);
+        // The admission-exempt set, by label: exactly the Control rows.
+        let mut control: Vec<&str> = samples
+            .iter()
+            .filter(|r| r.class() == OpClass::Control)
+            .map(Request::op_name)
+            .collect();
+        control.dedup();
+        assert_eq!(
+            control,
+            [
+                "hello",
+                "bye",
+                "ping",
+                "shutdown",
+                "metrics",
+                "replicate",
+                "promote",
+                "repl_status"
+            ]
+        );
+        // What a follower redirects to its leader: exactly the Write rows.
+        let mut write: Vec<&str> = samples
+            .iter()
+            .filter(|r| r.class() == OpClass::Write)
+            .map(Request::op_name)
+            .collect();
+        write.dedup();
+        assert_eq!(
+            write,
+            [
+                "tell",
+                "untell",
+                "execute",
+                "retract",
+                "load",
+                "register",
+                "register_view"
+            ]
+        );
     }
 
     #[test]
-    fn requests_roundtrip() {
-        roundtrip_req(Request::Hello);
-        roundtrip_req(Request::Ping);
-        roundtrip_req(Request::Bye { session: 7 });
-        roundtrip_req(Request::Refresh { session: 7 });
-        roundtrip_req(Request::Tell {
-            session: 1,
-            src: "tell Paper p1 in DesignObject end".into(),
-        });
-        roundtrip_req(Request::Untell {
-            session: 1,
-            name: "p1".into(),
-        });
-        roundtrip_req(Request::Ask {
-            session: 2,
-            var: "x".into(),
-            class: "Paper".into(),
-            expr: "exists a (x author a)".into(),
-        });
-        roundtrip_req(Request::Holds {
-            session: 2,
-            expr: "(p1 in Paper)".into(),
-        });
-        roundtrip_req(Request::Show {
-            session: 3,
-            name: "p1".into(),
-        });
-        roundtrip_req(Request::ApplicableDecisions {
-            session: 3,
-            object: "Spec1".into(),
-        });
-        roundtrip_req(Request::RetractDecision {
-            session: 3,
-            name: "D1".into(),
-        });
-        roundtrip_req(Request::History { session: 4 });
-        roundtrip_req(Request::ObjectHistory {
-            session: 4,
-            object: "Spec1".into(),
-        });
-        roundtrip_req(Request::SessionStats { session: 4 });
-        roundtrip_req(Request::Save {
-            session: 5,
-            path: "/tmp/kb.log".into(),
-        });
-        roundtrip_req(Request::Load {
-            session: 5,
-            path: "/tmp/kb.log".into(),
-        });
-        roundtrip_req(Request::Shutdown { session: 5 });
-        roundtrip_req(Request::Sleep {
-            session: 5,
-            millis: 250,
-        });
-        roundtrip_req(Request::RegisterObject {
-            session: 6,
-            name: "Spec1".into(),
-            class: "Specification".into(),
-            source: "the spec text".into(),
-        });
-        roundtrip_req(Request::Status { session: 6 });
-        roundtrip_req(Request::Metrics);
-        roundtrip_req(Request::Checkpoint { session: 6 });
-        roundtrip_req(Request::Lint {
-            session: 6,
-            src: "win(X) :- move(X, Y), not win(Y).".into(),
-        });
-        roundtrip_req(Request::Replicate {
-            applied_seq: 42,
-            epoch: 2,
-        });
-        roundtrip_req(Request::Promote { session: 6 });
-        roundtrip_req(Request::ReplStatus);
-        roundtrip_req(Request::RegisterView {
-            session: 7,
-            name: "closure".into(),
-            rules: "reach(X, Y) :- attr(X, next, Y).".into(),
-        });
-        roundtrip_req(Request::ViewAsk {
-            session: 7,
-            name: "closure".into(),
-            pred: "inT".into(),
-        });
-        roundtrip_req(Request::Recall {
-            session: 8,
-            name: "mapInvitations".into(),
-            limit: 10,
-        });
-        roundtrip_req(Request::Explain {
-            session: 9,
-            src: "reach(X, Y) :- attr(X, next, Y).".into(),
-        });
+    fn response_table_matches_the_golden_bytes() {
+        Response::check_golden(include_str!("../../../tests/fixtures/wire/response.hex"));
+        assert_eq!(Response::OPS.len(), 13);
     }
 
     #[test]
     fn decision_request_roundtrips() {
-        roundtrip_req(Request::Execute {
+        let req = Request::Execute {
             session: 9,
             decision: WireDecision {
                 class: "ImplementDecision".into(),
@@ -1689,8 +832,9 @@ mod tests {
                     },
                 ],
             },
-        });
-        roundtrip_req(Request::Execute {
+        };
+        assert_eq!(Request::decode(&req.encode()).expect("decode"), req);
+        let bare = Request::Execute {
             session: 9,
             decision: WireDecision {
                 class: "D".into(),
@@ -1701,108 +845,57 @@ mod tests {
                 outputs: vec![],
                 discharges: vec![],
             },
-        });
+        };
+        assert_eq!(Request::decode(&bare.encode()).expect("decode"), bare);
     }
 
+    /// The hand-written decoders read any non-zero `Option` tag as
+    /// `Some` and any non-zero word as `true`; through the shared
+    /// `Wire` impls a tag no encoder produces is corruption.
     #[test]
-    fn responses_roundtrip() {
-        roundtrip_resp(Response::Welcome {
-            session: 1,
-            watermark: 42,
-        });
-        roundtrip_resp(Response::Done {
-            text: "told 3 objects".into(),
-        });
-        roundtrip_resp(Response::Names {
-            probes: 17,
-            scanned: 230,
-            names: vec!["p1".into(), "p2".into()],
-        });
-        roundtrip_resp(Response::Truth { value: true });
-        roundtrip_resp(Response::Truth { value: false });
-        roundtrip_resp(Response::Table {
-            text: "| a | b |".into(),
-        });
-        roundtrip_resp(Response::SessionInfo {
-            session: 3,
-            watermark: 10,
-            kb_now: 12,
-            requests: 5,
-            believed: 100,
-            probes: 4,
-            scanned: 9,
-        });
-        roundtrip_resp(Response::Error {
-            code: ErrorCode::Overloaded,
-            message: "64 requests in flight".into(),
-        });
-        roundtrip_resp(Response::Metrics {
-            text: "# TYPE gkbms_requests_total counter\n".into(),
-        });
-        roundtrip_resp(Response::Error {
-            code: ErrorCode::LintRejected,
-            message: "error[CB001] rule `r`: unsafe".into(),
-        });
-        roundtrip_resp(Response::Diagnostics { diags: vec![] });
-        roundtrip_resp(Response::Redirect {
-            leader: "127.0.0.1:4714".into(),
-        });
-        roundtrip_resp(Response::Stale {
-            applied_seq: 17,
-            lag: 3,
-            inner: Response::Truth { value: true }.encode(),
-        });
-        roundtrip_resp(Response::ReplInfo {
-            is_leader: false,
-            leader: "127.0.0.1:4714".into(),
-            applied_seq: 17,
-            leader_seq: 20,
-            epoch: 1,
-            connected: true,
-        });
-        roundtrip_resp(Response::Error {
-            code: ErrorCode::StaleRead,
-            message: "lag 12 exceeds bound 8".into(),
-        });
-        roundtrip_resp(Response::Error {
-            code: ErrorCode::Fenced,
-            message: "subscriber epoch 2 outranks leader epoch 1".into(),
-        });
-        roundtrip_resp(Response::RecallHits { hits: vec![] });
-        roundtrip_resp(Response::RecallHits {
-            hits: vec![
-                WireRecallHit {
-                    decision: "mapMinutes".into(),
-                    score_bits: 0.75f64.to_bits(),
-                    retracted: false,
-                },
-                WireRecallHit {
-                    decision: "mapAgenda".into(),
-                    score_bits: 0.5f64.to_bits(),
-                    retracted: true,
-                },
-            ],
-        });
-        roundtrip_resp(Response::Diagnostics {
-            diags: vec![
-                WireDiagnostic {
-                    is_error: true,
-                    code: "CB002".into(),
-                    subject: "rule `win`".into(),
-                    message: "recursion through negation".into(),
-                    witness: Some("negative cycle win -> win".into()),
-                    line: Some(3),
-                },
-                WireDiagnostic {
-                    is_error: false,
-                    code: "CB003".into(),
-                    subject: "rule `p`".into(),
-                    message: "undeclared predicate".into(),
-                    witness: None,
-                    line: None,
-                },
-            ],
-        });
+    fn option_and_bool_tags_other_than_0_and_1_are_rejected() {
+        let diag = |witness_tag: u32, severity: u32| {
+            let mut p = Vec::new();
+            codec::put_u32(&mut p, 9); // Diagnostics
+            codec::put_u32(&mut p, 1);
+            codec::put_u32(&mut p, severity);
+            for s in ["CB001", "rule `r`", "unsafe"] {
+                codec::put_str(&mut p, s);
+            }
+            codec::put_u32(&mut p, witness_tag);
+            codec::put_str(&mut p, "variable `X`");
+            codec::put_u32(&mut p, 0);
+            p
+        };
+        assert!(Response::decode(&diag(1, 1)).is_ok());
+        assert!(Response::decode(&diag(2, 1)).is_err(), "witness tag 2");
+        assert!(Response::decode(&diag(1, 2)).is_err(), "severity word 2");
+
+        let truth = |word: u32| {
+            let mut p = Vec::new();
+            codec::put_u32(&mut p, 4); // Truth
+            codec::put_u32(&mut p, word);
+            p
+        };
+        assert!(Response::decode(&truth(1)).is_ok());
+        assert!(Response::decode(&truth(7)).is_err(), "bool word 7");
+
+        let execute = |tool_tag: u32| {
+            let mut p = Vec::new();
+            codec::put_u32(&mut p, 11); // Execute
+            codec::put_u64(&mut p, 1);
+            for s in ["D", "d", "p"] {
+                codec::put_str(&mut p, s);
+            }
+            codec::put_u32(&mut p, tool_tag);
+            codec::put_str(&mut p, "compiler");
+            for _ in 0..3 {
+                codec::put_u32(&mut p, 0);
+            }
+            p
+        };
+        assert!(Request::decode(&execute(1)).is_ok());
+        assert!(Request::decode(&execute(2)).is_err(), "tool tag 2");
     }
 
     #[test]
@@ -1856,31 +949,5 @@ mod tests {
         buf[flip] ^= 0x20;
         let mut r = std::io::Cursor::new(buf);
         assert!(read_frame(&mut r).is_err());
-    }
-
-    #[test]
-    fn control_requests_bypass_admission() {
-        assert!(Request::Hello.is_control());
-        assert!(Request::Ping.is_control());
-        assert!(Request::Bye { session: 1 }.is_control());
-        assert!(Request::Shutdown { session: 1 }.is_control());
-        assert!(Request::Metrics.is_control());
-        assert!(Request::Replicate {
-            applied_seq: 0,
-            epoch: 1
-        }
-        .is_control());
-        assert!(Request::Promote { session: 1 }.is_control());
-        assert!(Request::ReplStatus.is_control());
-        assert!(!Request::Tell {
-            session: 1,
-            src: String::new()
-        }
-        .is_control());
-        assert!(!Request::Sleep {
-            session: 1,
-            millis: 1
-        }
-        .is_control());
     }
 }

@@ -1,0 +1,567 @@
+//! Request dispatch: one exhaustive `match` from a decoded [`Request`]
+//! to its [`Response`].
+//!
+//! Admission (the `class == Control` bypass, the in-flight bound, the
+//! follower's redirect and staleness wrapper) has already happened in
+//! the connection layer; what is left is one arm per row of the
+//! [`Request`] table. The `match` has no wildcard arm, so a new table
+//! row without a handler does not compile. Every arm that names a
+//! session passes the one session gate ([`gate`]); every journaled
+//! mutation runs through [`write_op`].
+
+use super::{
+    durable_commit, lock_sessions, read_state, write_state, Shared, SlowQuery, SLOW_LOG_CAP,
+};
+use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
+use crate::session::SessionErr;
+use gkbms::mvcc::Version;
+use gkbms::{Gkbms, GkbmsError, GkbmsResult};
+use objectbase::transform::frame_of;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use telos::KbVersion;
+
+pub(super) fn err(code: ErrorCode, message: impl Into<String>) -> Response {
+    Response::Error {
+        code,
+        message: message.into(),
+    }
+}
+
+fn session_err(e: SessionErr, id: u64) -> Response {
+    match e {
+        SessionErr::Unknown => err(ErrorCode::UnknownSession, format!("session {id}")),
+        SessionErr::Expired => err(ErrorCode::SessionExpired, format!("session {id} idled out")),
+    }
+}
+
+fn done(text: impl Into<String>) -> Response {
+    Response::Done { text: text.into() }
+}
+
+fn names(list: Vec<String>) -> Response {
+    Response::Names {
+        probes: 0,
+        scanned: 0,
+        names: list,
+    }
+}
+
+/// Maps a knowledge-base refusal to its response.
+fn rejected(e: impl std::fmt::Display) -> Response {
+    err(ErrorCode::Rejected, e.to_string())
+}
+
+fn one_lines(diags: &[analysis::Diagnostic]) -> String {
+    diags
+        .iter()
+        .map(|d| d.one_line())
+        .collect::<Vec<_>>()
+        .join("; ")
+}
+
+/// The session gate: touches the session (bumping its counters, or
+/// reaping it if it idled out) and returns its watermark plus a handle
+/// to its pinned store version. The `Arc` clone keeps the version
+/// alive for this request even if the session is reaped mid-read; the
+/// chain mutex is never taken on this path. An unknown or expired
+/// session is the request's (typed) answer.
+fn gate(shared: &Shared, id: u64) -> Result<(i64, Arc<Version<KbVersion>>), Response> {
+    lock_sessions(shared)
+        .touch(id)
+        .map(|s| (s.watermark, s.pin.version()))
+        .map_err(|e| session_err(e, id))
+}
+
+/// A journaled mutation: session gate, write lock, `op`, then
+/// [`durable_commit`] (version publish, fsync policy, auto-checkpoint)
+/// before the outcome is acknowledged through `reply`.
+fn write_op<T>(
+    shared: &Shared,
+    session: u64,
+    op: impl FnOnce(&mut Gkbms) -> GkbmsResult<T>,
+    reply: impl FnOnce(T) -> Response,
+) -> Result<Response, Response> {
+    gate(shared, session)?;
+    let mut g = write_state(shared);
+    let outcome = op(&mut g);
+    durable_commit(shared, g, outcome.is_ok())?;
+    Ok(match outcome {
+        Ok(v) => reply(v),
+        Err(GkbmsError::Lint(diags)) => err(ErrorCode::LintRejected, one_lines(&diags)),
+        Err(e) => rejected(e),
+    })
+}
+
+/// Handles one decoded request. The bool asks the caller to begin
+/// shutdown *after* the response has been written.
+pub(super) fn dispatch(shared: &Shared, req: Request) -> (Response, bool) {
+    let mut shutdown_after = false;
+    let resp = handle(shared, req, &mut shutdown_after).unwrap_or_else(|refusal| refusal);
+    (resp, shutdown_after)
+}
+
+/// The dispatch `match`. `Err` is an early answer (a failed session
+/// gate, a failed commit) — a response like any other, split out only
+/// so arms can use `?`.
+fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Response, Response> {
+    let draining = || shared.shutdown.load(Ordering::SeqCst);
+    Ok(match req {
+        Request::Ping => done("pong"),
+        Request::Metrics => Response::Metrics {
+            text: obs::render_prometheus(),
+        },
+        Request::Hello => {
+            if draining() {
+                return Err(err(ErrorCode::ShuttingDown, "server is draining"));
+            }
+            // Pin the chain head — a pointer clone, not the state
+            // lock. Its capture clock is the session's watermark.
+            let pin = shared.chain.acquire();
+            let watermark = pin.data().now();
+            let session = lock_sessions(shared).open(watermark, pin);
+            Response::Welcome { session, watermark }
+        }
+        Request::Bye { session } => {
+            lock_sessions(shared).close(session);
+            done(format!("session {session} closed"))
+        }
+        Request::Shutdown { session } => {
+            // Validate the session unless we are already draining (a
+            // repeated Shutdown should stay idempotent).
+            if !draining() {
+                gate(shared, session)?;
+            }
+            *shutdown_after = true;
+            done("shutting down")
+        }
+        Request::Promote { session } => {
+            gate(shared, session)?;
+            promote(shared)
+        }
+        Request::ReplStatus => {
+            let follower = shared.repl.follower.load(Ordering::SeqCst);
+            let (applied_seq, epoch) = {
+                let g = read_state(shared);
+                (g.applied_seq(), g.epoch())
+            };
+            let leader_seq = if follower {
+                shared.repl.leader_seq.load(Ordering::SeqCst)
+            } else {
+                applied_seq
+            };
+            Response::ReplInfo {
+                is_leader: !follower,
+                leader: shared.repl.leader_addr.clone(),
+                applied_seq,
+                leader_seq,
+                epoch,
+                connected: shared.repl.connected.load(Ordering::SeqCst),
+            }
+        }
+        // Subscriptions are intercepted in the connection handler; one
+        // arriving here was smuggled in a place it cannot take the
+        // connection over (it never should be).
+        Request::Replicate { .. } => {
+            err(ErrorCode::BadRequest, "replication subscription rejected")
+        }
+        Request::Refresh { session } => {
+            let pin = shared.chain.acquire();
+            let now = pin.data().now();
+            match lock_sessions(shared).refresh(session, now, pin) {
+                Ok(w) => done(format!("watermark {w}")),
+                Err(e) => session_err(e, session),
+            }
+        }
+        Request::Tell { session, src } => write_op(
+            shared,
+            session,
+            |g| g.tell_src_checked(&src, shared.cfg.strict_lint),
+            |(n, diags)| {
+                if diags.is_empty() {
+                    done(format!("told {n} object(s)"))
+                } else {
+                    done(format!(
+                        "told {n} object(s); {} lint warning(s): {}",
+                        diags.len(),
+                        one_lines(&diags)
+                    ))
+                }
+            },
+        )?,
+        Request::Untell { session, name } => write_op(
+            shared,
+            session,
+            |g| g.untell(&name),
+            |gone| done(format!("untold `{name}` ({gone} proposition(s))")),
+        )?,
+        Request::Ask {
+            session,
+            var,
+            class,
+            expr,
+        } => {
+            let (watermark, version) = gate(shared, session)?;
+            let started = Instant::now();
+            // Served entirely from the session's pinned version: no
+            // state lock, unaffected by concurrent writers.
+            let result = objectbase::query::ask_with_stats_version(
+                version.data(),
+                watermark,
+                &var,
+                &class,
+                &expr,
+            );
+            let elapsed = started.elapsed();
+            let (answers, stats) = result.map_err(rejected)?;
+            if shared
+                .cfg
+                .slow_query_threshold
+                .is_some_and(|t| elapsed >= t)
+            {
+                record_slow_query(shared, &var, &class, &expr, elapsed, &stats);
+            }
+            if let Ok(s) = lock_sessions(shared).touch(session) {
+                s.last_probes = stats.index_probes as u64;
+                s.last_scanned = stats.tuples_scanned as u64;
+                // The bookkeeping touch is not a client request.
+                s.requests -= 1;
+            }
+            Response::Names {
+                probes: stats.index_probes as u64,
+                scanned: stats.tuples_scanned as u64,
+                names: answers,
+            }
+        }
+        Request::Holds { session, expr } => {
+            let (watermark, version) = gate(shared, session)?;
+            let parsed = telos::assertion::parse(&expr).map_err(rejected)?;
+            let snap = version.data().snapshot_at(watermark);
+            let mut env = telos::assertion::Env::new();
+            let value = telos::assertion::eval(&snap, &parsed, &mut env).map_err(rejected)?;
+            Response::Truth { value }
+        }
+        Request::Show { session, name } => {
+            gate(shared, session)?;
+            let g = read_state(shared);
+            let id = g
+                .kb()
+                .lookup(&name)
+                .ok_or_else(|| rejected(format!("unknown object `{name}`")))?;
+            Response::Table {
+                text: frame_of(g.kb(), id).map_err(rejected)?.to_string(),
+            }
+        }
+        Request::ApplicableDecisions { session, object } => {
+            gate(shared, session)?;
+            let rows = read_state(shared)
+                .applicable_decisions(&object)
+                .map_err(rejected)?;
+            names(
+                rows.into_iter()
+                    .map(|(class, tools)| {
+                        if tools.is_empty() {
+                            class
+                        } else {
+                            format!("{class} [{}]", tools.join(", "))
+                        }
+                    })
+                    .collect(),
+            )
+        }
+        Request::Execute { session, decision } => write_op(
+            shared,
+            session,
+            |g| {
+                g.begin_write();
+                g.execute(decision)
+            },
+            |summary| {
+                done(format!(
+                    "executed {}: created [{}] at tick {}",
+                    summary.name,
+                    summary.created.join(", "),
+                    summary.tick
+                ))
+            },
+        )?,
+        Request::RetractDecision { session, name } => write_op(
+            shared,
+            session,
+            |g| {
+                g.begin_write();
+                g.retract_decision(&name)
+            },
+            names,
+        )?,
+        Request::History { session } => {
+            gate(shared, session)?;
+            Response::Table {
+                text: read_state(shared).process_view().render(),
+            }
+        }
+        Request::Status { session } => {
+            gate(shared, session)?;
+            Response::Table {
+                text: read_state(shared).status_view().render(),
+            }
+        }
+        Request::ObjectHistory { session, object } => {
+            gate(shared, session)?;
+            let rows = read_state(shared)
+                .object_history(&object)
+                .map_err(rejected)?;
+            names(
+                rows.into_iter()
+                    .map(|(tick, event)| format!("t{tick}: {event}"))
+                    .collect(),
+            )
+        }
+        Request::SessionStats { session } => {
+            let (watermark, requests, probes, scanned, version) = {
+                let mut sessions = lock_sessions(shared);
+                match sessions.touch(session) {
+                    Ok(s) => (
+                        s.watermark,
+                        s.requests,
+                        s.last_probes,
+                        s.last_scanned,
+                        s.pin.version(),
+                    ),
+                    Err(e) => return Err(session_err(e, session)),
+                }
+            };
+            Response::SessionInfo {
+                session,
+                watermark,
+                // The chain head is published per commit, so its
+                // capture clock is the live clock — no state lock.
+                kb_now: shared.chain.head().data().now(),
+                requests,
+                believed: version.data().snapshot_at(watermark).believed_count() as u64,
+                probes,
+                scanned,
+            }
+        }
+        Request::Save { session, path } => {
+            gate(shared, session)?;
+            let saved = read_state(shared).save(&path);
+            saved.map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
+            done(format!("saved to {path}"))
+        }
+        Request::Load { session, path } => {
+            gate(shared, session)?;
+            if shared.gc.is_some() {
+                return Err(rejected(
+                    "cannot load into a journaled server: state is owned by the journal \
+                     (restart with a different --journal dir instead)",
+                ));
+            }
+            let fresh = Gkbms::load(&path).map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
+            let mut g = write_state(shared);
+            *g = fresh;
+            let now = g.kb().now();
+            shared.chain.publish(g.kb().version());
+            drop(g);
+            // Old watermarks and versions refer to a store that no
+            // longer exists; re-pin every session to the fresh head.
+            let pin = shared.chain.acquire();
+            lock_sessions(shared).repin_all(now, pin);
+            done(format!("loaded from {path}"))
+        }
+        Request::Checkpoint { session } => {
+            gate(shared, session)?;
+            let mut g = write_state(shared);
+            let report = g.checkpoint().map_err(rejected)?;
+            // The snapshot covers everything appended so far, so
+            // waiting group committers are durable too.
+            if let Some(gc) = &shared.gc {
+                gc.mark_durable(report.appended_ops);
+            }
+            shared.repl.commit.advance(report.appended_ops, g.epoch());
+            done(format!(
+                "checkpointed: {} op(s) compacted into the snapshot",
+                report.compacted_ops
+            ))
+        }
+        Request::Lint { session, src } => {
+            gate(shared, session)?;
+            let diags = read_state(shared).lint_src(&src);
+            Response::Diagnostics {
+                diags: diags.iter().map(WireDiagnostic::from_diagnostic).collect(),
+            }
+        }
+        Request::Sleep { session, millis } => {
+            gate(shared, session)?;
+            let capped = Duration::from_millis(millis).min(shared.cfg.max_sleep);
+            std::thread::sleep(capped);
+            done(format!("slept {} ms", capped.as_millis()))
+        }
+        Request::RegisterObject {
+            session,
+            name,
+            class,
+            source,
+        } => write_op(
+            shared,
+            session,
+            |g| {
+                g.begin_write();
+                g.register_object(&name, &class, &source)
+            },
+            |_| done(format!("registered `{name}` in `{class}`")),
+        )?,
+        // A journaled write like Tell: the registration is appended to
+        // the WAL (inside register_view) so recovery and replication
+        // rebuild the view by replay. The belief clock does not move —
+        // registration changes no beliefs.
+        Request::RegisterView {
+            session,
+            name,
+            rules,
+        } => write_op(
+            shared,
+            session,
+            |g| g.register_view_checked(&name, &rules),
+            |(as_of, diags)| {
+                // CB013 maintainability warnings ride back in the
+                // confirmation text; they never block registration.
+                let mut text = format!("registered view `{name}` as of tick {as_of}");
+                for d in &diags {
+                    text.push_str(&format!("\nwarning[{}]: {}", d.code, d.message));
+                }
+                done(text)
+            },
+        )?,
+        Request::ViewAsk {
+            session,
+            name,
+            pred,
+        } => {
+            let (watermark, version) = gate(shared, session)?;
+            let g = read_state(shared);
+            let view = g
+                .view(&name)
+                .ok_or_else(|| rejected(format!("unknown view `{name}`")))?;
+            // The materialized model reflects the current belief state
+            // (`as_of`). A session pinned at or after it may read the
+            // model directly; an older watermark re-evaluates the
+            // view's program over the session's pinned store version so
+            // it never observes a refresh from a newer tick.
+            let tuples = if watermark >= view.as_of() {
+                obs::counter!(
+                    "gkbms_view_asks_materialized_total",
+                    "View reads served straight from the maintained model"
+                )
+                .inc();
+                view.tuples(&pred)
+            } else {
+                obs::counter!(
+                    "gkbms_view_asks_pinned_total",
+                    "View reads re-evaluated at an older pinned watermark"
+                )
+                .inc();
+                view.eval_pinned(version.data(), watermark, &pred)
+                    .map_err(rejected)?
+            };
+            names(
+                tuples
+                    .into_iter()
+                    .map(|t| {
+                        t.iter()
+                            .map(|v| v.to_string())
+                            .collect::<Vec<_>>()
+                            .join(" ")
+                    })
+                    .collect(),
+            )
+        }
+        Request::Recall {
+            session,
+            name,
+            limit,
+        } => {
+            gate(shared, session)?;
+            let hits = read_state(shared)
+                .recall_similar(&name, limit as usize)
+                .map_err(rejected)?;
+            Response::RecallHits {
+                hits: hits
+                    .into_iter()
+                    .map(|h| WireRecallHit {
+                        decision: h.decision,
+                        score_bits: h.score.to_bits(),
+                        retracted: h.retracted,
+                    })
+                    .collect(),
+            }
+        }
+        Request::Explain { session, src } => {
+            gate(shared, session)?;
+            done(read_state(shared).explain_src(&src).map_err(rejected)?)
+        }
+    })
+}
+
+/// Seals this follower's log and makes it writable: bump the sequence
+/// epoch, journal a durable seal record, and stop redirecting writes.
+/// The old leader's records are fenced from here on — both by this
+/// server's subscribers (frames carry the old epoch) and by its own
+/// apply admission, should the deposed leader's stream still be live.
+fn promote(shared: &Shared) -> Response {
+    if !shared.repl.follower.load(Ordering::SeqCst) {
+        return rejected("already the leader");
+    }
+    // Flip the role first so the apply loop stops taking batches, then
+    // serialize behind any in-flight batch via the write lock.
+    shared.repl.follower.store(false, Ordering::SeqCst);
+    let mut g = write_state(shared);
+    match g.promote() {
+        Ok(epoch) => {
+            let applied = g.applied_seq();
+            drop(g);
+            shared.repl.epoch.store(epoch, Ordering::SeqCst);
+            shared.repl.applied_seq.store(applied, Ordering::SeqCst);
+            // Wake this server's own subscribers into the new epoch.
+            shared.repl.commit.advance(applied, epoch);
+            done(format!(
+                "promoted: sequence epoch {epoch}, applied op {applied}"
+            ))
+        }
+        Err(e) => {
+            // Roll the role back: the seal is not durable.
+            shared.repl.follower.store(true, Ordering::SeqCst);
+            err(ErrorCode::Internal, format!("promote: {e}"))
+        }
+    }
+}
+
+/// Appends an over-threshold ASK to the bounded slow-query ring.
+fn record_slow_query(
+    shared: &Shared,
+    var: &str,
+    class: &str,
+    expr: &str,
+    duration: Duration,
+    stats: &datalog::seminaive::EvalStats,
+) {
+    obs::counter!(
+        "gkbms_slow_queries_total",
+        "ASKs that crossed the slow-query threshold"
+    )
+    .inc();
+    let mut log = shared.slow_log.lock().unwrap_or_else(|e| e.into_inner());
+    if log.len() >= SLOW_LOG_CAP {
+        log.pop_front();
+    }
+    log.push_back(SlowQuery {
+        source: format!("ASK {var}/{class} WHERE {expr}"),
+        duration,
+        rounds: stats.rounds as u64,
+        derivations: stats.derivations as u64,
+        new_facts: stats.new_facts as u64,
+        index_probes: stats.index_probes as u64,
+        tuples_scanned: stats.tuples_scanned as u64,
+    });
+}

@@ -1,0 +1,269 @@
+//! The follower runtime: subscribe to a leader and apply its stream.
+//!
+//! One thread per follower server: subscribe at the applied position,
+//! apply the pushed snapshot / op batches under the write lock
+//! (publishing one store version per batch), and on any disconnection
+//! resubscribe with capped exponential backoff. Stops on shutdown or
+//! promotion.
+
+use super::{lock_sessions, read_state, sweep_sessions, write_state, Shared};
+use crate::proto::{self, ErrorCode, FrameRead, Request, Response};
+use gkbms::Gkbms;
+use replication::{ReplError, ReplMsg, StreamApplier};
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
+
+/// Follower reconnect backoff bounds.
+const FOLLOW_BACKOFF_MIN: Duration = Duration::from_millis(50);
+const FOLLOW_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// True once the follower runtime should stop: the server is draining
+/// or this replica was promoted to leader.
+fn follow_done(shared: &Shared) -> bool {
+    shared.shutdown.load(Ordering::SeqCst) || !shared.repl.follower.load(Ordering::SeqCst)
+}
+
+/// The follower thread: subscribe, apply, and on any disconnection
+/// resubscribe from the last applied sequence with capped exponential
+/// backoff — the leader answers from checkpoint + WAL exactly like
+/// local recovery would.
+pub(super) fn follower_loop(shared: &Shared, leader: &str) {
+    let mut backoff = FOLLOW_BACKOFF_MIN;
+    loop {
+        if follow_done(shared) {
+            return;
+        }
+        let outcome = follow_once(shared, leader);
+        if shared.repl.connected.swap(false, Ordering::SeqCst) {
+            // The subscription was live; start the backoff over.
+            backoff = FOLLOW_BACKOFF_MIN;
+        }
+        match outcome {
+            Ok(()) => return,
+            Err(e) => {
+                obs::counter!(
+                    "gkbms_replication_reconnects_total",
+                    "Follower reconnect attempts after a failed or dropped subscription"
+                )
+                .inc();
+                obs::gauge!(
+                    "gkbms_replication_connected",
+                    "1 while the follower's subscription to the leader is live"
+                )
+                .set(0);
+                // Surfaced for operators; the loop itself just retries.
+                let _ = e;
+            }
+        }
+        let deadline = Instant::now() + backoff;
+        while Instant::now() < deadline {
+            if follow_done(shared) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        backoff = (backoff * 2).min(FOLLOW_BACKOFF_MAX);
+    }
+}
+
+/// One subscription: connect, hand the leader our applied position,
+/// then apply the push stream until it ends. `Ok(())` means a clean
+/// stop (shutdown or promotion); `Err` asks the outer loop to retry.
+fn follow_once(shared: &Shared, leader: &str) -> Result<(), ReplError> {
+    let mut stream = TcpStream::connect(leader)?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(shared.cfg.poll_interval));
+    let (applied, epoch) = {
+        let g = read_state(shared);
+        (g.applied_seq(), g.epoch())
+    };
+    proto::write_frame(
+        &mut stream,
+        &Request::Replicate {
+            applied_seq: applied,
+            epoch,
+        }
+        .encode(),
+    )?;
+    let mut applier = StreamApplier::new(applied, epoch);
+    let mut snapshot: Option<Vec<Vec<u8>>> = None;
+    loop {
+        if follow_done(shared) {
+            return Ok(());
+        }
+        let payload = match proto::read_frame(&mut stream)? {
+            FrameRead::Frame(p) => p,
+            FrameRead::Idle => continue,
+            FrameRead::Eof => {
+                return Err(ReplError::Protocol("leader closed the stream".into()));
+            }
+        };
+        if ReplMsg::peek_opcode(&payload).is_none_or(|op| op < replication::msg::MSG_BASE) {
+            // A plain Response on the stream: the handshake was
+            // refused (fencing, journal-less leader, …).
+            let resp = Response::decode(&payload)
+                .map_err(|e| ReplError::Protocol(format!("unreadable refusal: {e}")))?;
+            if let Response::Error {
+                code: ErrorCode::Fenced,
+                ..
+            } = &resp
+            {
+                obs::counter!(
+                    "gkbms_replication_fenced_total",
+                    "Replication records or subscriptions refused by sequence-epoch fencing"
+                )
+                .inc();
+            }
+            return Err(ReplError::Protocol(format!(
+                "leader refused the subscription: {resp:?}"
+            )));
+        }
+        match ReplMsg::decode(&payload)? {
+            ReplMsg::Hello { leader_seq, .. } | ReplMsg::Heartbeat { leader_seq, .. } => {
+                shared.repl.leader_seq.store(leader_seq, Ordering::SeqCst);
+                shared.repl.connected.store(true, Ordering::SeqCst);
+                obs::gauge!(
+                    "gkbms_replication_connected",
+                    "1 while the follower's subscription to the leader is live"
+                )
+                .set(1);
+                observe_lag(shared);
+            }
+            ReplMsg::SnapshotStart { .. } => snapshot = Some(Vec::new()),
+            ReplMsg::SnapshotChunk { payloads } => match &mut snapshot {
+                Some(acc) => acc.extend(payloads),
+                None => {
+                    return Err(ReplError::Protocol("snapshot chunk before start".into()));
+                }
+            },
+            ReplMsg::SnapshotEnd => {
+                let Some(payloads) = snapshot.take() else {
+                    return Err(ReplError::Protocol("snapshot end before start".into()));
+                };
+                applier = install_snapshot(shared, payloads)?;
+                observe_lag(shared);
+            }
+            ReplMsg::Ops {
+                leader_seq,
+                records,
+            } => {
+                shared.repl.leader_seq.store(leader_seq, Ordering::SeqCst);
+                // Test hook: keep observing the leader's position (so
+                // lag is visible) but defer applying the batch.
+                while shared.repl.apply_paused.load(Ordering::SeqCst) && !follow_done(shared) {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                if follow_done(shared) {
+                    return Ok(());
+                }
+                apply_batch(shared, &mut applier, &records)?;
+                observe_lag(shared);
+            }
+        }
+    }
+}
+
+/// Records the replica's position and lag in the metrics registry.
+fn observe_lag(shared: &Shared) {
+    let applied = shared.repl.applied_seq.load(Ordering::SeqCst);
+    obs::gauge!(
+        "gkbms_replication_applied_seq",
+        "Ops this replica has applied from the leader's stream"
+    )
+    .set(applied.min(i64::MAX as u64) as i64);
+    let lag = shared.repl.lag();
+    obs::gauge!(
+        "gkbms_replication_lag_ops_current",
+        "Committed leader ops this replica has not applied yet"
+    )
+    .set(lag.min(i64::MAX as u64) as i64);
+    obs::value_histogram!(
+        "gkbms_replication_lag_ops",
+        "Distribution of replica lag behind the leader's committed sequence, in ops"
+    )
+    .observe(lag);
+}
+
+/// Replaces the replica's state from a shipped checkpoint snapshot:
+/// install (journaled replicas persist it and drop their stale WAL),
+/// publish, and re-pin every session at the fresh head. Returns the
+/// applier positioned after the snapshot's covered sequence.
+fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<StreamApplier, ReplError> {
+    obs::counter!(
+        "gkbms_replication_snapshots_installed_total",
+        "Checkpoint snapshots installed by this replica during catch-up"
+    )
+    .inc();
+    let mut g = write_state(shared);
+    let dir = g.journal().map(|j| j.dir().to_path_buf());
+    let fresh = match dir {
+        Some(dir) => Gkbms::install_replica_snapshot(&dir, payloads).map(|(g, _)| g),
+        None => Gkbms::replica_from_snapshot(&payloads),
+    }
+    .map_err(|e| ReplError::Protocol(format!("snapshot install: {e}")))?;
+    *g = fresh;
+    let now = g.kb().now();
+    let applied = g.applied_seq();
+    let epoch = g.epoch();
+    shared.chain.publish(g.kb().version());
+    drop(g);
+    shared.repl.applied_seq.store(applied, Ordering::SeqCst);
+    shared.repl.epoch.store(epoch, Ordering::SeqCst);
+    shared.repl.commit.advance(applied, epoch);
+    // Old pins reference a store that no longer exists; re-pin every
+    // session at the fresh head (mirrors `Load`).
+    let pin = shared.chain.acquire();
+    lock_sessions(shared).repin_all(now, pin);
+    Ok(StreamApplier::new(applied, epoch))
+}
+
+/// Applies one shipped batch under the write lock. The whole batch is
+/// admitted first — a spliced stream (gap, regression, fenced epoch)
+/// is refused as a typed error *before* anything touches the replica,
+/// and the caller disconnects instead of applying out of order.
+fn apply_batch(
+    shared: &Shared,
+    applier: &mut StreamApplier,
+    records: &[replication::ShippedRecord],
+) -> Result<(), ReplError> {
+    if records.is_empty() {
+        return Ok(());
+    }
+    let mut probe = applier.clone();
+    for r in records {
+        if let Err(e) = probe.admit(r.seq, r.epoch) {
+            if matches!(e, ReplError::EpochFenced { .. }) {
+                obs::counter!(
+                    "gkbms_replication_fenced_total",
+                    "Replication records or subscriptions refused by sequence-epoch fencing"
+                )
+                .inc();
+            }
+            return Err(e);
+        }
+    }
+    let mut g = write_state(shared);
+    for r in records {
+        applier.admit(r.seq, r.epoch)?;
+        g.apply_replicated(r.seq, r.epoch, &r.payload)
+            .map_err(|e| ReplError::Protocol(format!("apply op {}: {e}", r.seq)))?;
+    }
+    // Publish once per batch, still under the write guard, so session
+    // snapshots observe replicated commits in order.
+    shared.chain.publish(g.kb().version());
+    let applied = g.applied_seq();
+    let epoch = g.epoch();
+    drop(g);
+    shared.repl.applied_seq.store(applied, Ordering::SeqCst);
+    shared.repl.epoch.store(epoch, Ordering::SeqCst);
+    // Chained subscribers of this replica may now ship these records.
+    shared.repl.commit.advance(applied, epoch);
+    obs::counter!(
+        "gkbms_replication_records_applied_total",
+        "Shipped records applied into this replica"
+    )
+    .add(records.len() as u64);
+    sweep_sessions(shared);
+    Ok(())
+}

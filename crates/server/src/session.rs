@@ -114,7 +114,7 @@ impl<P> SessionTable<P> {
             self.publish_active();
             return Err(SessionErr::Expired);
         }
-        let s = self.map.get_mut(&id).expect("checked above");
+        let s = self.map.get_mut(&id).ok_or(SessionErr::Unknown)?;
         s.last_used = Instant::now();
         s.requests += 1;
         Ok(s)

@@ -128,6 +128,12 @@ pub fn read_record<R: Read>(r: &mut R, offset: u64) -> StorageResult<ReadOutcome
 
 /// Helpers for encoding the primitive values used by record payloads.
 /// All integers are little-endian; strings are length-prefixed UTF-8.
+///
+/// On top of the primitives sits the one field codec every op record
+/// shares: a [`codec::Wire`] value has exactly one encoding, and an
+/// [`op_table!`](crate::op_table) declares an enum of ops — wire
+/// requests and responses, journal ops, replication messages — as
+/// `opcode:u32` followed by the row's `Wire` fields.
 pub mod codec {
     use crate::error::{StorageError, StorageResult};
 
@@ -169,12 +175,19 @@ pub mod codec {
             Cursor { buf, pos: 0 }
         }
 
+        /// A [`StorageError::Corrupt`] at the current read position —
+        /// how every decoder over this cursor reports a value it
+        /// refuses (unknown tag, unknown opcode, trailing bytes).
+        pub fn corrupt(&self, detail: impl Into<String>) -> StorageError {
+            StorageError::Corrupt {
+                offset: self.pos as u64,
+                detail: detail.into(),
+            }
+        }
+
         fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
             if self.pos + n > self.buf.len() {
-                return Err(StorageError::Corrupt {
-                    offset: self.pos as u64,
-                    detail: format!("payload truncated: need {n} bytes"),
-                });
+                return Err(self.corrupt(format!("payload truncated: need {n} bytes")));
             }
             let s = &self.buf[self.pos..self.pos + n];
             self.pos += n;
@@ -208,10 +221,7 @@ pub mod codec {
         /// Reads a length-prefixed UTF-8 string.
         pub fn get_str(&mut self) -> StorageResult<&'a str> {
             let b = self.get_bytes()?;
-            std::str::from_utf8(b).map_err(|e| StorageError::Corrupt {
-                offset: self.pos as u64,
-                detail: format!("invalid utf-8: {e}"),
-            })
+            std::str::from_utf8(b).map_err(|e| self.corrupt(format!("invalid utf-8: {e}")))
         }
 
         /// True if every byte has been consumed.
@@ -219,6 +229,313 @@ pub mod codec {
             self.pos == self.buf.len()
         }
     }
+
+    /// A field of an op record: a value with exactly one encoding,
+    /// shared by the wire protocol, the journal and the replication
+    /// stream. Decoding is strict — an encoding no `put` can produce
+    /// (a tag other than 0/1, a truncated list) is
+    /// [`StorageError::Corrupt`], never a guess — so an accepted
+    /// payload re-encodes to the same bytes.
+    pub trait Wire: Sized {
+        /// Appends the value's encoding to `out`.
+        fn put(&self, out: &mut Vec<u8>);
+        /// Reads one value, advancing the cursor past it.
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self>;
+    }
+
+    impl Wire for u32 {
+        fn put(&self, out: &mut Vec<u8>) {
+            put_u32(out, *self);
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            c.get_u32()
+        }
+    }
+
+    impl Wire for u64 {
+        fn put(&self, out: &mut Vec<u8>) {
+            put_u64(out, *self);
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            c.get_u64()
+        }
+    }
+
+    impl Wire for i64 {
+        fn put(&self, out: &mut Vec<u8>) {
+            put_i64(out, *self);
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            c.get_i64()
+        }
+    }
+
+    /// A `u32` word that must be 0 or 1 — the tag of `bool` and
+    /// `Option`.
+    fn get_flag(c: &mut Cursor<'_>, what: &str) -> StorageResult<bool> {
+        match c.get_u32()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(c.corrupt(format!("{what} tag {other} is neither 0 nor 1"))),
+        }
+    }
+
+    impl Wire for bool {
+        fn put(&self, out: &mut Vec<u8>) {
+            put_u32(out, u32::from(*self));
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            get_flag(c, "bool")
+        }
+    }
+
+    impl Wire for String {
+        fn put(&self, out: &mut Vec<u8>) {
+            put_str(out, self);
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            Ok(c.get_str()?.to_string())
+        }
+    }
+
+    /// An opaque byte string (a nested payload): one length prefix and
+    /// a bulk copy, not a list of elements.
+    impl Wire for Vec<u8> {
+        fn put(&self, out: &mut Vec<u8>) {
+            put_bytes(out, self);
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            Ok(c.get_bytes()?.to_vec())
+        }
+    }
+
+    impl<T: Wire> Wire for Option<T> {
+        fn put(&self, out: &mut Vec<u8>) {
+            match self {
+                None => put_u32(out, 0),
+                Some(v) => {
+                    put_u32(out, 1);
+                    v.put(out);
+                }
+            }
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            Ok(if get_flag(c, "option")? {
+                Some(T::get(c)?)
+            } else {
+                None
+            })
+        }
+    }
+
+    /// Elements pre-allocated for a decoded list before any of them
+    /// has been read: the count is outside input, so it sizes the
+    /// allocation only up to this bound (longer lists grow as their
+    /// elements actually arrive).
+    const LIST_PREALLOC_CAP: usize = 1024;
+
+    /// A `u32` count followed by that many elements.
+    impl<T: Wire> Wire for Vec<T> {
+        fn put(&self, out: &mut Vec<u8>) {
+            put_u32(out, self.len() as u32);
+            for v in self {
+                v.put(out);
+            }
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            let n = c.get_u32()? as usize;
+            let mut list = Vec::with_capacity(n.min(LIST_PREALLOC_CAP));
+            for _ in 0..n {
+                list.push(T::get(c)?);
+            }
+            Ok(list)
+        }
+    }
+
+    impl<A: Wire, B: Wire> Wire for (A, B) {
+        fn put(&self, out: &mut Vec<u8>) {
+            self.0.put(out);
+            self.1.put(out);
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            Ok((A::get(c)?, B::get(c)?))
+        }
+    }
+}
+
+/// Declares one table of ops: an enum whose every variant is a row
+/// `opcode Variant "label" { field: Type, … }`, encoded as the `u32`
+/// opcode followed by the row's [`codec::Wire`] fields in declaration
+/// order. From the rows the macro generates the enum itself (attributes
+/// and doc comments pass through; a row without a `{…}` group is a
+/// unit variant), `encode`, a strict `decode` (unknown opcode and
+/// trailing bytes are [`StorageError::Corrupt`]), `op_name()` (the
+/// label), `OPS` (the `(opcode, label)` row list) and, in test builds,
+/// `check_golden`, the table-driven golden-fixture test — so an op is
+/// spelled out exactly once.
+///
+/// A table declared as `enum Name: Class { … }` carries one more
+/// column — a variant of the enum `Class` after each label — and gets
+/// `class()` returning it.
+#[macro_export]
+macro_rules! op_table {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident : $class_ty:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $op:literal $variant:ident $label:literal $class:ident
+                $({ $($fields:tt)* })?
+            ),* $(,)?
+        }
+    ) => {
+        $crate::op_table! {
+            $(#[$meta])*
+            $vis enum $name {
+                $(
+                    $(#[$vmeta])*
+                    #[doc = ""]
+                    #[doc = concat!("Class [`", stringify!($class_ty), "::", stringify!($class), "`].")]
+                    $op $variant $label $({ $($fields)* })?
+                ),*
+            }
+        }
+
+        impl $name {
+            /// The class column of the op's table row.
+            pub fn class(&self) -> $class_ty {
+                match self {
+                    $( $name::$variant { .. } => $class_ty::$class, )*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $op:literal $variant:ident $label:literal
+                $({ $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                #[doc = ""]
+                #[doc = concat!("Opcode ", stringify!($op), ", label `", $label, "`.")]
+                $variant $({ $( $(#[$fmeta])* $field: $ty ),* })?,
+            )*
+        }
+
+        impl $name {
+            /// `(opcode, label)` of every row, in table order.
+            pub const OPS: &'static [(u32, &'static str)] = &[ $( ($op, $label) ),* ];
+
+            /// Encodes the op as a record payload: the opcode, then the
+            /// row's fields in declaration order.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                match self {
+                    $(
+                        $name::$variant $({ $($field),* })? => {
+                            $crate::record::codec::put_u32(&mut out, $op);
+                            $($( $crate::record::codec::Wire::put($field, &mut out); )*)?
+                        }
+                    )*
+                }
+                out
+            }
+
+            /// Decodes a record payload, rejecting an unknown opcode,
+            /// any field encoding no `encode` produces, and trailing
+            /// bytes.
+            pub fn decode(payload: &[u8]) -> $crate::StorageResult<Self> {
+                let mut c = $crate::record::codec::Cursor::new(payload);
+                let op = match c.get_u32()? {
+                    $(
+                        $op => $name::$variant $({
+                            $( $field: $crate::record::codec::Wire::get(&mut c)? ),*
+                        })?,
+                    )*
+                    other => {
+                        return Err(c.corrupt(format!(
+                            "unknown {} opcode {other}",
+                            stringify!($name)
+                        )))
+                    }
+                };
+                if !c.is_exhausted() {
+                    return Err(c.corrupt(format!("trailing bytes after `{}`", op.op_name())));
+                }
+                Ok(op)
+            }
+
+            /// The row's label: a stable lower-case name for the op.
+            pub fn op_name(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => $label, )*
+                }
+            }
+
+            /// Test support: walks the table against a golden fixture of
+            /// `label hex` lines — payloads this table must keep decoding
+            /// and producing byte for byte. Opcodes and labels must be
+            /// unique and every row must own a line; every line must
+            /// decode to its row's variant and encode back to the same
+            /// bytes. Around every line, accepted ⇒ canonical: no strict
+            /// prefix and no extension decodes, and a corrupted byte is
+            /// refused or decodes to a value with exactly those bytes.
+            /// Returns the decoded lines.
+            #[cfg(test)]
+            pub fn check_golden(fixture: &str) -> Vec<Self>
+            where
+                Self: std::fmt::Debug,
+            {
+                for (i, (op, label)) in Self::OPS.iter().enumerate() {
+                    assert!(
+                        Self::OPS[..i].iter().all(|(o, l)| o != op && l != label),
+                        "opcode {op} / label `{label}` is not unique"
+                    );
+                    assert!(
+                        fixture.lines().any(|l| l.split(' ').next() == Some(label)),
+                        "row `{label}` has no golden fixture line"
+                    );
+                }
+                let mut samples = Vec::new();
+                for line in fixture.lines() {
+                    let (label, hex) = line.split_once(' ').expect("`label hex` line");
+                    let bytes: Vec<u8> = (0..hex.len())
+                        .step_by(2)
+                        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+                        .collect();
+                    let sample = Self::decode(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(sample.op_name(), label, "{sample:?}");
+                    assert_eq!(sample.encode(), bytes, "{label}: {sample:?}");
+                    samples.push(sample);
+
+                    for cut in 0..bytes.len() {
+                        assert!(Self::decode(&bytes[..cut]).is_err(), "{label}: prefix {cut}");
+                    }
+                    let mut longer = bytes.clone();
+                    longer.push(0);
+                    assert!(Self::decode(&longer).is_err(), "{label}: one byte longer");
+                    for at in 0..bytes.len() {
+                        for byte in [0, 1, 2, 0xff] {
+                            let mut corrupted = bytes.clone();
+                            corrupted[at] = byte;
+                            if let Ok(v) = Self::decode(&corrupted) {
+                                assert_eq!(v.encode(), corrupted, "{label}: byte {at} = {byte}");
+                            }
+                        }
+                    }
+                }
+                samples
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -346,5 +663,231 @@ mod tests {
         codec::put_bytes(&mut buf, &[0xFF, 0xFE]);
         let mut c = codec::Cursor::new(&buf);
         assert!(c.get_str().is_err());
+    }
+
+    use codec::{Cursor, Wire};
+
+    fn wire_bytes<T: Wire>(v: &T) -> Vec<u8> {
+        let mut buf = Vec::new();
+        v.put(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn wire_option_roundtrips_and_rejects_bad_tags() {
+        for v in [None, Some(String::new()), Some("parent".to_string())] {
+            let buf = wire_bytes(&v);
+            let mut c = Cursor::new(&buf);
+            assert_eq!(Option::<String>::get(&mut c).unwrap(), v);
+            assert!(c.is_exhausted());
+        }
+        // Any tag other than 0/1 is corruption, not an implicit Some.
+        for tag in [2u32, 7, u32::MAX] {
+            let mut buf = Vec::new();
+            codec::put_u32(&mut buf, tag);
+            codec::put_str(&mut buf, "payload");
+            let err = Option::<String>::get(&mut Cursor::new(&buf)).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corrupt { detail, .. } if detail.contains(&tag.to_string())),
+                "tag {tag}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn wire_bool_is_exactly_zero_or_one() {
+        assert_eq!(wire_bytes(&true), [1, 0, 0, 0]);
+        assert_eq!(wire_bytes(&false), [0, 0, 0, 0]);
+        for word in [2u32, 256, u32::MAX] {
+            let buf = wire_bytes(&word);
+            assert!(bool::get(&mut Cursor::new(&buf)).is_err(), "word {word}");
+        }
+    }
+
+    #[test]
+    fn wire_list_count_does_not_size_the_allocation() {
+        // A count the payload cannot hold is a clean error — reading it
+        // must not try to reserve 2^32 elements first.
+        let mut buf = Vec::new();
+        codec::put_u32(&mut buf, u32::MAX);
+        codec::put_str(&mut buf, "only one");
+        assert!(Vec::<String>::get(&mut Cursor::new(&buf)).is_err());
+        assert!(Vec::<(String, String)>::get(&mut Cursor::new(&buf)).is_err());
+        assert!(Vec::<Vec<u8>>::get(&mut Cursor::new(&buf)).is_err());
+        // A list longer than the pre-allocation bound still decodes: it
+        // grows as its elements arrive.
+        let long: Vec<u32> = (0..5000).collect();
+        let buf = wire_bytes(&long);
+        assert_eq!(Vec::<u32>::get(&mut Cursor::new(&buf)).unwrap(), long);
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum ProbeClass {
+        Quiet,
+        Loud,
+    }
+
+    crate::op_table! {
+        /// A table over every `Wire` impl the codec ships.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        enum Probe: ProbeClass {
+            /// A row without fields is a unit variant.
+            1 Unit "unit" Quiet,
+            2 Scalars "scalars" Loud {
+                a: u32,
+                b: u64,
+                c: i64,
+                d: bool,
+            },
+            3 Text "text" Loud {
+                s: String,
+                o: Option<String>,
+                n: Option<u64>,
+            },
+            7 Lists "lists" Quiet {
+                names: Vec<String>,
+                pairs: Vec<(String, u64)>,
+                blobs: Vec<Vec<u8>>,
+                raw: Vec<u8>,
+            },
+        }
+    }
+
+    #[test]
+    fn op_table_generates_codec_names_and_classes() {
+        assert_eq!(
+            Probe::OPS,
+            [(1, "unit"), (2, "scalars"), (3, "text"), (7, "lists")]
+        );
+        let text = Probe::Text {
+            s: "Paper".into(),
+            o: None,
+            n: Some(3),
+        };
+        assert_eq!(text.op_name(), "text");
+        assert_eq!(text.class(), ProbeClass::Loud);
+        assert_eq!(Probe::Unit.class(), ProbeClass::Quiet);
+        assert_eq!(Probe::Unit.encode(), [1, 0, 0, 0]);
+        assert_eq!(Probe::decode(&text.encode()).unwrap(), text);
+
+        // The table walk, over a fixture spelled by the encoder itself.
+        let rows = [
+            Probe::Unit,
+            Probe::Scalars {
+                a: 5,
+                b: 7,
+                c: -3,
+                d: true,
+            },
+            text.clone(),
+            Probe::Lists {
+                names: vec!["Paper".into()],
+                pairs: vec![("Paper".into(), 7)],
+                blobs: vec![vec![0, 0xff, 0x62], Vec::new()],
+                raw: vec![0, 0xff, 0x62],
+            },
+        ];
+        let fixture: Vec<String> = rows
+            .iter()
+            .map(|r| {
+                let hex: String = r.encode().iter().map(|b| format!("{b:02x}")).collect();
+                format!("{} {hex}", r.op_name())
+            })
+            .collect();
+        assert_eq!(Probe::check_golden(&fixture.join("\n")), rows);
+
+        let unknown = Probe::decode(&wire_bytes(&4u32)).unwrap_err();
+        assert!(
+            matches!(&unknown, StorageError::Corrupt { detail, .. } if detail.contains("unknown Probe opcode 4")),
+            "{unknown}"
+        );
+        let mut trailing = text.encode();
+        trailing.push(0);
+        let err = Probe::decode(&trailing).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt { detail, .. } if detail.contains("trailing bytes after `text`")),
+            "{err}"
+        );
+    }
+
+    use proptest::prelude::*;
+
+    fn text() -> impl Strategy<Value = String> {
+        prop::collection::vec(0x20u8..0x7f, 0..12)
+            .prop_map(|b| b.into_iter().map(char::from).collect())
+    }
+
+    fn probe() -> impl Strategy<Value = Probe> {
+        let bytes = || prop::collection::vec(any::<u8>(), 0..9);
+        (
+            0u8..4,
+            (any::<u32>(), any::<u64>(), any::<i64>(), any::<bool>()),
+            (text(), text(), any::<bool>(), any::<bool>()),
+            (
+                prop::collection::vec(text(), 0..4),
+                prop::collection::vec((text(), any::<u64>()), 0..4),
+                prop::collection::vec(bytes(), 0..4),
+                bytes(),
+            ),
+        )
+            .prop_map(
+                |(row, (a, b, c, d), (s, o, has_o, has_n), lists)| match row {
+                    0 => Probe::Unit,
+                    1 => Probe::Scalars { a, b, c, d },
+                    2 => Probe::Text {
+                        s,
+                        o: has_o.then_some(o),
+                        n: has_n.then_some(b),
+                    },
+                    _ => Probe::Lists {
+                        names: lists.0,
+                        pairs: lists.1,
+                        blobs: lists.2,
+                        raw: lists.3,
+                    },
+                },
+            )
+    }
+
+    /// Whatever the bytes, decoding yields `Err` or a value that
+    /// encodes back to exactly those bytes — never a panic, never a
+    /// second accepted spelling of the same value.
+    fn refused_or_canonical(bytes: &[u8]) {
+        if let Ok(v) = Probe::decode(bytes) {
+            assert_eq!(v.encode(), bytes, "{v:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 256 }))]
+
+        #[test]
+        fn op_table_decode_is_total_and_canonical(
+            v in probe(),
+            noise in prop::collection::vec(any::<u8>(), 0..64),
+            flip in (any::<usize>(), any::<u8>()),
+        ) {
+            let bytes = v.encode();
+            prop_assert_eq!(Probe::decode(&bytes).unwrap(), v);
+            for cut in 0..bytes.len() {
+                prop_assert!(Probe::decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+            }
+            for extra in [0u8, 1, 0xff] {
+                let mut longer = bytes.clone();
+                longer.push(extra);
+                prop_assert!(Probe::decode(&longer).is_err(), "extension by {extra}");
+            }
+            let mut corrupted = bytes.clone();
+            corrupted[flip.0 % bytes.len()] = flip.1;
+            refused_or_canonical(&corrupted);
+            // Arbitrary bytes, bare and behind each known opcode (so the
+            // field decoders, not just the opcode check, see them).
+            refused_or_canonical(&noise);
+            for (op, _) in Probe::OPS {
+                let mut framed = wire_bytes(op);
+                framed.extend_from_slice(&noise);
+                refused_or_canonical(&framed);
+            }
+        }
     }
 }
