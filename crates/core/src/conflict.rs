@@ -57,10 +57,7 @@ impl Gkbms {
             )));
         };
         let nogood: Vec<String> = among.iter().map(|s| s.to_string()).collect();
-        self.nogoods.push(nogood.clone());
-        self.journal_append(JournalOp::Nogood {
-            decisions: nogood.clone(),
-        })?;
+        self.record_nogood(nogood.clone())?;
         let affected = self.retract_decision(&culprit)?;
         Ok(ConflictResolution {
             description: description.to_string(),
@@ -68,6 +65,16 @@ impl Gkbms {
             affected,
             nogood,
         })
+    }
+
+    /// Records a decision-level nogood — the first of the two ops a
+    /// conflict report commits (the culprit's retraction is the other).
+    pub(crate) fn record_nogood(&mut self, decisions: Vec<String>) -> GkbmsResult<()> {
+        self.commit(JournalOp::Nogood {
+            decisions: decisions.clone(),
+        })?;
+        self.nogoods.push(decisions);
+        Ok(())
     }
 
     /// True if making all of `decisions` effective would re-enter a

@@ -5,13 +5,17 @@
 //! documentation service whose charter is "nothing is ever
 //! destructively deleted". Journal mode closes the gap:
 //!
-//! * every committed mutation (definition, registration, execution,
-//!   explicit retraction, raw TELL/UNTELL, nogood) appends one op
-//!   record — the same encoding `save` uses — to a live WAL at commit
-//!   time;
-//! * [`Gkbms::checkpoint`] compacts the history into a snapshot
-//!   written crash-atomically and truncates the WAL;
-//! * [`Gkbms::recover`] loads the snapshot (if any) and replays the
+//! * every mutation ends in [`Gkbms::commit`], the one place an op
+//!   enters the history: it is appended — framed with its sequence
+//!   number and epoch, otherwise the encoding `save` uses — to the
+//!   live WAL and pushed onto the in-memory history, in that order, at
+//!   commit time;
+//! * [`Gkbms::checkpoint`] moves ops from the WAL to the snapshot
+//!   file: it writes the whole history, unframed and in commit order,
+//!   crash-atomically as the snapshot and truncates the WAL. Nothing
+//!   is compacted — the snapshot plus the WAL tail is always the
+//!   journal's op stream from its first op;
+//! * [`Gkbms::recover`] replays the snapshot (if any) and then the
 //!   WAL tail, tolerating a torn final record.
 //!
 //! The journal makes no fsync decisions of its own beyond flushing
@@ -22,6 +26,8 @@
 //! Durability invariant: after `fsync` of the WAL has returned, every
 //! op appended before it survives any crash; recovery restores a
 //! prefix of the committed op sequence — never a subset with holes.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::persist::{self, JournalOp};
@@ -105,7 +111,7 @@ pub struct RecoveryReport {
 /// What [`Gkbms::checkpoint`] did.
 #[derive(Debug, Clone)]
 pub struct CheckpointReport {
-    /// WAL ops compacted into the snapshot (and truncated away).
+    /// WAL ops moved into the snapshot (and truncated away).
     pub compacted_ops: u64,
     /// Total ops appended to the journal over its lifetime — after the
     /// checkpoint, every one of them is durable.
@@ -289,17 +295,11 @@ impl Gkbms {
         let covered = g.snapshot_covers;
         let mut journal = Journal::open_in(dir)?;
         let wal_truncated = matches!(journal.wal.tail_state(), TailState::TruncatedAt(_));
-        let framed: Vec<Vec<u8>> = journal
-            .wal
-            .iter()?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect();
+        let framed: Vec<(_, Vec<u8>)> = journal.wal.iter()?.collect::<Result<_, _>>()?;
         let mut skipped = 0u64;
-        let mut replayed_ops = 0u64;
         let mut last_seq = covered;
-        for f in &framed {
+        let mut tail = Vec::new();
+        for (_, f) in &framed {
             let (seq, epoch, payload) = decode_framed(f)?;
             // The epoch of every frame counts, even skipped ones: the
             // snapshot may predate a promotion whose records the WAL
@@ -309,12 +309,13 @@ impl Gkbms {
                 skipped += 1;
                 continue;
             }
-            // Replay with the journal still detached: re-applying an op
-            // must not re-append it.
-            persist::apply_record(&mut g, payload)?;
             last_seq = last_seq.max(seq);
-            replayed_ops += 1;
+            tail.push(payload);
         }
+        // Replay with the journal still detached: re-applying an op
+        // must not re-append it.
+        let replayed_ops = tail.len() as u64;
+        g.replay(tail)?;
         journal.appended_ops = last_seq;
         journal.ops_since_checkpoint = replayed_ops;
         g.replica_applied = last_seq;
@@ -349,26 +350,29 @@ impl Gkbms {
         Ok((g, report))
     }
 
-    /// Compacts the journal: writes the full history as a snapshot
+    /// Checkpoints the journal: writes the full history — a coverage
+    /// header, then every op in commit order — as the snapshot
     /// (crash-atomically: temp file, fsync, rename, directory fsync)
-    /// and truncates the WAL. The snapshot's leading coverage record
-    /// names the op sequence it holds, so the rename alone commits the
+    /// and truncates the WAL. The header names the op sequence (and
+    /// epoch) the snapshot holds, so the rename alone commits the
     /// checkpoint — a crash before the truncation leaves WAL records
     /// the snapshot covers, which recovery drops instead of replaying.
     /// After a checkpoint every op ever appended is durable regardless
     /// of fsync policy. Errors if no journal is attached.
     pub fn checkpoint(&mut self) -> GkbmsResult<CheckpointReport> {
-        let (dir, covered) = match &self.journal {
-            Some(j) => (j.dir.clone(), j.appended_ops),
-            None => {
-                return Err(GkbmsError::Unknown(
-                    "checkpoint requested but no journal is attached".into(),
-                ))
-            }
+        let payloads = self.history_payloads();
+        let epoch = self.epoch;
+        let Some(j) = self.journal.as_mut() else {
+            return Err(GkbmsError::Unknown(
+                "checkpoint requested but no journal is attached".into(),
+            ));
         };
         let start = Instant::now();
-        self.save_snapshot(&dir.join(SNAPSHOT_FILE), covered)?;
-        let j = self.journal.as_mut().expect("journal checked above");
+        let header = JournalOp::CheckpointCovers {
+            covered_seq: j.appended_ops,
+            epoch,
+        };
+        persist::write_atomic(&j.snapshot_path(), Some(header), &payloads)?;
         let compacted = j.ops_since_checkpoint;
         j.wal.truncate_all()?;
         j.ops_since_checkpoint = 0;
@@ -400,13 +404,16 @@ impl Gkbms {
         self.journal.as_mut()
     }
 
-    /// Appends an op to the journal, if one is attached. Called by
-    /// every mutation method at its commit point.
-    pub(crate) fn journal_append(&mut self, op: JournalOp) -> GkbmsResult<()> {
-        let epoch = self.epoch;
+    /// The commit point — the one place an op enters the history.
+    /// Every mutation calls it once its KB work can no longer fail:
+    /// the op is appended to the journal, if one is attached, and
+    /// pushed onto `history`. An op the journal refused is not in the
+    /// history either; the caller rolls its KB work back.
+    pub(crate) fn commit(&mut self, op: JournalOp) -> GkbmsResult<()> {
         if let Some(j) = self.journal.as_mut() {
-            j.append(epoch, &op.encode())?;
+            j.append(self.epoch, &op.encode())?;
         }
+        self.history.push(op);
         Ok(())
     }
 
@@ -417,11 +424,10 @@ impl Gkbms {
     /// applier's job — this method trusts its caller and only keeps the
     /// applied position and epoch consistent.
     pub fn apply_replicated(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> GkbmsResult<()> {
-        // Replay with the journal detached so ops that journal
-        // themselves (everything except nogoods) don't append under a
-        // fresh sequence number; the shipped frame is appended
-        // verbatim below, keeping replica WALs byte-identical to the
-        // leader's.
+        // Replay with the journal detached so the op's own commit
+        // doesn't append it under a fresh sequence number; the shipped
+        // frame is appended verbatim below, keeping replica WALs
+        // byte-identical to the leader's.
         let journal = self.journal.take();
         let applied = persist::apply_record(self, payload);
         self.journal = journal;
@@ -435,9 +441,10 @@ impl Gkbms {
     }
 
     /// Installs a snapshot stream shipped by a replication leader into
-    /// `dir` and recovers from it: the payloads (a coverage record
-    /// followed by the full history, exactly the layout of a checkpoint
-    /// snapshot file) are written crash-atomically as `dir/snapshot`,
+    /// `dir` and recovers from it: the payloads (a coverage header
+    /// followed by the full history, exactly the records of a
+    /// checkpoint snapshot file) are written crash-atomically as
+    /// `dir/snapshot`,
     /// any stale local WAL is removed, and the result is opened via
     /// [`Gkbms::recover`]. The returned instance is positioned at the
     /// snapshot's covered sequence, ready to apply the WAL tail the
@@ -448,7 +455,7 @@ impl Gkbms {
     ) -> GkbmsResult<(Gkbms, RecoveryReport)> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(storage::StorageError::Io)?;
-        Gkbms::write_payloads_atomic(&dir.join(SNAPSHOT_FILE), payloads)?;
+        persist::write_atomic(&dir.join(SNAPSHOT_FILE), None, &payloads)?;
         // The local WAL (if any) predates the snapshot we were just
         // shipped — a replica only falls back to snapshot transfer when
         // its own log is behind the leader's truncation horizon, so the
@@ -465,11 +472,16 @@ impl Gkbms {
     /// touching disk. Used by followers running without `--journal`.
     pub fn replica_from_snapshot(payloads: &[Vec<u8>]) -> GkbmsResult<Gkbms> {
         let mut g = Gkbms::new()?;
-        for p in payloads {
-            persist::apply_record(&mut g, p)?;
-        }
+        g.replay(payloads)?;
         g.replica_applied = g.snapshot_covers;
         Ok(g)
+    }
+
+    /// Raises the sequence epoch to `epoch` and commits the seal that
+    /// replays it — a promotion, or the replay of one.
+    pub(crate) fn seal(&mut self, epoch: u64) -> GkbmsResult<()> {
+        self.epoch = self.epoch.max(epoch);
+        self.commit(JournalOp::Seal { epoch })
     }
 
     /// Promotes this instance to leader of a new sequence epoch: bumps
@@ -479,9 +491,8 @@ impl Gkbms {
     /// refused by replication applier fencing from here on. Returns the
     /// new epoch.
     pub fn promote(&mut self) -> GkbmsResult<u64> {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.journal_append(JournalOp::Seal { epoch })?;
+        let epoch = self.epoch + 1;
+        self.seal(epoch)?;
         if let Some(j) = self.journal.as_mut() {
             j.sync()?;
         }

@@ -1,38 +1,42 @@
 //! Persistence of the GKBMS documentation service.
 //!
 //! "Ex post, it plays the role of a documentation service" — and a
-//! documentation service must outlive the process. The GKBMS persists
-//! *by replay*: [`Gkbms::save`] writes the definition and decision
-//! history (object classes, decision classes, tools, registrations,
-//! executions, explicit retractions, nogoods) to an append-only log;
-//! [`Gkbms::load`] re-executes it, reconstructing the KB, the JTMS and
-//! every derived structure. Cascaded retractions are *not* stored —
-//! replaying the explicit retraction re-derives them, which doubles as
-//! a consistency check of the dependency machinery.
+//! documentation service must outlive the process. The GKBMS *is* its
+//! history: every committed mutation is one [`JournalOp`], kept in
+//! commit order in `Gkbms::history` and — when a journal is attached —
+//! appended to the WAL at the same commit point (`Gkbms::commit`).
+//! Live state is the fold of [`apply_record`] over that op stream, so
+//! persisting is writing the stream down and loading is replaying it:
+//! [`Gkbms::save`] writes the history as it was committed,
+//! [`Gkbms::load`] re-executes it, reconstructing the KB, the JTMS,
+//! the views and every derived structure. Cascaded retractions are
+//! *not* stored — replaying the explicit retraction re-derives them —
+//! and a write that failed was rolled back and committed nothing, so
+//! it is not in the stream at all.
 //!
-//! `save` is crash-atomic: the history is written to a sibling temp
-//! file, fsynced, renamed over the target, and the parent directory is
-//! fsynced — at no instant does the old history cease to exist before
-//! the new one is durable.
-//!
-//! The same record encoding doubles as the wire format of the live
-//! write-ahead journal (see [`crate::journal`]): each committed
-//! mutation appends one op record, and recovery replays them through
-//! [`apply_record`] exactly as `load` does.
+//! A `save` file, a checkpoint snapshot and a snapshot shipped to a
+//! replica are the same thing: the unframed prefix of the journal in
+//! commit order (a snapshot leads with a
+//! [`JournalOp::CheckpointCovers`] header). They are written
+//! crash-atomically — sibling temp file, fsync, rename over the
+//! target, parent-directory fsync — so at no instant does the old
+//! history cease to exist before the new one is durable, and read
+//! back without ever being opened for writing.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, ToolSpec};
 use crate::error::GkbmsResult;
-use crate::system::{DecisionRecord, DecisionRequest, Gkbms, TellEvent};
+use crate::system::{DecisionRequest, Gkbms};
 use std::path::Path;
 use storage::record::codec::{Cursor, Wire};
 use storage::{AppendLog, StorageResult};
 
 storage::op_table! {
-    /// One op of the replayable history — a journal record, a line of
-    /// a saved history, a shipped replication payload. Shared between
-    /// `save` (bulk history) and the live journal (one record per
-    /// committed mutation), so both on-disk forms replay through the
-    /// one [`apply_record`] below.
+    /// One op of the replayable history — an entry of
+    /// `Gkbms::history`, a journal record, a record of a saved history
+    /// or snapshot, a shipped replication payload. All of them replay
+    /// through the one [`apply_record`] below.
     #[derive(Debug)]
     pub(crate) enum JournalOp {
         /// A design-object class definition.
@@ -88,28 +92,6 @@ storage::op_table! {
             name: String,
             rules: String,
         },
-    }
-}
-
-impl JournalOp {
-    /// The op that replays an executed decision.
-    fn execute(r: &DecisionRecord) -> JournalOp {
-        JournalOp::Execute {
-            request: DecisionRequest {
-                class: r.class.clone(),
-                name: r.name.clone(),
-                performer: r.performer.clone(),
-                tool: r.tool.clone(),
-                inputs: r.inputs.clone(),
-                outputs: r
-                    .outputs
-                    .iter()
-                    .cloned()
-                    .zip(r.output_classes.iter().cloned())
-                    .collect(),
-                discharges: r.discharges.clone(),
-            },
-        }
     }
 }
 
@@ -237,8 +219,9 @@ impl Wire for DecisionRequest {
 }
 
 /// Decodes one op record and applies it to `g` through the public
-/// mutation API — the single replay path used by [`Gkbms::load`], by
-/// journal recovery and by replicas.
+/// mutation API, whose every path ends in `Gkbms::commit` — so a
+/// replayed op lands in the replaying instance's history (and journal)
+/// exactly as it did in the original's.
 pub(crate) fn apply_record(g: &mut Gkbms, payload: &[u8]) -> GkbmsResult<()> {
     match JournalOp::decode(payload)? {
         JournalOp::ObjectClass {
@@ -267,18 +250,20 @@ pub(crate) fn apply_record(g: &mut Gkbms, payload: &[u8]) -> GkbmsResult<()> {
         JournalOp::Retract { name } => {
             g.retract_decision(&name)?;
         }
-        JournalOp::Nogood { decisions } => g.nogoods.push(decisions),
+        JournalOp::Nogood { decisions } => g.record_nogood(decisions)?,
         JournalOp::Tell { src } => {
             g.tell_src(&src)?;
         }
         JournalOp::Untell { name } => {
             g.untell(&name)?;
         }
+        // A header, not an op: it positions the instance and is never
+        // part of the history it leads.
         JournalOp::CheckpointCovers { covered_seq, epoch } => {
             g.snapshot_covers = covered_seq;
             g.epoch = g.epoch.max(epoch);
         }
-        JournalOp::Seal { epoch } => g.epoch = g.epoch.max(epoch),
+        JournalOp::Seal { epoch } => g.seal(epoch)?,
         JournalOp::RegisterView { name, rules } => {
             g.register_view(&name, &rules)?;
         }
@@ -286,7 +271,7 @@ pub(crate) fn apply_record(g: &mut Gkbms, payload: &[u8]) -> GkbmsResult<()> {
     Ok(())
 }
 
-/// Sibling temp path used by the atomic save: same directory (so the
+/// Sibling temp path used by the atomic write: same directory (so the
 /// rename cannot cross filesystems), distinguishable suffix.
 fn save_tmp_path(path: &Path) -> std::path::PathBuf {
     let mut name = path
@@ -297,15 +282,26 @@ fn save_tmp_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Writes `payloads` as an append log at `path`, crash-atomically:
-/// temp file, fsync, rename over the target, parent-directory fsync.
-fn write_log_atomic(path: &Path, payloads: Vec<Vec<u8>>) -> GkbmsResult<()> {
+/// Writes `header` (if any) and then `payloads` as a record log at
+/// `path`, crash-atomically: temp file, fsync, rename over the target,
+/// parent-directory fsync. A crash at any point leaves either the old
+/// complete file or the new one — never a partial or missing file. The
+/// one writer behind `save`, checkpoint snapshots and replica snapshot
+/// installation.
+pub(crate) fn write_atomic(
+    path: &Path,
+    header: Option<JournalOp>,
+    payloads: &[Vec<u8>],
+) -> GkbmsResult<()> {
     let tmp = save_tmp_path(path);
     let _ = std::fs::remove_file(&tmp);
     {
         let mut log = AppendLog::open(&tmp)?;
+        if let Some(header) = header {
+            log.append(&header.encode())?;
+        }
         for payload in payloads {
-            log.append(&payload)?;
+            log.append(payload)?;
         }
         log.sync()?;
     }
@@ -315,129 +311,37 @@ fn write_log_atomic(path: &Path, payloads: Vec<Vec<u8>>) -> GkbmsResult<()> {
 }
 
 impl Gkbms {
-    /// The complete history as replayable op records, in replay order:
-    /// definitions and registrations first, then executions, explicit
-    /// retractions and raw TELL/UNTELL traffic interleaved by commit
-    /// sequence number, then nogoods.
+    /// The complete history as replayable op records, in the order the
+    /// ops were committed.
     pub(crate) fn history_payloads(&self) -> Vec<Vec<u8>> {
-        let definitions = self
-            .object_class_log
-            .iter()
-            .map(|(name, level, parent)| JournalOp::ObjectClass {
-                name: name.clone(),
-                level: level.clone(),
-                parent: parent.clone(),
-            })
-            .chain(
-                self.class_order
-                    .iter()
-                    .map(|name| JournalOp::DecisionClass {
-                        class: self.classes[name].clone(),
-                    }),
-            )
-            .chain(self.tool_order.iter().map(|name| JournalOp::Tool {
-                spec: self.tools[name].clone(),
-            }))
-            .chain(
-                self.register_log
-                    .iter()
-                    .map(|(name, class, source)| JournalOp::Register {
-                        name: name.clone(),
-                        class: class.clone(),
-                        source: source.clone(),
-                    }),
-            );
+        self.history.iter().map(JournalOp::encode).collect()
+    }
 
-        // Interleave executions, explicit retractions and raw tells by
-        // their shared monotonic commit sequence number. Sorting by
-        // belief tick alone is not enough: events sharing a tick would
-        // replay in category order rather than commit order.
-        enum Ev<'a> {
-            Exec(&'a DecisionRecord),
-            Retract(&'a str),
-            Tell(&'a TellEvent),
-        }
-        let mut events: Vec<(u64, Ev)> = self
-            .records
-            .iter()
-            .map(|r| (r.seq, Ev::Exec(r)))
-            .chain(
-                self.retraction_log
-                    .iter()
-                    .map(|(s, _, n)| (*s, Ev::Retract(n.as_str()))),
-            )
-            .chain(self.tell_log.iter().map(|(s, _, ev)| (*s, Ev::Tell(ev))))
-            .collect();
-        events.sort_by_key(|(s, _)| *s);
-        let events = events.into_iter().map(|(_, ev)| match ev {
-            Ev::Exec(r) => JournalOp::execute(r),
-            Ev::Retract(name) => JournalOp::Retract { name: name.into() },
-            Ev::Tell(TellEvent::Tell(src)) => JournalOp::Tell { src: src.clone() },
-            Ev::Tell(TellEvent::Untell(name)) => JournalOp::Untell { name: name.clone() },
-        });
-        let nogoods = self.nogoods.iter().map(|ng| JournalOp::Nogood {
-            decisions: ng.clone(),
-        });
-        // View registrations replay last, over the fully reconstructed
-        // state: the model a registration builds from the final state
-        // equals the model maintained through the history, so only the
-        // `as_of` watermark is (conservatively) later than it was live.
-        let views = self.views.iter().map(|v| JournalOp::RegisterView {
-            name: v.name().into(),
-            rules: v.rules().into(),
-        });
-        definitions
-            .chain(events)
-            .chain(nogoods)
-            .chain(views)
-            .map(|op| op.encode())
-            .collect()
+    /// Replays op records, in order, through [`apply_record`] — the one
+    /// loop behind [`Gkbms::load`], journal recovery and replica
+    /// bootstrap.
+    pub(crate) fn replay<P: AsRef<[u8]>>(
+        &mut self,
+        payloads: impl IntoIterator<Item = P>,
+    ) -> GkbmsResult<()> {
+        payloads
+            .into_iter()
+            .try_for_each(|p| apply_record(self, p.as_ref()))
     }
 
     /// Saves the complete history to `path`, crash-atomically replacing
-    /// any existing file: the log is written to a sibling temp file and
-    /// fsynced, then renamed over the target, then the parent directory
-    /// is fsynced. A crash at any point leaves either the old complete
-    /// history or the new one — never a partial or missing file.
+    /// any existing file.
     pub fn save(&self, path: impl AsRef<Path>) -> GkbmsResult<()> {
-        write_log_atomic(path.as_ref(), self.history_payloads())
+        write_atomic(path.as_ref(), None, &self.history_payloads())
     }
 
-    /// Saves a checkpoint snapshot: the complete history prefixed with
-    /// a [`JournalOp::CheckpointCovers`] record naming the journal op
-    /// sequence (and sequence epoch) the snapshot covers, so recovery
-    /// can tell WAL records the snapshot already holds from genuinely
-    /// newer ones.
-    pub(crate) fn save_snapshot(&self, path: &Path, covered_seq: u64) -> GkbmsResult<()> {
-        let mut payloads = vec![JournalOp::CheckpointCovers {
-            covered_seq,
-            epoch: self.epoch,
-        }
-        .encode()];
-        payloads.extend(self.history_payloads());
-        write_log_atomic(path, payloads)
-    }
-
-    /// Writes `payloads` as a crash-atomic snapshot/history file at
-    /// `path` — the shared primitive behind `save`, `save_snapshot` and
-    /// replica snapshot installation.
-    pub(crate) fn write_payloads_atomic(path: &Path, payloads: Vec<Vec<u8>>) -> GkbmsResult<()> {
-        write_log_atomic(path, payloads)
-    }
-
-    /// Loads a saved history, re-executing it into a fresh GKBMS.
+    /// Loads a saved history, re-executing it into a fresh GKBMS. The
+    /// file is only ever read: a missing path is an error, not an empty
+    /// GKBMS.
     pub fn load(path: impl AsRef<Path>) -> GkbmsResult<Gkbms> {
+        let (payloads, _) = storage::log::read_payloads(path)?;
         let mut g = Gkbms::new()?;
-        let mut log = AppendLog::open(path)?;
-        let items: Vec<Vec<u8>> = log
-            .iter()?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|(_, payload)| payload)
-            .collect();
-        for payload in items {
-            apply_record(&mut g, &payload)?;
-        }
+        g.replay(payloads)?;
         Ok(g)
     }
 }
@@ -620,10 +524,9 @@ mod tests {
             "design.tdl#Invitation",
         )
         .unwrap();
-        // Commit order: raw TELL first, then an execution, then an
-        // UNTELL — then force all three onto one belief tick, as a
-        // coarse-grained clock would. A tick-only sort replays the
-        // execution first (category order), violating commit order.
+        // Commit order: a raw TELL, then an execution, then the UNTELL
+        // of what was told. No tick, category or other key orders them
+        // in the file — only their position in the history does.
         g.tell_src("TELL Memo end").unwrap();
         g.execute(
             DecisionRequest::new("TDL_MappingDec", "mapInvitations", "dev")
@@ -633,42 +536,62 @@ mod tests {
         )
         .unwrap();
         g.untell("Memo").unwrap();
-        let shared_tick = 99;
-        g.tell_log[0].1 = shared_tick;
-        g.tell_log[1].1 = shared_tick;
-        g.records[0].tick = shared_tick;
         g.save(&path).unwrap();
         let loaded = Gkbms::load(&path).unwrap();
-        // Replay preserved commit order: tell < execute < untell by the
-        // reloaded system's own (freshly assigned) sequence numbers.
-        let tell_seq = loaded.tell_log[0].0;
-        let untell_seq = loaded.tell_log[1].0;
-        let exec_seq = loaded.records[0].seq;
+        // Replay preserved commit order, tell < execute < untell: on
+        // the reloaded system's own clock `Memo` is believed when the
+        // decision executes …
+        let executed = loaded.record("mapInvitations").unwrap().tick;
         assert!(
-            tell_seq < exec_seq && exec_seq < untell_seq,
-            "commit order lost: tell={tell_seq} exec={exec_seq} untell={untell_seq}"
+            loaded.snapshot_at(executed).lookup("Memo").is_some(),
+            "commit order lost: the execution replayed outside Memo's belief window"
         );
-        // And the untell still wins over the tell.
+        // … and the untell still wins over the tell.
         assert!(loaded.kb().lookup("Memo").is_none());
+        // The reloaded history is the saved one, op for op.
+        let again = tmp("same-tick-again");
+        loaded.save(&again).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&again).unwrap()
+        );
         std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&again).unwrap();
     }
 
     #[test]
     fn retraction_of_earlier_decision_keeps_commit_order_on_same_tick() {
-        let path = tmp("same-tick-retract");
+        let path = tmp("late-retract");
         let mut g = full_history();
-        // mapMinutes was explicitly... no: `keys` conflict retracted it.
-        // Retract a still-effective decision and collapse ticks with the
-        // latest execution.
+        // Retract the *first* decision after every later execution and
+        // the conflict that retracted `mapMinutes`.
         g.retract_decision("mapInvitations").unwrap();
-        let shared = 123;
-        g.records.last_mut().unwrap().tick = shared;
-        g.retraction_log.last_mut().unwrap().1 = shared;
         g.save(&path).unwrap();
         let loaded = Gkbms::load(&path).unwrap();
         assert!(!loaded.is_effective("mapInvitations"));
         assert_eq!(loaded.records().len(), g.records().len());
+        for (a, b) in loaded.records().iter().zip(g.records()) {
+            assert_eq!((&a.name, a.retracted), (&b.name, b.retracted));
+        }
+        // The retraction replayed where it was committed — after the
+        // last execution, whose tick still sees the retracted output.
+        let last = loaded.records().last().unwrap().tick;
+        assert!(loaded.snapshot_at(last).lookup("InvitationRel").is_some());
+        assert!(loaded.kb().lookup("InvitationRel").is_none());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn load_of_a_missing_path_is_an_error_and_creates_nothing() {
+        let path = tmp("missing");
+        match Gkbms::load(&path) {
+            Err(GkbmsError::Telos(telos::TelosError::Storage(storage::StorageError::Io(e)))) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound)
+            }
+            Err(other) => panic!("expected a typed NotFound, got {other}"),
+            Ok(_) => panic!("a missing history loaded as an empty GKBMS"),
+        }
+        assert!(!path.exists(), "load created the file it could not find");
     }
 
     /// The fixture holds a sample per row (strings "Paper", `u64` 7,

@@ -77,7 +77,10 @@ impl Gkbms {
                 )))
             }
         }
-        let r = self.record(name).expect("checked by replayability").clone();
+        let r = self
+            .record(name)
+            .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?
+            .clone();
         let mut req = DecisionRequest::new(&r.class, as_name, &r.performer);
         req.tool = r.tool.clone();
         req.inputs = r.inputs.clone();

@@ -8,6 +8,14 @@
 //! its consequences OUT — "supporting this consistent, selective
 //! backtracking is the main purpose of introducing the explicit
 //! documentation of design decisions and dependencies" (§2.1).
+//!
+//! Every mutator below ends in the one commit point
+//! ([`Gkbms::commit`]): the op that replays it is appended to
+//! `history` (and the journal). A mutator that fails rolls back what it
+//! told ([`Gkbms::tracked`]) and commits nothing, so the live state is
+//! always the replay of the history.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::decisions::{DecisionClass, Discharge, ToolSpec};
 use crate::error::{GkbmsError, GkbmsResult};
@@ -15,6 +23,7 @@ use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
 use rms::jtms::{Jtms, JtmsNodeId};
 use std::collections::HashMap;
+use std::sync::PoisonError;
 use telos::assertion;
 use telos::{Kb, PropId};
 
@@ -97,10 +106,6 @@ pub struct DecisionRecord {
     pub discharges: Vec<Discharge>,
     /// Belief tick at execution.
     pub tick: i64,
-    /// Monotonic commit sequence number: total order of executions,
-    /// explicit retractions and raw TELL/UNTELL events across one
-    /// GKBMS history, used to replay same-tick events in commit order.
-    pub seq: u64,
     /// True once retracted.
     pub retracted: bool,
     /// The decision instance proposition.
@@ -118,22 +123,12 @@ pub struct DecisionSummary {
     pub tick: i64,
 }
 
-/// One entry of the raw TELL/UNTELL log (persisted by replay).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum TellEvent {
-    /// Objectbase concrete syntax, possibly several frames.
-    Tell(String),
-    /// Cascading UNTELL of one object.
-    Untell(String),
-}
-
 /// The Global KBMS.
 pub struct Gkbms {
     pub(crate) kb: Kb,
     pub(crate) pm: ProcessModel,
     pub(crate) jtms: Jtms,
     pub(crate) classes: HashMap<String, DecisionClass>,
-    pub(crate) class_order: Vec<String>,
     pub(crate) tools: HashMap<String, ToolSpec>,
     pub(crate) records: Vec<DecisionRecord>,
     pub(crate) object_node: HashMap<String, JtmsNodeId>,
@@ -141,20 +136,11 @@ pub struct Gkbms {
     pub(crate) graph_cache: Option<modelbase::display::Graph>,
     /// Decision-level nogoods recorded by conflict resolution.
     pub(crate) nogoods: Vec<Vec<String>>,
-    /// Definition/registration logs, for persistence by replay.
-    pub(crate) object_class_log: Vec<(String, String, Option<String>)>,
-    pub(crate) tool_order: Vec<String>,
-    pub(crate) register_log: Vec<(String, String, String)>,
-    /// Explicit retractions as `(seq, tick, decision)` (cascades are
-    /// re-derived on replay).
-    pub(crate) retraction_log: Vec<(u64, i64, String)>,
-    /// Raw TELL/UNTELL traffic as `(seq, tick, event)`, so ad-hoc
-    /// frames told through the service survive save/load like
-    /// decisions do.
-    pub(crate) tell_log: Vec<(u64, i64, TellEvent)>,
-    /// Commit sequence counter shared by records, retractions and raw
-    /// tells — the total event order that persistence sorts on.
-    pub(crate) seq: u64,
+    /// The history: every committed op, in commit order — what `save`,
+    /// a checkpoint snapshot and a shipped snapshot write down, and
+    /// what the journal holds framed. Everything else in this struct is
+    /// derived from it by replay. Appended to by [`Gkbms::commit`] only.
+    pub(crate) history: Vec<JournalOp>,
     /// Live write-ahead journal, when attached via [`Gkbms::recover`].
     pub(crate) journal: Option<crate::journal::Journal>,
     /// Journal op sequence covered by the checkpoint snapshot this
@@ -176,6 +162,9 @@ pub struct Gkbms {
     /// maintained by every belief-changing mutation (see
     /// [`crate::views`]).
     pub(crate) views: Vec<crate::views::RegisteredView>,
+    /// Length of the KB prefix whose propositions have been flowed into
+    /// `views` (see `Gkbms::flow_new_props`).
+    pub(crate) views_seen: usize,
     /// The per-SCC fingerprint cache of the admission-time analyzer:
     /// a TELL re-analyzes only the components its delta dirties.
     /// Behind a mutex because linting is a `&self` read operation.
@@ -199,24 +188,19 @@ impl Gkbms {
             pm,
             jtms: Jtms::new(),
             classes: HashMap::new(),
-            class_order: Vec::new(),
             tools: HashMap::new(),
             records: Vec::new(),
             object_node: HashMap::new(),
             decision_node: HashMap::new(),
             graph_cache: None,
             nogoods: Vec::new(),
-            object_class_log: Vec::new(),
-            tool_order: Vec::new(),
-            register_log: Vec::new(),
-            retraction_log: Vec::new(),
-            tell_log: Vec::new(),
-            seq: 0,
+            history: Vec::new(),
             journal: None,
             snapshot_covers: 0,
             epoch: 1,
             replica_applied: 0,
             views: Vec::new(),
+            views_seen: 0,
             lint_cache: std::sync::Mutex::new(analysis::AnalysisCache::new()),
             lint_ctx: std::sync::Mutex::new(None),
             graph_builds: 0,
@@ -237,12 +221,6 @@ impl Gkbms {
             Some(j) => j.appended_ops(),
             None => self.replica_applied,
         }
-    }
-
-    /// Next commit sequence number.
-    pub(crate) fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
     }
 
     /// Read access to the knowledge base.
@@ -281,9 +259,36 @@ impl Gkbms {
         self.kb.tick()
     }
 
+    /// Runs a mutation as one transaction over the KB and the views.
+    /// When `f` succeeds, every proposition it created has flowed into
+    /// the registered views. When it fails — which it does before it
+    /// commits — every one of them is untold again (and taken back out
+    /// of the views, had it flowed in already), so a failed write
+    /// changes nothing a reader or a replica can ever see.
+    fn tracked<T>(&mut self, f: impl FnOnce(&mut Self) -> GkbmsResult<T>) -> GkbmsResult<T> {
+        let mark = self.kb.len();
+        let r = f(self);
+        if r.is_err() {
+            let mut unflow = Vec::new();
+            for i in (mark..self.kb.len()).rev() {
+                let id = crate::error::checked_prop_id(i)?;
+                if self.kb.get(id).is_ok_and(|p| p.is_believed())
+                    && self.kb.untell(id).is_ok()
+                    && i < self.views_seen
+                {
+                    unflow.push(id);
+                }
+            }
+            self.propagate_untold(&unflow);
+        }
+        self.flow_new_props()?;
+        r
+    }
+
     /// TELLs objectbase concrete syntax (`TELL … end`, possibly several
-    /// frames) as one write transaction, logging the source so it is
-    /// replayed by [`Gkbms::load`]. Returns the number of frames told.
+    /// frames) as one write transaction: all frames are told and the
+    /// source is committed to the history, or — if any frame fails —
+    /// none is. Returns the number of frames told.
     pub fn tell_src(&mut self, src: &str) -> GkbmsResult<usize> {
         self.tell_src_checked(src, false).map(|(n, _)| n)
     }
@@ -302,17 +307,11 @@ impl Gkbms {
         if analysis::has_errors(&diags) || (strict && !diags.is_empty()) {
             return Err(GkbmsError::Lint(diags));
         }
-        let tick = self.begin_write();
-        let mark = self.kb.len();
-        let told = objectbase::transform::tell_all(&mut self.kb, &frames);
-        // Views must track the KB even when a multi-frame batch fails
-        // midway (earlier frames stay told).
-        self.propagate_new_props(mark)?;
-        told?;
-        let seq = self.next_seq();
-        self.tell_log
-            .push((seq, tick, TellEvent::Tell(src.to_string())));
-        self.journal_append(JournalOp::Tell { src: src.into() })?;
+        self.begin_write();
+        self.tracked(|g| {
+            objectbase::transform::tell_all(&mut g.kb, &frames)?;
+            g.commit(JournalOp::Tell { src: src.into() })
+        })?;
         obs::counter!("gkbms_tells_total", "Frames TELLed into the knowledge base")
             .add(frames.len() as u64);
         Ok((frames.len(), diags))
@@ -347,7 +346,9 @@ impl Gkbms {
     /// the KB changed since the last lint.
     pub(crate) fn lint_context(&self) -> analysis::LintContext {
         let key = (self.kb.len(), self.kb.now());
-        let mut slot = self.lint_ctx.lock().expect("lint ctx lock");
+        // The slot is a rebuildable cache: a poisoned lock still holds
+        // a usable (or absent) value.
+        let mut slot = self.lint_ctx.lock().unwrap_or_else(PoisonError::into_inner);
         match &*slot {
             Some((k, ctx)) if *k == key => ctx.clone(),
             _ => {
@@ -367,7 +368,10 @@ impl Gkbms {
     ) -> Vec<analysis::Diagnostic> {
         let start = std::time::Instant::now();
         let ctx = self.lint_context();
-        let mut cache = self.lint_cache.lock().expect("lint cache lock");
+        let mut cache = self
+            .lint_cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let (before_re, before_hits) = (cache.sccs_reanalyzed, cache.fingerprint_hits);
         let diags = run(&ctx, &mut cache);
         obs::counter!(
@@ -405,16 +409,13 @@ impl Gkbms {
         diags
     }
 
-    /// UNTELLs `name` (cascading) as one write transaction, logging the
-    /// event for replay. Returns the number of propositions untold.
+    /// UNTELLs `name` (cascading) as one write transaction. Returns the
+    /// number of propositions untold.
     pub fn untell(&mut self, name: &str) -> GkbmsResult<usize> {
-        let tick = self.begin_write();
+        self.begin_write();
         let gone = objectbase::transform::untell_object(&mut self.kb, name)?;
         self.propagate_untold(&gone);
-        let seq = self.next_seq();
-        self.tell_log
-            .push((seq, tick, TellEvent::Untell(name.to_string())));
-        self.journal_append(JournalOp::Untell { name: name.into() })?;
+        self.commit(JournalOp::Untell { name: name.into() })?;
         obs::counter!(
             "gkbms_untells_total",
             "Objects UNTELLed (belief intervals closed)"
@@ -444,16 +445,6 @@ impl Gkbms {
     }
 
     // ----- schema-level definitions ---------------------------------------
-
-    /// Runs a mutation and flows every proposition it created into the
-    /// registered views — even on error, since failed definitions can
-    /// leave earlier propositions of the batch believed.
-    fn tracked<T>(&mut self, f: impl FnOnce(&mut Self) -> GkbmsResult<T>) -> GkbmsResult<T> {
-        let mark = self.kb.len();
-        let r = f(self);
-        self.propagate_new_props(mark)?;
-        r
-    }
 
     /// Defines a design-object class (an instance of `DesignObject`).
     pub fn define_object_class(
@@ -487,12 +478,7 @@ impl Gkbms {
                 .ok_or_else(|| GkbmsError::Unknown(format!("object class `{p}`")))?;
             self.kb.specialize(c, p)?;
         }
-        self.object_class_log.push((
-            name.to_string(),
-            level.to_string(),
-            parent.map(|s| s.to_string()),
-        ));
-        self.journal_append(JournalOp::ObjectClass {
+        self.commit(JournalOp::ObjectClass {
             name: name.into(),
             level: level.into(),
             parent: parent.map(Into::into),
@@ -541,9 +527,8 @@ impl Gkbms {
                 .ok_or_else(|| GkbmsError::Unknown(format!("decision class `{parent}`")))?;
             self.kb.specialize(prop, p)?;
         }
-        self.class_order.push(dc.name.clone());
-        self.classes.insert(dc.name.clone(), dc.clone());
-        self.journal_append(JournalOp::DecisionClass { class: dc })?;
+        self.commit(JournalOp::DecisionClass { class: dc.clone() })?;
+        self.classes.insert(dc.name.clone(), dc);
         Ok(prop)
     }
 
@@ -566,9 +551,8 @@ impl Gkbms {
             // The BY association at the class level (fig 2-6).
             self.kb.put_attr(d, names::BY_I, prop)?;
         }
-        self.tool_order.push(spec.name.clone());
-        self.tools.insert(spec.name.clone(), spec.clone());
-        self.journal_append(JournalOp::Tool { spec })?;
+        self.commit(JournalOp::Tool { spec: spec.clone() })?;
+        self.tools.insert(spec.name.clone(), spec);
         Ok(prop)
     }
 
@@ -601,19 +585,14 @@ impl Gkbms {
         let src = self.kb.individual(source)?;
         self.kb.instantiate(src, self.pm.source_ref)?;
         self.kb.put_attr(obj, names::SOURCE_I, src)?;
-        let node = *self
-            .object_node
-            .entry(name.to_string())
-            .or_insert_with(|| self.jtms.node(name));
-        self.jtms.justify(node, &[], &[]);
-        self.graph_cache = None;
-        self.register_log
-            .push((name.to_string(), class.to_string(), source.to_string()));
-        self.journal_append(JournalOp::Register {
+        self.commit(JournalOp::Register {
             name: name.into(),
             class: class.into(),
             source: source.into(),
         })?;
+        let node = self.node_for(name);
+        self.jtms.justify(node, &[], &[]);
+        self.graph_cache = None;
         Ok(obj)
     }
 
@@ -682,9 +661,14 @@ impl Gkbms {
             .kb
             .lookup(object)
             .ok_or_else(|| GkbmsError::Unknown(format!("design object `{object}`")))?;
+        let mut candidates: Vec<&DecisionClass> = self.classes.values().collect();
+        candidates.sort_by(|a, b| {
+            self.class_depth(&b.name)
+                .cmp(&self.class_depth(&a.name))
+                .then_with(|| a.name.cmp(&b.name))
+        });
         let mut out: Vec<(String, Vec<String>)> = Vec::new();
-        for name in &self.class_order {
-            let dc = &self.classes[name];
+        for dc in candidates {
             let class_match = dc.from_classes.iter().any(|fc| {
                 self.kb
                     .lookup(fc)
@@ -701,16 +685,11 @@ impl Gkbms {
             let tools: Vec<String> = self
                 .tools
                 .values()
-                .filter(|t| self.tool_covers(t, name))
+                .filter(|t| self.tool_covers(t, &dc.name))
                 .map(|t| t.name.clone())
                 .collect();
-            out.push((name.clone(), sorted(tools)));
+            out.push((dc.name.clone(), sorted(tools)));
         }
-        out.sort_by(|a, b| {
-            self.class_depth(&b.0)
-                .cmp(&self.class_depth(&a.0))
-                .then_with(|| a.0.cmp(&b.0))
-        });
         Ok(out)
     }
 
@@ -844,27 +823,7 @@ impl Gkbms {
         }
 
         // ----- nested transaction body -----
-        let mark = self.kb.len();
-        let result = self.execute_body(&req, &dc, &input_ids);
-        match result {
-            Ok(summary) => Ok(summary),
-            Err(e) => {
-                // Abort: untell everything the body created, and take
-                // the same deltas back out of the registered views.
-                let created: Vec<PropId> = (mark..self.kb.len())
-                    .map(crate::error::checked_prop_id)
-                    .collect::<GkbmsResult<_>>()?;
-                let mut undone = Vec::new();
-                for id in created.into_iter().rev() {
-                    if self.kb.get(id).map(|p| p.is_believed()).unwrap_or(false) {
-                        let _ = self.kb.untell(id);
-                        undone.push(id);
-                    }
-                }
-                self.propagate_untold(&undone);
-                Err(e)
-            }
-        }
+        self.tracked(|g| g.execute_body(&req, &dc, &input_ids))
     }
 
     fn execute_body(
@@ -919,13 +878,17 @@ impl Gkbms {
         let created: Vec<PropId> = (mark..self.kb.len())
             .map(crate::error::checked_prop_id)
             .collect::<GkbmsResult<_>>()?;
-        self.propagate_new_props(mark)?;
+        self.flow_new_props()?;
         let (violations, _) = self.check_touched_with_views(&created);
         if !violations.is_empty() {
             return Err(GkbmsError::Aborted {
                 violations: violations.iter().map(|v| v.to_string()).collect(),
             });
         }
+
+        self.commit(JournalOp::Execute {
+            request: req.clone(),
+        })?;
 
         // JTMS: the decision is an assumption; outputs are justified by
         // the decision together with its inputs.
@@ -941,7 +904,6 @@ impl Gkbms {
         }
 
         let tick = self.kb.tick();
-        let seq = self.next_seq();
         self.records.push(DecisionRecord {
             name: req.name.clone(),
             class: dc.name.clone(),
@@ -952,13 +914,9 @@ impl Gkbms {
             output_classes: req.outputs.iter().map(|(_, c)| c.clone()).collect(),
             discharges: req.discharges.clone(),
             tick,
-            seq,
             retracted: false,
             prop: decision,
         });
-        self.journal_append(JournalOp::Execute {
-            request: req.clone(),
-        })?;
         self.graph_cache = None;
         obs::counter!(
             "gkbms_decisions_executed_total",
@@ -1042,18 +1000,15 @@ impl Gkbms {
             }
         }
         self.propagate_untold(&gone);
-        let mark = self.kb.len();
         let retracted_status = self.kb.individual("retracted")?;
         for i in retracted_decisions {
             let prop = self.records[i].prop;
             self.kb.put_attr(prop, "status", retracted_status)?;
             self.records[i].retracted = true;
         }
-        self.propagate_new_props(mark)?;
-        let t = self.kb.tick();
-        let seq = self.next_seq();
-        self.retraction_log.push((seq, t, name.to_string()));
-        self.journal_append(JournalOp::Retract { name: name.into() })?;
+        self.flow_new_props()?;
+        self.kb.tick();
+        self.commit(JournalOp::Retract { name: name.into() })?;
         self.graph_cache = None;
         obs::counter!(
             "gkbms_decisions_retracted_total",

@@ -103,8 +103,8 @@ impl Gkbms {
     /// Like [`Gkbms::register_view`], but also runs the CB013
     /// maintainability lint against the view's program: DRed cost over
     /// large recursive strata (using the KB's measured EDB
-    /// cardinalities) and churn risk under the observed TELL/UNTELL
-    /// mix from the write log. Warnings never block registration —
+    /// cardinalities) and churn risk under the TELL/UNTELL mix of the
+    /// history so far. Warnings never block registration —
     /// they ride back to the caller next to the watermark.
     pub fn register_view_checked(
         &mut self,
@@ -133,30 +133,33 @@ impl Gkbms {
         {
             let ctx = self.lint_context();
             let (tells, untells) = self
-                .tell_log
+                .history
                 .iter()
-                .fold((0u64, 0u64), |(t, u), (_, _, e)| match e {
-                    crate::system::TellEvent::Tell(_) => (t + 1, u),
-                    crate::system::TellEvent::Untell(_) => (t, u + 1),
+                .fold((0u64, 0u64), |(t, u), op| match op {
+                    JournalOp::Tell { .. } => (t + 1, u),
+                    JournalOp::Untell { .. } => (t, u + 1),
+                    _ => (t, u),
                 });
             analysis::cost::lint_view(name, &program, &ctx.edb_cards, tells, untells, &mut diags);
             analysis::sort_diagnostics(&mut diags);
         }
         let mut view = MaterializedView::new(program).map_err(objectbase::ObError::from)?;
-        // The initial load is itself one incremental batch.
+        // The initial load is itself one incremental batch, over the
+        // whole KB — which the older views must have seen too.
+        self.flow_new_props()?;
         view.apply(&query::edb_facts(&self.kb), &[])
             .map_err(objectbase::ObError::from)?;
         let as_of = self.kb.now();
+        self.commit(JournalOp::RegisterView {
+            name: name.into(),
+            rules: rules.into(),
+        })?;
         self.views.push(RegisteredView {
             name: name.to_string(),
             rules: rules.to_string(),
             view,
             as_of,
         });
-        self.journal_append(JournalOp::RegisterView {
-            name: name.into(),
-            rules: rules.into(),
-        })?;
         obs::gauge!(
             "gkbms_views_registered",
             "Materialized deductive views currently registered"
@@ -184,9 +187,11 @@ impl Gkbms {
         Ok(v.tuples(pred))
     }
 
-    /// Flows believed propositions created at or after `mark` into
-    /// every registered view as insert deltas.
-    pub(crate) fn propagate_new_props(&mut self, mark: usize) -> GkbmsResult<()> {
+    /// Flows the believed propositions the views have not seen yet
+    /// (those at or after `views_seen`) into every registered view as
+    /// insert deltas. Idempotent: a second call finds nothing new.
+    pub(crate) fn flow_new_props(&mut self) -> GkbmsResult<()> {
+        let mark = std::mem::replace(&mut self.views_seen, self.kb.len());
         if self.views.is_empty() || mark >= self.kb.len() {
             return Ok(());
         }

@@ -37,7 +37,7 @@ pub struct WalTail {
     /// Next op sequence to deliver; records below it (a resumed
     /// subscription mid-WAL) are skipped, a record above it means the
     /// file no longer holds the needed range.
-    next_seq: u64,
+    resume_seq: u64,
 }
 
 impl WalTail {
@@ -47,13 +47,14 @@ impl WalTail {
         WalTail {
             path: path.as_ref().to_path_buf(),
             offset: 0,
-            next_seq: start_seq,
+            resume_seq: start_seq,
         }
     }
 
-    /// The next op sequence this tail will deliver.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
+    /// The next op sequence this tail will deliver — where a new tail
+    /// over a rewritten file resumes.
+    pub fn resume_seq(&self) -> u64 {
+        self.resume_seq
     }
 
     /// Reads committed records up to `up_to_seq` (the durable
@@ -66,7 +67,7 @@ impl WalTail {
         if len < self.offset {
             return Ok(TailStep::Truncated);
         }
-        if len == self.offset || self.next_seq > up_to_seq {
+        if len == self.offset || self.resume_seq > up_to_seq {
             return Ok(TailStep::Idle);
         }
         let mut reader = BufReader::new(file);
@@ -90,12 +91,12 @@ impl WalTail {
                 Ok(t) => t,
                 Err(_) => return Ok(TailStep::Truncated),
             };
-            if seq < self.next_seq {
+            if seq < self.resume_seq {
                 // Prefix the subscriber already holds.
                 self.offset += advance;
                 continue;
             }
-            if seq > self.next_seq {
+            if seq > self.resume_seq {
                 // A hole: the file was truncated and refilled past the
                 // range this tail still needs.
                 return Ok(TailStep::Truncated);
@@ -105,7 +106,7 @@ impl WalTail {
                 break;
             }
             self.offset += advance;
-            self.next_seq = seq + 1;
+            self.resume_seq = seq + 1;
             bytes += payload.len();
             out.push(ShippedRecord {
                 seq,

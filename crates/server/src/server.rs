@@ -775,6 +775,19 @@ fn write_state(shared: &Shared) -> std::sync::RwLockWriteGuard<'_, Gkbms> {
     guard
 }
 
+/// Swaps `fresh` in as the served state — a `Load`, a replica's
+/// snapshot install — under the caller's write guard: publishes its
+/// store version, then re-pins every session at the fresh head, since
+/// old watermarks and pins refer to a store that no longer exists.
+fn replace_state(shared: &Shared, mut g: RwLockWriteGuard<'_, Gkbms>, fresh: Gkbms) {
+    *g = fresh;
+    let now = g.kb().now();
+    shared.chain.publish(g.kb().version());
+    drop(g);
+    let pin = shared.chain.acquire();
+    lock_sessions(shared).repin_all(now, pin);
+}
+
 /// Completes a mutating request's commit: publishes the new store
 /// version for snapshot readers, then enforces the configured fsync
 /// policy (and the auto-checkpoint threshold) before the caller

@@ -10,7 +10,8 @@
 //! mutation runs through [`write_op`].
 
 use super::{
-    durable_commit, lock_sessions, read_state, write_state, Shared, SlowQuery, SLOW_LOG_CAP,
+    durable_commit, lock_sessions, read_state, replace_state, write_state, Shared, SlowQuery,
+    SLOW_LOG_CAP,
 };
 use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
 use crate::session::SessionErr;
@@ -359,15 +360,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                 ));
             }
             let fresh = Gkbms::load(&path).map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
-            let mut g = write_state(shared);
-            *g = fresh;
-            let now = g.kb().now();
-            shared.chain.publish(g.kb().version());
-            drop(g);
-            // Old watermarks and versions refer to a store that no
-            // longer exists; re-pin every session to the fresh head.
-            let pin = shared.chain.acquire();
-            lock_sessions(shared).repin_all(now, pin);
+            replace_state(shared, write_state(shared), fresh);
             done(format!("loaded from {path}"))
         }
         Request::Checkpoint { session } => {

@@ -6,7 +6,7 @@
 //! resubscribe with capped exponential backoff. Stops on shutdown or
 //! promotion.
 
-use super::{lock_sessions, read_state, sweep_sessions, write_state, Shared};
+use super::{read_state, replace_state, sweep_sessions, write_state, Shared};
 use crate::proto::{self, ErrorCode, FrameRead, Request, Response};
 use gkbms::Gkbms;
 use replication::{ReplError, ReplMsg, StreamApplier};
@@ -187,34 +187,26 @@ fn observe_lag(shared: &Shared) {
 
 /// Replaces the replica's state from a shipped checkpoint snapshot:
 /// install (journaled replicas persist it and drop their stale WAL),
-/// publish, and re-pin every session at the fresh head. Returns the
-/// applier positioned after the snapshot's covered sequence.
+/// then swap it in through [`replace_state`]. Returns the applier
+/// positioned after the snapshot's covered sequence.
 fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<StreamApplier, ReplError> {
     obs::counter!(
         "gkbms_replication_snapshots_installed_total",
         "Checkpoint snapshots installed by this replica during catch-up"
     )
     .inc();
-    let mut g = write_state(shared);
+    let g = write_state(shared);
     let dir = g.journal().map(|j| j.dir().to_path_buf());
     let fresh = match dir {
         Some(dir) => Gkbms::install_replica_snapshot(&dir, payloads).map(|(g, _)| g),
         None => Gkbms::replica_from_snapshot(&payloads),
     }
     .map_err(|e| ReplError::Protocol(format!("snapshot install: {e}")))?;
-    *g = fresh;
-    let now = g.kb().now();
-    let applied = g.applied_seq();
-    let epoch = g.epoch();
-    shared.chain.publish(g.kb().version());
-    drop(g);
+    let (applied, epoch) = (fresh.applied_seq(), fresh.epoch());
+    replace_state(shared, g, fresh);
     shared.repl.applied_seq.store(applied, Ordering::SeqCst);
     shared.repl.epoch.store(epoch, Ordering::SeqCst);
     shared.repl.commit.advance(applied, epoch);
-    // Old pins reference a store that no longer exists; re-pin every
-    // session at the fresh head (mirrors `Load`).
-    let pin = shared.chain.acquire();
-    lock_sessions(shared).repin_all(now, pin);
     Ok(StreamApplier::new(applied, epoch))
 }
 

@@ -10,12 +10,10 @@ use super::dispatch::err;
 use super::{read_state, Shared};
 use crate::proto::{self, ErrorCode, Response};
 use replication::{ReplMsg, TailStep, WalTail};
-use std::fs::File;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::TcpStream;
-use std::path::Path;
 use std::sync::atomic::Ordering;
-use storage::record::{self, ReadOutcome, HEADER_LEN};
+use storage::record::HEADER_LEN;
 
 /// Payload-byte cap per shipped `Ops` batch.
 const SHIP_BATCH_BYTES: usize = 256 * 1024;
@@ -31,31 +29,6 @@ fn ship(stream: &mut TcpStream, msg: &ReplMsg) -> io::Result<()> {
     )
     .add((encoded.len() + HEADER_LEN) as u64);
     proto::write_frame(stream, &encoded)
-}
-
-/// Reads every record payload of a length-prefixed CRC file (the
-/// checkpoint snapshot) into memory.
-fn read_payload_file(path: &Path) -> io::Result<Vec<Vec<u8>>> {
-    let file = File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut offset = 0u64;
-    let mut out = Vec::new();
-    loop {
-        match record::read_record(&mut reader, offset) {
-            Ok(ReadOutcome::Record(p)) => {
-                offset += (HEADER_LEN + p.len()) as u64;
-                out.push(p);
-            }
-            Ok(ReadOutcome::Eof) | Ok(ReadOutcome::Torn { .. }) => return Ok(out),
-            Ok(ReadOutcome::BadCrc { offset }) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("snapshot corrupt at byte {offset}"),
-                ))
-            }
-            Err(e) => return Err(io::Error::other(e.to_string())),
-        }
-    }
 }
 
 /// A snapshot staged for transfer to a far-behind subscriber.
@@ -86,7 +59,7 @@ fn plan_stream(
         // The WAL no longer holds the records the subscriber lacks;
         // stage the covering snapshot (reading it into memory under
         // the read lock keeps it consistent with `horizon`).
-        let payloads = read_payload_file(&j.snapshot_path())
+        let (payloads, _) = storage::log::read_payloads(j.snapshot_path())
             .map_err(|e| err(ErrorCode::Internal, format!("snapshot read: {e}")))?;
         Ok((
             wal_path,
@@ -211,10 +184,10 @@ fn ship_stream(
             if shared.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            let (durable, epoch) = shared
-                .repl
-                .commit
-                .wait_beyond(tail.next_seq().saturating_sub(1), shared.cfg.poll_interval);
+            let (durable, epoch) = shared.repl.commit.wait_beyond(
+                tail.resume_seq().saturating_sub(1),
+                shared.cfg.poll_interval,
+            );
             match tail.poll(durable, SHIP_BATCH_BYTES) {
                 Ok(TailStep::Records(records)) => {
                     obs::counter!(
@@ -247,9 +220,9 @@ fn ship_stream(
                     // Re-plan from the subscriber's position: rescan
                     // the new file, or fall back to snapshot transfer
                     // if the needed range was truncated away.
-                    match plan_stream(shared, tail.next_seq().saturating_sub(1)) {
+                    match plan_stream(shared, tail.resume_seq().saturating_sub(1)) {
                         Ok((_, snap)) => {
-                            start_seq = tail.next_seq();
+                            start_seq = tail.resume_seq();
                             snapshot = snap;
                             continue 'stream;
                         }

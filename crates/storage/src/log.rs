@@ -10,20 +10,59 @@
 use crate::error::{StorageError, StorageResult};
 use crate::record::{self, ReadOutcome};
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Log sequence number: byte offset of a record's header in the log file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lsn(pub u64);
 
-/// What `open` found at the tail of an existing log.
+/// What a scan found at the tail of a log file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailState {
     /// Log ended cleanly on a record boundary.
     Clean,
-    /// A torn record was truncated at this offset.
+    /// A torn record starts at this offset. [`AppendLog::open`] has
+    /// truncated it away; [`read_payloads`] only reports it.
     TruncatedAt(u64),
+}
+
+/// Scans records from the start of `reader`, handing each payload to
+/// `on_record`. Returns the offset just past the last whole record and
+/// the state of the tail; a bad CRC before the tail is corruption.
+fn scan(
+    reader: &mut impl Read,
+    mut on_record: impl FnMut(Vec<u8>),
+) -> StorageResult<(u64, TailState)> {
+    let mut offset = 0u64;
+    loop {
+        match record::read_record(reader, offset)? {
+            ReadOutcome::Record(payload) => {
+                offset += (record::HEADER_LEN + payload.len()) as u64;
+                on_record(payload);
+            }
+            ReadOutcome::Eof => return Ok((offset, TailState::Clean)),
+            ReadOutcome::Torn { .. } => return Ok((offset, TailState::TruncatedAt(offset))),
+            ReadOutcome::BadCrc { offset: at } => {
+                return Err(StorageError::Corrupt {
+                    offset: at,
+                    detail: "crc mismatch in log interior".into(),
+                });
+            }
+        }
+    }
+}
+
+/// Reads every record payload of the log file at `path` without ever
+/// writing to it: a missing file is `StorageError::Io` (`NotFound`),
+/// not a fresh log, and a torn tail is reported, not truncated. The
+/// way to read a file this process does not own for appending — a
+/// saved history, a checkpoint snapshot.
+pub fn read_payloads(path: impl AsRef<Path>) -> StorageResult<(Vec<Vec<u8>>, TailState)> {
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut payloads = Vec::new();
+    let (_, tail) = scan(&mut reader, |p| payloads.push(p))?;
+    Ok((payloads, tail))
 }
 
 /// An append-only log of CRC-checked records in a single file.
@@ -56,37 +95,19 @@ impl AppendLog {
         }
         let mut reader = BufReader::new(file.try_clone()?);
         reader.seek(SeekFrom::Start(0))?;
-        let mut offset = 0u64;
         let mut records = 0u64;
-        let mut tail_state = TailState::Clean;
-        loop {
-            match record::read_record(&mut reader, offset)? {
-                ReadOutcome::Record(payload) => {
-                    offset += (record::HEADER_LEN + payload.len()) as u64;
-                    records += 1;
-                }
-                ReadOutcome::Eof => break,
-                ReadOutcome::Torn { offset: at } => {
-                    // Torn tail: truncate and carry on. sync_all (not
-                    // sync_data) because the truncation changed the size,
-                    // and an unsynced truncation could come back torn.
-                    file.set_len(at)?;
-                    file.sync_all()?;
-                    tail_state = TailState::TruncatedAt(at);
-                    obs::counter!(
-                        "storage_log_torn_truncations_total",
-                        "Torn tail records truncated away during log open"
-                    )
-                    .inc();
-                    break;
-                }
-                ReadOutcome::BadCrc { offset: at } => {
-                    return Err(StorageError::Corrupt {
-                        offset: at,
-                        detail: "crc mismatch in log interior".into(),
-                    });
-                }
-            }
+        let (offset, tail_state) = scan(&mut reader, |_| records += 1)?;
+        if let TailState::TruncatedAt(at) = tail_state {
+            // Torn tail: truncate and carry on. sync_all (not
+            // sync_data) because the truncation changed the size, and
+            // an unsynced truncation could come back torn.
+            file.set_len(at)?;
+            file.sync_all()?;
+            obs::counter!(
+                "storage_log_torn_truncations_total",
+                "Torn tail records truncated away during log open"
+            )
+            .inc();
         }
         let mut writer = BufWriter::new(file);
         writer.seek(SeekFrom::Start(offset))?;
@@ -396,6 +417,43 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             AppendLog::open(&path),
+            Err(StorageError::Corrupt { .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn read_payloads_never_writes() {
+        let path = tmp("read-only");
+        // A missing file is an error, and stays missing.
+        match read_payloads(&path) {
+            Err(StorageError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+            other => panic!("expected NotFound, got {other:?}"),
+        }
+        assert!(!path.exists());
+        {
+            let mut log = AppendLog::open(&path).unwrap();
+            log.append(b"committed").unwrap();
+            log.append(b"torn-away-record").unwrap();
+            log.sync().unwrap();
+        }
+        let whole = std::fs::read(&path).unwrap();
+        let (payloads, tail) = read_payloads(&path).unwrap();
+        assert_eq!(payloads.len(), 2);
+        assert_eq!(tail, TailState::Clean);
+        // A torn tail is reported and left on disk.
+        std::fs::write(&path, &whole[..whole.len() - 5]).unwrap();
+        let (payloads, tail) = read_payloads(&path).unwrap();
+        assert_eq!(payloads, vec![b"committed".to_vec()]);
+        let first = (record::HEADER_LEN + b"committed".len()) as u64;
+        assert_eq!(tail, TailState::TruncatedAt(first));
+        assert_eq!(std::fs::read(&path).unwrap().len(), whole.len() - 5);
+        // Interior corruption is fatal, as it is for `open`.
+        let mut bytes = whole.clone();
+        bytes[record::HEADER_LEN + 2] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_payloads(&path),
             Err(StorageError::Corrupt { .. })
         ));
         std::fs::remove_file(&path).unwrap();

@@ -58,6 +58,7 @@
 //! maintained incrementally under TELL/UNTELL),
 //! `\viewask <name> <pred>` (read one predicate of a view, snapshot
 //! pinned at the session watermark),
+//! `\register <name> <class> <source>` (register a design object),
 //! `\explain [rules…]` (the evaluator's join plan and cost estimate,
 //! via the `Explain` wire op), and
 //! `shutdown`; reads are snapshot-isolated at the session watermark,
@@ -240,8 +241,8 @@ fn dispatch_remote(client: &mut Client, session: u64, line: &str) -> Option<Stri
             return None;
         }
         "help" => "commands: tell untell ask holds show refresh history status \\stats \
-                   \\metrics \\lint \\explain \\view \\viewask \\recall \\checkpoint \
-                   \\replstatus \\promote save load shutdown quit"
+                   \\metrics \\lint \\explain \\view \\viewask \\recall \\register \
+                   \\checkpoint \\replstatus \\promote save load shutdown quit"
             .to_string(),
         "tell" => {
             let r = client.tell(session, &format!("TELL {rest}"));
@@ -274,6 +275,13 @@ fn dispatch_remote(client: &mut Client, session: u64, line: &str) -> Option<Stri
         "status" => text(client.status(session)),
         "save" => text(client.save(session, rest)),
         "\\checkpoint" | "checkpoint" => text(client.checkpoint(session)),
+        "\\register" | "register" => match rest.split_whitespace().collect::<Vec<_>>()[..] {
+            [name, class, source] => {
+                let r = client.register_object(session, name, class, source);
+                write_then_refresh(client, r)
+            }
+            _ => "usage: \\register <name> <class> <source>".to_string(),
+        },
         "load" => {
             let r = client.load(session, rest);
             write_then_refresh(client, r)
@@ -819,10 +827,19 @@ mod tests {
         let (session, _) = client.hello().unwrap();
         let r = dispatch_remote(&mut client, session, "tell Paper end").unwrap();
         assert!(r.starts_with("told"), "{r}");
+        let r = dispatch_remote(&mut client, session, "\\register p1 Paper papers#1").unwrap();
+        assert!(r.starts_with("registered"), "{r}");
+        let r = dispatch_remote(&mut client, session, "\\register p1").unwrap();
+        assert!(r.starts_with("usage"), "{r}");
         let r = dispatch_remote(&mut client, session, "\\checkpoint").unwrap();
         assert!(r.contains("compacted"), "{r}");
         server.shutdown().unwrap();
         assert!(dir.join("snapshot").exists());
+        // The snapshot replays in commit order: the told class first,
+        // then the object registered under it.
+        let (restarted, report) = Gkbms::recover(&dir).unwrap();
+        assert!(report.snapshot_loaded);
+        assert!(restarted.is_current("p1"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

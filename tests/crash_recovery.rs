@@ -9,12 +9,23 @@
 //! * **no interior loss** — recovery replays exactly the whole records
 //!   below the crash point, never skipping one in the middle;
 //! * **no panics** — every injected crash yields either a recovered
-//!   prefix or a typed error.
+//!   prefix or a typed error;
+//! * **one op stream, four realizations** — the live instance, recovery
+//!   from the WAL alone, recovery from a checkpoint snapshot plus the
+//!   WAL tail, and a replica built from the shipped snapshot plus the
+//!   shipped tail all hold the same state, whatever the interleaving of
+//!   op kinds (failed, rolled-back writes included) and wherever the
+//!   checkpoint fell.
 
-use conceptbase::gkbms::journal::{SNAPSHOT_FILE, WAL_FILE};
+use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
 use conceptbase::gkbms::metamodel::kernel;
-use conceptbase::gkbms::{DecisionClass, DecisionDimension, DecisionRequest, Gkbms, ToolSpec};
+use conceptbase::gkbms::{
+    DecisionClass, DecisionDimension, DecisionRequest, Gkbms, GkbmsResult, ToolSpec,
+};
+use conceptbase::objectbase::query;
 use conceptbase::storage::crash;
+use conceptbase::storage::log::read_payloads;
+use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -332,8 +343,8 @@ fn truncated_save_file_loads_clean_prefix_or_typed_error() {
                 .output("InvitationRel", kernel::DBPL_REL),
         )
         .unwrap();
-        // The save layout puts raw TELL events last, in commit order:
-        // their presence indexes how deep a truncated load got.
+        // The TELLs are committed last, so they are the file's last
+        // records: their presence indexes how deep a truncated load got.
         for i in 0..TELLS {
             g.tell_src(&format!("TELL Seq{i} end")).unwrap();
         }
@@ -373,4 +384,528 @@ fn truncated_save_file_loads_clean_prefix_or_typed_error() {
     }
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ----- one op stream, four realizations ------------------------------------
+
+/// One op of the differential stream, over a name universe small enough
+/// that ops collide: redefinitions, executions whose inputs are gone,
+/// TELLs under an untold class — many ops *fail*, some of them midway
+/// through their KB work, and must then leave no trace.
+#[derive(Debug, Clone)]
+enum Op {
+    ObjectClass(&'static str, Option<&'static str>),
+    DecisionClass(&'static str, &'static str, &'static str),
+    Tool(&'static str, &'static str),
+    Register(&'static str, &'static str),
+    Execute {
+        class: &'static str,
+        name: &'static str,
+        tool: Option<&'static str>,
+        input: &'static str,
+        output: (&'static str, &'static str),
+    },
+    Retract(&'static str),
+    Conflict(&'static str, &'static str),
+    Tell(&'static str),
+    Untell(&'static str),
+    View(&'static str, &'static str),
+    Promote,
+}
+
+const TOLD_CLASSES: [&str; 2] = ["Doc", "Memo"];
+const OBJECT_CLASSES: [(&str, Option<&str>); 4] = [
+    ("Sketch", None),
+    ("Sketch", Some("Doc")),
+    ("Draft", Some("Sketch")),
+    ("Draft", Some(kernel::DBPL_REL)),
+];
+/// `(name, from, to)`; `DocDec` fails midway unless both told/defined
+/// classes exist at that point of the history.
+const DECISION_CLASSES: [(&str, &str, &str); 3] = [
+    ("MapDec", kernel::TDL_ENTITY_CLASS, kernel::DBPL_REL),
+    ("RefDec", kernel::DBPL_REL, kernel::DBPL_REL),
+    ("DocDec", "Doc", "Sketch"),
+];
+const TOOLS: [(&str, &str); 3] = [
+    ("Mapper", "MapDec"),
+    ("Refiner", "RefDec"),
+    ("Scribe", "DocDec"),
+];
+const REGISTRATIONS: [(&str, &str); 5] = [
+    ("inv0", kernel::TDL_ENTITY_CLASS),
+    ("inv1", kernel::TDL_ENTITY_CLASS),
+    ("doc0", "Doc"),
+    ("rel0", kernel::DBPL_REL),
+    ("d0", "Sketch"),
+];
+const DECISIONS: [&str; 6] = ["x0", "x1", "x2", "x3", "x4", "x5"];
+/// `(class, tool, input, output)` of executions that succeed whenever
+/// their class, tool and input exist at that point of the history.
+const PLAUSIBLE: [(&str, Option<&str>, &str, &str); 8] = [
+    ("MapDec", Some("Mapper"), "inv0", "rel0"),
+    ("MapDec", None, "inv0", "rel1"),
+    ("MapDec", Some("Mapper"), "inv1", "rel1"),
+    ("MapDec", None, "inv1", "rel2"),
+    ("RefDec", None, "rel0", "rel1"),
+    ("RefDec", Some("Refiner"), "rel0", "rel2"),
+    ("RefDec", None, "rel1", "rel2"),
+    ("DocDec", None, "doc0", "sk0"),
+];
+const TOOL_CHOICES: [Option<&str>; 3] = [None, Some("Mapper"), Some("Refiner")];
+const INPUTS: [&str; 5] = ["inv0", "inv1", "doc0", "rel0", "rel1"];
+const OUTPUTS: [(&str, &str); 5] = [
+    ("rel0", kernel::DBPL_REL),
+    ("rel1", kernel::DBPL_REL),
+    ("rel2", kernel::DBPL_REL),
+    ("sk0", "Sketch"),
+    // Never among any TO classes: aborts after the decision instance
+    // and its links were told.
+    ("wrong", kernel::TDL_ENTITY_CLASS),
+];
+const TELLS: [&str; 9] = [
+    "TELL Doc end",
+    "TELL Memo isA Doc end",
+    "TELL d0 in Doc end",
+    "TELL m0 in Memo end",
+    "TELL Doc end\nTELL d1 in Doc end",
+    "TELL d1 in Doc with attribute ref : d0 end",
+    // Deliberately failing batches: the first frame is told, then the
+    // second names a class that never exists.
+    "TELL Memo end\nTELL ghost in Nope end",
+    "TELL d2 in Doc end\nTELL d3 in Doc with attribute ref : nobody end",
+    "TELL ghost in Nope end",
+];
+const UNTELLS: [&str; 8] = ["Doc", "Memo", "d0", "d1", "m0", "inv0", "rel0", "Sketch"];
+const VIEWS: [(&str, &str); 2] = [("v0", ""), ("v1", "tagged(X) :- in_(X, _C).")];
+/// Every predicate a registered view's model can hold.
+const VIEW_PREDS: [&str; 6] = ["in_", "isa", "attr", "isaT", "inT", "tagged"];
+
+/// A stream always starts from enough schema for later ops to succeed
+/// as often as they fail.
+fn prelude() -> Vec<Op> {
+    vec![
+        Op::DecisionClass("MapDec", kernel::TDL_ENTITY_CLASS, kernel::DBPL_REL),
+        Op::DecisionClass("RefDec", kernel::DBPL_REL, kernel::DBPL_REL),
+        Op::Tool("Mapper", "MapDec"),
+        Op::Register("inv0", kernel::TDL_ENTITY_CLASS),
+        Op::Register("inv1", kernel::TDL_ENTITY_CLASS),
+        Op::Tell("TELL Doc end"),
+    ]
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    (0u8..16, 0usize..60, 0usize..60, 0usize..60).prop_map(|(kind, a, b, c)| {
+        fn pick<T: Copy>(pool: &[T], i: usize) -> T {
+            pool[i % pool.len()]
+        }
+        match kind {
+            0 => {
+                let (name, parent) = pick(&OBJECT_CLASSES, a);
+                Op::ObjectClass(name, parent)
+            }
+            1 => {
+                let (name, from, to) = pick(&DECISION_CLASSES, a);
+                Op::DecisionClass(name, from, to)
+            }
+            2 => {
+                let (name, executes) = pick(&TOOLS, a);
+                Op::Tool(name, executes)
+            }
+            3 | 4 => {
+                let (name, class) = pick(&REGISTRATIONS, a);
+                Op::Register(name, class)
+            }
+            5 | 6 => {
+                let (class, tool, input, output) = pick(&PLAUSIBLE, a);
+                let output_class = if class == "DocDec" {
+                    "Sketch"
+                } else {
+                    kernel::DBPL_REL
+                };
+                Op::Execute {
+                    class,
+                    name: pick(&DECISIONS, b),
+                    tool,
+                    input,
+                    output: (output, output_class),
+                }
+            }
+            7 => Op::Execute {
+                class: pick(&DECISION_CLASSES, a).0,
+                name: pick(&DECISIONS, b),
+                tool: pick(&TOOL_CHOICES, c),
+                input: pick(&INPUTS, a / 3),
+                output: pick(&OUTPUTS, c / 3),
+            },
+            8 => Op::Retract(pick(&DECISIONS, a)),
+            9 => Op::Conflict(pick(&DECISIONS, a), pick(&DECISIONS, b)),
+            10..=12 => Op::Tell(pick(&TELLS, a)),
+            13 => Op::Untell(pick(&UNTELLS, a)),
+            14 => {
+                let (name, rules) = pick(&VIEWS, a);
+                Op::View(name, rules)
+            }
+            _ => Op::Promote,
+        }
+    })
+}
+
+/// Applies `op` through the public mutation API; whether it succeeded
+/// is part of what the realizations must agree on.
+fn apply(g: &mut Gkbms, op: &Op) -> GkbmsResult<()> {
+    match *op {
+        Op::ObjectClass(name, parent) => g
+            .define_object_class(name, "Implementation", parent)
+            .map(drop),
+        Op::DecisionClass(name, from, to) => g
+            .define_decision_class(
+                DecisionClass::new(name, DecisionDimension::Mapping)
+                    .from_classes(&[from])
+                    .to_classes(&[to]),
+            )
+            .map(drop),
+        Op::Tool(name, executes) => g
+            .register_tool(ToolSpec::new(name, true).executes(executes))
+            .map(drop),
+        Op::Register(name, class) => g.register_object(name, class, "design.tdl").map(drop),
+        Op::Execute {
+            class,
+            name,
+            tool,
+            input,
+            output,
+        } => {
+            let mut req = DecisionRequest::new(class, name, "dev")
+                .input(input)
+                .output(output.0, output.1);
+            req.tool = tool.map(str::to_string);
+            g.execute(req).map(drop)
+        }
+        Op::Retract(name) => g.retract_decision(name).map(drop),
+        Op::Conflict(a, b) => g.report_conflict("differential", &[a, b]).map(drop),
+        Op::Tell(src) => g.tell_src(src).map(drop),
+        Op::Untell(name) => g.untell(name).map(drop),
+        Op::View(name, rules) => g.register_view(name, rules).map(drop),
+        Op::Promote => g.promote().map(drop),
+    }
+}
+
+/// Everything two realizations of one op stream must agree on. Neither
+/// `kb().len()` nor `kb().now()`: a rolled-back write leaves closed
+/// propositions only the live instance has, and replay ticks on its
+/// own clock.
+#[derive(Debug, PartialEq)]
+struct Digest {
+    believed: usize,
+    /// The believed extent of every told class (`None`: not believed).
+    extents: Vec<Option<Vec<String>>>,
+    current_objects: Vec<String>,
+    /// `(name, outputs, retracted)` of every record.
+    records: Vec<(String, Vec<String>, bool)>,
+    nogoods: Vec<Vec<String>>,
+    epoch: u64,
+    /// Per view, per predicate, its tuples.
+    views: Vec<(String, Vec<Vec<String>>)>,
+}
+
+impl Digest {
+    fn of(g: &Gkbms) -> Digest {
+        let extents = TOLD_CLASSES
+            .iter()
+            .map(|class| {
+                g.kb().lookup(class)?;
+                let mut names = query::ask(g.kb(), "x", class, "true").expect("ask");
+                names.sort();
+                Some(names)
+            })
+            .collect();
+        let views = g
+            .views()
+            .iter()
+            .map(|v| {
+                let per_pred = VIEW_PREDS
+                    .iter()
+                    .map(|pred| v.tuples(pred).iter().map(|t| format!("{t:?}")).collect())
+                    .collect();
+                (v.name().to_string(), per_pred)
+            })
+            .collect();
+        Digest {
+            believed: g.kb().believed_count(),
+            extents,
+            current_objects: g.current_objects(),
+            records: g
+                .records()
+                .iter()
+                .map(|r| (r.name.clone(), r.outputs.clone(), r.retracted))
+                .collect(),
+            nogoods: g.nogoods().to_vec(),
+            epoch: g.epoch(),
+            views,
+        }
+    }
+}
+
+/// Runs `ops` with a checkpoint before op `k` (after the last one when
+/// `k == ops.len()`) and holds every realization against the live
+/// instance. Returns how many ops succeeded and how many failed.
+/// `tag` keeps concurrently running callers in directories of their own.
+fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
+    let checkpointed = tmp_dir(&format!("{tag}-ckpt"));
+    let wal_only = tmp_dir(&format!("{tag}-wal"));
+    let (mut live, _) = Gkbms::recover(&checkpointed).expect("fresh journal");
+    let (mut twin, _) = Gkbms::recover(&wal_only).expect("fresh journal");
+    // A conflict report commits two ops (the nogood, then the culprit's
+    // retraction); every other successful op commits one.
+    let (mut ok, mut failed, mut committed) = (0, 0, 0);
+    for (i, op) in ops.iter().enumerate() {
+        if i == k {
+            live.checkpoint().expect("checkpoint");
+        }
+        let outcome = apply(&mut live, op);
+        assert_eq!(
+            outcome.is_ok(),
+            apply(&mut twin, op).is_ok(),
+            "op {i} {op:?}: checkpointing changed its outcome ({outcome:?})"
+        );
+        match outcome {
+            Ok(()) => {
+                ok += 1;
+                committed += if matches!(op, Op::Conflict(..)) { 2 } else { 1 };
+            }
+            Err(_) => failed += 1,
+        }
+    }
+    if k == ops.len() {
+        live.checkpoint().expect("checkpoint");
+    }
+    let want = Digest::of(&live);
+    assert_eq!(Digest::of(&twin), want, "the never-checkpointed twin");
+
+    // save → load → save: the file is the history, so it round-trips
+    // byte for byte — and loads into the same state.
+    let (first, second) = (checkpointed.join("saved"), checkpointed.join("resaved"));
+    live.save(&first).expect("save");
+    let loaded = Gkbms::load(&first).expect("load");
+    assert_eq!(Digest::of(&loaded), want, "save + load");
+    loaded.save(&second).expect("save again");
+    assert_eq!(
+        std::fs::read(&first).unwrap(),
+        std::fs::read(&second).unwrap(),
+        "save → load → save is not byte-identical"
+    );
+
+    for g in [&mut live, &mut twin] {
+        g.journal_mut().expect("journaled").sync().expect("sync");
+    }
+    drop((live, twin));
+
+    let (recovered, report) = Gkbms::recover(&wal_only).expect("recover from the WAL alone");
+    assert!(!report.snapshot_loaded);
+    assert_eq!(report.replayed_ops, committed);
+    assert_eq!(Digest::of(&recovered), want, "recovered from the WAL alone");
+
+    let (recovered, report) = Gkbms::recover(&checkpointed).expect("recover from snapshot + tail");
+    assert!(report.snapshot_loaded);
+    assert_eq!(
+        Digest::of(&recovered),
+        want,
+        "recovered from snapshot + tail"
+    );
+    drop(recovered);
+
+    // What a leader ships to a follower behind the horizon: the
+    // snapshot file's records, then the framed WAL tail.
+    let (snapshot, _) = read_payloads(checkpointed.join(SNAPSHOT_FILE)).expect("snapshot");
+    let mut replica = Gkbms::replica_from_snapshot(&snapshot).expect("replica from snapshot");
+    let (tail, _) = read_payloads(checkpointed.join(WAL_FILE)).expect("wal");
+    for framed in &tail {
+        let (seq, epoch, payload) = decode_framed(framed).expect("frame");
+        replica
+            .apply_replicated(seq, epoch, payload)
+            .expect("replicated op");
+    }
+    assert_eq!(Digest::of(&replica), want, "replica from snapshot + tail");
+
+    std::fs::remove_dir_all(&checkpointed).unwrap();
+    std::fs::remove_dir_all(&wal_only).unwrap();
+    (ok, failed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn one_op_stream_four_realizations(
+        tail in prop::collection::vec(op_strategy(), 10..44),
+        at in 0usize..1000,
+    ) {
+        let mut ops = prelude();
+        ops.extend(tail);
+        let k = at % (ops.len() + 1);
+        let (ok, failed) = four_realizations_agree("diff-prop", &ops, k);
+        prop_assert_eq!(ok + failed, ops.len());
+    }
+}
+
+/// The generator above is only a test if both halves of the invariant
+/// are exercised: a fixed stream must commit ops of every kind *and*
+/// roll writes back.
+#[test]
+fn differential_stream_commits_and_rolls_back() {
+    let mut ops = prelude();
+    ops.extend([
+        Op::View("v0", ""),
+        Op::Tell("TELL Memo end\nTELL ghost in Nope end"), // rolled back
+        Op::Tell("TELL Memo isA Doc end"),
+        Op::ObjectClass("Sketch", Some("Doc")),
+        Op::DecisionClass("DocDec", "Doc", "Sketch"),
+        Op::Tool("Scribe", "NoSuchDec"), // rolled back
+        Op::Execute {
+            class: "MapDec",
+            name: "x0",
+            tool: Some("Mapper"),
+            input: "inv0",
+            output: ("wrong", kernel::TDL_ENTITY_CLASS), // rolled back
+        },
+        Op::Execute {
+            class: "MapDec",
+            name: "x0",
+            tool: Some("Mapper"),
+            input: "inv0",
+            output: ("rel0", kernel::DBPL_REL),
+        },
+        Op::Promote,
+        Op::Tell("TELL m0 in Memo end"),
+        Op::Untell("Memo"),
+        Op::View("v1", "tagged(X) :- in_(X, _C)."),
+        Op::Conflict("x0", "x0"),
+        Op::Retract("x0"), // already retracted by the conflict
+    ]);
+    for k in 0..=ops.len() {
+        assert_eq!(
+            four_realizations_agree("diff-fixed", &ops, k),
+            (16, 4),
+            "checkpoint at {k}"
+        );
+    }
+}
+
+// ----- regressions: histories the re-sorted snapshot could not replay -------
+
+/// Recovers `dir`, requiring the checkpoint snapshot to carry the
+/// whole state (nothing left in the WAL).
+fn recover_from_snapshot_alone(dir: &Path) -> Gkbms {
+    let (g, report) = Gkbms::recover(dir).expect("a checkpointed journal must recover");
+    assert!(report.snapshot_loaded);
+    assert_eq!(report.replayed_ops, 0);
+    g
+}
+
+/// A class told by a raw TELL, then an object registered under it: a
+/// snapshot that replays registrations before TELLs cannot be loaded,
+/// and the checkpoint has just truncated the WAL that could.
+#[test]
+fn told_class_then_register_survives_checkpoint() {
+    let dir = tmp_dir("told-class");
+    let (mut g, _) = Gkbms::recover(&dir).unwrap();
+    g.tell_src("TELL Memo end").unwrap();
+    g.register_object("memo1", "Memo", "memos.txt#1").unwrap();
+    g.checkpoint().unwrap();
+    let want = Digest::of(&g);
+    drop(g);
+    let g = recover_from_snapshot_alone(&dir);
+    assert_eq!(Digest::of(&g), want);
+    assert!(g.is_current("memo1"));
+    let memo = g.kb().lookup("Memo").expect("the told class");
+    assert!(g.kb().is_instance_of(g.kb().lookup("memo1").unwrap(), memo));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// TELL, UNTELL, then a registration under the same name: replayed
+/// registration-first, the UNTELL lands last and takes the object out.
+#[test]
+fn register_after_untell_survives_checkpoint() {
+    let dir = tmp_dir("retold-name");
+    let (mut g, _) = Gkbms::recover(&dir).unwrap();
+    g.tell_src("TELL Thing end").unwrap();
+    g.untell("Thing").unwrap();
+    g.register_object("Thing", kernel::TDL_ENTITY_CLASS, "design.tdl#Thing")
+        .unwrap();
+    let want = Digest::of(&g);
+    // From the WAL alone …
+    g.journal_mut().unwrap().sync().unwrap();
+    let wal_only = tmp_dir("retold-name-wal");
+    crash::copy_dir(&dir, &wal_only).unwrap();
+    assert_eq!(Digest::of(&Gkbms::recover(&wal_only).unwrap().0), want);
+    // … and from the snapshot a checkpoint wrote.
+    g.checkpoint().unwrap();
+    drop(g);
+    let g = recover_from_snapshot_alone(&dir);
+    assert_eq!(Digest::of(&g), want);
+    assert!(g.kb().lookup("Thing").is_some(), "Thing is believed");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&wal_only).unwrap();
+}
+
+/// A design-object class whose parent was told by a raw TELL: the
+/// saved history must define the parent first.
+#[test]
+fn class_under_told_parent_reloads() {
+    let dir = tmp_dir("told-parent");
+    std::fs::create_dir_all(&dir).unwrap();
+    let saved = dir.join("history");
+    let mut g = Gkbms::new().unwrap();
+    g.tell_src("TELL Base end").unwrap();
+    g.define_object_class("Derived", "Implementation", Some("Base"))
+        .unwrap();
+    g.save(&saved).unwrap();
+    let loaded = Gkbms::load(&saved).expect("a saved history must load back");
+    assert_eq!(Digest::of(&loaded), Digest::of(&g));
+    let (base, derived) = (
+        loaded.kb().lookup("Base").unwrap(),
+        loaded.kb().lookup("Derived").unwrap(),
+    );
+    assert_eq!(loaded.kb().isa_parents(derived), vec![base]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A multi-frame TELL that fails midway tells none of its frames: what
+/// readers are answered, what is believed and what recovery rebuilds
+/// all stay at their pre-call values.
+#[test]
+fn failed_tell_batch_changes_nothing() {
+    let dir = tmp_dir("failed-batch");
+    let (mut g, _) = Gkbms::recover(&dir).unwrap();
+    g.tell_src("TELL Paper end\nTELL p1 in Paper end").unwrap();
+    g.register_view("closure", "").unwrap();
+    let papers = |g: &Gkbms| query::ask(g.kb(), "p", "Paper", "true").unwrap();
+    let before = (Digest::of(&g), papers(&g));
+
+    for batch in [
+        "TELL A end\nTELL b in Nope end",
+        "TELL p2 in Paper end\nTELL b in Nope end",
+    ] {
+        assert!(
+            g.tell_src(batch).is_err(),
+            "{batch:?} names an unknown class"
+        );
+        assert_eq!((Digest::of(&g), papers(&g)), before, "after {batch:?}");
+        for name in ["A", "b", "p2"] {
+            assert!(g.kb().lookup(name).is_none(), "`{name}` is believed");
+        }
+    }
+    g.journal_mut().unwrap().sync().unwrap();
+    let copy = tmp_dir("failed-batch-copy");
+    crash::copy_dir(&dir, &copy).unwrap();
+    let (recovered, report) = Gkbms::recover(&copy).unwrap();
+    assert_eq!(report.replayed_ops, 2, "the failed batches were journaled");
+    assert_eq!((Digest::of(&recovered), papers(&recovered)), before);
+
+    // Nothing of the failed batch lingers under the name.
+    g.tell_src("TELL A end").expect("`A` is tellable");
+    assert!(g.kb().lookup("A").is_some());
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&copy).unwrap();
 }

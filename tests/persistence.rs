@@ -197,3 +197,33 @@ fn shell_rejects_a_positional_path_and_a_file_journal() {
     assert!(err.contains("hint:"), "{err}");
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A `save` file written before the history became the committed op
+/// stream (PR 16: definitions, registrations, events by sequence
+/// number, nogoods, views — in that order) is still a replayable
+/// history: same record format, it loads into the state it was saved
+/// from. The fixture is that file, hex-encoded.
+#[test]
+fn a_save_file_from_the_category_log_era_still_loads() {
+    let hex = include_str!("fixtures/history/pr16_save.hex").trim();
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+        .collect();
+    let path = tmp("pr16-save");
+    std::fs::write(&path, bytes).unwrap();
+    let g = Gkbms::load(&path).expect("an old save file must load");
+    assert_eq!(g.kb().believed_count(), 144);
+    assert_eq!(g.current_objects(), ["Invitation", "Minutes"]);
+    let retracted: Vec<_> = g
+        .records()
+        .iter()
+        .map(|r| (&*r.name, r.retracted))
+        .collect();
+    assert_eq!(retracted, [("mapInvitations", true), ("mapMinutes", true)]);
+    assert_eq!(g.nogoods(), [["mapInvitations", "mapMinutes"]]);
+    let papers = conceptbase::objectbase::query::ask(g.kb(), "p", "Paper", "true").unwrap();
+    assert_eq!(papers, ["kept", "late"]);
+    assert_eq!(g.view_tuples("closure", "tagged").unwrap().len(), 30);
+    std::fs::remove_file(&path).unwrap();
+}

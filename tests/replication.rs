@@ -254,6 +254,57 @@ fn new_follower_catches_up_past_checkpoint_horizon() {
     std::fs::remove_dir_all(fdir).unwrap();
 }
 
+/// The snapshot a follower behind the horizon installs is the leader's
+/// history in commit order — a class told by a raw TELL before the
+/// object registered under it, an UNTELL before the registration that
+/// reuses its name. Replayed in any other order the install fails (and
+/// the follower resubscribes into the same snapshot forever) or takes
+/// `Thing` back out.
+#[test]
+fn follower_behind_the_horizon_installs_a_commit_ordered_snapshot() {
+    let ldir = tmp_dir("order-l");
+    let fdir = tmp_dir("order-f");
+    let (lsrv, laddr) = leader(&ldir);
+    let mut c = Client::connect(laddr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Memo end").unwrap();
+    c.register_object(s, "memo1", "Memo", "memos.txt#1")
+        .unwrap();
+    c.tell(s, "TELL Thing end").unwrap();
+    c.untell(s, "Thing").unwrap();
+    c.register_object(s, "Thing", "Memo", "memos.txt#2")
+        .unwrap();
+    // A batch that fails midway is rolled back and ships nothing.
+    assert!(c.tell(s, "TELL A end\nTELL b in Nope end").is_err());
+    c.checkpoint(s).unwrap();
+    c.tell(s, "TELL memo2 in Memo end").unwrap();
+    c.refresh(s).unwrap();
+    let memos = |c: &mut Client, s| {
+        let mut names = c.ask(s, "m", "Memo", "true").unwrap().answers;
+        names.sort();
+        names
+    };
+    let want = (memos(&mut c, s), c.session_stats(s).unwrap().believed);
+    assert_eq!(want.0, ["Thing", "memo1", "memo2"]);
+
+    // Ops 1..=5 live only in the snapshot: the fresh follower installs
+    // it, then tails op 6.
+    let (fsrv, faddr) = follower(&fdir, laddr, None);
+    wait_applied(faddr, 6);
+    let mut fc = Client::connect(faddr).unwrap();
+    let (fs, _) = fc.hello().unwrap();
+    assert_eq!(
+        (memos(&mut fc, fs), fc.session_stats(fs).unwrap().believed),
+        want
+    );
+    assert!(fc.show(fs, "A").is_err(), "the rolled-back batch shipped");
+
+    fsrv.shutdown().unwrap();
+    lsrv.shutdown().unwrap();
+    std::fs::remove_dir_all(ldir).unwrap();
+    std::fs::remove_dir_all(fdir).unwrap();
+}
+
 /// Writes against a follower fail fast with the leader's address.
 #[test]
 fn writes_against_follower_redirect_to_leader() {

@@ -228,6 +228,34 @@ fn save_shutdown_load_roundtrip() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// LOAD of a path that does not exist is a typed error: it neither
+/// replaces the served state with an empty one nor leaves a file
+/// behind at the mistyped path.
+#[test]
+fn load_of_a_missing_path_is_an_error_and_keeps_the_state() {
+    let path = tmp("no-such-history");
+    let (server, addr) = start(quick_cfg());
+    let mut c = Client::connect(addr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end\nTELL kept in Paper end").unwrap();
+    c.refresh(s).unwrap();
+    let believed = c.session_stats(s).unwrap().believed;
+
+    match c.load(s, path.to_str().unwrap()) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Internal);
+            assert!(e.message.contains("No such file"), "{}", e.message);
+        }
+        other => panic!("expected a typed server error, got {other:?}"),
+    }
+    assert!(!path.exists(), "LOAD created the file it could not find");
+    c.refresh(s).unwrap();
+    assert_eq!(c.session_stats(s).unwrap().believed, believed);
+    assert_eq!(c.ask(s, "p", "Paper", "true").unwrap().answers, ["kept"]);
+    c.bye(s).unwrap();
+    server.shutdown().unwrap();
+}
+
 /// Graceful shutdown: an in-flight request completes with a response,
 /// new work is refused, and join() drains everything.
 #[test]
