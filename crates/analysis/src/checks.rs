@@ -186,7 +186,8 @@ pub fn lint_datalog_src_cached(
             rules: units.iter().map(|u| u.rule.clone()).collect(),
         };
         let (tells, untells) = source::churn_directive(src).unwrap_or((0, 0));
-        cost::lint_view(&view, &program, &ctx.edb_cards, tells, untells, &mut diags);
+        let cards = ctx.edb_cards();
+        cost::lint_view(&view, &program, &cards, tells, untells, &mut diags);
     }
     crate::sort_diagnostics(&mut diags);
     diags
@@ -278,7 +279,13 @@ pub fn lint_rules_cached(
     // Exports accumulate dependency-first: `sccs()` emits components
     // so every edge points at an earlier-or-equal index.
     let mut sigs: HashMap<String, Vec<dataflow::Sort>> = HashMap::new();
-    let mut cards: HashMap<String, f64> = ctx.edb_cards.clone();
+    // Measured only when there is a delta to cost: the trusted base
+    // produces no cost diagnostics of its own.
+    let mut cards = if units.is_empty() {
+        HashMap::new()
+    } else {
+        ctx.edb_cards()
+    };
 
     let mut diags = Vec::new();
     for (c, group) in groups.iter().enumerate() {

@@ -149,14 +149,14 @@ pub(crate) fn estimate_scc(
 ) {
     let mut head_rows: HashMap<&str, f64> = scc_preds.iter().map(|p| (*p, 0.0)).collect();
     let mut round_cost = 0.0f64;
-    let mut per_rule: Vec<(usize, RuleCost)> = Vec::with_capacity(rules.len());
-    for (idx, r) in rules.iter().enumerate() {
+    let mut per_rule: Vec<RuleCost> = Vec::with_capacity(rules.len());
+    for r in rules {
         let rc = rule_cost(r.rule, cards, r.subject.map(|s| (s, r.line, &mut *diags)));
         round_cost += rc.cost;
         if let Some(e) = head_rows.get_mut(r.rule.head.pred.as_str()) {
             *e += rc.rows;
         }
-        per_rule.push((idx, rc));
+        per_rule.push(rc);
     }
     let max_rows = head_rows.values().fold(0.0f64, |a, &b| a.max(b));
     // Fixpoint rounds until nothing new derives: √rows is the classic
@@ -169,13 +169,12 @@ pub(crate) fn estimate_scc(
     let stratum_cost = round_cost * rounds;
     if stratum_cost >= COST_BUDGET {
         // Charge the most expensive unit rule of the component.
-        if let Some((idx, rc)) = per_rule
+        if let Some((r, subject, rc)) = rules
             .iter()
-            .filter(|(i, _)| rules[*i].subject.is_some())
-            .max_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
+            .zip(&per_rule)
+            .filter_map(|(r, rc)| r.subject.map(|s| (r, s, rc)))
+            .max_by(|a, b| a.2.cost.total_cmp(&b.2.cost))
         {
-            let r = &rules[*idx];
-            let subject = r.subject.expect("filtered to unit rules");
             diags.push(
                 Diagnostic::warning(
                     "CB012",

@@ -33,8 +33,8 @@ pub fn lint_frames_src_cached(
         }
     };
     let lines = source::frame_lines(src);
-    let with_lines: Vec<(ObjectFrame, Option<usize>)> = frames
-        .into_iter()
+    let with_lines: Vec<(&ObjectFrame, Option<usize>)> = frames
+        .iter()
         .enumerate()
         .map(|(i, f)| (f, lines.get(i).copied()))
         .collect();
@@ -54,13 +54,12 @@ pub fn lint_frames_cached(
     ctx: &LintContext,
     cache: &mut AnalysisCache,
 ) -> Vec<Diagnostic> {
-    let with_lines: Vec<(ObjectFrame, Option<usize>)> =
-        frames.iter().map(|f| (f.clone(), None)).collect();
+    let with_lines: Vec<(&ObjectFrame, Option<usize>)> = frames.iter().map(|f| (f, None)).collect();
     lint_frames_spanned(&with_lines, None, ctx, cache)
 }
 
 fn lint_frames_spanned(
-    frames: &[(ObjectFrame, Option<usize>)],
+    frames: &[(&ObjectFrame, Option<usize>)],
     src: Option<&str>,
     ctx: &LintContext,
     cache: &mut AnalysisCache,
@@ -68,17 +67,19 @@ fn lint_frames_spanned(
     let mut diags = Vec::new();
 
     // The script's own vocabulary joins the context's.
-    let mut classes: HashSet<String> = ctx.known_names.clone();
-    let mut labels: HashSet<String> = ctx.attr_labels.clone();
+    let mut classes: HashSet<&str> = HashSet::new();
+    let mut labels: HashSet<&str> = HashSet::new();
     for (f, _) in frames {
-        classes.insert(f.name.clone());
+        classes.insert(&f.name);
         for a in &f.attrs {
-            labels.insert(a.label.clone());
+            labels.insert(&a.label);
         }
         for (name, _) in f.constraints.iter().chain(&f.rules) {
-            labels.insert(name.clone());
+            labels.insert(name);
         }
     }
+    let known_class = |c: &str| classes.contains(c) || ctx.knows_name(c);
+    let known_label = |l: &str| labels.contains(l) || ctx.knows_label(l);
 
     let mut rule_units: Vec<RuleUnit> = Vec::new();
     // (owner reference, implied ground literals) per constraint.
@@ -121,9 +122,7 @@ fn lint_frames_spanned(
                     continue;
                 }
             };
-            for issue in
-                assertion::sort_check(&expr, &|c| classes.contains(c), &|l| labels.contains(l))
-            {
+            for issue in assertion::sort_check(&expr, &known_class, &known_label) {
                 diags.push(
                     Diagnostic::warning("CB009", &subject, issue.to_string())
                         .with_witness(text.clone())

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! Static analysis of the rule/constraint base (`cblint`).
 //!
@@ -51,8 +52,9 @@ pub mod source;
 
 pub use checks::AnalysisCache;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use telos::PropStore;
 
 /// How bad a finding is. Errors reject the batch at admission time;
 /// warnings are reported but admitted (unless the server runs with
@@ -154,21 +156,33 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
 }
 
-/// The vocabulary the analyzer checks references against: the EDB
-/// schema, the query roots, the known object names and attribute
-/// labels, and the rules/constraints already stored (a new rule can
-/// close a negative cycle over an old one).
-#[derive(Debug, Clone, Default)]
-pub struct LintContext {
+/// The ω builtin class names every KB bootstraps with — the names an
+/// assertion may mention offline, with no KB to ask.
+const OMEGA_CLASSES: [&str; 7] = [
+    "Proposition",
+    "Class",
+    "Token",
+    "SimpleClass",
+    "MetaClass",
+    "Individual",
+    "Assertion",
+];
+
+/// What the analyzer checks references against: the EDB schema, the
+/// query roots, the rules/constraints already stored (a new rule can
+/// close a negative cycle over an old one) and — at admission — the KB
+/// itself. The context is a view over the KB, not a copy of it: names
+/// and labels are answered by lookup, cardinalities are measured only
+/// when a rule or view is costed, and nothing is rebuilt per write.
+#[derive(Clone, Default)]
+pub struct LintContext<'a> {
+    /// The KB under admission; `None` offline.
+    kb: Option<&'a telos::Kb>,
     /// Declared predicates with arities (EDB schema plus base IDB).
     pub schema: HashMap<String, usize>,
     /// Predicates queries probe; reachability roots of the dead-rule
     /// check.
     pub roots: Vec<String>,
-    /// Known object/class names, for assertion sort checking.
-    pub known_names: HashSet<String>,
-    /// Declared attribute labels, for assertion sort checking.
-    pub attr_labels: HashSet<String>,
     /// Datalog rules already stored in the KB (textual).
     pub stored_rules: Vec<String>,
     /// Constraints already stored in the KB: (reference, text).
@@ -177,21 +191,14 @@ pub struct LintContext {
     /// admission path does; offline lint relies on `% query:`
     /// directives instead).
     pub assume_new_heads_queryable: bool,
-    /// Measured EDB cardinalities (predicate → rows) for the cost
-    /// estimator; empty offline, where [`cost::DEFAULT_EDB_ROWS`]
-    /// applies.
-    pub edb_cards: HashMap<String, f64>,
 }
 
-impl LintContext {
+impl<'a> LintContext<'a> {
     /// The context for offline linting: the deductive-relational
     /// bridge's EDB schema and base IDB, the ω builtin class names,
     /// and nothing stored.
     pub fn offline() -> Self {
-        let mut ctx = LintContext {
-            assume_new_heads_queryable: false,
-            ..Default::default()
-        };
+        let mut ctx = LintContext::default();
         for (pred, arity) in [
             (objectbase::query::preds::IN, 2),
             (objectbase::query::preds::ISA, 2),
@@ -202,51 +209,61 @@ impl LintContext {
             ctx.schema.insert(pred.to_string(), arity);
         }
         ctx.roots = vec!["inT".to_string(), "isaT".to_string()];
-        for name in [
-            "Proposition",
-            "Class",
-            "Token",
-            "SimpleClass",
-            "MetaClass",
-            "Individual",
-            "Assertion",
-        ] {
-            ctx.known_names.insert(name.to_string());
-        }
         ctx
     }
 
     /// The admission context: [`LintContext::offline`] plus everything
-    /// the KB already knows — object names, attribute labels, stored
-    /// datalog rules and stored constraints.
-    pub fn from_kb(kb: &telos::Kb) -> Self {
-        let mut ctx = Self::offline();
-        ctx.assume_new_heads_queryable = true;
-        for i in 0..kb.len() {
-            let id = telos::PropId(i as u32);
-            let Ok(p) = kb.get(id) else { continue };
-            if !p.is_believed() {
-                continue;
-            }
-            if p.is_individual() {
-                let name = kb.display(id);
-                ctx.known_names.insert(name.clone());
-                for attr in kb.attrs_of(id) {
-                    if let Ok(a) = kb.get(attr) {
-                        ctx.attr_labels.insert(kb.resolve(a.label).to_string());
-                    }
-                }
-            }
+    /// the KB already knows — object names and attribute labels (asked
+    /// of `kb` when a check needs one), stored datalog rules and stored
+    /// constraints.
+    pub fn from_kb(kb: &'a telos::Kb) -> Self {
+        LintContext {
+            kb: Some(kb),
+            stored_rules: objectbase::transform::stored_datalog_rules(kb),
+            stored_constraints: stored_constraints(kb),
+            assume_new_heads_queryable: true,
+            ..Self::offline()
         }
-        ctx.stored_rules = objectbase::transform::stored_datalog_rules(kb);
-        ctx.stored_constraints = stored_constraints(kb);
-        if let Ok(edb) = objectbase::query::to_edb(kb) {
-            for pred in edb.preds() {
-                ctx.edb_cards
-                    .insert(pred.to_string(), edb.count(pred) as f64);
-            }
-        }
-        ctx
+    }
+
+    /// Whether `name` is a known object/class name: an ω builtin, or a
+    /// believed individual of the KB.
+    pub fn knows_name(&self, name: &str) -> bool {
+        OMEGA_CLASSES.contains(&name) || self.kb.is_some_and(|kb| kb.lookup(name).is_some())
+    }
+
+    /// Whether `label` is a declared attribute label: some believed
+    /// individual of the KB has a believed attribute proposition
+    /// carrying it. Walks the label's postings and stops at the first
+    /// carrier.
+    pub fn knows_label(&self, label: &str) -> bool {
+        let Some(kb) = self.kb else { return false };
+        let Some(sym) = kb.lookup_sym(label).filter(|&s| !kb.is_link_sym(s)) else {
+            return false;
+        };
+        kb.postings_label(sym).iter().any(|&p| {
+            kb.prop(p).is_some_and(|attr| {
+                attr.is_believed()
+                    && attr.source != p
+                    && kb
+                        .prop(attr.source)
+                        .is_some_and(|x| x.is_believed() && x.is_individual())
+            })
+        })
+    }
+
+    /// Measured EDB cardinalities (predicate → rows) for the cost
+    /// estimator; empty offline, where [`cost::DEFAULT_EDB_ROWS`]
+    /// applies. A full EDB export — O(KB) — so only the callers that
+    /// cost a rule or a view ask for it.
+    pub fn edb_cards(&self) -> HashMap<String, f64> {
+        let Some(edb) = self.kb.and_then(|kb| objectbase::query::to_edb(kb).ok()) else {
+            return HashMap::new();
+        };
+        edb.preds()
+            .into_iter()
+            .map(|pred| (pred.to_string(), edb.count(pred) as f64))
+            .collect()
     }
 }
 
@@ -302,7 +319,7 @@ pub fn explain_source(src: &str, ctx: &LintContext) -> Result<String, String> {
         let extra = datalog::ast::Program::parse_unchecked(src).map_err(|e| e.to_string())?;
         program.rules.extend(extra.rules);
     }
-    Ok(cost::explain(&program, &ctx.edb_cards))
+    Ok(cost::explain(&program, &ctx.edb_cards()))
 }
 
 /// Sorts diagnostics into the stable reporting order: (line, code,
@@ -372,7 +389,7 @@ mod tests {
         let ctx = LintContext::offline();
         assert_eq!(ctx.schema["attr"], 3);
         assert_eq!(ctx.schema["inT"], 2);
-        assert!(ctx.known_names.contains("Proposition"));
+        assert!(ctx.knows_name("Proposition"));
     }
 
     #[test]

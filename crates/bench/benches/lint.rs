@@ -11,7 +11,7 @@ use bench::synthetic_rule_base;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-fn context(groups: usize) -> LintContext {
+fn context(groups: usize) -> LintContext<'static> {
     let mut ctx = LintContext::offline();
     ctx.stored_rules = synthetic_rule_base(groups, 5);
     ctx.assume_new_heads_queryable = true;

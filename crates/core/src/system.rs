@@ -169,10 +169,6 @@ pub struct Gkbms {
     /// a TELL re-analyzes only the components its delta dirties.
     /// Behind a mutex because linting is a `&self` read operation.
     pub(crate) lint_cache: std::sync::Mutex<analysis::AnalysisCache>,
-    /// The lint context derived from the KB, keyed on
-    /// `(kb.len(), kb.now())` so back-to-back lints of an unchanged
-    /// KB skip the O(KB) context rebuild.
-    pub(crate) lint_ctx: std::sync::Mutex<Option<((usize, i64), analysis::LintContext)>>,
     /// Statistics: dependency-graph rebuilds (lemma generation, E-2).
     pub graph_builds: u64,
 }
@@ -202,7 +198,6 @@ impl Gkbms {
             views: Vec::new(),
             views_seen: 0,
             lint_cache: std::sync::Mutex::new(analysis::AnalysisCache::new()),
-            lint_ctx: std::sync::Mutex::new(None),
             graph_builds: 0,
         })
     }
@@ -260,26 +255,22 @@ impl Gkbms {
     }
 
     /// Runs a mutation as one transaction over the KB and the views.
-    /// When `f` succeeds, every proposition it created has flowed into
-    /// the registered views. When it fails — which it does before it
-    /// commits — every one of them is untold again (and taken back out
-    /// of the views, had it flowed in already), so a failed write
-    /// changes nothing a reader or a replica can ever see.
+    /// When `f` succeeds, every proposition it created flows into the
+    /// registered views. When it fails — which it does before it
+    /// commits — every one of them is untold again before the views
+    /// ever see it, so a failed write changes nothing a reader or a
+    /// replica can ever see.
     fn tracked<T>(&mut self, f: impl FnOnce(&mut Self) -> GkbmsResult<T>) -> GkbmsResult<T> {
         let mark = self.kb.len();
         let r = f(self);
         if r.is_err() {
-            let mut unflow = Vec::new();
             for i in (mark..self.kb.len()).rev() {
                 let id = crate::error::checked_prop_id(i)?;
-                if self.kb.get(id).is_ok_and(|p| p.is_believed())
-                    && self.kb.untell(id).is_ok()
-                    && i < self.views_seen
-                {
-                    unflow.push(id);
+                if self.kb.get(id).is_ok_and(|p| p.is_believed()) {
+                    // `untell` refuses only what is not believed.
+                    let _ = self.kb.untell(id);
                 }
             }
-            self.propagate_untold(&unflow);
         }
         self.flow_new_props()?;
         r
@@ -337,26 +328,13 @@ impl Gkbms {
     /// rules, and any extra rules in `src`, costed against the KB's
     /// measured EDB cardinalities.
     pub fn explain_src(&self, src: &str) -> GkbmsResult<String> {
-        let ctx = self.lint_context();
-        analysis::explain_source(src, &ctx)
+        analysis::explain_source(src, &self.lint_context())
             .map_err(|e| GkbmsError::Precondition(format!("explain: {e}")))
     }
 
-    /// The lint context for the current KB state, rebuilt only when
-    /// the KB changed since the last lint.
-    pub(crate) fn lint_context(&self) -> analysis::LintContext {
-        let key = (self.kb.len(), self.kb.now());
-        // The slot is a rebuildable cache: a poisoned lock still holds
-        // a usable (or absent) value.
-        let mut slot = self.lint_ctx.lock().unwrap_or_else(PoisonError::into_inner);
-        match &*slot {
-            Some((k, ctx)) if *k == key => ctx.clone(),
-            _ => {
-                let ctx = analysis::LintContext::from_kb(&self.kb);
-                *slot = Some((key, ctx.clone()));
-                ctx
-            }
-        }
+    /// The lint context over the current KB state.
+    pub(crate) fn lint_context(&self) -> analysis::LintContext<'_> {
+        analysis::LintContext::from_kb(&self.kb)
     }
 
     fn with_lint_metrics(
@@ -872,14 +850,11 @@ impl Gkbms {
             self.kb.put_attr(decision, names::BY_I, t)?;
         }
 
-        // Set-oriented consistency check over the batch (E-1). The
-        // views see the batch first so the class-closure step can be
-        // answered from the materialized `inT` relation.
+        // Set-oriented consistency check over the batch (E-1).
         let created: Vec<PropId> = (mark..self.kb.len())
             .map(crate::error::checked_prop_id)
             .collect::<GkbmsResult<_>>()?;
-        self.flow_new_props()?;
-        let (violations, _) = self.check_touched_with_views(&created);
+        let (violations, _) = objectbase::consistency::check_touched(&self.kb, &created);
         if !violations.is_empty() {
             return Err(GkbmsError::Aborted {
                 violations: violations.iter().map(|v| v.to_string()).collect(),

@@ -25,7 +25,6 @@ use crate::persist::JournalOp;
 use crate::system::Gkbms;
 use datalog::ast::{Program, Value};
 use datalog::ivm::{Fact, MaterializedView};
-use objectbase::consistency::{self, CheckStats, Violation};
 use objectbase::query::{self, preds};
 use telos::{PropId, PropStore};
 
@@ -131,7 +130,7 @@ impl Gkbms {
         }
         let mut diags = Vec::new();
         {
-            let ctx = self.lint_context();
+            let cards = self.lint_context().edb_cards();
             let (tells, untells) = self
                 .history
                 .iter()
@@ -140,7 +139,7 @@ impl Gkbms {
                     JournalOp::Untell { .. } => (t, u + 1),
                     _ => (t, u),
                 });
-            analysis::cost::lint_view(name, &program, &ctx.edb_cards, tells, untells, &mut diags);
+            analysis::cost::lint_view(name, &program, &cards, tells, untells, &mut diags);
             analysis::sort_diagnostics(&mut diags);
         }
         let mut view = MaterializedView::new(program).map_err(objectbase::ObError::from)?;
@@ -247,39 +246,6 @@ impl Gkbms {
             }
             v.as_of = now;
         }
-    }
-
-    /// The set-oriented consistency check, answering the class-closure
-    /// step from the first registered view's materialized `inT`
-    /// relation instead of walking the KB — a hash probe per object.
-    /// Falls back to [`consistency::check_touched`] when no view is
-    /// registered, and per-object to `Kb::all_classes_of` whenever a
-    /// display name does not round-trip through `lookup` (the view
-    /// keys objects by display name).
-    pub(crate) fn check_touched_with_views(
-        &self,
-        touched: &[PropId],
-    ) -> (Vec<Violation>, CheckStats) {
-        let kb = &self.kb;
-        let Some(rv) = self.views.first() else {
-            return consistency::check_touched(kb, touched);
-        };
-        let model = rv.view.model();
-        consistency::check_touched_via(kb, touched, |o| {
-            let name = kb.display(o);
-            if kb.lookup(&name) != Some(o) {
-                return kb.all_classes_of(o);
-            }
-            let pattern = vec![Some(Value::sym(name)), None];
-            let mut out = Vec::new();
-            for t in model.probe("inT", &pattern) {
-                match kb.lookup(&t[1].to_string()) {
-                    Some(c) => out.push(c),
-                    None => return kb.all_classes_of(o),
-                }
-            }
-            out
-        })
     }
 }
 
@@ -515,30 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn consistency_check_via_views_agrees_with_default() {
-        let mut g = scenario_gkbms();
-        g.tell_src(
-            "TELL Person end\n\
-             TELL Paper with attribute author : Person end\n\
-             TELL Invitation isA Paper with\n\
-               attribute sender : Person\n\
-               constraint hasSender : $ forall i/Invitation i.sender defined $\n\
-             end\n\
-             TELL maria in Person end",
-        )
-        .unwrap();
-        g.register_view("closure", "").unwrap();
-        // A violating TELL: an invitation without a sender.
-        g.tell_src("TELL inv1 in Invitation end").unwrap();
-        let inv1 = g.kb().lookup("inv1").unwrap();
-        let touched = vec![inv1];
-        let (via_views, _) = g.check_touched_with_views(&touched);
-        let (default, _) = consistency::check_touched(g.kb(), &touched);
-        assert_eq!(via_views, default);
-        assert!(!via_views.is_empty(), "the violation is caught either way");
-    }
-
-    #[test]
     fn pinned_reader_never_observes_a_newer_refresh() {
         // Satellite 3 at the core level: a registered view refreshing
         // at a newer tick must not change what a pinned reader sees.
@@ -599,8 +541,6 @@ mod tests {
 
     #[test]
     fn decision_flows_keep_checking_consistency_with_views_registered() {
-        // The violating-output scenario still aborts when the class
-        // closure is answered from the materialized view.
         let mut g = scenario_gkbms();
         g.register_view("closure", "").unwrap();
         g.tell_src(
@@ -614,13 +554,11 @@ mod tests {
             .unwrap();
         let err = g.tell_src("TELL m1 in Memo end");
         // tell_src does not consistency-check (that is execute's job);
-        // instead assert the closure answers match for the new object.
+        // the set-oriented check finds the violation for the new object.
         assert!(err.is_ok());
         let m1 = g.kb().lookup("m1").unwrap();
-        let (via, _) = g.check_touched_with_views(&[m1]);
-        let (default, _) = consistency::check_touched(g.kb(), &[m1]);
-        assert_eq!(via, default);
-        assert!(!via.is_empty(), "unsigned memo violates `signed`");
+        let (violations, _) = objectbase::consistency::check_touched(g.kb(), &[m1]);
+        assert!(!violations.is_empty(), "unsigned memo violates `signed`");
         // And a clean execution still succeeds end to end.
         g.register_object("Invitation", kernel::TDL_ENTITY_CLASS, "src")
             .unwrap();

@@ -129,24 +129,6 @@ pub fn check_full(kb: &Kb) -> (Vec<Violation>, CheckStats) {
 /// object, and touched objects that are themselves classes. CML axioms
 /// are likewise validated only for the batch (`axioms::check_props`).
 pub fn check_touched(kb: &Kb, touched: &[PropId]) -> (Vec<Violation>, CheckStats) {
-    check_touched_via(kb, touched, |obj| kb.all_classes_of(obj))
-}
-
-/// [`check_touched`] with the class closure supplied by the caller.
-///
-/// The closure answers "which classes is `obj` an instance of,
-/// transitively through isa?". The default walks the Kb
-/// (`Kb::all_classes_of`); a caller holding a materialized `inT` view
-/// can answer from the view instead, turning the closure step into a
-/// hash lookup.
-pub fn check_touched_via<F>(
-    kb: &Kb,
-    touched: &[PropId],
-    classes_of: F,
-) -> (Vec<Violation>, CheckStats)
-where
-    F: Fn(PropId) -> Vec<PropId>,
-{
     let mut stats = CheckStats::default();
     if touched.is_empty() {
         return (Vec::new(), stats);
@@ -166,9 +148,7 @@ where
         };
         for obj in objects {
             classes.insert(obj); // the object may itself be a class
-            for c in classes_of(obj) {
-                classes.insert(c);
-            }
+            classes.extend(kb.all_classes_of(obj));
         }
     }
     let mut ordered: Vec<PropId> = classes.into_iter().collect();
@@ -284,21 +264,23 @@ mod tests {
     }
 
     #[test]
-    fn touched_via_custom_closure_matches_default() {
+    fn touched_check_walks_isa_to_inherited_constraints() {
+        // `r1` is an instance of a *subclass* of the constrained class:
+        // only the closure step's walk through isa reaches `hasSender`.
         let mut kb = scenario_kb();
-        let receipt = tell(
-            &mut kb,
-            &ObjectFrame::parse("TELL inv1 in Invitation end").unwrap(),
-        )
-        .unwrap();
-        let (v_default, s_default) = check_touched(&kb, &receipt.created);
-        let (v_via, s_via) = check_touched_via(&kb, &receipt.created, |o| kb.all_classes_of(o));
-        assert_eq!(v_default, v_via);
-        assert_eq!(s_default, s_via);
-        // A closure that answers nothing still checks the touched
-        // objects themselves (and the batch axioms).
-        let (v_none, _) = check_touched_via(&kb, &receipt.created, |_| Vec::new());
-        assert!(v_none.len() <= v_default.len());
+        let frames =
+            ObjectFrame::parse_all("TELL Reminder isA Invitation end\nTELL r1 in Reminder end")
+                .unwrap();
+        let receipts = tell_all(&mut kb, &frames).unwrap();
+        let (violations, _) = check_touched(&kb, &receipts[1].created);
+        assert_eq!(
+            violations,
+            vec![Violation::Constraint {
+                class: "Invitation".into(),
+                name: "hasSender".into(),
+                text: "forall i/Invitation i.sender defined".into(),
+            }]
+        );
     }
 
     #[test]

@@ -50,6 +50,11 @@ fn edb_where<S: PropStore>(
     store: &S,
     live: impl Fn(&telos::Proposition) -> bool,
 ) -> ObResult<Database> {
+    obs::counter!(
+        "objectbase_edb_exports_total",
+        "Full EDB exports, each O(KB)"
+    )
+    .inc();
     let mut db = Database::new();
     for id in 0..store.prop_count() {
         let id = PropId(id as u32);

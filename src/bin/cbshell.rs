@@ -75,7 +75,7 @@ use conceptbase::objectbase::query::ask_with_stats;
 use conceptbase::objectbase::transform::frame_of;
 use conceptbase::server::{Client, ClientError, Config, Server};
 use conceptbase::telos::assertion;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IsTerminal, Write};
 
 /// Local-mode shell state: the GKBMS (writes go through it so a
 /// journaled one logs them; reads go to its KB) plus the counters of
@@ -432,7 +432,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         _ => return Err(USAGE.into()),
     };
     let mut shell = Shell { g, last_ask: None };
-    let interactive = atty_guess();
+    let interactive = std::io::stdin().is_terminal();
     if interactive {
         println!("ConceptBase-rs shell — `help` for commands, `quit` to leave.");
     }
@@ -567,7 +567,7 @@ fn connect(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     let (session, watermark) = client
         .hello()
         .map_err(|e| format!("handshake failed: {e}"))?;
-    let interactive = atty_guess();
+    let interactive = std::io::stdin().is_terminal();
     if interactive {
         println!("connected to {addr} — session {session}, snapshot at tick {watermark}");
     }
@@ -623,14 +623,6 @@ fn script_exit(interactive: bool, had_error: bool) -> Result<(), Box<dyn std::er
         std::process::exit(1);
     }
     Ok(())
-}
-
-/// Conservative interactivity guess without a TTY crate: assume
-/// non-interactive when stdin is redirected (heuristic via env).
-fn atty_guess() -> bool {
-    std::env::var("CBSHELL_BANNER")
-        .map(|v| v == "1")
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -126,7 +126,6 @@ fn cbshell(args: &[&str], script: &str) -> (String, String, bool) {
     use std::process::{Command, Stdio};
     let mut child = Command::new(env!("CARGO_BIN_EXE_cbshell"))
         .args(args)
-        .env_remove("CBSHELL_BANNER")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

@@ -1,5 +1,6 @@
 //! Property-based tests over the core invariants (DESIGN.md §6).
 
+use conceptbase::analysis::{lint_source, LintContext};
 use conceptbase::datalog::ast::{Atom, Program, Term, Value};
 use conceptbase::datalog::db::Database;
 use conceptbase::datalog::{magic, seminaive, topdown};
@@ -7,8 +8,9 @@ use conceptbase::rms::atms::Atms;
 use conceptbase::rms::jtms::Jtms;
 use conceptbase::storage::record;
 use conceptbase::telos::time::allen::{AllenNetwork, AllenRel, RelSet};
-use conceptbase::telos::{Interval, Kb};
+use conceptbase::telos::{Interval, Kb, PropId};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 fn interval_strategy() -> impl Strategy<Value = Interval> {
     (0i64..50, 1i64..20).prop_map(|(a, d)| Interval::between(a, a + d).expect("d > 0"))
@@ -556,6 +558,147 @@ impl BuiltinsLen for Kb {
     }
 }
 
+/// One step of the TELL/UNTELL history the lint properties replay. A
+/// TELL (forced while nothing is told) carries a rule every other
+/// time, so the stored rule base (and with it the SCC structure)
+/// really churns; the rest alternate between an instance carrying the
+/// attribute `knows` and a plain one, so names and labels churn too.
+fn lint_churn_step(
+    g: &mut conceptbase::gkbms::Gkbms,
+    told: &mut Vec<String>,
+    counter: &mut usize,
+    tell: bool,
+    sel: usize,
+) {
+    if tell || told.is_empty() {
+        *counter += 1;
+        let n = *counter;
+        let (name, src) = if n.is_multiple_of(2) {
+            (
+                format!("C{n}"),
+                format!("TELL C{n} with rule r{n} : $ p{n}(X) :- in_(X, \"Person\") $ end"),
+            )
+        } else if n % 4 == 1 {
+            (
+                format!("q{n}"),
+                format!("TELL q{n} in Person with attribute knows : Person end"),
+            )
+        } else {
+            (format!("q{n}"), format!("TELL q{n} in Person end"))
+        };
+        g.tell_src(&src).unwrap();
+        told.push(name);
+    } else {
+        let name = told.remove(sel % told.len());
+        g.untell(&name).unwrap();
+    }
+}
+
+/// The scan `LintContext::from_kb` used to copy the KB with, kept as
+/// the oracle of what the borrowed context must answer: the names of
+/// the believed individuals (plus the offline ω seed), the labels of
+/// their believed attributes, and the EDB cardinalities.
+fn reference_vocabulary(kb: &Kb) -> (HashSet<String>, HashSet<String>, HashMap<String, f64>) {
+    let mut names: HashSet<String> = [
+        "Proposition",
+        "Class",
+        "Token",
+        "SimpleClass",
+        "MetaClass",
+        "Individual",
+        "Assertion",
+    ]
+    .into_iter()
+    .map(String::from)
+    .collect();
+    let mut labels = HashSet::new();
+    for i in 0..kb.len() {
+        let id = PropId(i as u32);
+        let Ok(p) = kb.get(id) else { continue };
+        if !p.is_believed() {
+            continue;
+        }
+        if p.is_individual() {
+            names.insert(kb.display(id));
+            for attr in kb.attrs_of(id) {
+                if let Ok(a) = kb.get(attr) {
+                    labels.insert(kb.resolve(a.label).to_string());
+                }
+            }
+        }
+    }
+    let mut cards = HashMap::new();
+    if let Ok(edb) = conceptbase::objectbase::query::to_edb(kb) {
+        for pred in edb.preds() {
+            cards.insert(pred.to_string(), edb.count(pred) as f64);
+        }
+    }
+    (names, labels, cards)
+}
+
+/// What the borrowed context answers for `sym` as a name and as a
+/// label — after asserting that the reference scan answers the same,
+/// and measures the same cardinalities.
+fn vocabulary_of(kb: &Kb, sym: &str) -> (bool, bool) {
+    let ctx = LintContext::from_kb(kb);
+    let (names, labels, cards) = reference_vocabulary(kb);
+    let got = (ctx.knows_name(sym), ctx.knows_label(sym));
+    assert_eq!(got, (names.contains(sym), labels.contains(sym)), "`{sym}`");
+    assert_eq!(ctx.edb_cards(), cards);
+    got
+}
+
+#[test]
+fn an_individual_named_like_a_label_does_not_declare_it() {
+    let mut kb = Kb::new();
+    kb.individual("sender").unwrap();
+    assert_eq!(vocabulary_of(&kb, "sender"), (true, false));
+}
+
+#[test]
+fn a_label_whose_only_carrier_was_untold_is_unknown() {
+    let mut kb = Kb::new();
+    let (x, y) = (kb.individual("x").unwrap(), kb.individual("y").unwrap());
+    let carrier = kb.put_attr(x, "sender", y).unwrap();
+    assert_eq!(vocabulary_of(&kb, "sender"), (false, true));
+    kb.untell(carrier).unwrap();
+    assert_eq!(vocabulary_of(&kb, "sender"), (false, false));
+}
+
+#[test]
+fn a_label_carried_only_by_an_untold_individual_is_unknown() {
+    let mut kb = Kb::new();
+    let (x, y) = (kb.individual("x").unwrap(), kb.individual("y").unwrap());
+    let carrier = kb.put_attr(x, "sender", y).unwrap();
+    // Not a cascade: the attribute stays believed, its owner does not.
+    kb.untell(x).unwrap();
+    assert!(kb.get(carrier).unwrap().is_believed());
+    assert_eq!(vocabulary_of(&kb, "sender"), (false, false));
+    assert_eq!(vocabulary_of(&kb, "x"), (false, false));
+}
+
+#[test]
+fn link_labels_and_attributes_of_links_declare_nothing() {
+    let mut kb = Kb::new();
+    let (x, c) = (kb.individual("x").unwrap(), kb.individual("C").unwrap());
+    let link = kb.instantiate(x, c).unwrap();
+    kb.put_attr(link, "weight", c).unwrap();
+    assert_eq!(vocabulary_of(&kb, "weight"), (false, false));
+    kb.specialize(c, kb.builtins().class).unwrap();
+    assert_eq!(vocabulary_of(&kb, "instanceof"), (false, false));
+    assert_eq!(vocabulary_of(&kb, "isa"), (false, false));
+}
+
+#[test]
+fn omega_classes_are_known_offline_and_online() {
+    let offline = LintContext::offline();
+    for name in ["Proposition", "Class"] {
+        assert!(offline.knows_name(name));
+        assert_eq!(vocabulary_of(&Kb::new(), name), (true, false));
+    }
+    assert!(!offline.knows_name("Person") && !offline.knows_label("attribute"));
+}
+
 // ---------- synthetic histories (gkbms::synth) ----------
 //
 // A separate block with few cases: each case boots three full GKBMS
@@ -613,7 +756,7 @@ proptest! {
     fn incremental_lint_matches_from_scratch_under_churn(
         ops in prop::collection::vec((any::<bool>(), 0usize..5), 1..8),
     ) {
-        use conceptbase::analysis::{lint_source, lint_source_cached, AnalysisCache, LintContext};
+        use conceptbase::analysis::{lint_source_cached, AnalysisCache};
         use conceptbase::gkbms::Gkbms;
         let mut g = Gkbms::new().unwrap();
         g.tell_src("TELL Person end").unwrap();
@@ -621,24 +764,7 @@ proptest! {
         let mut told: Vec<String> = Vec::new();
         let mut counter = 0usize;
         for (tell, sel) in ops {
-            if tell || told.is_empty() {
-                counter += 1;
-                // Every other TELL carries a rule, so the stored rule
-                // base (and with it the SCC structure) really churns.
-                if counter.is_multiple_of(2) {
-                    g.tell_src(&format!(
-                        "TELL C{counter} with rule r{counter} : \
-                         $ p{counter}(X) :- in_(X, \"Person\") $ end"
-                    )).unwrap();
-                    told.push(format!("C{counter}"));
-                } else {
-                    g.tell_src(&format!("TELL q{counter} in Person end")).unwrap();
-                    told.push(format!("q{counter}"));
-                }
-            } else {
-                let name = told.remove(sel % told.len());
-                g.untell(&name).unwrap();
-            }
+            lint_churn_step(&mut g, &mut told, &mut counter, tell, sel);
             for probe in [
                 "good(X) :- in_(X, \"Person\").",
                 "spin(X, Y) :- spin(Y, X).",
@@ -650,6 +776,83 @@ proptest! {
                 prop_assert_eq!(warm, cold,
                     "incremental and from-scratch lint diverged on `{}`", probe);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The admission context borrows the KB instead of copying it:
+    /// after every step of the same TELL/UNTELL history, what it
+    /// answers by lookup must equal membership in the sets the deleted
+    /// scan built — for every symbol the history can use plus some it
+    /// never does, in both roles — its on-demand cardinalities must
+    /// equal the scan's, and a constraint-carrying script must draw
+    /// exactly the CB009s the reference sets imply.
+    #[test]
+    fn borrowed_vocabulary_matches_the_reference_scan_under_churn(
+        ops in prop::collection::vec((any::<bool>(), 0usize..5), 1..8),
+    ) {
+        use conceptbase::analysis::{sort_diagnostics, Diagnostic};
+        use conceptbase::gkbms::Gkbms;
+        use conceptbase::telos::assertion;
+        let mut universe: Vec<String> = [
+            "Person", "knows", "Ghost", "phantom", "Token", "instanceof", "isa", "attribute",
+            "Probe",
+        ]
+        .map(String::from)
+        .to_vec();
+        for n in 1..8 {
+            universe.extend([
+                format!("C{n}"),
+                format!("q{n}"),
+                format!("r{n}"),
+                format!("C{n}!r{n}"),
+                format!("p{n}(X) :- in_(X, \"Person\")"),
+            ]);
+        }
+        // Known and unknown of each kind, and a pair that comes and goes.
+        let constraints = [
+            ("c1", "forall p/Person p.knows defined"),
+            ("c2", "forall g/Ghost g.phantom defined"),
+            ("c3", "forall q/q1 q.r2 defined"),
+        ];
+        let probe = format!(
+            "TELL Probe with\n{}end",
+            constraints.map(|(n, t)| format!("  constraint {n} : $ {t} $\n")).concat()
+        );
+        let mut g = Gkbms::new().unwrap();
+        g.tell_src("TELL Person end").unwrap();
+        let mut told: Vec<String> = Vec::new();
+        let mut counter = 0usize;
+        for (tell, sel) in ops {
+            lint_churn_step(&mut g, &mut told, &mut counter, tell, sel);
+            let ctx = LintContext::from_kb(g.kb());
+            let (names, labels, cards) = reference_vocabulary(g.kb());
+            for sym in universe.iter().chain(&names).chain(&labels) {
+                prop_assert_eq!(ctx.knows_name(sym), names.contains(sym), "name `{}`", sym);
+                prop_assert_eq!(ctx.knows_label(sym), labels.contains(sym), "label `{}`", sym);
+            }
+            prop_assert_eq!(ctx.edb_cards(), cards);
+            let mut expected = Vec::new();
+            for (i, (name, text)) in constraints.iter().enumerate() {
+                let expr = assertion::parse(text).unwrap();
+                for issue in assertion::sort_check(
+                    &expr,
+                    &|c| c == "Probe" || names.contains(c),
+                    &|l| constraints.iter().any(|(own, _)| *own == l) || labels.contains(l),
+                ) {
+                    let subject = format!("constraint `Probe!{name}`");
+                    expected.push(
+                        Diagnostic::warning("CB009", subject, issue.to_string())
+                            .with_witness(*text)
+                            .at_line(Some(i + 2)),
+                    );
+                }
+            }
+            sort_diagnostics(&mut expected);
+            prop_assert_eq!(lint_source(&probe, &ctx), expected);
         }
     }
 }
