@@ -16,17 +16,48 @@
 //! Each view records `as_of` — the belief tick of the last mutation it
 //! incorporated. A reader pinned at watermark `w` may serve answers
 //! from the model iff `w >= as_of`; an earlier watermark must fall
-//! back to evaluating the view's program over its pinned snapshot
-//! ([`RegisteredView::eval_pinned`]), so a pinned session never
-//! observes a refresh from a newer tick.
+//! back to the view's program evaluated over its pinned store version,
+//! so a pinned session never observes a refresh from a newer tick.
+//! [`pinned_tuples`] is that fallback as the server runs it: it takes
+//! the version and the program, not the GKBMS — so it cannot be holding
+//! the state lock — and reads the model from the lemmas the version
+//! holds ([`objectbase::query::version_closure`]), evaluating only on
+//! the first read of that view at that version.
+//! [`RegisteredView::eval_pinned`] is the same answer evaluated from
+//! scratch over any store, the form the differential tests compare
+//! against.
 
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::persist::JournalOp;
 use crate::system::Gkbms;
 use datalog::ast::{Program, Value};
+use datalog::db::Database;
 use datalog::ivm::{Fact, MaterializedView};
 use objectbase::query::{self, preds};
-use telos::{PropId, PropStore};
+use telos::{KbVersion, PropId, PropStore};
+
+/// Tuples of `pred` in `model`, in the order every view read answers.
+fn sorted_tuples(model: &Database, pred: &str) -> Vec<Vec<Value>> {
+    let mut out: Vec<Vec<Value>> = model.tuples(pred).collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// Tuples of `pred` in the model of `program` over `version` as
+/// believed at tick `at`, sorted like [`RegisteredView::tuples`]: the
+/// read of a session pinned before the maintained model's `as_of`. The
+/// model comes from [`query::version_closure`], so at the version's
+/// capture tick it is evaluated once per version, not once per read.
+pub fn pinned_tuples(
+    version: &KbVersion,
+    at: i64,
+    program: &Program,
+    pred: &str,
+) -> GkbmsResult<Vec<Vec<Value>>> {
+    let closure = query::version_closure(version, at, program)?;
+    Ok(sorted_tuples(&closure.model, pred))
+}
 
 /// One registered materialized view.
 #[derive(Debug, Clone)]
@@ -63,16 +94,14 @@ impl RegisteredView {
     /// Tuples of `pred` from the materialized model, sorted — correct
     /// for readers whose watermark is at or after [`RegisteredView::as_of`].
     pub fn tuples(&self, pred: &str) -> Vec<Vec<Value>> {
-        let mut out: Vec<Vec<Value>> = self.view.model().tuples(pred).collect();
-        out.sort();
-        out.dedup();
-        out
+        sorted_tuples(self.view.model(), pred)
     }
 
     /// Evaluates this view's program from scratch over `store` as
-    /// believed at tick `at` — the fallback for readers pinned before
-    /// the model's `as_of` watermark. Answers are sorted like
-    /// [`RegisteredView::tuples`].
+    /// believed at tick `at` — what a reader pinned before the model's
+    /// `as_of` watermark must be answered, with nothing remembered
+    /// between calls ([`pinned_tuples`] is the serving form). Answers
+    /// are sorted like [`RegisteredView::tuples`].
     pub fn eval_pinned<S: PropStore>(
         &self,
         store: &S,
@@ -82,10 +111,7 @@ impl RegisteredView {
         let edb = query::to_edb_at_store(store, at)?;
         let (model, _) = datalog::seminaive::evaluate(self.view.program(), &edb)
             .map_err(objectbase::ObError::from)?;
-        let mut out: Vec<Vec<Value>> = model.tuples(pred).collect();
-        out.sort();
-        out.dedup();
-        Ok(out)
+        Ok(sorted_tuples(&model, pred))
     }
 }
 

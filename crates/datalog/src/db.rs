@@ -6,8 +6,12 @@
 //! * Tuples are rows of [`IVal`] (interned, `Copy`) laid out
 //!   row-major in one flat vector per relation — cache-friendly scans,
 //!   cheap row handles (`u32`).
-//! * Duplicate detection goes through a tuple-hash map, so inserts are
-//!   O(arity) without storing each tuple twice.
+//! * Duplicate detection is an allocation-free hash chain: a map from
+//!   row hash to the newest row carrying it, and one `next` link per
+//!   row to the previous row with the same hash. An insert hashes the
+//!   row once (a word mix, not SipHash) and allocates nothing beyond
+//!   amortised vector growth; clone and drop of a relation are a
+//!   handful of `memcpy`s and `free`s.
 //! * Secondary indexes are keyed by a **binding pattern**: a bitmask of
 //!   argument positions. The index for mask `m` maps the values at
 //!   `m`'s positions to the row ids carrying them. Indexes are built
@@ -15,49 +19,132 @@
 //!   maintained incrementally by later inserts (an insert never leaves
 //!   a built index stale; dropping them would force O(n) rebuilds every
 //!   semi-naive round).
+//! * A [`Database`] holds its relations behind `Arc`s and copies one
+//!   only when it writes to it while another database shares it. A
+//!   clone is O(#relations); a model that [`crate::seminaive::evaluate`]
+//!   returns shares every input relation (and every index built on it)
+//!   that no rule derives into.
 
 use crate::ast::{Atom, Term, Value};
 use crate::error::{DatalogError, DatalogResult};
 use crate::intern::{intern, lookup, IVal, Symbol};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A secondary index: bound-position values (in position order) to the
 /// row ids that carry them.
-pub(crate) type Index = HashMap<Vec<IVal>, Vec<u32>>;
+pub(crate) type Index = HashMap<Vec<IVal>, Vec<u32>, BuildHasherDefault<WordMix>>;
 
 /// Relations wider than this are never indexed (the binding-pattern
 /// mask is a `u32`); joins over them fall back to scans.
 const MAX_INDEXED_ARITY: usize = 32;
 
+/// End of a dedup chain.
+const NIL: u32 = u32::MAX;
+
+/// Folded 64×64→128 multiply: every input bit reaches both the low
+/// bits (a hash map's bucket) and the high bits (its control byte).
+#[inline]
+fn mix(x: u64) -> u64 {
+    let m = u128::from(x).wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835);
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
+/// The per-process random key of every row hash: integer constants
+/// arrive from rule and frame text, and an unkeyed mix would let a
+/// client craft rows that all land in one chain or bucket.
+fn seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| RandomState::new().hash_one(0u64))
+}
+
+/// One word-mixing step per value — a row costs a few multiplies, not a
+/// SipHash.
 fn hash_row(row: &[IVal]) -> u64 {
-    let mut h = DefaultHasher::new();
-    row.hash(&mut h);
-    h.finish()
+    let mut h = seed();
+    for v in row {
+        let word = match *v {
+            IVal::Sym(s) => u64::from(s.id()),
+            IVal::Int(i) => (i as u64) ^ 0xA5A5_A5A5_0000_0000,
+        };
+        h = mix(h ^ word);
+    }
+    #[cfg(test)]
+    let h = h & tests::HASH_MASK.with(|m| m.get());
+    h
+}
+
+/// The hasher of the relation's own maps: the same keyed word mix, one
+/// step per integer written. The dedup map's keys are [`hash_row`]
+/// values (one step); an index's keys are short `IVal` vectors.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WordMix(u64);
+
+impl Default for WordMix {
+    fn default() -> Self {
+        WordMix(seed())
+    }
+}
+
+impl Hasher for WordMix {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix(self.0 ^ v);
+    }
+    fn write_i64(&mut self, v: i64) {
+        self.write_u64(v as u64);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// Projects the values at `mask`'s positions, in position order, into
+/// `key` (cleared first).
+fn project(row: &[IVal], mask: u32, key: &mut Vec<IVal>) {
+    key.clear();
+    let mut m = mask;
+    while m != 0 {
+        key.push(row[m.trailing_zeros() as usize]);
+        m &= m - 1;
+    }
 }
 
 /// Projects the values at `mask`'s positions, in position order.
 pub(crate) fn key_of(row: &[IVal], mask: u32) -> Vec<IVal> {
     let mut key = Vec::with_capacity(mask.count_ones() as usize);
-    let mut m = mask;
-    while m != 0 {
-        let j = m.trailing_zeros() as usize;
-        key.push(row[j]);
-        m &= m - 1;
-    }
+    project(row, mask, &mut key);
     key
 }
 
-/// One relation: arity, row-major tuple storage, dedup map, indexes.
+/// One relation: arity, row-major tuple storage, dedup chains, indexes.
 #[derive(Debug, Default)]
 pub(crate) struct Relation {
     pub(crate) arity: usize,
     flat: Vec<IVal>,
-    nrows: u32,
-    /// Tuple hash → candidate row ids (collisions resolved by compare).
-    dedup: HashMap<u64, Vec<u32>>,
+    /// Row hash → the newest row with that hash, the head of its chain.
+    heads: HashMap<u64, u32, BuildHasherDefault<WordMix>>,
+    /// Per row, the next-older row with the same hash, or [`NIL`]. One
+    /// entry per row, so its length is the row count (`flat` is empty
+    /// for a zero-arity relation).
+    next: Vec<u32>,
     /// Binding-pattern mask → secondary index, built lazily. Behind a
     /// mutex (not a `RefCell`) so a database embedded in shared server
     /// state stays `Sync`; evaluation is single-threaded, so the lock
@@ -70,8 +157,8 @@ impl Clone for Relation {
         Relation {
             arity: self.arity,
             flat: self.flat.clone(),
-            nrows: self.nrows,
-            dedup: self.dedup.clone(),
+            heads: self.heads.clone(),
+            next: self.next.clone(),
             // Arc-shallow: clones share built indexes until either
             // side inserts (copy-on-write via `Arc::make_mut`).
             indexes: Mutex::new(lock_indexes(&self.indexes).clone()),
@@ -87,10 +174,24 @@ fn lock_indexes(
     indexes.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The row equal to `row` in the dedup chain that starts at `head`. A
+/// free function over the fields it reads, so [`Relation::insert`] can
+/// call it while it holds the map entry the chain hangs from.
+fn chain_find(flat: &[IVal], next: &[u32], arity: usize, head: u32, row: &[IVal]) -> Option<u32> {
+    let mut i = head;
+    while i != NIL {
+        if &flat[i as usize * arity..(i as usize + 1) * arity] == row {
+            return Some(i);
+        }
+        i = next[i as usize];
+    }
+    None
+}
+
 impl Relation {
     /// Number of tuples.
     pub(crate) fn len(&self) -> usize {
-        self.nrows as usize
+        self.next.len()
     }
 
     /// The `i`-th tuple.
@@ -101,29 +202,40 @@ impl Relation {
 
     /// Iterates all tuples.
     pub(crate) fn rows(&self) -> impl Iterator<Item = &[IVal]> {
-        (0..self.nrows).map(|i| self.row(i))
+        (0..self.len() as u32).map(|i| self.row(i))
     }
 
     fn find(&self, row: &[IVal]) -> Option<u32> {
-        let h = hash_row(row);
-        self.dedup
-            .get(&h)?
-            .iter()
-            .copied()
-            .find(|&i| self.row(i) == row)
+        self.find_hashed(hash_row(row), row)
+    }
+
+    /// [`Relation::find`] for a caller that already holds `row`'s hash.
+    fn find_hashed(&self, h: u64, row: &[IVal]) -> Option<u32> {
+        let head = *self.heads.get(&h)?;
+        chain_find(&self.flat, &self.next, self.arity, head, row)
     }
 
     /// Inserts a row, maintaining dedup and any built indexes; returns
     /// whether it was new.
     fn insert(&mut self, row: &[IVal]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
-        if self.find(row).is_some() {
-            return false;
-        }
-        let id = self.nrows;
+        let id = u32::try_from(self.len()).unwrap_or(NIL);
+        assert!(id != NIL, "fewer than 2^32 - 1 rows per relation");
+        // One map lookup serves both the duplicate check and the link.
+        let older = match self.heads.entry(hash_row(row)) {
+            Entry::Vacant(e) => {
+                e.insert(id);
+                NIL
+            }
+            Entry::Occupied(mut e) => {
+                if chain_find(&self.flat, &self.next, self.arity, *e.get(), row).is_some() {
+                    return false;
+                }
+                e.insert(id)
+            }
+        };
+        self.next.push(older);
         self.flat.extend_from_slice(row);
-        self.nrows += 1;
-        self.dedup.entry(hash_row(row)).or_default().push(id);
         for (&mask, index) in self.indexes.get_mut().unwrap_or_else(|e| e.into_inner()) {
             Arc::make_mut(index)
                 .entry(key_of(row, mask))
@@ -133,36 +245,54 @@ impl Relation {
         true
     }
 
+    /// Makes whatever link of `h`'s chain names row `from` name `to`.
+    fn relink(&mut self, h: u64, from: u32, to: u32) {
+        let Some(head) = self.heads.get_mut(&h) else {
+            return;
+        };
+        if *head == from {
+            *head = to;
+            return;
+        }
+        let mut i = *head;
+        while i != NIL {
+            let link = &mut self.next[i as usize];
+            if *link == from {
+                *link = to;
+                return;
+            }
+            i = *link;
+        }
+    }
+
     /// Removes a row by value, maintaining dedup and any built indexes;
     /// returns whether it was present. The last row is swapped into the
     /// hole, so every bookkeeping structure that names a row id must be
-    /// repointed: first the removed row's entries are dropped, then the
-    /// moved row's entries are redirected from the old last id — in that
-    /// order, because the two rows may share a hash bucket or index key.
+    /// repointed: first the removed row is unlinked, then whatever
+    /// named the moved row is redirected from the old last id — in that
+    /// order, because the two rows may share a hash chain or index key.
     fn remove(&mut self, row: &[IVal]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
-        let Some(id) = self.find(row) else {
+        let h = hash_row(row);
+        let Some(id) = self.find_hashed(h, row) else {
             return false;
         };
-        let last = self.nrows - 1;
+        let last = self.len() as u32 - 1;
         let removed: Vec<IVal> = self.row(id).to_vec();
         let moved: Option<Vec<IVal>> = (id != last).then(|| self.row(last).to_vec());
-        let h = hash_row(&removed);
-        if let Some(bucket) = self.dedup.get_mut(&h) {
-            bucket.retain(|&i| i != id);
-            if bucket.is_empty() {
-                self.dedup.remove(&h);
-            }
+        // Unlink `id`: its predecessor (or the chain head) skips to its
+        // successor; a chain left empty gives up its map entry.
+        let after = self.next[id as usize];
+        if after == NIL && self.heads.get(&h) == Some(&id) {
+            self.heads.remove(&h);
+        } else {
+            self.relink(h, id, after);
         }
         if let Some(m) = &moved {
-            if let Some(bucket) = self.dedup.get_mut(&hash_row(m)) {
-                for i in bucket.iter_mut() {
-                    if *i == last {
-                        *i = id;
-                    }
-                }
-            }
+            self.relink(hash_row(m), last, id);
+            self.next[id as usize] = self.next[last as usize];
         }
+        self.next.pop();
         for (&mask, index) in self.indexes.get_mut().unwrap_or_else(|e| e.into_inner()) {
             let index = Arc::make_mut(index);
             let key = key_of(&removed, mask);
@@ -184,12 +314,10 @@ impl Relation {
         }
         let a = self.arity;
         if id != last {
-            for j in 0..a {
-                self.flat[id as usize * a + j] = self.flat[last as usize * a + j];
-            }
+            self.flat
+                .copy_within(last as usize * a..(last as usize + 1) * a, id as usize * a);
         }
         self.flat.truncate(last as usize * a);
-        self.nrows = last;
         true
     }
 
@@ -199,9 +327,18 @@ impl Relation {
         debug_assert!(mask != 0);
         let mut indexes = lock_indexes(&self.indexes);
         Arc::clone(indexes.entry(mask).or_insert_with(|| {
-            let mut index = Index::new();
-            for i in 0..self.nrows {
-                index.entry(key_of(self.row(i), mask)).or_default().push(i);
+            // One scratch key for the whole build: a key is allocated
+            // per distinct value, not per row.
+            let mut index = Index::default();
+            let mut key = Vec::new();
+            for i in 0..self.len() as u32 {
+                project(self.row(i), mask, &mut key);
+                match index.get_mut(key.as_slice()) {
+                    Some(ids) => ids.push(i),
+                    None => {
+                        index.insert(key.clone(), vec![i]);
+                    }
+                }
             }
             Arc::new(index)
         }))
@@ -213,11 +350,13 @@ impl Relation {
     }
 }
 
-/// A database mapping predicate names to relations.
+/// A database mapping predicate names to relations. Cloning shares the
+/// relations; a write copies the one relation it touches if a clone
+/// still holds it.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     pred_ids: HashMap<Symbol, usize>,
-    rels: Vec<(Symbol, Relation)>,
+    rels: Vec<(Symbol, Arc<Relation>)>,
 }
 
 impl Database {
@@ -227,7 +366,7 @@ impl Database {
     }
 
     pub(crate) fn rel(&self, pred: Symbol) -> Option<&Relation> {
-        self.pred_ids.get(&pred).map(|&i| &self.rels[i].1)
+        self.pred_ids.get(&pred).map(|&i| &*self.rels[i].1)
     }
 
     fn rel_by_name(&self, pred: &str) -> Option<&Relation> {
@@ -235,7 +374,9 @@ impl Database {
     }
 
     /// Inserts an interned row under `pred`; returns whether it was new.
-    pub(crate) fn insert_ivals(&mut self, pred: Symbol, row: &[IVal]) -> DatalogResult<bool> {
+    /// This is the bulk-load entry: no string is hashed and nothing is
+    /// allocated per row.
+    pub fn insert_ivals(&mut self, pred: Symbol, row: &[IVal]) -> DatalogResult<bool> {
         match self.pred_ids.get(&pred) {
             Some(&i) => {
                 let rel = &mut self.rels[i].1;
@@ -246,7 +387,11 @@ impl Database {
                         found: row.len(),
                     });
                 }
-                Ok(rel.insert(row))
+                Ok(match Arc::get_mut(rel) {
+                    Some(own) => own.insert(row),
+                    // Shared: a duplicate must not cost a copy.
+                    None => rel.find(row).is_none() && Arc::make_mut(rel).insert(row),
+                })
             }
             None => {
                 let mut rel = Relation {
@@ -255,7 +400,7 @@ impl Database {
                 };
                 rel.insert(row);
                 self.pred_ids.insert(pred, self.rels.len());
-                self.rels.push((pred, rel));
+                self.rels.push((pred, Arc::new(rel)));
                 Ok(true)
             }
         }
@@ -278,7 +423,11 @@ impl Database {
         match self.pred_ids.get(&pred) {
             Some(&i) => {
                 let rel = &mut self.rels[i].1;
-                rel.arity == row.len() && rel.remove(row)
+                rel.arity == row.len()
+                    && match Arc::get_mut(rel) {
+                        Some(own) => own.remove(row),
+                        None => rel.find(row).is_some() && Arc::make_mut(rel).remove(row),
+                    }
             }
             None => false,
         }
@@ -286,7 +435,7 @@ impl Database {
 
     /// Iterates the relations with their interned predicate symbols.
     pub(crate) fn iter_rels(&self) -> impl Iterator<Item = (Symbol, &Relation)> {
-        self.rels.iter().map(|(s, r)| (*s, r))
+        self.rels.iter().map(|(s, r)| (*s, &**r))
     }
 
     /// Inserts a ground tuple under `pred`; returns whether it was new.
@@ -365,8 +514,8 @@ impl Database {
     pub fn absorb(&mut self, other: &Database) -> DatalogResult<usize> {
         let mut added = 0;
         for (pred, rel) in &other.rels {
-            for i in 0..rel.nrows {
-                if self.insert_ivals(*pred, rel.row(i))? {
+            for row in rel.rows() {
+                if self.insert_ivals(*pred, row)? {
                     added += 1;
                 }
             }
@@ -428,6 +577,20 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Narrows [`hash_row`] on the calling test's thread so dedup
+        /// chains actually form: under `0` every row of a relation
+        /// shares one chain, under `0b11` there are four.
+        pub(super) static HASH_MASK: Cell<u64> = const { Cell::new(u64::MAX) };
+    }
+
+    fn narrow_hash_to(mask: u64) {
+        HASH_MASK.with(|m| m.set(mask));
+    }
 
     #[test]
     fn insert_and_query() {
@@ -602,6 +765,245 @@ mod tests {
         assert!(!a.contains("p", &[Value::Int(1)]));
         assert!(b.contains("p", &[Value::Int(1)]));
         assert_eq!(b.probe("p", &[Some(Value::Int(1))]).count(), 1);
+    }
+
+    // ----- dedup chains under swap-remove -------------------------------
+
+    fn pair(a: i64, b: i64) -> Vec<IVal> {
+        vec![IVal::Int(a), IVal::Int(b)]
+    }
+
+    /// Every row over `0..SIDE` × `0..SIDE`: small enough to sweep after
+    /// every step, large enough for chains several rows long.
+    const SIDE: i64 = 4;
+
+    fn universe() -> Vec<Vec<IVal>> {
+        (0..SIDE)
+            .flat_map(|a| (0..SIDE).map(move |b| pair(a, b)))
+            .collect()
+    }
+
+    /// Holds `db`'s relation `p` against `model`: membership of every
+    /// row of the universe, the tuple set, the count — and, when
+    /// `probing`, the probe under every mask with every key (which
+    /// builds the three secondary indexes on first use).
+    fn assert_matches(db: &Database, model: &BTreeSet<Vec<IVal>>, probing: bool, ctx: &str) {
+        let p = intern("p");
+        assert_eq!(db.count("p"), model.len(), "{ctx}: count");
+        for row in universe() {
+            assert_eq!(
+                db.contains_ivals(p, &row),
+                model.contains(&row),
+                "{ctx}: contains {row:?}"
+            );
+        }
+        let decode = |rows: &BTreeSet<Vec<IVal>>| -> BTreeSet<Vec<Value>> {
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.to_value()).collect())
+                .collect()
+        };
+        let listed: Vec<Vec<Value>> = db.tuples("p").collect();
+        assert_eq!(listed.len(), model.len(), "{ctx}: a tuple is listed twice");
+        assert_eq!(
+            listed.into_iter().collect::<BTreeSet<_>>(),
+            decode(model),
+            "{ctx}: tuples"
+        );
+        if !probing {
+            return;
+        }
+        for mask in 0u32..4 {
+            for key in universe() {
+                let pattern: Vec<Option<Value>> = (0..2)
+                    .map(|j| (mask >> j & 1 == 1).then(|| key[j].to_value()))
+                    .collect();
+                let want: BTreeSet<Vec<IVal>> = model
+                    .iter()
+                    .filter(|r| (0..2).all(|j| mask >> j & 1 == 0 || r[j] == key[j]))
+                    .cloned()
+                    .collect();
+                let hits: Vec<Vec<Value>> = db.probe("p", &pattern).collect();
+                assert_eq!(hits.len(), want.len(), "{ctx}: probe {pattern:?} count");
+                assert_eq!(
+                    hits.into_iter().collect::<BTreeSet<_>>(),
+                    decode(&want),
+                    "{ctx}: probe {pattern:?}"
+                );
+            }
+        }
+    }
+
+    /// Inserts `rows` in order, removes `victim`, and sweeps the model
+    /// check — with all indexes built before the removal.
+    fn remove_one(rows: &[Vec<IVal>], setup_removes: &[Vec<IVal>], victim: &[IVal], ctx: &str) {
+        let p = intern("p");
+        let mut db = Database::new();
+        let mut model = BTreeSet::new();
+        for row in rows {
+            assert!(db.insert_ivals(p, row).unwrap(), "{ctx}: setup insert");
+            model.insert(row.clone());
+        }
+        for row in setup_removes {
+            assert!(db.remove_ivals(p, row), "{ctx}: setup remove");
+            model.remove(row);
+        }
+        assert_matches(&db, &model, true, &format!("{ctx}, before"));
+        assert!(db.remove_ivals(p, victim), "{ctx}: the victim is present");
+        model.remove(victim);
+        assert_matches(&db, &model, true, &format!("{ctx}, after"));
+        assert!(!db.remove_ivals(p, victim), "{ctx}: removed twice");
+        // The slot is reusable and the chain still ends.
+        assert!(db.insert_ivals(p, victim).unwrap());
+        model.insert(victim.to_vec());
+        assert_matches(&db, &model, true, &format!("{ctx}, re-inserted"));
+    }
+
+    /// Four rows sharing one chain and one row in a chain of its own,
+    /// picked by their real (seeded) hashes under a one-bit mask.
+    fn one_chain_and_a_stranger() -> (Vec<Vec<IVal>>, Vec<IVal>) {
+        narrow_hash_to(1);
+        let (zeros, ones): (Vec<_>, Vec<_>) =
+            universe().into_iter().partition(|r| hash_row(r) == 0);
+        let (chain, other) = if zeros.len() >= 4 {
+            (zeros, ones)
+        } else {
+            (ones, zeros)
+        };
+        assert!(chain.len() >= 4, "16 rows over 2 hashes: one side has 8");
+        let stranger = other
+            .first()
+            .cloned()
+            .expect("a keyed hash that sends 16 rows one way is broken");
+        (chain[..4].to_vec(), stranger)
+    }
+
+    #[test]
+    fn removed_row_is_chain_head_middle_or_tail() {
+        // Rows a0..a3 chain newest-first (a3 → a2 → a1 → a0); the
+        // stranger is the last row, so it is the one swap-remove moves
+        // and the victim's own chain is relinked in isolation.
+        let (a, stranger) = one_chain_and_a_stranger();
+        let mut rows = a.clone();
+        rows.push(stranger);
+        remove_one(&rows, &[], &a[3], "chain head");
+        remove_one(&rows, &[], &a[2], "chain middle");
+        remove_one(&rows, &[], &a[1], "chain middle, older");
+        remove_one(&rows, &[], &a[0], "chain tail");
+    }
+
+    #[test]
+    fn moved_row_is_the_victims_chain_neighbour() {
+        let (a, _) = one_chain_and_a_stranger();
+        // Chain a3 → a2 → a1 → a0, last row a3: removing a2 moves the
+        // row that links *to* the victim.
+        remove_one(&a, &[], &a[2], "moved row directly before the victim");
+        // Removing a0 first moves a3 into slot 0, leaving the chain
+        // a3 → a2 → a1 with a2 as the last row: removing a3 now moves
+        // the row the victim links *to*.
+        remove_one(
+            &a,
+            &[a[0].clone()],
+            &a[3],
+            "moved row directly after the victim",
+        );
+        // And with every row in one chain, whatever the seed.
+        narrow_hash_to(0);
+        let all = universe();
+        for victim in &all {
+            remove_one(&all, &[], victim, &format!("single chain, {victim:?}"));
+        }
+    }
+
+    #[test]
+    fn removing_the_last_and_the_only_row() {
+        let (a, stranger) = one_chain_and_a_stranger();
+        let mut rows = a.clone();
+        rows.push(stranger.clone());
+        remove_one(&rows, &[], &stranger, "last row, alone in its chain");
+        remove_one(&a, &[], &a[3], "last row, head of a longer chain");
+        remove_one(&a[..1], &[], &a[0], "only row");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 96 }))]
+
+        /// Random insert/remove sequences against a `BTreeSet` model,
+        /// with hashes narrowed to two bits so chains are several rows
+        /// long, and the secondary indexes present from `index_from` on.
+        #[test]
+        fn relation_matches_a_set_model(
+            ops in prop::collection::vec((0u8..5, 0i64..SIDE, 0i64..SIDE), 1..60),
+            index_from in 0usize..60,
+        ) {
+            narrow_hash_to(0b11);
+            let p = intern("p");
+            let mut db = Database::new();
+            let mut model: BTreeSet<Vec<IVal>> = BTreeSet::new();
+            for (step, &(kind, a, b)) in ops.iter().enumerate() {
+                let row = pair(a, b);
+                if kind < 3 {
+                    prop_assert_eq!(db.insert_ivals(p, &row).unwrap(), model.insert(row.clone()));
+                } else {
+                    prop_assert_eq!(db.remove_ivals(p, &row), model.remove(&row));
+                }
+                assert_matches(&db, &model, step >= index_from, &format!("step {step}"));
+            }
+        }
+    }
+
+    // ----- copy-on-write between clones ---------------------------------
+
+    fn shares_relation(a: &Database, b: &Database) -> bool {
+        Arc::ptr_eq(&a.rels[0].1, &b.rels[0].1)
+    }
+
+    #[test]
+    fn a_clone_shares_relations_until_one_side_writes() {
+        let p = intern("p");
+        let mut a = Database::new();
+        let mut model = BTreeSet::new();
+        for row in [pair(0, 1), pair(0, 2), pair(1, 2)] {
+            a.insert_ivals(p, &row).unwrap();
+            model.insert(row);
+        }
+        let original = Arc::clone(&a.rels[0].1);
+        let mut b = a.clone();
+        assert!(shares_relation(&a, &b), "a clone copies no relation");
+
+        // An index built through one side is built on the shared rows.
+        assert_eq!(b.probe("p", &[Some(Value::Int(0)), None]).count(), 2);
+        assert_eq!(a.index_count(), 1);
+        assert!(shares_relation(&a, &b), "building an index copies nothing");
+
+        // A duplicate (or a remove of an absent row) is not a write.
+        assert!(!b.insert_ivals(p, &pair(0, 1)).unwrap());
+        assert!(!b.remove_ivals(p, &pair(3, 3)));
+        assert!(shares_relation(&a, &b));
+
+        // A real insert copies the clone's relation, not the original's.
+        assert!(b.insert_ivals(p, &pair(0, 3)).unwrap());
+        assert!(!shares_relation(&a, &b));
+        assert!(
+            Arc::ptr_eq(&original, &a.rels[0].1),
+            "the side that did not write was not copied"
+        );
+        assert_matches(&a, &model, true, "original after the clone's insert");
+        let mut grown = model.clone();
+        grown.insert(pair(0, 3));
+        assert_matches(&b, &grown, true, "clone after its insert");
+
+        // Same for a remove, from the other side.
+        let mut c = a.clone();
+        assert!(a.remove_ivals(p, &pair(0, 2)));
+        assert!(!shares_relation(&a, &c));
+        assert_matches(&c, &model, true, "clone after the original's remove");
+        model.remove(&pair(0, 2));
+        assert_matches(&a, &model, true, "original after its remove");
+        // Once unshared, writes go in place.
+        drop(original);
+        let own = Arc::as_ptr(&c.rels[0].1);
+        assert!(c.insert_ivals(p, &pair(2, 2)).unwrap());
+        assert_eq!(own, Arc::as_ptr(&c.rels[0].1));
     }
 
     #[test]

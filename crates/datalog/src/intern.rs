@@ -228,7 +228,7 @@ impl std::fmt::Display for Symbol {
 
 /// Interned value: the `Copy` twin of [`Value`] used inside relations
 /// and join cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IVal {
     /// An interned symbolic constant.
     Sym(Symbol),

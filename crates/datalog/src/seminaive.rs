@@ -55,36 +55,49 @@ pub struct EvalStats {
 impl EvalStats {
     /// Accumulates this evaluation's counters into the process-wide
     /// [`obs`] registry, so the per-query numbers the engines already
-    /// report become cumulative service metrics.
+    /// report become cumulative service metrics. They count work done:
+    /// an ASK answered from a closure its store version already holds
+    /// runs no evaluation and moves none of them.
     pub fn publish(&self) {
         obs::counter!(
             "datalog_evaluations_total",
-            "Bottom-up evaluations (indexed or scan) completed"
+            "Bottom-up evaluations (indexed or scan) completed: one per closure built, not one per ASK"
         )
         .inc();
-        obs::counter!("datalog_rounds_total", "Fixpoint rounds across all strata")
-            .add(self.rounds as u64);
+        obs::counter!(
+            "datalog_rounds_total",
+            "Fixpoint rounds across all strata, per evaluation run"
+        )
+        .add(self.rounds as u64);
         obs::counter!(
             "datalog_derivations_total",
-            "Successful rule-body instantiations"
+            "Successful rule-body instantiations, per evaluation run"
         )
         .add(self.derivations as u64);
-        obs::counter!("datalog_new_facts_total", "Facts newly derived").add(self.new_facts as u64);
+        obs::counter!(
+            "datalog_new_facts_total",
+            "Facts newly derived, per evaluation run"
+        )
+        .add(self.new_facts as u64);
         obs::counter!(
             "datalog_index_probes_total",
-            "Secondary-index probes issued by the join cores"
+            "Secondary-index probes issued by the join cores, per evaluation run"
         )
         .add(self.index_probes as u64);
         obs::counter!(
             "datalog_tuples_scanned_total",
-            "Candidate tuples iterated while joining"
+            "Candidate tuples iterated while joining, per evaluation run"
         )
         .add(self.tuples_scanned as u64);
     }
 }
 
 /// Evaluates `program` over `edb` through the join kernel, returning
-/// the full model (EDB + derived facts) and statistics.
+/// the full model (EDB + derived facts) and statistics. The model
+/// starts as a clone of `edb`, which copies no tuple: relations are
+/// shared copy-on-write ([`crate::db`]), so the model holds the input's
+/// relations — and the indexes the joins build on them — by reference,
+/// and owns only what it derived.
 pub fn evaluate(program: &Program, edb: &Database) -> DatalogResult<(Database, EvalStats)> {
     program.validate()?;
     let strat = stratify(program)?;

@@ -7,14 +7,30 @@
 //! inheritance), and [`DeductiveView`] runs user rules on top with a
 //! choice of inference engine — bottom-up, top-down with lemmas, or
 //! magic sets.
+//!
+//! # Lemmas live with their version
+//!
+//! The inference engines "may enhance their performance by lemma
+//! generation" (§3.1): derived facts are kept, not re-derived. The unit
+//! a set of lemmas is valid for is one immutable [`KbVersion`] — so
+//! that is where they are kept. [`ask_with_stats_version`] and
+//! [`version_closure`] store the [`Closure`] of a program (its model
+//! and the [`EvalStats`] of the one evaluation that built it) in the
+//! version's derived-state slot ([`KbVersion::derived`]): built by the
+//! first read at the version's capture tick, shared by every later
+//! one, freed with the version. There is no cache to size or
+//! invalidate.
 
 use crate::error::ObResult;
 use datalog::ast::{Atom, Program, Term, Value};
 use datalog::db::Database;
+use datalog::intern::{intern, IVal, Symbol};
 use datalog::seminaive::EvalStats;
 use datalog::{magic, seminaive, topdown};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 use telos::assertion;
-use telos::{Kb, KbRead, KbVersion, PropId, PropStore, TelosError};
+use telos::{Kb, KbRead, KbVersion, PropId, PropStore, Proposition, TelosError};
 
 /// EDB predicate names exported from the KB.
 pub mod preds {
@@ -30,7 +46,7 @@ pub mod preds {
 /// are identified by their display names; anonymous links are skipped
 /// (they reappear as `attr` tuples of their endpoints).
 pub fn to_edb(kb: &Kb) -> ObResult<Database> {
-    edb_where(kb, |p| p.is_believed())
+    export(kb, Proposition::is_believed, Exported::ALL)
 }
 
 /// Like [`to_edb`], but exporting the network as believed at tick `at`
@@ -43,27 +59,99 @@ pub fn to_edb_at(kb: &Kb, at: i64) -> ObResult<Database> {
 /// [`KbVersion`], so the server's MVCC read path builds its EDB from a
 /// pinned version without touching the live KB.
 pub fn to_edb_at_store<S: PropStore>(store: &S, at: i64) -> ObResult<Database> {
-    edb_where(store, |p| p.believed_at(at))
+    export(store, |p| p.believed_at(at), Exported::ALL)
 }
 
-fn edb_where<S: PropStore>(
+/// [`to_edb_at_store`] restricted to the extensional predicates some
+/// rule body of `program` reads: the same tuples in the same order for
+/// those, nothing for the rest. [`base_program`] reads `in_` and `isa`
+/// — about a third of a design history's tuples; the rest is `attr`.
+pub fn to_edb_for<S: PropStore>(store: &S, at: i64, program: &Program) -> ObResult<Database> {
+    export(store, |p| p.believed_at(at), Exported::read_by(program))
+}
+
+/// Which extensional predicates an export carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Exported {
+    in_: bool,
+    isa: bool,
+    attr: bool,
+}
+
+impl Exported {
+    const ALL: Exported = Exported {
+        in_: true,
+        isa: true,
+        attr: true,
+    };
+
+    fn read_by(program: &Program) -> Exported {
+        let reads = |pred: &str| {
+            program
+                .rules
+                .iter()
+                .any(|r| r.body.iter().any(|l| l.atom.pred == pred))
+        };
+        Exported {
+            in_: reads(preds::IN),
+            isa: reads(preds::ISA),
+            attr: reads(preds::ATTR),
+        }
+    }
+}
+
+/// The one export loop. Rows go in interned: each endpoint's display
+/// name is interned once per export (a `PropId`-indexed table), each
+/// attribute label once per label, and no `String` or [`Value`] is
+/// built per tuple. Must agree with [`edb_fact_for`], the
+/// per-proposition form that feeds the maintained views.
+fn export<S: PropStore>(
     store: &S,
-    live: impl Fn(&telos::Proposition) -> bool,
+    live: impl Fn(&Proposition) -> bool,
+    want: Exported,
 ) -> ObResult<Database> {
     obs::counter!(
         "objectbase_edb_exports_total",
-        "Full EDB exports, each O(KB)"
+        "EDB exports, each an O(KB) walk of the proposition store"
     )
     .inc();
+    let (in_, isa, attr) = (intern(preds::IN), intern(preds::ISA), intern(preds::ATTR));
+    let mut names: Vec<Option<Symbol>> = vec![None; store.prop_count()];
+    let mut name_of = |id: PropId| -> IVal {
+        if let Some(Some(known)) = names.get(id.idx()) {
+            return IVal::Sym(*known);
+        }
+        let sym = match store.prop(id) {
+            Some(p) if p.is_individual() => intern(store.resolve_sym(p.label)),
+            _ => intern(&store.display_prop(id)),
+        };
+        if let Some(slot) = names.get_mut(id.idx()) {
+            *slot = Some(sym);
+        }
+        IVal::Sym(sym)
+    };
+    let mut labels: HashMap<telos::Symbol, IVal> = HashMap::new();
     let mut db = Database::new();
     for id in 0..store.prop_count() {
-        let id = PropId(id as u32);
-        let Some(p) = store.prop(id) else { continue };
-        if !live(p) {
+        let Some(p) = store.prop(PropId(id as u32)) else {
+            continue;
+        };
+        if p.is_individual() || !live(p) {
             continue;
         }
-        if let Some((pred, tuple)) = edb_fact_for(store, id) {
-            db.insert(&pred, tuple)?;
+        if p.label == store.instanceof_sym() {
+            if want.in_ {
+                db.insert_ivals(in_, &[name_of(p.source), name_of(p.dest)])?;
+            }
+        } else if p.label == store.isa_sym() {
+            if want.isa {
+                db.insert_ivals(isa, &[name_of(p.source), name_of(p.dest)])?;
+            }
+        } else if want.attr {
+            let label = *labels
+                .entry(p.label)
+                .or_insert_with(|| IVal::Sym(intern(store.resolve_sym(p.label))));
+            db.insert_ivals(attr, &[name_of(p.source), label, name_of(p.dest)])?;
         }
     }
     Ok(db)
@@ -109,13 +197,113 @@ pub fn edb_facts(kb: &Kb) -> Vec<(String, Vec<Value>)> {
 
 /// The CML closure rules: transitive isa and instance inheritance.
 pub fn base_program() -> Program {
-    Program::parse(
-        "isaT(C, D) :- isa(C, D).\n\
-         isaT(C, E) :- isa(C, D), isaT(D, E).\n\
-         inT(X, C) :- in_(X, C).\n\
-         inT(X, D) :- in_(X, C), isaT(C, D).",
+    base().clone()
+}
+
+fn base() -> &'static Program {
+    static BASE: OnceLock<Program> = OnceLock::new();
+    BASE.get_or_init(|| {
+        Program::parse(
+            "isaT(C, D) :- isa(C, D).\n\
+             isaT(C, E) :- isa(C, D), isaT(D, E).\n\
+             inT(X, C) :- in_(X, C).\n\
+             inT(X, D) :- in_(X, C), isaT(C, D).",
+        )
+        .expect("base program parses")
+    })
+}
+
+/// The deductive closure of one program over one belief state: the
+/// model (extensional plus derived tuples) and the counters of the one
+/// [`seminaive::evaluate`] run that built it.
+#[derive(Debug)]
+pub struct Closure {
+    /// The full model.
+    pub model: Database,
+    /// What building it cost. Evaluation is deterministic, so these are
+    /// the numbers any from-scratch run over the same state reports.
+    pub stats: EvalStats,
+}
+
+/// One program's closure at a version: empty until the first read
+/// builds it. The lock is held across the build, so concurrent readers
+/// of a fresh version wait for one evaluation instead of each running
+/// their own.
+type Lemma = Arc<Mutex<Option<Arc<Closure>>>>;
+
+/// What [`KbVersion::derived`] holds for this crate: per program (and
+/// per set of exported predicates — a projected model must not answer
+/// for a full one), its closure at the version's capture tick.
+#[derive(Default)]
+struct Lemmas(Mutex<Vec<(Exported, Program, Lemma)>>);
+
+/// Exports `want` from `store` as filtered by `live` and evaluates
+/// `program` over it.
+fn build_closure<S: PropStore>(
+    store: &S,
+    live: impl Fn(&Proposition) -> bool,
+    want: Exported,
+    program: &Program,
+) -> ObResult<Arc<Closure>> {
+    obs::counter!(
+        "objectbase_closure_builds_total",
+        "Deductive closures evaluated from scratch (one EDB export and one fixpoint each)"
     )
-    .expect("base program parses")
+    .inc();
+    let edb = export(store, live, want)?;
+    let (model, stats) = seminaive::evaluate(program, &edb)?;
+    Ok(Arc::new(Closure { model, stats }))
+}
+
+/// The closure of `program` over `version` as believed at `at`, read
+/// from the version's lemmas when `at` is its capture tick — the only
+/// tick a session pins outside a reload race — and built unshared
+/// otherwise. A failed evaluation stores nothing.
+fn closure_at(
+    version: &KbVersion,
+    at: i64,
+    want: Exported,
+    program: &Program,
+) -> ObResult<Arc<Closure>> {
+    let build = || build_closure(version, |p| p.believed_at(at), want, program);
+    if at != version.now() {
+        return build();
+    }
+    let Some(lemmas) = version.derived::<Lemmas>() else {
+        return build();
+    };
+    let lemma = {
+        let mut all = lemmas.0.lock().unwrap_or_else(|e| e.into_inner());
+        match all.iter().find(|(w, p, _)| *w == want && p == program) {
+            Some((_, _, lemma)) => Arc::clone(lemma),
+            None => {
+                let lemma = Lemma::default();
+                all.push((want, program.clone(), Arc::clone(&lemma)));
+                lemma
+            }
+        }
+    };
+    let mut built = lemma.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(closure) = &*built {
+        obs::counter!(
+            "objectbase_closure_hits_total",
+            "Closure reads served from the lemmas their pinned version already holds"
+        )
+        .inc();
+        return Ok(Arc::clone(closure));
+    }
+    let closure = build()?;
+    *built = Some(Arc::clone(&closure));
+    Ok(closure)
+}
+
+/// The closure of `program` over everything `version` believed at tick
+/// `at` (all three extensional predicates, like [`to_edb_at_store`]).
+/// At the version's capture tick it is built once and then shared by
+/// every reader of that version; this is how a session that fell off a
+/// maintained view's model reads the view at its own pin.
+pub fn version_closure(version: &KbVersion, at: i64, program: &Program) -> ObResult<Arc<Closure>> {
+    closure_at(version, at, Exported::ALL, program)
 }
 
 /// Which inference engine evaluates a deductive query (the "various
@@ -236,13 +424,18 @@ pub fn ask<V: KbRead>(kb: &V, var: &str, class: &str, body: &str) -> ObResult<Ve
 /// by the semi-naive engine (the `inT` closure), then filtered with
 /// the assertion body — so the stats reflect real index-probe work,
 /// which `cbshell`'s `\stats` command surfaces.
+///
+/// Every variant validates first — the body parses, the class is known
+/// — and only then pays for a closure, so a typo costs no O(KB) export.
 pub fn ask_with_stats(
     kb: &Kb,
     var: &str,
     class: &str,
     body: &str,
 ) -> ObResult<(Vec<String>, EvalStats)> {
-    ask_deductive(kb, to_edb(kb)?, var, class, body)
+    ask_deductive(kb, var, class, body, |want, program| {
+        build_closure(kb, Proposition::is_believed, want, program)
+    })
 }
 
 /// [`ask_with_stats`] pinned at belief tick `at`: candidates come from
@@ -257,13 +450,22 @@ pub fn ask_with_stats_at(
     body: &str,
 ) -> ObResult<(Vec<String>, EvalStats)> {
     let snap = kb.snapshot_at(at);
-    ask_deductive(&snap, to_edb_at(kb, at)?, var, class, body)
+    ask_deductive(&snap, var, class, body, |want, program| {
+        build_closure(kb, |p| p.believed_at(at), want, program)
+    })
 }
 
 /// [`ask_with_stats_at`] against an immutable [`KbVersion`]: identical
-/// semantics, but the candidate EDB and the assertion filter both read
+/// semantics, but the candidates and the assertion filter both read
 /// the pinned version, so the query runs entirely without the writer
 /// lock. This is the server's MVCC ASK path.
+///
+/// At the version's capture tick (`at == version.now()`, what every
+/// session pins) the `inT` closure is read from the lemmas the version
+/// holds — built by the first ASK against it, O(answer) for every later
+/// one. The returned [`EvalStats`] are those of the evaluation that
+/// built the closure the answer was read from; by determinism they
+/// equal a from-scratch run over the same version.
 pub fn ask_with_stats_version(
     version: &KbVersion,
     at: i64,
@@ -272,19 +474,24 @@ pub fn ask_with_stats_version(
     body: &str,
 ) -> ObResult<(Vec<String>, EvalStats)> {
     let snap = version.snapshot_at(at);
-    ask_deductive(&snap, to_edb_at_store(version, at)?, var, class, body)
+    ask_deductive(&snap, var, class, body, |want, program| {
+        closure_at(version, at, want, program)
+    })
 }
 
+/// The steps every ASK variant shares: validate, obtain the base
+/// closure through `closure` (given what to export and the program),
+/// probe `inT(_, class)`, filter the candidates with the body.
 fn ask_deductive<V: KbRead>(
     view: &V,
-    edb: Database,
     var: &str,
     class: &str,
     body: &str,
+    closure: impl FnOnce(Exported, &Program) -> ObResult<Arc<Closure>>,
 ) -> ObResult<(Vec<String>, EvalStats)> {
     let start = std::time::Instant::now();
     obs::counter!("objectbase_asks_total", "Deductive ASK queries evaluated").inc();
-    let result = ask_deductive_inner(view, edb, var, class, body);
+    let result = ask_deductive_inner(view, var, class, body, closure);
     obs::histogram!(
         "objectbase_ask_seconds",
         "Wall-clock latency of deductive ASK evaluation"
@@ -302,19 +509,20 @@ fn ask_deductive<V: KbRead>(
 
 fn ask_deductive_inner<V: KbRead>(
     view: &V,
-    edb: Database,
     var: &str,
     class: &str,
     body: &str,
+    closure: impl FnOnce(Exported, &Program) -> ObResult<Arc<Closure>>,
 ) -> ObResult<(Vec<String>, EvalStats)> {
     let expr = assertion::parse(body)?;
     if view.lookup(class).is_none() {
         return Err(TelosError::Assertion(format!("unknown class `{class}`")).into());
     }
-    let program = base_program();
-    let (model, stats) = seminaive::evaluate(&program, &edb)?;
+    let program = base();
+    let closure = closure(Exported::read_by(program), program)?;
     let pattern = vec![None, Some(Value::sym(class))];
-    let mut names: Vec<String> = model
+    let mut names: Vec<String> = closure
+        .model
         .probe("inT", &pattern)
         .map(|t| t[0].to_string())
         .collect();
@@ -331,7 +539,7 @@ fn ask_deductive_inner<V: KbRead>(
             out.push(name);
         }
     }
-    Ok((out, stats))
+    Ok((out, closure.stats))
 }
 
 #[cfg(test)]
@@ -374,6 +582,168 @@ mod tests {
                 Value::sym("maria")
             ]
         ));
+    }
+
+    /// `db` as `(pred, tuples in relation order)` for the three
+    /// extensional predicates.
+    fn listing(db: &Database) -> Vec<(&'static str, Vec<Vec<Value>>)> {
+        [preds::IN, preds::ISA, preds::ATTR]
+            .map(|pred| (pred, db.tuples(pred).collect()))
+            .to_vec()
+    }
+
+    #[test]
+    fn export_kernel_agrees_with_the_per_proposition_delta_unit() {
+        // The bulk export and `edb_fact_for` (what TELL/UNTELL feed the
+        // maintained views) are two codings of one mapping. Hold them
+        // together on a KB with a duplicate fact, an untold fact and an
+        // attribute *of a link*, whose endpoint displays as `<a l b>`.
+        let mut kb = scenario_kb();
+        let (maria, inv1, inv2) = (
+            kb.lookup("maria").unwrap(),
+            kb.lookup("inv1").unwrap(),
+            kb.lookup("inv2").unwrap(),
+        );
+        let sender = kb.find_link(inv1, kb.lookup_sym("sender").unwrap(), maria);
+        kb.put_attr(sender.expect("told by scenario_kb"), "via", inv2)
+            .unwrap();
+        let gone = kb.put_attr(inv2, "sender", maria).unwrap();
+        kb.untell(gone).unwrap();
+        kb.put_attr(inv2, "sender", maria).unwrap();
+        kb.put_attr(inv2, "sender", maria).unwrap();
+
+        let facts = edb_facts(&kb);
+        let twice = (
+            preds::ATTR.to_string(),
+            vec![
+                Value::sym("inv2"),
+                Value::sym("sender"),
+                Value::sym("maria"),
+            ],
+        );
+        assert_eq!(facts.iter().filter(|f| **f == twice).count(), 2);
+        let link_name = Value::sym("<inv1 sender maria>");
+        assert!(
+            facts
+                .iter()
+                .any(|(pred, t)| pred == preds::ATTR && t[0] == link_name),
+            "{facts:?}"
+        );
+        let want: Vec<(&str, Vec<Vec<Value>>)> = [preds::IN, preds::ISA, preds::ATTR]
+            .map(|pred| {
+                let mut firsts: Vec<Vec<Value>> = Vec::new();
+                for (p, tuple) in &facts {
+                    if p == pred && !firsts.contains(tuple) {
+                        firsts.push(tuple.clone());
+                    }
+                }
+                (pred, firsts)
+            })
+            .to_vec();
+        let now = kb.now();
+        assert_eq!(listing(&to_edb_at_store(&kb, now).unwrap()), want);
+        assert_eq!(listing(&to_edb(&kb).unwrap()), want);
+        assert_eq!(listing(&to_edb_at(&kb, now).unwrap()), want);
+        assert_eq!(listing(&to_edb_at_store(&kb.version(), now).unwrap()), want);
+
+        // The program-aware export: the same, minus what no body reads.
+        let mut projected = want.clone();
+        projected[2].1.clear();
+        assert_eq!(
+            listing(&to_edb_for(&kb, now, &base_program()).unwrap()),
+            projected
+        );
+        let reads_attr = Program::parse("hasSender(I) :- attr(I, sender, _S).").unwrap();
+        let mut attr_only = want.clone();
+        attr_only[0].1.clear();
+        attr_only[1].1.clear();
+        assert_eq!(
+            listing(&to_edb_for(&kb, now, &reads_attr).unwrap()),
+            attr_only
+        );
+    }
+
+    #[test]
+    fn racing_readers_of_a_fresh_version_build_its_closure_once() {
+        const READERS: usize = 8;
+        let kb = scenario_kb();
+        let version = kb.version();
+        let at = version.now();
+        let program = base_program();
+        let builds = || {
+            obs::registry()
+                .counter_value("objectbase_closure_builds_total")
+                .unwrap_or(0)
+        };
+        let before = builds();
+        let barrier = std::sync::Barrier::new(READERS);
+        let closures: Vec<Arc<Closure>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        version_closure(&version.clone(), at, &program).unwrap()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for c in &closures {
+            assert!(Arc::ptr_eq(c, &closures[0]), "two models for one version");
+        }
+        // Other tests of this process build closures of their own
+        // versions concurrently, so only a lower bound is exact here;
+        // pointer equality above is the proof of "once".
+        assert!(builds() > before);
+        // A projected model must not answer for the full one: the ASK
+        // of the same program keeps a closure of its own (no `attr`).
+        let asked = closure_at(&version, at, Exported::read_by(&program), &program).unwrap();
+        assert!(!Arc::ptr_eq(&asked, &closures[0]));
+        assert_eq!(asked.model.count(preds::ATTR), 0);
+        assert!(closures[0].model.count(preds::ATTR) > 0);
+        assert_eq!(asked.stats, closures[0].stats, "attr is never joined");
+        // Off the capture tick nothing is remembered.
+        let earlier = version_closure(&version, at - 1, &program).unwrap();
+        let earlier_again = version_closure(&version, at - 1, &program).unwrap();
+        assert!(!Arc::ptr_eq(&earlier, &earlier_again));
+    }
+
+    #[test]
+    fn lemmas_are_freed_with_the_last_clone_of_their_version() {
+        let kb = scenario_kb();
+        let version = kb.version();
+        let clone = version.clone();
+        let program = base_program();
+        let model = Arc::downgrade(&version_closure(&version, version.now(), &program).unwrap());
+        ask_with_stats_version(&clone, clone.now(), "p", "Paper", "true").unwrap();
+        drop(version);
+        let held = model.upgrade().expect("a clone keeps the version alive");
+        assert!(Arc::ptr_eq(
+            &held,
+            &version_closure(&clone, clone.now(), &program).unwrap()
+        ));
+        drop(held);
+        drop(clone);
+        assert!(
+            model.upgrade().is_none(),
+            "the version took its models along"
+        );
+    }
+
+    #[test]
+    fn a_failed_evaluation_stores_nothing() {
+        let kb = scenario_kb();
+        let version = kb.version();
+        let at = version.now();
+        // Unstratifiable: evaluation fails after the export.
+        let bad = Program::parse("p(X) :- in_(X, _C), not p(X).").unwrap();
+        assert!(version_closure(&version, at, &bad).is_err());
+        assert!(version_closure(&version, at, &bad).is_err());
+        let lemmas = version.derived::<Lemmas>().unwrap();
+        let all = lemmas.0.lock().unwrap();
+        assert!(all
+            .iter()
+            .all(|(_, _, lemma)| lemma.lock().unwrap().is_none()));
     }
 
     #[test]

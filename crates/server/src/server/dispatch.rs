@@ -433,30 +433,44 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             pred,
         } => {
             let (watermark, version) = gate(shared, session)?;
-            let g = read_state(shared);
-            let view = g
-                .view(&name)
-                .ok_or_else(|| rejected(format!("unknown view `{name}`")))?;
             // The materialized model reflects the current belief state
-            // (`as_of`). A session pinned at or after it may read the
-            // model directly; an older watermark re-evaluates the
-            // view's program over the session's pinned store version so
-            // it never observes a refresh from a newer tick.
-            let tuples = if watermark >= view.as_of() {
-                obs::counter!(
-                    "gkbms_view_asks_materialized_total",
-                    "View reads served straight from the maintained model"
-                )
-                .inc();
-                view.tuples(&pred)
-            } else {
-                obs::counter!(
-                    "gkbms_view_asks_pinned_total",
-                    "View reads re-evaluated at an older pinned watermark"
-                )
-                .inc();
-                view.eval_pinned(version.data(), watermark, &pred)
-                    .map_err(rejected)?
+            // (`as_of`). A session pinned at or after it reads the
+            // model directly, under the state guard. An older watermark
+            // must never observe a refresh from a newer tick: it takes
+            // only the view's program from under the guard and reads
+            // the view at its own pinned store version, with the guard
+            // released — an evaluation must not hold writers up.
+            enum Read {
+                Model(Vec<Vec<datalog::ast::Value>>),
+                Pinned(datalog::ast::Program),
+            }
+            let read = {
+                let g = read_state(shared);
+                let view = g
+                    .view(&name)
+                    .ok_or_else(|| rejected(format!("unknown view `{name}`")))?;
+                if watermark >= view.as_of() {
+                    obs::counter!(
+                        "gkbms_view_asks_materialized_total",
+                        "View reads served straight from the maintained model"
+                    )
+                    .inc();
+                    Read::Model(view.tuples(&pred))
+                } else {
+                    Read::Pinned(view.view().program().clone())
+                }
+            };
+            let tuples = match read {
+                Read::Model(tuples) => tuples,
+                Read::Pinned(program) => {
+                    obs::counter!(
+                        "gkbms_view_asks_pinned_total",
+                        "View reads answered at an older pinned watermark, from the lemmas of the pinned version"
+                    )
+                    .inc();
+                    gkbms::views::pinned_tuples(version.data(), watermark, &program, &pred)
+                        .map_err(rejected)?
+                }
             };
             names(
                 tuples

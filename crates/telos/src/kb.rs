@@ -573,6 +573,7 @@ impl Kb {
             clock: self.clock,
             sym_instanceof: self.sym_instanceof,
             sym_isa: self.sym_isa,
+            derived: std::sync::Arc::default(),
         }
     }
 }

@@ -21,9 +21,10 @@ use crate::kb::{KbRead, Snapshot};
 use crate::prop::{PropId, Proposition};
 use crate::pvec::PVec;
 use crate::symbols::{Symbol, SymbolTable};
+use std::any::Any;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A persistent postings index: key → ids of propositions filed under
 /// it, in insertion (= id) order. The map spine is cloned per version;
@@ -151,9 +152,29 @@ pub struct KbVersion {
     pub(crate) clock: i64,
     pub(crate) sym_instanceof: Symbol,
     pub(crate) sym_isa: Symbol,
+    /// What a layer above has derived from this version (see
+    /// [`KbVersion::derived`]). Created empty at capture and shared by
+    /// clones, so it lives exactly as long as the version does.
+    pub(crate) derived: Arc<OnceLock<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl KbVersion {
+    /// The version's one slot for state derived from it — lemmas that
+    /// are valid for this version and no other, such as the deductive
+    /// closure of its believed network. The first caller's type claims
+    /// the slot (initialised to `T::default()`, exactly once even under
+    /// racing callers); every later call with that type gets the same
+    /// `Arc`, from any clone of the version. `None` means the slot is
+    /// held under another type: the caller then works without it.
+    ///
+    /// A version never changes, so nothing stored here can go stale; it
+    /// is freed with the last clone of the version, which is all the
+    /// eviction policy there is.
+    pub fn derived<T: Any + Send + Sync + Default>(&self) -> Option<Arc<T>> {
+        let slot = self.derived.get_or_init(|| Arc::new(T::default()));
+        Arc::clone(slot).downcast::<T>().ok()
+    }
+
     /// The belief tick at which this version was captured. All belief
     /// ticks ≤ this are fully answerable from this version.
     pub fn now(&self) -> i64 {
@@ -273,6 +294,32 @@ mod tests {
             v.snapshot().all_instances_of(c),
             kb.snapshot().all_instances_of(c)
         );
+    }
+
+    #[test]
+    fn derived_slot_is_per_version_shared_by_clones_and_typed() {
+        use std::sync::Mutex;
+        let mut kb = Kb::new();
+        kb.individual("C").unwrap();
+        let v = kb.version();
+        let notes = v.derived::<Mutex<Vec<i64>>>().expect("first claim");
+        notes.lock().unwrap().push(v.now());
+        // The same slot through a clone; a different type is refused.
+        let again = v.clone().derived::<Mutex<Vec<i64>>>().unwrap();
+        assert!(Arc::ptr_eq(&notes, &again));
+        assert!(v.derived::<Mutex<String>>().is_none());
+        // The next capture starts empty, whatever the first one holds.
+        let next = kb.version();
+        assert!(next
+            .derived::<Mutex<Vec<i64>>>()
+            .unwrap()
+            .lock()
+            .unwrap()
+            .is_empty());
+        // Freed with the last clone of its version.
+        let weak = Arc::downgrade(&notes);
+        drop((notes, again, v));
+        assert!(weak.upgrade().is_none());
     }
 
     #[test]

@@ -1,20 +1,77 @@
 //! Admission costs what the write touches: a write that carries no
 //! rule and registers no view never exports the EDB (an O(KB) scan,
 //! counted by `objectbase_edb_exports_total`), while the callers that
-//! do cost a rule or a view still measure it. One `#[test]` on purpose:
-//! the counter is process-global and this file is its own process.
+//! do cost a rule or a view still measure it. Reads are held to the
+//! same counter: an ASK that cannot be answered exports nothing, and a
+//! store version is exported once however often it is asked. One
+//! `#[test]` on purpose: the counter is process-global and this file is
+//! its own process.
 
 use conceptbase::analysis::cost::approx;
 use conceptbase::gkbms::metamodel::kernel;
 use conceptbase::gkbms::synth::{self, names, SynthConfig};
 use conceptbase::gkbms::{DecisionRequest, Gkbms, GkbmsError};
-use conceptbase::objectbase::query::to_edb;
+use conceptbase::objectbase::query::{
+    self, ask_with_stats, ask_with_stats_at, ask_with_stats_version, to_edb,
+};
 use conceptbase::objectbase::ObjectFrame;
 
-fn exports() -> u64 {
+fn counter(name: &str) -> u64 {
     conceptbase::obs::registry()
-        .counter_value("objectbase_edb_exports_total")
+        .counter_value(name)
         .unwrap_or(0)
+}
+
+fn exports() -> u64 {
+    counter("objectbase_edb_exports_total")
+}
+
+/// An ASK pays for a closure only once it is known to be answerable,
+/// and a version's closure is built by the first ASK against it.
+fn asks_export_once_per_version(g: &mut Gkbms) {
+    let class = kernel::DBPL_REL;
+    let version = g.kb().version();
+    let at = version.now();
+    let before = exports();
+    for (class, body) in [
+        ("NoSuchClass", "true"),
+        (class, "x.justification defined and"),
+    ] {
+        assert!(ask_with_stats(g.kb(), "x", class, body).is_err());
+        assert!(ask_with_stats_at(g.kb(), at, "x", class, body).is_err());
+        assert!(ask_with_stats_version(&version, at, "x", class, body).is_err());
+        assert!(ask_with_stats_version(&version, at - 1, "x", class, body).is_err());
+    }
+    assert_eq!(exports(), before, "a rejected ASK exports nothing");
+
+    let (builds, hits) = (
+        counter("objectbase_closure_builds_total"),
+        counter("objectbase_closure_hits_total"),
+    );
+    let first = ask_with_stats_version(&version, at, "x", class, "true").unwrap();
+    assert_eq!(exports(), before + 1, "the first ASK builds the closure");
+    let again = ask_with_stats_version(&version, at, "x", class, "x.justification defined");
+    let (subset, stats) = again.unwrap();
+    assert_eq!(exports(), before + 1, "two ASKs on one version export once");
+    assert_eq!(stats, first.1, "a hit reports the evaluation it read from");
+    assert!(subset.iter().all(|name| first.0.contains(name)));
+    assert_eq!(counter("objectbase_closure_builds_total"), builds + 1);
+    assert_eq!(counter("objectbase_closure_hits_total"), hits + 1);
+
+    g.tell_src_checked("TELL askedRel in DBPL_Rel end", false)
+        .unwrap();
+    let next = g.kb().version();
+    let (grown, _) = ask_with_stats_version(&next, next.now(), "x", class, "true").unwrap();
+    assert_eq!(exports(), before + 2, "the next version is exported anew");
+    assert_eq!(grown.len(), first.0.len() + 1);
+    // The older version still answers from its own lemmas.
+    let (old, _) = ask_with_stats_version(&version, at, "x", class, "true").unwrap();
+    assert_eq!(old, first.0);
+    let mut indexed = query::ask(&version.snapshot(), "x", class, "true").unwrap();
+    indexed.sort();
+    assert_eq!(old, indexed, "the index path agrees");
+    assert_eq!(exports(), before + 2);
+    g.untell("askedRel").unwrap();
 }
 
 fn distribute(entity: &str, decision: &str, output: &str, class: &str) -> DecisionRequest {
@@ -116,6 +173,8 @@ fn rule_less_writes_export_nothing_and_costed_ones_measure() {
     .unwrap();
     assert!(g.lint_frames(&frames).is_empty());
     assert_eq!(exports(), before, "rule-less writes export nothing");
+
+    asks_export_once_per_version(&mut g);
 
     // A rule is costed against what the KB holds, not against the
     // offline default of 1000 rows per relation — under which this

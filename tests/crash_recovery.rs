@@ -15,16 +15,23 @@
 //!   WAL tail, and a replica built from the shipped snapshot plus the
 //!   shipped tail all hold the same state, whatever the interleaving of
 //!   op kinds (failed, rolled-back writes included) and wherever the
-//!   checkpoint fell.
+//!   checkpoint fell;
+//! * **a fifth realization, the versioned read path** — after every op
+//!   the store version a server would publish answers ASK and pinned
+//!   view reads from the lemmas it holds exactly as the index path, a
+//!   from-scratch evaluation and the maintained model do.
 
+use conceptbase::datalog::seminaive::{self, EvalStats};
 use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
 use conceptbase::gkbms::metamodel::kernel;
+use conceptbase::gkbms::views::pinned_tuples;
 use conceptbase::gkbms::{
     DecisionClass, DecisionDimension, DecisionRequest, Gkbms, GkbmsResult, ToolSpec,
 };
 use conceptbase::objectbase::query;
 use conceptbase::storage::crash;
 use conceptbase::storage::log::read_payloads;
+use conceptbase::telos::KbVersion;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -647,6 +654,87 @@ impl Digest {
     }
 }
 
+/// What one ASK of a told class answered: names and the counters of the
+/// evaluation behind them, or `None` when the class was not believed.
+type Asked = Option<(Vec<String>, EvalStats)>;
+
+fn ask_version(v: &KbVersion, at: i64, class: &str) -> Asked {
+    query::ask_with_stats_version(v, at, "x", class, "true").ok()
+}
+
+/// The versioned read path, held against its oracles at the store
+/// version a server would publish after this op. `earlier` is the
+/// version captured after the previous op with what it answered then.
+fn versioned_reads_agree(g: &Gkbms, earlier: &mut Option<(KbVersion, Vec<Asked>)>, ctx: &str) {
+    let v = g.kb().version();
+    let at = v.now();
+    // The benchmark's traced gate: an ASK reports the counters of a
+    // from-scratch closure over the full export of its version.
+    let edb = query::to_edb_at_store(&v, at).expect("export");
+    let (_, scratch) = seminaive::evaluate(&query::base_program(), &edb).expect("closure");
+    let mut answered = Vec::new();
+    for class in TOLD_CLASSES {
+        let miss = ask_version(&v, at, class);
+        assert_eq!(
+            ask_version(&v, at, class),
+            miss,
+            "{ctx}: {class}, hit vs miss"
+        );
+        assert_eq!(
+            miss.is_some(),
+            v.snapshot().lookup(class).is_some(),
+            "{ctx}: {class} is asked iff it is believed"
+        );
+        if let Some((names, stats)) = &miss {
+            let mut indexed = query::ask(&v.snapshot(), "x", class, "true").expect("ask");
+            indexed.sort();
+            assert_eq!(names, &indexed, "{ctx}: {class}, bridge vs index path");
+            assert_eq!(stats, &scratch, "{ctx}: {class}, the ask's counters");
+        }
+        // Below the capture tick nothing is remembered, and the version
+        // answers like the live KB asked about its past.
+        assert_eq!(
+            ask_version(&v, at - 1, class),
+            query::ask_with_stats_at(g.kb(), at - 1, "x", class, "true").ok(),
+            "{ctx}: {class} one tick earlier"
+        );
+        answered.push(miss);
+    }
+    // No leakage between versions: the one captured before this op
+    // still answers what it answered then.
+    if let Some((before, then)) = earlier {
+        let now: Vec<Asked> = TOLD_CLASSES
+            .iter()
+            .map(|class| ask_version(before, before.now(), class))
+            .collect();
+        assert_eq!(
+            &now, then,
+            "{ctx}: the previous version changed its answers"
+        );
+    }
+    // A view read at this version through its lemmas is the view's
+    // program evaluated from scratch — and, at the head, the model the
+    // writes maintained.
+    for view in g.views() {
+        let program = view.view().program();
+        for pred in VIEW_PREDS {
+            let pinned = pinned_tuples(&v, at, program, pred).expect("pinned view read");
+            let name = view.name();
+            assert_eq!(
+                pinned,
+                view.eval_pinned(&v, at, pred).expect("eval_pinned"),
+                "{ctx}: view {name}, {pred} at the version"
+            );
+            assert_eq!(
+                pinned,
+                view.tuples(pred),
+                "{ctx}: view {name}, {pred} vs the maintained model"
+            );
+        }
+    }
+    *earlier = Some((v, answered));
+}
+
 /// Runs `ops` with a checkpoint before op `k` (after the last one when
 /// `k == ops.len()`) and holds every realization against the live
 /// instance. Returns how many ops succeeded and how many failed.
@@ -659,11 +747,13 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
     // A conflict report commits two ops (the nogood, then the culprit's
     // retraction); every other successful op commits one.
     let (mut ok, mut failed, mut committed) = (0, 0, 0);
+    let mut earlier = None;
     for (i, op) in ops.iter().enumerate() {
         if i == k {
             live.checkpoint().expect("checkpoint");
         }
         let outcome = apply(&mut live, op);
+        versioned_reads_agree(&live, &mut earlier, &format!("after op {i} {op:?}"));
         assert_eq!(
             outcome.is_ok(),
             apply(&mut twin, op).is_ok(),

@@ -131,12 +131,13 @@ fn cbshell(args: &[&str], script: &str) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(script.as_bytes())
-        .unwrap();
+    // A child that rejects its arguments exits without reading stdin;
+    // losing that race is a broken pipe, and means it has already
+    // answered — status and stderr below say what.
+    match child.stdin.take().unwrap().write_all(script.as_bytes()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        written => written.unwrap(),
+    }
     let out = child.wait_with_output().unwrap();
     (
         String::from_utf8(out.stdout).unwrap(),
