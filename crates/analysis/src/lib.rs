@@ -54,7 +54,6 @@ pub use checks::AnalysisCache;
 
 use std::collections::HashMap;
 use std::fmt;
-use telos::PropStore;
 
 /// How bad a finding is. Errors reject the batch at admission time;
 /// warnings are reported but admitted (unless the server runs with

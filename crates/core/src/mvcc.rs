@@ -1,41 +1,36 @@
 //! Multi-version concurrency control for the knowledge base.
 //!
 //! The server's writers serialize on a single write lock; its readers
-//! must not. This module provides the machinery between the two: a
-//! [`VersionChain`] holds the latest immutable version of the store
-//! (an `Arc<Version<T>>`) plus every superseded version that a reader
-//! still has pinned. Readers [`VersionChain::acquire`] the head — a
-//! pointer clone, never the writer lock — and hold a [`Pin`] for as
-//! long as they want to keep reading that version (the server pins one
-//! per session, at Hello, released when the session closes or expires).
+//! must not. Between the two sits a [`VersionChain`]: a mutex-guarded
+//! pointer to the latest immutable version of the store. Readers
+//! [`VersionChain::acquire`] the head — a pointer clone, never the
+//! writer lock — and keep the [`Pin`] while they read that version (the
+//! server pins one per session, from Hello until the session closes,
+//! refreshes or expires).
 //!
-//! Reclamation is epoch-based: each published version carries a
-//! monotonically increasing sequence number (its *epoch*). A
-//! superseded version is retired, not freed; it is dropped from the
-//! chain only once no [`Pin`] at its epoch remains. The `Arc` inside
-//! each `Pin` is the memory-safety backstop (an in-flight read can
-//! outlive its session's pin without use-after-free); the epoch table
-//! is the retention *policy* that stops the chain from growing without
-//! bound. After all readers quiesce, exactly one version — the head —
-//! remains live.
-//!
-//! Observability: `gkbms_snapshot_acquires_total` counts reader
-//! acquisitions, `gkbms_store_versions_live` / `gkbms_store_epochs_pinned`
-//! gauge the chain, and `gkbms_versions_published_total` /
-//! `gkbms_versions_reclaimed_total` count churn.
+//! Retention is ownership: a version lives exactly as long as someone
+//! holds an `Arc` to it — the chain (its head), a session's [`Pin`], a
+//! request in flight — and is freed at the drop of its last holder.
+//! Unpinning takes no lock and there is no table to keep in step with
+//! the reference counts; the chain only counts the versions alive
+//! (`gkbms_store_versions_live`, `gkbms_store_epochs_pinned`, as of its
+//! last publish, acquire or poll). Once all readers quiesce exactly
+//! one — the head — remains.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// An immutable published version: the payload plus its epoch.
+/// An immutable published version: the payload plus its publish
+/// sequence number. Counted alive from construction to drop.
 #[derive(Debug)]
 pub struct Version<T> {
     seq: u64,
     data: T,
+    alive: Arc<AtomicUsize>,
 }
 
 impl<T> Version<T> {
-    /// The version's epoch (publish sequence number).
+    /// The version's publish sequence number.
     pub fn seq(&self) -> u64 {
         self.seq
     }
@@ -46,230 +41,129 @@ impl<T> Version<T> {
     }
 }
 
-struct ChainState<T> {
-    head: Arc<Version<T>>,
-    /// Superseded versions still pinned by at least one reader, oldest
-    /// first. Unpinned ones are dropped eagerly on every publish /
-    /// unpin.
-    retired: Vec<Arc<Version<T>>>,
-    /// Epoch → number of pins at that epoch.
-    pins: BTreeMap<u64, usize>,
-}
-
-/// A chain of immutable store versions with epoch-based reclamation.
-/// Cloning the chain handle shares the same chain.
-pub struct VersionChain<T> {
-    state: Arc<Mutex<ChainState<T>>>,
-}
-
-impl<T> Clone for VersionChain<T> {
-    fn clone(&self) -> Self {
-        VersionChain {
-            state: Arc::clone(&self.state),
-        }
+impl<T> Drop for Version<T> {
+    fn drop(&mut self) {
+        self.alive.fetch_sub(1, Ordering::SeqCst);
+        obs::counter!("gkbms_versions_reclaimed_total", "Store versions freed").inc();
     }
 }
 
-/// A reader's hold on one version. Derefs to the payload via
-/// [`Pin::data`]; dropping it releases the epoch (and reclaims any
-/// retired versions that were only kept for it). Cloning re-pins the
-/// same epoch.
-pub struct Pin<T> {
-    state: Arc<Mutex<ChainState<T>>>,
-    version: Arc<Version<T>>,
+/// The head of a sequence of immutable store versions, plus a count of
+/// the versions still alive. Cloning the handle shares the same chain.
+#[derive(Clone)]
+pub struct VersionChain<T> {
+    head: Arc<Mutex<Arc<Version<T>>>>,
+    alive: Arc<AtomicUsize>,
 }
 
+/// A reader's hold on one version: the `Arc` itself. The version lives
+/// until the last clone of the pin (and the last [`Pin::version`] taken
+/// from it) is dropped; cloning or dropping a pin never locks the chain.
+#[derive(Debug, Clone)]
+pub struct Pin<T>(Arc<Version<T>>);
+
 impl<T> VersionChain<T> {
-    /// A new chain whose head is `initial` at epoch 0.
+    /// A new chain whose head is `initial` at sequence 0.
     pub fn new(initial: T) -> Self {
-        let chain = VersionChain {
-            state: Arc::new(Mutex::new(ChainState {
-                head: Arc::new(Version {
-                    seq: 0,
-                    data: initial,
-                }),
-                retired: Vec::new(),
-                pins: BTreeMap::new(),
-            })),
-        };
-        chain.update_gauges(1, 0);
+        let alive = Arc::new(AtomicUsize::new(0));
+        let head = Arc::new(Mutex::new(Self::version(&alive, 0, initial)));
+        let chain = VersionChain { head, alive };
+        chain.observe(&chain.lock());
         chain
     }
 
-    /// Publishes `data` as the new head version and retires the old
-    /// head. Called by the writer while it still holds the write lock,
-    /// so heads are published in commit order. Returns the new epoch.
+    fn version(alive: &Arc<AtomicUsize>, seq: u64, data: T) -> Arc<Version<T>> {
+        alive.fetch_add(1, Ordering::SeqCst);
+        let alive = Arc::clone(alive);
+        Arc::new(Version { seq, data, alive })
+    }
+
+    /// Publishes `data` as the new head and returns its sequence
+    /// number. Called by the writer under the write lock, so heads are
+    /// published in commit order. The superseded head is let go of
+    /// *outside* the chain lock — unpinned, that is where it is freed.
     pub fn publish(&self, data: T) -> u64 {
-        let mut s = self.lock();
-        let seq = s.head.seq + 1;
-        let old = std::mem::replace(&mut s.head, Arc::new(Version { seq, data }));
-        s.retired.push(old);
-        obs::counter!(
-            "gkbms_versions_published_total",
-            "Store versions published by the writer"
-        )
-        .inc();
-        Self::reclaim(&mut s);
+        let mut head = self.lock();
+        let seq = head.seq + 1;
+        let old = std::mem::replace(&mut *head, Self::version(&self.alive, seq, data));
+        drop(head);
+        drop(old);
+        obs::counter!("gkbms_versions_published_total", "Store versions published").inc();
+        self.observe(&self.lock());
         seq
     }
 
-    /// Pins the current head and returns the pin. This is the reader
-    /// entry point: a mutex-guarded pointer clone, independent of the
-    /// writer lock.
+    /// Pins the current head: the reader entry point, a mutex-guarded
+    /// pointer clone independent of the writer lock.
     pub fn acquire(&self) -> Pin<T> {
-        let mut s = self.lock();
-        let version = Arc::clone(&s.head);
-        *s.pins.entry(version.seq).or_insert(0) += 1;
-        obs::counter!(
-            "gkbms_snapshot_acquires_total",
-            "Reader acquisitions of a pinned store version"
-        )
-        .inc();
-        self.update_gauges(1 + s.retired.len(), s.pins.len());
-        Pin {
-            state: Arc::clone(&self.state),
-            version,
-        }
+        obs::counter!("gkbms_snapshot_acquires_total", "Store version pins taken").inc();
+        let head = self.lock();
+        let pin = Pin(Arc::clone(&head));
+        self.observe(&head);
+        pin
     }
 
-    /// Epoch of the current head.
-    pub fn head_seq(&self) -> u64 {
-        self.lock().head.seq
-    }
-
-    /// The current head version without pinning its epoch: the `Arc`
-    /// keeps the payload alive for the duration of this read, but does
-    /// not retain it once the head moves on. For point reads that need
-    /// the latest state, not a session-stable snapshot.
+    /// The current head version, for point reads that need the latest
+    /// state rather than a session-stable snapshot.
     pub fn head(&self) -> Arc<Version<T>> {
-        Arc::clone(&self.lock().head)
+        Arc::clone(&self.lock())
     }
 
-    /// Number of live versions (head + retired-but-pinned).
+    /// Number of versions whose memory is alive: the head plus every
+    /// superseded one a session or a request in flight still holds.
     pub fn live_versions(&self) -> usize {
-        let s = self.lock();
-        1 + s.retired.len()
+        self.observe(&self.lock()).0
     }
 
-    /// Number of distinct epochs currently pinned by readers.
+    /// Number of alive versions held by anyone but the chain.
     pub fn pinned_epochs(&self) -> usize {
-        self.lock().pins.len()
+        self.observe(&self.lock()).1
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ChainState<T>> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Arc<Version<T>>> {
+        self.head.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Drops retired versions whose epoch has no remaining pins. A pin
-    /// reaches exactly the version it pinned, so exact-epoch retention
-    /// suffices; the head is never reclaimed.
-    fn reclaim(s: &mut ChainState<T>) {
-        let before = s.retired.len();
-        let pins = &s.pins;
-        s.retired.retain(|v| pins.contains_key(&v.seq));
-        let freed = before - s.retired.len();
-        if freed > 0 {
-            obs::counter!(
-                "gkbms_versions_reclaimed_total",
-                "Superseded store versions freed after their last pinned reader departed"
-            )
-            .add(freed as u64);
-        }
-        obs::gauge!(
-            "gkbms_store_versions_live",
-            "Store versions currently alive (head + retired-but-pinned)"
-        )
-        .set((1 + s.retired.len()) as i64);
-        obs::gauge!(
-            "gkbms_store_epochs_pinned",
-            "Distinct store epochs currently pinned by readers"
-        )
-        .set(s.pins.len() as i64);
-    }
-
-    fn update_gauges(&self, live: usize, pinned: usize) {
-        obs::gauge!(
-            "gkbms_store_versions_live",
-            "Store versions currently alive (head + retired-but-pinned)"
-        )
-        .set(live as i64);
-        obs::gauge!(
-            "gkbms_store_epochs_pinned",
-            "Distinct store epochs currently pinned by readers"
-        )
-        .set(pinned as i64);
+    /// `(live, pinned)` as of now, also published as the two gauges.
+    fn observe(&self, head: &Arc<Version<T>>) -> (usize, usize) {
+        let live = self.alive.load(Ordering::SeqCst);
+        let pinned = live - 1 + usize::from(Arc::strong_count(head) > 1);
+        obs::gauge!("gkbms_store_versions_live", "Store versions alive").set(live as i64);
+        obs::gauge!("gkbms_store_epochs_pinned", "Versions readers hold").set(pinned as i64);
+        (live, pinned)
     }
 }
 
 impl<T> Pin<T> {
     /// The pinned payload.
     pub fn data(&self) -> &T {
-        &self.version.data
+        &self.0.data
     }
 
-    /// The pinned epoch.
-    pub fn seq(&self) -> u64 {
-        self.version.seq
-    }
-
-    /// A shareable handle to the pinned version. The `Arc` keeps the
-    /// payload alive even if the pin is dropped mid-read (session
-    /// expiry racing an in-flight request), so reads are always
-    /// use-after-free-safe; only *retention* is governed by the pin.
+    /// A shareable handle to the pinned version, so a read can outlive
+    /// its session's pin (session expiry racing an in-flight request).
     pub fn version(&self) -> Arc<Version<T>> {
-        Arc::clone(&self.version)
-    }
-}
-
-impl<T> Clone for Pin<T> {
-    fn clone(&self) -> Self {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        *s.pins.entry(self.version.seq).or_insert(0) += 1;
-        drop(s);
-        Pin {
-            state: Arc::clone(&self.state),
-            version: Arc::clone(&self.version),
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for Pin<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pin")
-            .field("seq", &self.version.seq)
-            .finish()
-    }
-}
-
-impl<T> Drop for Pin<T> {
-    fn drop(&mut self) {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(n) = s.pins.get_mut(&self.version.seq) {
-            *n -= 1;
-            if *n == 0 {
-                s.pins.remove(&self.version.seq);
-            }
-        }
-        VersionChain::reclaim(&mut s);
+        Arc::clone(&self.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
     use std::thread;
 
     #[test]
-    fn head_advances_and_unpinned_versions_reclaim_eagerly() {
+    fn head_advances_and_unpinned_versions_are_freed_at_publish() {
         let chain = VersionChain::new(0u64);
-        assert_eq!(chain.head_seq(), 0);
+        assert_eq!(chain.head().seq(), 0);
         assert_eq!(chain.live_versions(), 1);
         for i in 1..=10 {
             assert_eq!(chain.publish(i), i);
             assert_eq!(chain.live_versions(), 1, "no pins → no retained history");
         }
-        assert_eq!(chain.head_seq(), 10);
+        assert_eq!(chain.head().seq(), 10);
         assert_eq!(*chain.acquire().data(), 10);
     }
 
@@ -279,32 +173,36 @@ mod tests {
         let pin = chain.acquire();
         chain.publish(1);
         chain.publish(2);
-        assert_eq!(chain.live_versions(), 2, "pinned epoch 0 + head");
+        assert_eq!(chain.live_versions(), 2, "pinned version 0 + head");
         assert_eq!(chain.pinned_epochs(), 1);
         assert_eq!(*pin.data(), 0, "pin still reads its version");
         drop(pin);
-        assert_eq!(chain.live_versions(), 1, "reclaimed after last pin departs");
+        assert_eq!(chain.live_versions(), 1, "freed when the last pin departs");
         assert_eq!(chain.pinned_epochs(), 0);
     }
 
     #[test]
-    fn clone_repins_and_arc_backstops_inflight_reads() {
+    fn every_holder_keeps_its_version_alive_inflight_reads_included() {
         let chain = VersionChain::new(7u64);
         let pin = chain.acquire();
         let pin2 = pin.clone();
         chain.publish(8);
         drop(pin);
-        assert_eq!(chain.live_versions(), 2, "clone still pins epoch 0");
-        // An in-flight read holds only the Arc; dropping the last pin
-        // reclaims the chain slot but the Arc keeps the data alive.
+        assert_eq!(chain.live_versions(), 2, "clone still holds version 0");
+        // An in-flight read holds only the Arc: it is a holder like any
+        // other, so the version counts as alive until the read ends.
         let inflight = pin2.version();
         drop(pin2);
+        assert_eq!(chain.live_versions(), 2, "the in-flight read holds it");
+        assert_eq!(chain.pinned_epochs(), 1);
+        assert_eq!(*inflight.data(), 7);
+        drop(inflight);
         assert_eq!(chain.live_versions(), 1);
-        assert_eq!(*inflight.data(), 7, "no use-after-free: Arc backstop");
+        assert_eq!(chain.pinned_epochs(), 0);
     }
 
     #[test]
-    fn distinct_epochs_are_tracked_independently() {
+    fn distinct_versions_are_held_independently() {
         let chain = VersionChain::new(0u64);
         let p0 = chain.acquire();
         chain.publish(1);
@@ -313,18 +211,57 @@ mod tests {
         assert_eq!(chain.live_versions(), 3);
         assert_eq!(chain.pinned_epochs(), 2);
         drop(p0);
-        assert_eq!(chain.live_versions(), 2, "epoch 0 freed, epoch 1 kept");
+        assert_eq!(chain.live_versions(), 2, "version 0 freed, version 1 kept");
         drop(p1);
+        assert_eq!(chain.live_versions(), 1);
+        // A pin of the head is a holder too, but frees nothing.
+        let head = chain.acquire();
+        assert_eq!((chain.live_versions(), chain.pinned_epochs()), (1, 1));
+        drop(head);
+        assert_eq!(chain.pinned_epochs(), 0);
+    }
+
+    /// Ownership is the retention rule: a superseded version is freed
+    /// at the drop of its last holder, and that drop — like a clone —
+    /// never takes the chain lock. Another thread sits on the chain
+    /// mutex for the whole unpin; had `Pin` anything to tell the chain,
+    /// this test would deadlock instead of finishing.
+    #[test]
+    fn superseded_version_is_freed_at_last_drop_without_the_chain_lock() {
+        let chain = VersionChain::new(0u64);
+        let pin = chain.acquire();
+        chain.publish(1);
+        let weak = Arc::downgrade(&pin.version());
+        assert!(weak.upgrade().is_some(), "held by the pin");
+
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = {
+            let chain = chain.clone();
+            thread::spawn(move || {
+                let _guard = chain.lock();
+                locked_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            })
+        };
+        locked_rx.recv().unwrap();
+        let clone = pin.clone();
+        drop(pin);
+        assert!(weak.upgrade().is_some(), "the clone is a holder");
+        drop(clone);
+        assert!(weak.upgrade().is_none(), "freed right at the last drop");
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
         assert_eq!(chain.live_versions(), 1);
     }
 
     /// The reclamation stress test of ISSUE 6: a writer churns versions
-    /// while readers pin/unpin epochs for thousands of iterations; the
-    /// chain must converge back to exactly one live version after
-    /// quiesce, with every read seeing its own pinned payload. Runs
-    /// under miri in CI (`sanitize` job) with a reduced iteration count.
+    /// while readers pin/unpin for thousands of iterations; the chain
+    /// must converge back to exactly one live version after quiesce,
+    /// with every read seeing its own pinned payload. Runs under miri
+    /// in CI (`sanitize` job) with a reduced iteration count.
     #[test]
-    fn epoch_churn_stress_converges_to_one_version() {
+    fn version_churn_stress_converges_to_one_version() {
         const READERS: usize = 4;
         #[cfg(not(miri))]
         const ITERS: usize = 2_000;
@@ -344,13 +281,13 @@ mod tests {
                     // finishes before this thread is first scheduled.
                     loop {
                         let pin = chain.acquire();
-                        // The pinned payload equals the pinned epoch:
-                        // a reader never observes a torn or reclaimed
-                        // version.
-                        assert_eq!(*pin.data(), pin.seq());
+                        // The pinned payload equals the pinned
+                        // sequence number: a reader never observes a
+                        // torn or freed version.
+                        assert_eq!(*pin.data(), pin.version().seq());
                         let clone = pin.clone();
                         drop(pin);
-                        assert_eq!(*clone.data(), clone.seq());
+                        assert_eq!(*clone.data(), clone.version().seq());
                         drop(clone);
                         reads += 1;
                         if stop.load(Ordering::Relaxed) {
@@ -369,8 +306,8 @@ mod tests {
         for r in readers {
             assert!(r.join().unwrap() > 0, "reader made progress");
         }
-        assert_eq!(chain.live_versions(), 1, "quiesce reclaims all history");
+        assert_eq!(chain.live_versions(), 1, "quiesce frees all history");
         assert_eq!(chain.pinned_epochs(), 0);
-        assert_eq!(chain.head_seq(), ITERS as u64);
+        assert_eq!(chain.head().seq(), ITERS as u64);
     }
 }

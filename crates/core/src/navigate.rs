@@ -8,7 +8,7 @@
 //! and following the history of design objects and design decisions."
 
 use crate::error::{GkbmsError, GkbmsResult};
-use crate::system::Gkbms;
+use crate::system::{DecisionRecord, Gkbms};
 use modelbase::display::relational::Table;
 
 impl Gkbms {
@@ -75,22 +75,26 @@ impl Gkbms {
     /// **Temporal** view: the design objects believed at belief tick
     /// `t` (a past system version), sorted.
     pub fn objects_at(&self, t: i64) -> Vec<String> {
-        let mut out = Vec::new();
-        for name in self.object_node.keys() {
-            // The object's individual proposition as believed at t: we
-            // search all propositions ever created under this name.
-            let believed = self.kb.believed_at(t).into_iter().any(|id| {
-                self.kb
-                    .get(id)
-                    .map(|p| p.is_individual() && self.kb.resolve(p.label) == name)
-                    .unwrap_or(false)
-            });
-            if believed {
-                out.push(name.clone());
-            }
-        }
+        let then = self.kb.snapshot_at(t);
+        let mut out: Vec<String> = self
+            .object_node
+            .keys()
+            .filter(|name| then.lookup(name).is_some())
+            .cloned()
+            .collect();
         out.sort();
         out
+    }
+
+    /// The tick `r` was retracted at: [`Gkbms::retract_decision`] tells
+    /// `status = retracted` on the decision instance, and that
+    /// proposition's belief starts when the retraction happened.
+    fn retracted_at(&self, r: &DecisionRecord) -> Option<i64> {
+        let status = self.kb.lookup_sym("status")?;
+        let told = self
+            .kb
+            .find_link(r.prop, status, self.kb.lookup("retracted")?)?;
+        self.kb.get(told).ok()?.belief.start().tick()
     }
 
     /// The history of one design object: `(tick, event)` pairs over
@@ -101,13 +105,14 @@ impl Gkbms {
         }
         let mut out = Vec::new();
         for r in self.records() {
-            if r.outputs.contains(&object.to_string()) {
+            if r.outputs.iter().any(|o| o == object) {
                 out.push((r.tick, format!("created by {}", r.name)));
                 if r.retracted {
-                    out.push((r.tick, format!("retracted with {}", r.name)));
+                    let at = self.retracted_at(r).unwrap_or(r.tick);
+                    out.push((at, format!("retracted with {}", r.name)));
                 }
             }
-            if r.inputs.contains(&object.to_string()) {
+            if r.inputs.iter().any(|i| i == object) {
                 out.push((r.tick, format!("used by {}", r.name)));
             }
         }
@@ -201,6 +206,30 @@ mod tests {
             vec!["created by mapInvitations", "used by normalizeInvitations"]
         );
         assert!(g.object_history("Ghost").is_err());
+    }
+
+    /// A retraction is dated when it happened, not when the retracted
+    /// decision was executed: the tick is read from the belief interval
+    /// of the `status = retracted` proposition, so it survives replay.
+    #[test]
+    fn object_history_dates_a_retraction_when_it_happened() {
+        let mut g = history();
+        let executed = g.record("normalizeInvitations").unwrap().tick;
+        g.tell_src("TELL Unrelated end").unwrap();
+        g.retract_decision("normalizeInvitations").unwrap();
+        let h = g.object_history("InvitationRel2").unwrap();
+        let tick_of = |event: &str| h.iter().find(|(_, e)| e == event).unwrap().0;
+        let created = tick_of("created by normalizeInvitations");
+        let retracted = tick_of("retracted with normalizeInvitations");
+        assert_eq!(created, executed);
+        assert!(retracted > executed, "{retracted} vs {executed}");
+        assert!(retracted <= g.kb().now());
+
+        let path = std::env::temp_dir().join(format!("gkbms-nav-{}.save", std::process::id()));
+        g.save(&path).unwrap();
+        let loaded = Gkbms::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded.object_history("InvitationRel2").unwrap(), h);
     }
 
     #[test]

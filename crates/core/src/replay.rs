@@ -82,77 +82,14 @@ impl Gkbms {
             .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?
             .clone();
         let mut req = DecisionRequest::new(&r.class, as_name, &r.performer);
-        req.tool = r.tool.clone();
-        req.inputs = r.inputs.clone();
-        req.discharges = r.discharges.clone();
-        // Output classes: recover each original output's class from the
-        // KB (the class link survives untell only in history, so fall
-        // back to the decision class's first TO class).
-        let dc = self
-            .classes
-            .get(&r.class)
-            .ok_or_else(|| GkbmsError::Unknown(format!("decision class `{}`", r.class)))?
-            .clone();
-        for out in &r.outputs {
-            let class = self
-                .class_of_historic_object(out)?
-                .or_else(|| dc.to_classes.first().cloned())
-                .ok_or_else(|| {
-                    GkbmsError::Precondition(format!("cannot recover class of `{out}`"))
-                })?;
-            req.outputs.push((out.clone(), class));
-        }
+        req.tool = r.tool;
+        req.inputs = r.inputs;
+        req.discharges = r.discharges;
+        // Each output is re-created under the class the record says it
+        // was created under.
+        req.outputs = r.outputs.into_iter().zip(r.output_classes).collect();
         let summary = self.execute(req)?;
         Ok(summary.created)
-    }
-
-    /// The design-object class an object had when it was last believed
-    /// (recovered from the full proposition history). Fails with a
-    /// typed error if the history has outgrown the 32-bit id space,
-    /// instead of wrapping ids and recovering the wrong class.
-    fn class_of_historic_object(&self, name: &str) -> GkbmsResult<Option<String>> {
-        // Find the most recent individual proposition with this name.
-        let mut best: Option<(i64, telos::PropId)> = None;
-        for i in 0..self.kb.len() {
-            let id = crate::error::checked_prop_id(i)?;
-            let Ok(p) = self.kb.get(id) else { continue };
-            if !p.is_individual() || self.kb.resolve(p.label) != name {
-                continue;
-            }
-            let start = match p.belief.start() {
-                telos::TimePoint::At(t) => t,
-                _ => 0,
-            };
-            if best.map(|(s, _)| start >= s).unwrap_or(true) {
-                best = Some((start, id));
-            }
-        }
-        let Some((_, obj)) = best else {
-            return Ok(None);
-        };
-        // Its class links, believed or not — take the latest.
-        for link in self.kb.links_from(obj) {
-            let Ok(p) = self.kb.get(link) else { continue };
-            if self.kb.resolve(p.label) == telos::kb::L_INSTANCEOF {
-                return Ok(Some(self.kb.display(p.dest)));
-            }
-        }
-        // Believed links are gone after untell; scan history.
-        let mut latest: Option<(i64, String)> = None;
-        for i in 0..self.kb.len() {
-            let id = crate::error::checked_prop_id(i)?;
-            let Ok(p) = self.kb.get(id) else { continue };
-            if p.source == obj && self.kb.resolve(p.label) == telos::kb::L_INSTANCEOF {
-                let start = match p.belief.start() {
-                    telos::TimePoint::At(t) => t,
-                    _ => 0,
-                };
-                if latest.as_ref().map(|(s, _)| start >= *s).unwrap_or(true) {
-                    latest = Some((start, self.kb.display(p.dest)));
-                }
-            }
-        }
-        Ok(latest.map(|(_, c)| c))
     }
 }
 
@@ -205,6 +142,39 @@ mod tests {
         let rel = g.kb().lookup("InvitationRel").unwrap();
         let class = g.kb().lookup(kernel::DBPL_REL).unwrap();
         assert!(g.kb().is_instance_of(rel, class));
+    }
+
+    /// Each replayed output comes back under its *own* class, read from
+    /// the record — not under the decision class's first TO class.
+    #[test]
+    fn replay_recreates_each_output_under_its_own_class() {
+        let mut g = scenario_gkbms();
+        g.register_object("Invitation", kernel::TDL_ENTITY_CLASS, "src")
+            .unwrap();
+        g.execute(
+            DecisionRequest::new("TDL_MappingDec", "mapBoth", "dev")
+                .with_tool("TDL-DBPL-Mapper")
+                .input("Invitation")
+                .output("InvitationRel", kernel::DBPL_REL)
+                .output("InvitationSel", kernel::DBPL_SELECTOR),
+        )
+        .unwrap();
+        g.retract_decision("mapBoth").unwrap();
+        assert!(!g.is_current("InvitationRel") && !g.is_current("InvitationSel"));
+        let created = g.replay_decision("mapBoth", "mapBoth2").unwrap();
+        assert_eq!(created, vec!["InvitationRel", "InvitationSel"]);
+        let kb = g.kb();
+        for (object, class, other) in [
+            ("InvitationRel", kernel::DBPL_REL, kernel::DBPL_SELECTOR),
+            ("InvitationSel", kernel::DBPL_SELECTOR, kernel::DBPL_REL),
+        ] {
+            let id = kb.lookup(object).unwrap();
+            assert!(kb.is_instance_of(id, kb.lookup(class).unwrap()), "{object}");
+            assert!(
+                !kb.is_instance_of(id, kb.lookup(other).unwrap()),
+                "{object}"
+            );
+        }
     }
 
     #[test]

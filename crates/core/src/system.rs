@@ -124,6 +124,10 @@ pub struct DecisionSummary {
 }
 
 /// The Global KBMS.
+///
+/// Every mutation goes through a method that ends in `Gkbms::commit`,
+/// and there is no `&mut Kb` to be had from outside the crate: `live ==
+/// fold(apply, history)` has no escape hatch in the public API.
 pub struct Gkbms {
     pub(crate) kb: Kb,
     pub(crate) pm: ProcessModel,
@@ -221,16 +225,6 @@ impl Gkbms {
     /// Read access to the knowledge base.
     pub fn kb(&self) -> &Kb {
         &self.kb
-    }
-
-    /// Mutable access to the knowledge base, for documentation-level
-    /// TELL/UNTELL applied through the server's wire protocol. Frames
-    /// told this way are ordinary Telos propositions — they do not
-    /// create JTMS justifications (that is what [`Gkbms::execute`] is
-    /// for), but they participate in ASK, consistency checking, and
-    /// temporal navigation like everything else.
-    pub fn kb_mut(&mut self) -> &mut Kb {
-        &mut self.kb
     }
 
     /// A read-only snapshot of the KB pinned at the current belief

@@ -102,9 +102,9 @@ impl RegisteredView {
     /// `as_of` watermark must be answered, with nothing remembered
     /// between calls ([`pinned_tuples`] is the serving form). Answers
     /// are sorted like [`RegisteredView::tuples`].
-    pub fn eval_pinned<S: PropStore>(
+    pub fn eval_pinned(
         &self,
-        store: &S,
+        store: &PropStore,
         at: i64,
         pred: &str,
     ) -> GkbmsResult<Vec<Vec<Value>>> {

@@ -55,10 +55,10 @@ pub fn to_edb_at(kb: &Kb, at: i64) -> ObResult<Database> {
     to_edb_at_store(kb, at)
 }
 
-/// [`to_edb_at`] over any [`PropStore`] — in particular an immutable
-/// [`KbVersion`], so the server's MVCC read path builds its EDB from a
-/// pinned version without touching the live KB.
-pub fn to_edb_at_store<S: PropStore>(store: &S, at: i64) -> ObResult<Database> {
+/// [`to_edb_at`] over the [`PropStore`] itself — in particular an
+/// immutable [`KbVersion`]'s, so the server's MVCC read path builds its
+/// EDB from a pinned version without touching the live KB.
+pub fn to_edb_at_store(store: &PropStore, at: i64) -> ObResult<Database> {
     export(store, |p| p.believed_at(at), Exported::ALL)
 }
 
@@ -66,7 +66,7 @@ pub fn to_edb_at_store<S: PropStore>(store: &S, at: i64) -> ObResult<Database> {
 /// rule body of `program` reads: the same tuples in the same order for
 /// those, nothing for the rest. [`base_program`] reads `in_` and `isa`
 /// — about a third of a design history's tuples; the rest is `attr`.
-pub fn to_edb_for<S: PropStore>(store: &S, at: i64, program: &Program) -> ObResult<Database> {
+pub fn to_edb_for(store: &PropStore, at: i64, program: &Program) -> ObResult<Database> {
     export(store, |p| p.believed_at(at), Exported::read_by(program))
 }
 
@@ -105,8 +105,8 @@ impl Exported {
 /// attribute label once per label, and no `String` or [`Value`] is
 /// built per tuple. Must agree with [`edb_fact_for`], the
 /// per-proposition form that feeds the maintained views.
-fn export<S: PropStore>(
-    store: &S,
+fn export(
+    store: &PropStore,
     live: impl Fn(&Proposition) -> bool,
     want: Exported,
 ) -> ObResult<Database> {
@@ -116,14 +116,14 @@ fn export<S: PropStore>(
     )
     .inc();
     let (in_, isa, attr) = (intern(preds::IN), intern(preds::ISA), intern(preds::ATTR));
-    let mut names: Vec<Option<Symbol>> = vec![None; store.prop_count()];
+    let mut names: Vec<Option<Symbol>> = vec![None; store.len()];
     let mut name_of = |id: PropId| -> IVal {
         if let Some(Some(known)) = names.get(id.idx()) {
             return IVal::Sym(*known);
         }
         let sym = match store.prop(id) {
             Some(p) if p.is_individual() => intern(store.resolve_sym(p.label)),
-            _ => intern(&store.display_prop(id)),
+            _ => intern(&store.display(id)),
         };
         if let Some(slot) = names.get_mut(id.idx()) {
             *slot = Some(sym);
@@ -132,7 +132,7 @@ fn export<S: PropStore>(
     };
     let mut labels: HashMap<telos::Symbol, IVal> = HashMap::new();
     let mut db = Database::new();
-    for id in 0..store.prop_count() {
+    for id in 0..store.len() {
         let Some(p) = store.prop(PropId(id as u32)) else {
             continue;
         };
@@ -163,14 +163,14 @@ fn export<S: PropStore>(
 /// Belief is *not* checked — the caller decides which belief state it
 /// is mapping. This is the per-proposition delta unit the incremental
 /// view-maintenance path feeds into registered views on TELL/UNTELL.
-pub fn edb_fact_for<S: PropStore>(store: &S, id: PropId) -> Option<(String, Vec<Value>)> {
+pub fn edb_fact_for(store: &PropStore, id: PropId) -> Option<(String, Vec<Value>)> {
     let p = store.prop(id)?;
     if p.is_individual() {
         return None;
     }
     let label = store.resolve_sym(p.label).to_string();
-    let src = Value::sym(store.display_prop(p.source));
-    let dst = Value::sym(store.display_prop(p.dest));
+    let src = Value::sym(store.display(p.source));
+    let dst = Value::sym(store.display(p.dest));
     Some(match label.as_str() {
         telos::kb::L_INSTANCEOF => (preds::IN.to_string(), vec![src, dst]),
         telos::kb::L_ISA => (preds::ISA.to_string(), vec![src, dst]),
@@ -183,7 +183,7 @@ pub fn edb_fact_for<S: PropStore>(store: &S, id: PropId) -> Option<(String, Vec<
 /// fact twice, which is exactly the multiplicity a counting view needs
 /// so that untelling one of them does not delete the other's support.
 pub fn edb_facts(kb: &Kb) -> Vec<(String, Vec<Value>)> {
-    (0..kb.prop_count())
+    (0..kb.len())
         .filter_map(|i| {
             let id = PropId(i as u32);
             let p = kb.prop(id)?;
@@ -239,8 +239,8 @@ struct Lemmas(Mutex<Vec<(Exported, Program, Lemma)>>);
 
 /// Exports `want` from `store` as filtered by `live` and evaluates
 /// `program` over it.
-fn build_closure<S: PropStore>(
-    store: &S,
+fn build_closure(
+    store: &PropStore,
     live: impl Fn(&Proposition) -> bool,
     want: Exported,
     program: &Program,
@@ -257,8 +257,8 @@ fn build_closure<S: PropStore>(
 
 /// The closure of `program` over `version` as believed at `at`, read
 /// from the version's lemmas when `at` is its capture tick — the only
-/// tick a session pins outside a reload race — and built unshared
-/// otherwise. A failed evaluation stores nothing.
+/// tick a served session ever pins — and built unshared otherwise. A
+/// failed evaluation stores nothing.
 fn closure_at(
     version: &KbVersion,
     at: i64,

@@ -9,7 +9,7 @@
 
 use crate::error::{ObError, ObResult};
 use crate::frame::{FrameAttr, ObjectFrame};
-use telos::{Kb, PropId, TelosResult};
+use telos::{Kb, PropId, Snapshot, TelosError, TelosResult};
 
 /// Marker individuals installed on first use.
 pub mod markers {
@@ -189,37 +189,39 @@ pub fn stored_datalog_rules(kb: &Kb) -> Vec<String> {
 }
 
 /// The inverse transformation: groups the propositions around an
-/// object identifier back into a frame.
+/// object identifier back into a frame, as currently believed.
 pub fn frame_of(kb: &Kb, object: PropId) -> ObResult<ObjectFrame> {
-    let prop = kb.get(object)?;
+    frame_at(kb.snapshot(), object)
+}
+
+/// [`frame_of`] as of a snapshot's belief tick — over the live KB or a
+/// pinned [`telos::KbVersion`] alike (what the server's `show` reads).
+pub fn frame_at(snap: Snapshot<'_>, object: PropId) -> ObResult<ObjectFrame> {
+    let store = snap.store();
+    let prop = store
+        .prop(object)
+        .ok_or(TelosError::UnknownProposition(object))?;
     if !prop.is_individual() {
         return Err(ObError::Unknown(format!(
             "{} is a link, not an object",
-            kb.display(object)
+            store.display(object)
         )));
     }
-    let mut frame = ObjectFrame::named(kb.display(object));
-    frame.classes = kb
-        .classes_of(object)
-        .into_iter()
-        .map(|c| kb.display(c))
-        .collect();
-    frame.isa = kb
-        .isa_parents(object)
-        .into_iter()
-        .map(|c| kb.display(c))
-        .collect();
-    let constraint_class = kb.lookup(markers::CONSTRAINT);
-    let rule_class = kb.lookup(markers::RULE);
-    for attr in kb.attrs_of(object) {
-        let p = kb.get(attr)?;
-        let label = kb.resolve(p.label).to_string();
-        let is_constraint = constraint_class.is_some_and(|c| kb.is_instance_of(p.dest, c));
-        let is_rule = rule_class.is_some_and(|c| kb.is_instance_of(p.dest, c));
+    let display_all = |ids: Vec<PropId>| ids.into_iter().map(|c| store.display(c)).collect();
+    let mut frame = ObjectFrame::named(store.display(object));
+    frame.classes = display_all(snap.classes_of(object));
+    frame.isa = display_all(snap.isa_parents(object));
+    let constraint_class = snap.lookup(markers::CONSTRAINT);
+    let rule_class = snap.lookup(markers::RULE);
+    for attr in snap.attrs_of(object) {
+        let Some(p) = store.prop(attr) else { continue };
+        let label = store.resolve_sym(p.label).to_string();
+        let is_constraint = constraint_class.is_some_and(|c| snap.is_instance_of(p.dest, c));
+        let is_rule = rule_class.is_some_and(|c| snap.is_instance_of(p.dest, c));
         if is_constraint || is_rule {
-            let texts = kb.attr_values(p.dest, markers::TEXT);
+            let texts = snap.attr_values(p.dest, markers::TEXT);
             if let Some(&t) = texts.first() {
-                let entry = (label, kb.display(t));
+                let entry = (label, store.display(t));
                 if is_constraint {
                     frame.constraints.push(entry);
                 } else {
@@ -229,7 +231,7 @@ pub fn frame_of(kb: &Kb, object: PropId) -> ObResult<ObjectFrame> {
         } else {
             frame.attrs.push(FrameAttr {
                 label,
-                value: kb.display(p.dest),
+                value: store.display(p.dest),
             });
         }
     }

@@ -3,8 +3,8 @@
 //! # Concurrency model
 //!
 //! Writers (TELL, UNTELL, EXECUTE, …) serialize behind the write guard
-//! of one [`RwLock`]; session reads (ASK, HOLDS, session stats) do
-//! **not** take that lock at all. Every acknowledged mutation
+//! of one [`RwLock`]; session reads (ASK, HOLDS, SHOW, session stats)
+//! do **not** take that lock at all. Every acknowledged mutation
 //! publishes an immutable [`telos::KbVersion`] — a structural-sharing
 //! capture, O(touched chunks) — into a [`gkbms::mvcc::VersionChain`]
 //! while still holding the write guard, so versions appear in commit
@@ -18,13 +18,12 @@
 //! mutating, so nothing a writer adds is visible below any pinned
 //! watermark, and nothing it retracts disappears from one (UNTELL only
 //! closes belief intervals). The version chain supplies the isolation
-//! *mechanics*: superseded versions are reclaimed epoch-wise once
-//! their last pinned reader departs (session Bye, Refresh, or
-//! idle-timeout sweep — sweeps run on every publish and on idle
-//! connection polls so an abandoned session cannot retain history
-//! forever). Rare administrative reads (SHOW, HISTORY, STATUS, SAVE,
-//! LINT, …) still use the read guard: they want the live state and
-//! are not on the hot path.
+//! *mechanics*: a superseded version is freed when its last holder
+//! lets go (session Bye, Refresh, or idle-timeout sweep — sweeps run on
+//! every publish and on idle connection polls so an abandoned session
+//! cannot retain history forever). Decision-level and administrative
+//! reads (HISTORY, STATUS, SAVE, LINT, …) still use the read guard:
+//! they read state that is not held as propositions.
 //!
 //! Each TCP connection gets a handler thread. Work-carrying requests
 //! pass an admission gate bounded by [`Config::max_inflight`]; beyond
@@ -440,14 +439,16 @@ impl Server {
         begin_shutdown(&self.shared);
     }
 
-    /// Number of live store versions: the head plus every superseded
-    /// version still pinned by a session. Converges to 1 when all
-    /// sessions are closed, refreshed, or reaped.
+    /// Number of store versions alive: the head plus every superseded
+    /// version a session (or a request in flight) still holds.
+    /// Converges to 1 when all sessions are closed, refreshed, or
+    /// reaped.
     pub fn store_versions_live(&self) -> usize {
         self.shared.chain.live_versions()
     }
 
-    /// Number of distinct store epochs currently pinned by sessions.
+    /// Number of alive store versions held by a session or a request
+    /// in flight (the head counts once it is pinned).
     pub fn pinned_store_epochs(&self) -> usize {
         self.shared.chain.pinned_epochs()
     }
@@ -778,14 +779,16 @@ fn write_state(shared: &Shared) -> std::sync::RwLockWriteGuard<'_, Gkbms> {
 /// Swaps `fresh` in as the served state — a `Load`, a replica's
 /// snapshot install — under the caller's write guard: publishes its
 /// store version, then re-pins every session at the fresh head, since
-/// old watermarks and pins refer to a store that no longer exists.
+/// old watermarks and pins refer to a store that no longer exists. The
+/// pin is taken *before* the guard is let go, so it is the version
+/// just published (no writer can commit in between) and the sessions'
+/// watermark is its tick.
 fn replace_state(shared: &Shared, mut g: RwLockWriteGuard<'_, Gkbms>, fresh: Gkbms) {
     *g = fresh;
-    let now = g.kb().now();
     shared.chain.publish(g.kb().version());
-    drop(g);
     let pin = shared.chain.acquire();
-    lock_sessions(shared).repin_all(now, pin);
+    drop(g);
+    lock_sessions(shared).repin_all(pin.data().now(), pin);
 }
 
 /// Completes a mutating request's commit: publishes the new store

@@ -17,7 +17,7 @@ use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
 use crate::session::SessionErr;
 use gkbms::mvcc::Version;
 use gkbms::{Gkbms, GkbmsError, GkbmsResult};
-use objectbase::transform::frame_of;
+use objectbase::transform::frame_at;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,10 +69,10 @@ fn one_lines(diags: &[analysis::Diagnostic]) -> String {
 /// chain mutex is never taken on this path. An unknown or expired
 /// session is the request's (typed) answer.
 fn gate(shared: &Shared, id: u64) -> Result<(i64, Arc<Version<KbVersion>>), Response> {
-    lock_sessions(shared)
-        .touch(id)
-        .map(|s| (s.watermark, s.pin.version()))
-        .map_err(|e| session_err(e, id))
+    let mut sessions = lock_sessions(shared);
+    let s = sessions.touch(id).map_err(|e| session_err(e, id))?;
+    debug_assert_eq!(s.watermark, s.pin.data().now(), "watermark == pin tick");
+    Ok((s.watermark, s.pin.version()))
 }
 
 /// A journaled mutation: session gate, write lock, `op`, then
@@ -110,9 +110,15 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
     let draining = || shared.shutdown.load(Ordering::SeqCst);
     Ok(match req {
         Request::Ping => done("pong"),
-        Request::Metrics => Response::Metrics {
-            text: obs::render_prometheus(),
-        },
+        Request::Metrics => {
+            // The chain publishes its gauges whenever it is read; read
+            // it, so the scrape counts versions freed by an unpin (which
+            // never touches the chain) since the last publish or acquire.
+            shared.chain.live_versions();
+            Response::Metrics {
+                text: obs::render_prometheus(),
+            }
+        }
         Request::Hello => {
             if draining() {
                 return Err(err(ErrorCode::ShuttingDown, "server is draining"));
@@ -244,14 +250,15 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             Response::Truth { value }
         }
         Request::Show { session, name } => {
-            gate(shared, session)?;
-            let g = read_state(shared);
-            let id = g
-                .kb()
+            // Pinned like Ask: the frame as the session's version
+            // believed it at the watermark, with no state guard.
+            let (watermark, version) = gate(shared, session)?;
+            let snap = version.data().snapshot_at(watermark);
+            let id = snap
                 .lookup(&name)
                 .ok_or_else(|| rejected(format!("unknown object `{name}`")))?;
             Response::Table {
-                text: frame_of(g.kb(), id).map_err(rejected)?.to_string(),
+                text: frame_at(snap, id).map_err(rejected)?.to_string(),
             }
         }
         Request::ApplicableDecisions { session, object } => {

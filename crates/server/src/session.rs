@@ -13,10 +13,10 @@
 //! than the idle timeout is reaped, and later requests for it get
 //! [`crate::proto::ErrorCode::SessionExpired`].
 //!
-//! Reaping a session drops its pin, which releases its epoch in the
-//! version chain — [`SessionTable::sweep`] is therefore part of the
-//! reclamation path, not just table hygiene, and the server calls it
-//! on every publish and on idle connection polls.
+//! Reaping a session drops its pin, and a store version is freed at
+//! the drop of its last holder — [`SessionTable::sweep`] is therefore
+//! part of the reclamation path, not just table hygiene, and the server
+//! calls it on every publish and on idle connection polls.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -27,7 +27,11 @@ use std::time::{Duration, Instant};
 pub struct Session<P> {
     /// The session id.
     pub id: u64,
-    /// Belief-time watermark all the session's reads are pinned at.
+    /// Belief-time watermark all the session's reads are pinned at. In
+    /// the server `watermark == pin.data().now()` holds from `open`,
+    /// `refresh` and `repin_all` onwards: a session reads its version
+    /// at the tick it was captured, which is the tick whose deductive
+    /// closure the version memoizes.
     pub watermark: i64,
     /// The pinned store version the session reads from.
     pub pin: P,
@@ -121,7 +125,7 @@ impl<P> SessionTable<P> {
     }
 
     /// Re-pins `id` to `watermark` reading from `pin` (the old pin is
-    /// dropped, releasing its epoch). Returns the new watermark.
+    /// dropped, letting go of its version). Returns the new watermark.
     pub fn refresh(&mut self, id: u64, watermark: i64, pin: P) -> Result<i64, SessionErr> {
         let s = self.touch(id)?;
         s.watermark = watermark;
@@ -136,9 +140,8 @@ impl<P> SessionTable<P> {
         self.publish_active();
     }
 
-    /// Drops every session that has idled out (releasing their pins —
-    /// this is what lets the version chain reclaim epochs held only by
-    /// abandoned sessions).
+    /// Drops every session that has idled out, and with them their
+    /// pins — which frees the versions only abandoned sessions held.
     pub fn sweep(&mut self) {
         let timeout = self.idle_timeout;
         let before = self.map.len();

@@ -1,68 +1,69 @@
 //! The proposition base and its operations.
 //!
-//! [`Kb`] stores every proposition ever told, maintains four access
-//! paths (by id, by source, by label, by destination), and exposes the
-//! two operations of the paper's proposition-processor interface —
-//! `create_proposition` and `retrieve_proposition` — in typed form:
-//! TELL-style constructors ([`Kb::individual`], [`Kb::instantiate`],
-//! [`Kb::specialize`], [`Kb::put_attr`]) and retrieval methods that
-//! respect belief time and the classification/specialization axioms.
+//! [`Kb`] writes the [`PropStore`] — every proposition ever told, with
+//! four access paths (by id, by source, by label, by destination) — and
+//! exposes the two operations of the paper's proposition-processor
+//! interface, `create_proposition` and `retrieve_proposition`, in typed
+//! form: TELL-style constructors ([`Kb::individual`],
+//! [`Kb::instantiate`], [`Kb::specialize`], [`Kb::put_attr`]) and
+//! retrieval that respects belief time and the
+//! classification/specialization axioms.
 //!
+//! Retrieval is written once, on [`Snapshot`] — a store read at a
+//! belief tick. `Kb`'s own retrieval methods are that read at `now`.
 //! Nothing is ever destructively deleted: [`Kb::untell`] closes a
 //! proposition's belief interval, so past states remain queryable
-//! (`*_at` variants) — the basis of temporal navigation (§3.3.1).
+//! ([`PropStore::snapshot_at`]) — the basis of temporal navigation
+//! (§3.3.1).
 
 use crate::error::{TelosError, TelosResult};
 use crate::omega::{self, Builtins};
 use crate::prop::{PropId, Proposition};
-use crate::pvec::PVec;
-use crate::symbols::{Symbol, SymbolTable};
+use crate::symbols::Symbol;
 use crate::time::interval::Interval;
-use crate::version::{KbVersion, PIndex, PropStore};
+use crate::version::{KbVersion, PropStore};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Deref;
 
 /// Reserved label of classification links.
 pub const L_INSTANCEOF: &str = "instanceof";
 /// Reserved label of specialization links.
 pub const L_ISA: &str = "isa";
 
-/// The knowledge base: proposition store + access paths + clock.
+/// The knowledge base: the writer of a [`PropStore`], to which it
+/// derefs for every raw read, `now()`, `len()`, `display()` and
+/// `snapshot_at()`.
 ///
-/// Storage is persistent (chunked `Arc` spines — see [`crate::pvec`]),
-/// so [`Kb::version`] captures an immutable [`KbVersion`] by structural
+/// The store is persistent (chunked `Arc` spines — see [`crate::pvec`]),
+/// so [`Kb::version`] freezes an immutable [`KbVersion`] by structural
 /// sharing and later writes copy only the chunks they touch.
+///
+/// Current-belief retrieval (`classes_of`, `attr_values`, …) is the
+/// same-named [`Snapshot`] read at `now`. That is sound because UNTELL
+/// ticks *before* it closes an interval, so for every proposition at
+/// every moment `is_believed() ≡ believed_at(now)`.
 pub struct Kb {
-    symbols: SymbolTable,
-    props: PVec<Proposition>,
-    /// Believed individuals by name.
+    store: PropStore,
+    /// Believed individuals by name: the O(1) path of [`Kb::lookup`].
     by_name: HashMap<Symbol, PropId>,
-    by_source: PIndex<PropId>,
-    by_label: PIndex<Symbol>,
-    by_dest: PIndex<PropId>,
-    /// Belief-time clock: advanced by [`Kb::tick`].
-    clock: i64,
     builtins: Builtins,
-    sym_instanceof: Symbol,
-    sym_isa: Symbol,
+}
+
+impl Deref for Kb {
+    type Target = PropStore;
+
+    fn deref(&self) -> &PropStore {
+        &self.store
+    }
 }
 
 impl Kb {
     /// A fresh KB with the ω-level bootstrapped.
     pub fn new() -> Self {
-        let mut symbols = SymbolTable::new();
-        let sym_instanceof = symbols.intern(L_INSTANCEOF);
-        let sym_isa = symbols.intern(L_ISA);
         let mut kb = Kb {
-            symbols,
-            props: PVec::new(),
+            store: PropStore::new(),
             by_name: HashMap::new(),
-            by_source: PIndex::new(),
-            by_label: PIndex::new(),
-            by_dest: PIndex::new(),
-            clock: 0,
             builtins: Builtins::placeholder(),
-            sym_instanceof,
-            sym_isa,
         };
         kb.builtins = omega::bootstrap(&mut kb);
         kb
@@ -70,7 +71,7 @@ impl Kb {
 
     /// The id the next created proposition will get.
     pub(crate) fn next_id(&self) -> PropId {
-        PropId(self.props.len() as u32)
+        PropId(self.len() as u32)
     }
 
     /// Appends `<source, label, dest, history>`, believed from now on.
@@ -90,57 +91,48 @@ impl Kb {
             label,
             dest,
             history,
-            belief: Interval::from_tick(self.clock),
+            belief: Interval::from_tick(self.store.clock),
         };
-        self.by_source.insert(source, id);
-        self.by_label.insert(label, id);
-        self.by_dest.insert(dest, id);
+        self.store.by_source.insert(source, id);
+        self.store.by_label.insert(label, id);
+        self.store.by_dest.insert(dest, id);
         if prop.is_individual() {
             self.by_name.insert(label, id);
         }
-        self.props.push(prop);
+        self.store.props.push(prop);
         id
     }
 
     fn apply_close(&mut self, id: PropId, at: i64) -> TelosResult<()> {
         let p = self
+            .store
             .props
             .get_mut(id.idx())
             .ok_or(TelosError::UnknownProposition(id))?;
         p.belief = p.belief.closed_at(at)?;
-        if p.source == p.id && p.dest == p.id {
-            let label = p.label;
-            if self.by_name.get(&label) == Some(&id) {
-                self.by_name.remove(&label);
-            }
+        if p.is_individual() && self.by_name.get(&p.label) == Some(&id) {
+            self.by_name.remove(&p.label);
         }
         Ok(())
-    }
-
-    // ----- clock ---------------------------------------------------------
-
-    /// Current belief tick.
-    pub fn now(&self) -> i64 {
-        self.clock
     }
 
     /// Advances the belief clock (one "transaction boundary") and
     /// returns the new tick.
     pub fn tick(&mut self) -> i64 {
-        self.clock += 1;
-        self.clock
+        self.store.clock += 1;
+        self.store.clock
     }
 
     // ----- symbols -------------------------------------------------------
 
     /// Interns a string as a symbol.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        self.symbols.intern(s)
+        self.store.symbols.intern(s)
     }
 
     /// Resolves a symbol to its string.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        self.symbols.resolve(sym)
+        self.resolve_sym(sym)
     }
 
     /// The ω-level built-in objects.
@@ -163,10 +155,10 @@ impl Kb {
         // Both endpoints must denote existing propositions; the
         // self-referential case of individual creation goes through
         // [`Kb::individual`], which does not call this path.
-        if source.idx() >= self.props.len() {
+        if source.idx() >= self.len() {
             return Err(TelosError::UnknownProposition(source));
         }
-        if dest.idx() >= self.props.len() {
+        if dest.idx() >= self.len() {
             return Err(TelosError::UnknownProposition(dest));
         }
         Ok(self.append(source, label, dest, history))
@@ -180,7 +172,7 @@ impl Kb {
 
     /// Like [`Kb::individual`], with an explicit history time.
     pub fn individual_during(&mut self, name: &str, history: Interval) -> TelosResult<PropId> {
-        let sym = self.symbols.intern(name);
+        let sym = self.intern(name);
         if let Some(&id) = self.by_name.get(&sym) {
             return Ok(id);
         }
@@ -188,9 +180,11 @@ impl Kb {
         Ok(self.append(id, sym, id, history))
     }
 
-    /// The believed individual named `name`, if any.
+    /// The believed individual named `name`, if any — what
+    /// `self.snapshot().lookup(name)` answers, through the name index
+    /// (this is on the TELL hot path).
     pub fn lookup(&self, name: &str) -> Option<PropId> {
-        let sym = self.symbols.lookup(name)?;
+        let sym = self.lookup_sym(name)?;
         self.by_name.get(&sym).copied()
     }
 
@@ -202,10 +196,11 @@ impl Kb {
 
     /// Creates (or finds) the believed classification link `x instanceof c`.
     pub fn instantiate(&mut self, x: PropId, c: PropId) -> TelosResult<PropId> {
-        if let Some(existing) = self.find_link(x, self.sym_instanceof, c) {
+        let label = self.instanceof_sym();
+        if let Some(existing) = self.find_link(x, label, c) {
             return Ok(existing);
         }
-        self.create_raw(x, self.sym_instanceof, c, Interval::always())
+        self.create_raw(x, label, c, Interval::always())
     }
 
     /// Creates (or finds) the believed specialization link `c isa d`.
@@ -219,10 +214,11 @@ impl Kb {
                 self.display(d)
             )));
         }
-        if let Some(existing) = self.find_link(c, self.sym_isa, d) {
+        let label = self.isa_sym();
+        if let Some(existing) = self.find_link(c, label, d) {
             return Ok(existing);
         }
-        self.create_raw(c, self.sym_isa, d, Interval::always())
+        self.create_raw(c, label, d, Interval::always())
     }
 
     /// Creates the attribute proposition `<x, label, y>` (history
@@ -244,7 +240,7 @@ impl Kb {
                 "`{label}` is a reserved link label"
             )));
         }
-        let sym = self.symbols.intern(label);
+        let sym = self.intern(label);
         self.create_raw(x, sym, y, history)
     }
 
@@ -261,25 +257,6 @@ impl Kb {
         let attr = self.put_attr(x, label, y)?;
         self.instantiate(attr, attr_class)?;
         Ok(attr)
-    }
-
-    /// Searches the classes of `x` (transitively, through isa) for an
-    /// attribute class whose label is `label`.
-    pub fn find_attr_class(&self, x: PropId, label: &str) -> Option<PropId> {
-        let sym = self.symbols.lookup(label)?;
-        for class in self.all_classes_of(x) {
-            for &p in self.by_source.get(&class) {
-                let prop = &self.props[p.idx()];
-                if prop.is_believed() && prop.label == sym && !self.is_link_label(prop.label) {
-                    return Some(p);
-                }
-            }
-        }
-        None
-    }
-
-    fn is_link_label(&self, l: Symbol) -> bool {
-        self.is_link_sym(l)
     }
 
     // ----- untell --------------------------------------------------------
@@ -310,12 +287,11 @@ impl Kb {
             self.apply_close(cur, at)?;
             untold.push(cur);
             let dependents: Vec<PropId> = self
-                .by_source
-                .get(&cur)
+                .postings_from(cur)
                 .iter()
-                .chain(self.by_dest.get(&cur).iter())
+                .chain(self.postings_to(cur))
                 .copied()
-                .filter(|&p| p != cur && self.props[p.idx()].is_believed())
+                .filter(|&p| p != cur && self.prop(p).is_some_and(|p| p.is_believed()))
                 .collect();
             for d in dependents {
                 if seen.insert(d) {
@@ -326,185 +302,96 @@ impl Kb {
         Ok(untold)
     }
 
-    // ----- retrieval -----------------------------------------------------
+    // ----- retrieval: each a `Snapshot` read at `now` ---------------------
 
     /// The proposition with the given id.
     pub fn get(&self, id: PropId) -> TelosResult<&Proposition> {
-        self.props
-            .get(id.idx())
-            .ok_or(TelosError::UnknownProposition(id))
-    }
-
-    /// Total number of propositions ever told.
-    pub fn len(&self) -> usize {
-        self.props.len()
-    }
-
-    /// True if the KB holds no propositions.
-    pub fn is_empty(&self) -> bool {
-        self.props.is_empty()
+        self.prop(id).ok_or(TelosError::UnknownProposition(id))
     }
 
     /// Number of currently believed propositions.
     pub fn believed_count(&self) -> usize {
-        self.props.iter().filter(|p| p.is_believed()).count()
-    }
-
-    /// Human-readable name: an individual's label, or `<src label dst>`.
-    pub fn display(&self, id: PropId) -> String {
-        self.display_prop(id)
+        self.snapshot().believed_count()
     }
 
     /// Finds a believed link `<x, label, y>`.
     pub fn find_link(&self, x: PropId, label: Symbol, y: PropId) -> Option<PropId> {
-        self.by_source.get(&x).iter().copied().find(|&p| {
-            let prop = &self.props[p.idx()];
-            prop.is_believed() && prop.label == label && prop.dest == y && p != x
-        })
+        self.snapshot().find_link(x, label, y)
     }
 
     /// All believed propositions with source `x`.
     pub fn links_from(&self, x: PropId) -> Vec<PropId> {
-        self.by_source
-            .get(&x)
-            .iter()
-            .copied()
-            .filter(|&p| p != x && self.props[p.idx()].is_believed())
-            .collect()
+        self.snapshot().links_from(x)
     }
 
     /// All believed propositions with destination `y`.
     pub fn links_to(&self, y: PropId) -> Vec<PropId> {
-        self.by_dest
-            .get(&y)
-            .iter()
-            .copied()
-            .filter(|&p| p != y && self.props[p.idx()].is_believed())
-            .collect()
+        self.snapshot().links_to(y)
     }
 
     /// All believed propositions carrying `label`.
     pub fn props_with_label(&self, label: &str) -> Vec<PropId> {
-        match self.symbols.lookup(label) {
-            None => Vec::new(),
-            Some(sym) => self
-                .by_label
-                .get(&sym)
-                .iter()
-                .copied()
-                .filter(|&p| self.props[p.idx()].is_believed())
-                .collect(),
-        }
+        self.snapshot().props_with_label(label)
     }
 
     /// Direct classes of `x` (believed `instanceof` links).
     pub fn classes_of(&self, x: PropId) -> Vec<PropId> {
-        self.typed_dests_at(x, self.sym_instanceof, None)
+        self.snapshot().classes_of(x)
     }
 
     /// Direct believed instances of class `c`.
     pub fn instances_of(&self, c: PropId) -> Vec<PropId> {
-        self.typed_sources_at(c, self.sym_instanceof, None)
+        self.snapshot().instances_of(c)
     }
 
     /// Direct isa parents of `c`.
     pub fn isa_parents(&self, c: PropId) -> Vec<PropId> {
-        self.typed_dests_at(c, self.sym_isa, None)
+        self.snapshot().isa_parents(c)
     }
 
     /// Direct isa children of `c`.
     pub fn isa_children(&self, c: PropId) -> Vec<PropId> {
-        self.typed_sources_at(c, self.sym_isa, None)
+        self.snapshot().isa_children(c)
     }
 
     /// Transitive isa ancestors of `c` (excluding `c`), breadth-first,
     /// deduplicated.
     pub fn isa_ancestors(&self, c: PropId) -> Vec<PropId> {
-        self.closure(c, |kb, x| kb.isa_parents(x))
+        self.snapshot().isa_ancestors(c)
     }
 
     /// Transitive isa descendants of `c` (excluding `c`).
     pub fn isa_descendants(&self, c: PropId) -> Vec<PropId> {
-        self.closure(c, |kb, x| kb.isa_children(x))
-    }
-
-    fn closure(&self, start: PropId, step: impl Fn(&Kb, PropId) -> Vec<PropId>) -> Vec<PropId> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::from([start]);
-        let mut queue = VecDeque::from([start]);
-        while let Some(cur) = queue.pop_front() {
-            for next in step(self, cur) {
-                if seen.insert(next) {
-                    out.push(next);
-                    queue.push_back(next);
-                }
-            }
-        }
-        out
+        self.snapshot().isa_descendants(c)
     }
 
     /// Classes of `x` closed under specialization: if `x in c` and
     /// `c isa d` then `x` is also an instance of `d` (the instance-
     /// inheritance axiom).
     pub fn all_classes_of(&self, x: PropId) -> Vec<PropId> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for c in self.classes_of(x) {
-            if seen.insert(c) {
-                out.push(c);
-            }
-            for a in self.isa_ancestors(c) {
-                if seen.insert(a) {
-                    out.push(a);
-                }
-            }
-        }
-        out
+        self.snapshot().all_classes_of(x)
     }
 
     /// Instances of `c` including those of all isa descendants.
     pub fn all_instances_of(&self, c: PropId) -> Vec<PropId> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for class in std::iter::once(c).chain(self.isa_descendants(c)) {
-            for i in self.instances_of(class) {
-                if seen.insert(i) {
-                    out.push(i);
-                }
-            }
-        }
-        out
+        self.snapshot().all_instances_of(c)
     }
 
     /// True if `x` is an instance of `c`, directly or through
     /// specialization.
     pub fn is_instance_of(&self, x: PropId, c: PropId) -> bool {
-        self.classes_of(x)
-            .into_iter()
-            .any(|d| d == c || self.isa_ancestors(d).contains(&c))
+        self.snapshot().is_instance_of(x, c)
     }
 
     /// Believed attribute propositions of `x` (links from `x` that are
     /// neither instanceof nor isa).
     pub fn attrs_of(&self, x: PropId) -> Vec<PropId> {
-        self.by_source
-            .get(&x)
-            .iter()
-            .copied()
-            .filter(|&p| {
-                let prop = &self.props[p.idx()];
-                p != x && prop.is_believed() && !self.is_link_label(prop.label)
-            })
-            .collect()
+        self.snapshot().attrs_of(x)
     }
 
     /// Values of the believed attribute `label` on `x`.
     pub fn attr_values(&self, x: PropId, label: &str) -> Vec<PropId> {
-        match self.symbols.lookup(label) {
-            None => Vec::new(),
-            Some(sym) if self.is_link_label(sym) => Vec::new(),
-            Some(sym) => self.typed_dests_at(x, sym, None),
-        }
+        self.snapshot().attr_values(x, label)
     }
 
     /// The attribute class an attribute proposition was classified
@@ -513,176 +400,116 @@ impl Kb {
         self.classes_of(attr).into_iter().next()
     }
 
+    /// Searches the classes of `x` (transitively, through isa) for an
+    /// attribute class whose label is `label`.
+    pub fn find_attr_class(&self, x: PropId, label: &str) -> Option<PropId> {
+        self.snapshot().find_attr_class(x, label)
+    }
+
     // ----- temporal retrieval ---------------------------------------------
 
     /// Direct classes of `x` as believed at tick `t`.
     pub fn classes_of_at(&self, x: PropId, t: i64) -> Vec<PropId> {
-        self.typed_dests_at(x, self.sym_instanceof, Some(t))
+        self.snapshot_at(t).classes_of(x)
     }
 
     /// Values of attribute `label` on `x` as believed at tick `t`.
     pub fn attr_values_at(&self, x: PropId, label: &str, t: i64) -> Vec<PropId> {
-        match self.symbols.lookup(label) {
-            None => Vec::new(),
-            Some(sym) => self.typed_dests_at(x, sym, Some(t)),
-        }
+        self.snapshot_at(t).attr_values(x, label)
     }
 
     /// All propositions believed at tick `t`.
     pub fn believed_at(&self, t: i64) -> Vec<PropId> {
-        self.props
-            .iter()
-            .filter(|p| p.believed_at(t))
-            .map(|p| p.id)
-            .collect()
-    }
-
-    // ----- snapshot reads -------------------------------------------------
-
-    /// A read-only view pinned at the current belief tick.
-    pub fn snapshot(&self) -> Snapshot<'_> {
-        self.snapshot_at(self.clock)
-    }
-
-    /// A read-only view pinned at belief tick `at`. Because the KB
-    /// never destroys propositions — UNTELL only closes belief
-    /// intervals — the view is a *consistent snapshot*: it sees exactly
-    /// the propositions believed at `at`, regardless of TELLs and
-    /// UNTELLs applied afterwards. This is the basis of the server's
-    /// snapshot-isolated read sessions.
-    pub fn snapshot_at(&self, at: i64) -> Snapshot<'_> {
-        Snapshot::over(self, at)
+        self.snapshot_at(t).believed().collect()
     }
 
     // ----- versions -------------------------------------------------------
 
-    /// Captures an immutable [`KbVersion`] of the current state by
+    /// Freezes an immutable [`KbVersion`] of the current state by
     /// structural sharing: proposition chunks, index postings and
     /// interned strings are shared `Arc`s, so the capture is O(spine),
     /// not O(propositions). The version is `Send + Sync`, never
     /// changes, and answers `snapshot_at(w)` byte-identically to this
     /// KB for every `w ≤ self.now()` — the server's MVCC read path
-    /// hands one to each session so ASK never takes the writer lock.
+    /// hands one to each session so reads never take the writer lock.
     pub fn version(&self) -> KbVersion {
-        KbVersion {
-            symbols: self.symbols.clone(),
-            props: self.props.clone(),
-            by_source: self.by_source.clone(),
-            by_label: self.by_label.clone(),
-            by_dest: self.by_dest.clone(),
-            clock: self.clock,
-            sym_instanceof: self.sym_instanceof,
-            sym_isa: self.sym_isa,
-            derived: std::sync::Arc::default(),
-        }
+        KbVersion::freeze(self.store.clone())
     }
 }
 
-impl PropStore for Kb {
-    fn prop_count(&self) -> usize {
-        self.props.len()
-    }
-    fn prop(&self, id: PropId) -> Option<&Proposition> {
-        self.props.get(id.idx())
-    }
-    fn resolve_sym(&self, sym: Symbol) -> &str {
-        self.symbols.resolve(sym)
-    }
-    fn lookup_sym(&self, s: &str) -> Option<Symbol> {
-        self.symbols.lookup(s)
-    }
-    fn postings_from(&self, x: PropId) -> &[PropId] {
-        self.by_source.get(&x)
-    }
-    fn postings_label(&self, label: Symbol) -> &[PropId] {
-        self.by_label.get(&label)
-    }
-    fn postings_to(&self, y: PropId) -> &[PropId] {
-        self.by_dest.get(&y)
-    }
-    fn instanceof_sym(&self) -> Symbol {
-        self.sym_instanceof
-    }
-    fn isa_sym(&self) -> Symbol {
-        self.sym_isa
-    }
-}
-
-/// The uniform read-only query surface over a knowledge base: the
-/// operations the assertion evaluator and ASK need, implemented both by
-/// [`Kb`] (current-belief semantics) and by [`Snapshot`] (pinned at a
-/// belief tick). Callers generic over `KbRead` evaluate identically
-/// against live state or a snapshot.
+/// The uniform read-only query surface the assertion evaluator and ASK
+/// are generic over. There is one implementation — the provided
+/// methods below, each the same-named [`Snapshot`] read of
+/// [`KbRead::view`]; an implementor only says which view it is: a
+/// [`Snapshot`] is itself, a [`Kb`] or [`KbVersion`] its `snapshot()`.
 pub trait KbRead {
+    /// The belief-time view every other method answers from.
+    fn view(&self) -> Snapshot<'_>;
+
     /// The individual named `name` believed in this view, if any.
-    fn lookup(&self, name: &str) -> Option<PropId>;
+    fn lookup(&self, name: &str) -> Option<PropId> {
+        self.view().lookup(name)
+    }
     /// Human-readable name of a proposition.
-    fn display(&self, id: PropId) -> String;
+    fn display(&self, id: PropId) -> String {
+        self.view().store().display(id)
+    }
     /// True if `x` is an instance of `c` in this view, directly or
     /// through specialization.
-    fn is_instance_of(&self, x: PropId, c: PropId) -> bool;
+    fn is_instance_of(&self, x: PropId, c: PropId) -> bool {
+        self.view().is_instance_of(x, c)
+    }
     /// Transitive isa ancestors of `c` (excluding `c`) in this view.
-    fn isa_ancestors(&self, c: PropId) -> Vec<PropId>;
+    fn isa_ancestors(&self, c: PropId) -> Vec<PropId> {
+        self.view().isa_ancestors(c)
+    }
     /// Instances of `c` in this view, including those of all isa
     /// descendants.
-    fn all_instances_of(&self, c: PropId) -> Vec<PropId>;
+    fn all_instances_of(&self, c: PropId) -> Vec<PropId> {
+        self.view().all_instances_of(c)
+    }
     /// Values of the attribute `label` on `x` in this view.
-    fn attr_values(&self, x: PropId, label: &str) -> Vec<PropId>;
+    fn attr_values(&self, x: PropId, label: &str) -> Vec<PropId> {
+        self.view().attr_values(x, label)
+    }
 }
 
 impl KbRead for Kb {
+    fn view(&self) -> Snapshot<'_> {
+        self.snapshot()
+    }
     fn lookup(&self, name: &str) -> Option<PropId> {
         Kb::lookup(self, name)
     }
-    fn display(&self, id: PropId) -> String {
-        Kb::display(self, id)
-    }
-    fn is_instance_of(&self, x: PropId, c: PropId) -> bool {
-        Kb::is_instance_of(self, x, c)
-    }
-    fn isa_ancestors(&self, c: PropId) -> Vec<PropId> {
-        Kb::isa_ancestors(self, c)
-    }
-    fn all_instances_of(&self, c: PropId) -> Vec<PropId> {
-        Kb::all_instances_of(self, c)
-    }
-    fn attr_values(&self, x: PropId, label: &str) -> Vec<PropId> {
-        Kb::attr_values(self, x, label)
-    }
 }
 
-/// A belief-time-pinned, read-only view of a proposition store (see
-/// [`Kb::snapshot_at`] and [`KbVersion::snapshot_at`]). All retrieval
-/// methods answer as of the pinned tick: a proposition told or untold
-/// after the snapshot was taken is invisible.
-///
-/// Generic over [`PropStore`], so the same belief-time logic runs
-/// against the live [`Kb`] (under a lock) or an immutable
-/// [`KbVersion`] (no lock at all).
-pub struct Snapshot<'a, S: PropStore = Kb> {
-    store: &'a S,
-    at: i64,
-}
-
-impl<S: PropStore> Clone for Snapshot<'_, S> {
-    fn clone(&self) -> Self {
+impl KbRead for Snapshot<'_> {
+    fn view(&self) -> Snapshot<'_> {
         *self
     }
 }
 
-impl<S: PropStore> Copy for Snapshot<'_, S> {}
-
-impl<'a> Snapshot<'a, Kb> {
-    /// The underlying KB.
-    pub fn kb(&self) -> &'a Kb {
-        self.store
-    }
+/// A [`PropStore`] read at a belief tick (see
+/// [`PropStore::snapshot_at`]): every retrieval method answers as of
+/// the pinned tick, so a proposition told or untold after it is
+/// invisible. This is the one place belief-time retrieval is written;
+/// it runs alike over the live [`Kb`]'s store (under whatever lock
+/// guards the `Kb`) and over an immutable [`KbVersion`] (no lock).
+#[derive(Clone, Copy)]
+pub struct Snapshot<'a> {
+    store: &'a PropStore,
+    at: i64,
 }
 
-impl<'a, S: PropStore> Snapshot<'a, S> {
+impl<'a> Snapshot<'a> {
     /// Pins a view of `store` at belief tick `at`.
-    pub(crate) fn over(store: &'a S, at: i64) -> Self {
+    pub(crate) fn over(store: &'a PropStore, at: i64) -> Self {
         Snapshot { store, at }
+    }
+
+    /// The store this snapshot reads (its raw, belief-blind surface).
+    pub fn store(&self) -> &'a PropStore {
+        self.store
     }
 
     /// The pinned belief tick (the snapshot's watermark).
@@ -695,43 +522,102 @@ impl<'a, S: PropStore> Snapshot<'a, S> {
         self.store.prop(id).is_some_and(|p| p.believed_at(self.at))
     }
 
-    /// The individual named `name` believed at the pinned tick. Unlike
-    /// [`Kb::lookup`] this cannot use the believed-name index (which
-    /// tracks the *current* belief state), so it scans the label's
-    /// postings; the latest generation believed at the tick wins.
+    /// Those of `ids` this snapshot sees.
+    fn seen(&self, ids: &'a [PropId]) -> impl DoubleEndedIterator<Item = &'a Proposition> + 'a {
+        let (store, at) = (self.store, self.at);
+        let prop = move |&id: &PropId| store.prop(id);
+        ids.iter()
+            .filter_map(prop)
+            .filter(move |p| p.believed_at(at))
+    }
+
+    /// Ids of all propositions believed at the pinned tick.
+    pub fn believed(&self) -> impl Iterator<Item = PropId> + 'a {
+        let at = self.at;
+        let believed = move |p: &&Proposition| p.believed_at(at);
+        self.store.props.iter().filter(believed).map(|p| p.id)
+    }
+
+    /// Number of propositions believed at the pinned tick.
+    pub fn believed_count(&self) -> usize {
+        self.believed().count()
+    }
+
+    /// The individual named `name` believed at the pinned tick, found
+    /// through the label's postings; the latest generation believed at
+    /// the tick wins.
     pub fn lookup(&self, name: &str) -> Option<PropId> {
         let sym = self.store.lookup_sym(name)?;
-        self.store.postings_label(sym).iter().copied().rfind(|&p| {
-            self.store
-                .prop(p)
-                .is_some_and(|prop| prop.is_individual() && prop.believed_at(self.at))
-        })
+        let mut named = self.seen(self.store.postings_label(sym));
+        named.rfind(|p| p.is_individual()).map(|p| p.id)
+    }
+
+    /// Finds a link `<x, label, y>` believed at the pinned tick.
+    pub fn find_link(&self, x: PropId, label: Symbol, y: PropId) -> Option<PropId> {
+        self.seen(self.store.postings_from(x))
+            .find(|p| p.label == label && p.dest == y && p.id != x)
+            .map(|p| p.id)
+    }
+
+    /// All propositions with source `x` believed at the pinned tick.
+    pub fn links_from(&self, x: PropId) -> Vec<PropId> {
+        let from = self.seen(self.store.postings_from(x));
+        from.map(|p| p.id).filter(|&id| id != x).collect()
+    }
+
+    /// All propositions with destination `y` believed at the pinned tick.
+    pub fn links_to(&self, y: PropId) -> Vec<PropId> {
+        let to = self.seen(self.store.postings_to(y));
+        to.map(|p| p.id).filter(|&id| id != y).collect()
+    }
+
+    /// All propositions carrying `label` believed at the pinned tick.
+    pub fn props_with_label(&self, label: &str) -> Vec<PropId> {
+        let Some(sym) = self.store.lookup_sym(label) else {
+            return Vec::new();
+        };
+        let with = self.seen(self.store.postings_label(sym));
+        with.map(|p| p.id).collect()
+    }
+
+    /// Destinations of the links `<x, label, _>` believed at the tick.
+    fn dests(&self, x: PropId, label: Symbol) -> Vec<PropId> {
+        self.seen(self.store.postings_from(x))
+            .filter(|p| p.label == label && p.id != x)
+            .map(|p| p.dest)
+            .collect()
+    }
+
+    /// Sources of the links `<_, label, y>` believed at the tick.
+    fn sources(&self, y: PropId, label: Symbol) -> Vec<PropId> {
+        self.seen(self.store.postings_to(y))
+            .filter(|p| p.label == label && p.id != y)
+            .map(|p| p.source)
+            .collect()
     }
 
     /// Direct classes of `x` at the pinned tick.
     pub fn classes_of(&self, x: PropId) -> Vec<PropId> {
-        self.store
-            .typed_dests_at(x, self.store.instanceof_sym(), Some(self.at))
+        self.dests(x, self.store.instanceof_sym())
     }
 
     /// Direct instances of class `c` at the pinned tick.
     pub fn instances_of(&self, c: PropId) -> Vec<PropId> {
-        self.store
-            .typed_sources_at(c, self.store.instanceof_sym(), Some(self.at))
+        self.sources(c, self.store.instanceof_sym())
     }
 
     /// Direct isa parents of `c` at the pinned tick.
     pub fn isa_parents(&self, c: PropId) -> Vec<PropId> {
-        self.store
-            .typed_dests_at(c, self.store.isa_sym(), Some(self.at))
+        self.dests(c, self.store.isa_sym())
     }
 
     /// Direct isa children of `c` at the pinned tick.
     pub fn isa_children(&self, c: PropId) -> Vec<PropId> {
-        self.store
-            .typed_sources_at(c, self.store.isa_sym(), Some(self.at))
+        self.sources(c, self.store.isa_sym())
     }
 
+    /// Everything reachable from `start` by `step` (excluding `start`),
+    /// breadth-first, deduplicated.
     fn closure(&self, start: PropId, step: impl Fn(&Self, PropId) -> Vec<PropId>) -> Vec<PropId> {
         let mut out = Vec::new();
         let mut seen = HashSet::from([start]);
@@ -799,56 +685,30 @@ impl<'a, S: PropStore> Snapshot<'a, S> {
     /// Values of attribute `label` on `x` at the pinned tick.
     pub fn attr_values(&self, x: PropId, label: &str) -> Vec<PropId> {
         match self.store.lookup_sym(label) {
-            None => Vec::new(),
-            Some(sym) if self.store.is_link_sym(sym) => Vec::new(),
-            Some(sym) => self.store.typed_dests_at(x, sym, Some(self.at)),
+            Some(sym) if !self.store.is_link_sym(sym) => self.dests(x, sym),
+            _ => Vec::new(),
         }
     }
 
     /// Attribute propositions of `x` believed at the pinned tick.
     pub fn attrs_of(&self, x: PropId) -> Vec<PropId> {
-        self.store
-            .postings_from(x)
-            .iter()
-            .copied()
-            .filter(|&p| {
-                self.store.prop(p).is_some_and(|prop| {
-                    p != x && prop.believed_at(self.at) && !self.store.is_link_sym(prop.label)
-                })
-            })
+        self.seen(self.store.postings_from(x))
+            .filter(|p| p.id != x && !self.store.is_link_sym(p.label))
+            .map(|p| p.id)
             .collect()
     }
 
-    /// Number of propositions believed at the pinned tick.
-    pub fn believed_count(&self) -> usize {
-        (0..self.store.prop_count())
-            .filter(|&i| {
-                self.store
-                    .prop(PropId(i as u32))
-                    .is_some_and(|p| p.believed_at(self.at))
-            })
-            .count()
-    }
-}
-
-impl<S: PropStore> KbRead for Snapshot<'_, S> {
-    fn lookup(&self, name: &str) -> Option<PropId> {
-        Snapshot::lookup(self, name)
-    }
-    fn display(&self, id: PropId) -> String {
-        self.store.display_prop(id)
-    }
-    fn is_instance_of(&self, x: PropId, c: PropId) -> bool {
-        Snapshot::is_instance_of(self, x, c)
-    }
-    fn isa_ancestors(&self, c: PropId) -> Vec<PropId> {
-        Snapshot::isa_ancestors(self, c)
-    }
-    fn all_instances_of(&self, c: PropId) -> Vec<PropId> {
-        Snapshot::all_instances_of(self, c)
-    }
-    fn attr_values(&self, x: PropId, label: &str) -> Vec<PropId> {
-        Snapshot::attr_values(self, x, label)
+    /// Searches the classes of `x` (transitively, through isa) for an
+    /// attribute class whose label is `label`.
+    pub fn find_attr_class(&self, x: PropId, label: &str) -> Option<PropId> {
+        let sym = self.store.lookup_sym(label)?;
+        if self.store.is_link_sym(sym) {
+            return None;
+        }
+        self.all_classes_of(x).into_iter().find_map(|class| {
+            let mut attrs = self.seen(self.store.postings_from(class));
+            attrs.find(|p| p.label == sym).map(|p| p.id)
+        })
     }
 }
 

@@ -23,14 +23,16 @@
 //!   aggregation/typing) as checkable judgements;
 //! * [`assertion`] — the logic-based assertion language used by rule and
 //!   constraint propositions;
-//! * [`pvec`] / [`version`] — persistent chunked storage and immutable
-//!   [`version::KbVersion`] captures, the basis of the server's MVCC
-//!   read path (readers pin a version; the writer publishes new ones).
+//! * [`pvec`] / [`version`] — the persistent chunked store and its
+//!   immutable [`version::KbVersion`] clones, the basis of the server's
+//!   MVCC read path (readers pin a version; the writer publishes new
+//!   ones).
 //!
-//! The proposition base is an in-memory structure with two physical
-//! representations behind [`PropStore`]: the live [`Kb`] and the
-//! immutable [`KbVersion`]. It does no I/O — a KB is made durable one
-//! level up, by `gkbms::journal` logging the operations that built it.
+//! The proposition base is one in-memory [`PropStore`]: [`Kb`] writes
+//! it, a [`KbVersion`] is a frozen clone of it, and every belief-time
+//! read is a [`Snapshot`] of it. It does no I/O — a KB is made durable
+//! one level up, by `gkbms::journal` logging the operations that built
+//! it.
 
 pub mod assertion;
 pub mod axioms;

@@ -107,6 +107,14 @@ impl<T: Clone> Index<usize> for PVec<T> {
 mod tests {
     use super::*;
 
+    impl<T> PVec<T> {
+        /// The chunk spine, for tests (here and in `version`) that
+        /// prove sharing by `Arc::ptr_eq`.
+        pub(crate) fn chunks(&self) -> &[Arc<Vec<T>>] {
+            &self.chunks
+        }
+    }
+
     #[test]
     fn push_get_roundtrip_across_chunks() {
         let mut v = PVec::new();

@@ -1,29 +1,30 @@
-//! Immutable, shareable versions of the proposition store.
+//! The persistent proposition store and its immutable versions.
 //!
-//! [`KbVersion`] is an owned, `Send + Sync` copy of everything a
-//! belief-time read needs: the propositions, the three access-path
-//! indexes, the symbol table and the clock. It is built by
-//! [`crate::Kb::version`] through structural sharing — the proposition
-//! chunks ([`PVec`]) and index postings ([`PIndex`]) are behind `Arc`s,
-//! so capturing a version costs one pointer bump per chunk/posting
-//! list, not a deep copy — and once captured it never changes: the
-//! writer's later TELLs and UNTELLs copy the chunks they touch instead
-//! of mutating shared memory.
+//! [`PropStore`] is everything a belief-time read needs: the
+//! propositions, the three access-path indexes, the symbol table and
+//! the clock. It is declared once. [`crate::Kb`] is its writer (the
+//! store plus what only TELL needs); [`KbVersion`] is a frozen clone of
+//! it, built by [`crate::Kb::version`] through structural sharing — the
+//! proposition chunks ([`PVec`]) and index postings ([`PIndex`]) are
+//! behind `Arc`s, so capturing a version costs one pointer bump per
+//! chunk/posting list, not a deep copy — and once captured it never
+//! changes: the writer's later TELLs and UNTELLs copy the chunks they
+//! touch instead of mutating shared memory.
 //!
-//! The read logic itself lives in the [`PropStore`] trait, implemented
-//! by both the live [`crate::Kb`] and [`KbVersion`], so
-//! [`crate::Snapshot`] evaluates identically over either: a snapshot of
-//! a version pinned at watermark `w` answers byte-identically to a
-//! snapshot of the live KB at `w`. That equivalence is what lets the
-//! server serve ASK from a pinned version without the writer lock.
+//! Both deref to the store, and every belief-time read is a
+//! [`Snapshot`] of it, so a snapshot of a version pinned at watermark
+//! `w` answers byte-identically to a snapshot of the live KB at `w` —
+//! it is the same code over the same memory. That is what lets the
+//! server serve reads from a pinned version without the writer lock.
 
-use crate::kb::{KbRead, Snapshot};
+use crate::kb::{KbRead, Snapshot, L_INSTANCEOF, L_ISA};
 use crate::prop::{PropId, Proposition};
 use crate::pvec::PVec;
 use crate::symbols::{Symbol, SymbolTable};
 use std::any::Any;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 /// A persistent postings index: key → ids of propositions filed under
@@ -62,103 +63,162 @@ impl<K: Eq + Hash> Default for PIndex<K> {
     }
 }
 
-/// The raw read surface shared by the live [`crate::Kb`] and an
-/// immutable [`KbVersion`]: dense proposition access, the three access
-/// paths, and symbol resolution. [`Snapshot`] is generic over this
-/// trait, so belief-time query logic is written once.
-pub trait PropStore {
-    /// Total number of propositions ever told.
-    fn prop_count(&self) -> usize;
-    /// The proposition with the given id, if in bounds.
-    fn prop(&self, id: PropId) -> Option<&Proposition>;
-    /// Resolves a symbol to its string.
-    fn resolve_sym(&self, sym: Symbol) -> &str;
-    /// Looks up an existing symbol without interning.
-    fn lookup_sym(&self, s: &str) -> Option<Symbol>;
-    /// Ids of propositions with source `x`.
-    fn postings_from(&self, x: PropId) -> &[PropId];
-    /// Ids of propositions carrying `label`.
-    fn postings_label(&self, label: Symbol) -> &[PropId];
-    /// Ids of propositions with destination `y`.
-    fn postings_to(&self, y: PropId) -> &[PropId];
-    /// The interned `instanceof` symbol.
-    fn instanceof_sym(&self) -> Symbol;
-    /// The interned `isa` symbol.
-    fn isa_sym(&self) -> Symbol;
-
-    /// True if `l` is one of the reserved link labels.
-    fn is_link_sym(&self, l: Symbol) -> bool {
-        l == self.instanceof_sym() || l == self.isa_sym()
-    }
-
-    /// Human-readable name: an individual's label, or `<src label dst>`.
-    fn display_prop(&self, id: PropId) -> String {
-        match self.prop(id) {
-            None => format!("?{}", id.0),
-            Some(p) if p.is_individual() => self.resolve_sym(p.label).to_string(),
-            Some(p) => format!(
-                "<{} {} {}>",
-                self.display_prop(p.source),
-                self.resolve_sym(p.label),
-                self.display_prop(p.dest)
-            ),
-        }
-    }
-
-    /// Destinations of links `<x, label, _>` live in the given belief
-    /// view (`None` = believed now, `Some(t)` = believed at tick `t`).
-    fn typed_dests_at(&self, x: PropId, label: Symbol, at: Option<i64>) -> Vec<PropId> {
-        self.postings_from(x)
-            .iter()
-            .copied()
-            .filter_map(|p| {
-                let prop = self.prop(p)?;
-                let live = match at {
-                    None => prop.is_believed(),
-                    Some(t) => prop.believed_at(t),
-                };
-                (live && prop.label == label && p != x).then_some(prop.dest)
-            })
-            .collect()
-    }
-
-    /// Sources of links `<_, label, y>` live in the given belief view.
-    fn typed_sources_at(&self, y: PropId, label: Symbol, at: Option<i64>) -> Vec<PropId> {
-        self.postings_to(y)
-            .iter()
-            .copied()
-            .filter_map(|p| {
-                let prop = self.prop(p)?;
-                let live = match at {
-                    None => prop.is_believed(),
-                    Some(t) => prop.believed_at(t),
-                };
-                (live && prop.label == label && p != y).then_some(prop.source)
-            })
-            .collect()
-    }
-}
-
-/// An immutable version of the knowledge base, captured at a belief
-/// tick by [`crate::Kb::version`]. `Send + Sync` and self-contained:
-/// readers holding a version never touch the live KB or any lock.
+/// The proposition store: every proposition ever told, its three
+/// access paths, the symbol table and the belief clock. `Clone` is
+/// structural sharing (O(spine)); the raw read surface below is the one
+/// retrieval interface, and [`PropStore::snapshot_at`] the one way to
+/// read it by belief time.
 #[derive(Debug, Clone)]
-pub struct KbVersion {
+pub struct PropStore {
     pub(crate) symbols: SymbolTable,
     pub(crate) props: PVec<Proposition>,
     pub(crate) by_source: PIndex<PropId>,
     pub(crate) by_label: PIndex<Symbol>,
     pub(crate) by_dest: PIndex<PropId>,
+    /// Belief-time clock: advanced by [`crate::Kb::tick`].
     pub(crate) clock: i64,
-    pub(crate) sym_instanceof: Symbol,
-    pub(crate) sym_isa: Symbol,
+    sym_instanceof: Symbol,
+    sym_isa: Symbol,
+}
+
+impl PropStore {
+    /// An empty store at tick 0 with the reserved link labels interned.
+    pub(crate) fn new() -> Self {
+        let mut symbols = SymbolTable::new();
+        PropStore {
+            sym_instanceof: symbols.intern(L_INSTANCEOF),
+            sym_isa: symbols.intern(L_ISA),
+            symbols,
+            props: PVec::new(),
+            by_source: PIndex::new(),
+            by_label: PIndex::new(),
+            by_dest: PIndex::new(),
+            clock: 0,
+        }
+    }
+
+    /// The current belief tick — for a [`KbVersion`], the tick it was
+    /// captured at: all belief ticks ≤ this are fully answerable.
+    pub fn now(&self) -> i64 {
+        self.clock
+    }
+
+    /// Total number of propositions ever told.
+    pub fn len(&self) -> usize {
+        self.props.len()
+    }
+
+    /// True if the store holds no propositions.
+    pub fn is_empty(&self) -> bool {
+        self.props.is_empty()
+    }
+
+    /// The proposition with the given id, if in bounds.
+    pub fn prop(&self, id: PropId) -> Option<&Proposition> {
+        self.props.get(id.idx())
+    }
+
+    /// Resolves a symbol to its string.
+    pub fn resolve_sym(&self, sym: Symbol) -> &str {
+        self.symbols.resolve(sym)
+    }
+
+    /// Looks up an existing symbol without interning.
+    pub fn lookup_sym(&self, s: &str) -> Option<Symbol> {
+        self.symbols.lookup(s)
+    }
+
+    /// Ids of propositions with source `x`.
+    pub fn postings_from(&self, x: PropId) -> &[PropId] {
+        self.by_source.get(&x)
+    }
+
+    /// Ids of propositions carrying `label`.
+    pub fn postings_label(&self, label: Symbol) -> &[PropId] {
+        self.by_label.get(&label)
+    }
+
+    /// Ids of propositions with destination `y`.
+    pub fn postings_to(&self, y: PropId) -> &[PropId] {
+        self.by_dest.get(&y)
+    }
+
+    /// The interned `instanceof` symbol.
+    pub fn instanceof_sym(&self) -> Symbol {
+        self.sym_instanceof
+    }
+
+    /// The interned `isa` symbol.
+    pub fn isa_sym(&self) -> Symbol {
+        self.sym_isa
+    }
+
+    /// True if `l` is one of the reserved link labels.
+    pub fn is_link_sym(&self, l: Symbol) -> bool {
+        l == self.sym_instanceof || l == self.sym_isa
+    }
+
+    /// Human-readable name: an individual's label, or `<src label dst>`.
+    pub fn display(&self, id: PropId) -> String {
+        match self.prop(id) {
+            None => format!("?{}", id.0),
+            Some(p) if p.is_individual() => self.resolve_sym(p.label).to_string(),
+            Some(p) => format!(
+                "<{} {} {}>",
+                self.display(p.source),
+                self.resolve_sym(p.label),
+                self.display(p.dest)
+            ),
+        }
+    }
+
+    /// A read-only view pinned at the current belief tick.
+    pub fn snapshot(&self) -> Snapshot<'_> {
+        self.snapshot_at(self.clock)
+    }
+
+    /// A read-only view pinned at belief tick `at`. Because the store
+    /// never destroys propositions — UNTELL only closes belief
+    /// intervals — the view is a *consistent snapshot*: it sees exactly
+    /// the propositions believed at `at`, regardless of TELLs and
+    /// UNTELLs applied afterwards. This is the basis of the server's
+    /// snapshot-isolated read sessions.
+    pub fn snapshot_at(&self, at: i64) -> Snapshot<'_> {
+        Snapshot::over(self, at)
+    }
+}
+
+/// An immutable version of the knowledge base: the store as
+/// [`crate::Kb::version`] froze it, plus one slot for what a layer
+/// above derives from it. `Send + Sync` and self-contained: readers
+/// holding a version never touch the live KB or any lock.
+#[derive(Debug, Clone)]
+pub struct KbVersion {
+    store: PropStore,
     /// What a layer above has derived from this version (see
     /// [`KbVersion::derived`]). Created empty at capture and shared by
     /// clones, so it lives exactly as long as the version does.
-    pub(crate) derived: Arc<OnceLock<Arc<dyn Any + Send + Sync>>>,
+    derived: Arc<OnceLock<Arc<dyn Any + Send + Sync>>>,
+}
+
+impl Deref for KbVersion {
+    type Target = PropStore;
+
+    fn deref(&self) -> &PropStore {
+        &self.store
+    }
 }
 
 impl KbVersion {
+    /// Freezes `store` (a structural-sharing clone made by the caller)
+    /// with an empty lemma slot.
+    pub(crate) fn freeze(store: PropStore) -> Self {
+        KbVersion {
+            store,
+            derived: Arc::default(),
+        }
+    }
+
     /// The version's one slot for state derived from it — lemmas that
     /// are valid for this version and no other, such as the deductive
     /// closure of its believed network. The first caller's type claims
@@ -174,96 +234,12 @@ impl KbVersion {
         let slot = self.derived.get_or_init(|| Arc::new(T::default()));
         Arc::clone(slot).downcast::<T>().ok()
     }
-
-    /// The belief tick at which this version was captured. All belief
-    /// ticks ≤ this are fully answerable from this version.
-    pub fn now(&self) -> i64 {
-        self.clock
-    }
-
-    /// Total number of propositions ever told, as of capture.
-    pub fn len(&self) -> usize {
-        self.props.len()
-    }
-
-    /// True if the version holds no propositions.
-    pub fn is_empty(&self) -> bool {
-        self.props.is_empty()
-    }
-
-    /// The proposition with the given id, if present in this version.
-    pub fn get(&self, id: PropId) -> Option<&Proposition> {
-        self.props.get(id.idx())
-    }
-
-    /// Human-readable name of a proposition.
-    pub fn display(&self, id: PropId) -> String {
-        self.display_prop(id)
-    }
-
-    /// A read-only view pinned at the capture tick.
-    pub fn snapshot(&self) -> Snapshot<'_, KbVersion> {
-        self.snapshot_at(self.clock)
-    }
-
-    /// A read-only view pinned at belief tick `at` (≤ the capture tick
-    /// for full fidelity). Answers are byte-identical to
-    /// `Kb::snapshot_at(at)` on the KB this version was captured from.
-    pub fn snapshot_at(&self, at: i64) -> Snapshot<'_, KbVersion> {
-        Snapshot::over(self, at)
-    }
 }
 
-impl PropStore for KbVersion {
-    fn prop_count(&self) -> usize {
-        self.props.len()
-    }
-    fn prop(&self, id: PropId) -> Option<&Proposition> {
-        self.props.get(id.idx())
-    }
-    fn resolve_sym(&self, sym: Symbol) -> &str {
-        self.symbols.resolve(sym)
-    }
-    fn lookup_sym(&self, s: &str) -> Option<Symbol> {
-        self.symbols.lookup(s)
-    }
-    fn postings_from(&self, x: PropId) -> &[PropId] {
-        self.by_source.get(&x)
-    }
-    fn postings_label(&self, label: Symbol) -> &[PropId] {
-        self.by_label.get(&label)
-    }
-    fn postings_to(&self, y: PropId) -> &[PropId] {
-        self.by_dest.get(&y)
-    }
-    fn instanceof_sym(&self) -> Symbol {
-        self.sym_instanceof
-    }
-    fn isa_sym(&self) -> Symbol {
-        self.sym_isa
-    }
-}
-
-/// Current-belief reads against a version answer as of its capture
-/// tick, matching what `KbRead for Kb` answered at that moment.
+/// Reads against a version answer as of its capture tick.
 impl KbRead for KbVersion {
-    fn lookup(&self, name: &str) -> Option<PropId> {
-        self.snapshot().lookup(name)
-    }
-    fn display(&self, id: PropId) -> String {
-        self.display_prop(id)
-    }
-    fn is_instance_of(&self, x: PropId, c: PropId) -> bool {
-        self.snapshot().is_instance_of(x, c)
-    }
-    fn isa_ancestors(&self, c: PropId) -> Vec<PropId> {
-        self.snapshot().isa_ancestors(c)
-    }
-    fn all_instances_of(&self, c: PropId) -> Vec<PropId> {
-        self.snapshot().all_instances_of(c)
-    }
-    fn attr_values(&self, x: PropId, label: &str) -> Vec<PropId> {
-        self.snapshot().attr_values(x, label)
+    fn view(&self) -> Snapshot<'_> {
+        self.snapshot()
     }
 }
 
@@ -322,14 +298,66 @@ mod tests {
         assert!(weak.upgrade().is_none());
     }
 
+    /// `version()` is O(spine): nothing below the spines is copied.
+    /// Every proposition chunk and every posting list of the capture
+    /// is the very allocation the live store holds, and so is every
+    /// interned string.
+    #[test]
+    fn capture_shares_every_chunk_posting_list_and_string() {
+        let mut kb = Kb::new();
+        let c = kb.individual("C").unwrap();
+        for i in 0..600 {
+            let x = kb.individual(&format!("x{i}")).unwrap();
+            kb.instantiate(x, c).unwrap();
+        }
+        let v = kb.version();
+        let (live, frozen): (&PropStore, &PropStore) = (&kb, &v);
+        assert!(live.props.chunks().len() > 2, "more than one chunk");
+        assert_eq!(live.props.chunks().len(), frozen.props.chunks().len());
+        for (a, b) in live.props.chunks().iter().zip(frozen.props.chunks()) {
+            assert!(Arc::ptr_eq(a, b), "proposition chunk copied");
+        }
+        fn shared<K: Eq + Hash>(live: &PIndex<K>, frozen: &PIndex<K>) {
+            assert_eq!(live.map.len(), frozen.map.len());
+            for (key, list) in &live.map {
+                assert!(Arc::ptr_eq(list, &frozen.map[key]), "posting list copied");
+            }
+        }
+        shared(&live.by_source, &frozen.by_source);
+        shared(&live.by_label, &frozen.by_label);
+        shared(&live.by_dest, &frozen.by_dest);
+        for i in 0..live.symbols.len() as u32 {
+            let (a, b) = (live.resolve_sym(Symbol(i)), frozen.resolve_sym(Symbol(i)));
+            assert!(std::ptr::eq(a, b), "interned string copied");
+        }
+    }
+
     #[test]
     fn version_is_immutable_under_later_writes() {
         let mut kb = Kb::new();
         let c = kb.individual("C").unwrap();
         let x = kb.individual("x").unwrap();
         let link = kb.instantiate(x, c).unwrap();
+        let attr = kb.put_attr(x, "rel", c).unwrap();
         let w = kb.now();
         let v = kb.version();
+        let rel = v.lookup_sym("rel").unwrap();
+        // Everything the three indexes and the symbol table answer for
+        // the keys the writes below will touch.
+        let observe = |v: &KbVersion| {
+            (
+                v.len(),
+                v.prop(link).cloned(),
+                v.postings_from(x).to_vec(),
+                v.postings_to(c).to_vec(),
+                v.postings_label(v.instanceof_sym()).to_vec(),
+                v.postings_label(rel).to_vec(),
+                (v.lookup_sym("y"), v.lookup_sym("fresh"), v.symbols.len()),
+                v.snapshot_at(w).all_instances_of(c),
+                v.snapshot_at(w).attr_values(x, "rel"),
+            )
+        };
+        let before = observe(&v);
 
         // Later TELL and UNTELL do not leak into the captured version.
         // (As in the server's begin_write, the clock ticks before the
@@ -337,15 +365,27 @@ mod tests {
         kb.tick();
         let y = kb.individual("y").unwrap();
         kb.instantiate(y, c).unwrap();
+        kb.put_attr(x, "rel", y).unwrap();
+        kb.put_attr(x, "fresh", c).unwrap();
         kb.untell(link).unwrap();
+        kb.untell(attr).unwrap();
 
-        assert_eq!(v.snapshot_at(w).all_instances_of(c), vec![x]);
+        assert_eq!(observe(&v), before);
+        assert_eq!(before.7, vec![x]);
         assert_eq!(v.lookup("y"), None);
-        assert_eq!(v.len() + 2, kb.len());
+        assert_eq!(v.len() + 4, kb.len());
+        assert!(
+            v.prop(link).unwrap().is_believed(),
+            "untell copied its chunk"
+        );
         // And the version agrees with a live temporal query at w.
         assert_eq!(
             v.snapshot_at(w).all_instances_of(c),
             kb.snapshot_at(w).all_instances_of(c)
+        );
+        assert_eq!(
+            v.snapshot_at(w).attr_values(x, "rel"),
+            kb.snapshot_at(w).attr_values(x, "rel")
         );
     }
 

@@ -135,15 +135,11 @@ fn two_followers_converge_byte_identical_under_churn() {
 
     // Differential check: each follower answers like a serial replay.
     let mut serial = Gkbms::new().unwrap();
-    let tell = |g: &mut Gkbms, src: &str| {
-        g.begin_write();
-        let frames = conceptbase::objectbase::ObjectFrame::parse_all(src).unwrap();
-        conceptbase::objectbase::transform::tell_all(g.kb_mut(), &frames).unwrap();
-    };
-    tell(&mut serial, "TELL Paper end");
+    serial.tell_src("TELL Paper end").unwrap();
     for t in 0..THREADS {
         for i in 0..PER_THREAD {
-            tell(&mut serial, &format!("TELL p_{t}_{i} in Paper end"));
+            let src = format!("TELL p_{t}_{i} in Paper end");
+            serial.tell_src(&src).unwrap();
         }
     }
     let mut expected =

@@ -77,15 +77,11 @@ fn concurrent_tells_equal_serial_replay() {
 
     // Serial replay of the same TELLs into a fresh GKBMS.
     let mut serial = Gkbms::new().unwrap();
-    let tell = |g: &mut Gkbms, src: &str| {
-        g.begin_write();
-        let frames = conceptbase::objectbase::ObjectFrame::parse_all(src).unwrap();
-        conceptbase::objectbase::transform::tell_all(g.kb_mut(), &frames).unwrap();
-    };
-    tell(&mut serial, "TELL Paper end");
+    serial.tell_src("TELL Paper end").unwrap();
     for t in 0..THREADS {
         for i in 0..PER_THREAD {
-            tell(&mut serial, &format!("TELL p_{t}_{i} in Paper end"));
+            let src = format!("TELL p_{t}_{i} in Paper end");
+            serial.tell_src(&src).unwrap();
         }
     }
 
@@ -571,6 +567,40 @@ fn stalled_server_yields_typed_timeout() {
     drop(stall); // detach; the sleeping thread dies with the process
 }
 
+/// `show` is snapshot-isolated like `ask`: a session pinned before a
+/// TELL does not see the told object — in either — until it refreshes.
+#[test]
+fn show_answers_at_the_sessions_pin() {
+    let (server, addr) = start(quick_cfg());
+    let mut a = Client::connect(addr).unwrap();
+    let (sa, _) = a.hello().unwrap();
+    let mut b = Client::connect(addr).unwrap();
+    let (sb, _) = b.hello().unwrap();
+    b.tell(sb, "TELL Doc end").unwrap();
+
+    match a.show(sa, "Doc") {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Rejected);
+            assert!(e.message.contains("unknown object `Doc`"), "{e:?}");
+        }
+        other => panic!("a pinned session saw a later TELL in show: {other:?}"),
+    }
+    a.refresh(sa).unwrap();
+    assert!(a.show(sa, "Doc").unwrap().contains("Doc"));
+    // And the other way round: an UNTELL does not take the frame away
+    // from a session pinned before it.
+    b.refresh(sb).unwrap();
+    b.untell(sb, "Doc").unwrap();
+    assert!(a.show(sa, "Doc").unwrap().contains("Doc"));
+    assert!(
+        b.show(sb, "Doc").is_ok(),
+        "b is still pinned before its own untell"
+    );
+    b.refresh(sb).unwrap();
+    assert!(b.show(sb, "Doc").is_err());
+    server.shutdown().unwrap();
+}
+
 /// Superseded store versions are retained exactly as long as a session
 /// pins them, and the chain converges back to one live version once
 /// every session has moved on (Refresh) or closed (Bye).
@@ -819,27 +849,37 @@ enum ScriptOp {
     Tell,
     Untell,
     Ask,
+    Show,
     Refresh,
 }
 
-/// Weighted op pick: 3 TELL : 1 UNTELL : 3 ASK : 2 REFRESH.
+/// Weighted op pick: 3 TELL : 1 UNTELL : 3 ASK : 2 SHOW : 2 REFRESH.
 fn script_op() -> impl Strategy<Value = ScriptOp> {
-    (0u8..9).prop_map(|n| match n {
+    (0u8..11).prop_map(|n| match n {
         0..=2 => ScriptOp::Tell,
         3 => ScriptOp::Untell,
         4..=6 => ScriptOp::Ask,
+        7..=8 => ScriptOp::Show,
         _ => ScriptOp::Refresh,
     })
+}
+
+/// What one pinned read observed, to be replayed at its watermark.
+#[derive(Debug)]
+enum Observed {
+    Ask(Vec<String>),
+    /// `show name`: the frame text, or `None` for `unknown object`.
+    Show(String, Option<String>),
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The ISSUE 6 differential concurrency property, over the wire:
-    /// N client threads run random TELL/UNTELL/ASK/REFRESH scripts
-    /// concurrently; every ASK answer a pinned session observed must be
-    /// byte-identical to a retrospective query on the final state at
-    /// that session's watermark. Belief time is append-only with
+    /// N client threads run random TELL/UNTELL/ASK/SHOW/REFRESH scripts
+    /// concurrently; every ASK answer and every SHOW frame a pinned
+    /// session observed must be byte-identical to a retrospective read
+    /// of the final state at that session's watermark. Belief time is append-only with
     /// respect to pinned watermarks, so the final state *is* the serial
     /// replay of the committed interleaving.
     #[test]
@@ -890,7 +930,21 @@ proptest! {
                             ScriptOp::Ask => {
                                 let answers =
                                     c.ask(s, "p", "Paper", "true").unwrap().answers;
-                                observations.push((watermark, answers));
+                                observations.push((watermark, Observed::Ask(answers)));
+                            }
+                            ScriptOp::Show => {
+                                // The thread's latest name, told or
+                                // untold by now — or never told at all.
+                                let name = format!("q_{t}_{}", next.saturating_sub(1));
+                                let frame = match c.show(s, &name) {
+                                    Ok(text) => Some(text),
+                                    Err(ClientError::Server(e)) => {
+                                        assert_eq!(e.code, ErrorCode::Rejected, "{e:?}");
+                                        None
+                                    }
+                                    Err(e) => panic!("show {name}: {e:?}"),
+                                };
+                                observations.push((watermark, Observed::Show(name, frame)));
                             }
                         }
                     }
@@ -906,15 +960,28 @@ proptest! {
         prop_assert_eq!(server.store_versions_live(), 1, "sessions quiesced");
         let final_state = server.shutdown().unwrap();
         for (w, seen) in observations {
-            let (replayed, _) = conceptbase::objectbase::query::ask_with_stats_at(
-                final_state.kb(),
-                w,
-                "p",
-                "Paper",
-                "true",
-            )
-            .unwrap();
-            prop_assert_eq!(&replayed, &seen, "serial replay diverged at watermark {}", w);
+            match seen {
+                Observed::Ask(seen) => {
+                    let (replayed, _) = conceptbase::objectbase::query::ask_with_stats_at(
+                        final_state.kb(),
+                        w,
+                        "p",
+                        "Paper",
+                        "true",
+                    )
+                    .unwrap();
+                    prop_assert_eq!(&replayed, &seen, "serial replay diverged at watermark {}", w);
+                }
+                Observed::Show(name, seen) => {
+                    let snap = final_state.kb().snapshot_at(w);
+                    let replayed = snap.lookup(&name).map(|id| {
+                        conceptbase::objectbase::transform::frame_at(snap, id)
+                            .unwrap()
+                            .to_string()
+                    });
+                    prop_assert_eq!(&replayed, &seen, "show {} diverged at watermark {}", name, w);
+                }
+            }
         }
     }
 }
