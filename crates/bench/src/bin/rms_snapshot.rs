@@ -9,10 +9,15 @@
 //! exactly the "fairly small networks" ceiling §3.3.3 cites, so the
 //! large sizes are JTMS-only.
 //!
+//! The `gkbms/served` rows time the decision-granularity JTMS as the
+//! GKBMS drives it: `Gkbms::retract_decision` (labelling, cascade and
+//! documentation writes) over seeded victims in a `synth` corpus.
+//!
 //! Run with `cargo run --release -p bench --bin rms_snapshot`.
 
 use bench::rmsnet;
-use gkbms::synth::{plan, SynthConfig, SynthRng};
+use gkbms::synth::{generate_into, plan, SynthConfig, SynthRng};
+use gkbms::Gkbms;
 use std::time::Instant;
 
 fn median_secs(mut f: impl FnMut(), samples: usize) -> f64 {
@@ -122,6 +127,47 @@ fn atms_entry(decisions: usize, flat: bool) -> String {
     )
 }
 
+/// The served path: mean `Gkbms::retract_decision` over seeded
+/// effective victims of a `synth` corpus (default retraction rate, as
+/// the end-to-end benchmark generates it).
+fn gkbms_entry(decisions: usize) -> String {
+    const VICTIMS: usize = 40;
+    let mut g = Gkbms::new().expect("fresh gkbms");
+    let corpus = SynthConfig {
+        seed: 42,
+        decisions,
+        ..SynthConfig::default()
+    };
+    generate_into(&mut g, &corpus).expect("synth corpus");
+    let propositions = g.kb().len();
+    let mut rng = SynthRng::new(7);
+    let (mut seconds, mut taken_out) = (0.0, 0);
+    for _ in 0..VICTIMS {
+        let victim = loop {
+            let name = &g.records()[rng.below(g.records().len())].name;
+            if g.is_effective(name) {
+                break name.clone();
+            }
+        };
+        let start = Instant::now();
+        let affected = g.retract_decision(&victim).expect("effective victim");
+        seconds += start.elapsed().as_secs_f64();
+        taken_out += affected.len();
+    }
+    let retract_mean_seconds = seconds / VICTIMS as f64;
+    println!(
+        "gkbms/served decisions={decisions}: {propositions} propositions, \
+         retract_decision mean {retract_mean_seconds:.6}s over {VICTIMS} victims \
+         ({taken_out} objects taken out)"
+    );
+    format!(
+        "    {{\n      \"engine\": \"gkbms\",\n      \"topology\": \"served\",\n      \
+         \"decisions\": {decisions},\n      \"propositions\": {propositions},\n      \
+         \"victims\": {VICTIMS},\n      \"objects_taken_out\": {taken_out},\n      \
+         \"retract_mean_seconds\": {retract_mean_seconds:.6}\n    }}"
+    )
+}
+
 fn main() {
     // Same-seed corpus identity: the whole sweep is meaningless unless
     // every engine/topology pair sees byte-for-byte the same history.
@@ -144,6 +190,9 @@ fn main() {
         entries.push(jtms_entry(n, true));
         entries.push(jtms_entry(n, false));
     }
+    for n in [250, 5_000] {
+        entries.push(gkbms_entry(n));
+    }
 
     // The abstraction claim, checked on the largest shared size: the
     // decision-granularity network is strictly smaller than the flat
@@ -164,7 +213,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"rms\",\n  \"issue\": 9,\n  \"seed\": 42,\n  \
          \"corpus_fingerprint\": \"{fingerprint:016x}\",\n  \
-         \"note\": \"E-3: JTMS vs ATMS labeling over synth design histories (gkbms::synth::plan, seed 42, retraction-free build then retract/enable churn); flat = node per design object, abstracted = node per decision (GKBMS decision granularity); ATMS swept at shared sizes only — its per-env assumption bitsets are the small-network ceiling of para 3.3.3, so 200k/1M decisions are JTMS-only\",\n  \
+         \"note\": \"E-3: JTMS vs ATMS labeling over synth design histories (gkbms::synth::plan, seed 42, retraction-free build then retract/enable churn); flat = node per design object, abstracted = node per decision (GKBMS decision granularity); ATMS swept at shared sizes only — its per-env assumption bitsets are the small-network ceiling of para 3.3.3, so 200k/1M decisions are JTMS-only; gkbms/served = mean Gkbms::retract_decision (labelling + cascade + documentation) over 40 seeded effective victims of a synth corpus with the default retraction rate\",\n  \
          \"workloads\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );

@@ -18,12 +18,7 @@ use std::collections::HashSet;
 impl Gkbms {
     /// Renders the justification tree of a design object.
     pub fn explain(&self, object: &str) -> GkbmsResult<String> {
-        if self.kb.lookup(object).is_none()
-            && !self
-                .records()
-                .iter()
-                .any(|r| r.outputs.contains(&object.to_string()))
-        {
+        if self.kb.lookup(object).is_none() && self.producers_of(object).is_empty() {
             return Err(GkbmsError::Unknown(format!("design object `{object}`")));
         }
         let mut out = String::new();
@@ -51,12 +46,7 @@ impl Gkbms {
             return;
         }
         // The creating decision, if any (latest record producing it).
-        let creator = self
-            .records()
-            .iter()
-            .rev()
-            .find(|r| r.outputs.contains(&object.to_string()));
-        match creator {
+        match self.producers_of(object).pop() {
             None => {
                 // A registered object: show its external source.
                 if let Some(id) = self.kb.lookup(object) {

@@ -18,13 +18,12 @@ impl Gkbms {
         let mut t = Table::new(&["object", "level", "justified by"]);
         for obj in self.current_objects() {
             let level = self.level_of(&obj).unwrap_or_else(|| "-".to_string());
-            let justification = self
-                .records()
+            let producers = self.producers_of(&obj);
+            let justification = producers
                 .iter()
-                .find(|r| !r.retracted && r.outputs.contains(&obj))
-                .map(|r| r.name.clone())
-                .unwrap_or_else(|| "(registered)".to_string());
-            t.row(&[&obj, &level, &justification]);
+                .find(|r| !r.retracted)
+                .map_or("(registered)", |r| &r.name);
+            t.row(&[&obj, &level, justification]);
         }
         t
     }
@@ -61,8 +60,8 @@ impl Gkbms {
         let mut chain = Vec::new();
         let mut frontier = vec![object.to_string()];
         while let Some(cur) = frontier.pop() {
-            for r in self.records() {
-                if r.outputs.contains(&cur) && !chain.contains(&r.name) {
+            for r in self.producers_of(&cur) {
+                if !chain.contains(&r.name) {
                     chain.push(r.name.clone());
                     frontier.extend(r.inputs.iter().cloned());
                 }

@@ -22,7 +22,7 @@ use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
 use rms::jtms::{Jtms, JtmsNodeId};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::PoisonError;
 use telos::assertion;
 use telos::{Kb, PropId};
@@ -110,6 +110,8 @@ pub struct DecisionRecord {
     pub retracted: bool,
     /// The decision instance proposition.
     pub prop: PropId,
+    /// The decision's JTMS assumption.
+    pub(crate) node: JtmsNodeId,
 }
 
 /// Summary returned by a successful execution.
@@ -136,7 +138,8 @@ pub struct Gkbms {
     pub(crate) tools: HashMap<String, ToolSpec>,
     pub(crate) records: Vec<DecisionRecord>,
     pub(crate) object_node: HashMap<String, JtmsNodeId>,
-    pub(crate) decision_node: HashMap<String, JtmsNodeId>,
+    /// Decision name → position in `records`.
+    pub(crate) decision_at: HashMap<String, usize>,
     pub(crate) graph_cache: Option<modelbase::display::Graph>,
     /// Decision-level nogoods recorded by conflict resolution.
     pub(crate) nogoods: Vec<Vec<String>>,
@@ -191,7 +194,7 @@ impl Gkbms {
             tools: HashMap::new(),
             records: Vec::new(),
             object_node: HashMap::new(),
-            decision_node: HashMap::new(),
+            decision_at: HashMap::new(),
             graph_cache: None,
             nogoods: Vec::new(),
             history: Vec::new(),
@@ -413,7 +416,27 @@ impl Gkbms {
 
     /// The record of a named decision.
     pub fn record(&self, name: &str) -> Option<&DecisionRecord> {
-        self.records.iter().find(|r| r.name == name)
+        self.decision_at.get(name).map(|&i| &self.records[i])
+    }
+
+    /// The records that produced `object`, in execution order — read off
+    /// the `justification` links `execute` files per output (fig 3-3),
+    /// believed *or closed* (a raw UNTELL closes the links while the
+    /// JTMS node stays IN) and across every incarnation of the name.
+    pub(crate) fn producers_of(&self, object: &str) -> Vec<&DecisionRecord> {
+        let kb = &self.kb;
+        let named = kb
+            .lookup_sym(object)
+            .map_or(&[][..], |s| kb.postings_label(s));
+        let at: BTreeSet<usize> = (named.iter())
+            .filter(|&&o| kb.prop(o).is_some_and(|p| p.is_individual()))
+            .flat_map(|&o| kb.postings_from(o).iter().filter_map(|&l| kb.prop(l)))
+            .filter(|l| kb.resolve_sym(l.label) == names::JUSTIFICATION_I)
+            .filter_map(|l| self.decision_at.get(kb.resolve_sym(kb.prop(l.dest)?.label)))
+            .copied()
+            .filter(|&i| self.records[i].outputs.iter().any(|o| o == object))
+            .collect();
+        at.into_iter().map(|i| &self.records[i]).collect()
     }
 
     // ----- schema-level definitions ---------------------------------------
@@ -585,6 +608,16 @@ impl Gkbms {
             .is_some_and(|&n| self.jtms.is_in(n))
     }
 
+    /// The design objects among `nodes` (an object node's datum is its
+    /// name; a decision's assumption is not in `object_node`).
+    fn objects_among(&self, nodes: &[JtmsNodeId]) -> Vec<String> {
+        let names = nodes.iter().map(|&n| (n, self.jtms.datum(n)));
+        names
+            .filter(|(n, name)| self.object_node.get(*name) == Some(n))
+            .map(|(_, name)| name.to_string())
+            .collect()
+    }
+
     /// Names of all currently believed design objects, sorted.
     pub fn current_objects(&self) -> Vec<String> {
         let mut out: Vec<String> = self
@@ -703,7 +736,7 @@ impl Gkbms {
             .get(&req.class)
             .ok_or_else(|| GkbmsError::Unknown(format!("decision class `{}`", req.class)))?
             .clone();
-        if self.record(&req.name).is_some() {
+        if self.decision_at.contains_key(&req.name) {
             return Err(GkbmsError::Duplicate(format!("decision `{}`", req.name)));
         }
 
@@ -862,7 +895,8 @@ impl Gkbms {
         // JTMS: the decision is an assumption; outputs are justified by
         // the decision together with its inputs.
         let dnode = self.jtms.assumption(format!("decision:{}", req.name));
-        self.decision_node.insert(req.name.clone(), dnode);
+        self.decision_at
+            .insert(req.name.clone(), self.records.len());
         let mut antecedents = vec![dnode];
         for input in &req.inputs {
             antecedents.push(self.node_for(input));
@@ -885,6 +919,7 @@ impl Gkbms {
             tick,
             retracted: false,
             prop: decision,
+            node: dnode,
         });
         self.graph_cache = None;
         obs::counter!(
@@ -911,52 +946,30 @@ impl Gkbms {
     /// of the design objects that went out of belief — fig 2-4's
     /// highlighted objects.
     pub fn retract_decision(&mut self, name: &str) -> GkbmsResult<Vec<String>> {
-        let at = self
-            .records
-            .iter()
-            .position(|r| r.name == name)
+        let at = *self
+            .decision_at
+            .get(name)
             .ok_or_else(|| GkbmsError::NotRetractable(format!("unknown decision `{name}`")))?;
         if self.records[at].retracted {
             return Err(GkbmsError::NotRetractable(format!(
                 "decision `{name}` already retracted"
             )));
         }
-        let dnode = self.decision_node[name];
-        let before: Vec<(String, bool)> = self
-            .object_node
-            .iter()
-            .map(|(n, &id)| (n.clone(), self.jtms.is_in(id)))
+        let out = self.jtms.retract(self.records[at].node);
+        let mut affected = self.objects_among(&out);
+        // Cascade: the other effective producers of what just went OUT
+        // are dangling — retract their assumptions too, so a later
+        // replay of an upstream decision cannot silently reinstate them
+        // (their KB objects are untold below; reinstating them is the
+        // job of an explicit replay, §3.3).
+        let dangling: BTreeSet<usize> = (affected.iter())
+            .flat_map(|o| self.producers_of(o))
+            .filter(|r| !r.retracted && r.name != name)
+            .map(|r| self.decision_at[&r.name])
             .collect();
-        self.jtms.retract(dnode);
-        let mut retracted_decisions = vec![at];
-        // Cascade: decisions whose outputs just went OUT are dangling —
-        // retract their assumptions too, so a later replay of an
-        // upstream decision cannot silently reinstate them (their KB
-        // objects are untold below; reinstating them is the job of an
-        // explicit replay, §3.3).
-        loop {
-            let mut changed = false;
-            for i in 0..self.records.len() {
-                if self.records[i].retracted || retracted_decisions.contains(&i) {
-                    continue;
-                }
-                let dangling = self.records[i].outputs.iter().any(|o| !self.is_current(o));
-                if dangling {
-                    let node = self.decision_node[&self.records[i].name];
-                    self.jtms.retract(node);
-                    retracted_decisions.push(i);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let mut affected: Vec<String> = before
-            .into_iter()
-            .filter(|(n, was_in)| *was_in && !self.is_current(n))
-            .map(|(n, _)| n)
-            .collect();
+        let nodes = dangling.iter().map(|&i| self.records[i].node);
+        let out = self.jtms.retract_all(nodes);
+        affected.extend(self.objects_among(&out));
         affected.sort();
 
         // Documentation: close belief of the affected objects and mark
@@ -970,7 +983,7 @@ impl Gkbms {
         }
         self.propagate_untold(&gone);
         let retracted_status = self.kb.individual("retracted")?;
-        for i in retracted_decisions {
+        for i in std::iter::once(at).chain(dangling) {
             let prop = self.records[i].prop;
             self.kb.put_attr(prop, "status", retracted_status)?;
             self.records[i].retracted = true;
@@ -1294,6 +1307,135 @@ pub(crate) mod tests {
         assert!(inv2.is_empty(), "no longer believed");
         let rel2_ever = g.kb().believed_at(t);
         assert!(!rel2_ever.is_empty());
+    }
+
+    // ----- the propagation matrix for evolving complex objects -----------
+
+    /// Registers `roots` and executes `name: inputs ⊢ outputs` for each
+    /// row (all relations, no tool, no obligation).
+    fn design(roots: &[&str], decisions: &[(&str, &[&str], &[&str])]) -> Gkbms {
+        let mut g = scenario_gkbms();
+        for r in roots {
+            g.register_object(r, kernel::DBPL_REL, "src").unwrap();
+        }
+        for (name, inputs, outputs) in decisions {
+            let mut req = DecisionRequest::new("DBPL_MappingDec", name, "dev");
+            req.inputs = inputs.iter().map(|i| i.to_string()).collect();
+            for o in *outputs {
+                req = req.output(o, kernel::DBPL_REL);
+            }
+            g.execute(req).unwrap();
+        }
+        g
+    }
+
+    /// The decisions marked `status = retracted`, in the order told.
+    fn retracted_as_told(g: &Gkbms) -> Vec<String> {
+        let status = g.kb().props_with_label("status");
+        let told = status.iter().map(|&p| g.kb().get(p).unwrap());
+        told.filter(|p| g.kb().display(p.dest) == "retracted")
+            .map(|p| g.kb().display(p.source))
+            .collect()
+    }
+
+    #[test]
+    fn shared_output_takes_both_producers_when_both_lose_their_inputs() {
+        let mut g = design(
+            &["R"],
+            &[
+                ("d0", &["R"], &["A", "B"]),
+                ("d1", &["A"], &["X"]),
+                ("d2", &["B"], &["X"]),
+                ("d3", &["X"], &["Y"]),
+            ],
+        );
+        let names =
+            |rs: Vec<&DecisionRecord>| rs.iter().map(|r| r.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(g.producers_of("X")), ["d1", "d2"]);
+        let ticks = g.jtms().propagations;
+        assert_eq!(g.retract_decision("d0").unwrap(), ["A", "B", "X", "Y"]);
+        assert_eq!(g.jtms().propagations, ticks + 2, "two labellings");
+        assert_eq!(retracted_as_told(&g), ["d0", "d1", "d2", "d3"]);
+        assert_eq!(g.current_objects(), ["R"]);
+    }
+
+    #[test]
+    fn diamond_loses_the_join_and_keeps_the_other_arm() {
+        let mut g = design(
+            &["R"],
+            &[
+                ("d0", &["R"], &["A"]),
+                ("d1", &["A"], &["B"]),
+                ("d2", &["A"], &["C"]),
+                ("d3", &["B", "C"], &["D"]),
+            ],
+        );
+        assert_eq!(g.retract_decision("d1").unwrap(), ["B", "D"]);
+        assert_eq!(retracted_as_told(&g), ["d1", "d3"]);
+        assert_eq!(g.current_objects(), ["A", "C", "R"]);
+        assert!(g.is_effective("d2") && g.is_effective("d0"));
+    }
+
+    #[test]
+    fn deep_chain_cascades_in_two_labellings_and_a_leaf_in_one() {
+        let chain: &[(&str, &[&str], &[&str])] = &[
+            ("d1", &["R"], &["A"]),
+            ("d2", &["A"], &["B"]),
+            ("d3", &["B"], &["C"]),
+            ("d4", &["C"], &["D"]),
+        ];
+        let mut g = design(&["R"], chain);
+        let ticks = g.jtms().propagations;
+        assert_eq!(g.retract_decision("d4").unwrap(), ["D"]);
+        assert_eq!(g.jtms().propagations, ticks + 1, "a leaf has no cascade");
+        assert_eq!(retracted_as_told(&g), ["d4"]);
+        assert!(g.is_effective("d3"));
+        assert_eq!(g.retract_decision("d1").unwrap(), ["A", "B", "C"]);
+        assert_eq!(g.jtms().propagations, ticks + 3, "whatever the depth");
+        assert_eq!(retracted_as_told(&g), ["d4", "d1", "d2", "d3"]);
+        assert_eq!(g.current_objects(), ["R"]);
+    }
+
+    #[test]
+    fn independently_rederived_consequence_stays_in() {
+        let mut g = design(
+            &["R", "S"],
+            &[
+                ("d1", &["R"], &["A"]),
+                ("d2", &["S"], &["A"]),
+                ("d3", &["A"], &["B"]),
+            ],
+        );
+        assert!(g.retract_decision("d1").unwrap().is_empty());
+        assert_eq!(retracted_as_told(&g), ["d1"]);
+        assert!(g.is_effective("d2") && g.is_effective("d3"));
+        assert_eq!(g.retract_decision("d2").unwrap(), ["A", "B"]);
+        assert_eq!(retracted_as_told(&g), ["d1", "d2", "d3"]);
+    }
+
+    #[test]
+    fn replay_reinstates_only_what_is_replayed() {
+        let mut g = design(&["R"], &[("d1", &["R"], &["A"]), ("d2", &["A"], &["B"])]);
+        assert_eq!(g.retract_decision("d1").unwrap(), ["A", "B"]);
+        g.replay_decision("d1", "d1b").unwrap();
+        assert_eq!(g.current_objects(), ["A", "R"], "d2 stays retracted");
+        g.replay_decision("d2", "d2b").unwrap();
+        assert_eq!(g.current_objects(), ["A", "B", "R"]);
+        // Producers are read across both incarnations of `A`.
+        let producers = g.producers_of("A");
+        assert_eq!(producers.len(), 2);
+        assert!(producers[0].retracted && !producers[1].retracted);
+        assert_eq!(g.retract_decision("d1b").unwrap(), ["A", "B"]);
+        assert_eq!(retracted_as_told(&g), ["d1", "d2", "d1b", "d2b"]);
+    }
+
+    #[test]
+    fn raw_untell_does_not_hide_a_producer_from_the_cascade() {
+        let mut g = design(&["R"], &[("d1", &["R"], &["A"]), ("d2", &["A"], &["B"])]);
+        g.untell("B").unwrap();
+        assert!(g.is_current("B"), "the JTMS node is still IN");
+        assert_eq!(g.retract_decision("d1").unwrap(), ["A", "B"]);
+        assert_eq!(retracted_as_told(&g), ["d1", "d2"]);
     }
 
     #[test]

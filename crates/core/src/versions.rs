@@ -65,13 +65,9 @@ impl Gkbms {
             }
         }
         // Historic object: find the class recorded at creation.
-        for r in self.records().iter().rev() {
-            if let Some(at) = r.outputs.iter().position(|o| o == object) {
-                let class = r.output_classes.get(at)?;
-                return self.level_of_class(class);
-            }
-        }
-        None
+        let r = self.producers_of(object).pop()?;
+        let at = r.outputs.iter().position(|o| o == object)?;
+        self.level_of_class(r.output_classes.get(at)?)
     }
 
     /// The `level` attribute of a design-object class.
@@ -93,20 +89,19 @@ impl Gkbms {
         if !kernel::LEVELS.contains(&level) && self.kb.lookup(level).is_none() {
             return Err(GkbmsError::Unknown(format!("level `{level}`")));
         }
-        let mut objects: Vec<String> = self
+        let objects: Vec<String> = self
             .current_objects()
             .into_iter()
             .filter(|o| self.level_of(o).as_deref() == Some(level))
             .collect();
-        objects.sort();
-        let mut justified_by: Vec<String> = self
-            .records()
+        let mut justified_by: Vec<String> = objects
             .iter()
-            .filter(|r| !r.retracted && r.outputs.iter().any(|o| objects.contains(o)))
+            .flat_map(|o| self.producers_of(o))
             .filter(|r| self.is_effective(&r.name))
             .map(|r| r.name.clone())
             .collect();
         justified_by.sort();
+        justified_by.dedup();
         Ok(Configuration {
             level: level.to_string(),
             objects,
@@ -114,38 +109,21 @@ impl Gkbms {
         })
     }
 
-    /// Vertical configuration check: every object of `level` must be
-    /// justified by a *mapping* decision from a current higher-level
-    /// object (or be registered directly). Returns the unjustified
+    /// Vertical configuration check: every derived object of `level`
+    /// must be justified by an effective decision — a mapping from a
+    /// higher level or a refinement within it — all of whose inputs are
+    /// current (or be registered directly). Returns the unjustified
     /// objects — an empty result means the configuration is allowable.
     pub fn vertical_gaps(&self, level: &str) -> GkbmsResult<Vec<String>> {
         let config = self.configure_level(level)?;
         let mut gaps = Vec::new();
         for obj in &config.objects {
-            let mapped = self.records().iter().any(|r| {
-                !r.retracted
-                    && r.outputs.contains(obj)
-                    && self
-                        .classes
-                        .get(&r.class)
-                        .is_some_and(|dc| dc.dimension == DecisionDimension::Mapping)
-                    && r.inputs.iter().all(|i| self.is_current(i))
-            });
-            let derived_at_all = self
-                .records()
-                .iter()
-                .any(|r| !r.retracted && r.outputs.contains(obj));
-            if derived_at_all && !mapped {
-                // Derived by refinement only: trace back to a mapped
-                // ancestor within the level.
-                let refined_from_current = self.records().iter().any(|r| {
-                    !r.retracted
-                        && r.outputs.contains(obj)
-                        && r.inputs.iter().all(|i| self.is_current(i))
-                });
-                if !refined_from_current {
-                    gaps.push(obj.clone());
-                }
+            let mut producers = self.producers_of(obj);
+            producers.retain(|r| !r.retracted);
+            let derived_at_all = !producers.is_empty();
+            producers.retain(|r| r.inputs.iter().all(|i| self.is_current(i)));
+            if derived_at_all && producers.is_empty() {
+                gaps.push(obj.clone());
             }
         }
         gaps.sort();

@@ -23,6 +23,8 @@ pub struct GraphEdge {
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<String>,
+    /// Membership in `nodes`: every `edge` asks twice.
+    known: HashSet<String>,
     edges: Vec<GraphEdge>,
     highlighted: HashSet<String>,
 }
@@ -36,7 +38,8 @@ impl Graph {
     /// Adds a node (idempotent).
     pub fn node(&mut self, name: impl Into<String>) {
         let name = name.into();
-        if !self.nodes.contains(&name) {
+        if !self.known.contains(&name) {
+            self.known.insert(name.clone());
             self.nodes.push(name);
         }
     }

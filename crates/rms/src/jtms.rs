@@ -179,17 +179,41 @@ impl Jtms {
     }
 
     /// Retracts an assumption: the selective-backtracking primitive.
-    pub fn retract(&mut self, id: JtmsNodeId) {
-        let n = &mut self.nodes[id.0 as usize];
-        debug_assert!(n.is_assumption, "retract on non-assumption");
-        n.enabled = false;
-        if self.has_out_lists {
-            self.relabel();
+    /// Returns the nodes it took from IN to OUT.
+    pub fn retract(&mut self, id: JtmsNodeId) -> Vec<JtmsNodeId> {
+        self.retract_all([id])
+    }
+
+    /// Retracts `ids` in one labelling (none if none of them was enabled):
+    /// the union of what retracting them one by one would take OUT.
+    pub fn retract_all(&mut self, ids: impl IntoIterator<Item = JtmsNodeId>) -> Vec<JtmsNodeId> {
+        let mut any = false;
+        for id in ids {
+            let n = &mut self.nodes[id.0 as usize];
+            debug_assert!(n.is_assumption, "retract on non-assumption");
+            any |= std::mem::take(&mut n.enabled);
+        }
+        if !any {
+            Vec::new()
+        } else if self.has_out_lists {
+            self.relabel()
         } else {
             // Labels only shrink; one grounded closure from scratch is
             // O(V + E) with the antecedent counters.
-            self.relabel_monotone();
+            self.relabel_monotone()
         }
+    }
+
+    /// Installs `labels`; returns the nodes that went from IN to OUT.
+    fn install(&mut self, labels: &[Label]) -> Vec<JtmsNodeId> {
+        let mut out = Vec::new();
+        for (i, (n, &l)) in self.nodes.iter_mut().zip(labels).enumerate() {
+            if n.label == Label::In && l == Label::Out {
+                out.push(JtmsNodeId(i as u32));
+            }
+            n.label = l;
+        }
+        out
     }
 
     /// Sets `id` IN and closes monotonically over the justifications it
@@ -224,7 +248,7 @@ impl Jtms {
     /// networks: seed from enabled assumptions and zero-antecedent
     /// justifications, then drain a worklist with per-justification
     /// unsatisfied-antecedent counters. O(V + E).
-    fn relabel_monotone(&mut self) {
+    fn relabel_monotone(&mut self) -> Vec<JtmsNodeId> {
         self.propagations += 1;
         let mut counts: Vec<usize> = self.justs.iter().map(|j| j.in_list.len()).collect();
         let mut label = vec![Label::Out; self.nodes.len()];
@@ -253,16 +277,14 @@ impl Jtms {
                 }
             }
         }
-        for (n, l) in self.nodes.iter_mut().zip(&label) {
-            n.label = *l;
-        }
+        self.install(&label)
     }
 
     /// Grounded relabeling: start from enabled assumptions, then close
     /// monotonically under justifications, re-checking out-lists until
     /// a fixpoint of the whole two-phase step is reached. Networks with
     /// odd non-monotonic loops are resolved towards OUT (skeptically).
-    fn relabel(&mut self) {
+    fn relabel(&mut self) -> Vec<JtmsNodeId> {
         // Iterate outer phase because out-list conditions depend on the
         // final labels: each outer round recomputes the grounded closure
         // assuming the previous round's labels for out-list tests.
@@ -302,9 +324,7 @@ impl Jtms {
             }
             prev = label;
         }
-        for (n, l) in self.nodes.iter_mut().zip(&prev) {
-            n.label = *l;
-        }
+        self.install(&prev)
     }
 
     /// The enabled assumptions underlying `id`'s current support
@@ -555,6 +575,64 @@ mod tests {
         tms.justify(mid, &[a1], &[]);
         tms.justify(top, &[mid, a2], &[]);
         assert_eq!(tms.supporting_assumptions(top), vec![a1, a2]);
+    }
+
+    #[test]
+    fn retract_reports_exactly_the_in_to_out_nodes() {
+        // a ⊢ b ⊢ c; d has a second support e; f never was IN.
+        for out_lists in [false, true] {
+            let mut tms = Jtms::new();
+            let a = tms.assumption("a");
+            let e = tms.assumption("e");
+            let [b, c, d, f] = ["b", "c", "d", "f"].map(|n| tms.node(n));
+            tms.justify(b, &[a], &[]);
+            tms.justify(c, &[b], &[]);
+            tms.justify(d, &[b], &[]);
+            tms.justify(d, &[e], &[]);
+            tms.justify(f, &[c, d], &[e][..usize::from(out_lists)]);
+            assert_eq!(tms.has_out_lists, out_lists);
+            assert_eq!(tms.is_in(f), !out_lists);
+            let before = tms.in_nodes();
+            let out = tms.retract(a);
+            let mut expected = vec![a, b, c];
+            expected.extend((!out_lists).then_some(f));
+            assert_eq!(out, expected, "d keeps its support through e");
+            let after = tms.in_nodes();
+            let diff: Vec<_> = before.into_iter().filter(|n| !after.contains(n)).collect();
+            assert_eq!(out, diff, "out_lists = {out_lists}");
+            let ticks = tms.propagations;
+            assert!(tms.retract(a).is_empty(), "already disabled");
+            assert_eq!(tms.propagations, ticks, "and no labelling for it");
+        }
+    }
+
+    #[test]
+    fn retract_all_is_the_union_of_sequential_retracts_in_one_labelling() {
+        let build = || {
+            let mut tms = Jtms::new();
+            let assumptions = ["a1", "a2", "a3"].map(|n| tms.assumption(n));
+            let [x, y, z] = ["x", "y", "z"].map(|n| tms.node(n));
+            tms.justify(x, &[assumptions[0]], &[]);
+            tms.justify(x, &[assumptions[1]], &[]);
+            tms.justify(y, &[x, assumptions[2]], &[]);
+            tms.justify(z, &[assumptions[2]], &[]);
+            (tms, assumptions)
+        };
+        let (mut one_by_one, [a1, a2, a3]) = build();
+        let mut union: Vec<JtmsNodeId> = [a1, a2, a3]
+            .iter()
+            .flat_map(|&a| one_by_one.retract(a))
+            .collect();
+        union.sort();
+        let (mut batch, _) = build();
+        let ticks = batch.propagations;
+        let mut out = batch.retract_all([a1, a2, a3]);
+        out.sort();
+        assert_eq!(out, union);
+        assert_eq!(batch.propagations, ticks + 1);
+        assert_eq!(batch.in_nodes(), one_by_one.in_nodes());
+        assert!(batch.retract_all([]).is_empty());
+        assert_eq!(batch.propagations, ticks + 1);
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //! * **a fifth realization, the versioned read path** — after every op
 //!   the store version a server would publish answers ASK and pinned
 //!   view reads from the lemmas it holds exactly as the index path, a
-//!   from-scratch evaluation and the maintained model do.
+//!   from-scratch evaluation and the maintained model do;
+//! * **retraction against an oracle** — after every `Retract` of the
+//!   stream, the objects reported affected, the decisions marked
+//!   retracted and the objects left current equal a naive least
+//!   fixpoint over the records that shares no code with the JTMS.
 
 use conceptbase::datalog::seminaive::{self, EvalStats};
 use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
@@ -33,6 +37,7 @@ use conceptbase::storage::crash;
 use conceptbase::storage::log::read_payloads;
 use conceptbase::telos::KbVersion;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -654,6 +659,87 @@ impl Digest {
     }
 }
 
+// ----- the retraction oracle -------------------------------------------------
+
+/// The objects current under `retracted` (record positions): the least
+/// set holding every registered object and every output of a
+/// non-retracted decision all of whose inputs are in it.
+fn current_by_fixpoint(
+    g: &Gkbms,
+    registered: &BTreeSet<&str>,
+    retracted: &BTreeSet<usize>,
+) -> BTreeSet<String> {
+    let mut current: BTreeSet<String> = registered.iter().map(|o| o.to_string()).collect();
+    loop {
+        let before = current.len();
+        for (i, r) in g.records().iter().enumerate() {
+            if !retracted.contains(&i) && r.inputs.iter().all(|o| current.contains(o)) {
+                current.extend(r.outputs.iter().cloned());
+            }
+        }
+        if current.len() == before {
+            return current;
+        }
+    }
+}
+
+/// What retracting `name` must report and leave behind — `(affected,
+/// retracted decisions, current objects)` — computed from the records
+/// alone: a decision with a non-current output is retracted with it,
+/// to a fixpoint.
+fn retraction_oracle(
+    g: &Gkbms,
+    registered: &BTreeSet<&str>,
+    name: &str,
+) -> (Vec<String>, Vec<String>, Vec<String>) {
+    let records = g.records();
+    let mut retracted: BTreeSet<usize> = (0..records.len())
+        .filter(|&i| records[i].retracted)
+        .collect();
+    let was_current = current_by_fixpoint(g, registered, &retracted);
+    retracted.extend(records.iter().position(|r| r.name == name));
+    let current = loop {
+        let current = current_by_fixpoint(g, registered, &retracted);
+        let before = retracted.len();
+        retracted.extend((0..records.len()).filter(|&i| {
+            let dangling = |o| !current.contains(o);
+            records[i].outputs.iter().any(dangling)
+        }));
+        if retracted.len() == before {
+            break current;
+        }
+    };
+    (
+        was_current.difference(&current).cloned().collect(),
+        retracted.iter().map(|&i| records[i].name.clone()).collect(),
+        current.into_iter().collect(),
+    )
+}
+
+/// [`apply`], with every successful retraction held against the oracle
+/// and every successful registration remembered for it.
+fn apply_checked(
+    g: &mut Gkbms,
+    op: &Op,
+    registered: &mut BTreeSet<&'static str>,
+) -> GkbmsResult<()> {
+    let Op::Retract(name) = *op else {
+        let outcome = apply(g, op);
+        if let (Op::Register(name, _), Ok(())) = (op, &outcome) {
+            registered.insert(name);
+        }
+        return outcome;
+    };
+    let (affected, retracted, current) = retraction_oracle(g, registered, name);
+    let got = g.retract_decision(name)?;
+    assert_eq!(got, affected, "affected by retracting {name}");
+    let marked = g.records().iter().filter(|r| r.retracted);
+    let marked: Vec<String> = marked.map(|r| r.name.clone()).collect();
+    assert_eq!(marked, retracted, "retracted with {name}");
+    assert_eq!(g.current_objects(), current, "current after {name}");
+    Ok(())
+}
+
 /// What one ASK of a told class answered: names and the counters of the
 /// evaluation behind them, or `None` when the class was not believed.
 type Asked = Option<(Vec<String>, EvalStats)>;
@@ -748,11 +834,12 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
     // retraction); every other successful op commits one.
     let (mut ok, mut failed, mut committed) = (0, 0, 0);
     let mut earlier = None;
+    let mut registered = BTreeSet::new();
     for (i, op) in ops.iter().enumerate() {
         if i == k {
             live.checkpoint().expect("checkpoint");
         }
-        let outcome = apply(&mut live, op);
+        let outcome = apply_checked(&mut live, op, &mut registered);
         versioned_reads_agree(&live, &mut earlier, &format!("after op {i} {op:?}"));
         assert_eq!(
             outcome.is_ok(),
@@ -872,11 +959,27 @@ fn differential_stream_commits_and_rolls_back() {
         Op::View("v1", "tagged(X) :- in_(X, _C)."),
         Op::Conflict("x0", "x0"),
         Op::Retract("x0"), // already retracted by the conflict
+        // A cascade for the retraction oracle: x2 takes x3 with it.
+        Op::Execute {
+            class: "MapDec",
+            name: "x2",
+            tool: None,
+            input: "inv1",
+            output: ("rel1", kernel::DBPL_REL),
+        },
+        Op::Execute {
+            class: "RefDec",
+            name: "x3",
+            tool: None,
+            input: "rel1",
+            output: ("rel2", kernel::DBPL_REL),
+        },
+        Op::Retract("x2"),
     ]);
     for k in 0..=ops.len() {
         assert_eq!(
             four_realizations_agree("diff-fixed", &ops, k),
-            (16, 4),
+            (19, 4),
             "checkpoint at {k}"
         );
     }
