@@ -47,6 +47,15 @@ use std::collections::HashMap;
 /// available (offline `cblint` runs).
 pub const DEFAULT_EDB_ROWS: f64 = 1000.0;
 
+/// The measured cardinalities of `edb` (predicate → rows), the form
+/// the estimator takes them in.
+pub fn cardinalities(edb: &datalog::Database) -> HashMap<String, f64> {
+    edb.preds()
+        .into_iter()
+        .map(|pred| (pred.to_string(), edb.count(pred) as f64))
+        .collect()
+}
+
 /// Worst-case per-stratum cost above which CB012 warns.
 pub const COST_BUDGET: f64 = 1e8;
 

@@ -256,13 +256,10 @@ impl<'a> LintContext<'a> {
     /// applies. A full EDB export — O(KB) — so only the callers that
     /// cost a rule or a view ask for it.
     pub fn edb_cards(&self) -> HashMap<String, f64> {
-        let Some(edb) = self.kb.and_then(|kb| objectbase::query::to_edb(kb).ok()) else {
-            return HashMap::new();
-        };
-        edb.preds()
-            .into_iter()
-            .map(|pred| (pred.to_string(), edb.count(pred) as f64))
-            .collect()
+        self.kb
+            .and_then(|kb| objectbase::query::to_edb(kb).ok())
+            .map(|edb| cost::cardinalities(&edb))
+            .unwrap_or_default()
     }
 }
 

@@ -2,8 +2,7 @@
 //! "this capability is, e.g., used in creating dependency graph
 //! objects of the GKBMS" (§3.1).
 //!
-//! Measures graph construction vs history size, the lemma-cache
-//! speedup, and zooming.
+//! Measures graph construction vs history size, and zooming.
 
 use bench::decision_history;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -13,28 +12,15 @@ fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("depgraph/build");
     for n in [5usize, 20, 50] {
         group.bench_with_input(BenchmarkId::new("cold", n), &n, |b, &n| {
-            let (mut g, _) = decision_history(n, 2);
+            let (g, _) = decision_history(n, 2);
             b.iter(|| std::hint::black_box(g.dependency_graph().nodes().len()))
         });
     }
     group.finish();
 }
 
-fn bench_lemma_cache(c: &mut Criterion) {
-    let (mut g, _) = decision_history(30, 2);
-    let mut group = c.benchmark_group("depgraph/lemma_cache");
-    group.bench_function("first_call_then_cached", |b| {
-        b.iter(|| std::hint::black_box(g.dependency_graph().edges().len()))
-    });
-    group.finish();
-    println!(
-        "depgraph/lemma_cache: {} rebuild(s) across all iterations (lemma hit rate ≈ 100%)",
-        g.graph_builds
-    );
-}
-
 fn bench_zoom_and_render(c: &mut Criterion) {
-    let (mut g, _) = decision_history(30, 3);
+    let (g, _) = decision_history(30, 3);
     let graph = g.dependency_graph();
     let mut group = c.benchmark_group("depgraph/display");
     group.bench_function("render_full", |b| {
@@ -59,6 +45,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_build, bench_lemma_cache, bench_zoom_and_render
+    targets = bench_build, bench_zoom_and_render
 }
 criterion_main!(benches);

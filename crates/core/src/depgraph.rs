@@ -1,10 +1,10 @@
-//! Dependency-graph derivation with lemma caching (figs 2-2 … 2-4).
+//! Dependency-graph derivation (figs 2-2 … 2-4).
 //!
 //! "The inference engines may enhance their performance by lemma
 //! generation; this capability is, e.g., used in creating dependency
-//! graph objects of the GKBMS." The derived graph is cached on the
-//! [`Gkbms`] and invalidated by any decision execution or retraction;
-//! [`Gkbms::graph_builds`] counts actual rebuilds for the benches.
+//! graph objects of the GKBMS." The graph is one pass over the decision
+//! records, built per call: every read here takes `&self`, and there is
+//! nothing for a write to invalidate.
 
 use crate::system::Gkbms;
 use datalog::ast::{Atom, Program, Term, Value};
@@ -14,14 +14,10 @@ use modelbase::display::dot;
 use modelbase::display::graphdag::Graph;
 
 impl Gkbms {
-    /// Builds (or serves from cache) the dependency graph over all
-    /// effective decisions: `input --from--> decision --to--> output`,
-    /// plus `tool --by--> decision` edges.
-    pub fn dependency_graph(&mut self) -> Graph {
-        if let Some(g) = &self.graph_cache {
-            return g.clone();
-        }
-        self.graph_builds += 1;
+    /// Builds the dependency graph over all effective decisions:
+    /// `input --from--> decision --to--> output`, plus
+    /// `tool --by--> decision` edges.
+    pub fn dependency_graph(&self) -> Graph {
         let mut g = Graph::new();
         for r in &self.records {
             if r.retracted {
@@ -39,13 +35,12 @@ impl Gkbms {
                 g.edge(tool.clone(), dlabel.clone(), "by");
             }
         }
-        self.graph_cache = Some(g.clone());
         g
     }
 
     /// The fig 2-4 view: the dependency graph with the objects affected
     /// by a (hypothetical or performed) retraction highlighted.
-    pub fn dependency_graph_highlighting(&mut self, affected: &[String]) -> Graph {
+    pub fn dependency_graph_highlighting(&self, affected: &[String]) -> Graph {
         let mut g = self.dependency_graph();
         for name in affected {
             g.highlight(name);
@@ -54,7 +49,7 @@ impl Gkbms {
     }
 
     /// DOT export of the current dependency graph.
-    pub fn dependency_dot(&mut self) -> String {
+    pub fn dependency_dot(&self) -> String {
         dot::to_dot(&self.dependency_graph(), "gkbms-dependencies")
     }
 
@@ -125,37 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn lemma_cache_avoids_rebuilds() {
-        let mut g = scenario_gkbms();
-        g.register_object("Invitation", kernel::TDL_ENTITY_CLASS, "src")
-            .unwrap();
-        g.execute(
-            DecisionRequest::new("TDL_MappingDec", "m", "dev")
-                .with_tool("TDL-DBPL-Mapper")
-                .input("Invitation")
-                .output("InvitationRel", kernel::DBPL_REL),
-        )
-        .unwrap();
-        let _ = g.dependency_graph();
-        let _ = g.dependency_graph();
-        let _ = g.dependency_graph();
-        assert_eq!(g.graph_builds, 1, "served from the lemma cache");
-        // A new decision invalidates the cache.
-        g.execute(
-            DecisionRequest::new("DecNormalize", "n", "dev")
-                .input("InvitationRel")
-                .output("InvitationRel2", kernel::NORMALIZED_DBPL_REL)
-                .discharge(Discharge::Signature {
-                    obligation: "normalized".into(),
-                    by: "dev".into(),
-                }),
-        )
-        .unwrap();
-        let _ = g.dependency_graph();
-        assert_eq!(g.graph_builds, 2);
-    }
-
-    #[test]
     fn retracted_decisions_leave_the_graph() {
         let mut g = scenario_gkbms();
         g.register_object("Invitation", kernel::TDL_ENTITY_CLASS, "src")
@@ -170,14 +134,9 @@ mod tests {
         g.retract_decision("m").unwrap();
         let rendered = g.dependency_graph().render();
         assert!(!rendered.contains("InvitationRel"));
-    }
 
-    #[test]
-    fn lemma_cache_invalidated_by_retraction_under_churn() {
-        // Regression: the cache must be dropped on *retraction*, not
-        // just on execution — a stale lemma would keep serving edges
-        // for decisions that no longer hold. Driven by the synthetic
-        // generator so the cycle repeats across a realistic mix.
+        // And under churn: over a synthetic history, every retraction's
+        // decision is gone from the next graph read.
         use crate::synth::{self, SynthConfig, SynthRng};
         let mut g = crate::system::Gkbms::new().unwrap();
         synth::generate_into(
@@ -191,17 +150,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = SynthRng::new(9);
-        let baseline = g.graph_builds;
-        for round in 0..5u64 {
-            let _ = g.dependency_graph();
-            let _ = g.dependency_graph();
-            assert_eq!(
-                g.graph_builds,
-                baseline + round + 1,
-                "repeat reads serve from the lemma cache"
-            );
-            // Retract one effective decision; the next read must rebuild
-            // and the retracted decision's edges must be gone.
+        for _ in 0..5 {
             let name = loop {
                 let i = rng.below(g.records().len());
                 let r = &g.records()[i];
@@ -209,18 +158,14 @@ mod tests {
                     break r.name.clone();
                 }
             };
-            g.retract_decision(&name).unwrap();
-            let rendered = g.dependency_graph().render();
-            assert_eq!(
-                g.graph_builds,
-                baseline + round + 2,
-                "retraction invalidates the lemma cache"
-            );
             let token = format!(":{name}");
-            assert!(
-                !rendered.split_whitespace().any(|w| w.ends_with(&token)),
-                "retracted decision `{name}` still in graph"
-            );
+            let in_graph = |g: &crate::system::Gkbms| {
+                let rendered = g.dependency_graph().render();
+                rendered.split_whitespace().any(|w| w.ends_with(&token))
+            };
+            assert!(in_graph(&g), "effective decision `{name}` is in the graph");
+            g.retract_decision(&name).unwrap();
+            assert!(!in_graph(&g), "retracted decision `{name}` still in graph");
         }
     }
 

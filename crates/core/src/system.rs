@@ -140,7 +140,6 @@ pub struct Gkbms {
     pub(crate) object_node: HashMap<String, JtmsNodeId>,
     /// Decision name → position in `records`.
     pub(crate) decision_at: HashMap<String, usize>,
-    pub(crate) graph_cache: Option<modelbase::display::Graph>,
     /// Decision-level nogoods recorded by conflict resolution.
     pub(crate) nogoods: Vec<Vec<String>>,
     /// The history: every committed op, in commit order — what `save`,
@@ -176,8 +175,6 @@ pub struct Gkbms {
     /// a TELL re-analyzes only the components its delta dirties.
     /// Behind a mutex because linting is a `&self` read operation.
     pub(crate) lint_cache: std::sync::Mutex<analysis::AnalysisCache>,
-    /// Statistics: dependency-graph rebuilds (lemma generation, E-2).
-    pub graph_builds: u64,
 }
 
 impl Gkbms {
@@ -195,7 +192,6 @@ impl Gkbms {
             records: Vec::new(),
             object_node: HashMap::new(),
             decision_at: HashMap::new(),
-            graph_cache: None,
             nogoods: Vec::new(),
             history: Vec::new(),
             journal: None,
@@ -205,7 +201,6 @@ impl Gkbms {
             views: Vec::new(),
             views_seen: 0,
             lint_cache: std::sync::Mutex::new(analysis::AnalysisCache::new()),
-            graph_builds: 0,
         })
     }
 
@@ -587,7 +582,6 @@ impl Gkbms {
         })?;
         let node = self.node_for(name);
         self.jtms.justify(node, &[], &[]);
-        self.graph_cache = None;
         Ok(obj)
     }
 
@@ -921,7 +915,6 @@ impl Gkbms {
             prop: decision,
             node: dnode,
         });
-        self.graph_cache = None;
         obs::counter!(
             "gkbms_decisions_executed_total",
             "Design decisions executed successfully"
@@ -991,7 +984,6 @@ impl Gkbms {
         self.flow_new_props()?;
         self.kb.tick();
         self.commit(JournalOp::Retract { name: name.into() })?;
-        self.graph_cache = None;
         obs::counter!(
             "gkbms_decisions_retracted_total",
             "Design decisions retracted (explicit plus cascaded)"

@@ -3,12 +3,14 @@
 //! A registered view is the KB's deductive closure — [`objectbase::query::base_program`]
 //! plus optional user rules — kept **materialized** under TELL/UNTELL
 //! churn by the incremental maintenance engine
-//! ([`datalog::ivm::MaterializedView`]): counting maintenance for
-//! non-recursive strata, delete-and-rederive for recursive ones.
-//! Every mutation that changes belief flows the per-proposition delta
-//! ([`objectbase::query::edb_fact_for`]) into every registered view,
-//! so queries against the view read a ready model instead of
-//! re-evaluating the program from scratch.
+//! ([`datalog::ivm::MaterializedView`]: delete-and-rederive, stratum
+//! by stratum). Registration builds the model once, by
+//! [`datalog::seminaive::evaluate`] over one export of the KB
+//! ([`objectbase::query::to_edb_counted`], which also gives CB013 its
+//! cardinalities); from then on every mutation that changes belief
+//! flows the per-proposition delta ([`objectbase::query::edb_fact_for`])
+//! into every registered view, so queries against the view read a
+//! ready model instead of re-evaluating the program from scratch.
 //!
 //! # MVCC interaction
 //!
@@ -86,7 +88,7 @@ impl RegisteredView {
         self.as_of
     }
 
-    /// The maintained view engine (model, EDB, support counts).
+    /// The maintained view engine (model, EDB projection, multiplicities).
     pub fn view(&self) -> &MaterializedView {
         &self.view
     }
@@ -127,9 +129,9 @@ impl Gkbms {
 
     /// Like [`Gkbms::register_view`], but also runs the CB013
     /// maintainability lint against the view's program: DRed cost over
-    /// large recursive strata (using the KB's measured EDB
-    /// cardinalities) and churn risk under the TELL/UNTELL mix of the
-    /// history so far. Warnings never block registration —
+    /// large recursive strata (using the cardinalities of the export
+    /// the view is loaded from) and churn risk under the TELL/UNTELL
+    /// mix of the history so far. Warnings never block registration —
     /// they ride back to the caller next to the watermark.
     pub fn register_view_checked(
         &mut self,
@@ -154,9 +156,12 @@ impl Gkbms {
                 )));
             }
         }
+        // The older views must have seen everything the new one loads.
+        self.flow_new_props()?;
+        let (edb, duplicates) = query::to_edb_counted(&self.kb)?;
         let mut diags = Vec::new();
         {
-            let cards = self.lint_context().edb_cards();
+            let cards = analysis::cost::cardinalities(&edb);
             let (tells, untells) = self
                 .history
                 .iter()
@@ -168,11 +173,7 @@ impl Gkbms {
             analysis::cost::lint_view(name, &program, &cards, tells, untells, &mut diags);
             analysis::sort_diagnostics(&mut diags);
         }
-        let mut view = MaterializedView::new(program).map_err(objectbase::ObError::from)?;
-        // The initial load is itself one incremental batch, over the
-        // whole KB — which the older views must have seen too.
-        self.flow_new_props()?;
-        view.apply(&query::edb_facts(&self.kb), &[])
+        let view = MaterializedView::load(program, &edb, &duplicates)
             .map_err(objectbase::ObError::from)?;
         let as_of = self.kb.now();
         self.commit(JournalOp::RegisterView {
@@ -263,9 +264,10 @@ impl Gkbms {
             if v.view.apply(inserts, deletes).is_err() {
                 // Registration rules out deltas on derived predicates,
                 // so an apply error means the view state is suspect:
-                // rebuild from the KB rather than serve a wrong model.
-                if let Ok(mut fresh) = MaterializedView::new(v.view.program().clone()) {
-                    if fresh.apply(&query::edb_facts(&self.kb), &[]).is_ok() {
+                // reload from the KB rather than serve a wrong model.
+                if let Ok((edb, duplicates)) = query::to_edb_counted(&self.kb) {
+                    let program = v.view.program().clone();
+                    if let Ok(fresh) = MaterializedView::load(program, &edb, &duplicates) {
                         v.view = fresh;
                     }
                 }
@@ -504,6 +506,81 @@ mod tests {
             g.view_tuples("closure", "inT").unwrap(),
             recompute(&g, "closure", "inT")
         );
+    }
+
+    /// The registered view `name` against its differential twin — a
+    /// view of the same program fed every believed proposition's fact
+    /// through `apply` from empty: same model, and the same TELL
+    /// multiplicity for every fact.
+    fn assert_load_matches_apply_from_empty(g: &Gkbms, name: &str) {
+        let loaded = g.view(name).unwrap().view();
+        let facts: Vec<Fact> = (0..g.kb.len())
+            .map(|i| PropId(i as u32))
+            .filter(|&id| g.kb.prop(id).is_some_and(|p| p.is_believed()))
+            .filter_map(|id| query::edb_fact_for(&g.kb, id))
+            .collect();
+        let mut applied = MaterializedView::new(loaded.program().clone()).unwrap();
+        applied.apply(&facts, &[]).unwrap();
+        let mut preds = applied.model().preds();
+        preds.extend(loaded.model().preds());
+        for pred in preds {
+            assert_eq!(
+                sorted_tuples(loaded.model(), pred),
+                sorted_tuples(applied.model(), pred),
+                "`{pred}`"
+            );
+        }
+        for (pred, tuple) in &facts {
+            assert_eq!(
+                loaded.support(pred, tuple),
+                applied.support(pred, tuple),
+                "{pred}{tuple:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_link_asserted_twice_before_registration_survives_one_untell() {
+        // Telling an attribute twice mints two propositions for one
+        // `attr` tuple. The export a view is loaded from holds the
+        // tuple once and reports the other telling, so closing one of
+        // the two propositions must leave the tuple in the model.
+        let mut g = scenario_gkbms();
+        g.tell_src("TELL Person end\nTELL maria in Person end\nTELL anna in Person end")
+            .unwrap();
+        g.register_view("plain", "").unwrap();
+        for _ in 0..2 {
+            g.tell_src("TELL maria in Person with attribute knows : anna end")
+                .unwrap();
+        }
+        g.register_view("acq", "acquainted(X, Y) :- attr(X, knows, Y).")
+            .unwrap();
+        let knows = [Value::sym("maria"), Value::sym("knows"), Value::sym("anna")];
+        let pair = vec![vec![Value::sym("maria"), Value::sym("anna")]];
+        for name in ["plain", "acq"] {
+            // `plain` got the two tellings as deltas, `acq` from its load.
+            assert_eq!(g.view(name).unwrap().view().support("attr", &knows), 2);
+            assert_load_matches_apply_from_empty(&g, name);
+        }
+        // The public UNTELL cascades from an object and would close
+        // both links at once; close them one by one instead.
+        let (maria, anna) = (g.kb.lookup("maria").unwrap(), g.kb.lookup("anna").unwrap());
+        let label = g.kb.lookup_sym("knows").unwrap();
+        for left in [1, 0] {
+            let link = g.kb.find_link(maria, label, anna).unwrap();
+            g.kb.untell(link).unwrap();
+            g.propagate_untold(&[link]);
+            for name in ["plain", "acq"] {
+                assert_eq!(g.view(name).unwrap().view().support("attr", &knows), left);
+                assert_load_matches_apply_from_empty(&g, name);
+                assert_eq!(
+                    g.view_tuples(name, "attr").unwrap(),
+                    recompute(&g, name, "attr")
+                );
+            }
+            let expect = if left == 1 { pair.clone() } else { Vec::new() };
+            assert_eq!(g.view_tuples("acq", "acquainted").unwrap(), expect);
+        }
     }
 
     #[test]

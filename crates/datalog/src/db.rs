@@ -438,6 +438,24 @@ impl Database {
         self.rels.iter().map(|(s, r)| (*s, &**r))
     }
 
+    /// The relations whose predicate passes `keep`, shared with `self`
+    /// (not copied) until either side writes.
+    pub(crate) fn project(&self, keep: impl Fn(Symbol) -> bool) -> Database {
+        let mut out = Database::new();
+        for (pred, rel) in self.rels.iter().filter(|(pred, _)| keep(*pred)) {
+            out.pred_ids.insert(*pred, out.rels.len());
+            out.rels.push((*pred, Arc::clone(rel)));
+        }
+        out
+    }
+
+    /// Whether `pred` is one relation shared by `self` and `other`.
+    #[cfg(test)]
+    pub(crate) fn shares_relation(&self, other: &Database, pred: Symbol) -> bool {
+        let arc = |db: &Database| db.pred_ids.get(&pred).map(|&i| Arc::as_ptr(&db.rels[i].1));
+        arc(self).is_some() && arc(self) == arc(other)
+    }
+
     /// Inserts a ground tuple under `pred`; returns whether it was new.
     pub fn insert(&mut self, pred: &str, tuple: Vec<Value>) -> DatalogResult<bool> {
         let row: Vec<IVal> = tuple.iter().map(IVal::from_value).collect();

@@ -19,9 +19,8 @@
 //! The positive delta literal (if any) runs first, so a join is driven
 //! by the change rather than by a scan of the full state; then the
 //! remaining positive literals in rule order; then the negations, which
-//! rule safety makes ground by that point. The result multiset of a
-//! join does not depend on literal order, so counting callers are
-//! unaffected.
+//! rule safety makes ground by that point. The result of a join does
+//! not depend on literal order.
 //!
 //! The binding pattern of a literal — which argument positions are
 //! ground when the join reaches it — is read off the run-time
@@ -153,8 +152,8 @@ pub(crate) fn compile(rule: &Rule) -> DatalogResult<CRule> {
 pub(crate) enum Source<'a> {
     /// `State(parts, minus)`: the state `(∪ parts) \ (∪ minus)`. The
     /// parts must be pairwise disjoint, so no tuple is visited twice
-    /// (counting needs exact multiplicities). A negated literal holds
-    /// when its tuple is *absent* from the state.
+    /// and the kernel's counters report each candidate once. A negated
+    /// literal holds when its tuple is *absent* from the state.
     State(Vec<&'a Database>, Vec<&'a Database>),
     /// The delta role: a positive literal is restricted to this change
     /// set and drives the join; a negated literal holds when its tuple

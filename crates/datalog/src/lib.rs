@@ -61,10 +61,12 @@
 //! # Incremental view maintenance
 //!
 //! [`ivm`] keeps a program's full model materialized under TELL/UNTELL
-//! churn instead of recomputing it per query: counting maintenance for
-//! non-recursive strata, delete-and-rederive (DRed) for recursive
-//! ones, with per-tuple support counts at the extensional base so
-//! re-telling and untelling facts compose idempotently.
+//! churn instead of recomputing it per query: delete-and-rederive
+//! (DRed) for every stratum, recursive or not, over a model that is
+//! the view's only copy of the tuples — first built by
+//! [`seminaive::evaluate`] — with a TELL multiplicity kept for the
+//! extensional tuples told more than once, so re-telling and untelling
+//! facts compose idempotently.
 
 pub mod ast;
 pub mod db;

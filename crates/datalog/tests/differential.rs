@@ -16,9 +16,11 @@
 
 use datalog::ast::{Atom, Literal, Program, Rule, Term, Value};
 use datalog::db::Database;
+use datalog::intern::{intern, IVal};
 use datalog::ivm::{Fact, MaterializedView};
 use datalog::{magic, seminaive, topdown};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // -------------------------------------------------------------------
 // Random stratified program generation
@@ -200,6 +202,22 @@ fn all_tuples(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
         .collect()
 }
 
+/// A view loaded the way a KB export loads one: the facts told at
+/// least once as a de-duplicated database, and every further telling
+/// reported beside it.
+fn load_twin(program: &Program, told: &BTreeMap<Fact, i64>) -> MaterializedView {
+    let mut edb = Database::new();
+    let mut duplicates = Vec::new();
+    for ((pred, tuple), &n) in told {
+        if n > 0 {
+            edb.insert(pred, tuple.clone()).expect("insert");
+        }
+        let row: Vec<IVal> = tuple.iter().map(IVal::from_value).collect();
+        duplicates.extend((1..n).map(|_| (intern(pred), row.clone())));
+    }
+    MaterializedView::load(program.clone(), &edb, &duplicates).expect("load")
+}
+
 /// All answers to the fully-open goal for `pred/arity` via tabled
 /// top-down resolution, as sorted ground tuples.
 fn topdown_tuples(program: &Program, edb: &Database, pred: &str, arity: usize) -> Vec<Vec<Value>> {
@@ -259,31 +277,55 @@ proptest! {
     /// A view maintained through random insert/delete batches equals,
     /// after every batch and on every predicate, both recomputations
     /// over its extensional state — the kernel's and the scan oracle's
-    /// — and rebuilding it changes nothing.
+    /// — and its TELL multiplicities equal a naive multiset count. From
+    /// batch `load_at` on, a twin *loaded* from the extensional state
+    /// of that moment is churned alongside and must stay equal to the
+    /// view that got everything through `apply`. A `twice` insert is
+    /// told twice in its batch (a later delete leaves it); a `twice`
+    /// delete is re-told in the same batch (the two net out).
     #[test]
     fn maintained_view_equals_both_recomputations_under_churn(
         batches in prop::collection::vec(
-            prop::collection::vec((any::<bool>(), any::<bool>(), 0u8..5, 0u8..5), 1..6),
+            prop::collection::vec(
+                (any::<bool>(), any::<bool>(), any::<bool>(), 0u8..5, 0u8..5),
+                1..6,
+            ),
             1..8,
         ),
+        load_at in 0usize..8,
         seed in any::<u64>(),
     ) {
         let program = gen_program(seed, true);
         let mut view = MaterializedView::new(program.clone()).expect("view");
-        for batch in &batches {
+        let mut loaded: Option<MaterializedView> = None;
+        let mut told: BTreeMap<Fact, i64> = BTreeMap::new();
+        for (at, batch) in batches.iter().enumerate() {
+            if at == load_at {
+                loaded = Some(load_twin(&program, &told));
+            }
             let (mut inserts, mut deletes): (Vec<Fact>, Vec<Fact>) = (Vec::new(), Vec::new());
-            for &(insert, is_edge, a, b) in batch {
+            for &(insert, twice, is_edge, a, b) in batch {
                 let c = |n: u8| Value::sym(format!("c{n}"));
                 let fact: Fact = if is_edge {
                     ("edge".to_string(), vec![c(a), c(b)])
                 } else {
                     ("node".to_string(), vec![c(a)])
                 };
-                if insert { inserts.push(fact) } else { deletes.push(fact) }
+                if !insert { deletes.push(fact.clone()) }
+                if insert || twice { inserts.push(fact.clone()) }
+                if insert && twice { inserts.push(fact) }
+            }
+            for d in &deletes {
+                if let Some(n) = told.get_mut(d) {
+                    *n = (*n - 1).max(0);
+                }
+            }
+            for i in &inserts {
+                *told.entry(i.clone()).or_insert(0) += 1;
             }
             view.apply(&inserts, &deletes).expect("apply");
-            let (kernel, _) = seminaive::evaluate(&program, view.edb()).expect("indexed");
-            let (scan, _) = seminaive::evaluate_scan(&program, view.edb()).expect("scan");
+            let (kernel, _) = seminaive::evaluate(&program, &view.edb()).expect("indexed");
+            let (scan, _) = seminaive::evaluate_scan(&program, &view.edb()).expect("scan");
             prop_assert_eq!(
                 all_tuples(view.model()), all_tuples(&scan),
                 "view differs from the scan oracle for program:\n{}", program_text(&program)
@@ -292,10 +334,20 @@ proptest! {
                 all_tuples(&kernel), all_tuples(&scan),
                 "kernel differs from the scan oracle for program:\n{}", program_text(&program)
             );
+            for ((pred, tuple), &n) in &told {
+                prop_assert_eq!(view.support(pred, tuple), n, "{}{:?}", pred, tuple);
+            }
+            if let Some(twin) = &mut loaded {
+                twin.apply(&inserts, &deletes).expect("apply to the loaded twin");
+                prop_assert_eq!(
+                    all_tuples(twin.model()), all_tuples(view.model()),
+                    "loaded twin differs for program:\n{}", program_text(&program)
+                );
+                for (pred, tuple) in told.keys() {
+                    prop_assert_eq!(twin.support(pred, tuple), view.support(pred, tuple));
+                }
+            }
         }
-        let maintained = all_tuples(view.model());
-        view.rebuild().expect("rebuild");
-        prop_assert_eq!(all_tuples(view.model()), maintained, "rebuild changed the model");
     }
 
     /// Tabled top-down resolution enumerates exactly the bottom-up
@@ -520,8 +572,8 @@ fn regression_literal_wider_than_the_binding_mask() {
         |x: &str, c: &str| -> Fact { ("in_".to_string(), vec![Value::sym(x), Value::sym(c)]) };
     let mut view = MaterializedView::new(program.clone()).unwrap();
     let check = |view: &MaterializedView, q: &[&str]| {
-        let (indexed, _) = seminaive::evaluate(&program, view.edb()).unwrap();
-        let (scan, _) = seminaive::evaluate_scan(&program, view.edb()).unwrap();
+        let (indexed, _) = seminaive::evaluate(&program, &view.edb()).unwrap();
+        let (scan, _) = seminaive::evaluate_scan(&program, &view.edb()).unwrap();
         assert_eq!(all_tuples(&indexed), all_tuples(&scan));
         assert_eq!(all_tuples(view.model()), all_tuples(&scan));
         let expect: Vec<Vec<Value>> = q.iter().map(|x| vec![Value::sym(*x)]).collect();

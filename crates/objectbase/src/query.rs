@@ -46,6 +46,18 @@ pub mod preds {
 /// are identified by their display names; anonymous links are skipped
 /// (they reappear as `attr` tuples of their endpoints).
 pub fn to_edb(kb: &Kb) -> ObResult<Database> {
+    export(kb, Proposition::is_believed, Exported::ALL).map(|(edb, _)| edb)
+}
+
+/// The rows an export dropped as duplicates, one entry per dropped row.
+type Dropped = Vec<(Symbol, Vec<IVal>)>;
+
+/// [`to_edb`] plus what its de-duplication dropped: one entry per
+/// believed proposition asserting a link that an earlier one already
+/// contributed. A maintained view is loaded from the pair
+/// ([`datalog::ivm::MaterializedView::load`]), so that untelling one of
+/// two propositions asserting the same link leaves the tuple present.
+pub fn to_edb_counted(kb: &Kb) -> ObResult<(Database, Dropped)> {
     export(kb, Proposition::is_believed, Exported::ALL)
 }
 
@@ -59,7 +71,7 @@ pub fn to_edb_at(kb: &Kb, at: i64) -> ObResult<Database> {
 /// immutable [`KbVersion`]'s, so the server's MVCC read path builds its
 /// EDB from a pinned version without touching the live KB.
 pub fn to_edb_at_store(store: &PropStore, at: i64) -> ObResult<Database> {
-    export(store, |p| p.believed_at(at), Exported::ALL)
+    export(store, |p| p.believed_at(at), Exported::ALL).map(|(edb, _)| edb)
 }
 
 /// [`to_edb_at_store`] restricted to the extensional predicates some
@@ -67,7 +79,7 @@ pub fn to_edb_at_store(store: &PropStore, at: i64) -> ObResult<Database> {
 /// those, nothing for the rest. [`base_program`] reads `in_` and `isa`
 /// — about a third of a design history's tuples; the rest is `attr`.
 pub fn to_edb_for(store: &PropStore, at: i64, program: &Program) -> ObResult<Database> {
-    export(store, |p| p.believed_at(at), Exported::read_by(program))
+    export(store, |p| p.believed_at(at), Exported::read_by(program)).map(|(edb, _)| edb)
 }
 
 /// Which extensional predicates an export carries.
@@ -100,16 +112,18 @@ impl Exported {
     }
 }
 
-/// The one export loop. Rows go in interned: each endpoint's display
-/// name is interned once per export (a `PropId`-indexed table), each
-/// attribute label once per label, and no `String` or [`Value`] is
-/// built per tuple. Must agree with [`edb_fact_for`], the
-/// per-proposition form that feeds the maintained views.
+/// The one export loop: the database, and the rows it dropped as
+/// duplicates (one entry per dropped row). Rows go in interned: each
+/// endpoint's display name is interned once per export (a
+/// `PropId`-indexed table), each attribute label once per label, and
+/// no `String` or [`Value`] is built per tuple. Must agree with
+/// [`edb_fact_for`], the per-proposition form in which TELL and UNTELL
+/// reach the maintained views.
 fn export(
     store: &PropStore,
     live: impl Fn(&Proposition) -> bool,
     want: Exported,
-) -> ObResult<Database> {
+) -> ObResult<(Database, Dropped)> {
     obs::counter!(
         "objectbase_edb_exports_total",
         "EDB exports, each an O(KB) walk of the proposition store"
@@ -132,6 +146,13 @@ fn export(
     };
     let mut labels: HashMap<telos::Symbol, IVal> = HashMap::new();
     let mut db = Database::new();
+    let mut duplicates = Vec::new();
+    let mut put = |pred: Symbol, row: &[IVal]| -> ObResult<()> {
+        if !db.insert_ivals(pred, row)? {
+            duplicates.push((pred, row.to_vec()));
+        }
+        Ok(())
+    };
     for id in 0..store.len() {
         let Some(p) = store.prop(PropId(id as u32)) else {
             continue;
@@ -141,20 +162,20 @@ fn export(
         }
         if p.label == store.instanceof_sym() {
             if want.in_ {
-                db.insert_ivals(in_, &[name_of(p.source), name_of(p.dest)])?;
+                put(in_, &[name_of(p.source), name_of(p.dest)])?;
             }
         } else if p.label == store.isa_sym() {
             if want.isa {
-                db.insert_ivals(isa, &[name_of(p.source), name_of(p.dest)])?;
+                put(isa, &[name_of(p.source), name_of(p.dest)])?;
             }
         } else if want.attr {
             let label = *labels
                 .entry(p.label)
                 .or_insert_with(|| IVal::Sym(intern(store.resolve_sym(p.label))));
-            db.insert_ivals(attr, &[name_of(p.source), label, name_of(p.dest)])?;
+            put(attr, &[name_of(p.source), label, name_of(p.dest)])?;
         }
     }
-    Ok(db)
+    Ok((db, duplicates))
 }
 
 /// The extensional fact one proposition contributes: `in_(X, C)`,
@@ -162,7 +183,8 @@ fn export(
 /// for individuals (they reappear as the endpoints of their links).
 /// Belief is *not* checked — the caller decides which belief state it
 /// is mapping. This is the per-proposition delta unit the incremental
-/// view-maintenance path feeds into registered views on TELL/UNTELL.
+/// view-maintenance path feeds into registered views on TELL/UNTELL;
+/// the whole KB at once goes through [`to_edb_counted`].
 pub fn edb_fact_for(store: &PropStore, id: PropId) -> Option<(String, Vec<Value>)> {
     let p = store.prop(id)?;
     if p.is_individual() {
@@ -176,23 +198,6 @@ pub fn edb_fact_for(store: &PropStore, id: PropId) -> Option<(String, Vec<Value>
         telos::kb::L_ISA => (preds::ISA.to_string(), vec![src, dst]),
         _ => (preds::ATTR.to_string(), vec![src, Value::sym(label), dst]),
     })
-}
-
-/// One extensional fact per believed proposition, duplicates kept:
-/// two distinct propositions asserting the same link yield the same
-/// fact twice, which is exactly the multiplicity a counting view needs
-/// so that untelling one of them does not delete the other's support.
-pub fn edb_facts(kb: &Kb) -> Vec<(String, Vec<Value>)> {
-    (0..kb.len())
-        .filter_map(|i| {
-            let id = PropId(i as u32);
-            let p = kb.prop(id)?;
-            if !p.is_believed() {
-                return None;
-            }
-            edb_fact_for(kb, id)
-        })
-        .collect()
 }
 
 /// The CML closure rules: transitive isa and instance inheritance.
@@ -250,7 +255,7 @@ fn build_closure(
         "Deductive closures evaluated from scratch (one EDB export and one fixpoint each)"
     )
     .inc();
-    let edb = export(store, live, want)?;
+    let (edb, _) = export(store, live, want)?;
     let (model, stats) = seminaive::evaluate(program, &edb)?;
     Ok(Arc::new(Closure { model, stats }))
 }
@@ -571,7 +576,8 @@ mod tests {
     #[test]
     fn edb_exports_believed_links() {
         let kb = scenario_kb();
-        let db = to_edb(&kb).unwrap();
+        let (db, dropped) = to_edb_counted(&kb).unwrap();
+        assert!(dropped.is_empty(), "no link of this KB is asserted twice");
         assert!(db.contains(preds::ISA, &[Value::sym("Invitation"), Value::sym("Paper")]));
         assert!(db.contains(preds::IN, &[Value::sym("inv1"), Value::sym("Invitation")]));
         assert!(db.contains(
@@ -612,7 +618,12 @@ mod tests {
         kb.put_attr(inv2, "sender", maria).unwrap();
         kb.put_attr(inv2, "sender", maria).unwrap();
 
-        let facts = edb_facts(&kb);
+        // One fact per believed proposition, duplicates kept.
+        let facts: Vec<(String, Vec<Value>)> = (0..kb.len())
+            .map(|i| PropId(i as u32))
+            .filter(|&id| kb.prop(id).is_some_and(Proposition::is_believed))
+            .filter_map(|id| edb_fact_for(&kb, id))
+            .collect();
         let twice = (
             preds::ATTR.to_string(),
             vec![
@@ -644,6 +655,11 @@ mod tests {
         assert_eq!(listing(&to_edb_at_store(&kb, now).unwrap()), want);
         assert_eq!(listing(&to_edb(&kb).unwrap()), want);
         assert_eq!(listing(&to_edb_at(&kb, now).unwrap()), want);
+        // What the de-duplication dropped is reported, once per drop.
+        let (counted, dropped) = to_edb_counted(&kb).unwrap();
+        assert_eq!(listing(&counted), want);
+        let row = twice.1.iter().map(IVal::from_value).collect();
+        assert_eq!(dropped, vec![(intern(preds::ATTR), row)]);
         assert_eq!(listing(&to_edb_at_store(&kb.version(), now).unwrap()), want);
 
         // The program-aware export: the same, minus what no body reads.

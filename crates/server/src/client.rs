@@ -145,6 +145,10 @@ pub const CONNECT_ATTEMPTS: u32 = 5;
 /// First retry delay of [`Client::connect`]; doubles per attempt.
 pub const CONNECT_BACKOFF: Duration = Duration::from_millis(20);
 
+/// Largest receive buffer [`Client::roundtrip`] allocates ahead of a
+/// reply; a longer reply grows it once its header is in.
+const REPLY_PREALLOC_CAP: usize = 1 << 20;
+
 /// One connection to a GKBMS server.
 pub struct Client {
     stream: TcpStream,
@@ -152,6 +156,10 @@ pub struct Client {
     /// `(applied_seq, lag)` from the most recent reply that came
     /// wrapped in a replica staleness header, if any.
     last_staleness: Option<(u64, u64)>,
+    /// Payload length of the longest reply so far (at most
+    /// [`REPLY_PREALLOC_CAP`]): the receive buffer allocated before
+    /// the next call blocks.
+    reply_capacity: usize,
 }
 
 impl Client {
@@ -210,6 +218,7 @@ impl Client {
             stream,
             read_timeout: Duration::ZERO,
             last_staleness: None,
+            reply_capacity: 0,
         };
         client.set_read_timeout(read_timeout)?;
         Ok(client)
@@ -245,10 +254,21 @@ impl Client {
         proto::write_frame(&mut self.stream, &req.encode())?;
         let deadline = (!self.read_timeout.is_zero()).then(|| Instant::now() + self.read_timeout);
         loop {
-            match proto::read_frame(&mut self.stream) {
+            // The receive buffer is allocated now, while the server is
+            // working, not once the reply's header is in. An allocator
+            // that defers work to its next large request (glibc sorts
+            // there every chunk freed since the last one: the ten
+            // thousand names of the previous reply, say, up to a
+            // millisecond) then does it alongside the server instead
+            // of between the reply's arrival and this call's return.
+            let buf = Vec::with_capacity(self.reply_capacity);
+            match proto::read_frame_into(&mut self.stream, buf) {
                 Ok(FrameRead::Frame(payload)) => {
+                    self.reply_capacity = self
+                        .reply_capacity
+                        .max(payload.len().min(REPLY_PREALLOC_CAP));
                     return Response::decode(&payload)
-                        .map_err(|e| ClientError::Protocol(e.to_string()))
+                        .map_err(|e| ClientError::Protocol(e.to_string()));
                 }
                 Ok(FrameRead::Eof) => {
                     return Err(ClientError::Io(io::Error::new(
@@ -662,6 +682,42 @@ mod tests {
             ClientError::Config(m) => assert!(m.contains("attempt"), "message: {m}"),
             other => panic!("expected Config error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_receive_buffer_is_sized_by_the_longest_reply_so_far() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound");
+        let replies = ["x".repeat(5000), "short".to_string(), "y".repeat(2 << 20)];
+        let sizes: Vec<usize> = replies
+            .iter()
+            .map(|text| Response::Done { text: text.clone() }.encode().len())
+            .collect();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            for text in replies {
+                match proto::read_frame(&mut stream).expect("request") {
+                    FrameRead::Frame(_) => {}
+                    other => panic!("unexpected {other:?}"),
+                }
+                proto::write_frame(&mut stream, &Response::Done { text }.encode()).expect("reply");
+            }
+        });
+        let mut client = Client::connect_with_timeout(addr, Duration::from_secs(5)).expect("up");
+        assert_eq!(client.reply_capacity, 0);
+        // It never shrinks, and never exceeds the cap.
+        for (size, want) in [
+            (sizes[0], sizes[0]),
+            (sizes[1], sizes[0]),
+            (sizes[2], REPLY_PREALLOC_CAP),
+        ] {
+            match client.roundtrip(&Request::Ping).expect("reply") {
+                Response::Done { text } => assert!(text.len() < size),
+                other => panic!("unexpected {other:?}"),
+            }
+            assert_eq!(client.reply_capacity, want);
+        }
+        server.join().expect("server thread");
     }
 
     #[test]

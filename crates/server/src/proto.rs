@@ -716,6 +716,14 @@ fn read_exact_frame<R: Read>(r: &mut R, buf: &mut [u8], already: usize) -> io::R
 /// can poll a shutdown flag; a timeout *inside* a frame keeps waiting
 /// (bounded), because the peer is mid-send.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<FrameRead> {
+    read_frame_into(r, Vec::new())
+}
+
+/// [`read_frame`] into `payload`, a buffer the caller allocated before
+/// the read could block. Whatever it held is discarded; it grows only
+/// for a frame larger than its capacity and comes back, filled, in
+/// [`FrameRead::Frame`].
+pub(crate) fn read_frame_into<R: Read>(r: &mut R, mut payload: Vec<u8>) -> io::Result<FrameRead> {
     let mut header = [0u8; record::HEADER_LEN];
     // First byte decides between Eof/Idle and a started frame.
     let first = loop {
@@ -738,7 +746,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<FrameRead> {
             format!("frame length {len} exceeds cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
+    payload.clear();
+    payload.resize(len, 0);
     read_exact_frame(r, &mut payload, 0)?;
     if record::crc32(&payload) != crc {
         return Err(io::Error::new(
@@ -937,6 +946,28 @@ mod tests {
         }
         match read_frame(&mut r).unwrap() {
             FrameRead::Eof => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_frame_is_read_into_the_buffer_it_is_given() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"hello").unwrap();
+        write_frame(&mut wire, &[7u8; 100]).unwrap();
+        let mut r = std::io::Cursor::new(wire);
+        // Room enough: the caller's allocation comes back, filled.
+        let given = Vec::with_capacity(64);
+        let at = given.as_ptr();
+        let back = match read_frame_into(&mut r, given).unwrap() {
+            FrameRead::Frame(p) => p,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(back, b"hello");
+        assert_eq!((back.as_ptr(), back.capacity()), (at, 64));
+        // A longer frame grows it, and nothing it held shows through.
+        match read_frame_into(&mut r, back).unwrap() {
+            FrameRead::Frame(p) => assert_eq!(p, [7u8; 100]),
             other => panic!("unexpected {other:?}"),
         }
     }

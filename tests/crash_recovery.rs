@@ -933,6 +933,12 @@ proptest! {
 fn differential_stream_commits_and_rolls_back() {
     let mut ops = prelude();
     ops.extend([
+        // Two propositions asserting one link before a view is loaded:
+        // its export must count both, whichever realization loads it.
+        Op::Tell("TELL Doc end\nTELL d1 in Doc end"),
+        Op::Tell("TELL d0 in Doc end"),
+        Op::Tell("TELL d1 in Doc with attribute ref : d0 end"),
+        Op::Tell("TELL d1 in Doc with attribute ref : d0 end"),
         Op::View("v0", ""),
         Op::Tell("TELL Memo end\nTELL ghost in Nope end"), // rolled back
         Op::Tell("TELL Memo isA Doc end"),
@@ -957,6 +963,7 @@ fn differential_stream_commits_and_rolls_back() {
         Op::Tell("TELL m0 in Memo end"),
         Op::Untell("Memo"),
         Op::View("v1", "tagged(X) :- in_(X, _C)."),
+        Op::Untell("d0"), // takes both `d1 ref d0` links out of v0 and v1
         Op::Conflict("x0", "x0"),
         Op::Retract("x0"), // already retracted by the conflict
         // A cascade for the retraction oracle: x2 takes x3 with it.
@@ -979,7 +986,7 @@ fn differential_stream_commits_and_rolls_back() {
     for k in 0..=ops.len() {
         assert_eq!(
             four_realizations_agree("diff-fixed", &ops, k),
-            (19, 4),
+            (24, 4),
             "checkpoint at {k}"
         );
     }

@@ -79,7 +79,7 @@ fn switching_between_browsers_on_one_kb() {
 
 #[test]
 fn zooming_into_the_dependency_graph() {
-    let mut s = full();
+    let s = full();
     let graph = s.gkbms.dependency_graph();
     let zoomed = graph.zoom("InvitationRel", 1);
     let rendered = zoomed.render();
