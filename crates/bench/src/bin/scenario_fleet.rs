@@ -67,17 +67,18 @@ fn main() {
     assert!(nav.status_rows > 0 && nav.process_rows > 0);
     assert!(nav.history_events > 0, "sweep must walk object histories");
 
-    // One recall probe in-process; the CI job repeats it over the wire.
+    // One recall probe in-process, its rows printed as `\recall syn0 5`
+    // prints them; the CI job diffs them against the recovered server.
     let hits = g.recall_similar("syn0", 5).expect("recall");
     assert!(
         !hits.is_empty(),
         "a {decisions}-decision corpus has precedents"
     );
-    println!(
-        "recall syn0: {} hits, best {:.3}",
-        hits.len(),
-        hits[0].score
-    );
+    println!("recall syn0: {} hits", hits.len());
+    for h in &hits {
+        let mark = if h.retracted { "  (retracted)" } else { "" };
+        println!("recall row: {}  {:.3}{mark}", h.decision, h.score);
+    }
 
     // The counters the `\metrics` scrape asserts on.
     for name in [
@@ -86,6 +87,7 @@ fn main() {
         "gkbms_synth_backtrack_rounds_total",
         "gkbms_synth_nav_sweeps_total",
         "gkbms_recall_queries_total",
+        "gkbms_recall_signatures_scored_total",
     ] {
         let v = obs::registry().counter_value(name).unwrap_or(0);
         println!("counter {name} = {v}");

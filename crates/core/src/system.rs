@@ -140,6 +140,8 @@ pub struct Gkbms {
     pub(crate) object_node: HashMap<String, JtmsNodeId>,
     /// Decision name → position in `records`.
     pub(crate) decision_at: HashMap<String, usize>,
+    /// `records` grouped by structural signature (see [`crate::recall`]).
+    pub(crate) recall: crate::recall::RecallIndex,
     /// Decision-level nogoods recorded by conflict resolution.
     pub(crate) nogoods: Vec<Vec<String>>,
     /// The history: every committed op, in commit order — what `save`,
@@ -192,6 +194,7 @@ impl Gkbms {
             records: Vec::new(),
             object_node: HashMap::new(),
             decision_at: HashMap::new(),
+            recall: Default::default(),
             nogoods: Vec::new(),
             history: Vec::new(),
             journal: None,
@@ -915,6 +918,8 @@ impl Gkbms {
             prop: decision,
             node: dnode,
         });
+        let at = self.records.len() - 1;
+        self.recall.insert(at, &self.records[at], dc.dimension);
         obs::counter!(
             "gkbms_decisions_executed_total",
             "Design decisions executed successfully"

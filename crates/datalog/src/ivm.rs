@@ -232,20 +232,30 @@ impl MaterializedView {
     }
 
     /// `fact` interned, if it may be told to or untold from this view:
-    /// its predicate is extensional and its arity is the relation's.
-    fn extensional(&self, (pred, tuple): &Fact) -> DatalogResult<(Symbol, Vec<IVal>)> {
+    /// its predicate is extensional and its arity is the relation's —
+    /// or, for a predicate the model does not hold yet, the arity
+    /// `batch` recorded for it at its first fact in this batch.
+    fn extensional(
+        &self,
+        (pred, tuple): &Fact,
+        batch: &mut HashMap<Symbol, usize>,
+    ) -> DatalogResult<(Symbol, Vec<IVal>)> {
         let sym = intern(pred);
         if self.idb.contains(&sym) {
             return Err(derived(pred));
         }
-        match self.model.rel(sym) {
-            Some(rel) if rel.arity != tuple.len() => Err(DatalogError::ArityMismatch {
+        let expected = match self.model.rel(sym) {
+            Some(rel) => rel.arity,
+            None => *batch.entry(sym).or_insert(tuple.len()),
+        };
+        if expected != tuple.len() {
+            return Err(DatalogError::ArityMismatch {
                 pred: pred.clone(),
-                expected: rel.arity,
+                expected,
                 found: tuple.len(),
-            }),
-            _ => Ok((sym, tuple.iter().map(IVal::from_value).collect())),
+            });
         }
+        Ok((sym, tuple.iter().map(IVal::from_value).collect()))
     }
 
     /// Folds one batch of extensional changes into the model. Deletes
@@ -255,8 +265,12 @@ impl MaterializedView {
     /// whole. Returns the presence-change statistics (also published
     /// to [`obs`]).
     pub fn apply(&mut self, inserts: &[Fact], deletes: &[Fact]) -> DatalogResult<ApplyStats> {
-        let intern_all = |facts: &[Fact]| -> DatalogResult<Vec<(Symbol, Vec<IVal>)>> {
-            facts.iter().map(|f| self.extensional(f)).collect()
+        let mut batch = HashMap::new();
+        let mut intern_all = |facts: &[Fact]| -> DatalogResult<Vec<(Symbol, Vec<IVal>)>> {
+            facts
+                .iter()
+                .map(|f| self.extensional(f, &mut batch))
+                .collect()
         };
         let (deletes, inserts) = (intern_all(deletes)?, intern_all(inserts)?);
         let mut stats = ApplyStats::default();
@@ -895,6 +909,47 @@ mod tests {
         assert_eq!(v.support("e", &[Value::Int(1), Value::Int(2)]), 2);
         assert_eq!(v.model().count("e"), 1);
         assert_matches_recompute(&v);
+    }
+
+    #[test]
+    fn a_new_predicate_at_two_arities_is_refused_before_anything_changes() {
+        let prog = Program::parse(TC).unwrap();
+        let mut v = MaterializedView::new(prog).unwrap();
+        v.apply(
+            &[fact("e", &[1, 2]), fact("e", &[1, 2]), fact("e", &[2, 3])],
+            &[],
+        )
+        .unwrap();
+        let model = |v: &MaterializedView| {
+            let mut t: Vec<_> = ["e", "p", "n"]
+                .iter()
+                .flat_map(|pred| v.model().tuples(pred).map(move |row| (*pred, row)))
+                .collect();
+            t.sort();
+            t
+        };
+        let before = model(&v);
+        // `n` is new to the model, so only the batch fixes its arity;
+        // the refusal must come before the deletes in front are counted.
+        let err = v.apply(
+            &[fact("e", &[3, 4]), fact("n", &[1]), fact("n", &[1, 2])],
+            &[fact("e", &[1, 2]), fact("e", &[2, 3])],
+        );
+        assert!(
+            matches!(err, Err(DatalogError::ArityMismatch { .. })),
+            "{err:?}"
+        );
+        assert!(v
+            .apply(&[], &[fact("n", &[1]), fact("n", &[1, 2])])
+            .is_err());
+        assert_eq!(model(&v), before);
+        assert_eq!(v.support("e", &[Value::Int(1), Value::Int(2)]), 2);
+        assert_eq!(v.support("e", &[Value::Int(2), Value::Int(3)]), 1);
+        assert_eq!(v.support("n", &[Value::Int(1)]), 0);
+        assert_matches_recompute(&v);
+        // One arity per new predicate is accepted.
+        v.apply(&[fact("n", &[1]), fact("n", &[2])], &[]).unwrap();
+        assert_eq!(v.model().count("n"), 2);
     }
 
     #[test]

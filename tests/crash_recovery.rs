@@ -30,7 +30,7 @@ use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
 use conceptbase::gkbms::metamodel::kernel;
 use conceptbase::gkbms::views::pinned_tuples;
 use conceptbase::gkbms::{
-    DecisionClass, DecisionDimension, DecisionRequest, Gkbms, GkbmsResult, ToolSpec,
+    DecisionClass, DecisionDimension, DecisionRequest, Gkbms, GkbmsResult, RecallHit, ToolSpec,
 };
 use conceptbase::objectbase::query;
 use conceptbase::storage::crash;
@@ -615,6 +615,9 @@ struct Digest {
     current_objects: Vec<String>,
     /// `(name, outputs, retracted)` of every record.
     records: Vec<(String, Vec<String>, bool)>,
+    /// Per record, its `recall_similar(name, 5)` rows `(decision, score
+    /// bits, retracted)`: the recall index each realization rebuilt.
+    recall: Vec<Vec<(String, u64, bool)>>,
     nogoods: Vec<Vec<String>>,
     epoch: u64,
     /// Per view, per predicate, its tuples.
@@ -652,11 +655,22 @@ impl Digest {
                 .iter()
                 .map(|r| (r.name.clone(), r.outputs.clone(), r.retracted))
                 .collect(),
+            recall: recall_rows(g),
             nogoods: g.nogoods().to_vec(),
             epoch: g.epoch(),
             views,
         }
     }
+}
+
+/// The rows of [`Digest::recall`].
+fn recall_rows(g: &Gkbms) -> Vec<Vec<(String, u64, bool)>> {
+    let row = |h: RecallHit| (h.decision, h.score.to_bits(), h.retracted);
+    let rows = |name| g.recall_similar(name, 5).expect("recall a record");
+    let records = g.records().iter();
+    records
+        .map(|r| rows(&r.name).into_iter().map(row).collect())
+        .collect()
 }
 
 // ----- the retraction oracle -------------------------------------------------
@@ -845,6 +859,11 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
             outcome.is_ok(),
             apply(&mut twin, op).is_ok(),
             "op {i} {op:?}: checkpointing changed its outcome ({outcome:?})"
+        );
+        assert_eq!(
+            recall_rows(&twin),
+            recall_rows(&live),
+            "op {i} {op:?}: recall"
         );
         match outcome {
             Ok(()) => {

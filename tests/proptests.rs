@@ -856,3 +856,108 @@ proptest! {
         }
     }
 }
+
+// ---------- structural recall (gkbms::recall) ----------
+
+/// The dimension of each of `synth`'s decision classes, as the
+/// generator defines them.
+fn synth_dimension(class: &str) -> &'static str {
+    use conceptbase::gkbms::synth::names;
+    match class {
+        names::DISTRIBUTE | names::MOVE_DOWN => "mapping",
+        names::NORMALIZE => "refinement",
+        names::KEY_SUBST => "choice",
+        other => panic!("`{other}` is not a synthetic decision class"),
+    }
+}
+
+/// Recall as a linear scan over `records()`: a string-keyed feature bag
+/// per decision, weighted Jaccard against the probe's, sorted by score
+/// and then name. Returns `(decision, score bits, retracted)` rows.
+fn recall_by_scan(
+    g: &conceptbase::gkbms::Gkbms,
+    name: &str,
+    limit: usize,
+) -> Vec<(String, u64, bool)> {
+    use conceptbase::gkbms::{system::DecisionRecord, Discharge};
+    fn bag(r: &DecisionRecord) -> HashMap<String, f64> {
+        let mut bag = HashMap::new();
+        let mut add = |k: String, w: f64| *bag.entry(k).or_insert(0.0) += w;
+        add(format!("class:{}", r.class), 3.0);
+        add(format!("dim:{}", synth_dimension(&r.class)), 2.0);
+        if let Some(t) = &r.tool {
+            add(format!("tool:{t}"), 2.0);
+        }
+        add(format!("inputs:{}", r.inputs.len()), 1.0);
+        for c in &r.output_classes {
+            add(format!("out:{c}"), 1.0);
+        }
+        for d in &r.discharges {
+            let kind = match d {
+                Discharge::Formal { .. } => "formal",
+                Discharge::Signature { .. } => "signed",
+            };
+            add(format!("sig:{kind}:{}", d.obligation()), 1.0);
+        }
+        bag
+    }
+    let probe = bag(g.record(name).expect("probe is recorded"));
+    let mut hits: Vec<(String, f64, bool)> = Vec::new();
+    for r in g.records().iter().filter(|r| r.name != name) {
+        let other = bag(r);
+        let keys: HashSet<&String> = probe.keys().chain(other.keys()).collect();
+        let (mut min, mut max) = (0.0, 0.0);
+        for k in keys {
+            let (a, b) = (probe.get(k).copied(), other.get(k).copied());
+            let (a, b) = (a.unwrap_or(0.0), b.unwrap_or(0.0));
+            min += f64::min(a, b);
+            max += f64::max(a, b);
+        }
+        if min > 0.0 {
+            hits.push((r.name.clone(), min / max, r.retracted));
+        }
+    }
+    hits.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
+    hits.truncate(limit);
+    hits.into_iter()
+        .map(|(d, s, r)| (d, s.to_bits(), r))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The recall index answers every probe of a synthetic corpus like
+    /// the scan over its records: same decisions, order, score bits
+    /// and retraction flags, at every limit.
+    #[test]
+    fn recall_matches_the_linear_scan(
+        seed in 0u64..1_000,
+        decisions in 10usize..40,
+        rate in 0usize..3,
+    ) {
+        use conceptbase::gkbms::synth::{self, SynthConfig};
+        use conceptbase::gkbms::Gkbms;
+        let mut g = Gkbms::new().unwrap();
+        synth::generate_into(&mut g, &SynthConfig {
+            seed,
+            decisions,
+            retraction_rate: [0.0, 0.15, 0.4][rate],
+            ..SynthConfig::default()
+        })
+        .unwrap();
+        let n = g.records().len();
+        for r in g.records() {
+            for limit in [0, 1, 5, n - 1, usize::MAX] {
+                let got: Vec<(String, u64, bool)> = g
+                    .recall_similar(&r.name, limit)
+                    .unwrap()
+                    .into_iter()
+                    .map(|h| (h.decision, h.score.to_bits(), h.retracted))
+                    .collect();
+                prop_assert_eq!(got, recall_by_scan(&g, &r.name, limit),
+                    "probe {} at limit {}", &r.name, limit);
+            }
+        }
+    }
+}
