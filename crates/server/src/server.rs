@@ -5,13 +5,15 @@
 //! Writers (TELL, UNTELL, EXECUTE, …) serialize behind the write guard
 //! of one [`RwLock`]; session reads (ASK, HOLDS, SHOW, session stats)
 //! do **not** take that lock at all. Every acknowledged mutation
-//! publishes an immutable [`telos::KbVersion`] — a structural-sharing
-//! capture, O(touched chunks) — into a [`gkbms::mvcc::VersionChain`]
-//! while still holding the write guard, so versions appear in commit
-//! order. A session pins the chain head at Hello (or Refresh) and
-//! serves every read from its pinned version at its watermark:
-//! lock-free with respect to writers, and stable no matter how many
-//! commits land meanwhile.
+//! publishes an immutable [`telos::KbVersion`] into a
+//! [`gkbms::mvcc::VersionChain`] while still holding the write guard,
+//! so versions appear in commit order. The capture is structural
+//! sharing: one `Arc` bump per 512-element chunk of the store and per
+//! symbol-map shard, O(store / 512); the write after it copies only
+//! the chunks and posting lists it touches. A session pins the chain
+//! head at Hello (or Refresh) and serves every read from its pinned
+//! version at its watermark: lock-free with respect to writers, and
+//! stable no matter how many commits land meanwhile.
 //!
 //! Belief time supplies the isolation *semantics*: every write path
 //! calls [`Gkbms::begin_write`] — a belief-clock tick — before
@@ -37,9 +39,10 @@
 //!
 //! Every dispatched request lands in the process-wide [`obs`]
 //! registry: per-op request counters and latency histograms, bytes
-//! in/out, admission-gate rejections, writer-lock wait time, session
-//! lifecycle counts. The registry is scraped with a `Metrics` frame
-//! (or `\metrics` in cbshell) and rendered in Prometheus text format.
+//! in/out, admission-gate rejections, writer-lock wait time, version
+//! capture + publish time, session lifecycle counts. The registry is
+//! scraped with a `Metrics` frame (or `\metrics` in cbshell) and
+//! rendered in Prometheus text format.
 //! ASKs slower than [`Config::slow_query_threshold`] additionally
 //! land in a bounded slow-query log ([`Server::slow_queries`]).
 //!
@@ -776,6 +779,22 @@ fn write_state(shared: &Shared) -> std::sync::RwLockWriteGuard<'_, Gkbms> {
     guard
 }
 
+/// Captures the served state's store version and publishes it as the
+/// chain head. Callers hold the write guard (`g`), so versions enter
+/// the chain in commit order. The capture is O(store / 512) by
+/// structural sharing (see `telos::version`). This is the one publish
+/// site, timed as `gkbms_version_publish_seconds`: capture, publish,
+/// and the drop of the superseded head inside `VersionChain::publish`.
+fn publish_head(shared: &Shared, g: &Gkbms) {
+    let started = Instant::now();
+    shared.chain.publish(g.kb().version());
+    obs::histogram!(
+        "gkbms_version_publish_seconds",
+        "Latency of capturing a store version and publishing it as the chain head, including the superseded head's drop"
+    )
+    .observe(started.elapsed());
+}
+
 /// Swaps `fresh` in as the served state — a `Load`, a replica's
 /// snapshot install — under the caller's write guard: publishes its
 /// store version, then re-pins every session at the fresh head, since
@@ -785,7 +804,7 @@ fn write_state(shared: &Shared) -> std::sync::RwLockWriteGuard<'_, Gkbms> {
 /// watermark is its tick.
 fn replace_state(shared: &Shared, mut g: RwLockWriteGuard<'_, Gkbms>, fresh: Gkbms) {
     *g = fresh;
-    shared.chain.publish(g.kb().version());
+    publish_head(shared, &g);
     let pin = shared.chain.acquire();
     drop(g);
     lock_sessions(shared).repin_all(pin.data().now(), pin);
@@ -807,12 +826,9 @@ fn durable_commit(
     if !mutated {
         return Ok(());
     }
-    // Publish while still holding the write guard, so versions enter
-    // the chain in commit order (capture is O(touched chunks) thanks
-    // to structural sharing). This is the commit point for snapshot
-    // readers: sessions opened after this see the mutation, pinned
-    // sessions keep their version.
-    shared.chain.publish(g.kb().version());
+    // The commit point for snapshot readers: sessions opened after
+    // this see the mutation, pinned sessions keep their version.
+    publish_head(shared, &g);
     let epoch = g.epoch();
     let Some(journal) = g.journal_mut() else {
         drop(g);

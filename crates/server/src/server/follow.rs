@@ -6,7 +6,7 @@
 //! resubscribe with capped exponential backoff. Stops on shutdown or
 //! promotion.
 
-use super::{read_state, replace_state, sweep_sessions, write_state, Shared};
+use super::{publish_head, read_state, replace_state, sweep_sessions, write_state, Shared};
 use crate::proto::{self, ErrorCode, FrameRead, Request, Response};
 use gkbms::Gkbms;
 use replication::{ReplError, ReplMsg, StreamApplier};
@@ -243,7 +243,7 @@ fn apply_batch(
     }
     // Publish once per batch, still under the write guard, so session
     // snapshots observe replicated commits in order.
-    shared.chain.publish(g.kb().version());
+    publish_head(shared, &g);
     let applied = g.applied_seq();
     let epoch = g.epoch();
     drop(g);

@@ -426,9 +426,12 @@ impl Kb {
     // ----- versions -------------------------------------------------------
 
     /// Freezes an immutable [`KbVersion`] of the current state by
-    /// structural sharing: proposition chunks, index postings and
-    /// interned strings are shared `Arc`s, so the capture is O(spine),
-    /// not O(propositions). The version is `Send + Sync`, never
+    /// structural sharing: every field of the store is persistent, so
+    /// the capture bumps one `Arc` per 512-element chunk (propositions,
+    /// strings, index slots) and per symbol-map shard, O(len / 512)
+    /// with no per-key work. The next write copies what it touches: the
+    /// tail chunks, one slot chunk and posting list per index key, and
+    /// for a new name one shard. The version is `Send + Sync`, never
     /// changes, and answers `snapshot_at(w)` byte-identically to this
     /// KB for every `w ≤ self.now()` — the server's MVCC read path
     /// hands one to each session so reads never take the writer lock.

@@ -3,10 +3,10 @@
 //! [`PVec`] stores elements in fixed-capacity chunks behind [`Arc`]s.
 //! Cloning copies only the spine (one `Arc` per chunk), so a clone of a
 //! million-proposition store costs a few thousand pointer bumps and the
-//! two copies share every chunk. Mutation goes through
-//! [`Arc::make_mut`]: a `push` or in-place update copies at most one
-//! chunk (the one it touches) when that chunk is shared with an older
-//! clone, leaving all other chunks shared.
+//! two copies share every chunk. Mutation goes through [`unshare`]: a
+//! `push` or in-place update copies at most one chunk (the one it
+//! touches) when that chunk is shared with an older clone, leaving all
+//! other chunks shared.
 //!
 //! This is the storage layer of the MVCC proposition store: the writer
 //! owns the live `PVec` and publishes cheap clones as immutable
@@ -19,6 +19,22 @@ use std::sync::Arc;
 /// Elements per chunk. Large enough that the spine stays short, small
 /// enough that a copy-on-write of one chunk is cheap.
 const CHUNK: usize = 512;
+
+/// Mutable access to the vector behind `shared`, copying it first if a
+/// clone still holds it. Unlike [`Arc::make_mut`], whose copy has
+/// exactly `len` capacity, the copy is allocated once with room for
+/// `capacity` elements, so the append that usually follows does not
+/// reallocate and copy a second time.
+pub(crate) fn unshare<T: Clone>(shared: &mut Arc<Vec<T>>, capacity: usize) -> &mut Vec<T> {
+    if Arc::strong_count(shared) > 1 {
+        let mut copy = Vec::with_capacity(capacity.max(shared.len()));
+        copy.extend_from_slice(shared);
+        *shared = Arc::new(copy);
+    }
+    // Unique by now (no `Weak` is ever taken, and nobody can clone
+    // through our `&mut`), so this borrows without copying.
+    Arc::make_mut(shared)
+}
 
 /// A persistent vector: O(1) indexed reads, amortized O(1) append,
 /// O(len / CHUNK) clone, copy-on-write in-place updates.
@@ -56,7 +72,7 @@ impl<T: Clone> PVec<T> {
             self.chunks.push(Arc::new(v));
         } else {
             let last = self.chunks.last_mut().expect("tail chunk exists");
-            Arc::make_mut(last).push(value);
+            unshare(last, CHUNK).push(value);
         }
         self.len += 1;
     }
@@ -76,7 +92,7 @@ impl<T: Clone> PVec<T> {
         if i >= self.len {
             return None;
         }
-        let chunk = Arc::make_mut(&mut self.chunks[i / CHUNK]);
+        let chunk = unshare(&mut self.chunks[i / CHUNK], CHUNK);
         Some(&mut chunk[i % CHUNK])
     }
 
@@ -161,6 +177,32 @@ mod tests {
         assert_eq!(snap[0], 0, "older clone unaffected");
         assert_eq!(v[0], 999);
         assert_eq!(v[CHUNK], snap[CHUNK], "untouched chunks identical");
+    }
+
+    /// A shared tail chunk is copied once, at full chunk capacity: the
+    /// push that copied it does not reallocate it again, and the copy
+    /// never grows past `CHUNK`.
+    #[test]
+    fn tail_copied_after_a_clone_keeps_chunk_capacity() {
+        let mut v = PVec::new();
+        for i in 0..(CHUNK + 300) {
+            v.push(i);
+        }
+        let snap = v.clone();
+        v.push(0);
+        assert_eq!(v.shared_chunks(), 1, "only the full chunk stays shared");
+        assert_eq!(v.chunks()[1].capacity(), CHUNK);
+        assert_eq!(snap.chunks()[1].len(), 300, "older clone unaffected");
+        while v.len() < 2 * CHUNK {
+            v.push(0);
+        }
+        assert_eq!(v.chunks()[1].capacity(), CHUNK);
+        // The same for an in-place update of a shared, partial tail.
+        v.push(1);
+        let snap = v.clone();
+        *v.get_mut(2 * CHUNK).unwrap() = 2;
+        assert_eq!(v.chunks()[2].capacity(), CHUNK);
+        assert_eq!(snap[2 * CHUNK], 1, "older clone unaffected");
     }
 
     #[test]

@@ -4,24 +4,59 @@
 //! [`SymbolTable`] owns the strings and guarantees one id per distinct
 //! string. Indexing and comparison thus never touch string data.
 //!
-//! Strings are held as `Arc<str>` in a persistent chunked vector, so
-//! cloning the table for an immutable [`crate::KbVersion`] copies only
-//! the spine and the id map — every string is shared between the live
-//! table and all captured versions.
+//! Both directions are persistent, so cloning the table for an
+//! immutable [`crate::KbVersion`] is O(spine): strings are held as
+//! `Arc<str>` in a chunked vector ([`PVec`]), and the string → symbol
+//! map is `SHARDS` copy-on-write hash maps, so a clone bumps one
+//! `Arc` per chunk and per shard. Interning a new name afterwards
+//! copies the tail chunk of strings and the one shard the name hashes
+//! to (≈ n / `SHARDS` entries); every string stays shared between the
+//! live table and all captured versions.
 
 use crate::pvec::PVec;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// How many shards the string → symbol map is split into.
+const SHARDS: usize = 256;
+
+/// One shard of the string → symbol map.
+type Shard = Arc<HashMap<Arc<str>, Symbol>>;
+
+/// The shard `name` is filed in: the top bits of an Fx-style hash over
+/// its bytes, a word at a time. It only spreads names over shards (the
+/// shard's own map does the collision-resistant hashing), so it is
+/// chosen to add next to nothing to a lookup.
+fn shard_of(name: &str) -> usize {
+    let mut h: u64 = 0;
+    for word in name.as_bytes().chunks(8) {
+        let mut buf = [0u8; 8];
+        buf[..word.len()].copy_from_slice(word);
+        h = (h.rotate_left(5) ^ u64::from_le_bytes(buf)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    (h >> (u64::BITS - SHARDS.ilog2())) as usize
+}
 
 /// An interned string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub u32);
 
 /// The intern table mapping strings to [`Symbol`]s and back.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct SymbolTable {
     strings: PVec<Arc<str>>,
-    ids: HashMap<Arc<str>, Symbol>,
+    /// `SHARDS` maps; `name` lives in `ids[shard_of(name)]`.
+    ids: Vec<Shard>,
+}
+
+impl Default for SymbolTable {
+    fn default() -> Self {
+        SymbolTable {
+            strings: PVec::new(),
+            // One empty map, shared until a shard's first insert.
+            ids: vec![Shard::default(); SHARDS],
+        }
+    }
 }
 
 impl SymbolTable {
@@ -32,19 +67,20 @@ impl SymbolTable {
 
     /// Interns `s`, returning its symbol (existing or fresh).
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&sym) = self.ids.get(s) {
+        let shard = &mut self.ids[shard_of(s)];
+        if let Some(&sym) = shard.get(s) {
             return sym;
         }
         let sym = Symbol(self.strings.len() as u32);
         let owned: Arc<str> = Arc::from(s);
         self.strings.push(owned.clone());
-        self.ids.insert(owned, sym);
+        Arc::make_mut(shard).insert(owned, sym);
         sym
     }
 
     /// Looks up an existing symbol without interning.
     pub fn lookup(&self, s: &str) -> Option<Symbol> {
-        self.ids.get(s).copied()
+        self.ids[shard_of(s)].get(s).copied()
     }
 
     /// Resolves a symbol back to its string.
@@ -70,6 +106,44 @@ impl SymbolTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SymbolTable {
+        /// The id shards, for tests (here and in `version`) that prove
+        /// sharing by `Arc::ptr_eq`.
+        pub(crate) fn shards(&self) -> &[Shard] {
+            &self.ids
+        }
+
+        /// The string spine, for the same tests.
+        pub(crate) fn strings(&self) -> &PVec<Arc<str>> {
+            &self.strings
+        }
+    }
+
+    /// A clone shares every shard; interning one new name afterwards
+    /// copies exactly the shard it hashes to, and both tables keep
+    /// answering for every name they hold.
+    #[test]
+    fn interning_after_a_clone_copies_one_shard() {
+        let mut t = SymbolTable::new();
+        let names: Vec<String> = (0..2_000).map(|i| format!("name{i}")).collect();
+        let syms: Vec<Symbol> = names.iter().map(|n| t.intern(n)).collect();
+        let used = t.ids.iter().filter(|s| !s.is_empty()).count();
+        assert!(used > SHARDS * 9 / 10, "names spread over shards: {used}");
+        let snap = t.clone();
+        let fresh = t.intern("fresh");
+        let copied: Vec<usize> = (0..SHARDS)
+            .filter(|&i| !Arc::ptr_eq(&t.ids[i], &snap.ids[i]))
+            .collect();
+        assert_eq!(copied, vec![shard_of("fresh")]);
+        for (name, &sym) in names.iter().zip(&syms) {
+            assert_eq!(t.lookup(name), Some(sym));
+            assert_eq!(snap.lookup(name), Some(sym));
+            assert_eq!(snap.resolve(sym), name);
+        }
+        assert_eq!(t.lookup("fresh"), Some(fresh));
+        assert_eq!(snap.lookup("fresh"), None);
+    }
 
     #[test]
     fn intern_is_idempotent() {

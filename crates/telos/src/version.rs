@@ -4,12 +4,21 @@
 //! propositions, the three access-path indexes, the symbol table and
 //! the clock. It is declared once. [`crate::Kb`] is its writer (the
 //! store plus what only TELL needs); [`KbVersion`] is a frozen clone of
-//! it, built by [`crate::Kb::version`] through structural sharing — the
-//! proposition chunks ([`PVec`]) and index postings ([`PIndex`]) are
-//! behind `Arc`s, so capturing a version costs one pointer bump per
-//! chunk/posting list, not a deep copy — and once captured it never
-//! changes: the writer's later TELLs and UNTELLs copy the chunks they
-//! touch instead of mutating shared memory.
+//! it, built by [`crate::Kb::version`] through structural sharing.
+//! Every field is persistent: the propositions and interned strings
+//! are [`PVec`]s, each index is a [`PVec`] of posting-list slots
+//! (`PIndex`), and the string → symbol map is a fixed set of
+//! copy-on-write shards. So capturing a version bumps one `Arc` per
+//! 512-element chunk and per shard — O(len / 512), with no per-key
+//! work — and dropping a superseded one undoes exactly those bumps.
+//!
+//! Once captured, a version never changes: the writer's later TELLs
+//! and UNTELLs copy what they touch instead of mutating shared memory.
+//! The first write after a capture copies the tail chunk of the
+//! propositions, one slot chunk and one posting list per index key it
+//! files under, and, for a new name, the tail chunk of strings and one
+//! id shard. A hub's posting list (the `instanceof` label, a class with
+//! many instances) is copied whole on that first write.
 //!
 //! Both deref to the store, and every belief-time read is a
 //! [`Snapshot`] of it, so a snapshot of a version pinned at watermark
@@ -19,55 +28,82 @@
 
 use crate::kb::{KbRead, Snapshot, L_INSTANCEOF, L_ISA};
 use crate::prop::{PropId, Proposition};
-use crate::pvec::PVec;
+use crate::pvec::{self, PVec};
 use crate::symbols::{Symbol, SymbolTable};
 use std::any::Any;
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-/// A persistent postings index: key → ids of propositions filed under
-/// it, in insertion (= id) order. The map spine is cloned per version;
-/// the posting lists are shared `Arc`s, copied on write only when a
-/// shared list grows.
-#[derive(Debug, Clone)]
-pub struct PIndex<K: Eq + Hash> {
-    map: HashMap<K, Arc<Vec<PropId>>>,
+/// A dense id that numbers a [`PIndex`] slot.
+pub(crate) trait DenseKey: Copy {
+    /// The slot this key's posting list lives in.
+    fn slot(self) -> usize;
 }
 
-impl<K: Eq + Hash> PIndex<K> {
+impl DenseKey for PropId {
+    fn slot(self) -> usize {
+        self.idx()
+    }
+}
+
+impl DenseKey for Symbol {
+    fn slot(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A persistent postings index over a dense key: slot `k` holds the
+/// ids of the propositions filed under the key numbered `k`, in
+/// insertion (= id) order. The slots are a [`PVec`], so a clone bumps
+/// one `Arc` per 512 slots. A write copies the slot chunk it touches
+/// and the posting list it grows, each only while a clone still shares
+/// it.
+#[derive(Debug, Clone)]
+pub(crate) struct PIndex<K> {
+    slots: PVec<Option<Arc<Vec<PropId>>>>,
+    key: PhantomData<K>,
+}
+
+impl<K: DenseKey> PIndex<K> {
     /// An empty index.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PIndex {
-            map: HashMap::new(),
+            slots: PVec::new(),
+            key: PhantomData,
         }
     }
 
-    /// Files `value` under `key`. Values are only ever appended with
-    /// increasing ids, so each posting list stays sorted by
-    /// construction.
-    pub fn insert(&mut self, key: K, value: PropId) {
-        Arc::make_mut(self.map.entry(key).or_default()).push(value);
+    /// Files `value` under `key`, growing the slots to reach it. Values
+    /// are only ever appended with increasing ids, so each posting list
+    /// stays sorted by construction.
+    pub(crate) fn insert(&mut self, key: K, value: PropId) {
+        let slot = key.slot();
+        while self.slots.len() <= slot {
+            self.slots.push(None);
+        }
+        let list = self.slots.get_mut(slot).expect("slots reach the key");
+        let list = list.get_or_insert_with(Arc::default);
+        // A shared list is copied at the capacity pushes would have
+        // grown it to, so the push below does not reallocate the copy.
+        let capacity = (list.len() + 1).next_power_of_two().max(4);
+        pvec::unshare(list, capacity).push(value);
     }
 
-    /// The posting list for `key` (empty if absent).
-    pub fn get(&self, key: &K) -> &[PropId] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-}
-
-impl<K: Eq + Hash> Default for PIndex<K> {
-    fn default() -> Self {
-        PIndex::new()
+    /// The posting list for `key` (empty if nothing is filed under it).
+    pub(crate) fn get(&self, key: K) -> &[PropId] {
+        match self.slots.get(key.slot()) {
+            Some(Some(list)) => list,
+            _ => &[],
+        }
     }
 }
 
 /// The proposition store: every proposition ever told, its three
 /// access paths, the symbol table and the belief clock. `Clone` is
-/// structural sharing (O(spine)); the raw read surface below is the one
-/// retrieval interface, and [`PropStore::snapshot_at`] the one way to
-/// read it by belief time.
+/// structural sharing, O(len / 512) (see the module doc); the raw read
+/// surface below is the one retrieval interface, and
+/// [`PropStore::snapshot_at`] the one way to read it by belief time.
 #[derive(Debug, Clone)]
 pub struct PropStore {
     pub(crate) symbols: SymbolTable,
@@ -128,19 +164,25 @@ impl PropStore {
         self.symbols.lookup(s)
     }
 
+    /// Number of interned symbols: exactly the `Symbol`s below it
+    /// resolve.
+    pub fn symbol_count(&self) -> usize {
+        self.symbols.len()
+    }
+
     /// Ids of propositions with source `x`.
     pub fn postings_from(&self, x: PropId) -> &[PropId] {
-        self.by_source.get(&x)
+        self.by_source.get(x)
     }
 
     /// Ids of propositions carrying `label`.
     pub fn postings_label(&self, label: Symbol) -> &[PropId] {
-        self.by_label.get(&label)
+        self.by_label.get(label)
     }
 
     /// Ids of propositions with destination `y`.
     pub fn postings_to(&self, y: PropId) -> &[PropId] {
-        self.by_dest.get(&y)
+        self.by_dest.get(y)
     }
 
     /// The interned `instanceof` symbol.
@@ -298,38 +340,93 @@ mod tests {
         assert!(weak.upgrade().is_none());
     }
 
-    /// `version()` is O(spine): nothing below the spines is copied.
-    /// Every proposition chunk and every posting list of the capture
-    /// is the very allocation the live store holds, and so is every
-    /// interned string.
+    /// How many of `live`'s allocations are not the one `frozen` holds
+    /// at the same position: created or copied since the capture.
+    fn fresh<T>(live: &[Arc<T>], frozen: &[Arc<T>]) -> usize {
+        let kept = |i: usize, a: &Arc<T>| frozen.get(i).is_some_and(|b| Arc::ptr_eq(a, b));
+        (0..live.len()).filter(|&i| !kept(i, &live[i])).count()
+    }
+
+    /// The slot chunks and the posting lists of `live` that `frozen`
+    /// does not share.
+    fn fresh_index<K>(live: &PIndex<K>, frozen: &PIndex<K>) -> [usize; 2] {
+        let kept = |i, a| matches!(frozen.slots.get(i), Some(Some(b)) if Arc::ptr_eq(a, b));
+        let lists = live.slots.iter().enumerate();
+        let lists = lists.filter(|(i, list)| list.as_ref().is_some_and(|a| !kept(*i, a)));
+        [
+            fresh(live.slots.chunks(), frozen.slots.chunks()),
+            lists.count(),
+        ]
+    }
+
+    /// Per structure of the store, the allocations `live` holds that
+    /// `frozen` does not: proposition chunks, string chunks, id shards,
+    /// and slot chunks and posting lists of each index.
+    fn fresh_counts(live: &PropStore, frozen: &PropStore) -> [(&'static str, usize); 9] {
+        let (ls, fs) = (&live.symbols, &frozen.symbols);
+        let [source_chunks, source_lists] = fresh_index(&live.by_source, &frozen.by_source);
+        let [label_chunks, label_lists] = fresh_index(&live.by_label, &frozen.by_label);
+        let [dest_chunks, dest_lists] = fresh_index(&live.by_dest, &frozen.by_dest);
+        [
+            ("props", fresh(live.props.chunks(), frozen.props.chunks())),
+            (
+                "strings",
+                fresh(ls.strings().chunks(), fs.strings().chunks()),
+            ),
+            ("id shards", fresh(ls.shards(), fs.shards())),
+            ("by_source chunks", source_chunks),
+            ("by_label chunks", label_chunks),
+            ("by_dest chunks", dest_chunks),
+            ("by_source lists", source_lists),
+            ("by_label lists", label_lists),
+            ("by_dest lists", dest_lists),
+        ]
+    }
+
+    /// `version()` is O(spine): at capture, every proposition chunk,
+    /// index chunk, posting list, id shard and interned string of the
+    /// version is the very allocation the live store holds. One
+    /// TELL-shaped write afterwards (a new individual, its
+    /// classification under an existing class, an attribute with a
+    /// fresh label) copies or creates a constant number of each, the
+    /// same for a store ten times larger.
     #[test]
-    fn capture_shares_every_chunk_posting_list_and_string() {
-        let mut kb = Kb::new();
-        let c = kb.individual("C").unwrap();
-        for i in 0..600 {
-            let x = kb.individual(&format!("x{i}")).unwrap();
-            kb.instantiate(x, c).unwrap();
-        }
-        let v = kb.version();
-        let (live, frozen): (&PropStore, &PropStore) = (&kb, &v);
-        assert!(live.props.chunks().len() > 2, "more than one chunk");
-        assert_eq!(live.props.chunks().len(), frozen.props.chunks().len());
-        for (a, b) in live.props.chunks().iter().zip(frozen.props.chunks()) {
-            assert!(Arc::ptr_eq(a, b), "proposition chunk copied");
-        }
-        fn shared<K: Eq + Hash>(live: &PIndex<K>, frozen: &PIndex<K>) {
-            assert_eq!(live.map.len(), frozen.map.len());
-            for (key, list) in &live.map {
-                assert!(Arc::ptr_eq(list, &frozen.map[key]), "posting list copied");
+    fn capture_shares_everything_and_a_write_copies_a_constant() {
+        // Under Miri, which interprets every step, a smaller store that
+        // still spans three times the chunks of the first.
+        let big = if cfg!(miri) { 1_800 } else { 6_000 };
+        let after_write = [600, big].map(|n| {
+            let mut kb = Kb::new();
+            let c = kb.individual("C").unwrap();
+            for i in 0..n {
+                let x = kb.individual(&format!("x{i}")).unwrap();
+                kb.instantiate(x, c).unwrap();
             }
+            let v = kb.version();
+            let (live, frozen): (&PropStore, &PropStore) = (&kb, &v);
+            assert!(live.props.chunks().len() > 2, "more than one chunk");
+            let both_ways = fresh_counts(live, frozen).into_iter();
+            for (what, n) in both_ways.chain(fresh_counts(frozen, live)) {
+                assert_eq!(n, 0, "capture copied {what}");
+            }
+            for i in 0..live.symbol_count() as u32 {
+                let (a, b) = (live.resolve_sym(Symbol(i)), frozen.resolve_sym(Symbol(i)));
+                assert!(std::ptr::eq(a, b), "interned string copied");
+            }
+
+            kb.tick();
+            let y = kb.individual("y").unwrap();
+            kb.instantiate(y, c).unwrap();
+            kb.put_attr(y, "fresh", c).unwrap();
+            fresh_counts(&kb, &v)
+        });
+        for (what, n) in after_write[0] {
+            assert!(n <= 3, "one write copied {n} {what}");
         }
-        shared(&live.by_source, &frozen.by_source);
-        shared(&live.by_label, &frozen.by_label);
-        shared(&live.by_dest, &frozen.by_dest);
-        for i in 0..live.symbols.len() as u32 {
-            let (a, b) = (live.resolve_sym(Symbol(i)), frozen.resolve_sym(Symbol(i)));
-            assert!(std::ptr::eq(a, b), "interned string copied");
-        }
+        assert_eq!(
+            after_write[0], after_write[1],
+            "a write's copying grew with the store"
+        );
     }
 
     #[test]
@@ -392,15 +489,36 @@ mod tests {
     #[test]
     fn pindex_append_and_miss() {
         let mut ix: PIndex<Symbol> = PIndex::new();
-        assert!(ix.get(&Symbol(0)).is_empty());
+        assert!(ix.get(Symbol(0)).is_empty());
         ix.insert(Symbol(0), PropId(1));
         ix.insert(Symbol(0), PropId(4));
         ix.insert(Symbol(2), PropId(5));
-        assert_eq!(ix.get(&Symbol(0)), &[PropId(1), PropId(4)]);
-        assert_eq!(ix.get(&Symbol(2)), &[PropId(5)]);
+        assert_eq!(ix.get(Symbol(0)), &[PropId(1), PropId(4)]);
+        assert!(ix.get(Symbol(1)).is_empty(), "an empty slot");
+        assert_eq!(ix.get(Symbol(2)), &[PropId(5)]);
+        assert!(ix.get(Symbol(3)).is_empty(), "past the end");
         let snap = ix.clone();
         ix.insert(Symbol(0), PropId(9));
-        assert_eq!(snap.get(&Symbol(0)), &[PropId(1), PropId(4)]);
-        assert_eq!(ix.get(&Symbol(0)), &[PropId(1), PropId(4), PropId(9)]);
+        ix.insert(Symbol(1_000), PropId(10));
+        assert_eq!(snap.get(Symbol(0)), &[PropId(1), PropId(4)]);
+        assert!(snap.get(Symbol(1_000)).is_empty());
+        assert_eq!(ix.get(Symbol(0)), &[PropId(1), PropId(4), PropId(9)]);
+        assert_eq!(ix.get(Symbol(1_000)), &[PropId(10)]);
+    }
+
+    /// A shared posting list is copied once, at the capacity pushes
+    /// would have grown it to: the push does not reallocate the copy.
+    #[test]
+    fn pindex_copies_a_shared_list_once() {
+        let mut ix: PIndex<PropId> = PIndex::new();
+        for i in 0..5 {
+            ix.insert(PropId(0), PropId(i));
+        }
+        let snap = ix.clone();
+        ix.insert(PropId(0), PropId(5));
+        let list = ix.slots[0].as_ref().unwrap();
+        assert!(!Arc::ptr_eq(list, snap.slots[0].as_ref().unwrap()));
+        assert_eq!(list.capacity(), 8);
+        assert_eq!(snap.get(PropId(0)).len(), 5, "older clone unaffected");
     }
 }

@@ -4,11 +4,13 @@
 //! write sequences and, after every step, holds all of those readings
 //! equal to each other **and** to a naive oracle written here, which
 //! filters every proposition by `believed_at` and closes `isa` by
-//! fixpoint — it shares no code with `Snapshot`.
+//! fixpoint — it shares no code with `Snapshot`. Below the readers,
+//! every captured version's raw postings and symbol lookups must be
+//! the live store's cut to what existed at its capture.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use telos::{Kb, KbVersion, PropId, PropStore, Proposition};
+use telos::{Kb, KbVersion, PropId, PropStore, Proposition, Symbol};
 
 const NAMES: [&str; 5] = ["N0", "N1", "N2", "N3", "N4"];
 const LABELS: [&str; 3] = ["l0", "l1", "l2"];
@@ -254,6 +256,36 @@ impl Oracle<'_> {
     }
 }
 
+/// The raw surface of a version is a prefix of the live store's, since
+/// the store only ever appends: each posting list is the live one cut
+/// to the ids the version holds, and a symbol lookup answers as live
+/// if the symbol was interned before the capture, `None` otherwise.
+/// This referees the persistent indexes and the sharded symbol map
+/// without sharing their code: slot growth, empty slots, keys past the
+/// end, and symbols interned after the capture.
+fn check_prefix(kb: &Kb, ids: &[PropId], version: &KbVersion, when: &str) {
+    let held = |list: &[PropId]| -> Vec<PropId> {
+        let held = list.iter().filter(|p| p.idx() < version.len());
+        held.copied().collect()
+    };
+    for &x in ids {
+        let from = (version.postings_from(x), held(kb.postings_from(x)));
+        assert_eq!(from.0, from.1, "{when}: postings_from({x:?})");
+        let to = (version.postings_to(x), held(kb.postings_to(x)));
+        assert_eq!(to.0, to.1, "{when}: postings_to({x:?})");
+    }
+    // Every symbol the live store has, and one past its last.
+    for sym in (0..=kb.symbol_count() as u32).map(Symbol) {
+        let label = (version.postings_label(sym), held(kb.postings_label(sym)));
+        assert_eq!(label.0, label.1, "{when}: postings_label({sym:?})");
+    }
+    for name in NAMES.iter().chain(&ASKED_LABELS) {
+        let live = kb.lookup_sym(name);
+        let want = live.filter(|s| (s.0 as usize) < version.symbol_count());
+        assert_eq!(version.lookup_sym(name), want, "{when}: lookup_sym({name})");
+    }
+}
+
 /// All readings of the store as believed at a tick must agree, with
 /// each other and with the oracle; `when` names the step in a failure.
 fn check(kb: &Kb, ids: &[PropId], captured: &[(KbVersion, i64)], when: &str) {
@@ -272,6 +304,7 @@ fn check(kb: &Kb, ids: &[PropId], captured: &[(KbVersion, i64)], when: &str) {
         ),
     ];
     for (version, w) in captured {
+        check_prefix(kb, ids, version, when);
         let frozen = answers!(version.snapshot_at(*w), kb, ids);
         views.push(("version.snapshot_at(w)", *w, frozen));
         views.push((
