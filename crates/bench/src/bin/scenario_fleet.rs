@@ -11,7 +11,8 @@
 //!   nonzero afterwards (the CI job re-asserts them over the wire via
 //!   `\metrics` after recovering the journal under `cbshell --listen`);
 //! - the journal directory recovers to the driven state, so a server
-//!   can serve recall queries against the corpus.
+//!   can serve recall queries and the documented decision history
+//!   against the corpus.
 //!
 //! Run with `cargo run --release -p bench --bin scenario_fleet -- \
 //! <journal-dir> [seed] [decisions]`. Exits nonzero on any violation.
@@ -78,6 +79,12 @@ fn main() {
     for h in &hits {
         let mark = if h.retracted { "  (retracted)" } else { "" };
         println!("recall row: {}  {:.3}{mark}", h.decision, h.score);
+    }
+    // The process view, as `history` prints it: every effective decision
+    // with its class's dimension, read back from the KB. The CI job
+    // diffs it against the recovered server's.
+    for line in g.process_view().render().lines() {
+        println!("history row: {line}");
     }
 
     // The counters the `\metrics` scrape asserts on.

@@ -36,6 +36,14 @@ impl fmt::Display for DecisionDimension {
     }
 }
 
+impl DecisionDimension {
+    /// The dimension whose [`Display`](fmt::Display) name is `name`.
+    pub(crate) fn named(name: &str) -> Option<Self> {
+        let all = [Self::Mapping, Self::Refinement, Self::Choice];
+        all.into_iter().find(|d| d.to_string() == name)
+    }
+}
+
 /// A verification obligation of a decision class: a constraint that
 /// must hold after execution, unless a tool specification guarantees
 /// it.
@@ -49,7 +57,7 @@ pub struct Obligation {
 }
 
 /// A design decision class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionClass {
     /// Class name (e.g. `DecNormalize`).
     pub name: String,
@@ -119,7 +127,7 @@ impl DecisionClass {
 
 /// A tool specification: which decision classes the tool can execute
 /// and which obligations it guarantees.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ToolSpec {
     /// Tool name (e.g. `TDL-DBPL-Mapper`, `DBPLEditor`).
     pub name: String,

@@ -2,9 +2,9 @@
 //!
 //! "The inference engines may enhance their performance by lemma
 //! generation; this capability is, e.g., used in creating dependency
-//! graph objects of the GKBMS." The graph is one pass over the decision
-//! records, built per call: every read here takes `&self`, and there is
-//! nothing for a write to invalidate.
+//! graph objects of the GKBMS." The graph is one pass over the decisions
+//! the KB documents, built per call: every read here takes `&self`, and
+//! there is nothing for a write to invalidate.
 
 use crate::system::Gkbms;
 use datalog::ast::{Atom, Program, Term, Value};
@@ -19,7 +19,7 @@ impl Gkbms {
     /// `tool --by--> decision` edges.
     pub fn dependency_graph(&self) -> Graph {
         let mut g = Graph::new();
-        for r in &self.records {
+        for r in self.decisions() {
             if r.retracted {
                 continue;
             }
@@ -63,7 +63,7 @@ impl Gkbms {
     /// closure is computed.
     pub fn consequences_of(&self, object: &str) -> Vec<String> {
         let mut edb = Database::new();
-        for r in self.records.iter().filter(|r| !r.retracted) {
+        for r in self.decisions().iter().filter(|r| !r.retracted) {
             for input in &r.inputs {
                 for output in &r.outputs {
                     edb.insert(

@@ -413,6 +413,11 @@ impl Gkbms {
         if let Some(j) = self.journal.as_mut() {
             j.append(self.epoch, &op.encode())?;
         }
+        match op {
+            JournalOp::Tell { .. } => self.tells_untells.0 += 1,
+            JournalOp::Untell { .. } => self.tells_untells.1 += 1,
+            _ => {}
+        }
         self.history.push(op);
         Ok(())
     }

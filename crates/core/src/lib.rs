@@ -21,6 +21,8 @@
 //! * [`system`] — the [`Gkbms`] itself: registering design objects,
 //!   executing decisions as nested transactions with proof
 //!   obligations, and **selective backtracking** on a JTMS;
+//! * [`record`] — the design record: every decision class, tool and
+//!   decision as the KB documents it, read back from any snapshot;
 //! * [`depgraph`] — dependency-graph derivation with lemma caching
 //!   (figs 2-2 … 2-4);
 //! * [`versions`] — version & configuration management from mapping /
@@ -47,6 +49,7 @@ pub mod mvcc;
 pub mod navigate;
 pub mod persist;
 pub mod recall;
+pub mod record;
 pub mod replay;
 pub mod scenario;
 pub mod synth;

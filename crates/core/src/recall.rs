@@ -16,14 +16,14 @@
 //! # The index
 //!
 //! [`RecallIndex`] is derived state of [`Gkbms`], filled by `execute`
-//! (the one place a decision record is made, and the one replay goes
-//! through, so recovery, snapshot + tail and followers rebuild it as a
-//! side effect). A signature is a sorted list of `(Feature, weight)`
-//! pairs, one per distinct feature; decisions with equal signatures
-//! share one *group*, whose members are kept in name order. Nothing
-//! else changes a signature: a decision class never changes once
-//! defined, and a retraction only sets `DecisionRecord::retracted`,
-//! which is read when the answer is built.
+//! from the request it documents (the one place a decision is made,
+//! and the one replay goes through, so recovery, snapshot + tail and
+//! followers rebuild it as a side effect). A signature is a sorted list
+//! of `(Feature, weight)` pairs, one per distinct feature; decisions
+//! with equal signatures share one *group*, whose members are kept in
+//! name order. Nothing else changes a signature: a decision class never
+//! changes once defined, and a retraction only sets
+//! `DecisionEntry::retracted`, which is read when the answer is built.
 //!
 //! A query scores each group once, by one merge of two short sorted
 //! arrays, and then walks the groups best score first, merging the
@@ -51,7 +51,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use crate::decisions::{DecisionDimension, Discharge};
 use crate::error::{GkbmsError, GkbmsResult};
-use crate::system::{DecisionRecord, Gkbms};
+use crate::system::{DecisionEntry, DecisionRequest, Gkbms};
 
 /// A scored recall hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,9 +105,10 @@ pub(crate) struct RecallIndex {
 }
 
 impl RecallIndex {
-    /// Files the record at position `at` of `records`, whose class has
-    /// `dimension`. Called once per record, in record order.
-    pub(crate) fn insert(&mut self, at: usize, r: &DecisionRecord, dimension: DecisionDimension) {
+    /// Files the decision `r` executes as position `at` of `records`;
+    /// its class has `dimension`. Called once per record, in record
+    /// order.
+    pub(crate) fn insert(&mut self, at: usize, r: &DecisionRequest, dimension: DecisionDimension) {
         debug_assert_eq!(at, self.group_of.len(), "records are filed in order");
         let signature = self.signature(r, dimension);
         let group = match self.group_by_signature.get(&signature) {
@@ -131,7 +132,7 @@ impl RecallIndex {
     /// Class identity weighs heaviest, then dimension and tool, then
     /// the input count and the class multiset of the outputs, and the
     /// kind and obligation of each discharge.
-    fn signature(&mut self, r: &DecisionRecord, dimension: DecisionDimension) -> Signature {
+    fn signature(&mut self, r: &DecisionRequest, dimension: DecisionDimension) -> Signature {
         let names = &mut self.names;
         let mut id = |name: &str| match names.get(name) {
             Some(&id) => id,
@@ -149,7 +150,7 @@ impl RecallIndex {
         if let Some(t) = &r.tool {
             sig.push((Feature::Tool(id(t)), 2));
         }
-        for c in &r.output_classes {
+        for (_, c) in &r.outputs {
             sig.push((Feature::Output(id(c)), 1));
         }
         for d in &r.discharges {
@@ -172,7 +173,7 @@ impl RecallIndex {
     /// The decisions most similar to the record at `probe`, best first
     /// and by name among equals, at most `limit` of them. Scores every
     /// group once.
-    fn similar(&self, probe: usize, limit: usize, records: &[DecisionRecord]) -> Vec<RecallHit> {
+    fn similar(&self, probe: usize, limit: usize, records: &[DecisionEntry]) -> Vec<RecallHit> {
         let mine = &self.groups[self.group_of[probe]];
         // (Σmin, Σmax, group) of every group sharing a feature.
         let mut scored: Vec<(u64, u64, &Group)> = (self.groups.iter())
@@ -265,7 +266,7 @@ mod tests {
     use crate::metamodel::kernel;
     use crate::synth::{self, SynthConfig};
     use crate::system::tests::scenario_gkbms;
-    use crate::system::DecisionRequest;
+    use crate::system::DecisionRecord;
 
     fn corpus() -> Gkbms {
         let mut g = Gkbms::new().unwrap();
@@ -289,7 +290,7 @@ mod tests {
             let mut bag: HashMap<String, f64> = HashMap::new();
             let mut add = |k: String, w: f64| *bag.entry(k).or_insert(0.0) += w;
             add(format!("class:{}", r.class), 3.0);
-            if let Some(dc) = g.classes.get(&r.class) {
+            if let Some(dc) = g.reader().class_of(r) {
                 add(format!("dim:{}", dc.dimension), 2.0);
             }
             if let Some(t) = &r.tool {
@@ -327,8 +328,8 @@ mod tests {
                 min_sum / max_sum
             }
         }
-        let probe = bag(g, g.record(name).unwrap());
-        let mut hits: Vec<RecallHit> = (g.records().iter())
+        let probe = bag(g, &g.record(name).unwrap());
+        let mut hits: Vec<RecallHit> = (g.decisions().iter())
             .filter(|r| r.name != name)
             .map(|r| RecallHit {
                 decision: r.name.clone(),
@@ -424,12 +425,11 @@ mod tests {
     fn same_class_decisions_rank_first() {
         let g = corpus();
         let probe = g
-            .records()
-            .iter()
+            .decisions()
+            .into_iter()
             .find(|r| r.class == synth::names::NORMALIZE)
             .expect("corpus has a normalization")
-            .name
-            .clone();
+            .name;
         let hits = g.recall_similar(&probe, 5).unwrap();
         assert!(!hits.is_empty());
         assert!(hits.len() <= 5);
@@ -459,12 +459,12 @@ mod tests {
         let hits = g.recall_similar(&retracted, 10).unwrap();
         assert!(!hits.is_empty());
         // ...and shows up as a flagged hit for a live same-class probe.
-        let class = g.record(&retracted).unwrap().class.clone();
+        let class = g.record(&retracted).unwrap().class;
         let live = g
-            .records()
-            .iter()
+            .decisions()
+            .into_iter()
             .find(|r| r.class == class && !r.retracted && r.name != retracted)
-            .map(|r| r.name.clone());
+            .map(|r| r.name);
         if let Some(live) = live {
             let hits = g.recall_similar(&live, usize::MAX).unwrap();
             let hit = hits.iter().find(|h| h.decision == retracted);
@@ -477,13 +477,12 @@ mod tests {
         let g = corpus();
         // Two distribute decisions with the same fanout have identical
         // signatures.
-        let mut distribs = g
-            .records()
+        let decisions = g.decisions();
+        let mut distribs = decisions
             .iter()
             .filter(|r| r.class == synth::names::DISTRIBUTE || r.class == synth::names::MOVE_DOWN);
         let a = distribs.next().expect("mapping decisions exist");
-        let twin = g
-            .records()
+        let twin = decisions
             .iter()
             .find(|r| {
                 r.name != a.name && r.class == a.class && r.output_classes == a.output_classes

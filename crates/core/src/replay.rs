@@ -27,8 +27,7 @@ impl Gkbms {
     pub fn replayability(&self, name: &str) -> GkbmsResult<Replayability> {
         let r = self
             .record(name)
-            .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?
-            .clone();
+            .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
         let missing: Vec<String> = r
             .inputs
             .iter()
@@ -38,8 +37,8 @@ impl Gkbms {
         if !missing.is_empty() {
             return Ok(Replayability::MissingInputs(missing));
         }
-        if let Some(dc) = self.classes.get(&r.class) {
-            if let Some(pre) = dc.precondition.clone() {
+        if let Some(dc) = self.reader().class_of(&r) {
+            if let Some(pre) = dc.precondition {
                 for input in &r.inputs {
                     let id = self.kb.expect(input)?;
                     let expr = telos::assertion::parse(&pre).map_err(GkbmsError::Telos)?;
@@ -79,8 +78,7 @@ impl Gkbms {
         }
         let r = self
             .record(name)
-            .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?
-            .clone();
+            .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
         let mut req = DecisionRequest::new(&r.class, as_name, &r.performer);
         req.tool = r.tool;
         req.inputs = r.inputs;

@@ -82,18 +82,20 @@
 //! # Sessions and snapshot isolation
 //!
 //! `Hello` opens a session and pins its *watermark* — the knowledge
-//! base's belief-time clock at that instant. Every read the session
-//! performs afterwards (`Ask`, `Holds`, `History`, …) is evaluated
-//! against a [`telos::Snapshot`] at that watermark: the session sees a
+//! base's belief-time clock at that instant. The session's reads of
+//! the knowledge base (`Ask`, `Holds`, `Show`, `ViewAsk`,
+//! `ApplicableDecisions`, `ObjectHistory`) are evaluated against a
+//! [`telos::Snapshot`] at that watermark: the session sees a
 //! consistent state of belief, unaffected by concurrent writers,
 //! because the knowledge base never destroys propositions — an
 //! `UNTELL` merely closes a belief interval, and writers tick the
 //! clock *before* mutating, so everything they add starts strictly
 //! after every pinned watermark. `Refresh` re-pins the watermark to
 //! "now"; sessions that write typically refresh to observe their own
-//! writes. `Show` is the one deliberate exception: it renders the
-//! *current* object frame (its purpose is inspection, not repeatable
-//! reads).
+//! writes. `History`, `Status` and `Recall` are not pinned yet: they
+//! answer from the live head (`Status` and `Recall` read the JTMS and
+//! the recall index, which are not propositions). `Lint` and `Explain`
+//! read the head on purpose, because they predict admission.
 //!
 //! # Errors and backpressure
 //!

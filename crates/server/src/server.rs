@@ -3,8 +3,9 @@
 //! # Concurrency model
 //!
 //! Writers (TELL, UNTELL, EXECUTE, …) serialize behind the write guard
-//! of one [`RwLock`]; session reads (ASK, HOLDS, SHOW, session stats)
-//! do **not** take that lock at all. Every acknowledged mutation
+//! of one [`RwLock`]; session reads (ASK, HOLDS, SHOW, APPLICABLE
+//! DECISIONS, OBJECT HISTORY, session stats) do **not** take that lock
+//! at all. Every acknowledged mutation
 //! publishes an immutable [`telos::KbVersion`] into a
 //! [`gkbms::mvcc::VersionChain`] while still holding the write guard,
 //! so versions appear in commit order. The capture is structural
@@ -23,9 +24,11 @@
 //! *mechanics*: a superseded version is freed when its last holder
 //! lets go (session Bye, Refresh, or idle-timeout sweep — sweeps run on
 //! every publish and on idle connection polls so an abandoned session
-//! cannot retain history forever). Decision-level and administrative
-//! reads (HISTORY, STATUS, SAVE, LINT, …) still use the read guard:
-//! they read state that is not held as propositions.
+//! cannot retain history forever). The other reads take the read guard
+//! and answer at the live head: STATUS reads the JTMS and RECALL the
+//! recall index, neither held as propositions; HISTORY reads only the
+//! design record the KB documents, but is not pinned yet; SAVE,
+//! CHECKPOINT, LINT and EXPLAIN read the head on purpose.
 //!
 //! Each TCP connection gets a handler thread. Work-carrying requests
 //! pass an admission gate bounded by [`Config::max_inflight`]; beyond

@@ -262,10 +262,10 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             }
         }
         Request::ApplicableDecisions { session, object } => {
-            gate(shared, session)?;
-            let rows = read_state(shared)
-                .applicable_decisions(&object)
-                .map_err(rejected)?;
+            // Pinned: the process model is documented in the KB.
+            let (watermark, version) = gate(shared, session)?;
+            let snap = version.data().snapshot_at(watermark);
+            let rows = gkbms::system::applicable_decisions(snap, &object).map_err(rejected)?;
             names(
                 rows.into_iter()
                     .map(|(class, tools)| {
@@ -316,10 +316,10 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             }
         }
         Request::ObjectHistory { session, object } => {
-            gate(shared, session)?;
-            let rows = read_state(shared)
-                .object_history(&object)
-                .map_err(rejected)?;
+            // Pinned: every decision is documented in the KB.
+            let (watermark, version) = gate(shared, session)?;
+            let snap = version.data().snapshot_at(watermark);
+            let rows = gkbms::navigate::object_history(snap, &object).map_err(rejected)?;
             names(
                 rows.into_iter()
                     .map(|(tick, event)| format!("t{tick}: {event}"))

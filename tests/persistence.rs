@@ -213,7 +213,7 @@ fn a_save_file_from_the_category_log_era_still_loads() {
     let path = tmp("pr16-save");
     std::fs::write(&path, bytes).unwrap();
     let g = Gkbms::load(&path).expect("an old save file must load");
-    assert_eq!(g.kb().believed_count(), 144);
+    assert_eq!(g.kb().believed_count(), 154);
     assert_eq!(g.current_objects(), ["Invitation", "Minutes"]);
     let retracted: Vec<_> = g
         .records()

@@ -851,16 +851,26 @@ enum ScriptOp {
     Ask,
     Show,
     Refresh,
+    /// Register a fresh entity and map it by a decision.
+    Execute,
+    /// Retract the thread's latest effective decision.
+    Retract,
+    /// `object_history` of every entity and output of the thread's.
+    History,
 }
 
-/// Weighted op pick: 3 TELL : 1 UNTELL : 3 ASK : 2 SHOW : 2 REFRESH.
+/// Weighted op pick: 3 TELL : 1 UNTELL : 2 ASK : 2 SHOW : 2 REFRESH :
+/// 2 EXECUTE : 2 RETRACT : 2 HISTORY.
 fn script_op() -> impl Strategy<Value = ScriptOp> {
-    (0u8..11).prop_map(|n| match n {
+    (0u8..16).prop_map(|n| match n {
         0..=2 => ScriptOp::Tell,
         3 => ScriptOp::Untell,
-        4..=6 => ScriptOp::Ask,
-        7..=8 => ScriptOp::Show,
-        _ => ScriptOp::Refresh,
+        4..=5 => ScriptOp::Ask,
+        6..=7 => ScriptOp::Show,
+        8..=9 => ScriptOp::Refresh,
+        10..=11 => ScriptOp::Execute,
+        12..=13 => ScriptOp::Retract,
+        _ => ScriptOp::History,
     })
 }
 
@@ -870,26 +880,49 @@ enum Observed {
     Ask(Vec<String>),
     /// `show name`: the frame text, or `None` for `unknown object`.
     Show(String, Option<String>),
+    /// `object_history name`: its rows, or `None` for `unknown`.
+    History(String, Option<Vec<String>>),
+}
+
+/// A served KB with one mapping decision class the scripts execute.
+fn decision_server() -> (Server, std::net::SocketAddr) {
+    use conceptbase::gkbms::metamodel::kernel;
+    use conceptbase::gkbms::{DecisionClass, DecisionDimension};
+    let mut state = Gkbms::new().expect("fresh gkbms");
+    state
+        .define_decision_class(
+            DecisionClass::new("MapDec", DecisionDimension::Mapping)
+                .from_classes(&[kernel::TDL_ENTITY_CLASS])
+                .to_classes(&[kernel::DBPL_REL]),
+        )
+        .expect("decision class");
+    let server = Server::bind("127.0.0.1:0", state, quick_cfg()).expect("bind");
+    let addr = server.local_addr();
+    (server, addr)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The ISSUE 6 differential concurrency property, over the wire:
-    /// N client threads run random TELL/UNTELL/ASK/SHOW/REFRESH scripts
-    /// concurrently; every ASK answer and every SHOW frame a pinned
-    /// session observed must be byte-identical to a retrospective read
-    /// of the final state at that session's watermark. Belief time is append-only with
-    /// respect to pinned watermarks, so the final state *is* the serial
-    /// replay of the committed interleaving.
+    /// The differential concurrency property, over the wire: N client
+    /// threads run random TELL/UNTELL/ASK/SHOW/REFRESH scripts, with
+    /// decisions executed, retracted and traced by OBJECT_HISTORY,
+    /// concurrently; every ASK answer, SHOW frame and object history a
+    /// pinned session observed must be byte-identical to a
+    /// retrospective read of the final state at that session's
+    /// watermark. Belief time is append-only with respect to pinned
+    /// watermarks, so the final state *is* the serial replay of the
+    /// committed interleaving.
     #[test]
     fn concurrent_interleavings_match_serial_replay_at_watermark(
         scripts in prop::collection::vec(
-            prop::collection::vec(script_op(), 1..8),
+            prop::collection::vec(script_op(), 1..10),
             2..4,
         ),
     ) {
-        let (server, addr) = start(quick_cfg());
+        use conceptbase::gkbms::metamodel::kernel;
+        use conceptbase::server::WireDecision;
+        let (server, addr) = decision_server();
         {
             let mut c = Client::connect(addr).unwrap();
             let (s, _) = c.hello().unwrap();
@@ -904,10 +937,53 @@ proptest! {
                     let mut c = Client::connect(addr).unwrap();
                     let (s, mut watermark) = c.hello().unwrap();
                     let mut told: Vec<String> = Vec::new();
+                    // The thread's effective decisions and the objects
+                    // its decisions read and wrote, latest last.
+                    let (mut effective, mut objects) = (Vec::new(), Vec::new());
                     let mut next = 0usize;
                     let mut observations = Vec::new();
                     for op in script {
                         match op {
+                            ScriptOp::Execute => {
+                                let (entity, rel) = (format!("e_{t}_{next}"), format!("r_{t}_{next}"));
+                                let decision = format!("d_{t}_{next}");
+                                next += 1;
+                                c.register_object(s, &entity, kernel::TDL_ENTITY_CLASS, "src")
+                                    .unwrap();
+                                c.execute(s, WireDecision::new("MapDec", &decision, "dev")
+                                    .input(&entity)
+                                    .output(&rel, kernel::DBPL_REL))
+                                    .unwrap();
+                                effective.push(decision);
+                                objects.extend([entity, rel]);
+                                // Pin it, as the shell does after a write:
+                                // a later retraction must not show here.
+                                let done = c.refresh(s).unwrap();
+                                watermark = done
+                                    .strip_prefix("watermark ")
+                                    .expect("refresh reply shape")
+                                    .parse()
+                                    .expect("watermark integer");
+                            }
+                            ScriptOp::Retract => {
+                                if let Some(decision) = effective.pop() {
+                                    c.retract_decision(s, &decision).unwrap();
+                                }
+                            }
+                            ScriptOp::History => {
+                                for name in &objects {
+                                    let rows = match c.object_history(s, name) {
+                                        Ok(rows) => Some(rows),
+                                        Err(ClientError::Server(e)) => {
+                                            assert_eq!(e.code, ErrorCode::Rejected, "{e:?}");
+                                            None
+                                        }
+                                        Err(e) => panic!("object_history {name}: {e:?}"),
+                                    };
+                                    let seen = Observed::History(name.clone(), rows);
+                                    observations.push((watermark, seen));
+                                }
+                            }
                             ScriptOp::Tell => {
                                 let name = format!("q_{t}_{next}");
                                 next += 1;
@@ -980,6 +1056,15 @@ proptest! {
                             .to_string()
                     });
                     prop_assert_eq!(&replayed, &seen, "show {} diverged at watermark {}", name, w);
+                }
+                Observed::History(name, seen) => {
+                    let snap = final_state.kb().snapshot_at(w);
+                    let replayed = conceptbase::gkbms::navigate::object_history(snap, &name)
+                        .ok()
+                        .map(|rows| {
+                            rows.into_iter().map(|(tick, event)| format!("t{tick}: {event}")).collect()
+                        });
+                    prop_assert_eq!(&replayed, &seen, "history of {} diverged at watermark {}", name, w);
                 }
             }
         }

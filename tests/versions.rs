@@ -82,11 +82,7 @@ fn versioning_without_duplicating_the_implementation() {
     // implementation exist in history, but the believed state holds
     // only the chosen one.
     let s = scenario_after_backtracking();
-    let records = s.gkbms.records();
-    let key_rec = records
-        .iter()
-        .find(|r| r.name == "chooseAssociativeKeys")
-        .unwrap();
+    let key_rec = s.gkbms.record("chooseAssociativeKeys").unwrap();
     // Temporal navigation reaches the other version.
     let then = s.gkbms.objects_at(key_rec.tick);
     assert!(then.iter().any(|o| o.contains("@assoc")));
@@ -100,7 +96,7 @@ fn dimensions_partition_the_history() {
     let mut mapping = 0;
     let mut refinement = 0;
     let mut choice = 0;
-    for r in s.gkbms.records() {
+    for r in s.gkbms.decisions() {
         // Look up the dimension through the public view.
         let vs = s.gkbms.render_version_space();
         let _ = &vs;
