@@ -20,7 +20,7 @@
 //! from the model iff `w >= as_of`; an earlier watermark must fall
 //! back to the view's program evaluated over its pinned store version,
 //! so a pinned session never observes a refresh from a newer tick.
-//! [`pinned_tuples`] is that fallback as the server runs it: it takes
+//! [`pinned_rows`] is that fallback as the server runs it: it takes
 //! the version and the program, not the GKBMS — so it cannot be holding
 //! the state lock — and reads the model from the lemmas the version
 //! holds ([`objectbase::query::version_closure`]), evaluating only on
@@ -28,37 +28,49 @@
 //! [`RegisteredView::eval_pinned`] is the same answer evaluated from
 //! scratch over any store, the form the differential tests compare
 //! against.
+//!
+//! # Rows stay interned until they are encoded
+//!
+//! A view read hands out [`Rows`]: the model's interned values, one
+//! flat copy of the relation's storage. Under the server's state guard
+//! a `ViewAsk` takes only that copy ([`RegisteredView::rows`]); it
+//! sorts the rows ([`Rows::sort`], the value order of the decoded
+//! tuples) after the guard is released, and the encoder reads each
+//! symbol's interned string. No `Value` or `String` is built per row,
+//! except to join the values of a row wider than one column.
+//! [`RegisteredView::tuples`] and [`Gkbms::view_tuples`] decode the
+//! same sorted rows into `Value`s.
 
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::persist::JournalOp;
 use crate::system::Gkbms;
 use datalog::ast::{Program, Value};
-use datalog::db::Database;
+use datalog::db::Rows;
 use datalog::ivm::{Fact, MaterializedView};
 use objectbase::query::{self, preds};
 use telos::{KbVersion, PropId, PropStore};
 
-/// Tuples of `pred` in `model`, in the order every view read answers.
-fn sorted_tuples(model: &Database, pred: &str) -> Vec<Vec<Value>> {
-    let mut out: Vec<Vec<Value>> = model.tuples(pred).collect();
-    out.sort();
-    out.dedup();
-    out
+/// `rows` in the order every view read answers in — the value order of
+/// [`Rows::sort`] — decoded.
+fn sorted_tuples(mut rows: Rows) -> Vec<Vec<Value>> {
+    rows.sort();
+    rows.tuples().collect()
 }
 
-/// Tuples of `pred` in the model of `program` over `version` as
-/// believed at tick `at`, sorted like [`RegisteredView::tuples`]: the
-/// read of a session pinned before the maintained model's `as_of`. The
-/// model comes from [`query::version_closure`], so at the version's
-/// capture tick it is evaluated once per version, not once per read.
-pub fn pinned_tuples(
+/// The rows of `pred` in the model of `program` over `version` as
+/// believed at tick `at`, copied out as stored like
+/// [`RegisteredView::rows`]: the read of a session pinned before the
+/// maintained model's `as_of`. The model comes from
+/// [`query::version_closure`], so at the version's capture tick it is
+/// evaluated once per version, not once per read.
+pub fn pinned_rows(
     version: &KbVersion,
     at: i64,
     program: &Program,
     pred: &str,
-) -> GkbmsResult<Vec<Vec<Value>>> {
+) -> GkbmsResult<Rows> {
     let closure = query::version_closure(version, at, program)?;
-    Ok(sorted_tuples(&closure.model, pred))
+    Ok(closure.model.copy_rows(pred))
 }
 
 /// One registered materialized view.
@@ -93,16 +105,24 @@ impl RegisteredView {
         &self.view
     }
 
-    /// Tuples of `pred` from the materialized model, sorted — correct
-    /// for readers whose watermark is at or after [`RegisteredView::as_of`].
+    /// The rows of `pred` in the materialized model, copied out as
+    /// stored — correct for readers whose watermark is at or after
+    /// [`RegisteredView::as_of`]. One copy of the relation's flat
+    /// storage: all a reader does while it holds the model. Every view
+    /// read answers in [`Rows::sort`]'s order.
+    pub fn rows(&self, pred: &str) -> Rows {
+        self.view.model().copy_rows(pred)
+    }
+
+    /// [`RegisteredView::rows`], sorted and decoded.
     pub fn tuples(&self, pred: &str) -> Vec<Vec<Value>> {
-        sorted_tuples(self.view.model(), pred)
+        sorted_tuples(self.rows(pred))
     }
 
     /// Evaluates this view's program from scratch over `store` as
     /// believed at tick `at` — what a reader pinned before the model's
     /// `as_of` watermark must be answered, with nothing remembered
-    /// between calls ([`pinned_tuples`] is the serving form). Answers
+    /// between calls ([`pinned_rows`] is the serving form). Answers
     /// are sorted like [`RegisteredView::tuples`].
     pub fn eval_pinned(
         &self,
@@ -113,7 +133,7 @@ impl RegisteredView {
         let edb = query::to_edb_at_store(store, at)?;
         let (model, _) = datalog::seminaive::evaluate(self.view.program(), &edb)
             .map_err(objectbase::ObError::from)?;
-        Ok(sorted_tuples(&model, pred))
+        Ok(sorted_tuples(model.copy_rows(pred)))
     }
 }
 
@@ -528,8 +548,8 @@ mod tests {
         preds.extend(loaded.model().preds());
         for pred in preds {
             assert_eq!(
-                sorted_tuples(loaded.model(), pred),
-                sorted_tuples(applied.model(), pred),
+                sorted_tuples(loaded.model().copy_rows(pred)),
+                sorted_tuples(applied.model().copy_rows(pred)),
                 "`{pred}`"
             );
         }

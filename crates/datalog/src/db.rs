@@ -24,10 +24,16 @@
 //!   clone is O(#relations); a model that [`crate::seminaive::evaluate`]
 //!   returns shares every input relation (and every index built on it)
 //!   that no rule derives into.
+//! * Reads are interned: [`Database::rows`] and
+//!   [`Database::probe_rows`] borrow `&[IVal]` rows, and
+//!   [`Database::copy_rows`] copies a relation's flat storage out as
+//!   [`Rows`], which sort in the value order of their decoded tuples.
+//!   [`Database::tuples`] and [`Database::probe`] decode those rows into
+//!   [`Value`]s.
 
 use crate::ast::{Atom, Term, Value};
 use crate::error::{DatalogError, DatalogResult};
-use crate::intern::{intern, lookup, IVal, Symbol};
+use crate::intern::{intern, lookup, IVal, Symbol, ValueRef};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
@@ -350,6 +356,119 @@ impl Relation {
     }
 }
 
+/// Decodes an interned row.
+fn decode(row: &[IVal]) -> Vec<Value> {
+    row.iter().map(|v| v.to_value()).collect()
+}
+
+/// The rows of one relation that match a binding pattern, borrowed
+/// ([`Database::probe_rows`]). A pattern that binds a position keeps
+/// the index it was served from, so the bucket of matching row ids is
+/// read in place, not copied.
+pub struct Matches<'a> {
+    /// `None` when nothing can match.
+    rel: Option<&'a Relation>,
+    hits: Hits,
+}
+
+enum Hits {
+    /// Every row that agrees with the pattern: nothing is bound, or the
+    /// relation is too wide to index.
+    Scan(Vec<Option<IVal>>),
+    /// The rows an index files under the key of the bound positions.
+    Bucket(Arc<Index>, Vec<IVal>),
+}
+
+impl<'a> Matches<'a> {
+    /// The matching rows, in the relation's or the bucket's order.
+    pub fn rows(&self) -> Box<dyn Iterator<Item = &'a [IVal]> + '_> {
+        let Some(rel) = self.rel else {
+            return Box::new(std::iter::empty());
+        };
+        match &self.hits {
+            Hits::Scan(pattern) => Box::new(rel.rows().filter(move |row| {
+                row.iter()
+                    .zip(pattern)
+                    .all(|(v, bound)| bound.is_none_or(|b| b == *v))
+            })),
+            Hits::Bucket(index, key) => Box::new(
+                index
+                    .get(key)
+                    .into_iter()
+                    .flatten()
+                    .map(move |&i| rel.row(i)),
+            ),
+        }
+    }
+}
+
+/// Tuples copied out of one relation ([`Database::copy_rows`]):
+/// interned and row-major in one flat vector — one copy of the
+/// relation's storage, nothing allocated per row. This is the form a
+/// reader takes from a model it may not hold on to. The rows are
+/// distinct, because a relation is a set.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Rows {
+    arity: usize,
+    /// The row count, kept beside `flat` because a zero-arity row
+    /// stores no value.
+    len: usize,
+    flat: Vec<IVal>,
+}
+
+impl Rows {
+    fn row(&self, i: usize) -> &[IVal] {
+        &self.flat[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// The rows, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[IVal]> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// The rows decoded, in order.
+    pub fn tuples(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
+        self.iter().map(decode)
+    }
+
+    /// Sorts the rows in *value order*: column by column, each value as
+    /// its [`ValueRef`] orders — the order of the decoded tuples.
+    pub fn sort(&mut self) {
+        // Each value resolved once: a comparison then reads two
+        // strings, not the symbol pool.
+        let keys: Vec<ValueRef> = self.flat.iter().map(|v| v.resolve()).collect();
+        let key = |i: usize| &keys[i * self.arity..(i + 1) * self.arity];
+        // Most comparisons are settled by the rows' leads, held in the
+        // array being sorted, without reading a string.
+        let mut order: Vec<((u8, u64), usize)> =
+            (0..self.len).map(|i| (lead(key(i).first()), i)).collect();
+        order.sort_unstable_by(|(a, x), (b, y)| a.cmp(b).then_with(|| key(*x).cmp(key(*y))));
+        self.flat = order
+            .iter()
+            .flat_map(|&(_, i)| self.row(i))
+            .copied()
+            .collect();
+    }
+}
+
+/// A row's *lead*: a key of its first value whose order never
+/// contradicts the value order — every symbol before every integer,
+/// then a symbol's first eight bytes (zero-padded, so a prefix leads no
+/// later than its extensions) or an integer's value. Rows with equal
+/// leads must still be compared in full.
+fn lead(first: Option<&ValueRef>) -> (u8, u64) {
+    match first {
+        None => (0, 0),
+        Some(ValueRef::Sym(s)) => {
+            let mut bytes = [0u8; 8];
+            let n = s.len().min(8);
+            bytes[..n].copy_from_slice(&s.as_bytes()[..n]);
+            (0, u64::from_be_bytes(bytes))
+        }
+        Some(ValueRef::Int(i)) => (1, (*i as u64) ^ (1 << 63)),
+    }
+}
+
 /// A database mapping predicate names to relations. Cloning shares the
 /// relations; a write copies the one relation it touches if a clone
 /// still holds it.
@@ -478,11 +597,24 @@ impl Database {
         self.insert(&atom.pred, tuple)
     }
 
-    /// The tuples under `pred`, decoded (empty if absent).
+    /// The tuples under `pred`, interned and borrowed, in storage order
+    /// (empty if absent).
+    pub fn rows<'a>(&'a self, pred: &str) -> impl Iterator<Item = &'a [IVal]> + 'a {
+        self.rel_by_name(pred).into_iter().flat_map(Relation::rows)
+    }
+
+    /// [`Database::rows`], decoded.
     pub fn tuples<'a>(&'a self, pred: &str) -> impl Iterator<Item = Vec<Value>> + 'a {
-        self.rel_by_name(pred).into_iter().flat_map(|r| {
-            r.rows()
-                .map(|row| row.iter().map(|v| v.to_value()).collect())
+        self.rows(pred).map(decode)
+    }
+
+    /// The tuples under `pred` copied out, in storage order (empty if
+    /// absent).
+    pub fn copy_rows(&self, pred: &str) -> Rows {
+        self.rel_by_name(pred).map_or_else(Rows::default, |r| Rows {
+            arity: r.arity,
+            len: r.len(),
+            flat: r.flat.clone(),
         })
     }
 
@@ -541,49 +673,38 @@ impl Database {
         Ok(added)
     }
 
-    /// Tuples of `pred` matching `pattern` (`Some` = bound position,
+    /// Rows of `pred` matching `pattern` (`Some` = bound position,
     /// `None` = free), served from the binding-pattern index when any
     /// position is bound. This is the point probe the engines and the
     /// object processor use instead of scan-and-filter.
-    pub fn probe<'a>(
-        &'a self,
-        pred: &str,
-        pattern: &[Option<Value>],
-    ) -> Box<dyn Iterator<Item = Vec<Value>> + 'a> {
-        let Some(rel) = self.rel_by_name(pred) else {
-            return Box::new(std::iter::empty());
-        };
-        if rel.arity != pattern.len() {
-            return Box::new(std::iter::empty());
-        }
-        let mut mask: u32 = 0;
-        let mut key = Vec::new();
-        if rel.arity <= MAX_INDEXED_ARITY {
-            for (j, slot) in pattern.iter().enumerate() {
-                if let Some(v) = slot {
-                    match IVal::from_value_if_known(v) {
-                        // A never-interned symbol matches nothing.
-                        None => return Box::new(std::iter::empty()),
-                        Some(iv) => {
-                            mask |= 1 << j;
-                            key.push(iv);
-                        }
-                    }
-                }
+    pub fn probe_rows(&self, pred: &str, pattern: &[Option<IVal>]) -> Matches<'_> {
+        let rel = self.rel_by_name(pred).filter(|r| r.arity == pattern.len());
+        let hits = match rel {
+            Some(r) if r.arity <= MAX_INDEXED_ARITY && pattern.iter().any(Option::is_some) => {
+                let mask = (0..pattern.len())
+                    .filter(|&j| pattern[j].is_some())
+                    .fold(0u32, |m, j| m | 1 << j);
+                let key = pattern.iter().flatten().copied().collect();
+                Hits::Bucket(r.index_for(mask), key)
             }
-        }
-        if mask == 0 {
-            return Box::new(
-                rel.rows()
-                    .map(|row| row.iter().map(|v| v.to_value()).collect()),
-            );
-        }
-        let index = rel.index_for(mask);
-        let ids = index.get(&key).cloned().unwrap_or_default();
-        Box::new(
-            ids.into_iter()
-                .map(move |i| rel.row(i).iter().map(|v| v.to_value()).collect()),
-        )
+            _ => Hits::Scan(pattern.to_vec()),
+        };
+        Matches { rel, hits }
+    }
+
+    /// [`Database::probe_rows`] with a pattern of [`Value`]s, decoded.
+    pub fn probe(&self, pred: &str, pattern: &[Option<Value>]) -> Vec<Vec<Value>> {
+        let interned: Option<Vec<Option<IVal>>> = pattern
+            .iter()
+            .map(|slot| match slot {
+                None => Some(None),
+                Some(v) => IVal::from_value_if_known(v).map(Some),
+            })
+            .collect();
+        // A never-interned symbol matches nothing.
+        interned.map_or_else(Vec::new, |p| {
+            self.probe_rows(pred, &p).rows().map(decode).collect()
+        })
     }
 
     /// Number of secondary indexes built across all relations.
@@ -665,12 +786,12 @@ mod tests {
             db.insert("edge", vec![Value::sym(x), Value::sym(y)])
                 .unwrap();
         }
-        let hits: Vec<Vec<Value>> = db.probe("edge", &[Some(Value::sym("a")), None]).collect();
+        let hits: Vec<Vec<Value>> = db.probe("edge", &[Some(Value::sym("a")), None]);
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|t| t[0] == Value::sym("a")));
         assert_eq!(db.index_count(), 1);
         // Second-position probe builds a second index.
-        let hits: Vec<Vec<Value>> = db.probe("edge", &[None, Some(Value::sym("c"))]).collect();
+        let hits: Vec<Vec<Value>> = db.probe("edge", &[None, Some(Value::sym("c"))]);
         assert_eq!(hits.len(), 2);
         assert_eq!(db.index_count(), 2);
     }
@@ -680,9 +801,7 @@ mod tests {
         let mut db = Database::new();
         db.insert("edge", vec![Value::sym("a"), Value::sym("b")])
             .unwrap();
-        let hits: Vec<_> = db
-            .probe("edge", &[Some(Value::sym("zz-never-interned-zz")), None])
-            .collect();
+        let hits = db.probe("edge", &[Some(Value::sym("zz-never-interned-zz")), None]);
         assert!(hits.is_empty());
     }
 
@@ -692,25 +811,25 @@ mod tests {
         db.insert("edge", vec![Value::Int(1), Value::Int(2)])
             .unwrap();
         // Build the first-position index…
-        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).count(), 1);
+        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).len(), 1);
         // …then insert more tuples: the built index must see them.
         db.insert("edge", vec![Value::Int(1), Value::Int(3)])
             .unwrap();
         db.insert("edge", vec![Value::Int(4), Value::Int(5)])
             .unwrap();
-        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).count(), 2);
-        assert_eq!(db.probe("edge", &[Some(Value::Int(4)), None]).count(), 1);
+        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).len(), 2);
+        assert_eq!(db.probe("edge", &[Some(Value::Int(4)), None]).len(), 1);
     }
 
     #[test]
     fn clones_do_not_share_index_growth() {
         let mut a = Database::new();
         a.insert("p", vec![Value::Int(1)]).unwrap();
-        assert_eq!(a.probe("p", &[Some(Value::Int(1))]).count(), 1);
+        assert_eq!(a.probe("p", &[Some(Value::Int(1))]).len(), 1);
         let b = a.clone();
         a.insert("p", vec![Value::Int(2)]).unwrap();
-        assert_eq!(a.probe("p", &[Some(Value::Int(2))]).count(), 1);
-        assert_eq!(b.probe("p", &[Some(Value::Int(2))]).count(), 0);
+        assert_eq!(a.probe("p", &[Some(Value::Int(2))]).len(), 1);
+        assert_eq!(b.probe("p", &[Some(Value::Int(2))]).len(), 0);
         assert_eq!(b.count("p"), 1);
     }
 
@@ -751,25 +870,25 @@ mod tests {
                 .unwrap();
         }
         // Build indexes on both positions before removing.
-        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).count(), 3);
-        assert_eq!(db.probe("edge", &[None, Some(Value::Int(5))]).count(), 1);
+        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).len(), 3);
+        assert_eq!(db.probe("edge", &[None, Some(Value::Int(5))]).len(), 1);
         // Remove a middle row: the last row (1,6) is swapped into its
         // slot and must stay probeable under both masks.
         assert!(db.remove("edge", &[Value::Int(1), Value::Int(3)]));
-        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).count(), 2);
-        assert_eq!(db.probe("edge", &[None, Some(Value::Int(6))]).count(), 1);
-        assert_eq!(db.probe("edge", &[None, Some(Value::Int(3))]).count(), 0);
+        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).len(), 2);
+        assert_eq!(db.probe("edge", &[None, Some(Value::Int(6))]).len(), 1);
+        assert_eq!(db.probe("edge", &[None, Some(Value::Int(3))]).len(), 0);
         // Remove the (new) last row too.
         assert!(db.remove("edge", &[Value::Int(1), Value::Int(6)]));
-        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).count(), 1);
-        assert_eq!(db.probe("edge", &[None, Some(Value::Int(6))]).count(), 0);
+        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).len(), 1);
+        assert_eq!(db.probe("edge", &[None, Some(Value::Int(6))]).len(), 0);
         // Churn: remove everything, then refill through the same index.
         assert!(db.remove("edge", &[Value::Int(1), Value::Int(2)]));
         assert!(db.remove("edge", &[Value::Int(4), Value::Int(5)]));
         assert_eq!(db.count("edge"), 0);
         db.insert("edge", vec![Value::Int(1), Value::Int(7)])
             .unwrap();
-        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).count(), 1);
+        assert_eq!(db.probe("edge", &[Some(Value::Int(1)), None]).len(), 1);
     }
 
     #[test]
@@ -777,12 +896,12 @@ mod tests {
         let mut a = Database::new();
         a.insert("p", vec![Value::Int(1)]).unwrap();
         a.insert("p", vec![Value::Int(2)]).unwrap();
-        assert_eq!(a.probe("p", &[Some(Value::Int(1))]).count(), 1);
+        assert_eq!(a.probe("p", &[Some(Value::Int(1))]).len(), 1);
         let b = a.clone();
         a.remove("p", &[Value::Int(1)]);
         assert!(!a.contains("p", &[Value::Int(1)]));
         assert!(b.contains("p", &[Value::Int(1)]));
-        assert_eq!(b.probe("p", &[Some(Value::Int(1))]).count(), 1);
+        assert_eq!(b.probe("p", &[Some(Value::Int(1))]).len(), 1);
     }
 
     // ----- dedup chains under swap-remove -------------------------------
@@ -840,7 +959,7 @@ mod tests {
                     .filter(|r| (0..2).all(|j| mask >> j & 1 == 0 || r[j] == key[j]))
                     .cloned()
                     .collect();
-                let hits: Vec<Vec<Value>> = db.probe("p", &pattern).collect();
+                let hits: Vec<Vec<Value>> = db.probe("p", &pattern);
                 assert_eq!(hits.len(), want.len(), "{ctx}: probe {pattern:?} count");
                 assert_eq!(
                     hits.into_iter().collect::<BTreeSet<_>>(),
@@ -969,6 +1088,82 @@ mod tests {
         }
     }
 
+    // ----- interned reads ------------------------------------------------
+
+    /// Names on which the value order and the order of space-joined rows
+    /// differ: a name that is a prefix of another followed by a space,
+    /// link-style names, non-ASCII names and the empty name — and two
+    /// that share their first eight bytes, so only their tails order
+    /// them.
+    const TRICKY: [&str; 11] = [
+        "",
+        "a",
+        "a b",
+        "a c",
+        "ab",
+        "<a l b>",
+        "<a l b> m",
+        "<a l b> n",
+        "é",
+        "é x",
+        "Z",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
+
+        /// Copied rows sorted in value order come out in the order of
+        /// their decoded tuples, over mixed symbol and integer columns.
+        #[test]
+        fn rows_sort_like_their_decoded_tuples(
+            arity in 1usize..4,
+            cells in prop::collection::vec((0u8..3, 0usize..TRICKY.len()), 0..48),
+        ) {
+            let mut db = Database::new();
+            for row in cells.chunks_exact(arity) {
+                let row = row
+                    .iter()
+                    .map(|&(kind, i)| match kind {
+                        0 | 1 => Value::sym(TRICKY[i]),
+                        _ => Value::Int(i as i64 - 3),
+                    })
+                    .collect();
+                db.insert("r", row).unwrap();
+            }
+            let mut rows = db.copy_rows("r");
+            rows.sort();
+            let mut want: Vec<Vec<Value>> = db.tuples("r").collect();
+            want.sort();
+            prop_assert_eq!(rows.tuples().collect::<Vec<_>>(), want);
+        }
+    }
+
+    #[test]
+    fn copied_rows_of_zero_arity_and_absent_relations() {
+        let mut db = Database::new();
+        db.insert("flag", vec![]).unwrap();
+        let mut flag = db.copy_rows("flag");
+        flag.sort();
+        assert_eq!(flag.tuples().collect::<Vec<_>>(), vec![Vec::<Value>::new()]);
+        assert_eq!(db.copy_rows("nosuch"), Rows::default());
+    }
+
+    #[test]
+    fn a_relation_too_wide_to_index_is_probed_by_its_bound_positions() {
+        let wide = |first: i64| -> Vec<Value> {
+            (0..=MAX_INDEXED_ARITY as i64)
+                .map(|j| Value::Int(if j == 0 { first } else { j }))
+                .collect()
+        };
+        let mut db = Database::new();
+        db.insert("w", wide(1)).unwrap();
+        db.insert("w", wide(2)).unwrap();
+        let mut pattern = vec![None; MAX_INDEXED_ARITY + 1];
+        pattern[0] = Some(Value::Int(2));
+        assert_eq!(db.probe("w", &pattern), vec![wide(2)]);
+        assert_eq!(db.index_count(), 0);
+    }
+
     // ----- copy-on-write between clones ---------------------------------
 
     fn shares_relation(a: &Database, b: &Database) -> bool {
@@ -989,7 +1184,7 @@ mod tests {
         assert!(shares_relation(&a, &b), "a clone copies no relation");
 
         // An index built through one side is built on the shared rows.
-        assert_eq!(b.probe("p", &[Some(Value::Int(0)), None]).count(), 2);
+        assert_eq!(b.probe("p", &[Some(Value::Int(0)), None]).len(), 2);
         assert_eq!(a.index_count(), 1);
         assert!(shares_relation(&a, &b), "building an index copies nothing");
 
@@ -1031,7 +1226,7 @@ mod tests {
         assert!(!db.insert("flag", vec![]).unwrap());
         assert_eq!(db.count("flag"), 1);
         assert!(db.contains("flag", &[]));
-        assert_eq!(db.probe("flag", &[]).count(), 1);
+        assert_eq!(db.probe("flag", &[]).len(), 1);
         assert!(db.remove("flag", &[]));
         assert!(!db.contains("flag", &[]));
         assert!(db.insert("flag", vec![]).unwrap());

@@ -261,6 +261,41 @@ impl IVal {
             IVal::Int(i) => Value::Int(i),
         }
     }
+
+    /// Decodes to a [`ValueRef`]: the symbol's interned string,
+    /// borrowed, so nothing is allocated.
+    pub fn resolve(self) -> ValueRef {
+        match self {
+            IVal::Sym(s) => ValueRef::Sym(s.as_str()),
+            IVal::Int(i) => ValueRef::Int(i),
+        }
+    }
+}
+
+/// A decoded value that borrows its symbol's interned string: a
+/// [`Value`] without the allocation.
+///
+/// Its derived order is the *value order* of interned rows: symbols by
+/// their strings, integers by value, every symbol before every
+/// integer — exactly [`Value`]'s derived `Ord`, so a row of these
+/// compares like its decoded tuple. (`IVal`'s own derived order is by
+/// symbol id, which is interning order, not string order.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ValueRef {
+    /// An interned symbolic constant's string.
+    Sym(&'static str),
+    /// An integer constant.
+    Int(i64),
+}
+
+impl std::fmt::Display for ValueRef {
+    /// Renders like the decoded [`Value`].
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ValueRef::Sym(s) => f.write_str(s),
+            ValueRef::Int(i) => write!(f, "{i}"),
+        }
+    }
 }
 
 #[cfg(test)]

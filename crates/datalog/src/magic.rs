@@ -185,7 +185,7 @@ pub fn magic_evaluate_stats(
             Term::Var(_) => None,
         })
         .collect();
-    let mut out: Vec<Vec<crate::ast::Value>> = model.probe(&magic.answer_pred, &pattern).collect();
+    let mut out = model.probe(&magic.answer_pred, &pattern);
     out.sort();
     Ok((out, stats))
 }

@@ -434,7 +434,7 @@ proptest! {
             vec![Some(x.clone()), Some(y.clone())],
         ];
         for pattern in patterns {
-            let mut probed: Vec<Vec<Value>> = edb.probe("edge", &pattern).collect();
+            let mut probed = edb.probe("edge", &pattern);
             probed.sort();
             let mut filtered: Vec<Vec<Value>> = all
                 .iter()

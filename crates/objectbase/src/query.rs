@@ -27,6 +27,7 @@ use datalog::db::Database;
 use datalog::intern::{intern, IVal, Symbol};
 use datalog::seminaive::EvalStats;
 use datalog::{magic, seminaive, topdown};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use telos::assertion;
@@ -368,7 +369,7 @@ impl DeductiveView {
                         Term::Var(_) => None,
                     })
                     .collect();
-                let mut out: Vec<Vec<Value>> = model.probe(&query.pred, &pattern).collect();
+                let mut out = model.probe(&query.pred, &pattern);
                 out.sort();
                 Ok(out)
             }
@@ -432,12 +433,16 @@ pub fn ask<V: KbRead>(kb: &V, var: &str, class: &str, body: &str) -> ObResult<Ve
 ///
 /// Every variant validates first — the body parses, the class is known
 /// — and only then pays for a closure, so a typo costs no O(KB) export.
+///
+/// Answers are the closure's interned names in string order, borrowed
+/// (`Cow::Borrowed`): nothing is allocated per answer, and the server
+/// encodes them into a `Names` reply as they are.
 pub fn ask_with_stats(
     kb: &Kb,
     var: &str,
     class: &str,
     body: &str,
-) -> ObResult<(Vec<String>, EvalStats)> {
+) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
     ask_deductive(kb, var, class, body, |want, program| {
         build_closure(kb, Proposition::is_believed, want, program)
     })
@@ -453,7 +458,7 @@ pub fn ask_with_stats_at(
     var: &str,
     class: &str,
     body: &str,
-) -> ObResult<(Vec<String>, EvalStats)> {
+) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
     let snap = kb.snapshot_at(at);
     ask_deductive(&snap, var, class, body, |want, program| {
         build_closure(kb, |p| p.believed_at(at), want, program)
@@ -477,7 +482,7 @@ pub fn ask_with_stats_version(
     var: &str,
     class: &str,
     body: &str,
-) -> ObResult<(Vec<String>, EvalStats)> {
+) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
     let snap = version.snapshot_at(at);
     ask_deductive(&snap, var, class, body, |want, program| {
         closure_at(version, at, want, program)
@@ -493,7 +498,7 @@ fn ask_deductive<V: KbRead>(
     class: &str,
     body: &str,
     closure: impl FnOnce(Exported, &Program) -> ObResult<Arc<Closure>>,
-) -> ObResult<(Vec<String>, EvalStats)> {
+) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
     let start = std::time::Instant::now();
     obs::counter!("objectbase_asks_total", "Deductive ASK queries evaluated").inc();
     let result = ask_deductive_inner(view, var, class, body, closure);
@@ -518,30 +523,43 @@ fn ask_deductive_inner<V: KbRead>(
     class: &str,
     body: &str,
     closure: impl FnOnce(Exported, &Program) -> ObResult<Arc<Closure>>,
-) -> ObResult<(Vec<String>, EvalStats)> {
+) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
     let expr = assertion::parse(body)?;
     if view.lookup(class).is_none() {
         return Err(TelosError::Assertion(format!("unknown class `{class}`")).into());
     }
     let program = base();
     let closure = closure(Exported::read_by(program), program)?;
-    let pattern = vec![None, Some(Value::sym(class))];
-    let mut names: Vec<String> = closure
-        .model
-        .probe("inT", &pattern)
-        .map(|t| t[0].to_string())
-        .collect();
-    names.sort();
-    names.dedup();
+    // A class name the export never interned has no instances. The
+    // `(x, class)` rows are distinct, so their names are; the export
+    // names every object by a symbol.
+    let mut names: Vec<&'static str> = match datalog::intern::lookup(class) {
+        None => Vec::new(),
+        Some(c) => closure
+            .model
+            .probe_rows("inT", &[None, Some(IVal::Sym(c))])
+            .rows()
+            .filter_map(|row| match row[0] {
+                IVal::Sym(x) => Some(x.as_str()),
+                IVal::Int(_) => None,
+            })
+            .collect(),
+    };
+    names.sort_unstable();
     let mut out = Vec::new();
     let mut env = assertion::Env::new();
     for name in names {
-        let Some(id) = view.lookup(&name) else {
+        let Some(id) = view.lookup(name) else {
             continue;
         };
-        env.insert(var.to_string(), id);
+        match env.get_mut(var) {
+            Some(bound) => *bound = id,
+            None => {
+                env.insert(var.to_string(), id);
+            }
+        }
         if assertion::eval(view, &expr, &mut env)? {
-            out.push(name);
+            out.push(Cow::Borrowed(name));
         }
     }
     Ok((out, closure.stats))
@@ -832,7 +850,7 @@ mod tests {
         let snap = kb.snapshot_at(t);
         let pinned = ask(&snap, "p", "Paper", "true").unwrap();
         assert_eq!(pinned.len(), 3, "snapshot does not see the new TELL");
-        assert!(!pinned.contains(&"inv3".to_string()));
+        assert!(!pinned.contains(&"inv3".into()));
     }
 
     #[test]
@@ -872,7 +890,7 @@ mod tests {
         assert_eq!(live.len(), 4);
         let (pinned, stats) = ask_with_stats_at(&kb, t, "p", "Paper", "true").unwrap();
         assert_eq!(pinned.len(), 3);
-        assert!(!pinned.contains(&"inv3".to_string()));
+        assert!(!pinned.contains(&"inv3".into()));
         assert!(stats.index_probes > 0);
     }
 
@@ -891,7 +909,7 @@ mod tests {
             ask_with_stats_version(&version, t, "p", "Paper", "true").unwrap();
         assert_eq!(pinned_version, pinned_live);
         assert_eq!(pinned_version.len(), 3);
-        assert!(!pinned_version.contains(&"inv3".to_string()));
+        assert!(!pinned_version.contains(&"inv3".into()));
         assert!(stats.index_probes > 0);
         let (with_sender, _) =
             ask_with_stats_version(&version, t, "i", "Invitation", "i.sender defined").unwrap();

@@ -7,6 +7,7 @@
 //! connection (or reconnect and keep a session).
 
 use crate::proto::{self, ErrorCode, FrameRead, Request, Response, WireDecision, WireDiagnostic};
+use std::borrow::Cow;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -338,7 +339,7 @@ impl Client {
 
     fn names(&mut self, req: &Request) -> ClientResult<Vec<String>> {
         match self.expect(req)? {
-            Response::Names { names, .. } => Ok(names),
+            Response::Names { names, .. } => Ok(owned(names)),
             other => Err(shape("Names", &other)),
         }
     }
@@ -410,7 +411,7 @@ impl Client {
                 scanned,
                 names,
             } => Ok(AskReply {
-                answers: names,
+                answers: owned(names),
                 probes,
                 scanned,
             }),
@@ -663,6 +664,11 @@ impl Client {
             other => Err(shape("ReplInfo", &other)),
         }
     }
+}
+
+/// Decoded names own their strings, so this moves them out.
+fn owned(names: Vec<Cow<'static, str>>) -> Vec<String> {
+    names.into_iter().map(Cow::into_owned).collect()
 }
 
 fn shape(wanted: &str, got: &Response) -> ClientError {

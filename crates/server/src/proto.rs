@@ -79,6 +79,12 @@
 //! counters for `Ask` answers and are zero for other `Names` replies
 //! (e.g. retraction cascades).
 //!
+//! `Names` are encoded straight from interned strings: an `Ask` answer
+//! and a one-column `ViewAsk` row are `Cow::Borrowed` from the symbol
+//! pool, and only a wider row (its values joined by spaces) or a
+//! computed name is an owned `String`. The byte format is unchanged —
+//! each name is a `u32`-length-prefixed UTF-8 string either way.
+//!
 //! # Sessions and snapshot isolation
 //!
 //! `Hello` opens a session and pins its *watermark* — the knowledge
@@ -111,6 +117,7 @@
 //! requests drain normally and subsequent ones get
 //! [`ErrorCode::ShuttingDown`].
 
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use storage::record;
 use storage::record::codec::{Cursor, Wire};
@@ -562,8 +569,9 @@ storage::op_table! {
             probes: u64,
             /// Tuples scanned during evaluation (ASK only; 0 otherwise).
             scanned: u64,
-            /// The names.
-            names: Vec<String>,
+            /// The names. The server borrows interned strings where it
+            /// can; a decoded reply owns every name.
+            names: Vec<Cow<'static, str>>,
         },
         /// A boolean verdict (HOLDS).
         4 Truth "truth" {
@@ -820,6 +828,20 @@ mod tests {
     fn response_table_matches_the_golden_bytes() {
         Response::check_golden(include_str!("../../../tests/fixtures/wire/response.hex"));
         assert_eq!(Response::OPS.len(), 13);
+    }
+
+    #[test]
+    fn names_borrowed_from_the_symbol_pool_encode_like_owned_strings() {
+        let texts = ["p1", "<p1 sender maria>", "", "é x", "p1 42"];
+        let names = |name: fn(&'static str) -> Cow<'static, str>| Response::Names {
+            probes: 3,
+            scanned: 9,
+            names: texts.iter().map(|&t| name(t)).collect(),
+        };
+        let owned = names(|t| Cow::Owned(t.to_string()));
+        let borrowed = names(|t| Cow::Borrowed(datalog::intern::intern(t).as_str()));
+        assert_eq!(borrowed.encode(), owned.encode());
+        assert_eq!(Response::decode(&borrowed.encode()).unwrap(), owned);
     }
 
     #[test]

@@ -15,9 +15,11 @@ use super::{
 };
 use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
 use crate::session::SessionErr;
+use datalog::intern::IVal;
 use gkbms::mvcc::Version;
 use gkbms::{Gkbms, GkbmsError, GkbmsResult};
 use objectbase::transform::frame_at;
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,11 +43,26 @@ fn done(text: impl Into<String>) -> Response {
     Response::Done { text: text.into() }
 }
 
-fn names(list: Vec<String>) -> Response {
+fn names<S: Into<Cow<'static, str>>>(list: impl IntoIterator<Item = S>) -> Response {
     Response::Names {
         probes: 0,
         scanned: 0,
-        names: list,
+        names: list.into_iter().map(Into::into).collect(),
+    }
+}
+
+/// A view row as the wire names it: a one-symbol row is the symbol's
+/// interned string, borrowed; any other row is its values joined by
+/// spaces.
+fn row_name(row: &[IVal]) -> Cow<'static, str> {
+    match row {
+        [IVal::Sym(s)] => Cow::Borrowed(s.as_str()),
+        _ => Cow::Owned(
+            row.iter()
+                .map(|v| v.resolve().to_string())
+                .collect::<Vec<_>>()
+                .join(" "),
+        ),
     }
 }
 
@@ -266,17 +283,13 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             let (watermark, version) = gate(shared, session)?;
             let snap = version.data().snapshot_at(watermark);
             let rows = gkbms::system::applicable_decisions(snap, &object).map_err(rejected)?;
-            names(
-                rows.into_iter()
-                    .map(|(class, tools)| {
-                        if tools.is_empty() {
-                            class
-                        } else {
-                            format!("{class} [{}]", tools.join(", "))
-                        }
-                    })
-                    .collect(),
-            )
+            names(rows.into_iter().map(|(class, tools)| {
+                if tools.is_empty() {
+                    class
+                } else {
+                    format!("{class} [{}]", tools.join(", "))
+                }
+            }))
         }
         Request::Execute { session, decision } => write_op(
             shared,
@@ -322,8 +335,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             let rows = gkbms::navigate::object_history(snap, &object).map_err(rejected)?;
             names(
                 rows.into_iter()
-                    .map(|(tick, event)| format!("t{tick}: {event}"))
-                    .collect(),
+                    .map(|(tick, event)| format!("t{tick}: {event}")),
             )
         }
         Request::SessionStats { session } => {
@@ -441,14 +453,16 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         } => {
             let (watermark, version) = gate(shared, session)?;
             // The materialized model reflects the current belief state
-            // (`as_of`). A session pinned at or after it reads the
-            // model directly, under the state guard. An older watermark
-            // must never observe a refresh from a newer tick: it takes
-            // only the view's program from under the guard and reads
-            // the view at its own pinned store version, with the guard
-            // released — an evaluation must not hold writers up.
+            // (`as_of`). A session pinned at or after it copies the
+            // model's rows out under the state guard — one copy of the
+            // interned values; sorting and encoding wait until the
+            // guard is released. An older watermark must never observe
+            // a refresh from a newer tick: it takes only the view's
+            // program from under the guard and reads the view at its
+            // own pinned store version, with the guard released — an
+            // evaluation must not hold writers up.
             enum Read {
-                Model(Vec<Vec<datalog::ast::Value>>),
+                Model(datalog::db::Rows),
                 Pinned(datalog::ast::Program),
             }
             let read = {
@@ -462,34 +476,25 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                         "View reads served straight from the maintained model"
                     )
                     .inc();
-                    Read::Model(view.tuples(&pred))
+                    Read::Model(view.rows(&pred))
                 } else {
                     Read::Pinned(view.view().program().clone())
                 }
             };
-            let tuples = match read {
-                Read::Model(tuples) => tuples,
+            let mut rows = match read {
+                Read::Model(rows) => rows,
                 Read::Pinned(program) => {
                     obs::counter!(
                         "gkbms_view_asks_pinned_total",
                         "View reads answered at an older pinned watermark, from the lemmas of the pinned version"
                     )
                     .inc();
-                    gkbms::views::pinned_tuples(version.data(), watermark, &program, &pred)
+                    gkbms::views::pinned_rows(version.data(), watermark, &program, &pred)
                         .map_err(rejected)?
                 }
             };
-            names(
-                tuples
-                    .into_iter()
-                    .map(|t| {
-                        t.iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    })
-                    .collect(),
-            )
+            rows.sort();
+            names(rows.iter().map(row_name))
         }
         Request::Recall {
             session,

@@ -136,6 +136,7 @@ pub fn read_record<R: Read>(r: &mut R, offset: u64) -> StorageResult<ReadOutcome
 /// `opcode:u32` followed by the row's `Wire` fields.
 pub mod codec {
     use crate::error::{StorageError, StorageResult};
+    use std::borrow::Cow;
 
     /// Appends a `u32`.
     pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -295,6 +296,17 @@ pub mod codec {
         }
         fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
             Ok(c.get_str()?.to_string())
+        }
+    }
+
+    /// A string an encoder may borrow: the bytes of the same `String`.
+    /// Decoding always owns.
+    impl Wire for Cow<'static, str> {
+        fn put(&self, out: &mut Vec<u8>) {
+            put_str(out, self);
+        }
+        fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
+            String::get(c).map(Cow::Owned)
         }
     }
 

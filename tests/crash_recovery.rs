@@ -34,7 +34,7 @@ use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
 use conceptbase::gkbms::metamodel::kernel;
 use conceptbase::gkbms::record::Record;
 use conceptbase::gkbms::system::DecisionRecord;
-use conceptbase::gkbms::views::pinned_tuples;
+use conceptbase::gkbms::views::pinned_rows;
 use conceptbase::gkbms::{
     DecisionClass, DecisionDimension, DecisionRequest, Discharge, Gkbms, GkbmsResult, RecallHit,
     ToolSpec,
@@ -44,6 +44,7 @@ use conceptbase::storage::crash;
 use conceptbase::storage::log::read_payloads;
 use conceptbase::telos::{KbVersion, PropId, Snapshot};
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -960,7 +961,7 @@ fn apply_documented(
 
 /// What one ASK of a told class answered: names and the counters of the
 /// evaluation behind them, or `None` when the class was not believed.
-type Asked = Option<(Vec<String>, EvalStats)>;
+type Asked = Option<(Vec<Cow<'static, str>>, EvalStats)>;
 
 fn ask_version(v: &KbVersion, at: i64, class: &str) -> Asked {
     query::ask_with_stats_version(v, at, "x", class, "true").ok()
@@ -1027,7 +1028,9 @@ fn versioned_reads_agree(g: &Gkbms, earlier: &mut Option<(KbVersion, Vec<Asked>)
     for view in g.views() {
         let program = view.view().program();
         for pred in VIEW_PREDS {
-            let pinned = pinned_tuples(&v, at, program, pred).expect("pinned view read");
+            let mut pinned = pinned_rows(&v, at, program, pred).expect("pinned view read");
+            pinned.sort();
+            let pinned: Vec<_> = pinned.tuples().collect();
             let name = view.name();
             assert_eq!(
                 pinned,

@@ -400,7 +400,7 @@ proptest! {
         // Concurrent pinned readers: each captured version answers from
         // its own thread, no lock, while the main thread replays the
         // same queries serially against the final KB.
-        let results: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let results: Vec<Vec<std::borrow::Cow<'static, str>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = captured
                 .iter()
                 .map(|(v, w)| {

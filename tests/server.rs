@@ -763,6 +763,97 @@ fn registered_view_maintains_and_pins_over_the_wire() {
     server.shutdown().unwrap();
 }
 
+/// View reads over the wire — from the maintained model (a refreshed
+/// session) and from the version of a session pinned before a write —
+/// answer the serial `Gkbms::view_tuples` rows, each joined by spaces,
+/// in the same order. `links` is read at `inT`, two columns, over a KB
+/// whose classified attribute links display with spaces
+/// (`<p1 sender maria>`); `tagged` is a user rule with an integer
+/// constant, so one column holds both symbols and integers, which the
+/// value order puts after every symbol and the joined strings before.
+#[test]
+fn view_rows_on_the_wire_equal_the_serial_view_tuples() {
+    let (server, addr) = start(quick_cfg());
+    let mut c = Client::connect(addr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(
+        s,
+        "TELL Person end\nTELL Paper with attribute sender : Person end\n\
+         TELL maria in Person end\nTELL anna in Person end\n\
+         TELL p1 in Paper with attribute sender : maria end",
+    )
+    .unwrap();
+    let tagged = "tagged(X, 42) :- in_(X, \"Paper\").\ntagged(42, X) :- in_(X, \"Paper\").";
+    c.register_view(s, "links", "").unwrap();
+    c.register_view(s, "tagged", tagged).unwrap();
+    c.refresh(s).unwrap();
+    let reads = [("links", "inT"), ("tagged", "tagged")];
+    let read_all = |c: &mut Client, s: u64| -> Vec<Vec<String>> {
+        reads
+            .iter()
+            .map(|(view, pred)| c.view_ask(s, view, pred).unwrap())
+            .collect()
+    };
+
+    let mut pinned = Client::connect(addr).unwrap();
+    let (ps, pin) = pinned.hello().unwrap();
+    let before = read_all(&mut c, s);
+    assert!(
+        before[0]
+            .iter()
+            .any(|row| row.starts_with("<p1 sender maria> ")),
+        "{:?}",
+        before[0]
+    );
+    c.tell(s, "TELL p2 in Paper with attribute sender : anna end")
+        .unwrap();
+    c.refresh(s).unwrap();
+    // The write moved both models, so a pinned read served from one
+    // would differ from what the session saw before it.
+    let from_pin = read_all(&mut pinned, ps);
+    let from_model = read_all(&mut c, s);
+    for i in 0..reads.len() {
+        assert_ne!(from_model[i], from_pin[i], "the write moved {:?}", reads[i]);
+    }
+    pinned.bye(ps).unwrap();
+    c.bye(s).unwrap();
+
+    let served = server.shutdown().unwrap();
+    let joined = |tuples: Vec<Vec<conceptbase::datalog::Value>>| -> Vec<String> {
+        tuples
+            .iter()
+            .map(|t| {
+                t.iter()
+                    .map(|v| v.to_string())
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect()
+    };
+    for (i, (view, pred)) in reads.into_iter().enumerate() {
+        let serial = joined(served.view_tuples(view, pred).unwrap());
+        assert_eq!(from_model[i], serial, "{view}.{pred} from the model");
+        let at_pin = served
+            .view(view)
+            .unwrap()
+            .eval_pinned(served.kb(), pin, pred);
+        assert_eq!(
+            from_pin[i],
+            joined(at_pin.unwrap()),
+            "{view}.{pred} at the pin"
+        );
+        assert_eq!(
+            from_pin[i], before[i],
+            "{view}.{pred}: the pin is the model it saw"
+        );
+    }
+    assert_eq!(
+        from_model[1][..2],
+        ["p1 42".to_string(), "p2 42".to_string()],
+        "symbols before integers"
+    );
+}
+
 /// A view whose rule body holds a literal wider than the 32-bit
 /// binding mask (one ~300-byte `RegisterView` frame) registers, is
 /// maintained under TELL/UNTELL, answers what a from-scratch scan
