@@ -9,9 +9,10 @@
 //! exactly the "fairly small networks" ceiling §3.3.3 cites, so the
 //! large sizes are JTMS-only.
 //!
-//! The `gkbms/served` rows time the decision-granularity JTMS as the
-//! GKBMS drives it: `Gkbms::retract_decision` (labelling, cascade and
-//! documentation writes) over seeded victims in a `synth` corpus.
+//! The `gkbms/served` rows time what the GKBMS serves instead of a
+//! JTMS: `Gkbms::retract_decision` (the over-delete/rederive walk over
+//! the design record, cascade and documentation writes) over seeded
+//! victims in a `synth` corpus.
 //!
 //! Run with `cargo run --release -p bench --bin rms_snapshot`.
 
@@ -213,7 +214,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"rms\",\n  \"issue\": 9,\n  \"seed\": 42,\n  \
          \"corpus_fingerprint\": \"{fingerprint:016x}\",\n  \
-         \"note\": \"E-3: JTMS vs ATMS labeling over synth design histories (gkbms::synth::plan, seed 42, retraction-free build then retract/enable churn); flat = node per design object, abstracted = node per decision (GKBMS decision granularity); ATMS swept at shared sizes only — its per-env assumption bitsets are the small-network ceiling of para 3.3.3, so 200k/1M decisions are JTMS-only; gkbms/served = mean Gkbms::retract_decision (labelling + cascade + documentation) over 40 seeded effective victims of a synth corpus with the default retraction rate\",\n  \
+         \"note\": \"E-3: JTMS vs ATMS labeling over synth design histories (gkbms::synth::plan, seed 42, retraction-free build then retract/enable churn); flat = node per design object, abstracted = node per decision (GKBMS decision granularity); ATMS swept at shared sizes only — its per-env assumption bitsets are the small-network ceiling of para 3.3.3, so 200k/1M decisions are JTMS-only; gkbms/served = mean Gkbms::retract_decision (design-record walk + cascade + documentation) over 40 seeded effective victims of a synth corpus with the default retraction rate\",\n  \
          \"workloads\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );

@@ -11,8 +11,8 @@
 //!   nonzero afterwards (the CI job re-asserts them over the wire via
 //!   `\metrics` after recovering the journal under `cbshell --listen`);
 //! - the journal directory recovers to the driven state, so a server
-//!   can serve recall queries and the documented decision history
-//!   against the corpus.
+//!   can serve recall queries, the documented decision history and
+//!   the status of every design object against the corpus.
 //!
 //! Run with `cargo run --release -p bench --bin scenario_fleet -- \
 //! <journal-dir> [seed] [decisions]`. Exits nonzero on any violation.
@@ -52,7 +52,8 @@ fn main() {
     assert_eq!(history, ha, "journaled generation diverged");
 
     let mut rng = SynthRng::new(seed ^ 0x5eed);
-    let back = synth::drive_backtracking(&mut g, &mut rng, 5).expect("backtracking");
+    let rounds = (decisions / 10).max(5);
+    let back = synth::drive_backtracking(&mut g, &mut rng, rounds).expect("backtracking");
     println!(
         "backtracking: {} retracted ({} objects out), {} replayed ({} objects back)",
         back.retracted, back.objects_taken_out, back.replayed, back.objects_recreated
@@ -85,6 +86,12 @@ fn main() {
     // diffs it against the recovered server's.
     for line in g.process_view().render().lines() {
         println!("history row: {line}");
+    }
+    // The status view, as `status` prints it: every current object with
+    // its level and the producer that justifies it. The CI job diffs it
+    // against the recovered server's, which replayed every retraction.
+    for line in g.status_view().render().lines() {
+        println!("status row: {line}");
     }
 
     // The counters the `\metrics` scrape asserts on.

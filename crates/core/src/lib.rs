@@ -20,7 +20,8 @@
 //!   system-guided tool selection (fig 2-6);
 //! * [`system`] — the [`Gkbms`] itself: registering design objects,
 //!   executing decisions as nested transactions with proof
-//!   obligations, and **selective backtracking** on a JTMS;
+//!   obligations, and **selective backtracking** over the design
+//!   record;
 //! * [`record`] — the design record: every decision class, tool and
 //!   decision as the KB documents it, read back from any snapshot;
 //! * [`depgraph`] — dependency-graph derivation with lemma caching

@@ -75,12 +75,8 @@ impl Gkbms {
     /// `t` (a past system version), sorted.
     pub fn objects_at(&self, t: i64) -> Vec<String> {
         let then = self.kb.snapshot_at(t);
-        let mut out: Vec<String> = self
-            .object_node
-            .keys()
-            .filter(|name| then.lookup(name).is_some())
-            .cloned()
-            .collect();
+        let known = self.objects.keys().filter(|o| then.lookup(o).is_some());
+        let mut out: Vec<String> = known.cloned().collect();
         out.sort();
         out
     }

@@ -8,8 +8,8 @@
 //! Live state is the fold of [`apply_record`] over that op stream, so
 //! persisting is writing the stream down and loading is replaying it:
 //! [`Gkbms::save`] writes the history as it was committed,
-//! [`Gkbms::load`] re-executes it, reconstructing the KB, the JTMS,
-//! the views and every derived structure. Cascaded retractions are
+//! [`Gkbms::load`] re-executes it, reconstructing the KB, the design
+//! objects' states, the views and every derived structure. Cascaded retractions are
 //! *not* stored — replaying the explicit retraction re-derives them —
 //! and a write that failed was rolled back and committed nothing, so
 //! it is not in the stream at all.

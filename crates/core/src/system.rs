@@ -4,12 +4,12 @@
 //!
 //! Every decision class, tool and executed decision is documented in
 //! full in the Telos KB (fig 3-3), the one copy of the design record:
-//! [`crate::record`] reads it back. An executed decision also
-//! contributes a justification to an embedded JTMS: `inputs ∧ decision
-//! ⊢ outputs`. Retracting a decision takes exactly its consequences OUT
-//! — "supporting this consistent, selective backtracking is the main
-//! purpose of introducing the explicit documentation of design
-//! decisions and dependencies" (§2.1).
+//! [`crate::record`] reads it back. Beside it, `Gkbms` keeps each design
+//! object's state: registered (a premise), IN or OUT. Retracting a
+//! decision takes exactly its consequences OUT, read off the FROM/TO
+//! links downstream of it — "supporting this consistent, selective
+//! backtracking is the main purpose of introducing the explicit
+//! documentation of design decisions and dependencies" (§2.1).
 //!
 //! Every mutator below ends in the one commit point
 //! ([`Gkbms::commit`]): the op that replays it is appended to
@@ -24,7 +24,6 @@ use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
 use crate::record::{self, Record};
-use rms::jtms::{Jtms, JtmsNodeId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::PoisonError;
 use telos::assertion;
@@ -126,8 +125,15 @@ pub struct DecisionEntry {
     pub prop: PropId,
     /// True once retracted.
     pub retracted: bool,
-    /// The decision's JTMS assumption.
-    pub(crate) node: JtmsNodeId,
+}
+
+/// A design object's belief: `Registered` (a premise, current whatever
+/// is retracted), or produced and `In` until a retraction takes it `Out`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ObjectState {
+    Registered,
+    In,
+    Out,
 }
 
 /// Summary returned by a successful execution.
@@ -149,10 +155,10 @@ pub struct DecisionSummary {
 pub struct Gkbms {
     pub(crate) kb: Kb,
     pub(crate) pm: ProcessModel,
-    pub(crate) jtms: Jtms,
     /// The executed decisions, in execution order.
     pub(crate) records: Vec<DecisionEntry>,
-    pub(crate) object_node: HashMap<String, JtmsNodeId>,
+    /// Every registered or produced design object, by name.
+    pub(crate) objects: HashMap<String, ObjectState>,
     /// Decision name → position in `records`.
     pub(crate) decision_at: HashMap<String, usize>,
     /// `records` grouped by structural signature (see [`crate::recall`]).
@@ -206,9 +212,8 @@ impl Gkbms {
         Ok(Gkbms {
             kb,
             pm,
-            jtms: Jtms::new(),
             records: Vec::new(),
-            object_node: HashMap::new(),
+            objects: HashMap::new(),
             decision_at: HashMap::new(),
             recall: Default::default(),
             nogoods: Vec::new(),
@@ -414,11 +419,6 @@ impl Gkbms {
         Ok(gone.len())
     }
 
-    /// Read access to the JTMS.
-    pub fn jtms(&self) -> &Jtms {
-        &self.jtms
-    }
-
     /// The process-model metaclass ids.
     pub fn process_model(&self) -> &ProcessModel {
         &self.pm
@@ -460,8 +460,8 @@ impl Gkbms {
 
     /// The decisions that produced `object`, in execution order — read
     /// off the `to` links into every incarnation of the name, believed
-    /// *or closed* (a raw UNTELL closes the links while the JTMS node
-    /// stays IN).
+    /// *or closed* (a raw UNTELL closes the links while the object
+    /// stays current).
     pub(crate) fn producers_of(&self, object: &str) -> Vec<DecisionRecord> {
         let reaching = self.reader().decisions_reaching(object, &[names::TO_I]);
         let executed = reaching.into_iter().filter_map(|r| self.executed(r));
@@ -626,7 +626,8 @@ impl Gkbms {
 
     /// Registers a design object token: an abstraction of a source
     /// "recorded outside the GKB in the DAIDA sub-environments"
-    /// (fig 2-5). Registered objects are premises in the JTMS.
+    /// (fig 2-5). A registered object stays current whatever is
+    /// retracted.
     pub fn register_object(
         &mut self,
         name: &str,
@@ -656,46 +657,22 @@ impl Gkbms {
             class: class.into(),
             source: source.into(),
         })?;
-        let node = self.node_for(name);
-        self.jtms.justify(node, &[], &[]);
+        self.objects.insert(name.into(), ObjectState::Registered);
         Ok(obj)
     }
 
-    /// The JTMS node of a design object (creating it on demand).
-    pub(crate) fn node_for(&mut self, name: &str) -> JtmsNodeId {
-        if let Some(&n) = self.object_node.get(name) {
-            return n;
-        }
-        let n = self.jtms.node(name);
-        self.object_node.insert(name.to_string(), n);
-        n
-    }
-
-    /// True if the design object is currently believed (IN).
+    /// True if the design object is currently believed: registered, or
+    /// produced and IN.
     pub fn is_current(&self, name: &str) -> bool {
-        self.object_node
+        self.objects
             .get(name)
-            .is_some_and(|&n| self.jtms.is_in(n))
-    }
-
-    /// The design objects among `nodes` (an object node's datum is its
-    /// name; a decision's assumption is not in `object_node`).
-    fn objects_among(&self, nodes: &[JtmsNodeId]) -> Vec<String> {
-        let names = nodes.iter().map(|&n| (n, self.jtms.datum(n)));
-        names
-            .filter(|(n, name)| self.object_node.get(*name) == Some(n))
-            .map(|(_, name)| name.to_string())
-            .collect()
+            .is_some_and(|&s| s != ObjectState::Out)
     }
 
     /// Names of all currently believed design objects, sorted.
     pub fn current_objects(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .object_node
-            .iter()
-            .filter(|(_, &n)| self.jtms.is_in(n))
-            .map(|(name, _)| name.clone())
-            .collect();
+        let current = self.objects.iter().filter(|(_, &s)| s != ObjectState::Out);
+        let mut out: Vec<String> = current.map(|(name, _)| name.clone()).collect();
         out.sort();
         out
     }
@@ -726,7 +703,7 @@ impl Gkbms {
         // Inputs must exist, be believed, and satisfy the precondition.
         let mut input_ids = Vec::new();
         for input in &req.inputs {
-            if self.object_node.contains_key(input.as_str()) && !self.is_current(input) {
+            if self.objects.get(input.as_str()) == Some(&ObjectState::Out) {
                 return Err(GkbmsError::Precondition(format!(
                     "input `{input}` is not current (retracted)"
                 )));
@@ -894,27 +871,20 @@ impl Gkbms {
             request: req.clone(),
         })?;
 
-        // JTMS: the decision is an assumption; outputs are justified by
-        // the decision together with its inputs.
-        let dnode = self.jtms.assumption(format!("decision:{}", req.name));
+        // Its inputs are current, so its outputs are (registered ones stay).
+        for out in &output_names {
+            if !self.is_current(out) {
+                self.objects.insert(out.clone(), ObjectState::In);
+            }
+        }
         self.decision_at
             .insert(req.name.clone(), self.records.len());
-        let mut antecedents = vec![dnode];
-        for input in &req.inputs {
-            antecedents.push(self.node_for(input));
-        }
-        for out in &output_names {
-            let onode = self.node_for(out);
-            self.jtms.justify(onode, &antecedents, &[]);
-        }
-
         let tick = self.kb.tick();
         self.recall.insert(self.records.len(), req, dc.dimension);
         self.records.push(DecisionEntry {
             name: req.name.clone(),
             prop: decision,
             retracted: false,
-            node: dnode,
         });
         obs::counter!(
             "gkbms_decisions_executed_total",
@@ -939,6 +909,9 @@ impl Gkbms {
     /// without redoing all the rest of the design". Returns the names
     /// of the design objects that went out of belief — fig 2-4's
     /// highlighted objects.
+    ///
+    /// The object states and `retracted` flags change only once the
+    /// retraction has committed.
     pub fn retract_decision(&mut self, name: &str) -> GkbmsResult<Vec<String>> {
         let at = *self
             .decision_at
@@ -949,22 +922,8 @@ impl Gkbms {
                 "decision `{name}` already retracted"
             )));
         }
-        let out = self.jtms.retract(self.records[at].node);
-        let mut affected = self.objects_among(&out);
-        // Cascade: the other effective producers of what just went OUT
-        // are dangling — retract their assumptions too, so a later
-        // replay of an upstream decision cannot silently reinstate them
-        // (their KB objects are untold below; reinstating them is the
-        // job of an explicit replay, §3.3).
-        let dangling: BTreeSet<usize> = (affected.iter())
-            .flat_map(|o| self.producers_of(o))
-            .filter(|r| !r.retracted && r.name != name)
-            .filter_map(|r| self.decision_at.get(&r.name).copied())
-            .collect();
-        let nodes = dangling.iter().map(|&i| self.records[i].node);
-        let out = self.jtms.retract_all(nodes);
-        affected.extend(self.objects_among(&out));
-        affected.sort();
+        let (affected, dangling) = self.consequences(name);
+        let decisions: Vec<usize> = std::iter::once(at).chain(dangling).collect();
 
         // Documentation: close belief of the affected objects and mark
         // the decision instances as retracted; the records stay — the
@@ -977,13 +936,16 @@ impl Gkbms {
         }
         self.propagate_untold(&gone);
         let retracted_status = self.kb.individual(record::RETRACTED)?;
-        for i in std::iter::once(at).chain(dangling) {
+        for &i in &decisions {
             self.anchor(self.records[i].prop, names::STATUS, retracted_status)?;
-            self.records[i].retracted = true;
         }
         self.flow_new_props()?;
         self.kb.tick();
         self.commit(JournalOp::Retract { name: name.into() })?;
+        for &i in &decisions {
+            self.records[i].retracted = true;
+        }
+        (self.objects).extend(affected.iter().map(|o| (o.clone(), ObjectState::Out)));
         obs::counter!(
             "gkbms_decisions_retracted_total",
             "Design decisions retracted (explicit plus cascaded)"
@@ -992,11 +954,51 @@ impl Gkbms {
         Ok(affected)
     }
 
-    /// True if the decision is effective: executed, not retracted, and
-    /// all its outputs still current.
+    /// What retracting `name` takes OUT, read off the design record: the
+    /// objects, sorted, and by position the other live (non-retracted)
+    /// producers of one, which dangle and go too, so that only their own
+    /// replay reinstates them (§3.3). Over-delete `name`'s IN outputs
+    /// and, to a fixpoint, the IN outputs of each live user of one; then
+    /// rederive, to a fixpoint, each object a live producer but `name`
+    /// derives from current inputs none of which is over-deleted.
+    fn consequences(&self, name: &str) -> (Vec<String>, BTreeSet<usize>) {
+        let live = |r: &DecisionRecord| !r.retracted && r.name != name;
+        let mut out: BTreeSet<String> = BTreeSet::new();
+        let mut frontier = self.record(name).map_or_else(Vec::new, |r| r.outputs);
+        while let Some(o) = frontier.pop() {
+            if self.objects.get(&o) == Some(&ObjectState::In) && !out.contains(&o) {
+                let users = self.reader().decisions_reaching(&o, &[names::FROM_I]);
+                frontier.extend(users.into_iter().filter(live).flat_map(|r| r.outputs));
+                out.insert(o);
+            }
+        }
+        let producers = |o: &String| self.producers_of(o).into_iter().filter(live).collect();
+        let mut candidates: Vec<(String, Vec<DecisionRecord>)> =
+            out.iter().map(|o| (o.clone(), producers(o))).collect();
+        let supported = |out: &BTreeSet<String>, r: &DecisionRecord| {
+            (r.inputs.iter()).all(|i| self.is_current(i) && !out.contains(i))
+        };
+        loop {
+            let (back, stay): (Vec<_>, Vec<_>) =
+                (candidates.into_iter()).partition(|(_, ps)| ps.iter().any(|r| supported(&out, r)));
+            candidates = stay;
+            if back.is_empty() {
+                break;
+            }
+            for (o, _) in back {
+                out.remove(&o);
+            }
+        }
+        let dangling = candidates.into_iter().flat_map(|(_, producers)| producers);
+        let dangling = dangling.filter_map(|r| self.decision_at.get(&r.name).copied());
+        (out.into_iter().collect(), dangling.collect())
+    }
+
+    /// True if the decision is effective: executed and not retracted,
+    /// so all its outputs are current (a retraction retracts every
+    /// other producer of what it takes out).
     pub fn is_effective(&self, name: &str) -> bool {
-        self.record(name)
-            .is_some_and(|r| !r.retracted && r.outputs.iter().all(|o| self.is_current(o)))
+        (self.decision_at.get(name)).is_some_and(|&at| !self.records[at].retracted)
     }
 }
 
@@ -1390,9 +1392,7 @@ pub(crate) mod tests {
         );
         let names = |rs: Vec<DecisionRecord>| rs.into_iter().map(|r| r.name).collect::<Vec<_>>();
         assert_eq!(names(g.producers_of("X")), ["d1", "d2"]);
-        let ticks = g.jtms().propagations;
         assert_eq!(g.retract_decision("d0").unwrap(), ["A", "B", "X", "Y"]);
-        assert_eq!(g.jtms().propagations, ticks + 2, "two labellings");
         assert_eq!(retracted_as_told(&g), ["d0", "d1", "d2", "d3"]);
         assert_eq!(g.current_objects(), ["R"]);
     }
@@ -1415,7 +1415,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn deep_chain_cascades_in_two_labellings_and_a_leaf_in_one() {
+    fn deep_chain_cascades_whole_and_a_leaf_goes_alone() {
         let chain: &[(&str, &[&str], &[&str])] = &[
             ("d1", &["R"], &["A"]),
             ("d2", &["A"], &["B"]),
@@ -1423,14 +1423,29 @@ pub(crate) mod tests {
             ("d4", &["C"], &["D"]),
         ];
         let mut g = design(&["R"], chain);
-        let ticks = g.jtms().propagations;
         assert_eq!(g.retract_decision("d4").unwrap(), ["D"]);
-        assert_eq!(g.jtms().propagations, ticks + 1, "a leaf has no cascade");
         assert_eq!(retracted_as_told(&g), ["d4"]);
         assert!(g.is_effective("d3"));
         assert_eq!(g.retract_decision("d1").unwrap(), ["A", "B", "C"]);
-        assert_eq!(g.jtms().propagations, ticks + 3, "whatever the depth");
         assert_eq!(retracted_as_told(&g), ["d4", "d1", "d2", "d3"]);
+        assert_eq!(g.current_objects(), ["R"]);
+    }
+
+    /// `d3` reuses `A` as its output, so `A` and `B` support each
+    /// other: without `d1` neither has a support that does not lean on
+    /// the other, and both go out.
+    #[test]
+    fn a_support_cycle_goes_out_whole() {
+        let mut g = design(
+            &["R"],
+            &[
+                ("d1", &["R"], &["A"]),
+                ("d2", &["A"], &["B"]),
+                ("d3", &["B"], &["A"]),
+            ],
+        );
+        assert_eq!(g.retract_decision("d1").unwrap(), ["A", "B"]);
+        assert_eq!(retracted_as_told(&g), ["d1", "d2", "d3"]);
         assert_eq!(g.current_objects(), ["R"]);
     }
 
@@ -1471,7 +1486,7 @@ pub(crate) mod tests {
     fn raw_untell_does_not_hide_a_producer_from_the_cascade() {
         let mut g = design(&["R"], &[("d1", &["R"], &["A"]), ("d2", &["A"], &["B"])]);
         g.untell("B").unwrap();
-        assert!(g.is_current("B"), "the JTMS node is still IN");
+        assert!(g.is_current("B"), "its producer is not retracted");
         assert_eq!(g.retract_decision("d1").unwrap(), ["A", "B"]);
         assert_eq!(retracted_as_told(&g), ["d1", "d2"]);
     }

@@ -99,8 +99,9 @@
 //! after every pinned watermark. `Refresh` re-pins the watermark to
 //! "now"; sessions that write typically refresh to observe their own
 //! writes. `History`, `Status` and `Recall` are not pinned yet: they
-//! answer from the live head (`Status` and `Recall` read the JTMS and
-//! the recall index, which are not propositions). `Lint` and `Explain`
+//! answer from the live head (`Status` and `Recall` read the set of
+//! current design objects and the recall index, which are not
+//! propositions). `Lint` and `Explain`
 //! read the head on purpose, because they predict admission.
 //!
 //! # Errors and backpressure

@@ -25,8 +25,8 @@
 //! lets go (session Bye, Refresh, or idle-timeout sweep — sweeps run on
 //! every publish and on idle connection polls so an abandoned session
 //! cannot retain history forever). The other reads take the read guard
-//! and answer at the live head: STATUS reads the JTMS and RECALL the
-//! recall index, neither held as propositions; HISTORY reads only the
+//! and answer at the live head: STATUS reads the set of current design
+//! objects and RECALL the recall index, neither held as propositions; HISTORY reads only the
 //! design record the KB documents, but is not pinned yet; SAVE,
 //! CHECKPOINT, LINT and EXPLAIN read the head on purpose.
 //!

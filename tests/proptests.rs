@@ -5,7 +5,7 @@ use conceptbase::datalog::ast::{Atom, Program, Term, Value};
 use conceptbase::datalog::db::Database;
 use conceptbase::datalog::{magic, seminaive, topdown};
 use conceptbase::rms::atms::Atms;
-use conceptbase::rms::jtms::Jtms;
+use conceptbase::rms::jtms::{Jtms, JtmsNodeId};
 use conceptbase::storage::record;
 use conceptbase::telos::time::allen::{AllenNetwork, AllenRel, RelSet};
 use conceptbase::telos::{Interval, Kb, PropId};
@@ -224,64 +224,84 @@ proptest! {
 
     // ---------- GKBMS backtracking invariant ----------
 
+    /// Random designs against the JTMS, driven with the justifications
+    /// the design record documents ([`JtmsOracle`]): registered roots,
+    /// decisions with 1–3 inputs whose outputs are new or reused names
+    /// (so support cycles and shared outputs occur), retractions,
+    /// replays and raw UNTELLs. After every op, what a retraction took
+    /// out, the retracted and effective decisions and the current
+    /// objects agree.
     #[test]
     fn selective_backtracking_partitions_exactly(
-        chains in 2usize..5,
-        depth in 1usize..4,
-        victim_chain in 0usize..5,
-        victim_depth in 0usize..4,
+        steps in prop::collection::vec((0u8..10, any::<u64>()), 8..32),
     ) {
         use conceptbase::gkbms::metamodel::kernel;
-        use conceptbase::gkbms::{DecisionClass, DecisionDimension, DecisionRequest, Gkbms, ToolSpec};
-        let victim_chain = victim_chain % chains;
-        let victim_depth = victim_depth % depth;
+        use conceptbase::gkbms::{DecisionClass, DecisionDimension, DecisionRequest, Gkbms};
+        const POOL: [&str; 9] = ["R0", "R1", "R2", "O0", "O1", "O2", "O3", "O4", "O5"];
         let mut g = Gkbms::new().unwrap();
-        g.define_decision_class(
-            DecisionClass::new("DecMap", DecisionDimension::Mapping)
-                .from_classes(&[kernel::TDL_ENTITY_CLASS])
-                .to_classes(&[kernel::DBPL_REL]),
-        )
-        .unwrap();
         g.define_decision_class(
             DecisionClass::new("DecRefine", DecisionDimension::Refinement)
                 .from_classes(&[kernel::DBPL_REL])
                 .to_classes(&[kernel::DBPL_REL]),
         )
         .unwrap();
-        g.register_tool(ToolSpec::new("T", true).executes("DecMap").executes("DecRefine"))
-            .unwrap();
-        for i in 0..chains {
-            g.register_object(&format!("E{i}"), kernel::TDL_ENTITY_CLASS, "src").unwrap();
-            g.execute(
-                DecisionRequest::new("DecMap", &format!("map{i}"), "dev")
-                    .with_tool("T")
-                    .input(&format!("E{i}"))
-                    .output(&format!("R{i}_0"), kernel::DBPL_REL),
-            )
-            .unwrap();
-            for d in 0..depth {
-                g.execute(
-                    DecisionRequest::new("DecRefine", &format!("ref{i}_{d}"), "dev")
-                        .with_tool("T")
-                        .input(&format!("R{i}_{d}"))
-                        .output(&format!("R{i}_{}", d + 1), kernel::DBPL_REL),
-                )
-                .unwrap();
+        let mut oracle = JtmsOracle::default();
+        for (k, (kind, seed)) in steps.into_iter().enumerate() {
+            let mut pick = Pick(seed);
+            let name = format!("d{k}");
+            let executed = g.records().len();
+            match kind {
+                // A root, or now and then any name, produced or not.
+                0..=2 => {
+                    let object = POOL[pick.below(if kind == 2 { POOL.len() } else { 3 })];
+                    if g.register_object(object, kernel::DBPL_REL, "src").is_ok() {
+                        oracle.register(object);
+                    }
+                }
+                // Inputs mostly among the current objects.
+                3..=5 => {
+                    let current = g.current_objects();
+                    let mut req = DecisionRequest::new("DecRefine", &name, "dev");
+                    for _ in 0..1 + pick.below(3) {
+                        req = match (kind, current.len()) {
+                            (5, _) | (_, 0) => req.input(POOL[pick.below(POOL.len())]),
+                            (_, n) => req.input(&current[pick.below(n)]),
+                        };
+                    }
+                    for _ in 0..1 + pick.below(2) {
+                        req = req.output(POOL[pick.below(POOL.len())], kernel::DBPL_REL);
+                    }
+                    let outputs: Vec<String> = req.outputs.iter().map(|(o, _)| o.clone()).collect();
+                    let inputs = req.inputs.clone();
+                    if g.execute(req).is_ok() {
+                        oracle.execute(&name, &inputs, &outputs);
+                    }
+                }
+                6 | 7 if executed > 0 => {
+                    let victim = g.records()[pick.below(executed)].name.clone();
+                    match g.retract_decision(&victim) {
+                        Ok(affected) => prop_assert_eq!(
+                            affected, oracle.retract(&victim), "retracting {} at step {}", victim, k
+                        ),
+                        Err(e) => prop_assert!(oracle.retracted().contains(&victim), "{}", e),
+                    }
+                }
+                8 if executed > 0 => {
+                    let original = g.records()[pick.below(executed)].name.clone();
+                    if g.replay_decision(&original, &name).is_ok() {
+                        oracle.replay(&original, &name);
+                    }
+                }
+                _ => {
+                    let _ = g.untell(POOL[pick.below(POOL.len())]);
+                }
             }
-        }
-        let victim = format!("ref{victim_chain}_{victim_depth}");
-        let affected = g.retract_decision(&victim).unwrap();
-        // Exactly the downstream suffix of the victim chain went out.
-        let expected: Vec<String> = (victim_depth + 1..=depth)
-            .map(|d| format!("R{victim_chain}_{d}"))
-            .collect();
-        prop_assert_eq!(&affected, &expected);
-        for i in 0..chains {
-            for d in 0..=depth {
-                let name = format!("R{i}_{d}");
-                let should_be_current = i != victim_chain || d <= victim_depth;
-                prop_assert_eq!(g.is_current(&name), should_be_current, "{}", name);
-            }
+            let retracted = g.records().iter().filter(|r| r.retracted).map(|r| r.name.clone());
+            prop_assert_eq!(retracted.collect::<Vec<_>>(), oracle.retracted(), "step {}", k);
+            prop_assert_eq!(g.current_objects(), oracle.current(), "step {}", k);
+            let effective = g.records().iter().filter(|r| g.is_effective(&r.name));
+            let effective: Vec<String> = effective.map(|r| r.name.clone()).collect();
+            prop_assert_eq!(effective, oracle.effective(), "step {}", k);
         }
     }
 
@@ -540,6 +560,130 @@ proptest! {
         prop_assert_eq!(kb.believed_count(), before - n_attrs);
         prop_assert!(kb.attrs_of(obj).is_empty());
         prop_assert_eq!(kb.len() - 2, n_attrs + kb.builtins_len_offset());
+    }
+}
+
+/// Small numbers drawn off one seed, each below its bound.
+struct Pick(u64);
+
+impl Pick {
+    fn below(&mut self, n: usize) -> usize {
+        let drawn = self.0 % n as u64;
+        self.0 /= n as u64;
+        drawn as usize
+    }
+}
+
+/// The JTMS `Gkbms` once embedded, driven as it drove it: a premise per
+/// registration, per execution an assumption and one justification
+/// `decision ∧ inputs ⊢ output` per output, and per retraction the
+/// decision's assumption retracted, then in one more labelling those of
+/// the other non-retracted producers of what went OUT.
+#[derive(Default)]
+struct JtmsOracle {
+    tms: Jtms,
+    objects: HashMap<String, JtmsNodeId>,
+    /// The executed decisions, in execution order.
+    decisions: Vec<OracleDecision>,
+}
+
+#[derive(Clone)]
+struct OracleDecision {
+    name: String,
+    assumption: JtmsNodeId,
+    inputs: Vec<String>,
+    outputs: Vec<String>,
+    retracted: bool,
+}
+
+impl JtmsOracle {
+    fn node(&mut self, object: &str) -> JtmsNodeId {
+        let tms = &mut self.tms;
+        *(self.objects)
+            .entry(object.to_string())
+            .or_insert_with(|| tms.node(object))
+    }
+
+    fn register(&mut self, object: &str) {
+        let n = self.node(object);
+        self.tms.justify(n, &[], &[]);
+    }
+
+    fn execute(&mut self, name: &str, inputs: &[String], outputs: &[String]) {
+        let assumption = self.tms.assumption(format!("decision:{name}"));
+        let mut antecedents = vec![assumption];
+        antecedents.extend(inputs.iter().map(|i| self.node(i)));
+        for o in outputs {
+            let n = self.node(o);
+            self.tms.justify(n, &antecedents, &[]);
+        }
+        self.decisions.push(OracleDecision {
+            name: name.into(),
+            assumption,
+            inputs: inputs.to_vec(),
+            outputs: outputs.to_vec(),
+            retracted: false,
+        });
+    }
+
+    fn position(&self, name: &str) -> usize {
+        let at = self.decisions.iter().position(|d| d.name == name);
+        at.expect("an executed decision")
+    }
+
+    fn replay(&mut self, original: &str, name: &str) {
+        let d = self.decisions[self.position(original)].clone();
+        self.execute(name, &d.inputs, &d.outputs);
+    }
+
+    /// The objects among `nodes`, sorted.
+    fn objects_among(&self, nodes: &[JtmsNodeId]) -> Vec<String> {
+        let objects = self.objects.iter().filter(|(_, n)| nodes.contains(n));
+        let mut names: Vec<String> = objects.map(|(o, _)| o.clone()).collect();
+        names.sort();
+        names
+    }
+
+    fn retract(&mut self, name: &str) -> Vec<String> {
+        let at = self.position(name);
+        let out = self.tms.retract(self.decisions[at].assumption);
+        let mut affected = self.objects_among(&out);
+        let dangling: Vec<usize> = (self.decisions.iter().enumerate())
+            .filter(|(i, d)| *i != at && !d.retracted)
+            .filter(|(_, d)| d.outputs.iter().any(|o| affected.contains(o)))
+            .map(|(i, _)| i)
+            .collect();
+        let assumptions = dangling.iter().map(|&i| self.decisions[i].assumption);
+        let out = self.tms.retract_all(assumptions);
+        affected.extend(self.objects_among(&out));
+        affected.sort();
+        for i in std::iter::once(at).chain(dangling) {
+            self.decisions[i].retracted = true;
+        }
+        affected
+    }
+
+    /// The retracted decisions, in execution order.
+    fn retracted(&self) -> Vec<String> {
+        let retracted = self.decisions.iter().filter(|d| d.retracted);
+        retracted.map(|d| d.name.clone()).collect()
+    }
+
+    /// The decisions not retracted whose outputs are all IN, in
+    /// execution order.
+    fn effective(&self) -> Vec<String> {
+        let is_in = |o: &String| self.tms.is_in(self.objects[o]);
+        let effective =
+            (self.decisions.iter()).filter(|d| !d.retracted && d.outputs.iter().all(is_in));
+        effective.map(|d| d.name.clone()).collect()
+    }
+
+    /// The objects IN, sorted.
+    fn current(&self) -> Vec<String> {
+        let current = self.objects.iter().filter(|(_, &n)| self.tms.is_in(n));
+        let mut names: Vec<String> = current.map(|(o, _)| o.clone()).collect();
+        names.sort();
+        names
     }
 }
 
