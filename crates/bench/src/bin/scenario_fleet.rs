@@ -14,11 +14,20 @@
 //!   can serve recall queries, the documented decision history and
 //!   the status of every design object against the corpus.
 //!
+//! Right after generation it times the design reads once each —
+//! `status_view`, `process_view`, `choice_points`, `dependency_graph`
+//! and `consequences_of` (per object, over 50 sampled objects) — and,
+//! after the backtracking drive, its median and slowest retraction. Each
+//! prints one `timing <name> <ms>` line; nothing is asserted on them.
+//! `scenario_fleet <dir> 42 5000` generates the benchmark's `kb_large`
+//! corpus.
+//!
 //! Run with `cargo run --release -p bench --bin scenario_fleet -- \
 //! <journal-dir> [seed] [decisions]`. Exits nonzero on any violation.
 
 use gkbms::synth::{self, SynthConfig, SynthRng};
 use gkbms::Gkbms;
+use std::time::{Duration, Instant};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -50,6 +59,7 @@ fn main() {
     let (mut g, _) = Gkbms::recover(&dir).expect("recover journal dir");
     let history = synth::generate_into(&mut g, &cfg).expect("generate into journal");
     assert_eq!(history, ha, "journaled generation diverged");
+    time_design_reads(&g, seed);
 
     let mut rng = SynthRng::new(seed ^ 0x5eed);
     let rounds = (decisions / 10).max(5);
@@ -59,6 +69,10 @@ fn main() {
         back.retracted, back.objects_taken_out, back.replayed, back.objects_recreated
     );
     assert!(back.retracted > 0, "fleet must exercise retraction");
+    let mut retractions = back.retract_times;
+    retractions.sort();
+    timing("retract_p50", retractions[retractions.len() / 2]);
+    timing("retract_max", retractions[retractions.len() - 1]);
 
     let nav = synth::sweep_navigation(&g, &mut rng, 8).expect("navigation");
     println!(
@@ -122,4 +136,36 @@ fn main() {
         report.replayed_ops
     );
     println!("scenario fleet ok");
+}
+
+/// Prints one `timing <name> <ms>` line.
+fn timing(name: &str, elapsed: Duration) {
+    println!("timing {name} {:.3}", elapsed.as_secs_f64() * 1e3);
+}
+
+/// Times each design read once over the freshly generated corpus:
+/// `consequences_of` per object, averaged over 50 sampled current
+/// objects.
+fn time_design_reads(g: &Gkbms, seed: u64) {
+    fn time<T>(read: impl FnOnce() -> T) -> Duration {
+        let start = Instant::now();
+        std::hint::black_box(read());
+        start.elapsed()
+    }
+    timing("status_view", time(|| g.status_view()));
+    timing("process_view", time(|| g.process_view()));
+    timing("choice_points", time(|| g.choice_points()));
+    timing("dependency_graph", time(|| g.dependency_graph()));
+    let current = g.current_objects();
+    let mut rng = SynthRng::new(seed ^ 0x7153);
+    let sampled: Vec<&String> = (0..50)
+        .map(|_| &current[rng.below(current.len())])
+        .collect();
+    let all = time(|| {
+        sampled
+            .iter()
+            .map(|o| g.consequences_of(o).len())
+            .sum::<usize>()
+    });
+    timing("consequences_of", all / 50);
 }

@@ -3,39 +3,20 @@
 //! "The inference engines may enhance their performance by lemma
 //! generation; this capability is, e.g., used in creating dependency
 //! graph objects of the GKBMS." The graph is one pass over the decisions
-//! the KB documents, built per call: every read here takes `&self`, and
-//! there is nothing for a write to invalidate.
+//! of the design index, built per call: every read here takes `&self`,
+//! and there is nothing for a write to invalidate.
 
-use crate::system::Gkbms;
-use datalog::ast::{Atom, Program, Term, Value};
-use datalog::db::Database;
-use datalog::magic;
+use crate::system::{DecisionRecord, Gkbms};
 use modelbase::display::dot;
 use modelbase::display::graphdag::Graph;
+use std::collections::{HashSet, VecDeque};
 
 impl Gkbms {
     /// Builds the dependency graph over all effective decisions:
     /// `input --from--> decision --to--> output`, plus
     /// `tool --by--> decision` edges.
     pub fn dependency_graph(&self) -> Graph {
-        let mut g = Graph::new();
-        for r in self.decisions() {
-            if r.retracted {
-                continue;
-            }
-            let dlabel = format!("{}:{}", r.class, r.name);
-            g.node(dlabel.clone());
-            for input in &r.inputs {
-                g.edge(input.clone(), dlabel.clone(), "from");
-            }
-            for output in &r.outputs {
-                g.edge(dlabel.clone(), output.clone(), "to");
-            }
-            if let Some(tool) = &r.tool {
-                g.edge(tool.clone(), dlabel.clone(), "by");
-            }
-        }
-        g
+        graph_of(self.records())
     }
 
     /// The fig 2-4 view: the dependency graph with the objects affected
@@ -54,41 +35,42 @@ impl Gkbms {
     }
 
     /// Objects transitively derived from `object` through effective
-    /// decisions — what a change to `object` would touch.
-    ///
-    /// Derived by the inference engines: the effective decisions export
-    /// as `dep(Input, Output)` edges, and the magic-sets transformation
-    /// of transitive reachability (seeded with `object`) runs on the
-    /// indexed bottom-up engine, so only the relevant part of the
-    /// closure is computed.
+    /// decisions — what a change to `object` would touch, sorted: a
+    /// breadth-first walk of the design index's user lists, so it costs
+    /// the part of the graph downstream of `object`.
     pub fn consequences_of(&self, object: &str) -> Vec<String> {
-        let mut edb = Database::new();
-        for r in self.decisions().iter().filter(|r| !r.retracted) {
-            for input in &r.inputs {
-                for output in &r.outputs {
-                    edb.insert(
-                        "dep",
-                        vec![Value::sym(input.clone()), Value::sym(output.clone())],
-                    )
-                    .expect("dep/2 arity is fixed");
-                }
+        let mut seen: HashSet<&str> = HashSet::from([object]);
+        let mut queue = VecDeque::from([object]);
+        while let Some(cur) = queue.pop_front() {
+            for r in self.design.users(cur).filter(|r| !r.retracted) {
+                let outputs = r.outputs.iter().map(String::as_str);
+                queue.extend(outputs.filter(|&o| seen.insert(o)));
             }
         }
-        let program =
-            Program::parse("reach(X, Y) :- dep(X, Y).\nreach(X, Z) :- dep(X, Y), reach(Y, Z).")
-                .expect("reachability program parses");
-        let query = Atom::new("reach", vec![Term::sym(object), Term::var("Y")]);
-        let answers = magic::magic_evaluate(&program, &edb, &query)
-            .expect("reachability evaluation cannot fail");
-        let mut out: Vec<String> = answers
-            .into_iter()
-            .map(|t| t[1].to_string())
-            .filter(|o| o != object)
-            .collect();
+        seen.remove(object);
+        let mut out: Vec<String> = seen.into_iter().map(str::to_string).collect();
         out.sort();
-        out.dedup();
         out
     }
+}
+
+/// The dependency graph of the effective ones among `decisions`.
+fn graph_of<'a>(decisions: impl IntoIterator<Item = &'a DecisionRecord>) -> Graph {
+    let mut g = Graph::new();
+    for r in decisions.into_iter().filter(|r| !r.retracted) {
+        let dlabel = format!("{}:{}", r.class, r.name);
+        g.node(dlabel.clone());
+        for input in &r.inputs {
+            g.edge(input.clone(), dlabel.clone(), "from");
+        }
+        for output in &r.outputs {
+            g.edge(dlabel.clone(), output.clone(), "to");
+        }
+        if let Some(tool) = &r.tool {
+            g.edge(tool.clone(), dlabel.clone(), "by");
+        }
+    }
+    g
 }
 
 #[cfg(test)]
@@ -96,7 +78,7 @@ mod tests {
     use crate::decisions::Discharge;
     use crate::metamodel::kernel;
     use crate::system::tests::scenario_gkbms;
-    use crate::system::DecisionRequest;
+    use crate::system::{DecisionRecord, DecisionRequest};
 
     #[test]
     fn graph_reflects_decisions() {
@@ -201,6 +183,61 @@ mod tests {
             vec!["InvReceivRel", "InvitationRel2"]
         );
         assert!(g.consequences_of("InvReceivRel").is_empty());
+    }
+
+    /// Over a synthetic corpus with retractions and replays, the walk
+    /// of the user lists answers for every object what magic sets over
+    /// the effective decisions' `dep(Input, Output)` edges answered
+    /// before it, and the dependency graph is the one the `Record`
+    /// decodes of the same decisions give.
+    #[test]
+    fn consequences_of_answers_like_magic_sets() {
+        use crate::synth::{self, SynthConfig, SynthRng};
+        use datalog::ast::{Atom, Program, Term, Value};
+        use datalog::db::Database;
+        use datalog::magic;
+        let mut g = crate::system::Gkbms::new().unwrap();
+        let cfg = SynthConfig {
+            seed: 5,
+            decisions: 120,
+            retraction_rate: 0.1,
+            ..SynthConfig::default()
+        };
+        synth::generate_into(&mut g, &cfg).unwrap();
+        let back = synth::drive_backtracking(&mut g, &mut SynthRng::new(6), 12).unwrap();
+        assert!(back.retracted > 0 && back.replayed > 0);
+        let reader = g.reader();
+        let decoded: Vec<DecisionRecord> = (g.records().iter())
+            .map(|r| reader.decision(r.prop).unwrap())
+            .collect();
+        assert_eq!(decoded, g.records());
+        let mut edb = Database::new();
+        for r in decoded.iter().filter(|r| !r.retracted) {
+            for (i, o) in (r.inputs.iter()).flat_map(|i| r.outputs.iter().map(move |o| (i, o))) {
+                let edge = vec![Value::sym(i.clone()), Value::sym(o.clone())];
+                edb.insert("dep", edge).unwrap();
+            }
+        }
+        let reach = "reach(X, Y) :- dep(X, Y).\nreach(X, Z) :- dep(X, Y), reach(Y, Z).";
+        let program = Program::parse(reach).unwrap();
+        let named = decoded
+            .iter()
+            .flat_map(|r| r.inputs.iter().chain(&r.outputs));
+        let objects: std::collections::BTreeSet<&str> =
+            named.map(String::as_str).chain(["Ghost"]).collect();
+        for o in objects {
+            let query = Atom::new("reach", vec![Term::sym(o), Term::var("Y")]);
+            let answers = magic::magic_evaluate(&program, &edb, &query).unwrap();
+            let mut want: Vec<String> = (answers.into_iter())
+                .map(|t| t[1].to_string())
+                .filter(|y| y != o)
+                .collect();
+            want.sort();
+            want.dedup();
+            assert_eq!(g.consequences_of(o), want, "downstream of {o}");
+        }
+        let (got, want) = (g.dependency_graph(), super::graph_of(&decoded));
+        assert_eq!((got.nodes(), got.edges()), (want.nodes(), want.edges()));
     }
 
     #[test]

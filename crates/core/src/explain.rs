@@ -18,7 +18,7 @@ use std::collections::HashSet;
 impl Gkbms {
     /// Renders the justification tree of a design object.
     pub fn explain(&self, object: &str) -> GkbmsResult<String> {
-        if self.kb.lookup(object).is_none() && self.producers_of(object).is_empty() {
+        if self.kb.lookup(object).is_none() && self.design.produced_by(object).is_empty() {
             return Err(GkbmsError::Unknown(format!("design object `{object}`")));
         }
         let mut out = String::new();
@@ -46,7 +46,7 @@ impl Gkbms {
             return;
         }
         // The creating decision, if any (latest record producing it).
-        match self.producers_of(object).pop() {
+        match self.design.produced_by(object).last() {
             None => {
                 // A registered object: show its external source.
                 if let Some(id) = self.kb.lookup(object) {
@@ -61,9 +61,8 @@ impl Gkbms {
                 }
                 out.push_str(&format!("{pad}  registered design object\n"));
             }
-            Some(r) => {
-                let dimension = (self.reader().dimension_of(&r))
-                    .map_or_else(|| "?".to_string(), |d| d.to_string());
+            Some(&at) => {
+                let (r, dimension) = self.design.at(at);
                 let retracted = if r.retracted { ", RETRACTED" } else { "" };
                 out.push_str(&format!(
                     "{pad}  justified by `{}` (class {}, {dimension}{retracted})\n",
@@ -78,7 +77,7 @@ impl Gkbms {
                         .map(|t| format!(" using {t}"))
                         .unwrap_or_else(|| " (manually)".to_string())
                 ));
-                self.explain_obligations(&r, &pad, out);
+                self.explain_obligations(r, &pad, out);
                 for input in &r.inputs {
                     self.explain_object(input, depth + 1, seen, out);
                 }
@@ -127,8 +126,7 @@ impl Gkbms {
     /// Explains a decision instance: its documentation record rendered
     /// as prose.
     pub fn explain_decision(&self, name: &str) -> GkbmsResult<String> {
-        let r = self
-            .record(name)
+        let r = (self.design.get(name))
             .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
         let mut out = format!(
             "decision `{}` of class {} {}\n",
@@ -151,7 +149,7 @@ impl Gkbms {
         ));
         out.push_str(&format!("  from: {}\n", r.inputs.join(", ")));
         out.push_str(&format!("  to:   {}\n", r.outputs.join(", ")));
-        self.explain_obligations(&r, "", &mut out);
+        self.explain_obligations(r, "", &mut out);
         Ok(out)
     }
 }

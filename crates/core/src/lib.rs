@@ -24,6 +24,9 @@
 //!   record;
 //! * [`record`] — the design record: every decision class, tool and
 //!   decision as the KB documents it, read back from any snapshot;
+//! * [`design`] — the design index: each executed decision as the
+//!   record decoded it at its commit, and each design object's state
+//!   with its producers and users;
 //! * [`depgraph`] — dependency-graph derivation with lemma caching
 //!   (figs 2-2 … 2-4);
 //! * [`versions`] — version & configuration management from mapping /
@@ -42,6 +45,7 @@
 pub mod conflict;
 pub mod decisions;
 pub mod depgraph;
+pub mod design;
 pub mod error;
 pub mod explain;
 pub mod journal;

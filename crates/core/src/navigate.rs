@@ -19,14 +19,14 @@ impl Gkbms {
     /// level, as a relational display.
     pub fn status_view(&self) -> Table {
         let mut t = Table::new(&["object", "level", "justified by"]);
-        for obj in self.current_objects() {
-            let level = self.level_of(&obj).unwrap_or_else(|| "-".to_string());
-            let producers = self.producers_of(&obj);
+        let records = self.records();
+        for (obj, producers) in self.design.current() {
+            let level = self.level_of(obj).unwrap_or_else(|| "-".to_string());
+            let mut producers = producers.iter().map(|&at| &records[at]);
             let justification = producers
-                .iter()
                 .find(|r| !r.retracted)
                 .map_or("(registered)", |r| &r.name);
-            t.row(&[&obj, &level, justification]);
+            t.row(&[obj, &level, justification]);
         }
         t
     }
@@ -36,7 +36,7 @@ impl Gkbms {
     /// its dimension, inputs and outputs.
     pub fn process_view(&self) -> Table {
         let mut t = Table::new(&["#", "decision", "dimension", "from", "to", "by"]);
-        let decisions = self.decisions_with_dimensions().into_iter();
+        let decisions = self.design.with_dimensions();
         let effective = decisions.filter(|(r, _)| !r.retracted);
         for (i, (r, dimension)) in effective.enumerate() {
             t.row(&[
@@ -51,19 +51,20 @@ impl Gkbms {
         t
     }
 
-    /// The decisions causally upstream of an object: the chain of
-    /// justifications back to registered objects.
+    /// The decisions causally upstream of a design object, current or
+    /// retracted: the chain of justifications back to registered
+    /// objects.
     pub fn causal_chain(&self, object: &str) -> GkbmsResult<Vec<String>> {
-        if self.kb.lookup(object).is_none() {
+        if self.design.state(object).is_none() {
             return Err(GkbmsError::Unknown(format!("design object `{object}`")));
         }
         let mut chain = Vec::new();
-        let mut frontier = vec![object.to_string()];
+        let mut frontier = vec![object];
         while let Some(cur) = frontier.pop() {
-            for r in self.producers_of(&cur) {
+            for r in self.design.producers(cur) {
                 if !chain.contains(&r.name) {
                     chain.push(r.name.clone());
-                    frontier.extend(r.inputs.iter().cloned());
+                    frontier.extend(r.inputs.iter().map(String::as_str));
                 }
             }
         }
@@ -75,10 +76,8 @@ impl Gkbms {
     /// `t` (a past system version), sorted.
     pub fn objects_at(&self, t: i64) -> Vec<String> {
         let then = self.kb.snapshot_at(t);
-        let known = self.objects.keys().filter(|o| then.lookup(o).is_some());
-        let mut out: Vec<String> = known.cloned().collect();
-        out.sort();
-        out
+        let known = self.design.objects().filter(|o| then.lookup(o).is_some());
+        known.map(str::to_string).collect()
     }
 
     /// [`object_history`] at the live head.
@@ -167,11 +166,15 @@ mod tests {
 
     #[test]
     fn causal_chain_traces_back() {
-        let g = history();
+        let mut g = history();
         let chain = g.causal_chain("InvitationRel2").unwrap();
         assert_eq!(chain, vec!["mapInvitations", "normalizeInvitations"]);
         assert!(g.causal_chain("Ghost").is_err());
         assert!(g.causal_chain("Invitation").unwrap().is_empty());
+        // A retracted object keeps its history.
+        g.retract_decision("mapInvitations").unwrap();
+        assert!(!g.is_current("InvitationRel2"));
+        assert_eq!(g.causal_chain("InvitationRel2").unwrap(), chain);
     }
 
     #[test]

@@ -413,7 +413,7 @@ mod tests {
         assert_eq!(loaded.current_objects(), original.current_objects());
         // Same records with same effectiveness.
         assert_eq!(loaded.records().len(), original.records().len());
-        for (a, b) in loaded.decisions().iter().zip(original.decisions()) {
+        for (a, b) in loaded.records().iter().zip(original.records()) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.retracted, b.retracted, "{}", a.name);
             assert_eq!(a.outputs, b.outputs);
@@ -575,7 +575,7 @@ mod tests {
         }
         // The retraction replayed where it was committed — after the
         // last execution, whose tick still sees the retracted output.
-        let last = loaded.decisions().last().unwrap().tick;
+        let last = loaded.records().last().unwrap().tick;
         assert!(loaded.snapshot_at(last).lookup("InvitationRel").is_some());
         assert!(loaded.kb().lookup("InvitationRel").is_none());
         std::fs::remove_file(&path).unwrap();

@@ -15,15 +15,16 @@
 //!
 //! # The index
 //!
-//! [`RecallIndex`] is derived state of [`Gkbms`], filled by `execute`
-//! from the request it documents (the one place a decision is made,
-//! and the one replay goes through, so recovery, snapshot + tail and
-//! followers rebuild it as a side effect). A signature is a sorted list
-//! of `(Feature, weight)` pairs, one per distinct feature; decisions
-//! with equal signatures share one *group*, whose members are kept in
-//! name order. Nothing else changes a signature: a decision class never
-//! changes once defined, and a retraction only sets
-//! `DecisionEntry::retracted`, which is read when the answer is built.
+//! [`RecallIndex`] is part of the [`DesignIndex`](crate::design::DesignIndex),
+//! filled by `execute` from the record the design index decoded at the
+//! commit (the one place a decision is made, and the one replay goes
+//! through, so recovery, snapshot + tail and followers rebuild it as a
+//! side effect). A signature is a sorted list of `(Feature, weight)`
+//! pairs, one per distinct feature; decisions with equal signatures
+//! share one *group*, whose members are kept as ordinals in name order.
+//! Nothing else changes a signature: documentation never changes once
+//! told, and a retraction only sets the record's `retracted`, which is
+//! read when the answer is built.
 //!
 //! A query scores each group once, by one merge of two short sorted
 //! arrays, and then walks the groups best score first, merging the
@@ -47,11 +48,11 @@
 //! `f64`s, and the ranking is the one the `f64` scores give.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::decisions::{DecisionDimension, Discharge};
 use crate::error::{GkbmsError, GkbmsResult};
-use crate::system::{DecisionEntry, DecisionRequest, Gkbms};
+use crate::system::{DecisionRecord, Gkbms};
 
 /// A scored recall hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,8 +90,8 @@ struct Group {
     signature: Signature,
     /// The signature's total weight *W*.
     weight: u64,
-    /// Member name → position in `Gkbms::records`, in name order.
-    members: BTreeMap<String, usize>,
+    /// Member ordinals, in name order.
+    members: Vec<usize>,
 }
 
 /// The decisions of a [`Gkbms`] grouped by structural signature.
@@ -100,16 +101,21 @@ pub(crate) struct RecallIndex {
     names: HashMap<String, u32>,
     groups: Vec<Group>,
     group_by_signature: HashMap<Signature, usize>,
-    /// Record position → its group.
+    /// Decision ordinal → its group.
     group_of: Vec<usize>,
 }
 
 impl RecallIndex {
-    /// Files the decision `r` executes as position `at` of `records`;
-    /// its class has `dimension`. Called once per record, in record
-    /// order.
-    pub(crate) fn insert(&mut self, at: usize, r: &DecisionRequest, dimension: DecisionDimension) {
-        debug_assert_eq!(at, self.group_of.len(), "records are filed in order");
+    /// Files `r`, the decision that follows `records`; its class has
+    /// `dimension`. Called once per decision, in execution order.
+    pub(crate) fn insert(
+        &mut self,
+        r: &DecisionRecord,
+        dimension: DecisionDimension,
+        records: &[DecisionRecord],
+    ) {
+        let at = records.len();
+        debug_assert_eq!(at, self.group_of.len(), "decisions are filed in order");
         let signature = self.signature(r, dimension);
         let group = match self.group_by_signature.get(&signature) {
             Some(&g) => g,
@@ -120,19 +126,20 @@ impl RecallIndex {
                 self.groups.push(Group {
                     signature,
                     weight,
-                    members: BTreeMap::new(),
+                    members: Vec::new(),
                 });
                 self.groups.len() - 1
             }
         };
-        self.groups[group].members.insert(r.name.clone(), at);
+        let members = &mut self.groups[group].members;
+        members.insert(members.partition_point(|&m| records[m].name < r.name), at);
         self.group_of.push(group);
     }
 
     /// Class identity weighs heaviest, then dimension and tool, then
     /// the input count and the class multiset of the outputs, and the
     /// kind and obligation of each discharge.
-    fn signature(&mut self, r: &DecisionRequest, dimension: DecisionDimension) -> Signature {
+    fn signature(&mut self, r: &DecisionRecord, dimension: DecisionDimension) -> Signature {
         let names = &mut self.names;
         let mut id = |name: &str| match names.get(name) {
             Some(&id) => id,
@@ -150,7 +157,7 @@ impl RecallIndex {
         if let Some(t) = &r.tool {
             sig.push((Feature::Tool(id(t)), 2));
         }
-        for (_, c) in &r.outputs {
+        for c in &r.output_classes {
             sig.push((Feature::Output(id(c)), 1));
         }
         for d in &r.discharges {
@@ -170,10 +177,10 @@ impl RecallIndex {
         sig.into_boxed_slice()
     }
 
-    /// The decisions most similar to the record at `probe`, best first
-    /// and by name among equals, at most `limit` of them. Scores every
-    /// group once.
-    fn similar(&self, probe: usize, limit: usize, records: &[DecisionEntry]) -> Vec<RecallHit> {
+    /// The decisions most similar to the one at ordinal `probe` of
+    /// `records`, best first and by name among equals, at most `limit`
+    /// of them. Scores every group once.
+    fn similar(&self, probe: usize, limit: usize, records: &[DecisionRecord]) -> Vec<RecallHit> {
         let mine = &self.groups[self.group_of[probe]];
         // (Σmin, Σmax, group) of every group sharing a feature.
         let mut scored: Vec<(u64, u64, &Group)> = (self.groups.iter())
@@ -191,9 +198,10 @@ impl RecallIndex {
             }
             let score = level[0].0 as f64 / level[0].1 as f64;
             // A k-way merge of the level's name-ordered member lists.
+            let head = |at: usize, i| Reverse((&records[at].name, at, i));
             let mut runs: Vec<_> = level.iter().map(|&(_, _, g)| g.members.iter()).collect();
             let mut heads: BinaryHeap<_> = (runs.iter_mut().enumerate())
-                .filter_map(|(i, run)| run.next().map(|(name, &at)| Reverse((name, at, i))))
+                .filter_map(|(i, run)| run.next().map(|&at| head(at, i)))
                 .collect();
             while let Some(Reverse((name, at, i))) = heads.pop() {
                 if at != probe {
@@ -206,8 +214,8 @@ impl RecallIndex {
                         break 'levels;
                     }
                 }
-                if let Some((name, &at)) = runs[i].next() {
-                    heads.push(Reverse((name, at, i)));
+                if let Some(&at) = runs[i].next() {
+                    heads.push(head(at, i));
                 }
             }
         }
@@ -240,11 +248,10 @@ impl Gkbms {
     /// first; the queried decision itself is excluded. Retracted
     /// precedents are reported with their flag set, not filtered.
     pub fn recall_similar(&self, name: &str, limit: usize) -> GkbmsResult<Vec<RecallHit>> {
-        let probe = *self
-            .decision_at
-            .get(name)
+        let design = &self.design;
+        let probe = (design.ordinal(name))
             .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
-        let hits = self.recall.similar(probe, limit, &self.records);
+        let hits = design.recall.similar(probe, limit, design.records());
         obs::counter!(
             "gkbms_recall_queries_total",
             "Structure-similarity recall queries answered"
@@ -254,7 +261,7 @@ impl Gkbms {
             "gkbms_recall_signatures_scored_total",
             "Distinct decision signatures scored by recall queries"
         )
-        .add(self.recall.groups.len() as u64);
+        .add(design.recall.groups.len() as u64);
         Ok(hits)
     }
 }
@@ -266,7 +273,7 @@ mod tests {
     use crate::metamodel::kernel;
     use crate::synth::{self, SynthConfig};
     use crate::system::tests::scenario_gkbms;
-    use crate::system::DecisionRecord;
+    use crate::system::DecisionRequest;
 
     fn corpus() -> Gkbms {
         let mut g = Gkbms::new().unwrap();
@@ -329,7 +336,7 @@ mod tests {
             }
         }
         let probe = bag(g, &g.record(name).unwrap());
-        let mut hits: Vec<RecallHit> = (g.decisions().iter())
+        let mut hits: Vec<RecallHit> = (g.records().iter())
             .filter(|r| r.name != name)
             .map(|r| RecallHit {
                 decision: r.name.clone(),
@@ -424,13 +431,13 @@ mod tests {
     #[test]
     fn same_class_decisions_rank_first() {
         let g = corpus();
-        let probe = g
-            .decisions()
-            .into_iter()
+        let probe = &g
+            .records()
+            .iter()
             .find(|r| r.class == synth::names::NORMALIZE)
             .expect("corpus has a normalization")
             .name;
-        let hits = g.recall_similar(&probe, 5).unwrap();
+        let hits = g.recall_similar(probe, 5).unwrap();
         assert!(!hits.is_empty());
         assert!(hits.len() <= 5);
         // Best hit shares the decision class.
@@ -442,7 +449,7 @@ mod tests {
         }
         assert!(hits[0].score > 0.0 && hits[0].score <= 1.0);
         // The probe never recalls itself.
-        assert!(hits.iter().all(|h| h.decision != probe));
+        assert!(hits.iter().all(|h| &h.decision != probe));
     }
 
     #[test]
@@ -461,12 +468,11 @@ mod tests {
         // ...and shows up as a flagged hit for a live same-class probe.
         let class = g.record(&retracted).unwrap().class;
         let live = g
-            .decisions()
-            .into_iter()
-            .find(|r| r.class == class && !r.retracted && r.name != retracted)
-            .map(|r| r.name);
+            .records()
+            .iter()
+            .find(|r| r.class == class && !r.retracted && r.name != retracted);
         if let Some(live) = live {
-            let hits = g.recall_similar(&live, usize::MAX).unwrap();
+            let hits = g.recall_similar(&live.name, usize::MAX).unwrap();
             let hit = hits.iter().find(|h| h.decision == retracted);
             assert!(hit.is_some_and(|h| h.retracted));
         }
@@ -477,7 +483,7 @@ mod tests {
         let g = corpus();
         // Two distribute decisions with the same fanout have identical
         // signatures.
-        let decisions = g.decisions();
+        let decisions = g.records();
         let mut distribs = decisions
             .iter()
             .filter(|r| r.class == synth::names::DISTRIBUTE || r.class == synth::names::MOVE_DOWN);
@@ -584,7 +590,7 @@ mod tests {
         assert_eq!(hits[4].score, 1.0 / 13.0);
         let top3 = g.recall_similar("p", 3).unwrap();
         assert_eq!(rows(&top3), rows(&hits[..3]));
-        assert_eq!(g.recall.groups.len(), 4);
+        assert_eq!(g.design.recall.groups.len(), 4);
         assert_matches_scan(&g);
     }
 
@@ -595,8 +601,9 @@ mod tests {
         exec(&mut g, "DBPL_MappingDec", "twin1", "R1", &[rel]);
         exec(&mut g, "DBPL_MappingDec", "twin2", "R2", &[rel]);
         exec(&mut g, "DecPlain", "alone", "R3", &[rel]);
-        let alone = g.recall.group_of[g.decision_at["alone"]];
-        assert_eq!(g.recall.groups[alone].members.len(), 1);
+        let recall = &g.design.recall;
+        let alone = recall.group_of[g.design.ordinal("alone").unwrap()];
+        assert_eq!(recall.groups[alone].members.len(), 1);
         let hits = g.recall_similar("alone", usize::MAX).unwrap();
         // inputs 1 + out 1 shared; 2 of 7 + 7 − 2.
         let want = (2.0f64 / 12.0).to_bits();

@@ -10,6 +10,16 @@
 //! It reads a [`Snapshot`] and nothing else, so it answers alike over
 //! the live KB and over a version pinned at any tick.
 //!
+//! `Gkbms` lists decisions from its [`DesignIndex`](crate::design::DesignIndex),
+//! which holds each one as [`Record::decision`] decoded it just after
+//! its execution committed. The reader is the index's rebuild path —
+//! recovery, snapshot + tail and a follower refill the index by
+//! replaying `execute`, which decodes again — and its oracle: the tests
+//! hold every index entry, and every producer and user list, equal to
+//! what a `Record` over the same snapshot reads. It also answers the
+//! reads that take a pinned snapshot (`object_history`,
+//! `applicable_decisions`).
+//!
 //! Besides the FROM/TO/BY links and the classifications, the KB holds:
 //!
 //! * on a decision class: its `dimension`, its `precondition`, and per
@@ -397,7 +407,7 @@ impl<'a> Record<'a> {
     /// labelled with one of `labels` — `to` for the decisions that
     /// produced it, `from` for those that used it. Each once, in
     /// execution order. O(links into the object's incarnations).
-    pub(crate) fn decisions_reaching(&self, object: &str, labels: &[&str]) -> Vec<DecisionRecord> {
+    pub fn decisions_reaching(&self, object: &str, labels: &[&str]) -> Vec<DecisionRecord> {
         let store = self.store();
         let incoming = (self.incarnations(object)).flat_map(|o| self.props(store.postings_to(o)));
         let mut sources: Vec<PropId> = incoming
@@ -439,14 +449,6 @@ impl<'a> Record<'a> {
     pub(crate) fn class_of(&self, r: &DecisionRecord) -> Option<DecisionClass> {
         let then = self.at(r.tick);
         then.decision_class(then.decision_class_named(&r.class)?)
-    }
-
-    /// The dimension of decision `r`'s class, as defined: one link of
-    /// [`Record::class_of`].
-    pub(crate) fn dimension_of(&self, r: &DecisionRecord) -> Option<DecisionDimension> {
-        let then = self.at(r.tick);
-        let c = then.decision_class_named(&r.class)?;
-        then.at(then.class_defined(c)?).dimension(c)
     }
 }
 

@@ -6,7 +6,7 @@
 //! (GKBMS tests their re-applicability)."
 
 use crate::error::{GkbmsError, GkbmsResult};
-use crate::system::{DecisionRequest, Gkbms};
+use crate::system::{eval_precondition, DecisionRequest, Gkbms};
 
 /// The outcome of testing one decision for re-applicability.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,8 +25,7 @@ impl Gkbms {
     /// Tests whether a (typically retracted) decision could be
     /// re-executed in the current state.
     pub fn replayability(&self, name: &str) -> GkbmsResult<Replayability> {
-        let r = self
-            .record(name)
+        let r = (self.design.get(name))
             .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
         let missing: Vec<String> = r
             .inputs
@@ -37,18 +36,10 @@ impl Gkbms {
         if !missing.is_empty() {
             return Ok(Replayability::MissingInputs(missing));
         }
-        if let Some(dc) = self.reader().class_of(&r) {
-            if let Some(pre) = dc.precondition {
-                for input in &r.inputs {
-                    let id = self.kb.expect(input)?;
-                    let expr = telos::assertion::parse(&pre).map_err(GkbmsError::Telos)?;
-                    let mut env = telos::assertion::Env::new();
-                    env.insert("x".to_string(), id);
-                    let ok = telos::assertion::eval(&self.kb, &expr, &mut env)
-                        .map_err(GkbmsError::Telos)?;
-                    if !ok {
-                        return Ok(Replayability::PreconditionFails(input.clone()));
-                    }
+        if let Some(pre) = self.reader().class_of(r).and_then(|dc| dc.precondition) {
+            for input in &r.inputs {
+                if !eval_precondition(&self.kb, &pre, self.kb.expect(input)?)? {
+                    return Ok(Replayability::PreconditionFails(input.clone()));
                 }
             }
         }

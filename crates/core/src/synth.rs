@@ -25,6 +25,7 @@ use crate::decisions::{DecisionClass, DecisionDimension, Discharge, ToolSpec};
 use crate::error::GkbmsResult;
 use crate::metamodel::kernel;
 use crate::system::{DecisionRequest, Gkbms};
+use std::time::{Duration, Instant};
 
 /// Deterministic splitmix64 generator — no dependencies, stable
 /// across platforms, and cheap enough to sit inside the hot loop.
@@ -668,6 +669,8 @@ pub struct BacktrackReport {
     pub replayed: usize,
     /// Objects re-created by the replays.
     pub objects_recreated: usize,
+    /// Wall-clock time of each retraction, in the order driven.
+    pub retract_times: Vec<Duration>,
 }
 
 /// Drives `rounds` of selective backtracking over `g`: retract a
@@ -695,7 +698,9 @@ pub fn drive_backtracking(
             }
         }
         let Some(name) = picked else { continue };
+        let start = Instant::now();
         let affected = g.retract_decision(&name)?;
+        report.retract_times.push(start.elapsed());
         report.retracted += 1;
         report.objects_taken_out += affected.len();
         if let crate::replay::Replayability::Replayable = g.replayability(&name)? {

@@ -4,27 +4,32 @@
 //!
 //! Every decision class, tool and executed decision is documented in
 //! full in the Telos KB (fig 3-3), the one copy of the design record:
-//! [`crate::record`] reads it back. Beside it, `Gkbms` keeps each design
-//! object's state: registered (a premise), IN or OUT. Retracting a
-//! decision takes exactly its consequences OUT, read off the FROM/TO
-//! links downstream of it — "supporting this consistent, selective
-//! backtracking is the main purpose of introducing the explicit
-//! documentation of design decisions and dependencies" (§2.1).
+//! [`crate::record`] reads it back. Beside the KB, `Gkbms` keeps one
+//! [`DesignIndex`]: each executed decision as the record decoded it just
+//! after its commit, and each design object's state — registered (a
+//! premise), IN or OUT — with the decisions that produced and used it.
+//! Every read of the decisions goes through the index. Retracting a
+//! decision takes exactly its consequences OUT, walked along the
+//! index's user and producer lists — "supporting this consistent,
+//! selective backtracking is the main purpose of introducing the
+//! explicit documentation of design decisions and dependencies" (§2.1).
 //!
 //! Every mutator below ends in the one commit point
 //! ([`Gkbms::commit`]): the op that replays it is appended to
 //! `history` (and the journal). A mutator that fails rolls back what it
 //! told ([`Gkbms::tracked`]) and commits nothing, so the live state is
-//! always the replay of the history.
+//! always the replay of the history. The index is written only after a
+//! commit has returned Ok.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::decisions::{DecisionClass, Discharge, ToolSpec};
+use crate::design::{DesignIndex, ObjectState};
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
 use crate::record::{self, Record};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::PoisonError;
 use telos::assertion;
 use telos::{Kb, KbRead, PropId, Snapshot};
@@ -115,27 +120,6 @@ pub struct DecisionRecord {
     pub prop: PropId,
 }
 
-/// What [`Gkbms`] keeps of an executed decision besides its
-/// documentation in the KB: what serving reads without a KB walk.
-#[derive(Debug, Clone)]
-pub struct DecisionEntry {
-    /// Instance name.
-    pub name: String,
-    /// The decision instance proposition.
-    pub prop: PropId,
-    /// True once retracted.
-    pub retracted: bool,
-}
-
-/// A design object's belief: `Registered` (a premise, current whatever
-/// is retracted), or produced and `In` until a retraction takes it `Out`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ObjectState {
-    Registered,
-    In,
-    Out,
-}
-
 /// Summary returned by a successful execution.
 #[derive(Debug, Clone)]
 pub struct DecisionSummary {
@@ -155,14 +139,9 @@ pub struct DecisionSummary {
 pub struct Gkbms {
     pub(crate) kb: Kb,
     pub(crate) pm: ProcessModel,
-    /// The executed decisions, in execution order.
-    pub(crate) records: Vec<DecisionEntry>,
-    /// Every registered or produced design object, by name.
-    pub(crate) objects: HashMap<String, ObjectState>,
-    /// Decision name → position in `records`.
-    pub(crate) decision_at: HashMap<String, usize>,
-    /// `records` grouped by structural signature (see [`crate::recall`]).
-    pub(crate) recall: crate::recall::RecallIndex,
+    /// The executed decisions and the design objects, as the commits
+    /// told them (see [`crate::design`]).
+    pub(crate) design: DesignIndex,
     /// Decision-level nogoods recorded by conflict resolution.
     pub(crate) nogoods: Vec<Vec<String>>,
     /// The history: every committed op, in commit order — what `save`,
@@ -212,10 +191,7 @@ impl Gkbms {
         Ok(Gkbms {
             kb,
             pm,
-            records: Vec::new(),
-            objects: HashMap::new(),
-            decision_at: HashMap::new(),
-            recall: Default::default(),
+            design: DesignIndex::default(),
             nogoods: Vec::new(),
             history: Vec::new(),
             tells_untells: (0, 0),
@@ -424,10 +400,15 @@ impl Gkbms {
         &self.pm
     }
 
-    /// The executed decisions, in execution order. Their documentation
-    /// is in the KB: see [`Gkbms::record`] and [`Gkbms::decisions`].
-    pub fn records(&self) -> &[DecisionEntry] {
-        &self.records
+    /// The documentation of every executed decision, in execution order,
+    /// as the design index decoded it at each commit.
+    pub fn records(&self) -> &[DecisionRecord] {
+        self.design.records()
+    }
+
+    /// The design index: the executed decisions and the design objects.
+    pub fn design(&self) -> &DesignIndex {
+        &self.design
     }
 
     /// The design record at the live head.
@@ -435,39 +416,9 @@ impl Gkbms {
         Record::over(self.kb.snapshot())
     }
 
-    /// The documentation of a named decision, read from the KB.
+    /// The documentation of a named decision.
     pub fn record(&self, name: &str) -> Option<DecisionRecord> {
-        let &at = self.decision_at.get(name)?;
-        self.executed(self.reader().decision(self.records[at].prop)?)
-    }
-
-    /// The documentation of every executed decision, in execution order.
-    pub fn decisions(&self) -> Vec<DecisionRecord> {
-        let reader = self.reader();
-        let read = self.records.iter().filter_map(|e| reader.decision(e.prop));
-        read.filter_map(|r| self.executed(r)).collect()
-    }
-
-    /// `r`, if `execute` committed it, with `retracted` as `records`
-    /// keeps it.
-    fn executed(&self, r: DecisionRecord) -> Option<DecisionRecord> {
-        let entry = &self.records[*self.decision_at.get(&r.name)?];
-        (entry.prop == r.prop).then_some(DecisionRecord {
-            retracted: entry.retracted,
-            ..r
-        })
-    }
-
-    /// The decisions that produced `object`, in execution order — read
-    /// off the `to` links into every incarnation of the name, believed
-    /// *or closed* (a raw UNTELL closes the links while the object
-    /// stays current).
-    pub(crate) fn producers_of(&self, object: &str) -> Vec<DecisionRecord> {
-        let reaching = self.reader().decisions_reaching(object, &[names::TO_I]);
-        let executed = reaching.into_iter().filter_map(|r| self.executed(r));
-        executed
-            .filter(|r| r.outputs.iter().any(|o| o == object))
-            .collect()
+        self.design.get(name).cloned()
     }
 
     // ----- schema-level definitions ---------------------------------------
@@ -657,24 +608,21 @@ impl Gkbms {
             class: class.into(),
             source: source.into(),
         })?;
-        self.objects.insert(name.into(), ObjectState::Registered);
+        self.design.register(name);
         Ok(obj)
     }
 
     /// True if the design object is currently believed: registered, or
     /// produced and IN.
     pub fn is_current(&self, name: &str) -> bool {
-        self.objects
-            .get(name)
-            .is_some_and(|&s| s != ObjectState::Out)
+        self.design
+            .state(name)
+            .is_some_and(|s| s != ObjectState::Out)
     }
 
     /// Names of all currently believed design objects, sorted.
     pub fn current_objects(&self) -> Vec<String> {
-        let current = self.objects.iter().filter(|(_, &s)| s != ObjectState::Out);
-        let mut out: Vec<String> = current.map(|(name, _)| name.clone()).collect();
-        out.sort();
-        out
+        self.design.current().map(|(o, _)| o.to_string()).collect()
     }
 
     // ----- tool selection (fig 2-6) -----------------------------------------
@@ -696,14 +644,14 @@ impl Gkbms {
             .decision_class_named(&req.class)
             .and_then(|c| Some((c, reader.decision_class(c)?)))
             .ok_or_else(|| GkbmsError::Unknown(format!("decision class `{}`", req.class)))?;
-        if self.decision_at.contains_key(&req.name) {
+        if self.design.get(&req.name).is_some() {
             return Err(GkbmsError::Duplicate(format!("decision `{}`", req.name)));
         }
 
         // Inputs must exist, be believed, and satisfy the precondition.
         let mut input_ids = Vec::new();
         for input in &req.inputs {
-            if self.objects.get(input.as_str()) == Some(&ObjectState::Out) {
+            if self.design.state(input) == Some(ObjectState::Out) {
                 return Err(GkbmsError::Precondition(format!(
                     "input `{input}` is not current (retracted)"
                 )));
@@ -789,7 +737,8 @@ impl Gkbms {
     /// Documents the decision. Whatever fails, the last proposition told
     /// before it is a link of the decision individual or of its anchor,
     /// which is how [`crate::record`] tells a rolled-back execution from
-    /// a committed one.
+    /// a committed one. Once committed, the decision is filed in the
+    /// design index as the record reads it back.
     fn execute_body(
         &mut self,
         req: &DecisionRequest,
@@ -870,22 +819,13 @@ impl Gkbms {
         self.commit(JournalOp::Execute {
             request: req.clone(),
         })?;
-
-        // Its inputs are current, so its outputs are (registered ones stay).
-        for out in &output_names {
-            if !self.is_current(out) {
-                self.objects.insert(out.clone(), ObjectState::In);
-            }
-        }
-        self.decision_at
-            .insert(req.name.clone(), self.records.len());
         let tick = self.kb.tick();
-        self.recall.insert(self.records.len(), req, dc.dimension);
-        self.records.push(DecisionEntry {
-            name: req.name.clone(),
-            prop: decision,
-            retracted: false,
-        });
+        // A committed execution always reads back (see `crate::record`).
+        let told = self.reader().decision(decision);
+        debug_assert!(told.is_some(), "`{}` reads back", req.name);
+        if let Some(r) = told {
+            self.design.execute(r, dc.dimension);
+        }
         obs::counter!(
             "gkbms_decisions_executed_total",
             "Design decisions executed successfully"
@@ -913,16 +853,14 @@ impl Gkbms {
     /// The object states and `retracted` flags change only once the
     /// retraction has committed.
     pub fn retract_decision(&mut self, name: &str) -> GkbmsResult<Vec<String>> {
-        let at = *self
-            .decision_at
-            .get(name)
+        let at = (self.design.ordinal(name))
             .ok_or_else(|| GkbmsError::NotRetractable(format!("unknown decision `{name}`")))?;
-        if self.records[at].retracted {
+        if self.design.records()[at].retracted {
             return Err(GkbmsError::NotRetractable(format!(
                 "decision `{name}` already retracted"
             )));
         }
-        let (affected, dangling) = self.consequences(name);
+        let (affected, dangling) = self.consequences(at);
         let decisions: Vec<usize> = std::iter::once(at).chain(dangling).collect();
 
         // Documentation: close belief of the affected objects and mark
@@ -937,15 +875,16 @@ impl Gkbms {
         self.propagate_untold(&gone);
         let retracted_status = self.kb.individual(record::RETRACTED)?;
         for &i in &decisions {
-            self.anchor(self.records[i].prop, names::STATUS, retracted_status)?;
+            self.anchor(
+                self.design.records()[i].prop,
+                names::STATUS,
+                retracted_status,
+            )?;
         }
         self.flow_new_props()?;
         self.kb.tick();
         self.commit(JournalOp::Retract { name: name.into() })?;
-        for &i in &decisions {
-            self.records[i].retracted = true;
-        }
-        (self.objects).extend(affected.iter().map(|o| (o.clone(), ObjectState::Out)));
+        self.design.retract(&decisions, &affected);
         obs::counter!(
             "gkbms_decisions_retracted_total",
             "Design decisions retracted (explicit plus cascaded)"
@@ -954,51 +893,55 @@ impl Gkbms {
         Ok(affected)
     }
 
-    /// What retracting `name` takes OUT, read off the design record: the
-    /// objects, sorted, and by position the other live (non-retracted)
-    /// producers of one, which dangle and go too, so that only their own
-    /// replay reinstates them (§3.3). Over-delete `name`'s IN outputs
-    /// and, to a fixpoint, the IN outputs of each live user of one; then
-    /// rederive, to a fixpoint, each object a live producer but `name`
-    /// derives from current inputs none of which is over-deleted.
-    fn consequences(&self, name: &str) -> (Vec<String>, BTreeSet<usize>) {
-        let live = |r: &DecisionRecord| !r.retracted && r.name != name;
-        let mut out: BTreeSet<String> = BTreeSet::new();
-        let mut frontier = self.record(name).map_or_else(Vec::new, |r| r.outputs);
+    /// What retracting the decision at ordinal `at` takes OUT, walked
+    /// along the design index: the objects, sorted, and the ordinals of
+    /// the other live (non-retracted) producers of one, which dangle and
+    /// go too, so that only their own replay reinstates them (§3.3).
+    /// Over-delete `at`'s IN outputs and, to a fixpoint, the IN outputs
+    /// of each live user of one; then rederive, to a fixpoint, each
+    /// object a live producer but `at` derives from current inputs none
+    /// of which is over-deleted.
+    fn consequences(&self, at: usize) -> (Vec<String>, BTreeSet<usize>) {
+        let records = self.design.records();
+        let live = |&i: &usize| !records[i].retracted && i != at;
+        let outputs = |i: usize| records[i].outputs.iter().map(String::as_str);
+        let mut out: BTreeSet<&str> = BTreeSet::new();
+        let mut frontier: Vec<&str> = outputs(at).collect();
         while let Some(o) = frontier.pop() {
-            if self.objects.get(&o) == Some(&ObjectState::In) && !out.contains(&o) {
-                let users = self.reader().decisions_reaching(&o, &[names::FROM_I]);
-                frontier.extend(users.into_iter().filter(live).flat_map(|r| r.outputs));
-                out.insert(o);
+            if self.design.state(o) == Some(ObjectState::In) && out.insert(o) {
+                let users = self.design.used_by(o).iter().copied().filter(live);
+                frontier.extend(users.flat_map(outputs));
             }
         }
-        let producers = |o: &String| self.producers_of(o).into_iter().filter(live).collect();
-        let mut candidates: Vec<(String, Vec<DecisionRecord>)> =
-            out.iter().map(|o| (o.clone(), producers(o))).collect();
-        let supported = |out: &BTreeSet<String>, r: &DecisionRecord| {
-            (r.inputs.iter()).all(|i| self.is_current(i) && !out.contains(i))
+        let producers = |o: &str| self.design.produced_by(o).iter().copied().filter(live);
+        let mut candidates: Vec<(&str, Vec<usize>)> =
+            out.iter().map(|&o| (o, producers(o).collect())).collect();
+        let supported = |out: &BTreeSet<&str>, i: usize| {
+            (records[i].inputs.iter()).all(|x| self.is_current(x) && !out.contains(x.as_str()))
         };
         loop {
-            let (back, stay): (Vec<_>, Vec<_>) =
-                (candidates.into_iter()).partition(|(_, ps)| ps.iter().any(|r| supported(&out, r)));
+            let (back, stay): (Vec<_>, Vec<_>) = (candidates.into_iter())
+                .partition(|(_, ps)| ps.iter().any(|&i| supported(&out, i)));
             candidates = stay;
             if back.is_empty() {
                 break;
             }
             for (o, _) in back {
-                out.remove(&o);
+                out.remove(o);
             }
         }
         let dangling = candidates.into_iter().flat_map(|(_, producers)| producers);
-        let dangling = dangling.filter_map(|r| self.decision_at.get(&r.name).copied());
-        (out.into_iter().collect(), dangling.collect())
+        (
+            out.into_iter().map(str::to_string).collect(),
+            dangling.collect(),
+        )
     }
 
     /// True if the decision is effective: executed and not retracted,
     /// so all its outputs are current (a retraction retracts every
     /// other producer of what it takes out).
     pub fn is_effective(&self, name: &str) -> bool {
-        (self.decision_at.get(name)).is_some_and(|&at| !self.records[at].retracted)
+        self.design.get(name).is_some_and(|r| !r.retracted)
     }
 }
 
@@ -1047,7 +990,8 @@ pub fn applicable_decisions(
     Ok(out)
 }
 
-fn eval_precondition(kb: &impl KbRead, pre: &str, obj: PropId) -> GkbmsResult<bool> {
+/// True if precondition `pre` holds with `x` bound to `obj`.
+pub(crate) fn eval_precondition(kb: &impl KbRead, pre: &str, obj: PropId) -> GkbmsResult<bool> {
     let expr = assertion::parse(pre).map_err(GkbmsError::Telos)?;
     let mut env = assertion::Env::new();
     env.insert("x".to_string(), obj);
@@ -1370,6 +1314,14 @@ pub(crate) mod tests {
         g
     }
 
+    /// The names of the decisions that produced `object`.
+    fn producers(g: &Gkbms, object: &str) -> Vec<String> {
+        g.design()
+            .producers(object)
+            .map(|r| r.name.clone())
+            .collect()
+    }
+
     /// The decisions marked `status = retracted`, in the order told.
     fn retracted_as_told(g: &Gkbms) -> Vec<String> {
         let status = g.kb().props_with_label("status");
@@ -1390,8 +1342,7 @@ pub(crate) mod tests {
                 ("d3", &["X"], &["Y"]),
             ],
         );
-        let names = |rs: Vec<DecisionRecord>| rs.into_iter().map(|r| r.name).collect::<Vec<_>>();
-        assert_eq!(names(g.producers_of("X")), ["d1", "d2"]);
+        assert_eq!(producers(&g, "X"), ["d1", "d2"]);
         assert_eq!(g.retract_decision("d0").unwrap(), ["A", "B", "X", "Y"]);
         assert_eq!(retracted_as_told(&g), ["d0", "d1", "d2", "d3"]);
         assert_eq!(g.current_objects(), ["R"]);
@@ -1474,8 +1425,8 @@ pub(crate) mod tests {
         assert_eq!(g.current_objects(), ["A", "R"], "d2 stays retracted");
         g.replay_decision("d2", "d2b").unwrap();
         assert_eq!(g.current_objects(), ["A", "B", "R"]);
-        // Producers are read across both incarnations of `A`.
-        let producers = g.producers_of("A");
+        // Producers are kept across both incarnations of `A`.
+        let producers: Vec<&DecisionRecord> = g.design().producers("A").collect();
         assert_eq!(producers.len(), 2);
         assert!(producers[0].retracted && !producers[1].retracted);
         assert_eq!(g.retract_decision("d1b").unwrap(), ["A", "B"]);
@@ -1504,8 +1455,7 @@ pub(crate) mod tests {
         assert!(g.record("fake").is_none());
         let fake = g.kb().lookup("fake").unwrap();
         assert!(g.reader().decision(fake).is_none());
-        let names = |rs: Vec<DecisionRecord>| rs.into_iter().map(|r| r.name).collect::<Vec<_>>();
-        assert_eq!(names(g.producers_of("A")), ["d1"]);
+        assert_eq!(producers(&g, "A"), ["d1"]);
         assert_eq!(g.causal_chain("A").unwrap(), ["d1"]);
         let events = |g: &Gkbms, o| g.object_history(o).unwrap().into_iter().map(|(_, e)| e);
         assert_eq!(events(&g, "R").collect::<Vec<_>>(), ["used by d1"]);

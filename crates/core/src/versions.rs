@@ -65,7 +65,7 @@ impl Gkbms {
             }
         }
         // Historic object: find the class recorded at creation.
-        let r = self.producers_of(object).pop()?;
+        let r = self.design.producers(object).next_back()?;
         let at = r.outputs.iter().position(|o| o == object)?;
         self.level_of_class(r.output_classes.get(at)?)
     }
@@ -96,9 +96,9 @@ impl Gkbms {
             .collect();
         let mut justified_by: Vec<String> = objects
             .iter()
-            .flat_map(|o| self.producers_of(o))
-            .filter(|r| self.is_effective(&r.name))
-            .map(|r| r.name)
+            .flat_map(|o| self.design.producers(o))
+            .filter(|r| !r.retracted)
+            .map(|r| r.name.clone())
             .collect();
         justified_by.sort();
         justified_by.dedup();
@@ -118,11 +118,10 @@ impl Gkbms {
         let config = self.configure_level(level)?;
         let mut gaps = Vec::new();
         for obj in &config.objects {
-            let mut producers = self.producers_of(obj);
-            producers.retain(|r| !r.retracted);
-            let derived_at_all = !producers.is_empty();
-            producers.retain(|r| r.inputs.iter().all(|i| self.is_current(i)));
-            if derived_at_all && producers.is_empty() {
+            let producers = self.design.producers(obj).filter(|r| !r.retracted);
+            let producers: Vec<&DecisionRecord> = producers.collect();
+            let supported = |r: &&DecisionRecord| r.inputs.iter().all(|i| self.is_current(i));
+            if !producers.is_empty() && !producers.iter().any(supported) {
                 gaps.push(obj.clone());
             }
         }
@@ -135,15 +134,15 @@ impl Gkbms {
     /// alternative versions (fig 3-4).
     pub fn choice_points(&self) -> Vec<ChoicePoint> {
         let mut groups: HashMap<Vec<String>, Vec<Alternative>> = HashMap::new();
-        for (r, dimension) in self.decisions_with_dimensions() {
+        for (r, dimension) in self.design.with_dimensions() {
             if dimension != DecisionDimension::Choice {
                 continue;
             }
-            let mut key = r.inputs;
+            let mut key = r.inputs.clone();
             key.sort();
             groups.entry(key).or_default().push(Alternative {
-                decision: r.name,
-                objects: r.outputs,
+                decision: r.name.clone(),
+                objects: r.outputs.clone(),
                 current: !r.retracted,
             });
         }
@@ -155,33 +154,17 @@ impl Gkbms {
         out
     }
 
-    /// Every executed decision with its class's dimension, in execution
-    /// order; each class is read once per call.
-    pub(crate) fn decisions_with_dimensions(&self) -> Vec<(DecisionRecord, DecisionDimension)> {
-        let reader = self.reader();
-        let mut read: HashMap<String, Option<DecisionDimension>> = HashMap::new();
-        let decisions = self.decisions().into_iter();
-        decisions
-            .filter_map(|r| {
-                let class = read.entry(r.class.clone());
-                let dimension = *class.or_insert_with(|| reader.dimension_of(&r));
-                Some((r, dimension?))
-            })
-            .collect()
-    }
-
     /// Renders the fig 3-4 view: the three levels with their current
     /// configurations, decision dimensions, and alternatives.
     pub fn render_version_space(&self) -> String {
         let mut out = String::new();
-        let decisions = self.decisions_with_dimensions();
         for level in kernel::LEVELS {
             let Ok(config) = self.configure_level(level) else {
                 continue;
             };
             out.push_str(&format!("=== {level} ===\n"));
             out.push_str(&format!("  objects: {}\n", config.objects.join(", ")));
-            for (r, dimension) in &decisions {
+            for (r, dimension) in self.design.with_dimensions() {
                 let touches = r
                     .outputs
                     .iter()

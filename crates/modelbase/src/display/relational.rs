@@ -1,11 +1,17 @@
 //! The relational display: "shows the properties of objects in tabular
 //! form with variable column width and scrolling".
 
-/// A table to display.
+/// A table to display. Its cells are kept back to back in one string,
+/// so a row costs no allocation of its own.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    /// Every data cell's text, row after row.
+    cells: String,
+    /// Per data cell, where its text ends in `cells`; each row has one
+    /// cell per header.
+    ends: Vec<usize>,
+    rows: usize,
 }
 
 impl Table {
@@ -13,26 +19,38 @@ impl Table {
     pub fn new(headers: &[&str]) -> Self {
         Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            ..Table::default()
         }
     }
 
     /// Appends a row; short rows are padded, long rows truncated to the
     /// header width.
     pub fn row(&mut self, cells: &[&str]) {
-        let mut row: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        row.resize(self.headers.len(), String::new());
-        self.rows.push(row);
+        for i in 0..self.headers.len() {
+            self.cells
+                .push_str(cells.get(i).copied().unwrap_or_default());
+            self.ends.push(self.cells.len());
+        }
+        self.rows += 1;
     }
 
     /// Number of data rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows
     }
 
     /// True if the table has no data rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows == 0
+    }
+
+    /// The cells of data row `r`.
+    fn row_cells(&self, r: usize) -> impl Iterator<Item = &str> {
+        let width = self.headers.len();
+        (r * width..(r + 1) * width).map(move |k| {
+            let start = k.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+            &self.cells[start..self.ends[k]]
+        })
     }
 
     /// Renders rows `offset..offset+limit` (scrolling) with columns
@@ -40,10 +58,10 @@ impl Table {
     /// (variable column width).
     pub fn render_window(&self, offset: usize, limit: usize, max_col: usize) -> String {
         let max_col = max_col.max(2);
-        let window: Vec<&Vec<String>> = self.rows.iter().skip(offset).take(limit).collect();
+        let window = offset.min(self.rows)..offset.saturating_add(limit).min(self.rows);
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
-        for row in &window {
-            for (i, cell) in row.iter().enumerate() {
+        for r in window.clone() {
+            for (i, cell) in self.row_cells(r).enumerate() {
                 widths[i] = widths[i].max(cell.chars().count());
             }
         }
@@ -69,15 +87,15 @@ impl Table {
         out.push_str(&format!("| {} |\n", hdr.join(" | ")));
         let rule: Vec<String> = widths.iter().map(|&w| "-".repeat(w)).collect();
         out.push_str(&format!("|-{}-|\n", rule.join("-+-")));
-        for row in &window {
-            let cells: Vec<String> = row.iter().zip(&widths).map(|(c, &w)| clip(c, w)).collect();
-            out.push_str(&format!("| {} |\n", cells.join(" | ")));
+        for r in window.clone() {
+            let cells = self.row_cells(r).zip(&widths).map(|(c, &w)| clip(c, w));
+            out.push_str(&format!("| {} |\n", cells.collect::<Vec<_>>().join(" | ")));
         }
-        if offset + window.len() < self.rows.len() {
+        if offset + window.len() < self.rows {
             out.push_str(&format!(
                 "({} of {} rows shown; scroll for more)\n",
                 window.len(),
-                self.rows.len()
+                self.rows
             ));
         }
         out
@@ -85,7 +103,7 @@ impl Table {
 
     /// Renders the whole table with a generous column cap.
     pub fn render(&self) -> String {
-        self.render_window(0, self.rows.len(), 40)
+        self.render_window(0, self.rows, 40)
     }
 }
 

@@ -27,11 +27,16 @@
 //! * **the design record against an oracle** — after every op, every
 //!   decision class, tool and decision read back from the KB equals a
 //!   record rebuilt from the committed requests and the outcomes of
-//!   retraction alone, ticks included.
+//!   retraction alone, ticks included;
+//! * **the design index against the reader** — after every op, and in
+//!   every realization's final state, each decision the index holds is
+//!   what `Record` decodes from the KB, and each streamed object's
+//!   producers and users are the decisions `Record` finds along the
+//!   links into it.
 
 use conceptbase::datalog::seminaive::{self, EvalStats};
 use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
-use conceptbase::gkbms::metamodel::kernel;
+use conceptbase::gkbms::metamodel::{kernel, names};
 use conceptbase::gkbms::record::Record;
 use conceptbase::gkbms::system::DecisionRecord;
 use conceptbase::gkbms::views::pinned_rows;
@@ -681,7 +686,9 @@ struct Digest {
 }
 
 impl Digest {
+    /// Also holds `g`'s design index against its KB.
     fn of(g: &Gkbms) -> Digest {
+        index_agrees(g, "the digested state");
         let extents = TOLD_CLASSES
             .iter()
             .map(|class| {
@@ -852,23 +859,64 @@ fn apply_checked(
         *oracle,
         "the design record after {op:?} ({outcome:?})"
     );
-    // The reads that find decisions by the links into an object, not
-    // through `records`, find exactly the executed ones.
-    for o in INPUTS.iter().chain(OUTPUTS.iter().map(|(o, _)| o)) {
+    index_agrees(g, &format!("after {op:?}"));
+    // The reads that find decisions by the links into an object, and
+    // those that walk the design index, find exactly the executed ones.
+    for o in STREAMED_OBJECTS {
         let (history, upstream) = oracle_reads(oracle, o);
         let events = g.object_history(o).map(|h| h.into_iter().map(|(_, e)| e));
         let mut events: Vec<String> = events.into_iter().flatten().collect();
         events.sort();
         assert_eq!(events, history, "the history of {o} after {op:?}");
-        if let Ok(mut chain) = g.causal_chain(o) {
-            chain.sort();
-            assert_eq!(
-                chain, upstream,
-                "the decisions upstream of {o} after {op:?}"
-            );
+        // A design object is one registered or produced, retracted or not.
+        let produced = |r: &DecisionRecord| r.outputs.iter().any(|x| x == o);
+        let known = registered.contains(o) || oracle.decisions.iter().any(produced);
+        match (g.causal_chain(o), known) {
+            (Ok(mut chain), true) => {
+                chain.sort();
+                assert_eq!(
+                    chain, upstream,
+                    "the decisions upstream of {o} after {op:?}"
+                );
+            }
+            (Err(_), false) => {}
+            (got, _) => panic!("the decisions upstream of {o} after {op:?}: {got:?}"),
         }
     }
     outcome
+}
+
+/// Every object the stream registers, executes against or produces.
+const STREAMED_OBJECTS: [&str; 9] = [
+    "inv0", "inv1", "doc0", "d0", "rel0", "rel1", "rel2", "sk0", "wrong",
+];
+
+/// The design index of `g` against the `Record` reader at its head:
+/// every entry of `records()` is what the reader decodes from its
+/// proposition, ticks included, and the producers and users of every
+/// streamed object are the decisions the reader finds along the `to`
+/// and `from` links into it that name it as an output or an input (a
+/// raw TELL can link a decision to an object its execution did not
+/// name).
+fn index_agrees(g: &Gkbms, ctx: &str) {
+    let reader = Record::over(g.snapshot());
+    for r in g.records() {
+        let decoded = reader.decision(r.prop);
+        assert_eq!(Some(r), decoded.as_ref(), "{ctx}: {} in the index", r.name);
+    }
+    let reaching = |o: &str, label, named: fn(&DecisionRecord) -> &[String]| {
+        let mut found = reader.decisions_reaching(o, &[label]);
+        found.retain(|r| named(r).iter().any(|x| x == o));
+        found
+    };
+    for o in STREAMED_OBJECTS {
+        let producers: Vec<DecisionRecord> = g.design().producers(o).cloned().collect();
+        let by_to = reaching(o, names::TO_I, |r| &r.outputs);
+        assert_eq!(producers, by_to, "{ctx}: the producers of {o}");
+        let users: Vec<DecisionRecord> = g.design().users(o).cloned().collect();
+        let by_from = reaching(o, names::FROM_I, |r| &r.inputs);
+        assert_eq!(users, by_from, "{ctx}: the users of {o}");
+    }
 }
 
 /// What the oracle says of `object`: the events of its history and the
@@ -1072,6 +1120,7 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
             apply(&mut twin, op).is_ok(),
             "op {i} {op:?}: checkpointing changed its outcome ({outcome:?})"
         );
+        index_agrees(&twin, &format!("the twin after op {i} {op:?}"));
         assert_eq!(
             recall_rows(&twin),
             recall_rows(&live),

@@ -53,7 +53,7 @@ fn relational_display_of_decision_documentation() {
     s.step3_normalize().unwrap();
     // Build the fig 3-1 "relational display": one row per decision.
     let mut t = Table::new(&["decision", "class", "from", "to"]);
-    for r in s.gkbms.decisions() {
+    for r in s.gkbms.records() {
         t.row(&[&r.name, &r.class, &r.inputs.join(","), &r.outputs.join(",")]);
     }
     let rendered = t.render_window(0, 10, 28);

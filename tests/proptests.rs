@@ -1047,7 +1047,7 @@ fn recall_by_scan(
     }
     let probe = bag(&g.record(name).expect("probe is recorded"));
     let mut hits: Vec<(String, f64, bool)> = Vec::new();
-    for r in g.decisions().iter().filter(|r| r.name != name) {
+    for r in g.records().iter().filter(|r| r.name != name) {
         let other = bag(r);
         let keys: HashSet<&String> = probe.keys().chain(other.keys()).collect();
         let (mut min, mut max) = (0.0, 0.0);
