@@ -31,24 +31,33 @@
 //!
 //! # Rows stay interned until they are encoded
 //!
-//! A view read hands out [`Rows`]: the model's interned values, one
-//! flat copy of the relation's storage. Under the server's state guard
-//! a `ViewAsk` takes only that copy ([`RegisteredView::rows`]); it
-//! sorts the rows ([`Rows::sort`], the value order of the decoded
-//! tuples) after the guard is released, and the encoder reads each
-//! symbol's interned string. No `Value` or `String` is built per row,
-//! except to join the values of a row wider than one column.
-//! [`RegisteredView::tuples`] and [`Gkbms::view_tuples`] decode the
-//! same sorted rows into `Value`s.
+//! A view read hands out [`Rows`]: the model's interned values, in the
+//! value order of the decoded tuples ([`Rows::sort`]). That order is a
+//! lemma of the relation's state ([`datalog::db::Database::sorted_rows`]):
+//! the first read of a state sorts it, every later read of the same
+//! state finds it sorted, and the first write drops it. Under the
+//! server's state guard a `ViewAsk` takes only the state's slot
+//! ([`RegisteredView::rows`]) — plus, on a miss, one flat copy of the
+//! relation's storage — and sorts that copy into the slot after the
+//! guard is released; the encoder then reads each symbol's interned
+//! string. No `Value` or `String` is built per row, except to join the
+//! values of a row wider than one column. [`RegisteredView::tuples`]
+//! and [`Gkbms::view_tuples`] decode the same sorted rows into
+//! `Value`s. A predicate that no rule of the view names is refused
+//! ([`RegisteredView::check_pred`]) rather than read as empty.
 
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::persist::JournalOp;
 use crate::system::Gkbms;
 use datalog::ast::{Program, Value};
-use datalog::db::Rows;
+use datalog::db::{Rows, SortedRead};
 use datalog::ivm::{Fact, MaterializedView};
 use objectbase::query::{self, preds};
 use telos::{KbVersion, PropId, PropStore};
+
+/// The extensional predicates every view's model is fed by TELL/UNTELL
+/// deltas: no rule may derive them, and every view can be read at them.
+const FED: [&str; 3] = [preds::IN, preds::ISA, preds::ATTR];
 
 /// `rows` in the order every view read answers in — the value order of
 /// [`Rows::sort`] — decoded.
@@ -58,19 +67,19 @@ fn sorted_tuples(mut rows: Rows) -> Vec<Vec<Value>> {
 }
 
 /// The rows of `pred` in the model of `program` over `version` as
-/// believed at tick `at`, copied out as stored like
-/// [`RegisteredView::rows`]: the read of a session pinned before the
-/// maintained model's `as_of`. The model comes from
-/// [`query::version_closure`], so at the version's capture tick it is
-/// evaluated once per version, not once per read.
+/// believed at tick `at`, read like [`RegisteredView::rows`]: the read
+/// of a session pinned before the maintained model's `as_of`. The model
+/// comes from [`query::version_closure`], so at the version's capture
+/// tick it is evaluated once per version, and its rows sorted once per
+/// version, not once per read.
 pub fn pinned_rows(
     version: &KbVersion,
     at: i64,
     program: &Program,
     pred: &str,
-) -> GkbmsResult<Rows> {
+) -> GkbmsResult<SortedRead> {
     let closure = query::version_closure(version, at, program)?;
-    Ok(closure.model.copy_rows(pred))
+    Ok(closure.model.sorted_rows(pred))
 }
 
 /// One registered materialized view.
@@ -105,18 +114,36 @@ impl RegisteredView {
         &self.view
     }
 
-    /// The rows of `pred` in the materialized model, copied out as
-    /// stored — correct for readers whose watermark is at or after
-    /// [`RegisteredView::as_of`]. One copy of the relation's flat
-    /// storage: all a reader does while it holds the model. Every view
-    /// read answers in [`Rows::sort`]'s order.
-    pub fn rows(&self, pred: &str) -> Rows {
-        self.view.model().copy_rows(pred)
+    /// The rows of `pred` in the materialized model, in [`Rows::sort`]'s
+    /// order, the order every view read answers in — correct for
+    /// readers whose watermark is at or after [`RegisteredView::as_of`].
+    /// The model's sorted order is a lemma of its state: this takes the
+    /// state's slot, plus a copy of the rows if no read has sorted this
+    /// state yet — all a reader does while it holds the model.
+    /// [`SortedRead::rows`] sorts, on a miss, once the reader has let go.
+    pub fn rows(&self, pred: &str) -> SortedRead {
+        self.view.model().sorted_rows(pred)
     }
 
-    /// [`RegisteredView::rows`], sorted and decoded.
+    /// [`RegisteredView::rows`], decoded.
     pub fn tuples(&self, pred: &str) -> Vec<Vec<Value>> {
-        sorted_tuples(self.rows(pred))
+        self.rows(pred).rows().tuples().collect()
+    }
+
+    /// Refuses `pred` unless a rule of the view's program names it, in
+    /// its head or its body, or it is one of the extensional predicates
+    /// every view's model is fed (`in_`, `isa`, `attr`). A named
+    /// predicate with no tuples (yet) reads as empty; a misspelt one is
+    /// an error, not an empty answer.
+    pub fn check_pred(&self, pred: &str) -> GkbmsResult<()> {
+        if FED.contains(&pred) || self.view.program().mentions(pred) {
+            Ok(())
+        } else {
+            Err(GkbmsError::Unknown(format!(
+                "predicate `{pred}` in view `{}`",
+                self.name
+            )))
+        }
     }
 
     /// Evaluates this view's program from scratch over `store` as
@@ -170,7 +197,7 @@ impl Gkbms {
         // deriving one of them would make those deltas ambiguous.
         for rule in &program.rules {
             let head = rule.head.pred.as_str();
-            if head == preds::IN || head == preds::ISA || head == preds::ATTR {
+            if FED.contains(&head) {
                 return Err(GkbmsError::Precondition(format!(
                     "view `{name}` derives extensional predicate `{head}`"
                 )));
@@ -218,11 +245,13 @@ impl Gkbms {
     }
 
     /// Tuples of `pred` from the named view's materialized model
-    /// (current belief state), sorted.
+    /// (current belief state), sorted. An unknown view, or a predicate
+    /// the view's program never names, is [`GkbmsError::Unknown`].
     pub fn view_tuples(&self, name: &str, pred: &str) -> GkbmsResult<Vec<Vec<Value>>> {
         let v = self
             .view(name)
             .ok_or_else(|| GkbmsError::Unknown(format!("view `{name}`")))?;
+        v.check_pred(pred)?;
         Ok(v.tuples(pred))
     }
 
@@ -330,6 +359,24 @@ mod tests {
             .unwrap()
             .iter()
             .any(|t| t[0].to_string() == "Invitation"));
+    }
+
+    #[test]
+    fn a_predicate_the_view_never_names_is_unknown() {
+        let mut g = scenario_gkbms();
+        g.register_view("v", "lonely(X) :- inT(X, \"Nope\").")
+            .unwrap();
+        assert!(matches!(
+            g.view_tuples("v", "inTT"),
+            Err(GkbmsError::Unknown(m)) if m.contains("inTT")
+        ));
+        assert_eq!(
+            g.view_tuples("v", "lonely").unwrap(),
+            Vec::<Vec<Value>>::new()
+        );
+        for fed in FED {
+            assert!(g.view_tuples("v", fed).is_ok(), "{fed}");
+        }
     }
 
     #[test]

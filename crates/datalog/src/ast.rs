@@ -279,6 +279,13 @@ impl Program {
         }
         out
     }
+
+    /// Whether some rule names `pred` in its head or its body.
+    pub fn mentions(&self, pred: &str) -> bool {
+        self.rules
+            .iter()
+            .any(|r| r.head.pred == pred || self.body_atoms(r).any(|atom| atom.pred == pred))
+    }
 }
 
 // ---------------------------------------------------------------------------

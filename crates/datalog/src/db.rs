@@ -30,6 +30,13 @@
 //!   [`Rows`], which sort in the value order of their decoded tuples.
 //!   [`Database::tuples`] and [`Database::probe`] decode those rows into
 //!   [`Value`]s.
+//! * A relation's **sorted order is a lemma of its state**, kept beside
+//!   the indexes: [`Database::sorted_rows`] reads the rows in value
+//!   order from a slot that the first sorted read of the state fills.
+//!   Unlike an index it is not maintained: the first insert or remove
+//!   that changes the rows drops the slot (an assignment, nothing
+//!   allocated on the write path), and the next sorted read sorts the
+//!   new state. A clone shares the slot until either side writes.
 
 use crate::ast::{Atom, Term, Value};
 use crate::error::{DatalogError, DatalogResult};
@@ -156,6 +163,12 @@ pub(crate) struct Relation {
     /// state stays `Sync`; evaluation is single-threaded, so the lock
     /// is uncontended.
     indexes: Mutex<HashMap<u32, Arc<Index>>>,
+    /// The slot of this state's rows in value order, created by the
+    /// first sorted read ([`Database::sorted_rows`]) and emptied by the
+    /// first write after it. A reader holds the slot, not the relation,
+    /// so a write while it sorts leaves it filling a slot that nobody
+    /// will read again.
+    sorted: OnceLock<Arc<OnceLock<Rows>>>,
 }
 
 impl Clone for Relation {
@@ -168,6 +181,9 @@ impl Clone for Relation {
             // Arc-shallow: clones share built indexes until either
             // side inserts (copy-on-write via `Arc::make_mut`).
             indexes: Mutex::new(lock_indexes(&self.indexes).clone()),
+            // Both sides hold the same rows, so they share the slot
+            // until either side writes.
+            sorted: self.sorted.clone(),
         }
     }
 }
@@ -240,6 +256,7 @@ impl Relation {
                 e.insert(id)
             }
         };
+        self.sorted.take();
         self.next.push(older);
         self.flat.extend_from_slice(row);
         for (&mask, index) in self.indexes.get_mut().unwrap_or_else(|e| e.into_inner()) {
@@ -283,6 +300,7 @@ impl Relation {
         let Some(id) = self.find_hashed(h, row) else {
             return false;
         };
+        self.sorted.take();
         let last = self.len() as u32 - 1;
         let removed: Vec<IVal> = self.row(id).to_vec();
         let moved: Option<Vec<IVal>> = (id != last).then(|| self.row(last).to_vec());
@@ -353,6 +371,15 @@ impl Relation {
     /// Number of binding patterns currently indexed (for tests/stats).
     pub(crate) fn index_count(&self) -> usize {
         lock_indexes(&self.indexes).len()
+    }
+
+    /// The rows copied out, in storage order.
+    fn copy(&self) -> Rows {
+        Rows {
+            arity: self.arity,
+            len: self.len(),
+            flat: self.flat.clone(),
+        }
     }
 }
 
@@ -466,6 +493,36 @@ fn lead(first: Option<&ValueRef>) -> (u8, u64) {
             (0, u64::from_be_bytes(bytes))
         }
         Some(ValueRef::Int(i)) => (1, (*i as u64) ^ (1 << 63)),
+    }
+}
+
+/// A sorted read of one relation state ([`Database::sorted_rows`]): the
+/// state's slot, and on a miss the copy of its rows to sort into it.
+#[derive(Debug)]
+pub struct SortedRead {
+    slot: Arc<OnceLock<Rows>>,
+    copy: Option<Rows>,
+}
+
+impl SortedRead {
+    /// The rows in [`Rows::sort`]'s value order. The first reader of a
+    /// state sorts its copy into the slot; a concurrent reader of the
+    /// same state waits for that sort instead of running its own, and
+    /// every later reader finds the slot filled.
+    pub fn rows(&mut self) -> &Rows {
+        let copy = &mut self.copy;
+        self.slot.get_or_init(|| {
+            obs::counter!(
+                "datalog_sorted_orders_built_total",
+                "Relation states sorted for a view read: one per state read, however often it is read"
+            )
+            .inc();
+            // A read that found the slot empty holds a copy, and a
+            // filled slot is never emptied.
+            let mut rows = copy.take().unwrap_or_default();
+            rows.sort();
+            rows
+        })
     }
 }
 
@@ -611,11 +668,25 @@ impl Database {
     /// The tuples under `pred` copied out, in storage order (empty if
     /// absent).
     pub fn copy_rows(&self, pred: &str) -> Rows {
-        self.rel_by_name(pred).map_or_else(Rows::default, |r| Rows {
-            arity: r.arity,
-            len: r.len(),
-            flat: r.flat.clone(),
-        })
+        self.rel_by_name(pred)
+            .map_or_else(Rows::default, Relation::copy)
+    }
+
+    /// The first half of a sorted read of `pred` (empty if absent):
+    /// the slot of the relation's current state, plus a copy of its
+    /// rows if nobody has sorted this state yet. This is all a reader
+    /// does while it holds the database; [`SortedRead::rows`] sorts, if
+    /// it must, after the reader has let go.
+    pub fn sorted_rows(&self, pred: &str) -> SortedRead {
+        let Some(rel) = self.rel_by_name(pred) else {
+            return SortedRead {
+                slot: Arc::new(OnceLock::from(Rows::default())),
+                copy: None,
+            };
+        };
+        let slot = Arc::clone(rel.sorted.get_or_init(Arc::default));
+        let copy = slot.get().is_none().then(|| rel.copy());
+        SortedRead { slot, copy }
     }
 
     /// Removes a ground tuple under `pred`; returns whether it was
@@ -1135,6 +1206,96 @@ mod tests {
             let mut want: Vec<Vec<Value>> = db.tuples("r").collect();
             want.sort();
             prop_assert_eq!(rows.tuples().collect::<Vec<_>>(), want);
+        }
+    }
+
+    /// `db`'s rows of `pred` copied out and sorted: what every sorted
+    /// read must answer.
+    fn sorted_copy(db: &Database, pred: &str) -> Rows {
+        let mut rows = db.copy_rows(pred);
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn a_sorted_order_is_kept_until_the_state_changes() {
+        let p = intern("p");
+        let mut db = Database::new();
+        for row in [pair(2, 0), pair(0, 1), pair(1, 1)] {
+            db.insert_ivals(p, &row).unwrap();
+        }
+        let mut first = db.sorted_rows("p");
+        assert!(first.copy.is_some(), "the first read of a state copies it");
+        assert_eq!(first.rows(), &sorted_copy(&db, "p"));
+        let again = db.sorted_rows("p");
+        assert!(
+            again.copy.is_none(),
+            "a read of a sorted state copies nothing"
+        );
+        assert!(Arc::ptr_eq(&first.slot, &again.slot));
+
+        // Neither a duplicate nor the remove of an absent row is a write.
+        assert!(!db.insert_ivals(p, &pair(0, 1)).unwrap());
+        assert!(!db.remove_ivals(p, &pair(3, 3)));
+        assert!(db.sorted_rows("p").copy.is_none());
+
+        // A miss taken before a write still sorts the state it copied;
+        // the slot it fills is the old state's, which nobody reads.
+        assert!(db.insert_ivals(p, &pair(0, 0)).unwrap());
+        let mut late = db.sorted_rows("p");
+        assert!(db.remove_ivals(p, &pair(2, 0)));
+        let rows: Vec<_> = late.rows().iter().map(<[IVal]>::to_vec).collect();
+        assert_eq!(rows, [pair(0, 0), pair(0, 1), pair(1, 1), pair(2, 0)]);
+        let mut now = db.sorted_rows("p");
+        assert!(now.copy.is_some(), "the remove dropped the slot");
+        assert!(!Arc::ptr_eq(&late.slot, &now.slot));
+        assert_eq!(now.rows(), &sorted_copy(&db, "p"));
+
+        assert_eq!(db.sorted_rows("nosuch").rows(), &Rows::default());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
+
+        /// Random writes, clones, absorbs and sorted reads over a few
+        /// databases: every sorted read answers the sorted copy of the
+        /// rows its database holds at that moment, so no clone sees
+        /// another's write and no write leaves an old order behind.
+        #[test]
+        fn every_sorted_read_is_the_sorted_copy_of_its_state(
+            ops in prop::collection::vec((0u8..6, 0usize..3, 0i64..SIDE, 0i64..SIDE), 1..80),
+        ) {
+            let preds = [intern("p"), intern("q")];
+            let mut dbs = vec![Database::new()];
+            for &(kind, i, a, b) in &ops {
+                let i = i % dbs.len();
+                let pred = preds[(a + b) as usize % 2];
+                match kind {
+                    0 | 1 => {
+                        dbs[i].insert_ivals(pred, &pair(a, b)).unwrap();
+                    }
+                    2 => {
+                        dbs[i].remove_ivals(pred, &pair(a, b));
+                    }
+                    3 if dbs.len() < 4 => dbs.push(dbs[i].clone()),
+                    3 => dbs[i] = dbs[(a as usize) % dbs.len()].clone(),
+                    4 => {
+                        let other = dbs[(a as usize) % dbs.len()].clone();
+                        dbs[i].absorb(&other).unwrap();
+                    }
+                    _ => {
+                        for pred in ["p", "q"] {
+                            let want = sorted_copy(&dbs[i], pred);
+                            prop_assert_eq!(dbs[i].sorted_rows(pred).rows(), &want);
+                        }
+                    }
+                }
+            }
+            for db in &dbs {
+                for pred in ["p", "q"] {
+                    prop_assert_eq!(db.sorted_rows(pred).rows(), &sorted_copy(db, pred));
+                }
+            }
         }
     }
 

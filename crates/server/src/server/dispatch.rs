@@ -453,16 +453,17 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         } => {
             let (watermark, version) = gate(shared, session)?;
             // The materialized model reflects the current belief state
-            // (`as_of`). A session pinned at or after it copies the
-            // model's rows out under the state guard — one copy of the
-            // interned values; sorting and encoding wait until the
+            // (`as_of`). A session pinned at or after it takes the
+            // slot of the model's sorted order under the state guard —
+            // plus, if no read has sorted this state yet, one copy of
+            // the interned values; sorting and encoding wait until the
             // guard is released. An older watermark must never observe
             // a refresh from a newer tick: it takes only the view's
             // program from under the guard and reads the view at its
             // own pinned store version, with the guard released — an
             // evaluation must not hold writers up.
             enum Read {
-                Model(datalog::db::Rows),
+                Model(datalog::db::SortedRead),
                 Pinned(datalog::ast::Program),
             }
             let read = {
@@ -470,6 +471,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                 let view = g
                     .view(&name)
                     .ok_or_else(|| rejected(format!("unknown view `{name}`")))?;
+                view.check_pred(&pred).map_err(rejected)?;
                 if watermark >= view.as_of() {
                     obs::counter!(
                         "gkbms_view_asks_materialized_total",
@@ -493,8 +495,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                         .map_err(rejected)?
                 }
             };
-            rows.sort();
-            names(rows.iter().map(row_name))
+            names(rows.rows().iter().map(row_name))
         }
         Request::Recall {
             session,

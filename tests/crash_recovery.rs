@@ -1077,8 +1077,7 @@ fn versioned_reads_agree(g: &Gkbms, earlier: &mut Option<(KbVersion, Vec<Asked>)
         let program = view.view().program();
         for pred in VIEW_PREDS {
             let mut pinned = pinned_rows(&v, at, program, pred).expect("pinned view read");
-            pinned.sort();
-            let pinned: Vec<_> = pinned.tuples().collect();
+            let pinned: Vec<_> = pinned.rows().tuples().collect();
             let name = view.name();
             assert_eq!(
                 pinned,
