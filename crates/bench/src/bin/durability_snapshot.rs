@@ -1,15 +1,14 @@
 //! Writes `BENCH_durability.json`: write throughput of the journaled
-//! GKBMS service under the three fsync policies (ISSUE 4 acceptance).
+//! GKBMS service under its two fsync policies.
 //!
 //! Each round binds a server over a fresh journal directory and lets N
-//! concurrent client threads TELL design objects. `always` fsyncs every
-//! op under the write lock (the naive fully-durable baseline); `group`
-//! batches one leader fsync across every op appended while the previous
-//! fsync ran (group commit — same per-op durability guarantee at ack
-//! time); `never` leaves durability to checkpoints (the no-fsync upper
-//! bound). The headline number is `group_vs_always`: how much write
-//! throughput group commit recovers while still acknowledging only
-//! durable mutations.
+//! concurrent client threads TELL design objects. `group` acknowledges
+//! a mutation once an fsync covers it, one leader fsync batched across
+//! every op appended while the previous fsync ran (group commit);
+//! `never` leaves durability to checkpoints (the no-fsync upper bound).
+//! The headline number is `group_vs_never`: the share of the no-fsync
+//! throughput that group commit keeps while acknowledging only durable
+//! mutations.
 //!
 //! Every round ends with a `Gkbms::recover` of the journal directory,
 //! asserting that all acknowledged ops actually survived and recording
@@ -20,7 +19,7 @@
 use gkbms::{FsyncPolicy, Gkbms};
 use server::{Client, Config, Server};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const OPS_PER_WRITER: usize = 250;
 
@@ -102,42 +101,35 @@ fn median_round(policy: FsyncPolicy, writers: usize, tag: &str) -> Round {
 fn main() {
     let mut entries = Vec::new();
     for writers in [1usize, 4, 8, 16] {
-        let always = median_round(FsyncPolicy::Always, writers, &format!("always-{writers}"));
-        let group = median_round(
-            FsyncPolicy::Group(Duration::ZERO),
-            writers,
-            &format!("group-{writers}"),
-        );
+        let group = median_round(FsyncPolicy::Group, writers, &format!("group-{writers}"));
         let never = median_round(FsyncPolicy::Never, writers, &format!("never-{writers}"));
-        let ratio = group.ops_per_sec / always.ops_per_sec;
+        let ratio = group.ops_per_sec / never.ops_per_sec;
         let replay_rate = group.replayed_ops as f64 / group.replay_secs;
         println!(
-            "{writers} writer(s): always {:.0} op/s, group {:.0} op/s ({ratio:.2}x), \
-             never {:.0} op/s; recovery replayed {} ops at {replay_rate:.0} op/s",
-            always.ops_per_sec, group.ops_per_sec, never.ops_per_sec, group.replayed_ops
+            "{writers} writer(s): group {:.0} op/s, never {:.0} op/s ({ratio:.2}x); \
+             recovery replayed {} ops at {replay_rate:.0} op/s",
+            group.ops_per_sec, never.ops_per_sec, group.replayed_ops
         );
         entries.push(format!(
             "    {{\n      \"writers\": {writers},\n      \
              \"ops_per_writer\": {OPS_PER_WRITER},\n      \
-             \"fsync_always_ops_per_sec\": {:.1},\n      \
              \"fsync_group_ops_per_sec\": {:.1},\n      \
              \"fsync_never_ops_per_sec\": {:.1},\n      \
-             \"group_vs_always\": {ratio:.2},\n      \
+             \"group_vs_never\": {ratio:.2},\n      \
              \"recovery_replayed_ops\": {},\n      \
              \"recovery_replay_ops_per_sec\": {replay_rate:.0}\n    }}",
-            always.ops_per_sec, group.ops_per_sec, never.ops_per_sec, group.replayed_ops
+            group.ops_per_sec, never.ops_per_sec, group.replayed_ops
         ));
     }
 
     let json = format!(
         "{{\n  \"bench\": \"durability\",\n  \"issue\": 4,\n  \
          \"note\": \"concurrent client threads TELLing through the journaled server; \
-         'always' fsyncs each op under the write lock, 'group' batches one leader fsync \
-         across concurrent commits (same ack-time durability), 'never' defers to \
-         checkpoints; each cell is the median of 3 rounds, and every round is verified by \
-         recovering the journal and checking all acknowledged ops survived; with strictly \
-         one outstanding op per synchronous writer, group commit can batch at most W ops \
-         per fsync, so group_vs_always is structurally capped near the writer count\",\n  \
+         'group' acknowledges each op once an fsync covers it, one leader fsync batched \
+         across concurrent commits, 'never' defers to checkpoints; each cell is the median \
+         of 3 rounds, and every round is verified by recovering the journal and checking \
+         all acknowledged ops survived; with strictly one outstanding op per synchronous \
+         writer, group commit can batch at most W ops per fsync\",\n  \
          \"rounds\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );

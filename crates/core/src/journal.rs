@@ -19,9 +19,9 @@
 //!   WAL tail, tolerating a torn final record.
 //!
 //! The journal makes no fsync decisions of its own beyond flushing
-//! each record into the OS: *when* to fsync (per op, batched group
-//! commit, or never) is the caller's policy — see [`FsyncPolicy`] and
-//! the server's group-commit implementation.
+//! each record into the OS: *when* to fsync (group commit, or never) is
+//! the caller's policy — see [`FsyncPolicy`] and the server's
+//! group-commit implementation.
 //!
 //! Durability invariant: after `fsync` of the WAL has returned, every
 //! op appended before it survives any crash; recovery restores a
@@ -47,46 +47,35 @@ pub const WAL_FILE: &str = "wal";
 /// When WAL appends are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync before acknowledging every mutation — strict per-op
-    /// durability, one fsync per write.
-    Always,
-    /// Group commit: a leader batches one fsync over all mutations
-    /// appended since the last one, after waiting up to the given
-    /// interval for more to accumulate (zero = no added latency,
-    /// batching only what arrives during the previous fsync).
-    Group(Duration),
+    /// Group commit: a mutation is acknowledged once an fsync covers
+    /// it. The first waiter fsyncs for every op appended by then; the
+    /// others wait for it, so concurrent writers share fsyncs while
+    /// each acknowledged mutation is durable.
+    Group,
     /// Never fsync on the write path; durability only at checkpoints
     /// and clean shutdown.
     Never,
 }
 
 impl FsyncPolicy {
-    /// Parses `always`, `never`/`none`, `group` or `group:<millis>`.
+    /// Parses `group`, or `none` (also `never`).
     pub fn parse(s: &str) -> Result<FsyncPolicy, String> {
         match s {
-            "always" => Ok(FsyncPolicy::Always),
-            "never" | "none" => Ok(FsyncPolicy::Never),
-            "group" => Ok(FsyncPolicy::Group(Duration::ZERO)),
-            _ => match s.strip_prefix("group:") {
-                Some(ms) => ms
-                    .parse::<u64>()
-                    .map(|ms| FsyncPolicy::Group(Duration::from_millis(ms)))
-                    .map_err(|_| format!("bad group interval `{ms}`")),
-                None => Err(format!(
-                    "unknown fsync policy `{s}` (expected always, group[:ms] or none)"
-                )),
-            },
+            "group" => Ok(FsyncPolicy::Group),
+            "none" | "never" => Ok(FsyncPolicy::Never),
+            _ => Err(format!(
+                "unknown fsync policy `{s}` (expected group or none)"
+            )),
         }
     }
 }
 
 impl std::fmt::Display for FsyncPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FsyncPolicy::Always => write!(f, "always"),
-            FsyncPolicy::Group(d) => write!(f, "group:{}", d.as_millis()),
-            FsyncPolicy::Never => write!(f, "none"),
-        }
+        f.write_str(match self {
+            FsyncPolicy::Group => "group",
+            FsyncPolicy::Never => "none",
+        })
     }
 }
 
@@ -149,8 +138,26 @@ impl Journal {
     /// Appends one op record and flushes it into the OS page cache (no
     /// fsync — that is the caller's fsync policy).
     fn append(&mut self, epoch: u64, payload: &[u8]) -> StorageResult<()> {
-        let seq = self.appended_ops + 1;
-        self.append_framed(seq, epoch, payload)?;
+        self.append_at(self.appended_ops + 1, epoch, payload)
+    }
+
+    /// Appends a record shipped from a replication leader, preserving
+    /// its sequence number and epoch so the replica's WAL stays
+    /// byte-identical to the leader's. The record must be the direct
+    /// successor of the last appended op.
+    pub fn append_replicated(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> StorageResult<()> {
+        debug_assert_eq!(seq, self.appended_ops + 1, "replicated append out of order");
+        self.append_at(seq, epoch, payload)
+    }
+
+    /// The one WAL append: one record framed with its journal op
+    /// sequence number and sequence epoch, then a flush. The sequence
+    /// is what lets recovery tell records a checkpoint snapshot already
+    /// covers from genuinely newer ones; the epoch is what lets the
+    /// replication applier fence off records written by a deposed
+    /// leader.
+    fn append_at(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> StorageResult<()> {
+        self.wal.append(&encode_framed(seq, epoch, payload))?;
         // Counters move with the buffered append, not the flush: once
         // the record is in the writer (and possibly in the file), a
         // failed flush must not let the op sequence drift from it.
@@ -162,34 +169,6 @@ impl Journal {
         )
         .inc();
         self.wal.flush()?;
-        Ok(())
-    }
-
-    /// Appends a record shipped from a replication leader, preserving
-    /// its sequence number and epoch so the replica's WAL stays
-    /// byte-identical to the leader's. The record must be the direct
-    /// successor of the last appended op.
-    pub fn append_replicated(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> StorageResult<()> {
-        debug_assert_eq!(seq, self.appended_ops + 1, "replicated append out of order");
-        self.append_framed(seq, epoch, payload)?;
-        self.appended_ops = seq;
-        self.ops_since_checkpoint += 1;
-        obs::counter!(
-            "gkbms_journal_appends_total",
-            "Mutations appended to the write-ahead journal"
-        )
-        .inc();
-        self.wal.flush()?;
-        Ok(())
-    }
-
-    /// Appends one WAL record framed with its journal op sequence
-    /// number and sequence epoch. The sequence is what lets recovery
-    /// tell records a checkpoint snapshot already covers from genuinely
-    /// newer ones; the epoch is what lets the replication applier fence
-    /// off records written by a deposed leader.
-    fn append_framed(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> StorageResult<()> {
-        self.wal.append(&encode_framed(seq, epoch, payload))?;
         Ok(())
     }
 
@@ -710,23 +689,15 @@ mod tests {
     }
 
     #[test]
-    fn fsync_policy_parses() {
-        assert_eq!(FsyncPolicy::parse("always"), Ok(FsyncPolicy::Always));
+    fn fsync_policy_parses_the_two_policies_only() {
+        assert_eq!(FsyncPolicy::parse("group"), Ok(FsyncPolicy::Group));
         assert_eq!(FsyncPolicy::parse("none"), Ok(FsyncPolicy::Never));
         assert_eq!(FsyncPolicy::parse("never"), Ok(FsyncPolicy::Never));
-        assert_eq!(
-            FsyncPolicy::parse("group"),
-            Ok(FsyncPolicy::Group(Duration::ZERO))
-        );
-        assert_eq!(
-            FsyncPolicy::parse("group:5"),
-            Ok(FsyncPolicy::Group(Duration::from_millis(5)))
-        );
-        assert!(FsyncPolicy::parse("sometimes").is_err());
-        assert!(FsyncPolicy::parse("group:abc").is_err());
-        assert_eq!(
-            FsyncPolicy::Group(Duration::from_millis(2)).to_string(),
-            "group:2"
-        );
+        for gone in ["always", "group:5", "group:0", "sometimes"] {
+            let err = FsyncPolicy::parse(gone).unwrap_err();
+            assert!(err.contains("group or none"), "{gone}: {err}");
+        }
+        assert_eq!(FsyncPolicy::Group.to_string(), "group");
+        assert_eq!(FsyncPolicy::Never.to_string(), "none");
     }
 }

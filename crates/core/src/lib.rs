@@ -27,12 +27,13 @@
 //! * [`design`] — the design index: each executed decision as the
 //!   record decoded it at its commit, and each design object's state
 //!   with its producers and users;
-//! * [`depgraph`] — dependency-graph derivation with lemma caching
-//!   (figs 2-2 … 2-4);
+//! * [`depgraph`] — dependency-graph derivation, one pass over the
+//!   design index per call (figs 2-2 … 2-4);
 //! * [`versions`] — version & configuration management from mapping /
 //!   refinement / choice decisions (§3.3.2, fig 3-4);
 //! * [`navigate`] — status-, process- and temporally-oriented browsing
-//!   of decision histories (§3.3.1);
+//!   of decision histories, and the Model Display views of one object
+//!   at a snapshot (§3.3.1);
 //! * [`replay`] — decision replay and re-applicability testing
 //!   ("revision support", §3.3);
 //! * [`synth`] — seeded synthetic DAIDA-style histories at

@@ -12,6 +12,7 @@ use crate::metamodel::names;
 use crate::record::Record;
 use crate::system::Gkbms;
 use modelbase::display::relational::Table;
+use modelbase::BrowseSession;
 use telos::Snapshot;
 
 impl Gkbms {
@@ -110,6 +111,27 @@ pub fn object_history(snap: Snapshot<'_>, object: &str) -> GkbmsResult<Vec<(i64,
     }
     out.sort();
     Ok(out)
+}
+
+/// One Model Display view of `name` as believed at `snap` (§3.3.1):
+/// `isa`, the specialization tree below it; `instances`, the
+/// classification tree; `attrs`, the relational display of its
+/// attributes. Another view, or an object not believed at `snap`, is
+/// [`GkbmsError::Unknown`].
+pub fn browse(snap: Snapshot<'_>, view: &str, name: &str) -> GkbmsResult<String> {
+    let render: fn(&BrowseSession<'_>) -> String = match view {
+        "isa" => |s| s.isa_tree(),
+        "instances" => |s| s.instance_tree(),
+        "attrs" => |s| s.attribute_table().render(),
+        _ => {
+            return Err(GkbmsError::Unknown(format!(
+                "view `{view}` (isa, instances or attrs)"
+            )))
+        }
+    };
+    let session = BrowseSession::start(snap, name)
+        .map_err(|_| GkbmsError::Unknown(format!("object `{name}`")))?;
+    Ok(render(&session))
 }
 
 #[cfg(test)]
@@ -225,6 +247,21 @@ mod tests {
         let loaded = Gkbms::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(loaded.object_history("InvitationRel2").unwrap(), h);
+    }
+
+    #[test]
+    fn browse_renders_each_display_view_at_a_snapshot() {
+        let mut g = history();
+        let before = g.kb().now();
+        g.tell_src("TELL LateRel in DBPL_Rel end").unwrap();
+        let browse = |at, view| super::browse(g.kb().snapshot_at(at), view, "DBPL_Rel");
+        let now = g.kb().now();
+        assert!(browse(now, "instances").unwrap().contains("LateRel"));
+        assert!(!browse(before, "instances").unwrap().contains("LateRel"));
+        assert!(browse(now, "isa").unwrap().starts_with("DBPL_Rel\n"));
+        assert!(browse(now, "attrs").unwrap().contains("attribute"));
+        assert!(browse(now, "tree").is_err());
+        assert!(super::browse(g.kb().snapshot_at(before), "isa", "LateRel").is_err());
     }
 
     #[test]

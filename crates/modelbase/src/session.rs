@@ -8,11 +8,11 @@
 
 use crate::display::relational::Table;
 use crate::display::textdag::{self, Bounds};
-use telos::{Kb, PropId};
+use telos::{PropId, Snapshot};
 
-/// An interactive browse session over a KB.
+/// An interactive browse session over a KB as believed at one tick.
 pub struct BrowseSession<'a> {
-    kb: &'a Kb,
+    kb: Snapshot<'a>,
     focus: PropId,
     history: Vec<PropId>,
     bounds: Bounds,
@@ -39,8 +39,8 @@ impl std::fmt::Display for BrowseError {
 impl std::error::Error for BrowseError {}
 
 impl<'a> BrowseSession<'a> {
-    /// Starts a session focused on `name`.
-    pub fn start(kb: &'a Kb, name: &str) -> Result<Self, BrowseError> {
+    /// Starts a session over `kb` focused on `name`.
+    pub fn start(kb: Snapshot<'a>, name: &str) -> Result<Self, BrowseError> {
         let focus = kb
             .lookup(name)
             .ok_or_else(|| BrowseError::UnknownObject(name.to_string()))?;
@@ -59,7 +59,7 @@ impl<'a> BrowseSession<'a> {
 
     /// The current focus name.
     pub fn focus_name(&self) -> String {
-        self.kb.display(self.focus)
+        self.kb.store().display(self.focus)
     }
 
     /// Changes the display bounds.
@@ -96,7 +96,7 @@ impl<'a> BrowseSession<'a> {
                     let mut kids: Vec<String> = kb
                         .isa_children(id)
                         .into_iter()
-                        .map(|c| kb.display(c))
+                        .map(|c| kb.store().display(c))
                         .collect();
                     kids.sort();
                     kids
@@ -116,7 +116,7 @@ impl<'a> BrowseSession<'a> {
                         .isa_children(id)
                         .into_iter()
                         .chain(kb.instances_of(id))
-                        .map(|c| kb.display(c))
+                        .map(|c| kb.store().display(c))
                         .collect();
                     kids.sort();
                     kids.dedup();
@@ -130,10 +130,10 @@ impl<'a> BrowseSession<'a> {
     /// (fig 3-1's Object Processor level).
     pub fn attribute_table(&self) -> Table {
         let mut t = Table::new(&["attribute", "value"]);
+        let store = self.kb.store();
         for attr in self.kb.attrs_of(self.focus) {
-            if let Ok(p) = self.kb.get(attr) {
-                let label = self.kb.resolve(p.label).to_string();
-                t.row(&[&label, &self.kb.display(p.dest)]);
+            if let Some(p) = store.prop(attr) {
+                t.row(&[store.resolve_sym(p.label), &store.display(p.dest)]);
             }
         }
         t
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn focus_and_history() {
         let kb = kb();
-        let mut s = BrowseSession::start(&kb, "Paper").unwrap();
+        let mut s = BrowseSession::start(kb.snapshot(), "Paper").unwrap();
         assert_eq!(s.focus_name(), "Paper");
         s.focus_on("Invitation").unwrap();
         assert_eq!(s.focus_name(), "Invitation");
@@ -173,13 +173,13 @@ mod tests {
             s.focus_on("Ghost"),
             Err(BrowseError::UnknownObject(_))
         ));
-        assert!(BrowseSession::start(&kb, "Ghost").is_err());
+        assert!(BrowseSession::start(kb.snapshot(), "Ghost").is_err());
     }
 
     #[test]
     fn isa_tree_renders_hierarchy() {
         let kb = kb();
-        let s = BrowseSession::start(&kb, "Paper").unwrap();
+        let s = BrowseSession::start(kb.snapshot(), "Paper").unwrap();
         let tree = s.isa_tree();
         assert!(tree.starts_with("Paper\n"));
         assert!(tree.contains("|- Invitation"));
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn instance_tree_includes_instances() {
         let kb = kb();
-        let s = BrowseSession::start(&kb, "Paper").unwrap();
+        let s = BrowseSession::start(kb.snapshot(), "Paper").unwrap();
         let tree = s.instance_tree();
         assert!(tree.contains("inv1"));
     }
@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn attribute_table_lists_attrs() {
         let kb = kb();
-        let mut s = BrowseSession::start(&kb, "Paper").unwrap();
+        let mut s = BrowseSession::start(kb.snapshot(), "Paper").unwrap();
         s.focus_on("Invitation").unwrap();
         let t = s.attribute_table();
         let rendered = t.render();
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn bounds_are_respected() {
         let kb = kb();
-        let mut s = BrowseSession::start(&kb, "Paper").unwrap();
+        let mut s = BrowseSession::start(kb.snapshot(), "Paper").unwrap();
         s.set_bounds(Bounds { depth: 0, width: 8 });
         assert_eq!(s.isa_tree(), "Paper\n");
     }

@@ -424,12 +424,13 @@ pub fn ask<V: KbRead>(kb: &V, var: &str, class: &str, body: &str) -> ObResult<Ve
     Ok(hits.into_iter().map(|h| kb.display(h)).collect())
 }
 
-/// ASK through the deductive-relational bridge, reporting the
-/// [`EvalStats`] of the underlying join evaluation (`index_probes`,
-/// `tuples_scanned`, …). Candidate instances of `class` are enumerated
-/// by the semi-naive engine (the `inT` closure), then filtered with
-/// the assertion body — so the stats reflect real index-probe work,
-/// which `cbshell`'s `\stats` command surfaces.
+/// ASK through the deductive-relational bridge at belief tick `at`,
+/// reporting the [`EvalStats`] of the underlying join evaluation
+/// (`index_probes`, `tuples_scanned`, …). Candidate instances of
+/// `class` are enumerated by the semi-naive engine (the `inT` closure
+/// over the snapshot EDB, [`to_edb_at`]), then filtered with the
+/// assertion body against the [`telos::Snapshot`] view — so the answers
+/// are snapshot-consistent and the stats reflect real index-probe work.
 ///
 /// Every variant validates first — the body parses, the class is known
 /// — and only then pays for a closure, so a typo costs no O(KB) export.
@@ -437,21 +438,6 @@ pub fn ask<V: KbRead>(kb: &V, var: &str, class: &str, body: &str) -> ObResult<Ve
 /// Answers are the closure's interned names in string order, borrowed
 /// (`Cow::Borrowed`): nothing is allocated per answer, and the server
 /// encodes them into a `Names` reply as they are.
-pub fn ask_with_stats(
-    kb: &Kb,
-    var: &str,
-    class: &str,
-    body: &str,
-) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
-    ask_deductive(kb, var, class, body, |want, program| {
-        build_closure(kb, Proposition::is_believed, want, program)
-    })
-}
-
-/// [`ask_with_stats`] pinned at belief tick `at`: candidates come from
-/// the snapshot EDB ([`to_edb_at`]) and the assertion body is filtered
-/// against the [`telos::Snapshot`] view, so a server session gets both
-/// snapshot-consistent answers and the deductive counters.
 pub fn ask_with_stats_at(
     kb: &Kb,
     at: i64,
@@ -870,13 +856,15 @@ mod tests {
     #[test]
     fn ask_with_stats_matches_ask_and_counts_probes() {
         let kb = scenario_kb();
-        let (hits, stats) = ask_with_stats(&kb, "p", "Paper", "true").unwrap();
+        let now = kb.now();
+        let (hits, stats) = ask_with_stats_at(&kb, now, "p", "Paper", "true").unwrap();
         assert_eq!(hits, ask(&kb, "p", "Paper", "true").unwrap());
         assert!(stats.index_probes > 0, "join core probed indexes");
         assert!(stats.tuples_scanned > 0);
-        let (with_sender, _) = ask_with_stats(&kb, "i", "Invitation", "i.sender defined").unwrap();
+        let (with_sender, _) =
+            ask_with_stats_at(&kb, now, "i", "Invitation", "i.sender defined").unwrap();
         assert_eq!(with_sender, vec!["inv1"]);
-        assert!(ask_with_stats(&kb, "x", "Ghost", "true").is_err());
+        assert!(ask_with_stats_at(&kb, now, "x", "Ghost", "true").is_err());
     }
 
     #[test]
@@ -886,7 +874,7 @@ mod tests {
         kb.tick();
         let frames = ObjectFrame::parse_all("TELL inv3 in Invitation end").unwrap();
         tell_all(&mut kb, &frames).unwrap();
-        let (live, _) = ask_with_stats(&kb, "p", "Paper", "true").unwrap();
+        let (live, _) = ask_with_stats_at(&kb, kb.now(), "p", "Paper", "true").unwrap();
         assert_eq!(live.len(), 4);
         let (pinned, stats) = ask_with_stats_at(&kb, t, "p", "Paper", "true").unwrap();
         assert_eq!(pinned.len(), 3);

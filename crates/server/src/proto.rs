@@ -89,7 +89,7 @@
 //!
 //! `Hello` opens a session and pins its *watermark* — the knowledge
 //! base's belief-time clock at that instant. The session's reads of
-//! the knowledge base (`Ask`, `Holds`, `Show`, `ViewAsk`,
+//! the knowledge base (`Ask`, `Holds`, `Show`, `Browse`, `ViewAsk`,
 //! `ApplicableDecisions`, `ObjectHistory`) are evaluated against a
 //! [`telos::Snapshot`] at that watermark: the session sees a
 //! consistent state of belief, unaffected by concurrent writers,
@@ -101,8 +101,9 @@
 //! writes. `History`, `Status` and `Recall` are not pinned yet: they
 //! answer from the live head (`Status` and `Recall` read the set of
 //! current design objects and the recall index, which are not
-//! propositions). `Lint` and `Explain`
-//! read the head on purpose, because they predict admission.
+//! propositions). `Lint`, `Explain` and `Check` read the head on
+//! purpose: the first two predict admission, and `Check` is a
+//! diagnostic of the live knowledge base.
 //!
 //! # Errors and backpressure
 //!
@@ -435,6 +436,27 @@ storage::op_table! {
             /// (may be empty).
             src: String,
         },
+        /// One Model Display view of an object at the session's pin
+        /// (§3.3.1): `isa` (the specialization tree below it),
+        /// `instances` (the classification tree) or `attrs` (the
+        /// relational display of its attributes). Any other view is
+        /// rejected. Answers [`Response::Table`].
+        32 Browse "browse" Read {
+            /// Issuing session.
+            session: u64,
+            /// `isa`, `instances` or `attrs`.
+            view: String,
+            /// The object in focus.
+            name: String,
+        },
+        /// The full Consistency Checker run over the live knowledge
+        /// base: a diagnostic of the head, like `Lint` and `Explain`, not
+        /// pinned. Answers [`Response::Table`] with the violations, or
+        /// the constraints and classes it checked.
+        33 Check "check" Read {
+            /// Issuing session.
+            session: u64,
+        },
     }
 }
 
@@ -682,9 +704,6 @@ pub enum FrameRead {
 /// client divides its read timeout by this to size its poll slice.
 pub const MID_FRAME_TIMEOUT_RETRIES: u32 = 50;
 
-/// How far ahead of the bytes received a frame's buffer may grow.
-const FRAME_READ_CHUNK: usize = 64 * 1024;
-
 fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -692,37 +711,35 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-fn read_exact_frame<R: Read>(r: &mut R, buf: &mut [u8], already: usize) -> io::Result<()> {
-    // `already` bytes of `buf` are filled; a timeout here is mid-frame,
-    // so keep waiting (bounded) rather than reporting Idle.
-    let mut filled = already;
-    let mut stalls = 0u32;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended mid-frame",
-                ))
-            }
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls > MID_FRAME_TIMEOUT_RETRIES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "peer stalled mid-frame",
-                    ));
+/// A stream read inside a started frame: a timeout there means the
+/// peer is mid-send, so it is waited out, up to
+/// [`MID_FRAME_TIMEOUT_RETRIES`] in a row, rather than reported.
+struct MidFrame<'a, R> {
+    inner: &'a mut R,
+    stalls: u32,
+}
+
+impl<R: Read> Read for MidFrame<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.inner.read(buf) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if is_timeout(&e) => {
+                    self.stalls += 1;
+                    if self.stalls > MID_FRAME_TIMEOUT_RETRIES {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "peer stalled mid-frame",
+                        ));
+                    }
+                }
+                read => {
+                    self.stalls = 0;
+                    return read;
                 }
             }
-            Err(e) => return Err(e),
         }
     }
-    Ok(())
 }
 
 /// Reads one frame from `r`. If the stream has a read timeout set, a
@@ -734,51 +751,39 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<FrameRead> {
 }
 
 /// [`read_frame`] into `payload`, a buffer the caller allocated before
-/// the read could block. Whatever it held is discarded; it grows only
-/// for a frame larger than its capacity and comes back, filled, in
-/// [`FrameRead::Frame`].
-pub(crate) fn read_frame_into<R: Read>(r: &mut R, mut payload: Vec<u8>) -> io::Result<FrameRead> {
-    let mut header = [0u8; record::HEADER_LEN];
-    // First byte decides between Eof/Idle and a started frame.
+/// the read could block. Whatever it held is discarded; it comes back,
+/// filled, in [`FrameRead::Frame`]. The record itself — length cap,
+/// chunked fill, CRC — is [`record::read_record_into`]'s; this adds
+/// only the stream policy: end of stream or a timeout before the first
+/// byte is `Eof` or `Idle`, anything after it is mid-frame.
+pub(crate) fn read_frame_into<R: Read>(r: &mut R, payload: Vec<u8>) -> io::Result<FrameRead> {
     let first = loop {
         let mut b = [0u8; 1];
         match r.read(&mut b) {
             Ok(0) => return Ok(FrameRead::Eof),
-            Ok(_) => break b[0],
+            Ok(_) => break b,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if is_timeout(&e) => return Ok(FrameRead::Idle),
             Err(e) => return Err(e),
         }
     };
-    header[0] = first;
-    read_exact_frame(r, &mut header, 1)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > record::MAX_RECORD_LEN {
-        return Err(io::Error::new(
+    let mut rest = MidFrame {
+        inner: r,
+        stalls: 0,
+    };
+    match record::read_record_into(&mut (&first[..]).chain(&mut rest), 0, payload) {
+        Ok(record::ReadOutcome::Record(p)) => Ok(FrameRead::Frame(p)),
+        Ok(record::ReadOutcome::Eof | record::ReadOutcome::Torn { .. }) => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended mid-frame",
+        )),
+        Ok(record::ReadOutcome::BadCrc { .. }) => Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap"),
-        ));
+            "frame length over the cap, or CRC mismatch",
+        )),
+        Err(storage::StorageError::Io(e)) => Err(e),
+        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
     }
-    // The length is the peer's word, not yet its bytes: the buffer's
-    // length stays at most one chunk beyond what has arrived, so a
-    // header followed by a stall zero-fills no more than that. Within
-    // the capacity the caller sized, growing it never reallocates.
-    payload.clear();
-    let mut filled = 0;
-    while filled < len {
-        let end = len.min(filled + FRAME_READ_CHUNK);
-        payload.resize(end, 0);
-        read_exact_frame(r, &mut payload, filled)?;
-        filled = end;
-    }
-    if record::crc32(&payload) != crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame CRC mismatch",
-        ));
-    }
-    Ok(FrameRead::Frame(payload))
 }
 #[cfg(test)]
 mod tests {
@@ -795,7 +800,7 @@ mod tests {
     fn request_table_matches_the_golden_bytes() {
         let samples =
             Request::check_golden(include_str!("../../../tests/fixtures/wire/request.hex"));
-        assert_eq!(Request::OPS.len(), 31);
+        assert_eq!(Request::OPS.len(), 33);
         // The admission-exempt set, by label: exactly the Control rows.
         let mut control: Vec<&str> = samples
             .iter()
@@ -1056,8 +1061,8 @@ mod tests {
     fn a_frame_header_alone_cannot_make_the_reader_allocate_its_length() {
         // The last trickle is past half the cap: a buffer whose capacity
         // grew by doubling can by then hold the whole promised length.
-        let past_half = record::MAX_RECORD_LEN / 2 + FRAME_READ_CHUNK + 3;
-        for trickle in [0, 5, FRAME_READ_CHUNK + 3, past_half] {
+        let past_half = record::MAX_RECORD_LEN / 2 + record::READ_CHUNK + 3;
+        for trickle in [0, 5, record::READ_CHUNK + 3, past_half] {
             for eof in [false, true] {
                 let mut peer = HeaderThenStall::new(trickle, eof);
                 let err = match read_frame_into(&mut peer, Vec::new()) {
@@ -1072,7 +1077,7 @@ mod tests {
                 assert_eq!(err.kind(), kind, "trickle {trickle}");
                 assert_eq!(peer.at, peer.wire.len(), "every byte sent was read");
                 assert!(
-                    peer.widest <= FRAME_READ_CHUNK,
+                    peer.widest <= record::READ_CHUNK,
                     "trickle {trickle}: a read was handed {} bytes",
                     peer.widest
                 );
@@ -1082,7 +1087,7 @@ mod tests {
 
     #[test]
     fn a_frame_larger_than_its_buffer_is_read_in_chunks() {
-        let payload: Vec<u8> = (0..3 * FRAME_READ_CHUNK + 17).map(|i| i as u8).collect();
+        let payload: Vec<u8> = (0..3 * record::READ_CHUNK + 17).map(|i| i as u8).collect();
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
         write_frame(&mut wire, b"next").unwrap();

@@ -521,6 +521,33 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             gate(shared, session)?;
             done(read_state(shared).explain_src(&src).map_err(rejected)?)
         }
+        Request::Browse {
+            session,
+            view,
+            name,
+        } => {
+            // Pinned like Show: the views of the object as the
+            // session's version believed it, with no state guard.
+            let (watermark, version) = gate(shared, session)?;
+            let snap = version.data().snapshot_at(watermark);
+            Response::Table {
+                text: gkbms::navigate::browse(snap, &view, &name).map_err(rejected)?,
+            }
+        }
+        Request::Check { session } => {
+            gate(shared, session)?;
+            let (violations, stats) = objectbase::consistency::check_full(read_state(shared).kb());
+            let text = if violations.is_empty() {
+                format!(
+                    "consistent ({} constraints over {} classes)",
+                    stats.constraints_evaluated, stats.classes_visited
+                )
+            } else {
+                let lines: Vec<String> = violations.iter().map(ToString::to_string).collect();
+                lines.join("\n")
+            };
+            Response::Table { text }
+        }
     })
 }
 

@@ -12,6 +12,9 @@
 //! indirectly (a wrong length produces a CRC mismatch or a short read,
 //! both reported as corruption — except at the tail of a log, where a
 //! short read is treated as a torn write by [`crate::log::AppendLog`]).
+//! [`read_record_into`] is the one reader of the format: log scans, WAL
+//! tails, save files and wire frames all parse headers, cap lengths,
+//! fill payloads and check CRCs through it.
 
 use crate::error::{StorageError, StorageResult};
 use std::io::{Read, Write};
@@ -131,41 +134,65 @@ pub enum ReadOutcome {
     },
 }
 
+/// How far past the bytes read a record's buffer may grow.
+pub const READ_CHUNK: usize = 64 * 1024;
+
 /// Reads one record starting at stream offset `offset` (used only for
 /// error reporting). Distinguishes clean EOF, torn tail, and corruption
 /// so the log layer can decide which are recoverable.
 pub fn read_record<R: Read>(r: &mut R, offset: u64) -> StorageResult<ReadOutcome> {
+    read_record_into(r, offset, Vec::new())
+}
+
+/// [`read_record`] into `payload`, a buffer the caller allocated.
+/// Whatever it held is discarded; it comes back, filled, in
+/// [`ReadOutcome::Record`]. A header's length is the writer's word, not
+/// yet its bytes: the buffer grows at most one [`READ_CHUNK`] past the
+/// bytes read, so a header promising more than the stream holds makes
+/// the reader zero-fill no more than that. Within the capacity the
+/// caller sized, growing never reallocates.
+pub fn read_record_into<R: Read>(
+    r: &mut R,
+    offset: u64,
+    mut payload: Vec<u8>,
+) -> StorageResult<ReadOutcome> {
     let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        let n = r.read(&mut header[filled..])?;
-        if n == 0 {
-            return Ok(if filled == 0 {
-                ReadOutcome::Eof
-            } else {
-                ReadOutcome::Torn { offset }
-            });
-        }
-        filled += n;
+    match fill(r, &mut header)? {
+        0 => return Ok(ReadOutcome::Eof),
+        HEADER_LEN => {}
+        _ => return Ok(ReadOutcome::Torn { offset }),
     }
     let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
     let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
     if len > MAX_RECORD_LEN {
         return Ok(ReadOutcome::BadCrc { offset });
     }
-    let mut payload = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        let n = r.read(&mut payload[got..])?;
-        if n == 0 {
+    payload.clear();
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(len.min(filled + READ_CHUNK), 0);
+        if fill(r, &mut payload[filled..])? < payload.len() - filled {
             return Ok(ReadOutcome::Torn { offset });
         }
-        got += n;
     }
     if crc32(&payload) != crc {
         return Ok(ReadOutcome::BadCrc { offset });
     }
     Ok(ReadOutcome::Record(payload))
+}
+
+/// Reads until `buf` is full or the stream ends; returns the bytes read.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
 }
 
 /// Helpers for encoding the primitive values used by record payloads.
@@ -730,6 +757,79 @@ mod tests {
             read_record(&mut r, 0).unwrap(),
             ReadOutcome::BadCrc { offset: 0 }
         );
+    }
+
+    /// Serves a record header promising `MAX_RECORD_LEN` bytes, then
+    /// `trickle` of them a thousand at a time, then end of stream; and
+    /// records the length of every slice a read asks it to fill.
+    struct ShortStream {
+        bytes: Vec<u8>,
+        at: usize,
+        asked: Vec<usize>,
+    }
+
+    impl Read for ShortStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.asked.push(buf.len());
+            let n = buf.len().min(1000).min(self.bytes.len() - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_header_alone_cannot_make_the_reader_allocate_its_length() {
+        // The last trickle is past half the cap: a buffer whose capacity
+        // grew by doubling could by then hold the whole promised length.
+        let past_half = MAX_RECORD_LEN / 2 + READ_CHUNK + 3;
+        let last = if cfg!(miri) {
+            2 * READ_CHUNK
+        } else {
+            past_half
+        };
+        for trickle in [0, 5, READ_CHUNK + 3, last] {
+            let mut bytes = (MAX_RECORD_LEN as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.resize(bytes.len() + trickle, 7);
+            let mut stream = ShortStream {
+                bytes,
+                at: 0,
+                asked: Vec::new(),
+            };
+            assert_eq!(
+                read_record(&mut stream, 3).unwrap(),
+                ReadOutcome::Torn { offset: 3 },
+                "trickle {trickle}"
+            );
+            assert_eq!(stream.at, stream.bytes.len(), "every byte served was read");
+            let widest = stream.asked.iter().max().copied().unwrap_or(0);
+            assert!(
+                widest <= READ_CHUNK,
+                "trickle {trickle}: a read was asked to fill {widest} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn a_record_larger_than_a_chunk_reads_into_the_given_buffer() {
+        let payload: Vec<u8> = (0..3 * READ_CHUNK + 17).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        encode(&payload, &mut buf).unwrap();
+        encode(b"next", &mut buf).unwrap();
+        let mut r = IoCursor::new(buf);
+        let given = Vec::with_capacity(payload.len());
+        let at = given.as_ptr();
+        match read_record_into(&mut r, 0, given).unwrap() {
+            ReadOutcome::Record(p) => {
+                assert_eq!(p, payload);
+                assert_eq!(p.as_ptr(), at, "no reallocation within the capacity");
+                // A shorter record reuses it, and nothing it held shows through.
+                let next = read_record_into(&mut r, 0, p).unwrap();
+                assert_eq!(next, ReadOutcome::Record(b"next".to_vec()));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -11,9 +11,7 @@ use conceptbase::analysis::cost::approx;
 use conceptbase::gkbms::metamodel::kernel;
 use conceptbase::gkbms::synth::{self, names, SynthConfig};
 use conceptbase::gkbms::{DecisionRequest, Gkbms, GkbmsError};
-use conceptbase::objectbase::query::{
-    self, ask_with_stats, ask_with_stats_at, ask_with_stats_version, to_edb,
-};
+use conceptbase::objectbase::query::{self, ask_with_stats_at, ask_with_stats_version, to_edb};
 use conceptbase::objectbase::ObjectFrame;
 
 fn counter(name: &str) -> u64 {
@@ -37,7 +35,6 @@ fn asks_export_once_per_version(g: &mut Gkbms) {
         ("NoSuchClass", "true"),
         (class, "x.justification defined and"),
     ] {
-        assert!(ask_with_stats(g.kb(), "x", class, body).is_err());
         assert!(ask_with_stats_at(g.kb(), at, "x", class, body).is_err());
         assert!(ask_with_stats_version(&version, at, "x", class, body).is_err());
         assert!(ask_with_stats_version(&version, at - 1, "x", class, body).is_err());

@@ -83,7 +83,7 @@ fn browse_session_over_decision_instances() {
     s.step2_map_invitations().unwrap();
     let kb = s.gkbms.kb();
     // Focus on the decision class, enumerate its instances.
-    let session = BrowseSession::start(kb, "DecMoveDown").unwrap();
+    let session = BrowseSession::start(kb.snapshot(), "DecMoveDown").unwrap();
     let tree = session.instance_tree();
     assert!(tree.contains("mapInvitations"));
 }

@@ -58,7 +58,7 @@ fn switching_between_browsers_on_one_kb() {
     // decisions, design objects … and tool specifications is provided."
     let s = full();
     let kb = s.gkbms.kb();
-    let mut session = BrowseSession::start(kb, "DBPL_Rel").unwrap();
+    let mut session = BrowseSession::start(kb.snapshot(), "DBPL_Rel").unwrap();
     session.set_bounds(Bounds {
         depth: 2,
         width: 16,

@@ -601,6 +601,42 @@ fn show_answers_at_the_sessions_pin() {
     server.shutdown().unwrap();
 }
 
+/// `browse` is pinned like `show`: a session opened before `tell X isA
+/// Paper end` does not see `X` under `isa Paper` until it refreshes.
+/// `check` is a diagnostic of the live head.
+#[test]
+fn browse_answers_at_the_sessions_pin() {
+    let (server, addr) = start(quick_cfg());
+    let mut writer = Client::connect(addr).unwrap();
+    let (w, _) = writer.hello().unwrap();
+    writer.tell(w, "TELL Paper end").unwrap();
+    let mut reader = Client::connect(addr).unwrap();
+    let (r, _) = reader.hello().unwrap();
+    writer.tell(w, "TELL X isA Paper end").unwrap();
+
+    assert_eq!(reader.browse(r, "isa", "Paper").unwrap(), "Paper\n");
+    writer.refresh(w).unwrap();
+    assert!(writer.browse(w, "isa", "Paper").unwrap().contains("- X"));
+    reader.refresh(r).unwrap();
+    assert!(reader.browse(r, "isa", "Paper").unwrap().contains("- X"));
+    for (view, name) in [("tree", "Paper"), ("isa", "Ghost")] {
+        match reader.browse(r, view, name) {
+            Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Rejected, "{e}"),
+            other => panic!("browse {view} {name}: {other:?}"),
+        }
+    }
+
+    writer.tell(w, "TELL Y isA Paper end").unwrap();
+    let check = reader.check(r).unwrap();
+    assert!(check.starts_with("consistent"), "{check}");
+    let pinned = reader.browse(r, "instances", "Paper").unwrap();
+    assert!(
+        pinned.contains("- X") && !pinned.contains("- Y"),
+        "{pinned}"
+    );
+    server.shutdown().unwrap();
+}
+
 /// Superseded store versions are retained exactly as long as a session
 /// pins them, and the chain converges back to one live version once
 /// every session has moved on (Refresh) or closed (Bye).
