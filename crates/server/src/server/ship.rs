@@ -10,8 +10,7 @@ use super::dispatch::err;
 use super::{read_state, Shared};
 use crate::proto::{self, ErrorCode, Response};
 use replication::{ReplMsg, TailStep, WalTail};
-use std::io;
-use std::net::TcpStream;
+use std::io::{self, Write};
 use std::sync::atomic::Ordering;
 use storage::record::HEADER_LEN;
 
@@ -21,7 +20,7 @@ const SHIP_BATCH_BYTES: usize = 256 * 1024;
 const SNAPSHOT_CHUNK_BYTES: usize = 256 * 1024;
 
 /// Writes one replication stream frame, counting shipped bytes.
-fn ship(stream: &mut TcpStream, msg: &ReplMsg) -> io::Result<()> {
+fn ship(stream: &mut impl Write, msg: &ReplMsg) -> io::Result<()> {
     let encoded = msg.encode();
     obs::counter!(
         "gkbms_replication_bytes_shipped_total",
@@ -79,7 +78,7 @@ fn plan_stream(
 /// are written as plain [`Response`] frames, whose opcodes are
 /// disjoint from the stream's.
 pub(super) fn serve_replication(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     shared: &Shared,
     sub_seq: u64,
     sub_epoch: u64,
@@ -114,7 +113,7 @@ pub(super) fn serve_replication(
     subscribers.add(-1);
 }
 
-fn ship_snapshot(stream: &mut TcpStream, shared: &Shared, snap: ShipSnapshot) -> io::Result<()> {
+fn ship_snapshot(stream: &mut impl Write, shared: &Shared, snap: ShipSnapshot) -> io::Result<()> {
     obs::counter!(
         "gkbms_replication_snapshots_shipped_total",
         "Checkpoint snapshots streamed to far-behind subscribers"
@@ -153,7 +152,7 @@ fn ship_snapshot(stream: &mut TcpStream, shared: &Shared, snap: ShipSnapshot) ->
 /// tail, then live pushes as group commits complete. Returns when the
 /// subscriber disconnects (any write error) or the server drains.
 fn ship_stream(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     shared: &Shared,
     sub_seq: u64,
     mut snapshot: Option<ShipSnapshot>,
