@@ -153,8 +153,8 @@ impl Journal {
     /// The one WAL append: one record framed with its journal op
     /// sequence number and sequence epoch, then a flush. The sequence
     /// is what lets recovery tell records a checkpoint snapshot already
-    /// covers from genuinely newer ones; the epoch is what lets the
-    /// replication applier fence off records written by a deposed
+    /// covers from genuinely newer ones; the epoch is what lets a
+    /// replica's admission check fence off records written by a deposed
     /// leader.
     fn append_at(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> StorageResult<()> {
         self.wal.append(&encode_framed(seq, epoch, payload))?;
@@ -404,8 +404,8 @@ impl Gkbms {
     /// Applies one record shipped from a replication leader: replays
     /// the op through the standard replay path and appends the original
     /// frame (same sequence, same epoch) to the local journal, if one
-    /// is attached. Sequence/epoch admission checks are the replication
-    /// applier's job — this method trusts its caller and only keeps the
+    /// is attached. Sequence/epoch admission checks are the caller's job
+    /// (`replication::admit`) — this method trusts its caller and only keeps the
     /// applied position and epoch consistent.
     pub fn apply_replicated(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> GkbmsResult<()> {
         // Replay with the journal detached so the op's own commit
@@ -472,7 +472,7 @@ impl Gkbms {
     /// the epoch and seals the journal with a durable epoch marker (the
     /// promotion point survives a crash even before the first
     /// post-promotion write). Records framed under any older epoch are
-    /// refused by replication applier fencing from here on. Returns the
+    /// refused by replica admission fencing from here on. Returns the
     /// new epoch.
     pub fn promote(&mut self) -> GkbmsResult<u64> {
         let epoch = self.epoch + 1;

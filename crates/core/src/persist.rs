@@ -81,7 +81,7 @@ storage::op_table! {
         /// the promotion point durable even before the first
         /// post-promotion mutation. Replay raises the epoch and changes
         /// no other state; records framed with a lower epoch are fenced
-        /// off by the replication applier.
+        /// off by a replica's admission check.
         11 Seal "seal" { epoch: u64 },
         /// A registered materialized view: name plus user rules.
         /// Replayed through [`Gkbms::register_view`], which rebuilds the

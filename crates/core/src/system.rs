@@ -162,7 +162,7 @@ pub struct Gkbms {
     pub(crate) snapshot_covers: u64,
     /// Sequence epoch: starts at 1 and is bumped by [`Gkbms::promote`]
     /// when a replica takes over as leader. Every WAL record is framed
-    /// with the epoch it was written under; the replication applier
+    /// with the epoch it was written under; a replica's admission check
     /// refuses records from an older epoch (fencing a deposed leader).
     pub(crate) epoch: u64,
     /// Last op sequence applied from a replication stream — mirrors

@@ -41,6 +41,7 @@
 use crate::ast::{Atom, Term, Value};
 use crate::error::{DatalogError, DatalogResult};
 use crate::intern::{intern, lookup, IVal, Symbol, ValueRef};
+use crate::join::{mask_bit, MASK_WIDTH};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
@@ -49,10 +50,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// A secondary index: bound-position values (in position order) to the
 /// row ids that carry them.
 pub(crate) type Index = HashMap<Vec<IVal>, Vec<u32>, BuildHasherDefault<WordMix>>;
-
-/// Relations wider than this are never indexed (the binding-pattern
-/// mask is a `u32`); joins over them fall back to scans.
-const MAX_INDEXED_ARITY: usize = 32;
 
 /// End of a dedup chain.
 const NIL: u32 = u32::MAX;
@@ -751,10 +748,10 @@ impl Database {
     pub fn probe_rows(&self, pred: &str, pattern: &[Option<IVal>]) -> Matches<'_> {
         let rel = self.rel_by_name(pred).filter(|r| r.arity == pattern.len());
         let hits = match rel {
-            Some(r) if r.arity <= MAX_INDEXED_ARITY && pattern.iter().any(Option::is_some) => {
+            Some(r) if r.arity <= MASK_WIDTH && pattern.iter().any(Option::is_some) => {
                 let mask = (0..pattern.len())
                     .filter(|&j| pattern[j].is_some())
-                    .fold(0u32, |m, j| m | 1 << j);
+                    .fold(0, |m, j| m | mask_bit(j));
                 let key = pattern.iter().flatten().copied().collect();
                 Hits::Bucket(r.index_for(mask), key)
             }
@@ -1312,14 +1309,14 @@ mod tests {
     #[test]
     fn a_relation_too_wide_to_index_is_probed_by_its_bound_positions() {
         let wide = |first: i64| -> Vec<Value> {
-            (0..=MAX_INDEXED_ARITY as i64)
+            (0..=MASK_WIDTH as i64)
                 .map(|j| Value::Int(if j == 0 { first } else { j }))
                 .collect()
         };
         let mut db = Database::new();
         db.insert("w", wide(1)).unwrap();
         db.insert("w", wide(2)).unwrap();
-        let mut pattern = vec![None; MAX_INDEXED_ARITY + 1];
+        let mut pattern = vec![None; MASK_WIDTH + 1];
         pattern[0] = Some(Value::Int(2));
         assert_eq!(db.probe("w", &pattern), vec![wide(2)]);
         assert_eq!(db.index_count(), 0);

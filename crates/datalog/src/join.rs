@@ -25,9 +25,11 @@
 //! The binding pattern of a literal — which argument positions are
 //! ground when the join reaches it — is read off the run-time
 //! environment, because the order above (and an environment pre-seeded
-//! from a head tuple) is not the rule's textual order. Positions `< 32`
-//! form the `u32` mask and probe key of the secondary index
-//! ([`crate::db`]); bound positions beyond that are checked row by row.
+//! from a head tuple) is not the rule's textual order. Positions below
+//! [`MASK_WIDTH`] form the `u32` mask and probe key of the secondary
+//! index ([`crate::db`]); bound positions beyond that are checked row by
+//! row. [`join_order`] and [`mask_bit`] are shared with the cost
+//! estimator's plan ([`crate::seminaive::plan_masks`]).
 //! A fully ground literal is a membership test, so no full-mask index
 //! is ever built (the maintained model would have to update it on every
 //! insert and remove).
@@ -38,6 +40,36 @@ use crate::error::{DatalogError, DatalogResult};
 use crate::intern::{intern, IVal, Symbol};
 use crate::seminaive::EvalStats;
 use std::collections::HashMap;
+
+/// Index masks key on argument positions below this width (a `u32`):
+/// a join checks bound positions past it row by row, and
+/// `Database::probe_rows` scans a relation wider than it.
+pub(crate) const MASK_WIDTH: usize = 32;
+
+/// The mask bit of argument position `j`; none at or past
+/// [`MASK_WIDTH`].
+#[inline]
+pub(crate) fn mask_bit(j: usize) -> u32 {
+    if j < MASK_WIDTH {
+        1 << j
+    } else {
+        0
+    }
+}
+
+/// The evaluation order of a body of `n` literals: the positive
+/// literals that `drives` first, then the other positive literals in
+/// rule order, then the negations.
+pub(crate) fn join_order(
+    n: usize,
+    negated: impl Fn(usize) -> bool,
+    drives: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).filter(|&i| !negated(i) && drives(i)).collect();
+    order.extend((0..n).filter(|&i| !negated(i) && !drives(i)));
+    order.extend((0..n).filter(|&i| negated(i)));
+    order
+}
 
 /// A compiled argument: interned constant or variable slot.
 #[derive(Debug, Clone, Copy)]
@@ -173,11 +205,11 @@ impl<'a> Join<'a> {
     /// Plans the join of `rule` with `sources[i]` feeding `rule.lits[i]`.
     pub(crate) fn new(rule: &'a CRule, sources: Vec<Source<'a>>) -> Self {
         debug_assert_eq!(sources.len(), rule.lits.len());
-        let n = rule.lits.len();
-        let drives = |i: usize| !rule.lits[i].negated && matches!(sources[i], Source::Delta(_));
-        let mut order: Vec<usize> = (0..n).filter(|&i| drives(i)).collect();
-        order.extend((0..n).filter(|&i| !rule.lits[i].negated && !drives(i)));
-        order.extend((0..n).filter(|&i| rule.lits[i].negated));
+        let order = join_order(
+            rule.lits.len(),
+            |i| rule.lits[i].negated,
+            |i| matches!(sources[i], Source::Delta(_)),
+        );
         Join {
             rule,
             sources,
@@ -234,9 +266,7 @@ impl<'a> Join<'a> {
         let mut bound = Vec::with_capacity(lit.args.len());
         for (j, a) in lit.args.iter().enumerate() {
             if let Some(v) = a.value(run.env) {
-                if j < 32 {
-                    mask |= 1 << j;
-                }
+                mask |= mask_bit(j);
                 bound.push(v);
             }
         }
@@ -422,6 +452,36 @@ mod tests {
         let program = Program { rules: vec![over] };
         assert!(MaterializedView::new(program.clone()).is_err());
         assert!(evaluate(&program, &Database::new()).is_err());
+    }
+
+    #[test]
+    fn plan_masks_reports_the_join_order() {
+        // Constants, a repeated variable, negations written before
+        // positive literals, and a literal wider than the mask whose
+        // last position (a constant) lies past it.
+        let wide: Vec<String> = (0..=MASK_WIDTH).map(|j| format!("W{j}")).collect();
+        let wide_rule = format!(
+            "p(W0) :- not f(W0), e(W0, W1), wide({}, c), g(W0, W{MASK_WIDTH}).",
+            wide.join(", ")
+        );
+        let sources = [
+            "p(X) :- e(X, a), not f(X), g(X, X), not h(X, b), k(b, X).",
+            "p(X) :- not f(X), e(X, Y), e(Y, Y).",
+            wide_rule.as_str(),
+        ];
+        let db = Database::new();
+        for src in sources {
+            let ast = &Program::parse(src).unwrap().rules[0];
+            let r = compile(ast).unwrap();
+            let join = Join::new(&r, vec![state(&db); r.lits.len()]);
+            let planned = crate::seminaive::plan_masks(ast);
+            let order: Vec<usize> = planned.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, join.order, "{src}");
+        }
+        // W0 and W1 are bound when `wide` runs; its constant at
+        // position MASK_WIDTH + 1 is not masked.
+        let planned = crate::seminaive::plan_masks(&Program::parse(&wide_rule).unwrap().rules[0]);
+        assert_eq!(planned[1], (2, 0b11));
     }
 
     #[test]

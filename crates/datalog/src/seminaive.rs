@@ -30,7 +30,7 @@ use crate::ast::{Literal, Program, Rule, Term, Value};
 use crate::db::Database;
 use crate::error::{DatalogError, DatalogResult};
 use crate::intern::{IVal, Symbol};
-use crate::join::{compile, CRule, Join, Source};
+use crate::join::{compile, join_order, mask_bit, CRule, Join, Source};
 use crate::stratify::stratify;
 use std::collections::{HashMap, HashSet};
 
@@ -222,39 +222,22 @@ fn ordered_body(rule: &Rule) -> Vec<&Literal> {
 
 /// The join order and binding-pattern masks of `rule` when no position
 /// is a delta, exposed for cost estimation: one entry per body literal
-/// in evaluation order (positives first, negatives last — exactly
-/// [`ordered_body`]), carrying the index of the literal in `rule.body`
+/// in evaluation order, carrying the index of the literal in `rule.body`
 /// and the bound-positions mask the join probes with (constants plus
-/// variables bound by earlier literals). This is a compile-time mirror
-/// of what the join kernel does in [`evaluate`]'s naive round — same
-/// order, and like the kernel it never masks positions ≥ 32.
+/// variables bound by earlier literals). The order and the mask width
+/// are the join kernel's own (`join_order`, `mask_bit`), so this is what
+/// it does in [`evaluate`]'s naive round.
 pub fn plan_masks(rule: &Rule) -> Vec<(usize, u32)> {
-    let mut order: Vec<usize> = (0..rule.body.len())
-        .filter(|&i| !rule.body[i].negated)
-        .collect();
-    order.extend((0..rule.body.len()).filter(|&i| rule.body[i].negated));
-    let mut bound: std::collections::HashSet<&str> = std::collections::HashSet::new();
+    let order = join_order(rule.body.len(), |i| rule.body[i].negated, |_| false);
+    let mut bound: HashSet<&str> = HashSet::new();
     let mut out = Vec::with_capacity(order.len());
     for i in order {
-        let lit = &rule.body[i];
         let mut mask: u32 = 0;
         let mut newly = Vec::new();
-        for (j, t) in lit.atom.args.iter().enumerate() {
+        for (j, t) in rule.body[i].atom.args.iter().enumerate() {
             match t {
-                Term::Const(_) => {
-                    if j < 32 {
-                        mask |= 1 << j;
-                    }
-                }
-                Term::Var(name) => {
-                    if bound.contains(name.as_str()) {
-                        if j < 32 {
-                            mask |= 1 << j;
-                        }
-                    } else {
-                        newly.push(name.as_str());
-                    }
-                }
+                Term::Var(name) if !bound.contains(name.as_str()) => newly.push(name.as_str()),
+                _ => mask |= mask_bit(j),
             }
         }
         bound.extend(newly);

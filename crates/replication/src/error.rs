@@ -10,7 +10,7 @@ pub enum ReplError {
     /// silently lose the missing ops, so the follower disconnects and
     /// resubscribes from its applied sequence instead.
     SequenceGap {
-        /// The sequence number the applier expected next.
+        /// The sequence number the replica expected next.
         expected: u64,
         /// The sequence number that actually arrived.
         got: u64,
@@ -19,7 +19,7 @@ pub enum ReplError {
     /// below the applied watermark. Re-applying would double-apply
     /// history.
     SequenceRegression {
-        /// The sequence number the applier expected next.
+        /// The sequence number the replica expected next.
         expected: u64,
         /// The sequence number that actually arrived.
         got: u64,

@@ -64,10 +64,13 @@
 //! # Layout
 //!
 //! This module holds [`Config`], [`Server`], the accept and connection
-//! loops, admission, group commit and `durable_commit`. The one
-//! `match` over the request table lives in `dispatch`; the leader's
-//! replication shipper in `ship`; the follower apply loop in `follow`.
+//! loops, admission and `durable_commit`. The one commit watermark —
+//! group commit's fsync position, what ship loops may ship, a replica's
+//! applied position — lives in `commit`; the one `match` over the
+//! request table in `dispatch`; the leader's replication shipper in
+//! `ship`; the follower apply loop in `follow`.
 
+mod commit;
 mod dispatch;
 mod follow;
 mod ship;
@@ -75,17 +78,16 @@ mod ship;
 use crate::client::Client;
 use crate::proto::{self, ErrorCode, FrameRead, OpClass, Request, Response};
 use crate::session::SessionTable;
+use commit::Watermark;
 use dispatch::{dispatch, err};
 use gkbms::mvcc::VersionChain;
 use gkbms::{FsyncPolicy, Gkbms};
-use replication::CommitSignal;
 use std::collections::VecDeque;
-use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use storage::record::{HEADER_LEN, MAX_RECORD_LEN};
@@ -149,119 +151,6 @@ impl Default for Config {
     }
 }
 
-/// Group commit: one leader fsync covers every WAL op appended (and
-/// flushed, which appends do under the write lock) before it started.
-///
-/// Durability is tracked in the journal's monotonic *op sequence*, not
-/// in WAL byte offsets — checkpoints truncate the WAL, but op numbers
-/// keep growing, and a checkpoint makes every op up to its point
-/// durable via the snapshot (see [`GroupCommit::mark_durable`]).
-struct GroupCommit {
-    /// Clone of the WAL file handle; shares the open file description
-    /// with the journal, so it survives checkpoint truncations and can
-    /// be fsynced without holding the state lock.
-    file: File,
-    state: Mutex<GcState>,
-    cv: Condvar,
-}
-
-struct GcState {
-    /// Highest op sequence number known durable.
-    durable_op: u64,
-    /// Highest op any waiter has asked to make durable.
-    requested_max: u64,
-    /// A leader is currently fsyncing.
-    leader: bool,
-}
-
-impl GroupCommit {
-    fn new(file: File, durable_op: u64) -> GroupCommit {
-        GroupCommit {
-            file,
-            state: Mutex::new(GcState {
-                durable_op,
-                requested_max: durable_op,
-                leader: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, GcState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Blocks until every WAL op up to and including `op` is on stable
-    /// storage. The first waiter becomes the leader: it issues one
-    /// fsync for every op requested by then, and wakes everyone whose
-    /// ops it covered.
-    fn wait_durable(&self, op: u64) -> io::Result<()> {
-        let mut st = self.lock();
-        if st.requested_max < op {
-            st.requested_max = op;
-        }
-        loop {
-            if st.durable_op >= op {
-                return Ok(());
-            }
-            if st.leader {
-                st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                continue;
-            }
-            st.leader = true;
-            drop(st);
-            // Everything requested by now has been appended *and
-            // flushed* (appends flush under the state write lock before
-            // the writer starts waiting), so one fsync covers it all.
-            let goal = self.lock().requested_max;
-            let started = Instant::now();
-            let outcome = self.file.sync_data();
-            obs::histogram!(
-                "gkbms_journal_fsync_seconds",
-                "Latency of WAL fsyncs (per-op and group-commit)"
-            )
-            .observe(started.elapsed());
-            st = self.lock();
-            st.leader = false;
-            match outcome {
-                Ok(()) => {
-                    let covered = goal.saturating_sub(st.durable_op);
-                    if goal > st.durable_op {
-                        st.durable_op = goal;
-                    }
-                    obs::counter!(
-                        "gkbms_group_commit_batches_total",
-                        "Group-commit fsync batches issued"
-                    )
-                    .inc();
-                    obs::counter!(
-                        "gkbms_group_commit_batched_ops_total",
-                        "WAL ops made durable by group-commit batches"
-                    )
-                    .add(covered);
-                    self.cv.notify_all();
-                }
-                Err(e) => {
-                    // Wake the others so they elect a new leader (or
-                    // fail in turn) rather than waiting forever.
-                    self.cv.notify_all();
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Records that every op up to `op` is durable without an fsync —
-    /// a checkpoint's snapshot already covers them.
-    fn mark_durable(&self, op: u64) {
-        let mut st = self.lock();
-        if op > st.durable_op {
-            st.durable_op = op;
-            self.cv.notify_all();
-        }
-    }
-}
-
 /// One entry of the slow-query log: an ASK that crossed
 /// [`Config::slow_query_threshold`], with its evaluation statistics.
 #[derive(Debug, Clone)]
@@ -299,31 +188,16 @@ struct ReplState {
     leader_addr: String,
     /// Follower read-staleness bound, in ops ([`Config::max_lag`]).
     max_lag: Option<u64>,
-    /// Ops applied locally, mirrored out of the state lock so reads
-    /// can stamp staleness without taking it.
-    applied_seq: AtomicU64,
-    /// The leader's committed sequence as last observed by the
-    /// follower's apply loop (0 until the first message arrives).
+    /// The *leader's* committed sequence as last observed by the
+    /// follower's apply loop (0 until the first message arrives); this
+    /// server's own position is [`Shared::commit`].
     leader_seq: AtomicU64,
-    /// The server's sequence epoch, mirrored for lock-free fencing.
-    epoch: AtomicU64,
     /// True while a follower's subscription to the leader is live.
     connected: AtomicBool,
     /// Test hook: the apply loop keeps observing `leader_seq` but
     /// defers applying batches while this is set, so stale-read
     /// enforcement can be exercised deterministically.
     apply_paused: AtomicBool,
-    /// The durable `(seq, epoch)` watermark ship loops block on. Only
-    /// records at or below it are ever shipped to subscribers.
-    commit: CommitSignal,
-}
-
-impl ReplState {
-    fn lag(&self) -> u64 {
-        self.leader_seq
-            .load(Ordering::SeqCst)
-            .saturating_sub(self.applied_seq.load(Ordering::SeqCst))
-    }
 }
 
 struct Shared {
@@ -336,8 +210,9 @@ struct Shared {
     inflight: AtomicUsize,
     shutdown: AtomicBool,
     slow_log: Mutex<VecDeque<SlowQuery>>,
-    /// Present iff the state has a journal attached at bind time.
-    gc: Option<GroupCommit>,
+    /// The committed `(seq, epoch)`: only records at or below it are
+    /// ever shipped to subscribers.
+    commit: Watermark,
     repl: ReplState,
     cfg: Config,
     /// The listener's address; `None` on an in-process server.
@@ -402,32 +277,26 @@ impl Server {
         name: &str,
         serve: impl FnOnce(Arc<Shared>) + Send + 'static,
     ) -> io::Result<Server> {
-        let gc = match state.journal_mut() {
+        let file = match state.journal_mut() {
             Some(j) => {
                 // Baseline: everything appended so far is made durable
                 // now, so group commit only ever owes fsyncs for ops
                 // appended while serving.
                 j.sync().map_err(|e| io::Error::other(e.to_string()))?;
-                let durable = j.appended_ops();
-                let file = j.file().map_err(|e| io::Error::other(e.to_string()))?;
-                Some(GroupCommit::new(file, durable))
+                Some(j.file().map_err(|e| io::Error::other(e.to_string()))?)
             }
             None => None,
         };
+        // Everything recovered (and just fsynced) is committed.
+        let commit = Watermark::new(file, state.applied_seq(), state.epoch());
         let chain = VersionChain::new(state.kb().version());
-        let (applied, epoch) = (state.applied_seq(), state.epoch());
         let repl = ReplState {
             follower: AtomicBool::new(cfg.follow.is_some()),
             leader_addr: cfg.follow.clone().unwrap_or_default(),
             max_lag: cfg.max_lag,
-            applied_seq: AtomicU64::new(applied),
             leader_seq: AtomicU64::new(0),
-            epoch: AtomicU64::new(epoch),
             connected: AtomicBool::new(false),
             apply_paused: AtomicBool::new(false),
-            // Everything recovered (and just fsynced, above) is
-            // committed; group commit advances it from here.
-            commit: CommitSignal::new(applied, epoch),
         };
         let shared = Arc::new(Shared {
             state: RwLock::new(state),
@@ -436,7 +305,7 @@ impl Server {
             inflight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             slow_log: Mutex::new(VecDeque::new()),
-            gc,
+            commit,
             repl,
             cfg,
             addr,
@@ -780,7 +649,7 @@ fn admit(shared: &Shared, req: Request) -> (Response, bool) {
     }
     // Bounded staleness: refuse reads that have fallen too far
     // behind, and stamp every served one with its lag.
-    let lag = shared.repl.lag();
+    let lag = replica_lag(shared);
     if let Some(bound) = shared.repl.max_lag {
         if lag > bound {
             obs::counter!(
@@ -800,12 +669,22 @@ fn admit(shared: &Shared, req: Request) -> (Response, bool) {
     let (inner, shutdown_after) = dispatch(shared, req);
     (
         Response::Stale {
-            applied_seq: shared.repl.applied_seq.load(Ordering::SeqCst),
+            applied_seq: shared.commit.current().0,
             lag,
             inner: inner.encode(),
         },
         shutdown_after,
     )
+}
+
+/// Committed leader ops this replica has not applied yet.
+fn replica_lag(shared: &Shared) -> u64 {
+    let (applied, _) = shared.commit.current();
+    shared
+        .repl
+        .leader_seq
+        .load(Ordering::SeqCst)
+        .saturating_sub(applied)
 }
 
 fn lock_sessions(shared: &Shared) -> std::sync::MutexGuard<'_, SessionTable<SessionPin>> {
@@ -889,37 +768,26 @@ fn durable_commit(
         .cfg
         .checkpoint_every
         .is_some_and(|every| journal.ops_since_checkpoint() >= every);
-    let mut pending = shared.cfg.fsync == FsyncPolicy::Group;
     if checkpoint_due {
-        match g.checkpoint() {
-            Ok(report) => {
-                if let Some(gc) = &shared.gc {
-                    gc.mark_durable(report.appended_ops);
-                }
-                pending = false;
-            }
-            Err(e) => {
-                return Err(err(
-                    ErrorCode::Internal,
-                    format!("auto-checkpoint failed: {e}"),
-                ))
-            }
-        }
+        g.checkpoint()
+            .map_err(|e| err(ErrorCode::Internal, format!("auto-checkpoint failed: {e}")))?;
     }
     drop(g);
     sweep_sessions(shared);
-    if let Some(gc) = shared.gc.as_ref().filter(|_| pending) {
-        if let Err(e) = gc.wait_durable(commit_seq) {
-            return Err(err(ErrorCode::Internal, format!("group-commit fsync: {e}")));
-        }
+    // Commit point for replication, where ship loops wake: under
+    // `Group` once an fsync covers the op; a checkpoint's snapshot
+    // already covers it, and under `Never` the ack itself is the
+    // commit, so replicas inherit exactly the leader's (weak)
+    // durability contract.
+    if shared.cfg.fsync == FsyncPolicy::Group && !checkpoint_due {
+        shared
+            .commit
+            .wait_durable(commit_seq)
+            .map_err(|e| err(ErrorCode::Internal, format!("group-commit fsync: {e}")))
+    } else {
+        shared.commit.advance(commit_seq, epoch);
+        Ok(())
     }
-    // Commit point for replication: under `Group` the fsync (or
-    // covering checkpoint) has happened; under `Never` the ack
-    // itself is the commit, and replicas inherit exactly the leader's
-    // (weak) durability contract. Ship loops wake here.
-    shared.repl.applied_seq.store(commit_seq, Ordering::SeqCst);
-    shared.repl.commit.advance(commit_seq, epoch);
-    Ok(())
 }
 
 /// Reaps idled-out sessions, dropping their version pins so the chain

@@ -372,7 +372,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         }
         Request::Load { session, path } => {
             gate(shared, session)?;
-            if shared.gc.is_some() {
+            if read_state(shared).journal().is_some() {
                 return Err(rejected(
                     "cannot load into a journaled server: state is owned by the journal \
                      (restart with a different --journal dir instead)",
@@ -388,10 +388,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             let report = g.checkpoint().map_err(rejected)?;
             // The snapshot covers everything appended so far, so
             // waiting group committers are durable too.
-            if let Some(gc) = &shared.gc {
-                gc.mark_durable(report.appended_ops);
-            }
-            shared.repl.commit.advance(report.appended_ops, g.epoch());
+            shared.commit.advance(report.appended_ops, g.epoch());
             done(format!(
                 "checkpointed: {} op(s) compacted into the snapshot",
                 report.compacted_ops
@@ -567,11 +564,11 @@ fn promote(shared: &Shared) -> Response {
     match g.promote() {
         Ok(epoch) => {
             let applied = g.applied_seq();
+            // The seal is durable: group commit owes it no fsync. This
+            // also wakes the server's own subscribers into the new
+            // epoch before any write of that epoch can commit.
+            shared.commit.advance(applied, epoch);
             drop(g);
-            shared.repl.epoch.store(epoch, Ordering::SeqCst);
-            shared.repl.applied_seq.store(applied, Ordering::SeqCst);
-            // Wake this server's own subscribers into the new epoch.
-            shared.repl.commit.advance(applied, epoch);
             done(format!(
                 "promoted: sequence epoch {epoch}, applied op {applied}"
             ))

@@ -6,10 +6,12 @@
 //! resubscribe with capped exponential backoff. Stops on shutdown or
 //! promotion.
 
-use super::{publish_head, read_state, replace_state, sweep_sessions, write_state, Shared};
+use super::{
+    publish_head, read_state, replace_state, replica_lag, sweep_sessions, write_state, Shared,
+};
 use crate::proto::{self, ErrorCode, FrameRead, Request, Response};
 use gkbms::Gkbms;
-use replication::{ReplError, ReplMsg, StreamApplier};
+use replication::{ReplError, ReplMsg, ShippedRecord};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -86,7 +88,6 @@ fn follow_once(shared: &Shared, leader: &str) -> Result<(), ReplError> {
         }
         .encode(),
     )?;
-    let mut applier = StreamApplier::new(applied, epoch);
     let mut snapshot: Option<Vec<Vec<u8>>> = None;
     loop {
         if follow_done(shared) {
@@ -141,7 +142,7 @@ fn follow_once(shared: &Shared, leader: &str) -> Result<(), ReplError> {
                 let Some(payloads) = snapshot.take() else {
                     return Err(ReplError::Protocol("snapshot end before start".into()));
                 };
-                applier = install_snapshot(shared, payloads)?;
+                install_snapshot(shared, payloads)?;
                 observe_lag(shared);
             }
             ReplMsg::Ops {
@@ -157,7 +158,7 @@ fn follow_once(shared: &Shared, leader: &str) -> Result<(), ReplError> {
                 if follow_done(shared) {
                     return Ok(());
                 }
-                apply_batch(shared, &mut applier, &records)?;
+                apply_batch(shared, &records)?;
                 observe_lag(shared);
             }
         }
@@ -166,13 +167,13 @@ fn follow_once(shared: &Shared, leader: &str) -> Result<(), ReplError> {
 
 /// Records the replica's position and lag in the metrics registry.
 fn observe_lag(shared: &Shared) {
-    let applied = shared.repl.applied_seq.load(Ordering::SeqCst);
+    let (applied, _) = shared.commit.current();
     obs::gauge!(
         "gkbms_replication_applied_seq",
         "Ops this replica has applied from the leader's stream"
     )
     .set(applied.min(i64::MAX as u64) as i64);
-    let lag = shared.repl.lag();
+    let lag = replica_lag(shared);
     obs::gauge!(
         "gkbms_replication_lag_ops_current",
         "Committed leader ops this replica has not applied yet"
@@ -187,9 +188,9 @@ fn observe_lag(shared: &Shared) {
 
 /// Replaces the replica's state from a shipped checkpoint snapshot:
 /// install (journaled replicas persist it and drop their stale WAL),
-/// then swap it in through [`replace_state`]. Returns the applier
-/// positioned after the snapshot's covered sequence.
-fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<StreamApplier, ReplError> {
+/// then swap it in through [`replace_state`], positioned after the
+/// snapshot's covered sequence.
+fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<(), ReplError> {
     obs::counter!(
         "gkbms_replication_snapshots_installed_total",
         "Checkpoint snapshots installed by this replica during catch-up"
@@ -202,55 +203,41 @@ fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<StreamApp
         None => Gkbms::replica_from_snapshot(&payloads),
     }
     .map_err(|e| ReplError::Protocol(format!("snapshot install: {e}")))?;
-    let (applied, epoch) = (fresh.applied_seq(), fresh.epoch());
+    shared.commit.advance(fresh.applied_seq(), fresh.epoch());
     replace_state(shared, g, fresh);
-    shared.repl.applied_seq.store(applied, Ordering::SeqCst);
-    shared.repl.epoch.store(epoch, Ordering::SeqCst);
-    shared.repl.commit.advance(applied, epoch);
-    Ok(StreamApplier::new(applied, epoch))
+    Ok(())
 }
 
 /// Applies one shipped batch under the write lock. The whole batch is
-/// admitted first — a spliced stream (gap, regression, fenced epoch)
-/// is refused as a typed error *before* anything touches the replica,
-/// and the caller disconnects instead of applying out of order.
-fn apply_batch(
-    shared: &Shared,
-    applier: &mut StreamApplier,
-    records: &[replication::ShippedRecord],
-) -> Result<(), ReplError> {
+/// admitted against the replica's position first — a spliced stream
+/// (gap, regression, fenced epoch) is refused as a typed error *before*
+/// anything touches the replica, and the caller disconnects instead of
+/// applying out of order.
+fn apply_batch(shared: &Shared, records: &[ShippedRecord]) -> Result<(), ReplError> {
     if records.is_empty() {
         return Ok(());
     }
-    let mut probe = applier.clone();
-    for r in records {
-        if let Err(e) = probe.admit(r.seq, r.epoch) {
-            if matches!(e, ReplError::EpochFenced { .. }) {
-                obs::counter!(
-                    "gkbms_replication_fenced_total",
-                    "Replication records or subscriptions refused by sequence-epoch fencing"
-                )
-                .inc();
-            }
-            return Err(e);
-        }
-    }
     let mut g = write_state(shared);
+    if let Err(e) = replication::admit(g.applied_seq(), g.epoch(), records) {
+        if matches!(e, ReplError::EpochFenced { .. }) {
+            obs::counter!(
+                "gkbms_replication_fenced_total",
+                "Replication records or subscriptions refused by sequence-epoch fencing"
+            )
+            .inc();
+        }
+        return Err(e);
+    }
     for r in records {
-        applier.admit(r.seq, r.epoch)?;
         g.apply_replicated(r.seq, r.epoch, &r.payload)
             .map_err(|e| ReplError::Protocol(format!("apply op {}: {e}", r.seq)))?;
     }
     // Publish once per batch, still under the write guard, so session
-    // snapshots observe replicated commits in order.
+    // snapshots observe replicated commits in order. Chained
+    // subscribers of this replica may now ship these records.
     publish_head(shared, &g);
-    let applied = g.applied_seq();
-    let epoch = g.epoch();
+    shared.commit.advance(g.applied_seq(), g.epoch());
     drop(g);
-    shared.repl.applied_seq.store(applied, Ordering::SeqCst);
-    shared.repl.epoch.store(epoch, Ordering::SeqCst);
-    // Chained subscribers of this replica may now ship these records.
-    shared.repl.commit.advance(applied, epoch);
     obs::counter!(
         "gkbms_replication_records_applied_total",
         "Shipped records applied into this replica"

@@ -83,7 +83,7 @@ pub(super) fn serve_replication(
     sub_seq: u64,
     sub_epoch: u64,
 ) {
-    let (_, epoch) = shared.repl.commit.current();
+    let (_, epoch) = shared.commit.current();
     if sub_epoch > epoch {
         obs::counter!(
             "gkbms_replication_fenced_total",
@@ -119,7 +119,7 @@ fn ship_snapshot(stream: &mut impl Write, shared: &Shared, snap: ShipSnapshot) -
         "Checkpoint snapshots streamed to far-behind subscribers"
     )
     .inc();
-    let (_, epoch) = shared.repl.commit.current();
+    let (_, epoch) = shared.commit.current();
     ship(
         stream,
         &ReplMsg::SnapshotStart {
@@ -157,7 +157,7 @@ fn ship_stream(
     sub_seq: u64,
     mut snapshot: Option<ShipSnapshot>,
 ) -> io::Result<()> {
-    let (durable, epoch) = shared.repl.commit.current();
+    let (durable, epoch) = shared.commit.current();
     ship(
         stream,
         &ReplMsg::Hello {
@@ -183,7 +183,7 @@ fn ship_stream(
             if shared.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            let (durable, epoch) = shared.repl.commit.wait_beyond(
+            let (durable, epoch) = shared.commit.wait_beyond(
                 tail.resume_seq().saturating_sub(1),
                 shared.cfg.poll_interval,
             );

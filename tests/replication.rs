@@ -168,6 +168,75 @@ fn two_followers_converge_byte_identical_under_churn() {
     }
 }
 
+/// A replica of a replica: F2 follows F1, which follows the leader.
+/// F1's applied batches move F1's own commit watermark, and that is what
+/// wakes the ship loop serving F2 — so F2 converges byte-identical to
+/// the leader, and once F1 is promoted F2 follows it into epoch 2.
+#[test]
+fn chained_replica_converges_and_follows_a_promotion() {
+    const THREADS: usize = 2;
+    const PER_THREAD: usize = 6;
+    let ldir = tmp_dir("chain-l");
+    let f1dir = tmp_dir("chain-f1");
+    let f2dir = tmp_dir("chain-f2");
+    let (lsrv, laddr) = leader(&ldir);
+    let (f1srv, f1addr) = follower(&f1dir, laddr, None);
+    let (f2srv, f2addr) = follower(&f2dir, f1addr, None);
+
+    {
+        let mut c = Client::connect(laddr).unwrap();
+        let (s, _) = c.hello().unwrap();
+        c.tell(s, "TELL Paper end").unwrap();
+        c.bye(s).unwrap();
+    }
+    let writers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(laddr).unwrap();
+                let (s, _) = c.hello().unwrap();
+                for i in 0..PER_THREAD {
+                    c.tell(s, &format!("TELL p_{t}_{i} in Paper end")).unwrap();
+                }
+                c.bye(s).unwrap();
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().expect("writer thread");
+    }
+    let committed = (THREADS * PER_THREAD + 1) as u64;
+    let status = Client::connect(laddr).unwrap().repl_status().unwrap();
+    assert_eq!(status.applied_seq, committed);
+    wait_applied(f2addr, committed);
+    let wal = |dir: &Path| std::fs::read(dir.join(WAL_FILE)).unwrap();
+    assert_eq!(wal(&f2dir), wal(&ldir), "F2 WAL is not byte-identical");
+
+    // The leader dies; F1 is promoted and takes one write.
+    lsrv.shutdown().unwrap();
+    let mut c = Client::connect(f1addr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    assert!(c.promote(s).unwrap().contains("epoch 2"));
+    c.tell(s, "TELL after in Paper end").unwrap();
+    let f1_applied = c.repl_status().unwrap().applied_seq;
+    assert_eq!(f1_applied, committed + 2, "the seal and the write");
+
+    let mut f2c = Client::connect(f2addr).unwrap();
+    wait_for("F2 to follow F1 into epoch 2", || {
+        f2c.repl_status()
+            .map(|st| st.epoch == 2 && st.applied_seq == f1_applied)
+            .unwrap_or(false)
+    });
+    let (f2s, _) = f2c.hello().unwrap();
+    assert!(ask_all(&mut f2c, f2s).contains(&"after".to_string()));
+
+    f2srv.shutdown().unwrap();
+    f1srv.shutdown().unwrap();
+    assert_eq!(wal(&f2dir), wal(&f1dir), "F2 WAL diverged from F1's");
+    for d in [ldir, f1dir, f2dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
 /// A follower that dies resubscribes from its applied position on
 /// restart and converges on everything it missed.
 #[test]
