@@ -579,6 +579,40 @@ impl Database {
         }
     }
 
+    /// Makes room for `additional` more rows of `arity` under `pred`,
+    /// registering the relation (empty) if it is absent: a bulk load
+    /// that knows its size grows the rows, the chains and the dedup map
+    /// once instead of doubling its way there. A relation another
+    /// database shares is left as it is, so reserving never copies one.
+    pub fn reserve(&mut self, pred: Symbol, arity: usize, additional: usize) -> DatalogResult<()> {
+        let i = match self.pred_ids.get(&pred) {
+            Some(&i) => i,
+            None => {
+                let rel = Relation {
+                    arity,
+                    ..Relation::default()
+                };
+                self.pred_ids.insert(pred, self.rels.len());
+                self.rels.push((pred, Arc::new(rel)));
+                self.rels.len() - 1
+            }
+        };
+        let rel = &mut self.rels[i].1;
+        if rel.arity != arity {
+            return Err(DatalogError::ArityMismatch {
+                pred: pred.as_str().to_string(),
+                expected: rel.arity,
+                found: arity,
+            });
+        }
+        if let Some(own) = Arc::get_mut(rel) {
+            own.flat.reserve(additional * arity);
+            own.next.reserve(additional);
+            own.heads.reserve(additional);
+        }
+        Ok(())
+    }
+
     /// Ground membership test on an interned row.
     pub(crate) fn contains_ivals(&self, pred: Symbol, row: &[IVal]) -> bool {
         self.rel(pred)
@@ -728,10 +762,21 @@ impl Database {
         ps
     }
 
-    /// Merges all tuples of `other` into `self` (interned fast path).
+    /// Merges all tuples of `other` into `self` (interned fast path);
+    /// returns how many were new. A non-empty relation `self` lacks is
+    /// adopted whole: O(1), shared with `other` until either side
+    /// writes to it, and counted as its length — every row is new.
     pub fn absorb(&mut self, other: &Database) -> DatalogResult<usize> {
         let mut added = 0;
         for (pred, rel) in &other.rels {
+            if !self.pred_ids.contains_key(pred) {
+                if rel.len() > 0 {
+                    added += rel.len();
+                    self.pred_ids.insert(*pred, self.rels.len());
+                    self.rels.push((*pred, Arc::clone(rel)));
+                }
+                continue;
+            }
             for row in rel.rows() {
                 if self.insert_ivals(*pred, row)? {
                     added += 1;
@@ -845,6 +890,68 @@ mod tests {
         assert_eq!(added, 2);
         assert_eq!(a.total(), 3);
         assert_eq!(a.preds(), vec!["p", "q"]);
+    }
+
+    /// A relation the target lacks is adopted, not copied: the two
+    /// databases share it until either writes, and the writer's copy
+    /// leaves the other side as it was.
+    #[test]
+    fn an_adopted_relation_is_shared_until_either_side_writes() {
+        let (p, q) = (intern("adopt-p"), intern("adopt-q"));
+        let mut source = Database::new();
+        for i in 0..3 {
+            source.insert("adopt-q", vec![Value::Int(i)]).unwrap();
+        }
+        source.insert("adopt-p", vec![Value::Int(0)]).unwrap();
+        let mut target = Database::new();
+        target.insert("adopt-p", vec![Value::Int(9)]).unwrap();
+        assert_eq!(target.absorb(&source).unwrap(), 4, "same count as a merge");
+        assert!(target.shares_relation(&source, q), "adopted by reference");
+        assert!(!target.shares_relation(&source, p), "merged row by row");
+        assert_eq!(target.preds(), vec!["adopt-p", "adopt-q"]);
+
+        // The target writes: it copies, the source keeps three rows.
+        target.insert("adopt-q", vec![Value::Int(3)]).unwrap();
+        assert!(!target.shares_relation(&source, q));
+        assert_eq!(source.count("adopt-q"), 3);
+        assert_eq!(target.count("adopt-q"), 4);
+
+        // The source writes after a second adoption: the target keeps
+        // what it adopted.
+        let mut again = Database::new();
+        again.absorb(&source).unwrap();
+        assert!(again.shares_relation(&source, q));
+        assert!(source.remove("adopt-q", &[Value::Int(0)]));
+        assert!(!again.shares_relation(&source, q));
+        assert_eq!(again.count("adopt-q"), 3);
+        assert_eq!(source.count("adopt-q"), 2);
+
+        // An empty relation is not adopted, as no row of it is merged.
+        let mut empty = Database::new();
+        empty.reserve(intern("adopt-empty"), 1, 8).unwrap();
+        let mut into = Database::new();
+        assert_eq!(into.absorb(&empty).unwrap(), 0);
+        assert!(into.preds().is_empty());
+    }
+
+    /// Reserving registers the relation and checks its arity, and a
+    /// shared relation is not copied for it.
+    #[test]
+    fn reserve_registers_and_never_copies() {
+        let pred = intern("reserve-r");
+        let mut db = Database::new();
+        db.reserve(pred, 2, 100).unwrap();
+        assert_eq!(db.arity("reserve-r"), Some(2));
+        assert_eq!(db.count("reserve-r"), 0);
+        assert!(matches!(
+            db.reserve(pred, 3, 1),
+            Err(DatalogError::ArityMismatch { .. })
+        ));
+        db.insert("reserve-r", vec![Value::Int(1), Value::Int(2)])
+            .unwrap();
+        let clone = db.clone();
+        db.reserve(pred, 2, 1_000).unwrap();
+        assert!(db.shares_relation(&clone, pred));
     }
 
     #[test]

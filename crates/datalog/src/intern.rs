@@ -218,6 +218,15 @@ impl Symbol {
     pub fn id(self) -> u32 {
         self.0
     }
+
+    /// The symbol whose [`Symbol::id`] is `id`: how a layer that keeps
+    /// pool ids beside its own names (telos's `PropStore::pooled`) reads
+    /// one back without hashing the string again. `id` must have come
+    /// from [`Symbol::id`] in this process; any other number names no
+    /// string, and resolving it panics.
+    pub fn from_id(id: u32) -> Symbol {
+        Symbol(id)
+    }
 }
 
 impl std::fmt::Display for Symbol {
@@ -417,6 +426,13 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(lookup(ghost), None);
+    }
+
+    #[test]
+    fn an_id_reads_back_as_its_symbol() {
+        let s = intern("from-id-roundtrip");
+        assert_eq!(Symbol::from_id(s.id()), s);
+        assert_eq!(Symbol::from_id(s.id()).as_str(), "from-id-roundtrip");
     }
 
     #[test]

@@ -383,7 +383,7 @@ fn run_join(
 ) -> DatalogResult<Vec<Vec<IVal>>> {
     let mut out = Vec::new();
     Join::new(rule, sources).run(&mut rule.fresh_env(), work, &mut |row| {
-        out.push(row);
+        out.push(row.to_vec());
         Ok(())
     })?;
     Ok(out)

@@ -219,18 +219,21 @@ impl<'a> Join<'a> {
 
     /// Enumerates every instantiation of the body that extends `env`
     /// (all-unbound, or pre-seeded from a head tuple), handing each
-    /// head row — duplicates included — to `emit`. Probes, candidate
-    /// tuples and instantiations are counted into `stats`; on success
-    /// `env` is left as it was found.
+    /// head row — duplicates included — to `emit`. The row is borrowed
+    /// from one buffer the run reuses, so a derivation allocates
+    /// nothing; `emit` copies what it keeps. Probes, candidate tuples
+    /// and instantiations are counted into `stats`; on success `env` is
+    /// left as it was found.
     pub(crate) fn run(
         &self,
         env: &mut [Option<IVal>],
         stats: &mut EvalStats,
-        emit: &mut dyn FnMut(Vec<IVal>) -> DatalogResult<()>,
+        emit: &mut dyn FnMut(&[IVal]) -> DatalogResult<()>,
     ) -> DatalogResult<()> {
         let mut run = Run {
             env,
             trail: Vec::new(),
+            head: Vec::with_capacity(self.rule.head.len()),
             stats,
             emit,
         };
@@ -241,13 +244,14 @@ impl<'a> Join<'a> {
     fn step(&self, pos: usize, run: &mut Run) -> DatalogResult<()> {
         let Some(&at) = self.order.get(pos) else {
             run.stats.derivations += 1;
-            let row = self
-                .rule
-                .head
-                .iter()
-                .map(|a| a.value(run.env).expect("safety: head var bound"))
-                .collect();
-            return (run.emit)(row);
+            run.head.clear();
+            run.head.extend(
+                self.rule
+                    .head
+                    .iter()
+                    .map(|a| a.value(run.env).expect("safety: head var bound")),
+            );
+            return (run.emit)(&run.head);
         };
         let lit = &self.rule.lits[at];
         let (parts, minus): (&[&Database], &[&Database]) = match &self.sources[at] {
@@ -349,12 +353,14 @@ impl<'a> Join<'a> {
 
 /// The mutable side of one [`Join::run`]: the environment, the trail
 /// of slots bound since the run began (so each candidate row can be
-/// unwound), the counters and the sink for head rows.
+/// unwound), the buffer head rows are built in, the counters and the
+/// sink for head rows.
 struct Run<'r> {
     env: &'r mut [Option<IVal>],
     trail: Vec<u16>,
+    head: Vec<IVal>,
     stats: &'r mut EvalStats,
-    emit: &'r mut dyn FnMut(Vec<IVal>) -> DatalogResult<()>,
+    emit: &'r mut dyn FnMut(&[IVal]) -> DatalogResult<()>,
 }
 
 /// Matches `row` against `args`, binding fresh slots (recorded on

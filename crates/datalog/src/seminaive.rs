@@ -134,15 +134,18 @@ pub fn evaluate(program: &Program, edb: &Database) -> DatalogResult<(Database, E
                 };
                 for p in versions {
                     let sources = version_sources(rule, &total, p.zip(delta.as_ref()));
-                    let mut emit = |row: Vec<IVal>| {
-                        if !total.contains_ivals(rule.head_pred, &row) {
-                            next.insert_ivals(rule.head_pred, &row)?;
+                    let mut emit = |row: &[IVal]| {
+                        if !total.contains_ivals(rule.head_pred, row) {
+                            next.insert_ivals(rule.head_pred, row)?;
                         }
                         Ok(())
                     };
                     Join::new(rule, sources).run(&mut rule.fresh_env(), &mut stats, &mut emit)?;
                 }
             }
+            // The previous delta goes first: a relation `total` adopted
+            // from it is then `total`'s alone again, and grows in place.
+            drop(delta.take());
             stats.new_facts += total.absorb(&next)?;
             if next.total() == 0 {
                 break;

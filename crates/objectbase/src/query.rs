@@ -20,6 +20,19 @@
 //! first read at the version's capture tick, shared by every later
 //! one, freed with the version. There is no cache to size or
 //! invalidate.
+//!
+//! # What a fresh closure costs
+//!
+//! The first read of a version pays one export and one fixpoint; both
+//! are timed on every miss (`objectbase_edb_export_seconds`,
+//! `objectbase_closure_eval_seconds`). The export costs the tuples it
+//! writes, not the names it meets: the store and the datalog engine
+//! intern names in two tables (a versioned one per store in `telos`, one
+//! process-wide pool in `datalog`), and each store name remembers its
+//! pooled id ([`PropStore::pooled`]), so a name is hashed into the pool
+//! once, not once per export. An export for [`base_program`] reads only
+//! the `instanceof` and `isa` posting lists and sizes each relation
+//! before its first row ([`Database::reserve`]).
 
 use crate::error::ObResult;
 use datalog::ast::{Atom, Program, Term, Value};
@@ -28,8 +41,8 @@ use datalog::intern::{intern, IVal, Symbol};
 use datalog::seminaive::EvalStats;
 use datalog::{magic, seminaive, topdown};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 use telos::assertion;
 use telos::{Kb, KbRead, KbVersion, PropId, PropStore, Proposition, TelosError};
 
@@ -114,12 +127,20 @@ impl Exported {
 }
 
 /// The one export loop: the database, and the rows it dropped as
-/// duplicates (one entry per dropped row). Rows go in interned: each
-/// endpoint's display name is interned once per export (a
-/// `PropId`-indexed table), each attribute label once per label, and
-/// no `String` or [`Value`] is built per tuple. Must agree with
-/// [`edb_fact_for`], the per-proposition form in which TELL and UNTELL
-/// reach the maintained views.
+/// duplicates (one entry per dropped row). Rows go in interned, and no
+/// `String` or [`Value`] is built per tuple: an individual or an
+/// attribute label is named by the datalog symbol its store name keeps
+/// ([`PropStore::pooled`]), so a name is hashed into the datalog pool
+/// once per store chunk, not once per export; only a link endpoint
+/// (`<src l dst>`) is rendered and interned, once per export.
+///
+/// Without `attr` the export reads the `instanceof` and `isa` posting
+/// lists instead of every proposition. A posting list is in id order,
+/// so each relation gets the rows of the full walk in the same order,
+/// and is sized from the list's length before its first row.
+///
+/// Must agree with [`edb_fact_for`], the per-proposition form in which
+/// TELL and UNTELL reach the maintained views.
 fn export(
     store: &PropStore,
     live: impl Fn(&Proposition) -> bool,
@@ -131,22 +152,27 @@ fn export(
     )
     .inc();
     let (in_, isa, attr) = (intern(preds::IN), intern(preds::ISA), intern(preds::ATTR));
-    let mut names: Vec<Option<Symbol>> = vec![None; store.len()];
-    let mut name_of = |id: PropId| -> IVal {
-        if let Some(Some(known)) = names.get(id.idx()) {
-            return IVal::Sym(*known);
-        }
-        let sym = match store.prop(id) {
-            Some(p) if p.is_individual() => intern(store.resolve_sym(p.label)),
-            _ => intern(&store.display(id)),
-        };
-        if let Some(slot) = names.get_mut(id.idx()) {
-            *slot = Some(sym);
-        }
-        IVal::Sym(sym)
+    let mut names = Names {
+        store,
+        links: Vec::new(),
     };
-    let mut labels: HashMap<telos::Symbol, IVal> = HashMap::new();
     let mut db = Database::new();
+    let ids: Box<dyn Iterator<Item = PropId>> = if want.attr {
+        Box::new((0..store.len() as u32).map(PropId))
+    } else {
+        let lists = [
+            (want.in_, store.instanceof_sym(), in_),
+            (want.isa, store.isa_sym(), isa),
+        ];
+        let lists = lists.into_iter().filter(|&(wanted, ..)| wanted);
+        for (_, label, pred) in lists.clone() {
+            let len = store.postings_label(label).len();
+            if len > 0 {
+                db.reserve(pred, 2, len)?;
+            }
+        }
+        Box::new(lists.flat_map(|(_, label, _)| store.postings_label(label).iter().copied()))
+    };
     let mut duplicates = Vec::new();
     let mut put = |pred: Symbol, row: &[IVal]| -> ObResult<()> {
         if !db.insert_ivals(pred, row)? {
@@ -154,29 +180,61 @@ fn export(
         }
         Ok(())
     };
-    for id in 0..store.len() {
-        let Some(p) = store.prop(PropId(id as u32)) else {
+    for id in ids {
+        let Some(p) = store.prop(id) else {
             continue;
         };
+        // An individual named like a reserved label is filed under it.
         if p.is_individual() || !live(p) {
             continue;
         }
         if p.label == store.instanceof_sym() {
             if want.in_ {
-                put(in_, &[name_of(p.source), name_of(p.dest)])?;
+                put(in_, &[names.of(p.source), names.of(p.dest)])?;
             }
         } else if p.label == store.isa_sym() {
             if want.isa {
-                put(isa, &[name_of(p.source), name_of(p.dest)])?;
+                put(isa, &[names.of(p.source), names.of(p.dest)])?;
             }
         } else if want.attr {
-            let label = *labels
-                .entry(p.label)
-                .or_insert_with(|| IVal::Sym(intern(store.resolve_sym(p.label))));
-            put(attr, &[name_of(p.source), label, name_of(p.dest)])?;
+            let label = IVal::Sym(names.pooled(p.label));
+            put(attr, &[names.of(p.source), label, names.of(p.dest)])?;
         }
     }
     Ok((db, duplicates))
+}
+
+/// How an export names the objects of one store in the datalog pool.
+struct Names<'s> {
+    store: &'s PropStore,
+    /// The names of link endpoints by `PropId`, rendered once per
+    /// export; allocated by the first link endpoint, so an export that
+    /// meets none allocates nothing.
+    links: Vec<Option<Symbol>>,
+}
+
+impl Names<'_> {
+    /// The datalog symbol of a store name, remembered with the name.
+    fn pooled(&self, sym: telos::Symbol) -> Symbol {
+        Symbol::from_id(self.store.pooled(sym, |name| intern(name).id()))
+    }
+
+    /// The name of the object `id`: its label for an individual,
+    /// `<src l dst>` for a link.
+    fn of(&mut self, id: PropId) -> IVal {
+        if let Some(p) = self.store.prop(id).filter(|p| p.is_individual()) {
+            return IVal::Sym(self.pooled(p.label));
+        }
+        if self.links.is_empty() {
+            self.links = vec![None; self.store.len()];
+        }
+        let store = self.store;
+        let render = || intern(&store.display(id));
+        IVal::Sym(match self.links.get_mut(id.idx()) {
+            Some(slot) => *slot.get_or_insert_with(render),
+            None => render(),
+        })
+    }
 }
 
 /// The extensional fact one proposition contributes: `in_(X, C)`,
@@ -256,8 +314,20 @@ fn build_closure(
         "Deductive closures evaluated from scratch (one EDB export and one fixpoint each)"
     )
     .inc();
+    let started = Instant::now();
     let (edb, _) = export(store, live, want)?;
+    obs::histogram!(
+        "objectbase_edb_export_seconds",
+        "EDB exports for closures built from scratch (closure misses only)"
+    )
+    .observe(started.elapsed());
+    let started = Instant::now();
     let (model, stats) = seminaive::evaluate(program, &edb)?;
+    obs::histogram!(
+        "objectbase_closure_eval_seconds",
+        "Fixpoint evaluations for closures built from scratch (closure misses only)"
+    )
+    .observe(started.elapsed());
     Ok(Arc::new(Closure { model, stats }))
 }
 
@@ -556,6 +626,7 @@ mod tests {
     use super::*;
     use crate::frame::ObjectFrame;
     use crate::transform::tell_all;
+    use telos::Interval;
 
     fn scenario_kb() -> Kb {
         let mut kb = Kb::new();
@@ -681,6 +752,97 @@ mod tests {
             listing(&to_edb_for(&kb, now, &reads_attr).unwrap()),
             attr_only
         );
+    }
+
+    /// The export without `attr` reads posting lists, not every
+    /// proposition; it must still be the full walk's projection, row
+    /// for row, at every tick — of the live store and of every version
+    /// captured on the way, whose names share slots with it. The
+    /// history untells and re-tells `in` and `isa` links, asserts an
+    /// `in` link twice, classifies a link, and names individuals like
+    /// the reserved labels (they file under those labels too).
+    #[test]
+    fn posting_list_export_is_the_projection_of_the_full_walk() {
+        let mut kb = scenario_kb();
+        let mut versions: Vec<KbVersion> = Vec::new();
+        let check = |kb: &Kb, versions: &mut Vec<KbVersion>| {
+            versions.push(kb.version());
+            let stores = std::iter::once(&**kb).chain(versions.iter().map(|v| &**v));
+            for store in stores {
+                for t in 0..=store.now() {
+                    let mut want = listing(&to_edb_at_store(store, t).unwrap());
+                    want[2].1.clear();
+                    let got = to_edb_for(store, t, &base_program()).unwrap();
+                    assert_eq!(listing(&got), want, "tick {t} of {}", store.now());
+                }
+            }
+            // The full walk still drops what an earlier believed
+            // proposition already contributed, in id order.
+            let mut seen = Vec::new();
+            let mut dropped: Dropped = Vec::new();
+            for id in (0..kb.len()).map(|i| PropId(i as u32)) {
+                if !kb.prop(id).is_some_and(Proposition::is_believed) {
+                    continue;
+                }
+                let Some((pred, tuple)) = edb_fact_for(kb, id) else {
+                    continue;
+                };
+                let row: Vec<IVal> = tuple.iter().map(IVal::from_value).collect();
+                let fact = (intern(&pred), row);
+                if seen.contains(&fact) {
+                    dropped.push(fact);
+                } else {
+                    seen.push(fact);
+                }
+            }
+            assert_eq!(to_edb_counted(kb).unwrap().1, dropped);
+        };
+        let named = |kb: &Kb, name: &str| kb.lookup(name).unwrap();
+        check(&kb, &mut versions);
+
+        let (inv1, invitation) = (named(&kb, "inv1"), named(&kb, "Invitation"));
+        let in_link = kb.find_link(inv1, kb.instanceof_sym(), invitation).unwrap();
+        kb.untell(in_link).unwrap();
+        check(&kb, &mut versions);
+        kb.tick();
+        kb.instantiate(inv1, invitation).unwrap();
+        check(&kb, &mut versions);
+
+        let (minutes, paper) = (named(&kb, "Minutes"), named(&kb, "Paper"));
+        let isa_link = kb.find_link(minutes, kb.isa_sym(), paper).unwrap();
+        kb.untell(isa_link).unwrap();
+        check(&kb, &mut versions);
+        kb.tick();
+        kb.specialize(minutes, paper).unwrap();
+        check(&kb, &mut versions);
+
+        // A link that is an instance: `<inv1 sender maria>` in the
+        // attribute class `<Invitation sender Person>`.
+        kb.tick();
+        let (maria, person) = (named(&kb, "maria"), named(&kb, "Person"));
+        let sender = kb.find_link(inv1, kb.lookup_sym("sender").unwrap(), maria);
+        let class = kb.put_attr(invitation, "sender", person).unwrap();
+        let classified = kb.instantiate(sender.unwrap(), class).unwrap();
+        check(&kb, &mut versions);
+
+        // One `in` link asserted twice, and individuals filed under the
+        // reserved labels.
+        kb.tick();
+        let inv2 = named(&kb, "inv2");
+        for _ in 0..2 {
+            kb.create_raw(inv2, kb.instanceof_sym(), minutes, Interval::always())
+                .unwrap();
+        }
+        kb.individual(telos::kb::L_INSTANCEOF).unwrap();
+        kb.individual(telos::kb::L_ISA).unwrap();
+        check(&kb, &mut versions);
+        assert!(!to_edb_counted(&kb).unwrap().1.is_empty());
+
+        kb.untell(classified).unwrap();
+        check(&kb, &mut versions);
+        kb.tick();
+        kb.instantiate(sender.unwrap(), class).unwrap();
+        check(&kb, &mut versions);
     }
 
     #[test]

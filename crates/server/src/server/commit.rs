@@ -28,8 +28,9 @@ pub(super) struct Watermark {
     /// Clone of the WAL file handle, present iff the served state has a
     /// journal. It shares the open file description with the journal,
     /// so it survives checkpoint truncations and can be fsynced without
-    /// holding the state lock.
-    file: Option<File>,
+    /// holding the state lock. A replica's snapshot install replaces
+    /// the WAL file, and with it this handle ([`Watermark::rebind`]).
+    file: Mutex<Option<File>>,
     position: Mutex<Position>,
     cv: Condvar,
 }
@@ -38,7 +39,7 @@ impl Watermark {
     /// A watermark at `seq` under `epoch`, fsyncing `file` on demand.
     pub(super) fn new(file: Option<File>, seq: u64, epoch: u64) -> Watermark {
         Watermark {
-            file,
+            file: Mutex::new(file),
             position: Mutex::new(Position {
                 seq,
                 epoch,
@@ -77,7 +78,12 @@ impl Watermark {
             // the writer starts waiting), so one fsync covers it all.
             let goal = self.lock().requested;
             let started = Instant::now();
-            let outcome = self.file.as_ref().map_or(Ok(()), File::sync_data);
+            let outcome = self
+                .file
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .as_ref()
+                .map_or(Ok(()), File::sync_data);
             obs::histogram!(
                 "gkbms_journal_fsync_seconds",
                 "Latency of WAL fsyncs (per-op and group-commit)"
@@ -117,6 +123,14 @@ impl Watermark {
             p.epoch = p.epoch.max(epoch);
             self.cv.notify_all();
         }
+    }
+
+    /// Hands group commit the handle of a WAL that replaced the one it
+    /// held (a replica's snapshot install recreates the file), so later
+    /// fsyncs reach the file the journal appends to. The old handle is
+    /// closed; an fsync in flight on it finishes first.
+    pub(super) fn rebind(&self, file: Option<File>) {
+        *self.file.lock().unwrap_or_else(|e| e.into_inner()) = file;
     }
 
     /// Blocks until the committed sequence exceeds `seq` or `timeout`

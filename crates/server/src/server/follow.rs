@@ -188,8 +188,8 @@ fn observe_lag(shared: &Shared) {
 
 /// Replaces the replica's state from a shipped checkpoint snapshot:
 /// install (journaled replicas persist it and drop their stale WAL),
-/// then swap it in through [`replace_state`], positioned after the
-/// snapshot's covered sequence.
+/// hand group commit the fresh WAL's handle, then swap it in through
+/// [`replace_state`], positioned after the snapshot's covered sequence.
 fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<(), ReplError> {
     obs::counter!(
         "gkbms_replication_snapshots_installed_total",
@@ -198,11 +198,19 @@ fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<(), ReplE
     .inc();
     let g = write_state(shared);
     let dir = g.journal().map(|j| j.dir().to_path_buf());
-    let fresh = match dir {
+    let mut fresh = match dir {
         Some(dir) => Gkbms::install_replica_snapshot(&dir, payloads).map(|(g, _)| g),
         None => Gkbms::replica_from_snapshot(&payloads),
     }
     .map_err(|e| ReplError::Protocol(format!("snapshot install: {e}")))?;
+    // The install unlinked the WAL the watermark's handle names: group
+    // commit must fsync the fresh journal's file from now on.
+    if let Some(journal) = fresh.journal_mut() {
+        let file = journal
+            .file()
+            .map_err(|e| ReplError::Protocol(format!("snapshot install: {e}")))?;
+        shared.commit.rebind(Some(file));
+    }
     shared.commit.advance(fresh.applied_seq(), fresh.epoch());
     replace_state(shared, g, fresh);
     Ok(())

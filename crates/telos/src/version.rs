@@ -159,6 +159,13 @@ impl PropStore {
         self.symbols.resolve(sym)
     }
 
+    /// `sym`'s id in a second string pool, remembered with the name
+    /// ([`SymbolTable::pooled`]): `pool` runs only if no version sharing
+    /// the name's chunk has asked before. Pass the same pool every time.
+    pub fn pooled(&self, sym: Symbol, pool: impl FnOnce(&str) -> u32) -> u32 {
+        self.symbols.pooled(sym, pool)
+    }
+
     /// Looks up an existing symbol without interning.
     pub fn lookup_sym(&self, s: &str) -> Option<Symbol> {
         self.symbols.lookup(s)

@@ -275,7 +275,8 @@ fn killed_follower_catches_up_on_restart() {
 }
 
 /// A brand-new follower subscribing behind the checkpoint truncation
-/// horizon gets the covering snapshot first, then the WAL tail.
+/// horizon gets the covering snapshot first, then the WAL tail; once
+/// promoted, it fsyncs the WAL the install created.
 #[test]
 fn new_follower_catches_up_past_checkpoint_horizon() {
     let ldir = tmp_dir("snap-l");
@@ -313,8 +314,24 @@ fn new_follower_catches_up_past_checkpoint_horizon() {
     fc.refresh(fs).unwrap();
     assert!(ask_all(&mut fc, fs).contains(&"after".to_string()));
 
-    fsrv.shutdown().unwrap();
+    // Promoted, the replica group-commits into the WAL the install
+    // created: no handle of this process still names the one it
+    // unlinked, so no write is acknowledged on an fsync of that file.
     lsrv.shutdown().unwrap();
+    assert!(fc.promote(fs).unwrap().contains("epoch 2"));
+    fc.tell(fs, "TELL promoted in Paper end").unwrap();
+    let (real, deleted) = (
+        fdir.canonicalize().unwrap(),
+        format!("{WAL_FILE} (deleted)"),
+    );
+    let unlinked: Vec<PathBuf> = std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| target.starts_with(&real) && target.to_string_lossy().ends_with(&deleted))
+        .collect();
+    assert!(unlinked.is_empty(), "handles on deleted WALs: {unlinked:?}");
+
+    fsrv.shutdown().unwrap();
     std::fs::remove_dir_all(ldir).unwrap();
     std::fs::remove_dir_all(fdir).unwrap();
 }
