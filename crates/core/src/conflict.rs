@@ -70,11 +70,13 @@ impl Gkbms {
     /// Records a decision-level nogood — the first of the two ops a
     /// conflict report commits (the culprit's retraction is the other).
     pub(crate) fn record_nogood(&mut self, decisions: Vec<String>) -> GkbmsResult<()> {
-        self.commit(JournalOp::Nogood {
-            decisions: decisions.clone(),
-        })?;
-        self.nogoods.push(decisions);
-        Ok(())
+        self.transaction(|g| {
+            g.commit(JournalOp::Nogood {
+                decisions: decisions.clone(),
+            })?;
+            g.nogoods.push(decisions);
+            Ok(())
+        })
     }
 
     /// True if making all of `decisions` effective would re-enter a

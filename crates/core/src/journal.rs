@@ -387,10 +387,15 @@ impl Gkbms {
     /// Every mutation calls it once its KB work can no longer fail:
     /// the op is appended to the journal, if one is attached, and
     /// pushed onto `history`. An op the journal refused is not in the
-    /// history either; the caller rolls its KB work back.
+    /// history either; its transaction rolls its KB work back.
     pub(crate) fn commit(&mut self, op: JournalOp) -> GkbmsResult<()> {
+        // A seal is framed with the epoch it opens.
+        let epoch = match op {
+            JournalOp::Seal { epoch } => self.epoch.max(epoch),
+            _ => self.epoch,
+        };
         if let Some(j) = self.journal.as_mut() {
-            j.append(self.epoch, &op.encode())?;
+            j.append(epoch, &op.encode())?;
         }
         match op {
             JournalOp::Tell { .. } => self.tells_untells.0 += 1,
@@ -464,8 +469,11 @@ impl Gkbms {
     /// Raises the sequence epoch to `epoch` and commits the seal that
     /// replays it — a promotion, or the replay of one.
     pub(crate) fn seal(&mut self, epoch: u64) -> GkbmsResult<()> {
-        self.epoch = self.epoch.max(epoch);
-        self.commit(JournalOp::Seal { epoch })
+        self.transaction(|g| {
+            g.commit(JournalOp::Seal { epoch })?;
+            g.epoch = g.epoch.max(epoch);
+            Ok(())
+        })
     }
 
     /// Promotes this instance to leader of a new sequence epoch: bumps
@@ -609,8 +617,16 @@ mod tests {
             assert_eq!(g.epoch(), 1);
             g.tell_src("TELL Before end").unwrap();
             assert_eq!(g.promote().unwrap(), 2);
-            // Crash here: the seal record alone must carry the epoch.
+            // Crash here: the seal record alone must carry the epoch,
+            // framed with the epoch it opens.
         }
+        let (frames, _) = storage::log::read_payloads(dir.join(WAL_FILE)).unwrap();
+        let (_, epoch, seal) = decode_framed(frames.last().unwrap()).unwrap();
+        assert_eq!(epoch, 2);
+        assert!(matches!(
+            JournalOp::decode(seal),
+            Ok(JournalOp::Seal { epoch: 2 })
+        ));
         let (g, _) = Gkbms::recover(&dir).unwrap();
         assert_eq!(g.epoch(), 2);
         assert!(g.kb().lookup("Before").is_some());

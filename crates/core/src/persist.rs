@@ -10,9 +10,15 @@
 //! [`Gkbms::save`] writes the history as it was committed,
 //! [`Gkbms::load`] re-executes it, reconstructing the KB, the design
 //! objects' states, the views and every derived structure. Cascaded retractions are
-//! *not* stored — replaying the explicit retraction re-derives them —
-//! and a write that failed was rolled back and committed nothing, so
-//! it is not in the stream at all.
+//! *not* stored — replaying the explicit retraction re-derives them.
+//!
+//! Replay is exact, proposition ids and belief ticks included, because
+//! every op — live or replayed — is one write transaction
+//! ([`Gkbms::transaction`]) that opens with one tick and ticks inside
+//! only as its own code does. A write that failed committed nothing
+//! and was rolled back to its transaction's mark, clock and interned
+//! names included: it is not in the stream and left no tick gap, so
+//! the records need not carry their ticks.
 //!
 //! A `save` file, a checkpoint snapshot and a snapshot shipped to a
 //! replica are the same thing: the unframed prefix of the journal in
@@ -538,10 +544,10 @@ mod tests {
         g.untell("Memo").unwrap();
         g.save(&path).unwrap();
         let loaded = Gkbms::load(&path).unwrap();
-        // Replay preserved commit order, tell < execute < untell: on
-        // the reloaded system's own clock `Memo` is believed when the
-        // decision executes …
+        // Replay preserved commit order, tell < execute < untell:
+        // `Memo` is believed when the decision executes …
         let executed = loaded.record("mapInvitations").unwrap().tick;
+        assert_eq!(executed, g.record("mapInvitations").unwrap().tick);
         assert!(
             loaded.snapshot_at(executed).lookup("Memo").is_some(),
             "commit order lost: the execution replayed outside Memo's belief window"

@@ -60,12 +60,11 @@
 //! the output's `to` link; where that is not the class the step gave,
 //! the step names it on that link itself (`class`).
 //!
-//! An execution that failed was rolled back: what it told was untold
-//! again, the last told first, at the very next tick, and the last
-//! proposition an execution tells is always a link of the decision or
-//! of its anchor. A committed execution ticks once more after its
-//! commit, and nothing closes a proposition without ticking first, so
-//! one tick after its anchor all of those links are still believed.
+//! An execution that failed left nothing to read: its write
+//! transaction rolled the store back to where it began, so every
+//! anchor in the store is a committed step's. An execution ticks once
+//! more after telling its documentation, and a reader finds the
+//! decision from that tick on — the decision's `tick`.
 
 use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, ToolSpec};
 use crate::metamodel::names;
@@ -325,24 +324,10 @@ impl<'a> Record<'a> {
             .told_links(d, names::PERFORMER)
             .filter(|p| is_anchor(p));
         anchors.find_map(|anchor| {
-            let at = told(anchor)?;
-            let committed = at < self.snap.at() && self.committed(d, anchor);
+            let at = told(anchor).filter(|&at| at < self.snap.at())?;
             let retracted = self.retracted_at(d).is_some();
-            committed.then(|| self.at(at).decision_told(d, anchor, retracted))
+            Some(self.at(at).decision_told(d, anchor, retracted))
         })
-    }
-
-    /// True if every link of `d` and of its `anchor` told with the
-    /// anchor is still believed one tick later (see the module doc).
-    fn committed(&self, d: PropId, anchor: &Proposition) -> bool {
-        let store = self.store();
-        let Some(at) = told(anchor) else {
-            return false;
-        };
-        let mut props = (self.props(store.postings_from(d)))
-            .chain(self.props(store.postings_to(d)))
-            .chain(self.props(store.postings_from(anchor.id)));
-        props.all(|p| told(p) != Some(at) || p.believed_at(at + 1))
     }
 
     /// Decision `d` as its execution told it, read at its `anchor`'s
@@ -569,8 +554,8 @@ mod tests {
         assert_eq!(r.tick, summary.tick);
     }
 
-    /// A rolled-back execution leaves its links in the store, closed:
-    /// nothing reads it as a decision, and the name executes later.
+    /// A rolled-back execution leaves nothing in the store: nothing
+    /// reads it as a decision, and the name executes later.
     #[test]
     fn a_rolled_back_execution_is_no_decision() {
         let mut g = scenario_gkbms();
@@ -582,7 +567,9 @@ mod tests {
             .input("Invitation")
             .output("Rel", kernel::DBPL_REL)
             .output("Wrong", kernel::TDL_ENTITY_CLASS);
+        let before = (g.kb().len(), g.kb().now());
         assert!(g.execute(bad).is_err());
+        assert_eq!((g.kb().len(), g.kb().now()), before);
         let reader = g.reader();
         let links = [names::FROM_I, names::TO_I];
         assert!(reader.decisions_reaching("Invitation", &links).is_empty());

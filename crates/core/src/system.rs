@@ -14,12 +14,13 @@
 //! selective backtracking is the main purpose of introducing the
 //! explicit documentation of design decisions and dependencies" (§2.1).
 //!
-//! Every mutator below ends in the one commit point
+//! Every mutator below is one write transaction
+//! ([`Gkbms::transaction`]) that ends in the one commit point
 //! ([`Gkbms::commit`]): the op that replays it is appended to
-//! `history` (and the journal). A mutator that fails rolls back what it
-//! told ([`Gkbms::tracked`]) and commits nothing, so the live state is
-//! always the replay of the history. The index is written only after a
-//! commit has returned Ok.
+//! `history` (and the journal). A mutator that fails commits nothing
+//! and is rolled back to the transaction's mark, clock included, so
+//! the live state is always the replay of the history, tick for tick.
+//! The index is written only after a commit has returned Ok.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -169,13 +170,9 @@ pub struct Gkbms {
     /// `journal.appended_ops` on journaled replicas, and is the only
     /// applied-position record on journal-less ones.
     pub(crate) replica_applied: u64,
-    /// Registered materialized deductive views, incrementally
-    /// maintained by every belief-changing mutation (see
-    /// [`crate::views`]).
+    /// Registered materialized deductive views, fed the delta of every
+    /// committed transaction (see [`crate::views`]).
     pub(crate) views: Vec<crate::views::RegisteredView>,
-    /// Length of the KB prefix whose propositions have been flowed into
-    /// `views` (see `Gkbms::flow_new_props`).
-    pub(crate) views_seen: usize,
     /// The per-SCC fingerprint cache of the admission-time analyzer:
     /// a TELL re-analyzes only the components its delta dirties.
     /// Behind a mutex because linting is a `&self` read operation.
@@ -200,7 +197,6 @@ impl Gkbms {
             epoch: 1,
             replica_applied: 0,
             views: Vec::new(),
-            views_seen: 0,
             lint_cache: std::sync::Mutex::new(analysis::AnalysisCache::new()),
         })
     }
@@ -238,35 +234,43 @@ impl Gkbms {
         self.kb.snapshot_at(at)
     }
 
-    /// Opens a write transaction boundary: advances the belief clock so
-    /// that everything a subsequent write creates lies strictly after
-    /// any snapshot watermark pinned at or before the current tick.
-    /// Returns the new tick. The server calls this before every
-    /// mutating request; local single-threaded use does not need it.
+    /// Opens the write transaction the next mutator runs in, ticking the
+    /// belief clock once, and returns the tick: everything the write
+    /// creates lies strictly after any snapshot watermark pinned before
+    /// it. The mutator joins this transaction instead of opening its
+    /// own, so the call adds no tick of its own. Every mutator opens its
+    /// transaction itself; this stays public for a caller that must pin
+    /// the write's tick before the mutator runs (the benchmark's serial
+    /// twin replays a server's writes through it).
     pub fn begin_write(&mut self) -> i64 {
-        self.kb.tick()
+        self.kb.begin()
     }
 
-    /// Runs a mutation as one transaction over the KB and the views.
-    /// When `f` succeeds, every proposition it created flows into the
-    /// registered views. When it fails — which it does before it
-    /// commits — every one of them is untold again before the views
-    /// ever see it, so a failed write changes nothing a reader or a
-    /// replica can ever see.
-    fn tracked<T>(&mut self, f: impl FnOnce(&mut Self) -> GkbmsResult<T>) -> GkbmsResult<T> {
-        let mark = self.kb.len();
-        let r = f(self);
-        if r.is_err() {
-            for i in (mark..self.kb.len()).rev() {
-                let id = crate::error::checked_prop_id(i)?;
-                if self.kb.get(id).is_ok_and(|p| p.is_believed()) {
-                    // `untell` refuses only what is not believed.
-                    let _ = self.kb.untell(id);
-                }
+    /// Runs one journaled write as a transaction over the KB and the
+    /// views — the transaction policy, in one place. It opens with one
+    /// tick (or joins the one [`Gkbms::begin_write`] opened). When `op`
+    /// succeeds — it has committed — the KB's log of the transaction
+    /// feeds every registered view once. When it fails, the KB is rolled
+    /// back to the mark: no proposition, name, closed interval or tick
+    /// of the failed write remains, so a failed write changes nothing a
+    /// reader, a recovery or a replica can see. `op` changes fields
+    /// other than the KB only after its commit has returned Ok.
+    pub(crate) fn transaction<T>(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> GkbmsResult<T>,
+    ) -> GkbmsResult<T> {
+        self.kb.begin();
+        match op(self) {
+            Ok(v) => {
+                let delta = self.kb.commit();
+                self.feed_views(&delta);
+                Ok(v)
+            }
+            Err(e) => {
+                self.kb.rollback();
+                Err(e)
             }
         }
-        self.flow_new_props()?;
-        r
     }
 
     /// TELLs objectbase concrete syntax (`TELL … end`, possibly several
@@ -286,19 +290,18 @@ impl Gkbms {
         src: &str,
         strict: bool,
     ) -> GkbmsResult<(usize, Vec<analysis::Diagnostic>)> {
-        let frames = objectbase::ObjectFrame::parse_all(src)?;
-        let diags = self.lint_frames(&frames);
-        if analysis::has_errors(&diags) || (strict && !diags.is_empty()) {
-            return Err(GkbmsError::Lint(diags));
-        }
-        self.begin_write();
-        self.tracked(|g| {
+        self.transaction(|g| {
+            let frames = objectbase::ObjectFrame::parse_all(src)?;
+            let diags = g.lint_frames(&frames);
+            if analysis::has_errors(&diags) || (strict && !diags.is_empty()) {
+                return Err(GkbmsError::Lint(diags));
+            }
             objectbase::transform::tell_all(&mut g.kb, &frames)?;
-            g.commit(JournalOp::Tell { src: src.into() })
-        })?;
-        obs::counter!("gkbms_tells_total", "Frames TELLed into the knowledge base")
-            .add(frames.len() as u64);
-        Ok((frames.len(), diags))
+            g.commit(JournalOp::Tell { src: src.into() })?;
+            obs::counter!("gkbms_tells_total", "Frames TELLed into the knowledge base")
+                .add(frames.len() as u64);
+            Ok((frames.len(), diags))
+        })
     }
 
     /// Runs the static analyzer on a parsed frame batch against the
@@ -383,16 +386,16 @@ impl Gkbms {
     /// UNTELLs `name` (cascading) as one write transaction. Returns the
     /// number of propositions untold.
     pub fn untell(&mut self, name: &str) -> GkbmsResult<usize> {
-        self.begin_write();
-        let gone = objectbase::transform::untell_object(&mut self.kb, name)?;
-        self.propagate_untold(&gone);
-        self.commit(JournalOp::Untell { name: name.into() })?;
-        obs::counter!(
-            "gkbms_untells_total",
-            "Objects UNTELLed (belief intervals closed)"
-        )
-        .inc();
-        Ok(gone.len())
+        self.transaction(|g| {
+            let gone = objectbase::transform::untell_object(&mut g.kb, name)?;
+            g.commit(JournalOp::Untell { name: name.into() })?;
+            obs::counter!(
+                "gkbms_untells_total",
+                "Objects UNTELLed (belief intervals closed)"
+            )
+            .inc();
+            Ok(gone.len())
+        })
     }
 
     /// The process-model metaclass ids.
@@ -430,7 +433,7 @@ impl Gkbms {
         level: &str,
         parent: Option<&str>,
     ) -> GkbmsResult<PropId> {
-        self.tracked(|g| g.define_object_class_inner(name, level, parent))
+        self.transaction(|g| g.define_object_class_inner(name, level, parent))
     }
 
     fn define_object_class_inner(
@@ -466,7 +469,7 @@ impl Gkbms {
     /// Defines a decision class (an instance of `DesignDecision`,
     /// fig 3-3 middle layer).
     pub fn define_decision_class(&mut self, dc: DecisionClass) -> GkbmsResult<PropId> {
-        self.tracked(|g| g.define_decision_class_inner(dc))
+        self.transaction(|g| g.define_decision_class_inner(dc))
     }
 
     fn define_decision_class_inner(&mut self, dc: DecisionClass) -> GkbmsResult<PropId> {
@@ -545,7 +548,7 @@ impl Gkbms {
 
     /// Registers a tool specification (an instance of `DesignTool`).
     pub fn register_tool(&mut self, spec: ToolSpec) -> GkbmsResult<PropId> {
-        self.tracked(|g| g.register_tool_inner(spec))
+        self.transaction(|g| g.register_tool_inner(spec))
     }
 
     fn register_tool_inner(&mut self, spec: ToolSpec) -> GkbmsResult<PropId> {
@@ -585,7 +588,7 @@ impl Gkbms {
         class: &str,
         source: &str,
     ) -> GkbmsResult<PropId> {
-        self.tracked(|g| g.register_object_inner(name, class, source))
+        self.transaction(|g| g.register_object_inner(name, class, source))
     }
 
     fn register_object_inner(
@@ -639,6 +642,10 @@ impl Gkbms {
     /// with from/to/by links; checks consistency (set-oriented, over
     /// the batch); on violation, rolls everything back.
     pub fn execute(&mut self, req: DecisionRequest) -> GkbmsResult<DecisionSummary> {
+        self.transaction(|g| g.execute_inner(req))
+    }
+
+    fn execute_inner(&mut self, req: DecisionRequest) -> GkbmsResult<DecisionSummary> {
         let reader = self.reader();
         let (class, dc) = reader
             .decision_class_named(&req.class)
@@ -730,15 +737,13 @@ impl Gkbms {
             }
         }
 
-        // ----- nested transaction body -----
-        self.tracked(|g| g.execute_body(&req, class, &dc, &input_ids))
+        self.execute_body(&req, class, &dc, &input_ids)
     }
 
-    /// Documents the decision. Whatever fails, the last proposition told
-    /// before it is a link of the decision individual or of its anchor,
-    /// which is how [`crate::record`] tells a rolled-back execution from
-    /// a committed one. Once committed, the decision is filed in the
-    /// design index as the record reads it back.
+    /// Documents the decision, ticks once more — a reader finds the
+    /// decision from that tick on (see [`crate::record`]) — and commits.
+    /// Once committed, the decision is filed in the design index as the
+    /// record reads it back.
     fn execute_body(
         &mut self,
         req: &DecisionRequest,
@@ -816,10 +821,10 @@ impl Gkbms {
             });
         }
 
+        let tick = self.kb.tick();
         self.commit(JournalOp::Execute {
             request: req.clone(),
         })?;
-        let tick = self.kb.tick();
         // A committed execution always reads back (see `crate::record`).
         let told = self.reader().decision(decision);
         debug_assert!(told.is_some(), "`{}` reads back", req.name);
@@ -853,6 +858,10 @@ impl Gkbms {
     /// The object states and `retracted` flags change only once the
     /// retraction has committed.
     pub fn retract_decision(&mut self, name: &str) -> GkbmsResult<Vec<String>> {
+        self.transaction(|g| g.retract_inner(name))
+    }
+
+    fn retract_inner(&mut self, name: &str) -> GkbmsResult<Vec<String>> {
         let at = (self.design.ordinal(name))
             .ok_or_else(|| GkbmsError::NotRetractable(format!("unknown decision `{name}`")))?;
         if self.design.records()[at].retracted {
@@ -866,13 +875,11 @@ impl Gkbms {
         // Documentation: close belief of the affected objects and mark
         // the decision instances as retracted; the records stay — the
         // GKBMS never forgets history.
-        let mut gone = Vec::new();
         for obj in &affected {
             if let Some(id) = self.kb.lookup(obj) {
-                gone.extend(self.kb.untell_cascade(id)?);
+                self.kb.untell_cascade(id)?;
             }
         }
-        self.propagate_untold(&gone);
         let retracted_status = self.kb.individual(record::RETRACTED)?;
         for &i in &decisions {
             self.anchor(
@@ -881,7 +888,6 @@ impl Gkbms {
                 retracted_status,
             )?;
         }
-        self.flow_new_props()?;
         self.kb.tick();
         self.commit(JournalOp::Retract { name: name.into() })?;
         self.design.retract(&decisions, &affected);
@@ -1240,6 +1246,62 @@ pub(crate) mod tests {
         assert_eq!(g.kb().believed_count(), before);
         assert!(!g.is_current("Wrong"));
         assert!(g.record("badMap").is_none());
+    }
+
+    /// What a failed write must leave exactly as it was: the store's
+    /// length and clock, whether `name` was ever interned, and every
+    /// registered view's model.
+    fn untouched(g: &Gkbms, name: &str) -> impl PartialEq + std::fmt::Debug {
+        let preds = ["in_", "isa", "attr", "inT", "isaT"];
+        let views: Vec<Vec<Vec<Vec<datalog::ast::Value>>>> = (g.views.iter())
+            .map(|v| preds.iter().map(|p| v.tuples(p)).collect())
+            .collect();
+        let kb = g.kb();
+        (kb.len(), kb.now(), kb.lookup_sym(name), views)
+    }
+
+    /// A TELL that fails after lint, an execution that fails its
+    /// consistency check and a transaction that aborts after an untell
+    /// each leave the store, the names and the views as they found them.
+    #[test]
+    fn a_failed_write_leaves_no_trace() {
+        let mut g = scenario_gkbms();
+        g.register_object("Invitation", kernel::TDL_ENTITY_CLASS, "src")
+            .unwrap();
+        g.register_view("closure", "").unwrap();
+        g.tell_src("TELL DBPL_Rel with constraint keyed : $ forall r/DBPL_Rel r.key defined $ end")
+            .unwrap();
+
+        let before = untouched(&g, "Fresh");
+        let tell = g.tell_src("TELL Fresh end\nTELL ghost in Nope end");
+        assert!(matches!(tell, Err(GkbmsError::Object(_))), "{tell:?}");
+        assert_eq!(untouched(&g, "Fresh"), before);
+
+        let before = untouched(&g, "unkeyed");
+        let aborted = g.execute(
+            DecisionRequest::new("TDL_MappingDec", "mapUnkeyed", "dev")
+                .with_tool("TDL-DBPL-Mapper")
+                .input("Invitation")
+                .output("unkeyed", kernel::DBPL_REL),
+        );
+        assert!(
+            matches!(aborted, Err(GkbmsError::Aborted { .. })),
+            "{aborted:?}"
+        );
+        assert_eq!(untouched(&g, "unkeyed"), before);
+        assert!(g.kb().lookup_sym("mapUnkeyed").is_none());
+
+        let before = untouched(&g, "Introduced");
+        let invitation = g.kb().lookup("Invitation").unwrap();
+        let failed = g.transaction(|g| -> GkbmsResult<()> {
+            g.kb.untell_cascade(invitation)?;
+            g.kb.individual("Introduced")?;
+            Err(GkbmsError::Precondition("abort".into()))
+        });
+        assert!(failed.is_err());
+        assert_eq!(untouched(&g, "Introduced"), before);
+        assert_eq!(g.kb().lookup("Invitation"), Some(invitation));
+        assert!(g.kb().get(invitation).unwrap().is_believed());
     }
 
     #[test]

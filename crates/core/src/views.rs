@@ -185,6 +185,14 @@ impl Gkbms {
         name: &str,
         rules: &str,
     ) -> GkbmsResult<(i64, Vec<analysis::Diagnostic>)> {
+        self.transaction(|g| g.register_view_inner(name, rules))
+    }
+
+    fn register_view_inner(
+        &mut self,
+        name: &str,
+        rules: &str,
+    ) -> GkbmsResult<(i64, Vec<analysis::Diagnostic>)> {
         if self.views.iter().any(|v| v.name == name) {
             return Err(GkbmsError::Duplicate(format!("view `{name}`")));
         }
@@ -203,8 +211,6 @@ impl Gkbms {
                 )));
             }
         }
-        // The older views must have seen everything the new one loads.
-        self.flow_new_props()?;
         let (edb, duplicates) = query::to_edb_counted(&self.kb)?;
         let mut diags = Vec::new();
         {
@@ -255,40 +261,19 @@ impl Gkbms {
         Ok(v.tuples(pred))
     }
 
-    /// Flows the believed propositions the views have not seen yet
-    /// (those at or after `views_seen`) into every registered view as
-    /// insert deltas. Idempotent: a second call finds nothing new.
-    pub(crate) fn flow_new_props(&mut self) -> GkbmsResult<()> {
-        let mark = std::mem::replace(&mut self.views_seen, self.kb.len());
-        if self.views.is_empty() || mark >= self.kb.len() {
-            return Ok(());
-        }
-        let mut inserts: Vec<Fact> = Vec::new();
-        for i in mark..self.kb.len() {
-            let id = crate::error::checked_prop_id(i)?;
-            let Some(p) = self.kb.prop(id) else { continue };
-            if !p.is_believed() {
-                continue;
-            }
-            if let Some(fact) = query::edb_fact_for(&self.kb, id) {
-                inserts.push(fact);
-            }
-        }
-        self.apply_view_delta(&inserts, &[]);
-        Ok(())
-    }
-
-    /// Flows propositions whose belief was just closed into every
-    /// registered view as delete deltas.
-    pub(crate) fn propagate_untold(&mut self, gone: &[PropId]) {
-        if self.views.is_empty() || gone.is_empty() {
+    /// Feeds a committed transaction's delta into every registered view
+    /// once: each proposition it appended that is still believed is an
+    /// insert, each older one it closed a delete.
+    pub(crate) fn feed_views(&mut self, delta: &telos::Committed) {
+        if self.views.is_empty() {
             return;
         }
-        let deletes: Vec<Fact> = gone
-            .iter()
-            .filter_map(|&id| query::edb_fact_for(&self.kb, id))
-            .collect();
-        self.apply_view_delta(&[], &deletes);
+        let fact = |id| query::edb_fact_for(&self.kb, id);
+        let appended = delta.appended.clone().map(PropId);
+        let believed = appended.filter(|&id| self.kb.prop(id).is_some_and(|p| p.is_believed()));
+        let inserts: Vec<Fact> = believed.filter_map(fact).collect();
+        let deletes: Vec<Fact> = delta.closed.iter().copied().filter_map(fact).collect();
+        self.apply_view_delta(&inserts, &deletes);
     }
 
     fn apply_view_delta(&mut self, inserts: &[Fact], deletes: &[Fact]) {
@@ -638,8 +623,7 @@ mod tests {
         let label = g.kb.lookup_sym("knows").unwrap();
         for left in [1, 0] {
             let link = g.kb.find_link(maria, label, anna).unwrap();
-            g.kb.untell(link).unwrap();
-            g.propagate_untold(&[link]);
+            g.transaction(|g| Ok(g.kb.untell(link)?)).unwrap();
             for name in ["plain", "acq"] {
                 assert_eq!(g.view(name).unwrap().view().support("attr", &knows), left);
                 assert_load_matches_apply_from_empty(&g, name);

@@ -76,14 +76,10 @@ pub fn to_edb_counted(kb: &Kb) -> ObResult<(Database, Dropped)> {
 }
 
 /// Like [`to_edb`], but exporting the network as believed at tick `at`
-/// — the deductive view of a belief-time snapshot.
-pub fn to_edb_at(kb: &Kb, at: i64) -> ObResult<Database> {
-    to_edb_at_store(kb, at)
-}
-
-/// [`to_edb_at`] over the [`PropStore`] itself — in particular an
-/// immutable [`KbVersion`]'s, so the server's MVCC read path builds its
-/// EDB from a pinned version without touching the live KB.
+/// — the deductive view of a belief-time snapshot. It takes the
+/// [`PropStore`] itself — a live KB's or an immutable [`KbVersion`]'s,
+/// so the server's MVCC read path builds its EDB from a pinned version
+/// without touching the live KB.
 pub fn to_edb_at_store(store: &PropStore, at: i64) -> ObResult<Database> {
     export(store, |p| p.believed_at(at), Exported::ALL).map(|(edb, _)| edb)
 }
@@ -498,7 +494,7 @@ pub fn ask<V: KbRead>(kb: &V, var: &str, class: &str, body: &str) -> ObResult<Ve
 /// reporting the [`EvalStats`] of the underlying join evaluation
 /// (`index_probes`, `tuples_scanned`, …). Candidate instances of
 /// `class` are enumerated by the semi-naive engine (the `inT` closure
-/// over the snapshot EDB, [`to_edb_at`]), then filtered with the
+/// over the snapshot EDB, [`to_edb_at_store`]), then filtered with the
 /// assertion body against the [`telos::Snapshot`] view — so the answers
 /// are snapshot-consistent and the stats reflect real index-probe work.
 ///
@@ -729,7 +725,6 @@ mod tests {
         let now = kb.now();
         assert_eq!(listing(&to_edb_at_store(&kb, now).unwrap()), want);
         assert_eq!(listing(&to_edb(&kb).unwrap()), want);
-        assert_eq!(listing(&to_edb_at(&kb, now).unwrap()), want);
         // What the de-duplication dropped is reported, once per drop.
         let (counted, dropped) = to_edb_counted(&kb).unwrap();
         assert_eq!(listing(&counted), want);
@@ -1009,7 +1004,7 @@ mod tests {
         let frames = ObjectFrame::parse_all("TELL inv3 in Invitation end").unwrap();
         tell_all(&mut kb, &frames).unwrap();
         let now_db = to_edb(&kb).unwrap();
-        let then_db = to_edb_at(&kb, t).unwrap();
+        let then_db = to_edb_at_store(&kb, t).unwrap();
         let at_inv3 = [Value::sym("inv3"), Value::sym("Invitation")];
         assert!(now_db.contains(preds::IN, &at_inv3));
         assert!(!then_db.contains(preds::IN, &at_inv3));

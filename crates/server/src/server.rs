@@ -16,11 +16,10 @@
 //! version at its watermark: lock-free with respect to writers, and
 //! stable no matter how many commits land meanwhile.
 //!
-//! Belief time supplies the isolation *semantics*: every write path
-//! calls [`Gkbms::begin_write`] — a belief-clock tick — before
-//! mutating, so nothing a writer adds is visible below any pinned
-//! watermark, and nothing it retracts disappears from one (UNTELL only
-//! closes belief intervals). The version chain supplies the isolation
+//! Belief time supplies the isolation *semantics*: every write is one
+//! `Gkbms` transaction that opens with a belief-clock tick, so nothing
+//! a writer adds is visible below any pinned watermark, and nothing it
+//! retracts disappears from one (UNTELL only closes belief intervals). The version chain supplies the isolation
 //! *mechanics*: a superseded version is freed when its last holder
 //! lets go (session Bye, Refresh, or idle-timeout sweep — sweeps run on
 //! every publish and on idle connection polls so an abandoned session

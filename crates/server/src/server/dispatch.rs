@@ -294,10 +294,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         Request::Execute { session, decision } => write_op(
             shared,
             session,
-            |g| {
-                g.begin_write();
-                g.execute(decision)
-            },
+            |g| g.execute(decision),
             |summary| {
                 done(format!(
                     "executed {}: created [{}] at tick {}",
@@ -307,15 +304,9 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                 ))
             },
         )?,
-        Request::RetractDecision { session, name } => write_op(
-            shared,
-            session,
-            |g| {
-                g.begin_write();
-                g.retract_decision(&name)
-            },
-            names,
-        )?,
+        Request::RetractDecision { session, name } => {
+            write_op(shared, session, |g| g.retract_decision(&name), names)?
+        }
         Request::History { session } => {
             gate(shared, session)?;
             Response::Table {
@@ -415,16 +406,12 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         } => write_op(
             shared,
             session,
-            |g| {
-                g.begin_write();
-                g.register_object(&name, &class, &source)
-            },
+            |g| g.register_object(&name, &class, &source),
             |_| done(format!("registered `{name}` in `{class}`")),
         )?,
         // A journaled write like Tell: the registration is appended to
         // the WAL (inside register_view) so recovery and replication
-        // rebuild the view by replay. The belief clock does not move —
-        // registration changes no beliefs.
+        // rebuild the view by replay.
         Request::RegisterView {
             session,
             name,

@@ -15,6 +15,18 @@
 //! proposition's belief interval, so past states remain queryable
 //! ([`PropStore::snapshot_at`]) — the basis of temporal navigation
 //! (§3.3.1).
+//!
+//! # Write transactions
+//!
+//! [`Kb::begin`] opens a write transaction with one tick and marks the
+//! store: its length, its clock and its symbol count. While it is open
+//! the KB logs the intervals it closes on propositions older than the
+//! mark — nothing else, so opening and committing cost O(1) plus one
+//! entry per closed interval. [`Kb::commit`] hands the log back as a
+//! [`Committed`] delta; [`Kb::rollback`] undoes everything since the
+//! mark: the appended propositions with their postings and names, the
+//! names interned, the closed intervals and the clock. A failed write
+//! thus leaves the store exactly as it found it.
 
 use crate::error::{TelosError, TelosResult};
 use crate::omega::{self, Builtins};
@@ -23,7 +35,7 @@ use crate::symbols::Symbol;
 use crate::time::interval::Interval;
 use crate::version::{KbVersion, PropStore};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 
 /// Reserved label of classification links.
 pub const L_INSTANCEOF: &str = "instanceof";
@@ -47,6 +59,30 @@ pub struct Kb {
     /// Believed individuals by name: the O(1) path of [`Kb::lookup`].
     by_name: HashMap<Symbol, PropId>,
     builtins: Builtins,
+    /// The open write transaction's log, if any (see the module doc).
+    txn: Option<Txn>,
+}
+
+/// The log of an open write transaction: the mark [`Kb::begin`] took
+/// and the intervals closed since on propositions below it.
+#[derive(Debug)]
+struct Txn {
+    len: usize,
+    clock: i64,
+    symbols: usize,
+    /// Each closed proposition with the belief it had and whether it
+    /// was the believed individual of its name.
+    closed: Vec<(PropId, Interval, bool)>,
+}
+
+/// What a committed write transaction changed.
+#[derive(Debug, Default)]
+pub struct Committed {
+    /// The ids of the propositions it appended, believed or not by now.
+    pub appended: Range<u32>,
+    /// The propositions older than the transaction whose belief it
+    /// closed, in the order closed.
+    pub closed: Vec<PropId>,
 }
 
 impl Deref for Kb {
@@ -64,6 +100,7 @@ impl Kb {
             store: PropStore::new(),
             by_name: HashMap::new(),
             builtins: Builtins::placeholder(),
+            txn: None,
         };
         kb.builtins = omega::bootstrap(&mut kb);
         kb
@@ -109,9 +146,14 @@ impl Kb {
             .props
             .get_mut(id.idx())
             .ok_or(TelosError::UnknownProposition(id))?;
-        p.belief = p.belief.closed_at(at)?;
-        if p.is_individual() && self.by_name.get(&p.label) == Some(&id) {
+        let belief = p.belief;
+        p.belief = belief.closed_at(at)?;
+        let named = p.is_individual() && self.by_name.get(&p.label) == Some(&id);
+        if named {
             self.by_name.remove(&p.label);
+        }
+        if let Some(txn) = self.txn.as_mut().filter(|t| id.idx() < t.len) {
+            txn.closed.push((id, belief, named));
         }
         Ok(())
     }
@@ -121,6 +163,64 @@ impl Kb {
     pub fn tick(&mut self) -> i64 {
         self.store.clock += 1;
         self.store.clock
+    }
+
+    // ----- write transactions ----------------------------------------------
+
+    /// Opens a write transaction, marking the store and ticking once,
+    /// unless one is open already: then the caller joins it and the
+    /// clock stays. Returns the tick.
+    pub fn begin(&mut self) -> i64 {
+        if self.txn.is_none() {
+            self.txn = Some(Txn {
+                len: self.len(),
+                clock: self.store.clock,
+                symbols: self.store.symbols.len(),
+                closed: Vec::new(),
+            });
+            self.tick();
+        }
+        self.store.clock
+    }
+
+    /// Closes the open transaction, keeping its changes, and returns
+    /// them (an empty delta if none is open).
+    pub fn commit(&mut self) -> Committed {
+        let Some(txn) = self.txn.take() else {
+            return Committed::default();
+        };
+        Committed {
+            appended: txn.len as u32..self.len() as u32,
+            closed: txn.closed.into_iter().map(|(id, ..)| id).collect(),
+        }
+    }
+
+    /// Closes the open transaction, undoing every change since
+    /// [`Kb::begin`] (a no-op if none is open).
+    pub fn rollback(&mut self) {
+        let Some(txn) = self.txn.take() else {
+            return;
+        };
+        for i in (txn.len..self.len()).rev() {
+            let p = self.store.props[i].clone();
+            self.store.by_source.unfile(p.source, p.id);
+            self.store.by_label.unfile(p.label, p.id);
+            self.store.by_dest.unfile(p.dest, p.id);
+            if self.by_name.get(&p.label) == Some(&p.id) {
+                self.by_name.remove(&p.label);
+            }
+        }
+        self.store.props.truncate(txn.len);
+        for (id, belief, named) in txn.closed.into_iter().rev() {
+            if let Some(p) = self.store.props.get_mut(id.idx()) {
+                p.belief = belief;
+                if named {
+                    self.by_name.insert(p.label, id);
+                }
+            }
+        }
+        self.store.symbols.truncate(txn.symbols);
+        self.store.clock = txn.clock;
     }
 
     // ----- symbols -------------------------------------------------------
@@ -1021,6 +1121,57 @@ mod tests {
         assert_eq!(snap.isa_descendants(paper), vec![inv]);
         assert!(!kb.is_instance_of(inv1, paper), "isa gone now");
         assert!(snap.believed_count() > kb.snapshot_at(0).believed_count());
+    }
+
+    /// Everything a rollback must restore, as the read surface shows it.
+    fn observe(kb: &Kb, names: &[&str]) -> impl PartialEq + std::fmt::Debug {
+        let props: Vec<Proposition> = (0..kb.len()).map(|i| kb.props[i].clone()).collect();
+        let postings = |id: PropId| (kb.postings_from(id).to_vec(), kb.postings_to(id).to_vec());
+        let looked: Vec<_> = names
+            .iter()
+            .map(|n| (kb.lookup(n), kb.lookup_sym(n)))
+            .collect();
+        let syms = kb.symbol_count() as u32;
+        let labels: Vec<Vec<PropId>> = (0..syms)
+            .map(|s| kb.postings_label(Symbol(s)).to_vec())
+            .collect();
+        let ids = (0..kb.len() as u32).map(|i| postings(PropId(i)));
+        (kb.now(), props, looked, labels, ids.collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn rollback_restores_the_mark_and_commit_reports_the_delta() {
+        let mut kb = kb();
+        let a = kb.individual("A").unwrap();
+        let b = kb.individual("B").unwrap();
+        let ab = kb.put_attr(a, "rel", b).unwrap();
+        let frozen = kb.version();
+        let names = ["A", "B", "C", "rel", "fresh"];
+        let before = observe(&kb, &names);
+        let tick = kb.begin();
+        assert_eq!(kb.begin(), tick, "a second begin joins");
+        let c = kb.individual("C").unwrap();
+        kb.put_attr(c, "fresh", a).unwrap();
+        kb.untell(ab).unwrap();
+        kb.untell_cascade(a).unwrap();
+        let a2 = kb.individual("A").unwrap();
+        assert_ne!(a2, a);
+        kb.rollback();
+        assert_eq!(observe(&kb, &names), before);
+        assert_eq!(kb.lookup("A"), Some(a));
+        assert_eq!(frozen.len(), kb.len());
+        assert!(
+            frozen.prop(ab).unwrap().is_believed(),
+            "the version is untouched"
+        );
+
+        kb.begin();
+        let c = kb.individual("C").unwrap();
+        kb.untell(ab).unwrap();
+        let done = kb.commit();
+        assert_eq!(done.appended, c.0..c.0 + 1);
+        assert_eq!(done.closed, [ab]);
+        assert!(kb.commit().appended.is_empty(), "nothing left open");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod time;
 pub mod version;
 
 pub use error::{TelosError, TelosResult};
-pub use kb::{Kb, KbRead, Snapshot};
+pub use kb::{Committed, Kb, KbRead, Snapshot};
 pub use prop::{PropId, Proposition};
 pub use symbols::{Symbol, SymbolTable};
 pub use time::interval::Interval;

@@ -96,6 +96,24 @@ impl<T: Clone> PVec<T> {
         Some(&mut chunk[i % CHUNK])
     }
 
+    /// Shortens the vector to `len` elements (no-op if it is not
+    /// longer). Copies the new tail chunk only if it is shared and
+    /// loses elements.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        let chunks = len.div_ceil(CHUNK);
+        self.chunks.truncate(chunks);
+        if let Some(last) = self.chunks.last_mut() {
+            let keep = len - (chunks - 1) * CHUNK;
+            if last.len() > keep {
+                unshare(last, CHUNK).truncate(keep);
+            }
+        }
+        self.len = len;
+    }
+
     /// Iterates over all elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.chunks.iter().flat_map(|c| c.iter())
@@ -203,6 +221,31 @@ mod tests {
         *v.get_mut(2 * CHUNK).unwrap() = 2;
         assert_eq!(v.chunks()[2].capacity(), CHUNK);
         assert_eq!(snap[2 * CHUNK], 1, "older clone unaffected");
+    }
+
+    /// Truncation drops whole chunks past the new end and copies a
+    /// shared tail before cutting it; older clones keep every element.
+    #[test]
+    fn truncate_leaves_clones_whole() {
+        let mut v = PVec::new();
+        for i in 0..(CHUNK * 2 + 5) {
+            v.push(i);
+        }
+        let snap = v.clone();
+        v.truncate(CHUNK + 3);
+        assert_eq!(v.len(), CHUNK + 3);
+        assert_eq!(v.chunks().len(), 2);
+        assert_eq!(v.get(CHUNK + 3), None);
+        assert_eq!(v[CHUNK + 2], CHUNK + 2);
+        assert_eq!(v.shared_chunks(), 1, "the cut tail was copied");
+        assert_eq!(snap.len(), CHUNK * 2 + 5, "older clone unaffected");
+        assert_eq!(snap[CHUNK + 10], CHUNK + 10);
+        v.push(7);
+        assert_eq!(v[CHUNK + 3], 7);
+        v.truncate(CHUNK);
+        assert_eq!((v.len(), v.chunks().len()), (CHUNK, 1));
+        v.truncate(0);
+        assert!(v.is_empty() && v.chunks().is_empty());
     }
 
     #[test]

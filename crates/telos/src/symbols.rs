@@ -165,6 +165,16 @@ impl SymbolTable {
         }
     }
 
+    /// Forgets every name interned after the first `len`: their symbols
+    /// stop resolving, and interning one again numbers it anew.
+    pub fn truncate(&mut self, len: usize) {
+        for i in len..self.strings.len() {
+            let name = Arc::clone(&self.strings[i].text);
+            Arc::make_mut(&mut self.ids[shard_of(&name)]).remove(&name);
+        }
+        self.strings.truncate(len);
+    }
+
     /// Number of interned strings.
     pub fn len(&self) -> usize {
         self.strings.len()

@@ -90,6 +90,22 @@ impl<K: DenseKey> PIndex<K> {
         pvec::unshare(list, capacity).push(value);
     }
 
+    /// Unfiles `value` if it is the last value filed under `key`: the
+    /// undo of the latest [`PIndex::insert`] under the key.
+    pub(crate) fn unfile(&mut self, key: K, value: PropId) {
+        let Some(slot) = self.slots.get_mut(key.slot()) else {
+            return;
+        };
+        let Some(list) = slot else { return };
+        let list = pvec::unshare(list, list.len());
+        if list.last() == Some(&value) {
+            list.pop();
+        }
+        if list.is_empty() {
+            *slot = None;
+        }
+    }
+
     /// The posting list for `key` (empty if nothing is filed under it).
     pub(crate) fn get(&self, key: K) -> &[PropId] {
         match self.slots.get(key.slot()) {
@@ -464,7 +480,7 @@ mod tests {
         let before = observe(&v);
 
         // Later TELL and UNTELL do not leak into the captured version.
-        // (As in the server's begin_write, the clock ticks before the
+        // (As a write transaction opens, the clock ticks before the
         // mutation, so the new belief intervals start above `w`.)
         kb.tick();
         let y = kb.individual("y").unwrap();

@@ -341,7 +341,7 @@ proptest! {
         let mut kb = Kb::new();
         let mut ids: Vec<PropId> = vec![PropId(kb.len() as u32 + 1_000)];
         let mut captured: Vec<(KbVersion, i64)> = Vec::new();
-        // As in the server's begin_write, the clock ticks after a
+        // As a write transaction opens, the clock ticks after a
         // capture, so later beliefs start above its watermark.
         let capture = |kb: &mut Kb, captured: &mut Vec<(KbVersion, i64)>| {
             captured.push((kb.version(), kb.now()));

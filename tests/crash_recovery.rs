@@ -13,9 +13,10 @@
 //! * **one op stream, four realizations** — the live instance, recovery
 //!   from the WAL alone, recovery from a checkpoint snapshot plus the
 //!   WAL tail, and a replica built from the shipped snapshot plus the
-//!   shipped tail all hold the same state, whatever the interleaving of
-//!   op kinds (failed, rolled-back writes included) and wherever the
-//!   checkpoint fell;
+//!   shipped tail all hold the same store — its length, its clock and
+//!   every proposition with both its intervals — and the same state read
+//!   from it, whatever the interleaving of op kinds (failed, rolled-back
+//!   writes included) and wherever the checkpoint fell;
 //! * **a fifth realization, the versioned read path** — after every op
 //!   the store version a server would publish answers ASK and pinned
 //!   view reads from the lemmas it holds exactly as the index path, a
@@ -47,7 +48,7 @@ use conceptbase::gkbms::{
 use conceptbase::objectbase::query;
 use conceptbase::storage::crash;
 use conceptbase::storage::log::read_payloads;
-use conceptbase::telos::{KbVersion, PropId, Snapshot};
+use conceptbase::telos::{Interval, KbVersion, PropId, Snapshot};
 use proptest::prelude::*;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -660,22 +661,24 @@ fn apply(g: &mut Gkbms, op: &Op) -> GkbmsResult<()> {
     }
 }
 
-/// Everything two realizations of one op stream must agree on. Neither
-/// `kb().len()` nor `kb().now()`: a rolled-back write leaves closed
-/// propositions only the live instance has, and replay ticks on its
-/// own clock.
+/// Everything two realizations of one op stream must agree on: the
+/// store itself — its length, its clock and every proposition with its
+/// two intervals — and everything read from it.
 #[derive(Debug, PartialEq)]
 struct Digest {
+    len: usize,
+    now: i64,
+    /// Every proposition as `(source, label, dest, history, belief)`.
+    props: Vec<(PropId, String, PropId, Interval, Interval)>,
     believed: usize,
     /// The believed extent of every told class (`None`: not believed).
     extents: Vec<Option<Vec<String>>>,
     current_objects: Vec<String>,
-    /// The design record read back from the KB, ticks and proposition
-    /// ids aside.
+    /// The design record read back from the KB.
     design: Design,
-    /// The events of every object the stream executes against, ticks
-    /// aside (`None`: not a design object).
-    histories: Vec<Option<Vec<String>>>,
+    /// The events of every object the stream executes against, with
+    /// their ticks (`None`: not a design object).
+    histories: Vec<Option<Vec<(i64, String)>>>,
     /// Per record, its `recall_similar(name, 5)` rows `(decision, score
     /// bits, retracted)`: the recall index each realization rebuilt.
     recall: Vec<Vec<(String, u64, bool)>>,
@@ -709,16 +712,22 @@ impl Digest {
                 (v.name().to_string(), per_pred)
             })
             .collect();
+        let kb = g.kb();
+        let props = (0..kb.len() as u32).map(|i| {
+            let p = kb.get(PropId(i)).expect("in bounds");
+            let label = kb.resolve(p.label).to_string();
+            (p.source, label, p.dest, p.history, p.belief)
+        });
         Digest {
-            believed: g.kb().believed_count(),
+            len: kb.len(),
+            now: kb.now(),
+            props: props.collect(),
+            believed: kb.believed_count(),
             extents,
             current_objects: g.current_objects(),
-            design: Design::read(g.snapshot(), g).untimed(),
+            design: Design::read(g.snapshot(), g),
             histories: (INPUTS.iter().chain(OUTPUTS.iter().map(|(o, _)| o)))
-                .map(|o| {
-                    let events = g.object_history(o).ok()?.into_iter();
-                    Some(events.map(|(_, event)| event).collect())
-                })
+                .map(|o| g.object_history(o).ok())
                 .collect(),
             recall: recall_rows(g),
             nogoods: g.nogoods().to_vec(),
@@ -765,16 +774,6 @@ impl Design {
                 .filter_map(|e| reader.decision(e.prop))
                 .collect(),
         }
-    }
-
-    /// Without what realizations of one stream do not share: replay
-    /// ticks on its own clock, and a rolled-back write leaves
-    /// propositions only the live instance has.
-    fn untimed(mut self) -> Design {
-        for r in &mut self.decisions {
-            (r.tick, r.prop) = (0, PropId(0));
-        }
-        self
     }
 
     /// Marks `culprit` retracted, and with it every decision that

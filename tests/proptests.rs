@@ -396,7 +396,7 @@ proptest! {
         let mut captured = Vec::new();
         for (op, sel) in ops {
             match op {
-                // TELL (ticking first, as the server's begin_write does).
+                // TELL (ticking first, as every write transaction opens).
                 0..=2 => {
                     kb.tick();
                     let x = kb.individual(&format!("x{counter}")).unwrap();

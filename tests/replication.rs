@@ -592,3 +592,72 @@ fn stale_read_bound_rejects_a_lagging_replica() {
     std::fs::remove_dir_all(ldir).unwrap();
     std::fs::remove_dir_all(fdir).unwrap();
 }
+
+/// One op stream over the wire — registration, an execution, an
+/// execution that fails (wrong output class), a TELL that passes lint
+/// but fails to apply, and a retraction — gives the leader and its
+/// follower one clock: the same object histories, ticks included, the
+/// same `kb_now`, and recovery from the leader's journal lands on the
+/// clock and length the leader served.
+#[test]
+fn leader_follower_and_recovery_share_one_clock_across_failed_writes() {
+    use conceptbase::gkbms::metamodel::kernel::{DBPL_REL, TDL_ENTITY_CLASS};
+    use conceptbase::gkbms::{DecisionClass, DecisionDimension};
+    use conceptbase::server::WireDecision;
+    let ldir = tmp_dir("clock-l");
+    let fdir = tmp_dir("clock-f");
+    {
+        let (mut g, _) = Gkbms::recover(&ldir).unwrap();
+        let dc = DecisionClass::new("MapDec", DecisionDimension::Mapping)
+            .from_classes(&[TDL_ENTITY_CLASS])
+            .to_classes(&[DBPL_REL]);
+        g.define_decision_class(dc).unwrap();
+        g.journal_mut().unwrap().sync().unwrap();
+    }
+    let (lsrv, laddr) = leader(&ldir);
+    let (fsrv, faddr) = follower(&fdir, laddr, None);
+
+    let mut c = Client::connect(laddr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    let map = |name, output, class| {
+        WireDecision::new("MapDec", name, "dev")
+            .input("Inv")
+            .output(output, class)
+    };
+    c.register_object(s, "Inv", TDL_ENTITY_CLASS, "inv.tdl")
+        .unwrap();
+    c.execute(s, map("m1", "Rel", DBPL_REL)).unwrap();
+    assert!(c.execute(s, map("m2", "Wrong", TDL_ENTITY_CLASS)).is_err());
+    assert!(c.tell(s, "TELL Fresh end\nTELL ghost in Nope end").is_err());
+    c.retract_decision(s, "m1").unwrap();
+    let applied = c.repl_status().unwrap().applied_seq;
+    wait_applied(faddr, applied);
+
+    c.refresh(s).unwrap();
+    let mut fc = Client::connect(faddr).unwrap();
+    let (fs, _) = fc.hello().unwrap();
+    for object in ["Inv", "Rel"] {
+        let leader_rows = c.object_history(s, object).unwrap();
+        assert!(!leader_rows.is_empty(), "{object}");
+        assert_eq!(
+            fc.object_history(fs, object).unwrap(),
+            leader_rows,
+            "{object}"
+        );
+    }
+    let kb_now = c.session_stats(s).unwrap().kb_now;
+    assert_eq!(fc.session_stats(fs).unwrap().kb_now, kb_now);
+    drop((c, fc));
+
+    fsrv.shutdown().unwrap();
+    let served = lsrv.shutdown().unwrap();
+    let clock = |g: &Gkbms| (g.kb().now(), g.kb().len());
+    let want = clock(&served);
+    assert_eq!(want.0, kb_now);
+    drop(served);
+    let (recovered, _) = Gkbms::recover(&ldir).unwrap();
+    assert_eq!(clock(&recovered), want);
+    drop(recovered);
+    std::fs::remove_dir_all(ldir).unwrap();
+    std::fs::remove_dir_all(fdir).unwrap();
+}
