@@ -257,7 +257,7 @@ impl<'a> LintContext<'a> {
     /// cost a rule or a view ask for it.
     pub fn edb_cards(&self) -> HashMap<String, f64> {
         self.kb
-            .and_then(|kb| objectbase::query::to_edb(kb).ok())
+            .and_then(|kb| objectbase::query::to_edb_at_store(kb, kb.now()).ok())
             .map(|edb| cost::cardinalities(&edb))
             .unwrap_or_default()
     }

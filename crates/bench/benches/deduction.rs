@@ -5,13 +5,15 @@
 //! comparing: bottom-up semi-naive, top-down with tabling (lemmas),
 //! top-down without tabling, and magic sets. The expected shape:
 //! tabling beats plain SLD as soon as subgoals repeat; magic beats
-//! full bottom-up on bound queries.
+//! full bottom-up on bound queries. The served system runs only the
+//! bottom-up kernel; the other strategies are `bench::engines`.
 
+use bench::engines::{magic, topdown};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datalog::ast::{Atom, Program, Term, Value};
 use datalog::db::Database;
-use datalog::{magic, seminaive, topdown};
-use objectbase::query::{DeductiveView, Engine};
+use datalog::seminaive;
+use objectbase::query::{base_program, to_edb_at_store};
 use std::time::Duration;
 
 const TC: &str = "path(X, Y) :- edge(X, Y).\npath(X, Z) :- edge(X, Y), path(Y, Z).";
@@ -135,12 +137,11 @@ fn bench_index_ablation(c: &mut Criterion) {
     // ISSUE 1: hash-join evaluation through binding-pattern indexes
     // versus the pre-index scan core, on the CML closure rules over
     // deep isa chains.
-    use objectbase::query::{base_program, to_edb};
     let program = base_program();
     let mut group = c.benchmark_group("deduction/index_ablation");
     for (depth, fanout) in [(16usize, 250usize), (64, 1000)] {
         let kb = bench::isa_chain_kb(depth, fanout);
-        let edb = to_edb(&kb).expect("edb");
+        let edb = to_edb_at_store(&kb, kb.now()).expect("edb");
         let label = format!("d{depth}_f{fanout}");
         group.bench_with_input(BenchmarkId::new("indexed", &label), &edb, |b, edb| {
             b.iter(|| {
@@ -158,18 +159,44 @@ fn bench_index_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The distinct names in column `at` of `tuples`, sorted.
+fn names(tuples: impl IntoIterator<Item = Vec<Value>>, at: usize) -> Vec<String> {
+    let mut out: Vec<String> = tuples.into_iter().map(|t| t[at].to_string()).collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
 fn bench_kb_deduction(c: &mut Criterion) {
-    // The deductive-relational view over a real KB (object processor).
+    // The deductive-relational view over a real KB (object processor):
+    // every instance of the top class, inheritance included, by each
+    // strategy over the base program and the KB's export.
     let kb = bench::isa_chain_kb(30, 300);
-    let view = DeductiveView::new(&kb, "").expect("view");
+    let edb = to_edb_at_store(&kb, kb.now()).expect("edb");
+    let program = base_program();
+    let goal = Atom::new("inT", vec![Term::var("X"), Term::sym("C30")]);
+    let pattern = [None, Some(Value::sym("C30"))];
     let mut group = c.benchmark_group("deduction/kb_view");
-    for engine in [Engine::BottomUp, Engine::TopDown, Engine::Magic] {
-        group.bench_function(format!("{engine:?}"), |b| {
-            b.iter(|| {
-                std::hint::black_box(view.instances_of("C30", engine).expect("instances").len())
-            })
-        });
-    }
+    group.bench_function("BottomUp", |b| {
+        b.iter(|| {
+            let (model, _) = seminaive::evaluate(&program, &edb).expect("eval");
+            std::hint::black_box(names(model.probe("inT", &pattern), 0).len())
+        })
+    });
+    group.bench_function("TopDown", |b| {
+        b.iter(|| {
+            let mut td = topdown::TopDown::new(&program, &edb);
+            let answers = td.query(&goal).expect("query");
+            let tuples = answers.into_iter().map(|env| vec![env["X"].clone()]);
+            std::hint::black_box(names(tuples, 0).len())
+        })
+    });
+    group.bench_function("Magic", |b| {
+        b.iter(|| {
+            let answers = magic::magic_evaluate(&program, &edb, &goal).expect("magic");
+            std::hint::black_box(names(answers, 0).len())
+        })
+    });
     group.finish();
 }
 

@@ -16,7 +16,7 @@ use datalog::ast::{Program, Value};
 use datalog::db::Database;
 use datalog::ivm::{Fact, MaterializedView};
 use datalog::seminaive;
-use objectbase::query::{base_program, to_edb, to_edb_counted};
+use objectbase::query::{base_program, to_edb_at_store, to_edb_counted};
 use std::time::Instant;
 
 fn median_secs(mut f: impl FnMut(), samples: usize) -> f64 {
@@ -46,7 +46,7 @@ fn main() {
     let mut entries = Vec::new();
     for (depth, fanout) in [(16usize, 250usize), (64, 1000)] {
         let kb = bench::isa_chain_kb(depth, fanout);
-        let edb = to_edb(&kb).expect("edb");
+        let edb = to_edb_at_store(&kb, kb.now()).expect("edb");
         let program = base_program();
 
         let (model, stats) = seminaive::evaluate(&program, &edb).expect("indexed eval");
@@ -138,7 +138,8 @@ fn churn_entry(depth: usize, chains: usize, ops: usize) -> String {
 /// every op moves one `in_` tuple and the `depth + 1` memberships it
 /// inherits.
 fn join_churn_entry(depth: usize, fanout: usize, ops: usize) -> String {
-    let edb = to_edb(&bench::isa_chain_kb(depth, fanout)).expect("edb");
+    let kb = bench::isa_chain_kb(depth, fanout);
+    let edb = to_edb_at_store(&kb, kb.now()).expect("edb");
     let mut view = MaterializedView::load(base_program(), &edb, &[]).expect("view");
     churn_row(
         "ivm_churn_join",

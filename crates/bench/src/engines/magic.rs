@@ -9,10 +9,10 @@
 //! and supports positive programs only (negation would require the
 //! stratified variant, which the paper's setting does not need).
 
-use crate::ast::{Atom, Literal, Program, Rule, Term};
-use crate::db::Database;
-use crate::error::{DatalogError, DatalogResult};
-use crate::seminaive;
+use datalog::ast::{Atom, Literal, Program, Rule, Term};
+use datalog::db::Database;
+use datalog::error::{DatalogError, DatalogResult};
+use datalog::seminaive;
 use std::collections::{HashSet, VecDeque};
 
 /// An adornment: for each argument, is it bound (`true`) or free?
@@ -160,7 +160,7 @@ pub fn magic_evaluate(
     program: &Program,
     edb: &Database,
     query: &Atom,
-) -> DatalogResult<Vec<Vec<crate::ast::Value>>> {
+) -> DatalogResult<Vec<Vec<datalog::ast::Value>>> {
     magic_evaluate_stats(program, edb, query).map(|(answers, _)| answers)
 }
 
@@ -172,12 +172,12 @@ pub fn magic_evaluate_stats(
     program: &Program,
     edb: &Database,
     query: &Atom,
-) -> DatalogResult<(Vec<Vec<crate::ast::Value>>, seminaive::EvalStats)> {
+) -> DatalogResult<(Vec<Vec<datalog::ast::Value>>, seminaive::EvalStats)> {
     let magic = magic_transform(program, query)?;
     let mut db = edb.clone();
     db.insert_atom(&magic.seed)?;
     let (model, stats) = seminaive::evaluate(&magic.program, &db)?;
-    let pattern: Vec<Option<crate::ast::Value>> = query
+    let pattern: Vec<Option<datalog::ast::Value>> = query
         .args
         .iter()
         .map(|t| match t {
@@ -193,7 +193,7 @@ pub fn magic_evaluate_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Value;
+    use datalog::ast::Value;
 
     fn chain(n: i64) -> Database {
         let mut db = Database::new();

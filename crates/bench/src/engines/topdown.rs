@@ -11,9 +11,9 @@
 //! E-2 ablation bench; in that mode evaluation is depth-bounded to keep
 //! left-recursive programs from diverging.
 
-use crate::ast::{Atom, Literal, Program, Rule, Term, Value};
-use crate::db::Database;
-use crate::error::{DatalogError, DatalogResult};
+use datalog::ast::{Atom, Literal, Program, Rule, Term, Value};
+use datalog::db::Database;
+use datalog::error::{DatalogError, DatalogResult};
 use std::collections::{HashMap, HashSet};
 
 type Env = HashMap<String, Value>;
@@ -115,7 +115,7 @@ impl<'a> TopDown<'a> {
     /// environments, one per solution.
     pub fn query(&mut self, goal: &Atom) -> DatalogResult<Vec<Env>> {
         self.program.validate()?;
-        crate::stratify::stratify(self.program)?;
+        datalog::stratify::stratify(self.program)?;
         self.solve(goal, &Env::new(), 0)
     }
 
@@ -474,7 +474,7 @@ mod tests {
     fn agrees_with_bottom_up() {
         let p = Program::parse(TC_RIGHT).unwrap();
         let db = edges(&[("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")]);
-        let bottom = crate::seminaive::evaluate_pred(&p, &db, "path").unwrap();
+        let bottom = datalog::seminaive::evaluate_pred(&p, &db, "path").unwrap();
         let mut td = TopDown::new(&p, &db);
         let mut top: Vec<Vec<Value>> = td
             .query(&Atom::new("path", vec![Term::var("X"), Term::var("Y")]))

@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use telos::Kb;
 
+pub mod engines;
 pub mod rmsnet;
 
 /// A deterministic RNG for reproducible workloads.

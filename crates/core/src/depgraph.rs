@@ -186,16 +186,17 @@ mod tests {
     }
 
     /// Over a synthetic corpus with retractions and replays, the walk
-    /// of the user lists answers for every object what magic sets over
-    /// the effective decisions' `dep(Input, Output)` edges answered
-    /// before it, and the dependency graph is the one the `Record`
-    /// decodes of the same decisions give.
+    /// of the user lists answers for every object what the transitive
+    /// closure of the effective decisions' `dep(Input, Output)` edges
+    /// reaches from it (one bottom-up evaluation, probed per object),
+    /// and the dependency graph is the one the `Record` decodes of the
+    /// same decisions give.
     #[test]
-    fn consequences_of_answers_like_magic_sets() {
+    fn consequences_of_answers_like_the_reach_closure() {
         use crate::synth::{self, SynthConfig, SynthRng};
-        use datalog::ast::{Atom, Program, Term, Value};
+        use datalog::ast::{Program, Value};
         use datalog::db::Database;
-        use datalog::magic;
+        use datalog::seminaive;
         let mut g = crate::system::Gkbms::new().unwrap();
         let cfg = SynthConfig {
             seed: 5,
@@ -220,14 +221,14 @@ mod tests {
         }
         let reach = "reach(X, Y) :- dep(X, Y).\nreach(X, Z) :- dep(X, Y), reach(Y, Z).";
         let program = Program::parse(reach).unwrap();
+        let (model, _) = seminaive::evaluate(&program, &edb).unwrap();
         let named = decoded
             .iter()
             .flat_map(|r| r.inputs.iter().chain(&r.outputs));
         let objects: std::collections::BTreeSet<&str> =
             named.map(String::as_str).chain(["Ghost"]).collect();
         for o in objects {
-            let query = Atom::new("reach", vec![Term::sym(o), Term::var("Y")]);
-            let answers = magic::magic_evaluate(&program, &edb, &query).unwrap();
+            let answers = model.probe("reach", &[Some(Value::sym(o)), None]);
             let mut want: Vec<String> = (answers.into_iter())
                 .map(|t| t[1].to_string())
                 .filter(|y| y != o)

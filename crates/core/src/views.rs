@@ -321,7 +321,7 @@ mod tests {
     /// the oracle every maintained model must match.
     fn recompute(g: &Gkbms, name: &str, pred: &str) -> Vec<Vec<Value>> {
         let v = g.view(name).unwrap();
-        let edb = query::to_edb(g.kb()).unwrap();
+        let edb = query::to_edb_at_store(g.kb(), g.kb().now()).unwrap();
         let (model, _) = datalog::seminaive::evaluate(v.view().program(), &edb).unwrap();
         let mut out: Vec<Vec<Value>> = model.tuples(pred).collect();
         out.sort();

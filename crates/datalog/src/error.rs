@@ -1,4 +1,4 @@
-//! Error type of the inference engines.
+//! Error type of the inference engine.
 
 use std::fmt;
 
@@ -20,7 +20,7 @@ pub enum DatalogError {
     UnsafeRule(String),
     /// The program has recursion through negation.
     NotStratifiable(String),
-    /// A negated subgoal was not ground at evaluation time (top-down).
+    /// A negated subgoal was not ground at evaluation time.
     NonGroundNegation(String),
 }
 

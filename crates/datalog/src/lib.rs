@@ -1,28 +1,24 @@
 #![warn(missing_docs)]
 
-//! The **inference engines** of ConceptBase (paper §3.1).
+//! The **inference engine** of ConceptBase (paper §3.1).
 //!
 //! "The Inference Engines support various proof strategies for
 //! question-answering on the KB … The inference engines may enhance
-//! their performance by lemma generation." Two proof strategies are
-//! provided over the same rule language:
-//!
-//! * [`seminaive`] — bottom-up, semi-naive fixpoint evaluation with
-//!   stratified negation (the deductive-relational view of the object
-//!   processor);
-//! * [`topdown`] — goal-directed SLD resolution with *tabling*: the
-//!   lemma generation the paper mentions, turning answers to subgoals
-//!   into reusable lemmas and guaranteeing termination on recursive
-//!   rules;
-//! * [`magic`] — the magic-sets transformation, letting the bottom-up
-//!   engine profit from query constants like the top-down one does.
+//! their performance by lemma generation." The served system answers
+//! through one proof strategy, [`seminaive`]: bottom-up, semi-naive
+//! fixpoint evaluation with stratified negation (the
+//! deductive-relational view of the object processor). Its lemmas are
+//! kept per KB version by `objectbase::query` and per maintained view
+//! by [`ivm`]. The goal-directed strategies E-2 contrasts with it live
+//! in the benchmark crate (`bench::engines`), beside the benches that
+//! measure them.
 //!
 //! The rule language is classic datalog with negation: see [`ast`] for
 //! the textual syntax.
 //!
 //! # Storage and join evaluation
 //!
-//! All engines share one storage layer ([`db`]): predicate names and
+//! Evaluation runs on one storage layer ([`db`]): predicate names and
 //! symbolic constants are interned into a global pool ([`intern`]), so
 //! relations hold rows of `Copy` ids rather than strings, and every
 //! relation carries **secondary hash indexes keyed on binding
@@ -43,16 +39,11 @@
 //! * [`ivm`] — overlays of the maintained model and the pending
 //!   insert/delete sets (old state, new state, old ∩ new), one position
 //!   restricted to a change set, or the environment pre-seeded from a
-//!   head tuple for rederivation;
-//! * [`magic`] evaluates the transformed program through
-//!   [`seminaive::evaluate`] and probes the answer relation with the
-//!   query constants.
+//!   head tuple for rederivation.
 //!
 //! Off that kernel by design: [`seminaive::evaluate_scan`], the
 //! pre-index scan core kept as the independent oracle of the
-//! differential tests and the E-2 ablation, and [`topdown`], which
-//! resolves EDB subgoals through [`Database::probe`] with the goal's
-//! bound arguments as the pattern.
+//! differential tests, the deduction gate and the E-2 ablation.
 //!
 //! [`seminaive::EvalStats`] reports `index_probes`, `tuples_scanned`
 //! and `derivations` for every kernel run; [`ivm::ApplyStats`] carries
@@ -74,11 +65,9 @@ pub mod error;
 pub mod intern;
 pub mod ivm;
 mod join;
-pub mod magic;
 pub mod predgraph;
 pub mod seminaive;
 pub mod stratify;
-pub mod topdown;
 
 pub use ast::{Atom, Literal, Program, Rule, Term, Value};
 pub use db::Database;

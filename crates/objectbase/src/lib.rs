@@ -16,7 +16,7 @@
 //!   constraints, with the set-oriented batch optimization §3.1 says
 //!   "is being studied" (benchmarked as E-1);
 //! * [`query`] — ASK evaluation and the deductive-relational bridge to
-//!   the `datalog` inference engines.
+//!   the `datalog` inference engine.
 
 pub mod behaviour;
 pub mod consistency;

@@ -1,12 +1,18 @@
 //! ASK evaluation and the deductive-relational bridge (§3.1).
 //!
 //! "The object processor understands the knowledge base as a deductive
-//! relational database." [`to_edb`] exports the believed propositions
-//! as datalog relations (`in_/2`, `isa/2`, `attr/3`), [`base_program`]
-//! supplies the CML closure rules (transitive specialization, instance
-//! inheritance), and [`DeductiveView`] runs user rules on top with a
-//! choice of inference engine — bottom-up, top-down with lemmas, or
-//! magic sets.
+//! relational database." [`to_edb_at_store`] exports the propositions
+//! believed at a tick as datalog relations (`in_/2`, `isa/2`,
+//! `attr/3`), [`edb_fact_for`] maps one proposition the same way (the
+//! delta unit of the maintained views), and [`base_program`] supplies
+//! the CML closure rules (transitive specialization, instance
+//! inheritance). Everything is evaluated by the one bottom-up kernel,
+//! [`seminaive::evaluate`].
+//!
+//! There are two ASKs. [`ask`] is the assertion language over any
+//! [`KbRead`]; [`ask_with_stats_version`] is the served one, which
+//! enumerates candidates from the `inT` closure of a pinned version
+//! and filters them with the same assertion body.
 //!
 //! # Lemmas live with their version
 //!
@@ -30,16 +36,15 @@
 //! intern names in two tables (a versioned one per store in `telos`, one
 //! process-wide pool in `datalog`), and each store name remembers its
 //! pooled id ([`PropStore::pooled`]), so a name is hashed into the pool
-//! once, not once per export. An export for [`base_program`] reads only
-//! the `instanceof` and `isa` posting lists and sizes each relation
-//! before its first row ([`Database::reserve`]).
+//! once, not once per export. The ASK's export reads only the
+//! `instanceof` and `isa` posting lists and sizes each relation before
+//! its first row ([`Database::reserve`]).
 
 use crate::error::ObResult;
-use datalog::ast::{Atom, Program, Term, Value};
+use datalog::ast::{Program, Value};
 use datalog::db::Database;
 use datalog::intern::{intern, IVal, Symbol};
-use datalog::seminaive::EvalStats;
-use datalog::{magic, seminaive, topdown};
+use datalog::seminaive::{self, EvalStats};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -56,69 +61,49 @@ pub mod preds {
     pub const ATTR: &str = "attr";
 }
 
-/// Exports the believed network as an extensional database. Objects
-/// are identified by their display names; anonymous links are skipped
-/// (they reappear as `attr` tuples of their endpoints).
-pub fn to_edb(kb: &Kb) -> ObResult<Database> {
-    export(kb, Proposition::is_believed, Exported::ALL).map(|(edb, _)| edb)
-}
-
 /// The rows an export dropped as duplicates, one entry per dropped row.
 type Dropped = Vec<(Symbol, Vec<IVal>)>;
 
-/// [`to_edb`] plus what its de-duplication dropped: one entry per
-/// believed proposition asserting a link that an earlier one already
-/// contributed. A maintained view is loaded from the pair
-/// ([`datalog::ivm::MaterializedView::load`]), so that untelling one of
-/// two propositions asserting the same link leaves the tuple present.
+/// The believed network as an extensional database, plus what its
+/// de-duplication dropped: one entry per believed proposition asserting
+/// a link that an earlier one already contributed. A maintained view is
+/// loaded from the pair ([`datalog::ivm::MaterializedView::load`]), so
+/// that untelling one of two propositions asserting the same link
+/// leaves the tuple present.
 pub fn to_edb_counted(kb: &Kb) -> ObResult<(Database, Dropped)> {
-    export(kb, Proposition::is_believed, Exported::ALL)
+    export(kb, Proposition::is_believed, true)
 }
 
-/// Like [`to_edb`], but exporting the network as believed at tick `at`
-/// — the deductive view of a belief-time snapshot. It takes the
-/// [`PropStore`] itself — a live KB's or an immutable [`KbVersion`]'s,
-/// so the server's MVCC read path builds its EDB from a pinned version
-/// without touching the live KB.
+/// Exports the network as believed at tick `at` — the deductive view of
+/// a belief-time snapshot. Objects are identified by their display
+/// names; anonymous links are skipped (they reappear as `attr` tuples
+/// of their endpoints). It takes the [`PropStore`] itself — a live
+/// KB's or an immutable [`KbVersion`]'s, so the server's MVCC read path
+/// builds its EDB from a pinned version without touching the live KB.
 pub fn to_edb_at_store(store: &PropStore, at: i64) -> ObResult<Database> {
-    export(store, |p| p.believed_at(at), Exported::ALL).map(|(edb, _)| edb)
+    export(store, |p| p.believed_at(at), true).map(|(edb, _)| edb)
 }
 
-/// [`to_edb_at_store`] restricted to the extensional predicates some
-/// rule body of `program` reads: the same tuples in the same order for
-/// those, nothing for the rest. [`base_program`] reads `in_` and `isa`
-/// — about a third of a design history's tuples; the rest is `attr`.
-pub fn to_edb_for(store: &PropStore, at: i64, program: &Program) -> ObResult<Database> {
-    export(store, |p| p.believed_at(at), Exported::read_by(program)).map(|(edb, _)| edb)
+/// The extensional relation a proposition feeds.
+enum Rel {
+    In,
+    Isa,
+    Attr,
 }
 
-/// Which extensional predicates an export carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Exported {
-    in_: bool,
-    isa: bool,
-    attr: bool,
-}
-
-impl Exported {
-    const ALL: Exported = Exported {
-        in_: true,
-        isa: true,
-        attr: true,
-    };
-
-    fn read_by(program: &Program) -> Exported {
-        let reads = |pred: &str| {
-            program
-                .rules
-                .iter()
-                .any(|r| r.body.iter().any(|l| l.atom.pred == pred))
-        };
-        Exported {
-            in_: reads(preds::IN),
-            isa: reads(preds::ISA),
-            attr: reads(preds::ATTR),
-        }
+/// Which relation `p` feeds, or `None` for an individual (it reappears
+/// as the endpoint of its links). The one place that decides it, for
+/// the bulk export and for [`edb_fact_for`] alike. Belief is *not*
+/// checked — the caller decides which belief state it is mapping.
+fn rel_of(store: &PropStore, p: &Proposition) -> Option<Rel> {
+    if p.is_individual() {
+        None
+    } else if p.label == store.instanceof_sym() {
+        Some(Rel::In)
+    } else if p.label == store.isa_sym() {
+        Some(Rel::Isa)
+    } else {
+        Some(Rel::Attr)
     }
 }
 
@@ -130,17 +115,14 @@ impl Exported {
 /// once per store chunk, not once per export; only a link endpoint
 /// (`<src l dst>`) is rendered and interned, once per export.
 ///
-/// Without `attr` the export reads the `instanceof` and `isa` posting
+/// Without `with_attr` the export reads the `instanceof` and `isa` posting
 /// lists instead of every proposition. A posting list is in id order,
 /// so each relation gets the rows of the full walk in the same order,
 /// and is sized from the list's length before its first row.
-///
-/// Must agree with [`edb_fact_for`], the per-proposition form in which
-/// TELL and UNTELL reach the maintained views.
 fn export(
     store: &PropStore,
     live: impl Fn(&Proposition) -> bool,
-    want: Exported,
+    with_attr: bool,
 ) -> ObResult<(Database, Dropped)> {
     obs::counter!(
         "objectbase_edb_exports_total",
@@ -153,21 +135,21 @@ fn export(
         links: Vec::new(),
     };
     let mut db = Database::new();
-    let ids: Box<dyn Iterator<Item = PropId>> = if want.attr {
+    let ids: Box<dyn Iterator<Item = PropId>> = if with_attr {
         Box::new((0..store.len() as u32).map(PropId))
     } else {
-        let lists = [
-            (want.in_, store.instanceof_sym(), in_),
-            (want.isa, store.isa_sym(), isa),
-        ];
-        let lists = lists.into_iter().filter(|&(wanted, ..)| wanted);
-        for (_, label, pred) in lists.clone() {
+        let lists = [(store.instanceof_sym(), in_), (store.isa_sym(), isa)];
+        for (label, pred) in lists {
             let len = store.postings_label(label).len();
             if len > 0 {
                 db.reserve(pred, 2, len)?;
             }
         }
-        Box::new(lists.flat_map(|(_, label, _)| store.postings_label(label).iter().copied()))
+        Box::new(
+            lists
+                .into_iter()
+                .flat_map(|(label, _)| store.postings_label(label).iter().copied()),
+        )
     };
     let mut duplicates = Vec::new();
     let mut put = |pred: Symbol, row: &[IVal]| -> ObResult<()> {
@@ -177,24 +159,19 @@ fn export(
         Ok(())
     };
     for id in ids {
-        let Some(p) = store.prop(id) else {
+        let Some(p) = store.prop(id).filter(|p| live(p)) else {
             continue;
         };
-        // An individual named like a reserved label is filed under it.
-        if p.is_individual() || !live(p) {
-            continue;
-        }
-        if p.label == store.instanceof_sym() {
-            if want.in_ {
-                put(in_, &[names.of(p.source), names.of(p.dest)])?;
+        match rel_of(store, p) {
+            Some(Rel::In) => put(in_, &[names.of(p.source), names.of(p.dest)])?,
+            Some(Rel::Isa) => put(isa, &[names.of(p.source), names.of(p.dest)])?,
+            Some(Rel::Attr) if with_attr => {
+                let label = IVal::Sym(names.pooled(p.label));
+                put(attr, &[names.of(p.source), label, names.of(p.dest)])?;
             }
-        } else if p.label == store.isa_sym() {
-            if want.isa {
-                put(isa, &[names.of(p.source), names.of(p.dest)])?;
-            }
-        } else if want.attr {
-            let label = IVal::Sym(names.pooled(p.label));
-            put(attr, &[names.of(p.source), label, names.of(p.dest)])?;
+            // An individual (one named like a reserved label is filed
+            // under it), or an attribute the export leaves out.
+            Some(Rel::Attr) | None => {}
         }
     }
     Ok((db, duplicates))
@@ -235,23 +212,22 @@ impl Names<'_> {
 
 /// The extensional fact one proposition contributes: `in_(X, C)`,
 /// `isa(C, D)` or `attr(X, L, Y)` keyed by display names, or `None`
-/// for individuals (they reappear as the endpoints of their links).
-/// Belief is *not* checked — the caller decides which belief state it
-/// is mapping. This is the per-proposition delta unit the incremental
-/// view-maintenance path feeds into registered views on TELL/UNTELL;
-/// the whole KB at once goes through [`to_edb_counted`].
+/// for individuals. Belief is *not* checked (see [`rel_of`]). This is
+/// the per-proposition delta unit the incremental view-maintenance path
+/// feeds into registered views on TELL/UNTELL; the whole KB at once
+/// goes through [`to_edb_counted`].
 pub fn edb_fact_for(store: &PropStore, id: PropId) -> Option<(String, Vec<Value>)> {
     let p = store.prop(id)?;
-    if p.is_individual() {
-        return None;
-    }
-    let label = store.resolve_sym(p.label).to_string();
+    let rel = rel_of(store, p)?;
     let src = Value::sym(store.display(p.source));
     let dst = Value::sym(store.display(p.dest));
-    Some(match label.as_str() {
-        telos::kb::L_INSTANCEOF => (preds::IN.to_string(), vec![src, dst]),
-        telos::kb::L_ISA => (preds::ISA.to_string(), vec![src, dst]),
-        _ => (preds::ATTR.to_string(), vec![src, Value::sym(label), dst]),
+    Some(match rel {
+        Rel::In => (preds::IN.to_string(), vec![src, dst]),
+        Rel::Isa => (preds::ISA.to_string(), vec![src, dst]),
+        Rel::Attr => {
+            let label = Value::sym(store.resolve_sym(p.label));
+            (preds::ATTR.to_string(), vec![src, label, dst])
+        }
     })
 }
 
@@ -292,17 +268,17 @@ pub struct Closure {
 type Lemma = Arc<Mutex<Option<Arc<Closure>>>>;
 
 /// What [`KbVersion::derived`] holds for this crate: per program (and
-/// per set of exported predicates — a projected model must not answer
-/// for a full one), its closure at the version's capture tick.
+/// per export with or without `attr` — a projected model must not
+/// answer for a full one), its closure at the version's capture tick.
 #[derive(Default)]
-struct Lemmas(Mutex<Vec<(Exported, Program, Lemma)>>);
+struct Lemmas(Mutex<Vec<(bool, Program, Lemma)>>);
 
-/// Exports `want` from `store` as filtered by `live` and evaluates
-/// `program` over it.
+/// Exports `store` as believed at `at` (with `attr` or without) and
+/// evaluates `program` over it.
 fn build_closure(
     store: &PropStore,
-    live: impl Fn(&Proposition) -> bool,
-    want: Exported,
+    at: i64,
+    with_attr: bool,
     program: &Program,
 ) -> ObResult<Arc<Closure>> {
     obs::counter!(
@@ -311,7 +287,7 @@ fn build_closure(
     )
     .inc();
     let started = Instant::now();
-    let (edb, _) = export(store, live, want)?;
+    let (edb, _) = export(store, |p| p.believed_at(at), with_attr)?;
     obs::histogram!(
         "objectbase_edb_export_seconds",
         "EDB exports for closures built from scratch (closure misses only)"
@@ -334,10 +310,10 @@ fn build_closure(
 fn closure_at(
     version: &KbVersion,
     at: i64,
-    want: Exported,
+    with_attr: bool,
     program: &Program,
 ) -> ObResult<Arc<Closure>> {
-    let build = || build_closure(version, |p| p.believed_at(at), want, program);
+    let build = || build_closure(version, at, with_attr, program);
     if at != version.now() {
         return build();
     }
@@ -346,11 +322,11 @@ fn closure_at(
     };
     let lemma = {
         let mut all = lemmas.0.lock().unwrap_or_else(|e| e.into_inner());
-        match all.iter().find(|(w, p, _)| *w == want && p == program) {
+        match all.iter().find(|(a, p, _)| *a == with_attr && p == program) {
             Some((_, _, lemma)) => Arc::clone(lemma),
             None => {
                 let lemma = Lemma::default();
-                all.push((want, program.clone(), Arc::clone(&lemma)));
+                all.push((with_attr, program.clone(), Arc::clone(&lemma)));
                 lemma
             }
         }
@@ -375,108 +351,7 @@ fn closure_at(
 /// every reader of that version; this is how a session that fell off a
 /// maintained view's model reads the view at its own pin.
 pub fn version_closure(version: &KbVersion, at: i64, program: &Program) -> ObResult<Arc<Closure>> {
-    closure_at(version, at, Exported::ALL, program)
-}
-
-/// Which inference engine evaluates a deductive query (the "various
-/// proof strategies" of §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Bottom-up semi-naive evaluation of the whole program.
-    BottomUp,
-    /// Top-down SLD with tabling (lemma generation).
-    TopDown,
-    /// Magic-sets transformation, then bottom-up.
-    Magic,
-}
-
-/// A deductive view: the KB's EDB plus the base rules plus user rules.
-pub struct DeductiveView {
-    edb: Database,
-    program: Program,
-}
-
-impl DeductiveView {
-    /// Builds the view from the current KB state with optional extra
-    /// rules (datalog source).
-    pub fn new(kb: &Kb, extra_rules: &str) -> ObResult<Self> {
-        let edb = to_edb(kb)?;
-        let mut program = base_program();
-        if !extra_rules.trim().is_empty() {
-            let extra = Program::parse(extra_rules)?;
-            program.rules.extend(extra.rules);
-        }
-        program.validate()?;
-        Ok(DeductiveView { edb, program })
-    }
-
-    /// The extensional database.
-    pub fn edb(&self) -> &Database {
-        &self.edb
-    }
-
-    /// The full rule program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Answers `query` with the chosen engine, returning sorted tuples.
-    pub fn query(&self, query: &Atom, engine: Engine) -> ObResult<Vec<Vec<Value>>> {
-        match engine {
-            Engine::BottomUp => {
-                let (model, _) = seminaive::evaluate(&self.program, &self.edb)?;
-                // Indexed point probe on the query's bound positions
-                // instead of scanning and filtering the whole relation.
-                let pattern: Vec<Option<Value>> = query
-                    .args
-                    .iter()
-                    .map(|a| match a {
-                        Term::Const(c) => Some(c.clone()),
-                        Term::Var(_) => None,
-                    })
-                    .collect();
-                let mut out = model.probe(&query.pred, &pattern);
-                out.sort();
-                Ok(out)
-            }
-            Engine::TopDown => {
-                let mut td = topdown::TopDown::new(&self.program, &self.edb);
-                let answers = td.query(query)?;
-                let mut out: Vec<Vec<Value>> = answers
-                    .iter()
-                    .map(|env| {
-                        query
-                            .args
-                            .iter()
-                            .map(|a| match a {
-                                Term::Const(c) => c.clone(),
-                                Term::Var(v) => {
-                                    env.get(v).cloned().unwrap_or_else(|| Value::sym("?"))
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                out.sort();
-                out.dedup();
-                Ok(out)
-            }
-            Engine::Magic => Ok(magic::magic_evaluate(&self.program, &self.edb, query)?),
-        }
-    }
-
-    /// All instances of `class`, deductively (with inheritance).
-    pub fn instances_of(&self, class: &str, engine: Engine) -> ObResult<Vec<String>> {
-        let q = Atom::new("inT", vec![Term::var("X"), Term::sym(class)]);
-        let mut out: Vec<String> = self
-            .query(&q, engine)?
-            .into_iter()
-            .map(|t| t[0].to_string())
-            .collect();
-        out.sort();
-        out.dedup();
-        Ok(out)
-    }
+    closure_at(version, at, true, program)
 }
 
 /// ASK with the assertion language: the believed instances of `class`
@@ -490,37 +365,18 @@ pub fn ask<V: KbRead>(kb: &V, var: &str, class: &str, body: &str) -> ObResult<Ve
     Ok(hits.into_iter().map(|h| kb.display(h)).collect())
 }
 
-/// ASK through the deductive-relational bridge at belief tick `at`,
-/// reporting the [`EvalStats`] of the underlying join evaluation
-/// (`index_probes`, `tuples_scanned`, …). Candidate instances of
-/// `class` are enumerated by the semi-naive engine (the `inT` closure
-/// over the snapshot EDB, [`to_edb_at_store`]), then filtered with the
-/// assertion body against the [`telos::Snapshot`] view — so the answers
-/// are snapshot-consistent and the stats reflect real index-probe work.
-///
-/// Every variant validates first — the body parses, the class is known
-/// — and only then pays for a closure, so a typo costs no O(KB) export.
-///
-/// Answers are the closure's interned names in string order, borrowed
-/// (`Cow::Borrowed`): nothing is allocated per answer, and the server
-/// encodes them into a `Names` reply as they are.
-pub fn ask_with_stats_at(
-    kb: &Kb,
-    at: i64,
-    var: &str,
-    class: &str,
-    body: &str,
-) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
-    let snap = kb.snapshot_at(at);
-    ask_deductive(&snap, var, class, body, |want, program| {
-        build_closure(kb, |p| p.believed_at(at), want, program)
-    })
-}
-
-/// [`ask_with_stats_at`] against an immutable [`KbVersion`]: identical
-/// semantics, but the candidates and the assertion filter both read
-/// the pinned version, so the query runs entirely without the writer
+/// ASK through the deductive-relational bridge against an immutable
+/// [`KbVersion`] at belief tick `at`, reporting the [`EvalStats`] of
+/// the underlying join evaluation (`index_probes`, `tuples_scanned`,
+/// …). Candidate instances of `class` are enumerated by the semi-naive
+/// engine (the `inT` closure of [`base_program`] over the version's
+/// `in_` and `isa` relations), then filtered with the assertion body
+/// against the version's [`telos::Snapshot`] — so the answers are
+/// snapshot-consistent, and the query runs entirely without the writer
 /// lock. This is the server's MVCC ASK path.
+///
+/// It validates first — the body parses, the class is known — and only
+/// then pays for a closure, so a typo costs no O(KB) export.
 ///
 /// At the version's capture tick (`at == version.now()`, what every
 /// session pins) the `inT` closure is read from the lemmas the version
@@ -528,6 +384,10 @@ pub fn ask_with_stats_at(
 /// one. The returned [`EvalStats`] are those of the evaluation that
 /// built the closure the answer was read from; by determinism they
 /// equal a from-scratch run over the same version.
+///
+/// Answers are the closure's interned names in string order, borrowed
+/// (`Cow::Borrowed`): nothing is allocated per answer, and the server
+/// encodes them into a `Names` reply as they are.
 pub fn ask_with_stats_version(
     version: &KbVersion,
     at: i64,
@@ -535,25 +395,9 @@ pub fn ask_with_stats_version(
     class: &str,
     body: &str,
 ) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
-    let snap = version.snapshot_at(at);
-    ask_deductive(&snap, var, class, body, |want, program| {
-        closure_at(version, at, want, program)
-    })
-}
-
-/// The steps every ASK variant shares: validate, obtain the base
-/// closure through `closure` (given what to export and the program),
-/// probe `inT(_, class)`, filter the candidates with the body.
-fn ask_deductive<V: KbRead>(
-    view: &V,
-    var: &str,
-    class: &str,
-    body: &str,
-    closure: impl FnOnce(Exported, &Program) -> ObResult<Arc<Closure>>,
-) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     obs::counter!("objectbase_asks_total", "Deductive ASK queries evaluated").inc();
-    let result = ask_deductive_inner(view, var, class, body, closure);
+    let result = ask_deductive(version, at, var, class, body);
     obs::histogram!(
         "objectbase_ask_seconds",
         "Wall-clock latency of deductive ASK evaluation"
@@ -569,19 +413,20 @@ fn ask_deductive<V: KbRead>(
     result
 }
 
-fn ask_deductive_inner<V: KbRead>(
-    view: &V,
+fn ask_deductive(
+    version: &KbVersion,
+    at: i64,
     var: &str,
     class: &str,
     body: &str,
-    closure: impl FnOnce(Exported, &Program) -> ObResult<Arc<Closure>>,
 ) -> ObResult<(Vec<Cow<'static, str>>, EvalStats)> {
+    let view = version.snapshot_at(at);
     let expr = assertion::parse(body)?;
     if view.lookup(class).is_none() {
         return Err(TelosError::Assertion(format!("unknown class `{class}`")).into());
     }
-    let program = base();
-    let closure = closure(Exported::read_by(program), program)?;
+    // The base program joins only `in_` and `isa`.
+    let closure = closure_at(version, at, false, base())?;
     // A class name the export never interned has no instances. The
     // `(x, class)` rows are distinct, so their names are; the export
     // names every object by a symbol.
@@ -610,7 +455,7 @@ fn ask_deductive_inner<V: KbRead>(
                 env.insert(var.to_string(), id);
             }
         }
-        if assertion::eval(view, &expr, &mut env)? {
+        if assertion::eval(&view, &expr, &mut env)? {
             out.push(Cow::Borrowed(name));
         }
     }
@@ -724,7 +569,6 @@ mod tests {
             .to_vec();
         let now = kb.now();
         assert_eq!(listing(&to_edb_at_store(&kb, now).unwrap()), want);
-        assert_eq!(listing(&to_edb(&kb).unwrap()), want);
         // What the de-duplication dropped is reported, once per drop.
         let (counted, dropped) = to_edb_counted(&kb).unwrap();
         assert_eq!(listing(&counted), want);
@@ -732,21 +576,11 @@ mod tests {
         assert_eq!(dropped, vec![(intern(preds::ATTR), row)]);
         assert_eq!(listing(&to_edb_at_store(&kb.version(), now).unwrap()), want);
 
-        // The program-aware export: the same, minus what no body reads.
+        // The ASK's export: the same, minus `attr`.
         let mut projected = want.clone();
         projected[2].1.clear();
-        assert_eq!(
-            listing(&to_edb_for(&kb, now, &base_program()).unwrap()),
-            projected
-        );
-        let reads_attr = Program::parse("hasSender(I) :- attr(I, sender, _S).").unwrap();
-        let mut attr_only = want.clone();
-        attr_only[0].1.clear();
-        attr_only[1].1.clear();
-        assert_eq!(
-            listing(&to_edb_for(&kb, now, &reads_attr).unwrap()),
-            attr_only
-        );
+        let (asked, _) = export(&kb, |p| p.believed_at(now), false).unwrap();
+        assert_eq!(listing(&asked), projected);
     }
 
     /// The export without `attr` reads posting lists, not every
@@ -767,7 +601,7 @@ mod tests {
                 for t in 0..=store.now() {
                     let mut want = listing(&to_edb_at_store(store, t).unwrap());
                     want[2].1.clear();
-                    let got = to_edb_for(store, t, &base_program()).unwrap();
+                    let (got, _) = export(store, |p| p.believed_at(t), false).unwrap();
                     assert_eq!(listing(&got), want, "tick {t} of {}", store.now());
                 }
             }
@@ -874,7 +708,7 @@ mod tests {
         assert!(builds() > before);
         // A projected model must not answer for the full one: the ASK
         // of the same program keeps a closure of its own (no `attr`).
-        let asked = closure_at(&version, at, Exported::read_by(&program), &program).unwrap();
+        let asked = closure_at(&version, at, false, &program).unwrap();
         assert!(!Arc::ptr_eq(&asked, &closures[0]));
         assert_eq!(asked.model.count(preds::ATTR), 0);
         assert!(closures[0].model.count(preds::ATTR) > 0);
@@ -924,51 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn all_engines_agree_on_inheritance() {
-        let kb = scenario_kb();
-        let view = DeductiveView::new(&kb, "").unwrap();
-        let expected = vec!["inv1".to_string(), "inv2".into(), "min1".into()];
-        for engine in [Engine::BottomUp, Engine::TopDown, Engine::Magic] {
-            let papers = view.instances_of("Paper", engine).unwrap();
-            assert_eq!(papers, expected, "{engine:?}");
-        }
-    }
-
-    #[test]
-    fn deductive_matches_kb_closure() {
-        let kb = scenario_kb();
-        let view = DeductiveView::new(&kb, "").unwrap();
-        let paper = kb.lookup("Paper").unwrap();
-        let mut from_kb: Vec<String> = kb
-            .all_instances_of(paper)
-            .into_iter()
-            .map(|x| kb.display(x))
-            .collect();
-        from_kb.sort();
-        let from_dl = view.instances_of("Paper", Engine::BottomUp).unwrap();
-        assert_eq!(from_kb, from_dl);
-    }
-
-    #[test]
-    fn user_rules_extend_the_view() {
-        let kb = scenario_kb();
-        let view = DeductiveView::new(
-            &kb,
-            "senderOf(P, S) :- attr(I, sender, S), in_(I, P_CLASS), isaT(P_CLASS, Paper), in_(I, P_CLASS).\n\
-             hasSender(I) :- attr(I, sender, _S).",
-        );
-        // The first rule is deliberately odd; validate separately with a
-        // simpler one if it fails safety. hasSender is the useful one.
-        let view = match view {
-            Ok(v) => v,
-            Err(_) => DeductiveView::new(&kb, "hasSender(I) :- attr(I, sender, _S).").unwrap(),
-        };
-        let q = Atom::new("hasSender", vec![Term::var("I")]);
-        let hits = view.query(&q, Engine::BottomUp).unwrap();
-        assert_eq!(hits, vec![vec![Value::sym("inv1")]]);
-    }
-
-    #[test]
     fn ask_open_queries() {
         let kb = scenario_kb();
         let with_sender = ask(&kb, "i", "Invitation", "i.sender defined").unwrap();
@@ -1003,7 +792,7 @@ mod tests {
         kb.tick();
         let frames = ObjectFrame::parse_all("TELL inv3 in Invitation end").unwrap();
         tell_all(&mut kb, &frames).unwrap();
-        let now_db = to_edb(&kb).unwrap();
+        let now_db = to_edb_at_store(&kb, kb.now()).unwrap();
         let then_db = to_edb_at_store(&kb, t).unwrap();
         let at_inv3 = [Value::sym("inv3"), Value::sym("Invitation")];
         assert!(now_db.contains(preds::IN, &at_inv3));
@@ -1013,68 +802,43 @@ mod tests {
     #[test]
     fn ask_with_stats_matches_ask_and_counts_probes() {
         let kb = scenario_kb();
-        let now = kb.now();
-        let (hits, stats) = ask_with_stats_at(&kb, now, "p", "Paper", "true").unwrap();
+        let version = kb.version();
+        let now = version.now();
+        let (hits, stats) = ask_with_stats_version(&version, now, "p", "Paper", "true").unwrap();
         assert_eq!(hits, ask(&kb, "p", "Paper", "true").unwrap());
         assert!(stats.index_probes > 0, "join core probed indexes");
         assert!(stats.tuples_scanned > 0);
         let (with_sender, _) =
-            ask_with_stats_at(&kb, now, "i", "Invitation", "i.sender defined").unwrap();
+            ask_with_stats_version(&version, now, "i", "Invitation", "i.sender defined").unwrap();
         assert_eq!(with_sender, vec!["inv1"]);
-        assert!(ask_with_stats_at(&kb, now, "x", "Ghost", "true").is_err());
+        assert!(ask_with_stats_version(&version, now, "x", "Ghost", "true").is_err());
     }
 
     #[test]
-    fn ask_with_stats_at_is_pinned() {
+    fn ask_with_stats_version_is_pinned() {
         let mut kb = scenario_kb();
         let t = kb.now();
+        let captured = kb.version();
         kb.tick();
         let frames = ObjectFrame::parse_all("TELL inv3 in Invitation end").unwrap();
         tell_all(&mut kb, &frames).unwrap();
-        let (live, _) = ask_with_stats_at(&kb, kb.now(), "p", "Paper", "true").unwrap();
-        assert_eq!(live.len(), 4);
-        let (pinned, stats) = ask_with_stats_at(&kb, t, "p", "Paper", "true").unwrap();
-        assert_eq!(pinned.len(), 3);
-        assert!(!pinned.contains(&"inv3".into()));
-        assert!(stats.index_probes > 0);
-    }
-
-    #[test]
-    fn ask_with_stats_version_matches_live_kb() {
-        let mut kb = scenario_kb();
-        let t = kb.now();
         let version = kb.version();
-        kb.tick();
-        let frames = ObjectFrame::parse_all("TELL inv3 in Invitation end").unwrap();
-        tell_all(&mut kb, &frames).unwrap();
-        // The captured version answers at `t` byte-identically to a
-        // temporal query against the live (now further evolved) KB.
-        let (pinned_live, _) = ask_with_stats_at(&kb, t, "p", "Paper", "true").unwrap();
-        let (pinned_version, stats) =
-            ask_with_stats_version(&version, t, "p", "Paper", "true").unwrap();
-        assert_eq!(pinned_version, pinned_live);
-        assert_eq!(pinned_version.len(), 3);
-        assert!(!pinned_version.contains(&"inv3".into()));
-        assert!(stats.index_probes > 0);
-        let (with_sender, _) =
-            ask_with_stats_version(&version, t, "i", "Invitation", "i.sender defined").unwrap();
-        assert_eq!(with_sender, vec!["inv1"]);
-    }
-
-    #[test]
-    fn bound_queries_use_constants() {
-        let kb = scenario_kb();
-        let view = DeductiveView::new(&kb, "").unwrap();
-        let q = Atom::new("inT", vec![Term::sym("inv1"), Term::var("C")]);
-        for engine in [Engine::BottomUp, Engine::TopDown, Engine::Magic] {
-            let classes: Vec<String> = view
-                .query(&q, engine)
-                .unwrap()
-                .into_iter()
-                .map(|t| t[1].to_string())
-                .collect();
-            assert!(classes.contains(&"Invitation".to_string()), "{engine:?}");
-            assert!(classes.contains(&"Paper".to_string()), "{engine:?}");
+        let (live, _) =
+            ask_with_stats_version(&version, version.now(), "p", "Paper", "true").unwrap();
+        assert_eq!(live.len(), 4);
+        // A version answers at an earlier tick like the version captured
+        // then, and like the assertion language over a snapshot of the
+        // live (now further evolved) KB at that tick.
+        let oracle = ask(&kb.snapshot_at(t), "p", "Paper", "true").unwrap();
+        for v in [&version, &captured] {
+            let (pinned, stats) = ask_with_stats_version(v, t, "p", "Paper", "true").unwrap();
+            assert_eq!(pinned, oracle);
+            assert_eq!(pinned.len(), 3);
+            assert!(!pinned.contains(&"inv3".into()));
+            assert!(stats.index_probes > 0);
         }
+        let (with_sender, _) =
+            ask_with_stats_version(&captured, t, "i", "Invitation", "i.sender defined").unwrap();
+        assert_eq!(with_sender, vec!["inv1"]);
     }
 }

@@ -647,8 +647,10 @@ fn admit(shared: &Shared, req: Request) -> (Response, bool) {
         );
     }
     // Bounded staleness: refuse reads that have fallen too far
-    // behind, and stamp every served one with its lag.
-    let lag = replica_lag(shared);
+    // behind, and stamp every served one with its lag. The position is
+    // read once: a batch applied while the read runs must not move
+    // `applied_seq` without moving `lag`.
+    let (applied_seq, lag) = replica_position(shared);
     if let Some(bound) = shared.repl.max_lag {
         if lag > bound {
             obs::counter!(
@@ -668,7 +670,7 @@ fn admit(shared: &Shared, req: Request) -> (Response, bool) {
     let (inner, shutdown_after) = dispatch(shared, req);
     (
         Response::Stale {
-            applied_seq: shared.commit.current().0,
+            applied_seq,
             lag,
             inner: inner.encode(),
         },
@@ -676,14 +678,12 @@ fn admit(shared: &Shared, req: Request) -> (Response, bool) {
     )
 }
 
-/// Committed leader ops this replica has not applied yet.
-fn replica_lag(shared: &Shared) -> u64 {
+/// The sequence this replica has applied, and the committed leader ops
+/// it has not applied yet.
+fn replica_position(shared: &Shared) -> (u64, u64) {
     let (applied, _) = shared.commit.current();
-    shared
-        .repl
-        .leader_seq
-        .load(Ordering::SeqCst)
-        .saturating_sub(applied)
+    let leader = shared.repl.leader_seq.load(Ordering::SeqCst);
+    (applied, leader.saturating_sub(applied))
 }
 
 fn lock_sessions(shared: &Shared) -> std::sync::MutexGuard<'_, SessionTable<SessionPin>> {

@@ -7,7 +7,7 @@
 //! promotion.
 
 use super::{
-    publish_head, read_state, replace_state, replica_lag, sweep_sessions, write_state, Shared,
+    publish_head, read_state, replace_state, replica_position, sweep_sessions, write_state, Shared,
 };
 use crate::proto::{self, ErrorCode, FrameRead, Request, Response};
 use gkbms::Gkbms;
@@ -167,13 +167,12 @@ fn follow_once(shared: &Shared, leader: &str) -> Result<(), ReplError> {
 
 /// Records the replica's position and lag in the metrics registry.
 fn observe_lag(shared: &Shared) {
-    let (applied, _) = shared.commit.current();
+    let (applied, lag) = replica_position(shared);
     obs::gauge!(
         "gkbms_replication_applied_seq",
         "Ops this replica has applied from the leader's stream"
     )
     .set(applied.min(i64::MAX as u64) as i64);
-    let lag = replica_lag(shared);
     obs::gauge!(
         "gkbms_replication_lag_ops_current",
         "Committed leader ops this replica has not applied yet"

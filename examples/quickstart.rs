@@ -5,13 +5,14 @@
 //! ```
 //!
 //! 1. TELL frames into the proposition processor (fig 3-2);
-//! 2. ASK open queries and run the deductive engines;
+//! 2. ASK open queries, and ASK through the deductive bridge the way
+//!    the server does (the `inT` closure of a pinned KB version);
 //! 3. check consistency;
 //! 4. define a decision class + tool, execute a decision and inspect
 //!    the dependency graph (fig 2-6).
 
 use gkbms::{DecisionClass, DecisionRequest, Gkbms, ToolSpec};
-use objectbase::query::{ask, DeductiveView, Engine};
+use objectbase::query::{ask, ask_with_stats_version};
 use objectbase::{frame::ObjectFrame, transform};
 use telos::Kb;
 
@@ -42,12 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let senders = ask(&kb, "i", "Invitation", "i.sender = maria")?;
     println!("invitations sent by maria: {senders:?}");
 
-    println!("\n== deductive view (inference engines) ==");
-    let view = DeductiveView::new(&kb, "")?;
-    for engine in [Engine::BottomUp, Engine::TopDown, Engine::Magic] {
-        let papers = view.instances_of("Paper", engine)?;
-        println!("{engine:?}: instances of Paper (with inheritance) = {papers:?}");
-    }
+    println!("\n== served ASK (deductive bridge, lemmas kept with the version) ==");
+    let version = kb.version();
+    let (papers, stats) = ask_with_stats_version(&version, version.now(), "p", "Paper", "true")?;
+    println!("served ASK: instances of Paper (with inheritance) = {papers:?}");
+    println!(
+        "closure: {} derivations, {} index probes",
+        stats.derivations, stats.index_probes
+    );
 
     // ---------- 3. consistency ----------
     println!("\n== consistency checker ==");

@@ -11,7 +11,7 @@ use conceptbase::analysis::cost::approx;
 use conceptbase::gkbms::metamodel::kernel;
 use conceptbase::gkbms::synth::{self, names, SynthConfig};
 use conceptbase::gkbms::{DecisionRequest, Gkbms, GkbmsError};
-use conceptbase::objectbase::query::{self, ask_with_stats_at, ask_with_stats_version, to_edb};
+use conceptbase::objectbase::query::{self, ask_with_stats_version, to_edb_at_store};
 use conceptbase::objectbase::ObjectFrame;
 
 fn counter(name: &str) -> u64 {
@@ -35,7 +35,6 @@ fn asks_export_once_per_version(g: &mut Gkbms) {
         ("NoSuchClass", "true"),
         (class, "x.justification defined and"),
     ] {
-        assert!(ask_with_stats_at(g.kb(), at, "x", class, body).is_err());
         assert!(ask_with_stats_version(&version, at, "x", class, body).is_err());
         assert!(ask_with_stats_version(&version, at - 1, "x", class, body).is_err());
     }
@@ -177,7 +176,7 @@ fn rule_less_writes_export_nothing_and_costed_ones_measure() {
     // A rule is costed against what the KB holds, not against the
     // offline default of 1000 rows per relation — under which this
     // cross join would reach the CB012 threshold of 1e6 rows.
-    let edb = to_edb(g.kb()).unwrap();
+    let edb = to_edb_at_store(g.kb(), g.kb().now()).unwrap();
     let (in_rows, isa_rows) = (edb.count("in_"), edb.count("isa"));
     assert!(in_rows * isa_rows < 1_000_000);
     let before = exports();
@@ -190,7 +189,7 @@ fn rule_less_writes_export_nothing_and_costed_ones_measure() {
     assert!(exports() > before, "a rule-carrying TELL measures the EDB");
     assert!(diags.iter().all(|d| d.code != "CB012"), "{diags:?}");
 
-    let isa_rows = to_edb(g.kb()).unwrap().count("isa");
+    let isa_rows = to_edb_at_store(g.kb(), g.kb().now()).unwrap().count("isa");
     let before = exports();
     let plan = g.explain_src("").unwrap();
     assert!(exports() > before, "explain measures the EDB");

@@ -1,9 +1,10 @@
 //! Property-based tests over the core invariants (DESIGN.md §6).
 
+use bench::engines::{magic, topdown};
 use conceptbase::analysis::{lint_source, LintContext};
 use conceptbase::datalog::ast::{Atom, Program, Term, Value};
 use conceptbase::datalog::db::Database;
-use conceptbase::datalog::{magic, seminaive, topdown};
+use conceptbase::datalog::seminaive;
 use conceptbase::rms::atms::Atms;
 use conceptbase::rms::jtms::{Jtms, JtmsNodeId};
 use conceptbase::storage::record;
@@ -382,13 +383,14 @@ proptest! {
     /// captured at random points of a random TELL/UNTELL history, read
     /// concurrently from their own threads, must answer byte-identically
     /// to a serial retrospective query on the final KB at their
-    /// watermark. This is the equivalence the server's lock-free ASK
-    /// path rests on.
+    /// watermark — the assertion language over a snapshot, which shares
+    /// no EDB bridge with the served ASK. This is the equivalence the
+    /// server's lock-free ASK path rests on.
     #[test]
     fn pinned_versions_answer_like_serial_replay_at_their_watermark(
         ops in prop::collection::vec((0u8..5, 0usize..8), 1..40),
     ) {
-        use conceptbase::objectbase::query::{ask_with_stats_at, ask_with_stats_version};
+        use conceptbase::objectbase::query::{ask, ask_with_stats_version};
         let mut kb = Kb::new();
         let class = kb.individual("K").unwrap();
         let mut links = Vec::new();
@@ -432,7 +434,8 @@ proptest! {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for ((_, w), from_version) in captured.iter().zip(results) {
-            let (serial, _) = ask_with_stats_at(&kb, *w, "x", "K", "true").unwrap();
+            let mut serial = ask(&kb.snapshot_at(*w), "x", "K", "true").unwrap();
+            serial.sort();
             prop_assert_eq!(from_version, serial, "diverged at watermark {}", w);
         }
     }
@@ -501,9 +504,10 @@ proptest! {
         }
     }
 
-    /// Regression (ISSUE 8 satellite 3): pinned belief-time reads must
-    /// not observe view refreshes. Answers captured through
-    /// `ask_with_stats_at` and `ask_with_stats_version` at a watermark
+    /// Regression: pinned belief-time reads must not observe view
+    /// refreshes. Answers at a watermark — through
+    /// `ask_with_stats_version` on the version captured there, and
+    /// through the assertion language over a snapshot of the live KB —
     /// stay byte-identical while a registered view refreshes on newer
     /// ticks of random TELL/UNTELL churn.
     #[test]
@@ -511,14 +515,18 @@ proptest! {
         churn in prop::collection::vec((any::<bool>(), 0usize..4), 1..8),
     ) {
         use conceptbase::gkbms::Gkbms;
-        use conceptbase::objectbase::query::{ask_with_stats_at, ask_with_stats_version};
+        use conceptbase::objectbase::query::{ask, ask_with_stats_version};
         let mut g = Gkbms::new().unwrap();
         g.tell_src("TELL Person end\nTELL maria in Person end").unwrap();
         g.register_view("closure", "hasSelf(X) :- in_(X, _C).").unwrap();
         let watermark = g.kb().now();
         let version = g.kb().version();
-        let (before, _) =
-            ask_with_stats_at(g.kb(), watermark, "x", "Person", "true").unwrap();
+        let serial = |g: &Gkbms| {
+            let mut names = ask(&g.kb().snapshot_at(watermark), "x", "Person", "true").unwrap();
+            names.sort();
+            names
+        };
+        let before = serial(&g);
         let mut told: Vec<String> = Vec::new();
         let mut counter = 0usize;
         for (tell, sel) in churn {
@@ -534,11 +542,9 @@ proptest! {
         }
         let v = g.view("closure").unwrap();
         prop_assert!(v.as_of() > watermark, "the view refreshed past the watermark");
-        let (after, _) =
-            ask_with_stats_at(g.kb(), watermark, "x", "Person", "true").unwrap();
         let (from_version, _) =
             ask_with_stats_version(&version, watermark, "x", "Person", "true").unwrap();
-        prop_assert_eq!(&after, &before, "ask_with_stats_at leaked a refresh");
+        prop_assert_eq!(&serial(&g), &before, "the snapshot leaked a refresh");
         prop_assert_eq!(&from_version, &before, "ask_with_stats_version leaked a refresh");
     }
 
@@ -772,7 +778,7 @@ fn reference_vocabulary(kb: &Kb) -> (HashSet<String>, HashSet<String>, HashMap<S
         }
     }
     let mut cards = HashMap::new();
-    if let Ok(edb) = conceptbase::objectbase::query::to_edb(kb) {
+    if let Ok(edb) = conceptbase::objectbase::query::to_edb_at_store(kb, kb.now()) {
         for pred in edb.preds() {
             cards.insert(pred.to_string(), edb.count(pred) as f64);
         }

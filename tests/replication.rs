@@ -593,6 +593,50 @@ fn stale_read_bound_rejects_a_lagging_replica() {
     std::fs::remove_dir_all(fdir).unwrap();
 }
 
+/// A replica stamps a read with one reading of its position: a batch
+/// applied while the read runs moves neither field, so `applied_seq +
+/// lag` is the leader's sequence the replica saw when it admitted the
+/// read, never more.
+#[test]
+fn a_stale_header_is_one_reading_of_the_replica_position() {
+    let ldir = tmp_dir("stale-one-l");
+    let fdir = tmp_dir("stale-one-f");
+    let (lsrv, laddr) = leader(&ldir);
+    let (fsrv, faddr) = follower(&fdir, laddr, None);
+
+    let mut c = Client::connect(laddr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end\nTELL p1 in Paper end").unwrap();
+    wait_applied(faddr, 1);
+    // The leader moves to 2 while the replica stays at 1.
+    fsrv.set_apply_paused(true);
+    c.tell(s, "TELL p2 in Paper end").unwrap();
+    let mut fc = Client::connect(faddr).unwrap();
+    wait_for("the replica to observe the leader's position", || {
+        fc.repl_status()
+            .map(|st| st.leader_seq >= 2)
+            .unwrap_or(false)
+    });
+
+    // A read admitted at (1, lag 1) that is still running when the
+    // replica applies seq 2.
+    let reader = std::thread::spawn(move || {
+        let (fs, _) = fc.hello().unwrap();
+        fc.sleep(fs, 400).unwrap();
+        fc.last_staleness()
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    fsrv.set_apply_paused(false);
+    wait_applied(faddr, 2);
+    let (applied_seq, lag) = reader.join().unwrap().expect("a replica read is stamped");
+    assert_eq!(applied_seq + lag, 2, "applied {applied_seq}, lag {lag}");
+
+    fsrv.shutdown().unwrap();
+    lsrv.shutdown().unwrap();
+    std::fs::remove_dir_all(ldir).unwrap();
+    std::fs::remove_dir_all(fdir).unwrap();
+}
+
 /// One op stream over the wire — registration, an execution, an
 /// execution that fails (wrong output class), a TELL that passes lint
 /// but fails to apply, and a retraction — gives the leader and its

@@ -963,7 +963,7 @@ fn view_rows_on_the_wire_equal_the_serial_view_tuples() {
 #[test]
 fn wide_literal_view_registers_and_maintains_over_the_wire() {
     use conceptbase::datalog::{seminaive, Program};
-    use conceptbase::objectbase::query::{base_program, to_edb};
+    use conceptbase::objectbase::query::{base_program, to_edb_at_store};
 
     let (server, addr) = start(quick_cfg());
     let mut c = Client::connect(addr).unwrap();
@@ -987,7 +987,8 @@ fn wide_literal_view_registers_and_maintains_over_the_wire() {
     let served = server.shutdown().unwrap();
     let mut program = base_program();
     program.rules.extend(Program::parse(&rules).unwrap().rules);
-    let (model, _) = seminaive::evaluate_scan(&program, &to_edb(served.kb()).unwrap()).unwrap();
+    let edb = to_edb_at_store(served.kb(), served.kb().now()).unwrap();
+    let (model, _) = seminaive::evaluate_scan(&program, &edb).unwrap();
     let mut want: Vec<String> = model.tuples("q").map(|t| t[0].to_string()).collect();
     want.sort();
     assert_eq!(got, want, "maintained view != recomputation");
@@ -1229,14 +1230,10 @@ proptest! {
         for (w, seen) in observations {
             match seen {
                 Observed::Ask(seen) => {
-                    let (replayed, _) = conceptbase::objectbase::query::ask_with_stats_at(
-                        final_state.kb(),
-                        w,
-                        "p",
-                        "Paper",
-                        "true",
-                    )
-                    .unwrap();
+                    let snap = final_state.kb().snapshot_at(w);
+                    let mut replayed =
+                        conceptbase::objectbase::query::ask(&snap, "p", "Paper", "true").unwrap();
+                    replayed.sort();
                     prop_assert_eq!(&replayed, &seen, "serial replay diverged at watermark {}", w);
                 }
                 Observed::Show(name, seen) => {
