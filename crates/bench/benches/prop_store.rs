@@ -25,9 +25,10 @@ fn tell_n(kb: &mut Kb, n: usize) {
 /// object (linted, applied, and — when a journal is attached — logged),
 /// made durable by one fsync at the end.
 fn tell_n_ops(g: &mut Gkbms, n: usize) {
-    g.tell_src("TELL TokenClass end").expect("fresh");
+    g.tell_src_checked("TELL TokenClass end", false)
+        .expect("fresh");
     for i in 0..n {
-        g.tell_src(&format!("TELL tok{i} in TokenClass end"))
+        g.tell_src_checked(&format!("TELL tok{i} in TokenClass end"), false)
             .expect("classify");
     }
     if let Some(journal) = g.journal_mut() {

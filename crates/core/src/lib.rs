@@ -66,6 +66,7 @@ pub mod views;
 pub use decisions::{DecisionClass, DecisionDimension, Discharge, ToolSpec};
 pub use error::{GkbmsError, GkbmsResult};
 pub use journal::{CheckpointReport, FsyncPolicy, Journal, RecoveryReport};
+pub use persist::{Applied, JournalOp};
 pub use recall::RecallHit;
 pub use system::{DecisionRequest, DecisionSummary, Gkbms};
 pub use views::RegisteredView;

@@ -5,12 +5,17 @@
 //! history: every committed mutation is one [`JournalOp`], kept in
 //! commit order in `Gkbms::history` and — when a journal is attached —
 //! appended to the WAL at the same commit point (`Gkbms::commit`).
-//! Live state is the fold of [`apply_record`] over that op stream, so
+//! [`Gkbms::apply`] is the one map from an op to its mutator: a served
+//! `Write` request carries an op and is applied by it, and so is every
+//! replay. Live state is the fold of `apply` over the op stream, so
 //! persisting is writing the stream down and loading is replaying it:
 //! [`Gkbms::save`] writes the history as it was committed,
 //! [`Gkbms::load`] re-executes it, reconstructing the KB, the design
-//! objects' states, the views and every derived structure. Cascaded retractions are
-//! *not* stored — replaying the explicit retraction re-derives them.
+//! objects' states, the views and every derived structure. Cascaded
+//! retractions are *not* stored — replaying the explicit retraction
+//! re-derives them. Admission is the live path's alone: a TELL was
+//! linted when it was first told, and is applied without the lint pass
+//! by every replay.
 //!
 //! Replay is exact, proposition ids and belief ticks included, because
 //! every op — live or replayed — is one write transaction
@@ -33,45 +38,74 @@
 
 use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, ToolSpec};
 use crate::error::GkbmsResult;
-use crate::system::{DecisionRequest, Gkbms};
+use crate::system::{DecisionRequest, DecisionSummary, Gkbms};
 use std::path::Path;
 use storage::record::codec::{Cursor, Wire};
 use storage::{AppendLog, StorageResult};
+use telos::PropId;
 
 storage::op_table! {
     /// One op of the replayable history — an entry of
     /// `Gkbms::history`, a journal record, a record of a saved history
-    /// or snapshot, a shipped replication payload. All of them replay
-    /// through the one [`apply_record`] below.
-    #[derive(Debug)]
-    pub(crate) enum JournalOp {
+    /// or snapshot, a shipped replication payload, the op of a wire
+    /// `Write` request. All of them are applied by the one
+    /// [`Gkbms::apply`] below.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum JournalOp {
         /// A design-object class definition.
         1 ObjectClass "object_class" {
+            /// The class name.
             name: String,
+            /// Its level (`Implementation`, …).
             level: String,
+            /// The class it specializes, if any.
             parent: Option<String>,
         },
         /// A decision class definition.
-        2 DecisionClass "decision_class" { class: DecisionClass },
+        2 DecisionClass "decision_class" {
+            /// The definition.
+            class: DecisionClass,
+        },
         /// A tool registration.
-        3 Tool "tool" { spec: ToolSpec },
+        3 Tool "tool" {
+            /// The tool's specification.
+            spec: ToolSpec,
+        },
         /// A design-object registration.
         4 Register "register" {
+            /// The new object's name.
             name: String,
+            /// Its design-object class.
             class: String,
+            /// Its source reference.
             source: String,
         },
         /// An executed decision, stored as the request that replays it.
-        5 Execute "execute" { request: DecisionRequest },
+        5 Execute "execute" {
+            /// The decision as requested.
+            request: DecisionRequest,
+        },
         /// An explicit retraction (cascades are re-derived on replay).
-        6 Retract "retract" { name: String },
+        6 Retract "retract" {
+            /// The decision retracted.
+            name: String,
+        },
         /// A recorded nogood: decisions that must not be effective
         /// together.
-        7 Nogood "nogood" { decisions: Vec<String> },
+        7 Nogood "nogood" {
+            /// The conflicting decisions.
+            decisions: Vec<String>,
+        },
         /// A raw TELL of frame source text.
-        8 Tell "tell" { src: String },
+        8 Tell "tell" {
+            /// The source text (`TELL … end`, possibly several frames).
+            src: String,
+        },
         /// A raw UNTELL of an object.
-        9 Untell "untell" { name: String },
+        9 Untell "untell" {
+            /// The object untold.
+            name: String,
+        },
         /// Snapshot-meta record: the journal op sequence a checkpoint
         /// snapshot covers. Written as the first record of every
         /// checkpoint snapshot and never journaled itself; recovery
@@ -79,7 +113,9 @@ storage::op_table! {
         /// makes the snapshot's atomic rename the commit point of a
         /// checkpoint (see `Gkbms::checkpoint`).
         10 CheckpointCovers "checkpoint_covers" {
+            /// The last journal op sequence the snapshot holds.
             covered_seq: u64,
+            /// The sequence epoch at the checkpoint.
             epoch: u64,
         },
         /// Epoch seal: a promoted replica bumps its sequence epoch and
@@ -88,14 +124,19 @@ storage::op_table! {
         /// post-promotion mutation. Replay raises the epoch and changes
         /// no other state; records framed with a lower epoch are fenced
         /// off by a replica's admission check.
-        11 Seal "seal" { epoch: u64 },
+        11 Seal "seal" {
+            /// The epoch the seal opens.
+            epoch: u64,
+        },
         /// A registered materialized view: name plus user rules.
-        /// Replayed through [`Gkbms::register_view`], which rebuilds the
-        /// model from the KB state at that point of the history — so
+        /// Applied by [`Gkbms::register_view_checked`], which rebuilds
+        /// the model from the KB state at that point of the history — so
         /// recovery and replication both reconstruct maintained views
         /// for free.
         12 RegisterView "register_view" {
+            /// The view's name.
             name: String,
+            /// Datalog rules over the base program (may be empty).
             rules: String,
         },
     }
@@ -120,58 +161,22 @@ impl Wire for DecisionDimension {
     }
 }
 
-impl Wire for Obligation {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.name.put(out);
-        self.statement.put(out);
-    }
-    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
-        Ok(Obligation {
-            name: Wire::get(c)?,
-            statement: Wire::get(c)?,
-        })
-    }
-}
-
-impl Wire for DecisionClass {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.name.put(out);
-        self.specializes.put(out);
-        self.dimension.put(out);
-        self.from_classes.put(out);
-        self.to_classes.put(out);
-        self.precondition.put(out);
-        self.obligations.put(out);
-    }
-    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
-        Ok(DecisionClass {
-            name: Wire::get(c)?,
-            specializes: Wire::get(c)?,
-            dimension: Wire::get(c)?,
-            from_classes: Wire::get(c)?,
-            to_classes: Wire::get(c)?,
-            precondition: Wire::get(c)?,
-            obligations: Wire::get(c)?,
-        })
-    }
-}
-
-impl Wire for ToolSpec {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.name.put(out);
-        self.automatic.put(out);
-        self.executes.put(out);
-        self.guarantees.put(out);
-    }
-    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
-        Ok(ToolSpec {
-            name: Wire::get(c)?,
-            automatic: Wire::get(c)?,
-            executes: Wire::get(c)?,
-            guarantees: Wire::get(c)?,
-        })
-    }
-}
+storage::wire_struct!(Obligation { name, statement });
+storage::wire_struct!(DecisionClass {
+    name,
+    specializes,
+    dimension,
+    from_classes,
+    to_classes,
+    precondition,
+    obligations,
+});
+storage::wire_struct!(ToolSpec {
+    name,
+    automatic,
+    executes,
+    guarantees,
+});
 
 impl Wire for Discharge {
     fn put(&self, out: &mut Vec<u8>) {
@@ -201,80 +206,89 @@ impl Wire for Discharge {
     }
 }
 
-impl Wire for DecisionRequest {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.class.put(out);
-        self.name.put(out);
-        self.performer.put(out);
-        self.tool.put(out);
-        self.inputs.put(out);
-        self.outputs.put(out);
-        self.discharges.put(out);
-    }
-    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
-        Ok(DecisionRequest {
-            class: Wire::get(c)?,
-            name: Wire::get(c)?,
-            performer: Wire::get(c)?,
-            tool: Wire::get(c)?,
-            inputs: Wire::get(c)?,
-            outputs: Wire::get(c)?,
-            discharges: Wire::get(c)?,
+storage::wire_struct!(DecisionRequest {
+    class,
+    name,
+    performer,
+    tool,
+    inputs,
+    outputs,
+    discharges,
+});
+
+/// What [`Gkbms::apply`] did: the result of the op's mutator.
+#[derive(Debug)]
+pub enum Applied {
+    /// A class or tool definition, or an object registration: the
+    /// proposition it told.
+    Defined(PropId),
+    /// A TELL: frames told. An UNTELL: propositions untold.
+    Count(usize),
+    /// An executed decision.
+    Executed(DecisionSummary),
+    /// A retraction: the design objects that went out of belief.
+    Retracted(Vec<String>),
+    /// A registered view: its initial watermark and its CB013
+    /// maintainability warnings.
+    View(i64, Vec<analysis::Diagnostic>),
+    /// A nogood, a seal or a snapshot header.
+    Done,
+}
+
+impl Gkbms {
+    /// Applies one op through its mutator, whose every path ends in
+    /// `Gkbms::commit` — so an applied op lands in this instance's
+    /// history (and journal) exactly as it did in the original's. The
+    /// one map from an op to its mutator: a served `Write`, and every
+    /// replay — recovery, `load`, a snapshot install, a follower's
+    /// apply — go through it. It runs no admission: a TELL is applied
+    /// without the lint pass of [`Gkbms::tell_src_checked`].
+    pub fn apply(&mut self, op: JournalOp) -> GkbmsResult<Applied> {
+        Ok(match op {
+            JournalOp::ObjectClass {
+                name,
+                level,
+                parent,
+            } => Applied::Defined(self.define_object_class(&name, &level, parent.as_deref())?),
+            JournalOp::DecisionClass { class } => {
+                Applied::Defined(self.define_decision_class(class)?)
+            }
+            JournalOp::Tool { spec } => Applied::Defined(self.register_tool(spec)?),
+            JournalOp::Register {
+                name,
+                class,
+                source,
+            } => Applied::Defined(self.register_object(&name, &class, &source)?),
+            JournalOp::Execute { request } => Applied::Executed(self.execute(request)?),
+            JournalOp::Retract { name } => Applied::Retracted(self.retract_decision(&name)?),
+            JournalOp::Nogood { decisions } => {
+                self.record_nogood(decisions)?;
+                Applied::Done
+            }
+            JournalOp::Tell { src } => Applied::Count(self.tell_src(&src)?),
+            JournalOp::Untell { name } => Applied::Count(self.untell(&name)?),
+            // A header, not an op: it positions the instance and is
+            // never part of the history it leads.
+            JournalOp::CheckpointCovers { covered_seq, epoch } => {
+                self.snapshot_covers = covered_seq;
+                self.epoch = self.epoch.max(epoch);
+                Applied::Done
+            }
+            JournalOp::Seal { epoch } => {
+                self.seal(epoch)?;
+                Applied::Done
+            }
+            JournalOp::RegisterView { name, rules } => {
+                let (as_of, warnings) = self.register_view_checked(&name, &rules)?;
+                Applied::View(as_of, warnings)
+            }
         })
     }
 }
 
-/// Decodes one op record and applies it to `g` through the public
-/// mutation API, whose every path ends in `Gkbms::commit` — so a
-/// replayed op lands in the replaying instance's history (and journal)
-/// exactly as it did in the original's.
+/// Decodes one op record and [applies](Gkbms::apply) it to `g`.
 pub(crate) fn apply_record(g: &mut Gkbms, payload: &[u8]) -> GkbmsResult<()> {
-    match JournalOp::decode(payload)? {
-        JournalOp::ObjectClass {
-            name,
-            level,
-            parent,
-        } => {
-            g.define_object_class(&name, &level, parent.as_deref())?;
-        }
-        JournalOp::DecisionClass { class } => {
-            g.define_decision_class(class)?;
-        }
-        JournalOp::Tool { spec } => {
-            g.register_tool(spec)?;
-        }
-        JournalOp::Register {
-            name,
-            class,
-            source,
-        } => {
-            g.register_object(&name, &class, &source)?;
-        }
-        JournalOp::Execute { request } => {
-            g.execute(request)?;
-        }
-        JournalOp::Retract { name } => {
-            g.retract_decision(&name)?;
-        }
-        JournalOp::Nogood { decisions } => g.record_nogood(decisions)?,
-        JournalOp::Tell { src } => {
-            g.tell_src(&src)?;
-        }
-        JournalOp::Untell { name } => {
-            g.untell(&name)?;
-        }
-        // A header, not an op: it positions the instance and is never
-        // part of the history it leads.
-        JournalOp::CheckpointCovers { covered_seq, epoch } => {
-            g.snapshot_covers = covered_seq;
-            g.epoch = g.epoch.max(epoch);
-        }
-        JournalOp::Seal { epoch } => g.seal(epoch)?,
-        JournalOp::RegisterView { name, rules } => {
-            g.register_view(&name, &rules)?;
-        }
-    }
-    Ok(())
+    g.apply(JournalOp::decode(payload)?).map(drop)
 }
 
 /// Sibling temp path used by the atomic write: same directory (so the

@@ -276,31 +276,39 @@ impl Gkbms {
     /// TELLs objectbase concrete syntax (`TELL … end`, possibly several
     /// frames) as one write transaction: all frames are told and the
     /// source is committed to the history, or — if any frame fails —
-    /// none is. Returns the number of frames told.
+    /// none is. Returns the number of frames told. Runs no lint: this
+    /// is how every replay applies a TELL that was admitted once.
     pub fn tell_src(&mut self, src: &str) -> GkbmsResult<usize> {
-        self.tell_src_checked(src, false).map(|(n, _)| n)
+        let frames = objectbase::ObjectFrame::parse_all(src)?;
+        self.tell_frames(src, &frames)
     }
 
     /// [`Gkbms::tell_src`] with the admission-time static analyzer in
-    /// front: lint errors reject the batch before anything is written;
-    /// warnings are admitted and returned — unless `strict`, which
-    /// rejects them too (the server's `strict_lint` switch).
+    /// front — the live path's admission: lint errors reject the batch
+    /// before anything is written; warnings are admitted and returned —
+    /// unless `strict`, which rejects them too (the server's
+    /// `strict_lint` switch).
     pub fn tell_src_checked(
         &mut self,
         src: &str,
         strict: bool,
     ) -> GkbmsResult<(usize, Vec<analysis::Diagnostic>)> {
+        let frames = objectbase::ObjectFrame::parse_all(src)?;
+        let diags = self.lint_frames(&frames);
+        if analysis::has_errors(&diags) || (strict && !diags.is_empty()) {
+            return Err(GkbmsError::Lint(diags));
+        }
+        Ok((self.tell_frames(src, &frames)?, diags))
+    }
+
+    /// Tells the frames parsed from `src` and commits `src`.
+    fn tell_frames(&mut self, src: &str, frames: &[objectbase::ObjectFrame]) -> GkbmsResult<usize> {
         self.transaction(|g| {
-            let frames = objectbase::ObjectFrame::parse_all(src)?;
-            let diags = g.lint_frames(&frames);
-            if analysis::has_errors(&diags) || (strict && !diags.is_empty()) {
-                return Err(GkbmsError::Lint(diags));
-            }
-            objectbase::transform::tell_all(&mut g.kb, &frames)?;
+            objectbase::transform::tell_all(&mut g.kb, frames)?;
             g.commit(JournalOp::Tell { src: src.into() })?;
             obs::counter!("gkbms_tells_total", "Frames TELLed into the knowledge base")
                 .add(frames.len() as u64);
-            Ok((frames.len(), diags))
+            Ok(frames.len())
         })
     }
 

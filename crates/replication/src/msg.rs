@@ -8,8 +8,7 @@
 //! below 100) — the leader answers a rejected subscription with a
 //! plain error response on the same socket.
 
-use storage::record::codec::{Cursor, Wire};
-use storage::StorageResult;
+use storage::record::codec::Cursor;
 
 /// First stream-message opcode; anything below is a `Response`.
 pub const MSG_BASE: u32 = 100;
@@ -23,24 +22,15 @@ pub struct ShippedRecord {
     pub seq: u64,
     /// Sequence epoch the record was written under.
     pub epoch: u64,
-    /// The op payload (what `apply_record` replays).
+    /// The op payload (a journal op, applied by `Gkbms::apply`).
     pub payload: Vec<u8>,
 }
 
-impl Wire for ShippedRecord {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.seq.put(out);
-        self.epoch.put(out);
-        self.payload.put(out);
-    }
-    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
-        Ok(ShippedRecord {
-            seq: Wire::get(c)?,
-            epoch: Wire::get(c)?,
-            payload: Wire::get(c)?,
-        })
-    }
-}
+storage::wire_struct!(ShippedRecord {
+    seq,
+    epoch,
+    payload
+});
 
 storage::op_table! {
     /// A message on the replication stream, leader → follower.

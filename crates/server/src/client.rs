@@ -8,7 +8,9 @@
 //! multiplex several sessions over one connection (or reconnect and
 //! keep a session).
 
-use crate::proto::{self, ErrorCode, FrameRead, Request, Response, WireDecision, WireDiagnostic};
+use crate::proto::{
+    self, ErrorCode, FrameRead, JournalOp, Request, Response, WireDecision, WireDiagnostic,
+};
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -406,6 +408,17 @@ impl Client {
         self.done(&Request::Ping)
     }
 
+    /// Commits one journal op — any write a client may send — and
+    /// returns the server's reply. A `Tell` op travels on the `Tell`
+    /// row, every other op on the `Write` row, as the typed writes
+    /// below send theirs.
+    pub fn write(&mut self, session: u64, op: JournalOp) -> ClientResult<Response> {
+        self.expect(&match op {
+            JournalOp::Tell { src } => Request::Tell { session, src },
+            op => Request::Write { session, op },
+        })
+    }
+
     /// TELLs objectbase concrete syntax (`TELL … end`, possibly
     /// several frames).
     pub fn tell(&mut self, session: u64, src: &str) -> ClientResult<String> {
@@ -417,10 +430,8 @@ impl Client {
 
     /// UNTELLs an object by name.
     pub fn untell(&mut self, session: u64, name: &str) -> ClientResult<String> {
-        self.done(&Request::Untell {
-            session,
-            name: name.into(),
-        })
+        let op = JournalOp::Untell { name: name.into() };
+        self.done(&Request::Write { session, op })
     }
 
     /// Snapshot-pinned deductive ASK.
@@ -485,15 +496,14 @@ impl Client {
 
     /// Executes a design decision.
     pub fn execute(&mut self, session: u64, decision: WireDecision) -> ClientResult<String> {
-        self.done(&Request::Execute { session, decision })
+        let op = JournalOp::Execute { request: decision };
+        self.done(&Request::Write { session, op })
     }
 
     /// Retracts a decision; returns the affected objects.
     pub fn retract_decision(&mut self, session: u64, name: &str) -> ClientResult<Vec<String>> {
-        self.names(&Request::RetractDecision {
-            session,
-            name: name.into(),
-        })
+        let op = JournalOp::Retract { name: name.into() };
+        self.names(&Request::Write { session, op })
     }
 
     /// The process view (all decisions in causal order).
@@ -568,12 +578,12 @@ impl Client {
         class: &str,
         source: &str,
     ) -> ClientResult<String> {
-        self.done(&Request::RegisterObject {
-            session,
+        let op = JournalOp::Register {
             name: name.into(),
             class: class.into(),
             source: source.into(),
-        })
+        };
+        self.done(&Request::Write { session, op })
     }
 
     /// Diagnostic: hold a server admission slot for `millis` ms.
@@ -621,11 +631,11 @@ impl Client {
     /// incrementally under every subsequent TELL/UNTELL. A write — on a
     /// replica it fails with [`ClientError::Redirect`].
     pub fn register_view(&mut self, session: u64, name: &str, rules: &str) -> ClientResult<String> {
-        self.done(&Request::RegisterView {
-            session,
+        let op = JournalOp::RegisterView {
             name: name.into(),
             rules: rules.into(),
-        })
+        };
+        self.done(&Request::Write { session, op })
     }
 
     /// Reads one predicate of a registered view, each tuple rendered

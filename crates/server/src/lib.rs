@@ -38,7 +38,7 @@ pub use client::{
     DEFAULT_READ_TIMEOUT,
 };
 pub use proto::{
-    ErrorCode, OpClass, Request, Response, WireDecision, WireDiagnostic, WireDischarge,
+    ErrorCode, JournalOp, OpClass, Request, Response, WireDecision, WireDiagnostic, WireDischarge,
 };
 pub use server::{Config, JoinError, Server, SlowQuery};
 

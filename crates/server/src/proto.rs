@@ -48,15 +48,21 @@
 //! `replication::msg::MSG_BASE` (100) so they can never be confused
 //! with the `Response` opcodes.
 //!
-//! The `Execute` decision request ([`WireDecision`]) is encoded as:
+//! Every write but a TELL is one `Write` request carrying a
+//! [`JournalOp`] inline, in the journal's own encoding: what follows the
+//! session id is byte for byte the WAL payload the leader commits and
+//! every replay applies through the one `Gkbms::apply`:
 //!
 //! ```text
-//! class:str name:str performer:str
-//! has_tool:u32 [tool:str]
-//! n_inputs:u32 input:str*
-//! n_outputs:u32 (name:str class:str)*
-//! n_discharges:u32 (kind:u32 obligation:str [by:str])*   // kind 0=Formal, 1=Signature
+//! write := 34:u32 session:u64 journal_op
+//! journal_op := op:u32 fields*     // e.g. 5 = execute, 9 = untell
 //! ```
+//!
+//! So a new journal op is a client write with no code of its own. A
+//! TELL keeps its `Tell` row; `CheckpointCovers` and `Seal` position a
+//! replay and are refused from clients. Opcodes 6, 11, 12, 20 and 28
+//! were the rows `Write` replaced and stay unassigned: an old client's
+//! frame for one is refused as `BadRequest`, never read as another op.
 //!
 //! `Redirect` answers writes sent to a read replica: the payload
 //! names the leader's address so the client can fail fast and retry
@@ -125,10 +131,10 @@ use storage::record;
 use storage::record::codec::{Cursor, Wire};
 use storage::StorageResult;
 
-/// A decision execution request and its obligation discharges: the
-/// knowledge base's own types, so the `Execute` request and the
-/// journal's `execute` op share one definition and one encoding.
-pub use gkbms::{DecisionRequest as WireDecision, Discharge as WireDischarge};
+/// A decision execution request and its obligation discharges, and
+/// the journal op a `Write` carries: the knowledge base's own types, so
+/// a request and the journal share one definition and one encoding.
+pub use gkbms::{DecisionRequest as WireDecision, Discharge as WireDischarge, JournalOp};
 
 /// One diagnostic from the rule-base static analyzer, mirroring
 /// [`analysis::Diagnostic`] on the wire.
@@ -173,26 +179,14 @@ impl WireDiagnostic {
     }
 }
 
-impl Wire for WireDiagnostic {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.is_error.put(out);
-        self.code.put(out);
-        self.subject.put(out);
-        self.message.put(out);
-        self.witness.put(out);
-        self.line.put(out);
-    }
-    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
-        Ok(WireDiagnostic {
-            is_error: Wire::get(c)?,
-            code: Wire::get(c)?,
-            subject: Wire::get(c)?,
-            message: Wire::get(c)?,
-            witness: Wire::get(c)?,
-            line: Wire::get(c)?,
-        })
-    }
-}
+storage::wire_struct!(WireDiagnostic {
+    is_error,
+    code,
+    subject,
+    message,
+    witness,
+    line,
+});
 
 /// How the server admits and routes a request — the class column of
 /// the [`Request`] table.
@@ -239,13 +233,6 @@ storage::op_table! {
             /// Source text (`tell … end`, possibly several frames).
             src: String,
         },
-        /// UNTELL an object by name.
-        6 Untell "untell" Write {
-            /// Issuing session.
-            session: u64,
-            /// Object to untell.
-            name: String,
-        },
         /// Deductive query: instances of `class` satisfying `expr`.
         7 Ask "ask" Read {
             /// Issuing session (answers are snapshot-pinned).
@@ -264,7 +251,7 @@ storage::op_table! {
             /// Assertion-language expression.
             expr: String,
         },
-        /// Render the *current* frame of an object (not snapshot-pinned).
+        /// Render the frame of an object as the session's pin believes it.
         9 Show "show" Read {
             /// Issuing session.
             session: u64,
@@ -277,20 +264,6 @@ storage::op_table! {
             session: u64,
             /// Design object name.
             object: String,
-        },
-        /// Execute a design decision.
-        11 Execute "execute" Write {
-            /// Issuing session.
-            session: u64,
-            /// The decision to perform.
-            decision: WireDecision,
-        },
-        /// Retract a decision and its dependents.
-        12 RetractDecision "retract" Write {
-            /// Issuing session.
-            session: u64,
-            /// Decision object to retract.
-            name: String,
         },
         /// The process view: all decisions in causal order.
         13 History "history" Read {
@@ -336,17 +309,6 @@ storage::op_table! {
             /// How long to hold the slot.
             millis: u64,
         },
-        /// Register a design object (name, class, source text).
-        20 RegisterObject "register" Write {
-            /// Issuing session.
-            session: u64,
-            /// New object name.
-            name: String,
-            /// Object class.
-            class: String,
-            /// Source/document text.
-            source: String,
-        },
         /// The status view of all design objects.
         21 Status "status" Read {
             /// Issuing session.
@@ -391,18 +353,6 @@ storage::op_table! {
         /// Inspect the server's replication role and positions.
         /// Sessionless and admission-exempt, like `Metrics`.
         27 ReplStatus "repl_status" Control,
-        /// Register a materialized deductive view: the base closure rules
-        /// plus optional user rules, built once and maintained
-        /// incrementally under every subsequent TELL/UNTELL.
-        28 RegisterView "register_view" Write {
-            /// Issuing session.
-            session: u64,
-            /// View name (unique per knowledge base).
-            name: String,
-            /// Extra datalog rules layered over the base program (may be
-            /// empty).
-            rules: String,
-        },
         /// Read one predicate of a registered view. Snapshot-pinned: a
         /// session whose watermark predates the view's last refresh gets
         /// answers evaluated at its own watermark, never the newer model.
@@ -457,6 +407,29 @@ storage::op_table! {
             /// Issuing session.
             session: u64,
         },
+        /// Commit one journal op — an UNTELL, a definition, a
+        /// registration, an execution, a retraction, a nogood or a view
+        /// — exactly as a replay of the history applies it. `Tell` ops
+        /// travel on their own row; `CheckpointCovers` and `Seal` are
+        /// not client writes. Both are refused as `BadRequest`.
+        34 Write "write" Write {
+            /// Issuing session.
+            session: u64,
+            /// The op to commit.
+            op: JournalOp,
+        },
+    }
+}
+
+impl Request {
+    /// The label the request is counted under in the metrics: a
+    /// `Write` under its op's label (`untell`, `execute`, …), so a
+    /// journal op is counted alike on every row that has carried it.
+    pub fn metric_label(&self) -> &'static str {
+        match self {
+            Request::Write { op, .. } => op.op_name(),
+            req => req.op_name(),
+        }
     }
 }
 
@@ -555,20 +528,11 @@ impl WireRecallHit {
     }
 }
 
-impl Wire for WireRecallHit {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.decision.put(out);
-        self.score_bits.put(out);
-        self.retracted.put(out);
-    }
-    fn get(c: &mut Cursor<'_>) -> StorageResult<Self> {
-        Ok(WireRecallHit {
-            decision: Wire::get(c)?,
-            score_bits: Wire::get(c)?,
-            retracted: Wire::get(c)?,
-        })
-    }
-}
+storage::wire_struct!(WireRecallHit {
+    decision,
+    score_bits,
+    retracted,
+});
 
 storage::op_table! {
     /// A server-to-client response.
@@ -800,7 +764,7 @@ mod tests {
     fn request_table_matches_the_golden_bytes() {
         let samples =
             Request::check_golden(include_str!("../../../tests/fixtures/wire/request.hex"));
-        assert_eq!(Request::OPS.len(), 33);
+        assert_eq!(Request::OPS.len(), 29);
         // The admission-exempt set, by label: exactly the Control rows.
         let mut control: Vec<&str> = samples
             .iter()
@@ -828,18 +792,39 @@ mod tests {
             .map(Request::op_name)
             .collect();
         write.dedup();
+        assert_eq!(write, ["tell", "load", "write"]);
+        // One `write` line per op a client sends on that row: the first
+        // journal golden line of the op, behind the row's opcode and
+        // session.
+        let journal = include_str!("../../../tests/fixtures/wire/journal_op.hex");
+        let ops: Vec<&str> = (samples.iter())
+            .filter_map(|r| match r {
+                Request::Write { session: 7, op } => Some(op.op_name()),
+                _ => None,
+            })
+            .collect();
         assert_eq!(
-            write,
+            ops,
             [
-                "tell",
-                "untell",
+                "object_class",
+                "decision_class",
+                "tool",
+                "register",
                 "execute",
                 "retract",
-                "load",
-                "register",
+                "nogood",
+                "untell",
                 "register_view"
             ]
         );
+        let requests = include_str!("../../../tests/fixtures/wire/request.hex");
+        for label in ops {
+            let sample = journal
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("{label} ")));
+            let line = format!("write 220000000700000000000000{}", sample.unwrap());
+            assert!(requests.lines().any(|l| l == line), "{label}");
+        }
     }
 
     #[test]
@@ -864,39 +849,29 @@ mod tests {
 
     #[test]
     fn decision_request_roundtrips() {
-        let req = Request::Execute {
+        let execute = |decision| Request::Write {
             session: 9,
-            decision: WireDecision {
-                class: "ImplementDecision".into(),
-                name: "D1".into(),
-                performer: "maria".into(),
-                tool: Some("compiler".into()),
-                inputs: vec!["Spec1".into()],
-                outputs: vec![("Impl1".into(), "Implementation".into())],
-                discharges: vec![
-                    WireDischarge::Formal {
-                        obligation: "Ob1".into(),
-                    },
-                    WireDischarge::Signature {
-                        obligation: "Ob2".into(),
-                        by: "erik".into(),
-                    },
-                ],
-            },
+            op: JournalOp::Execute { request: decision },
         };
+        let req = execute(WireDecision {
+            class: "ImplementDecision".into(),
+            name: "D1".into(),
+            performer: "maria".into(),
+            tool: Some("compiler".into()),
+            inputs: vec!["Spec1".into()],
+            outputs: vec![("Impl1".into(), "Implementation".into())],
+            discharges: vec![
+                WireDischarge::Formal {
+                    obligation: "Ob1".into(),
+                },
+                WireDischarge::Signature {
+                    obligation: "Ob2".into(),
+                    by: "erik".into(),
+                },
+            ],
+        });
         assert_eq!(Request::decode(&req.encode()).expect("decode"), req);
-        let bare = Request::Execute {
-            session: 9,
-            decision: WireDecision {
-                class: "D".into(),
-                name: "d".into(),
-                performer: "p".into(),
-                tool: None,
-                inputs: vec![],
-                outputs: vec![],
-                discharges: vec![],
-            },
-        };
+        let bare = execute(WireDecision::new("D", "d", "p"));
         assert_eq!(Request::decode(&bare.encode()).expect("decode"), bare);
     }
 
@@ -933,8 +908,9 @@ mod tests {
 
         let execute = |tool_tag: u32| {
             let mut p = Vec::new();
-            codec::put_u32(&mut p, 11); // Execute
+            codec::put_u32(&mut p, 34); // Write
             codec::put_u64(&mut p, 1);
+            codec::put_u32(&mut p, 5); // … of an `execute` op
             for s in ["D", "d", "p"] {
                 codec::put_str(&mut p, s);
             }

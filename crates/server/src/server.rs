@@ -575,7 +575,7 @@ fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<usize> {
 /// asks the caller to begin shutdown *after* the response has been
 /// written.
 fn process(shared: &Shared, req: Request, started: Instant) -> (Response, bool) {
-    let op = req.op_name();
+    let op = req.metric_label();
     let result = admit(shared, req);
     if obs::enabled() {
         let reg = obs::registry();

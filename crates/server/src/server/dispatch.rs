@@ -17,7 +17,7 @@ use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
 use crate::session::SessionErr;
 use datalog::intern::IVal;
 use gkbms::mvcc::Version;
-use gkbms::{Gkbms, GkbmsError, GkbmsResult};
+use gkbms::{Applied, Gkbms, GkbmsError, GkbmsResult, JournalOp};
 use objectbase::transform::frame_at;
 use std::borrow::Cow;
 use std::sync::atomic::Ordering;
@@ -214,12 +214,18 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                 }
             },
         )?,
-        Request::Untell { session, name } => write_op(
-            shared,
-            session,
-            |g| g.untell(&name),
-            |gone| done(format!("untold `{name}` ({gone} proposition(s))")),
-        )?,
+        Request::Write { session, op } => match op {
+            JournalOp::Tell { .. }
+            | JournalOp::CheckpointCovers { .. }
+            | JournalOp::Seal { .. } => err(
+                ErrorCode::BadRequest,
+                format!("`{}` cannot be sent as a `write`", op.op_name()),
+            ),
+            op => {
+                let asked = op.clone();
+                write_op(shared, session, |g| g.apply(op), |a| written(&asked, a))?
+            }
+        },
         Request::Ask {
             session,
             var,
@@ -290,22 +296,6 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                     format!("{class} [{}]", tools.join(", "))
                 }
             }))
-        }
-        Request::Execute { session, decision } => write_op(
-            shared,
-            session,
-            |g| g.execute(decision),
-            |summary| {
-                done(format!(
-                    "executed {}: created [{}] at tick {}",
-                    summary.name,
-                    summary.created.join(", "),
-                    summary.tick
-                ))
-            },
-        )?,
-        Request::RetractDecision { session, name } => {
-            write_op(shared, session, |g| g.retract_decision(&name), names)?
         }
         Request::History { session } => {
             gate(shared, session)?;
@@ -398,38 +388,6 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             std::thread::sleep(capped);
             done(format!("slept {} ms", capped.as_millis()))
         }
-        Request::RegisterObject {
-            session,
-            name,
-            class,
-            source,
-        } => write_op(
-            shared,
-            session,
-            |g| g.register_object(&name, &class, &source),
-            |_| done(format!("registered `{name}` in `{class}`")),
-        )?,
-        // A journaled write like Tell: the registration is appended to
-        // the WAL (inside register_view) so recovery and replication
-        // rebuild the view by replay.
-        Request::RegisterView {
-            session,
-            name,
-            rules,
-        } => write_op(
-            shared,
-            session,
-            |g| g.register_view_checked(&name, &rules),
-            |(as_of, diags)| {
-                // CB013 maintainability warnings ride back in the
-                // confirmation text; they never block registration.
-                let mut text = format!("registered view `{name}` as of tick {as_of}");
-                for d in &diags {
-                    text.push_str(&format!("\nwarning[{}]: {}", d.code, d.message));
-                }
-                done(text)
-            },
-        )?,
         Request::ViewAsk {
             session,
             name,
@@ -533,6 +491,36 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             Response::Table { text }
         }
     })
+}
+
+/// The reply to a committed `Write`: its op's name and what its
+/// mutator returned, in the words each op has always been answered in.
+fn written(op: &JournalOp, applied: Applied) -> Response {
+    match (op, applied) {
+        (_, Applied::Retracted(gone)) => names(gone),
+        (_, Applied::Executed(summary)) => done(format!(
+            "executed {}: created [{}] at tick {}",
+            summary.name,
+            summary.created.join(", "),
+            summary.tick
+        )),
+        (JournalOp::Untell { name }, Applied::Count(gone)) => {
+            done(format!("untold `{name}` ({gone} proposition(s))"))
+        }
+        (JournalOp::Register { name, class, .. }, _) => {
+            done(format!("registered `{name}` in `{class}`"))
+        }
+        (JournalOp::RegisterView { name, .. }, Applied::View(as_of, warnings)) => {
+            // CB013 maintainability warnings ride back in the
+            // confirmation text; they never block registration.
+            let mut text = format!("registered view `{name}` as of tick {as_of}");
+            for d in &warnings {
+                text.push_str(&format!("\nwarning[{}]: {}", d.code, d.message));
+            }
+            done(text)
+        }
+        (op, _) => done(format!("committed `{}`", op.op_name())),
+    }
 }
 
 /// Seals this follower's log and makes it writable: bump the sequence

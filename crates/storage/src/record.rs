@@ -444,13 +444,33 @@ pub mod codec {
     }
 }
 
+/// Implements [`codec::Wire`] for a struct with named fields as the
+/// fields listed, in that order: the encoding a hand-written impl would
+/// spell out field by field, and its strict decoder.
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::record::codec::Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                $( $crate::record::codec::Wire::put(&self.$field, out); )*
+            }
+            fn get(c: &mut $crate::record::codec::Cursor<'_>) -> $crate::StorageResult<Self> {
+                Ok($name {
+                    $( $field: $crate::record::codec::Wire::get(c)? ),*
+                })
+            }
+        }
+    };
+}
+
 /// Declares one table of ops: an enum whose every variant is a row
 /// `opcode Variant "label" { field: Type, … }`, encoded as the `u32`
 /// opcode followed by the row's [`codec::Wire`] fields in declaration
 /// order. From the rows the macro generates the enum itself (attributes
 /// and doc comments pass through; a row without a `{…}` group is a
-/// unit variant), `encode`, a strict `decode` (unknown opcode and
-/// trailing bytes are [`StorageError::Corrupt`]), `op_name()` (the
+/// unit variant), its [`codec::Wire`] impl (so one table's op can be a
+/// field of another's row), `encode`, a strict `decode` (unknown opcode
+/// and trailing bytes are [`StorageError::Corrupt`]), `op_name()` (the
 /// label), `OPS` (the `(opcode, label)` row list) and, in test builds,
 /// `check_golden`, the table-driven golden-fixture test — so an op is
 /// spelled out exactly once.
@@ -519,14 +539,7 @@ macro_rules! op_table {
             /// row's fields in declaration order.
             pub fn encode(&self) -> Vec<u8> {
                 let mut out = Vec::new();
-                match self {
-                    $(
-                        $name::$variant $({ $($field),* })? => {
-                            $crate::record::codec::put_u32(&mut out, $op);
-                            $($( $crate::record::codec::Wire::put($field, &mut out); )*)?
-                        }
-                    )*
-                }
+                $crate::record::codec::Wire::put(self, &mut out);
                 out
             }
 
@@ -535,19 +548,7 @@ macro_rules! op_table {
             /// bytes.
             pub fn decode(payload: &[u8]) -> $crate::StorageResult<Self> {
                 let mut c = $crate::record::codec::Cursor::new(payload);
-                let op = match c.get_u32()? {
-                    $(
-                        $op => $name::$variant $({
-                            $( $field: $crate::record::codec::Wire::get(&mut c)? ),*
-                        })?,
-                    )*
-                    other => {
-                        return Err(c.corrupt(format!(
-                            "unknown {} opcode {other}",
-                            stringify!($name)
-                        )))
-                    }
-                };
+                let op: Self = $crate::record::codec::Wire::get(&mut c)?;
                 if !c.is_exhausted() {
                     return Err(c.corrupt(format!("trailing bytes after `{}`", op.op_name())));
                 }
@@ -614,6 +615,37 @@ macro_rules! op_table {
                     }
                 }
                 samples
+            }
+        }
+
+        /// An op as a field of another table's row: its opcode and
+        /// fields, byte for byte its own record payload.
+        impl $crate::record::codec::Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(
+                        $name::$variant $({ $($field),* })? => {
+                            $crate::record::codec::put_u32(out, $op);
+                            $($( $crate::record::codec::Wire::put($field, out); )*)?
+                        }
+                    )*
+                }
+            }
+
+            fn get(c: &mut $crate::record::codec::Cursor<'_>) -> $crate::StorageResult<Self> {
+                Ok(match c.get_u32()? {
+                    $(
+                        $op => $name::$variant $({
+                            $( $field: $crate::record::codec::Wire::get(c)? ),*
+                        })?,
+                    )*
+                    other => {
+                        return Err(c.corrupt(format!(
+                            "unknown {} opcode {other}",
+                            stringify!($name)
+                        )))
+                    }
+                })
             }
         }
     };

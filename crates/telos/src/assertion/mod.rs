@@ -14,5 +14,5 @@ pub mod sortck;
 
 pub use ast::{Atom, Expr, Term};
 pub use eval::{eval, find, Env};
-pub use parser::parse;
+pub use parser::{parse, MAX_DEPTH};
 pub use sortck::{sort_check, SortIssue};

@@ -18,6 +18,14 @@
 //!
 //! Identifiers are `[A-Za-z_][A-Za-z0-9_]*`; names containing other
 //! characters can be written in double quotes.
+//!
+//! Every recursion of the grammar — a `not`, a parenthesis, a
+//! quantifier's body, the right side of `==>` — descends one level, and
+//! the parser refuses to descend past [`MAX_DEPTH`] with
+//! [`TelosError::TooDeep`]. So a parsed expression is at most that deep,
+//! and the sort checker and the evaluator, which recurse over it, are
+//! bounded too — whether the text came from a `holds` request, a TELLed
+//! constraint or the linter.
 
 use super::ast::{Atom, Expr, Term};
 use crate::error::{TelosError, TelosResult};
@@ -106,12 +114,29 @@ fn lex(input: &str) -> TelosResult<Vec<Tok>> {
     Ok(toks)
 }
 
+/// The deepest nesting an assertion may have. Constraints nest a few
+/// levels; thousands would overflow a thread's stack.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Levels of nesting around the current position.
+    depth: usize,
 }
 
 impl Parser {
+    /// Runs `inner` one level of nesting deeper.
+    fn nested(&mut self, inner: fn(&mut Self) -> TelosResult<Expr>) -> TelosResult<Expr> {
+        if self.depth == MAX_DEPTH {
+            return Err(TelosError::TooDeep { limit: MAX_DEPTH });
+        }
+        self.depth += 1;
+        let e = inner(self);
+        self.depth -= 1;
+        e
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
@@ -156,7 +181,7 @@ impl Parser {
                 let var = self.expect_ident()?;
                 self.expect(Tok::Slash)?;
                 let class = self.expect_ident()?;
-                let body = Box::new(self.expr()?);
+                let body = Box::new(self.nested(Self::expr)?);
                 Ok(if kw == "forall" {
                     Expr::Forall(var, class, body)
                 } else {
@@ -171,7 +196,7 @@ impl Parser {
         let lhs = self.disj()?;
         if self.peek() == Some(&Tok::Implies) {
             self.bump();
-            let rhs = self.implies()?; // right-assoc
+            let rhs = self.nested(Self::implies)?; // right-assoc
             Ok(Expr::Implies(Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -202,11 +227,11 @@ impl Parser {
         match self.peek() {
             Some(Tok::Ident(s)) if s == "not" => {
                 self.bump();
-                Ok(Expr::Not(Box::new(self.unary()?)))
+                Ok(Expr::Not(Box::new(self.nested(Self::unary)?)))
             }
             Some(Tok::LParen) => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -260,7 +285,11 @@ impl Parser {
 /// Parses an assertion-language expression.
 pub fn parse(input: &str) -> TelosResult<Expr> {
     let toks = lex(input)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let e = p.expr()?;
     if p.pos != p.toks.len() {
         return Err(TelosError::Assertion(format!(
@@ -351,6 +380,26 @@ mod tests {
         assert!(parse("x.label").is_err(), "attribute needs = or defined");
         assert!(parse("x < y").is_err());
         assert!(parse("(x = y").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_refused_not_a_stack_overflow() {
+        let too_deep =
+            |src: String| matches!(parse(&src), Err(TelosError::TooDeep { limit: MAX_DEPTH }));
+        let nots = |n: usize| format!("{}x in C", "not ".repeat(n));
+        assert!(parse(&nots(MAX_DEPTH)).is_ok());
+        // 20 000 `not`s: an 80 KB `holds` that overflowed the stack of
+        // the thread that parsed it.
+        assert!(too_deep(nots(MAX_DEPTH + 1)));
+        assert!(too_deep(nots(20_000)));
+        let wrapped = |open: &str, close: &str, n: usize| {
+            format!("{}x in C{}", open.repeat(n), close.repeat(n))
+        };
+        assert!(parse(&wrapped("(", ")", MAX_DEPTH)).is_ok());
+        assert!(too_deep(wrapped("(", ")", 20_000)));
+        assert!(too_deep(wrapped("forall x/C ", "", 20_000)));
+        assert!(too_deep(wrapped("x in C ==> ", "", 20_000)));
+        assert!(too_deep(wrapped("x in C and not (", ")", 20_000)));
     }
 
     #[test]

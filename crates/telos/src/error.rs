@@ -24,6 +24,14 @@ pub enum TelosError {
     },
     /// The assertion language rejected an expression.
     Assertion(String),
+    /// An assertion nests deeper than the parser descends
+    /// ([`crate::assertion::MAX_DEPTH`]): refused before it can
+    /// exhaust the stack of the parser, the sort checker or the
+    /// evaluator.
+    TooDeep {
+        /// The nesting limit.
+        limit: usize,
+    },
     /// An interval was constructed with end before start.
     BadInterval(String),
     /// A journal or snapshot file operation failed. Raised by `gkbms`
@@ -47,6 +55,9 @@ impl fmt::Display for TelosError {
                 write!(f, "no attribute class `{label}` on any class of `{owner}`")
             }
             TelosError::Assertion(m) => write!(f, "assertion error: {m}"),
+            TelosError::TooDeep { limit } => {
+                write!(f, "assertion error: nested deeper than {limit} levels")
+            }
             TelosError::BadInterval(m) => write!(f, "bad interval: {m}"),
             TelosError::Storage(e) => write!(f, "storage error: {e}"),
             TelosError::NotBelieved(id) => write!(f, "proposition {id:?} is no longer believed"),

@@ -3,11 +3,13 @@
 //! counted by `objectbase_edb_exports_total`), while the callers that
 //! do cost a rule or a view still measure it. Reads are held to the
 //! same counter: an ASK that cannot be answered exports nothing, and a
-//! store version is exported once however often it is asked. One
-//! `#[test]` on purpose: the counter is process-global and this file is
-//! its own process.
+//! store version is exported once however often it is asked. Replay
+//! admits nothing: a TELL that was linted once is applied by every
+//! replay without the lint pass. One `#[test]` on purpose: the counter
+//! is process-global and this file is its own process.
 
 use conceptbase::analysis::cost::approx;
+use conceptbase::gkbms::journal::{decode_framed, WAL_FILE};
 use conceptbase::gkbms::metamodel::kernel;
 use conceptbase::gkbms::synth::{self, names, SynthConfig};
 use conceptbase::gkbms::{DecisionRequest, Gkbms, GkbmsError};
@@ -122,8 +124,57 @@ fn aborting_decision(g: &mut Gkbms) -> String {
     err.to_string()
 }
 
+/// What admission moves: EDB exports, and the SCCs the lint cache
+/// re-analyzed or served from its fingerprints.
+fn admission_counters() -> [u64; 3] {
+    [
+        exports(),
+        counter("gkbms_lint_incremental_sccs_reanalyzed_total"),
+        counter("gkbms_lint_fingerprint_hits_total"),
+    ]
+}
+
+/// A rule-carrying TELL is admitted once — linted, which measures the
+/// EDB — and then replayed by `load`, by `recover` and by a follower's
+/// `apply_replicated` without either.
+fn replay_runs_no_admission() {
+    let dir = std::env::temp_dir().join(format!("cb-admission-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let saved = dir.with_extension("save");
+    let rule = "TELL Pairing with rule pairs : $ pairs(X, Y) :- in_(X, C), isa(Y, D) $ end";
+    {
+        let (mut g, _) = Gkbms::recover(&dir).unwrap();
+        let before = admission_counters();
+        g.tell_src_checked(rule, false).unwrap();
+        let after = admission_counters();
+        assert!(after[0] > before[0], "admission measures the EDB");
+        assert!(after[1] > before[1], "admission lints the rule");
+        g.journal_mut().unwrap().sync().unwrap();
+        g.save(&saved).unwrap();
+    }
+    let told = |g: &Gkbms| assert!(g.kb().lookup("Pairing").is_some());
+
+    let before = admission_counters();
+    told(&Gkbms::load(&saved).unwrap());
+    assert_eq!(admission_counters(), before, "load admits nothing");
+    told(&Gkbms::recover(&dir).unwrap().0);
+    assert_eq!(admission_counters(), before, "recover admits nothing");
+    let mut follower = Gkbms::new().unwrap();
+    let (frames, _) = conceptbase::storage::log::read_payloads(dir.join(WAL_FILE)).unwrap();
+    for frame in &frames {
+        let (seq, epoch, payload) = decode_framed(frame).unwrap();
+        follower.apply_replicated(seq, epoch, payload).unwrap();
+    }
+    told(&follower);
+    assert_eq!(admission_counters(), before, "a follower admits nothing");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&saved).unwrap();
+}
+
 #[test]
 fn rule_less_writes_export_nothing_and_costed_ones_measure() {
+    replay_runs_no_admission();
+
     let mut g = Gkbms::new().unwrap();
     synth::generate_into(
         &mut g,

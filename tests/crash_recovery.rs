@@ -1397,3 +1397,129 @@ fn failed_tell_batch_changes_nothing() {
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&copy).unwrap();
 }
+
+// ----- the process model, built over the wire --------------------------------
+
+/// §2.1's process model built by a client, from an empty KB, through
+/// `Client::write` alone: the decision classes, tools and design
+/// objects of `Scenario::setup` (its own history, op for op), an
+/// object class, a nogood, an object of the new class and one
+/// execution. Each `Write` leaves a WAL payload equal to its op's
+/// encoding, and the leader equals a serial twin built through the
+/// library, a follower and an instance recovered from its WAL.
+#[test]
+fn the_process_model_is_built_over_the_wire() {
+    use conceptbase::gkbms::scenario::Scenario;
+    use conceptbase::gkbms::JournalOp;
+    use conceptbase::server::{Client, Config, Response, Server};
+    use std::time::{Duration, Instant};
+
+    let (ldir, fdir) = (tmp_dir("wire-leader"), tmp_dir("wire-follower"));
+    let setup = ldir.with_extension("setup");
+    Scenario::setup().unwrap().gkbms.save(&setup).unwrap();
+    let (setup_ops, _) = read_payloads(&setup).unwrap();
+    std::fs::remove_file(&setup).unwrap();
+    let decision = DecisionRequest::new("DecMoveDown", "moveDownInvitation", "dev")
+        .with_tool("TDL-DBPL-Mapper")
+        .input("Invitation")
+        .output("InvitationRel", kernel::DBPL_REL);
+    let nogood = vec![
+        "moveDownInvitation".to_string(),
+        "normalizeInvitation".into(),
+    ];
+    let ops: Vec<JournalOp> = (setup_ops.iter())
+        .map(|p| JournalOp::decode(p).unwrap())
+        .chain([
+            JournalOp::ObjectClass {
+                name: "SQL_View".into(),
+                level: "Implementation".into(),
+                parent: Some(kernel::DBPL_CONSTRUCTOR.into()),
+            },
+            JournalOp::Nogood {
+                decisions: nogood.clone(),
+            },
+            JournalOp::Register {
+                name: "InvitationView".into(),
+                class: "SQL_View".into(),
+                source: "views.sql#Invitation".into(),
+            },
+            JournalOp::Execute {
+                request: decision.clone(),
+            },
+        ])
+        .collect();
+    let kinds: BTreeSet<&str> = ops.iter().map(JournalOp::op_name).collect();
+    assert_eq!(
+        kinds.into_iter().collect::<Vec<_>>(),
+        [
+            "decision_class",
+            "execute",
+            "nogood",
+            "object_class",
+            "register",
+            "tool"
+        ]
+    );
+
+    let serve = |dir: &Path, follow: Option<String>| {
+        let cfg = Config {
+            poll_interval: Duration::from_millis(20),
+            follow,
+            ..Config::default()
+        };
+        let server = Server::bind("127.0.0.1:0", Gkbms::recover(dir).unwrap().0, cfg).unwrap();
+        let addr = server.local_addr();
+        (server, addr)
+    };
+    let (leader, addr) = serve(&ldir, None);
+    let (follower, faddr) = serve(&fdir, Some(addr.to_string()));
+    let mut c = Client::connect(addr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    for op in &ops {
+        match c.write(s, op.clone()) {
+            Ok(Response::Done { .. }) => {}
+            other => panic!("{op:?}: {other:?}"),
+        }
+    }
+    assert!(
+        c.execute(s, decision.clone()).is_err(),
+        "a decision runs once"
+    );
+    let applied = c.repl_status().unwrap().applied_seq;
+    assert_eq!(applied, ops.len() as u64);
+    let mut fc = Client::connect(faddr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while fc.repl_status().unwrap().applied_seq < applied {
+        assert!(Instant::now() < deadline, "the follower catches up");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop((c, fc));
+    let follower = follower.shutdown().unwrap();
+    let leader = leader.shutdown().unwrap();
+
+    let (wal, _) = read_payloads(ldir.join(WAL_FILE)).unwrap();
+    assert_eq!(wal.len(), ops.len());
+    for (framed, op) in wal.iter().zip(&ops) {
+        assert_eq!(decode_framed(framed).unwrap().2, op.encode(), "{op:?}");
+    }
+
+    let mut twin = Scenario::setup().unwrap().gkbms;
+    twin.define_object_class("SQL_View", "Implementation", Some(kernel::DBPL_CONSTRUCTOR))
+        .unwrap();
+    twin.apply(JournalOp::Nogood { decisions: nogood }).unwrap();
+    twin.register_object("InvitationView", "SQL_View", "views.sql#Invitation")
+        .unwrap();
+    twin.execute(decision).unwrap();
+    let want = Digest::of(&twin);
+    assert!(twin.is_effective("moveDownInvitation"));
+    assert_eq!(Digest::of(&leader), want, "the leader");
+    assert_eq!(Digest::of(&follower), want, "the follower");
+    drop((leader, follower));
+    assert_eq!(
+        Digest::of(&Gkbms::recover(&ldir).unwrap().0),
+        want,
+        "recovered from the leader's WAL"
+    );
+    std::fs::remove_dir_all(&ldir).unwrap();
+    std::fs::remove_dir_all(&fdir).unwrap();
+}

@@ -432,6 +432,48 @@ fn metrics_observable_end_to_end() {
     server.shutdown().unwrap();
 }
 
+/// A `Write` request commits any client op and is counted under the
+/// op's own label, so the labels of the rows it replaced still count
+/// (and `write` never appears). It refuses the ops that are no client
+/// write: a TELL, which keeps its own row, and the two replay headers.
+#[test]
+fn the_write_row_counts_by_op_and_refuses_non_client_ops() {
+    use conceptbase::server::{JournalOp, Request, Response};
+    let (server, mut c) = Server::in_process(Gkbms::new().unwrap(), quick_cfg()).unwrap();
+    let (s, _) = c.hello().unwrap();
+    let count = |c: &mut Client, op: &str| {
+        let text = c.metrics().unwrap();
+        scrape(&text, &format!("gkbms_requests_total{{op=\"{op}\"}}")).unwrap_or(0.0)
+    };
+    let before = count(&mut c, "untell");
+    c.tell(s, "TELL Paper end\nTELL p1 in Paper end").unwrap();
+    assert_eq!(
+        c.untell(s, "p1").unwrap(),
+        "untold `p1` (2 proposition(s))",
+        "the reply text of the row `Write` replaced"
+    );
+    assert!(count(&mut c, "untell") >= before + 1.0);
+    assert!(!c.metrics().unwrap().contains("op=\"write\""));
+    for op in [
+        JournalOp::Tell {
+            src: "TELL Paper end".into(),
+        },
+        JournalOp::CheckpointCovers {
+            covered_seq: 1,
+            epoch: 1,
+        },
+        JournalOp::Seal { epoch: 2 },
+    ] {
+        match c.roundtrip(&Request::Write { session: s, op }).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+    drop(c);
+    let g = server.shutdown().unwrap();
+    assert_eq!(g.epoch(), 1, "no seal was applied");
+}
+
 /// A saturated server still answers Metrics: the scrape is a control
 /// request and bypasses the admission gate.
 #[test]
@@ -533,6 +575,34 @@ fn hostile_frames_do_not_poison_other_sessions() {
     let reply = good.ask(s, "p", "Paper", "true").unwrap();
     assert_eq!(reply.answers, vec!["p1"]);
     good.bye(s).unwrap();
+    server.shutdown().unwrap();
+}
+
+/// One `holds` of 20 000 nested `not`s — an 80 KB frame, far below the
+/// frame cap — once overflowed the stack of the connection thread that
+/// parsed it and aborted the process. The parser's depth bound refuses
+/// it as `Rejected`, and the server answers the next request. A TELL
+/// of a constraint nested as deep is refused the same way.
+#[test]
+fn a_deeply_nested_holds_is_rejected_and_the_server_stays_up() {
+    let (server, mut c) = Server::in_process(Gkbms::new().unwrap(), quick_cfg()).unwrap();
+    let (s, _) = c.hello().unwrap();
+    let expr = format!("{}true", "not ".repeat(20_000));
+    match c.holds(s, &expr) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Rejected);
+            assert!(e.message.contains("nested deeper than"), "{e}");
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    assert_eq!(c.ping().unwrap(), "pong");
+    assert!(c.holds(s, "not not true").unwrap());
+    // A TELLed constraint goes through the same parser, at TELL time
+    // and in the lint before it.
+    let constraint = format!("TELL Deep with constraint c : $ {expr} $ end");
+    assert!(c.tell(s, &constraint).is_err());
+    assert_eq!(c.ping().unwrap(), "pong");
+    drop(c);
     server.shutdown().unwrap();
 }
 
