@@ -170,13 +170,15 @@ const OMEGA_CLASSES: [&str; 7] = [
 /// What the analyzer checks references against: the EDB schema, the
 /// query roots, the rules/constraints already stored (a new rule can
 /// close a negative cycle over an old one) and — at admission — the KB
-/// itself. The context is a view over the KB, not a copy of it: names
-/// and labels are answered by lookup, cardinalities are measured only
-/// when a rule or view is costed, and nothing is rebuilt per write.
+/// itself, as a [`telos::Snapshot`]: the live head or any published
+/// version. The context is a view over that snapshot, not a copy of
+/// it: names and labels are answered by lookup, cardinalities are
+/// measured only when a rule or view is costed, and nothing is rebuilt
+/// per write.
 #[derive(Clone, Default)]
 pub struct LintContext<'a> {
     /// The KB under admission; `None` offline.
-    kb: Option<&'a telos::Kb>,
+    snap: Option<telos::Snapshot<'a>>,
     /// Declared predicates with arities (EDB schema plus base IDB).
     pub schema: HashMap<String, usize>,
     /// Predicates queries probe; reachability roots of the dead-rule
@@ -212,23 +214,28 @@ impl<'a> LintContext<'a> {
     }
 
     /// The admission context: [`LintContext::offline`] plus everything
-    /// the KB already knows — object names and attribute labels (asked
-    /// of `kb` when a check needs one), stored datalog rules and stored
-    /// constraints.
-    pub fn from_kb(kb: &'a telos::Kb) -> Self {
+    /// `snap` already knows — object names and attribute labels (asked
+    /// of `snap` when a check needs one), stored datalog rules and
+    /// stored constraints.
+    pub fn at(snap: telos::Snapshot<'a>) -> Self {
         LintContext {
-            kb: Some(kb),
-            stored_rules: objectbase::transform::stored_datalog_rules(kb),
-            stored_constraints: stored_constraints(kb),
+            snap: Some(snap),
+            stored_rules: objectbase::transform::stored_datalog_rules(snap),
+            stored_constraints: stored_constraints(snap),
             assume_new_heads_queryable: true,
             ..Self::offline()
         }
     }
 
+    /// [`LintContext::at`] the live head of `kb`.
+    pub fn from_kb(kb: &'a telos::Kb) -> Self {
+        Self::at(kb.snapshot())
+    }
+
     /// Whether `name` is a known object/class name: an ω builtin, or a
     /// believed individual of the KB.
     pub fn knows_name(&self, name: &str) -> bool {
-        OMEGA_CLASSES.contains(&name) || self.kb.is_some_and(|kb| kb.lookup(name).is_some())
+        OMEGA_CLASSES.contains(&name) || self.snap.is_some_and(|s| s.lookup(name).is_some())
     }
 
     /// Whether `label` is a declared attribute label: some believed
@@ -236,17 +243,17 @@ impl<'a> LintContext<'a> {
     /// carrying it. Walks the label's postings and stops at the first
     /// carrier.
     pub fn knows_label(&self, label: &str) -> bool {
-        let Some(kb) = self.kb else { return false };
-        let Some(sym) = kb.lookup_sym(label).filter(|&s| !kb.is_link_sym(s)) else {
+        let Some(snap) = self.snap else { return false };
+        let store = snap.store();
+        let Some(sym) = store.lookup_sym(label).filter(|&s| !store.is_link_sym(s)) else {
             return false;
         };
-        kb.postings_label(sym).iter().any(|&p| {
-            kb.prop(p).is_some_and(|attr| {
-                attr.is_believed()
-                    && attr.source != p
-                    && kb
-                        .prop(attr.source)
-                        .is_some_and(|x| x.is_believed() && x.is_individual())
+        store.postings_label(sym).iter().any(|&p| {
+            store.prop(p).is_some_and(|attr| {
+                attr.source != p
+                    && snap.sees(p)
+                    && snap.sees(attr.source)
+                    && store.prop(attr.source).is_some_and(|x| x.is_individual())
             })
         })
     }
@@ -256,24 +263,25 @@ impl<'a> LintContext<'a> {
     /// applies. A full EDB export — O(KB) — so only the callers that
     /// cost a rule or a view ask for it.
     pub fn edb_cards(&self) -> HashMap<String, f64> {
-        self.kb
-            .and_then(|kb| objectbase::query::to_edb_at_store(kb, kb.now()).ok())
+        self.snap
+            .and_then(|s| objectbase::query::to_edb_at_store(s.store(), s.at()).ok())
             .map(|edb| cost::cardinalities(&edb))
             .unwrap_or_default()
     }
 }
 
 /// Every stored constraint assertion: (reference, text).
-fn stored_constraints(kb: &telos::Kb) -> Vec<(String, String)> {
+fn stored_constraints(snap: telos::Snapshot<'_>) -> Vec<(String, String)> {
     use objectbase::transform::markers;
-    let Some(class) = kb.lookup(markers::CONSTRAINT) else {
+    let Some(class) = snap.lookup(markers::CONSTRAINT) else {
         return Vec::new();
     };
+    let store = snap.store();
     let mut out = Vec::new();
-    for obj in kb.all_instances_of(class) {
-        let name = kb.display(obj);
-        for &t in &kb.attr_values(obj, markers::TEXT) {
-            out.push((name.clone(), kb.display(t)));
+    for obj in snap.all_instances_of(class) {
+        let name = store.display(obj);
+        for &t in &snap.attr_values(obj, markers::TEXT) {
+            out.push((name.clone(), store.display(t)));
         }
     }
     out

@@ -64,13 +64,13 @@ fn bench_checking(c: &mut Criterion) {
         let (kb, batch) = kb_with_classes(n);
         group.bench_with_input(BenchmarkId::new("full", n), &n, |b, _| {
             b.iter(|| {
-                let (v, stats) = check_full(&kb);
+                let (v, stats) = check_full(kb.snapshot());
                 std::hint::black_box((v.len(), stats.constraints_evaluated))
             })
         });
         group.bench_with_input(BenchmarkId::new("set_oriented", n), &n, |b, _| {
             b.iter(|| {
-                let (v, stats) = check_touched(&kb, &batch);
+                let (v, stats) = check_touched(kb.snapshot(), &batch);
                 std::hint::black_box((v.len(), stats.constraints_evaluated))
             })
         });
@@ -85,7 +85,7 @@ fn bench_per_update_vs_batch(c: &mut Criterion) {
     let (kb, batch) = kb_with_classes(50);
     group.bench_function("once_per_batch", |b| {
         b.iter(|| {
-            let (v, _) = check_touched(&kb, &batch);
+            let (v, _) = check_touched(kb.snapshot(), &batch);
             std::hint::black_box(v.len())
         })
     });
@@ -93,7 +93,7 @@ fn bench_per_update_vs_batch(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0;
             for &p in &batch {
-                let (v, _) = check_touched(&kb, &[p]);
+                let (v, _) = check_touched(kb.snapshot(), &[p]);
                 total += v.len();
             }
             std::hint::black_box(total)

@@ -84,13 +84,13 @@ fn bench_access_paths(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(kb.lookup("t250")))
     });
     group.bench_function("direct_instances", |b| {
-        b.iter(|| std::hint::black_box(kb.instances_of(c0).len()))
+        b.iter(|| std::hint::black_box(kb.snapshot().instances_of(c0).len()))
     });
     group.bench_function("inherited_instances", |b| {
-        b.iter(|| std::hint::black_box(kb.all_instances_of(c20).len()))
+        b.iter(|| std::hint::black_box(kb.snapshot().all_instances_of(c20).len()))
     });
     group.bench_function("classes_closure", |b| {
-        b.iter(|| std::hint::black_box(kb.all_classes_of(tok).len()))
+        b.iter(|| std::hint::black_box(kb.snapshot().all_classes_of(tok).len()))
     });
     group.finish();
 }

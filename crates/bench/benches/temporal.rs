@@ -90,10 +90,10 @@ fn bench_temporal_kb_queries(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("temporal/kb");
     group.bench_function("instances_now", |b| {
-        b.iter(|| std::hint::black_box(kb.instances_of(class).len()))
+        b.iter(|| std::hint::black_box(kb.snapshot().instances_of(class).len()))
     });
     group.bench_function("believed_at_mid", |b| {
-        b.iter(|| std::hint::black_box(kb.believed_at(mid).len()))
+        b.iter(|| std::hint::black_box(kb.snapshot_at(mid).believed_count()))
     });
     group.finish();
 }

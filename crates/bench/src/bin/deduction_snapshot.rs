@@ -221,7 +221,7 @@ fn view_load_entry(depth: usize, fanout: usize) -> String {
     let top = Program::parse(&format!("top(X) :- inT(X, \"C{depth}\").")).expect("user rule");
     program.rules.extend(top.rules);
     let load = || {
-        let (edb, duplicates) = to_edb_counted(&kb).expect("edb");
+        let (edb, duplicates) = to_edb_counted(kb.snapshot()).expect("edb");
         MaterializedView::load(program.clone(), &edb, &duplicates).expect("load")
     };
     let view = load();

@@ -205,8 +205,8 @@ mod tests {
         let kb = isa_chain_kb(10, 5);
         let c0 = kb.lookup("C0").unwrap();
         let c10 = kb.lookup("C10").unwrap();
-        assert_eq!(kb.isa_ancestors(c0).len(), 10);
-        assert_eq!(kb.all_instances_of(c10).len(), 5);
+        assert_eq!(kb.snapshot().isa_ancestors(c0).len(), 10);
+        assert_eq!(kb.snapshot().all_instances_of(c10).len(), 5);
     }
 
     #[test]

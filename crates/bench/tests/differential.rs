@@ -631,6 +631,7 @@ fn engines_agree_on_the_base_program_over_a_kb_export() {
     // Instances of the top class, deductively and from the KB.
     let top = kb.lookup("C4").unwrap();
     let mut from_kb: Vec<String> = kb
+        .snapshot()
         .all_instances_of(top)
         .into_iter()
         .map(|x| kb.display(x))

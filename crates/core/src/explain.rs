@@ -50,7 +50,7 @@ impl Gkbms {
             None => {
                 // A registered object: show its external source.
                 if let Some(id) = self.kb.lookup(object) {
-                    let sources = self.kb.attr_values(id, names::SOURCE_I);
+                    let sources = self.kb.snapshot().attr_values(id, names::SOURCE_I);
                     if let Some(&s) = sources.first() {
                         out.push_str(&format!(
                             "{pad}  registered design object (source: {})\n",

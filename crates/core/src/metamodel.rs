@@ -222,18 +222,21 @@ mod tests {
     fn bootstrap_builds_fig_3_3_top_layer() {
         let mut kb = Kb::new();
         let pm = bootstrap(&mut kb).unwrap();
-        assert!(kb.is_instance_of(pm.design_decision, kb.builtins().meta_class));
+        assert!(kb
+            .snapshot()
+            .is_instance_of(pm.design_decision, kb.builtins().meta_class));
         // DesignDecision --FROM--> DesignObject.
         assert_eq!(
-            kb.attr_values(pm.design_decision, names::FROM),
+            kb.snapshot().attr_values(pm.design_decision, names::FROM),
             vec![pm.design_object]
         );
         assert_eq!(
-            kb.attr_values(pm.design_object, names::JUSTIFICATION),
+            kb.snapshot()
+                .attr_values(pm.design_object, names::JUSTIFICATION),
             vec![pm.design_decision]
         );
         assert_eq!(
-            kb.attr_values(pm.design_decision, names::BY),
+            kb.snapshot().attr_values(pm.design_decision, names::BY),
             vec![pm.design_tool]
         );
     }
@@ -244,11 +247,17 @@ mod tests {
         let pm = bootstrap(&mut kb).unwrap();
         install_kernel(&mut kb, &pm).unwrap();
         let rel = kb.lookup(kernel::DBPL_REL).unwrap();
-        assert!(kb.is_instance_of(rel, pm.design_object));
+        assert!(kb.snapshot().is_instance_of(rel, pm.design_object));
         let norm = kb.lookup(kernel::NORMALIZED_DBPL_REL).unwrap();
-        assert!(kb.isa_ancestors(norm).contains(&rel), "fig 3-3 isa link");
+        assert!(
+            kb.snapshot().isa_ancestors(norm).contains(&rel),
+            "fig 3-3 isa link"
+        );
         let impl_level = kb.lookup("Implementation").unwrap();
-        assert_eq!(kb.attr_values(rel, kernel::LEVEL), vec![impl_level]);
+        assert_eq!(
+            kb.snapshot().attr_values(rel, kernel::LEVEL),
+            vec![impl_level]
+        );
     }
 
     #[test]
@@ -262,10 +271,10 @@ mod tests {
         let rel_class = kb.lookup(kernel::DBPL_REL).unwrap();
         let inv_rel = kb.individual("InvitationRel").unwrap();
         kb.instantiate(inv_rel, rel_class).unwrap();
-        assert!(kb.is_instance_of(inv_rel, rel_class));
-        assert!(kb.is_instance_of(rel_class, pm.design_object));
+        assert!(kb.snapshot().is_instance_of(inv_rel, rel_class));
+        assert!(kb.snapshot().is_instance_of(rel_class, pm.design_object));
         assert!(
-            !kb.is_instance_of(inv_rel, pm.design_object),
+            !kb.snapshot().is_instance_of(inv_rel, pm.design_object),
             "levels distinct"
         );
     }
@@ -275,6 +284,6 @@ mod tests {
         let mut kb = Kb::new();
         let pm = bootstrap(&mut kb).unwrap();
         install_kernel(&mut kb, &pm).unwrap();
-        assert!(telos::axioms::check_all(&kb).is_empty());
+        assert!(telos::axioms::check_all(kb.snapshot()).is_empty());
     }
 }

@@ -478,7 +478,7 @@ mod tests {
         assert!(loaded.kb().lookup("Spec1").is_some());
         // The untold object's propositions are preserved as history,
         // not destroyed: the KB has more propositions than believed.
-        assert!(loaded.kb().len() > loaded.kb().believed_count());
+        assert!(loaded.kb().len() > loaded.kb().snapshot().believed_count());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -563,7 +563,7 @@ mod tests {
         let executed = loaded.record("mapInvitations").unwrap().tick;
         assert_eq!(executed, g.record("mapInvitations").unwrap().tick);
         assert!(
-            loaded.snapshot_at(executed).lookup("Memo").is_some(),
+            loaded.kb().snapshot_at(executed).lookup("Memo").is_some(),
             "commit order lost: the execution replayed outside Memo's belief window"
         );
         // … and the untell still wins over the tell.
@@ -596,7 +596,11 @@ mod tests {
         // The retraction replayed where it was committed — after the
         // last execution, whose tick still sees the retracted output.
         let last = loaded.records().last().unwrap().tick;
-        assert!(loaded.snapshot_at(last).lookup("InvitationRel").is_some());
+        assert!(loaded
+            .kb()
+            .snapshot_at(last)
+            .lookup("InvitationRel")
+            .is_some());
         assert!(loaded.kb().lookup("InvitationRel").is_none());
         std::fs::remove_file(&path).unwrap();
     }

@@ -648,10 +648,10 @@ mod tests {
             DecisionClass::new("Late", DecisionDimension::Choice).from_classes(&[kernel::DBPL_REL]),
         )
         .unwrap();
-        let then = Record::over(g.snapshot_at(before));
+        let then = Record::over(g.kb().snapshot_at(before));
         assert!(then.decision(r.prop).is_none());
         assert!(then.decision_class_named("Late").is_none());
-        let at_commit = Record::over(g.snapshot_at(r.tick));
+        let at_commit = Record::over(g.kb().snapshot_at(r.tick));
         assert_eq!(at_commit.decision(r.prop), Some(r));
         assert!(at_commit.decision_class_named("Late").is_none());
         assert!(g.reader().decision_class_named("Late").is_some());

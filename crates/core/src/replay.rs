@@ -38,7 +38,7 @@ impl Gkbms {
         }
         if let Some(pre) = self.reader().class_of(r).and_then(|dc| dc.precondition) {
             for input in &r.inputs {
-                if !eval_precondition(&self.kb, &pre, self.kb.expect(input)?)? {
+                if !eval_precondition(self.kb.snapshot(), &pre, self.kb.expect(input)?)? {
                     return Ok(Replayability::PreconditionFails(input.clone()));
                 }
             }
@@ -130,7 +130,7 @@ mod tests {
         // The replayed output recovered its original class.
         let rel = g.kb().lookup("InvitationRel").unwrap();
         let class = g.kb().lookup(kernel::DBPL_REL).unwrap();
-        assert!(g.kb().is_instance_of(rel, class));
+        assert!(g.kb().snapshot().is_instance_of(rel, class));
     }
 
     /// Each replayed output comes back under its *own* class, read from
@@ -158,9 +158,12 @@ mod tests {
             ("InvitationSel", kernel::DBPL_SELECTOR, kernel::DBPL_REL),
         ] {
             let id = kb.lookup(object).unwrap();
-            assert!(kb.is_instance_of(id, kb.lookup(class).unwrap()), "{object}");
             assert!(
-                !kb.is_instance_of(id, kb.lookup(other).unwrap()),
+                kb.snapshot().is_instance_of(id, kb.lookup(class).unwrap()),
+                "{object}"
+            );
+            assert!(
+                !kb.snapshot().is_instance_of(id, kb.lookup(other).unwrap()),
                 "{object}"
             );
         }

@@ -33,7 +33,7 @@ use crate::record::{self, Record};
 use std::collections::BTreeSet;
 use std::sync::PoisonError;
 use telos::assertion;
-use telos::{Kb, KbRead, PropId, Snapshot};
+use telos::{Kb, PropId, Snapshot};
 
 /// A request to execute a design decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,18 +222,6 @@ impl Gkbms {
         &self.kb
     }
 
-    /// A read-only snapshot of the KB pinned at the current belief
-    /// tick — the query surface handed to snapshot-isolated read
-    /// sessions.
-    pub fn snapshot(&self) -> telos::Snapshot<'_> {
-        self.kb.snapshot()
-    }
-
-    /// A read-only snapshot pinned at belief tick `at`.
-    pub fn snapshot_at(&self, at: i64) -> telos::Snapshot<'_> {
-        self.kb.snapshot_at(at)
-    }
-
     /// Opens the write transaction the next mutator runs in, ticking the
     /// belief clock once, and returns the tick: everything the write
     /// creates lies strictly after any snapshot watermark pinned before
@@ -327,20 +315,6 @@ impl Gkbms {
         self.with_lint_metrics(|ctx, cache| analysis::lint_source_cached(src, ctx, cache))
     }
 
-    /// Renders the deductive evaluator's plan and cost estimate (the
-    /// `Explain` wire op and `\explain`): the base program, the stored
-    /// rules, and any extra rules in `src`, costed against the KB's
-    /// measured EDB cardinalities.
-    pub fn explain_src(&self, src: &str) -> GkbmsResult<String> {
-        analysis::explain_source(src, &self.lint_context())
-            .map_err(|e| GkbmsError::Precondition(format!("explain: {e}")))
-    }
-
-    /// The lint context over the current KB state.
-    pub(crate) fn lint_context(&self) -> analysis::LintContext<'_> {
-        analysis::LintContext::from_kb(&self.kb)
-    }
-
     fn with_lint_metrics(
         &self,
         run: impl FnOnce(
@@ -349,7 +323,7 @@ impl Gkbms {
         ) -> Vec<analysis::Diagnostic>,
     ) -> Vec<analysis::Diagnostic> {
         let start = std::time::Instant::now();
-        let ctx = self.lint_context();
+        let ctx = analysis::LintContext::from_kb(&self.kb);
         let mut cache = self
             .lint_cache
             .lock()
@@ -551,7 +525,7 @@ impl Gkbms {
     /// just been classified under: the reader would misread the class
     /// a link is told under from the classifications alone.
     fn misread(&self, x: PropId, c: PropId) -> bool {
-        self.kb.classes_of(x).last() != Some(&c)
+        self.kb.snapshot().classes_of(x).last() != Some(&c)
     }
 
     /// Registers a tool specification (an instance of `DesignTool`).
@@ -684,7 +658,7 @@ impl Gkbms {
         }
         if let Some(pre) = &dc.precondition {
             for (input, &id) in req.inputs.iter().zip(&input_ids) {
-                if !eval_precondition(&self.kb, pre, id)? {
+                if !eval_precondition(self.kb.snapshot(), pre, id)? {
                     return Err(GkbmsError::Precondition(format!(
                         "`{pre}` fails for input `{input}`"
                     )));
@@ -732,8 +706,8 @@ impl Gkbms {
                         ob.name
                     ))
                 })?;
-                let holds =
-                    assertion::eval(&self.kb, &expr, &mut assertion::Env::new()).map_err(|e| {
+                let holds = assertion::eval(&self.kb.snapshot(), &expr, &mut assertion::Env::new())
+                    .map_err(|e| {
                         GkbmsError::Obligation(format!("`{}` unevaluable: {e}", ob.name))
                     })?;
                 if !holds {
@@ -780,10 +754,11 @@ impl Gkbms {
                 .ok_or_else(|| GkbmsError::Unknown(format!("object class `{class}`")))?;
             // The output class must be covered by the decision class's
             // TO declaration (exactly or as a specialization).
+            let ancestors = self.kb.snapshot().isa_ancestors(c);
             let to_ok = dc.to_classes.iter().any(|tc| {
                 self.kb
                     .lookup(tc)
-                    .is_some_and(|tcid| tcid == c || self.kb.isa_ancestors(c).contains(&tcid))
+                    .is_some_and(|tcid| tcid == c || ancestors.contains(&tcid))
             });
             if !to_ok && !dc.to_classes.is_empty() {
                 return Err(GkbmsError::Precondition(format!(
@@ -822,7 +797,7 @@ impl Gkbms {
         let created: Vec<PropId> = (mark..self.kb.len())
             .map(crate::error::checked_prop_id)
             .collect::<GkbmsResult<_>>()?;
-        let (violations, _) = objectbase::consistency::check_touched(&self.kb, &created);
+        let (violations, _) = objectbase::consistency::check_touched(self.kb.snapshot(), &created);
         if !violations.is_empty() {
             return Err(GkbmsError::Aborted {
                 violations: violations.iter().map(|v| v.to_string()).collect(),
@@ -991,7 +966,7 @@ pub fn applicable_decisions(
             continue;
         }
         if let Some(pre) = &dc.precondition {
-            if !eval_precondition(&snap, pre, obj)? {
+            if !eval_precondition(snap, pre, obj)? {
                 continue;
             }
         }
@@ -1005,11 +980,11 @@ pub fn applicable_decisions(
 }
 
 /// True if precondition `pre` holds with `x` bound to `obj`.
-pub(crate) fn eval_precondition(kb: &impl KbRead, pre: &str, obj: PropId) -> GkbmsResult<bool> {
+pub(crate) fn eval_precondition(snap: Snapshot<'_>, pre: &str, obj: PropId) -> GkbmsResult<bool> {
     let expr = assertion::parse(pre).map_err(GkbmsError::Telos)?;
     let mut env = assertion::Env::new();
     env.insert("x".to_string(), obj);
-    assertion::eval(kb, &expr, &mut env).map_err(GkbmsError::Telos)
+    assertion::eval(&snap, &expr, &mut env).map_err(GkbmsError::Telos)
 }
 
 #[cfg(test)]
@@ -1080,7 +1055,7 @@ pub(crate) mod tests {
         assert_eq!(g.current_objects(), vec!["Invitation"]);
         // The source reference is recorded.
         let obj = g.kb().lookup("Invitation").unwrap();
-        let sources = g.kb().attr_values(obj, names::SOURCE_I);
+        let sources = g.kb().snapshot().attr_values(obj, names::SOURCE_I);
         assert_eq!(sources.len(), 1);
     }
 
@@ -1094,10 +1069,10 @@ pub(crate) mod tests {
         g.begin_write();
         g.register_object("Minutes", kernel::TDL_ENTITY_CLASS, "src")
             .unwrap();
-        let snap = g.snapshot_at(watermark);
+        let snap = g.kb().snapshot_at(watermark);
         assert!(snap.lookup("Minutes").is_none(), "snapshot predates it");
         assert_eq!(snap.all_instances_of(snap_class).len(), 1);
-        assert_eq!(g.snapshot().all_instances_of(snap_class).len(), 2);
+        assert_eq!(g.kb().snapshot().all_instances_of(snap_class).len(), 2);
     }
 
     #[test]
@@ -1132,15 +1107,18 @@ pub(crate) mod tests {
         assert!(g.is_effective("mapInvitations"));
         // KB documentation: from/to/by links on the decision instance.
         let d = g.kb().lookup("mapInvitations").unwrap();
-        let from = g.kb().attr_values(d, names::FROM_I);
+        let from = g.kb().snapshot().attr_values(d, names::FROM_I);
         assert_eq!(from, vec![g.kb().lookup("Invitation").unwrap()]);
-        let to = g.kb().attr_values(d, names::TO_I);
+        let to = g.kb().snapshot().attr_values(d, names::TO_I);
         assert_eq!(to, vec![g.kb().lookup("InvitationRel").unwrap()]);
-        let by = g.kb().attr_values(d, names::BY_I);
+        let by = g.kb().snapshot().attr_values(d, names::BY_I);
         assert_eq!(by, vec![g.kb().lookup("TDL-DBPL-Mapper").unwrap()]);
         // The output's justification points back (fig 3-3).
         let out = g.kb().lookup("InvitationRel").unwrap();
-        assert_eq!(g.kb().attr_values(out, names::JUSTIFICATION_I), vec![d]);
+        assert_eq!(
+            g.kb().snapshot().attr_values(out, names::JUSTIFICATION_I),
+            vec![d]
+        );
     }
 
     #[test]
@@ -1241,7 +1219,7 @@ pub(crate) mod tests {
         let mut g = scenario_gkbms();
         g.register_object("Invitation", kernel::TDL_ENTITY_CLASS, "src")
             .unwrap();
-        let before = g.kb().believed_count();
+        let before = g.kb().snapshot().believed_count();
         let err = g.execute(
             DecisionRequest::new("TDL_MappingDec", "badMap", "dev")
                 .with_tool("TDL-DBPL-Mapper")
@@ -1251,7 +1229,7 @@ pub(crate) mod tests {
         );
         assert!(matches!(err, Err(GkbmsError::Precondition(_))));
         // The nested transaction rolled back: no stray beliefs.
-        assert_eq!(g.kb().believed_count(), before);
+        assert_eq!(g.kb().snapshot().believed_count(), before);
         assert!(!g.is_current("Wrong"));
         assert!(g.record("badMap").is_none());
     }
@@ -1358,9 +1336,9 @@ pub(crate) mod tests {
         assert!(g.is_effective("mapMinutes"));
         // History is preserved: the objects were believed at their tick.
         let t = g.record("normalizeInvitations").unwrap().tick;
-        let inv2 = g.kb().props_with_label("InvitationRel2");
+        let inv2 = g.kb().snapshot().props_with_label("InvitationRel2");
         assert!(inv2.is_empty(), "no longer believed");
-        let rel2_ever = g.kb().believed_at(t);
+        let rel2_ever: Vec<_> = g.kb().snapshot_at(t).believed().collect();
         assert!(!rel2_ever.is_empty());
     }
 
@@ -1394,7 +1372,7 @@ pub(crate) mod tests {
 
     /// The decisions marked `status = retracted`, in the order told.
     fn retracted_as_told(g: &Gkbms) -> Vec<String> {
-        let status = g.kb().props_with_label("status");
+        let status = g.kb().snapshot().props_with_label("status");
         let told = status.iter().map(|&p| g.kb().get(p).unwrap());
         told.filter(|p| g.kb().display(p.dest) == "retracted")
             .map(|p| g.kb().display(p.source))

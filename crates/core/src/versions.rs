@@ -57,8 +57,9 @@ impl Gkbms {
     /// created them — history is never lost.
     pub fn level_of(&self, object: &str) -> Option<String> {
         if let Some(obj) = self.kb.lookup(object) {
-            for class in self.kb.all_classes_of(obj) {
-                let levels = self.kb.attr_values(class, kernel::LEVEL);
+            let snap = self.kb.snapshot();
+            for class in snap.all_classes_of(obj) {
+                let levels = snap.attr_values(class, kernel::LEVEL);
                 if let Some(&l) = levels.first() {
                     return Some(self.kb.display(l));
                 }
@@ -73,8 +74,9 @@ impl Gkbms {
     /// The `level` attribute of a design-object class.
     pub fn level_of_class(&self, class: &str) -> Option<String> {
         let c = self.kb.lookup(class)?;
-        for cls in std::iter::once(c).chain(self.kb.isa_ancestors(c)) {
-            let levels = self.kb.attr_values(cls, kernel::LEVEL);
+        let snap = self.kb.snapshot();
+        for cls in std::iter::once(c).chain(snap.isa_ancestors(c)) {
+            let levels = snap.attr_values(cls, kernel::LEVEL);
             if let Some(&l) = levels.first() {
                 return Some(self.kb.display(l));
             }

@@ -211,7 +211,7 @@ impl Gkbms {
                 )));
             }
         }
-        let (edb, duplicates) = query::to_edb_counted(&self.kb)?;
+        let (edb, duplicates) = query::to_edb_counted(self.kb.snapshot())?;
         let mut diags = Vec::new();
         {
             let cards = analysis::cost::cardinalities(&edb);
@@ -292,7 +292,7 @@ impl Gkbms {
                 // Registration rules out deltas on derived predicates,
                 // so an apply error means the view state is suspect:
                 // reload from the KB rather than serve a wrong model.
-                if let Ok((edb, duplicates)) = query::to_edb_counted(&self.kb) {
+                if let Ok((edb, duplicates)) = query::to_edb_counted(self.kb.snapshot()) {
                     let program = v.view.program().clone();
                     if let Ok(fresh) = MaterializedView::load(program, &edb, &duplicates) {
                         v.view = fresh;
@@ -622,7 +622,7 @@ mod tests {
         let (maria, anna) = (g.kb.lookup("maria").unwrap(), g.kb.lookup("anna").unwrap());
         let label = g.kb.lookup_sym("knows").unwrap();
         for left in [1, 0] {
-            let link = g.kb.find_link(maria, label, anna).unwrap();
+            let link = g.kb.snapshot().find_link(maria, label, anna).unwrap();
             g.transaction(|g| Ok(g.kb.untell(link)?)).unwrap();
             for name in ["plain", "acq"] {
                 assert_eq!(g.view(name).unwrap().view().support("attr", &knows), left);
@@ -714,7 +714,7 @@ mod tests {
         // the set-oriented check finds the violation for the new object.
         assert!(err.is_ok());
         let m1 = g.kb().lookup("m1").unwrap();
-        let (violations, _) = objectbase::consistency::check_touched(g.kb(), &[m1]);
+        let (violations, _) = objectbase::consistency::check_touched(g.kb().snapshot(), &[m1]);
         assert!(!violations.is_empty(), "unsigned memo violates `signed`");
         // And a clean execution still succeeds end to end.
         g.register_object("Invitation", kernel::TDL_ENTITY_CLASS, "src")

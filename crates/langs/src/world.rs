@@ -111,6 +111,7 @@ impl WorldModel {
     /// Names of the system-model classes, in declaration order.
     pub fn system_classes(&self) -> Vec<String> {
         self.kb
+            .snapshot()
             .all_instances_of(self.system_class)
             .into_iter()
             .map(|c| self.kb.display(c))
@@ -119,11 +120,12 @@ impl WorldModel {
 
     /// True if the class is in the world model but not the system model.
     pub fn is_world_only(&self, name: &str) -> bool {
-        match self.kb.lookup(name) {
+        let snap = self.kb.snapshot();
+        match snap.lookup(name) {
             None => false,
             Some(c) => {
-                self.kb.is_instance_of(c, self.world_class)
-                    && !self.kb.is_instance_of(c, self.system_class)
+                snap.is_instance_of(c, self.world_class)
+                    && !snap.is_instance_of(c, self.system_class)
             }
         }
     }
@@ -133,25 +135,24 @@ impl WorldModel {
     /// attributes whose targets are system classes.
     pub fn derive_taxisdl(&self) -> LangResult<TdlModel> {
         let mut model = TdlModel::default();
-        let system = self.kb.all_instances_of(self.system_class);
+        let snap = self.kb.snapshot();
+        let system = snap.all_instances_of(self.system_class);
         for &c in &system {
             let name = self.kb.display(c);
-            let isa: Vec<String> = self
-                .kb
+            let isa: Vec<String> = snap
                 .isa_parents(c)
                 .into_iter()
                 .filter(|p| system.contains(p))
                 .map(|p| self.kb.display(p))
                 .collect();
             let mut attributes = Vec::new();
-            for attr in self.kb.attrs_of(c) {
+            for attr in snap.attrs_of(c) {
                 let p = self.kb.get(attr)?;
                 let label = self.kb.resolve(p.label).to_string();
                 if !system.contains(&p.dest) {
                     continue; // world-only targets stay outside the system
                 }
-                let set_valued = self
-                    .kb
+                let set_valued = snap
                     .attr_values(attr, meta::MULTIPLICITY)
                     .contains(&self.many);
                 attributes.push(TdlAttribute {
@@ -300,6 +301,9 @@ mod tests {
         let kb = w.kb();
         let paper = kb.lookup("Paper").unwrap();
         let world_class = kb.lookup(meta::WORLD_CLASS).unwrap();
-        assert!(kb.is_instance_of(paper, world_class), "system ⇒ world");
+        assert!(
+            kb.snapshot().is_instance_of(paper, world_class),
+            "system ⇒ world"
+        );
     }
 }

@@ -11,13 +11,14 @@
 
 use crate::error::{ObError, ObResult};
 use std::collections::HashMap;
-use telos::{Kb, PropId};
+use telos::{Kb, PropId, Snapshot};
 
 /// The result type of a behaviour body.
 pub type BehaviourResult = ObResult<String>;
 
-/// A behaviour body: receives the KB and the receiver object.
-pub type BehaviourFn = Box<dyn Fn(&Kb, PropId) -> BehaviourResult>;
+/// A behaviour body: receives the snapshot it runs against and the
+/// receiver object.
+pub type BehaviourFn = Box<dyn Fn(Snapshot<'_>, PropId) -> BehaviourResult>;
 
 /// Registry of behaviour implementations keyed by `(class, operation)`.
 #[derive(Default)]
@@ -38,7 +39,7 @@ impl BehaviourRegistry {
         kb: &mut Kb,
         class: &str,
         operation: &str,
-        body: impl Fn(&Kb, PropId) -> BehaviourResult + 'static,
+        body: impl Fn(Snapshot<'_>, PropId) -> BehaviourResult + 'static,
     ) -> ObResult<()> {
         let class_id = kb
             .lookup(class)
@@ -59,16 +60,16 @@ impl BehaviourRegistry {
 
     /// The classes of `obj` in dispatch order: direct classes first (in
     /// KB order), then their isa ancestors breadth-first.
-    fn dispatch_order(kb: &Kb, obj: PropId) -> Vec<PropId> {
+    fn dispatch_order(snap: Snapshot<'_>, obj: PropId) -> Vec<PropId> {
         let mut out = Vec::new();
-        let direct = kb.classes_of(obj);
+        let direct = snap.classes_of(obj);
         for &c in &direct {
             if !out.contains(&c) {
                 out.push(c);
             }
         }
         for &c in &direct {
-            for a in kb.isa_ancestors(c) {
+            for a in snap.isa_ancestors(c) {
                 if !out.contains(&a) {
                     out.push(a);
                 }
@@ -77,16 +78,16 @@ impl BehaviourRegistry {
         out
     }
 
-    /// Invokes `operation` on the object named `receiver`, dispatching
-    /// along its classes. Errors if no class of the receiver binds the
-    /// operation (a "message not understood").
-    pub fn invoke(&self, kb: &Kb, receiver: &str, operation: &str) -> BehaviourResult {
-        let obj = kb
+    /// Invokes `operation` on the object named `receiver` as `snap`
+    /// believes it, dispatching along its classes. Errors if no class
+    /// of the receiver binds the operation (a "message not understood").
+    pub fn invoke(&self, snap: Snapshot<'_>, receiver: &str, operation: &str) -> BehaviourResult {
+        let obj = snap
             .lookup(receiver)
             .ok_or_else(|| ObError::Unknown(format!("object `{receiver}`")))?;
-        for class in Self::dispatch_order(kb, obj) {
+        for class in Self::dispatch_order(snap, obj) {
             if let Some(body) = self.bodies.get(&(class, operation.to_string())) {
-                return body(kb, obj);
+                return body(snap, obj);
             }
         }
         Err(ObError::Unknown(format!(
@@ -95,12 +96,12 @@ impl BehaviourRegistry {
     }
 
     /// The operations the object understands, sorted.
-    pub fn understood(&self, kb: &Kb, receiver: &str) -> ObResult<Vec<String>> {
-        let obj = kb
+    pub fn understood(&self, snap: Snapshot<'_>, receiver: &str) -> ObResult<Vec<String>> {
+        let obj = snap
             .lookup(receiver)
             .ok_or_else(|| ObError::Unknown(format!("object `{receiver}`")))?;
         let mut out: Vec<String> = Vec::new();
-        for class in Self::dispatch_order(kb, obj) {
+        for class in Self::dispatch_order(snap, obj) {
             for ((c, op), _) in self.bodies.iter() {
                 if *c == class && !out.contains(op) {
                     out.push(op.clone());
@@ -116,7 +117,7 @@ impl BehaviourRegistry {
 mod tests {
     use super::*;
     use crate::frame::ObjectFrame;
-    use crate::transform::{frame_of, tell_all};
+    use crate::transform::{frame_at, tell_all};
 
     fn kb() -> Kb {
         let mut kb = Kb::new();
@@ -137,12 +138,12 @@ mod tests {
     fn display_behaviour_dispatches() {
         let mut kb = kb();
         let mut reg = BehaviourRegistry::new();
-        reg.bind(&mut kb, "Paper", "display", |kb, obj| {
-            Ok(frame_of(kb, obj)?.to_string())
+        reg.bind(&mut kb, "Paper", "display", |snap, obj| {
+            Ok(frame_at(snap, obj)?.to_string())
         })
         .unwrap();
         // inv1 is an Invitation, display is inherited from Paper.
-        let shown = reg.invoke(&kb, "inv1", "display").unwrap();
+        let shown = reg.invoke(kb.snapshot(), "inv1", "display").unwrap();
         assert!(shown.contains("TELL inv1 in Invitation"));
     }
 
@@ -159,15 +160,18 @@ mod tests {
             |_, _| Ok("invitation".into()),
         )
         .unwrap();
-        assert_eq!(reg.invoke(&kb, "inv1", "kind").unwrap(), "invitation");
+        assert_eq!(
+            reg.invoke(kb.snapshot(), "inv1", "kind").unwrap(),
+            "invitation"
+        );
     }
 
     #[test]
     fn message_not_understood() {
         let mut kb = kb();
         let reg = BehaviourRegistry::new();
-        assert!(reg.invoke(&kb, "inv1", "fly").is_err());
-        assert!(reg.invoke(&kb, "ghost", "display").is_err());
+        assert!(reg.invoke(kb.snapshot(), "inv1", "fly").is_err());
+        assert!(reg.invoke(kb.snapshot(), "ghost", "display").is_err());
         let mut reg = BehaviourRegistry::new();
         reg.bind(&mut kb, "Paper", "display", |_, _| Ok("ok".into()))
             .unwrap();
@@ -183,15 +187,15 @@ mod tests {
         reg.bind(&mut kb, "Paper", "display", |_, _| Ok(String::new()))
             .unwrap();
         let paper = kb.lookup("Paper").unwrap();
-        let targets = kb.attr_values(paper, "display");
+        let targets = kb.snapshot().attr_values(paper, "display");
         assert_eq!(targets.len(), 1);
         let behaviour = kb.builtins().behaviour;
-        assert!(kb.is_instance_of(targets[0], behaviour));
+        assert!(kb.snapshot().is_instance_of(targets[0], behaviour));
         // Rebinding does not duplicate the link.
         reg.bind(&mut kb, "Paper", "display", |_, _| Ok("v2".into()))
             .unwrap();
-        assert_eq!(kb.attr_values(paper, "display").len(), 1);
-        assert_eq!(reg.invoke(&kb, "inv1", "display").unwrap(), "v2");
+        assert_eq!(kb.snapshot().attr_values(paper, "display").len(), 1);
+        assert_eq!(reg.invoke(kb.snapshot(), "inv1", "display").unwrap(), "v2");
     }
 
     #[test]
@@ -203,7 +207,7 @@ mod tests {
         reg.bind(&mut kb, "Invitation", "send", |_, _| Ok(String::new()))
             .unwrap();
         assert_eq!(
-            reg.understood(&kb, "inv1").unwrap(),
+            reg.understood(kb.snapshot(), "inv1").unwrap(),
             vec!["display".to_string(), "send".to_string()]
         );
     }

@@ -18,7 +18,7 @@ use crate::transform::constraints_of;
 use std::collections::HashSet;
 use telos::assertion::{eval, parse, Env};
 use telos::axioms;
-use telos::{Kb, PropId};
+use telos::{PropId, Snapshot};
 
 /// A consistency violation: an axiom violation or a failed constraint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,14 +72,21 @@ pub struct CheckStats {
     pub constraints_evaluated: usize,
 }
 
+/// Whether `snap` believes `id` and it is an object (an individual),
+/// so possibly a class with constraints.
+fn is_object(snap: Snapshot<'_>, id: PropId) -> bool {
+    let p = snap.store().prop(id);
+    p.is_some_and(|p| p.believed_at(snap.at()) && p.is_individual())
+}
+
 fn check_class_constraints(
-    kb: &Kb,
+    snap: Snapshot<'_>,
     class: PropId,
     out: &mut Vec<Violation>,
     stats: &mut CheckStats,
 ) {
-    let class_name = kb.display(class);
-    for (name, text) in constraints_of(kb, class) {
+    let class_name = snap.store().display(class);
+    for (name, text) in constraints_of(snap, class) {
         stats.constraints_evaluated += 1;
         match parse(&text) {
             Err(e) => out.push(Violation::Unevaluable {
@@ -87,7 +94,7 @@ fn check_class_constraints(
                 name,
                 message: e.to_string(),
             }),
-            Ok(expr) => match eval(kb, &expr, &mut Env::new()) {
+            Ok(expr) => match eval(&snap, &expr, &mut Env::new()) {
                 Err(e) => out.push(Violation::Unevaluable {
                     class: class_name.clone(),
                     name,
@@ -104,22 +111,17 @@ fn check_class_constraints(
     }
 }
 
-/// Full check: all CML axioms plus every constraint of every believed
-/// class that has one.
-pub fn check_full(kb: &Kb) -> (Vec<Violation>, CheckStats) {
-    let mut out: Vec<Violation> = axioms::check_all(kb)
+/// Full check: all CML axioms plus every constraint of every class
+/// `snap` believes that has one.
+pub fn check_full(snap: Snapshot<'_>) -> (Vec<Violation>, CheckStats) {
+    let mut out: Vec<Violation> = axioms::check_all(snap)
         .into_iter()
         .map(|v| Violation::Axiom(v.to_string()))
         .collect();
     let mut stats = CheckStats::default();
-    for id in 0..kb.len() {
-        let id = PropId(id as u32);
-        let Ok(p) = kb.get(id) else { continue };
-        if !p.is_believed() || !p.is_individual() {
-            continue;
-        }
+    for id in snap.believed().filter(|&id| is_object(snap, id)) {
         stats.classes_visited += 1;
-        check_class_constraints(kb, id, &mut out, &mut stats);
+        check_class_constraints(snap, id, &mut out, &mut stats);
     }
     (out, stats)
 }
@@ -128,18 +130,20 @@ pub fn check_full(kb: &Kb) -> (Vec<Violation>, CheckStats) {
 /// the batch* — the classes (transitive, through isa) of every touched
 /// object, and touched objects that are themselves classes. CML axioms
 /// are likewise validated only for the batch (`axioms::check_props`).
-pub fn check_touched(kb: &Kb, touched: &[PropId]) -> (Vec<Violation>, CheckStats) {
+pub fn check_touched(snap: Snapshot<'_>, touched: &[PropId]) -> (Vec<Violation>, CheckStats) {
     let mut stats = CheckStats::default();
     if touched.is_empty() {
         return (Vec::new(), stats);
     }
-    let mut out: Vec<Violation> = axioms::check_props(kb, touched)
+    let mut out: Vec<Violation> = axioms::check_props(snap, touched)
         .into_iter()
         .map(|v| Violation::Axiom(v.to_string()))
         .collect();
     let mut classes: HashSet<PropId> = HashSet::new();
     for &t in touched {
-        let Ok(p) = kb.get(t) else { continue };
+        let Some(p) = snap.store().prop(t) else {
+            continue;
+        };
         // For links, the relevant objects are their endpoints.
         let objects = if p.is_individual() {
             vec![t]
@@ -148,18 +152,17 @@ pub fn check_touched(kb: &Kb, touched: &[PropId]) -> (Vec<Violation>, CheckStats
         };
         for obj in objects {
             classes.insert(obj); // the object may itself be a class
-            classes.extend(kb.all_classes_of(obj));
+            classes.extend(snap.all_classes_of(obj));
         }
     }
     let mut ordered: Vec<PropId> = classes.into_iter().collect();
     ordered.sort();
     for class in ordered {
-        let Ok(p) = kb.get(class) else { continue };
-        if !p.is_believed() || !p.is_individual() {
+        if !is_object(snap, class) {
             continue;
         }
         stats.classes_visited += 1;
-        check_class_constraints(kb, class, &mut out, &mut stats);
+        check_class_constraints(snap, class, &mut out, &mut stats);
     }
     (out, stats)
 }
@@ -169,6 +172,7 @@ mod tests {
     use super::*;
     use crate::frame::ObjectFrame;
     use crate::transform::{tell, tell_all};
+    use telos::Kb;
 
     fn scenario_kb() -> Kb {
         let mut kb = Kb::new();
@@ -189,7 +193,7 @@ mod tests {
     #[test]
     fn clean_kb_checks_clean() {
         let kb = scenario_kb();
-        let (violations, stats) = check_full(&kb);
+        let (violations, stats) = check_full(kb.snapshot());
         assert_eq!(violations, Vec::new());
         assert!(stats.constraints_evaluated >= 1);
         assert!(stats.classes_visited > 3);
@@ -204,7 +208,7 @@ mod tests {
             &ObjectFrame::parse("TELL inv1 in Invitation end").unwrap(),
         )
         .unwrap();
-        let (violations, _) = check_full(&kb);
+        let (violations, _) = check_full(kb.snapshot());
         assert_eq!(violations.len(), 1);
         match &violations[0] {
             Violation::Constraint { class, name, .. } => {
@@ -219,7 +223,7 @@ mod tests {
             &ObjectFrame::parse("TELL inv1 with attribute sender : maria end").unwrap(),
         )
         .unwrap();
-        let (violations, _) = check_full(&kb);
+        let (violations, _) = check_full(kb.snapshot());
         assert!(violations.is_empty());
     }
 
@@ -241,8 +245,8 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let (v_full, s_full) = check_full(&kb);
-        let (v_touched, s_touched) = check_touched(&kb, &receipt.created);
+        let (v_full, s_full) = check_full(kb.snapshot());
+        let (v_touched, s_touched) = check_touched(kb.snapshot(), &receipt.created);
         assert!(v_full.is_empty() && v_touched.is_empty());
         assert!(
             s_touched.constraints_evaluated < s_full.constraints_evaluated,
@@ -259,7 +263,7 @@ mod tests {
             &ObjectFrame::parse("TELL inv1 in Invitation end").unwrap(),
         )
         .unwrap();
-        let (violations, _) = check_touched(&kb, &receipt.created);
+        let (violations, _) = check_touched(kb.snapshot(), &receipt.created);
         assert_eq!(violations.len(), 1);
     }
 
@@ -272,7 +276,7 @@ mod tests {
             ObjectFrame::parse_all("TELL Reminder isA Invitation end\nTELL r1 in Reminder end")
                 .unwrap();
         let receipts = tell_all(&mut kb, &frames).unwrap();
-        let (violations, _) = check_touched(&kb, &receipts[1].created);
+        let (violations, _) = check_touched(kb.snapshot(), &receipts[1].created);
         assert_eq!(
             violations,
             vec![Violation::Constraint {
@@ -286,7 +290,7 @@ mod tests {
     #[test]
     fn empty_batch_checks_nothing() {
         let kb = scenario_kb();
-        let (violations, stats) = check_touched(&kb, &[]);
+        let (violations, stats) = check_touched(kb.snapshot(), &[]);
         assert!(violations.is_empty());
         assert_eq!(stats.constraints_evaluated, 0);
     }
@@ -302,7 +306,7 @@ mod tests {
         // An undeclared attribute on a classified object.
         let ghost = kb.individual("ghostvalue").unwrap();
         let bad = kb.put_attr(inv1, "bogus", ghost).unwrap();
-        let (violations, _) = check_touched(&kb, &[bad]);
+        let (violations, _) = check_touched(kb.snapshot(), &[bad]);
         assert!(violations.iter().any(|v| matches!(v, Violation::Axiom(_))));
     }
 
@@ -316,7 +320,7 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let (violations, _) = check_full(&kb);
+        let (violations, _) = check_full(kb.snapshot());
         assert!(violations
             .iter()
             .any(|v| matches!(v, Violation::Unevaluable { .. })));

@@ -9,8 +9,8 @@
 //! inheritance). Everything is evaluated by the one bottom-up kernel,
 //! [`seminaive::evaluate`].
 //!
-//! There are two ASKs. [`ask`] is the assertion language over any
-//! [`KbRead`]; [`ask_with_stats_version`] is the served one, which
+//! There are two ASKs. [`ask`] is the assertion language over a
+//! [`Snapshot`]; [`ask_with_stats_version`] is the served one, which
 //! enumerates candidates from the `inT` closure of a pinned version
 //! and filters them with the same assertion body.
 //!
@@ -49,7 +49,7 @@ use std::borrow::Cow;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use telos::assertion;
-use telos::{Kb, KbRead, KbVersion, PropId, PropStore, Proposition, TelosError};
+use telos::{KbVersion, PropId, PropStore, Proposition, Snapshot, TelosError};
 
 /// EDB predicate names exported from the KB.
 pub mod preds {
@@ -64,14 +64,14 @@ pub mod preds {
 /// The rows an export dropped as duplicates, one entry per dropped row.
 type Dropped = Vec<(Symbol, Vec<IVal>)>;
 
-/// The believed network as an extensional database, plus what its
+/// The network `snap` believes as an extensional database, plus what its
 /// de-duplication dropped: one entry per believed proposition asserting
 /// a link that an earlier one already contributed. A maintained view is
 /// loaded from the pair ([`datalog::ivm::MaterializedView::load`]), so
 /// that untelling one of two propositions asserting the same link
 /// leaves the tuple present.
-pub fn to_edb_counted(kb: &Kb) -> ObResult<(Database, Dropped)> {
-    export(kb, Proposition::is_believed, true)
+pub fn to_edb_counted(snap: Snapshot<'_>) -> ObResult<(Database, Dropped)> {
+    export(snap.store(), |p| p.believed_at(snap.at()), true)
 }
 
 /// Exports the network as believed at tick `at` — the deductive view of
@@ -355,14 +355,13 @@ pub fn version_closure(version: &KbVersion, at: i64, program: &Program) -> ObRes
 }
 
 /// ASK with the assertion language: the believed instances of `class`
-/// satisfying `body` (an open query, §3.1). Generic over [`KbRead`]:
-/// pass a [`Kb`] for current-belief answers or a
-/// [`telos::Snapshot`] for answers pinned at a belief tick (the
-/// server's snapshot-isolated sessions).
-pub fn ask<V: KbRead>(kb: &V, var: &str, class: &str, body: &str) -> ObResult<Vec<String>> {
+/// satisfying `body` (an open query, §3.1), as `snap` believes them:
+/// `kb.snapshot()` for current-belief answers, a pinned version's
+/// snapshot for answers at its watermark.
+pub fn ask(snap: &Snapshot<'_>, var: &str, class: &str, body: &str) -> ObResult<Vec<String>> {
     let expr = assertion::parse(body)?;
-    let hits = assertion::find(kb, var, class, &expr)?;
-    Ok(hits.into_iter().map(|h| kb.display(h)).collect())
+    let hits = assertion::find(snap, var, class, &expr)?;
+    Ok(hits.into_iter().map(|h| snap.store().display(h)).collect())
 }
 
 /// ASK through the deductive-relational bridge against an immutable
@@ -468,6 +467,7 @@ mod tests {
     use crate::frame::ObjectFrame;
     use crate::transform::tell_all;
     use telos::Interval;
+    use telos::Kb;
 
     fn scenario_kb() -> Kb {
         let mut kb = Kb::new();
@@ -492,7 +492,7 @@ mod tests {
     #[test]
     fn edb_exports_believed_links() {
         let kb = scenario_kb();
-        let (db, dropped) = to_edb_counted(&kb).unwrap();
+        let (db, dropped) = to_edb_counted(kb.snapshot()).unwrap();
         assert!(dropped.is_empty(), "no link of this KB is asserted twice");
         assert!(db.contains(preds::ISA, &[Value::sym("Invitation"), Value::sym("Paper")]));
         assert!(db.contains(preds::IN, &[Value::sym("inv1"), Value::sym("Invitation")]));
@@ -526,7 +526,9 @@ mod tests {
             kb.lookup("inv1").unwrap(),
             kb.lookup("inv2").unwrap(),
         );
-        let sender = kb.find_link(inv1, kb.lookup_sym("sender").unwrap(), maria);
+        let sender = kb
+            .snapshot()
+            .find_link(inv1, kb.lookup_sym("sender").unwrap(), maria);
         kb.put_attr(sender.expect("told by scenario_kb"), "via", inv2)
             .unwrap();
         let gone = kb.put_attr(inv2, "sender", maria).unwrap();
@@ -570,7 +572,7 @@ mod tests {
         let now = kb.now();
         assert_eq!(listing(&to_edb_at_store(&kb, now).unwrap()), want);
         // What the de-duplication dropped is reported, once per drop.
-        let (counted, dropped) = to_edb_counted(&kb).unwrap();
+        let (counted, dropped) = to_edb_counted(kb.snapshot()).unwrap();
         assert_eq!(listing(&counted), want);
         let row = twice.1.iter().map(IVal::from_value).collect();
         assert_eq!(dropped, vec![(intern(preds::ATTR), row)]);
@@ -624,13 +626,16 @@ mod tests {
                     seen.push(fact);
                 }
             }
-            assert_eq!(to_edb_counted(kb).unwrap().1, dropped);
+            assert_eq!(to_edb_counted(kb.snapshot()).unwrap().1, dropped);
         };
         let named = |kb: &Kb, name: &str| kb.lookup(name).unwrap();
         check(&kb, &mut versions);
 
         let (inv1, invitation) = (named(&kb, "inv1"), named(&kb, "Invitation"));
-        let in_link = kb.find_link(inv1, kb.instanceof_sym(), invitation).unwrap();
+        let in_link = kb
+            .snapshot()
+            .find_link(inv1, kb.instanceof_sym(), invitation)
+            .unwrap();
         kb.untell(in_link).unwrap();
         check(&kb, &mut versions);
         kb.tick();
@@ -638,7 +643,10 @@ mod tests {
         check(&kb, &mut versions);
 
         let (minutes, paper) = (named(&kb, "Minutes"), named(&kb, "Paper"));
-        let isa_link = kb.find_link(minutes, kb.isa_sym(), paper).unwrap();
+        let isa_link = kb
+            .snapshot()
+            .find_link(minutes, kb.isa_sym(), paper)
+            .unwrap();
         kb.untell(isa_link).unwrap();
         check(&kb, &mut versions);
         kb.tick();
@@ -649,7 +657,9 @@ mod tests {
         // attribute class `<Invitation sender Person>`.
         kb.tick();
         let (maria, person) = (named(&kb, "maria"), named(&kb, "Person"));
-        let sender = kb.find_link(inv1, kb.lookup_sym("sender").unwrap(), maria);
+        let sender = kb
+            .snapshot()
+            .find_link(inv1, kb.lookup_sym("sender").unwrap(), maria);
         let class = kb.put_attr(invitation, "sender", person).unwrap();
         let classified = kb.instantiate(sender.unwrap(), class).unwrap();
         check(&kb, &mut versions);
@@ -665,7 +675,7 @@ mod tests {
         kb.individual(telos::kb::L_INSTANCEOF).unwrap();
         kb.individual(telos::kb::L_ISA).unwrap();
         check(&kb, &mut versions);
-        assert!(!to_edb_counted(&kb).unwrap().1.is_empty());
+        assert!(!to_edb_counted(kb.snapshot()).unwrap().1.is_empty());
 
         kb.untell(classified).unwrap();
         check(&kb, &mut versions);
@@ -760,11 +770,11 @@ mod tests {
     #[test]
     fn ask_open_queries() {
         let kb = scenario_kb();
-        let with_sender = ask(&kb, "i", "Invitation", "i.sender defined").unwrap();
+        let with_sender = ask(&kb.snapshot(), "i", "Invitation", "i.sender defined").unwrap();
         assert_eq!(with_sender, vec!["inv1"]);
-        let papers = ask(&kb, "p", "Paper", "true").unwrap();
+        let papers = ask(&kb.snapshot(), "p", "Paper", "true").unwrap();
         assert_eq!(papers.len(), 3);
-        assert!(ask(&kb, "x", "Ghost", "true").is_err());
+        assert!(ask(&kb.snapshot(), "x", "Ghost", "true").is_err());
     }
 
     #[test]
@@ -777,7 +787,7 @@ mod tests {
         kb.tick();
         let frames = ObjectFrame::parse_all("TELL inv3 in Invitation end").unwrap();
         tell_all(&mut kb, &frames).unwrap();
-        let live = ask(&kb, "p", "Paper", "true").unwrap();
+        let live = ask(&kb.snapshot(), "p", "Paper", "true").unwrap();
         assert_eq!(live.len(), 4);
         let snap = kb.snapshot_at(t);
         let pinned = ask(&snap, "p", "Paper", "true").unwrap();
@@ -805,7 +815,7 @@ mod tests {
         let version = kb.version();
         let now = version.now();
         let (hits, stats) = ask_with_stats_version(&version, now, "p", "Paper", "true").unwrap();
-        assert_eq!(hits, ask(&kb, "p", "Paper", "true").unwrap());
+        assert_eq!(hits, ask(&kb.snapshot(), "p", "Paper", "true").unwrap());
         assert!(stats.index_probes > 0, "join core probed indexes");
         assert!(stats.tuples_scanned > 0);
         let (with_sender, _) =

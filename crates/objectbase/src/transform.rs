@@ -30,7 +30,11 @@ fn marker(kb: &mut Kb, name: &str) -> TelosResult<PropId> {
     kb.specialize(id, assertion)?;
     // Declare the `text` attribute class once, on Assertion itself, so
     // assertion objects' text links are well-typed under aggregation.
-    if kb.attr_values(assertion, markers::TEXT).is_empty() {
+    if kb
+        .snapshot()
+        .attr_values(assertion, markers::TEXT)
+        .is_empty()
+    {
         let proposition = kb.builtins().proposition;
         kb.put_attr(assertion, markers::TEXT, proposition)?;
     }
@@ -67,7 +71,7 @@ pub fn tell(kb: &mut Kb, frame: &ObjectFrame) -> ObResult<TellReceipt> {
         let v = kb
             .lookup(value)
             .ok_or_else(|| ObError::Unknown(format!("attribute value `{value}`")))?;
-        match kb.find_attr_class(object, label) {
+        match kb.snapshot().find_attr_class(object, label) {
             Some(ac) => {
                 kb.put_attr_typed(object, label, v, ac)?;
             }
@@ -140,46 +144,47 @@ pub fn untell_object(kb: &mut Kb, name: &str) -> ObResult<Vec<PropId>> {
 }
 
 /// The constraint assertions attached to `class` (name, text pairs).
-pub fn constraints_of(kb: &Kb, class: PropId) -> Vec<(String, String)> {
-    assertions_of(kb, class, markers::CONSTRAINT)
+pub fn constraints_of(snap: Snapshot<'_>, class: PropId) -> Vec<(String, String)> {
+    assertions_of(snap, class, markers::CONSTRAINT)
 }
 
 /// The rule assertions attached to `class`.
-pub fn rules_of(kb: &Kb, class: PropId) -> Vec<(String, String)> {
-    assertions_of(kb, class, markers::RULE)
+pub fn rules_of(snap: Snapshot<'_>, class: PropId) -> Vec<(String, String)> {
+    assertions_of(snap, class, markers::RULE)
 }
 
-fn assertions_of(kb: &Kb, class: PropId, kind: &str) -> Vec<(String, String)> {
-    let Some(kind_class) = kb.lookup(kind) else {
+fn assertions_of(snap: Snapshot<'_>, class: PropId, kind: &str) -> Vec<(String, String)> {
+    let Some(kind_class) = snap.lookup(kind) else {
         return Vec::new();
     };
+    let store = snap.store();
     let mut out = Vec::new();
-    for attr in kb.attrs_of(class) {
-        let Ok(p) = kb.get(attr) else { continue };
-        if !kb.is_instance_of(p.dest, kind_class) {
+    for attr in snap.attrs_of(class) {
+        let Some(p) = store.prop(attr) else { continue };
+        if !snap.is_instance_of(p.dest, kind_class) {
             continue;
         }
-        let label = kb.resolve(p.label).to_string();
-        let texts = kb.attr_values(p.dest, markers::TEXT);
+        let label = store.resolve_sym(p.label).to_string();
+        let texts = snap.attr_values(p.dest, markers::TEXT);
         if let Some(&t) = texts.first() {
-            out.push((label, kb.display(t)));
+            out.push((label, store.display(t)));
         }
     }
     out
 }
 
 /// Every stored deductive rule in datalog notation, across all rule
-/// assertion objects in the KB. Used by the static analyzer to check a
-/// newly admitted rule against the rule base it joins (a negative
-/// cycle can close over an old rule).
-pub fn stored_datalog_rules(kb: &Kb) -> Vec<String> {
-    let Some(rule_class) = kb.lookup(markers::RULE) else {
+/// assertion objects `snap` believes. Used by the static analyzer to
+/// check a newly admitted rule against the rule base it joins (a
+/// negative cycle can close over an old rule).
+pub fn stored_datalog_rules(snap: Snapshot<'_>) -> Vec<String> {
+    let Some(rule_class) = snap.lookup(markers::RULE) else {
         return Vec::new();
     };
     let mut out = Vec::new();
-    for obj in kb.all_instances_of(rule_class) {
-        for &t in &kb.attr_values(obj, markers::TEXT) {
-            let text = kb.display(t);
+    for obj in snap.all_instances_of(rule_class) {
+        for &t in &snap.attr_values(obj, markers::TEXT) {
+            let text = snap.store().display(t);
             if is_datalog_text(&text) {
                 out.push(text);
             }
@@ -267,15 +272,15 @@ mod tests {
         let person = kb.lookup("Person").unwrap();
         let paper = kb.lookup("Paper").unwrap();
         // Invitation instanceof TDL_EntityClass (fig 3-2's unlabeled link).
-        assert!(kb.classes_of(invitation).contains(&tdl));
+        assert!(kb.snapshot().classes_of(invitation).contains(&tdl));
         // Invitation isa Paper.
-        assert!(kb.isa_parents(invitation).contains(&paper));
+        assert!(kb.snapshot().isa_parents(invitation).contains(&paper));
         // The attribute proposition <Invitation, sender, Person>.
-        let sender_attrs = kb.attr_values(invitation, "sender");
+        let sender_attrs = kb.snapshot().attr_values(invitation, "sender");
         assert_eq!(sender_attrs, vec![person]);
         // The attribute proposition itself is an object with a
         // believed identity, per "nodes are also propositions".
-        let attr_id = kb.attrs_of(invitation)[0];
+        let attr_id = kb.snapshot().attrs_of(invitation)[0];
         assert!(kb.get(attr_id).unwrap().is_believed());
         assert_eq!(kb.display(attr_id), "<Invitation sender Person>");
     }
@@ -295,9 +300,9 @@ mod tests {
         )
         .unwrap();
         let inv42 = kb.lookup("inv42").unwrap();
-        let attr = kb.attrs_of(inv42)[0];
+        let attr = kb.snapshot().attrs_of(inv42)[0];
         // Classified under <Invitation, sender, Person> as fig 3-2 shows.
-        let ac = kb.attr_class_of(attr).unwrap();
+        let ac = kb.snapshot().classes_of(attr).first().copied().unwrap();
         assert_eq!(kb.display(ac), "<Invitation sender Person>");
     }
 
@@ -323,11 +328,11 @@ mod tests {
         .unwrap();
         tell(&mut kb, &f).unwrap();
         let minutes = kb.lookup("Minutes").unwrap();
-        let cs = constraints_of(&kb, minutes);
+        let cs = constraints_of(kb.snapshot(), minutes);
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].0, "approved");
         assert!(cs[0].1.contains("approvedBy"));
-        assert!(rules_of(&kb, minutes).is_empty());
+        assert!(rules_of(kb.snapshot(), minutes).is_empty());
     }
 
     #[test]
@@ -370,7 +375,7 @@ mod tests {
     fn frame_of_rejects_links() {
         let kb = kb_with_document_classes();
         let invitation = kb.lookup("Invitation").unwrap();
-        let attr = kb.attrs_of(invitation)[0];
+        let attr = kb.snapshot().attrs_of(invitation)[0];
         assert!(frame_of(&kb, attr).is_err());
     }
 

@@ -652,8 +652,8 @@ impl Client {
 
     /// Renders the deductive evaluator's join plan and cost estimate
     /// for the base program, the stored rules, and any extra rules in
-    /// `src` (may be empty), against the live knowledge base's measured
-    /// EDB cardinalities. Read-only.
+    /// `src` (may be empty), against the EDB cardinalities of the newest
+    /// published version (the head as of the last commit). Read-only.
     pub fn explain(&mut self, session: u64, src: &str) -> ClientResult<String> {
         self.done(&Request::Explain {
             session,
@@ -671,7 +671,8 @@ impl Client {
         })
     }
 
-    /// Runs the full consistency check over the live knowledge base.
+    /// Runs the full consistency check over the newest published
+    /// version (the head as of the last commit).
     pub fn check(&mut self, session: u64) -> ClientResult<String> {
         self.table(&Request::Check { session })
     }

@@ -107,9 +107,10 @@
 //! writes. `History`, `Status` and `Recall` are not pinned yet: they
 //! answer from the live head (`Status` and `Recall` read the set of
 //! current design objects and the recall index, which are not
-//! propositions). `Lint`, `Explain` and `Check` read the head on
-//! purpose: the first two predict admission, and `Check` is a
-//! diagnostic of the live knowledge base.
+//! propositions). `Lint` reads the live head on purpose: it predicts
+//! admission against the state the next write meets. `Explain` and
+//! `Check` read the newest published version — the head as of the last
+//! commit — without the state lock, so neither waits on a writer.
 //!
 //! # Errors and backpressure
 //!
@@ -377,8 +378,10 @@ storage::op_table! {
         },
         /// Render the deductive evaluator's join plan and cost estimate
         /// for the base program, the stored rules, and any extra rules in
-        /// `src`, against the knowledge base's measured EDB cardinalities.
-        /// Read-only; answers [`Response::Done`] with the rendered plan.
+        /// `src`, against the EDB cardinalities measured on the newest
+        /// published version (the head as of the last commit; not
+        /// session-pinned, and no state lock). Answers
+        /// [`Response::Done`] with the rendered plan.
         31 Explain "explain" Read {
             /// Issuing session.
             session: u64,
@@ -399,10 +402,11 @@ storage::op_table! {
             /// The object in focus.
             name: String,
         },
-        /// The full Consistency Checker run over the live knowledge
-        /// base: a diagnostic of the head, like `Lint` and `Explain`, not
-        /// pinned. Answers [`Response::Table`] with the violations, or
-        /// the constraints and classes it checked.
+        /// The full Consistency Checker run over the newest published
+        /// version — the head as of the last commit, like `Explain`; not
+        /// session-pinned, and no state lock. Answers
+        /// [`Response::Table`] with the violations, or the constraints
+        /// and classes it checked.
         33 Check "check" Read {
             /// Issuing session.
             session: u64,

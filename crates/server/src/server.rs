@@ -23,11 +23,14 @@
 //! *mechanics*: a superseded version is freed when its last holder
 //! lets go (session Bye, Refresh, or idle-timeout sweep — sweeps run on
 //! every publish and on idle connection polls so an abandoned session
-//! cannot retain history forever). The other reads take the read guard
-//! and answer at the live head: STATUS reads the set of current design
-//! objects and RECALL the recall index, neither held as propositions; HISTORY reads only the
-//! design record the KB documents, but is not pinned yet; SAVE,
-//! CHECKPOINT, LINT, EXPLAIN and CHECK read the head on purpose.
+//! cannot retain history forever). CHECK and EXPLAIN take no lock
+//! either: they read the chain head, the newest published version,
+//! which is the state as of the last commit. The other reads take the
+//! read guard and answer at the live head: STATUS reads the set of
+//! current design objects and RECALL the recall index, neither held as
+//! propositions; HISTORY reads only the design record the KB
+//! documents, but is not pinned yet; SAVE, CHECKPOINT and LINT read
+//! the head on purpose.
 //!
 //! Each TCP connection gets a handler thread. An in-process server
 //! ([`Server::in_process`]) has no listener: one handler thread serves
@@ -817,6 +820,51 @@ mod tests {
             FrameRead::Frame(p) => (written, Response::decode(&p).expect("a response")),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// `Check` and `Explain` answer from the chain head, not from the
+    /// state behind the writer's lock: with the write guard held, a
+    /// fresh session still gets both answers, and the same text it
+    /// gets once the guard is dropped.
+    #[test]
+    fn check_and_explain_answer_while_the_writer_holds_the_state() {
+        let mut g = Gkbms::new().unwrap();
+        g.tell_src(
+            "TELL Person end\n\
+             TELL Invitation with\n\
+               attribute sender : Person\n\
+               constraint hasSender : $ forall i/Invitation i.sender defined $\n\
+             end",
+        )
+        .unwrap();
+        let server = Server::bind("127.0.0.1:0", g, Config::default()).unwrap();
+        let timeout = Duration::from_secs(2);
+        let mut client = Client::connect_with_timeout(server.local_addr(), timeout).unwrap();
+        let (session, _) = client.hello().unwrap();
+        // A committed write: the head both reads answer from is the
+        // version its commit published.
+        client.tell(session, "TELL inv1 in Invitation end").unwrap();
+
+        let (check, explain) = {
+            let _writer = server.shared.state.write().unwrap();
+            let (session, _) = client.hello().unwrap();
+            (
+                client
+                    .check(session)
+                    .expect("check answers under the write guard"),
+                client
+                    .explain(session, "")
+                    .expect("explain answers under the write guard"),
+            )
+        };
+        assert!(
+            check.contains("`hasSender` on `Invitation` violated"),
+            "{check}"
+        );
+        assert!(explain.contains("total estimated cost"), "{explain}");
+        assert_eq!(client.check(session).unwrap(), check);
+        assert_eq!(client.explain(session, "").unwrap(), explain);
+        server.shutdown().unwrap();
     }
 
     #[test]

@@ -460,8 +460,15 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             }
         }
         Request::Explain { session, src } => {
+            // Costed against the newest published version — the head
+            // as of the last commit — with no state guard: the O(KB)
+            // EDB export neither waits on a writer nor holds one up.
             gate(shared, session)?;
-            done(read_state(shared).explain_src(&src).map_err(rejected)?)
+            let head = shared.chain.head();
+            let ctx = analysis::LintContext::at(head.data().snapshot());
+            let plan = analysis::explain_source(&src, &ctx)
+                .map_err(|e| rejected(GkbmsError::Precondition(format!("explain: {e}"))))?;
+            done(plan)
         }
         Request::Browse {
             session,
@@ -477,8 +484,11 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             }
         }
         Request::Check { session } => {
+            // Like Explain: the full scan reads the newest published
+            // version, not the state behind the writer's lock.
             gate(shared, session)?;
-            let (violations, stats) = objectbase::consistency::check_full(read_state(shared).kb());
+            let head = shared.chain.head();
+            let (violations, stats) = objectbase::consistency::check_full(head.data().snapshot());
             let text = if violations.is_empty() {
                 format!(
                     "consistent ({} constraints over {} classes)",

@@ -6,14 +6,14 @@
 //! §3.1. Quantifiers range over *believed* instances, closed under
 //! specialization.
 //!
-//! Both entry points are generic over [`KbRead`], so the same
-//! evaluator answers against the live KB (current belief) or against a
-//! belief-time-pinned [`crate::kb::Snapshot`] — the server's
-//! snapshot-isolated ASK path.
+//! Both entry points read a [`Snapshot`], so the same evaluator answers
+//! against the live KB (`kb.snapshot()`, current belief) or against a
+//! pinned version at its watermark — the server's snapshot-isolated
+//! ASK path.
 
 use super::ast::{Atom, Expr, Term};
 use crate::error::{TelosError, TelosResult};
-use crate::kb::KbRead;
+use crate::kb::Snapshot;
 use crate::prop::PropId;
 use std::collections::HashMap;
 
@@ -21,58 +21,58 @@ use std::collections::HashMap;
 /// the caller, for parameterized constraints).
 pub type Env = HashMap<String, PropId>;
 
-fn resolve<V: KbRead>(kb: &V, env: &Env, t: &Term) -> TelosResult<PropId> {
+fn resolve(snap: &Snapshot<'_>, env: &Env, t: &Term) -> TelosResult<PropId> {
     if let Some(&id) = env.get(&t.0) {
         return Ok(id);
     }
-    kb.lookup(&t.0)
+    snap.lookup(&t.0)
         .ok_or_else(|| TelosError::Assertion(format!("unbound identifier `{}`", t.0)))
 }
 
-fn eval_atom<V: KbRead>(kb: &V, env: &Env, atom: &Atom) -> TelosResult<bool> {
+fn eval_atom(snap: &Snapshot<'_>, env: &Env, atom: &Atom) -> TelosResult<bool> {
     Ok(match atom {
         Atom::In(x, c) => {
-            let x = resolve(kb, env, x)?;
-            let c = resolve(kb, env, c)?;
-            kb.is_instance_of(x, c)
+            let x = resolve(snap, env, x)?;
+            let c = resolve(snap, env, c)?;
+            snap.is_instance_of(x, c)
         }
         Atom::Isa(c, d) => {
-            let c = resolve(kb, env, c)?;
-            let d = resolve(kb, env, d)?;
-            c == d || kb.isa_ancestors(c).contains(&d)
+            let c = resolve(snap, env, c)?;
+            let d = resolve(snap, env, d)?;
+            c == d || snap.isa_ancestors(c).contains(&d)
         }
-        Atom::Eq(x, y) => resolve(kb, env, x)? == resolve(kb, env, y)?,
-        Atom::Ne(x, y) => resolve(kb, env, x)? != resolve(kb, env, y)?,
+        Atom::Eq(x, y) => resolve(snap, env, x)? == resolve(snap, env, y)?,
+        Atom::Ne(x, y) => resolve(snap, env, x)? != resolve(snap, env, y)?,
         Atom::HasAttr(x, label, y) => {
-            let x = resolve(kb, env, x)?;
-            let y = resolve(kb, env, y)?;
-            kb.attr_values(x, label).contains(&y)
+            let x = resolve(snap, env, x)?;
+            let y = resolve(snap, env, y)?;
+            snap.attr_values(x, label).contains(&y)
         }
         Atom::AttrDefined(x, label) => {
-            let x = resolve(kb, env, x)?;
-            !kb.attr_values(x, label).is_empty()
+            let x = resolve(snap, env, x)?;
+            !snap.attr_values(x, label).is_empty()
         }
     })
 }
 
 /// Evaluates a closed expression (given `env` for any caller-supplied
 /// bindings).
-pub fn eval<V: KbRead>(kb: &V, expr: &Expr, env: &mut Env) -> TelosResult<bool> {
+pub fn eval(snap: &Snapshot<'_>, expr: &Expr, env: &mut Env) -> TelosResult<bool> {
     match expr {
         Expr::True => Ok(true),
-        Expr::Atom(a) => eval_atom(kb, env, a),
-        Expr::Not(e) => Ok(!eval(kb, e, env)?),
-        Expr::And(a, b) => Ok(eval(kb, a, env)? && eval(kb, b, env)?),
-        Expr::Or(a, b) => Ok(eval(kb, a, env)? || eval(kb, b, env)?),
-        Expr::Implies(a, b) => Ok(!eval(kb, a, env)? || eval(kb, b, env)?),
+        Expr::Atom(a) => eval_atom(snap, env, a),
+        Expr::Not(e) => Ok(!eval(snap, e, env)?),
+        Expr::And(a, b) => Ok(eval(snap, a, env)? && eval(snap, b, env)?),
+        Expr::Or(a, b) => Ok(eval(snap, a, env)? || eval(snap, b, env)?),
+        Expr::Implies(a, b) => Ok(!eval(snap, a, env)? || eval(snap, b, env)?),
         Expr::Forall(v, class, body) => {
-            let class_id = kb
+            let class_id = snap
                 .lookup(class)
                 .ok_or_else(|| TelosError::Assertion(format!("unknown class `{class}`")))?;
             let shadowed = env.get(v).copied();
-            for inst in kb.all_instances_of(class_id) {
+            for inst in snap.all_instances_of(class_id) {
                 env.insert(v.clone(), inst);
-                let ok = eval(kb, body, env)?;
+                let ok = eval(snap, body, env)?;
                 if !ok {
                     restore(env, v, shadowed);
                     return Ok(false);
@@ -82,13 +82,13 @@ pub fn eval<V: KbRead>(kb: &V, expr: &Expr, env: &mut Env) -> TelosResult<bool> 
             Ok(true)
         }
         Expr::Exists(v, class, body) => {
-            let class_id = kb
+            let class_id = snap
                 .lookup(class)
                 .ok_or_else(|| TelosError::Assertion(format!("unknown class `{class}`")))?;
             let shadowed = env.get(v).copied();
-            for inst in kb.all_instances_of(class_id) {
+            for inst in snap.all_instances_of(class_id) {
                 env.insert(v.clone(), inst);
-                let ok = eval(kb, body, env)?;
+                let ok = eval(snap, body, env)?;
                 if ok {
                     restore(env, v, shadowed);
                     return Ok(true);
@@ -113,15 +113,15 @@ fn restore(env: &mut Env, v: &str, shadowed: Option<PropId>) {
 
 /// Open query: the believed instances `x` of `class` for which `body`
 /// holds with `var ↦ x`.
-pub fn find<V: KbRead>(kb: &V, var: &str, class: &str, body: &Expr) -> TelosResult<Vec<PropId>> {
-    let class_id = kb
+pub fn find(snap: &Snapshot<'_>, var: &str, class: &str, body: &Expr) -> TelosResult<Vec<PropId>> {
+    let class_id = snap
         .lookup(class)
         .ok_or_else(|| TelosError::Assertion(format!("unknown class `{class}`")))?;
     let mut out = Vec::new();
     let mut env = Env::new();
-    for inst in kb.all_instances_of(class_id) {
+    for inst in snap.all_instances_of(class_id) {
         env.insert(var.to_string(), inst);
-        if eval(kb, body, &mut env)? {
+        if eval(snap, body, &mut env)? {
             out.push(inst);
         }
     }
@@ -153,7 +153,7 @@ mod tests {
         let inv2 = kb.individual("inv2").unwrap();
         kb.instantiate(inv1, invitation).unwrap();
         kb.instantiate(inv2, invitation).unwrap();
-        let sender_class = kb.find_attr_class(inv1, "sender").unwrap();
+        let sender_class = kb.snapshot().find_attr_class(inv1, "sender").unwrap();
         kb.put_attr_typed(inv1, "sender", maria, sender_class)
             .unwrap();
         kb.put_attr_typed(inv2, "sender", joe, sender_class)
@@ -162,7 +162,7 @@ mod tests {
     }
 
     fn holds(kb: &Kb, src: &str) -> bool {
-        eval(kb, &parse(src).unwrap(), &mut Env::new()).unwrap()
+        eval(&kb.snapshot(), &parse(src).unwrap(), &mut Env::new()).unwrap()
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
         env.insert("p".into(), maria);
         // The quantifier shadows p, then the binding is restored.
         let e = parse("exists p/Invitation p.sender defined").unwrap();
-        assert!(eval(&kb, &e, &mut env).unwrap());
+        assert!(eval(&kb.snapshot(), &e, &mut env).unwrap());
         assert_eq!(env.get("p"), Some(&maria));
     }
 
@@ -231,9 +231,9 @@ mod tests {
     fn find_answers_open_queries() {
         let kb = scenario_kb();
         let body = parse("i.sender = maria").unwrap();
-        let hits = find(&kb, "i", "Invitation", &body).unwrap();
+        let hits = find(&kb.snapshot(), "i", "Invitation", &body).unwrap();
         assert_eq!(hits, vec![kb.lookup("inv1").unwrap()]);
-        let all = find(&kb, "i", "Paper", &parse("true").unwrap()).unwrap();
+        let all = find(&kb.snapshot(), "i", "Paper", &parse("true").unwrap()).unwrap();
         assert_eq!(all.len(), 2, "both invitations are papers");
     }
 
@@ -242,10 +242,10 @@ mod tests {
         let kb = scenario_kb();
         let e = parse("ghost in Paper").unwrap();
         assert!(matches!(
-            eval(&kb, &e, &mut Env::new()),
+            eval(&kb.snapshot(), &e, &mut Env::new()),
             Err(TelosError::Assertion(_))
         ));
         let e = parse("forall x/NoSuchClass x = x").unwrap();
-        assert!(eval(&kb, &e, &mut Env::new()).is_err());
+        assert!(eval(&kb.snapshot(), &e, &mut Env::new()).is_err());
     }
 }

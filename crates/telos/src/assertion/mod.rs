@@ -5,7 +5,8 @@
 //! used in rules …, the inference engines are also capable of
 //! evaluating rules." Constraint propositions point to objects
 //! representing such expressions; here they are parsed ([`parser`]),
-//! represented ([`ast`]) and evaluated ([`mod@eval`]) against a [`crate::Kb`].
+//! represented ([`ast`]) and evaluated ([`mod@eval`]) against a
+//! [`crate::Snapshot`].
 
 pub mod ast;
 pub mod eval;

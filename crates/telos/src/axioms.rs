@@ -3,12 +3,13 @@
 //! §3.1: "Axioms of CML restrict the set of well-formed networks and
 //! help define their semantics." Construction-time checks in [`crate::kb`]
 //! enforce the cheap ones (isa acyclicity, reserved labels); the
-//! functions here validate a whole KB — they are what the object
-//! processor's Consistency Checker calls, set-oriented, after a batch
-//! of TELLs.
+//! functions here validate a whole [`Snapshot`] — the live KB or any
+//! version of it — and are what the object processor's Consistency
+//! Checker calls, set-oriented, after a batch of TELLs.
 
-use crate::kb::Kb;
-use crate::prop::PropId;
+use crate::kb::Snapshot;
+use crate::omega::names;
+use crate::prop::{PropId, Proposition};
 use std::fmt;
 
 /// One detected axiom violation.
@@ -32,57 +33,55 @@ impl fmt::Display for Violation {
 /// proposition `a = <x, l, y>` classified under an attribute class
 /// `A = <C, m, D>`, `x` must be an instance of `C` and `y` an instance
 /// of `D`.
-pub fn check_attribute_typing(kb: &Kb) -> Vec<Violation> {
+pub fn check_attribute_typing(snap: Snapshot<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
-    for id in all_ids(kb) {
-        typing_for(kb, id, &mut out);
+    for id in snap.believed() {
+        typing_for(snap, id, &mut out);
     }
     out
 }
 
-fn all_ids(kb: &Kb) -> impl Iterator<Item = PropId> {
-    (0..kb.len() as u32).map(PropId)
+/// The proposition `id` if `snap` believes it.
+fn seen(snap: Snapshot<'_>, id: PropId) -> Option<&Proposition> {
+    snap.store().prop(id).filter(|p| p.believed_at(snap.at()))
 }
 
-fn typing_for(kb: &Kb, id: PropId, out: &mut Vec<Violation>) {
-    let p = match kb.get(id) {
-        Ok(p) => p.clone(),
-        Err(_) => return,
-    };
-    if !p.is_believed() || p.is_individual() {
-        return;
-    }
-    let Some(attr_class_id) = kb.attr_class_of(id) else {
+fn typing_for(snap: Snapshot<'_>, id: PropId, out: &mut Vec<Violation>) {
+    let store = snap.store();
+    let Some(p) = seen(snap, id).filter(|p| !p.is_individual()) else {
         return;
     };
-    let Ok(attr_class) = kb.get(attr_class_id) else {
+    let Some(attr_class_id) = snap.classes_of(id).into_iter().next() else {
+        return;
+    };
+    let Some(attr_class) = store.prop(attr_class_id) else {
         return;
     };
     if attr_class.is_individual() {
         return; // classified under a plain class, not an attribute class
     }
     let (c, d) = (attr_class.source, attr_class.dest);
-    if !kb.is_instance_of(p.source, c) {
+    if !snap.is_instance_of(p.source, c) {
         out.push(Violation {
             axiom: "attribute-typing/source",
             prop: id,
             message: format!(
                 "{}: source `{}` is not an instance of `{}`",
-                kb.display(id),
-                kb.display(p.source),
-                kb.display(c)
+                store.display(id),
+                store.display(p.source),
+                store.display(c)
             ),
         });
     }
-    if !kb.is_instance_of(p.dest, d) {
+    if !snap.is_instance_of(p.dest, d) {
         out.push(Violation {
             axiom: "attribute-typing/dest",
             prop: id,
             message: format!(
                 "{}: destination `{}` is not an instance of `{}`",
-                kb.display(id),
-                kb.display(p.dest),
-                kb.display(d)
+                store.display(id),
+                store.display(p.dest),
+                store.display(d)
             ),
         });
     }
@@ -92,40 +91,40 @@ fn typing_for(kb: &Kb, id: PropId, out: &mut Vec<Violation>) {
 /// at least one class must be *declarable* — some class of the object
 /// (transitively) carries an attribute class with the same label.
 /// Objects with no classes at all (raw network nodes) are exempt.
-pub fn check_attribute_declared(kb: &Kb) -> Vec<Violation> {
+pub fn check_attribute_declared(snap: Snapshot<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
-    for id in all_ids(kb) {
-        declared_for(kb, id, &mut out);
+    for id in snap.believed() {
+        declared_for(snap, id, &mut out);
     }
     out
 }
 
-fn declared_for(kb: &Kb, id: PropId, out: &mut Vec<Violation>) {
-    let Ok(p) = kb.get(id) else { return };
-    if !p.is_believed() || p.is_individual() {
+fn declared_for(snap: Snapshot<'_>, id: PropId, out: &mut Vec<Violation>) {
+    let Some(p) = seen(snap, id).filter(|p| !p.is_individual()) else {
         return;
-    }
-    let label = kb.resolve(p.label).to_string();
+    };
+    let label = snap.store().resolve_sym(p.label).to_string();
     if label == crate::kb::L_INSTANCEOF || label == crate::kb::L_ISA {
         return;
     }
     let owner = p.source;
-    if kb.classes_of(owner).is_empty() {
+    if snap.classes_of(owner).is_empty() {
         return; // untyped node: class-level modelling, exempt
     }
     // An attribute *on a class* is an attribute class — a declaration,
     // not a use — and therefore exempt.
-    if kb.is_instance_of(owner, kb.builtins().class) {
+    let class = snap.lookup(names::CLASS);
+    if class.is_some_and(|class| snap.is_instance_of(owner, class)) {
         return;
     }
-    if kb.find_attr_class(owner, &label).is_none() {
+    if snap.find_attr_class(owner, &label).is_none() {
         out.push(Violation {
             axiom: "aggregation/undeclared",
             prop: id,
             message: format!(
                 "attribute `{}` on `{}` matches no attribute class",
                 label,
-                kb.display(owner)
+                snap.store().display(owner)
             ),
         });
     }
@@ -134,27 +133,26 @@ fn declared_for(kb: &Kb, id: PropId, out: &mut Vec<Violation>) {
 /// Specialization soundness: the believed isa graph is acyclic. The
 /// KB rejects cycles at TELL time, so a violation here indicates
 /// memory corruption or a bad replay — checked anyway, defensively.
-pub fn check_isa_acyclic(kb: &Kb) -> Vec<Violation> {
+pub fn check_isa_acyclic(snap: Snapshot<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
-    for id in all_ids(kb) {
-        acyclic_for(kb, id, &mut out);
+    for id in snap.believed() {
+        acyclic_for(snap, id, &mut out);
     }
     out
 }
 
-fn acyclic_for(kb: &Kb, id: PropId, out: &mut Vec<Violation>) {
-    let Ok(p) = kb.get(id) else { return };
-    if !p.is_believed() || p.is_individual() {
+fn acyclic_for(snap: Snapshot<'_>, id: PropId, out: &mut Vec<Violation>) {
+    let Some(p) = seen(snap, id).filter(|p| !p.is_individual()) else {
+        return;
+    };
+    if snap.store().resolve_sym(p.label) != crate::kb::L_ISA {
         return;
     }
-    if kb.resolve(p.label) != crate::kb::L_ISA {
-        return;
-    }
-    if kb.isa_ancestors(p.dest).contains(&p.source) {
+    if snap.isa_ancestors(p.dest).contains(&p.source) {
         out.push(Violation {
             axiom: "specialization/cycle",
             prop: id,
-            message: format!("isa cycle through {}", kb.display(id)),
+            message: format!("isa cycle through {}", snap.store().display(id)),
         });
     }
 }
@@ -165,40 +163,44 @@ fn acyclic_for(kb: &Kb, id: PropId, out: &mut Vec<Violation>) {
 /// it, specializes it, or is an instance of it (value refinement).
 /// Declarations are multi-valued, so the check is existential over
 /// `D`'s declarations.
-pub fn check_attribute_refinement(kb: &Kb) -> Vec<Violation> {
+pub fn check_attribute_refinement(snap: Snapshot<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
-    for c in all_ids(kb) {
-        refinement_for(kb, c, &mut out);
+    for c in snap.believed() {
+        refinement_for(snap, c, &mut out);
     }
     out
 }
 
-fn refinement_for(kb: &Kb, c: PropId, out: &mut Vec<Violation>) {
-    let Ok(p) = kb.get(c) else { return };
-    if !p.is_believed() || !p.is_individual() {
+fn refinement_for(snap: Snapshot<'_>, c: PropId, out: &mut Vec<Violation>) {
+    let store = snap.store();
+    if !seen(snap, c).is_some_and(Proposition::is_individual) {
         return;
     }
-    for d in kb.isa_ancestors(c) {
-        for attr_c in kb.attrs_of(c) {
-            let Ok(ac) = kb.get(attr_c) else { continue };
-            let label = kb.resolve(ac.label).to_string();
-            let super_decls: Vec<PropId> = kb
+    for d in snap.isa_ancestors(c) {
+        for attr_c in snap.attrs_of(c) {
+            let Some(ac) = store.prop(attr_c) else {
+                continue;
+            };
+            let label = store.resolve_sym(ac.label).to_string();
+            let super_decls: Vec<PropId> = snap
                 .attrs_of(d)
                 .into_iter()
                 .filter(|&a| {
-                    kb.get(a)
-                        .map(|ad| kb.resolve(ad.label) == label)
-                        .unwrap_or(false)
+                    snap.store()
+                        .prop(a)
+                        .is_some_and(|ad| store.resolve_sym(ad.label) == label)
                 })
                 .collect();
             if super_decls.is_empty() {
                 continue; // label not declared above: nothing to refine
             }
             let refines_one = super_decls.iter().any(|&a| {
-                let Ok(ad) = kb.get(a) else { return false };
+                let Some(ad) = store.prop(a) else {
+                    return false;
+                };
                 ac.dest == ad.dest
-                    || kb.isa_ancestors(ac.dest).contains(&ad.dest)
-                    || kb.is_instance_of(ac.dest, ad.dest)
+                    || snap.isa_ancestors(ac.dest).contains(&ad.dest)
+                    || snap.is_instance_of(ac.dest, ad.dest)
             });
             if !refines_one {
                 out.push(Violation {
@@ -206,10 +208,10 @@ fn refinement_for(kb: &Kb, c: PropId, out: &mut Vec<Violation>) {
                     prop: attr_c,
                     message: format!(
                         "`{}`.{} : `{}` refines no `{}`.{} declaration",
-                        kb.display(c),
+                        store.display(c),
                         label,
-                        kb.display(ac.dest),
-                        kb.display(d),
+                        store.display(ac.dest),
+                        store.display(d),
                         label
                     ),
                 });
@@ -219,11 +221,11 @@ fn refinement_for(kb: &Kb, c: PropId, out: &mut Vec<Violation>) {
 }
 
 /// Runs every axiom check.
-pub fn check_all(kb: &Kb) -> Vec<Violation> {
-    let mut out = check_attribute_typing(kb);
-    out.extend(check_attribute_declared(kb));
-    out.extend(check_isa_acyclic(kb));
-    out.extend(check_attribute_refinement(kb));
+pub fn check_all(snap: Snapshot<'_>) -> Vec<Violation> {
+    let mut out = check_attribute_typing(snap);
+    out.extend(check_attribute_declared(snap));
+    out.extend(check_isa_acyclic(snap));
+    out.extend(check_attribute_refinement(snap));
     out
 }
 
@@ -232,14 +234,15 @@ pub fn check_all(kb: &Kb) -> Vec<Violation> {
 /// Sound for incremental use because every axiom here is *local* to a
 /// proposition and the objects it connects: a fresh violation can only
 /// involve a proposition of the batch.
-pub fn check_props(kb: &Kb, ids: &[PropId]) -> Vec<Violation> {
+pub fn check_props(snap: Snapshot<'_>, ids: &[PropId]) -> Vec<Violation> {
+    let store = snap.store();
     let mut out = Vec::new();
     let mut refinement_roots: Vec<PropId> = Vec::new();
     for &id in ids {
-        typing_for(kb, id, &mut out);
-        declared_for(kb, id, &mut out);
-        acyclic_for(kb, id, &mut out);
-        let Ok(p) = kb.get(id) else { continue };
+        typing_for(snap, id, &mut out);
+        declared_for(snap, id, &mut out);
+        acyclic_for(snap, id, &mut out);
+        let Some(p) = store.prop(id) else { continue };
         let root = if p.is_individual() { id } else { p.source };
         if !refinement_roots.contains(&root) {
             refinement_roots.push(root);
@@ -248,11 +251,11 @@ pub fn check_props(kb: &Kb, ids: &[PropId]) -> Vec<Violation> {
         // existing declarations (and its descendants'); a new attribute
         // declaration on a class likewise threatens every subclass that
         // redeclares the label.
-        let is_isa = !p.is_individual() && kb.resolve(p.label) == crate::kb::L_ISA;
+        let is_isa = !p.is_individual() && store.resolve_sym(p.label) == crate::kb::L_ISA;
         let is_attr_decl =
-            !p.is_individual() && kb.resolve(p.label) != crate::kb::L_INSTANCEOF && !is_isa;
+            !p.is_individual() && store.resolve_sym(p.label) != crate::kb::L_INSTANCEOF && !is_isa;
         if is_isa || is_attr_decl {
-            for desc in kb.isa_descendants(p.source) {
+            for desc in snap.isa_descendants(p.source) {
                 if !refinement_roots.contains(&desc) {
                     refinement_roots.push(desc);
                 }
@@ -260,7 +263,7 @@ pub fn check_props(kb: &Kb, ids: &[PropId]) -> Vec<Violation> {
         }
     }
     for root in refinement_roots {
-        refinement_for(kb, root, &mut out);
+        refinement_for(snap, root, &mut out);
     }
     out
 }
@@ -268,11 +271,12 @@ pub fn check_props(kb: &Kb, ids: &[PropId]) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Kb;
 
     #[test]
     fn bootstrap_is_axiom_clean() {
         let kb = Kb::new();
-        assert_eq!(check_all(&kb), Vec::new());
+        assert_eq!(check_all(kb.snapshot()), Vec::new());
     }
 
     #[test]
@@ -286,8 +290,8 @@ mod tests {
         kb.instantiate(maria, person).unwrap();
         let sender = kb.put_attr(invitation, "sender", person).unwrap();
         kb.put_attr_typed(inv42, "sender", maria, sender).unwrap();
-        assert!(check_attribute_typing(&kb).is_empty());
-        assert!(check_attribute_declared(&kb).is_empty());
+        assert!(check_attribute_typing(kb.snapshot()).is_empty());
+        assert!(check_attribute_declared(kb.snapshot()).is_empty());
     }
 
     #[test]
@@ -303,7 +307,7 @@ mod tests {
         let sender = kb.put_attr(invitation, "sender", person).unwrap();
         // hall is a Room, not a Person:
         kb.put_attr_typed(inv42, "sender", hall, sender).unwrap();
-        let v = check_attribute_typing(&kb);
+        let v = check_attribute_typing(kb.snapshot());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].axiom, "attribute-typing/dest");
         assert!(v[0].to_string().contains("hall"));
@@ -317,7 +321,7 @@ mod tests {
         let x = kb.individual("x").unwrap();
         kb.instantiate(inv42, invitation).unwrap();
         kb.put_attr(inv42, "bogus", x).unwrap();
-        let v = check_attribute_declared(&kb);
+        let v = check_attribute_declared(kb.snapshot());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].axiom, "aggregation/undeclared");
     }
@@ -333,7 +337,7 @@ mod tests {
         kb.put_attr(paper, "author", person).unwrap();
         // Invitation redeclares author with an unrelated class:
         kb.put_attr(invitation, "author", room).unwrap();
-        let v = check_attribute_refinement(&kb);
+        let v = check_attribute_refinement(kb.snapshot());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].axiom, "specialization/attribute-refinement");
     }
@@ -349,7 +353,7 @@ mod tests {
         kb.specialize(organizer, person).unwrap();
         kb.put_attr(paper, "author", person).unwrap();
         kb.put_attr(invitation, "author", organizer).unwrap();
-        assert!(check_attribute_refinement(&kb).is_empty());
+        assert!(check_attribute_refinement(kb.snapshot()).is_empty());
     }
 
     #[test]
@@ -363,10 +367,13 @@ mod tests {
         let room = kb.individual("Room").unwrap();
         kb.specialize(invitation, paper).unwrap();
         kb.put_attr(invitation, "author", room).unwrap();
-        assert!(check_all(&kb).is_empty(), "no conflict before the batch");
+        assert!(
+            check_all(kb.snapshot()).is_empty(),
+            "no conflict before the batch"
+        );
         // The batch: a conflicting declaration on the superclass.
         let decl = kb.put_attr(paper, "author", person).unwrap();
-        let v = check_props(&kb, &[decl]);
+        let v = check_props(kb.snapshot(), &[decl]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].axiom, "specialization/attribute-refinement");
     }
@@ -379,8 +386,8 @@ mod tests {
         let x = kb.individual("x").unwrap();
         kb.instantiate(inv42, invitation).unwrap();
         let bad = kb.put_attr(inv42, "bogus", x).unwrap();
-        assert_eq!(check_all(&kb).len(), 1);
+        assert_eq!(check_all(kb.snapshot()).len(), 1);
         kb.untell(bad).unwrap();
-        assert!(check_all(&kb).is_empty());
+        assert!(check_all(kb.snapshot()).is_empty());
     }
 }

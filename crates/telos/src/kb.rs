@@ -9,11 +9,14 @@
 //! retrieval that respects belief time and the
 //! classification/specialization axioms.
 //!
-//! Retrieval is written once, on [`Snapshot`] — a store read at a
-//! belief tick. `Kb`'s own retrieval methods are that read at `now`.
-//! Nothing is ever destructively deleted: [`Kb::untell`] closes a
-//! proposition's belief interval, so past states remain queryable
-//! ([`PropStore::snapshot_at`]) — the basis of temporal navigation
+//! Retrieval is [`Snapshot`] — a store read at a belief tick — and
+//! nothing else: the live KB reads through `kb.snapshot()`, a past
+//! state through `kb.snapshot_at(t)`, a pinned version through its own
+//! `snapshot_at(w)`. `Kb` keeps only what a writer needs: the name
+//! index ([`Kb::lookup`], the TELL hot path), [`Kb::get`], creation,
+//! the transaction and [`Kb::version`]. Nothing is ever destructively
+//! deleted: [`Kb::untell`] closes a proposition's belief interval, so
+//! past states remain queryable — the basis of temporal navigation
 //! (§3.3.1).
 //!
 //! # Write transactions
@@ -43,17 +46,17 @@ pub const L_INSTANCEOF: &str = "instanceof";
 pub const L_ISA: &str = "isa";
 
 /// The knowledge base: the writer of a [`PropStore`], to which it
-/// derefs for every raw read, `now()`, `len()`, `display()` and
-/// `snapshot_at()`.
+/// derefs for every raw read, `now()`, `len()`, `display()`,
+/// `snapshot()` and `snapshot_at()`.
 ///
 /// The store is persistent (chunked `Arc` spines — see [`crate::pvec`]),
 /// so [`Kb::version`] freezes an immutable [`KbVersion`] by structural
 /// sharing and later writes copy only the chunks they touch.
 ///
-/// Current-belief retrieval (`classes_of`, `attr_values`, …) is the
-/// same-named [`Snapshot`] read at `now`. That is sound because UNTELL
-/// ticks *before* it closes an interval, so for every proposition at
-/// every moment `is_believed() ≡ believed_at(now)`.
+/// Current-belief retrieval is `kb.snapshot()`, the [`Snapshot`] at
+/// `now`. That is sound because UNTELL ticks *before* it closes an
+/// interval, so for every proposition at every moment
+/// `is_believed() ≡ believed_at(now)`.
 pub struct Kb {
     store: PropStore,
     /// Believed individuals by name: the O(1) path of [`Kb::lookup`].
@@ -297,7 +300,7 @@ impl Kb {
     /// Creates (or finds) the believed classification link `x instanceof c`.
     pub fn instantiate(&mut self, x: PropId, c: PropId) -> TelosResult<PropId> {
         let label = self.instanceof_sym();
-        if let Some(existing) = self.find_link(x, label, c) {
+        if let Some(existing) = self.snapshot().find_link(x, label, c) {
             return Ok(existing);
         }
         self.create_raw(x, label, c, Interval::always())
@@ -307,7 +310,7 @@ impl Kb {
     /// Rejects cycles (the specialization axiom requires a partial
     /// order).
     pub fn specialize(&mut self, c: PropId, d: PropId) -> TelosResult<PropId> {
-        if c == d || self.isa_ancestors(d).contains(&c) {
+        if c == d || self.snapshot().isa_ancestors(d).contains(&c) {
             return Err(TelosError::AxiomViolation(format!(
                 "isa cycle: `{}` isa `{}`",
                 self.display(c),
@@ -315,7 +318,7 @@ impl Kb {
             )));
         }
         let label = self.isa_sym();
-        if let Some(existing) = self.find_link(c, label, d) {
+        if let Some(existing) = self.snapshot().find_link(c, label, d) {
             return Ok(existing);
         }
         self.create_raw(c, label, d, Interval::always())
@@ -402,125 +405,11 @@ impl Kb {
         Ok(untold)
     }
 
-    // ----- retrieval: each a `Snapshot` read at `now` ---------------------
+    // ----- raw access -----------------------------------------------------
 
     /// The proposition with the given id.
     pub fn get(&self, id: PropId) -> TelosResult<&Proposition> {
         self.prop(id).ok_or(TelosError::UnknownProposition(id))
-    }
-
-    /// Number of currently believed propositions.
-    pub fn believed_count(&self) -> usize {
-        self.snapshot().believed_count()
-    }
-
-    /// Finds a believed link `<x, label, y>`.
-    pub fn find_link(&self, x: PropId, label: Symbol, y: PropId) -> Option<PropId> {
-        self.snapshot().find_link(x, label, y)
-    }
-
-    /// All believed propositions with source `x`.
-    pub fn links_from(&self, x: PropId) -> Vec<PropId> {
-        self.snapshot().links_from(x)
-    }
-
-    /// All believed propositions with destination `y`.
-    pub fn links_to(&self, y: PropId) -> Vec<PropId> {
-        self.snapshot().links_to(y)
-    }
-
-    /// All believed propositions carrying `label`.
-    pub fn props_with_label(&self, label: &str) -> Vec<PropId> {
-        self.snapshot().props_with_label(label)
-    }
-
-    /// Direct classes of `x` (believed `instanceof` links).
-    pub fn classes_of(&self, x: PropId) -> Vec<PropId> {
-        self.snapshot().classes_of(x)
-    }
-
-    /// Direct believed instances of class `c`.
-    pub fn instances_of(&self, c: PropId) -> Vec<PropId> {
-        self.snapshot().instances_of(c)
-    }
-
-    /// Direct isa parents of `c`.
-    pub fn isa_parents(&self, c: PropId) -> Vec<PropId> {
-        self.snapshot().isa_parents(c)
-    }
-
-    /// Direct isa children of `c`.
-    pub fn isa_children(&self, c: PropId) -> Vec<PropId> {
-        self.snapshot().isa_children(c)
-    }
-
-    /// Transitive isa ancestors of `c` (excluding `c`), breadth-first,
-    /// deduplicated.
-    pub fn isa_ancestors(&self, c: PropId) -> Vec<PropId> {
-        self.snapshot().isa_ancestors(c)
-    }
-
-    /// Transitive isa descendants of `c` (excluding `c`).
-    pub fn isa_descendants(&self, c: PropId) -> Vec<PropId> {
-        self.snapshot().isa_descendants(c)
-    }
-
-    /// Classes of `x` closed under specialization: if `x in c` and
-    /// `c isa d` then `x` is also an instance of `d` (the instance-
-    /// inheritance axiom).
-    pub fn all_classes_of(&self, x: PropId) -> Vec<PropId> {
-        self.snapshot().all_classes_of(x)
-    }
-
-    /// Instances of `c` including those of all isa descendants.
-    pub fn all_instances_of(&self, c: PropId) -> Vec<PropId> {
-        self.snapshot().all_instances_of(c)
-    }
-
-    /// True if `x` is an instance of `c`, directly or through
-    /// specialization.
-    pub fn is_instance_of(&self, x: PropId, c: PropId) -> bool {
-        self.snapshot().is_instance_of(x, c)
-    }
-
-    /// Believed attribute propositions of `x` (links from `x` that are
-    /// neither instanceof nor isa).
-    pub fn attrs_of(&self, x: PropId) -> Vec<PropId> {
-        self.snapshot().attrs_of(x)
-    }
-
-    /// Values of the believed attribute `label` on `x`.
-    pub fn attr_values(&self, x: PropId, label: &str) -> Vec<PropId> {
-        self.snapshot().attr_values(x, label)
-    }
-
-    /// The attribute class an attribute proposition was classified
-    /// under, if materialized.
-    pub fn attr_class_of(&self, attr: PropId) -> Option<PropId> {
-        self.classes_of(attr).into_iter().next()
-    }
-
-    /// Searches the classes of `x` (transitively, through isa) for an
-    /// attribute class whose label is `label`.
-    pub fn find_attr_class(&self, x: PropId, label: &str) -> Option<PropId> {
-        self.snapshot().find_attr_class(x, label)
-    }
-
-    // ----- temporal retrieval ---------------------------------------------
-
-    /// Direct classes of `x` as believed at tick `t`.
-    pub fn classes_of_at(&self, x: PropId, t: i64) -> Vec<PropId> {
-        self.snapshot_at(t).classes_of(x)
-    }
-
-    /// Values of attribute `label` on `x` as believed at tick `t`.
-    pub fn attr_values_at(&self, x: PropId, label: &str, t: i64) -> Vec<PropId> {
-        self.snapshot_at(t).attr_values(x, label)
-    }
-
-    /// All propositions believed at tick `t`.
-    pub fn believed_at(&self, t: i64) -> Vec<PropId> {
-        self.snapshot_at(t).believed().collect()
     }
 
     // ----- versions -------------------------------------------------------
@@ -537,58 +426,6 @@ impl Kb {
     /// hands one to each session so reads never take the writer lock.
     pub fn version(&self) -> KbVersion {
         KbVersion::freeze(self.store.clone())
-    }
-}
-
-/// The uniform read-only query surface the assertion evaluator and ASK
-/// are generic over. There is one implementation — the provided
-/// methods below, each the same-named [`Snapshot`] read of
-/// [`KbRead::view`]; an implementor only says which view it is: a
-/// [`Snapshot`] is itself, a [`Kb`] or [`KbVersion`] its `snapshot()`.
-pub trait KbRead {
-    /// The belief-time view every other method answers from.
-    fn view(&self) -> Snapshot<'_>;
-
-    /// The individual named `name` believed in this view, if any.
-    fn lookup(&self, name: &str) -> Option<PropId> {
-        self.view().lookup(name)
-    }
-    /// Human-readable name of a proposition.
-    fn display(&self, id: PropId) -> String {
-        self.view().store().display(id)
-    }
-    /// True if `x` is an instance of `c` in this view, directly or
-    /// through specialization.
-    fn is_instance_of(&self, x: PropId, c: PropId) -> bool {
-        self.view().is_instance_of(x, c)
-    }
-    /// Transitive isa ancestors of `c` (excluding `c`) in this view.
-    fn isa_ancestors(&self, c: PropId) -> Vec<PropId> {
-        self.view().isa_ancestors(c)
-    }
-    /// Instances of `c` in this view, including those of all isa
-    /// descendants.
-    fn all_instances_of(&self, c: PropId) -> Vec<PropId> {
-        self.view().all_instances_of(c)
-    }
-    /// Values of the attribute `label` on `x` in this view.
-    fn attr_values(&self, x: PropId, label: &str) -> Vec<PropId> {
-        self.view().attr_values(x, label)
-    }
-}
-
-impl KbRead for Kb {
-    fn view(&self) -> Snapshot<'_> {
-        self.snapshot()
-    }
-    fn lookup(&self, name: &str) -> Option<PropId> {
-        Kb::lookup(self, name)
-    }
-}
-
-impl KbRead for Snapshot<'_> {
-    fn view(&self) -> Snapshot<'_> {
-        *self
     }
 }
 
@@ -853,8 +690,8 @@ mod tests {
         let paper = kb.individual("Paper").unwrap();
         let class = kb.builtins().simple_class;
         kb.instantiate(paper, class).unwrap();
-        assert!(kb.classes_of(paper).contains(&class));
-        assert!(kb.instances_of(class).contains(&paper));
+        assert!(kb.snapshot().classes_of(paper).contains(&class));
+        assert!(kb.snapshot().instances_of(class).contains(&paper));
         // Dedup: instantiating twice creates no new link.
         let n = kb.len();
         kb.instantiate(paper, class).unwrap();
@@ -869,11 +706,14 @@ mod tests {
         let inv42 = kb.individual("inv42").unwrap();
         kb.specialize(invitation, paper).unwrap();
         kb.instantiate(inv42, invitation).unwrap();
-        assert!(kb.is_instance_of(inv42, invitation));
-        assert!(kb.is_instance_of(inv42, paper), "instance inheritance");
-        assert!(kb.all_instances_of(paper).contains(&inv42));
-        assert!(kb.all_classes_of(inv42).contains(&paper));
-        assert!(!kb.is_instance_of(paper, invitation));
+        assert!(kb.snapshot().is_instance_of(inv42, invitation));
+        assert!(
+            kb.snapshot().is_instance_of(inv42, paper),
+            "instance inheritance"
+        );
+        assert!(kb.snapshot().all_instances_of(paper).contains(&inv42));
+        assert!(kb.snapshot().all_classes_of(inv42).contains(&paper));
+        assert!(!kb.snapshot().is_instance_of(paper, invitation));
     }
 
     #[test]
@@ -904,8 +744,8 @@ mod tests {
             kb.specialize(prev, c).unwrap();
             prev = c;
         }
-        assert_eq!(kb.isa_ancestors(bottom).len(), 49);
-        assert_eq!(kb.isa_descendants(prev).len(), 49);
+        assert_eq!(kb.snapshot().isa_ancestors(bottom).len(), 49);
+        assert_eq!(kb.snapshot().isa_descendants(prev).len(), 49);
     }
 
     #[test]
@@ -919,14 +759,20 @@ mod tests {
         // attribute class on the class …
         let sender_class = kb.put_attr(invitation, "sender", person).unwrap();
         // … found through classification:
-        assert_eq!(kb.find_attr_class(inv42, "sender"), Some(sender_class));
+        assert_eq!(
+            kb.snapshot().find_attr_class(inv42, "sender"),
+            Some(sender_class)
+        );
         // typed token-level attribute:
         let attr = kb
             .put_attr_typed(inv42, "sender", maria, sender_class)
             .unwrap();
-        assert_eq!(kb.attr_values(inv42, "sender"), vec![maria]);
-        assert_eq!(kb.attr_class_of(attr), Some(sender_class));
-        assert_eq!(kb.attrs_of(inv42), vec![attr]);
+        assert_eq!(kb.snapshot().attr_values(inv42, "sender"), vec![maria]);
+        assert_eq!(
+            kb.snapshot().classes_of(attr).first().copied(),
+            Some(sender_class)
+        );
+        assert_eq!(kb.snapshot().attrs_of(inv42), vec![attr]);
         assert_eq!(kb.display(attr), "<inv42 sender maria>");
     }
 
@@ -940,7 +786,10 @@ mod tests {
         kb.specialize(invitation, paper).unwrap();
         kb.instantiate(inv42, invitation).unwrap();
         let author_class = kb.put_attr(paper, "author", person).unwrap();
-        assert_eq!(kb.find_attr_class(inv42, "author"), Some(author_class));
+        assert_eq!(
+            kb.snapshot().find_attr_class(inv42, "author"),
+            Some(author_class)
+        );
     }
 
     #[test]
@@ -961,9 +810,9 @@ mod tests {
         let before = kb.now();
         kb.untell(attr).unwrap();
         assert!(!kb.get(attr).unwrap().is_believed());
-        assert!(kb.attr_values(a, "rel").is_empty());
+        assert!(kb.snapshot().attr_values(a, "rel").is_empty());
         // Temporal query still sees it.
-        assert_eq!(kb.attr_values_at(a, "rel", before), vec![b]);
+        assert_eq!(kb.snapshot_at(before).attr_values(a, "rel"), vec![b]);
         // Double-untell is an error.
         assert!(matches!(kb.untell(attr), Err(TelosError::NotBelieved(_))));
     }
@@ -998,11 +847,11 @@ mod tests {
     #[test]
     fn believed_count_tracks_untell() {
         let mut kb = kb();
-        let base = kb.believed_count();
+        let base = kb.snapshot().believed_count();
         let a = kb.individual("A").unwrap();
-        assert_eq!(kb.believed_count(), base + 1);
+        assert_eq!(kb.snapshot().believed_count(), base + 1);
         kb.untell(a).unwrap();
-        assert_eq!(kb.believed_count(), base);
+        assert_eq!(kb.snapshot().believed_count(), base);
         assert_eq!(kb.len(), base + 1, "nothing destroyed");
     }
 
@@ -1013,11 +862,11 @@ mod tests {
         let b = kb.individual("B").unwrap();
         let l1 = kb.put_attr(a, "uses", b).unwrap();
         let l2 = kb.put_attr(b, "uses", a).unwrap();
-        assert_eq!(kb.links_from(a), vec![l1]);
-        assert!(kb.links_to(a).contains(&l2));
-        let with_label = kb.props_with_label("uses");
+        assert_eq!(kb.snapshot().links_from(a), vec![l1]);
+        assert!(kb.snapshot().links_to(a).contains(&l2));
+        let with_label = kb.snapshot().props_with_label("uses");
         assert_eq!(with_label.len(), 2);
-        assert!(kb.props_with_label("nosuch").is_empty());
+        assert!(kb.snapshot().props_with_label("nosuch").is_empty());
     }
 
     #[test]
@@ -1028,8 +877,8 @@ mod tests {
         let link = kb.instantiate(x, c).unwrap();
         let t_in = kb.now();
         kb.untell(link).unwrap();
-        assert!(kb.classes_of(x).is_empty());
-        assert_eq!(kb.classes_of_at(x, t_in), vec![c]);
+        assert!(kb.snapshot().classes_of(x).is_empty());
+        assert_eq!(kb.snapshot_at(t_in).classes_of(x), vec![c]);
     }
 
     #[test]
@@ -1078,7 +927,7 @@ mod tests {
         assert_eq!(snap.lookup("y"), None);
         assert_eq!(snap.all_instances_of(c), vec![x]);
         // … while the live view and a fresh snapshot see it.
-        assert_eq!(kb.all_instances_of(c).len(), 2);
+        assert_eq!(kb.snapshot().all_instances_of(c).len(), 2);
         assert_eq!(kb.snapshot().all_instances_of(c).len(), 2);
         assert_eq!(kb.snapshot().lookup("y"), Some(y));
     }
@@ -1094,7 +943,7 @@ mod tests {
         let snap = kb.snapshot_at(before);
         assert!(snap.sees(attr));
         assert_eq!(snap.attr_values(a, "rel"), vec![b]);
-        assert!(kb.attr_values(a, "rel").is_empty());
+        assert!(kb.snapshot().attr_values(a, "rel").is_empty());
         // An untold individual is still resolvable in an old snapshot.
         let ghost = kb.individual("Ghost").unwrap();
         let t = kb.now();
@@ -1119,7 +968,7 @@ mod tests {
         assert!(snap.all_classes_of(inv1).contains(&paper));
         assert_eq!(snap.isa_ancestors(inv), vec![paper]);
         assert_eq!(snap.isa_descendants(paper), vec![inv]);
-        assert!(!kb.is_instance_of(inv1, paper), "isa gone now");
+        assert!(!kb.snapshot().is_instance_of(inv1, paper), "isa gone now");
         assert!(snap.believed_count() > kb.snapshot_at(0).believed_count());
     }
 

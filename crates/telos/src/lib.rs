@@ -16,7 +16,7 @@
 //!   the Allen interval algebra \[ALLE83\] and an event calculus \[KS86\];
 //! * [`prop`] — the proposition quadruple itself;
 //! * [`kb`] — the proposition base with its four access paths, TELL /
-//!   UNTELL, and typed retrieval;
+//!   UNTELL, and [`Snapshot`], the one typed retrieval surface;
 //! * [`omega`] — the ω-level bootstrap (PROPOSITION, CLASS, the six
 //!   predefined link classes, classification levels);
 //! * [`axioms`] — the CML axioms (classification, specialization,
@@ -30,9 +30,11 @@
 //!
 //! The proposition base is one in-memory [`PropStore`]: [`Kb`] writes
 //! it, a [`KbVersion`] is a frozen clone of it, and every belief-time
-//! read is a [`Snapshot`] of it. It does no I/O — a KB is made durable
-//! one level up, by `gkbms::journal` logging the operations that built
-//! it.
+//! read — the assertion evaluator, the axiom checks, every reader in
+//! the crates above — takes a [`Snapshot`] of it, so what reads the
+//! live KB reads any version alike. It does no I/O — a KB is made
+//! durable one level up, by `gkbms::journal` logging the operations
+//! that built it.
 
 pub mod assertion;
 pub mod axioms;
@@ -46,7 +48,7 @@ pub mod time;
 pub mod version;
 
 pub use error::{TelosError, TelosResult};
-pub use kb::{Committed, Kb, KbRead, Snapshot};
+pub use kb::{Committed, Kb, Snapshot};
 pub use prop::{PropId, Proposition};
 pub use symbols::{Symbol, SymbolTable};
 pub use time::interval::Interval;

@@ -185,9 +185,15 @@ mod tests {
     fn levels_are_classes_and_propositions() {
         let kb = Kb::new();
         let b = kb.builtins();
-        assert!(kb.is_instance_of(b.simple_class, b.class));
-        assert!(kb.isa_ancestors(b.simple_class).contains(&b.proposition));
-        assert!(kb.isa_ancestors(b.class).contains(&b.proposition));
+        assert!(kb.snapshot().is_instance_of(b.simple_class, b.class));
+        assert!(kb
+            .snapshot()
+            .isa_ancestors(b.simple_class)
+            .contains(&b.proposition));
+        assert!(kb
+            .snapshot()
+            .isa_ancestors(b.class)
+            .contains(&b.proposition));
     }
 
     #[test]
@@ -195,18 +201,24 @@ mod tests {
         let kb = Kb::new();
         let b = kb.builtins();
         assert_eq!(
-            kb.attr_values(b.instance_of_omega, "from"),
+            kb.snapshot().attr_values(b.instance_of_omega, "from"),
             vec![b.proposition]
         );
-        assert_eq!(kb.attr_values(b.instance_of_omega, "to"), vec![b.class]);
-        assert_eq!(kb.attr_values(b.isa_1, "from"), vec![b.simple_class]);
+        assert_eq!(
+            kb.snapshot().attr_values(b.instance_of_omega, "to"),
+            vec![b.class]
+        );
+        assert_eq!(
+            kb.snapshot().attr_values(b.isa_1, "from"),
+            vec![b.simple_class]
+        );
     }
 
     #[test]
     fn isa_1_specializes_isa_omega() {
         let kb = Kb::new();
         let b = kb.builtins();
-        assert!(kb.isa_ancestors(b.isa_1).contains(&b.isa_omega));
+        assert!(kb.snapshot().isa_ancestors(b.isa_1).contains(&b.isa_omega));
     }
 
     #[test]
@@ -220,10 +232,10 @@ mod tests {
         kb.instantiate(dbpl_rel, design_object).unwrap();
         let inv_rel = kb.individual("InvitationRel").unwrap();
         kb.instantiate(inv_rel, dbpl_rel).unwrap();
-        assert!(kb.is_instance_of(inv_rel, dbpl_rel));
-        assert!(kb.is_instance_of(dbpl_rel, design_object));
-        assert!(kb.is_instance_of(design_object, b.meta_class));
+        assert!(kb.snapshot().is_instance_of(inv_rel, dbpl_rel));
+        assert!(kb.snapshot().is_instance_of(dbpl_rel, design_object));
+        assert!(kb.snapshot().is_instance_of(design_object, b.meta_class));
         // Three distinct levels, as fig 2-5 draws them.
-        assert!(!kb.is_instance_of(inv_rel, design_object));
+        assert!(!kb.snapshot().is_instance_of(inv_rel, design_object));
     }
 }

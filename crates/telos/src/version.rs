@@ -26,7 +26,7 @@
 //! it is the same code over the same memory. That is what lets the
 //! server serve reads from a pinned version without the writer lock.
 
-use crate::kb::{KbRead, Snapshot, L_INSTANCEOF, L_ISA};
+use crate::kb::{Snapshot, L_INSTANCEOF, L_ISA};
 use crate::prop::{PropId, Proposition};
 use crate::pvec::{self, PVec};
 use crate::symbols::{Symbol, SymbolTable};
@@ -301,13 +301,6 @@ impl KbVersion {
     }
 }
 
-/// Reads against a version answer as of its capture tick.
-impl KbRead for KbVersion {
-    fn view(&self) -> Snapshot<'_> {
-        self.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,7 +322,7 @@ mod tests {
         let v = kb.version();
         assert_eq!(v.now(), kb.now());
         assert_eq!(v.len(), kb.len());
-        assert_eq!(v.lookup("x"), Some(x));
+        assert_eq!(v.snapshot().lookup("x"), Some(x));
         assert_eq!(v.display(x), "x");
         assert_eq!(
             v.snapshot().all_instances_of(c),
@@ -492,7 +485,7 @@ mod tests {
 
         assert_eq!(observe(&v), before);
         assert_eq!(before.7, vec![x]);
-        assert_eq!(v.lookup("y"), None);
+        assert_eq!(v.snapshot().lookup("y"), None);
         assert_eq!(v.len() + 4, kb.len());
         assert!(
             v.prop(link).unwrap().is_believed(),

@@ -1,12 +1,14 @@
-//! One reader needs a reference. Belief-time retrieval is written once,
-//! on `Snapshot`; `Kb`'s current-belief methods, a `KbVersion` and every
-//! `snapshot_at(w)` all run it. This model-based test drives random
-//! write sequences and, after every step, holds all of those readings
-//! equal to each other **and** to a naive oracle written here, which
-//! filters every proposition by `believed_at` and closes `isa` by
-//! fixpoint — it shares no code with `Snapshot`. Below the readers,
-//! every captured version's raw postings and symbol lookups must be
-//! the live store's cut to what existed at its capture.
+//! One reader needs a reference. Belief-time retrieval is `Snapshot`
+//! and nothing else: the live store's `snapshot_at(now)`, its
+//! `snapshot()`, a `KbVersion`'s and every `snapshot_at(w)` all run it.
+//! This model-based test drives random write sequences and, after
+//! every step, holds all of those readings equal to each other **and**
+//! to a naive oracle written here, which filters every proposition by
+//! `believed_at` and closes `isa` by fixpoint — it shares no code with
+//! `Snapshot`. The writer's name index (`Kb::lookup`) must answer what
+//! the live snapshot's label scan does. Below the readers, every
+//! captured version's raw postings and symbol lookups must be the live
+//! store's cut to what existed at its capture.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -48,8 +50,7 @@ impl Answers {
     }
 }
 
-/// The same method calls on any reader: `Kb` and `Snapshot` share the
-/// names, not a trait.
+/// Every read method of a `Snapshot`, over the fixed universe.
 macro_rules! answers {
     ($reader:expr, $store:expr, $ids:expr) => {{
         let (r, store, ids): (_, &PropStore, &[PropId]) = (&$reader, $store, $ids);
@@ -294,8 +295,14 @@ fn check(kb: &Kb, ids: &[PropId], captured: &[(KbVersion, i64)], when: &str) {
     }
     let now = kb.now();
     let version = kb.version();
+    let live = answers!(kb.snapshot_at(now), kb, ids);
+    let indexed: Vec<Option<PropId>> = NAMES.iter().map(|n| kb.lookup(n)).collect();
+    assert_eq!(
+        indexed, live.lookup,
+        "{when}: Kb::lookup vs the live snapshot"
+    );
     let mut views = vec![
-        ("Kb", now, answers!(kb, kb, ids)),
+        ("kb.snapshot_at(now)", now, live),
         ("Kb::snapshot", now, answers!(kb.snapshot(), kb, ids)),
         (
             "Kb::version().snapshot",

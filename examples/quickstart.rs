@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---------- 2. queries ----------
     println!("== ASK (assertion language) ==");
-    let senders = ask(&kb, "i", "Invitation", "i.sender = maria")?;
+    let senders = ask(&kb.snapshot(), "i", "Invitation", "i.sender = maria")?;
     println!("invitations sent by maria: {senders:?}");
 
     println!("\n== served ASK (deductive bridge, lemmas kept with the version) ==");
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---------- 3. consistency ----------
     println!("\n== consistency checker ==");
-    let (violations, stats) = objectbase::consistency::check_full(&kb);
+    let (violations, stats) = objectbase::consistency::check_full(kb.snapshot());
     println!(
         "violations: {} (constraints evaluated: {})",
         violations.len(),

@@ -9,6 +9,7 @@
 //! is process-global and this file is its own process.
 
 use conceptbase::analysis::cost::approx;
+use conceptbase::analysis::{explain_source, LintContext};
 use conceptbase::gkbms::journal::{decode_framed, WAL_FILE};
 use conceptbase::gkbms::metamodel::kernel;
 use conceptbase::gkbms::synth::{self, names, SynthConfig};
@@ -87,7 +88,7 @@ fn visible_state(g: &Gkbms) -> (usize, Vec<String>) {
         .iter()
         .flat_map(|v| ["in_", "isa", "attr", "inT", "isaT"].map(|p| format!("{:?}", v.tuples(p))))
         .collect();
-    (g.kb().believed_count(), tuples)
+    (g.kb().snapshot().believed_count(), tuples)
 }
 
 /// Executes a decision whose output lands in a subclass of `DBPL_Rel`
@@ -242,7 +243,7 @@ fn rule_less_writes_export_nothing_and_costed_ones_measure() {
 
     let isa_rows = to_edb_at_store(g.kb(), g.kb().now()).unwrap().count("isa");
     let before = exports();
-    let plan = g.explain_src("").unwrap();
+    let plan = explain_source("", &LintContext::from_kb(g.kb())).unwrap();
     assert!(exports() > before, "explain measures the EDB");
     let scan = format!("`isa(C, D)`: scan ~{} rows", approx(isa_rows as f64));
     assert!(plan.contains(&scan), "{plan}");

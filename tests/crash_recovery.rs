@@ -149,7 +149,7 @@ fn assert_prefix_state(g: &Gkbms, n: usize, ctx: &str) {
     );
     // AdHoc is told at step 5 and untold at step 7: believed only in
     // the window, and never resurrected by a crash after the untell.
-    let adhoc_believed = g.snapshot().lookup("AdHoc").is_some();
+    let adhoc_believed = g.kb().snapshot().lookup("AdHoc").is_some();
     assert_eq!(
         n > STEP_TELL_ADHOC && n <= STEP_UNTELL_ADHOC,
         adhoc_believed,
@@ -696,7 +696,7 @@ impl Digest {
             .iter()
             .map(|class| {
                 g.kb().lookup(class)?;
-                let mut names = query::ask(g.kb(), "x", class, "true").expect("ask");
+                let mut names = query::ask(&g.kb().snapshot(), "x", class, "true").expect("ask");
                 names.sort();
                 Some(names)
             })
@@ -722,10 +722,10 @@ impl Digest {
             len: kb.len(),
             now: kb.now(),
             props: props.collect(),
-            believed: kb.believed_count(),
+            believed: kb.snapshot().believed_count(),
             extents,
             current_objects: g.current_objects(),
-            design: Design::read(g.snapshot(), g),
+            design: Design::read(g.kb().snapshot(), g),
             histories: (INPUTS.iter().chain(OUTPUTS.iter().map(|(o, _)| o)))
                 .map(|o| g.object_history(o).ok())
                 .collect(),
@@ -854,7 +854,7 @@ fn apply_checked(
 ) -> GkbmsResult<()> {
     let outcome = apply_documented(g, op, oracle, registered);
     assert_eq!(
-        Design::read(g.snapshot(), g),
+        Design::read(g.kb().snapshot(), g),
         *oracle,
         "the design record after {op:?} ({outcome:?})"
     );
@@ -898,7 +898,7 @@ const STREAMED_OBJECTS: [&str; 9] = [
 /// raw TELL can link a decision to an object its execution did not
 /// name).
 fn index_agrees(g: &Gkbms, ctx: &str) {
-    let reader = Record::over(g.snapshot());
+    let reader = Record::over(g.kb().snapshot());
     for r in g.records() {
         let decoded = reader.decision(r.prop);
         assert_eq!(Some(r), decoded.as_ref(), "{ctx}: {} in the index", r.name);
@@ -1022,7 +1022,7 @@ fn versioned_reads_agree(g: &Gkbms, earlier: &mut Option<(KbVersion, Vec<Asked>)
     let at = v.now();
     assert_eq!(
         Design::read(v.snapshot(), g),
-        Design::read(g.snapshot(), g),
+        Design::read(g.kb().snapshot(), g),
         "{ctx}: the design record read from the version"
     );
     // The benchmark's traced gate: an ASK reports the counters of a
@@ -1307,7 +1307,10 @@ fn told_class_then_register_survives_checkpoint() {
     assert_eq!(Digest::of(&g), want);
     assert!(g.is_current("memo1"));
     let memo = g.kb().lookup("Memo").expect("the told class");
-    assert!(g.kb().is_instance_of(g.kb().lookup("memo1").unwrap(), memo));
+    assert!(g
+        .kb()
+        .snapshot()
+        .is_instance_of(g.kb().lookup("memo1").unwrap(), memo));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -1355,7 +1358,7 @@ fn class_under_told_parent_reloads() {
         loaded.kb().lookup("Base").unwrap(),
         loaded.kb().lookup("Derived").unwrap(),
     );
-    assert_eq!(loaded.kb().isa_parents(derived), vec![base]);
+    assert_eq!(loaded.kb().snapshot().isa_parents(derived), vec![base]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -1368,7 +1371,7 @@ fn failed_tell_batch_changes_nothing() {
     let (mut g, _) = Gkbms::recover(&dir).unwrap();
     g.tell_src("TELL Paper end\nTELL p1 in Paper end").unwrap();
     g.register_view("closure", "").unwrap();
-    let papers = |g: &Gkbms| query::ask(g.kb(), "p", "Paper", "true").unwrap();
+    let papers = |g: &Gkbms| query::ask(&g.kb().snapshot(), "p", "Paper", "true").unwrap();
     let before = (Digest::of(&g), papers(&g));
 
     for batch in [

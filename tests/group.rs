@@ -111,6 +111,7 @@ fn multi_developer_decision_history() {
     let kb = g.kb();
     let agent = kb.lookup("Agent").unwrap();
     let agents: Vec<String> = kb
+        .snapshot()
         .all_instances_of(agent)
         .into_iter()
         .map(|a| kb.display(a))

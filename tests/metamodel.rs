@@ -47,20 +47,20 @@ fn fig_2_5_levels() {
     let design_object = kb.lookup("DesignObject").unwrap();
     let dbpl_rel = kb.lookup(kernel::DBPL_REL).unwrap();
     // Class level: DBPL_Rel in DesignObject.
-    assert!(kb.is_instance_of(dbpl_rel, design_object));
+    assert!(kb.snapshot().is_instance_of(dbpl_rel, design_object));
     // Instance level: a token in DBPL_Rel.
     let token = kb.individual("InvitationRel").unwrap();
     kb.instantiate(token, dbpl_rel).unwrap();
-    assert!(kb.is_instance_of(token, dbpl_rel));
+    assert!(kb.snapshot().is_instance_of(token, dbpl_rel));
     // The levels are strictly separated (no collapsing).
-    assert!(!kb.is_instance_of(token, design_object));
-    assert!(!kb.is_instance_of(design_object, dbpl_rel));
+    assert!(!kb.snapshot().is_instance_of(token, design_object));
+    assert!(!kb.snapshot().is_instance_of(design_object, dbpl_rel));
     // The uniform representation is abstract: sources live outside,
     // referenced by SOURCE links to SourceRef tokens.
     let src = kb.individual("dbpl://DocumentDB#InvitationRel").unwrap();
     kb.instantiate(src, pm.source_ref).unwrap();
     kb.put_attr(token, names::SOURCE_I, src).unwrap();
-    assert_eq!(kb.attr_values(token, names::SOURCE_I), vec![src]);
+    assert_eq!(kb.snapshot().attr_values(token, names::SOURCE_I), vec![src]);
 }
 
 #[test]
@@ -106,35 +106,44 @@ fn fig_3_3_proposition_level_decision_documentation() {
     let dec_class = kb.lookup("DecNormalize").unwrap();
     let dbpl_rel = kb.lookup(kernel::DBPL_REL).unwrap();
     let normalized = kb.lookup(kernel::NORMALIZED_DBPL_REL).unwrap();
-    assert!(kb.attr_values(dec_class, names::FROM_I).contains(&dbpl_rel));
-    assert!(kb.attr_values(dec_class, names::TO_I).contains(&normalized));
-    assert!(kb.isa_ancestors(normalized).contains(&dbpl_rel));
+    assert!(kb
+        .snapshot()
+        .attr_values(dec_class, names::FROM_I)
+        .contains(&dbpl_rel));
+    assert!(kb
+        .snapshot()
+        .attr_values(dec_class, names::TO_I)
+        .contains(&normalized));
+    assert!(kb.snapshot().isa_ancestors(normalized).contains(&dbpl_rel));
 
     // Bottom layer: the executed decision interrelates the object
     // instances, and each output's justification points at it.
     let dec = kb.lookup("normalizeInvitations").unwrap();
-    assert!(kb.is_instance_of(dec, dec_class));
-    let from = kb.attr_values(dec, names::FROM_I);
+    assert!(kb.snapshot().is_instance_of(dec, dec_class));
+    let from = kb.snapshot().attr_values(dec, names::FROM_I);
     assert_eq!(from, vec![kb.lookup("InvitationRel").unwrap()]);
-    let to = kb.attr_values(dec, names::TO_I);
+    let to = kb.snapshot().attr_values(dec, names::TO_I);
     assert_eq!(to.len(), 4);
     let inv2 = kb.lookup("InvitationRel2").unwrap();
-    assert_eq!(kb.attr_values(inv2, names::JUSTIFICATION_I), vec![dec]);
+    assert_eq!(
+        kb.snapshot().attr_values(inv2, names::JUSTIFICATION_I),
+        vec![dec]
+    );
     // The tool association at the instance level.
-    let by = kb.attr_values(dec, names::BY_I);
+    let by = kb.snapshot().attr_values(dec, names::BY_I);
     assert_eq!(by, vec![kb.lookup("NormalizerTool").unwrap()]);
 
     // Top layer: everything is classified under the metaclasses.
     let design_decision = kb.lookup("DesignDecision").unwrap();
-    assert!(kb.is_instance_of(dec_class, design_decision));
+    assert!(kb.snapshot().is_instance_of(dec_class, design_decision));
     // And the whole construction satisfies the CML axioms.
-    assert!(conceptbase::telos::axioms::check_all(kb).is_empty());
+    assert!(conceptbase::telos::axioms::check_all(kb.snapshot()).is_empty());
 }
 
 /// The value names of `x`'s attribute `label`.
 fn values(kb: &Kb, x: &str, label: &str) -> Vec<String> {
     let x = kb.lookup(x).unwrap();
-    let values = kb.attr_values(x, label).into_iter();
+    let values = kb.snapshot().attr_values(x, label).into_iter();
     values.map(|v| kb.display(v)).collect()
 }
 
@@ -177,7 +186,7 @@ fn fig_3_3_layers_carry_obligations_and_discharges() {
     assert_eq!(values(kb, &discharge[0], "kind"), ["\"signature\""]);
     assert_eq!(values(kb, &discharge[0], "signer"), ["\"developer\""]);
     assert_eq!(values(kb, "manualNorm", "performer"), ["developer"]);
-    assert!(conceptbase::telos::axioms::check_all(kb).is_empty());
+    assert!(conceptbase::telos::axioms::check_all(kb.snapshot()).is_empty());
 }
 
 /// Documentation is read as believed when it was told: raw TELLs that

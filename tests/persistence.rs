@@ -44,9 +44,9 @@ fn frames_survive_reopen() {
     assert_eq!(back.attrs.len(), 1);
     assert_eq!(back.constraints.len(), 1);
     // The reopened KB is still axiom-clean and queryable.
-    assert!(conceptbase::telos::axioms::check_all(kb).is_empty());
+    assert!(conceptbase::telos::axioms::check_all(kb.snapshot()).is_empty());
     let paper = kb.lookup("Paper").unwrap();
-    assert!(kb.isa_ancestors(invitation).contains(&paper));
+    assert!(kb.snapshot().isa_ancestors(invitation).contains(&paper));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -63,9 +63,12 @@ fn untold_history_survives_reopen() {
     let (g, _) = Gkbms::recover(&dir).unwrap();
     let kb = g.kb();
     let a = kb.lookup("InvitationRel").unwrap();
-    assert!(kb.classes_of(a).is_empty(), "link no longer believed");
+    assert!(
+        kb.snapshot().classes_of(a).is_empty(),
+        "link no longer believed"
+    );
     assert_eq!(
-        kb.classes_of_at(a, t_alive).len(),
+        kb.snapshot_at(t_alive).classes_of(a).len(),
         1,
         "temporal query sees it"
     );
@@ -92,7 +95,7 @@ fn many_objects_roundtrip_with_identical_ids_and_clock() {
     assert_eq!(report.replayed_ops, 12);
     let kb = g.kb();
     let class = kb.lookup("DesignObjectToken").unwrap();
-    assert_eq!(kb.instances_of(class).len(), 499);
+    assert_eq!(kb.snapshot().instances_of(class).len(), 499);
     // Replay rebuilds the very same proposition base: same ids for the
     // same names, same size, same belief tick.
     let ids_after: Vec<_> = names.iter().map(|n| kb.lookup(n)).collect();
@@ -356,7 +359,7 @@ fn a_save_file_from_the_category_log_era_still_loads() {
     let path = tmp("pr16-save");
     std::fs::write(&path, bytes).unwrap();
     let g = Gkbms::load(&path).expect("an old save file must load");
-    assert_eq!(g.kb().believed_count(), 154);
+    assert_eq!(g.kb().snapshot().believed_count(), 154);
     assert_eq!(g.current_objects(), ["Invitation", "Minutes"]);
     let retracted: Vec<_> = g
         .records()
@@ -365,7 +368,8 @@ fn a_save_file_from_the_category_log_era_still_loads() {
         .collect();
     assert_eq!(retracted, [("mapInvitations", true), ("mapMinutes", true)]);
     assert_eq!(g.nogoods(), [["mapInvitations", "mapMinutes"]]);
-    let papers = conceptbase::objectbase::query::ask(g.kb(), "p", "Paper", "true").unwrap();
+    let papers =
+        conceptbase::objectbase::query::ask(&g.kb().snapshot(), "p", "Paper", "true").unwrap();
     assert_eq!(papers, ["kept", "late"]);
     assert_eq!(g.view_tuples("closure", "tagged").unwrap().len(), 30);
     std::fs::remove_file(&path).unwrap();

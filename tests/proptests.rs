@@ -212,11 +212,11 @@ proptest! {
             let _ = kb.specialize(classes[a], classes[b]);
         }
         for &c in &classes {
-            let ancestors = kb.isa_ancestors(c);
+            let ancestors = kb.snapshot().isa_ancestors(c);
             prop_assert!(!ancestors.contains(&c), "no reflexive ancestry");
             for &a in &ancestors {
                 // Ancestors of ancestors are ancestors (transitivity).
-                for &aa in &kb.isa_ancestors(a) {
+                for &aa in &kb.snapshot().isa_ancestors(a) {
                     prop_assert!(ancestors.contains(&aa));
                 }
             }
@@ -559,12 +559,12 @@ proptest! {
         for i in 0..n_attrs {
             links.push(kb.put_attr(obj, &format!("l{i}"), val).unwrap());
         }
-        let before = kb.believed_count();
+        let before = kb.snapshot().believed_count();
         for l in links {
             kb.untell(l).unwrap();
         }
-        prop_assert_eq!(kb.believed_count(), before - n_attrs);
-        prop_assert!(kb.attrs_of(obj).is_empty());
+        prop_assert_eq!(kb.snapshot().believed_count(), before - n_attrs);
+        prop_assert!(kb.snapshot().attrs_of(obj).is_empty());
         prop_assert_eq!(kb.len() - 2, n_attrs + kb.builtins_len_offset());
     }
 }
@@ -770,7 +770,7 @@ fn reference_vocabulary(kb: &Kb) -> (HashSet<String>, HashSet<String>, HashMap<S
         }
         if p.is_individual() {
             names.insert(kb.display(id));
-            for attr in kb.attrs_of(id) {
+            for attr in kb.snapshot().attrs_of(id) {
                 if let Ok(a) = kb.get(attr) {
                     labels.insert(kb.resolve(a.label).to_string());
                 }

@@ -143,7 +143,7 @@ fn two_followers_converge_byte_identical_under_churn() {
         }
     }
     let mut expected =
-        conceptbase::objectbase::query::ask(serial.kb(), "p", "Paper", "true").unwrap();
+        conceptbase::objectbase::query::ask(&serial.kb().snapshot(), "p", "Paper", "true").unwrap();
     expected.sort();
     for addr in [f1addr, f2addr] {
         let mut c = Client::connect(addr).unwrap();

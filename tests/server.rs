@@ -85,8 +85,9 @@ fn concurrent_tells_equal_serial_replay() {
         }
     }
 
-    let answers =
-        |g: &Gkbms| conceptbase::objectbase::query::ask(g.kb(), "p", "Paper", "true").unwrap();
+    let answers = |g: &Gkbms| {
+        conceptbase::objectbase::query::ask(&g.kb().snapshot(), "p", "Paper", "true").unwrap()
+    };
     let mut from_served = answers(&served);
     let mut from_serial = answers(&serial);
     from_served.sort();
@@ -604,6 +605,69 @@ fn a_deeply_nested_holds_is_rejected_and_the_server_stays_up() {
     assert_eq!(c.ping().unwrap(), "pong");
     drop(c);
     server.shutdown().unwrap();
+}
+
+/// Kills and reaps a spawned server if a test fails before it exits.
+struct Reap(std::process::Child);
+
+impl Drop for Reap {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The same two requests against the served binary: a TCP server
+/// answers each connection on a thread its accept loop spawns, which
+/// the in-process test above does not reach. Both are refused with a
+/// typed error — the `holds` by the assertion parser, the TELL already
+/// by admission lint (CB008), which parses the constraint first — and
+/// the process keeps serving until it is told to shut down.
+#[test]
+fn the_served_binary_survives_a_deeply_nested_request() {
+    use std::io::BufRead;
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_cbshell"))
+        .args(["--listen", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut child = Reap(child);
+    let mut stdout = std::io::BufReader::new(child.0.stdout.take().unwrap());
+    let addr = loop {
+        let mut line = String::new();
+        assert!(
+            stdout.read_line(&mut line).unwrap() > 0,
+            "no listening line"
+        );
+        if let Some(addr) = line.trim().strip_prefix("gkbms: listening on ") {
+            break addr.to_string();
+        }
+    };
+    let mut c = Client::connect_with_timeout(addr.as_str(), Duration::from_secs(30)).unwrap();
+    let (s, _) = c.hello().unwrap();
+    let expr = format!("{}true", "not ".repeat(20_000));
+    let constraint = format!("TELL Deep with constraint c : $ {expr} $ end");
+    for (what, answer, code) in [
+        ("holds", c.holds(s, &expr).map(|_| ()), ErrorCode::Rejected),
+        (
+            "tell",
+            c.tell(s, &constraint).map(|_| ()),
+            ErrorCode::LintRejected,
+        ),
+    ] {
+        match answer {
+            Err(ClientError::Server(e)) => {
+                assert_eq!(e.code, code, "{what}");
+                assert!(e.message.contains("nested deeper than"), "{what}");
+            }
+            other => panic!("{what}: expected a typed refusal, got {other:?}"),
+        }
+    }
+    assert_eq!(c.ping().unwrap(), "pong");
+    c.shutdown_server(s).unwrap();
+    let status = child.0.wait().unwrap();
+    assert!(status.success(), "cbshell exited with {status}");
 }
 
 /// A server that accepts the connection but never answers must fail

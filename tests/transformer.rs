@@ -35,6 +35,7 @@ fn fig_3_2_invitation_as_propositions() {
 
     // The unlabeled (instanceof) link of fig 3-2: Invitation → TDL_EntityClass.
     let class_links: Vec<PropId> = kb
+        .snapshot()
         .links_from(invitation)
         .into_iter()
         .filter(|&l| {
@@ -47,6 +48,7 @@ fn fig_3_2_invitation_as_propositions() {
     // The attribute proposition <Invitation, sender, Person> — itself
     // an object that can be the source of further propositions.
     let sender_attr = kb
+        .snapshot()
         .attrs_of(invitation)
         .into_iter()
         .find(|&a| kb.resolve(kb.get(a).unwrap().label) == "sender")
@@ -146,7 +148,7 @@ fn transformer_feeds_consistency_checker() {
         &ObjectFrame::parse("TELL inv1 in Invitation end").unwrap(),
     )
     .unwrap();
-    let (violations, _) = check_touched(&kb, &receipt.created);
+    let (violations, _) = check_touched(kb.snapshot(), &receipt.created);
     assert!(violations
         .iter()
         .any(|v| matches!(v, Violation::Constraint { name, .. } if name == "hasSender")));
@@ -161,6 +163,6 @@ fn transformer_feeds_consistency_checker() {
         &ObjectFrame::parse("TELL inv1 with attribute sender : maria end").unwrap(),
     )
     .unwrap();
-    let (violations, _) = check_touched(&kb, &receipt.created);
+    let (violations, _) = check_touched(kb.snapshot(), &receipt.created);
     assert!(violations.is_empty());
 }
