@@ -102,9 +102,6 @@ pub struct RecoveryReport {
 pub struct CheckpointReport {
     /// WAL ops moved into the snapshot (and truncated away).
     pub compacted_ops: u64,
-    /// Total ops appended to the journal over its lifetime — after the
-    /// checkpoint, every one of them is durable.
-    pub appended_ops: u64,
     /// Wall-clock time of the checkpoint.
     pub elapsed: Duration,
 }
@@ -120,6 +117,8 @@ pub struct Journal {
     appended_ops: u64,
     /// Ops appended since the last checkpoint (== records in the WAL).
     ops_since_checkpoint: u64,
+    /// `appended_ops` as of this journal's last fsync or checkpoint.
+    durable_ops: u64,
 }
 
 impl Journal {
@@ -132,6 +131,7 @@ impl Journal {
             wal,
             appended_ops: 0,
             ops_since_checkpoint: 0,
+            durable_ops: 0,
         })
     }
 
@@ -194,6 +194,7 @@ impl Journal {
     pub fn sync(&mut self) -> StorageResult<()> {
         let start = Instant::now();
         self.wal.sync()?;
+        self.durable_ops = self.appended_ops;
         obs::histogram!(
             "gkbms_journal_fsync_seconds",
             "Latency of WAL fsyncs (per-op and group-commit)"
@@ -224,6 +225,14 @@ impl Journal {
     pub fn ops_since_checkpoint(&self) -> u64 {
         self.ops_since_checkpoint
     }
+
+    /// Ops this journal has made durable itself: everything appended by
+    /// its last [`Journal::sync`] or checkpoint. An fsync through a
+    /// cloned [`Journal::file`] handle (group commit) does not move it,
+    /// so it is a lower bound.
+    pub fn durable_ops(&self) -> u64 {
+        self.durable_ops
+    }
 }
 
 /// Frames an op payload with its journal sequence number and epoch —
@@ -244,6 +253,39 @@ pub fn decode_framed(bytes: &[u8]) -> StorageResult<(u64, u64, &[u8])> {
     let seq = c.get_u64()?;
     let epoch = c.get_u64()?;
     Ok((seq, epoch, &bytes[16..]))
+}
+
+/// The checkpoint snapshot of the journal directory `dir`, for a
+/// replication shipper whose subscriber has applied op `seq`: the op
+/// sequence the snapshot covers and all its records, coverage header
+/// first, when it covers ops past `seq`. `None` when it does not, or
+/// when no checkpoint was taken (the WAL then holds every op). The
+/// horizon is the snapshot's own leading [`JournalOp::CheckpointCovers`]
+/// record, and the records are read from the same open file; a
+/// checkpoint renames its snapshot into place whole, so the two agree
+/// without any lock on the journal.
+pub fn snapshot_past(dir: &Path, seq: u64) -> GkbmsResult<Option<(u64, Vec<Vec<u8>>)>> {
+    let mut records = match storage::log::open_records(dir.join(SNAPSHOT_FILE)) {
+        Ok(records) => records.map(|r| r.map(|(_, payload)| payload)),
+        Err(storage::StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Ok(None)
+        }
+        Err(e) => return Err(e.into()),
+    };
+    let header = records.next().transpose()?.unwrap_or_default();
+    let Ok(JournalOp::CheckpointCovers { covered_seq, .. }) = JournalOp::decode(&header) else {
+        return Err(GkbmsError::Unknown(format!(
+            "snapshot in {} has no coverage header",
+            dir.display()
+        )));
+    };
+    if covered_seq <= seq {
+        return Ok(None);
+    }
+    let payloads = std::iter::once(Ok(header))
+        .chain(records)
+        .collect::<StorageResult<_>>()?;
+    Ok(Some((covered_seq, payloads)))
 }
 
 impl Gkbms {
@@ -355,9 +397,9 @@ impl Gkbms {
         let compacted = j.ops_since_checkpoint;
         j.wal.truncate_all()?;
         j.ops_since_checkpoint = 0;
+        j.durable_ops = j.appended_ops;
         let report = CheckpointReport {
             compacted_ops: compacted,
-            appended_ops: j.appended_ops,
             elapsed: start.elapsed(),
         };
         obs::counter!(
@@ -570,11 +612,17 @@ mod tests {
             assert!(before > 0);
             let report = g.checkpoint().unwrap();
             assert_eq!(report.compacted_ops, before);
-            assert_eq!(g.journal().unwrap().ops_since_checkpoint(), 0);
-            // Post-checkpoint mutations land in the (fresh) WAL.
+            let j = g.journal().unwrap();
+            assert_eq!(j.ops_since_checkpoint(), 0);
+            assert_eq!(j.durable_ops(), j.appended_ops(), "the snapshot holds all");
+            // Post-checkpoint mutations land in the (fresh) WAL, durable
+            // once it is fsynced.
             g.tell_src("TELL AfterCheckpoint end").unwrap();
-            g.journal_mut().unwrap().sync().unwrap();
-            assert_eq!(g.journal().unwrap().ops_since_checkpoint(), 1);
+            let j = g.journal_mut().unwrap();
+            assert_eq!(j.durable_ops() + 1, j.appended_ops());
+            j.sync().unwrap();
+            assert_eq!(j.durable_ops(), j.appended_ops());
+            assert_eq!(j.ops_since_checkpoint(), 1);
         }
         let (g, report) = Gkbms::recover(&dir).unwrap();
         assert!(report.snapshot_loaded);

@@ -15,6 +15,14 @@
 use crate::error::{DatalogError, DatalogResult};
 use std::fmt;
 
+/// The most literals a parsed rule body may have; a longer body is a
+/// [`DatalogError::Parse`]. Evaluation (`join::Join::step` and the scan
+/// oracle's `seminaive::join_body`) and lint's subsumption check
+/// recurse once per body literal, so this bounds their depth for every
+/// rule that reaches them as text. The longest body among the
+/// repository's own rules has 6 literals.
+pub const MAX_BODY: usize = 64;
+
 /// A constant value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
@@ -428,6 +436,9 @@ impl<'a> P<'a> {
         let mut body = Vec::new();
         if self.eat_str(":-") {
             loop {
+                if body.len() == MAX_BODY {
+                    return Err(self.err(&format!("rule body longer than {MAX_BODY} literals")));
+                }
                 body.push(self.literal()?);
                 if !self.eat(',') {
                     break;
@@ -559,5 +570,16 @@ mod tests {
     fn negative_integers() {
         let p = Program::parse("p(-7).").unwrap();
         assert_eq!(p.rules[0].head.args[0], Term::int(-7));
+    }
+
+    #[test]
+    fn a_body_past_max_body_is_a_parse_error() {
+        let rule = |n| format!("p(X) :- {}.", vec!["e(X)"; n].join(", "));
+        let p = Program::parse(&rule(MAX_BODY)).unwrap();
+        assert_eq!(p.rules[0].body.len(), MAX_BODY);
+        match Program::parse(&rule(MAX_BODY + 1)) {
+            Err(DatalogError::Parse(m)) => assert!(m.contains("longer than"), "{m}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 }

@@ -2,35 +2,30 @@
 //!
 //! # Concurrency model
 //!
-//! Writers (TELL, UNTELL, EXECUTE, …) serialize behind the write guard
-//! of one [`RwLock`]; session reads (ASK, HOLDS, SHOW, BROWSE,
-//! APPLICABLE DECISIONS, OBJECT HISTORY, session stats) do **not** take
-//! that lock at all. Every acknowledged mutation publishes an
-//! immutable [`telos::KbVersion`] into a
-//! [`gkbms::mvcc::VersionChain`] while still holding the write guard,
-//! so versions appear in commit order. The capture is structural
-//! sharing: one `Arc` bump per 512-element chunk of the store and per
-//! symbol-map shard, O(store / 512); the write after it copies only
-//! the chunks and posting lists it touches. A session pins the chain
-//! head at Hello (or Refresh) and serves every read from its pinned
-//! version at its watermark: lock-free with respect to writers, and
-//! stable no matter how many commits land meanwhile.
+//! Writers (TELL, UNTELL, EXECUTE, …, and a follower's applied batches)
+//! serialize behind the write guard of one [`RwLock`], taken as the one
+//! `commit::Writer`. Every change ends in its commit, which publishes
+//! an immutable [`telos::KbVersion`] into a
+//! [`gkbms::mvcc::VersionChain`] while still holding the guard, so
+//! versions appear in commit order. The capture is structural sharing:
+//! one `Arc` bump per 512-element chunk of the store and per symbol-map
+//! shard, O(store / 512). Session reads (ASK, HOLDS, SHOW, BROWSE,
+//! APPLICABLE DECISIONS, OBJECT HISTORY, session stats) take no lock: a
+//! session pins the chain head at Hello (or Refresh) and reads its
+//! pinned version at its watermark, however many commits land.
 //!
 //! Belief time supplies the isolation *semantics*: every write is one
 //! `Gkbms` transaction that opens with a belief-clock tick, so nothing
-//! a writer adds is visible below any pinned watermark, and nothing it
-//! retracts disappears from one (UNTELL only closes belief intervals). The version chain supplies the isolation
-//! *mechanics*: a superseded version is freed when its last holder
-//! lets go (session Bye, Refresh, or idle-timeout sweep — sweeps run on
-//! every publish and on idle connection polls so an abandoned session
-//! cannot retain history forever). CHECK and EXPLAIN take no lock
-//! either: they read the chain head, the newest published version,
-//! which is the state as of the last commit. The other reads take the
-//! read guard and answer at the live head: STATUS reads the set of
-//! current design objects and RECALL the recall index, neither held as
-//! propositions; HISTORY reads only the design record the KB
-//! documents, but is not pinned yet; SAVE, CHECKPOINT and LINT read
-//! the head on purpose.
+//! a writer adds is visible below a pinned watermark, and nothing it
+//! retracts disappears from one (UNTELL only closes belief intervals).
+//! The chain supplies the *mechanics*: a superseded version is freed
+//! when its last holder lets go (Bye, Refresh, or the idle-timeout
+//! sweep run on every commit and idle connection poll). CHECK and
+//! EXPLAIN read the chain head, and replication the commit watermark
+//! and the journal files, so neither waits on a writer. The other reads
+//! take the read guard and answer at the live head: HISTORY, STATUS and
+//! RECALL read state not pinned yet; SAVE, LINT and VIEW ASK's
+//! materialized model read the head on purpose.
 //!
 //! Each TCP connection gets a handler thread. An in-process server
 //! ([`Server::in_process`]) has no listener: one handler thread serves
@@ -66,11 +61,12 @@
 //! # Layout
 //!
 //! This module holds [`Config`], [`Server`], the accept and connection
-//! loops, admission and `durable_commit`. The one commit watermark —
-//! group commit's fsync position, what ship loops may ship, a replica's
-//! applied position — lives in `commit`; the one `match` over the
-//! request table in `dispatch`; the leader's replication shipper in
-//! `ship`; the follower apply loop in `follow`.
+//! loops and admission. The commit path lives in `commit`: the one
+//! writer, whose commit publishes, checkpoints, moves the watermark and
+//! sweeps sessions, and the one watermark (group commit's fsync
+//! position, what ship loops may ship, a replica's applied position).
+//! The one `match` over the request table is in `dispatch`; the
+//! leader's replication shipper in `ship`; the follower loop in `follow`.
 
 mod commit;
 mod dispatch;
@@ -88,8 +84,9 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use storage::record::{HEADER_LEN, MAX_RECORD_LEN};
@@ -215,6 +212,10 @@ struct Shared {
     /// The committed `(seq, epoch)`: only records at or below it are
     /// ever shipped to subscribers.
     commit: Watermark,
+    /// The journal directory, fixed at start: `Load` is refused on a
+    /// journaled server and a snapshot install reuses it, so the ship
+    /// planner reads the snapshot and WAL files here without the state.
+    journal_dir: Option<PathBuf>,
     repl: ReplState,
     cfg: Config,
     /// The listener's address; `None` on an in-process server.
@@ -291,6 +292,7 @@ impl Server {
         };
         // Everything recovered (and just fsynced) is committed.
         let commit = Watermark::new(file, state.applied_seq(), state.epoch());
+        let journal_dir = state.journal().map(|j| j.dir().to_path_buf());
         let chain = VersionChain::new(state.kb().version());
         let repl = ReplState {
             follower: AtomicBool::new(cfg.follow.is_some()),
@@ -308,6 +310,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             slow_log: Mutex::new(VecDeque::new()),
             commit,
+            journal_dir,
             repl,
             cfg,
             addr,
@@ -697,103 +700,8 @@ fn read_state(shared: &Shared) -> std::sync::RwLockReadGuard<'_, Gkbms> {
     shared.state.read().unwrap_or_else(|e| e.into_inner())
 }
 
-fn write_state(shared: &Shared) -> std::sync::RwLockWriteGuard<'_, Gkbms> {
-    let waited = Instant::now();
-    let guard = shared.state.write().unwrap_or_else(|e| e.into_inner());
-    obs::histogram!(
-        "gkbms_writer_lock_wait_seconds",
-        "Time spent waiting to acquire the single-writer state lock"
-    )
-    .observe(waited.elapsed());
-    guard
-}
-
-/// Captures the served state's store version and publishes it as the
-/// chain head. Callers hold the write guard (`g`), so versions enter
-/// the chain in commit order. The capture is O(store / 512) by
-/// structural sharing (see `telos::version`). This is the one publish
-/// site, timed as `gkbms_version_publish_seconds`: capture, publish,
-/// and the drop of the superseded head inside `VersionChain::publish`.
-fn publish_head(shared: &Shared, g: &Gkbms) {
-    let started = Instant::now();
-    shared.chain.publish(g.kb().version());
-    obs::histogram!(
-        "gkbms_version_publish_seconds",
-        "Latency of capturing a store version and publishing it as the chain head, including the superseded head's drop"
-    )
-    .observe(started.elapsed());
-}
-
-/// Swaps `fresh` in as the served state — a `Load`, a replica's
-/// snapshot install — under the caller's write guard: publishes its
-/// store version, then re-pins every session at the fresh head, since
-/// old watermarks and pins refer to a store that no longer exists. The
-/// pin is taken *before* the guard is let go, so it is the version
-/// just published (no writer can commit in between) and the sessions'
-/// watermark is its tick.
-fn replace_state(shared: &Shared, mut g: RwLockWriteGuard<'_, Gkbms>, fresh: Gkbms) {
-    *g = fresh;
-    publish_head(shared, &g);
-    let pin = shared.chain.acquire();
-    drop(g);
-    lock_sessions(shared).repin_all(pin.data().now(), pin);
-}
-
-/// Completes a mutating request's commit: publishes the new store
-/// version for snapshot readers, then enforces the configured fsync
-/// policy (and the auto-checkpoint threshold) before the caller
-/// acknowledges the mutation, releasing the write lock as early as the
-/// policy allows. `mutated` is false when the operation failed and
-/// appended nothing. Returns an error response if durability could not
-/// be established — the mutation is applied in memory but the client
-/// must not treat it as stable.
-fn durable_commit(
-    shared: &Shared,
-    mut g: RwLockWriteGuard<'_, Gkbms>,
-    mutated: bool,
-) -> Result<(), Response> {
-    if !mutated {
-        return Ok(());
-    }
-    // The commit point for snapshot readers: sessions opened after
-    // this see the mutation, pinned sessions keep their version.
-    publish_head(shared, &g);
-    let epoch = g.epoch();
-    let Some(journal) = g.journal_mut() else {
-        drop(g);
-        sweep_sessions(shared);
-        return Ok(());
-    };
-    // The position replication may ship once this commit is durable.
-    let commit_seq = journal.appended_ops();
-    let checkpoint_due = shared
-        .cfg
-        .checkpoint_every
-        .is_some_and(|every| journal.ops_since_checkpoint() >= every);
-    if checkpoint_due {
-        g.checkpoint()
-            .map_err(|e| err(ErrorCode::Internal, format!("auto-checkpoint failed: {e}")))?;
-    }
-    drop(g);
-    sweep_sessions(shared);
-    // Commit point for replication, where ship loops wake: under
-    // `Group` once an fsync covers the op; a checkpoint's snapshot
-    // already covers it, and under `Never` the ack itself is the
-    // commit, so replicas inherit exactly the leader's (weak)
-    // durability contract.
-    if shared.cfg.fsync == FsyncPolicy::Group && !checkpoint_due {
-        shared
-            .commit
-            .wait_durable(commit_seq)
-            .map_err(|e| err(ErrorCode::Internal, format!("group-commit fsync: {e}")))
-    } else {
-        shared.commit.advance(commit_seq, epoch);
-        Ok(())
-    }
-}
-
 /// Reaps idled-out sessions, dropping their version pins so the chain
-/// can reclaim history they alone retained. Runs on every publish and
+/// can reclaim history they alone retained. Runs on every commit and
 /// on idle connection polls; never called while holding the state
 /// lock (sessions-then-state is the forbidden order, we take neither
 /// together).
@@ -865,6 +773,48 @@ mod tests {
         assert_eq!(client.check(session).unwrap(), check);
         assert_eq!(client.explain(session, "").unwrap(), explain);
         server.shutdown().unwrap();
+    }
+
+    /// A subscription's handshake and `ReplStatus` read the watermark
+    /// and the journal directory, not the state: with the write guard
+    /// held, a subscriber still gets its `Hello` and a client its
+    /// replication status.
+    #[test]
+    fn replication_answers_while_the_writer_holds_the_state() {
+        let dir = std::env::temp_dir().join(format!("cb-repl-guard-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut g, _) = Gkbms::recover(&dir).unwrap();
+        g.tell_src("TELL Paper end").unwrap();
+        let server = Server::bind("127.0.0.1:0", g, Config::default()).unwrap();
+        let timeout = Duration::from_secs(2);
+        let mut client = Client::connect_with_timeout(server.local_addr(), timeout).unwrap();
+        {
+            let _writer = server.shared.state.write().unwrap();
+            let mut sub = TcpStream::connect(server.local_addr()).unwrap();
+            sub.set_read_timeout(Some(timeout)).unwrap();
+            let subscribe = Request::Replicate {
+                applied_seq: 0,
+                epoch: 1,
+            };
+            proto::write_frame(&mut sub, &subscribe.encode()).unwrap();
+            match proto::read_frame(&mut sub).unwrap() {
+                FrameRead::Frame(p) => assert!(
+                    matches!(
+                        replication::ReplMsg::decode(&p),
+                        Ok(replication::ReplMsg::Hello { leader_seq: 1, .. })
+                    ),
+                    "{p:?}"
+                ),
+                other => panic!("no Hello under the write guard: {other:?}"),
+            }
+            let status = client
+                .repl_status()
+                .expect("repl_status answers under the write guard");
+            assert_eq!((status.applied_seq, status.epoch), (1, 1));
+        }
+        drop(client);
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

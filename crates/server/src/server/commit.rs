@@ -1,15 +1,150 @@
-//! The commit watermark: the one record of which op is committed.
+//! The commit path: the one writer and the one commit watermark.
 //!
-//! Group commit, checkpoints, the `none` policy's ack, promotion, a
-//! replica's snapshot install and its applied batches all move one
-//! `(committed_seq, epoch)` pair, and ship loops ship only up to it.
-//! Positions are the journal's monotonic op sequence, not WAL byte
-//! offsets: a checkpoint truncates the WAL but not the op numbers.
+//! Every change to the served state is made through a [`Writer`] and
+//! ends in [`Writer::commit`] (a write, a checkpoint, a promotion, an
+//! applied replica batch) or [`Writer::replace`] (a `Load`, a replica's
+//! snapshot install): the only places that publish a store version,
+//! auto-checkpoint, move the watermark and sweep sessions. The
+//! watermark is the one committed `(seq, epoch)`; ship loops ship only
+//! up to it. Positions are the journal's monotonic op sequence, not WAL
+//! byte offsets: a checkpoint truncates the WAL but not the op numbers.
 
+use super::dispatch::err;
+use super::{lock_sessions, sweep_sessions, Shared};
+use crate::proto::{ErrorCode, Response};
+use gkbms::{FsyncPolicy, Gkbms};
 use std::fs::File;
 use std::io;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::Ordering;
+use std::sync::{Condvar, Mutex, MutexGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
+
+/// The single writer: the state's write guard, and the service whose
+/// version chain, watermark and sessions its end moves.
+pub(super) struct Writer<'a> {
+    shared: &'a Shared,
+    state: RwLockWriteGuard<'a, Gkbms>,
+    /// The belief clock and the applied op sequence when taken.
+    taken: (i64, u64),
+}
+
+impl Shared {
+    /// Takes the single-writer state lock, timing the wait.
+    pub(super) fn writer(&self) -> Writer<'_> {
+        let waited = Instant::now();
+        let state = self.state.write().unwrap_or_else(|e| e.into_inner());
+        obs::histogram!(
+            "gkbms_writer_lock_wait_seconds",
+            "Time spent waiting to acquire the single-writer state lock"
+        )
+        .observe(waited.elapsed());
+        let taken = (state.kb().now(), state.applied_seq());
+        Writer {
+            shared: self,
+            state,
+            taken,
+        }
+    }
+}
+
+impl Deref for Writer<'_> {
+    type Target = Gkbms;
+    fn deref(&self) -> &Gkbms {
+        &self.state
+    }
+}
+
+impl DerefMut for Writer<'_> {
+    fn deref_mut(&mut self) -> &mut Gkbms {
+        &mut self.state
+    }
+}
+
+impl Writer<'_> {
+    /// Captures the state's store version and publishes it as the chain
+    /// head — the one publish site. It runs under the write guard, so
+    /// versions enter the chain in commit order; the capture is
+    /// O(store / 512) by structural sharing (see `telos::version`).
+    /// Timed as `gkbms_version_publish_seconds`: capture, publish, and
+    /// the drop of the superseded head inside `VersionChain::publish`.
+    fn publish(&self) {
+        let started = Instant::now();
+        self.shared.chain.publish(self.state.kb().version());
+        obs::histogram!(
+            "gkbms_version_publish_seconds",
+            "Latency of capturing a store version and publishing it as the chain head, including the superseded head's drop"
+        )
+        .observe(started.elapsed());
+    }
+
+    /// Ends a change, in order: publishes iff the belief clock moved
+    /// since the writer was taken (a failed transaction rolls its tick
+    /// back); on a journaled node, checkpoints when `checkpoint_every`
+    /// is due; releases the guard and moves the watermark and its
+    /// epoch — without an fsync when the journal made every op durable
+    /// itself (a checkpoint, the promotion seal), on a follower and
+    /// under the `none` policy, else by the group-commit fsync covering
+    /// what this writer appended; sweeps sessions. An error means the
+    /// change is applied in memory but not durable.
+    pub(super) fn commit(mut self) -> Result<(), Response> {
+        let shared = self.shared;
+        if self.state.kb().now() != self.taken.0 {
+            self.publish();
+        }
+        let due = (self.state.journal())
+            .zip(shared.cfg.checkpoint_every)
+            .is_some_and(|(j, every)| j.ops_since_checkpoint() >= every);
+        if due {
+            self.state
+                .checkpoint()
+                .map_err(|e| err(ErrorCode::Internal, format!("auto-checkpoint failed: {e}")))?;
+        }
+        let (seq, epoch) = (self.state.applied_seq(), self.state.epoch());
+        let synced = (self.state.journal()).is_none_or(|j| j.durable_ops() == seq);
+        drop(self.state);
+        let durable = if synced
+            || shared.repl.follower.load(Ordering::SeqCst)
+            || shared.cfg.fsync == FsyncPolicy::Never
+        {
+            shared.commit.advance(seq, epoch);
+            Ok(())
+        } else if seq > self.taken.1 {
+            shared
+                .commit
+                .wait_durable(seq, epoch)
+                .map_err(|e| err(ErrorCode::Internal, format!("group-commit fsync: {e}")))
+        } else {
+            Ok(())
+        };
+        sweep_sessions(shared);
+        durable
+    }
+
+    /// Swaps `fresh` in as the served state: publishes it, hands group
+    /// commit its journal's WAL handle, advances the watermark to its
+    /// applied position, and re-pins every session at the fresh head
+    /// (old pins refer to a store that no longer exists). The pin is
+    /// taken before the guard is let go, so it is the version just
+    /// published.
+    pub(super) fn replace(mut self, mut fresh: Gkbms) -> Result<(), Response> {
+        let file = fresh
+            .journal_mut()
+            .map(|j| j.file())
+            .transpose()
+            .map_err(|e| err(ErrorCode::Internal, format!("WAL handle: {e}")))?;
+        let (seq, epoch) = (fresh.applied_seq(), fresh.epoch());
+        *self.state = fresh;
+        self.publish();
+        let shared = self.shared;
+        shared.commit.rebind(file);
+        shared.commit.advance(seq, epoch);
+        let pin = shared.chain.acquire();
+        drop(self.state);
+        lock_sessions(shared).repin_all(pin.data().now(), pin);
+        Ok(())
+    }
+}
 
 struct Position {
     /// Highest op sequence known committed.
@@ -55,16 +190,17 @@ impl Watermark {
     }
 
     /// Group commit: blocks until every WAL op up to and including
-    /// `seq` is on stable storage. The first waiter becomes the leader:
+    /// `seq` is on stable storage, then raises the epoch to `epoch`. The first waiter becomes the leader:
     /// it issues one fsync for every op requested by then, and wakes
     /// everyone whose ops it covered — ship loops included. An
     /// [`Watermark::advance`] past `seq` releases the waiter without
     /// an fsync.
-    pub(super) fn wait_durable(&self, seq: u64) -> io::Result<()> {
+    fn wait_durable(&self, seq: u64, epoch: u64) -> io::Result<()> {
         let mut p = self.lock();
         p.requested = p.requested.max(seq);
         loop {
             if p.seq >= seq {
+                p.epoch = p.epoch.max(epoch);
                 return Ok(());
             }
             if p.syncing {
@@ -112,11 +248,11 @@ impl Watermark {
     }
 
     /// Moves the committed position to `seq` under `epoch` without an
-    /// fsync — the caller already made it durable (a checkpoint, the
-    /// promotion seal), the `none` policy acknowledges without one, or
-    /// a replica applied the leader's committed records. Monotonic:
+    /// fsync — a checkpoint made it durable, the `none` policy
+    /// acknowledges without one, or a replica applied the leader's
+    /// committed records. Monotonic:
     /// stale calls are no-ops.
-    pub(super) fn advance(&self, seq: u64, epoch: u64) {
+    fn advance(&self, seq: u64, epoch: u64) {
         let mut p = self.lock();
         if seq > p.seq || epoch > p.epoch {
             p.seq = p.seq.max(seq);
@@ -129,7 +265,7 @@ impl Watermark {
     /// held (a replica's snapshot install recreates the file), so later
     /// fsyncs reach the file the journal appends to. The old handle is
     /// closed; an fsync in flight on it finishes first.
-    pub(super) fn rebind(&self, file: Option<File>) {
+    fn rebind(&self, file: Option<File>) {
         *self.file.lock().unwrap_or_else(|e| e.into_inner()) = file;
     }
 
@@ -193,7 +329,7 @@ mod tests {
         w.lock().syncing = true;
         let waiter = {
             let w = Arc::clone(&w);
-            std::thread::spawn(move || w.wait_durable(3))
+            std::thread::spawn(move || w.wait_durable(3, 1))
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(!waiter.is_finished(), "waits while the fsync runs");

@@ -9,10 +9,7 @@
 //! session passes the one session gate ([`gate`]); every journaled
 //! mutation runs through [`write_op`].
 
-use super::{
-    durable_commit, lock_sessions, read_state, replace_state, write_state, Shared, SlowQuery,
-    SLOW_LOG_CAP,
-};
+use super::{lock_sessions, read_state, Shared, SlowQuery, SLOW_LOG_CAP};
 use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
 use crate::session::SessionErr;
 use datalog::intern::IVal;
@@ -92,9 +89,9 @@ fn gate(shared: &Shared, id: u64) -> Result<(i64, Arc<Version<KbVersion>>), Resp
     Ok((s.watermark, s.pin.version()))
 }
 
-/// A journaled mutation: session gate, write lock, `op`, then
-/// [`durable_commit`] (version publish, fsync policy, auto-checkpoint)
-/// before the outcome is acknowledged through `reply`.
+/// A journaled mutation: session gate, writer, `op`, then the writer's
+/// commit (version publish, auto-checkpoint, fsync policy) before the
+/// outcome is acknowledged through `reply`.
 fn write_op<T>(
     shared: &Shared,
     session: u64,
@@ -102,9 +99,9 @@ fn write_op<T>(
     reply: impl FnOnce(T) -> Response,
 ) -> Result<Response, Response> {
     gate(shared, session)?;
-    let mut g = write_state(shared);
-    let outcome = op(&mut g);
-    durable_commit(shared, g, outcome.is_ok())?;
+    let mut w = shared.writer();
+    let outcome = op(&mut w);
+    w.commit()?;
     Ok(match outcome {
         Ok(v) => reply(v),
         Err(GkbmsError::Lint(diags)) => err(ErrorCode::LintRejected, one_lines(&diags)),
@@ -166,10 +163,8 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         }
         Request::ReplStatus => {
             let follower = shared.repl.follower.load(Ordering::SeqCst);
-            let (applied_seq, epoch) = {
-                let g = read_state(shared);
-                (g.applied_seq(), g.epoch())
-            };
+            // A leader's applied position is its committed one.
+            let (applied_seq, epoch) = shared.commit.current();
             let leader_seq = if follower {
                 shared.repl.leader_seq.load(Ordering::SeqCst)
             } else {
@@ -353,23 +348,24 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         }
         Request::Load { session, path } => {
             gate(shared, session)?;
-            if read_state(shared).journal().is_some() {
+            if shared.journal_dir.is_some() {
                 return Err(rejected(
                     "cannot load into a journaled server: state is owned by the journal \
                      (restart with a different --journal dir instead)",
                 ));
             }
             let fresh = Gkbms::load(&path).map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
-            replace_state(shared, write_state(shared), fresh);
+            shared.writer().replace(fresh)?;
             done(format!("loaded from {path}"))
         }
         Request::Checkpoint { session } => {
             gate(shared, session)?;
-            let mut g = write_state(shared);
-            let report = g.checkpoint().map_err(rejected)?;
-            // The snapshot covers everything appended so far, so
-            // waiting group committers are durable too.
-            shared.commit.advance(report.appended_ops, g.epoch());
+            let mut w = shared.writer();
+            let report = w.checkpoint();
+            // The snapshot covers everything appended so far: the
+            // commit releases waiting group committers.
+            w.commit()?;
+            let report = report.map_err(rejected)?;
             done(format!(
                 "checkpointed: {} op(s) compacted into the snapshot",
                 report.compacted_ops
@@ -543,22 +539,18 @@ fn promote(shared: &Shared) -> Response {
         return rejected("already the leader");
     }
     // Flip the role first so the apply loop stops taking batches, then
-    // serialize behind any in-flight batch via the write lock.
+    // serialize behind any in-flight batch via the writer.
     shared.repl.follower.store(false, Ordering::SeqCst);
-    let mut g = write_state(shared);
-    match g.promote() {
-        Ok(epoch) => {
-            let applied = g.applied_seq();
-            // The seal is durable: group commit owes it no fsync. This
-            // also wakes the server's own subscribers into the new
-            // epoch before any write of that epoch can commit.
-            shared.commit.advance(applied, epoch);
-            drop(g);
-            done(format!(
-                "promoted: sequence epoch {epoch}, applied op {applied}"
-            ))
-        }
-        Err(e) => {
+    let mut w = shared.writer();
+    let promoted = w.promote().map(|epoch| (epoch, w.applied_seq()));
+    // The seal is a transaction like any write: its commit publishes
+    // it and moves the watermark into the new epoch.
+    match (promoted, w.commit()) {
+        (Ok((epoch, applied)), Ok(())) => done(format!(
+            "promoted: sequence epoch {epoch}, applied op {applied}"
+        )),
+        (Ok(_), Err(refusal)) => refusal,
+        (Err(e), _) => {
             // Roll the role back: the seal is not durable.
             shared.repl.follower.store(true, Ordering::SeqCst);
             err(ErrorCode::Internal, format!("promote: {e}"))

@@ -1,14 +1,11 @@
 //! The follower runtime: subscribe to a leader and apply its stream.
 //!
 //! One thread per follower server: subscribe at the applied position,
-//! apply the pushed snapshot / op batches under the write lock
-//! (publishing one store version per batch), and on any disconnection
-//! resubscribe with capped exponential backoff. Stops on shutdown or
-//! promotion.
+//! apply the pushed snapshot / op batches through the writer, and on
+//! any disconnection resubscribe with capped exponential backoff. Stops
+//! on shutdown or promotion.
 
-use super::{
-    publish_head, read_state, replace_state, replica_position, sweep_sessions, write_state, Shared,
-};
+use super::{replica_position, Shared};
 use crate::proto::{self, ErrorCode, FrameRead, Request, Response};
 use gkbms::Gkbms;
 use replication::{ReplError, ReplMsg, ShippedRecord};
@@ -76,10 +73,8 @@ fn follow_once(shared: &Shared, leader: &str) -> Result<(), ReplError> {
     let mut stream = TcpStream::connect(leader)?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.cfg.poll_interval));
-    let (applied, epoch) = {
-        let g = read_state(shared);
-        (g.applied_seq(), g.epoch())
-    };
+    // A replica's committed position is its applied one.
+    let (applied, epoch) = shared.commit.current();
     proto::write_frame(
         &mut stream,
         &Request::Replicate {
@@ -185,71 +180,59 @@ fn observe_lag(shared: &Shared) {
     .observe(lag);
 }
 
-/// Replaces the replica's state from a shipped checkpoint snapshot:
-/// install (journaled replicas persist it and drop their stale WAL),
-/// hand group commit the fresh WAL's handle, then swap it in through
-/// [`replace_state`], positioned after the snapshot's covered sequence.
+/// Replaces the replica's state from a shipped checkpoint snapshot,
+/// installed in the journal directory (if any) and swapped in by the
+/// writer's `replace`, positioned after the snapshot's covered sequence.
 fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<(), ReplError> {
     obs::counter!(
         "gkbms_replication_snapshots_installed_total",
         "Checkpoint snapshots installed by this replica during catch-up"
     )
     .inc();
-    let g = write_state(shared);
-    let dir = g.journal().map(|j| j.dir().to_path_buf());
-    let mut fresh = match dir {
-        Some(dir) => Gkbms::install_replica_snapshot(&dir, payloads).map(|(g, _)| g),
+    let w = shared.writer();
+    let fresh = match &shared.journal_dir {
+        Some(dir) => Gkbms::install_replica_snapshot(dir, payloads).map(|(g, _)| g),
         None => Gkbms::replica_from_snapshot(&payloads),
     }
     .map_err(|e| ReplError::Protocol(format!("snapshot install: {e}")))?;
-    // The install unlinked the WAL the watermark's handle names: group
-    // commit must fsync the fresh journal's file from now on.
-    if let Some(journal) = fresh.journal_mut() {
-        let file = journal
-            .file()
-            .map_err(|e| ReplError::Protocol(format!("snapshot install: {e}")))?;
-        shared.commit.rebind(Some(file));
-    }
-    shared.commit.advance(fresh.applied_seq(), fresh.epoch());
-    replace_state(shared, g, fresh);
-    Ok(())
+    w.replace(fresh).map_err(refused)
 }
 
-/// Applies one shipped batch under the write lock. The whole batch is
+/// A commit the replica could not complete, as a stream error.
+fn refused(resp: Response) -> ReplError {
+    ReplError::Protocol(format!("commit: {resp:?}"))
+}
+
+/// Applies one shipped batch through the writer. The whole batch is
 /// admitted against the replica's position first — a spliced stream
 /// (gap, regression, fenced epoch) is refused as a typed error *before*
 /// anything touches the replica, and the caller disconnects instead of
-/// applying out of order.
+/// applying out of order. What was applied is committed either way, as
+/// one store version per batch that chained subscribers may then ship.
 fn apply_batch(shared: &Shared, records: &[ShippedRecord]) -> Result<(), ReplError> {
     if records.is_empty() {
         return Ok(());
     }
-    let mut g = write_state(shared);
-    if let Err(e) = replication::admit(g.applied_seq(), g.epoch(), records) {
-        if matches!(e, ReplError::EpochFenced { .. }) {
-            obs::counter!(
-                "gkbms_replication_fenced_total",
-                "Replication records or subscriptions refused by sequence-epoch fencing"
-            )
-            .inc();
-        }
-        return Err(e);
+    let mut w = shared.writer();
+    let applied = replication::admit(w.applied_seq(), w.epoch(), records).and_then(|()| {
+        records.iter().try_for_each(|r| {
+            w.apply_replicated(r.seq, r.epoch, &r.payload)
+                .map_err(|e| ReplError::Protocol(format!("apply op {}: {e}", r.seq)))
+        })
+    });
+    w.commit().map_err(refused)?;
+    if let Err(ReplError::EpochFenced { .. }) = &applied {
+        obs::counter!(
+            "gkbms_replication_fenced_total",
+            "Replication records or subscriptions refused by sequence-epoch fencing"
+        )
+        .inc();
     }
-    for r in records {
-        g.apply_replicated(r.seq, r.epoch, &r.payload)
-            .map_err(|e| ReplError::Protocol(format!("apply op {}: {e}", r.seq)))?;
-    }
-    // Publish once per batch, still under the write guard, so session
-    // snapshots observe replicated commits in order. Chained
-    // subscribers of this replica may now ship these records.
-    publish_head(shared, &g);
-    shared.commit.advance(g.applied_seq(), g.epoch());
-    drop(g);
+    applied?;
     obs::counter!(
         "gkbms_replication_records_applied_total",
         "Shipped records applied into this replica"
     )
     .add(records.len() as u64);
-    sweep_sessions(shared);
     Ok(())
 }

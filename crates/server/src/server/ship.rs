@@ -4,13 +4,18 @@
 //! of [`ReplMsg`] frames — snapshot transfer when the subscriber is
 //! behind the checkpoint truncation horizon, then the WAL tail, then
 //! live pushes as group commits complete. Only records at or below the
-//! durable commit watermark are ever shipped.
+//! durable commit watermark are ever shipped. Shipping reads no state:
+//! the position comes from the watermark, the horizon and the snapshot
+//! from the snapshot file, the records from the WAL file, both in the
+//! journal directory the server fixed at start.
 
 use super::dispatch::err;
-use super::{read_state, Shared};
+use super::Shared;
 use crate::proto::{self, ErrorCode, Response};
+use gkbms::journal::{snapshot_past, WAL_FILE};
 use replication::{ReplMsg, TailStep, WalTail};
 use std::io::{self, Write};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use storage::record::HEADER_LEN;
 
@@ -30,46 +35,18 @@ fn ship(stream: &mut impl Write, msg: &ReplMsg) -> io::Result<()> {
     proto::write_frame(stream, &encoded)
 }
 
-/// A snapshot staged for transfer to a far-behind subscriber.
-struct ShipSnapshot {
-    covered_seq: u64,
-    payloads: Vec<Vec<u8>>,
-}
+/// A snapshot staged for transfer to a far-behind subscriber: the op
+/// sequence it covers, and its records.
+type ShipSnapshot = (u64, Vec<Vec<u8>>);
 
 /// Decides how a subscription at `sub_seq` starts: straight from the
 /// WAL tail, or snapshot-first when the subscriber is behind the
-/// checkpoint truncation horizon. Runs under the read lock —
-/// checkpoints need the write lock, so the horizon and the snapshot
-/// file cannot change underneath us.
-fn plan_stream(
-    shared: &Shared,
-    sub_seq: u64,
-) -> Result<(std::path::PathBuf, Option<ShipSnapshot>), Response> {
-    let g = read_state(shared);
-    let Some(j) = g.journal() else {
-        return Err(err(
-            ErrorCode::Rejected,
-            "replication requires a journaled leader (start with --journal)",
-        ));
-    };
-    let horizon = j.appended_ops() - j.ops_since_checkpoint();
-    let wal_path = j.wal_path();
-    if sub_seq < horizon {
-        // The WAL no longer holds the records the subscriber lacks;
-        // stage the covering snapshot (reading it into memory under
-        // the read lock keeps it consistent with `horizon`).
-        let (payloads, _) = storage::log::read_payloads(j.snapshot_path())
-            .map_err(|e| err(ErrorCode::Internal, format!("snapshot read: {e}")))?;
-        Ok((
-            wal_path,
-            Some(ShipSnapshot {
-                covered_seq: horizon,
-                payloads,
-            }),
-        ))
-    } else {
-        Ok((wal_path, None))
-    }
+/// checkpoint truncation horizon — the covered sequence the snapshot
+/// file itself leads with (see [`snapshot_past`]). A checkpoint that
+/// truncates the WAL after this plan is seen by the tail
+/// ([`TailStep::Truncated`]) and re-planned.
+fn plan_stream(dir: &Path, sub_seq: u64) -> Result<Option<ShipSnapshot>, Response> {
+    snapshot_past(dir, sub_seq).map_err(|e| err(ErrorCode::Internal, format!("snapshot read: {e}")))
 }
 
 /// Serves one replication subscription: the connection becomes a push
@@ -97,8 +74,15 @@ pub(super) fn serve_replication(
         let _ = proto::write_frame(stream, &refusal.encode());
         return;
     }
-    let snapshot = match plan_stream(shared, sub_seq) {
-        Ok((_, snap)) => snap,
+    let planned = match &shared.journal_dir {
+        Some(dir) => plan_stream(dir, sub_seq).map(|snap| (dir, snap)),
+        None => Err(err(
+            ErrorCode::Rejected,
+            "replication requires a journaled leader (start with --journal)",
+        )),
+    };
+    let (dir, snapshot) = match planned {
+        Ok(planned) => planned,
         Err(refusal) => {
             let _ = proto::write_frame(stream, &refusal.encode());
             return;
@@ -109,27 +93,25 @@ pub(super) fn serve_replication(
         "Live replication subscriptions"
     );
     subscribers.add(1);
-    let _ = ship_stream(stream, shared, sub_seq, snapshot);
+    let _ = ship_stream(stream, shared, dir, sub_seq, snapshot);
     subscribers.add(-1);
 }
 
-fn ship_snapshot(stream: &mut impl Write, shared: &Shared, snap: ShipSnapshot) -> io::Result<()> {
+fn ship_snapshot(
+    stream: &mut impl Write,
+    shared: &Shared,
+    (covered_seq, payloads): ShipSnapshot,
+) -> io::Result<()> {
     obs::counter!(
         "gkbms_replication_snapshots_shipped_total",
         "Checkpoint snapshots streamed to far-behind subscribers"
     )
     .inc();
     let (_, epoch) = shared.commit.current();
-    ship(
-        stream,
-        &ReplMsg::SnapshotStart {
-            covered_seq: snap.covered_seq,
-            epoch,
-        },
-    )?;
+    ship(stream, &ReplMsg::SnapshotStart { covered_seq, epoch })?;
     let mut chunk: Vec<Vec<u8>> = Vec::new();
     let mut bytes = 0usize;
-    for p in snap.payloads {
+    for p in payloads {
         bytes += p.len();
         chunk.push(p);
         if bytes >= SNAPSHOT_CHUNK_BYTES {
@@ -154,6 +136,7 @@ fn ship_snapshot(stream: &mut impl Write, shared: &Shared, snap: ShipSnapshot) -
 fn ship_stream(
     stream: &mut impl Write,
     shared: &Shared,
+    dir: &Path,
     sub_seq: u64,
     mut snapshot: Option<ShipSnapshot>,
 ) -> io::Result<()> {
@@ -168,17 +151,10 @@ fn ship_stream(
     let mut start_seq = sub_seq + 1;
     'stream: loop {
         if let Some(snap) = snapshot.take() {
-            start_seq = snap.covered_seq + 1;
+            start_seq = snap.0 + 1;
             ship_snapshot(stream, shared, snap)?;
         }
-        let wal_path = {
-            let g = read_state(shared);
-            match g.journal() {
-                Some(j) => j.wal_path(),
-                None => return Ok(()),
-            }
-        };
-        let mut tail = WalTail::new(&wal_path, start_seq);
+        let mut tail = WalTail::new(dir.join(WAL_FILE), start_seq);
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
@@ -219,8 +195,8 @@ fn ship_stream(
                     // Re-plan from the subscriber's position: rescan
                     // the new file, or fall back to snapshot transfer
                     // if the needed range was truncated away.
-                    match plan_stream(shared, tail.resume_seq().saturating_sub(1)) {
-                        Ok((_, snap)) => {
+                    match plan_stream(dir, tail.resume_seq().saturating_sub(1)) {
+                        Ok(snap) => {
                             start_seq = tail.resume_seq();
                             snapshot = snap;
                             continue 'stream;

@@ -705,3 +705,103 @@ fn leader_follower_and_recovery_share_one_clock_across_failed_writes() {
     std::fs::remove_dir_all(ldir).unwrap();
     std::fs::remove_dir_all(fdir).unwrap();
 }
+
+/// A promotion is a commit: the seal ticks the clock, and the promoted
+/// server publishes it like any write. With no write after the
+/// promotion, F1's published head (`kb_now`) is the seal's tick — the
+/// same one its chained follower F2 reaches by applying the seal, and
+/// the one F1's own state holds.
+#[test]
+fn a_promotion_publishes_its_seal() {
+    let ldir = tmp_dir("seal-l");
+    let f1dir = tmp_dir("seal-f1");
+    let f2dir = tmp_dir("seal-f2");
+    let (lsrv, laddr) = leader(&ldir);
+    let (f1srv, f1addr) = follower(&f1dir, laddr, None);
+    let (f2srv, f2addr) = follower(&f2dir, f1addr, None);
+
+    let mut c = Client::connect(laddr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end").unwrap();
+    wait_applied(f2addr, 1);
+    drop(c);
+    lsrv.shutdown().unwrap();
+
+    let mut f1c = Client::connect(f1addr).unwrap();
+    let (f1s, _) = f1c.hello().unwrap();
+    assert!(f1c.promote(f1s).unwrap().contains("epoch 2"));
+    let mut f2c = Client::connect(f2addr).unwrap();
+    wait_for("F2 to apply F1's seal", || {
+        f2c.repl_status()
+            .map(|st| st.epoch == 2 && st.applied_seq == 2)
+            .unwrap_or(false)
+    });
+    let (f2s, _) = f2c.hello().unwrap();
+    let f1_now = f1c.session_stats(f1s).unwrap().kb_now;
+    assert_eq!(f1_now, f2c.session_stats(f2s).unwrap().kb_now);
+    drop((f1c, f2c));
+
+    f2srv.shutdown().unwrap();
+    let served = f1srv.shutdown().unwrap();
+    assert_eq!(f1_now, served.kb().now(), "F1 published a stale head");
+    drop(served);
+    for d in [ldir, f1dir, f2dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
+/// A follower applies `checkpoint_every` like a leader: after 7 ops
+/// applied one batch at a time with a threshold of 3, its directory
+/// holds a snapshot covering op 6 and a WAL holding only op 7. A
+/// replica chained to it from scratch is behind that horizon, so it
+/// catches up through the snapshot.
+#[test]
+fn a_follower_checkpoints_every_n_applied_ops() {
+    use conceptbase::gkbms::journal::{decode_framed, snapshot_past};
+    let ldir = tmp_dir("fckpt-l");
+    let f1dir = tmp_dir("fckpt-f1");
+    let f2dir = tmp_dir("fckpt-f2");
+    let (lsrv, laddr) = leader(&ldir);
+    let (g, _) = Gkbms::recover(&f1dir).unwrap();
+    let cfg = Config {
+        follow: Some(laddr.to_string()),
+        checkpoint_every: Some(3),
+        ..quick()
+    };
+    let f1srv = Server::bind("127.0.0.1:0", g, cfg).unwrap();
+    let f1addr = f1srv.local_addr();
+
+    let mut c = Client::connect(laddr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end").unwrap();
+    wait_applied(f1addr, 1);
+    for i in 2..=7 {
+        c.tell(s, &format!("TELL p{i} in Paper end")).unwrap();
+        wait_applied(f1addr, i);
+    }
+    let (covered, _) = snapshot_past(&f1dir, 0)
+        .unwrap()
+        .expect("the follower checkpointed");
+    assert_eq!(covered, 6);
+    let (wal, _) = conceptbase::storage::log::read_payloads(f1dir.join(WAL_FILE)).unwrap();
+    let seqs: Vec<u64> = wal.iter().map(|f| decode_framed(f).unwrap().0).collect();
+    assert_eq!(seqs, [7], "the WAL holds only the tail");
+
+    let (f2srv, f2addr) = follower(&f2dir, f1addr, None);
+    wait_applied(f2addr, 7);
+    assert!(
+        f2dir.join("snapshot").exists(),
+        "F2 installed F1's snapshot"
+    );
+    let mut f2c = Client::connect(f2addr).unwrap();
+    let (f2s, _) = f2c.hello().unwrap();
+    assert_eq!(ask_all(&mut f2c, f2s), ["p2", "p3", "p4", "p5", "p6", "p7"]);
+    drop((c, f2c));
+
+    f2srv.shutdown().unwrap();
+    f1srv.shutdown().unwrap();
+    lsrv.shutdown().unwrap();
+    for d in [ldir, f1dir, f2dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}

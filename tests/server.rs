@@ -607,6 +607,27 @@ fn a_deeply_nested_holds_is_rejected_and_the_server_stays_up() {
     server.shutdown().unwrap();
 }
 
+/// A view whose rule body is one literal over `datalog::ast::MAX_BODY`
+/// is refused by the rule parser — before evaluation or lint recurse
+/// over it — and the server keeps serving.
+#[test]
+fn a_view_body_past_the_bound_is_rejected_and_the_server_stays_up() {
+    use conceptbase::datalog::ast::MAX_BODY;
+    let (server, mut c) = Server::in_process(Gkbms::new().unwrap(), quick_cfg()).unwrap();
+    let (s, _) = c.hello().unwrap();
+    let rules = format!("wide(X) :- {}.", vec!["in_(X, X)"; MAX_BODY + 1].join(", "));
+    match c.register_view(s, "wide", &rules) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Rejected);
+            assert!(e.message.contains("longer than"), "{e}");
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    assert_eq!(c.ping().unwrap(), "pong");
+    drop(c);
+    server.shutdown().unwrap();
+}
+
 /// Kills and reaps a spawned server if a test fails before it exits.
 struct Reap(std::process::Child);
 
