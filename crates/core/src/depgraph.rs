@@ -16,7 +16,7 @@ impl Gkbms {
     /// `input --from--> decision --to--> output`, plus
     /// `tool --by--> decision` edges.
     pub fn dependency_graph(&self) -> Graph {
-        graph_of(self.records())
+        graph_of(self.records().iter().map(|r| &**r))
     }
 
     /// The fig 2-4 view: the dependency graph with the objects affected
@@ -42,7 +42,7 @@ impl Gkbms {
         let mut seen: HashSet<&str> = HashSet::from([object]);
         let mut queue = VecDeque::from([object]);
         while let Some(cur) = queue.pop_front() {
-            for r in self.design.users(cur).filter(|r| !r.retracted) {
+            for r in self.design.users(&self.kb, cur).filter(|r| !r.retracted) {
                 let outputs = r.outputs.iter().map(String::as_str);
                 queue.extend(outputs.filter(|&o| seen.insert(o)));
             }
@@ -211,7 +211,8 @@ mod tests {
         let decoded: Vec<DecisionRecord> = (g.records().iter())
             .map(|r| reader.decision(r.prop).unwrap())
             .collect();
-        assert_eq!(decoded, g.records());
+        let indexed: Vec<DecisionRecord> = g.records().iter().map(|r| (**r).clone()).collect();
+        assert_eq!(decoded, indexed);
         let mut edb = Database::new();
         for r in decoded.iter().filter(|r| !r.retracted) {
             for (i, o) in (r.inputs.iter()).flat_map(|i| r.outputs.iter().map(move |o| (i, o))) {

@@ -18,7 +18,8 @@ use std::collections::HashSet;
 impl Gkbms {
     /// Renders the justification tree of a design object.
     pub fn explain(&self, object: &str) -> GkbmsResult<String> {
-        if self.kb.lookup(object).is_none() && self.design.produced_by(object).is_empty() {
+        if self.kb.lookup(object).is_none() && self.design.produced_by(&self.kb, object).is_empty()
+        {
             return Err(GkbmsError::Unknown(format!("design object `{object}`")));
         }
         let mut out = String::new();
@@ -46,7 +47,7 @@ impl Gkbms {
             return;
         }
         // The creating decision, if any (latest record producing it).
-        match self.design.produced_by(object).last() {
+        match self.design.produced_by(&self.kb, object).last() {
             None => {
                 // A registered object: show its external source.
                 if let Some(id) = self.kb.lookup(object) {
@@ -126,7 +127,7 @@ impl Gkbms {
     /// Explains a decision instance: its documentation record rendered
     /// as prose.
     pub fn explain_decision(&self, name: &str) -> GkbmsResult<String> {
-        let r = (self.design.get(name))
+        let r = (self.design.get(&self.kb, name))
             .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
         let mut out = format!(
             "decision `{}` of class {} {}\n",

@@ -68,5 +68,5 @@ pub use error::{GkbmsError, GkbmsResult};
 pub use journal::{CheckpointReport, FsyncPolicy, Journal, RecoveryReport};
 pub use persist::{Applied, JournalOp};
 pub use recall::RecallHit;
-pub use system::{DecisionRequest, DecisionSummary, Gkbms};
+pub use system::{DecisionRequest, DecisionSummary, Gkbms, Published};
 pub use views::RegisteredView;

@@ -6,85 +6,116 @@
 //! process-oriented, by following mapping and refinement relationships
 //! and their causal ordering; temporal, by focusing on system versions
 //! and following the history of design objects and design decisions."
+//!
+//! Each view is a function of one version of the state: a [`Snapshot`]
+//! of its store and the [`DesignIndex`] captured with it
+//! ([`Gkbms::capture`]). A served session reads them at its pinned
+//! version; the same-named `Gkbms` methods read them at the live head.
 
+use crate::design::DesignIndex;
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::names;
 use crate::record::Record;
 use crate::system::Gkbms;
+use crate::versions::level_of;
 use modelbase::display::relational::Table;
 use modelbase::BrowseSession;
 use telos::Snapshot;
 
 impl Gkbms {
-    /// **Status-oriented** view: the current objects per life-cycle
-    /// level, as a relational display.
+    /// [`status_view`] at the live head.
     pub fn status_view(&self) -> Table {
-        let mut t = Table::new(&["object", "level", "justified by"]);
-        let records = self.records();
-        for (obj, producers) in self.design.current() {
-            let level = self.level_of(obj).unwrap_or_else(|| "-".to_string());
-            let mut producers = producers.iter().map(|&at| &records[at]);
-            let justification = producers
-                .find(|r| !r.retracted)
-                .map_or("(registered)", |r| &r.name);
-            t.row(&[obj, &level, justification]);
-        }
-        t
+        status_view(self.kb.snapshot(), &self.design)
     }
 
-    /// **Process-oriented** view: the effective decisions in causal
-    /// order (execution order restricted to effective ones), each with
-    /// its dimension, inputs and outputs.
+    /// [`process_view`] at the live head.
     pub fn process_view(&self) -> Table {
-        let mut t = Table::new(&["#", "decision", "dimension", "from", "to", "by"]);
-        let decisions = self.design.with_dimensions();
-        let effective = decisions.filter(|(r, _)| !r.retracted);
-        for (i, (r, dimension)) in effective.enumerate() {
-            t.row(&[
-                &(i + 1).to_string(),
-                &r.name,
-                &dimension.to_string(),
-                &r.inputs.join(", "),
-                &r.outputs.join(", "),
-                r.tool.as_deref().unwrap_or("(manual)"),
-            ]);
-        }
-        t
+        process_view(&self.design)
     }
 
-    /// The decisions causally upstream of a design object, current or
-    /// retracted: the chain of justifications back to registered
-    /// objects.
+    /// [`causal_chain`] at the live head.
     pub fn causal_chain(&self, object: &str) -> GkbmsResult<Vec<String>> {
-        if self.design.state(object).is_none() {
-            return Err(GkbmsError::Unknown(format!("design object `{object}`")));
-        }
-        let mut chain = Vec::new();
-        let mut frontier = vec![object];
-        while let Some(cur) = frontier.pop() {
-            for r in self.design.producers(cur) {
-                if !chain.contains(&r.name) {
-                    chain.push(r.name.clone());
-                    frontier.extend(r.inputs.iter().map(String::as_str));
-                }
-            }
-        }
-        chain.reverse(); // earliest first
-        Ok(chain)
+        causal_chain(self.kb.snapshot(), &self.design, object)
     }
 
-    /// **Temporal** view: the design objects believed at belief tick
-    /// `t` (a past system version), sorted.
+    /// [`objects_at`] belief tick `t` of the live store.
     pub fn objects_at(&self, t: i64) -> Vec<String> {
-        let then = self.kb.snapshot_at(t);
-        let known = self.design.objects().filter(|o| then.lookup(o).is_some());
-        known.map(str::to_string).collect()
+        objects_at(self.kb.snapshot_at(t), &self.design)
     }
 
     /// [`object_history`] at the live head.
     pub fn object_history(&self, object: &str) -> GkbmsResult<Vec<(i64, String)>> {
         object_history(self.kb.snapshot(), object)
     }
+}
+
+/// **Status-oriented** view of the version `snap` and `design` were
+/// captured at: the current objects per life-cycle level, as a
+/// relational display.
+pub fn status_view(snap: Snapshot<'_>, design: &DesignIndex) -> Table {
+    let mut t = Table::new(&["object", "level", "justified by"]);
+    let records = design.records();
+    for (obj, producers) in design.current() {
+        let level = level_of(snap, design, obj).unwrap_or_else(|| "-".to_string());
+        let mut producers = producers.iter().map(|&at| &records[at]);
+        let justification = producers
+            .find(|r| !r.retracted)
+            .map_or("(registered)", |r| &r.name);
+        t.row(&[obj, &level, justification]);
+    }
+    t
+}
+
+/// **Process-oriented** view of `design`: the effective decisions in
+/// causal order (execution order restricted to effective ones), each
+/// with its dimension, inputs and outputs. It reads the index alone.
+pub fn process_view(design: &DesignIndex) -> Table {
+    let mut t = Table::new(&["#", "decision", "dimension", "from", "to", "by"]);
+    let effective = design.with_dimensions().filter(|(r, _)| !r.retracted);
+    for (i, (r, dimension)) in effective.enumerate() {
+        t.row(&[
+            &(i + 1).to_string(),
+            &r.name,
+            &dimension.to_string(),
+            &r.inputs.join(", "),
+            &r.outputs.join(", "),
+            r.tool.as_deref().unwrap_or("(manual)"),
+        ]);
+    }
+    t
+}
+
+/// The decisions causally upstream of a design object of `design`,
+/// current or retracted: the chain of justifications back to registered
+/// objects.
+pub fn causal_chain(
+    snap: Snapshot<'_>,
+    design: &DesignIndex,
+    object: &str,
+) -> GkbmsResult<Vec<String>> {
+    let names = snap.store();
+    if design.state(names, object).is_none() {
+        return Err(GkbmsError::Unknown(format!("design object `{object}`")));
+    }
+    let mut chain = Vec::new();
+    let mut frontier = vec![object];
+    while let Some(cur) = frontier.pop() {
+        for r in design.producers(names, cur) {
+            if !chain.contains(&r.name) {
+                chain.push(r.name.clone());
+                frontier.extend(r.inputs.iter().map(String::as_str));
+            }
+        }
+    }
+    chain.reverse(); // earliest first
+    Ok(chain)
+}
+
+/// **Temporal** view: the design objects of `design` believed at
+/// `snap`'s tick (a past system version), sorted.
+pub fn objects_at(snap: Snapshot<'_>, design: &DesignIndex) -> Vec<String> {
+    let known = design.objects().filter(|o| snap.lookup(o).is_some());
+    known.map(str::to_string).collect()
 }
 
 /// The history of one design object as believed at `snap`: `(tick,

@@ -595,7 +595,7 @@ mod tests {
         }
         // The retraction replayed where it was committed — after the
         // last execution, whose tick still sees the retracted output.
-        let last = loaded.records().last().unwrap().tick;
+        let last = loaded.records().iter().last().unwrap().tick;
         assert!(loaded
             .kb()
             .snapshot_at(last)

@@ -49,10 +49,14 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use crate::decisions::{DecisionDimension, Discharge};
+use crate::design::DesignIndex;
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::system::{DecisionRecord, Gkbms};
+use telos::pvec::PVec;
+use telos::Snapshot;
 
 /// A scored recall hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,27 +86,31 @@ enum Feature {
 }
 
 /// Features in ascending order, each once, with its summed weight.
-type Signature = Box<[(Feature, u32)]>;
+/// Shared by a group and its key in the signature map.
+type Signature = Arc<[(Feature, u32)]>;
 
 /// The decisions that share one signature.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Group {
     signature: Signature,
     /// The signature's total weight *W*.
     weight: u64,
     /// Member ordinals, in name order.
-    members: Vec<usize>,
+    members: Arc<Vec<usize>>,
 }
 
-/// The decisions of a [`Gkbms`] grouped by structural signature.
-#[derive(Debug, Default)]
+/// The decisions of a [`Gkbms`] grouped by structural signature. Like
+/// the [`DesignIndex`](crate::design::DesignIndex) it is part of, a
+/// clone shares everything: a decision's insert copies its own group's
+/// member list, and a map only when a new key arrives.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RecallIndex {
     /// Class, tool and obligation names → feature ids.
-    names: HashMap<String, u32>,
-    groups: Vec<Group>,
-    group_by_signature: HashMap<Signature, usize>,
+    names: Arc<HashMap<String, u32>>,
+    groups: PVec<Group>,
+    group_by_signature: Arc<HashMap<Signature, usize>>,
     /// Decision ordinal → its group.
-    group_of: Vec<usize>,
+    group_of: PVec<usize>,
 }
 
 impl RecallIndex {
@@ -112,40 +120,47 @@ impl RecallIndex {
         &mut self,
         r: &DecisionRecord,
         dimension: DecisionDimension,
-        records: &[DecisionRecord],
+        records: &PVec<Arc<DecisionRecord>>,
     ) {
         let at = records.len();
         debug_assert_eq!(at, self.group_of.len(), "decisions are filed in order");
         let signature = self.signature(r, dimension);
-        let group = match self.group_by_signature.get(&signature) {
+        let group = match self.group_by_signature.get(&signature[..]) {
             Some(&g) => g,
             None => {
                 let weight = signature.iter().map(|&(_, w)| u64::from(w)).sum();
-                self.group_by_signature
-                    .insert(signature.clone(), self.groups.len());
+                let signature: Signature = signature.into();
+                let g = self.groups.len();
+                Arc::make_mut(&mut self.group_by_signature).insert(Arc::clone(&signature), g);
                 self.groups.push(Group {
                     signature,
                     weight,
-                    members: Vec::new(),
+                    members: Arc::default(),
                 });
-                self.groups.len() - 1
+                g
             }
         };
-        let members = &mut self.groups[group].members;
-        members.insert(members.partition_point(|&m| records[m].name < r.name), at);
+        if let Some(g) = self.groups.get_mut(group) {
+            let members = Arc::make_mut(&mut g.members);
+            members.insert(members.partition_point(|&m| records[m].name < r.name), at);
+        }
         self.group_of.push(group);
     }
 
     /// Class identity weighs heaviest, then dimension and tool, then
     /// the input count and the class multiset of the outputs, and the
     /// kind and obligation of each discharge.
-    fn signature(&mut self, r: &DecisionRecord, dimension: DecisionDimension) -> Signature {
+    fn signature(
+        &mut self,
+        r: &DecisionRecord,
+        dimension: DecisionDimension,
+    ) -> Vec<(Feature, u32)> {
         let names = &mut self.names;
         let mut id = |name: &str| match names.get(name) {
             Some(&id) => id,
             None => {
                 let id = u32::try_from(names.len()).expect("fewer than 2^32 distinct names");
-                names.insert(name.to_string(), id);
+                Arc::make_mut(names).insert(name.to_string(), id);
                 id
             }
         };
@@ -174,13 +189,18 @@ impl RecallIndex {
             }
             same
         });
-        sig.into_boxed_slice()
+        sig
     }
 
     /// The decisions most similar to the one at ordinal `probe` of
     /// `records`, best first and by name among equals, at most `limit`
     /// of them. Scores every group once.
-    fn similar(&self, probe: usize, limit: usize, records: &[DecisionRecord]) -> Vec<RecallHit> {
+    fn similar(
+        &self,
+        probe: usize,
+        limit: usize,
+        records: &PVec<Arc<DecisionRecord>>,
+    ) -> Vec<RecallHit> {
         let mine = &self.groups[self.group_of[probe]];
         // (Σmin, Σmax, group) of every group sharing a feature.
         let mut scored: Vec<(u64, u64, &Group)> = (self.groups.iter())
@@ -241,29 +261,38 @@ fn shared_weight(a: &[(Feature, u32)], b: &[(Feature, u32)]) -> u64 {
 }
 
 impl Gkbms {
-    /// Ranks past decisions by structural similarity with `name` —
-    /// same class, dimension, tool, input/output class shape and
-    /// discharge shape count toward the score; instance names never
-    /// do. Returns at most `limit` hits with nonzero score, best
-    /// first; the queried decision itself is excluded. Retracted
-    /// precedents are reported with their flag set, not filtered.
+    /// [`recall_similar`] at the live head.
     pub fn recall_similar(&self, name: &str, limit: usize) -> GkbmsResult<Vec<RecallHit>> {
-        let design = &self.design;
-        let probe = (design.ordinal(name))
-            .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
-        let hits = design.recall.similar(probe, limit, design.records());
-        obs::counter!(
-            "gkbms_recall_queries_total",
-            "Structure-similarity recall queries answered"
-        )
-        .inc();
-        obs::counter!(
-            "gkbms_recall_signatures_scored_total",
-            "Distinct decision signatures scored by recall queries"
-        )
-        .add(design.recall.groups.len() as u64);
-        Ok(hits)
+        recall_similar(self.kb.snapshot(), &self.design, name, limit)
     }
+}
+
+/// Ranks the decisions of `design`, the index captured with `snap`'s
+/// store, by structural similarity with `name` — same class, dimension,
+/// tool, input/output class shape and discharge shape count toward the
+/// score; instance names never do. Returns at most `limit` hits with
+/// nonzero score, best first; the queried decision itself is excluded.
+/// Retracted precedents are reported with their flag set, not filtered.
+pub fn recall_similar(
+    snap: Snapshot<'_>,
+    design: &DesignIndex,
+    name: &str,
+    limit: usize,
+) -> GkbmsResult<Vec<RecallHit>> {
+    let probe = (design.ordinal(snap.store(), name))
+        .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
+    let hits = design.recall.similar(probe, limit, design.records());
+    obs::counter!(
+        "gkbms_recall_queries_total",
+        "Structure-similarity recall queries answered"
+    )
+    .inc();
+    obs::counter!(
+        "gkbms_recall_signatures_scored_total",
+        "Distinct decision signatures scored by recall queries"
+    )
+    .add(design.recall.groups.len() as u64);
+    Ok(hits)
 }
 
 #[cfg(test)]
@@ -602,7 +631,7 @@ mod tests {
         exec(&mut g, "DBPL_MappingDec", "twin2", "R2", &[rel]);
         exec(&mut g, "DecPlain", "alone", "R3", &[rel]);
         let recall = &g.design.recall;
-        let alone = recall.group_of[g.design.ordinal("alone").unwrap()];
+        let alone = recall.group_of[g.design.ordinal(g.kb(), "alone").unwrap()];
         assert_eq!(recall.groups[alone].members.len(), 1);
         let hits = g.recall_similar("alone", usize::MAX).unwrap();
         // inputs 1 + out 1 shared; 2 of 7 + 7 − 2.

@@ -25,7 +25,7 @@ impl Gkbms {
     /// Tests whether a (typically retracted) decision could be
     /// re-executed in the current state.
     pub fn replayability(&self, name: &str) -> GkbmsResult<Replayability> {
-        let r = (self.design.get(name))
+        let r = (self.design.get(&self.kb, name))
             .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
         let missing: Vec<String> = r
             .inputs

@@ -31,9 +31,10 @@ use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
 use crate::record::{self, Record};
 use std::collections::BTreeSet;
-use std::sync::PoisonError;
+use std::sync::{Arc, PoisonError};
 use telos::assertion;
-use telos::{Kb, PropId, Snapshot};
+use telos::pvec::PVec;
+use telos::{Kb, KbVersion, PropId, Snapshot};
 
 /// A request to execute a design decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,6 +120,19 @@ pub struct DecisionRecord {
     pub retracted: bool,
     /// The decision instance proposition.
     pub prop: PropId,
+}
+
+/// One version of the state as a reader pins it: the store's version
+/// and the design index captured with it ([`Gkbms::capture`]). Both are
+/// frozen clones, so every read of it — the KB at its capture tick, the
+/// design record of that tick — answers alike however many commits
+/// land after it.
+#[derive(Debug, Clone)]
+pub struct Published {
+    /// The store, as of the capture.
+    pub kb: KbVersion,
+    /// The design index, as of the capture.
+    pub design: DesignIndex,
 }
 
 /// Summary returned by a successful execution.
@@ -387,13 +401,24 @@ impl Gkbms {
 
     /// The documentation of every executed decision, in execution order,
     /// as the design index decoded it at each commit.
-    pub fn records(&self) -> &[DecisionRecord] {
+    pub fn records(&self) -> &PVec<Arc<DecisionRecord>> {
         self.design.records()
     }
 
     /// The design index: the executed decisions and the design objects.
     pub fn design(&self) -> &DesignIndex {
         &self.design
+    }
+
+    /// Captures the state a reader may pin: the store's version and the
+    /// design index, together — the one capture site, which the server
+    /// publishes from on every commit and at start. Structural sharing
+    /// throughout: O(chunks) pointer bumps, no per-entry work.
+    pub fn capture(&self) -> Published {
+        Published {
+            kb: self.kb.version(),
+            design: self.design.clone(),
+        }
     }
 
     /// The design record at the live head.
@@ -403,7 +428,7 @@ impl Gkbms {
 
     /// The documentation of a named decision.
     pub fn record(&self, name: &str) -> Option<DecisionRecord> {
-        self.design.get(name).cloned()
+        self.design.get(&self.kb, name).cloned()
     }
 
     // ----- schema-level definitions ---------------------------------------
@@ -593,7 +618,7 @@ impl Gkbms {
             class: class.into(),
             source: source.into(),
         })?;
-        self.design.register(name);
+        self.design.register(&self.kb, name);
         Ok(obj)
     }
 
@@ -601,7 +626,7 @@ impl Gkbms {
     /// produced and IN.
     pub fn is_current(&self, name: &str) -> bool {
         self.design
-            .state(name)
+            .state(&self.kb, name)
             .is_some_and(|s| s != ObjectState::Out)
     }
 
@@ -633,14 +658,14 @@ impl Gkbms {
             .decision_class_named(&req.class)
             .and_then(|c| Some((c, reader.decision_class(c)?)))
             .ok_or_else(|| GkbmsError::Unknown(format!("decision class `{}`", req.class)))?;
-        if self.design.get(&req.name).is_some() {
+        if self.design.get(&self.kb, &req.name).is_some() {
             return Err(GkbmsError::Duplicate(format!("decision `{}`", req.name)));
         }
 
         // Inputs must exist, be believed, and satisfy the precondition.
         let mut input_ids = Vec::new();
         for input in &req.inputs {
-            if self.design.state(input) == Some(ObjectState::Out) {
+            if self.design.state(&self.kb, input) == Some(ObjectState::Out) {
                 return Err(GkbmsError::Precondition(format!(
                     "input `{input}` is not current (retracted)"
                 )));
@@ -812,7 +837,7 @@ impl Gkbms {
         let told = self.reader().decision(decision);
         debug_assert!(told.is_some(), "`{}` reads back", req.name);
         if let Some(r) = told {
-            self.design.execute(r, dc.dimension);
+            self.design.execute(&self.kb, r, dc.dimension);
         }
         obs::counter!(
             "gkbms_decisions_executed_total",
@@ -845,7 +870,7 @@ impl Gkbms {
     }
 
     fn retract_inner(&mut self, name: &str) -> GkbmsResult<Vec<String>> {
-        let at = (self.design.ordinal(name))
+        let at = (self.design.ordinal(&self.kb, name))
             .ok_or_else(|| GkbmsError::NotRetractable(format!("unknown decision `{name}`")))?;
         if self.design.records()[at].retracted {
             return Err(GkbmsError::NotRetractable(format!(
@@ -873,7 +898,7 @@ impl Gkbms {
         }
         self.kb.tick();
         self.commit(JournalOp::Retract { name: name.into() })?;
-        self.design.retract(&decisions, &affected);
+        self.design.retract(&self.kb, &decisions, &affected);
         obs::counter!(
             "gkbms_decisions_retracted_total",
             "Design decisions retracted (explicit plus cascaded)"
@@ -891,18 +916,19 @@ impl Gkbms {
     /// object a live producer but `at` derives from current inputs none
     /// of which is over-deleted.
     fn consequences(&self, at: usize) -> (Vec<String>, BTreeSet<usize>) {
-        let records = self.design.records();
+        let (design, names) = (&self.design, &*self.kb);
+        let records = design.records();
         let live = |&i: &usize| !records[i].retracted && i != at;
         let outputs = |i: usize| records[i].outputs.iter().map(String::as_str);
         let mut out: BTreeSet<&str> = BTreeSet::new();
         let mut frontier: Vec<&str> = outputs(at).collect();
         while let Some(o) = frontier.pop() {
-            if self.design.state(o) == Some(ObjectState::In) && out.insert(o) {
-                let users = self.design.used_by(o).iter().copied().filter(live);
+            if design.state(names, o) == Some(ObjectState::In) && out.insert(o) {
+                let users = design.used_by(names, o).iter().copied().filter(live);
                 frontier.extend(users.flat_map(outputs));
             }
         }
-        let producers = |o: &str| self.design.produced_by(o).iter().copied().filter(live);
+        let producers = |o: &str| design.produced_by(names, o).iter().copied().filter(live);
         let mut candidates: Vec<(&str, Vec<usize>)> =
             out.iter().map(|&o| (o, producers(o).collect())).collect();
         let supported = |out: &BTreeSet<&str>, i: usize| {
@@ -930,7 +956,7 @@ impl Gkbms {
     /// so all its outputs are current (a retraction retracts every
     /// other producer of what it takes out).
     pub fn is_effective(&self, name: &str) -> bool {
-        self.design.get(name).is_some_and(|r| !r.retracted)
+        (self.design.get(&self.kb, name)).is_some_and(|r| !r.retracted)
     }
 }
 
@@ -1365,7 +1391,7 @@ pub(crate) mod tests {
     /// The names of the decisions that produced `object`.
     fn producers(g: &Gkbms, object: &str) -> Vec<String> {
         g.design()
-            .producers(object)
+            .producers(g.kb(), object)
             .map(|r| r.name.clone())
             .collect()
     }
@@ -1474,7 +1500,7 @@ pub(crate) mod tests {
         g.replay_decision("d2", "d2b").unwrap();
         assert_eq!(g.current_objects(), ["A", "B", "R"]);
         // Producers are kept across both incarnations of `A`.
-        let producers: Vec<&DecisionRecord> = g.design().producers("A").collect();
+        let producers: Vec<&DecisionRecord> = g.design().producers(g.kb(), "A").collect();
         assert_eq!(producers.len(), 2);
         assert!(producers[0].retracted && !producers[1].retracted);
         assert_eq!(g.retract_decision("d1b").unwrap(), ["A", "B"]);

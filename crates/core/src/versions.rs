@@ -12,10 +12,12 @@
 //! documentation approach."
 
 use crate::decisions::DecisionDimension;
+use crate::design::DesignIndex;
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::kernel;
 use crate::system::{DecisionRecord, Gkbms};
 use std::collections::HashMap;
+use telos::Snapshot;
 
 /// One configured level of the system: the current objects at a
 /// life-cycle level plus the decisions that justify them.
@@ -50,38 +52,47 @@ pub struct ChoicePoint {
     pub alternatives: Vec<Alternative>,
 }
 
-impl Gkbms {
-    /// The life-cycle level of a design object (via its classes'
-    /// `level` attribute). For objects no longer believed (retracted
-    /// versions), the level is recovered from the decision record that
-    /// created them — history is never lost.
-    pub fn level_of(&self, object: &str) -> Option<String> {
-        if let Some(obj) = self.kb.lookup(object) {
-            let snap = self.kb.snapshot();
-            for class in snap.all_classes_of(obj) {
-                let levels = snap.attr_values(class, kernel::LEVEL);
-                if let Some(&l) = levels.first() {
-                    return Some(self.kb.display(l));
-                }
+/// The life-cycle level of a design object of `design`, as believed at
+/// `snap` (via its classes' `level` attribute). For objects not
+/// believed there (retracted versions), the level is recovered from
+/// the decision record that created them — history is never lost.
+pub fn level_of(snap: Snapshot<'_>, design: &DesignIndex, object: &str) -> Option<String> {
+    if let Some(obj) = snap.lookup(object) {
+        for class in snap.all_classes_of(obj) {
+            let levels = snap.attr_values(class, kernel::LEVEL);
+            if let Some(&l) = levels.first() {
+                return Some(snap.store().display(l));
             }
         }
-        // Historic object: find the class recorded at creation.
-        let r = self.design.producers(object).next_back()?;
-        let at = r.outputs.iter().position(|o| o == object)?;
-        self.level_of_class(r.output_classes.get(at)?)
+    }
+    // Historic object: find the class recorded at creation.
+    let r = design.producers(snap.store(), object).next_back()?;
+    let at = r.outputs.iter().position(|o| o == object)?;
+    level_of_class(snap, r.output_classes.get(at)?)
+}
+
+/// The `level` attribute of a design-object class, as believed at
+/// `snap`.
+pub fn level_of_class(snap: Snapshot<'_>, class: &str) -> Option<String> {
+    let c = snap.lookup(class)?;
+    for cls in std::iter::once(c).chain(snap.isa_ancestors(c)) {
+        let levels = snap.attr_values(cls, kernel::LEVEL);
+        if let Some(&l) = levels.first() {
+            return Some(snap.store().display(l));
+        }
+    }
+    None
+}
+
+impl Gkbms {
+    /// [`level_of`] at the live head.
+    pub fn level_of(&self, object: &str) -> Option<String> {
+        level_of(self.kb.snapshot(), &self.design, object)
     }
 
-    /// The `level` attribute of a design-object class.
+    /// [`level_of_class`] at the live head.
     pub fn level_of_class(&self, class: &str) -> Option<String> {
-        let c = self.kb.lookup(class)?;
-        let snap = self.kb.snapshot();
-        for cls in std::iter::once(c).chain(snap.isa_ancestors(c)) {
-            let levels = snap.attr_values(cls, kernel::LEVEL);
-            if let Some(&l) = levels.first() {
-                return Some(self.kb.display(l));
-            }
-        }
-        None
+        level_of_class(self.kb.snapshot(), class)
     }
 
     /// "Configure the latest complete DBPL database program system
@@ -98,7 +109,7 @@ impl Gkbms {
             .collect();
         let mut justified_by: Vec<String> = objects
             .iter()
-            .flat_map(|o| self.design.producers(o))
+            .flat_map(|o| self.design.producers(&self.kb, o))
             .filter(|r| !r.retracted)
             .map(|r| r.name.clone())
             .collect();
@@ -120,7 +131,7 @@ impl Gkbms {
         let config = self.configure_level(level)?;
         let mut gaps = Vec::new();
         for obj in &config.objects {
-            let producers = self.design.producers(obj).filter(|r| !r.retracted);
+            let producers = (self.design.producers(&self.kb, obj)).filter(|r| !r.retracted);
             let producers: Vec<&DecisionRecord> = producers.collect();
             let supported = |r: &&DecisionRecord| r.inputs.iter().all(|i| self.is_current(i));
             if !producers.is_empty() && !producers.iter().any(supported) {

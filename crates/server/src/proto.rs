@@ -96,18 +96,17 @@
 //! `Hello` opens a session and pins its *watermark* — the knowledge
 //! base's belief-time clock at that instant. The session's reads of
 //! the knowledge base (`Ask`, `Holds`, `Show`, `Browse`, `ViewAsk`,
-//! `ApplicableDecisions`, `ObjectHistory`) are evaluated against a
-//! [`telos::Snapshot`] at that watermark: the session sees a
+//! `ApplicableDecisions`, `ObjectHistory`, `History`, `Status`,
+//! `Recall`) are evaluated against a [`telos::Snapshot`] at that
+//! watermark — the design-record reads against the design index
+//! published with the same version: the session sees a
 //! consistent state of belief, unaffected by concurrent writers,
 //! because the knowledge base never destroys propositions — an
 //! `UNTELL` merely closes a belief interval, and writers tick the
 //! clock *before* mutating, so everything they add starts strictly
 //! after every pinned watermark. `Refresh` re-pins the watermark to
 //! "now"; sessions that write typically refresh to observe their own
-//! writes. `History`, `Status` and `Recall` are not pinned yet: they
-//! answer from the live head (`Status` and `Recall` read the set of
-//! current design objects and the recall index, which are not
-//! propositions). `Lint` reads the live head on purpose: it predicts
+//! writes. `Lint` reads the live head on purpose: it predicts
 //! admission against the state the next write meets. `Explain` and
 //! `Check` read the newest published version — the head as of the last
 //! commit — without the state lock, so neither waits on a writer.

@@ -5,14 +5,16 @@
 //! Writers (TELL, UNTELL, EXECUTE, …, and a follower's applied batches)
 //! serialize behind the write guard of one [`RwLock`], taken as the one
 //! `commit::Writer`. Every change ends in its commit, which publishes
-//! an immutable [`telos::KbVersion`] into a
+//! an immutable [`gkbms::Published`] — the store's [`telos::KbVersion`]
+//! and the design index, captured together — into a
 //! [`gkbms::mvcc::VersionChain`] while still holding the guard, so
 //! versions appear in commit order. The capture is structural sharing:
-//! one `Arc` bump per 512-element chunk of the store and per symbol-map
-//! shard, O(store / 512). Session reads (ASK, HOLDS, SHOW, BROWSE,
-//! APPLICABLE DECISIONS, OBJECT HISTORY, session stats) take no lock: a
-//! session pins the chain head at Hello (or Refresh) and reads its
-//! pinned version at its watermark, however many commits land.
+//! one `Arc` bump per 512-element chunk of the store and of the index
+//! and per symbol-map shard, O(store / 512). Session reads (ASK, HOLDS,
+//! SHOW, BROWSE, APPLICABLE DECISIONS, OBJECT HISTORY, HISTORY, STATUS,
+//! RECALL, session stats) take no lock: a session pins the chain head
+//! at Hello (or Refresh) and reads its pinned version at its watermark,
+//! however many commits land.
 //!
 //! Belief time supplies the isolation *semantics*: every write is one
 //! `Gkbms` transaction that opens with a belief-clock tick, so nothing
@@ -22,10 +24,15 @@
 //! when its last holder lets go (Bye, Refresh, or the idle-timeout
 //! sweep run on every commit and idle connection poll). CHECK and
 //! EXPLAIN read the chain head, and replication the commit watermark
-//! and the journal files, so neither waits on a writer. The other reads
-//! take the read guard and answer at the live head: HISTORY, STATUS and
-//! RECALL read state not pinned yet; SAVE, LINT and VIEW ASK's
-//! materialized model read the head on purpose.
+//! and the journal files, so neither waits on a writer. Only SAVE, LINT
+//! and VIEW ASK's materialized model take the read guard: they read the
+//! live head on purpose.
+//!
+//! A panic inside a write poisons the lock, and may leave the state
+//! half-applied. From then on the writer and the read guard are
+//! refused with a typed `Internal` ("state poisoned; restart to
+//! recover from the journal") and a follower stops applying; the
+//! published versions, which hold only committed writes, keep serving.
 //!
 //! Each TCP connection gets a handler thread. An in-process server
 //! ([`Server::in_process`]) has no listener: one handler thread serves
@@ -79,7 +86,7 @@ use crate::session::SessionTable;
 use commit::Watermark;
 use dispatch::{dispatch, err};
 use gkbms::mvcc::VersionChain;
-use gkbms::{FsyncPolicy, Gkbms};
+use gkbms::{FsyncPolicy, Gkbms, Published};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -90,7 +97,6 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use storage::record::{HEADER_LEN, MAX_RECORD_LEN};
-use telos::KbVersion;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -173,8 +179,8 @@ pub struct SlowQuery {
 /// Bound on the slow-query ring: old entries fall off the front.
 const SLOW_LOG_CAP: usize = 64;
 
-/// The pin a session holds on a store version.
-type SessionPin = gkbms::mvcc::Pin<KbVersion>;
+/// The pin a session holds on a published version.
+type SessionPin = gkbms::mvcc::Pin<Published>;
 
 /// Replication bookkeeping, present on every server (leaders ship,
 /// followers apply, and a promoted follower switches roles in place).
@@ -201,10 +207,11 @@ struct ReplState {
 
 struct Shared {
     state: RwLock<Gkbms>,
-    /// Immutable store versions, one published per acknowledged
-    /// mutation (under the write guard, so in commit order). Session
-    /// reads are served from pinned versions, never from `state`.
-    chain: VersionChain<KbVersion>,
+    /// Immutable versions of the state — store and design index — one
+    /// published per acknowledged mutation (under the write guard, so
+    /// in commit order). Session reads are served from pinned versions,
+    /// never from `state`.
+    chain: VersionChain<Published>,
     sessions: Mutex<SessionTable<SessionPin>>,
     inflight: AtomicUsize,
     shutdown: AtomicBool,
@@ -293,7 +300,7 @@ impl Server {
         // Everything recovered (and just fsynced) is committed.
         let commit = Watermark::new(file, state.applied_seq(), state.epoch());
         let journal_dir = state.journal().map(|j| j.dir().to_path_buf());
-        let chain = VersionChain::new(state.kb().version());
+        let chain = VersionChain::new(state.capture());
         let repl = ReplState {
             follower: AtomicBool::new(cfg.follow.is_some()),
             leader_addr: cfg.follow.clone().unwrap_or_default(),
@@ -696,8 +703,11 @@ fn lock_sessions(shared: &Shared) -> std::sync::MutexGuard<'_, SessionTable<Sess
     shared.sessions.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn read_state(shared: &Shared) -> std::sync::RwLockReadGuard<'_, Gkbms> {
-    shared.state.read().unwrap_or_else(|e| e.into_inner())
+/// The read guard of the live state, for the reads that must see the
+/// head itself rather than a published version (SAVE, LINT, VIEW ASK's
+/// maintained model). A poisoned state is refused like a write.
+fn read_state(shared: &Shared) -> Result<std::sync::RwLockReadGuard<'_, Gkbms>, Response> {
+    shared.state.read().map_err(|_| commit::poisoned())
 }
 
 /// Reaps idled-out sessions, dropping their version pins so the chain
@@ -730,12 +740,11 @@ mod tests {
         }
     }
 
-    /// `Check` and `Explain` answer from the chain head, not from the
-    /// state behind the writer's lock: with the write guard held, a
-    /// fresh session still gets both answers, and the same text it
-    /// gets once the guard is dropped.
-    #[test]
-    fn check_and_explain_answer_while_the_writer_holds_the_state() {
+    /// A served state with a told constraint violated by `inv1`, and two
+    /// mapping decisions `d0` and `d1` of one shape.
+    fn design_state() -> Gkbms {
+        use gkbms::metamodel::kernel;
+        use gkbms::{DecisionClass, DecisionDimension, DecisionRequest};
         let mut g = Gkbms::new().unwrap();
         g.tell_src(
             "TELL Person end\n\
@@ -745,7 +754,30 @@ mod tests {
              end",
         )
         .unwrap();
-        let server = Server::bind("127.0.0.1:0", g, Config::default()).unwrap();
+        g.define_decision_class(
+            DecisionClass::new("MapDec", DecisionDimension::Mapping)
+                .from_classes(&[kernel::TDL_ENTITY_CLASS])
+                .to_classes(&[kernel::DBPL_REL]),
+        )
+        .unwrap();
+        for k in 0..2 {
+            let (e, d, r) = (format!("e{k}"), format!("d{k}"), format!("r{k}"));
+            g.register_object(&e, kernel::TDL_ENTITY_CLASS, "src")
+                .unwrap();
+            let req = DecisionRequest::new("MapDec", &d, "dev").input(&e);
+            g.execute(req.output(&r, kernel::DBPL_REL)).unwrap();
+        }
+        g
+    }
+
+    /// The reads of a published version take no state guard: `Check`
+    /// and `Explain` answer from the chain head, and `History`,
+    /// `Status` and `Recall` from the session's pinned version. With
+    /// the write guard held, a fresh session still gets all five
+    /// answers, and the same text it gets once the guard is dropped.
+    #[test]
+    fn published_version_reads_answer_while_the_writer_holds_the_state() {
+        let server = Server::bind("127.0.0.1:0", design_state(), Config::default()).unwrap();
         let timeout = Duration::from_secs(2);
         let mut client = Client::connect_with_timeout(server.local_addr(), timeout).unwrap();
         let (session, _) = client.hello().unwrap();
@@ -753,16 +785,16 @@ mod tests {
         // version its commit published.
         client.tell(session, "TELL inv1 in Invitation end").unwrap();
 
-        let (check, explain) = {
+        let (check, explain, history, status, recall) = {
             let _writer = server.shared.state.write().unwrap();
             let (session, _) = client.hello().unwrap();
+            let under_guard = "answers under the write guard";
             (
-                client
-                    .check(session)
-                    .expect("check answers under the write guard"),
-                client
-                    .explain(session, "")
-                    .expect("explain answers under the write guard"),
+                client.check(session).expect(under_guard),
+                client.explain(session, "").expect(under_guard),
+                client.history(session).expect(under_guard),
+                client.status(session).expect(under_guard),
+                client.recall(session, "d0", 5).expect(under_guard),
             )
         };
         assert!(
@@ -770,8 +802,62 @@ mod tests {
             "{check}"
         );
         assert!(explain.contains("total estimated cost"), "{explain}");
+        assert!(
+            history.contains("d0") && history.contains("d1"),
+            "{history}"
+        );
+        assert!(status.contains("r1"), "{status}");
+        assert_eq!(recall, [("d1".to_string(), 1.0, false)]);
+        let (session, _) = client.hello().unwrap();
         assert_eq!(client.check(session).unwrap(), check);
         assert_eq!(client.explain(session, "").unwrap(), explain);
+        assert_eq!(client.history(session).unwrap(), history);
+        assert_eq!(client.status(session).unwrap(), status);
+        assert_eq!(client.recall(session, "d0", 5).unwrap(), recall);
+        server.shutdown().unwrap();
+    }
+
+    /// A panic inside a write poisons the state lock, and the write may
+    /// be half-applied: later writes, and reads of the live state, are
+    /// refused with a typed `Internal`, while the reads of published
+    /// versions keep answering.
+    #[test]
+    fn a_poisoned_state_refuses_writes_and_serves_published_versions() {
+        use crate::client::ClientError;
+        use gkbms::JournalOp;
+        let server = Server::bind("127.0.0.1:0", design_state(), Config::default()).unwrap();
+        let timeout = Duration::from_secs(2);
+        let mut client = Client::connect_with_timeout(server.local_addr(), timeout).unwrap();
+        let (session, _) = client.hello().unwrap();
+        let shared = Arc::clone(&server.shared);
+        let writer = std::thread::spawn(move || {
+            let _guard = shared.state.write().unwrap();
+            panic!("a write fails halfway");
+        });
+        assert!(writer.join().is_err(), "the writer panicked");
+
+        let untell = JournalOp::Untell { name: "e0".into() };
+        let refused = [
+            client.write(session, untell).map(drop),
+            client.lint(session, "").map(drop),
+        ];
+        for outcome in refused {
+            match outcome {
+                Err(ClientError::Server(e)) => {
+                    assert_eq!(e.code, ErrorCode::Internal, "{e:?}");
+                    assert!(e.message.contains("state poisoned"), "{e:?}");
+                }
+                other => panic!("a poisoned state answered {other:?}"),
+            }
+        }
+        let answers = client
+            .ask(session, "x", "DBPL_Rel", "true")
+            .unwrap()
+            .answers;
+        assert_eq!(answers, ["r0", "r1"]);
+        assert!(client.history(session).unwrap().contains("d1"));
+        assert_eq!(client.ping().unwrap(), "pong");
+        drop(client);
         server.shutdown().unwrap();
     }
 

@@ -30,22 +30,35 @@ pub(super) struct Writer<'a> {
 }
 
 impl Shared {
-    /// Takes the single-writer state lock, timing the wait.
-    pub(super) fn writer(&self) -> Writer<'_> {
+    /// Takes the single-writer state lock, timing the wait. A state a
+    /// panic poisoned mid-write is refused ([`poisoned`]).
+    pub(super) fn writer(&self) -> Result<Writer<'_>, Response> {
         let waited = Instant::now();
-        let state = self.state.write().unwrap_or_else(|e| e.into_inner());
+        let state = self.state.write().map_err(|_| poisoned())?;
         obs::histogram!(
             "gkbms_writer_lock_wait_seconds",
             "Time spent waiting to acquire the single-writer state lock"
         )
         .observe(waited.elapsed());
         let taken = (state.kb().now(), state.applied_seq());
-        Writer {
+        Ok(Writer {
             shared: self,
             state,
             taken,
-        }
+        })
     }
+}
+
+/// The answer to every request that would build on or read the live
+/// state once a panic inside a write has poisoned its lock: that write
+/// may be half-applied, so nothing may read it or write after it. The
+/// published versions stay readable; the journal holds only what was
+/// committed, so a restart recovers a whole state.
+pub(super) fn poisoned() -> Response {
+    err(
+        ErrorCode::Internal,
+        "state poisoned; restart to recover from the journal",
+    )
 }
 
 impl Deref for Writer<'_> {
@@ -70,7 +83,7 @@ impl Writer<'_> {
     /// the drop of the superseded head inside `VersionChain::publish`.
     fn publish(&self) {
         let started = Instant::now();
-        self.shared.chain.publish(self.state.kb().version());
+        self.shared.chain.publish(self.state.capture());
         obs::histogram!(
             "gkbms_version_publish_seconds",
             "Latency of capturing a store version and publishing it as the chain head, including the superseded head's drop"
@@ -141,7 +154,7 @@ impl Writer<'_> {
         shared.commit.advance(seq, epoch);
         let pin = shared.chain.acquire();
         drop(self.state);
-        lock_sessions(shared).repin_all(pin.data().now(), pin);
+        lock_sessions(shared).repin_all(pin.data().kb.now(), pin);
         Ok(())
     }
 }

@@ -14,13 +14,12 @@ use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
 use crate::session::SessionErr;
 use datalog::intern::IVal;
 use gkbms::mvcc::Version;
-use gkbms::{Applied, Gkbms, GkbmsError, GkbmsResult, JournalOp};
+use gkbms::{Applied, Gkbms, GkbmsError, GkbmsResult, JournalOp, Published};
 use objectbase::transform::frame_at;
 use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use telos::KbVersion;
 
 pub(super) fn err(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error {
@@ -78,14 +77,14 @@ fn one_lines(diags: &[analysis::Diagnostic]) -> String {
 
 /// The session gate: touches the session (bumping its counters, or
 /// reaping it if it idled out) and returns its watermark plus a handle
-/// to its pinned store version. The `Arc` clone keeps the version
-/// alive for this request even if the session is reaped mid-read; the
-/// chain mutex is never taken on this path. An unknown or expired
-/// session is the request's (typed) answer.
-fn gate(shared: &Shared, id: u64) -> Result<(i64, Arc<Version<KbVersion>>), Response> {
+/// to its pinned version, store and design index. The `Arc` clone keeps
+/// the version alive for this request even if the session is reaped
+/// mid-read; the chain mutex is never taken on this path. An unknown or
+/// expired session is the request's (typed) answer.
+fn gate(shared: &Shared, id: u64) -> Result<(i64, Arc<Version<Published>>), Response> {
     let mut sessions = lock_sessions(shared);
     let s = sessions.touch(id).map_err(|e| session_err(e, id))?;
-    debug_assert_eq!(s.watermark, s.pin.data().now(), "watermark == pin tick");
+    debug_assert_eq!(s.watermark, s.pin.data().kb.now(), "watermark == pin tick");
     Ok((s.watermark, s.pin.version()))
 }
 
@@ -99,7 +98,7 @@ fn write_op<T>(
     reply: impl FnOnce(T) -> Response,
 ) -> Result<Response, Response> {
     gate(shared, session)?;
-    let mut w = shared.writer();
+    let mut w = shared.writer()?;
     let outcome = op(&mut w);
     w.commit()?;
     Ok(match outcome {
@@ -140,7 +139,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             // Pin the chain head — a pointer clone, not the state
             // lock. Its capture clock is the session's watermark.
             let pin = shared.chain.acquire();
-            let watermark = pin.data().now();
+            let watermark = pin.data().kb.now();
             let session = lock_sessions(shared).open(watermark, pin);
             Response::Welcome { session, watermark }
         }
@@ -187,7 +186,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         }
         Request::Refresh { session } => {
             let pin = shared.chain.acquire();
-            let now = pin.data().now();
+            let now = pin.data().kb.now();
             match lock_sessions(shared).refresh(session, now, pin) {
                 Ok(w) => done(format!("watermark {w}")),
                 Err(e) => session_err(e, session),
@@ -232,7 +231,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             // Served entirely from the session's pinned version: no
             // state lock, unaffected by concurrent writers.
             let result = objectbase::query::ask_with_stats_version(
-                version.data(),
+                &version.data().kb,
                 watermark,
                 &var,
                 &class,
@@ -262,7 +261,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         Request::Holds { session, expr } => {
             let (watermark, version) = gate(shared, session)?;
             let parsed = telos::assertion::parse(&expr).map_err(rejected)?;
-            let snap = version.data().snapshot_at(watermark);
+            let snap = version.data().kb.snapshot_at(watermark);
             let mut env = telos::assertion::Env::new();
             let value = telos::assertion::eval(&snap, &parsed, &mut env).map_err(rejected)?;
             Response::Truth { value }
@@ -271,7 +270,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             // Pinned like Ask: the frame as the session's version
             // believed it at the watermark, with no state guard.
             let (watermark, version) = gate(shared, session)?;
-            let snap = version.data().snapshot_at(watermark);
+            let snap = version.data().kb.snapshot_at(watermark);
             let id = snap
                 .lookup(&name)
                 .ok_or_else(|| rejected(format!("unknown object `{name}`")))?;
@@ -282,7 +281,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         Request::ApplicableDecisions { session, object } => {
             // Pinned: the process model is documented in the KB.
             let (watermark, version) = gate(shared, session)?;
-            let snap = version.data().snapshot_at(watermark);
+            let snap = version.data().kb.snapshot_at(watermark);
             let rows = gkbms::system::applicable_decisions(snap, &object).map_err(rejected)?;
             names(rows.into_iter().map(|(class, tools)| {
                 if tools.is_empty() {
@@ -293,21 +292,23 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             }))
         }
         Request::History { session } => {
-            gate(shared, session)?;
+            // Pinned: the design index is published with the version.
+            let (_, version) = gate(shared, session)?;
             Response::Table {
-                text: read_state(shared).process_view().render(),
+                text: gkbms::navigate::process_view(&version.data().design).render(),
             }
         }
         Request::Status { session } => {
-            gate(shared, session)?;
+            let (watermark, version) = gate(shared, session)?;
+            let Published { kb, design } = version.data();
             Response::Table {
-                text: read_state(shared).status_view().render(),
+                text: gkbms::navigate::status_view(kb.snapshot_at(watermark), design).render(),
             }
         }
         Request::ObjectHistory { session, object } => {
             // Pinned: every decision is documented in the KB.
             let (watermark, version) = gate(shared, session)?;
-            let snap = version.data().snapshot_at(watermark);
+            let snap = version.data().kb.snapshot_at(watermark);
             let rows = gkbms::navigate::object_history(snap, &object).map_err(rejected)?;
             names(
                 rows.into_iter()
@@ -333,16 +334,16 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                 watermark,
                 // The chain head is published per commit, so its
                 // capture clock is the live clock — no state lock.
-                kb_now: shared.chain.head().data().now(),
+                kb_now: shared.chain.head().data().kb.now(),
                 requests,
-                believed: version.data().snapshot_at(watermark).believed_count() as u64,
+                believed: version.data().kb.snapshot_at(watermark).believed_count() as u64,
                 probes,
                 scanned,
             }
         }
         Request::Save { session, path } => {
             gate(shared, session)?;
-            let saved = read_state(shared).save(&path);
+            let saved = read_state(shared)?.save(&path);
             saved.map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
             done(format!("saved to {path}"))
         }
@@ -355,12 +356,12 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                 ));
             }
             let fresh = Gkbms::load(&path).map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
-            shared.writer().replace(fresh)?;
+            shared.writer()?.replace(fresh)?;
             done(format!("loaded from {path}"))
         }
         Request::Checkpoint { session } => {
             gate(shared, session)?;
-            let mut w = shared.writer();
+            let mut w = shared.writer()?;
             let report = w.checkpoint();
             // The snapshot covers everything appended so far: the
             // commit releases waiting group committers.
@@ -373,7 +374,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         }
         Request::Lint { session, src } => {
             gate(shared, session)?;
-            let diags = read_state(shared).lint_src(&src);
+            let diags = read_state(shared)?.lint_src(&src);
             Response::Diagnostics {
                 diags: diags.iter().map(WireDiagnostic::from_diagnostic).collect(),
             }
@@ -405,7 +406,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                 Pinned(datalog::ast::Program),
             }
             let read = {
-                let g = read_state(shared);
+                let g = read_state(shared)?;
                 let view = g
                     .view(&name)
                     .ok_or_else(|| rejected(format!("unknown view `{name}`")))?;
@@ -429,7 +430,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                         "View reads answered at an older pinned watermark, from the lemmas of the pinned version"
                     )
                     .inc();
-                    gkbms::views::pinned_rows(version.data(), watermark, &program, &pred)
+                    gkbms::views::pinned_rows(&version.data().kb, watermark, &program, &pred)
                         .map_err(rejected)?
                 }
             };
@@ -440,9 +441,10 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             name,
             limit,
         } => {
-            gate(shared, session)?;
-            let hits = read_state(shared)
-                .recall_similar(&name, limit as usize)
+            let (watermark, version) = gate(shared, session)?;
+            let Published { kb, design } = version.data();
+            let snap = kb.snapshot_at(watermark);
+            let hits = gkbms::recall::recall_similar(snap, design, &name, limit as usize)
                 .map_err(rejected)?;
             Response::RecallHits {
                 hits: hits
@@ -461,7 +463,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             // EDB export neither waits on a writer nor holds one up.
             gate(shared, session)?;
             let head = shared.chain.head();
-            let ctx = analysis::LintContext::at(head.data().snapshot());
+            let ctx = analysis::LintContext::at(head.data().kb.snapshot());
             let plan = analysis::explain_source(&src, &ctx)
                 .map_err(|e| rejected(GkbmsError::Precondition(format!("explain: {e}"))))?;
             done(plan)
@@ -474,7 +476,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             // Pinned like Show: the views of the object as the
             // session's version believed it, with no state guard.
             let (watermark, version) = gate(shared, session)?;
-            let snap = version.data().snapshot_at(watermark);
+            let snap = version.data().kb.snapshot_at(watermark);
             Response::Table {
                 text: gkbms::navigate::browse(snap, &view, &name).map_err(rejected)?,
             }
@@ -484,7 +486,8 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             // version, not the state behind the writer's lock.
             gate(shared, session)?;
             let head = shared.chain.head();
-            let (violations, stats) = objectbase::consistency::check_full(head.data().snapshot());
+            let (violations, stats) =
+                objectbase::consistency::check_full(head.data().kb.snapshot());
             let text = if violations.is_empty() {
                 format!(
                     "consistent ({} constraints over {} classes)",
@@ -541,7 +544,13 @@ fn promote(shared: &Shared) -> Response {
     // Flip the role first so the apply loop stops taking batches, then
     // serialize behind any in-flight batch via the writer.
     shared.repl.follower.store(false, Ordering::SeqCst);
-    let mut w = shared.writer();
+    let mut w = match shared.writer() {
+        Ok(w) => w,
+        Err(refusal) => {
+            shared.repl.follower.store(true, Ordering::SeqCst);
+            return refusal;
+        }
+    };
     let promoted = w.promote().map(|epoch| (epoch, w.applied_seq()));
     // The seal is a transaction like any write: its commit publishes
     // it and moves the watermark into the new epoch.

@@ -17,10 +17,13 @@ use std::time::{Duration, Instant};
 const FOLLOW_BACKOFF_MIN: Duration = Duration::from_millis(50);
 const FOLLOW_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
-/// True once the follower runtime should stop: the server is draining
-/// or this replica was promoted to leader.
+/// True once the follower runtime should stop: the server is draining,
+/// this replica was promoted to leader, or a panic poisoned the state
+/// (nothing may be applied after a half-applied write).
 fn follow_done(shared: &Shared) -> bool {
-    shared.shutdown.load(Ordering::SeqCst) || !shared.repl.follower.load(Ordering::SeqCst)
+    shared.shutdown.load(Ordering::SeqCst)
+        || !shared.repl.follower.load(Ordering::SeqCst)
+        || shared.state.is_poisoned()
 }
 
 /// The follower thread: subscribe, apply, and on any disconnection
@@ -189,7 +192,7 @@ fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<(), ReplE
         "Checkpoint snapshots installed by this replica during catch-up"
     )
     .inc();
-    let w = shared.writer();
+    let w = shared.writer().map_err(refused)?;
     let fresh = match &shared.journal_dir {
         Some(dir) => Gkbms::install_replica_snapshot(dir, payloads).map(|(g, _)| g),
         None => Gkbms::replica_from_snapshot(&payloads),
@@ -198,7 +201,8 @@ fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<(), ReplE
     w.replace(fresh).map_err(refused)
 }
 
-/// A commit the replica could not complete, as a stream error.
+/// A writer's refusal (a poisoned state, a commit the replica could
+/// not complete), as a stream error.
 fn refused(resp: Response) -> ReplError {
     ReplError::Protocol(format!("commit: {resp:?}"))
 }
@@ -213,7 +217,7 @@ fn apply_batch(shared: &Shared, records: &[ShippedRecord]) -> Result<(), ReplErr
     if records.is_empty() {
         return Ok(());
     }
-    let mut w = shared.writer();
+    let mut w = shared.writer().map_err(refused)?;
     let applied = replication::admit(w.applied_seq(), w.epoch(), records).and_then(|()| {
         records.iter().try_for_each(|r| {
             w.apply_replicated(r.seq, r.epoch, &r.payload)

@@ -22,18 +22,19 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// One open session, holding a pin of type `P` (the server uses
-/// `gkbms::mvcc::Pin<telos::KbVersion>`; tests use `()` or integers).
+/// `gkbms::mvcc::Pin<gkbms::Published>`; tests use `()` or integers).
 #[derive(Debug, Clone)]
 pub struct Session<P> {
     /// The session id.
     pub id: u64,
     /// Belief-time watermark all the session's reads are pinned at. In
-    /// the server `watermark == pin.data().now()` holds from `open`,
+    /// the server `watermark == pin.data().kb.now()` holds from `open`,
     /// `refresh` and `repin_all` onwards: a session reads its version
     /// at the tick it was captured, which is the tick whose deductive
     /// closure the version memoizes.
     pub watermark: i64,
-    /// The pinned store version the session reads from.
+    /// The pinned version — store and design index — the session reads
+    /// from.
     pub pin: P,
     /// Requests served for this session.
     pub requests: u64,

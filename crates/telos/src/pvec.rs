@@ -13,7 +13,9 @@
 //! versions; closing a belief interval copies one chunk instead of
 //! invalidating every outstanding reader.
 
+use std::iter::FlatMap;
 use std::ops::Index;
+use std::slice;
 use std::sync::Arc;
 
 /// Elements per chunk. Large enough that the spine stays short, small
@@ -38,19 +40,25 @@ pub(crate) fn unshare<T: Clone>(shared: &mut Arc<Vec<T>>, capacity: usize) -> &m
 
 /// A persistent vector: O(1) indexed reads, amortized O(1) append,
 /// O(len / CHUNK) clone, copy-on-write in-place updates.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PVec<T> {
     chunks: Vec<Arc<Vec<T>>>,
     len: usize,
 }
 
-impl<T: Clone> PVec<T> {
-    /// An empty vector.
-    pub fn new() -> Self {
+impl<T> Default for PVec<T> {
+    fn default() -> Self {
         PVec {
             chunks: Vec::new(),
             len: 0,
         }
+    }
+}
+
+impl<T: Clone> PVec<T> {
+    /// An empty vector.
+    pub fn new() -> Self {
+        PVec::default()
     }
 
     /// Number of elements.
@@ -115,8 +123,8 @@ impl<T: Clone> PVec<T> {
     }
 
     /// Iterates over all elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flat_map(|c| c.iter())
+    pub fn iter(&self) -> Iter<'_, T> {
+        self.into_iter()
     }
 
     /// Number of chunks currently shared with at least one clone.
@@ -126,6 +134,22 @@ impl<T: Clone> PVec<T> {
             .iter()
             .filter(|c| Arc::strong_count(c) > 1)
             .count()
+    }
+}
+
+/// The iterator of [`PVec::iter`].
+pub type Iter<'a, T> = FlatMap<
+    slice::Iter<'a, Arc<Vec<T>>>,
+    slice::Iter<'a, T>,
+    fn(&Arc<Vec<T>>) -> slice::Iter<'_, T>,
+>;
+
+impl<'a, T> IntoIterator for &'a PVec<T> {
+    type Item = &'a T;
+    type IntoIter = Iter<'a, T>;
+
+    fn into_iter(self) -> Iter<'a, T> {
+        self.chunks.iter().flat_map(|c| c.iter())
     }
 }
 

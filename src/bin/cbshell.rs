@@ -67,8 +67,10 @@
 //! shutdown / help / quit
 //! ```
 //!
-//! Reads are snapshot-isolated at the session watermark (`check`,
-//! `history`, `status` and `\recall` read the live head), and the shell
+//! Reads are snapshot-isolated at the session watermark — `history`,
+//! `status` and `\recall` too, from the design index published with the
+//! session's version; `check` and `\explain` read the newest published
+//! version — and the shell
 //! refreshes after its own successful writes so they stay visible. A
 //! session the server no longer knows — it idled out, or the server
 //! restarted — is replaced once, with a notice on stderr, and the

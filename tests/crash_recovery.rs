@@ -33,17 +33,22 @@
 //!   every realization's final state, each decision the index holds is
 //!   what `Record` decodes from the KB, and each streamed object's
 //!   producers and users are the decisions `Record` finds along the
-//!   links into it.
+//!   links into it;
+//! * **published indexes are persistent** — the version a server would
+//!   publish after every op of the live instance and of the replica,
+//!   captured as the stream runs and checked once it has ended, still
+//!   holds the index of its own tick: no later write leaked into it.
 
 use conceptbase::datalog::seminaive::{self, EvalStats};
+use conceptbase::gkbms::design::DesignIndex;
 use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
 use conceptbase::gkbms::metamodel::{kernel, names};
 use conceptbase::gkbms::record::Record;
 use conceptbase::gkbms::system::DecisionRecord;
 use conceptbase::gkbms::views::pinned_rows;
 use conceptbase::gkbms::{
-    DecisionClass, DecisionDimension, DecisionRequest, Discharge, Gkbms, GkbmsResult, RecallHit,
-    ToolSpec,
+    DecisionClass, DecisionDimension, DecisionRequest, Discharge, Gkbms, GkbmsResult, Published,
+    RecallHit, ToolSpec,
 };
 use conceptbase::objectbase::query;
 use conceptbase::storage::crash;
@@ -691,7 +696,7 @@ struct Digest {
 impl Digest {
     /// Also holds `g`'s design index against its KB.
     fn of(g: &Gkbms) -> Digest {
-        index_agrees(g, "the digested state");
+        index_agrees(g.kb().snapshot(), g.design(), "the digested state");
         let extents = TOLD_CLASSES
             .iter()
             .map(|class| {
@@ -858,7 +863,7 @@ fn apply_checked(
         *oracle,
         "the design record after {op:?} ({outcome:?})"
     );
-    index_agrees(g, &format!("after {op:?}"));
+    index_agrees(g.kb().snapshot(), g.design(), &format!("after {op:?}"));
     // The reads that find decisions by the links into an object, and
     // those that walk the design index, find exactly the executed ones.
     for o in STREAMED_OBJECTS {
@@ -890,18 +895,24 @@ const STREAMED_OBJECTS: [&str; 9] = [
     "inv0", "inv1", "doc0", "d0", "rel0", "rel1", "rel2", "sk0", "wrong",
 ];
 
-/// The design index of `g` against the `Record` reader at its head:
+/// The design index `design` against the `Record` reader over `snap`,
+/// a snapshot of the store it was captured with at the capture tick:
 /// every entry of `records()` is what the reader decodes from its
 /// proposition, ticks included, and the producers and users of every
 /// streamed object are the decisions the reader finds along the `to`
 /// and `from` links into it that name it as an output or an input (a
 /// raw TELL can link a decision to an object its execution did not
 /// name).
-fn index_agrees(g: &Gkbms, ctx: &str) {
-    let reader = Record::over(g.kb().snapshot());
-    for r in g.records() {
+fn index_agrees(snap: Snapshot<'_>, design: &DesignIndex, ctx: &str) {
+    let reader = Record::over(snap);
+    for r in design.records() {
         let decoded = reader.decision(r.prop);
-        assert_eq!(Some(r), decoded.as_ref(), "{ctx}: {} in the index", r.name);
+        assert_eq!(
+            Some(&**r),
+            decoded.as_ref(),
+            "{ctx}: {} in the index",
+            r.name
+        );
     }
     let reaching = |o: &str, label, named: fn(&DecisionRecord) -> &[String]| {
         let mut found = reader.decisions_reaching(o, &[label]);
@@ -909,10 +920,10 @@ fn index_agrees(g: &Gkbms, ctx: &str) {
         found
     };
     for o in STREAMED_OBJECTS {
-        let producers: Vec<DecisionRecord> = g.design().producers(o).cloned().collect();
+        let producers: Vec<DecisionRecord> = design.producers(snap.store(), o).cloned().collect();
         let by_to = reaching(o, names::TO_I, |r| &r.outputs);
         assert_eq!(producers, by_to, "{ctx}: the producers of {o}");
-        let users: Vec<DecisionRecord> = g.design().users(o).cloned().collect();
+        let users: Vec<DecisionRecord> = design.users(snap.store(), o).cloned().collect();
         let by_from = reaching(o, names::FROM_I, |r| &r.inputs);
         assert_eq!(users, by_from, "{ctx}: the users of {o}");
     }
@@ -1110,6 +1121,9 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
     let (mut ok, mut failed, mut committed) = (0, 0, 0);
     let mut earlier = None;
     let (mut oracle, mut registered) = (Design::default(), BTreeSet::new());
+    // The version a server would publish after each op, checked once
+    // every later op has run.
+    let mut published: Vec<(String, Published)> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         if i == k {
             live.checkpoint().expect("checkpoint");
@@ -1121,7 +1135,15 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
             apply(&mut twin, op).is_ok(),
             "op {i} {op:?}: checkpointing changed its outcome ({outcome:?})"
         );
-        index_agrees(&twin, &format!("the twin after op {i} {op:?}"));
+        published.push((
+            format!("the live version after op {i} {op:?}"),
+            live.capture(),
+        ));
+        index_agrees(
+            twin.kb().snapshot(),
+            twin.design(),
+            &format!("the twin after op {i} {op:?}"),
+        );
         assert_eq!(
             recall_rows(&twin),
             recall_rows(&live),
@@ -1177,14 +1199,20 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
     // snapshot file's records, then the framed WAL tail.
     let (snapshot, _) = read_payloads(checkpointed.join(SNAPSHOT_FILE)).expect("snapshot");
     let mut replica = Gkbms::replica_from_snapshot(&snapshot).expect("replica from snapshot");
+    published.push(("the replica's snapshot".into(), replica.capture()));
     let (tail, _) = read_payloads(checkpointed.join(WAL_FILE)).expect("wal");
     for framed in &tail {
         let (seq, epoch, payload) = decode_framed(framed).expect("frame");
         replica
             .apply_replicated(seq, epoch, payload)
             .expect("replicated op");
+        let ctx = format!("the replica's version after shipped op {seq}");
+        published.push((ctx, replica.capture()));
     }
     assert_eq!(Digest::of(&replica), want, "replica from snapshot + tail");
+    for (ctx, version) in &published {
+        index_agrees(version.kb.snapshot(), &version.design, ctx);
+    }
 
     std::fs::remove_dir_all(&checkpointed).unwrap();
     std::fs::remove_dir_all(&wal_only).unwrap();

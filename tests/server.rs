@@ -756,6 +756,72 @@ fn show_answers_at_the_sessions_pin() {
     server.shutdown().unwrap();
 }
 
+/// `history`, `status` and `recall` read the design index published
+/// with the session's version: a session pinned before another executes
+/// `d2` and retracts `d1` sees neither — in any of the three — until it
+/// refreshes.
+#[test]
+fn history_status_and_recall_answer_at_the_sessions_pin() {
+    use conceptbase::gkbms::metamodel::kernel;
+    use conceptbase::server::WireDecision;
+    let (server, addr) = decision_server();
+    let mut b = Client::connect(addr).unwrap();
+    let (sb, _) = b.hello().unwrap();
+    let map = |c: &mut Client, k: usize| {
+        let (e, d, r) = (format!("e{k}"), format!("d{k}"), format!("r{k}"));
+        c.register_object(sb, &e, kernel::TDL_ENTITY_CLASS, "src")
+            .unwrap();
+        let req = WireDecision::new("MapDec", &d, "dev").input(&e);
+        c.execute(sb, req.output(&r, kernel::DBPL_REL)).unwrap();
+    };
+    map(&mut b, 0);
+    map(&mut b, 1);
+    let mut a = Client::connect(addr).unwrap();
+    let (sa, _) = a.hello().unwrap();
+    map(&mut b, 2);
+    b.retract_decision(sb, "d1").unwrap();
+
+    // The row of `object` in a status table, if it has one.
+    let row_of = |status: &str, object: &str| {
+        let row = status
+            .lines()
+            .find(|l| l.split_whitespace().any(|c| c == object));
+        row.map(str::to_string)
+    };
+    let history = a.history(sa).unwrap();
+    assert!(
+        history.contains("d1") && !history.contains("d2"),
+        "{history}"
+    );
+    let status = a.status(sa).unwrap();
+    let r1 = row_of(&status, "r1").unwrap_or_else(|| panic!("no r1 in {status}"));
+    assert!(r1.contains("d1"), "{r1}");
+    assert_eq!(row_of(&status, "r2"), None, "{status}");
+    match a.recall(sa, "d2", 5) {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Rejected, "{e:?}"),
+        other => panic!("a pinned session recalled a later decision: {other:?}"),
+    }
+    let hits = a.recall(sa, "d0", 5).unwrap();
+    assert!(hits.contains(&("d1".to_string(), 1.0, false)), "{hits:?}");
+
+    a.refresh(sa).unwrap();
+    let history = a.history(sa).unwrap();
+    assert!(
+        !history.contains("d1") && history.contains("d2"),
+        "{history}"
+    );
+    let status = a.status(sa).unwrap();
+    assert_eq!(row_of(&status, "r1"), None, "{status}");
+    assert!(
+        row_of(&status, "r2").is_some_and(|r| r.contains("d2")),
+        "{status}"
+    );
+    assert!(a.recall(sa, "d2", 5).is_ok());
+    let hits = a.recall(sa, "d0", 5).unwrap();
+    assert!(hits.contains(&("d1".to_string(), 1.0, true)), "{hits:?}");
+    server.shutdown().unwrap();
+}
+
 /// `browse` is pinned like `show`: a session opened before `tell X isA
 /// Paper end` does not see `X` under `isa Paper` until it refreshes.
 /// `check` is a diagnostic of the live head.
@@ -1204,12 +1270,14 @@ enum ScriptOp {
     Retract,
     /// `object_history` of every entity and output of the thread's.
     History,
+    /// `history`: the process view of the effective decisions.
+    Process,
 }
 
 /// Weighted op pick: 3 TELL : 1 UNTELL : 2 ASK : 2 SHOW : 2 REFRESH :
-/// 2 EXECUTE : 2 RETRACT : 2 HISTORY.
+/// 2 EXECUTE : 2 RETRACT : 2 HISTORY : 1 PROCESS.
 fn script_op() -> impl Strategy<Value = ScriptOp> {
-    (0u8..16).prop_map(|n| match n {
+    (0u8..17).prop_map(|n| match n {
         0..=2 => ScriptOp::Tell,
         3 => ScriptOp::Untell,
         4..=5 => ScriptOp::Ask,
@@ -1217,7 +1285,8 @@ fn script_op() -> impl Strategy<Value = ScriptOp> {
         8..=9 => ScriptOp::Refresh,
         10..=11 => ScriptOp::Execute,
         12..=13 => ScriptOp::Retract,
-        _ => ScriptOp::History,
+        14..=15 => ScriptOp::History,
+        _ => ScriptOp::Process,
     })
 }
 
@@ -1229,6 +1298,34 @@ enum Observed {
     Show(String, Option<String>),
     /// `object_history name`: its rows, or `None` for `unknown`.
     History(String, Option<Vec<String>>),
+    /// `history`: the process view's text.
+    Process(String),
+}
+
+/// The process view as the `Record` reader finds it in `g`'s store at
+/// tick `w`: the decisions executed by `w` and not retracted at it, in
+/// execution order, each with its class's dimension, its inputs, its
+/// outputs and its tool — rendered like the `history` reply.
+fn process_view_at(g: &Gkbms, w: i64) -> String {
+    use conceptbase::gkbms::record::Record;
+    use conceptbase::modelbase::display::relational::Table;
+    let snap = g.kb().snapshot_at(w);
+    let reader = Record::over(snap);
+    let mut table = Table::new(&["#", "decision", "dimension", "from", "to", "by"]);
+    let decisions = g.records().iter().filter_map(|r| reader.decision(r.prop));
+    for (i, r) in decisions.filter(|r| !r.retracted).enumerate() {
+        let class = snap.lookup(&r.class).and_then(|c| reader.decision_class(c));
+        let dimension = class.expect("the decision's class reads back").dimension;
+        table.row(&[
+            &(i + 1).to_string(),
+            &r.name,
+            &dimension.to_string(),
+            &r.inputs.join(", "),
+            &r.outputs.join(", "),
+            r.tool.as_deref().unwrap_or("(manual)"),
+        ]);
+    }
+    table.render()
 }
 
 /// A served KB with one mapping decision class the scripts execute.
@@ -1253,11 +1350,11 @@ proptest! {
 
     /// The differential concurrency property, over the wire: N client
     /// threads run random TELL/UNTELL/ASK/SHOW/REFRESH scripts, with
-    /// decisions executed, retracted and traced by OBJECT_HISTORY,
-    /// concurrently; every ASK answer, SHOW frame and object history a
-    /// pinned session observed must be byte-identical to a
-    /// retrospective read of the final state at that session's
-    /// watermark. Belief time is append-only with respect to pinned
+    /// decisions executed, retracted and traced by OBJECT_HISTORY and
+    /// HISTORY, concurrently; every ASK answer, SHOW frame, object
+    /// history and process view a pinned session observed must be
+    /// byte-identical to a retrospective read of the final state at
+    /// that session's watermark. Belief time is append-only with respect to pinned
     /// watermarks, so the final state *is* the serial replay of the
     /// committed interleaving.
     #[test]
@@ -1330,6 +1427,10 @@ proptest! {
                                     let seen = Observed::History(name.clone(), rows);
                                     observations.push((watermark, seen));
                                 }
+                            }
+                            ScriptOp::Process => {
+                                let seen = Observed::Process(c.history(s).unwrap());
+                                observations.push((watermark, seen));
                             }
                             ScriptOp::Tell => {
                                 let name = format!("q_{t}_{next}");
@@ -1408,6 +1509,10 @@ proptest! {
                             rows.into_iter().map(|(tick, event)| format!("t{tick}: {event}")).collect()
                         });
                     prop_assert_eq!(&replayed, &seen, "history of {} diverged at watermark {}", name, w);
+                }
+                Observed::Process(seen) => {
+                    let replayed = process_view_at(&final_state, w);
+                    prop_assert_eq!(&replayed, &seen, "history diverged at watermark {}", w);
                 }
             }
         }
