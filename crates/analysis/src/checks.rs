@@ -53,9 +53,13 @@ pub(crate) struct SccRule<'a> {
     pub text_hash: u64,
 }
 
-/// The per-SCC fingerprint cache. One instance lives per admission
-/// surface (the GKBMS holds one behind a mutex); a fresh instance
-/// makes every entry point behave like a full from-scratch lint.
+/// The per-SCC fingerprint cache, keyed by content: an entry's
+/// fingerprint covers everything its analysis read, and the base is
+/// rebuilt whenever the stored rules or the schema change, so one
+/// instance serves lints against any version of a KB (the GKBMS holds
+/// one behind a mutex, for admission at the head and `Lint` at any
+/// pin). A fresh instance makes every entry point behave like a full
+/// from-scratch lint.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
     entries: HashMap<u64, CacheEntry>,

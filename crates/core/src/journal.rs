@@ -381,7 +381,6 @@ impl Gkbms {
     /// After a checkpoint every op ever appended is durable regardless
     /// of fsync policy. Errors if no journal is attached.
     pub fn checkpoint(&mut self) -> GkbmsResult<CheckpointReport> {
-        let payloads = self.history_payloads();
         let epoch = self.epoch;
         let Some(j) = self.journal.as_mut() else {
             return Err(GkbmsError::Unknown(
@@ -393,7 +392,7 @@ impl Gkbms {
             covered_seq: j.appended_ops,
             epoch,
         };
-        persist::write_atomic(&j.snapshot_path(), Some(header), &payloads)?;
+        persist::write_atomic(&j.snapshot_path(), Some(header), &self.history)?;
         let compacted = j.ops_since_checkpoint;
         j.wal.truncate_all()?;
         j.ops_since_checkpoint = 0;
@@ -426,8 +425,8 @@ impl Gkbms {
     }
 
     /// The commit point — the one place an op enters the history.
-    /// Every mutation calls it once its KB work can no longer fail:
-    /// the op is appended to the journal, if one is attached, and
+    /// Every mutation calls it once its KB work can no longer fail: the
+    /// op's encoding is appended to the journal, if one is attached, and
     /// pushed onto `history`. An op the journal refused is not in the
     /// history either; its transaction rolls its KB work back.
     pub(crate) fn commit(&mut self, op: JournalOp) -> GkbmsResult<()> {
@@ -436,15 +435,16 @@ impl Gkbms {
             JournalOp::Seal { epoch } => self.epoch.max(epoch),
             _ => self.epoch,
         };
+        let bytes: std::sync::Arc<[u8]> = op.encode().into();
         if let Some(j) = self.journal.as_mut() {
-            j.append(epoch, &op.encode())?;
+            j.append(epoch, &bytes)?;
         }
         match op {
             JournalOp::Tell { .. } => self.tells_untells.0 += 1,
             JournalOp::Untell { .. } => self.tells_untells.1 += 1,
             _ => {}
         }
-        self.history.push(op);
+        self.history.push(bytes);
         Ok(())
     }
 
@@ -486,7 +486,7 @@ impl Gkbms {
     ) -> GkbmsResult<(Gkbms, RecoveryReport)> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(storage::StorageError::Io)?;
-        persist::write_atomic(&dir.join(SNAPSHOT_FILE), None, &payloads)?;
+        persist::write_atomic(&dir.join(SNAPSHOT_FILE), None, payloads)?;
         // The local WAL (if any) predates the snapshot we were just
         // shipped — a replica only falls back to snapshot transfer when
         // its own log is behind the leader's truncation horizon, so the
@@ -562,8 +562,8 @@ mod tests {
         // Replay the scenario definitions through the journaled
         // instance so they are captured as ops.
         let donor = scenario_gkbms();
-        for p in donor.history_payloads() {
-            persist::apply_record(&mut g, &p).unwrap();
+        for p in donor.history.iter() {
+            persist::apply_record(&mut g, p).unwrap();
         }
         g
     }

@@ -2,14 +2,14 @@
 //!
 //! "Ex post, it plays the role of a documentation service" — and a
 //! documentation service must outlive the process. The GKBMS *is* its
-//! history: every committed mutation is one [`JournalOp`], kept in
-//! commit order in `Gkbms::history` and — when a journal is attached —
-//! appended to the WAL at the same commit point (`Gkbms::commit`).
+//! history: every committed mutation is one [`JournalOp`], encoded once
+//! at the commit point (`Gkbms::commit`) into the journal's bytes, kept
+//! in commit order in `Gkbms::history` and published with each version.
 //! [`Gkbms::apply`] is the one map from an op to its mutator: a served
 //! `Write` request carries an op and is applied by it, and so is every
 //! replay. Live state is the fold of `apply` over the op stream, so
 //! persisting is writing the stream down and loading is replaying it:
-//! [`Gkbms::save`] writes the history as it was committed,
+//! [`save_history`] writes one version's history as committed,
 //! [`Gkbms::load`] re-executes it, reconstructing the KB, the design
 //! objects' states, the views and every derived structure. Cascaded
 //! retractions are *not* stored — replaying the explicit retraction
@@ -39,10 +39,10 @@
 use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, ToolSpec};
 use crate::error::GkbmsResult;
 use crate::system::{DecisionRequest, DecisionSummary, Gkbms};
-use std::path::Path;
+use std::{path::Path, sync::Arc};
 use storage::record::codec::{Cursor, Wire};
 use storage::{AppendLog, StorageResult};
-use telos::PropId;
+use telos::{pvec::PVec, PropId};
 
 storage::op_table! {
     /// One op of the replayable history — an entry of
@@ -308,10 +308,10 @@ fn save_tmp_path(path: &Path) -> std::path::PathBuf {
 /// complete file or the new one — never a partial or missing file. The
 /// one writer behind `save`, checkpoint snapshots and replica snapshot
 /// installation.
-pub(crate) fn write_atomic(
+pub(crate) fn write_atomic<P: AsRef<[u8]>>(
     path: &Path,
     header: Option<JournalOp>,
-    payloads: &[Vec<u8>],
+    payloads: impl IntoIterator<Item = P>,
 ) -> GkbmsResult<()> {
     let tmp = save_tmp_path(path);
     let _ = std::fs::remove_file(&tmp);
@@ -321,7 +321,7 @@ pub(crate) fn write_atomic(
             log.append(&header.encode())?;
         }
         for payload in payloads {
-            log.append(payload)?;
+            log.append(payload.as_ref())?;
         }
         log.sync()?;
     }
@@ -330,13 +330,13 @@ pub(crate) fn write_atomic(
     Ok(())
 }
 
-impl Gkbms {
-    /// The complete history as replayable op records, in the order the
-    /// ops were committed.
-    pub(crate) fn history_payloads(&self) -> Vec<Vec<u8>> {
-        self.history.iter().map(JournalOp::encode).collect()
-    }
+/// Writes one version's history to `path`, crash-atomically replacing
+/// any existing file (the server's `Save`, at the session's pin).
+pub fn save_history(history: &PVec<Arc<[u8]>>, path: impl AsRef<Path>) -> GkbmsResult<()> {
+    write_atomic(path.as_ref(), None, history)
+}
 
+impl Gkbms {
     /// Replays op records, in order, through [`apply_record`] — the one
     /// loop behind [`Gkbms::load`], journal recovery and replica
     /// bootstrap.
@@ -350,9 +350,9 @@ impl Gkbms {
     }
 
     /// Saves the complete history to `path`, crash-atomically replacing
-    /// any existing file.
+    /// any existing file ([`save_history`] at the head).
     pub fn save(&self, path: impl AsRef<Path>) -> GkbmsResult<()> {
-        write_atomic(path.as_ref(), None, &self.history_payloads())
+        save_history(&self.history, path)
     }
 
     /// Loads a saved history, re-executing it into a fresh GKBMS. The

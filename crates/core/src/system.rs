@@ -31,7 +31,7 @@ use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
 use crate::record::{self, Record};
 use std::collections::BTreeSet;
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use telos::assertion;
 use telos::pvec::PVec;
 use telos::{Kb, KbVersion, PropId, Snapshot};
@@ -122,17 +122,19 @@ pub struct DecisionRecord {
     pub prop: PropId,
 }
 
-/// One version of the state as a reader pins it: the store's version
-/// and the design index captured with it ([`Gkbms::capture`]). Both are
-/// frozen clones, so every read of it — the KB at its capture tick, the
-/// design record of that tick — answers alike however many commits
-/// land after it.
+/// One version of the state as a reader pins it ([`Gkbms::capture`]):
+/// frozen clones, so every read of it answers alike however many
+/// commits land after it — plus the one lint memo, keyed by content.
 #[derive(Debug, Clone)]
 pub struct Published {
     /// The store, as of the capture.
     pub kb: KbVersion,
     /// The design index, as of the capture.
     pub design: DesignIndex,
+    /// The history, as of the capture.
+    pub history: PVec<Arc<[u8]>>,
+    /// The live state's lint memo ([`lint_src`] at any version).
+    pub lint: Arc<Mutex<analysis::AnalysisCache>>,
 }
 
 /// Summary returned by a successful execution.
@@ -159,11 +161,11 @@ pub struct Gkbms {
     pub(crate) design: DesignIndex,
     /// Decision-level nogoods recorded by conflict resolution.
     pub(crate) nogoods: Vec<Vec<String>>,
-    /// The history: every committed op, in commit order — what `save`,
-    /// a checkpoint snapshot and a shipped snapshot write down, and
-    /// what the journal holds framed. Everything else in this struct is
-    /// derived from it by replay. Appended to by [`Gkbms::commit`] only.
-    pub(crate) history: Vec<JournalOp>,
+    /// The history: every committed op, as the journal holds it, in
+    /// commit order — what `save` and a snapshot write down. Everything
+    /// else in this struct is derived from it by replay. Appended to by
+    /// [`Gkbms::commit`] only.
+    pub(crate) history: PVec<Arc<[u8]>>,
     /// Raw TELLs and UNTELLs in `history`, counted by [`Gkbms::commit`]:
     /// the write mix CB013 weighs a view's churn risk by.
     pub(crate) tells_untells: (u64, u64),
@@ -188,9 +190,9 @@ pub struct Gkbms {
     /// committed transaction (see [`crate::views`]).
     pub(crate) views: Vec<crate::views::RegisteredView>,
     /// The per-SCC fingerprint cache of the admission-time analyzer:
-    /// a TELL re-analyzes only the components its delta dirties.
-    /// Behind a mutex because linting is a `&self` read operation.
-    pub(crate) lint_cache: std::sync::Mutex<analysis::AnalysisCache>,
+    /// a TELL re-analyzes only the components its delta dirties. Every
+    /// published version carries this one memo.
+    pub(crate) lint_cache: Arc<Mutex<analysis::AnalysisCache>>,
 }
 
 impl Gkbms {
@@ -204,14 +206,14 @@ impl Gkbms {
             pm,
             design: DesignIndex::default(),
             nogoods: Vec::new(),
-            history: Vec::new(),
+            history: PVec::new(),
             tells_untells: (0, 0),
             journal: None,
             snapshot_covers: 0,
             epoch: 1,
             replica_applied: 0,
             views: Vec::new(),
-            lint_cache: std::sync::Mutex::new(analysis::AnalysisCache::new()),
+            lint_cache: Arc::default(),
         })
     }
 
@@ -317,66 +319,9 @@ impl Gkbms {
     /// Runs the static analyzer on a parsed frame batch against the
     /// current KB, recording lint metrics.
     pub fn lint_frames(&self, frames: &[objectbase::ObjectFrame]) -> Vec<analysis::Diagnostic> {
-        self.with_lint_metrics(|ctx, cache| {
+        with_lint_metrics(self.kb.snapshot(), &self.lint_cache, |ctx, cache| {
             analysis::frames::lint_frames_cached(frames, ctx, cache)
         })
-    }
-
-    /// Lints arbitrary source — a CML script or a datalog program —
-    /// against the current KB without admitting anything (the `\lint`
-    /// command and the server's `Lint` op).
-    pub fn lint_src(&self, src: &str) -> Vec<analysis::Diagnostic> {
-        self.with_lint_metrics(|ctx, cache| analysis::lint_source_cached(src, ctx, cache))
-    }
-
-    fn with_lint_metrics(
-        &self,
-        run: impl FnOnce(
-            &analysis::LintContext,
-            &mut analysis::AnalysisCache,
-        ) -> Vec<analysis::Diagnostic>,
-    ) -> Vec<analysis::Diagnostic> {
-        let start = std::time::Instant::now();
-        let ctx = analysis::LintContext::from_kb(&self.kb);
-        let mut cache = self
-            .lint_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let (before_re, before_hits) = (cache.sccs_reanalyzed, cache.fingerprint_hits);
-        let diags = run(&ctx, &mut cache);
-        obs::counter!(
-            "gkbms_lint_incremental_sccs_reanalyzed_total",
-            "Rule-base SCCs the incremental analyzer actually re-analyzed"
-        )
-        .add(cache.sccs_reanalyzed - before_re);
-        obs::counter!(
-            "gkbms_lint_fingerprint_hits_total",
-            "Rule-base SCCs served from the analyzer's fingerprint cache"
-        )
-        .add(cache.fingerprint_hits - before_hits);
-        drop(cache);
-        obs::histogram!(
-            "gkbms_lint_seconds",
-            "Wall-clock latency of admission-time lint runs"
-        )
-        .observe(start.elapsed());
-        let errors = diags
-            .iter()
-            .filter(|d| d.severity == analysis::Severity::Error)
-            .count() as u64;
-        let warnings = diags.len() as u64 - errors;
-        const HELP: &str = "Diagnostics emitted by the rule-base static analyzer";
-        if errors > 0 {
-            obs::registry()
-                .counter("gkbms_lint_diagnostics_total{severity=\"error\"}", HELP)
-                .add(errors);
-        }
-        if warnings > 0 {
-            obs::registry()
-                .counter("gkbms_lint_diagnostics_total{severity=\"warning\"}", HELP)
-                .add(warnings);
-        }
-        diags
     }
 
     /// UNTELLs `name` (cascading) as one write transaction. Returns the
@@ -418,6 +363,8 @@ impl Gkbms {
         Published {
             kb: self.kb.version(),
             design: self.design.clone(),
+            history: self.history.clone(),
+            lint: Arc::clone(&self.lint_cache),
         }
     }
 
@@ -958,6 +905,59 @@ impl Gkbms {
     pub fn is_effective(&self, name: &str) -> bool {
         (self.design.get(&self.kb, name)).is_some_and(|r| !r.retracted)
     }
+}
+
+/// Lints arbitrary source — a CML script or a datalog program —
+/// against `snap` through `memo`, admitting nothing (the `Lint` op).
+pub fn lint_src(
+    snap: Snapshot<'_>,
+    memo: &Mutex<analysis::AnalysisCache>,
+    src: &str,
+) -> Vec<analysis::Diagnostic> {
+    with_lint_metrics(snap, memo, |ctx, cache| {
+        analysis::lint_source_cached(src, ctx, cache)
+    })
+}
+
+/// Runs one lint against `snap` through `memo`, recording lint metrics.
+fn with_lint_metrics(
+    snap: Snapshot<'_>,
+    memo: &Mutex<analysis::AnalysisCache>,
+    run: impl FnOnce(&analysis::LintContext, &mut analysis::AnalysisCache) -> Vec<analysis::Diagnostic>,
+) -> Vec<analysis::Diagnostic> {
+    let start = std::time::Instant::now();
+    let ctx = analysis::LintContext::at(snap);
+    let mut cache = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    let (before_re, before_hits) = (cache.sccs_reanalyzed, cache.fingerprint_hits);
+    let diags = run(&ctx, &mut cache);
+    obs::counter!(
+        "gkbms_lint_incremental_sccs_reanalyzed_total",
+        "Rule-base SCCs the incremental analyzer actually re-analyzed"
+    )
+    .add(cache.sccs_reanalyzed - before_re);
+    obs::counter!(
+        "gkbms_lint_fingerprint_hits_total",
+        "Rule-base SCCs served from the analyzer's fingerprint cache"
+    )
+    .add(cache.fingerprint_hits - before_hits);
+    drop(cache);
+    obs::histogram!(
+        "gkbms_lint_seconds",
+        "Wall-clock latency of admission-time lint runs"
+    )
+    .observe(start.elapsed());
+    let errors = diags
+        .iter()
+        .filter(|d| d.severity == analysis::Severity::Error);
+    let errors = errors.count();
+    for (severity, n) in [("error", errors), ("warning", diags.len() - errors)] {
+        if n > 0 {
+            let series = format!("gkbms_lint_diagnostics_total{{severity=\"{severity}\"}}");
+            let help = "Diagnostics emitted by the rule-base static analyzer";
+            obs::registry().counter(&series, help).add(n as u64);
+        }
+    }
+    diags
 }
 
 /// "The class of a selected object is matched against the input classes

@@ -89,6 +89,7 @@ pub struct RegisteredView {
     rules: String,
     view: MaterializedView,
     as_of: i64,
+    registered: i64,
 }
 
 impl RegisteredView {
@@ -100,6 +101,12 @@ impl RegisteredView {
     /// The user rules (datalog source) layered over the base program.
     pub fn rules(&self) -> &str {
         &self.rules
+    }
+
+    /// Belief tick of the registration: a reader pinned before it
+    /// never saw the view.
+    pub fn registered(&self) -> i64 {
+        self.registered
     }
 
     /// Belief tick of the last mutation incorporated into the model.
@@ -231,6 +238,7 @@ impl Gkbms {
             rules: rules.to_string(),
             view,
             as_of,
+            registered: as_of,
         });
         obs::gauge!(
             "gkbms_views_registered",
@@ -409,7 +417,10 @@ mod tests {
             assert!(diags.iter().any(churn), "{name}: {diags:?}");
         };
         warns(&mut g, "churny");
-        let mut replica = Gkbms::replica_from_snapshot(&g.history_payloads()).unwrap();
+        let mut replica = Gkbms::replica_from_snapshot(
+            &g.history.iter().map(|op| op.to_vec()).collect::<Vec<_>>(),
+        )
+        .unwrap();
         warns(&mut replica, "replicated");
         g.journal_mut().unwrap().sync().unwrap();
         drop(g);

@@ -94,22 +94,22 @@
 //! # Sessions and snapshot isolation
 //!
 //! `Hello` opens a session and pins its *watermark* — the knowledge
-//! base's belief-time clock at that instant. The session's reads of
-//! the knowledge base (`Ask`, `Holds`, `Show`, `Browse`, `ViewAsk`,
+//! base's belief-time clock at that instant. Every Read the session
+//! makes (`Ask`, `Holds`, `Show`, `Browse`, `ViewAsk`,
 //! `ApplicableDecisions`, `ObjectHistory`, `History`, `Status`,
-//! `Recall`) are evaluated against a [`telos::Snapshot`] at that
-//! watermark — the design-record reads against the design index
-//! published with the same version: the session sees a
+//! `Recall`, `Check`, `Explain`, `Lint`, `Save`) is evaluated against a
+//! [`telos::Snapshot`] at that watermark — the design-record reads
+//! against the design index published with the same version, `Save`
+//! against the history published with it: the session sees a
 //! consistent state of belief, unaffected by concurrent writers,
 //! because the knowledge base never destroys propositions — an
 //! `UNTELL` merely closes a belief interval, and writers tick the
 //! clock *before* mutating, so everything they add starts strictly
 //! after every pinned watermark. `Refresh` re-pins the watermark to
-//! "now"; sessions that write typically refresh to observe their own
-//! writes. `Lint` reads the live head on purpose: it predicts
-//! admission against the state the next write meets. `Explain` and
-//! `Check` read the newest published version — the head as of the last
-//! commit — without the state lock, so neither waits on a writer.
+//! "now"; a session that writes refreshes to observe its own writes —
+//! before it saves, lints or checks them. Only `ViewAsk` waits on a
+//! writer: it reads the live view model, or — at a watermark older
+//! than the model — the view's program, under the state lock.
 //!
 //! # Errors and backpressure
 //!
@@ -282,7 +282,8 @@ storage::op_table! {
             /// Session to inspect.
             session: u64,
         },
-        /// Persist the knowledge base to a server-side path.
+        /// Persist the knowledge base at the session's pin — the ops that
+        /// built the pinned version — to a server-side path.
         16 Save "save" Read {
             /// Issuing session.
             session: u64,
@@ -323,9 +324,10 @@ storage::op_table! {
             /// Issuing session.
             session: u64,
         },
-        /// Statically analyze source text against the live knowledge base
-        /// without admitting it. Always answers [`Response::Diagnostics`];
-        /// a clean bill of health is an empty list.
+        /// Statically analyze source text against the knowledge base at
+        /// the session's pin without admitting it. Always answers
+        /// [`Response::Diagnostics`]; a clean bill of health is an empty
+        /// list.
         24 Lint "lint" Read {
             /// Issuing session.
             session: u64,
@@ -355,7 +357,9 @@ storage::op_table! {
         27 ReplStatus "repl_status" Control,
         /// Read one predicate of a registered view. Snapshot-pinned: a
         /// session whose watermark predates the view's last refresh gets
-        /// answers evaluated at its own watermark, never the newer model.
+        /// answers evaluated at its own watermark, never the newer model,
+        /// and one whose watermark predates the view's registration is
+        /// answered that the view is unknown.
         29 ViewAsk "view_ask" Read {
             /// Issuing session.
             session: u64,
@@ -377,10 +381,8 @@ storage::op_table! {
         },
         /// Render the deductive evaluator's join plan and cost estimate
         /// for the base program, the stored rules, and any extra rules in
-        /// `src`, against the EDB cardinalities measured on the newest
-        /// published version (the head as of the last commit; not
-        /// session-pinned, and no state lock). Answers
-        /// [`Response::Done`] with the rendered plan.
+        /// `src`, against the EDB cardinalities measured at the session's
+        /// pin. Answers [`Response::Done`] with the rendered plan.
         31 Explain "explain" Read {
             /// Issuing session.
             session: u64,
@@ -401,9 +403,7 @@ storage::op_table! {
             /// The object in focus.
             name: String,
         },
-        /// The full Consistency Checker run over the newest published
-        /// version — the head as of the last commit, like `Explain`; not
-        /// session-pinned, and no state lock. Answers
+        /// The full Consistency Checker run at the session's pin. Answers
         /// [`Response::Table`] with the violations, or the constraints
         /// and classes it checked.
         33 Check "check" Read {

@@ -10,11 +10,11 @@
 //! [`gkbms::mvcc::VersionChain`] while still holding the guard, so
 //! versions appear in commit order. The capture is structural sharing:
 //! one `Arc` bump per 512-element chunk of the store and of the index
-//! and per symbol-map shard, O(store / 512). Session reads (ASK, HOLDS,
-//! SHOW, BROWSE, APPLICABLE DECISIONS, OBJECT HISTORY, HISTORY, STATUS,
-//! RECALL, session stats) take no lock: a session pins the chain head
-//! at Hello (or Refresh) and reads its pinned version at its watermark,
-//! however many commits land.
+//! and per symbol-map shard, O(store / 512); the history and the lint
+//! memo ride along. Every session read but VIEW ASK takes no lock: a
+//! session pins the chain head at Hello (or Refresh) and reads its
+//! pinned version at its watermark, however many commits land — so it
+//! refreshes before it saves, lints or checks its own writes.
 //!
 //! Belief time supplies the isolation *semantics*: every write is one
 //! `Gkbms` transaction that opens with a belief-clock tick, so nothing
@@ -22,17 +22,19 @@
 //! retracts disappears from one (UNTELL only closes belief intervals).
 //! The chain supplies the *mechanics*: a superseded version is freed
 //! when its last holder lets go (Bye, Refresh, or the idle-timeout
-//! sweep run on every commit and idle connection poll). CHECK and
-//! EXPLAIN read the chain head, and replication the commit watermark
-//! and the journal files, so neither waits on a writer. Only SAVE, LINT
-//! and VIEW ASK's materialized model take the read guard: they read the
-//! live head on purpose.
+//! sweep run on every commit and idle connection poll). Replication
+//! reads the commit watermark and the journal files, so it does not
+//! wait on a writer either. Only VIEW ASK's materialized model takes
+//! the read guard: the model lives on the state, not on a version.
 //!
 //! A panic inside a write poisons the lock, and may leave the state
 //! half-applied. From then on the writer and the read guard are
 //! refused with a typed `Internal` ("state poisoned; restart to
 //! recover from the journal") and a follower stops applying; the
 //! published versions, which hold only committed writes, keep serving.
+//! A panic anywhere in a request's handling is contained to it: the
+//! request answers `Internal`, its connection is closed and
+//! `gkbms_request_panics_total` counts it.
 //!
 //! Each TCP connection gets a handler thread. An in-process server
 //! ([`Server::in_process`]) has no listener: one handler thread serves
@@ -84,7 +86,7 @@ use crate::client::Client;
 use crate::proto::{self, ErrorCode, FrameRead, OpClass, Request, Response};
 use crate::session::SessionTable;
 use commit::Watermark;
-use dispatch::{dispatch, err};
+use dispatch::{dispatch, err, Then};
 use gkbms::mvcc::VersionChain;
 use gkbms::{FsyncPolicy, Gkbms, Published};
 use std::collections::VecDeque;
@@ -227,6 +229,9 @@ struct Shared {
     cfg: Config,
     /// The listener's address; `None` on an in-process server.
     addr: Option<SocketAddr>,
+    /// Test hook: the next Read panics in dispatch.
+    #[cfg(test)]
+    panic_next_read: AtomicBool,
 }
 
 /// Decrements the in-flight count when a work-carrying request ends,
@@ -321,6 +326,8 @@ impl Server {
             repl,
             cfg,
             addr,
+            #[cfg(test)]
+            panic_next_read: AtomicBool::new(false),
         });
         let follower = match shared.cfg.follow.clone() {
             Some(leader) => {
@@ -518,7 +525,7 @@ fn serve_conn<S: Read + Write>(mut stream: S, shared: &Shared) {
                 )
                 .add((payload.len() + HEADER_LEN) as u64);
                 let started = Instant::now();
-                let (resp, shutdown_after) = match Request::decode(&payload) {
+                let (resp, then) = match Request::decode(&payload) {
                     Ok(Request::Replicate { applied_seq, epoch }) => {
                         // A subscription takes the connection over: from
                         // here it is a one-way push stream of ReplMsg
@@ -533,7 +540,7 @@ fn serve_conn<S: Read + Write>(mut stream: S, shared: &Shared) {
                             "Frames that failed to decode as a request"
                         )
                         .inc();
-                        (err(ErrorCode::BadRequest, e.to_string()), false)
+                        (err(ErrorCode::BadRequest, e.to_string()), Then::Serve)
                     }
                 };
                 let Ok(written) = write_response(&mut stream, &resp) else {
@@ -544,8 +551,10 @@ fn serve_conn<S: Read + Write>(mut stream: S, shared: &Shared) {
                     "Response bytes sent, including frame headers"
                 )
                 .add(written as u64);
-                if shutdown_after {
-                    begin_shutdown(shared);
+                match then {
+                    Then::Serve => {}
+                    Then::Shutdown => begin_shutdown(shared),
+                    Then::Close => break,
                 }
             }
             Ok(FrameRead::Idle) => {
@@ -584,10 +593,9 @@ fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<usize> {
 }
 
 /// Handles one decoded request, recording its per-op metrics
-/// (`started` predates the decode, so latency covers it). The bool
-/// asks the caller to begin shutdown *after* the response has been
-/// written.
-fn process(shared: &Shared, req: Request, started: Instant) -> (Response, bool) {
+/// (`started` predates the decode, so latency covers it). [`Then`]
+/// says what the caller does *after* the response has been written.
+fn process(shared: &Shared, req: Request, started: Instant) -> (Response, Then) {
     let op = req.metric_label();
     let result = admit(shared, req);
     if obs::enabled() {
@@ -622,13 +630,16 @@ fn process(shared: &Shared, req: Request, started: Instant) -> (Response, bool) 
 /// bounded by the in-flight gate; on a follower a `Write` is
 /// redirected to the leader and a `Read` is served within the lag
 /// bound, stamped with its staleness.
-fn admit(shared: &Shared, req: Request) -> (Response, bool) {
+fn admit(shared: &Shared, req: Request) -> (Response, Then) {
     let class = req.class();
     if class == OpClass::Control {
         return dispatch(shared, req);
     }
     if shared.shutdown.load(Ordering::SeqCst) {
-        return (err(ErrorCode::ShuttingDown, "server is draining"), false);
+        return (
+            err(ErrorCode::ShuttingDown, "server is draining"),
+            Then::Serve,
+        );
     }
     // Admission gate: bound the work in flight, reject the overflow.
     let in_flight = shared.inflight.fetch_add(1, Ordering::SeqCst);
@@ -639,7 +650,7 @@ fn admit(shared: &Shared, req: Request) -> (Response, bool) {
                 ErrorCode::Overloaded,
                 format!("{in_flight} requests in flight"),
             ),
-            false,
+            Then::Serve,
         );
     }
     let _permit = AdmissionGuard(shared);
@@ -656,7 +667,7 @@ fn admit(shared: &Shared, req: Request) -> (Response, bool) {
             Response::Redirect {
                 leader: shared.repl.leader_addr.clone(),
             },
-            false,
+            Then::Serve,
         );
     }
     // Bounded staleness: refuse reads that have fallen too far
@@ -676,18 +687,18 @@ fn admit(shared: &Shared, req: Request) -> (Response, bool) {
                     ErrorCode::StaleRead,
                     format!("replica lag {lag} op(s) exceeds bound {bound}"),
                 ),
-                false,
+                Then::Serve,
             );
         }
     }
-    let (inner, shutdown_after) = dispatch(shared, req);
+    let (inner, then) = dispatch(shared, req);
     (
         Response::Stale {
             applied_seq,
             lag,
             inner: inner.encode(),
         },
-        shutdown_after,
+        then,
     )
 }
 
@@ -703,9 +714,9 @@ fn lock_sessions(shared: &Shared) -> std::sync::MutexGuard<'_, SessionTable<Sess
     shared.sessions.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The read guard of the live state, for the reads that must see the
-/// head itself rather than a published version (SAVE, LINT, VIEW ASK's
-/// maintained model). A poisoned state is refused like a write.
+/// The read guard of the live state, for the one read that must see
+/// the head itself rather than the session's pinned version: VIEW
+/// ASK's maintained model. A poisoned state is refused like a write.
 fn read_state(shared: &Shared) -> Result<std::sync::RwLockReadGuard<'_, Gkbms>, Response> {
     shared.state.read().map_err(|_| commit::poisoned())
 }
@@ -770,33 +781,46 @@ mod tests {
         g
     }
 
-    /// The reads of a published version take no state guard: `Check`
-    /// and `Explain` answer from the chain head, and `History`,
-    /// `Status` and `Recall` from the session's pinned version. With
-    /// the write guard held, a fresh session still gets all five
-    /// answers, and the same text it gets once the guard is dropped.
+    /// The reads of a published version take no state guard: `Check`,
+    /// `Explain`, `History`, `Status`, `Recall`, `Lint` and `Save`
+    /// answer from the session's pinned version. With the write guard
+    /// held, a fresh session still gets all seven answers, and the same
+    /// text it gets once the guard is dropped.
     #[test]
     fn published_version_reads_answer_while_the_writer_holds_the_state() {
         let server = Server::bind("127.0.0.1:0", design_state(), Config::default()).unwrap();
         let timeout = Duration::from_secs(2);
         let mut client = Client::connect_with_timeout(server.local_addr(), timeout).unwrap();
         let (session, _) = client.hello().unwrap();
-        // A committed write: the head both reads answer from is the
-        // version its commit published.
+        // A committed write: the version every read below answers from
+        // is the one its commit published.
         client.tell(session, "TELL inv1 in Invitation end").unwrap();
+        let saved = std::env::temp_dir().join(format!("cb-guard-save-{}", std::process::id()));
+        let path = saved.to_str().unwrap();
+        let unsafe_rule = "p(X, Y) :- in_(X, C).";
 
-        let (check, explain, history, status, recall) = {
+        let (check, explain, history, status, recall, lint) = {
             let _writer = server.shared.state.write().unwrap();
             let (session, _) = client.hello().unwrap();
             let under_guard = "answers under the write guard";
+            client.save(session, path).expect(under_guard);
             (
                 client.check(session).expect(under_guard),
                 client.explain(session, "").expect(under_guard),
                 client.history(session).expect(under_guard),
                 client.status(session).expect(under_guard),
                 client.recall(session, "d0", 5).expect(under_guard),
+                client.lint(session, unsafe_rule).expect(under_guard),
             )
         };
+        let loaded = Gkbms::load(&saved).unwrap();
+        std::fs::remove_file(&saved).unwrap();
+        assert!(
+            loaded.kb().lookup("inv1").is_some(),
+            "the save holds the TELL"
+        );
+        assert_eq!(loaded.records().len(), 2);
+        assert!(lint.iter().any(|d| d.code == "CB001"), "{lint:?}");
         assert!(
             check.contains("`hasSender` on `Invitation` violated"),
             "{check}"
@@ -814,13 +838,14 @@ mod tests {
         assert_eq!(client.history(session).unwrap(), history);
         assert_eq!(client.status(session).unwrap(), status);
         assert_eq!(client.recall(session, "d0", 5).unwrap(), recall);
+        assert_eq!(client.lint(session, unsafe_rule).unwrap(), lint);
         server.shutdown().unwrap();
     }
 
     /// A panic inside a write poisons the state lock, and the write may
-    /// be half-applied: later writes, and reads of the live state, are
-    /// refused with a typed `Internal`, while the reads of published
-    /// versions keep answering.
+    /// be half-applied: later writes, and `ViewAsk` (the one read of the
+    /// live state), are refused with a typed `Internal`, while the reads
+    /// of published versions — `Lint` and `Save` too — keep answering.
     #[test]
     fn a_poisoned_state_refuses_writes_and_serves_published_versions() {
         use crate::client::ClientError;
@@ -839,7 +864,7 @@ mod tests {
         let untell = JournalOp::Untell { name: "e0".into() };
         let refused = [
             client.write(session, untell).map(drop),
-            client.lint(session, "").map(drop),
+            client.view_ask(session, "v", "inT").map(drop),
         ];
         for outcome in refused {
             match outcome {
@@ -856,8 +881,49 @@ mod tests {
             .answers;
         assert_eq!(answers, ["r0", "r1"]);
         assert!(client.history(session).unwrap().contains("d1"));
+        assert!(client.lint(session, "").unwrap().is_empty());
+        let saved = std::env::temp_dir().join(format!("cb-poison-save-{}", std::process::id()));
+        client.save(session, saved.to_str().unwrap()).unwrap();
+        assert_eq!(Gkbms::load(&saved).unwrap().records().len(), 2);
+        std::fs::remove_file(&saved).unwrap();
         assert_eq!(client.ping().unwrap(), "pong");
         drop(client);
+        server.shutdown().unwrap();
+    }
+
+    /// A panic while handling a request is contained to it: the request
+    /// answers `Internal`, its connection is closed, the panic is
+    /// counted, and the server keeps serving other connections.
+    #[test]
+    fn a_panicking_read_answers_internal_and_the_server_keeps_serving() {
+        use crate::client::ClientError;
+        let server = Server::bind("127.0.0.1:0", design_state(), Config::default()).unwrap();
+        let timeout = Duration::from_secs(2);
+        let mut client = Client::connect_with_timeout(server.local_addr(), timeout).unwrap();
+        let (session, _) = client.hello().unwrap();
+        let panics = || {
+            let text = obs::render_prometheus();
+            let line = text
+                .lines()
+                .find(|l| l.starts_with("gkbms_request_panics_total "));
+            line.and_then(|l| l.split_whitespace().nth(1)?.parse::<f64>().ok())
+                .unwrap_or(0.0)
+        };
+        let before = panics();
+        server.shared.panic_next_read.store(true, Ordering::SeqCst);
+        match client.ask(session, "x", "DBPL_Rel", "true") {
+            Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Internal, "{e:?}"),
+            other => panic!("a panicking read answered {other:?}"),
+        }
+        assert!(client.ping().is_err(), "the panicked connection is closed");
+        assert!(panics() >= before + 1.0, "the panic is counted");
+
+        let mut fresh = Client::connect_with_timeout(server.local_addr(), timeout).unwrap();
+        assert_eq!(fresh.ping().unwrap(), "pong");
+        let (session, _) = fresh.hello().unwrap();
+        let answers = fresh.ask(session, "x", "DBPL_Rel", "true").unwrap().answers;
+        assert_eq!(answers, ["r0", "r1"]);
+        drop((client, fresh));
         server.shutdown().unwrap();
     }
 

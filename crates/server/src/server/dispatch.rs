@@ -7,7 +7,8 @@
 //! [`Request`] table. The `match` has no wildcard arm, so a new table
 //! row without a handler does not compile. Every arm that names a
 //! session passes the one session gate ([`gate`]); every journaled
-//! mutation runs through [`write_op`].
+//! mutation runs through [`write_op`]. Every Read but `ViewAsk` reads
+//! only the pinned version the gate hands back.
 
 use super::{lock_sessions, read_state, Shared, SlowQuery, SLOW_LOG_CAP};
 use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
@@ -17,6 +18,7 @@ use gkbms::mvcc::Version;
 use gkbms::{Applied, Gkbms, GkbmsError, GkbmsResult, JournalOp, Published};
 use objectbase::transform::frame_at;
 use std::borrow::Cow;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,19 +110,48 @@ fn write_op<T>(
     })
 }
 
-/// Handles one decoded request. The bool asks the caller to begin
-/// shutdown *after* the response has been written.
-pub(super) fn dispatch(shared: &Shared, req: Request) -> (Response, bool) {
-    let mut shutdown_after = false;
-    let resp = handle(shared, req, &mut shutdown_after).unwrap_or_else(|refusal| refusal);
-    (resp, shutdown_after)
+/// What the connection does once a response has been written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Then {
+    /// Read the connection's next request.
+    Serve,
+    /// Begin the server's shutdown.
+    Shutdown,
+    /// Close the connection: its request panicked.
+    Close,
+}
+
+/// Handles one decoded request. A panic is contained to it: the
+/// request answers `Internal` and its connection is closed, while every
+/// other connection keeps serving (a panic under the writer still
+/// poisons the state, see `commit::poisoned`).
+pub(super) fn dispatch(shared: &Shared, req: Request) -> (Response, Then) {
+    let mut then = Then::Serve;
+    match panic::catch_unwind(AssertUnwindSafe(|| handle(shared, req, &mut then))) {
+        Ok(resp) => (resp.unwrap_or_else(|refusal| refusal), then),
+        Err(_) => {
+            obs::counter!(
+                "gkbms_request_panics_total",
+                "Requests whose handler panicked, answered Internal"
+            )
+            .inc();
+            let resp = err(ErrorCode::Internal, "request panicked; connection closed");
+            (resp, Then::Close)
+        }
+    }
 }
 
 /// The dispatch `match`. `Err` is an early answer (a failed session
 /// gate, a failed commit) — a response like any other, split out only
 /// so arms can use `?`.
-fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Response, Response> {
+fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Response> {
     let draining = || shared.shutdown.load(Ordering::SeqCst);
+    #[cfg(test)]
+    if req.class() == crate::proto::OpClass::Read
+        && shared.panic_next_read.swap(false, Ordering::SeqCst)
+    {
+        panic!("a Read panicked");
+    }
     Ok(match req {
         Request::Ping => done("pong"),
         Request::Metrics => {
@@ -153,7 +184,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             if !draining() {
                 gate(shared, session)?;
             }
-            *shutdown_after = true;
+            *then = Then::Shutdown;
             done("shutting down")
         }
         Request::Promote { session } => {
@@ -300,7 +331,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
         }
         Request::Status { session } => {
             let (watermark, version) = gate(shared, session)?;
-            let Published { kb, design } = version.data();
+            let Published { kb, design, .. } = version.data();
             Response::Table {
                 text: gkbms::navigate::status_view(kb.snapshot_at(watermark), design).render(),
             }
@@ -342,9 +373,9 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             }
         }
         Request::Save { session, path } => {
-            gate(shared, session)?;
-            let saved = read_state(shared)?.save(&path);
-            saved.map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
+            let (_, version) = gate(shared, session)?;
+            gkbms::persist::save_history(&version.data().history, &path)
+                .map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
             done(format!("saved to {path}"))
         }
         Request::Load { session, path } => {
@@ -373,8 +404,10 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             ))
         }
         Request::Lint { session, src } => {
-            gate(shared, session)?;
-            let diags = read_state(shared)?.lint_src(&src);
+            // Waits on the lint memo's mutex only, never on the writer.
+            let (watermark, version) = gate(shared, session)?;
+            let Published { kb, lint, .. } = version.data();
+            let diags = gkbms::system::lint_src(kb.snapshot_at(watermark), lint, &src);
             Response::Diagnostics {
                 diags: diags.iter().map(WireDiagnostic::from_diagnostic).collect(),
             }
@@ -391,16 +424,17 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             pred,
         } => {
             let (watermark, version) = gate(shared, session)?;
-            // The materialized model reflects the current belief state
-            // (`as_of`). A session pinned at or after it takes the
-            // slot of the model's sorted order under the state guard —
-            // plus, if no read has sorted this state yet, one copy of
-            // the interned values; sorting and encoding wait until the
-            // guard is released. An older watermark must never observe
-            // a refresh from a newer tick: it takes only the view's
-            // program from under the guard and reads the view at its
-            // own pinned store version, with the guard released — an
-            // evaluation must not hold writers up.
+            // The one Read of the live state, where a view registered
+            // after the pin is unknown. The materialized model reflects
+            // the current belief state (`as_of`). A session pinned at or
+            // after it takes the slot of the model's sorted order under
+            // the state guard — plus, if no read has sorted this state
+            // yet, one copy of the interned values; sorting and encoding
+            // wait until the guard is released. An older watermark must
+            // never observe a refresh from a newer tick: it takes only
+            // the view's program from under the guard and reads the view
+            // at its own pinned store version, with the guard released —
+            // an evaluation must not hold writers up.
             enum Read {
                 Model(datalog::db::SortedRead),
                 Pinned(datalog::ast::Program),
@@ -409,6 +443,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
                 let g = read_state(shared)?;
                 let view = g
                     .view(&name)
+                    .filter(|v| v.registered() <= watermark)
                     .ok_or_else(|| rejected(format!("unknown view `{name}`")))?;
                 view.check_pred(&pred).map_err(rejected)?;
                 if watermark >= view.as_of() {
@@ -442,7 +477,7 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             limit,
         } => {
             let (watermark, version) = gate(shared, session)?;
-            let Published { kb, design } = version.data();
+            let Published { kb, design, .. } = version.data();
             let snap = kb.snapshot_at(watermark);
             let hits = gkbms::recall::recall_similar(snap, design, &name, limit as usize)
                 .map_err(rejected)?;
@@ -458,12 +493,10 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             }
         }
         Request::Explain { session, src } => {
-            // Costed against the newest published version — the head
-            // as of the last commit — with no state guard: the O(KB)
-            // EDB export neither waits on a writer nor holds one up.
-            gate(shared, session)?;
-            let head = shared.chain.head();
-            let ctx = analysis::LintContext::at(head.data().kb.snapshot());
+            // Costed against the pinned version: the O(KB) EDB export
+            // neither waits on a writer nor holds one up.
+            let (watermark, version) = gate(shared, session)?;
+            let ctx = analysis::LintContext::at(version.data().kb.snapshot_at(watermark));
             let plan = analysis::explain_source(&src, &ctx)
                 .map_err(|e| rejected(GkbmsError::Precondition(format!("explain: {e}"))))?;
             done(plan)
@@ -482,12 +515,10 @@ fn handle(shared: &Shared, req: Request, shutdown_after: &mut bool) -> Result<Re
             }
         }
         Request::Check { session } => {
-            // Like Explain: the full scan reads the newest published
-            // version, not the state behind the writer's lock.
-            gate(shared, session)?;
-            let head = shared.chain.head();
+            // Like Explain: the full scan reads the pinned version.
+            let (watermark, version) = gate(shared, session)?;
             let (violations, stats) =
-                objectbase::consistency::check_full(head.data().kb.snapshot());
+                objectbase::consistency::check_full(version.data().kb.snapshot_at(watermark));
             let text = if violations.is_empty() {
                 format!(
                     "consistent ({} constraints over {} classes)",

@@ -50,7 +50,7 @@
 //! isa <name>               the specialization tree below <name>
 //! instances <name>         the classification tree below <name>
 //! attrs <name>             relational display of the attributes
-//! check                    full consistency check of the live KB
+//! check                    full consistency check of the session's KB
 //! refresh                  re-pin the session snapshot
 //! history / status         the process and status views of the design
 //! stats / \stats           the session, and the counters of its last ASK
@@ -61,17 +61,18 @@
 //! \viewask <name> <pred>   read one predicate of a view
 //! \recall <decision> [n]   structurally similar precedents
 //! \register <name> <class> <source>   register a design object
-//! save <path> / load <path>   write / replay the history (server-side)
+//! save <path> / load <path>   write the session's history / replay one (server-side)
 //! \checkpoint              compact the journal
 //! \replstatus / \promote   replication role and lag / promote a follower
 //! shutdown / help / quit
 //! ```
 //!
 //! Reads are snapshot-isolated at the session watermark — `history`,
-//! `status` and `\recall` too, from the design index published with the
-//! session's version; `check` and `\explain` read the newest published
-//! version — and the shell
-//! refreshes after its own successful writes so they stay visible. A
+//! `status` and `\recall` from the design index published with the
+//! session's version, `save` from its history, `check`, `\lint` and
+//! `\explain` from its KB; only `\viewask` reads a view's live model —
+//! and the shell refreshes after its own successful writes, so a
+//! `save`, `\lint` or `check` after them sees them. A
 //! session the server no longer knows — it idled out, or the server
 //! restarted — is replaced once, with a notice on stderr, and the
 //! command retried.

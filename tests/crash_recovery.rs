@@ -1554,3 +1554,100 @@ fn the_process_model_is_built_over_the_wire() {
     std::fs::remove_dir_all(&ldir).unwrap();
     std::fs::remove_dir_all(&fdir).unwrap();
 }
+
+// ----- reads at a session's pin ------------------------------------------------
+
+/// A session's `save`, `check`, `lint` and `explain` answer at its pin.
+/// Session A pins; session B then TELLs a class with a constraint, an
+/// instance that violates it and a rule, and executes a decision. A's
+/// saved file loads to the serial twin replayed to A's pin, not to the
+/// head, and A's `check`, `lint` and `explain` see neither the
+/// constraint nor the rule until A refreshes.
+#[test]
+fn a_pinned_session_saves_checks_lints_and_explains_its_own_version() {
+    use conceptbase::server::{Client, Config, Server, WireDecision};
+
+    let setup = || {
+        let mut g = Gkbms::new().unwrap();
+        let class = DecisionClass::new("MapDec", DecisionDimension::Mapping)
+            .from_classes(&[kernel::TDL_ENTITY_CLASS])
+            .to_classes(&[kernel::DBPL_REL]);
+        g.define_decision_class(class).unwrap();
+        g.tell_src("TELL Person end").unwrap();
+        g
+    };
+    let server = Server::bind("127.0.0.1:0", setup(), Config::default()).unwrap();
+    let addr = server.local_addr();
+    let (mut a, mut b) = (
+        Client::connect(addr).unwrap(),
+        Client::connect(addr).unwrap(),
+    );
+    let (sb, _) = b.hello().unwrap();
+    b.tell(sb, "TELL Doc end").unwrap();
+    b.register_object(sb, "inv0", kernel::TDL_ENTITY_CLASS, "src")
+        .unwrap();
+    let (sa, _) = a.hello().unwrap();
+    let mut twin = setup();
+    twin.tell_src("TELL Doc end").unwrap();
+    twin.register_object("inv0", kernel::TDL_ENTITY_CLASS, "src")
+        .unwrap();
+
+    b.tell(
+        sb,
+        "TELL Invitation with\n\
+           attribute sender : Person\n\
+           constraint hasSender : $ forall i/Invitation i.sender defined $\n\
+         end\n\
+         TELL badInv in Invitation end",
+    )
+    .unwrap();
+    let rule = "TELL Pairing with rule pairs : $ pairs(X, Y) :- in_(X, C), isa(Y, D) $ end";
+    b.tell(sb, rule).unwrap();
+    let decision = WireDecision::new("MapDec", "d0", "dev").input("inv0");
+    b.execute(sb, decision.output("rel0", kernel::DBPL_REL))
+        .unwrap();
+
+    let saved = tmp_dir("pinned-save");
+    a.save(sa, saved.to_str().unwrap()).unwrap();
+    let pinned = Gkbms::load(&saved).unwrap();
+    std::fs::remove_file(&saved).unwrap();
+    assert_eq!(
+        Digest::of(&pinned),
+        Digest::of(&twin),
+        "A's save is its pin"
+    );
+
+    let probe = "q(X) :- pairs(X, Y).";
+    let undeclared = |diags: &[conceptbase::server::WireDiagnostic]| {
+        diags
+            .iter()
+            .any(|d| d.code == "CB003" && d.message.contains("pairs"))
+    };
+    let check = a.check(sa).unwrap();
+    assert!(check.starts_with("consistent"), "{check}");
+    assert!(
+        undeclared(&a.lint(sa, probe).unwrap()),
+        "A linted the later rule"
+    );
+    assert!(
+        !a.explain(sa, "").unwrap().contains("pairs"),
+        "A explained the later rule"
+    );
+
+    a.refresh(sa).unwrap();
+    let check = a.check(sa).unwrap();
+    assert!(
+        check.contains("`hasSender` on `Invitation` violated"),
+        "{check}"
+    );
+    assert!(!undeclared(&a.lint(sa, probe).unwrap()));
+    assert!(a.explain(sa, "").unwrap().contains("pairs"));
+    drop((a, b));
+    let head = server.shutdown().unwrap();
+    assert!(head.is_effective("d0"));
+    assert_ne!(
+        Digest::of(&pinned),
+        Digest::of(&head),
+        "the head is not A's pin"
+    );
+}

@@ -928,6 +928,47 @@ proptest! {
             }
         }
     }
+
+    /// One lint memo serves every version: warmed at the head under a
+    /// random rule TELL/UNTELL history, the memo every published
+    /// version carries lints random sources at random earlier pins —
+    /// and the head again after each — exactly as a fresh memo does.
+    #[test]
+    fn one_lint_memo_lints_every_pin_like_a_fresh_one(
+        ops in prop::collection::vec((any::<bool>(), 0usize..5), 1..8),
+        reads in prop::collection::vec((0usize..16, 0usize..4), 1..12),
+    ) {
+        use conceptbase::gkbms::system::lint_src;
+        use conceptbase::gkbms::Gkbms;
+        let probes = [
+            "good(X) :- in_(X, \"Person\").",
+            "spin(X, Y) :- spin(Y, X).",
+            "late(X) :- p2(X), p4(X).",
+            "TELL Probe with rule z : $ z(X) :- p2(X), in_(X, \"Person\") $ end",
+        ];
+        let mut g = Gkbms::new().unwrap();
+        g.tell_src("TELL Person end").unwrap();
+        let memo = g.capture().lint;
+        let mut pins = vec![g.kb().now()];
+        let (mut told, mut counter) = (Vec::new(), 0usize);
+        for (tell, sel) in ops {
+            lint_churn_step(&mut g, &mut told, &mut counter, tell, sel);
+            for probe in probes {
+                lint_src(g.kb().snapshot(), &memo, probe);
+            }
+            pins.push(g.kb().now());
+        }
+        for (pin, probe) in reads {
+            let (pin, probe) = (pins[pin % pins.len()], probes[probe]);
+            let snap = g.kb().snapshot_at(pin);
+            let fresh = lint_source(probe, &LintContext::at(snap));
+            prop_assert_eq!(lint_src(snap, &memo, probe), fresh,
+                "the shared memo diverged on `{}` at pin {}", probe, pin);
+            let fresh = lint_source(probe, &LintContext::from_kb(g.kb()));
+            prop_assert_eq!(lint_src(g.kb().snapshot(), &memo, probe), fresh,
+                "the shared memo diverged on `{}` at the head", probe);
+        }
+    }
 }
 
 proptest! {

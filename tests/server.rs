@@ -824,7 +824,7 @@ fn history_status_and_recall_answer_at_the_sessions_pin() {
 
 /// `browse` is pinned like `show`: a session opened before `tell X isA
 /// Paper end` does not see `X` under `isa Paper` until it refreshes.
-/// `check` is a diagnostic of the live head.
+/// `check` reads the pin too.
 #[test]
 fn browse_answers_at_the_sessions_pin() {
     let (server, addr) = start(quick_cfg());
@@ -1007,7 +1007,13 @@ fn registered_view_maintains_and_pins_over_the_wire() {
     // model or at an older pin; a named one with no tuples is empty.
     c.register_view(s, "lonely", "lonely(X) :- inT(X, \"Nope\").")
         .unwrap();
-    for (client, session) in [(&mut c, s), (&mut pinned, ps)] {
+    c.refresh(s).unwrap();
+    let mut older = Client::connect(addr).unwrap();
+    let (os, _) = older.hello().unwrap();
+    // Moves every view's model past `older`'s pin.
+    c.tell(s, "TELL p3 in Paper end").unwrap();
+    c.refresh(s).unwrap();
+    for (client, session) in [(&mut c, s), (&mut older, os)] {
         match client.view_ask(session, "closure", "inTT") {
             Err(ClientError::Server(e)) => {
                 assert_eq!(e.code, ErrorCode::Rejected);
@@ -1036,8 +1042,35 @@ fn registered_view_maintains_and_pins_over_the_wire() {
         scrape(&text, "datalog_sorted_orders_built_total").unwrap_or(0.0) >= 1.0,
         "expected sorted orders in scrape"
     );
+    older.bye(os).unwrap();
     pinned.bye(ps).unwrap();
     c.bye(s).unwrap();
+    server.shutdown().unwrap();
+}
+
+/// A view registered after a session's pin does not exist at it: the
+/// pinned session's `view_ask` is `Rejected` as an unknown view, as its
+/// `show` is for an object told after the pin, until it refreshes.
+#[test]
+fn a_view_registered_after_the_pin_is_unknown_at_it() {
+    let (server, addr) = start(quick_cfg());
+    let mut c = Client::connect(addr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end").unwrap();
+    c.tell(s, "TELL p1 in Paper end").unwrap();
+    let mut pinned = Client::connect(addr).unwrap();
+    let (ps, _) = pinned.hello().unwrap();
+    c.register_view(s, "rels", "hasPaper(X) :- inT(X, \"Paper\").")
+        .unwrap();
+    match pinned.view_ask(ps, "rels", "hasPaper") {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Rejected);
+            assert!(e.message.contains("unknown view"), "{}", e.message);
+        }
+        other => panic!("a view registered after the pin answered {other:?}"),
+    }
+    pinned.refresh(ps).unwrap();
+    assert_eq!(pinned.view_ask(ps, "rels", "hasPaper").unwrap(), ["p1"]);
     server.shutdown().unwrap();
 }
 
@@ -1272,12 +1305,21 @@ enum ScriptOp {
     History,
     /// `history`: the process view of the effective decisions.
     Process,
+    /// `check`: the full consistency scan.
+    Check,
+    /// `holds`: whether the thread's latest name is a `Paper`.
+    Holds,
+    /// `browse instances Paper`.
+    Browse,
+    /// `applicable_decisions` of the thread's latest object.
+    Applicable,
 }
 
 /// Weighted op pick: 3 TELL : 1 UNTELL : 2 ASK : 2 SHOW : 2 REFRESH :
-/// 2 EXECUTE : 2 RETRACT : 2 HISTORY : 1 PROCESS.
+/// 2 EXECUTE : 2 RETRACT : 2 HISTORY : 1 PROCESS : 1 CHECK : 1 HOLDS :
+/// 1 BROWSE : 1 APPLICABLE.
 fn script_op() -> impl Strategy<Value = ScriptOp> {
-    (0u8..17).prop_map(|n| match n {
+    (0u8..21).prop_map(|n| match n {
         0..=2 => ScriptOp::Tell,
         3 => ScriptOp::Untell,
         4..=5 => ScriptOp::Ask,
@@ -1286,7 +1328,11 @@ fn script_op() -> impl Strategy<Value = ScriptOp> {
         10..=11 => ScriptOp::Execute,
         12..=13 => ScriptOp::Retract,
         14..=15 => ScriptOp::History,
-        _ => ScriptOp::Process,
+        16 => ScriptOp::Process,
+        17 => ScriptOp::Check,
+        18 => ScriptOp::Holds,
+        19 => ScriptOp::Browse,
+        _ => ScriptOp::Applicable,
     })
 }
 
@@ -1300,6 +1346,40 @@ enum Observed {
     History(String, Option<Vec<String>>),
     /// `history`: the process view's text.
     Process(String),
+    /// `check`: the report's text.
+    Check(String),
+    /// `holds expr`: its truth, or `None` for a rejected name.
+    Holds(String, Option<bool>),
+    /// `browse instances Paper`: the tree's text.
+    Browse(String),
+    /// `applicable_decisions object`: its rows, or `None` for `unknown`.
+    Applicable(String, Option<Vec<String>>),
+}
+
+/// A served Read's answer, or `None` for a typed `Rejected`.
+fn unless_rejected<T>(read: Result<T, ClientError>) -> Option<T> {
+    match read {
+        Ok(answer) => Some(answer),
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Rejected, "{e:?}");
+            None
+        }
+        Err(e) => panic!("{e:?}"),
+    }
+}
+
+/// The `check` reply as the server renders it from `snap`.
+fn check_at(snap: conceptbase::telos::Snapshot<'_>) -> String {
+    let (violations, stats) = conceptbase::objectbase::consistency::check_full(snap);
+    if violations.is_empty() {
+        format!(
+            "consistent ({} constraints over {} classes)",
+            stats.constraints_evaluated, stats.classes_visited
+        )
+    } else {
+        let lines: Vec<String> = violations.iter().map(ToString::to_string).collect();
+        lines.join("\n")
+    }
 }
 
 /// The process view as the `Record` reader finds it in `g`'s store at
@@ -1351,10 +1431,11 @@ proptest! {
     /// The differential concurrency property, over the wire: N client
     /// threads run random TELL/UNTELL/ASK/SHOW/REFRESH scripts, with
     /// decisions executed, retracted and traced by OBJECT_HISTORY and
-    /// HISTORY, concurrently; every ASK answer, SHOW frame, object
-    /// history and process view a pinned session observed must be
+    /// HISTORY, and CHECK, HOLDS, BROWSE and APPLICABLE DECISIONS reads,
+    /// concurrently; every answer a pinned session observed must be
     /// byte-identical to a retrospective read of the final state at
-    /// that session's watermark. Belief time is append-only with respect to pinned
+    /// that session's watermark. Every told `Paper` violates its
+    /// constraint, so a `check` sees which of them its version holds. Belief time is append-only with respect to pinned
     /// watermarks, so the final state *is* the serial replay of the
     /// committed interleaving.
     #[test]
@@ -1370,7 +1451,15 @@ proptest! {
         {
             let mut c = Client::connect(addr).unwrap();
             let (s, _) = c.hello().unwrap();
-            c.tell(s, "TELL Paper end").unwrap();
+            c.tell(
+                s,
+                "TELL Person end\n\
+                 TELL Paper with\n\
+                   attribute author : Person\n\
+                   constraint hasAuthor : $ forall p/Paper p.author defined $\n\
+                 end",
+            )
+            .unwrap();
             c.bye(s).unwrap();
         }
         let workers: Vec<_> = scripts
@@ -1431,6 +1520,29 @@ proptest! {
                             ScriptOp::Process => {
                                 let seen = Observed::Process(c.history(s).unwrap());
                                 observations.push((watermark, seen));
+                            }
+                            ScriptOp::Check => {
+                                let seen = Observed::Check(c.check(s).unwrap());
+                                observations.push((watermark, seen));
+                            }
+                            ScriptOp::Holds => {
+                                let expr = format!("q_{t}_{} in Paper", next.saturating_sub(1));
+                                let truth = unless_rejected(c.holds(s, &expr));
+                                observations.push((watermark, Observed::Holds(expr, truth)));
+                            }
+                            ScriptOp::Browse => {
+                                let tree = c.browse(s, "instances", "Paper").unwrap();
+                                observations.push((watermark, Observed::Browse(tree)));
+                            }
+                            ScriptOp::Applicable => {
+                                let object = objects
+                                    .iter()
+                                    .rev()
+                                    .find(|o: &&String| o.starts_with("e_"))
+                                    .cloned()
+                                    .unwrap_or_else(|| format!("e_{t}_{next}"));
+                                let rows = unless_rejected(c.applicable_decisions(s, &object));
+                                observations.push((watermark, Observed::Applicable(object, rows)));
                             }
                             ScriptOp::Tell => {
                                 let name = format!("q_{t}_{next}");
@@ -1513,6 +1625,40 @@ proptest! {
                 Observed::Process(seen) => {
                     let replayed = process_view_at(&final_state, w);
                     prop_assert_eq!(&replayed, &seen, "history diverged at watermark {}", w);
+                }
+                Observed::Check(seen) => {
+                    let replayed = check_at(final_state.kb().snapshot_at(w));
+                    prop_assert_eq!(&replayed, &seen, "check diverged at watermark {}", w);
+                }
+                Observed::Holds(expr, seen) => {
+                    use conceptbase::telos::assertion;
+                    let snap = final_state.kb().snapshot_at(w);
+                    let parsed = assertion::parse(&expr).unwrap();
+                    let replayed = assertion::eval(&snap, &parsed, &mut assertion::Env::new()).ok();
+                    prop_assert_eq!(replayed, seen, "holds {} diverged at watermark {}", expr, w);
+                }
+                Observed::Browse(seen) => {
+                    let snap = final_state.kb().snapshot_at(w);
+                    let replayed = conceptbase::gkbms::navigate::browse(snap, "instances", "Paper")
+                        .unwrap();
+                    prop_assert_eq!(&replayed, &seen, "browse diverged at watermark {}", w);
+                }
+                Observed::Applicable(object, seen) => {
+                    let snap = final_state.kb().snapshot_at(w);
+                    let replayed = conceptbase::gkbms::system::applicable_decisions(snap, &object)
+                        .ok()
+                        .map(|rows| {
+                            rows.into_iter()
+                                .map(|(class, tools)| {
+                                    if tools.is_empty() {
+                                        class
+                                    } else {
+                                        format!("{class} [{}]", tools.join(", "))
+                                    }
+                                })
+                                .collect()
+                        });
+                    prop_assert_eq!(&replayed, &seen, "applicable decisions of {} diverged at watermark {}", object, w);
                 }
             }
         }
