@@ -24,8 +24,10 @@
 //! and the [`EvalStats`] of the one evaluation that built it) in the
 //! version's derived-state slot ([`KbVersion::derived`]): built by the
 //! first read at the version's capture tick, shared by every later
-//! one, freed with the version. There is no cache to size or
-//! invalidate.
+//! one, freed with the version. The ASK's closure holds lemmas of its
+//! own: per class, its extent (the believed individuals among the
+//! `inT(_, class)` rows, sorted by name), built by the first ASK of the
+//! class. There is no cache to size or invalidate.
 //!
 //! # What a fresh closure costs
 //!
@@ -46,6 +48,7 @@ use datalog::db::Database;
 use datalog::intern::{intern, IVal, Symbol};
 use datalog::seminaive::{self, EvalStats};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use telos::assertion;
@@ -249,6 +252,10 @@ fn base() -> &'static Program {
     })
 }
 
+/// The individuals of one class in a closure, as (name, id) sorted by
+/// name.
+type Extent = Arc<[(&'static str, PropId)]>;
+
 /// The deductive closure of one program over one belief state: the
 /// model (extensional plus derived tuples) and the counters of the one
 /// [`seminaive::evaluate`] run that built it.
@@ -259,6 +266,52 @@ pub struct Closure {
     /// What building it cost. Evaluation is deterministic, so these are
     /// the numbers any from-scratch run over the same state reports.
     pub stats: EvalStats,
+    /// Per class, its extent: lemmas of this closure, built by the
+    /// first ASK of the class and read by every later one.
+    extents: Mutex<HashMap<Symbol, Extent>>,
+}
+
+impl Closure {
+    /// The `inT(_, class)` rows of this closure that name an individual
+    /// believed in `view` — the snapshot the closure was built over —
+    /// each with that individual, sorted by name. The first read of a
+    /// class builds it under the lock, so racing readers build it once;
+    /// each `(x, class)` row sits in one extent, so all of them together
+    /// are bounded by the closure's `inT` relation.
+    fn extent(&self, view: &Snapshot<'_>, class: Symbol) -> Extent {
+        let mut extents = self.extents.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(extent) = extents.get(&class) {
+            obs::counter!(
+                "objectbase_class_extent_hits_total",
+                "Class extents an ASK read from the closure that already held them"
+            )
+            .inc();
+            return Arc::clone(extent);
+        }
+        obs::counter!(
+            "objectbase_class_extents_built_total",
+            "Class extents built from a closure's inT rows (one per class and closure)"
+        )
+        .inc();
+        // The `(x, class)` rows are distinct, so their names are; the
+        // export names every object by a symbol.
+        let mut names: Vec<&'static str> = self
+            .model
+            .probe_rows("inT", &[None, Some(IVal::Sym(class))])
+            .rows()
+            .filter_map(|row| match row[0] {
+                IVal::Sym(x) => Some(x.as_str()),
+                IVal::Int(_) => None,
+            })
+            .collect();
+        names.sort_unstable();
+        let extent: Extent = names
+            .into_iter()
+            .filter_map(|name| Some((name, view.lookup(name)?)))
+            .collect();
+        extents.insert(class, Arc::clone(&extent));
+        extent
+    }
 }
 
 /// One program's closure at a version: empty until the first read
@@ -300,7 +353,11 @@ fn build_closure(
         "Fixpoint evaluations for closures built from scratch (closure misses only)"
     )
     .observe(started.elapsed());
-    Ok(Arc::new(Closure { model, stats }))
+    Ok(Arc::new(Closure {
+        model,
+        stats,
+        extents: Mutex::default(),
+    }))
 }
 
 /// The closure of `program` over `version` as believed at `at`, read
@@ -379,10 +436,15 @@ pub fn ask(snap: &Snapshot<'_>, var: &str, class: &str, body: &str) -> ObResult<
 ///
 /// At the version's capture tick (`at == version.now()`, what every
 /// session pins) the `inT` closure is read from the lemmas the version
-/// holds — built by the first ASK against it, O(answer) for every later
-/// one. The returned [`EvalStats`] are those of the evaluation that
-/// built the closure the answer was read from; by determinism they
-/// equal a from-scratch run over the same version.
+/// holds — built by the first ASK against it — and the class's sorted
+/// extent from the lemmas that closure holds — built by the first ASK
+/// of the class. A body that never mentions `var` is evaluated once
+/// (and only if the class has a candidate, so an unbound name errors
+/// exactly when a per-candidate run would); any other body once per
+/// candidate. So every later ASK is O(answer). The returned
+/// [`EvalStats`] are those of the evaluation that built the closure
+/// the answer was read from; by determinism they equal a from-scratch
+/// run over the same version.
 ///
 /// Answers are the closure's interned names in string order, borrowed
 /// (`Cow::Borrowed`): nothing is allocated per answer, and the server
@@ -426,28 +488,23 @@ fn ask_deductive(
     }
     // The base program joins only `in_` and `isa`.
     let closure = closure_at(version, at, false, base())?;
-    // A class name the export never interned has no instances. The
-    // `(x, class)` rows are distinct, so their names are; the export
-    // names every object by a symbol.
-    let mut names: Vec<&'static str> = match datalog::intern::lookup(class) {
-        None => Vec::new(),
-        Some(c) => closure
-            .model
-            .probe_rows("inT", &[None, Some(IVal::Sym(c))])
-            .rows()
-            .filter_map(|row| match row[0] {
-                IVal::Sym(x) => Some(x.as_str()),
-                IVal::Int(_) => None,
-            })
-            .collect(),
+    // A class name the export never interned has no instances.
+    let Some(class) = datalog::intern::lookup(class) else {
+        return Ok((Vec::new(), closure.stats));
     };
-    names.sort_unstable();
-    let mut out = Vec::new();
+    let extent = closure.extent(&view, class);
     let mut env = assertion::Env::new();
-    for name in names {
-        let Some(id) = view.lookup(name) else {
-            continue;
-        };
+    if !expr.free_idents().iter().any(|v| v == var) {
+        // A body that never reads the variable answers alike for every
+        // candidate: evaluate it once, and only if there is one, so an
+        // unbound name errors exactly when a per-candidate run would.
+        let holds = !extent.is_empty() && assertion::eval(&view, &expr, &mut env)?;
+        let names = if holds { &extent[..] } else { &[] };
+        let out = names.iter().map(|&(name, _)| Cow::Borrowed(name)).collect();
+        return Ok((out, closure.stats));
+    }
+    let mut out = Vec::new();
+    for &(name, id) in extent.iter() {
         match env.get_mut(var) {
             Some(bound) => *bound = id,
             None => {
@@ -727,6 +784,43 @@ mod tests {
         let earlier = version_closure(&version, at - 1, &program).unwrap();
         let earlier_again = version_closure(&version, at - 1, &program).unwrap();
         assert!(!Arc::ptr_eq(&earlier, &earlier_again));
+    }
+
+    #[test]
+    fn racing_readers_of_a_fresh_version_build_one_extent() {
+        const READERS: usize = 8;
+        let kb = scenario_kb();
+        let version = kb.version();
+        let at = version.now();
+        let paper = intern("Paper");
+        let count = |name| obs::registry().counter_value(name).unwrap_or(0);
+        let built = || count("objectbase_class_extents_built_total");
+        let hits = || count("objectbase_class_extent_hits_total");
+        let (built_before, hits_before) = (built(), hits());
+        let barrier = std::sync::Barrier::new(READERS);
+        // Each reader takes the ASK's own path to the extent.
+        let extents: Vec<Extent> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let closure = closure_at(&version, at, false, base()).unwrap();
+                        closure.extent(&version.snapshot_at(at), paper)
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for e in &extents {
+            assert!(Arc::ptr_eq(e, &extents[0]), "two extents for one class");
+        }
+        // The counters are process-wide, so only lower bounds are exact.
+        assert!(built() > built_before);
+        assert!(hits() >= hits_before + READERS as u64 - 1);
+        let names: Vec<&str> = extents[0].iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, ["inv1", "inv2", "min1"]);
+        let (asked, _) = ask_with_stats_version(&version, at, "p", "Paper", "true").unwrap();
+        assert_eq!(asked, names);
     }
 
     #[test]

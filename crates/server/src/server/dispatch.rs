@@ -277,11 +277,9 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
             {
                 record_slow_query(shared, &var, &class, &expr, elapsed, &stats);
             }
-            if let Ok(s) = lock_sessions(shared).touch(session) {
+            if let Some(s) = lock_sessions(shared).get_mut(session) {
                 s.last_probes = stats.index_probes as u64;
                 s.last_scanned = stats.tuples_scanned as u64;
-                // The bookkeeping touch is not a client request.
-                s.requests -= 1;
             }
             Response::Names {
                 probes: stats.index_probes as u64,

@@ -125,6 +125,12 @@ impl<P> SessionTable<P> {
         Ok(s)
     }
 
+    /// The open session `id`, for bookkeeping that is not a request of
+    /// its own: neither counted nor timed, and never reaped here.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut Session<P>> {
+        self.map.get_mut(&id)
+    }
+
     /// Re-pins `id` to `watermark` reading from `pin` (the old pin is
     /// dropped, letting go of its version). Returns the new watermark.
     pub fn refresh(&mut self, id: u64, watermark: i64, pin: P) -> Result<i64, SessionErr> {
@@ -222,6 +228,20 @@ mod tests {
         assert!(matches!(t.touch(a), Err(SessionErr::Expired)));
         // Reaped: a second touch reports Unknown, not Expired.
         assert!(matches!(t.touch(a), Err(SessionErr::Unknown)));
+    }
+
+    #[test]
+    fn get_mut_neither_counts_nor_reaps() {
+        let mut t = SessionTable::new(Duration::from_millis(20));
+        let a = t.open(1, ());
+        t.touch(a).unwrap();
+        std::thread::sleep(Duration::from_millis(40));
+        let s = t.get_mut(a).expect("idle but not reaped");
+        assert_eq!(s.requests, 1);
+        s.last_probes = 7;
+        // It did not keep the session alive either.
+        assert!(matches!(t.touch(a), Err(SessionErr::Expired)));
+        assert!(t.get_mut(a).is_none());
     }
 
     #[test]

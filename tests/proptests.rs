@@ -1152,3 +1152,92 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The served ASK reads a class's extent from the closure it
+    /// memoizes it in, and evaluates a body that never reads the
+    /// variable once. Over random histories with multi-level `isa`, the
+    /// first ASK of a class (which builds its extent) and the second
+    /// (which reads it) both answer like the assertion language over
+    /// the same snapshot, in name order — and fail exactly when it
+    /// does: an unbound name errors only for a class with a candidate.
+    /// Off the capture tick the closure is the call's own, and the same
+    /// holds.
+    #[test]
+    fn memoized_asks_answer_like_the_assertion_language(
+        ops in prop::collection::vec((0u8..6, 0usize..5, 0usize..5), 1..30),
+    ) {
+        use conceptbase::objectbase::query::{ask, ask_with_stats_version};
+        const BODIES: [&str; 7] = [
+            "true",
+            "C0 isa C0",
+            "C0 in C1",
+            "x in C1",
+            "exists x/C2 (x in C3)",
+            "forall x/C3 (x in C2)",
+            "ghost in C0",
+        ];
+        let mut kb = Kb::new();
+        let classes: Vec<PropId> = (0..5)
+            .map(|i| kb.individual(&format!("C{i}")).unwrap())
+            .collect();
+        let (mut links, mut counter, mut captured) = (Vec::new(), 0usize, Vec::new());
+        for (op, a, b) in ops {
+            match op {
+                // A specialization; cycle-creating ones are refused.
+                0 => {
+                    kb.tick();
+                    if let Ok(l) = kb.specialize(classes[a], classes[b]) {
+                        links.push(l);
+                    }
+                }
+                1 | 2 => {
+                    kb.tick();
+                    let x = kb.individual(&format!("x{counter}")).unwrap();
+                    counter += 1;
+                    links.push(kb.instantiate(x, classes[a]).unwrap());
+                }
+                // UNTELL an instance or specialization link.
+                3 => {
+                    if !links.is_empty() {
+                        kb.tick();
+                        let l = links.remove((a * 5 + b) % links.len());
+                        kb.untell(l).unwrap();
+                    }
+                }
+                _ => captured.push(kb.version()),
+            }
+        }
+        captured.push(kb.version());
+        for version in &captured {
+            for at in [version.now(), version.now() - 1] {
+                let snap = version.snapshot_at(at);
+                for class in (0..5).map(|i| format!("C{i}")) {
+                    for body in BODIES {
+                        let oracle = ask(&snap, "x", &class, body).map(|mut names| {
+                            names.sort();
+                            names
+                        });
+                        for pass in ["builds", "reads"] {
+                            let served = ask_with_stats_version(version, at, "x", &class, body);
+                            match (&served, &oracle) {
+                                (Ok((names, _)), Ok(want)) => prop_assert_eq!(
+                                    names, want,
+                                    "{} the extent: ask x/{} : {} at {}", pass, class, body, at
+                                ),
+                                (Err(_), Err(_)) => {}
+                                _ => prop_assert!(
+                                    false,
+                                    "{} the extent: ask x/{} : {} at {}: served {:?}, oracle {:?}",
+                                    pass, class, body, at, served, oracle
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

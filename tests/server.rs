@@ -352,7 +352,24 @@ fn session_stats_reflect_last_ask() {
     assert_eq!(stats.probes, reply.probes);
     assert_eq!(stats.scanned, reply.scanned);
     assert!(stats.believed > 0);
-    assert!(stats.requests >= 3);
+    // tell, refresh, ask and the stats request itself.
+    assert_eq!(stats.requests, 4);
+
+    // Recording an ASK's counters is not a request of its own: a fresh
+    // session that asks `n` times has made `n` requests, plus the one
+    // asking for its statistics.
+    let (fresh, _) = c.hello().unwrap();
+    let n = 5;
+    let mut last = None;
+    for _ in 0..n {
+        last = Some(c.ask(fresh, "p", "Paper", "not (p = p1)").unwrap());
+    }
+    let last = last.unwrap();
+    assert!(last.answers.is_empty(), "{:?}", last.answers);
+    let stats = c.session_stats(fresh).unwrap();
+    assert_eq!(stats.requests, n + 1);
+    assert_eq!((stats.probes, stats.scanned), (last.probes, last.scanned));
+    c.bye(fresh).unwrap();
     c.bye(s).unwrap();
     server.shutdown().unwrap();
 }
@@ -1294,7 +1311,8 @@ fn explain_renders_cost_estimates_over_the_wire() {
 enum ScriptOp {
     Tell,
     Untell,
-    Ask,
+    /// `ask p/Paper : <body>`, the body one of [`ask_body`]'s.
+    Ask(u8),
     Show,
     Refresh,
     /// Register a fresh entity and map it by a decision.
@@ -1319,10 +1337,10 @@ enum ScriptOp {
 /// 2 EXECUTE : 2 RETRACT : 2 HISTORY : 1 PROCESS : 1 CHECK : 1 HOLDS :
 /// 1 BROWSE : 1 APPLICABLE.
 fn script_op() -> impl Strategy<Value = ScriptOp> {
-    (0u8..21).prop_map(|n| match n {
+    (0u8..21, 0u8..3).prop_map(|(n, body)| match n {
         0..=2 => ScriptOp::Tell,
         3 => ScriptOp::Untell,
-        4..=5 => ScriptOp::Ask,
+        4..=5 => ScriptOp::Ask(body),
         6..=7 => ScriptOp::Show,
         8..=9 => ScriptOp::Refresh,
         10..=11 => ScriptOp::Execute,
@@ -1336,10 +1354,23 @@ fn script_op() -> impl Strategy<Value = ScriptOp> {
     })
 }
 
+/// The body of a scripted ASK over `p/Paper`: one that holds without
+/// reading `p`, one that fails without reading it, and one on `p` that
+/// names the thread's latest name — told, untold or never told, so it
+/// is unbound at some pins.
+fn ask_body(body: u8, latest: &str) -> String {
+    match body {
+        0 => "true".into(),
+        1 => "Paper in Person".into(),
+        _ => format!("not (p = {latest})"),
+    }
+}
+
 /// What one pinned read observed, to be replayed at its watermark.
 #[derive(Debug)]
 enum Observed {
-    Ask(Vec<String>),
+    /// `ask p/Paper : body`: the answers, or `None` for `Rejected`.
+    Ask(String, Option<Vec<String>>),
     /// `show name`: the frame text, or `None` for `unknown object`.
     Show(String, Option<String>),
     /// `object_history name`: its rows, or `None` for `unknown`.
@@ -1435,7 +1466,10 @@ proptest! {
     /// concurrently; every answer a pinned session observed must be
     /// byte-identical to a retrospective read of the final state at
     /// that session's watermark. Every told `Paper` violates its
-    /// constraint, so a `check` sees which of them its version holds. Belief time is append-only with respect to pinned
+    /// constraint, so a `check` sees which of them its version holds. An
+    /// ASK draws its body from [`ask_body`], so a body the server
+    /// evaluates once and one it evaluates per candidate both meet
+    /// serial replay. Belief time is append-only with respect to pinned
     /// watermarks, so the final state *is* the serial replay of the
     /// committed interleaving.
     #[test]
@@ -1563,10 +1597,12 @@ proptest! {
                                     .parse()
                                     .expect("watermark integer");
                             }
-                            ScriptOp::Ask => {
+                            ScriptOp::Ask(body) => {
+                                let latest = format!("q_{t}_{}", next.saturating_sub(1));
+                                let body = ask_body(body, &latest);
                                 let answers =
-                                    c.ask(s, "p", "Paper", "true").unwrap().answers;
-                                observations.push((watermark, Observed::Ask(answers)));
+                                    unless_rejected(c.ask(s, "p", "Paper", &body)).map(|r| r.answers);
+                                observations.push((watermark, Observed::Ask(body, answers)));
                             }
                             ScriptOp::Show => {
                                 // The thread's latest name, told or
@@ -1597,12 +1633,15 @@ proptest! {
         let final_state = server.shutdown().unwrap();
         for (w, seen) in observations {
             match seen {
-                Observed::Ask(seen) => {
+                Observed::Ask(body, seen) => {
                     let snap = final_state.kb().snapshot_at(w);
-                    let mut replayed =
-                        conceptbase::objectbase::query::ask(&snap, "p", "Paper", "true").unwrap();
-                    replayed.sort();
-                    prop_assert_eq!(&replayed, &seen, "serial replay diverged at watermark {}", w);
+                    let replayed = conceptbase::objectbase::query::ask(&snap, "p", "Paper", &body)
+                        .ok()
+                        .map(|mut names| {
+                            names.sort();
+                            names
+                        });
+                    prop_assert_eq!(&replayed, &seen, "ask {} diverged at watermark {}", body, w);
                 }
                 Observed::Show(name, seen) => {
                     let snap = final_state.kb().snapshot_at(w);
