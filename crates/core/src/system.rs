@@ -193,6 +193,9 @@ pub struct Gkbms {
     /// a TELL re-analyzes only the components its delta dirties. Every
     /// published version carries this one memo.
     pub(crate) lint_cache: Arc<Mutex<analysis::AnalysisCache>>,
+    /// The store version [`Gkbms::capture`] took last: the predecessor
+    /// the next capture inherits its ASK closure from.
+    pub(crate) captured: Option<KbVersion>,
 }
 
 impl Gkbms {
@@ -214,6 +217,7 @@ impl Gkbms {
             replica_applied: 0,
             views: Vec::new(),
             lint_cache: Arc::default(),
+            captured: None,
         })
     }
 
@@ -359,9 +363,21 @@ impl Gkbms {
     /// design index, together — the one capture site, which the server
     /// publishes from on every commit and at start. Structural sharing
     /// throughout: O(chunks) pointer bumps, no per-entry work.
-    pub fn capture(&self) -> Published {
+    ///
+    /// The version inherits the ASK closure of the one captured before
+    /// it ([`objectbase::query::inherit`]), so its first ASK refreshes
+    /// that closure by the delta between the two instead of building
+    /// one from scratch. Every capture of one `Gkbms` is of one lineage:
+    /// a capture lands between write transactions, and a `Load`, a
+    /// snapshot install or a recovery starts a fresh `Gkbms`.
+    pub fn capture(&mut self) -> Published {
+        let kb = self.kb.version();
+        if let Some(prev) = &self.captured {
+            objectbase::query::inherit(&kb, prev);
+        }
+        self.captured = Some(kb.clone());
         Published {
-            kb: self.kb.version(),
+            kb,
             design: self.design.clone(),
             history: self.history.clone(),
             lint: Arc::clone(&self.lint_cache),

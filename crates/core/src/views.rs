@@ -79,7 +79,7 @@ pub fn pinned_rows(
     pred: &str,
 ) -> GkbmsResult<SortedRead> {
     let closure = query::version_closure(version, at, program)?;
-    Ok(closure.model.sorted_rows(pred))
+    Ok(closure.model().sorted_rows(pred))
 }
 
 /// One registered materialized view.

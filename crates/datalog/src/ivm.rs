@@ -184,11 +184,22 @@ impl MaterializedView {
         edb: &Database,
         duplicates: &[(Symbol, Vec<IVal>)],
     ) -> DatalogResult<Self> {
+        Self::load_counted(program, edb, duplicates).map(|(view, _)| view)
+    }
+
+    /// [`MaterializedView::load`], also returning the counters of the
+    /// [`crate::seminaive::evaluate`] run that built the model.
+    pub fn load_counted(
+        program: Program,
+        edb: &Database,
+        duplicates: &[(Symbol, Vec<IVal>)],
+    ) -> DatalogResult<(Self, EvalStats)> {
         let mut view = Self::new(program)?;
         if let Some((pred, _)) = edb.iter_rels().find(|(pred, _)| view.idb.contains(pred)) {
             return Err(derived(pred.as_str()));
         }
-        view.model = crate::seminaive::evaluate(&view.program, edb)?.0;
+        let (model, stats) = crate::seminaive::evaluate(&view.program, edb)?;
+        view.model = model;
         for (pred, row) in duplicates {
             if !edb.contains_ivals(*pred, row) {
                 return Err(DatalogError::Parse(format!(
@@ -198,7 +209,7 @@ impl MaterializedView {
             }
             *view.multiplicity.entry((*pred, row.clone())).or_insert(1) += 1;
         }
-        Ok(view)
+        Ok((view, stats))
     }
 
     /// The program this view materializes.

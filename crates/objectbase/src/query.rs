@@ -7,7 +7,7 @@
 //! delta unit of the maintained views), and [`base_program`] supplies
 //! the CML closure rules (transitive specialization, instance
 //! inheritance). Everything is evaluated by the one bottom-up kernel,
-//! [`seminaive::evaluate`].
+//! [`datalog::seminaive::evaluate`].
 //!
 //! There are two ASKs. [`ask`] is the assertion language over a
 //! [`Snapshot`]; [`ask_with_stats_version`] is the served one, which
@@ -20,33 +20,55 @@
 //! generation" (§3.1): derived facts are kept, not re-derived. The unit
 //! a set of lemmas is valid for is one immutable [`KbVersion`] — so
 //! that is where they are kept. [`ask_with_stats_version`] and
-//! [`version_closure`] store the [`Closure`] of a program (its model
-//! and the [`EvalStats`] of the one evaluation that built it) in the
-//! version's derived-state slot ([`KbVersion::derived`]): built by the
-//! first read at the version's capture tick, shared by every later
-//! one, freed with the version. The ASK's closure holds lemmas of its
-//! own: per class, its extent (the believed individuals among the
-//! `inT(_, class)` rows, sorted by name), built by the first ASK of the
-//! class. There is no cache to size or invalidate.
+//! [`version_closure`] store the [`Closure`] of a program (its model,
+//! as a maintained view, and the [`EvalStats`] of the work that built
+//! it) in the version's derived-state slot ([`KbVersion::derived`]):
+//! built by the first read at the version's capture tick, shared by
+//! every later one, freed with the version. The ASK's closure holds
+//! lemmas of its own: per class, its extent (the believed individuals
+//! among the `inT(_, class)` rows, sorted by name), built by the first
+//! ASK of the class. There is no cache to size or invalidate.
+//!
+//! A version's lemmas are its predecessor's moved by the write between
+//! them. [`inherit`] seeds a freshly captured version with the ASK
+//! closure of the one captured before it, and the version's first ASK
+//! carries that closure over: the `in_`/`isa` facts of the propositions
+//! appended since and believed now are told to it, those of the ones
+//! closed since ([`PropStore::closed_since`]) that the predecessor
+//! believed are untold, through [`MaterializedView::apply`] — the
+//! crate's one maintenance algorithm. So at most one ancestor closure is
+//! held for the versions nobody asked, and it is dropped once a
+//! successor has built its own. Class extents start empty on each
+//! version.
 //!
 //! # What a fresh closure costs
 //!
-//! The first read of a version pays one export and one fixpoint; both
-//! are timed on every miss (`objectbase_edb_export_seconds`,
-//! `objectbase_closure_eval_seconds`). The export costs the tuples it
-//! writes, not the names it meets: the store and the datalog engine
-//! intern names in two tables (a versioned one per store in `telos`, one
-//! process-wide pool in `datalog`), and each store name remembers its
-//! pooled id ([`PropStore::pooled`]), so a name is hashed into the pool
-//! once, not once per export. The ASK's export reads only the
-//! `instanceof` and `isa` posting lists and sizes each relation before
-//! its first row ([`Database::reserve`]).
+//! A carried closure costs the delta: the facts of the ids the write
+//! told and untold, and the derivations they add or remove — in place
+//! when nothing else holds the predecessor's closure (the predecessor's
+//! version is gone), or on a copy of its relations when a pinned
+//! predecessor still reads them. Each carry is counted and timed
+//! (`objectbase_closures_carried_total`,
+//! `objectbase_closure_carry_seconds`).
+//!
+//! A version without an ancestor closure — a bare [`telos::Kb::version`],
+//! the first capture of a served state, any tick below the capture tick
+//! — pays one export and one fixpoint; both are timed
+//! (`objectbase_edb_export_seconds`, `objectbase_closure_eval_seconds`).
+//! The export costs the tuples it writes, not the names it meets: the
+//! store and the datalog engine intern names in two tables (a versioned
+//! one per store in `telos`, one process-wide pool in `datalog`), and
+//! each store name remembers its pooled id ([`PropStore::pooled`]), so a
+//! name is hashed into the pool once, not once per export. The ASK's
+//! export reads only the `instanceof` and `isa` posting lists and sizes
+//! each relation before its first row ([`Database::reserve`]).
 
 use crate::error::ObResult;
 use datalog::ast::{Program, Value};
 use datalog::db::Database;
 use datalog::intern::{intern, IVal, Symbol};
-use datalog::seminaive::{self, EvalStats};
+use datalog::ivm::{Fact, MaterializedView};
+use datalog::seminaive::EvalStats;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -215,10 +237,12 @@ impl Names<'_> {
 
 /// The extensional fact one proposition contributes: `in_(X, C)`,
 /// `isa(C, D)` or `attr(X, L, Y)` keyed by display names, or `None`
-/// for individuals. Belief is *not* checked (see [`rel_of`]). This is
-/// the per-proposition delta unit the incremental view-maintenance path
-/// feeds into registered views on TELL/UNTELL; the whole KB at once
-/// goes through [`to_edb_counted`].
+/// for individuals. Belief is *not* checked: the caller decides which
+/// belief state it is mapping. This is the per-proposition delta unit
+/// the incremental view-maintenance path feeds into registered views on
+/// TELL/UNTELL, and an ASK closure into itself when it is carried over
+/// to a later version; the whole KB at once goes through
+/// [`to_edb_counted`].
 pub fn edb_fact_for(store: &PropStore, id: PropId) -> Option<(String, Vec<Value>)> {
     let p = store.prop(id)?;
     let rel = rel_of(store, p)?;
@@ -256,22 +280,63 @@ fn base() -> &'static Program {
 /// name.
 type Extent = Arc<[(&'static str, PropId)]>;
 
+/// Where a closure stands in its store's lineage: the store's length,
+/// its closed-log length and its tick when the closure was built. The
+/// ids appended past `len` and the log entries past `closed` are what
+/// a later version of the same lineage changed ([`PropStore::closed_since`]).
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    len: usize,
+    closed: usize,
+    tick: i64,
+}
+
+impl Mark {
+    fn of(store: &PropStore) -> Mark {
+        Mark {
+            len: store.len(),
+            closed: store.closed_len(),
+            tick: store.now(),
+        }
+    }
+}
+
 /// The deductive closure of one program over one belief state: the
-/// model (extensional plus derived tuples) and the counters of the one
-/// [`seminaive::evaluate`] run that built it.
+/// maintained view of the program (extensional plus derived tuples,
+/// with the export's multiplicities) and the counters of the work that
+/// built it.
 #[derive(Debug)]
 pub struct Closure {
-    /// The full model.
-    pub model: Database,
-    /// What building it cost. Evaluation is deterministic, so these are
-    /// the numbers any from-scratch run over the same state reports.
+    view: MaterializedView,
+    /// What building it cost. A closure evaluated from scratch reports
+    /// its [`datalog::seminaive::evaluate`] run, which by determinism is
+    /// what any from-scratch run over the same state reports. A closure
+    /// carried over from an earlier version's reports the refresh that
+    /// moved it ([`datalog::ivm::ApplyStats`]): its derivations, index
+    /// probes and tuples scanned, with `rounds` and `new_facts` 0.
     pub stats: EvalStats,
+    /// The state the view is the model of.
+    mark: Mark,
     /// Per class, its extent: lemmas of this closure, built by the
     /// first ASK of the class and read by every later one.
     extents: Mutex<HashMap<Symbol, Extent>>,
 }
 
 impl Closure {
+    fn new(view: MaterializedView, stats: EvalStats, mark: Mark) -> Arc<Closure> {
+        Arc::new(Closure {
+            view,
+            stats,
+            mark,
+            extents: Mutex::default(),
+        })
+    }
+
+    /// The full model: extensional plus derived tuples.
+    pub fn model(&self) -> &Database {
+        self.view.model()
+    }
+
     /// The `inT(_, class)` rows of this closure that name an individual
     /// believed in `view` — the snapshot the closure was built over —
     /// each with that individual, sorted by name. The first read of a
@@ -296,7 +361,7 @@ impl Closure {
         // The `(x, class)` rows are distinct, so their names are; the
         // export names every object by a symbol.
         let mut names: Vec<&'static str> = self
-            .model
+            .model()
             .probe_rows("inT", &[None, Some(IVal::Sym(class))])
             .rows()
             .filter_map(|row| match row[0] {
@@ -314,20 +379,29 @@ impl Closure {
     }
 }
 
-/// One program's closure at a version: empty until the first read
-/// builds it. The lock is held across the build, so concurrent readers
-/// of a fresh version wait for one evaluation instead of each running
-/// their own.
-type Lemma = Arc<Mutex<Option<Arc<Closure>>>>;
+/// One closure of a version: empty until the first read builds it.
+/// The lock is held across the build, so concurrent readers of a fresh
+/// version wait for one evaluation instead of each running their own.
+type Lemma = Mutex<Option<Arc<Closure>>>;
 
-/// What [`KbVersion::derived`] holds for this crate: per program (and
-/// per export with or without `attr` — a projected model must not
-/// answer for a full one), its closure at the version's capture tick.
+/// What [`KbVersion::derived`] holds for this crate: its closures at
+/// the version's capture tick.
 #[derive(Default)]
-struct Lemmas(Mutex<Vec<(bool, Program, Lemma)>>);
+struct Lemmas {
+    /// The ASK's: [`base_program`] over `in_` and `isa` (a projected
+    /// model must not answer for a full one).
+    ask: Lemma,
+    /// Until `ask` is built, the nearest earlier version's ASK closure
+    /// that was built ([`inherit`]); the build takes it.
+    seed: Mutex<Option<Arc<Closure>>>,
+    /// Per view program, its closure over all three predicates. Shared
+    /// out of the list so that a build does not hold the list's lock.
+    views: Mutex<Vec<(Program, Arc<Lemma>)>>,
+}
 
 /// Exports `store` as believed at `at` (with `attr` or without) and
-/// evaluates `program` over it.
+/// evaluates `program` over it: the from-scratch build, the base case
+/// every carried closure starts from.
 fn build_closure(
     store: &PropStore,
     at: i64,
@@ -340,54 +414,107 @@ fn build_closure(
     )
     .inc();
     let started = Instant::now();
-    let (edb, _) = export(store, |p| p.believed_at(at), with_attr)?;
+    let (edb, duplicates) = export(store, |p| p.believed_at(at), with_attr)?;
     obs::histogram!(
         "objectbase_edb_export_seconds",
         "EDB exports for closures built from scratch (closure misses only)"
     )
     .observe(started.elapsed());
     let started = Instant::now();
-    let (model, stats) = seminaive::evaluate(program, &edb)?;
+    let (view, stats) = MaterializedView::load_counted(program.clone(), &edb, &duplicates)?;
     obs::histogram!(
         "objectbase_closure_eval_seconds",
         "Fixpoint evaluations for closures built from scratch (closure misses only)"
     )
     .observe(started.elapsed());
-    Ok(Arc::new(Closure {
-        model,
+    Ok(Closure::new(
+        view,
         stats,
-        extents: Mutex::default(),
-    }))
+        Mark {
+            tick: at,
+            ..Mark::of(store)
+        },
+    ))
 }
 
-/// The closure of `program` over `version` as believed at `at`, read
-/// from the version's lemmas when `at` is its capture tick — the only
-/// tick a served session ever pins — and built unshared otherwise. A
-/// failed evaluation stores nothing.
-fn closure_at(
-    version: &KbVersion,
-    at: i64,
-    with_attr: bool,
-    program: &Program,
-) -> ObResult<Arc<Closure>> {
-    let build = || build_closure(version, at, with_attr, program);
-    if at != version.now() {
-        return build();
+/// The `in_`/`isa` fact of proposition `id`, if it feeds one.
+fn asked_fact(store: &PropStore, id: PropId) -> Option<Fact> {
+    let p = store.prop(id)?;
+    match rel_of(store, p)? {
+        Rel::In | Rel::Isa => edb_fact_for(store, id),
+        Rel::Attr => None,
     }
-    let Some(lemmas) = version.derived::<Lemmas>() else {
-        return build();
+}
+
+/// `seed`, an ASK closure of an earlier version of `version`'s lineage,
+/// moved to `version`: the facts of the ids appended since and believed
+/// now are told, those of the ids closed since that the seed's state
+/// believed are untold, both through [`MaterializedView::apply`]. The
+/// view is updated in place when nothing else holds the seed, and
+/// copied first otherwise.
+fn carry(seed: Arc<Closure>, version: &KbVersion) -> ObResult<Arc<Closure>> {
+    let started = Instant::now();
+    let (from, now) = (seed.mark, version.now());
+    let believed = |id: &PropId, at: i64| version.prop(*id).is_some_and(|p| p.believed_at(at));
+    let inserts: Vec<Fact> = (from.len..version.len())
+        .map(|i| PropId(i as u32))
+        .filter(|id| believed(id, now))
+        .filter_map(|id| asked_fact(version, id))
+        .collect();
+    let deletes: Vec<Fact> = version
+        .closed_since(from.closed)
+        .filter(|id| id.idx() < from.len && believed(id, from.tick))
+        .filter_map(|id| asked_fact(version, id))
+        .collect();
+    let mut view = match Arc::try_unwrap(seed) {
+        Ok(owned) => owned.view,
+        Err(shared) => shared.view.clone(),
     };
-    let lemma = {
-        let mut all = lemmas.0.lock().unwrap_or_else(|e| e.into_inner());
-        match all.iter().find(|(a, p, _)| *a == with_attr && p == program) {
-            Some((_, _, lemma)) => Arc::clone(lemma),
-            None => {
-                let lemma = Lemma::default();
-                all.push((with_attr, program.clone(), Arc::clone(&lemma)));
-                lemma
-            }
-        }
+    let applied = view.apply(&inserts, &deletes)?;
+    let stats = EvalStats {
+        derivations: applied.derivations,
+        index_probes: applied.index_probes,
+        tuples_scanned: applied.tuples_scanned,
+        ..EvalStats::default()
     };
+    obs::counter!(
+        "objectbase_closures_carried_total",
+        "ASK closures carried over from an earlier version's by the delta between them"
+    )
+    .inc();
+    obs::histogram!(
+        "objectbase_closure_carry_seconds",
+        "Carrying an earlier version's ASK closure over: delta, copy if shared, and refresh"
+    )
+    .observe(started.elapsed());
+    Ok(Closure::new(view, stats, Mark::of(version)))
+}
+
+/// Seeds `next`'s ASK closure with `prev`'s, so that the first ASK of
+/// `next` refreshes that closure by the delta between the two instead
+/// of building one from scratch. `prev` must be an earlier version of
+/// `next`'s lineage: captured from the same [`telos::Kb`], before it,
+/// with nothing rolled back below it since. When `prev`'s closure is
+/// unbuilt, `prev`'s own seed is passed on instead, so a run of
+/// versions nobody asks holds one closure, not a chain of them; once
+/// `next`'s closure is built the seed is dropped. A build of `prev`'s
+/// closure in progress is waited for. This is the one place a closure
+/// crosses versions.
+pub fn inherit(next: &KbVersion, prev: &KbVersion) {
+    let (Some(next), Some(prev)) = (next.derived::<Lemmas>(), prev.derived::<Lemmas>()) else {
+        return;
+    };
+    let lock = |m: &Lemma| m.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    let seed = lock(&prev.ask).or_else(|| lock(&prev.seed));
+    *next.seed.lock().unwrap_or_else(|e| e.into_inner()) = seed;
+}
+
+/// `lemma`'s closure, built by `build` under its lock if it is unbuilt.
+/// A failed build stores nothing.
+fn remembered(
+    lemma: &Lemma,
+    build: impl FnOnce() -> ObResult<Arc<Closure>>,
+) -> ObResult<Arc<Closure>> {
     let mut built = lemma.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(closure) = &*built {
         obs::counter!(
@@ -402,13 +529,56 @@ fn closure_at(
     Ok(closure)
 }
 
+/// The closure [`ask_with_stats_version`] reads: [`base_program`] over
+/// the `in_` and `isa` relations `version` believed at `at`. It is read
+/// from the version's lemmas when `at` is its capture tick — the only
+/// tick a served session ever pins — and built unshared otherwise. The
+/// first read at the capture tick carries the version's seed over
+/// ([`inherit`]) if it has one, and builds from scratch if not (or if
+/// carrying fails).
+pub fn ask_closure(version: &KbVersion, at: i64) -> ObResult<Arc<Closure>> {
+    let scratch = || build_closure(version, at, false, base());
+    if at != version.now() {
+        return scratch();
+    }
+    let Some(lemmas) = version.derived::<Lemmas>() else {
+        return scratch();
+    };
+    remembered(&lemmas.ask, || {
+        let seed = lemmas.seed.lock().unwrap_or_else(|e| e.into_inner()).take();
+        match seed {
+            Some(seed) => carry(seed, version).or_else(|_| scratch()),
+            None => scratch(),
+        }
+    })
+}
+
 /// The closure of `program` over everything `version` believed at tick
 /// `at` (all three extensional predicates, like [`to_edb_at_store`]).
 /// At the version's capture tick it is built once and then shared by
 /// every reader of that version; this is how a session that fell off a
-/// maintained view's model reads the view at its own pin.
+/// maintained view's model reads the view at its own pin. It is always
+/// built from scratch.
 pub fn version_closure(version: &KbVersion, at: i64, program: &Program) -> ObResult<Arc<Closure>> {
-    closure_at(version, at, true, program)
+    let scratch = || build_closure(version, at, true, program);
+    if at != version.now() {
+        return scratch();
+    }
+    let Some(lemmas) = version.derived::<Lemmas>() else {
+        return scratch();
+    };
+    let lemma = {
+        let mut all = lemmas.views.lock().unwrap_or_else(|e| e.into_inner());
+        match all.iter().find(|(p, _)| p == program) {
+            Some((_, lemma)) => Arc::clone(lemma),
+            None => {
+                let lemma = Arc::<Lemma>::default();
+                all.push((program.clone(), Arc::clone(&lemma)));
+                lemma
+            }
+        }
+    };
+    remembered(&lemma, scratch)
 }
 
 /// ASK with the assertion language: the believed instances of `class`
@@ -436,15 +606,21 @@ pub fn ask(snap: &Snapshot<'_>, var: &str, class: &str, body: &str) -> ObResult<
 ///
 /// At the version's capture tick (`at == version.now()`, what every
 /// session pins) the `inT` closure is read from the lemmas the version
-/// holds — built by the first ASK against it — and the class's sorted
-/// extent from the lemmas that closure holds — built by the first ASK
-/// of the class. A body that never mentions `var` is evaluated once
-/// (and only if the class has a candidate, so an unbound name errors
-/// exactly when a per-candidate run would); any other body once per
-/// candidate. So every later ASK is O(answer). The returned
-/// [`EvalStats`] are those of the evaluation that built the closure
-/// the answer was read from; by determinism they equal a from-scratch
-/// run over the same version.
+/// holds — built by the first ASK against it, carried over from the
+/// previous version's when the version inherited one ([`inherit`]) —
+/// and the class's sorted extent from the lemmas that closure holds —
+/// built by the first ASK of the class. A body that never mentions
+/// `var` is evaluated once (and only if the class has a candidate, so
+/// an unbound name errors exactly when a per-candidate run would); any
+/// other body once per candidate. So every later ASK is O(answer).
+///
+/// The returned [`EvalStats`] are those of the work that built the
+/// closure the answer was read from, the same for every ASK of the
+/// version. For a closure built from scratch that is its fixpoint,
+/// which by determinism equals a from-scratch run over the same
+/// version. For a carried closure it is the refresh: the derivations,
+/// index probes and tuples scanned of folding the delta in, with
+/// `rounds` 0.
 ///
 /// Answers are the closure's interned names in string order, borrowed
 /// (`Cow::Borrowed`): nothing is allocated per answer, and the server
@@ -487,7 +663,7 @@ fn ask_deductive(
         return Err(TelosError::Assertion(format!("unknown class `{class}`")).into());
     }
     // The base program joins only `in_` and `isa`.
-    let closure = closure_at(version, at, false, base())?;
+    let closure = ask_closure(version, at)?;
     // A class name the export never interned has no instances.
     let Some(class) = datalog::intern::lookup(class) else {
         return Ok((Vec::new(), closure.stats));
@@ -526,6 +702,39 @@ mod tests {
     use telos::Interval;
     use telos::Kb;
 
+    /// The counters are process-wide and the tests of this module move
+    /// them, so each runs alone and a test can read an exact delta.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn count(name: &str) -> u64 {
+        obs::registry().counter_value(name).unwrap_or(0)
+    }
+
+    fn tell_src(kb: &mut Kb, src: &str) {
+        tell_all(kb, &ObjectFrame::parse_all(src).unwrap()).unwrap();
+    }
+
+    fn untell_named(kb: &mut Kb, name: &str) {
+        crate::transform::untell_object(kb, name).unwrap();
+    }
+
+    /// `ask_with_stats_version` at `version`'s capture tick, owned.
+    fn asked(version: &KbVersion, class: &str) -> (Vec<String>, EvalStats) {
+        let (names, stats) =
+            ask_with_stats_version(version, version.now(), "p", class, "true").unwrap();
+        (names.into_iter().map(Cow::into_owned).collect(), stats)
+    }
+
+    /// The assertion language's answer over the live KB, sorted.
+    fn oracle(kb: &Kb, class: &str) -> Vec<String> {
+        let mut names = ask(&kb.snapshot(), "p", class, "true").unwrap();
+        names.sort();
+        names
+    }
+
     fn scenario_kb() -> Kb {
         let mut kb = Kb::new();
         let frames = ObjectFrame::parse_all(
@@ -548,6 +757,7 @@ mod tests {
 
     #[test]
     fn edb_exports_believed_links() {
+        let _serial = serial();
         let kb = scenario_kb();
         let (db, dropped) = to_edb_counted(kb.snapshot()).unwrap();
         assert!(dropped.is_empty(), "no link of this KB is asserted twice");
@@ -573,6 +783,7 @@ mod tests {
 
     #[test]
     fn export_kernel_agrees_with_the_per_proposition_delta_unit() {
+        let _serial = serial();
         // The bulk export and `edb_fact_for` (what TELL/UNTELL feed the
         // maintained views) are two codings of one mapping. Hold them
         // together on a KB with a duplicate fact, an untold fact and an
@@ -651,6 +862,7 @@ mod tests {
     /// the reserved labels (they file under those labels too).
     #[test]
     fn posting_list_export_is_the_projection_of_the_full_walk() {
+        let _serial = serial();
         let mut kb = scenario_kb();
         let mut versions: Vec<KbVersion> = Vec::new();
         let check = |kb: &Kb, versions: &mut Vec<KbVersion>| {
@@ -743,6 +955,7 @@ mod tests {
 
     #[test]
     fn racing_readers_of_a_fresh_version_build_its_closure_once() {
+        let _serial = serial();
         const READERS: usize = 8;
         let kb = scenario_kb();
         let version = kb.version();
@@ -775,10 +988,10 @@ mod tests {
         assert!(builds() > before);
         // A projected model must not answer for the full one: the ASK
         // of the same program keeps a closure of its own (no `attr`).
-        let asked = closure_at(&version, at, false, &program).unwrap();
+        let asked = ask_closure(&version, at).unwrap();
         assert!(!Arc::ptr_eq(&asked, &closures[0]));
-        assert_eq!(asked.model.count(preds::ATTR), 0);
-        assert!(closures[0].model.count(preds::ATTR) > 0);
+        assert_eq!(asked.model().count(preds::ATTR), 0);
+        assert!(closures[0].model().count(preds::ATTR) > 0);
         assert_eq!(asked.stats, closures[0].stats, "attr is never joined");
         // Off the capture tick nothing is remembered.
         let earlier = version_closure(&version, at - 1, &program).unwrap();
@@ -788,6 +1001,7 @@ mod tests {
 
     #[test]
     fn racing_readers_of_a_fresh_version_build_one_extent() {
+        let _serial = serial();
         const READERS: usize = 8;
         let kb = scenario_kb();
         let version = kb.version();
@@ -804,7 +1018,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         barrier.wait();
-                        let closure = closure_at(&version, at, false, base()).unwrap();
+                        let closure = ask_closure(&version, at).unwrap();
                         closure.extent(&version.snapshot_at(at), paper)
                     })
                 })
@@ -825,6 +1039,7 @@ mod tests {
 
     #[test]
     fn lemmas_are_freed_with_the_last_clone_of_their_version() {
+        let _serial = serial();
         let kb = scenario_kb();
         let version = kb.version();
         let clone = version.clone();
@@ -847,6 +1062,7 @@ mod tests {
 
     #[test]
     fn a_failed_evaluation_stores_nothing() {
+        let _serial = serial();
         let kb = scenario_kb();
         let version = kb.version();
         let at = version.now();
@@ -855,14 +1071,13 @@ mod tests {
         assert!(version_closure(&version, at, &bad).is_err());
         assert!(version_closure(&version, at, &bad).is_err());
         let lemmas = version.derived::<Lemmas>().unwrap();
-        let all = lemmas.0.lock().unwrap();
-        assert!(all
-            .iter()
-            .all(|(_, _, lemma)| lemma.lock().unwrap().is_none()));
+        let all = lemmas.views.lock().unwrap();
+        assert!(all.iter().all(|(_, lemma)| lemma.lock().unwrap().is_none()));
     }
 
     #[test]
     fn ask_open_queries() {
+        let _serial = serial();
         let kb = scenario_kb();
         let with_sender = ask(&kb.snapshot(), "i", "Invitation", "i.sender defined").unwrap();
         assert_eq!(with_sender, vec!["inv1"]);
@@ -873,6 +1088,7 @@ mod tests {
 
     #[test]
     fn ask_against_snapshot_is_pinned() {
+        let _serial = serial();
         let mut kb = scenario_kb();
         let t = kb.now();
         // TELL a new invitation after the watermark; the tick is the
@@ -891,6 +1107,7 @@ mod tests {
 
     #[test]
     fn snapshot_edb_is_pinned() {
+        let _serial = serial();
         let mut kb = scenario_kb();
         let t = kb.now();
         kb.tick();
@@ -905,6 +1122,7 @@ mod tests {
 
     #[test]
     fn ask_with_stats_matches_ask_and_counts_probes() {
+        let _serial = serial();
         let kb = scenario_kb();
         let version = kb.version();
         let now = version.now();
@@ -920,6 +1138,7 @@ mod tests {
 
     #[test]
     fn ask_with_stats_version_is_pinned() {
+        let _serial = serial();
         let mut kb = scenario_kb();
         let t = kb.now();
         let captured = kb.version();
@@ -944,5 +1163,176 @@ mod tests {
         let (with_sender, _) =
             ask_with_stats_version(&captured, t, "i", "Invitation", "i.sender defined").unwrap();
         assert_eq!(with_sender, vec!["inv1"]);
+    }
+
+    /// A successor that builds its closure drops its seed: carried in
+    /// place when nothing else holds the predecessor's closure, copied
+    /// when a pinned predecessor does — which then answers as before,
+    /// from the closure it built — and freed with the last holder.
+    #[test]
+    fn a_built_successor_frees_its_predecessors_closure() {
+        let _serial = serial();
+        let mut kb = scenario_kb();
+        let v0 = kb.version();
+        let before = asked(&v0, "Paper");
+        let c0 = Arc::downgrade(&ask_closure(&v0, v0.now()).unwrap());
+
+        kb.tick();
+        tell_src(&mut kb, "TELL inv3 in Invitation end");
+        let v1 = kb.version();
+        inherit(&v1, &v0);
+        let (builds, carried) = (
+            count("objectbase_closure_builds_total"),
+            count("objectbase_closures_carried_total"),
+        );
+        // The predecessor is still pinned: the successor copies.
+        let (names, stats) = asked(&v1, "Paper");
+        assert_eq!(names, oracle(&kb, "Paper"));
+        assert!(names.contains(&"inv3".to_string()));
+        assert_eq!(stats.rounds, 0, "a carried closure ran no fixpoint");
+        assert!(stats.derivations > 0, "inv3 is an instance of Paper");
+        assert_eq!(count("objectbase_closure_builds_total"), builds);
+        assert_eq!(count("objectbase_closures_carried_total"), carried + 1);
+        assert_eq!(asked(&v0, "Paper"), before, "the pinned predecessor");
+        assert!(Arc::ptr_eq(
+            &c0.upgrade().unwrap(),
+            &ask_closure(&v0, v0.now()).unwrap()
+        ));
+        drop(v0);
+        assert!(c0.upgrade().is_none(), "nothing holds the old closure");
+
+        // Unpinned: the successor takes the closure over.
+        let c1 = Arc::downgrade(&ask_closure(&v1, v1.now()).unwrap());
+        kb.tick();
+        untell_named(&mut kb, "inv1");
+        let v2 = kb.version();
+        inherit(&v2, &v1);
+        drop(v1);
+        assert_eq!(c1.strong_count(), 1, "held by the seed alone");
+        assert_eq!(asked(&v2, "Paper").0, oracle(&kb, "Paper"));
+        assert!(c1.upgrade().is_none());
+    }
+
+    /// Versions nobody asks pass one seed on instead of chaining: after
+    /// 1 000 captures the one closure ever built is held once, by the
+    /// last version's seed, and the ASK of that version carries it over
+    /// with no export.
+    #[test]
+    fn captures_nobody_asks_hold_one_ancestor_closure() {
+        let _serial = serial();
+        let mut kb = scenario_kb();
+        let mut prev = kb.version();
+        let built = Arc::downgrade(&ask_closure(&prev, prev.now()).unwrap());
+        for i in 0..1_000 {
+            kb.tick();
+            if i % 3 == 2 {
+                untell_named(&mut kb, &format!("p{}", i - 1));
+            } else {
+                tell_src(&mut kb, &format!("TELL p{i} in Minutes end"));
+            }
+            let next = kb.version();
+            inherit(&next, &prev);
+            prev = next;
+            assert_eq!(built.strong_count(), 1, "after capture {i}");
+        }
+        let counted = || {
+            [
+                "objectbase_edb_exports_total",
+                "objectbase_closure_builds_total",
+                "objectbase_closures_carried_total",
+            ]
+            .map(count)
+        };
+        let [exports, builds, carried] = counted();
+        assert_eq!(asked(&prev, "Paper").0, oracle(&kb, "Paper"));
+        assert_eq!(counted(), [exports, builds, carried + 1]);
+        assert!(built.upgrade().is_none(), "carried in place");
+    }
+
+    /// A write that fails and rolls back leaves the closed log as it
+    /// was, so the next version's delta is what committed.
+    #[test]
+    fn a_rolled_back_write_leaves_the_closed_log() {
+        let _serial = serial();
+        let mut kb = scenario_kb();
+        let v0 = kb.version();
+        asked(&v0, "Paper");
+        let logged = kb.closed_len();
+        kb.begin();
+        untell_named(&mut kb, "inv1");
+        tell_src(&mut kb, "TELL inv4 in Invitation end");
+        assert!(kb.closed_len() > logged);
+        kb.rollback();
+        assert_eq!(kb.closed_len(), logged);
+        assert_eq!(kb.closed_since(0).count(), logged);
+
+        kb.begin();
+        untell_named(&mut kb, "min1");
+        kb.commit();
+        let v1 = kb.version();
+        inherit(&v1, &v0);
+        let (names, stats) = asked(&v1, "Paper");
+        assert_eq!(names, oracle(&kb, "Paper"));
+        assert_eq!(names, ["inv1", "inv2"]);
+        assert_eq!(stats.rounds, 0, "carried");
+    }
+
+    /// Carrying agrees with a from-scratch build through specializations
+    /// untold and told again and an `in` link asserted twice, one of
+    /// which is untold (its multiplicity keeps the tuple).
+    #[test]
+    fn a_carried_closure_is_the_scratch_closure() {
+        let _serial = serial();
+        let mut kb = scenario_kb();
+        let (inv2, minutes, paper) = (
+            kb.lookup("inv2").unwrap(),
+            kb.lookup("Minutes").unwrap(),
+            kb.lookup("Paper").unwrap(),
+        );
+        let isa = kb
+            .snapshot()
+            .find_link(minutes, kb.isa_sym(), paper)
+            .unwrap();
+        let twice: Vec<PropId> = (0..2)
+            .map(|_| {
+                kb.create_raw(inv2, kb.instanceof_sym(), minutes, Interval::always())
+                    .unwrap()
+            })
+            .collect();
+        // Built from scratch over both: its export counts the duplicate.
+        let mut prev = kb.version();
+        asked(&prev, "Paper");
+        for i in 0..5 {
+            kb.tick();
+            match i {
+                0 => kb.untell(isa).unwrap(),
+                // The other `in` link keeps the tuple.
+                1 => kb.untell(twice[0]).unwrap(),
+                2 => {
+                    kb.specialize(minutes, paper).unwrap();
+                }
+                3 => tell_src(&mut kb, "TELL Memo isA Minutes end\nTELL m1 in Memo end"),
+                _ => untell_named(&mut kb, "Minutes"),
+            }
+            let next = kb.version();
+            inherit(&next, &prev);
+            prev = next;
+            let carried = ask_closure(&prev, prev.now()).unwrap();
+            let edb = to_edb_at_store(&prev, prev.now()).unwrap();
+            let (scratch, _) = datalog::seminaive::evaluate(base(), &edb).unwrap();
+            for pred in ["inT", "isaT", preds::IN, preds::ISA] {
+                let rows = |db: &Database| {
+                    let mut rows: Vec<Vec<Value>> = db.tuples(pred).collect();
+                    rows.sort();
+                    rows
+                };
+                assert_eq!(rows(carried.model()), rows(&scratch), "step {i}: {pred}");
+            }
+            for class in ["Paper", "Minutes", "Invitation"] {
+                if kb.lookup(class).is_some() {
+                    assert_eq!(asked(&prev, class).0, oracle(&kb, class), "step {i}");
+                }
+            }
+        }
     }
 }

@@ -87,7 +87,10 @@ impl From<io::Error> for ClientError {
 /// Client call result.
 pub type ClientResult<T> = Result<T, ClientError>;
 
-/// ASK answers plus the deductive evaluation counters.
+/// ASK answers plus the deductive evaluation counters: those of the
+/// work that built the closure the answers were read from — the
+/// fixpoint for a closure built from scratch, the refresh for one
+/// carried over from the previous version's by the delta between them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AskReply {
     /// The matching instance names.
@@ -111,9 +114,11 @@ pub struct SessionStats {
     pub requests: u64,
     /// Propositions believed at the watermark.
     pub believed: u64,
-    /// `index_probes` of the session's last ASK.
+    /// `index_probes` of the session's last ASK (see [`AskReply`]: a
+    /// carried closure reports its refresh, so this can be small or 0
+    /// on a large KB).
     pub probes: u64,
-    /// `tuples_scanned` of the session's last ASK.
+    /// `tuples_scanned` of the session's last ASK (likewise).
     pub scanned: u64,
 }
 

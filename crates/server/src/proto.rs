@@ -83,7 +83,13 @@
 //!
 //! `Names.probes`/`Names.scanned` carry the deductive `EvalStats`
 //! counters for `Ask` answers and are zero for other `Names` replies
-//! (e.g. retraction cascades).
+//! (e.g. retraction cascades). They count the work that built the
+//! closure the answer was read from, once per version: a closure built
+//! from scratch reports its fixpoint, one carried over from the
+//! previous version's reports the refresh by the delta between the two
+//! — a handful of probes after a one-object TELL, 0 after a write that
+//! touched no `in`/`isa` link. `SessionInfo.probes`/`scanned` repeat
+//! the session's last `Ask`.
 //!
 //! `Names` are encoded straight from interned strings: an `Ask` answer
 //! and a one-column `ViewAsk` row are `Cow::Borrowed` from the symbol
@@ -555,9 +561,11 @@ storage::op_table! {
         },
         /// A list of names (ASK answers, retraction cascades, …).
         3 Names "names" {
-            /// Deductive index probes (ASK only; 0 otherwise).
+            /// Deductive index probes (ASK only; 0 otherwise) of the
+            /// work that built the answer's closure: its fixpoint, or
+            /// the refresh that carried it over.
             probes: u64,
-            /// Tuples scanned during evaluation (ASK only; 0 otherwise).
+            /// Tuples scanned by that work (ASK only; 0 otherwise).
             scanned: u64,
             /// The names. The server borrows interned strings where it
             /// can; a decoded reply owns every name.

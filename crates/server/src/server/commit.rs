@@ -81,7 +81,7 @@ impl Writer<'_> {
     /// O(store / 512) by structural sharing (see `telos::version`).
     /// Timed as `gkbms_version_publish_seconds`: capture, publish, and
     /// the drop of the superseded head inside `VersionChain::publish`.
-    fn publish(&self) {
+    fn publish(&mut self) {
         let started = Instant::now();
         self.shared.chain.publish(self.state.capture());
         obs::histogram!(

@@ -28,7 +28,8 @@
 //! entry per closed interval. [`Kb::commit`] hands the log back as a
 //! [`Committed`] delta; [`Kb::rollback`] undoes everything since the
 //! mark: the appended propositions with their postings and names, the
-//! names interned, the closed intervals and the clock. A failed write
+//! names interned, the closed intervals (and their entries in the
+//! store's closed log) and the clock. A failed write
 //! thus leaves the store exactly as it found it.
 
 use crate::error::{TelosError, TelosResult};
@@ -73,6 +74,8 @@ struct Txn {
     len: usize,
     clock: i64,
     symbols: usize,
+    /// The closed log's length.
+    closed_log: usize,
     /// Each closed proposition with the belief it had and whether it
     /// was the believed individual of its name.
     closed: Vec<(PropId, Interval, bool)>,
@@ -158,6 +161,7 @@ impl Kb {
         if let Some(txn) = self.txn.as_mut().filter(|t| id.idx() < t.len) {
             txn.closed.push((id, belief, named));
         }
+        self.store.closed.push(id);
         Ok(())
     }
 
@@ -179,6 +183,7 @@ impl Kb {
                 len: self.len(),
                 clock: self.store.clock,
                 symbols: self.store.symbols.len(),
+                closed_log: self.store.closed.len(),
                 closed: Vec::new(),
             });
             self.tick();
@@ -222,6 +227,7 @@ impl Kb {
                 }
             }
         }
+        self.store.closed.truncate(txn.closed_log);
         self.store.symbols.truncate(txn.symbols);
         self.store.clock = txn.clock;
     }
@@ -997,6 +1003,7 @@ mod tests {
         let frozen = kb.version();
         let names = ["A", "B", "C", "rel", "fresh"];
         let before = observe(&kb, &names);
+        let logged = kb.closed_len();
         let tick = kb.begin();
         assert_eq!(kb.begin(), tick, "a second begin joins");
         let c = kb.individual("C").unwrap();
@@ -1005,8 +1012,10 @@ mod tests {
         kb.untell_cascade(a).unwrap();
         let a2 = kb.individual("A").unwrap();
         assert_ne!(a2, a);
+        assert!(kb.closed_len() > logged + 2, "the cascade is logged too");
         kb.rollback();
         assert_eq!(observe(&kb, &names), before);
+        assert_eq!(kb.closed_len(), logged, "the closed log is truncated");
         assert_eq!(kb.lookup("A"), Some(a));
         assert_eq!(frozen.len(), kb.len());
         assert!(
@@ -1020,6 +1029,8 @@ mod tests {
         let done = kb.commit();
         assert_eq!(done.appended, c.0..c.0 + 1);
         assert_eq!(done.closed, [ab]);
+        assert_eq!(kb.closed_since(logged).collect::<Vec<_>>(), [ab]);
+        assert_eq!(frozen.closed_len(), logged, "a version's log is frozen");
         assert!(kb.commit().appended.is_empty(), "nothing left open");
     }
 

@@ -20,6 +20,15 @@
 //! id shard. A hub's posting list (the `instanceof` label, a class with
 //! many instances) is copied whole on that first write.
 //!
+//! The store also keeps the closed log ([`PropStore::closed_since`]):
+//! every id whose belief interval was closed, appended by the one close
+//! site and shared by versions like every other field. Propositions are
+//! only ever appended and intervals only ever closed, so what changed
+//! between two versions of one lineage is two ranges: the ids appended
+//! past the earlier version's length, and the log entries past its log
+//! length. That is what lets a layer above carry what it derived from
+//! one version over to the next instead of deriving it again.
+//!
 //! Both deref to the store, and every belief-time read is a
 //! [`Snapshot`] of it, so a snapshot of a version pinned at watermark
 //! `w` answers byte-identically to a snapshot of the live KB at `w` —
@@ -129,6 +138,9 @@ pub struct PropStore {
     pub(crate) by_dest: PIndex<PropId>,
     /// Belief-time clock: advanced by [`crate::Kb::tick`].
     pub(crate) clock: i64,
+    /// The closed log: every proposition whose belief interval was
+    /// closed, in the order closed (see [`PropStore::closed_since`]).
+    pub(crate) closed: PVec<PropId>,
     sym_instanceof: Symbol,
     sym_isa: Symbol,
 }
@@ -146,6 +158,7 @@ impl PropStore {
             by_label: PIndex::new(),
             by_dest: PIndex::new(),
             clock: 0,
+            closed: PVec::new(),
         }
     }
 
@@ -158,6 +171,23 @@ impl PropStore {
     /// Total number of propositions ever told.
     pub fn len(&self) -> usize {
         self.props.len()
+    }
+
+    /// Length of the closed log: how many belief intervals have been
+    /// closed so far.
+    pub fn closed_len(&self) -> usize {
+        self.closed.len()
+    }
+
+    /// The propositions closed after the first `from` entries of the
+    /// closed log, in the order closed. Together with [`PropStore::len`]
+    /// this is the delta between two versions of one lineage: an
+    /// earlier version at `(len, closed_len)` is this store minus the
+    /// ids appended since `len`, with the belief of the ids closed since
+    /// `closed_len` still open. Each entry is read by position, so the
+    /// walk costs the entries it yields, not the log before them.
+    pub fn closed_since(&self, from: usize) -> impl Iterator<Item = PropId> + '_ {
+        (from..self.closed.len()).filter_map(|i| self.closed.get(i).copied())
     }
 
     /// True if the store holds no propositions.

@@ -21,6 +21,13 @@
 //!   the store version a server would publish answers ASK and pinned
 //!   view reads from the lemmas it holds exactly as the index path, a
 //!   from-scratch evaluation and the maintained model do;
+//! * **a sixth, the carried closures** — the versions `Gkbms::capture`
+//!   publishes after every op, each inheriting the ASK closure of the one
+//!   before, asked at random so that seeds pass over unasked versions
+//!   and held at random so that a successor carries a closure its
+//!   pinned predecessor shares: every answer is the assertion
+//!   language's over the same snapshot, the model it was read from is
+//!   the from-scratch closure's, and a held version answers unchanged;
 //! * **retraction against an oracle** — after every `Retract` of the
 //!   stream, the objects reported affected, the decisions marked
 //!   retracted and the objects left current equal a naive least
@@ -39,6 +46,8 @@
 //!   captured as the stream runs and checked once it has ended, still
 //!   holds the index of its own tick: no later write leaked into it.
 
+use conceptbase::datalog::ast::Value;
+use conceptbase::datalog::db::Database;
 use conceptbase::datalog::seminaive::{self, EvalStats};
 use conceptbase::gkbms::design::DesignIndex;
 use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
@@ -1219,6 +1228,103 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
     (ok, failed)
 }
 
+/// Every class the carried realization asks: the told ones and what
+/// registrations, executions and object classes populate.
+const ASKED_CLASSES: [&str; 5] = [
+    "Doc",
+    "Memo",
+    "Sketch",
+    kernel::DBPL_REL,
+    kernel::TDL_ENTITY_CLASS,
+];
+
+/// Per asked class, its answer names, or `None` when it is not believed.
+type Answers = Vec<Option<Vec<String>>>;
+
+/// What every asked class answered at `v`'s capture tick.
+fn answers(v: &KbVersion) -> Answers {
+    ASKED_CLASSES
+        .iter()
+        .map(|class| {
+            ask_version(v, v.now(), class)
+                .map(|(names, _)| names.into_iter().map(Cow::into_owned).collect())
+        })
+        .collect()
+}
+
+/// `v`'s ASK closure against its oracles: the `in_`, `isa`, `isaT` and
+/// `inT` rows equal a from-scratch evaluation's over the full export,
+/// and every answer equals the assertion language's over the same
+/// snapshot. Returns the answers and whether the closure was carried
+/// (a scratch build over the kernel's links runs at least one round).
+fn carried_reads_agree(v: &KbVersion, ctx: &str) -> (Answers, bool) {
+    let at = v.now();
+    let closure = query::ask_closure(v, at).expect("closure");
+    let edb = query::to_edb_at_store(v, at).expect("export");
+    let (scratch, _) = seminaive::evaluate(&query::base_program(), &edb).expect("scratch");
+    for pred in ["in_", "isa", "isaT", "inT"] {
+        let rows = |db: &Database| {
+            let mut rows: Vec<Vec<Value>> = db.tuples(pred).collect();
+            rows.sort();
+            rows
+        };
+        assert_eq!(
+            rows(closure.model()),
+            rows(&scratch),
+            "{ctx}: {pred} of the ASK's closure"
+        );
+    }
+    let answered = answers(v);
+    for (class, names) in ASKED_CLASSES.iter().zip(&answered) {
+        let mut oracle = query::ask(&v.snapshot(), "x", class, "true").ok();
+        if let Some(names) = &mut oracle {
+            names.sort();
+        }
+        assert_eq!(names, &oracle, "{ctx}: {class}");
+    }
+    (answered, closure.stats.rounds == 0)
+}
+
+/// The carried realization of `ops` (see the module doc): `choices`
+/// seeds which versions are asked and which are held, and for how many
+/// ops. Returns how many asked versions answered from a carried closure.
+fn carried_closures_agree(tag: &str, ops: &[Op], choices: u64) -> usize {
+    let dir = tmp_dir(tag);
+    let (mut g, _) = Gkbms::recover(&dir).expect("fresh journal");
+    // xorshift64: a fixed function of `choices`, so a failure replays.
+    let mut state = choices | 1;
+    let mut roll = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    // Each held version with the op it is held until and its answers.
+    let mut held: Vec<(usize, KbVersion, Answers)> = Vec::new();
+    let mut carried = 0;
+    for (i, op) in ops.iter().enumerate() {
+        let outcome = apply(&mut g, op);
+        let v = g.capture().kb;
+        let ctx = format!("choices {choices}, after op {i} {op:?} ({outcome:?})");
+        held.retain(|(until, ..)| *until > i);
+        for (_, old, then) in &held {
+            assert_eq!(&answers(old), then, "{ctx}: a held version changed");
+        }
+        let r = roll();
+        if r % 3 == 0 {
+            continue; // unasked: its seed passes on to the next version
+        }
+        let (answered, was_carried) = carried_reads_agree(&v, &ctx);
+        carried += usize::from(was_carried);
+        if r % 5 < 2 {
+            held.push((i + 1 + (r >> 32) as usize % 4, v, answered));
+        }
+    }
+    drop((held, g));
+    std::fs::remove_dir_all(&dir).unwrap();
+    carried
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1226,12 +1332,14 @@ proptest! {
     fn one_op_stream_four_realizations(
         tail in prop::collection::vec(op_strategy(), 10..44),
         at in 0usize..1000,
+        choices in any::<u64>(),
     ) {
         let mut ops = prelude();
         ops.extend(tail);
         let k = at % (ops.len() + 1);
         let (ok, failed) = four_realizations_agree("diff-prop", &ops, k);
         prop_assert_eq!(ok + failed, ops.len());
+        carried_closures_agree("diff-prop-carry", &ops, choices);
     }
 }
 
@@ -1304,6 +1412,12 @@ fn differential_stream_commits_and_rolls_back() {
             four_realizations_agree("diff-fixed", &ops, k),
             (26, 4),
             "checkpoint at {k}"
+        );
+    }
+    for choices in 0..8 {
+        assert!(
+            carried_closures_agree("diff-fixed-carry", &ops, choices) > 0,
+            "choices {choices}: no asked version carried its closure"
         );
     }
 }

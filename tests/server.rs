@@ -1331,13 +1331,17 @@ enum ScriptOp {
     Browse,
     /// `applicable_decisions` of the thread's latest object.
     Applicable,
+    /// `status`: the status view of the current objects.
+    Status,
+    /// `recall` of the thread's latest effective decision.
+    Recall,
 }
 
 /// Weighted op pick: 3 TELL : 1 UNTELL : 2 ASK : 2 SHOW : 2 REFRESH :
 /// 2 EXECUTE : 2 RETRACT : 2 HISTORY : 1 PROCESS : 1 CHECK : 1 HOLDS :
-/// 1 BROWSE : 1 APPLICABLE.
+/// 1 BROWSE : 1 APPLICABLE : 1 STATUS : 1 RECALL.
 fn script_op() -> impl Strategy<Value = ScriptOp> {
-    (0u8..21, 0u8..3).prop_map(|(n, body)| match n {
+    (0u8..23, 0u8..3).prop_map(|(n, body)| match n {
         0..=2 => ScriptOp::Tell,
         3 => ScriptOp::Untell,
         4..=5 => ScriptOp::Ask(body),
@@ -1350,7 +1354,9 @@ fn script_op() -> impl Strategy<Value = ScriptOp> {
         17 => ScriptOp::Check,
         18 => ScriptOp::Holds,
         19 => ScriptOp::Browse,
-        _ => ScriptOp::Applicable,
+        20 => ScriptOp::Applicable,
+        21 => ScriptOp::Status,
+        _ => ScriptOp::Recall,
     })
 }
 
@@ -1385,6 +1391,42 @@ enum Observed {
     Browse(String),
     /// `applicable_decisions object`: its rows, or `None` for `unknown`.
     Applicable(String, Option<Vec<String>>),
+    /// `status`: the table's text.
+    Status(String),
+    /// `recall decision`: its hits, or `None` for `unknown`.
+    Recall(String, Option<Vec<(String, f64, bool)>>),
+}
+
+/// The serial replay of a server's committed history, advanced op by op
+/// to the state a watermark names: every committed op moves the belief
+/// clock, and a replayed op lands on the tick it had when served.
+struct SerialTwin {
+    twin: Gkbms,
+    history: Vec<std::sync::Arc<[u8]>>,
+    applied: usize,
+}
+
+impl SerialTwin {
+    fn of(served: &mut Gkbms) -> SerialTwin {
+        SerialTwin {
+            twin: Gkbms::new().expect("fresh gkbms"),
+            history: served.capture().history.iter().cloned().collect(),
+            applied: 0,
+        }
+    }
+
+    /// The twin at watermark `w`; watermarks must come in order.
+    fn at(&mut self, w: i64) -> &Gkbms {
+        while self.twin.kb().now() < w {
+            let op = &self.history[self.applied];
+            self.applied += 1;
+            self.twin
+                .apply_replicated(self.applied as u64, 1, op)
+                .expect("a committed op replays");
+        }
+        assert_eq!(self.twin.kb().now(), w, "a watermark between two commits");
+        &self.twin
+    }
 }
 
 /// A served Read's answer, or `None` for a typed `Rejected`.
@@ -1462,10 +1504,15 @@ proptest! {
     /// The differential concurrency property, over the wire: N client
     /// threads run random TELL/UNTELL/ASK/SHOW/REFRESH scripts, with
     /// decisions executed, retracted and traced by OBJECT_HISTORY and
-    /// HISTORY, and CHECK, HOLDS, BROWSE and APPLICABLE DECISIONS reads,
-    /// concurrently; every answer a pinned session observed must be
-    /// byte-identical to a retrospective read of the final state at
-    /// that session's watermark. Every told `Paper` violates its
+    /// HISTORY, and CHECK, HOLDS, BROWSE, APPLICABLE DECISIONS, STATUS
+    /// and RECALL reads, concurrently; every answer a pinned session
+    /// observed must be byte-identical to a retrospective read of the
+    /// final state at that session's watermark — or, for STATUS and
+    /// RECALL, which read the design index published with the version,
+    /// to the serial replay of the committed history up to it. Each
+    /// version's ASK closure is carried over from its predecessor's, so
+    /// the sessions read carried closures, some of them while another
+    /// session still pins the predecessor. Every told `Paper` violates its
     /// constraint, so a `check` sees which of them its version holds. An
     /// ASK draws its body from [`ask_body`], so a body the server
     /// evaluates once and one it evaluates per candidate both meet
@@ -1578,6 +1625,17 @@ proptest! {
                                 let rows = unless_rejected(c.applicable_decisions(s, &object));
                                 observations.push((watermark, Observed::Applicable(object, rows)));
                             }
+                            ScriptOp::Status => {
+                                observations.push((watermark, Observed::Status(c.status(s).unwrap())));
+                            }
+                            ScriptOp::Recall => {
+                                let decision = effective
+                                    .last()
+                                    .cloned()
+                                    .unwrap_or_else(|| format!("d_{t}_{next}"));
+                                let hits = unless_rejected(c.recall(s, &decision, 5));
+                                observations.push((watermark, Observed::Recall(decision, hits)));
+                            }
                             ScriptOp::Tell => {
                                 let name = format!("q_{t}_{next}");
                                 next += 1;
@@ -1630,9 +1688,35 @@ proptest! {
             observations.extend(w.join().expect("client thread"));
         }
         prop_assert_eq!(server.store_versions_live(), 1, "sessions quiesced");
-        let final_state = server.shutdown().unwrap();
+        let mut final_state = server.shutdown().unwrap();
+        // The design index a watermark read is replayed serially.
+        let mut twin = SerialTwin::of(&mut final_state);
+        observations.sort_by_key(|(w, _)| *w);
         for (w, seen) in observations {
             match seen {
+                Observed::Status(seen) => {
+                    let g = twin.at(w);
+                    let replayed =
+                        conceptbase::gkbms::navigate::status_view(g.kb().snapshot(), g.design())
+                            .render();
+                    prop_assert_eq!(&replayed, &seen, "status diverged at watermark {}", w);
+                }
+                Observed::Recall(decision, seen) => {
+                    let g = twin.at(w);
+                    let replayed = conceptbase::gkbms::recall::recall_similar(
+                        g.kb().snapshot(),
+                        g.design(),
+                        &decision,
+                        5,
+                    )
+                    .ok()
+                    .map(|hits| {
+                        hits.into_iter()
+                            .map(|h| (h.decision, h.score, h.retracted))
+                            .collect()
+                    });
+                    prop_assert_eq!(&replayed, &seen, "recall {} diverged at watermark {}", decision, w);
+                }
                 Observed::Ask(body, seen) => {
                     let snap = final_state.kb().snapshot_at(w);
                     let replayed = conceptbase::objectbase::query::ask(&snap, "p", "Paper", &body)
