@@ -29,7 +29,8 @@
 //!
 //! # CB013 — IVM maintainability
 //!
-//! A registered view is maintained incrementally (DRed for deletions).
+//! A registered view's model is carried from one version to the next
+//! incrementally (DRed for deletions).
 //! Two situations make that expensive enough to warn about at
 //! `register_view` time: a recursive stratum estimated at
 //! [`DRED_WARN_TUPLES`] or more tuples (every UNTELL triggers

@@ -128,11 +128,10 @@ storage::op_table! {
             /// The epoch the seal opens.
             epoch: u64,
         },
-        /// A registered materialized view: name plus user rules.
-        /// Applied by [`Gkbms::register_view_checked`], which rebuilds
-        /// the model from the KB state at that point of the history — so
-        /// recovery and replication both reconstruct maintained views
-        /// for free.
+        /// A registered view: name plus user rules. Applied by
+        /// [`Gkbms::register_view_checked`] at that point of the
+        /// history — so recovery and replication register the same
+        /// views, at the same ticks.
         12 RegisterView "register_view" {
             /// The view's name.
             name: String,
@@ -228,7 +227,7 @@ pub enum Applied {
     Executed(DecisionSummary),
     /// A retraction: the design objects that went out of belief.
     Retracted(Vec<String>),
-    /// A registered view: its initial watermark and its CB013
+    /// A registered view: its registration tick and its CB013
     /// maintainability warnings.
     View(i64, Vec<analysis::Diagnostic>),
     /// A nogood, a seal or a snapshot header.
@@ -279,8 +278,8 @@ impl Gkbms {
                 Applied::Done
             }
             JournalOp::RegisterView { name, rules } => {
-                let (as_of, warnings) = self.register_view_checked(&name, &rules)?;
-                Applied::View(as_of, warnings)
+                let (registered, warnings) = self.register_view_checked(&name, &rules)?;
+                Applied::View(registered, warnings)
             }
         })
     }

@@ -30,6 +30,7 @@ use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
 use crate::record::{self, Record};
+use crate::views::RegisteredView;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use telos::assertion;
@@ -135,6 +136,8 @@ pub struct Published {
     pub history: PVec<Arc<[u8]>>,
     /// The live state's lint memo ([`lint_src`] at any version).
     pub lint: Arc<Mutex<analysis::AnalysisCache>>,
+    /// The registered views, as of the capture (see [`crate::views`]).
+    pub views: Arc<[RegisteredView]>,
 }
 
 /// Summary returned by a successful execution.
@@ -186,9 +189,10 @@ pub struct Gkbms {
     /// `journal.appended_ops` on journaled replicas, and is the only
     /// applied-position record on journal-less ones.
     pub(crate) replica_applied: u64,
-    /// Registered materialized deductive views, fed the delta of every
-    /// committed transaction (see [`crate::views`]).
-    pub(crate) views: Vec<crate::views::RegisteredView>,
+    /// The registered views, in registration order (see
+    /// [`crate::views`]): replaced, not changed, by a registration, so
+    /// every capture shares it.
+    pub(crate) views: Arc<[RegisteredView]>,
     /// The per-SCC fingerprint cache of the admission-time analyzer:
     /// a TELL re-analyzes only the components its delta dirties. Every
     /// published version carries this one memo.
@@ -215,7 +219,7 @@ impl Gkbms {
             snapshot_covers: 0,
             epoch: 1,
             replica_applied: 0,
-            views: Vec::new(),
+            views: Vec::new().into(),
             lint_cache: Arc::default(),
             captured: None,
         })
@@ -254,14 +258,13 @@ impl Gkbms {
         self.kb.begin()
     }
 
-    /// Runs one journaled write as a transaction over the KB and the
-    /// views — the transaction policy, in one place. It opens with one
-    /// tick (or joins the one [`Gkbms::begin_write`] opened). When `op`
-    /// succeeds — it has committed — the KB's log of the transaction
-    /// feeds every registered view once. When it fails, the KB is rolled
-    /// back to the mark: no proposition, name, closed interval or tick
-    /// of the failed write remains, so a failed write changes nothing a
-    /// reader, a recovery or a replica can see. `op` changes fields
+    /// Runs one journaled write as a transaction over the KB — the
+    /// transaction policy, in one place. It opens with one tick (or
+    /// joins the one [`Gkbms::begin_write`] opened). When `op` succeeds
+    /// — it has committed — the KB keeps its changes. When it fails,
+    /// the KB is rolled back to the mark: no proposition, name, closed
+    /// interval or tick of the failed write remains, so a failed write
+    /// changes nothing a reader, a recovery or a replica can see. `op` changes fields
     /// other than the KB only after its commit has returned Ok.
     pub(crate) fn transaction<T>(
         &mut self,
@@ -270,8 +273,7 @@ impl Gkbms {
         self.kb.begin();
         match op(self) {
             Ok(v) => {
-                let delta = self.kb.commit();
-                self.feed_views(&delta);
+                self.kb.commit();
                 Ok(v)
             }
             Err(e) => {
@@ -359,17 +361,19 @@ impl Gkbms {
         &self.design
     }
 
-    /// Captures the state a reader may pin: the store's version and the
-    /// design index, together — the one capture site, which the server
-    /// publishes from on every commit and at start. Structural sharing
-    /// throughout: O(chunks) pointer bumps, no per-entry work.
+    /// Captures the state a reader may pin: the store's version, the
+    /// design index and the registered views, together — the one
+    /// capture site, which the server publishes from on every commit
+    /// and at start. Structural sharing throughout: O(chunks) pointer
+    /// bumps, no per-entry work.
     ///
-    /// The version inherits the ASK closure of the one captured before
-    /// it ([`objectbase::query::inherit`]), so its first ASK refreshes
-    /// that closure by the delta between the two instead of building
-    /// one from scratch. Every capture of one `Gkbms` is of one lineage:
-    /// a capture lands between write transactions, and a `Load`, a
-    /// snapshot install or a recovery starts a fresh `Gkbms`.
+    /// The version inherits the closures of the one captured before it
+    /// — the ASK's and every view's ([`objectbase::query::inherit`]) —
+    /// so its first read of each refreshes that closure by the delta
+    /// between the two instead of building one from scratch. Every
+    /// capture of one `Gkbms` is of one lineage: a capture lands between
+    /// write transactions, and a `Load`, a snapshot install or a
+    /// recovery starts a fresh `Gkbms`.
     pub fn capture(&mut self) -> Published {
         let kb = self.kb.version();
         if let Some(prev) = &self.captured {
@@ -381,6 +385,7 @@ impl Gkbms {
             design: self.design.clone(),
             history: self.history.clone(),
             lint: Arc::clone(&self.lint_cache),
+            views: Arc::clone(&self.views),
         }
     }
 
@@ -1282,7 +1287,7 @@ pub(crate) mod tests {
     fn untouched(g: &Gkbms, name: &str) -> impl PartialEq + std::fmt::Debug {
         let preds = ["in_", "isa", "attr", "inT", "isaT"];
         let views: Vec<Vec<Vec<Vec<datalog::ast::Value>>>> = (g.views.iter())
-            .map(|v| preds.iter().map(|p| v.tuples(p)).collect())
+            .map(|v| (preds.iter().map(|p| g.view_tuples(v.name(), p).unwrap())).collect())
             .collect();
         let kb = g.kb();
         (kb.len(), kb.now(), kb.lookup_sym(name), views)

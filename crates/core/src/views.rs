@@ -1,94 +1,82 @@
-//! Registered materialized deductive views: maintain, don't recompute.
+//! Registered deductive views: a view is a definition, and its model a
+//! lemma of each version.
 //!
 //! A registered view is the KB's deductive closure — [`objectbase::query::base_program`]
-//! plus optional user rules — kept **materialized** under TELL/UNTELL
-//! churn by the incremental maintenance engine
-//! ([`datalog::ivm::MaterializedView`]: delete-and-rederive, stratum
-//! by stratum). Registration builds the model once, by
-//! [`datalog::seminaive::evaluate`] over one export of the KB
-//! ([`objectbase::query::to_edb_counted`], which also gives CB013 its
-//! cardinalities); from then on every mutation that changes belief
-//! flows the per-proposition delta ([`objectbase::query::edb_fact_for`])
-//! into every registered view, so queries against the view read a
-//! ready model instead of re-evaluating the program from scratch.
+//! plus optional user rules — under a name, committed to the history
+//! (`JournalOp::RegisterView`) so that recovery, `load` and replicas
+//! register it alike. Registration checks the program: its rules parse,
+//! derive none of the extensional predicates (`in_`, `isa`, `attr`),
+//! use them at their arities and stratify. It runs the CB013
+//! maintainability lint over one export of the KB (for its
+//! cardinalities), and builds no model. The registered views ride each
+//! published version ([`crate::Published::views`]), so a view registered
+//! after a session's pin is unknown at it.
 //!
-//! # MVCC interaction
+//! # The model is a lemma of the version
 //!
-//! The materialized model always reflects the *current* belief state.
-//! Each view records `as_of` — the belief tick of the last mutation it
-//! incorporated. A reader pinned at watermark `w` may serve answers
-//! from the model iff `w >= as_of`; an earlier watermark must fall
-//! back to the view's program evaluated over its pinned store version,
-//! so a pinned session never observes a refresh from a newer tick.
-//! [`pinned_rows`] is that fallback as the server runs it: it takes
-//! the version and the program, not the GKBMS — so it cannot be holding
-//! the state lock — and reads the model from the lemmas the version
-//! holds ([`objectbase::query::version_closure`]), evaluating only on
-//! the first read of that view at that version.
-//! [`RegisteredView::eval_pinned`] is the same answer evaluated from
-//! scratch over any store, the form the differential tests compare
-//! against.
+//! [`pinned_rows`] is the one view read: the model of the view's program
+//! at the reader's version, read from the lemma the version holds
+//! ([`objectbase::query::version_closure`]). The first read at a version
+//! carries the predecessor's model over by the write between them, as
+//! the ASK's closure is carried (delete-and-rederive through
+//! [`datalog::ivm::MaterializedView::apply`], stratum by stratum), or
+//! builds it from scratch when no ancestor version holds one; every
+//! later read at the version shares it. So no write pays for a view,
+//! and no read waits on the writer. [`RegisteredView::eval_pinned`] is
+//! the same answer evaluated from scratch over any store, the oracle
+//! the differential tests compare against.
 //!
 //! # Rows stay interned until they are encoded
 //!
-//! A view read hands out [`Rows`]: the model's interned values, in the
-//! value order of the decoded tuples ([`Rows::sort`]). That order is a
-//! lemma of the relation's state ([`datalog::db::Database::sorted_rows`]):
-//! the first read of a state sorts it, every later read of the same
-//! state finds it sorted, and the first write drops it. Under the
-//! server's state guard a `ViewAsk` takes only the state's slot
-//! ([`RegisteredView::rows`]) — plus, on a miss, one flat copy of the
-//! relation's storage — and sorts that copy into the slot after the
-//! guard is released; the encoder then reads each symbol's interned
-//! string. No `Value` or `String` is built per row, except to join the
-//! values of a row wider than one column. [`RegisteredView::tuples`]
-//! and [`Gkbms::view_tuples`] decode the same sorted rows into
-//! `Value`s. A predicate that no rule of the view names is refused
+//! A view read hands out [`datalog::db::Rows`]: the model's interned
+//! values, in the value order of the decoded tuples
+//! ([`datalog::db::Rows::sort`]). That order is a lemma of the
+//! relation's state ([`datalog::db::Database::sorted_rows`]): the first
+//! read of a state sorts it, every later read of the same state finds
+//! it sorted, and a carry that moves the relation drops it. The encoder reads each symbol's interned string: no `Value` or
+//! `String` is built per row, except to join the values of a row wider
+//! than one column. [`Gkbms::view_tuples`] decodes the same sorted rows
+//! into `Value`s. A predicate that no rule of the view names is refused
 //! ([`RegisteredView::check_pred`]) rather than read as empty.
 
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::persist::JournalOp;
 use crate::system::Gkbms;
 use datalog::ast::{Program, Value};
-use datalog::db::{Rows, SortedRead};
-use datalog::ivm::{Fact, MaterializedView};
+use datalog::db::SortedRead;
+use datalog::error::DatalogError;
+use datalog::ivm::MaterializedView;
 use objectbase::query::{self, preds};
-use telos::{KbVersion, PropId, PropStore};
+use objectbase::ObError;
+use telos::{KbVersion, PropStore};
 
-/// The extensional predicates every view's model is fed by TELL/UNTELL
-/// deltas: no rule may derive them, and every view can be read at them.
-const FED: [&str; 3] = [preds::IN, preds::ISA, preds::ATTR];
+/// The extensional predicates every version exports to a view, with
+/// their arities: no rule may derive them, and every view can be read
+/// at them.
+const FED: [(&str, usize); 3] = [(preds::IN, 2), (preds::ISA, 2), (preds::ATTR, 3)];
 
-/// `rows` in the order every view read answers in — the value order of
-/// [`Rows::sort`] — decoded.
-fn sorted_tuples(mut rows: Rows) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows.tuples().collect()
-}
-
-/// The rows of `pred` in the model of `program` over `version` as
-/// believed at tick `at`, read like [`RegisteredView::rows`]: the read
-/// of a session pinned before the maintained model's `as_of`. The model
-/// comes from [`query::version_closure`], so at the version's capture
-/// tick it is evaluated once per version, and its rows sorted once per
+/// The rows of `pred` in the model of `view`'s program over `version`
+/// as believed at tick `at`, in [`datalog::db::Rows::sort`]'s order, and whether
+/// this read built the model from scratch. The model comes from
+/// [`query::version_closure`], so at the version's capture tick it is
+/// carried or built once per version, and its rows sorted once per
 /// version, not once per read.
 pub fn pinned_rows(
     version: &KbVersion,
     at: i64,
-    program: &Program,
+    view: &RegisteredView,
     pred: &str,
-) -> GkbmsResult<SortedRead> {
-    let closure = query::version_closure(version, at, program)?;
-    Ok(closure.model().sorted_rows(pred))
+) -> GkbmsResult<(SortedRead, bool)> {
+    let (closure, scratch) = query::version_closure(version, at, &view.program)?;
+    Ok((closure.model().sorted_rows(pred), scratch))
 }
 
-/// One registered materialized view.
+/// One registered view: its definition, not its model.
 #[derive(Debug, Clone)]
 pub struct RegisteredView {
     name: String,
     rules: String,
-    view: MaterializedView,
-    as_of: i64,
+    program: Program,
     registered: i64,
 }
 
@@ -103,38 +91,16 @@ impl RegisteredView {
         &self.rules
     }
 
+    /// The program the view's model is the closure of: the base program
+    /// plus the user rules.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
     /// Belief tick of the registration: a reader pinned before it
     /// never saw the view.
     pub fn registered(&self) -> i64 {
         self.registered
-    }
-
-    /// Belief tick of the last mutation incorporated into the model.
-    /// Readers pinned at or after this tick may serve from the model;
-    /// earlier readers must use [`RegisteredView::eval_pinned`].
-    pub fn as_of(&self) -> i64 {
-        self.as_of
-    }
-
-    /// The maintained view engine (model, EDB projection, multiplicities).
-    pub fn view(&self) -> &MaterializedView {
-        &self.view
-    }
-
-    /// The rows of `pred` in the materialized model, in [`Rows::sort`]'s
-    /// order, the order every view read answers in — correct for
-    /// readers whose watermark is at or after [`RegisteredView::as_of`].
-    /// The model's sorted order is a lemma of its state: this takes the
-    /// state's slot, plus a copy of the rows if no read has sorted this
-    /// state yet — all a reader does while it holds the model.
-    /// [`SortedRead::rows`] sorts, on a miss, once the reader has let go.
-    pub fn rows(&self, pred: &str) -> SortedRead {
-        self.view.model().sorted_rows(pred)
-    }
-
-    /// [`RegisteredView::rows`], decoded.
-    pub fn tuples(&self, pred: &str) -> Vec<Vec<Value>> {
-        self.rows(pred).rows().tuples().collect()
     }
 
     /// Refuses `pred` unless a rule of the view's program names it, in
@@ -143,7 +109,7 @@ impl RegisteredView {
     /// predicate with no tuples (yet) reads as empty; a misspelt one is
     /// an error, not an empty answer.
     pub fn check_pred(&self, pred: &str) -> GkbmsResult<()> {
-        if FED.contains(&pred) || self.view.program().mentions(pred) {
+        if FED.iter().any(|&(fed, _)| fed == pred) || self.program.mentions(pred) {
             Ok(())
         } else {
             Err(GkbmsError::Unknown(format!(
@@ -154,10 +120,9 @@ impl RegisteredView {
     }
 
     /// Evaluates this view's program from scratch over `store` as
-    /// believed at tick `at` — what a reader pinned before the model's
-    /// `as_of` watermark must be answered, with nothing remembered
-    /// between calls ([`pinned_rows`] is the serving form). Answers
-    /// are sorted like [`RegisteredView::tuples`].
+    /// believed at tick `at`, with nothing remembered between calls
+    /// ([`pinned_rows`] is the serving form). Answers are sorted like
+    /// [`Gkbms::view_tuples`].
     pub fn eval_pinned(
         &self,
         store: &PropStore,
@@ -165,28 +130,62 @@ impl RegisteredView {
         pred: &str,
     ) -> GkbmsResult<Vec<Vec<Value>>> {
         let edb = query::to_edb_at_store(store, at)?;
-        let (model, _) = datalog::seminaive::evaluate(self.view.program(), &edb)
-            .map_err(objectbase::ObError::from)?;
-        Ok(sorted_tuples(model.copy_rows(pred)))
+        let (model, _) =
+            datalog::seminaive::evaluate(&self.program, &edb).map_err(ObError::from)?;
+        let mut rows = model.copy_rows(pred);
+        rows.sort();
+        Ok(rows.tuples().collect())
     }
 }
 
+/// The program of a view with `rules`, refused where a model of it
+/// could not be read: a parse error, a rule deriving an extensional
+/// predicate (the export would be ambiguous), an extensional predicate
+/// at another arity than the export's, or a program that does not
+/// stratify.
+fn view_program(name: &str, rules: &str) -> GkbmsResult<Program> {
+    let mut program = query::base_program();
+    if !rules.trim().is_empty() {
+        let extra = Program::parse(rules).map_err(ObError::from)?;
+        program.rules.extend(extra.rules);
+    }
+    for rule in &program.rules {
+        let head = rule.head.pred.as_str();
+        if FED.iter().any(|&(fed, _)| fed == head) {
+            return Err(GkbmsError::Precondition(format!(
+                "view `{name}` derives extensional predicate `{head}`"
+            )));
+        }
+        for atom in rule.body.iter().map(|l| &l.atom) {
+            let fed = FED.iter().find(|&&(fed, _)| fed == atom.pred);
+            if let Some(&(_, arity)) = fed.filter(|&&(_, arity)| arity != atom.args.len()) {
+                let mismatch = DatalogError::ArityMismatch {
+                    pred: atom.pred.clone(),
+                    expected: arity,
+                    found: atom.args.len(),
+                };
+                return Err(ObError::from(mismatch).into());
+            }
+        }
+    }
+    MaterializedView::new(program.clone()).map_err(ObError::from)?;
+    Ok(program)
+}
+
 impl Gkbms {
-    /// Registers a materialized deductive view: the base closure rules
-    /// plus `rules` (datalog source, may be empty), built once from the
-    /// current believed state and maintained incrementally from then
-    /// on. Returns the view's initial `as_of` watermark.
+    /// Registers a deductive view: the base closure rules plus `rules`
+    /// (datalog source, may be empty). Returns the registration tick.
     pub fn register_view(&mut self, name: &str, rules: &str) -> GkbmsResult<i64> {
         self.register_view_checked(name, rules)
-            .map(|(as_of, _)| as_of)
+            .map(|(registered, _)| registered)
     }
 
     /// Like [`Gkbms::register_view`], but also runs the CB013
     /// maintainability lint against the view's program: DRed cost over
-    /// large recursive strata (using the cardinalities of the export
-    /// the view is loaded from) and churn risk under the TELL/UNTELL
-    /// mix of the history so far. Warnings never block registration —
-    /// they ride back to the caller next to the watermark.
+    /// large recursive strata (using the cardinalities of one export of
+    /// the KB) and churn risk under the TELL/UNTELL mix of the history
+    /// so far. Warnings never block registration — they ride back to
+    /// the caller next to the tick.
     pub fn register_view_checked(
         &mut self,
         name: &str,
@@ -200,52 +199,35 @@ impl Gkbms {
         name: &str,
         rules: &str,
     ) -> GkbmsResult<(i64, Vec<analysis::Diagnostic>)> {
-        if self.views.iter().any(|v| v.name == name) {
+        if self.view(name).is_some() {
             return Err(GkbmsError::Duplicate(format!("view `{name}`")));
         }
-        let mut program = query::base_program();
-        if !rules.trim().is_empty() {
-            let extra = Program::parse(rules).map_err(objectbase::ObError::from)?;
-            program.rules.extend(extra.rules);
-        }
-        // The EDB predicates are fed by TELL/UNTELL deltas; a rule
-        // deriving one of them would make those deltas ambiguous.
-        for rule in &program.rules {
-            let head = rule.head.pred.as_str();
-            if FED.contains(&head) {
-                return Err(GkbmsError::Precondition(format!(
-                    "view `{name}` derives extensional predicate `{head}`"
-                )));
-            }
-        }
-        let (edb, duplicates) = query::to_edb_counted(self.kb.snapshot())?;
+        let program = view_program(name, rules)?;
+        let edb = query::to_edb_at_store(&self.kb, self.kb.now())?;
         let mut diags = Vec::new();
-        {
-            let cards = analysis::cost::cardinalities(&edb);
-            let (tells, untells) = self.tells_untells;
-            analysis::cost::lint_view(name, &program, &cards, tells, untells, &mut diags);
-            analysis::sort_diagnostics(&mut diags);
-        }
-        let view = MaterializedView::load(program, &edb, &duplicates)
-            .map_err(objectbase::ObError::from)?;
-        let as_of = self.kb.now();
+        let cards = analysis::cost::cardinalities(&edb);
+        let (tells, untells) = self.tells_untells;
+        analysis::cost::lint_view(name, &program, &cards, tells, untells, &mut diags);
+        analysis::sort_diagnostics(&mut diags);
+        let registered = self.kb.now();
         self.commit(JournalOp::RegisterView {
             name: name.into(),
             rules: rules.into(),
         })?;
-        self.views.push(RegisteredView {
+        let mut views = self.views.to_vec();
+        views.push(RegisteredView {
             name: name.to_string(),
             rules: rules.to_string(),
-            view,
-            as_of,
-            registered: as_of,
+            program,
+            registered,
         });
+        self.views = views.into();
         obs::gauge!(
             "gkbms_views_registered",
-            "Materialized deductive views currently registered"
+            "Deductive views currently registered"
         )
         .set(self.views.len() as i64);
-        Ok((as_of, diags))
+        Ok((registered, diags))
     }
 
     /// The registered views, in registration order.
@@ -258,57 +240,19 @@ impl Gkbms {
         self.views.iter().find(|v| v.name == name)
     }
 
-    /// Tuples of `pred` from the named view's materialized model
-    /// (current belief state), sorted. An unknown view, or a predicate
-    /// the view's program never names, is [`GkbmsError::Unknown`].
+    /// Tuples of `pred` in the named view's model of the current belief
+    /// state, sorted: [`pinned_rows`] at a bare version of the head,
+    /// which holds no lemma, so each call builds the model from
+    /// scratch. An unknown view, or a predicate the view's program
+    /// never names, is [`GkbmsError::Unknown`].
     pub fn view_tuples(&self, name: &str, pred: &str) -> GkbmsResult<Vec<Vec<Value>>> {
-        let v = self
+        let view = self
             .view(name)
             .ok_or_else(|| GkbmsError::Unknown(format!("view `{name}`")))?;
-        v.check_pred(pred)?;
-        Ok(v.tuples(pred))
-    }
-
-    /// Feeds a committed transaction's delta into every registered view
-    /// once: each proposition it appended that is still believed is an
-    /// insert, each older one it closed a delete.
-    pub(crate) fn feed_views(&mut self, delta: &telos::Committed) {
-        if self.views.is_empty() {
-            return;
-        }
-        let fact = |id| query::edb_fact_for(&self.kb, id);
-        let appended = delta.appended.clone().map(PropId);
-        let believed = appended.filter(|&id| self.kb.prop(id).is_some_and(|p| p.is_believed()));
-        let inserts: Vec<Fact> = believed.filter_map(fact).collect();
-        let deletes: Vec<Fact> = delta.closed.iter().copied().filter_map(fact).collect();
-        self.apply_view_delta(&inserts, &deletes);
-    }
-
-    fn apply_view_delta(&mut self, inserts: &[Fact], deletes: &[Fact]) {
-        if self.views.is_empty() || (inserts.is_empty() && deletes.is_empty()) {
-            return;
-        }
-        let now = self.kb.now();
-        let lag = self.views.iter().map(|v| now - v.as_of).max().unwrap_or(0);
-        obs::gauge!(
-            "gkbms_view_staleness_ticks",
-            "Belief ticks elapsed since the last refresh of the stalest registered view, measured as each write is applied"
-        )
-        .set(lag);
-        for v in &mut self.views {
-            if v.view.apply(inserts, deletes).is_err() {
-                // Registration rules out deltas on derived predicates,
-                // so an apply error means the view state is suspect:
-                // reload from the KB rather than serve a wrong model.
-                if let Ok((edb, duplicates)) = query::to_edb_counted(self.kb.snapshot()) {
-                    let program = v.view.program().clone();
-                    if let Ok(fresh) = MaterializedView::load(program, &edb, &duplicates) {
-                        v.view = fresh;
-                    }
-                }
-            }
-            v.as_of = now;
-        }
+        view.check_pred(pred)?;
+        let version = self.kb.version();
+        let (mut rows, _) = pinned_rows(&version, version.now(), view, pred)?;
+        Ok(rows.rows().tuples().collect())
     }
 }
 
@@ -326,23 +270,36 @@ mod tests {
     }
 
     /// From-scratch evaluation of a view's program over the live KB —
-    /// the oracle every maintained model must match.
+    /// the oracle every read must match.
     fn recompute(g: &Gkbms, name: &str, pred: &str) -> Vec<Vec<Value>> {
         let v = g.view(name).unwrap();
         let edb = query::to_edb_at_store(g.kb(), g.kb().now()).unwrap();
-        let (model, _) = datalog::seminaive::evaluate(v.view().program(), &edb).unwrap();
+        let (model, _) = datalog::seminaive::evaluate(v.program(), &edb).unwrap();
         let mut out: Vec<Vec<Value>> = model.tuples(pred).collect();
         out.sort();
         out.dedup();
         out
     }
 
+    /// The rows of `pred` in view `name` at `version`'s capture tick,
+    /// decoded, and whether the read built the model from scratch.
+    fn read(version: &KbVersion, view: &RegisteredView, pred: &str) -> (Vec<Vec<Value>>, bool) {
+        let (mut rows, scratch) = pinned_rows(version, version.now(), view, pred).unwrap();
+        (rows.rows().tuples().collect(), scratch)
+    }
+
+    fn counted(name: &str) -> u64 {
+        obs::registry().counter_value(name).unwrap_or(0)
+    }
+
     #[test]
-    fn registration_builds_current_model() {
+    fn registration_builds_no_model_and_reads_the_current_one() {
         let mut g = scenario_gkbms();
         g.register_object("Invitation", kernel::TDL_ENTITY_CLASS, "src")
             .unwrap();
-        g.register_view("closure", "").unwrap();
+        let registered = g.register_view("closure", "").unwrap();
+        assert_eq!(registered, g.kb().now());
+        assert_eq!(g.view("closure").unwrap().registered(), registered);
         assert_eq!(
             g.view_tuples("closure", "inT").unwrap(),
             recompute(&g, "closure", "inT")
@@ -367,31 +324,65 @@ mod tests {
             g.view_tuples("v", "lonely").unwrap(),
             Vec::<Vec<Value>>::new()
         );
-        for fed in FED {
+        for (fed, _) in FED {
             assert!(g.view_tuples("v", fed).is_ok(), "{fed}");
         }
+        assert!(matches!(
+            g.view_tuples("nope", "inT"),
+            Err(GkbmsError::Unknown(m)) if m.contains("nope")
+        ));
     }
 
+    /// Registration builds no model, so it checks what loading one
+    /// would have refused, and a refused registration commits nothing.
     #[test]
-    fn duplicate_and_reserved_head_rejected() {
+    fn registration_refuses_what_no_model_could_be_read_of() {
         let mut g = scenario_gkbms();
+        g.tell_src("TELL Person end\nTELL maria in Person end")
+            .unwrap();
         g.register_view("v", "").unwrap();
+        let committed = (g.history.len(), g.kb().now());
+        let refused = |g: &mut Gkbms, name: &str, rules: &str| {
+            let e = g.register_view(name, rules).unwrap_err();
+            assert_eq!((g.history.len(), g.kb().now()), committed, "{rules}");
+            assert!(g.view(name).is_none() || name == "v", "{rules}");
+            e
+        };
+        assert!(matches!(refused(&mut g, "v", ""), GkbmsError::Duplicate(_)));
         assert!(matches!(
-            g.register_view("v", ""),
-            Err(GkbmsError::Duplicate(_))
+            refused(&mut g, "parse", "p(X) :- q(X"),
+            GkbmsError::Object(_)
         ));
+        for fed in ["in_", "isa"] {
+            let rules = format!("{fed}(X, Y) :- attr(X, _L, Y).");
+            let e = refused(&mut g, "derives", &rules);
+            assert!(matches!(e, GkbmsError::Precondition(m) if m.contains(fed)));
+        }
+        let e = refused(&mut g, "derives", "attr(X, l, Y) :- in_(X, Y).");
+        assert!(matches!(e, GkbmsError::Precondition(m) if m.contains("attr")));
         assert!(matches!(
-            g.register_view("bad", "in_(X, Y) :- attr(X, _L, Y)."),
-            Err(GkbmsError::Precondition(_))
+            refused(
+                &mut g,
+                "loop",
+                "p(X) :- in_(X, _C), not q(X).\nq(X) :- in_(X, _C), not p(X)."
+            ),
+            GkbmsError::Object(_)
         ));
-        assert!(g.register_view("broken", "p(X) :- q(X").is_err());
+        // `in_` at arity 1, though no rule of the base program reads it
+        // so; and `attr` at arity 2, though the KB holds no `attr` row
+        // that a loaded model could have tripped over.
+        for rules in ["one(X) :- in_(X).", "two(X) :- attr(X, Y)."] {
+            let e = refused(&mut g, "arity", rules);
+            assert!(e.to_string().contains("arity"), "{rules}: {e}");
+        }
+        assert_eq!(g.views().len(), 1);
     }
 
     #[test]
     fn quiet_view_registration_reports_no_warnings() {
         let mut g = scenario_gkbms();
-        let (as_of, diags) = g.register_view_checked("quiet", "").unwrap();
-        assert_eq!(as_of, g.view("quiet").unwrap().as_of());
+        let (registered, diags) = g.register_view_checked("quiet", "").unwrap();
+        assert_eq!(registered, g.view("quiet").unwrap().registered());
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -430,13 +421,11 @@ mod tests {
     }
 
     #[test]
-    fn tells_and_untells_maintain_the_model() {
+    fn reads_follow_tells_and_untells() {
         let mut g = scenario_gkbms();
         g.register_view("closure", "").unwrap();
-        let before = g.view("closure").unwrap().as_of();
         g.tell_src("TELL Person end\nTELL maria in Person end")
             .unwrap();
-        assert!(g.view("closure").unwrap().as_of() > before);
         assert_eq!(
             g.view_tuples("closure", "inT").unwrap(),
             recompute(&g, "closure", "inT")
@@ -454,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn user_rules_are_maintained_too() {
+    fn user_rules_are_read_too() {
         let mut g = scenario_gkbms();
         g.register_view("senders", "hasSender(I) :- attr(I, sender, _S).")
             .unwrap();
@@ -477,7 +466,7 @@ mod tests {
     }
 
     #[test]
-    fn decision_execution_and_retraction_flow_deltas() {
+    fn decision_execution_and_retraction_reach_the_view() {
         let mut g = scenario_gkbms();
         g.register_view("closure", "").unwrap();
         g.register_object("Invitation", kernel::TDL_ENTITY_CLASS, "src")
@@ -489,27 +478,23 @@ mod tests {
                 .output("InvitationRel", kernel::DBPL_REL),
         )
         .unwrap();
+        let rel = |g: &Gkbms| {
+            (g.view_tuples("closure", "inT").unwrap().iter())
+                .any(|t| t[0].to_string() == "InvitationRel")
+        };
         assert_eq!(
             g.view_tuples("closure", "inT").unwrap(),
             recompute(&g, "closure", "inT")
         );
-        assert!(g
-            .view_tuples("closure", "inT")
-            .unwrap()
-            .iter()
-            .any(|t| t[0].to_string() == "InvitationRel"));
+        assert!(rel(&g));
         g.retract_decision("mapInvitations").unwrap();
         assert_eq!(
             g.view_tuples("closure", "inT").unwrap(),
             recompute(&g, "closure", "inT")
         );
-        assert!(!g
-            .view_tuples("closure", "inT")
-            .unwrap()
-            .iter()
-            .any(|t| t[0].to_string() == "InvitationRel"));
-        // The maintained model carries the extensional relations too
-        // (like `seminaive::evaluate`'s model does) — they must track.
+        assert!(!rel(&g));
+        // The model holds the extensional relations too (like
+        // `seminaive::evaluate`'s model does).
         assert_eq!(
             g.view_tuples("closure", "attr").unwrap(),
             recompute(&g, "closure", "attr")
@@ -537,97 +522,114 @@ mod tests {
         );
     }
 
+    /// A view read after a captured write carries the predecessor's
+    /// model over: it builds nothing and exports nothing. The counters
+    /// are process-wide and other tests export concurrently, so a try
+    /// whose reads bracket one of their exports is retried; a read that
+    /// exported would move the counter on every try.
     #[test]
-    fn untell_retell_cycles_keep_support_exact() {
-        // TELL/UNTELL idempotence through the GKBMS path: untelling
-        // closes the old proposition's belief, re-telling mints a new
-        // proposition for the same fact — the view's support count must
-        // track 1 → 0 → 1 → 0 exactly, never going negative and never
-        // resurrecting a deleted fact.
+    fn a_view_read_after_a_captured_write_is_carried() {
         let mut g = scenario_gkbms();
-        g.register_view("closure", "").unwrap();
-        let fact = [Value::sym("maria"), Value::sym("Person")];
-        let support = |g: &Gkbms| g.view("closure").unwrap().view().support("in_", &fact);
         g.tell_src("TELL Person end\nTELL maria in Person end")
             .unwrap();
-        assert_eq!(support(&g), 1);
-        g.untell("maria").unwrap();
-        assert_eq!(support(&g), 0);
-        // Re-TELL: a brand-new proposition contributing the same fact.
-        g.tell_src("TELL maria in Person end").unwrap();
-        assert_eq!(support(&g), 1);
-        assert!(g
-            .view_tuples("closure", "inT")
-            .unwrap()
-            .iter()
-            .any(|t| t[0].to_string() == "maria"));
-        g.untell("maria").unwrap();
-        assert_eq!(support(&g), 0);
-        assert!(!g
-            .view_tuples("closure", "inT")
-            .unwrap()
-            .iter()
-            .any(|t| t[0].to_string() == "maria"));
-        assert_eq!(
-            g.view_tuples("closure", "inT").unwrap(),
-            recompute(&g, "closure", "inT")
+        g.register_view("acq", "acquainted(X, Y) :- attr(X, knows, Y).")
+            .unwrap();
+        let view = g.view("acq").unwrap().clone();
+        let mut prev = g.capture();
+        assert!(
+            read(&prev.kb, &view, "inT").1,
+            "no ancestor: a scratch build"
         );
+        let carried_without_export = (0..20).any(|i| {
+            g.tell_src(&format!(
+                "TELL p{i} in Person with attribute knows : maria end"
+            ))
+            .unwrap();
+            let next = g.capture();
+            let (carried, exports) = (
+                counted("objectbase_closures_carried_total"),
+                counted("objectbase_edb_exports_total"),
+            );
+            let (rows, scratch) = read(&next.kb, &view, "acquainted");
+            let flat = counted("objectbase_edb_exports_total") == exports;
+            assert!(!scratch, "try {i}: the seed was carried");
+            assert!(counted("objectbase_closures_carried_total") > carried);
+            assert_eq!(
+                rows,
+                view.eval_pinned(&next.kb, next.kb.now(), "acquainted")
+                    .unwrap()
+            );
+            prev = next;
+            flat
+        });
+        assert!(carried_without_export, "every carried read exported");
+        drop(prev);
     }
 
-    /// The registered view `name` against its differential twin — a
-    /// view of the same program fed every believed proposition's fact
-    /// through `apply` from empty: same model, and the same TELL
-    /// multiplicity for every fact.
-    fn assert_load_matches_apply_from_empty(g: &Gkbms, name: &str) {
-        let loaded = g.view(name).unwrap().view();
-        let facts: Vec<Fact> = (0..g.kb.len())
-            .map(|i| PropId(i as u32))
-            .filter(|&id| g.kb.prop(id).is_some_and(|p| p.is_believed()))
-            .filter_map(|id| query::edb_fact_for(&g.kb, id))
-            .collect();
-        let mut applied = MaterializedView::new(loaded.program().clone()).unwrap();
-        applied.apply(&facts, &[]).unwrap();
-        let mut preds = applied.model().preds();
-        preds.extend(loaded.model().preds());
-        for pred in preds {
-            assert_eq!(
-                sorted_tuples(loaded.model().copy_rows(pred)),
-                sorted_tuples(applied.model().copy_rows(pred)),
-                "`{pred}`"
-            );
-        }
-        for (pred, tuple) in &facts {
-            assert_eq!(
-                loaded.support(pred, tuple),
-                applied.support(pred, tuple),
-                "{pred}{tuple:?}"
-            );
+    #[test]
+    fn untell_retell_cycles_carry_the_tuple_exactly() {
+        // Untelling closes the old proposition's belief, re-telling
+        // mints a new proposition for the same fact: each carried model
+        // must drop and regain the tuple exactly as a scratch build does.
+        let mut g = scenario_gkbms();
+        g.register_view("closure", "").unwrap();
+        let view = g.view("closure").unwrap().clone();
+        let maria = vec![Value::sym("maria"), Value::sym("Person")];
+        let mut prev = g.capture();
+        read(&prev.kb, &view, "in_");
+        let steps: [(&str, bool); 4] = [
+            ("TELL Person end\nTELL maria in Person end", true),
+            ("untell", false),
+            ("TELL maria in Person end", true),
+            ("untell", false),
+        ];
+        for (i, (src, present)) in steps.into_iter().enumerate() {
+            if src == "untell" {
+                g.untell("maria").unwrap();
+            } else {
+                g.tell_src(src).unwrap();
+            }
+            let next = g.capture();
+            // Every second step lets go of its predecessor first, so
+            // the carry moves the model in place instead of copying it.
+            let kept = (i % 2 == 0).then_some(prev);
+            let (rows, scratch) = read(&next.kb, &view, "in_");
+            assert!(!scratch, "step {i}");
+            assert_eq!(rows.contains(&maria), present, "step {i}");
+            let at = next.kb.now();
+            assert_eq!(rows, view.eval_pinned(&next.kb, at, "in_").unwrap());
+            drop(kept);
+            prev = next;
         }
     }
 
     #[test]
     fn a_link_asserted_twice_before_registration_survives_one_untell() {
         // Telling an attribute twice mints two propositions for one
-        // `attr` tuple. The export a view is loaded from holds the
-        // tuple once and reports the other telling, so closing one of
-        // the two propositions must leave the tuple in the model.
+        // `attr` tuple. A scratch build holds the tuple once and counts
+        // the other telling, so closing one of the two propositions
+        // must leave the tuple in the carried model.
         let mut g = scenario_gkbms();
         g.tell_src("TELL Person end\nTELL maria in Person end\nTELL anna in Person end")
             .unwrap();
         g.register_view("plain", "").unwrap();
+        let plain = g.view("plain").unwrap().clone();
+        // `plain` is read before the two tellings and carries them;
+        // `acq` is first read after them, so it builds over both.
+        let mut prev = g.capture();
+        read(&prev.kb, &plain, "attr");
         for _ in 0..2 {
             g.tell_src("TELL maria in Person with attribute knows : anna end")
                 .unwrap();
         }
         g.register_view("acq", "acquainted(X, Y) :- attr(X, knows, Y).")
             .unwrap();
-        let knows = [Value::sym("maria"), Value::sym("knows"), Value::sym("anna")];
+        let acq = g.view("acq").unwrap().clone();
+        let next = g.capture();
+        assert!(!read(&next.kb, &plain, "attr").1);
+        assert!(read(&next.kb, &acq, "acquainted").1);
+        prev = next;
         let pair = vec![vec![Value::sym("maria"), Value::sym("anna")]];
-        for name in ["plain", "acq"] {
-            // `plain` got the two tellings as deltas, `acq` from its load.
-            assert_eq!(g.view(name).unwrap().view().support("attr", &knows), 2);
-            assert_load_matches_apply_from_empty(&g, name);
-        }
         // The public UNTELL cascades from an object and would close
         // both links at once; close them one by one instead.
         let (maria, anna) = (g.kb.lookup("maria").unwrap(), g.kb.lookup("anna").unwrap());
@@ -635,49 +637,46 @@ mod tests {
         for left in [1, 0] {
             let link = g.kb.snapshot().find_link(maria, label, anna).unwrap();
             g.transaction(|g| Ok(g.kb.untell(link)?)).unwrap();
-            for name in ["plain", "acq"] {
-                assert_eq!(g.view(name).unwrap().view().support("attr", &knows), left);
-                assert_load_matches_apply_from_empty(&g, name);
-                assert_eq!(
-                    g.view_tuples(name, "attr").unwrap(),
-                    recompute(&g, name, "attr")
-                );
+            let next = g.capture();
+            drop(prev);
+            let at = next.kb.now();
+            for (view, pred) in [(&plain, "attr"), (&acq, "attr"), (&acq, "acquainted")] {
+                let (rows, scratch) = read(&next.kb, view, pred);
+                assert!(!scratch, "{left} left: {pred}");
+                assert_eq!(rows, view.eval_pinned(&next.kb, at, pred).unwrap());
             }
             let expect = if left == 1 { pair.clone() } else { Vec::new() };
-            assert_eq!(g.view_tuples("acq", "acquainted").unwrap(), expect);
+            assert_eq!(read(&next.kb, &acq, "acquainted").0, expect);
+            prev = next;
         }
     }
 
     #[test]
-    fn pinned_reader_never_observes_a_newer_refresh() {
-        // Satellite 3 at the core level: a registered view refreshing
-        // at a newer tick must not change what a pinned reader sees.
+    fn a_pinned_version_reads_the_same_rows_across_later_writes() {
         let mut g = scenario_gkbms();
         g.tell_src("TELL Person end\nTELL maria in Person end")
             .unwrap();
         g.register_view("closure", "").unwrap();
-        let watermark = g.kb().now();
-        let pinned_before = g
-            .view("closure")
-            .unwrap()
-            .eval_pinned(g.kb(), watermark, "inT")
-            .unwrap();
-        // Model and pinned evaluation agree at the watermark.
-        assert_eq!(pinned_before, g.view_tuples("closure", "inT").unwrap());
-        // A newer write refreshes the view past the watermark.
+        let view = g.view("closure").unwrap().clone();
+        let pinned = g.capture();
+        let watermark = pinned.kb.now();
+        let before = read(&pinned.kb, &view, "inT").0;
+        assert_eq!(before, view.eval_pinned(g.kb(), watermark, "inT").unwrap());
+        // A newer write moves the successor's model, which carries the
+        // pinned one over on a copy.
         g.tell_src("TELL anna in Person end").unwrap();
-        let v = g.view("closure").unwrap();
-        assert!(v.as_of() > watermark, "the refresh is at a newer tick");
-        let pinned_after = v.eval_pinned(g.kb(), watermark, "inT").unwrap();
-        assert_eq!(
-            pinned_after, pinned_before,
-            "pinned answers are byte-identical across the refresh"
-        );
-        assert_ne!(
-            g.view_tuples("closure", "inT").unwrap(),
-            pinned_before,
-            "while the live model did move"
-        );
+        let head = g.capture();
+        let (moved, scratch) = read(&head.kb, &view, "inT");
+        assert!(!scratch);
+        assert_ne!(moved, before, "the successor's model moved");
+        assert_eq!(moved, g.view_tuples("closure", "inT").unwrap());
+        assert_eq!(read(&pinned.kb, &view, "inT").0, before, "the pin did not");
+        assert_eq!(view.eval_pinned(g.kb(), watermark, "inT").unwrap(), before);
+        // The versions publish the views they were captured with.
+        assert_eq!(pinned.views.len(), 1);
+        g.register_view("later", "").unwrap();
+        assert_eq!(pinned.views.len(), 1);
+        assert_eq!(g.capture().views.len(), 2);
     }
 
     #[test]
@@ -699,6 +698,7 @@ mod tests {
         let loaded = Gkbms::load(&path).unwrap();
         let v = loaded.view("closure").expect("view survived the reload");
         assert_eq!(v.rules(), "hasSelf(X) :- in_(X, _C).");
+        assert_eq!(v.registered(), g.view("closure").unwrap().registered());
         assert_eq!(loaded.view_tuples("closure", "inT").unwrap(), expect);
         assert_eq!(
             loaded.view_tuples("closure", "hasSelf").unwrap(),

@@ -8,8 +8,8 @@
 //! through one proof strategy, [`seminaive`]: bottom-up, semi-naive
 //! fixpoint evaluation with stratified negation (the
 //! deductive-relational view of the object processor). Its lemmas are
-//! kept per KB version by `objectbase::query` and per maintained view
-//! by [`ivm`]. The goal-directed strategies E-2 contrasts with it live
+//! kept per KB version by `objectbase::query`, and carried from one
+//! version to the next by [`ivm`]. The goal-directed strategies E-2 contrasts with it live
 //! in the benchmark crate (`bench::engines`), beside the benches that
 //! measure them.
 //!

@@ -4,7 +4,7 @@
 //! relational database." [`to_edb_at_store`] exports the propositions
 //! believed at a tick as datalog relations (`in_/2`, `isa/2`,
 //! `attr/3`), [`edb_fact_for`] maps one proposition the same way (the
-//! delta unit of the maintained views), and [`base_program`] supplies
+//! delta unit of a carried closure), and [`base_program`] supplies
 //! the CML closure rules (transitive specialization, instance
 //! inheritance). Everything is evaluated by the one bottom-up kernel,
 //! [`datalog::seminaive::evaluate`].
@@ -19,25 +19,28 @@
 //! The inference engines "may enhance their performance by lemma
 //! generation" (§3.1): derived facts are kept, not re-derived. The unit
 //! a set of lemmas is valid for is one immutable [`KbVersion`] — so
-//! that is where they are kept. [`ask_with_stats_version`] and
-//! [`version_closure`] store the [`Closure`] of a program (its model,
+//! that is where they are kept. A version's derived-state slot
+//! ([`KbVersion::derived`]) holds one lemma per program read at it: the
+//! ASK's ([`ask_closure`], [`base_program`] over `in_` and `isa`) and
+//! one per registered view's program ([`version_closure`], over all
+//! three relations). Each is the [`Closure`] of its program (its model,
 //! as a maintained view, and the [`EvalStats`] of the work that built
-//! it) in the version's derived-state slot ([`KbVersion::derived`]):
-//! built by the first read at the version's capture tick, shared by
-//! every later one, freed with the version. The ASK's closure holds
+//! it), built by the first read at the version's capture tick, shared
+//! by every later one, freed with the version. The ASK's closure holds
 //! lemmas of its own: per class, its extent (the believed individuals
 //! among the `inT(_, class)` rows, sorted by name), built by the first
 //! ASK of the class. There is no cache to size or invalidate.
 //!
 //! A version's lemmas are its predecessor's moved by the write between
-//! them. [`inherit`] seeds a freshly captured version with the ASK
-//! closure of the one captured before it, and the version's first ASK
-//! carries that closure over: the `in_`/`isa` facts of the propositions
-//! appended since and believed now are told to it, those of the ones
-//! closed since ([`PropStore::closed_since`]) that the predecessor
-//! believed are untold, through [`MaterializedView::apply`] — the
-//! crate's one maintenance algorithm. So at most one ancestor closure is
-//! held for the versions nobody asked, and it is dropped once a
+//! them, and one mechanism does it for every program. [`inherit`] seeds
+//! each lemma of a freshly captured version with the closure of the
+//! same program in the one captured before it, and the first read
+//! carries that closure over: the facts of the propositions appended
+//! since and believed now are told to it, those of the ones closed
+//! since ([`PropStore::closed_since`]) that the predecessor believed
+//! are untold, through [`MaterializedView::apply`] — the crate's one
+//! maintenance algorithm. So at most one ancestor closure per program
+//! is held for the versions nobody read, and it is dropped once a
 //! successor has built its own. Class extents start empty on each
 //! version.
 //!
@@ -71,7 +74,7 @@ use datalog::ivm::{Fact, MaterializedView};
 use datalog::seminaive::EvalStats;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 use telos::assertion;
 use telos::{KbVersion, PropId, PropStore, Proposition, Snapshot, TelosError};
@@ -239,10 +242,8 @@ impl Names<'_> {
 /// `isa(C, D)` or `attr(X, L, Y)` keyed by display names, or `None`
 /// for individuals. Belief is *not* checked: the caller decides which
 /// belief state it is mapping. This is the per-proposition delta unit
-/// the incremental view-maintenance path feeds into registered views on
-/// TELL/UNTELL, and an ASK closure into itself when it is carried over
-/// to a later version; the whole KB at once goes through
-/// [`to_edb_counted`].
+/// a closure takes in when it is carried over to a later version; the
+/// whole KB at once goes through [`to_edb_counted`].
 pub fn edb_fact_for(store: &PropStore, id: PropId) -> Option<(String, Vec<Value>)> {
     let p = store.prop(id)?;
     let rel = rel_of(store, p)?;
@@ -344,7 +345,7 @@ impl Closure {
     /// each `(x, class)` row sits in one extent, so all of them together
     /// are bounded by the closure's `inT` relation.
     fn extent(&self, view: &Snapshot<'_>, class: Symbol) -> Extent {
-        let mut extents = self.extents.lock().unwrap_or_else(|e| e.into_inner());
+        let mut extents = lock(&self.extents);
         if let Some(extent) = extents.get(&class) {
             obs::counter!(
                 "objectbase_class_extent_hits_total",
@@ -379,10 +380,26 @@ impl Closure {
     }
 }
 
-/// One closure of a version: empty until the first read builds it.
-/// The lock is held across the build, so concurrent readers of a fresh
-/// version wait for one evaluation instead of each running their own.
-type Lemma = Mutex<Option<Arc<Closure>>>;
+/// One closure of a version. The lock on `built` is held across the
+/// build, so concurrent readers of a fresh version wait for one
+/// evaluation instead of each running their own.
+#[derive(Default)]
+struct Lemma {
+    /// The closure at the version's capture tick, once a read built it.
+    built: Mutex<Option<Arc<Closure>>>,
+    /// Until `built` is, the nearest earlier version's closure of the
+    /// same program ([`inherit`]); the build takes it.
+    seed: Mutex<Option<Arc<Closure>>>,
+}
+
+impl Lemma {
+    /// What a successor inherits: the closure if built, the seed if not.
+    fn passed_on(&self) -> Option<Arc<Closure>> {
+        lock(&self.built)
+            .clone()
+            .or_else(|| lock(&self.seed).clone())
+    }
+}
 
 /// What [`KbVersion::derived`] holds for this crate: its closures at
 /// the version's capture tick.
@@ -391,12 +408,26 @@ struct Lemmas {
     /// The ASK's: [`base_program`] over `in_` and `isa` (a projected
     /// model must not answer for a full one).
     ask: Lemma,
-    /// Until `ask` is built, the nearest earlier version's ASK closure
-    /// that was built ([`inherit`]); the build takes it.
-    seed: Mutex<Option<Arc<Closure>>>,
     /// Per view program, its closure over all three predicates. Shared
     /// out of the list so that a build does not hold the list's lock.
-    views: Mutex<Vec<(Program, Arc<Lemma>)>>,
+    views: Mutex<Vec<(Arc<Program>, Arc<Lemma>)>>,
+}
+
+impl Lemmas {
+    /// The entry of view `program`, added empty if it has none.
+    fn view(&self, program: &Program) -> Arc<Lemma> {
+        let mut all = lock(&self.views);
+        if let Some((_, lemma)) = all.iter().find(|(p, _)| **p == *program) {
+            return Arc::clone(lemma);
+        }
+        let lemma = Arc::<Lemma>::default();
+        all.push((Arc::new(program.clone()), Arc::clone(&lemma)));
+        lemma
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Exports `store` as believed at `at` (with `attr` or without) and
@@ -437,34 +468,35 @@ fn build_closure(
     ))
 }
 
-/// The `in_`/`isa` fact of proposition `id`, if it feeds one.
-fn asked_fact(store: &PropStore, id: PropId) -> Option<Fact> {
-    let p = store.prop(id)?;
-    match rel_of(store, p)? {
-        Rel::In | Rel::Isa => edb_fact_for(store, id),
-        Rel::Attr => None,
+/// The extensional fact of proposition `id` in an export with `attr`
+/// or without, if it feeds one.
+fn exported_fact(store: &PropStore, id: PropId, with_attr: bool) -> Option<Fact> {
+    match rel_of(store, store.prop(id)?)? {
+        Rel::Attr if !with_attr => None,
+        _ => edb_fact_for(store, id),
     }
 }
 
-/// `seed`, an ASK closure of an earlier version of `version`'s lineage,
-/// moved to `version`: the facts of the ids appended since and believed
-/// now are told, those of the ids closed since that the seed's state
-/// believed are untold, both through [`MaterializedView::apply`]. The
-/// view is updated in place when nothing else holds the seed, and
-/// copied first otherwise.
-fn carry(seed: Arc<Closure>, version: &KbVersion) -> ObResult<Arc<Closure>> {
+/// `seed`, a closure of an earlier version of `version`'s lineage over
+/// the export with `attr` or without, moved to `version`: the facts of
+/// the ids appended since and believed now are told, those of the ids
+/// closed since that the seed's state believed are untold, both through
+/// [`MaterializedView::apply`]. The view is updated in place when
+/// nothing else holds the seed, and copied first otherwise.
+fn carry(seed: Arc<Closure>, version: &KbVersion, with_attr: bool) -> ObResult<Arc<Closure>> {
     let started = Instant::now();
     let (from, now) = (seed.mark, version.now());
     let believed = |id: &PropId, at: i64| version.prop(*id).is_some_and(|p| p.believed_at(at));
+    let fact = |id| exported_fact(version, id, with_attr);
     let inserts: Vec<Fact> = (from.len..version.len())
         .map(|i| PropId(i as u32))
         .filter(|id| believed(id, now))
-        .filter_map(|id| asked_fact(version, id))
+        .filter_map(fact)
         .collect();
     let deletes: Vec<Fact> = version
         .closed_since(from.closed)
         .filter(|id| id.idx() < from.len && believed(id, from.tick))
-        .filter_map(|id| asked_fact(version, id))
+        .filter_map(fact)
         .collect();
     let mut view = match Arc::try_unwrap(seed) {
         Ok(owned) => owned.view,
@@ -479,106 +511,105 @@ fn carry(seed: Arc<Closure>, version: &KbVersion) -> ObResult<Arc<Closure>> {
     };
     obs::counter!(
         "objectbase_closures_carried_total",
-        "ASK closures carried over from an earlier version's by the delta between them"
+        "Closures carried over from an earlier version's by the delta between them"
     )
     .inc();
     obs::histogram!(
         "objectbase_closure_carry_seconds",
-        "Carrying an earlier version's ASK closure over: delta, copy if shared, and refresh"
+        "Carrying an earlier version's closure over: delta, copy if shared, and refresh"
     )
     .observe(started.elapsed());
     Ok(Closure::new(view, stats, Mark::of(version)))
 }
 
-/// Seeds `next`'s ASK closure with `prev`'s, so that the first ASK of
+/// Seeds each closure of `next` with `prev`'s closure of the same
+/// program — the ASK's and every view's — so that the first read of
 /// `next` refreshes that closure by the delta between the two instead
 /// of building one from scratch. `prev` must be an earlier version of
 /// `next`'s lineage: captured from the same [`telos::Kb`], before it,
-/// with nothing rolled back below it since. When `prev`'s closure is
+/// with nothing rolled back below it since. Where `prev`'s closure is
 /// unbuilt, `prev`'s own seed is passed on instead, so a run of
-/// versions nobody asks holds one closure, not a chain of them; once
-/// `next`'s closure is built the seed is dropped. A build of `prev`'s
-/// closure in progress is waited for. This is the one place a closure
-/// crosses versions.
+/// versions nobody reads holds one closure per program, not a chain of
+/// them; once `next`'s closure is built the seed is dropped. A build of
+/// `prev`'s closure in progress is waited for. This is the one place a
+/// closure crosses versions.
 pub fn inherit(next: &KbVersion, prev: &KbVersion) {
     let (Some(next), Some(prev)) = (next.derived::<Lemmas>(), prev.derived::<Lemmas>()) else {
         return;
     };
-    let lock = |m: &Lemma| m.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    let seed = lock(&prev.ask).or_else(|| lock(&prev.seed));
-    *next.seed.lock().unwrap_or_else(|e| e.into_inner()) = seed;
+    *lock(&next.ask.seed) = prev.ask.passed_on();
+    let views = lock(&prev.views).clone();
+    *lock(&next.views) = (views.into_iter())
+        .map(|(program, lemma)| {
+            let seed = Mutex::new(lemma.passed_on());
+            let lemma = Lemma {
+                seed,
+                ..Lemma::default()
+            };
+            (program, Arc::new(lemma))
+        })
+        .collect();
 }
 
-/// `lemma`'s closure, built by `build` under its lock if it is unbuilt.
-/// A failed build stores nothing.
-fn remembered(
-    lemma: &Lemma,
-    build: impl FnOnce() -> ObResult<Arc<Closure>>,
-) -> ObResult<Arc<Closure>> {
-    let mut built = lemma.lock().unwrap_or_else(|e| e.into_inner());
+/// The closure of `program` over what `version` believed at tick `at`,
+/// exported with `attr` or without, and whether this read built it
+/// from scratch. At the version's capture tick — the only tick a
+/// served session ever pins — it is read from `lemma`: the first read
+/// carries the lemma's seed over ([`inherit`]) if it has one, and
+/// builds from scratch if not (or if carrying fails); every later read
+/// shares what it left. Off the capture tick, or without a lemma, it
+/// is built unshared. A failed build stores nothing.
+fn closure(
+    version: &KbVersion,
+    at: i64,
+    with_attr: bool,
+    program: &Program,
+    lemma: Option<&Lemma>,
+) -> ObResult<(Arc<Closure>, bool)> {
+    let scratch = || build_closure(version, at, with_attr, program);
+    let Some(lemma) = lemma.filter(|_| at == version.now()) else {
+        return Ok((scratch()?, true));
+    };
+    let mut built = lock(&lemma.built);
     if let Some(closure) = &*built {
         obs::counter!(
             "objectbase_closure_hits_total",
             "Closure reads served from the lemmas their pinned version already holds"
         )
         .inc();
-        return Ok(Arc::clone(closure));
+        return Ok((Arc::clone(closure), false));
     }
-    let closure = build()?;
+    let seed = lock(&lemma.seed).take();
+    let (closure, fresh) = match seed.map(|seed| carry(seed, version, with_attr)) {
+        Some(Ok(carried)) => (carried, false),
+        _ => (scratch()?, true),
+    };
     *built = Some(Arc::clone(&closure));
-    Ok(closure)
+    Ok((closure, fresh))
 }
 
 /// The closure [`ask_with_stats_version`] reads: [`base_program`] over
-/// the `in_` and `isa` relations `version` believed at `at`. It is read
-/// from the version's lemmas when `at` is its capture tick — the only
-/// tick a served session ever pins — and built unshared otherwise. The
-/// first read at the capture tick carries the version's seed over
-/// ([`inherit`]) if it has one, and builds from scratch if not (or if
-/// carrying fails).
+/// the `in_` and `isa` relations `version` believed at `at`, read from
+/// the version's ASK lemma ([`closure`]).
 pub fn ask_closure(version: &KbVersion, at: i64) -> ObResult<Arc<Closure>> {
-    let scratch = || build_closure(version, at, false, base());
-    if at != version.now() {
-        return scratch();
-    }
-    let Some(lemmas) = version.derived::<Lemmas>() else {
-        return scratch();
-    };
-    remembered(&lemmas.ask, || {
-        let seed = lemmas.seed.lock().unwrap_or_else(|e| e.into_inner()).take();
-        match seed {
-            Some(seed) => carry(seed, version).or_else(|_| scratch()),
-            None => scratch(),
-        }
-    })
+    let lemmas = version.derived::<Lemmas>();
+    let lemma = lemmas.as_deref().map(|l| &l.ask);
+    closure(version, at, false, base(), lemma).map(|(closure, _)| closure)
 }
 
 /// The closure of `program` over everything `version` believed at tick
-/// `at` (all three extensional predicates, like [`to_edb_at_store`]).
-/// At the version's capture tick it is built once and then shared by
-/// every reader of that version; this is how a session that fell off a
-/// maintained view's model reads the view at its own pin. It is always
-/// built from scratch.
-pub fn version_closure(version: &KbVersion, at: i64, program: &Program) -> ObResult<Arc<Closure>> {
-    let scratch = || build_closure(version, at, true, program);
-    if at != version.now() {
-        return scratch();
-    }
-    let Some(lemmas) = version.derived::<Lemmas>() else {
-        return scratch();
-    };
-    let lemma = {
-        let mut all = lemmas.views.lock().unwrap_or_else(|e| e.into_inner());
-        match all.iter().find(|(p, _)| p == program) {
-            Some((_, lemma)) => Arc::clone(lemma),
-            None => {
-                let lemma = Arc::<Lemma>::default();
-                all.push((program.clone(), Arc::clone(&lemma)));
-                lemma
-            }
-        }
-    };
-    remembered(&lemma, scratch)
+/// `at` (all three extensional predicates, like [`to_edb_at_store`]),
+/// read from the version's lemma of that program ([`closure`]) — how a
+/// registered view is read — and whether this read built it from
+/// scratch.
+pub fn version_closure(
+    version: &KbVersion,
+    at: i64,
+    program: &Program,
+) -> ObResult<(Arc<Closure>, bool)> {
+    let lemmas = version.derived::<Lemmas>().filter(|_| at == version.now());
+    let lemma = lemmas.map(|l| l.view(program));
+    closure(version, at, true, program, lemma.as_deref())
 }
 
 /// ASK with the assertion language: the believed instances of `class`
@@ -973,7 +1004,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         barrier.wait();
-                        version_closure(&version.clone(), at, &program).unwrap()
+                        version_closure(&version.clone(), at, &program).unwrap().0
                     })
                 })
                 .collect();
@@ -994,8 +1025,8 @@ mod tests {
         assert!(closures[0].model().count(preds::ATTR) > 0);
         assert_eq!(asked.stats, closures[0].stats, "attr is never joined");
         // Off the capture tick nothing is remembered.
-        let earlier = version_closure(&version, at - 1, &program).unwrap();
-        let earlier_again = version_closure(&version, at - 1, &program).unwrap();
+        let earlier = version_closure(&version, at - 1, &program).unwrap().0;
+        let earlier_again = version_closure(&version, at - 1, &program).unwrap().0;
         assert!(!Arc::ptr_eq(&earlier, &earlier_again));
     }
 
@@ -1044,13 +1075,17 @@ mod tests {
         let version = kb.version();
         let clone = version.clone();
         let program = base_program();
-        let model = Arc::downgrade(&version_closure(&version, version.now(), &program).unwrap());
+        let model = Arc::downgrade(
+            &version_closure(&version, version.now(), &program)
+                .unwrap()
+                .0,
+        );
         ask_with_stats_version(&clone, clone.now(), "p", "Paper", "true").unwrap();
         drop(version);
         let held = model.upgrade().expect("a clone keeps the version alive");
         assert!(Arc::ptr_eq(
             &held,
-            &version_closure(&clone, clone.now(), &program).unwrap()
+            &version_closure(&clone, clone.now(), &program).unwrap().0
         ));
         drop(held);
         drop(clone);
@@ -1072,7 +1107,9 @@ mod tests {
         assert!(version_closure(&version, at, &bad).is_err());
         let lemmas = version.derived::<Lemmas>().unwrap();
         let all = lemmas.views.lock().unwrap();
-        assert!(all.iter().all(|(_, lemma)| lemma.lock().unwrap().is_none()));
+        assert!(all
+            .iter()
+            .all(|(_, lemma)| lemma.built.lock().unwrap().is_none()));
     }
 
     #[test]
@@ -1213,16 +1250,56 @@ mod tests {
         assert!(c1.upgrade().is_none());
     }
 
-    /// Versions nobody asks pass one seed on instead of chaining: after
-    /// 1 000 captures the one closure ever built is held once, by the
-    /// last version's seed, and the ASK of that version carries it over
-    /// with no export.
+    /// A view's program: the base program plus `rules`.
+    fn view_program(rules: &str) -> Program {
+        let mut program = base_program();
+        program.rules.extend(Program::parse(rules).unwrap().rules);
+        program
+    }
+
+    /// The rows of every predicate `program` derives or reads in
+    /// `closure`, against a from-scratch evaluation over `version`.
+    fn same_model(closure: &Closure, version: &KbVersion, program: &Program, ctx: &str) {
+        let edb = to_edb_at_store(version, version.now()).unwrap();
+        let (scratch, _) = datalog::seminaive::evaluate(program, &edb).unwrap();
+        let rows = |db: &Database, pred: &str| {
+            let mut rows: Vec<Vec<Value>> = db.tuples(pred).collect();
+            rows.sort();
+            rows
+        };
+        let mut preds = scratch.preds();
+        preds.extend(closure.model().preds());
+        for pred in preds {
+            assert_eq!(
+                rows(closure.model(), pred),
+                rows(&scratch, pred),
+                "{ctx}: {pred}"
+            );
+        }
+    }
+
+    /// Versions nobody reads pass one seed per program on instead of
+    /// chaining: after 1 000 captures each closure ever built — the
+    /// ASK's and two views' — is held once, by the last version's seed,
+    /// and the first read of that version carries each over with no
+    /// export.
     #[test]
-    fn captures_nobody_asks_hold_one_ancestor_closure() {
+    fn captures_nobody_reads_hold_one_ancestor_closure_per_program() {
         let _serial = serial();
         let mut kb = scenario_kb();
         let mut prev = kb.version();
-        let built = Arc::downgrade(&ask_closure(&prev, prev.now()).unwrap());
+        let views = [
+            view_program("sent(X) :- attr(X, sender, _Y)."),
+            view_program("sent(X) :- attr(X, sender, _Y).\nquiet(X) :- in_(X, _C), not sent(X)."),
+        ];
+        let asked_closure = ask_closure(&prev, prev.now()).unwrap();
+        let view_closures = views
+            .iter()
+            .map(|program| version_closure(&prev, prev.now(), program).unwrap().0);
+        let built: Vec<std::sync::Weak<Closure>> = std::iter::once(asked_closure)
+            .chain(view_closures)
+            .map(|closure| Arc::downgrade(&closure))
+            .collect();
         for i in 0..1_000 {
             kb.tick();
             if i % 3 == 2 {
@@ -1233,7 +1310,9 @@ mod tests {
             let next = kb.version();
             inherit(&next, &prev);
             prev = next;
-            assert_eq!(built.strong_count(), 1, "after capture {i}");
+            for (k, closure) in built.iter().enumerate() {
+                assert_eq!(closure.strong_count(), 1, "closure {k} after capture {i}");
+            }
         }
         let counted = || {
             [
@@ -1245,8 +1324,21 @@ mod tests {
         };
         let [exports, builds, carried] = counted();
         assert_eq!(asked(&prev, "Paper").0, oracle(&kb, "Paper"));
-        assert_eq!(counted(), [exports, builds, carried + 1]);
-        assert!(built.upgrade().is_none(), "carried in place");
+        let read: Vec<Arc<Closure>> = (views.iter())
+            .map(|program| {
+                let (closure, scratch) = version_closure(&prev, prev.now(), program).unwrap();
+                assert!(!scratch, "carried");
+                closure
+            })
+            .collect();
+        assert_eq!(counted(), [exports, builds, carried + 3]);
+        assert!(
+            built.iter().all(|c| c.upgrade().is_none()),
+            "carried in place"
+        );
+        for (closure, program) in read.iter().zip(&views) {
+            same_model(closure, &prev, program, "after 1 000 captures");
+        }
     }
 
     /// A write that fails and rolls back leaves the closed log as it
@@ -1277,9 +1369,10 @@ mod tests {
         assert_eq!(stats.rounds, 0, "carried");
     }
 
-    /// Carrying agrees with a from-scratch build through specializations
-    /// untold and told again and an `in` link asserted twice, one of
-    /// which is untold (its multiplicity keeps the tuple).
+    /// Carrying agrees with a from-scratch build — the ASK's closure and
+    /// a view's — through specializations untold and told again and an
+    /// `in` link asserted twice, one of which is untold (its
+    /// multiplicity keeps the tuple).
     #[test]
     fn a_carried_closure_is_the_scratch_closure() {
         let _serial = serial();
@@ -1302,6 +1395,15 @@ mod tests {
         // Built from scratch over both: its export counts the duplicate.
         let mut prev = kb.version();
         asked(&prev, "Paper");
+        // A view reading `attr`, recursively and under negation, carried
+        // alongside.
+        let view = view_program(
+            "linked(X, Y) :- attr(X, _L, Y).\n\
+             linked(X, Z) :- linked(X, Y), attr(Y, _L, Z).\n\
+             linking(X) :- linked(X, _Y).\n\
+             lone(X) :- in_(X, _C), not linking(X).",
+        );
+        version_closure(&prev, prev.now(), &view).unwrap();
         for i in 0..5 {
             kb.tick();
             match i {
@@ -1333,6 +1435,9 @@ mod tests {
                     assert_eq!(asked(&prev, class).0, oracle(&kb, class), "step {i}");
                 }
             }
+            let (closure, scratch) = version_closure(&prev, prev.now(), &view).unwrap();
+            assert!(!scratch, "step {i}: the view was carried");
+            same_model(&closure, &prev, &view, &format!("step {i}"));
         }
     }
 }

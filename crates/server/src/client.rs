@@ -631,10 +631,9 @@ impl Client {
         self.done(&Request::Promote { session })
     }
 
-    /// Registers a materialized deductive view: the base closure rules
-    /// plus `rules` (datalog source, may be empty), maintained
-    /// incrementally under every subsequent TELL/UNTELL. A write — on a
-    /// replica it fails with [`ClientError::Redirect`].
+    /// Registers a deductive view: the base closure rules plus `rules`
+    /// (datalog source, may be empty), read at each session's pin. A
+    /// write — on a replica it fails with [`ClientError::Redirect`].
     pub fn register_view(&mut self, session: u64, name: &str, rules: &str) -> ClientResult<String> {
         let op = JournalOp::RegisterView {
             name: name.into(),
@@ -644,9 +643,9 @@ impl Client {
     }
 
     /// Reads one predicate of a registered view, each tuple rendered
-    /// as one space-joined row. Snapshot-pinned: a session whose
-    /// watermark predates the view's last refresh gets answers
-    /// evaluated at its own watermark.
+    /// as one space-joined row. Snapshot-pinned: the answer is the
+    /// view's model at the session's watermark, and a view registered
+    /// after it is unknown.
     pub fn view_ask(&mut self, session: u64, name: &str, pred: &str) -> ClientResult<Vec<String>> {
         self.names(&Request::ViewAsk {
             session,

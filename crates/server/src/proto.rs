@@ -361,11 +361,10 @@ storage::op_table! {
         /// Inspect the server's replication role and positions.
         /// Sessionless and admission-exempt, like `Metrics`.
         27 ReplStatus "repl_status" Control,
-        /// Read one predicate of a registered view. Snapshot-pinned: a
-        /// session whose watermark predates the view's last refresh gets
-        /// answers evaluated at its own watermark, never the newer model,
-        /// and one whose watermark predates the view's registration is
-        /// answered that the view is unknown.
+        /// Read one predicate of a registered view. Snapshot-pinned: the
+        /// view's model at the session's watermark, never a newer one,
+        /// and a view registered after the watermark is answered that
+        /// it is unknown.
         29 ViewAsk "view_ask" Read {
             /// Issuing session.
             session: u64,

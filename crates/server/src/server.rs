@@ -3,7 +3,7 @@
 //! # Concurrency model
 //!
 //! Writers (TELL, UNTELL, EXECUTE, …, and a follower's applied batches)
-//! serialize behind the write guard of one [`RwLock`], taken as the one
+//! serialize behind one state [`Mutex`], taken as the one
 //! `commit::Writer`. Every change ends in its commit, which publishes
 //! an immutable [`gkbms::Published`] — the store's [`telos::KbVersion`]
 //! and the design index, captured together — into a
@@ -11,10 +11,10 @@
 //! versions appear in commit order. The capture is structural sharing:
 //! one `Arc` bump per 512-element chunk of the store and of the index
 //! and per symbol-map shard, O(store / 512); the history and the lint
-//! memo ride along. Every session read but VIEW ASK takes no lock: a
-//! session pins the chain head at Hello (or Refresh) and reads its
-//! pinned version at its watermark, however many commits land — so it
-//! refreshes before it saves, lints or checks its own writes.
+//! memo and the registered views ride along. No session read takes the
+//! state lock: a session pins the chain head at Hello (or Refresh) and
+//! reads its pinned version at its watermark, however many commits land
+//! — so it refreshes before it saves, lints or checks its own writes.
 //!
 //! Belief time supplies the isolation *semantics*: every write is one
 //! `Gkbms` transaction that opens with a belief-clock tick, so nothing
@@ -24,12 +24,12 @@
 //! when its last holder lets go (Bye, Refresh, or the idle-timeout
 //! sweep run on every commit and idle connection poll). Replication
 //! reads the commit watermark and the journal files, so it does not
-//! wait on a writer either. Only VIEW ASK's materialized model takes
-//! the read guard: the model lives on the state, not on a version.
+//! wait on a writer either. A view's model is a lemma of the version
+//! its reader pins, like the ASK's closure (see [`gkbms::views`]).
 //!
 //! A panic inside a write poisons the lock, and may leave the state
-//! half-applied. From then on the writer and the read guard are
-//! refused with a typed `Internal` ("state poisoned; restart to
+//! half-applied. From then on the writer is refused with a typed
+//! `Internal` ("state poisoned; restart to
 //! recover from the journal") and a follower stops applying; the
 //! published versions, which hold only committed writes, keep serving.
 //! A panic anywhere in a request's handling is contained to it: the
@@ -95,7 +95,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use storage::record::{HEADER_LEN, MAX_RECORD_LEN};
@@ -208,7 +208,7 @@ struct ReplState {
 }
 
 struct Shared {
-    state: RwLock<Gkbms>,
+    state: Mutex<Gkbms>,
     /// Immutable versions of the state — store and design index — one
     /// published per acknowledged mutation (under the write guard, so
     /// in commit order). Session reads are served from pinned versions,
@@ -315,7 +315,7 @@ impl Server {
             apply_paused: AtomicBool::new(false),
         };
         let shared = Arc::new(Shared {
-            state: RwLock::new(state),
+            state: Mutex::new(state),
             chain,
             sessions: Mutex::new(SessionTable::new(cfg.idle_timeout)),
             inflight: AtomicUsize::new(0),
@@ -714,13 +714,6 @@ fn lock_sessions(shared: &Shared) -> std::sync::MutexGuard<'_, SessionTable<Sess
     shared.sessions.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The read guard of the live state, for the one read that must see
-/// the head itself rather than the session's pinned version: VIEW
-/// ASK's maintained model. A poisoned state is refused like a write.
-fn read_state(shared: &Shared) -> Result<std::sync::RwLockReadGuard<'_, Gkbms>, Response> {
-    shared.state.read().map_err(|_| commit::poisoned())
-}
-
 /// Reaps idled-out sessions, dropping their version pins so the chain
 /// can reclaim history they alone retained. Runs on every commit and
 /// on idle connection polls; never called while holding the state
@@ -778,14 +771,16 @@ mod tests {
             let req = DecisionRequest::new("MapDec", &d, "dev").input(&e);
             g.execute(req.output(&r, kernel::DBPL_REL)).unwrap();
         }
+        g.register_view("rels", "rel(X) :- inT(X, \"DBPL_Rel\").")
+            .unwrap();
         g
     }
 
     /// The reads of a published version take no state guard: `Check`,
-    /// `Explain`, `History`, `Status`, `Recall`, `Lint` and `Save`
-    /// answer from the session's pinned version. With the write guard
-    /// held, a fresh session still gets all seven answers, and the same
-    /// text it gets once the guard is dropped.
+    /// `Explain`, `History`, `Status`, `Recall`, `Lint`, `ViewAsk` and
+    /// `Save` answer from the session's pinned version. With the write
+    /// guard held, a fresh session still gets all eight answers, and the
+    /// same text it gets once the guard is dropped.
     #[test]
     fn published_version_reads_answer_while_the_writer_holds_the_state() {
         let server = Server::bind("127.0.0.1:0", design_state(), Config::default()).unwrap();
@@ -799,8 +794,8 @@ mod tests {
         let path = saved.to_str().unwrap();
         let unsafe_rule = "p(X, Y) :- in_(X, C).";
 
-        let (check, explain, history, status, recall, lint) = {
-            let _writer = server.shared.state.write().unwrap();
+        let (check, explain, history, status, recall, lint, rels) = {
+            let _writer = server.shared.state.lock().unwrap();
             let (session, _) = client.hello().unwrap();
             let under_guard = "answers under the write guard";
             client.save(session, path).expect(under_guard);
@@ -811,6 +806,7 @@ mod tests {
                 client.status(session).expect(under_guard),
                 client.recall(session, "d0", 5).expect(under_guard),
                 client.lint(session, unsafe_rule).expect(under_guard),
+                client.view_ask(session, "rels", "rel").expect(under_guard),
             )
         };
         let loaded = Gkbms::load(&saved).unwrap();
@@ -832,6 +828,7 @@ mod tests {
         );
         assert!(status.contains("r1"), "{status}");
         assert_eq!(recall, [("d1".to_string(), 1.0, false)]);
+        assert_eq!(rels, ["r0", "r1"]);
         let (session, _) = client.hello().unwrap();
         assert_eq!(client.check(session).unwrap(), check);
         assert_eq!(client.explain(session, "").unwrap(), explain);
@@ -839,13 +836,14 @@ mod tests {
         assert_eq!(client.status(session).unwrap(), status);
         assert_eq!(client.recall(session, "d0", 5).unwrap(), recall);
         assert_eq!(client.lint(session, unsafe_rule).unwrap(), lint);
+        assert_eq!(client.view_ask(session, "rels", "rel").unwrap(), rels);
         server.shutdown().unwrap();
     }
 
     /// A panic inside a write poisons the state lock, and the write may
-    /// be half-applied: later writes, and `ViewAsk` (the one read of the
-    /// live state), are refused with a typed `Internal`, while the reads
-    /// of published versions — `Lint` and `Save` too — keep answering.
+    /// be half-applied: later writes are refused with a typed
+    /// `Internal`, while the reads of published versions — `Lint`,
+    /// `ViewAsk` and `Save` too — keep answering.
     #[test]
     fn a_poisoned_state_refuses_writes_and_serves_published_versions() {
         use crate::client::ClientError;
@@ -856,25 +854,23 @@ mod tests {
         let (session, _) = client.hello().unwrap();
         let shared = Arc::clone(&server.shared);
         let writer = std::thread::spawn(move || {
-            let _guard = shared.state.write().unwrap();
+            let _guard = shared.state.lock().unwrap();
             panic!("a write fails halfway");
         });
         assert!(writer.join().is_err(), "the writer panicked");
 
         let untell = JournalOp::Untell { name: "e0".into() };
-        let refused = [
-            client.write(session, untell).map(drop),
-            client.view_ask(session, "v", "inT").map(drop),
-        ];
-        for outcome in refused {
-            match outcome {
-                Err(ClientError::Server(e)) => {
-                    assert_eq!(e.code, ErrorCode::Internal, "{e:?}");
-                    assert!(e.message.contains("state poisoned"), "{e:?}");
-                }
-                other => panic!("a poisoned state answered {other:?}"),
+        match client.write(session, untell) {
+            Err(ClientError::Server(e)) => {
+                assert_eq!(e.code, ErrorCode::Internal, "{e:?}");
+                assert!(e.message.contains("state poisoned"), "{e:?}");
             }
+            other => panic!("a poisoned state answered {other:?}"),
         }
+        assert_eq!(
+            client.view_ask(session, "rels", "rel").unwrap(),
+            ["r0", "r1"]
+        );
         let answers = client
             .ask(session, "x", "DBPL_Rel", "true")
             .unwrap()
@@ -941,7 +937,7 @@ mod tests {
         let timeout = Duration::from_secs(2);
         let mut client = Client::connect_with_timeout(server.local_addr(), timeout).unwrap();
         {
-            let _writer = server.shared.state.write().unwrap();
+            let _writer = server.shared.state.lock().unwrap();
             let mut sub = TcpStream::connect(server.local_addr()).unwrap();
             sub.set_read_timeout(Some(timeout)).unwrap();
             let subscribe = Request::Replicate {

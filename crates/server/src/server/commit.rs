@@ -17,14 +17,14 @@ use std::fs::File;
 use std::io;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::Ordering;
-use std::sync::{Condvar, Mutex, MutexGuard, RwLockWriteGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// The single writer: the state's write guard, and the service whose
 /// version chain, watermark and sessions its end moves.
 pub(super) struct Writer<'a> {
     shared: &'a Shared,
-    state: RwLockWriteGuard<'a, Gkbms>,
+    state: MutexGuard<'a, Gkbms>,
     /// The belief clock and the applied op sequence when taken.
     taken: (i64, u64),
 }
@@ -34,7 +34,7 @@ impl Shared {
     /// panic poisoned mid-write is refused ([`poisoned`]).
     pub(super) fn writer(&self) -> Result<Writer<'_>, Response> {
         let waited = Instant::now();
-        let state = self.state.write().map_err(|_| poisoned())?;
+        let state = self.state.lock().map_err(|_| poisoned())?;
         obs::histogram!(
             "gkbms_writer_lock_wait_seconds",
             "Time spent waiting to acquire the single-writer state lock"

@@ -7,10 +7,10 @@
 //! [`Request`] table. The `match` has no wildcard arm, so a new table
 //! row without a handler does not compile. Every arm that names a
 //! session passes the one session gate ([`gate`]); every journaled
-//! mutation runs through [`write_op`]. Every Read but `ViewAsk` reads
-//! only the pinned version the gate hands back.
+//! mutation runs through [`write_op`]. Every Read reads only the pinned
+//! version the gate hands back.
 
-use super::{lock_sessions, read_state, Shared, SlowQuery, SLOW_LOG_CAP};
+use super::{lock_sessions, Shared, SlowQuery, SLOW_LOG_CAP};
 use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
 use crate::session::SessionErr;
 use datalog::intern::IVal;
@@ -421,52 +421,30 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
             name,
             pred,
         } => {
+            // Pinned like every Read: the views the session's version
+            // was captured with — so one registered after the pin is
+            // unknown at it — read from the lemmas that version holds.
             let (watermark, version) = gate(shared, session)?;
-            // The one Read of the live state, where a view registered
-            // after the pin is unknown. The materialized model reflects
-            // the current belief state (`as_of`). A session pinned at or
-            // after it takes the slot of the model's sorted order under
-            // the state guard — plus, if no read has sorted this state
-            // yet, one copy of the interned values; sorting and encoding
-            // wait until the guard is released. An older watermark must
-            // never observe a refresh from a newer tick: it takes only
-            // the view's program from under the guard and reads the view
-            // at its own pinned store version, with the guard released —
-            // an evaluation must not hold writers up.
-            enum Read {
-                Model(datalog::db::SortedRead),
-                Pinned(datalog::ast::Program),
+            let Published { kb, views, .. } = version.data();
+            let view = (views.iter())
+                .find(|v| v.name() == name)
+                .ok_or_else(|| rejected(format!("unknown view `{name}`")))?;
+            view.check_pred(&pred).map_err(rejected)?;
+            let (mut rows, scratch) =
+                gkbms::views::pinned_rows(kb, watermark, view, &pred).map_err(rejected)?;
+            if scratch {
+                obs::counter!(
+                    "gkbms_view_asks_pinned_total",
+                    "View reads that built the view's model from scratch at their pinned version"
+                )
+                .inc();
+            } else {
+                obs::counter!(
+                    "gkbms_view_asks_materialized_total",
+                    "View reads served from a model their pinned version built or carried over"
+                )
+                .inc();
             }
-            let read = {
-                let g = read_state(shared)?;
-                let view = g
-                    .view(&name)
-                    .filter(|v| v.registered() <= watermark)
-                    .ok_or_else(|| rejected(format!("unknown view `{name}`")))?;
-                view.check_pred(&pred).map_err(rejected)?;
-                if watermark >= view.as_of() {
-                    obs::counter!(
-                        "gkbms_view_asks_materialized_total",
-                        "View reads served straight from the maintained model"
-                    )
-                    .inc();
-                    Read::Model(view.rows(&pred))
-                } else {
-                    Read::Pinned(view.view().program().clone())
-                }
-            };
-            let mut rows = match read {
-                Read::Model(rows) => rows,
-                Read::Pinned(program) => {
-                    obs::counter!(
-                        "gkbms_view_asks_pinned_total",
-                        "View reads answered at an older pinned watermark, from the lemmas of the pinned version"
-                    )
-                    .inc();
-                    gkbms::views::pinned_rows(&version.data().kb, watermark, &program, &pred)
-                        .map_err(rejected)?
-                }
-            };
             names(rows.rows().iter().map(row_name))
         }
         Request::Recall {
@@ -548,10 +526,10 @@ fn written(op: &JournalOp, applied: Applied) -> Response {
         (JournalOp::Register { name, class, .. }, _) => {
             done(format!("registered `{name}` in `{class}`"))
         }
-        (JournalOp::RegisterView { name, .. }, Applied::View(as_of, warnings)) => {
+        (JournalOp::RegisterView { name, .. }, Applied::View(registered, warnings)) => {
             // CB013 maintainability warnings ride back in the
             // confirmation text; they never block registration.
-            let mut text = format!("registered view `{name}` as of tick {as_of}");
+            let mut text = format!("registered view `{name}` as of tick {registered}");
             for d in &warnings {
                 text.push_str(&format!("\nwarning[{}]: {}", d.code, d.message));
             }

@@ -25,12 +25,13 @@
 //! store: its length, its clock and its symbol count. While it is open
 //! the KB logs the intervals it closes on propositions older than the
 //! mark — nothing else, so opening and committing cost O(1) plus one
-//! entry per closed interval. [`Kb::commit`] hands the log back as a
-//! [`Committed`] delta; [`Kb::rollback`] undoes everything since the
-//! mark: the appended propositions with their postings and names, the
-//! names interned, the closed intervals (and their entries in the
-//! store's closed log) and the clock. A failed write
-//! thus leaves the store exactly as it found it.
+//! entry per closed interval. [`Kb::commit`] keeps the changes (what
+//! they were is read from the store: the ids past the mark and the
+//! store's closed log, [`PropStore::closed_since`]); [`Kb::rollback`]
+//! undoes everything since the mark: the appended propositions with
+//! their postings and names, the names interned, the closed intervals
+//! (and their entries in the store's closed log) and the clock. A
+//! failed write thus leaves the store exactly as it found it.
 
 use crate::error::{TelosError, TelosResult};
 use crate::omega::{self, Builtins};
@@ -39,7 +40,7 @@ use crate::symbols::Symbol;
 use crate::time::interval::Interval;
 use crate::version::{KbVersion, PropStore};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 
 /// Reserved label of classification links.
 pub const L_INSTANCEOF: &str = "instanceof";
@@ -79,16 +80,6 @@ struct Txn {
     /// Each closed proposition with the belief it had and whether it
     /// was the believed individual of its name.
     closed: Vec<(PropId, Interval, bool)>,
-}
-
-/// What a committed write transaction changed.
-#[derive(Debug, Default)]
-pub struct Committed {
-    /// The ids of the propositions it appended, believed or not by now.
-    pub appended: Range<u32>,
-    /// The propositions older than the transaction whose belief it
-    /// closed, in the order closed.
-    pub closed: Vec<PropId>,
 }
 
 impl Deref for Kb {
@@ -191,16 +182,10 @@ impl Kb {
         self.store.clock
     }
 
-    /// Closes the open transaction, keeping its changes, and returns
-    /// them (an empty delta if none is open).
-    pub fn commit(&mut self) -> Committed {
-        let Some(txn) = self.txn.take() else {
-            return Committed::default();
-        };
-        Committed {
-            appended: txn.len as u32..self.len() as u32,
-            closed: txn.closed.into_iter().map(|(id, ..)| id).collect(),
-        }
+    /// Closes the open transaction, keeping its changes (a no-op if
+    /// none is open).
+    pub fn commit(&mut self) {
+        self.txn = None;
     }
 
     /// Closes the open transaction, undoing every change since
@@ -995,7 +980,7 @@ mod tests {
     }
 
     #[test]
-    fn rollback_restores_the_mark_and_commit_reports_the_delta() {
+    fn rollback_restores_the_mark_and_commit_keeps_the_closed_log() {
         let mut kb = kb();
         let a = kb.individual("A").unwrap();
         let b = kb.individual("B").unwrap();
@@ -1026,12 +1011,12 @@ mod tests {
         kb.begin();
         let c = kb.individual("C").unwrap();
         kb.untell(ab).unwrap();
-        let done = kb.commit();
-        assert_eq!(done.appended, c.0..c.0 + 1);
-        assert_eq!(done.closed, [ab]);
+        kb.commit();
+        assert_eq!(kb.len(), c.idx() + 1);
         assert_eq!(kb.closed_since(logged).collect::<Vec<_>>(), [ab]);
         assert_eq!(frozen.closed_len(), logged, "a version's log is frozen");
-        assert!(kb.commit().appended.is_empty(), "nothing left open");
+        kb.rollback();
+        assert_eq!(kb.len(), c.idx() + 1, "nothing left open");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod time;
 pub mod version;
 
 pub use error::{TelosError, TelosResult};
-pub use kb::{Committed, Kb, Snapshot};
+pub use kb::{Kb, Snapshot};
 pub use prop::{PropId, Proposition};
 pub use symbols::{Symbol, SymbolTable};
 pub use time::interval::Interval;

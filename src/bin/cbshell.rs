@@ -57,7 +57,7 @@
 //! \metrics                 process metrics (Prometheus text format)
 //! \lint <file>             statically analyze a script without admitting it
 //! \explain [rules…]        join plan + cost estimate of the rule base
-//! \view <name> [: <rules>] register a materialized deductive view
+//! \view <name> [: <rules>] register a deductive view
 //! \viewask <name> <pred>   read one predicate of a view
 //! \recall <decision> [n]   structurally similar precedents
 //! \register <name> <class> <source>   register a design object
@@ -69,9 +69,8 @@
 //!
 //! Reads are snapshot-isolated at the session watermark — `history`,
 //! `status` and `\recall` from the design index published with the
-//! session's version, `save` from its history, `check`, `\lint` and
-//! `\explain` from its KB; only `\viewask` reads a view's live model —
-//! and the shell refreshes after its own successful writes, so a
+//! session's version, `\viewask` from its views, `save` from its
+//! history, `check`, `\lint` and `\explain` from its KB — and the shell refreshes after its own successful writes, so a
 //! `save`, `\lint` or `check` after them sees them. A
 //! session the server no longer knows — it idled out, or the server
 //! restarted — is replaced once, with a notice on stderr, and the
@@ -247,7 +246,7 @@ fn command(c: &mut Client, session: u64, cmd: &str, rest: &str) -> ClientResult<
         // \explain [rules…] — the join plan and cost estimate of the
         // base program, the stored rules and any extra inline rules.
         "\\explain" | "explain" => c.explain(session, rest),
-        // \view <name> [: <datalog rules>] — register a maintained view.
+        // \view <name> [: <datalog rules>] — register a deductive view.
         "\\view" | "view" => {
             let (name, rules) = match rest.split_once(':') {
                 Some((n, r)) => (n.trim(), r.trim()),

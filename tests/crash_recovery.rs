@@ -19,15 +19,18 @@
 //!   writes included) and wherever the checkpoint fell;
 //! * **a fifth realization, the versioned read path** — after every op
 //!   the store version a server would publish answers ASK and pinned
-//!   view reads from the lemmas it holds exactly as the index path, a
-//!   from-scratch evaluation and the maintained model do;
+//!   view reads from the lemmas it holds exactly as the index path and
+//!   a from-scratch evaluation do;
 //! * **a sixth, the carried closures** — the versions `Gkbms::capture`
-//!   publishes after every op, each inheriting the ASK closure of the one
-//!   before, asked at random so that seeds pass over unasked versions
+//!   publishes after every op, each inheriting the ASK's and every
+//!   view's closure from the one before, read at random (a random
+//!   subset of the views too) so that seeds pass over unread versions,
 //!   and held at random so that a successor carries a closure its
-//!   pinned predecessor shares: every answer is the assertion
+//!   pinned predecessor shares: every ASK answer is the assertion
 //!   language's over the same snapshot, the model it was read from is
-//!   the from-scratch closure's, and a held version answers unchanged;
+//!   the from-scratch closure's, every view answer is the view's
+//!   program evaluated from scratch (`eval_pinned`), and a held
+//!   version answers unchanged;
 //! * **retraction against an oracle** — after every `Retract` of the
 //!   stream, the objects reported affected, the decisions marked
 //!   retracted and the objects left current equal a naive least
@@ -511,13 +514,14 @@ const OUTPUTS: [(&str, &str); 5] = [
     // and its links were told.
     ("wrong", kernel::TDL_ENTITY_CLASS),
 ];
-const TELLS: [&str; 12] = [
+const TELLS: [&str; 13] = [
     "TELL Doc end",
     "TELL Memo isA Doc end",
     "TELL d0 in Doc end",
     "TELL m0 in Memo end",
     "TELL Doc end\nTELL d1 in Doc end",
     "TELL d1 in Doc with attribute ref : d0 end",
+    REF_CHAIN,
     // Deliberately failing batches: the first frame is told, then the
     // second names a class that never exists.
     "TELL Memo end\nTELL ghost in Nope end",
@@ -529,6 +533,8 @@ const TELLS: [&str; 12] = [
     // decision classes, before or after it is one.
     "TELL x1 in RefDec with attribute performer : dev; to : rel1 end\nTELL x1 in MapDec end",
 ];
+/// A second `ref` link, so that `d2` reaches `d0` only through `d1`.
+const REF_CHAIN: &str = "TELL d2 in Doc with attribute ref : d1 end";
 /// A raw TELL of an individual with every link an execution of `MapDec`
 /// tells; it succeeds once `dev`, `inv0` and `rel0` exist.
 const FORGED_DECISION: &str =
@@ -536,9 +542,26 @@ const FORGED_DECISION: &str =
 /// A raw TELL of the `status` a retraction tells.
 const FORGED_RETRACTION: &str = "TELL retracted end\nTELL x3 with attribute status : retracted end";
 const UNTELLS: [&str; 8] = ["Doc", "Memo", "d0", "d1", "m0", "inv0", "rel0", "Sketch"];
-const VIEWS: [(&str, &str); 2] = [("v0", ""), ("v1", "tagged(X) :- in_(X, _C).")];
+/// The registered views: the base closure alone, a user rule, a
+/// recursive one (what a `ref` link or a decision's input reaches,
+/// transitively) and one with stratified negation.
+const VIEWS: [(&str, &str); 4] = [
+    ("v0", ""),
+    ("v1", "tagged(X) :- in_(X, _C)."),
+    ("v2", REACH),
+    (
+        "v3",
+        "refd(X) :- attr(_Y, ref, X).\nunrefd(X) :- in_(X, \"Doc\"), not refd(X).",
+    ),
+];
+const REACH: &str = "step(X, Y) :- attr(X, ref, Y).\n\
+                     step(X, Y) :- attr(D, from, X), attr(D, to, Y).\n\
+                     reach(X, Y) :- step(X, Y).\n\
+                     reach(X, Z) :- reach(X, Y), step(Y, Z).";
 /// Every predicate a registered view's model can hold.
-const VIEW_PREDS: [&str; 6] = ["in_", "isa", "attr", "isaT", "inT", "tagged"];
+const VIEW_PREDS: [&str; 10] = [
+    "in_", "isa", "attr", "isaT", "inT", "tagged", "step", "reach", "refd", "unrefd",
+];
 
 /// A stream always starts from enough schema for later ops to succeed
 /// as often as they fail.
@@ -715,13 +738,20 @@ impl Digest {
                 Some(names)
             })
             .collect();
+        // One closure per view: a bare version of the head keeps the
+        // model its first read builds, and every later predicate hits it.
+        let head = g.kb().version();
         let views = g
             .views()
             .iter()
             .map(|v| {
-                let per_pred = VIEW_PREDS
-                    .iter()
-                    .map(|pred| v.tuples(pred).iter().map(|t| format!("{t:?}")).collect())
+                let per_pred = (VIEW_PREDS.iter().enumerate())
+                    .map(|(i, pred)| {
+                        let read = pinned_rows(&head, head.now(), v, pred).expect("view read");
+                        let (mut rows, scratch) = read;
+                        assert_eq!(scratch, i == 0, "{}: one build per view", v.name());
+                        rows.rows().tuples().map(|t| format!("{t:?}")).collect()
+                    })
                     .collect();
                 (v.name().to_string(), per_pred)
             })
@@ -1093,23 +1123,19 @@ fn versioned_reads_agree(g: &Gkbms, earlier: &mut Option<(KbVersion, Vec<Asked>)
         );
     }
     // A view read at this version through its lemmas is the view's
-    // program evaluated from scratch — and, at the head, the model the
-    // writes maintained.
+    // program evaluated from scratch.
     for view in g.views() {
-        let program = view.view().program();
-        for pred in VIEW_PREDS {
-            let mut pinned = pinned_rows(&v, at, program, pred).expect("pinned view read");
+        for pred in VIEW_PREDS
+            .iter()
+            .filter(|pred| view.check_pred(pred).is_ok())
+        {
+            let (mut pinned, _) = pinned_rows(&v, at, view, pred).expect("pinned view read");
             let pinned: Vec<_> = pinned.rows().tuples().collect();
             let name = view.name();
             assert_eq!(
                 pinned,
                 view.eval_pinned(&v, at, pred).expect("eval_pinned"),
                 "{ctx}: view {name}, {pred} at the version"
-            );
-            assert_eq!(
-                pinned,
-                view.tuples(pred),
-                "{ctx}: view {name}, {pred} vs the maintained model"
             );
         }
     }
@@ -1285,10 +1311,64 @@ fn carried_reads_agree(v: &KbVersion, ctx: &str) -> (Answers, bool) {
     (answered, closure.stats.rounds == 0)
 }
 
+/// What one view answered at one version: its name and, per predicate
+/// it names, its rows.
+type ViewRead = (String, Vec<Vec<Vec<Value>>>);
+
+/// Reads the views of `p` whose bit in `pick` is set, at its capture
+/// tick, through the served path: one closure per view, read at every
+/// predicate the view names. Returns the reads and how many of them
+/// found no model at the version and built one from scratch.
+fn read_views(p: &Published, pick: u64) -> (Vec<ViewRead>, usize) {
+    let at = p.kb.now();
+    let mut built = 0;
+    let picked = (p.views.iter().enumerate()).filter(|(i, _)| pick >> i & 1 == 1);
+    let reads = picked
+        .map(|(_, view)| {
+            let preds = VIEW_PREDS
+                .iter()
+                .filter(|pred| view.check_pred(pred).is_ok());
+            let rows = preds
+                .enumerate()
+                .map(|(i, pred)| {
+                    let (mut rows, scratch) = pinned_rows(&p.kb, at, view, pred).expect("view");
+                    built += usize::from(i == 0 && scratch);
+                    rows.rows().tuples().collect()
+                })
+                .collect();
+            (view.name().to_string(), rows)
+        })
+        .collect();
+    (reads, built)
+}
+
+/// [`read_views`] of a version read for the first time, each answer
+/// held equal to the view's program evaluated from scratch
+/// (`eval_pinned`). Returns the reads and how many were carried over
+/// from a predecessor's model.
+fn fresh_views_agree(p: &Published, pick: u64, ctx: &str) -> (Vec<ViewRead>, usize) {
+    let at = p.kb.now();
+    let (reads, built) = read_views(p, pick);
+    for (name, rows) in &reads {
+        let view = (p.views.iter()).find(|v| v.name() == name).expect("read");
+        let preds = VIEW_PREDS
+            .iter()
+            .filter(|pred| view.check_pred(pred).is_ok());
+        for (pred, rows) in preds.zip(rows) {
+            let oracle = view.eval_pinned(&p.kb, at, pred).expect("eval_pinned");
+            assert_eq!(rows, &oracle, "{ctx}: view {name}, {pred}");
+        }
+    }
+    let carried = reads.len() - built;
+    (reads, carried)
+}
+
 /// The carried realization of `ops` (see the module doc): `choices`
-/// seeds which versions are asked and which are held, and for how many
-/// ops. Returns how many asked versions answered from a carried closure.
-fn carried_closures_agree(tag: &str, ops: &[Op], choices: u64) -> usize {
+/// seeds which versions are read and which are held, for how many ops,
+/// and which views a read reads. Returns how many read versions
+/// answered ASKs from a carried closure, and how many view reads were
+/// carried.
+fn carried_closures_agree(tag: &str, ops: &[Op], choices: u64) -> (usize, usize) {
     let dir = tmp_dir(tag);
     let (mut g, _) = Gkbms::recover(&dir).expect("fresh journal");
     // xorshift64: a fixed function of `choices`, so a failure replays.
@@ -1299,30 +1379,39 @@ fn carried_closures_agree(tag: &str, ops: &[Op], choices: u64) -> usize {
         state ^= state << 17;
         state
     };
-    // Each held version with the op it is held until and its answers.
-    let mut held: Vec<(usize, KbVersion, Answers)> = Vec::new();
-    let mut carried = 0;
+    // Each held version with the op it is held until, its answers, the
+    // views it read and what they answered.
+    let mut held: Vec<(usize, Published, Answers, u64, Vec<ViewRead>)> = Vec::new();
+    let (mut carried, mut views_carried) = (0, 0);
     for (i, op) in ops.iter().enumerate() {
         let outcome = apply(&mut g, op);
-        let v = g.capture().kb;
+        let p = g.capture();
         let ctx = format!("choices {choices}, after op {i} {op:?} ({outcome:?})");
         held.retain(|(until, ..)| *until > i);
-        for (_, old, then) in &held {
-            assert_eq!(&answers(old), then, "{ctx}: a held version changed");
+        for (_, old, then, pick, views) in &held {
+            assert_eq!(&answers(&old.kb), then, "{ctx}: a held version changed");
+            assert_eq!(
+                &read_views(old, *pick).0,
+                views,
+                "{ctx}: a held view changed"
+            );
         }
         let r = roll();
         if r % 3 == 0 {
-            continue; // unasked: its seed passes on to the next version
+            continue; // unread: its seeds pass on to the next version
         }
-        let (answered, was_carried) = carried_reads_agree(&v, &ctx);
+        let (answered, was_carried) = carried_reads_agree(&p.kb, &ctx);
         carried += usize::from(was_carried);
+        let pick = r >> 48;
+        let (views, n) = fresh_views_agree(&p, pick, &ctx);
+        views_carried += n;
         if r % 5 < 2 {
-            held.push((i + 1 + (r >> 32) as usize % 4, v, answered));
+            held.push((i + 1 + (r >> 32) as usize % 4, p, answered, pick, views));
         }
     }
     drop((held, g));
     std::fs::remove_dir_all(&dir).unwrap();
-    carried
+    (carried, views_carried)
 }
 
 proptest! {
@@ -1350,12 +1439,19 @@ proptest! {
 fn differential_stream_commits_and_rolls_back() {
     let mut ops = prelude();
     ops.extend([
-        // Two propositions asserting one link before a view is loaded:
-        // its export must count both, whichever realization loads it.
+        // Registered before the links they read: every later write
+        // reaches their models through the carry, a recursive stratum's
+        // and a negated one's included.
+        Op::View(VIEWS[2].0, VIEWS[2].1),
+        Op::View(VIEWS[3].0, VIEWS[3].1),
+        // Two propositions asserting one link before a view's first
+        // read: its build must count both, whichever realization reads
+        // it.
         Op::Tell("TELL Doc end\nTELL d1 in Doc end"),
         Op::Tell("TELL d0 in Doc end"),
         Op::Tell("TELL d1 in Doc with attribute ref : d0 end"),
         Op::Tell("TELL d1 in Doc with attribute ref : d0 end"),
+        Op::Tell(REF_CHAIN),
         Op::View("v0", ""),
         Op::Tell("TELL Memo end\nTELL ghost in Nope end"), // rolled back
         Op::Tell("TELL Memo isA Doc end"),
@@ -1384,7 +1480,9 @@ fn differential_stream_commits_and_rolls_back() {
         Op::Tell("TELL m0 in Memo end"),
         Op::Untell("Memo"),
         Op::View("v1", "tagged(X) :- in_(X, _C)."),
-        Op::Untell("d0"), // takes both `d1 ref d0` links out of v0 and v1
+        // Takes both `d1 ref d0` links out of every view: `d2` reaches
+        // `d0` no more, and `d0` is `refd` no more.
+        Op::Untell("d0"),
         Op::Conflict("x0", "x0"),
         Op::Retract("x0"), // already retracted by the conflict
         // A cascade for the retraction oracle: x2 takes x3 with it.
@@ -1410,15 +1508,17 @@ fn differential_stream_commits_and_rolls_back() {
     for k in 0..=ops.len() {
         assert_eq!(
             four_realizations_agree("diff-fixed", &ops, k),
-            (26, 4),
+            (29, 4),
             "checkpoint at {k}"
         );
     }
     for choices in 0..8 {
+        let (asks, views) = carried_closures_agree("diff-fixed-carry", &ops, choices);
         assert!(
-            carried_closures_agree("diff-fixed-carry", &ops, choices) > 0,
-            "choices {choices}: no asked version carried its closure"
+            asks > 0,
+            "choices {choices}: no read version carried its closure"
         );
+        assert!(views > 0, "choices {choices}: no view read was carried");
     }
 }
 

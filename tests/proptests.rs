@@ -506,27 +506,34 @@ proptest! {
 
     /// Regression: pinned belief-time reads must not observe view
     /// refreshes. Answers at a watermark — through
-    /// `ask_with_stats_version` on the version captured there, and
-    /// through the assertion language over a snapshot of the live KB —
-    /// stay byte-identical while a registered view refreshes on newer
-    /// ticks of random TELL/UNTELL churn.
+    /// `ask_with_stats_version` and a view read on the version captured
+    /// there, and through the assertion language over a snapshot of the
+    /// live KB — stay byte-identical while the registered view's model
+    /// is carried to every newer version of random TELL/UNTELL churn.
     #[test]
     fn pinned_asks_are_byte_identical_across_view_refreshes(
         churn in prop::collection::vec((any::<bool>(), 0usize..4), 1..8),
     ) {
+        use conceptbase::gkbms::views::pinned_rows;
         use conceptbase::gkbms::Gkbms;
         use conceptbase::objectbase::query::{ask, ask_with_stats_version};
         let mut g = Gkbms::new().unwrap();
         g.tell_src("TELL Person end\nTELL maria in Person end").unwrap();
         g.register_view("closure", "hasSelf(X) :- in_(X, _C).").unwrap();
+        let view = g.view("closure").unwrap().clone();
         let watermark = g.kb().now();
-        let version = g.kb().version();
+        let pinned = g.capture();
+        let view_rows = |p: &conceptbase::gkbms::Published, pred| {
+            let (mut rows, scratch) = pinned_rows(&p.kb, p.kb.now(), &view, pred).unwrap();
+            (rows.rows().tuples().collect::<Vec<_>>(), scratch)
+        };
         let serial = |g: &Gkbms| {
             let mut names = ask(&g.kb().snapshot_at(watermark), "x", "Person", "true").unwrap();
             names.sort();
             names
         };
         let before = serial(&g);
+        let (view_before, _) = view_rows(&pinned, "hasSelf");
         let mut told: Vec<String> = Vec::new();
         let mut counter = 0usize;
         for (tell, sel) in churn {
@@ -539,13 +546,16 @@ proptest! {
                 let name = told.remove(sel % told.len());
                 g.untell(&name).unwrap();
             }
+            let head = g.capture();
+            let (rows, scratch) = view_rows(&head, "hasSelf");
+            prop_assert!(!scratch, "the view's model was carried past the watermark");
+            prop_assert_eq!(rows, view.eval_pinned(g.kb(), g.kb().now(), "hasSelf").unwrap());
         }
-        let v = g.view("closure").unwrap();
-        prop_assert!(v.as_of() > watermark, "the view refreshed past the watermark");
         let (from_version, _) =
-            ask_with_stats_version(&version, watermark, "x", "Person", "true").unwrap();
+            ask_with_stats_version(&pinned.kb, watermark, "x", "Person", "true").unwrap();
         prop_assert_eq!(&serial(&g), &before, "the snapshot leaked a refresh");
         prop_assert_eq!(&from_version, &before, "ask_with_stats_version leaked a refresh");
+        prop_assert_eq!(&view_rows(&pinned, "hasSelf").0, &view_before, "the pinned view leaked a refresh");
     }
 
     #[test]

@@ -1335,13 +1335,36 @@ enum ScriptOp {
     Status,
     /// `recall` of the thread's latest effective decision.
     Recall,
+    /// Register one of [`SCRIPT_VIEWS`] (a second registration of a
+    /// name is refused).
+    RegisterView(u8),
+    /// `view_ask` of one of [`VIEW_READS`].
+    ViewAsk(u8),
+    /// `lint` of a frame instantiating the thread's latest name.
+    Lint,
+    /// `explain` of the base program against the pin's cardinalities.
+    Explain,
 }
+
+/// The views a script registers: a user rule over the closure, and a
+/// stratified negation.
+const SCRIPT_VIEWS: [(&str, &str); 2] = [
+    ("va", "hasPaper(X) :- inT(X, \"Paper\")."),
+    (
+        "vb",
+        "authored(X) :- attr(X, author, _A).\nanon(X) :- in_(X, \"Paper\"), not authored(X).",
+    ),
+];
+
+/// The `(view, predicate)` reads a script makes.
+const VIEW_READS: [(&str, &str); 3] = [("va", "hasPaper"), ("vb", "anon"), ("va", "in_")];
 
 /// Weighted op pick: 3 TELL : 1 UNTELL : 2 ASK : 2 SHOW : 2 REFRESH :
 /// 2 EXECUTE : 2 RETRACT : 2 HISTORY : 1 PROCESS : 1 CHECK : 1 HOLDS :
-/// 1 BROWSE : 1 APPLICABLE : 1 STATUS : 1 RECALL.
+/// 1 BROWSE : 1 APPLICABLE : 1 STATUS : 1 RECALL : 1 REGISTER VIEW :
+/// 2 VIEW ASK : 1 LINT : 1 EXPLAIN.
 fn script_op() -> impl Strategy<Value = ScriptOp> {
-    (0u8..23, 0u8..3).prop_map(|(n, body)| match n {
+    (0u8..28, 0u8..3).prop_map(|(n, body)| match n {
         0..=2 => ScriptOp::Tell,
         3 => ScriptOp::Untell,
         4..=5 => ScriptOp::Ask(body),
@@ -1356,7 +1379,11 @@ fn script_op() -> impl Strategy<Value = ScriptOp> {
         19 => ScriptOp::Browse,
         20 => ScriptOp::Applicable,
         21 => ScriptOp::Status,
-        _ => ScriptOp::Recall,
+        22 => ScriptOp::Recall,
+        23 => ScriptOp::RegisterView(body),
+        24..=25 => ScriptOp::ViewAsk(body),
+        26 => ScriptOp::Lint,
+        _ => ScriptOp::Explain,
     })
 }
 
@@ -1395,6 +1422,16 @@ enum Observed {
     Status(String),
     /// `recall decision`: its hits, or `None` for `unknown`.
     Recall(String, Option<Vec<(String, f64, bool)>>),
+    /// A view registration, observed at the tick its reply names, or
+    /// `None` when it was refused as a duplicate.
+    Registered(String, Option<i64>),
+    /// `view_ask view pred`: its rows, or `None` for `Rejected` (a view
+    /// unknown at the pin).
+    ViewAsk(String, String, Option<Vec<String>>),
+    /// `lint src`: its diagnostics.
+    Lint(String, Vec<conceptbase::server::proto::WireDiagnostic>),
+    /// `explain`: the plan text.
+    Explain(String),
 }
 
 /// The serial replay of a server's committed history, advanced op by op
@@ -1504,12 +1541,15 @@ proptest! {
     /// The differential concurrency property, over the wire: N client
     /// threads run random TELL/UNTELL/ASK/SHOW/REFRESH scripts, with
     /// decisions executed, retracted and traced by OBJECT_HISTORY and
-    /// HISTORY, and CHECK, HOLDS, BROWSE, APPLICABLE DECISIONS, STATUS
-    /// and RECALL reads, concurrently; every answer a pinned session
-    /// observed must be byte-identical to a retrospective read of the
-    /// final state at that session's watermark — or, for STATUS and
-    /// RECALL, which read the design index published with the version,
-    /// to the serial replay of the committed history up to it. Each
+    /// HISTORY, views registered, and CHECK, HOLDS, BROWSE, APPLICABLE
+    /// DECISIONS, STATUS, RECALL, VIEW ASK, LINT and EXPLAIN reads,
+    /// concurrently; every answer a pinned session observed must be
+    /// byte-identical to a retrospective read of the final state at
+    /// that session's watermark — or, for STATUS, RECALL and VIEW ASK,
+    /// which read what is published with the version, to the serial
+    /// replay of the committed history up to it. A view registered
+    /// after a session's pin is unknown at it, and each registration is
+    /// in the replay at the tick its reply names. Each
     /// version's ASK closure is carried over from its predecessor's, so
     /// the sessions read carried closures, some of them while another
     /// session still pins the predecessor. Every told `Paper` violates its
@@ -1636,6 +1676,34 @@ proptest! {
                                 let hits = unless_rejected(c.recall(s, &decision, 5));
                                 observations.push((watermark, Observed::Recall(decision, hits)));
                             }
+                            ScriptOp::RegisterView(which) => {
+                                let (name, rules) = SCRIPT_VIEWS[usize::from(which) % 2];
+                                let tick = unless_rejected(c.register_view(s, name, rules))
+                                    .map(|done| {
+                                        // `… as of tick N`, then any CB013 warnings.
+                                        let first = done.lines().next().expect("reply shape");
+                                        let tick = first.rsplit(' ').next().expect("reply shape");
+                                        tick.parse().expect("registration tick")
+                                    });
+                                let seen = Observed::Registered(name.to_string(), tick);
+                                observations.push((tick.unwrap_or(watermark), seen));
+                            }
+                            ScriptOp::ViewAsk(which) => {
+                                let (view, pred) = VIEW_READS[usize::from(which)];
+                                let rows = unless_rejected(c.view_ask(s, view, pred));
+                                let seen = Observed::ViewAsk(view.into(), pred.into(), rows);
+                                observations.push((watermark, seen));
+                            }
+                            ScriptOp::Lint => {
+                                let latest = format!("q_{t}_{}", next.saturating_sub(1));
+                                let src = format!("TELL z_{t} in {latest} end");
+                                let diags = c.lint(s, &src).unwrap();
+                                observations.push((watermark, Observed::Lint(src, diags)));
+                            }
+                            ScriptOp::Explain => {
+                                let plan = c.explain(s, "").unwrap();
+                                observations.push((watermark, Observed::Explain(plan)));
+                            }
                             ScriptOp::Tell => {
                                 let name = format!("q_{t}_{next}");
                                 next += 1;
@@ -1694,6 +1762,36 @@ proptest! {
         observations.sort_by_key(|(w, _)| *w);
         for (w, seen) in observations {
             match seen {
+                Observed::Registered(name, Some(tick)) => {
+                    let registered = twin.at(tick).view(&name).map(|v| v.registered());
+                    prop_assert_eq!(registered, Some(tick), "view {} registered", name);
+                }
+                Observed::Registered(name, None) => {
+                    prop_assert!(final_state.view(&name).is_some(), "a refused {} exists", name);
+                }
+                Observed::ViewAsk(view, pred, seen) => {
+                    let g = twin.at(w);
+                    let replayed = g.view_tuples(&view, &pred).ok().map(|rows| {
+                        rows.iter()
+                            .map(|row| row.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" "))
+                            .collect()
+                    });
+                    prop_assert_eq!(&replayed, &seen, "view {}.{} diverged at watermark {}", view, pred, w);
+                }
+                Observed::Lint(src, seen) => {
+                    let memo = std::sync::Mutex::default();
+                    let snap = final_state.kb().snapshot_at(w);
+                    let replayed: Vec<_> = conceptbase::gkbms::system::lint_src(snap, &memo, &src)
+                        .iter()
+                        .map(conceptbase::server::proto::WireDiagnostic::from_diagnostic)
+                        .collect();
+                    prop_assert_eq!(&replayed, &seen, "lint {} diverged at watermark {}", src, w);
+                }
+                Observed::Explain(seen) => {
+                    let ctx = conceptbase::analysis::LintContext::at(final_state.kb().snapshot_at(w));
+                    let replayed = conceptbase::analysis::explain_source("", &ctx).unwrap();
+                    prop_assert_eq!(&replayed, &seen, "explain diverged at watermark {}", w);
+                }
                 Observed::Status(seen) => {
                     let g = twin.at(w);
                     let replayed =
