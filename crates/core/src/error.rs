@@ -28,13 +28,6 @@ pub enum GkbmsError {
     NotRetractable(String),
     /// The static analyzer rejected the batch at admission time.
     Lint(Vec<analysis::Diagnostic>),
-    /// A proposition index no longer fits the 32-bit id space of
-    /// `telos::PropId` — the history has outgrown what the proposition
-    /// processor can address, and continuing would wrap ids silently.
-    IdOverflow {
-        /// The out-of-range index.
-        index: usize,
-    },
     /// [`crate::Gkbms::recover`] was pointed at something that exists
     /// but is not a directory — typically a file from another tool or
     /// format. A journal is a directory holding `snapshot` and `wal`.
@@ -43,16 +36,6 @@ pub enum GkbmsError {
 
 /// Convenient alias used throughout the crate.
 pub type GkbmsResult<T> = Result<T, GkbmsError>;
-
-/// Checked conversion from a KB index to a [`telos::PropId`]. At
-/// million-op histories the old `i as u32` pattern would wrap and
-/// silently corrupt replay; this surfaces the condition as a typed
-/// error instead.
-pub(crate) fn checked_prop_id(index: usize) -> GkbmsResult<telos::PropId> {
-    u32::try_from(index)
-        .map(telos::PropId)
-        .map_err(|_| GkbmsError::IdOverflow { index })
-}
 
 impl fmt::Display for GkbmsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -73,9 +56,6 @@ impl fmt::Display for GkbmsError {
             GkbmsError::Lint(diags) => {
                 let lines: Vec<String> = diags.iter().map(|d| d.one_line()).collect();
                 write!(f, "rejected by lint: {}", lines.join("; "))
-            }
-            GkbmsError::IdOverflow { index } => {
-                write!(f, "proposition index {index} exceeds the 32-bit id space")
             }
             GkbmsError::NotAJournal(path) => write!(
                 f,

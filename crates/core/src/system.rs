@@ -198,7 +198,7 @@ pub struct Gkbms {
     /// published version carries this one memo.
     pub(crate) lint_cache: Arc<Mutex<analysis::AnalysisCache>>,
     /// The store version [`Gkbms::capture`] took last: the predecessor
-    /// the next capture inherits its ASK closure from.
+    /// the next capture inherits its closures from.
     pub(crate) captured: Option<KbVersion>,
 }
 
@@ -368,12 +368,11 @@ impl Gkbms {
     /// bumps, no per-entry work.
     ///
     /// The version inherits the closures of the one captured before it
-    /// — the ASK's and every view's ([`objectbase::query::inherit`]) —
-    /// so its first read of each refreshes that closure by the delta
-    /// between the two instead of building one from scratch. Every
-    /// capture of one `Gkbms` is of one lineage: a capture lands between
-    /// write transactions, and a `Load`, a snapshot install or a
-    /// recovery starts a fresh `Gkbms`.
+    /// ([`objectbase::query::inherit`], O(1) in the number of views), so
+    /// its first read of each carries that closure over by the delta
+    /// between the two. Every capture of one `Gkbms` is of one lineage:
+    /// a capture lands between write transactions, and a `Load`, a
+    /// snapshot install or a recovery starts a fresh `Gkbms`.
     pub fn capture(&mut self) -> Published {
         let kb = self.kb.version();
         if let Some(prev) = &self.captured {
@@ -726,7 +725,6 @@ impl Gkbms {
         dc: &DecisionClass,
         input_ids: &[PropId],
     ) -> GkbmsResult<DecisionSummary> {
-        let mark = self.kb.len();
         let decision = self.kb.individual(&req.name)?;
         self.kb.instantiate(decision, class)?;
         let misread = self.misread(decision, class);
@@ -786,11 +784,10 @@ impl Gkbms {
             self.kb.put_attr(decision, names::DISCHARGE, x)?;
         }
 
-        // Set-oriented consistency check over the batch (E-1).
-        let created: Vec<PropId> = (mark..self.kb.len())
-            .map(crate::error::checked_prop_id)
-            .collect::<GkbmsResult<_>>()?;
-        let (violations, _) = objectbase::consistency::check_touched(self.kb.snapshot(), &created);
+        // Set-oriented consistency check over what the transaction told (E-1).
+        let told = self.kb.txn_mark().map(|m| self.kb.delta_since(&m).told);
+        let (violations, _) =
+            objectbase::consistency::check_touched(self.kb.snapshot(), &told.unwrap_or_default());
         if !violations.is_empty() {
             return Err(GkbmsError::Aborted {
                 violations: violations.iter().map(|v| v.to_string()).collect(),

@@ -32,17 +32,15 @@
 //! ASK of the class. There is no cache to size or invalidate.
 //!
 //! A version's lemmas are its predecessor's moved by the write between
-//! them, and one mechanism does it for every program. [`inherit`] seeds
-//! each lemma of a freshly captured version with the closure of the
-//! same program in the one captured before it, and the first read
-//! carries that closure over: the facts of the propositions appended
-//! since and believed now are told to it, those of the ones closed
-//! since ([`PropStore::closed_since`]) that the predecessor believed
-//! are untold, through [`MaterializedView::apply`] — the crate's one
-//! maintenance algorithm. So at most one ancestor closure per program
-//! is held for the versions nobody read, and it is dropped once a
-//! successor has built its own. Class extents start empty on each
-//! version.
+//! them, and one mechanism does it for every program. [`inherit`] hands
+//! a fresh version the nearest earlier closure of each program, in O(1)
+//! of their number, and its first read carries that closure over: the
+//! store's delta since the closure's [`telos::Mark`]
+//! ([`PropStore::delta_since`]) is mapped to facts, inserted if told and
+//! deleted if untold, through [`MaterializedView::apply`] — the crate's
+//! one maintenance algorithm. So at most one ancestor closure per
+//! program is held for the versions nobody read. Class extents start
+//! empty on each version.
 //!
 //! # What a fresh closure costs
 //!
@@ -77,7 +75,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 use telos::assertion;
-use telos::{KbVersion, PropId, PropStore, Proposition, Snapshot, TelosError};
+use telos::{KbVersion, Mark, PropId, PropStore, Proposition, Snapshot, TelosError};
 
 /// EDB predicate names exported from the KB.
 pub mod preds {
@@ -281,27 +279,6 @@ fn base() -> &'static Program {
 /// name.
 type Extent = Arc<[(&'static str, PropId)]>;
 
-/// Where a closure stands in its store's lineage: the store's length,
-/// its closed-log length and its tick when the closure was built. The
-/// ids appended past `len` and the log entries past `closed` are what
-/// a later version of the same lineage changed ([`PropStore::closed_since`]).
-#[derive(Debug, Clone, Copy)]
-struct Mark {
-    len: usize,
-    closed: usize,
-    tick: i64,
-}
-
-impl Mark {
-    fn of(store: &PropStore) -> Mark {
-        Mark {
-            len: store.len(),
-            closed: store.closed_len(),
-            tick: store.now(),
-        }
-    }
-}
-
 /// The deductive closure of one program over one belief state: the
 /// maintained view of the program (extensional plus derived tuples,
 /// with the export's multiplicities) and the counters of the work that
@@ -316,7 +293,7 @@ pub struct Closure {
     /// moved it ([`datalog::ivm::ApplyStats`]): its derivations, index
     /// probes and tuples scanned, with `rounds` and `new_facts` 0.
     pub stats: EvalStats,
-    /// The state the view is the model of.
+    /// Where in its store's lineage the state the view models stands.
     mark: Mark,
     /// Per class, its extent: lemmas of this closure, built by the
     /// first ASK of the class and read by every later one.
@@ -380,26 +357,40 @@ impl Closure {
     }
 }
 
-/// One closure of a version. The lock on `built` is held across the
-/// build, so concurrent readers of a fresh version wait for one
-/// evaluation instead of each running their own.
-#[derive(Default)]
-struct Lemma {
-    /// The closure at the version's capture tick, once a read built it.
-    built: Mutex<Option<Arc<Closure>>>,
-    /// Until `built` is, the nearest earlier version's closure of the
-    /// same program ([`inherit`]); the build takes it.
-    seed: Mutex<Option<Arc<Closure>>>,
+/// What a lemma holds: until a read builds the closure, the seed a
+/// build starts from — the nearest earlier version's closure of the
+/// same program, if any — and then the closure.
+enum Cell {
+    Seed(Option<Arc<Closure>>),
+    Built(Arc<Closure>),
 }
 
+/// One closure of a version, in one cell. A build holds the cell's
+/// lock, so concurrent readers of a fresh version wait for one
+/// evaluation instead of each running their own, and so does a
+/// successor handed the lemma on.
+struct Lemma(Mutex<Cell>);
+
 impl Lemma {
-    /// What a successor inherits: the closure if built, the seed if not.
+    /// What a successor starts from: the closure if built, the seed if
+    /// not.
     fn passed_on(&self) -> Option<Arc<Closure>> {
-        lock(&self.built)
-            .clone()
-            .or_else(|| lock(&self.seed).clone())
+        match &*lock(&self.0) {
+            Cell::Seed(seed) => seed.clone(),
+            Cell::Built(closure) => Some(Arc::clone(closure)),
+        }
     }
 }
+
+impl Default for Lemma {
+    fn default() -> Lemma {
+        Lemma(Mutex::new(Cell::Seed(None)))
+    }
+}
+
+/// Per view program, the lemma of the state at a mark: the latest
+/// version of the lineage, up to the holder, that read the program.
+type ViewLemmas = Vec<(Arc<Program>, Mark, Arc<Lemma>)>;
 
 /// What [`KbVersion::derived`] holds for this crate: its closures at
 /// the version's capture tick.
@@ -408,20 +399,31 @@ struct Lemmas {
     /// The ASK's: [`base_program`] over `in_` and `isa` (a projected
     /// model must not answer for a full one).
     ask: Lemma,
-    /// Per view program, its closure over all three predicates. Shared
-    /// out of the list so that a build does not hold the list's lock.
-    views: Mutex<Vec<(Arc<Program>, Arc<Lemma>)>>,
+    /// The views' closures over all three predicates: one list, shared
+    /// with the versions captured next ([`inherit`]) and replaced, not
+    /// changed, when a program is first read here.
+    views: Mutex<Arc<ViewLemmas>>,
 }
 
 impl Lemmas {
-    /// The entry of view `program`, added empty if it has none.
-    fn view(&self, program: &Program) -> Arc<Lemma> {
-        let mut all = lock(&self.views);
-        if let Some((_, lemma)) = all.iter().find(|(p, _)| **p == *program) {
+    /// The lemma of view `program` at the version marked `at`. A first
+    /// read here replaces the list with one whose entry for the program
+    /// is a fresh lemma, seeded from the old entry. The old list goes
+    /// with it unless another version shares it, so when nothing else
+    /// holds the old entry the seed is the build's alone, and the build
+    /// carries it in place.
+    fn view(&self, at: Mark, program: &Program) -> Arc<Lemma> {
+        let mut list = lock(&self.views);
+        let entry = list.iter().find(|(p, ..)| **p == *program);
+        if let Some((.., lemma)) = entry.filter(|(_, mark, _)| *mark == at) {
             return Arc::clone(lemma);
         }
-        let lemma = Arc::<Lemma>::default();
-        all.push((Arc::new(program.clone()), Arc::clone(&lemma)));
+        let seed = entry.and_then(|(.., lemma)| lemma.passed_on());
+        let lemma = Arc::new(Lemma(Mutex::new(Cell::Seed(seed))));
+        let shared = entry.map_or_else(|| Arc::new(program.clone()), |(p, ..)| Arc::clone(p));
+        let others = list.iter().filter(|(p, ..)| **p != *program);
+        let entries = others.cloned().chain([(shared, at, Arc::clone(&lemma))]);
+        *list = Arc::new(entries.collect());
         lemma
     }
 }
@@ -432,7 +434,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Exports `store` as believed at `at` (with `attr` or without) and
 /// evaluates `program` over it: the from-scratch build, the base case
-/// every carried closure starts from.
+/// every carried closure starts from. Its mark is the store's, so only
+/// one built at the store's tick may seed a carry ([`closure`]).
 fn build_closure(
     store: &PropStore,
     at: i64,
@@ -458,14 +461,7 @@ fn build_closure(
         "Fixpoint evaluations for closures built from scratch (closure misses only)"
     )
     .observe(started.elapsed());
-    Ok(Closure::new(
-        view,
-        stats,
-        Mark {
-            tick: at,
-            ..Mark::of(store)
-        },
-    ))
+    Ok(Closure::new(view, stats, store.mark()))
 }
 
 /// The extensional fact of proposition `id` in an export with `attr`
@@ -479,25 +475,16 @@ fn exported_fact(store: &PropStore, id: PropId, with_attr: bool) -> Option<Fact>
 
 /// `seed`, a closure of an earlier version of `version`'s lineage over
 /// the export with `attr` or without, moved to `version`: the facts of
-/// the ids appended since and believed now are told, those of the ids
-/// closed since that the seed's state believed are untold, both through
+/// the ids told since the seed's mark are inserted and those of the ids
+/// untold since are deleted ([`PropStore::delta_since`]), both through
 /// [`MaterializedView::apply`]. The view is updated in place when
 /// nothing else holds the seed, and copied first otherwise.
 fn carry(seed: Arc<Closure>, version: &KbVersion, with_attr: bool) -> ObResult<Arc<Closure>> {
     let started = Instant::now();
-    let (from, now) = (seed.mark, version.now());
-    let believed = |id: &PropId, at: i64| version.prop(*id).is_some_and(|p| p.believed_at(at));
+    let delta = version.delta_since(&seed.mark);
     let fact = |id| exported_fact(version, id, with_attr);
-    let inserts: Vec<Fact> = (from.len..version.len())
-        .map(|i| PropId(i as u32))
-        .filter(|id| believed(id, now))
-        .filter_map(fact)
-        .collect();
-    let deletes: Vec<Fact> = version
-        .closed_since(from.closed)
-        .filter(|id| id.idx() < from.len && believed(id, from.tick))
-        .filter_map(fact)
-        .collect();
+    let facts = |ids: Vec<PropId>| -> Vec<Fact> { ids.into_iter().filter_map(fact).collect() };
+    let (inserts, deletes) = (facts(delta.told), facts(delta.untold));
     let mut view = match Arc::try_unwrap(seed) {
         Ok(owned) => owned.view,
         Err(shared) => shared.view.clone(),
@@ -519,36 +506,29 @@ fn carry(seed: Arc<Closure>, version: &KbVersion, with_attr: bool) -> ObResult<A
         "Carrying an earlier version's closure over: delta, copy if shared, and refresh"
     )
     .observe(started.elapsed());
-    Ok(Closure::new(view, stats, Mark::of(version)))
+    Ok(Closure::new(view, stats, version.mark()))
 }
 
-/// Seeds each closure of `next` with `prev`'s closure of the same
-/// program — the ASK's and every view's — so that the first read of
-/// `next` refreshes that closure by the delta between the two instead
-/// of building one from scratch. `prev` must be an earlier version of
+/// Hands `prev`'s closures on to `next` — the ASK's and every view's —
+/// so that the first read of each at `next` refreshes the nearest
+/// earlier closure of its program by the delta between them instead of
+/// building one from scratch. `prev` must be an earlier version of
 /// `next`'s lineage: captured from the same [`telos::Kb`], before it,
-/// with nothing rolled back below it since. Where `prev`'s closure is
-/// unbuilt, `prev`'s own seed is passed on instead, so a run of
-/// versions nobody reads holds one closure per program, not a chain of
-/// them; once `next`'s closure is built the seed is dropped. A build of
-/// `prev`'s closure in progress is waited for. This is the one place a
-/// closure crosses versions.
+/// with nothing rolled back below it since.
+///
+/// The ASK's lemma is seeded with `prev`'s closure if built, `prev`'s
+/// own seed if not (a build in progress is waited for). The views' list
+/// is shared, one `Arc` for any number of programs, until a version's
+/// first read of a view gives it a list of its own. So versions nobody
+/// reads hold one ancestor closure per program, not a chain of them.
+/// This is the one place a closure crosses versions.
 pub fn inherit(next: &KbVersion, prev: &KbVersion) {
     let (Some(next), Some(prev)) = (next.derived::<Lemmas>(), prev.derived::<Lemmas>()) else {
         return;
     };
-    *lock(&next.ask.seed) = prev.ask.passed_on();
-    let views = lock(&prev.views).clone();
-    *lock(&next.views) = (views.into_iter())
-        .map(|(program, lemma)| {
-            let seed = Mutex::new(lemma.passed_on());
-            let lemma = Lemma {
-                seed,
-                ..Lemma::default()
-            };
-            (program, Arc::new(lemma))
-        })
-        .collect();
+    *lock(&next.ask.0) = Cell::Seed(prev.ask.passed_on());
+    let views = Arc::clone(&lock(&prev.views));
+    *lock(&next.views) = views;
 }
 
 /// The closure of `program` over what `version` believed at tick `at`,
@@ -570,21 +550,23 @@ fn closure(
     let Some(lemma) = lemma.filter(|_| at == version.now()) else {
         return Ok((scratch()?, true));
     };
-    let mut built = lock(&lemma.built);
-    if let Some(closure) = &*built {
-        obs::counter!(
-            "objectbase_closure_hits_total",
-            "Closure reads served from the lemmas their pinned version already holds"
-        )
-        .inc();
-        return Ok((Arc::clone(closure), false));
-    }
-    let seed = lock(&lemma.seed).take();
+    let mut cell = lock(&lemma.0);
+    let seed = match &mut *cell {
+        Cell::Built(closure) => {
+            obs::counter!(
+                "objectbase_closure_hits_total",
+                "Closure reads served from the lemmas their pinned version already holds"
+            )
+            .inc();
+            return Ok((Arc::clone(closure), false));
+        }
+        Cell::Seed(seed) => seed.take(),
+    };
     let (closure, fresh) = match seed.map(|seed| carry(seed, version, with_attr)) {
         Some(Ok(carried)) => (carried, false),
         _ => (scratch()?, true),
     };
-    *built = Some(Arc::clone(&closure));
+    *cell = Cell::Built(Arc::clone(&closure));
     Ok((closure, fresh))
 }
 
@@ -608,7 +590,7 @@ pub fn version_closure(
     program: &Program,
 ) -> ObResult<(Arc<Closure>, bool)> {
     let lemmas = version.derived::<Lemmas>().filter(|_| at == version.now());
-    let lemma = lemmas.map(|l| l.view(program));
+    let lemma = lemmas.map(|l| l.view(version.mark(), program));
     closure(version, at, true, program, lemma.as_deref())
 }
 
@@ -1107,9 +1089,8 @@ mod tests {
         assert!(version_closure(&version, at, &bad).is_err());
         let lemmas = version.derived::<Lemmas>().unwrap();
         let all = lemmas.views.lock().unwrap();
-        assert!(all
-            .iter()
-            .all(|(_, lemma)| lemma.built.lock().unwrap().is_none()));
+        let unbuilt = |lemma: &Arc<Lemma>| matches!(*lock(&lemma.0), Cell::Seed(None));
+        assert!(all.iter().all(|(.., lemma)| unbuilt(lemma)));
     }
 
     #[test]
@@ -1278,19 +1259,21 @@ mod tests {
         }
     }
 
-    /// Versions nobody reads pass one seed per program on instead of
-    /// chaining: after 1 000 captures each closure ever built — the
-    /// ASK's and two views' — is held once, by the last version's seed,
-    /// and the first read of that version carries each over with no
-    /// export.
+    /// Versions nobody reads pass their views on in O(1): after K views
+    /// are read at one version, each of 1 000 captures nobody reads
+    /// hands on the one list that version holds, and each closure ever
+    /// built — the ASK's and the K views' — is held once, by that list
+    /// or the last version's seed. The first read of the last version
+    /// carries each over in place, with no export.
     #[test]
-    fn captures_nobody_reads_hold_one_ancestor_closure_per_program() {
+    fn captures_nobody_reads_hand_their_views_on_in_one_list() {
         let _serial = serial();
         let mut kb = scenario_kb();
         let mut prev = kb.version();
         let views = [
             view_program("sent(X) :- attr(X, sender, _Y)."),
             view_program("sent(X) :- attr(X, sender, _Y).\nquiet(X) :- in_(X, _C), not sent(X)."),
+            view_program("isaOf(X, C) :- in_(X, C).\nisaOf(X, D) :- isaOf(X, C), isa(C, D)."),
         ];
         let asked_closure = ask_closure(&prev, prev.now()).unwrap();
         let view_closures = views
@@ -1300,6 +1283,9 @@ mod tests {
             .chain(view_closures)
             .map(|closure| Arc::downgrade(&closure))
             .collect();
+        let handed = |v: &KbVersion| Arc::clone(&lock(&v.derived::<Lemmas>().unwrap().views));
+        let list = handed(&prev);
+        assert_eq!(list.len(), views.len());
         for i in 0..1_000 {
             kb.tick();
             if i % 3 == 2 {
@@ -1310,10 +1296,12 @@ mod tests {
             let next = kb.version();
             inherit(&next, &prev);
             prev = next;
+            assert!(Arc::ptr_eq(&list, &handed(&prev)), "capture {i}");
             for (k, closure) in built.iter().enumerate() {
                 assert_eq!(closure.strong_count(), 1, "closure {k} after capture {i}");
             }
         }
+        drop(list);
         let counted = || {
             [
                 "objectbase_edb_exports_total",
@@ -1331,7 +1319,10 @@ mod tests {
                 closure
             })
             .collect();
-        assert_eq!(counted(), [exports, builds, carried + 3]);
+        assert_eq!(
+            counted(),
+            [exports, builds, carried + 1 + views.len() as u64]
+        );
         assert!(
             built.iter().all(|c| c.upgrade().is_none()),
             "carried in place"
@@ -1339,24 +1330,31 @@ mod tests {
         for (closure, program) in read.iter().zip(&views) {
             same_model(closure, &prev, program, "after 1 000 captures");
         }
+        // The next capture hands on a list of the closures read here.
+        let next = kb.version();
+        inherit(&next, &prev);
+        let list = handed(&next);
+        assert!(list.iter().zip(&read).all(|((.., lemma), closure)| {
+            matches!(&*lock(&lemma.0), Cell::Built(c) if Arc::ptr_eq(c, closure))
+        }));
     }
 
-    /// A write that fails and rolls back leaves the closed log as it
-    /// was, so the next version's delta is what committed.
+    /// A write that fails and rolls back leaves no delta, so the next
+    /// version's delta is what committed.
     #[test]
-    fn a_rolled_back_write_leaves_the_closed_log() {
+    fn a_rolled_back_write_leaves_no_delta() {
         let _serial = serial();
         let mut kb = scenario_kb();
         let v0 = kb.version();
         asked(&v0, "Paper");
-        let logged = kb.closed_len();
+        let mark = kb.mark();
         kb.begin();
         untell_named(&mut kb, "inv1");
         tell_src(&mut kb, "TELL inv4 in Invitation end");
-        assert!(kb.closed_len() > logged);
+        assert!(!kb.delta_since(&mark).untold.is_empty());
         kb.rollback();
-        assert_eq!(kb.closed_len(), logged);
-        assert_eq!(kb.closed_since(0).count(), logged);
+        assert_eq!(kb.delta_since(&mark), telos::Delta::default());
+        assert_eq!(kb.mark(), mark);
 
         kb.begin();
         untell_named(&mut kb, "min1");

@@ -113,9 +113,9 @@
 //! clock *before* mutating, so everything they add starts strictly
 //! after every pinned watermark. `Refresh` re-pins the watermark to
 //! "now"; a session that writes refreshes to observe its own writes —
-//! before it saves, lints or checks them. Only `ViewAsk` waits on a
-//! writer: it reads the live view model, or — at a watermark older
-//! than the model — the view's program, under the state lock.
+//! before it saves, lints or checks them. No Read waits on a writer or
+//! takes the state lock: `ViewAsk` reads the view's model, a lemma of
+//! the pinned version like the ASK's closure.
 //!
 //! # Errors and backpressure
 //!

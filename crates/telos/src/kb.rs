@@ -21,24 +21,21 @@
 //!
 //! # Write transactions
 //!
-//! [`Kb::begin`] opens a write transaction with one tick and marks the
-//! store: its length, its clock and its symbol count. While it is open
-//! the KB logs the intervals it closes on propositions older than the
-//! mark — nothing else, so opening and committing cost O(1) plus one
-//! entry per closed interval. [`Kb::commit`] keeps the changes (what
-//! they were is read from the store: the ids past the mark and the
-//! store's closed log, [`PropStore::closed_since`]); [`Kb::rollback`]
-//! undoes everything since the mark: the appended propositions with
-//! their postings and names, the names interned, the closed intervals
-//! (and their entries in the store's closed log) and the clock. A
-//! failed write thus leaves the store exactly as it found it.
+//! [`Kb::begin`] opens a write transaction with one tick, and the
+//! transaction is just the [`Mark`] it took, O(1) to open and commit:
+//! what the write changed is [`PropStore::delta_since`] the mark.
+//! [`Kb::rollback`] undoes it in O(what it touched): the propositions
+//! appended since go with their postings and names, the intervals
+//! closed since are reopened, and the closed log, the names interned
+//! and the clock are cut back. A failed write thus leaves the store
+//! exactly as it found it.
 
 use crate::error::{TelosError, TelosResult};
 use crate::omega::{self, Builtins};
 use crate::prop::{PropId, Proposition};
 use crate::symbols::Symbol;
 use crate::time::interval::Interval;
-use crate::version::{KbVersion, PropStore};
+use crate::version::{KbVersion, Mark, PropStore};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Deref;
 
@@ -64,22 +61,8 @@ pub struct Kb {
     /// Believed individuals by name: the O(1) path of [`Kb::lookup`].
     by_name: HashMap<Symbol, PropId>,
     builtins: Builtins,
-    /// The open write transaction's log, if any (see the module doc).
-    txn: Option<Txn>,
-}
-
-/// The log of an open write transaction: the mark [`Kb::begin`] took
-/// and the intervals closed since on propositions below it.
-#[derive(Debug)]
-struct Txn {
-    len: usize,
-    clock: i64,
-    symbols: usize,
-    /// The closed log's length.
-    closed_log: usize,
-    /// Each closed proposition with the belief it had and whether it
-    /// was the believed individual of its name.
-    closed: Vec<(PropId, Interval, bool)>,
+    /// The open write transaction's mark, if any (see the module doc).
+    txn: Option<Mark>,
 }
 
 impl Deref for Kb {
@@ -143,14 +126,9 @@ impl Kb {
             .props
             .get_mut(id.idx())
             .ok_or(TelosError::UnknownProposition(id))?;
-        let belief = p.belief;
-        p.belief = belief.closed_at(at)?;
-        let named = p.is_individual() && self.by_name.get(&p.label) == Some(&id);
-        if named {
+        p.belief = p.belief.closed_at(at)?;
+        if p.is_individual() && self.by_name.get(&p.label) == Some(&id) {
             self.by_name.remove(&p.label);
-        }
-        if let Some(txn) = self.txn.as_mut().filter(|t| id.idx() < t.len) {
-            txn.closed.push((id, belief, named));
         }
         self.store.closed.push(id);
         Ok(())
@@ -170,16 +148,16 @@ impl Kb {
     /// clock stays. Returns the tick.
     pub fn begin(&mut self) -> i64 {
         if self.txn.is_none() {
-            self.txn = Some(Txn {
-                len: self.len(),
-                clock: self.store.clock,
-                symbols: self.store.symbols.len(),
-                closed_log: self.store.closed.len(),
-                closed: Vec::new(),
-            });
+            self.txn = Some(self.store.mark());
             self.tick();
         }
         self.store.clock
+    }
+
+    /// The mark the open transaction took, if one is open: what the
+    /// write has changed so far is [`PropStore::delta_since`] it.
+    pub fn txn_mark(&self) -> Option<Mark> {
+        self.txn
     }
 
     /// Closes the open transaction, keeping its changes (a no-op if
@@ -189,12 +167,15 @@ impl Kb {
     }
 
     /// Closes the open transaction, undoing every change since
-    /// [`Kb::begin`] (a no-op if none is open).
+    /// [`Kb::begin`] (a no-op if none is open). Only a believed
+    /// (open-ended) interval is ever closed, so each is reopened to
+    /// `[start, +∞)`; a reopened individual is its name's believed one
+    /// again (only [`Kb::individual_during`] creates one, when none is).
     pub fn rollback(&mut self) {
-        let Some(txn) = self.txn.take() else {
+        let Some(mark) = self.txn.take() else {
             return;
         };
-        for i in (txn.len..self.len()).rev() {
+        for i in (mark.len..self.len()).rev() {
             let p = self.store.props[i].clone();
             self.store.by_source.unfile(p.source, p.id);
             self.store.by_label.unfile(p.label, p.id);
@@ -203,18 +184,19 @@ impl Kb {
                 self.by_name.remove(&p.label);
             }
         }
-        self.store.props.truncate(txn.len);
-        for (id, belief, named) in txn.closed.into_iter().rev() {
-            if let Some(p) = self.store.props.get_mut(id.idx()) {
-                p.belief = belief;
-                if named {
+        self.store.props.truncate(mark.len);
+        let PropStore { props, closed, .. } = &mut self.store;
+        for &id in (mark.closed..closed.len()).filter_map(|i| closed.get(i)) {
+            if let Some(p) = props.get_mut(id.idx()) {
+                p.belief = p.belief.reopened();
+                if p.is_individual() {
                     self.by_name.insert(p.label, id);
                 }
             }
         }
-        self.store.closed.truncate(txn.closed_log);
-        self.store.symbols.truncate(txn.symbols);
-        self.store.clock = txn.clock;
+        self.store.closed.truncate(mark.closed);
+        self.store.symbols.truncate(mark.symbols);
+        self.store.clock = mark.tick;
     }
 
     // ----- symbols -------------------------------------------------------
@@ -653,6 +635,8 @@ impl Default for Kb {
 mod tests {
     use super::*;
 
+    use crate::version::Delta;
+
     fn kb() -> Kb {
         Kb::new()
     }
@@ -988,7 +972,7 @@ mod tests {
         let frozen = kb.version();
         let names = ["A", "B", "C", "rel", "fresh"];
         let before = observe(&kb, &names);
-        let logged = kb.closed_len();
+        let logged = kb.mark();
         let tick = kb.begin();
         assert_eq!(kb.begin(), tick, "a second begin joins");
         let c = kb.individual("C").unwrap();
@@ -997,10 +981,11 @@ mod tests {
         kb.untell_cascade(a).unwrap();
         let a2 = kb.individual("A").unwrap();
         assert_ne!(a2, a);
-        assert!(kb.closed_len() > logged + 2, "the cascade is logged too");
+        // The cascade's link to `c` was told since: it is in neither.
+        assert_eq!(kb.delta_since(&logged).untold, [ab, a]);
         kb.rollback();
         assert_eq!(observe(&kb, &names), before);
-        assert_eq!(kb.closed_len(), logged, "the closed log is truncated");
+        assert_eq!(kb.mark(), logged, "the closed log is truncated");
         assert_eq!(kb.lookup("A"), Some(a));
         assert_eq!(frozen.len(), kb.len());
         assert!(
@@ -1009,14 +994,51 @@ mod tests {
         );
 
         kb.begin();
+        let mark = kb.txn_mark().expect("open");
         let c = kb.individual("C").unwrap();
         kb.untell(ab).unwrap();
         kb.commit();
         assert_eq!(kb.len(), c.idx() + 1);
-        assert_eq!(kb.closed_since(logged).collect::<Vec<_>>(), [ab]);
-        assert_eq!(frozen.closed_len(), logged, "a version's log is frozen");
+        let delta = kb.delta_since(&mark);
+        assert_eq!((delta.told, delta.untold), (vec![c], vec![ab]));
+        assert_eq!(frozen.mark(), logged, "a version's log is frozen");
+        assert_eq!(frozen.delta_since(&mark), Delta::default());
         kb.rollback();
         assert_eq!(kb.len(), c.idx() + 1, "nothing left open");
+        assert_eq!(kb.txn_mark(), None);
+    }
+
+    /// An aborted write that untells an individual, tells a new one of
+    /// the same name and cascades an object with links: the rollback
+    /// restores the original as the believed individual of its name,
+    /// in the name index and by belief time alike, and the links.
+    #[test]
+    fn rollback_restores_a_name_re_told_in_the_aborted_write() {
+        let mut kb = kb();
+        let x = kb.individual("x").unwrap();
+        let (a, b) = (kb.individual("A").unwrap(), kb.individual("B").unwrap());
+        let links = [
+            kb.put_attr(a, "r", b).unwrap(),
+            kb.put_attr(b, "s", a).unwrap(),
+        ];
+        kb.begin();
+        let mark = kb.txn_mark().expect("open");
+        kb.untell(x).unwrap();
+        let x2 = kb.individual("x").unwrap();
+        assert_ne!(x2, x, "a new x");
+        let cascaded = kb.untell_cascade(a).unwrap();
+        assert!(links.iter().all(|l| cascaded.contains(l)));
+        assert_ne!(kb.delta_since(&mark), Delta::default());
+        kb.rollback();
+        assert_eq!(kb.lookup("x"), Some(x));
+        assert_eq!(kb.snapshot().lookup("x"), Some(x));
+        assert!(kb.get(x).unwrap().is_believed());
+        assert_eq!(kb.lookup("A"), Some(a));
+        for id in links.into_iter().chain([a]) {
+            assert!(kb.get(id).unwrap().is_believed(), "{}", kb.display(id));
+        }
+        assert_eq!(kb.len(), x2.idx());
+        assert_eq!(kb.delta_since(&mark), Delta::default());
     }
 
     #[test]

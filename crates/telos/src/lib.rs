@@ -53,4 +53,4 @@ pub use prop::{PropId, Proposition};
 pub use symbols::{Symbol, SymbolTable};
 pub use time::interval::Interval;
 pub use time::point::TimePoint;
-pub use version::{KbVersion, PropStore};
+pub use version::{Delta, KbVersion, Mark, PropStore};

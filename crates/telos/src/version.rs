@@ -20,14 +20,14 @@
 //! id shard. A hub's posting list (the `instanceof` label, a class with
 //! many instances) is copied whole on that first write.
 //!
-//! The store also keeps the closed log ([`PropStore::closed_since`]):
-//! every id whose belief interval was closed, appended by the one close
-//! site and shared by versions like every other field. Propositions are
-//! only ever appended and intervals only ever closed, so what changed
-//! between two versions of one lineage is two ranges: the ids appended
-//! past the earlier version's length, and the log entries past its log
-//! length. That is what lets a layer above carry what it derived from
-//! one version over to the next instead of deriving it again.
+//! The store also keeps the closed log: every id whose belief interval
+//! was closed, in the order closed, shared by versions like every other
+//! field. Propositions are only ever appended and intervals only ever
+//! closed, so a [`Mark`] (length, log length, symbol count, tick) is a
+//! position in the store's lineage, and what a write changed since one
+//! is two ranges, read by [`PropStore::delta_since`]. That one record is
+//! what a rollback undoes and what a layer above carries what it derived
+//! from one version over to the next by.
 //!
 //! Both deref to the store, and every belief-time read is a
 //! [`Snapshot`] of it, so a snapshot of a version pinned at watermark
@@ -139,7 +139,7 @@ pub struct PropStore {
     /// Belief-time clock: advanced by [`crate::Kb::tick`].
     pub(crate) clock: i64,
     /// The closed log: every proposition whose belief interval was
-    /// closed, in the order closed (see [`PropStore::closed_since`]).
+    /// closed, in the order closed (see [`PropStore::delta_since`]).
     pub(crate) closed: PVec<PropId>,
     sym_instanceof: Symbol,
     sym_isa: Symbol,
@@ -173,21 +173,30 @@ impl PropStore {
         self.props.len()
     }
 
-    /// Length of the closed log: how many belief intervals have been
-    /// closed so far.
-    pub fn closed_len(&self) -> usize {
-        self.closed.len()
+    /// This store's position in its lineage (see [`PropStore::delta_since`]).
+    pub fn mark(&self) -> Mark {
+        Mark {
+            len: self.len(),
+            closed: self.closed.len(),
+            symbols: self.symbol_count(),
+            tick: self.clock,
+        }
     }
 
-    /// The propositions closed after the first `from` entries of the
-    /// closed log, in the order closed. Together with [`PropStore::len`]
-    /// this is the delta between two versions of one lineage: an
-    /// earlier version at `(len, closed_len)` is this store minus the
-    /// ids appended since `len`, with the belief of the ids closed since
-    /// `closed_len` still open. Each entry is read by position, so the
-    /// walk costs the entries it yields, not the log before them.
-    pub fn closed_since(&self, from: usize) -> impl Iterator<Item = PropId> + '_ {
-        (from..self.closed.len()).filter_map(|i| self.closed.get(i).copied())
+    /// What changed since `mark`, a position earlier in this store's
+    /// lineage (taken from it, or from a version captured from the same
+    /// [`crate::Kb`] before it, with nothing rolled back below the mark
+    /// since). Costs the ids appended and closed since, not the store.
+    pub fn delta_since(&self, mark: &Mark) -> Delta {
+        let believed = |id: &PropId, at| self.prop(*id).is_some_and(|p| p.believed_at(at));
+        let appended = (mark.len..self.len()).filter_map(|i| self.props.get(i).map(|p| p.id));
+        let closed = (mark.closed..self.closed.len()).filter_map(|i| self.closed.get(i).copied());
+        Delta {
+            told: appended.filter(|id| believed(id, self.clock)).collect(),
+            untold: closed
+                .filter(|id| id.idx() < mark.len && believed(id, mark.tick))
+                .collect(),
+        }
     }
 
     /// True if the store holds no propositions.
@@ -281,6 +290,27 @@ impl PropStore {
     pub fn snapshot_at(&self, at: i64) -> Snapshot<'_> {
         Snapshot::over(self, at)
     }
+}
+
+/// A position in a store's lineage ([`PropStore::mark`]): what a write
+/// transaction opens at, and what a closure derived from a version
+/// records of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark {
+    pub(crate) len: usize,
+    pub(crate) closed: usize,
+    pub(crate) symbols: usize,
+    pub(crate) tick: i64,
+}
+
+/// What changed since a [`Mark`] ([`PropStore::delta_since`]). An id
+/// both appended and closed since is in neither set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Delta {
+    /// The ids appended since the mark and believed now, in id order.
+    pub told: Vec<PropId>,
+    /// The ids believed at the mark and closed since, in closing order.
+    pub untold: Vec<PropId>,
 }
 
 /// An immutable version of the knowledge base: the store as

@@ -65,7 +65,7 @@ use conceptbase::gkbms::{
 use conceptbase::objectbase::query;
 use conceptbase::storage::crash;
 use conceptbase::storage::log::read_payloads;
-use conceptbase::telos::{Interval, KbVersion, PropId, Snapshot};
+use conceptbase::telos::{Delta, Interval, KbVersion, PropId, Snapshot};
 use proptest::prelude::*;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -1414,6 +1414,67 @@ fn carried_closures_agree(tag: &str, ops: &[Op], choices: u64) -> (usize, usize)
     (carried, views_carried)
 }
 
+/// The ids `v` believes.
+fn believed(v: &KbVersion) -> BTreeSet<PropId> {
+    v.snapshot().believed().collect()
+}
+
+/// The one record of a write against its O(KB) oracle, over `ops`:
+/// for each version captured after an op and a later one picked by
+/// `choices`, `delta_since` the earlier's mark tells what the later
+/// believes and the earlier did not, in id order, and untells the
+/// reverse; and an op that fails leaves the store at the mark it found
+/// — no delta since it — and the `Digest` unchanged. Returns how many
+/// ops failed.
+fn deltas_agree(tag: &str, ops: &[Op], choices: u64) -> usize {
+    let dir = tmp_dir(tag);
+    let (mut g, _) = Gkbms::recover(&dir).expect("fresh journal");
+    let mut state = choices | 1;
+    let mut roll = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut versions = vec![g.kb().version()];
+    let mut digest = Digest::of(&g);
+    let mut failed = 0;
+    for (i, op) in ops.iter().enumerate() {
+        let mark = g.kb().mark();
+        if apply(&mut g, op).is_err() {
+            failed += 1;
+            assert_eq!(
+                g.kb().mark(),
+                mark,
+                "op {i} {op:?} failed and moved the mark"
+            );
+            assert_eq!(g.kb().delta_since(&mark), Delta::default(), "op {i} {op:?}");
+            assert_eq!(
+                Digest::of(&g),
+                digest,
+                "op {i} {op:?} failed and left a trace"
+            );
+        } else {
+            digest = Digest::of(&g);
+        }
+        versions.push(g.kb().version());
+    }
+    let sets: Vec<BTreeSet<PropId>> = versions.iter().map(believed).collect();
+    for (a, earlier) in versions.iter().enumerate() {
+        let b = a + roll() as usize % (versions.len() - a);
+        let delta = versions[b].delta_since(&earlier.mark());
+        let told: Vec<PropId> = sets[b].difference(&sets[a]).copied().collect();
+        assert_eq!(delta.told, told, "told between versions {a} and {b}");
+        let untold: BTreeSet<PropId> = delta.untold.iter().copied().collect();
+        assert_eq!(untold.len(), delta.untold.len(), "an id untold twice");
+        let want: BTreeSet<PropId> = sets[a].difference(&sets[b]).copied().collect();
+        assert_eq!(untold, want, "untold between versions {a} and {b}");
+    }
+    drop(g);
+    std::fs::remove_dir_all(&dir).unwrap();
+    failed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1429,6 +1490,7 @@ proptest! {
         let (ok, failed) = four_realizations_agree("diff-prop", &ops, k);
         prop_assert_eq!(ok + failed, ops.len());
         carried_closures_agree("diff-prop-carry", &ops, choices);
+        deltas_agree("diff-prop-delta", &ops, choices);
     }
 }
 
@@ -1519,6 +1581,7 @@ fn differential_stream_commits_and_rolls_back() {
             "choices {choices}: no read version carried its closure"
         );
         assert!(views > 0, "choices {choices}: no view read was carried");
+        assert_eq!(deltas_agree("diff-fixed-delta", &ops, choices), 4);
     }
 }
 

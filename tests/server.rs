@@ -1344,6 +1344,8 @@ enum ScriptOp {
     Lint,
     /// `explain` of the base program against the pin's cardinalities.
     Explain,
+    /// `save` at the pin, to a file of the case's own.
+    Save,
 }
 
 /// The views a script registers: a user rule over the closure, and a
@@ -1362,9 +1364,9 @@ const VIEW_READS: [(&str, &str); 3] = [("va", "hasPaper"), ("vb", "anon"), ("va"
 /// Weighted op pick: 3 TELL : 1 UNTELL : 2 ASK : 2 SHOW : 2 REFRESH :
 /// 2 EXECUTE : 2 RETRACT : 2 HISTORY : 1 PROCESS : 1 CHECK : 1 HOLDS :
 /// 1 BROWSE : 1 APPLICABLE : 1 STATUS : 1 RECALL : 1 REGISTER VIEW :
-/// 2 VIEW ASK : 1 LINT : 1 EXPLAIN.
+/// 2 VIEW ASK : 1 LINT : 1 EXPLAIN : 1 SAVE.
 fn script_op() -> impl Strategy<Value = ScriptOp> {
-    (0u8..28, 0u8..3).prop_map(|(n, body)| match n {
+    (0u8..29, 0u8..3).prop_map(|(n, body)| match n {
         0..=2 => ScriptOp::Tell,
         3 => ScriptOp::Untell,
         4..=5 => ScriptOp::Ask(body),
@@ -1383,7 +1385,8 @@ fn script_op() -> impl Strategy<Value = ScriptOp> {
         23 => ScriptOp::RegisterView(body),
         24..=25 => ScriptOp::ViewAsk(body),
         26 => ScriptOp::Lint,
-        _ => ScriptOp::Explain,
+        27 => ScriptOp::Explain,
+        _ => ScriptOp::Save,
     })
 }
 
@@ -1432,6 +1435,8 @@ enum Observed {
     Lint(String, Vec<conceptbase::server::proto::WireDiagnostic>),
     /// `explain`: the plan text.
     Explain(String),
+    /// `save`: the file it wrote.
+    Saved(PathBuf),
 }
 
 /// The serial replay of a server's committed history, advanced op by op
@@ -1542,12 +1547,13 @@ proptest! {
     /// threads run random TELL/UNTELL/ASK/SHOW/REFRESH scripts, with
     /// decisions executed, retracted and traced by OBJECT_HISTORY and
     /// HISTORY, views registered, and CHECK, HOLDS, BROWSE, APPLICABLE
-    /// DECISIONS, STATUS, RECALL, VIEW ASK, LINT and EXPLAIN reads,
+    /// DECISIONS, STATUS, RECALL, VIEW ASK, LINT, EXPLAIN and SAVE reads,
     /// concurrently; every answer a pinned session observed must be
     /// byte-identical to a retrospective read of the final state at
     /// that session's watermark — or, for STATUS, RECALL and VIEW ASK,
     /// which read what is published with the version, to the serial
-    /// replay of the committed history up to it. A view registered
+    /// replay of the committed history up to it; a SAVE file loads into
+    /// that replay's tick and believed set. A view registered
     /// after a session's pin is unknown at it, and each registration is
     /// in the replay at the tick its reply names. Each
     /// version's ASK closure is carried over from its predecessor's, so
@@ -1569,6 +1575,11 @@ proptest! {
         use conceptbase::gkbms::metamodel::kernel;
         use conceptbase::server::WireDecision;
         let (server, addr) = decision_server();
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let saves = tmp(&format!("saves-{case}"));
+        let _ = std::fs::remove_dir_all(&saves);
+        std::fs::create_dir_all(&saves).unwrap();
         {
             let mut c = Client::connect(addr).unwrap();
             let (s, _) = c.hello().unwrap();
@@ -1587,6 +1598,7 @@ proptest! {
             .into_iter()
             .enumerate()
             .map(|(t, script)| {
+                let saves = saves.clone();
                 std::thread::spawn(move || {
                     let mut c = Client::connect(addr).unwrap();
                     let (s, mut watermark) = c.hello().unwrap();
@@ -1704,6 +1716,11 @@ proptest! {
                                 let plan = c.explain(s, "").unwrap();
                                 observations.push((watermark, Observed::Explain(plan)));
                             }
+                            ScriptOp::Save => {
+                                let path = saves.join(format!("{t}-{}", observations.len()));
+                                c.save(s, path.to_str().unwrap()).unwrap();
+                                observations.push((watermark, Observed::Saved(path)));
+                            }
                             ScriptOp::Tell => {
                                 let name = format!("q_{t}_{next}");
                                 next += 1;
@@ -1786,6 +1803,14 @@ proptest! {
                         .map(conceptbase::server::proto::WireDiagnostic::from_diagnostic)
                         .collect();
                     prop_assert_eq!(&replayed, &seen, "lint {} diverged at watermark {}", src, w);
+                }
+                Observed::Saved(path) => {
+                    let loaded = Gkbms::load(&path).expect("a saved file loads");
+                    let state = |g: &Gkbms| {
+                        let believed: Vec<_> = g.kb().snapshot().believed().collect();
+                        (g.kb().now(), believed)
+                    };
+                    prop_assert_eq!(state(&loaded), state(twin.at(w)), "save diverged at watermark {}", w);
                 }
                 Observed::Explain(seen) => {
                     let ctx = conceptbase::analysis::LintContext::at(final_state.kb().snapshot_at(w));
@@ -1883,6 +1908,7 @@ proptest! {
                 }
             }
         }
+        std::fs::remove_dir_all(&saves).unwrap();
     }
 }
 
