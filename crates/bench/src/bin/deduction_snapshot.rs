@@ -172,7 +172,7 @@ fn churn_row(
     for i in 0..ops {
         let ext = ext(i);
         let start = Instant::now();
-        let stats = if i % 2 == 0 {
+        let applied = if i % 2 == 0 {
             view.apply(std::slice::from_ref(&ext), &[])
                 .expect("churn TELL")
         } else {
@@ -180,7 +180,7 @@ fn churn_row(
                 .expect("churn UNTELL")
         };
         times.push(start.elapsed().as_secs_f64());
-        delta_tuples += stats.delta_tuples();
+        delta_tuples += applied.stats.delta_tuples();
     }
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let incremental_time = times[times.len() / 2];

@@ -204,6 +204,26 @@ fn all_tuples(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
         .collect()
 }
 
+/// Per predicate, the tuples of `a` that `b` lacks, listed like
+/// [`all_tuples`] lists a database.
+fn minus(
+    a: &[(String, Vec<Vec<Value>>)],
+    b: &[(String, Vec<Vec<Value>>)],
+) -> Vec<(String, Vec<Vec<Value>>)> {
+    let empty = Vec::new();
+    a.iter()
+        .map(|(pred, tuples)| {
+            let lacks = b.iter().find(|(p, _)| p == pred).map_or(&empty, |(_, t)| t);
+            let only: Vec<Vec<Value>> = (tuples.iter())
+                .filter(|t| lacks.binary_search(t).is_err())
+                .cloned()
+                .collect();
+            (pred.clone(), only)
+        })
+        .filter(|(_, tuples)| !tuples.is_empty())
+        .collect()
+}
+
 /// A view loaded the way a KB export loads one: the facts told at
 /// least once as a de-duplicated database, and every further telling
 /// reported beside it.
@@ -284,7 +304,11 @@ proptest! {
     /// of that moment is churned alongside and must stay equal to the
     /// view that got everything through `apply`. A `twice` insert is
     /// told twice in its batch (a later delete leaves it); a `twice`
-    /// delete is re-told in the same batch (the two net out).
+    /// delete is re-told in the same batch (the two net out). What
+    /// each batch reports changed is exact: per predicate, its inserts
+    /// are the model after minus the model before, and its deletes the
+    /// reverse, so a delete and re-insert of one present fact report
+    /// neither.
     #[test]
     fn maintained_view_equals_both_recomputations_under_churn(
         batches in prop::collection::vec(
@@ -325,7 +349,17 @@ proptest! {
             for i in &inserts {
                 *told.entry(i.clone()).or_insert(0) += 1;
             }
-            view.apply(&inserts, &deletes).expect("apply");
+            let before = all_tuples(view.model());
+            let applied = view.apply(&inserts, &deletes).expect("apply");
+            let after = all_tuples(view.model());
+            prop_assert_eq!(
+                all_tuples(&applied.inserted), minus(&after, &before),
+                "reported inserts for program:\n{}", program_text(&program)
+            );
+            prop_assert_eq!(
+                all_tuples(&applied.deleted), minus(&before, &after),
+                "reported deletes for program:\n{}", program_text(&program)
+            );
             let (kernel, _) = seminaive::evaluate(&program, &view.edb()).expect("indexed");
             let (scan, _) = seminaive::evaluate_scan(&program, &view.edb()).expect("scan");
             prop_assert_eq!(

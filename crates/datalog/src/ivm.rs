@@ -59,6 +59,15 @@
 //! pending ∪ inserted`. The overlay parts are pairwise disjoint, so no
 //! tuple is visited twice. The kernel's probe, scan and instantiation
 //! counters for a refresh are returned in [`ApplyStats`].
+//!
+//! # What a refresh changed
+//!
+//! The old→new presence changes of every predicate are what DRed works
+//! with anyway, so [`MaterializedView::apply`] hands them back
+//! ([`Applied`]): per predicate, the tuples that became present and
+//! those that became absent. They are net — a tuple is in at most one
+//! of the two, and only if its presence flipped — so a caller can patch
+//! what it derived from the model by them instead of re-reading it.
 
 use crate::ast::{Program, Value};
 use crate::db::Database;
@@ -125,6 +134,20 @@ impl ApplyStats {
         )
         .add(self.derivations as u64);
     }
+}
+
+/// What one [`MaterializedView::apply`] refresh changed, and its
+/// counters.
+#[derive(Debug, Default)]
+pub struct Applied {
+    /// Per predicate, the tuples the model did not hold before the
+    /// batch and holds after it.
+    pub inserted: Database,
+    /// Per predicate, the tuples the model held before the batch and
+    /// does not hold after it.
+    pub deleted: Database,
+    /// What the refresh cost and how many tuples it moved.
+    pub stats: ApplyStats,
 }
 
 /// One maintenance stratum: the rules of one SCC of the head-predicate
@@ -273,9 +296,9 @@ impl MaterializedView {
     /// are processed before inserts. A delete of an absent fact is a
     /// no-op; a re-insert of a present fact only raises its
     /// multiplicity. A batch naming a derived predicate is refused
-    /// whole. Returns the presence-change statistics (also published
-    /// to [`obs`]).
-    pub fn apply(&mut self, inserts: &[Fact], deletes: &[Fact]) -> DatalogResult<ApplyStats> {
+    /// whole. Returns the presence changes of every predicate and the
+    /// refresh's counters (also published to [`obs`]).
+    pub fn apply(&mut self, inserts: &[Fact], deletes: &[Fact]) -> DatalogResult<Applied> {
         let mut batch = HashMap::new();
         let mut intern_all = |facts: &[Fact]| -> DatalogResult<Vec<(Symbol, Vec<IVal>)>> {
             facts
@@ -337,7 +360,11 @@ impl MaterializedView {
         }
         self.model.absorb(&i_all)?;
         stats.publish();
-        Ok(stats)
+        Ok(Applied {
+            inserted: i_all,
+            deleted: d_all,
+            stats,
+        })
     }
 }
 
@@ -705,7 +732,7 @@ mod tests {
         let prog = Program::parse(TC).unwrap();
         let mut v = MaterializedView::new(prog).unwrap();
         let inserts: Vec<Fact> = (1..5).map(|i| fact("e", &[i, i + 1])).collect();
-        let stats = v.apply(&inserts, &[]).unwrap();
+        let stats = v.apply(&inserts, &[]).unwrap().stats;
         assert_eq!(stats.edb_inserts, 4);
         assert_eq!(v.model().count("p"), 10);
         assert_matches_recompute(&v);
@@ -746,7 +773,7 @@ mod tests {
         assert_eq!(v.model().count("e"), 1);
         // One UNTELL must not delete a fact told independently; told
         // once again, it no longer needs a multiplicity entry.
-        let stats = v.apply(&[], &[fact("e", &[1, 2])]).unwrap();
+        let stats = v.apply(&[], &[fact("e", &[1, 2])]).unwrap().stats;
         assert_eq!(stats.delta_tuples(), 0, "no presence change");
         assert!(v.model().contains("p", &e12));
         assert_eq!(v.support("e", &e12), 1);
@@ -755,7 +782,7 @@ mod tests {
         v.apply(&[], &[fact("e", &[1, 2])]).unwrap();
         assert!(!v.model().contains("p", &e12));
         assert_eq!(v.support("e", &e12), 0);
-        let stats = v.apply(&[], &[fact("e", &[1, 2])]).unwrap();
+        let stats = v.apply(&[], &[fact("e", &[1, 2])]).unwrap().stats;
         assert_eq!(stats.delta_tuples(), 0, "UNTELL of an absent fact");
         assert_eq!(v.support("p", &e12), 0, "derived tuples are never told");
         assert_matches_recompute(&v);
@@ -883,11 +910,13 @@ mod tests {
         let prog = Program::parse(TC).unwrap();
         let mut v = MaterializedView::new(prog).unwrap();
         v.apply(&[fact("e", &[1, 2])], &[]).unwrap();
-        // Same fact deleted and re-inserted in one batch: no churn.
-        let stats = v
+        // Same fact deleted and re-inserted in one batch: no churn, and
+        // neither change is reported.
+        let applied = v
             .apply(&[fact("e", &[1, 2])], &[fact("e", &[1, 2])])
             .unwrap();
-        assert_eq!(stats.delta_tuples(), 0);
+        assert_eq!(applied.stats.delta_tuples(), 0);
+        assert_eq!((applied.inserted.total(), applied.deleted.total()), (0, 0));
         assert!(v.model().contains("p", &[Value::Int(1), Value::Int(2)]));
         assert_matches_recompute(&v);
     }
@@ -1023,12 +1052,15 @@ mod tests {
         let load: Vec<Fact> = (0..16)
             .flat_map(|c| (0..DEPTH).map(move |d| fact("edge", &[c * 100 + d, c * 100 + d + 1])))
             .collect();
-        let loaded = v.apply(&load, &[]).unwrap();
+        let loaded = v.apply(&load, &[]).unwrap().stats;
         assert!(loaded.derivations >= loaded.derived_changes);
         let paths = v.model().count("path");
         assert_eq!(paths, 16 * 64 * 65 / 2);
 
-        let stats = v.apply(&[], &[fact("edge", &[DEPTH - 1, DEPTH])]).unwrap();
+        let stats = v
+            .apply(&[], &[fact("edge", &[DEPTH - 1, DEPTH])])
+            .unwrap()
+            .stats;
         assert_eq!(stats.derived_changes, 64, "path(x, 64) for every x < 64");
         assert!(stats.derivations >= 64, "each lost path was derived once");
         assert!(stats.index_probes > 0);

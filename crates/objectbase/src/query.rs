@@ -39,8 +39,11 @@
 //! ([`PropStore::delta_since`]) is mapped to facts, inserted if told and
 //! deleted if untold, through [`MaterializedView::apply`] — the crate's
 //! one maintenance algorithm. So at most one ancestor closure per
-//! program is held for the versions nobody read. Class extents start
-//! empty on each version.
+//! program is held for the versions nobody read. The class extents ride
+//! along: the carried closure takes over every extent its seed held and
+//! patches it by the `inT` rows the refresh inserted and deleted (and
+//! the names whose individual the delta told or untold), so an extent
+//! is built only for a class no version of the lineage asked before.
 //!
 //! # What a fresh closure costs
 //!
@@ -48,9 +51,14 @@
 //! told and untold, and the derivations they add or remove — in place
 //! when nothing else holds the predecessor's closure (the predecessor's
 //! version is gone), or on a copy of its relations when a pinned
-//! predecessor still reads them. Each carry is counted and timed
+//! predecessor still reads them — and, per held class extent the delta
+//! moved, a splice of the moved names (an extent it did not move stays
+//! the same `Arc`). Each carry is counted and timed
 //! (`objectbase_closures_carried_total`,
-//! `objectbase_closure_carry_seconds`).
+//! `objectbase_closure_carry_seconds`), and so is each patched extent
+//! (`objectbase_class_extents_patched_total`). A carry that fails falls
+//! back to a build from scratch, whose extents start empty
+//! (`objectbase_closure_carry_failures_total`).
 //!
 //! A version without an ancestor closure — a bare [`telos::Kb::version`],
 //! the first capture of a served state, any tick below the capture tick
@@ -68,14 +76,14 @@ use crate::error::ObResult;
 use datalog::ast::{Program, Value};
 use datalog::db::Database;
 use datalog::intern::{intern, IVal, Symbol};
-use datalog::ivm::{Fact, MaterializedView};
+use datalog::ivm::{Applied, Fact, MaterializedView};
 use datalog::seminaive::EvalStats;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 use telos::assertion;
-use telos::{KbVersion, Mark, PropId, PropStore, Proposition, Snapshot, TelosError};
+use telos::{Delta, KbVersion, Mark, PropId, PropStore, Proposition, Snapshot, TelosError};
 
 /// EDB predicate names exported from the KB.
 pub mod preds {
@@ -277,7 +285,7 @@ fn base() -> &'static Program {
 
 /// The individuals of one class in a closure, as (name, id) sorted by
 /// name.
-type Extent = Arc<[(&'static str, PropId)]>;
+pub type Extent = Arc<[(&'static str, PropId)]>;
 
 /// The deductive closure of one program over one belief state: the
 /// maintained view of the program (extensional plus derived tuples,
@@ -295,18 +303,25 @@ pub struct Closure {
     pub stats: EvalStats,
     /// Where in its store's lineage the state the view models stands.
     mark: Mark,
-    /// Per class, its extent: lemmas of this closure, built by the
-    /// first ASK of the class and read by every later one.
+    /// Per class, its extent: lemmas of this closure, read by every
+    /// ASK of the class. A carried closure starts with its seed's,
+    /// patched by the carry's delta; the first ASK of a class no
+    /// ancestor held builds it.
     extents: Mutex<HashMap<Symbol, Extent>>,
 }
 
 impl Closure {
-    fn new(view: MaterializedView, stats: EvalStats, mark: Mark) -> Arc<Closure> {
+    fn new(
+        view: MaterializedView,
+        stats: EvalStats,
+        mark: Mark,
+        extents: HashMap<Symbol, Extent>,
+    ) -> Arc<Closure> {
         Arc::new(Closure {
             view,
             stats,
             mark,
-            extents: Mutex::default(),
+            extents: Mutex::new(extents),
         })
     }
 
@@ -317,11 +332,13 @@ impl Closure {
 
     /// The `inT(_, class)` rows of this closure that name an individual
     /// believed in `view` — the snapshot the closure was built over —
-    /// each with that individual, sorted by name. The first read of a
-    /// class builds it under the lock, so racing readers build it once;
-    /// each `(x, class)` row sits in one extent, so all of them together
-    /// are bounded by the closure's `inT` relation.
-    fn extent(&self, view: &Snapshot<'_>, class: Symbol) -> Extent {
+    /// each with that individual, sorted by name: the candidates an ASK
+    /// of `class` filters. Unless the closure took it over from its
+    /// seed, the first read of a class builds it under the lock, so
+    /// racing readers build it once; each `(x, class)` row sits in one
+    /// extent, so all of them together are bounded by the closure's
+    /// `inT` relation.
+    pub fn extent(&self, view: &Snapshot<'_>, class: Symbol) -> Extent {
         let mut extents = lock(&self.extents);
         if let Some(extent) = extents.get(&class) {
             obs::counter!(
@@ -461,7 +478,7 @@ fn build_closure(
         "Fixpoint evaluations for closures built from scratch (closure misses only)"
     )
     .observe(started.elapsed());
-    Ok(Closure::new(view, stats, store.mark()))
+    Ok(Closure::new(view, stats, store.mark(), HashMap::new()))
 }
 
 /// The extensional fact of proposition `id` in an export with `attr`
@@ -477,23 +494,35 @@ fn exported_fact(store: &PropStore, id: PropId, with_attr: bool) -> Option<Fact>
 /// the export with `attr` or without, moved to `version`: the facts of
 /// the ids told since the seed's mark are inserted and those of the ids
 /// untold since are deleted ([`PropStore::delta_since`]), both through
-/// [`MaterializedView::apply`]. The view is updated in place when
-/// nothing else holds the seed, and copied first otherwise.
+/// [`MaterializedView::apply`], and the class extents the seed holds
+/// are patched by what that changed ([`patch_extents`]). The view and
+/// the extents are taken over when nothing else holds the seed, and
+/// copied first otherwise (the extents by `Arc`).
 fn carry(seed: Arc<Closure>, version: &KbVersion, with_attr: bool) -> ObResult<Arc<Closure>> {
     let started = Instant::now();
     let delta = version.delta_since(&seed.mark);
-    let fact = |id| exported_fact(version, id, with_attr);
-    let facts = |ids: Vec<PropId>| -> Vec<Fact> { ids.into_iter().filter_map(fact).collect() };
-    let (inserts, deletes) = (facts(delta.told), facts(delta.untold));
-    let mut view = match Arc::try_unwrap(seed) {
-        Ok(owned) => owned.view,
-        Err(shared) => shared.view.clone(),
+    let facts = |ids: &[PropId]| -> Vec<Fact> {
+        (ids.iter())
+            .filter_map(|&id| exported_fact(version, id, with_attr))
+            .collect()
+    };
+    let (inserts, deletes) = (facts(&delta.told), facts(&delta.untold));
+    let (mut view, mut extents) = match Arc::try_unwrap(seed) {
+        Ok(owned) => (
+            owned.view,
+            owned
+                .extents
+                .into_inner()
+                .unwrap_or_else(|e| e.into_inner()),
+        ),
+        Err(shared) => (shared.view.clone(), lock(&shared.extents).clone()),
     };
     let applied = view.apply(&inserts, &deletes)?;
+    patch_extents(&mut extents, &applied, &delta, version);
     let stats = EvalStats {
-        derivations: applied.derivations,
-        index_probes: applied.index_probes,
-        tuples_scanned: applied.tuples_scanned,
+        derivations: applied.stats.derivations,
+        index_probes: applied.stats.index_probes,
+        tuples_scanned: applied.stats.tuples_scanned,
         ..EvalStats::default()
     };
     obs::counter!(
@@ -503,10 +532,120 @@ fn carry(seed: Arc<Closure>, version: &KbVersion, with_attr: bool) -> ObResult<A
     .inc();
     obs::histogram!(
         "objectbase_closure_carry_seconds",
-        "Carrying an earlier version's closure over: delta, copy if shared, and refresh"
+        "Carrying an earlier version's closure over: delta, copy if shared, refresh and extent patch"
     )
     .observe(started.elapsed());
-    Ok(Closure::new(view, stats, version.mark()))
+    Ok(Closure::new(view, stats, version.mark(), extents))
+}
+
+/// Moves the class extents a carried closure took over to `version`:
+/// each extent of a class `C` gains the individuals of the `inT(x, C)`
+/// rows the refresh inserted, loses those of the rows it deleted, and
+/// re-resolves every name whose believed individual the delta told or
+/// untold — one untold and told again nets out in the refresh, so no
+/// row moves, yet the name's id does. That is what a rebuild from the
+/// carried model would hold: an extent is the `inT(_, C)` rows whose
+/// name a believed individual bears, each with that individual.
+/// An extent nothing moved stays the same `Arc`.
+///
+/// A name whose individual was not believed while an `in` link from it
+/// still was is the one thing the patch cannot see appear: its row does
+/// not move when an individual of that name is told. Only a raw
+/// [`telos::Kb::untell`] of an individual leaves such a link; every
+/// served UNTELL cascades to the object's links.
+fn patch_extents(
+    extents: &mut HashMap<Symbol, Extent>,
+    applied: &Applied,
+    delta: &Delta,
+    version: &KbVersion,
+) {
+    if extents.is_empty() {
+        return;
+    }
+    let view = version.snapshot();
+    // Per held class, the names of its inserted and its deleted rows.
+    let mut moved: HashMap<Symbol, (Vec<&'static str>, Vec<&'static str>)> = HashMap::new();
+    for (rows, inserted) in [(&applied.inserted, true), (&applied.deleted, false)] {
+        for row in rows.rows("inT") {
+            let (IVal::Sym(x), IVal::Sym(class)) = (row[0], row[1]) else {
+                continue;
+            };
+            if extents.contains_key(&class) {
+                let (ins, del) = moved.entry(class).or_default();
+                if inserted { ins } else { del }.push(x.as_str());
+            }
+        }
+    }
+    let renamed: Vec<&str> = (delta.told.iter().chain(&delta.untold))
+        .filter_map(|&id| version.prop(id).filter(|p| p.is_individual()))
+        .map(|p| version.resolve_sym(p.label))
+        .collect();
+    for (class, extent) in extents.iter_mut() {
+        let (mut ins, mut del) = moved.remove(class).unwrap_or_default();
+        let stale =
+            (renamed.iter()).any(|name| extent.binary_search_by_key(name, |&(n, _)| n).is_ok());
+        if ins.is_empty() && del.is_empty() && !stale {
+            continue;
+        }
+        ins.sort_unstable();
+        del.sort_unstable();
+        let ins: Vec<(&'static str, PropId)> = (ins.into_iter())
+            .filter_map(|name| Some((name, view.lookup(name)?)))
+            .collect();
+        let mut patched = splice(extent, &ins, &del);
+        for name in &renamed {
+            if let Ok(i) = patched.binary_search_by_key(name, |&(n, _)| n) {
+                match view.lookup(name) {
+                    Some(id) => patched[i].1 = id,
+                    None => {
+                        patched.remove(i);
+                    }
+                }
+            }
+        }
+        obs::counter!(
+            "objectbase_class_extents_patched_total",
+            "Class extents a carried closure patched by the rows and names its delta moved"
+        )
+        .inc();
+        *extent = patched.into();
+    }
+}
+
+/// `old` (sorted by name) with `ins` (sorted, none of them in `old`)
+/// merged in and the names `del` (sorted) taken out: each change is
+/// placed by binary search and the runs between changes are copied
+/// whole.
+fn splice(
+    old: &[(&'static str, PropId)],
+    ins: &[(&'static str, PropId)],
+    del: &[&'static str],
+) -> Vec<(&'static str, PropId)> {
+    let mut out = Vec::with_capacity(old.len() + ins.len());
+    let (mut rest, mut ins, mut del) = (old, ins, del);
+    loop {
+        // The next change by name: an insert, or a delete.
+        let next = match (ins.first(), del.first()) {
+            (Some(&(i, _)), Some(&d)) => i.min(d),
+            (Some(&(i, _)), None) => i,
+            (None, Some(&d)) => d,
+            (None, None) => break,
+        };
+        let at = rest.partition_point(|&(name, _)| name < next);
+        out.extend_from_slice(&rest[..at]);
+        rest = &rest[at..];
+        if del.first() == Some(&next) {
+            del = &del[1..];
+            if rest.first().is_some_and(|&(name, _)| name == next) {
+                rest = &rest[1..];
+            }
+        } else {
+            out.push(ins[0]);
+            ins = &ins[1..];
+        }
+    }
+    out.extend_from_slice(rest);
+    out
 }
 
 /// Hands `prev`'s closures on to `next` — the ASK's and every view's —
@@ -564,7 +703,15 @@ fn closure(
     };
     let (closure, fresh) = match seed.map(|seed| carry(seed, version, with_attr)) {
         Some(Ok(carried)) => (carried, false),
-        _ => (scratch()?, true),
+        Some(Err(_)) => {
+            obs::counter!(
+                "objectbase_closure_carry_failures_total",
+                "Carries that failed and fell back to a build from scratch (its extents start empty)"
+            )
+            .inc();
+            (scratch()?, true)
+        }
+        None => (scratch()?, true),
     };
     *cell = Cell::Built(Arc::clone(&closure));
     Ok((closure, fresh))
@@ -622,7 +769,10 @@ pub fn ask(snap: &Snapshot<'_>, var: &str, class: &str, body: &str) -> ObResult<
 /// holds — built by the first ASK against it, carried over from the
 /// previous version's when the version inherited one ([`inherit`]) —
 /// and the class's sorted extent from the lemmas that closure holds —
-/// built by the first ASK of the class. A body that never mentions
+/// patched by the carry when an earlier version of the lineage held
+/// it, built by the first ASK of the class otherwise. So the first ASK
+/// after a write costs the write's delta, not the class's size. A body
+/// that never mentions
 /// `var` is evaluated once (and only if the class has a candidate, so
 /// an unbound name errors exactly when a per-candidate run would); any
 /// other body once per candidate. So every later ASK is O(answer).
@@ -743,7 +893,12 @@ mod tests {
 
     /// The assertion language's answer over the live KB, sorted.
     fn oracle(kb: &Kb, class: &str) -> Vec<String> {
-        let mut names = ask(&kb.snapshot(), "p", class, "true").unwrap();
+        oracle_where(kb, class, "true")
+    }
+
+    /// [`oracle`] of the ASK of `class` with `body` over `p`.
+    fn oracle_where(kb: &Kb, class: &str, body: &str) -> Vec<String> {
+        let mut names = ask(&kb.snapshot(), "p", class, body).unwrap();
         names.sort();
         names
     }
@@ -1365,6 +1520,101 @@ mod tests {
         assert_eq!(names, oracle(&kb, "Paper"));
         assert_eq!(names, ["inv1", "inv2"]);
         assert_eq!(stats.rounds, 0, "carried");
+    }
+
+    /// A carry takes its seed's extents over. A write that moves none of
+    /// a class's `inT` rows leaves its extent the same `Arc` and builds
+    /// none; one that moves some patches that extent to what a build
+    /// over the carried closure holds — on a copy of the extents while
+    /// the pinned predecessor holds them (which keeps its own), in
+    /// place once nothing does.
+    #[test]
+    fn a_carry_patches_the_extents_it_moves_and_shares_the_rest() {
+        let _serial = serial();
+        let mut kb = scenario_kb();
+        let (person, paper) = (intern("Person"), intern("Paper"));
+        let v0 = kb.version();
+        let c0 = ask_closure(&v0, v0.now()).unwrap();
+        let (people, papers) = (
+            c0.extent(&v0.snapshot(), person),
+            c0.extent(&v0.snapshot(), paper),
+        );
+        let counted = || {
+            [
+                "objectbase_class_extents_built_total",
+                "objectbase_class_extents_patched_total",
+            ]
+            .map(count)
+        };
+        let names = |extent: &Extent| extent.iter().map(|&(n, _)| n).collect::<Vec<_>>();
+        // Read while `v0` holds its closure, then after `v1` is gone.
+        let wants = [
+            ["inv1", "inv2", "inv3", "min1"],
+            ["inv2", "inv3", "min1", "min2"],
+        ];
+        let mut prev = v0.clone();
+        for (i, want) in wants.into_iter().enumerate() {
+            kb.tick();
+            if i == 0 {
+                tell_src(&mut kb, "TELL inv3 in Invitation end");
+            } else {
+                untell_named(&mut kb, "inv1");
+                tell_src(&mut kb, "TELL min2 in Minutes end");
+            }
+            let next = kb.version();
+            inherit(&next, &prev);
+            prev = next;
+            let [built, patched] = counted();
+            let closure = ask_closure(&prev, prev.now()).unwrap();
+            let snap = prev.snapshot();
+            assert!(
+                Arc::ptr_eq(&closure.extent(&snap, person), &people),
+                "step {i}"
+            );
+            let moved = closure.extent(&snap, paper);
+            assert_eq!(counted(), [built, patched + 1], "step {i}");
+            assert_eq!(names(&moved), want, "step {i}");
+            let scratch = build_closure(&prev, prev.now(), false, base()).unwrap();
+            assert_eq!(
+                moved,
+                scratch.extent(&snap, paper),
+                "step {i}: names and ids"
+            );
+        }
+        // The pinned predecessor kept its own.
+        assert!(Arc::ptr_eq(&c0.extent(&v0.snapshot(), paper), &papers));
+        assert_eq!(names(&papers), ["inv1", "inv2", "min1"]);
+    }
+
+    /// An individual untold at a version nobody reads and told again
+    /// under its name at the next nets out in the refresh: no `inT` row
+    /// moves, yet the name's id does, and an ASK whose body reads its
+    /// variable must evaluate it against the new individual.
+    #[test]
+    fn a_name_told_again_is_asked_by_its_new_id() {
+        let _serial = serial();
+        let mut kb = scenario_kb();
+        let v0 = kb.version();
+        asked(&v0, "Paper");
+        let old = kb.lookup("inv2").unwrap();
+        kb.tick();
+        untell_named(&mut kb, "inv2");
+        let v1 = kb.version();
+        inherit(&v1, &v0);
+        kb.tick();
+        tell_src(&mut kb, "TELL inv2 in Invitation end");
+        let v2 = kb.version();
+        inherit(&v2, &v1);
+        let new = kb.lookup("inv2").unwrap();
+        assert_ne!(old, new);
+        let body = "p in Paper";
+        let (names, stats) = ask_with_stats_version(&v2, v2.now(), "p", "Paper", body).unwrap();
+        assert_eq!(stats.rounds, 0, "carried");
+        assert_eq!(names, oracle_where(&kb, "Paper", body));
+        assert_eq!(names, ["inv1", "inv2", "min1"]);
+        let closure = ask_closure(&v2, v2.now()).unwrap();
+        let extent = closure.extent(&v2.snapshot(), intern("Paper"));
+        assert!(extent.contains(&("inv2", new)));
     }
 
     /// Carrying agrees with a from-scratch build — the ASK's closure and

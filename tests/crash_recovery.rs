@@ -51,6 +51,7 @@
 
 use conceptbase::datalog::ast::Value;
 use conceptbase::datalog::db::Database;
+use conceptbase::datalog::intern;
 use conceptbase::datalog::seminaive::{self, EvalStats};
 use conceptbase::gkbms::design::DesignIndex;
 use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
@@ -1278,11 +1279,20 @@ fn answers(v: &KbVersion) -> Answers {
         .collect()
 }
 
+/// One class extent as `(name, id)` pairs sorted by name.
+type Members = Vec<(String, PropId)>;
+
 /// `v`'s ASK closure against its oracles: the `in_`, `isa`, `isaT` and
 /// `inT` rows equal a from-scratch evaluation's over the full export,
 /// and every answer equals the assertion language's over the same
-/// snapshot. Returns the answers and whether the closure was carried
-/// (a scratch build over the kernel's links runs at least one round).
+/// snapshot — with a body of `true` and with one that reads the
+/// variable, so each candidate's id is evaluated. Each asked class's
+/// served extent, carried and patched or built, equals in names and ids
+/// both what a build over the scratch model holds and the believed
+/// individuals `Snapshot::all_instances_of` walks to: the membership
+/// half of one inheritance semantics, with no datalog in the oracle.
+/// Returns the answers and whether the closure was carried (a scratch
+/// build over the kernel's links runs at least one round).
 fn carried_reads_agree(v: &KbVersion, ctx: &str) -> (Answers, bool) {
     let at = v.now();
     let closure = query::ask_closure(v, at).expect("closure");
@@ -1301,12 +1311,50 @@ fn carried_reads_agree(v: &KbVersion, ctx: &str) -> (Answers, bool) {
         );
     }
     let answered = answers(v);
+    let snap = v.snapshot();
     for (class, names) in ASKED_CLASSES.iter().zip(&answered) {
-        let mut oracle = query::ask(&v.snapshot(), "x", class, "true").ok();
-        if let Some(names) = &mut oracle {
-            names.sort();
-        }
-        assert_eq!(names, &oracle, "{ctx}: {class}");
+        let oracle = |body: &str| {
+            let mut names = query::ask(&snap, "x", class, body).ok();
+            if let Some(names) = &mut names {
+                names.sort();
+            }
+            names
+        };
+        assert_eq!(names, &oracle("true"), "{ctx}: {class}");
+        let body = format!("x in {class}");
+        let asked = query::ask_with_stats_version(v, at, "x", class, &body)
+            .ok()
+            .map(|(names, _)| names.into_iter().map(Cow::into_owned).collect());
+        assert_eq!(asked, oracle(&body), "{ctx}: {class} where {body}");
+        let Some(c) = snap.lookup(class) else {
+            continue;
+        };
+        // A class name the export never interned has no instances.
+        let served: Members = intern::lookup(class).map_or_else(Vec::new, |sym| {
+            let extent = closure.extent(&snap, sym);
+            extent
+                .iter()
+                .map(|&(name, id)| (name.to_string(), id))
+                .collect()
+        });
+        let mut built: Members = (scratch.tuples("inT"))
+            .filter(|row| row[1] == Value::sym(*class))
+            .filter_map(|row| match &row[0] {
+                Value::Sym(name) => Some((name.clone(), snap.lookup(name)?)),
+                Value::Int(_) => None,
+            })
+            .collect();
+        built.sort();
+        assert_eq!(served, built, "{ctx}: {class}'s extent against a build");
+        let mut members: Members = (snap.all_instances_of(c).into_iter())
+            .filter_map(|id| {
+                v.prop(id)
+                    .filter(|p| p.is_individual() && p.believed_at(at))
+            })
+            .map(|p| (v.display(p.id), p.id))
+            .collect();
+        members.sort();
+        assert_eq!(served, members, "{ctx}: {class}'s extent against the walk");
     }
     (answered, closure.stats.rounds == 0)
 }
