@@ -26,14 +26,17 @@
 //! the same answer evaluated from scratch over any store, the oracle
 //! the differential tests compare against.
 //!
-//! # Rows stay interned until they are encoded
+//! # Rows are resolved once per relation state
 //!
-//! A view read hands out [`datalog::db::Rows`]: the model's interned
-//! values, in the value order of the decoded tuples
-//! ([`datalog::db::Rows::sort`]). That order is a lemma of the
-//! relation's state ([`datalog::db::Database::sorted_rows`]): the first
-//! read of a state sorts it, every later read of the same state finds
-//! it sorted, and a carry that moves the relation drops it. The encoder reads each symbol's interned string: no `Value` or
+//! A view read hands out [`datalog::db::SortedRows`]: the model's rows
+//! in the value order of the decoded tuples, each value resolved
+//! ([`datalog::intern::ValueRef`]: a symbol is its interned string,
+//! borrowed). Order and resolution are one lemma of the relation's
+//! state ([`datalog::db::Database::sorted_rows`]): the first read of a
+//! state sorts it, resolving each value once, every later read of the
+//! same state finds it sorted and resolved, and a carry that moves the
+//! relation drops it. The encoder copies each name's bytes straight
+//! from those strings: no symbol is looked up and no `Value` or
 //! `String` is built per row, except to join the values of a row wider
 //! than one column. [`Gkbms::view_tuples`] decodes the same sorted rows
 //! into `Value`s. A predicate that no rule of the view names is refused
@@ -56,7 +59,7 @@ use telos::{KbVersion, PropStore};
 const FED: [(&str, usize); 3] = [(preds::IN, 2), (preds::ISA, 2), (preds::ATTR, 3)];
 
 /// The rows of `pred` in the model of `view`'s program over `version`
-/// as believed at tick `at`, in [`datalog::db::Rows::sort`]'s order, and whether
+/// as believed at tick `at`, in [`datalog::db::Rows::sorted`]'s order, and whether
 /// this read built the model from scratch. The model comes from
 /// [`query::version_closure`], so at the version's capture tick it is
 /// carried or built once per version, and its rows sorted once per
@@ -132,9 +135,7 @@ impl RegisteredView {
         let edb = query::to_edb_at_store(store, at)?;
         let (model, _) =
             datalog::seminaive::evaluate(&self.program, &edb).map_err(ObError::from)?;
-        let mut rows = model.copy_rows(pred);
-        rows.sort();
-        Ok(rows.tuples().collect())
+        Ok(model.copy_rows(pred).sorted().tuples().collect())
     }
 }
 

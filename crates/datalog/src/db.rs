@@ -27,12 +27,14 @@
 //! * Reads are interned: [`Database::rows`] and
 //!   [`Database::probe_rows`] borrow `&[IVal]` rows, and
 //!   [`Database::copy_rows`] copies a relation's flat storage out as
-//!   [`Rows`], which sort in the value order of their decoded tuples.
+//!   [`Rows`], which sort into the value order of their decoded tuples.
 //!   [`Database::tuples`] and [`Database::probe`] decode those rows into
 //!   [`Value`]s.
 //! * A relation's **sorted order is a lemma of its state**, kept beside
 //!   the indexes: [`Database::sorted_rows`] reads the rows in value
 //!   order from a slot that the first sorted read of the state fills.
+//!   The slot holds [`SortedRows`]: every value as the [`ValueRef`] the
+//!   sort resolved it to, so its readers resolve no symbol.
 //!   Unlike an index it is not maintained: the first insert or remove
 //!   that changes the rows drops the slot (an assignment, nothing
 //!   allocated on the write path), and the next sorted read sorts the
@@ -165,7 +167,7 @@ pub(crate) struct Relation {
     /// first write after it. A reader holds the slot, not the relation,
     /// so a write while it sorts leaves it filling a slot that nobody
     /// will read again.
-    sorted: OnceLock<Arc<OnceLock<Rows>>>,
+    sorted: OnceLock<Arc<OnceLock<SortedRows>>>,
 }
 
 impl Clone for Relation {
@@ -428,9 +430,9 @@ impl<'a> Matches<'a> {
 
 /// Tuples copied out of one relation ([`Database::copy_rows`]):
 /// interned and row-major in one flat vector — one copy of the
-/// relation's storage, nothing allocated per row. This is the form a
-/// reader takes from a model it may not hold on to. The rows are
-/// distinct, because a relation is a set.
+/// relation's storage, nothing allocated per row — to be sorted
+/// ([`Rows::sorted`]) once the reader has let go of the model. The rows
+/// are distinct, because a relation is a set.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Rows {
     arity: usize,
@@ -441,23 +443,11 @@ pub struct Rows {
 }
 
 impl Rows {
-    fn row(&self, i: usize) -> &[IVal] {
-        &self.flat[i * self.arity..(i + 1) * self.arity]
-    }
-
-    /// The rows, in order.
-    pub fn iter(&self) -> impl Iterator<Item = &[IVal]> + '_ {
-        (0..self.len).map(|i| self.row(i))
-    }
-
-    /// The rows decoded, in order.
-    pub fn tuples(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
-        self.iter().map(decode)
-    }
-
-    /// Sorts the rows in *value order*: column by column, each value as
-    /// its [`ValueRef`] orders — the order of the decoded tuples.
-    pub fn sort(&mut self) {
+    /// The rows in *value order*: column by column, each value as its
+    /// [`ValueRef`] orders — the order of the decoded tuples. The sort
+    /// resolves every value once, and the sorted rows keep those
+    /// resolutions in place of the interned copy.
+    pub fn sorted(self) -> SortedRows {
         // Each value resolved once: a comparison then reads two
         // strings, not the symbol pool.
         let keys: Vec<ValueRef> = self.flat.iter().map(|v| v.resolve()).collect();
@@ -467,11 +457,37 @@ impl Rows {
         let mut order: Vec<((u8, u64), usize)> =
             (0..self.len).map(|i| (lead(key(i).first()), i)).collect();
         order.sort_unstable_by(|(a, x), (b, y)| a.cmp(b).then_with(|| key(*x).cmp(key(*y))));
-        self.flat = order
-            .iter()
-            .flat_map(|&(_, i)| self.row(i))
-            .copied()
-            .collect();
+        SortedRows {
+            arity: self.arity,
+            len: self.len,
+            flat: order.iter().flat_map(|&(_, i)| key(i)).copied().collect(),
+        }
+    }
+}
+
+/// One relation state's rows in value order ([`Rows::sorted`]), each
+/// value resolved: a symbol is its interned string, borrowed. This is
+/// what a sorted read ([`Database::sorted_rows`]) hands out, so a
+/// reader of the rows never goes back to the symbol pool.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct SortedRows {
+    arity: usize,
+    /// The row count, kept beside `flat` because a zero-arity row
+    /// stores no value.
+    len: usize,
+    flat: Vec<ValueRef>,
+}
+
+impl SortedRows {
+    /// The rows, in value order.
+    pub fn iter(&self) -> impl Iterator<Item = &[ValueRef]> + '_ {
+        (0..self.len).map(|i| &self.flat[i * self.arity..(i + 1) * self.arity])
+    }
+
+    /// The rows decoded, in value order.
+    pub fn tuples(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
+        self.iter()
+            .map(|row| row.iter().map(|v| v.to_value()).collect())
     }
 }
 
@@ -497,16 +513,16 @@ fn lead(first: Option<&ValueRef>) -> (u8, u64) {
 /// state's slot, and on a miss the copy of its rows to sort into it.
 #[derive(Debug)]
 pub struct SortedRead {
-    slot: Arc<OnceLock<Rows>>,
+    slot: Arc<OnceLock<SortedRows>>,
     copy: Option<Rows>,
 }
 
 impl SortedRead {
-    /// The rows in [`Rows::sort`]'s value order. The first reader of a
-    /// state sorts its copy into the slot; a concurrent reader of the
+    /// The rows in [`Rows::sorted`]'s value order. The first reader of
+    /// a state sorts its copy into the slot; a concurrent reader of the
     /// same state waits for that sort instead of running its own, and
     /// every later reader finds the slot filled.
-    pub fn rows(&mut self) -> &Rows {
+    pub fn rows(&mut self) -> &SortedRows {
         let copy = &mut self.copy;
         self.slot.get_or_init(|| {
             obs::counter!(
@@ -516,9 +532,7 @@ impl SortedRead {
             .inc();
             // A read that found the slot empty holds a copy, and a
             // filled slot is never emptied.
-            let mut rows = copy.take().unwrap_or_default();
-            rows.sort();
-            rows
+            copy.take().unwrap_or_default().sorted()
         })
     }
 }
@@ -711,7 +725,7 @@ impl Database {
     pub fn sorted_rows(&self, pred: &str) -> SortedRead {
         let Some(rel) = self.rel_by_name(pred) else {
             return SortedRead {
-                slot: Arc::new(OnceLock::from(Rows::default())),
+                slot: Arc::new(OnceLock::from(SortedRows::default())),
                 copy: None,
             };
         };
@@ -1305,8 +1319,7 @@ mod tests {
                     .collect();
                 db.insert("r", row).unwrap();
             }
-            let mut rows = db.copy_rows("r");
-            rows.sort();
+            let rows = db.copy_rows("r").sorted();
             let mut want: Vec<Vec<Value>> = db.tuples("r").collect();
             want.sort();
             prop_assert_eq!(rows.tuples().collect::<Vec<_>>(), want);
@@ -1315,10 +1328,8 @@ mod tests {
 
     /// `db`'s rows of `pred` copied out and sorted: what every sorted
     /// read must answer.
-    fn sorted_copy(db: &Database, pred: &str) -> Rows {
-        let mut rows = db.copy_rows(pred);
-        rows.sort();
-        rows
+    fn sorted_copy(db: &Database, pred: &str) -> SortedRows {
+        db.copy_rows(pred).sorted()
     }
 
     #[test]
@@ -1348,38 +1359,54 @@ mod tests {
         assert!(db.insert_ivals(p, &pair(0, 0)).unwrap());
         let mut late = db.sorted_rows("p");
         assert!(db.remove_ivals(p, &pair(2, 0)));
-        let rows: Vec<_> = late.rows().iter().map(<[IVal]>::to_vec).collect();
-        assert_eq!(rows, [pair(0, 0), pair(0, 1), pair(1, 1), pair(2, 0)]);
+        let rows: Vec<_> = late.rows().iter().map(<[ValueRef]>::to_vec).collect();
+        let resolved = |a, b| {
+            pair(a, b)
+                .into_iter()
+                .map(IVal::resolve)
+                .collect::<Vec<_>>()
+        };
+        let want = [
+            resolved(0, 0),
+            resolved(0, 1),
+            resolved(1, 1),
+            resolved(2, 0),
+        ];
+        assert_eq!(rows, want);
         let mut now = db.sorted_rows("p");
         assert!(now.copy.is_some(), "the remove dropped the slot");
         assert!(!Arc::ptr_eq(&late.slot, &now.slot));
         assert_eq!(now.rows(), &sorted_copy(&db, "p"));
 
-        assert_eq!(db.sorted_rows("nosuch").rows(), &Rows::default());
+        assert_eq!(db.sorted_rows("nosuch").rows(), &SortedRows::default());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
 
         /// Random writes, clones, absorbs and sorted reads over a few
-        /// databases: every sorted read answers the sorted copy of the
-        /// rows its database holds at that moment, so no clone sees
-        /// another's write and no write leaves an old order behind.
+        /// databases, on relations of arity 0, 1 and 2 over symbols and
+        /// integers mixed: every sorted read answers the sorted copy of
+        /// the rows its database holds at that moment, and its resolved
+        /// rows decode to that database's tuples sorted by `Value`
+        /// order — so no clone sees another's write, no write leaves an
+        /// old order behind, and no resolution names the wrong value.
         #[test]
         fn every_sorted_read_is_the_sorted_copy_of_its_state(
-            ops in prop::collection::vec((0u8..6, 0usize..3, 0i64..SIDE, 0i64..SIDE), 1..80),
+            ops in prop::collection::vec((0u8..6, 0usize..3, 0usize..4, 0i64..12, 0i64..12), 1..80),
         ) {
-            let preds = [intern("p"), intern("q")];
+            let preds = [("z", 0), ("u", 1), ("p", 2), ("q", 2)];
             let mut dbs = vec![Database::new()];
-            for &(kind, i, a, b) in &ops {
+            for &(kind, i, pred, a, b) in &ops {
                 let i = i % dbs.len();
-                let pred = preds[(a + b) as usize % 2];
+                let (name, arity) = preds[pred];
+                let row = &[mixed(a), mixed(b)][..arity];
                 match kind {
                     0 | 1 => {
-                        dbs[i].insert_ivals(pred, &pair(a, b)).unwrap();
+                        dbs[i].insert_ivals(intern(name), row).unwrap();
                     }
                     2 => {
-                        dbs[i].remove_ivals(pred, &pair(a, b));
+                        dbs[i].remove_ivals(intern(name), row);
                     }
                     3 if dbs.len() < 4 => dbs.push(dbs[i].clone()),
                     3 => dbs[i] = dbs[(a as usize) % dbs.len()].clone(),
@@ -1387,19 +1414,34 @@ mod tests {
                         let other = dbs[(a as usize) % dbs.len()].clone();
                         dbs[i].absorb(&other).unwrap();
                     }
-                    _ => {
-                        for pred in ["p", "q"] {
-                            let want = sorted_copy(&dbs[i], pred);
-                            prop_assert_eq!(dbs[i].sorted_rows(pred).rows(), &want);
-                        }
-                    }
+                    _ => check_sorted_reads(&dbs[i], &preds),
                 }
             }
             for db in &dbs {
-                for pred in ["p", "q"] {
-                    prop_assert_eq!(db.sorted_rows(pred).rows(), &sorted_copy(db, pred));
-                }
+                check_sorted_reads(db, &preds);
             }
+        }
+    }
+
+    /// A value of a mixed universe: integers, and symbols of which some
+    /// only their tails tell apart.
+    fn mixed(x: i64) -> IVal {
+        match x % 3 {
+            0 => IVal::Int(x / 3 - 2),
+            _ => IVal::Sym(intern(TRICKY[x as usize % TRICKY.len()])),
+        }
+    }
+
+    /// Every predicate's sorted read of `db` against its sorted copy and
+    /// against its decoded tuples sorted by `Value` order.
+    fn check_sorted_reads(db: &Database, preds: &[(&str, usize)]) {
+        for &(name, _) in preds {
+            let mut read = db.sorted_rows(name);
+            let rows = read.rows();
+            assert_eq!(rows, &sorted_copy(db, name), "{name}");
+            let mut want: Vec<Vec<Value>> = db.tuples(name).collect();
+            want.sort();
+            assert_eq!(rows.tuples().collect::<Vec<_>>(), want, "{name}");
         }
     }
 
@@ -1407,8 +1449,7 @@ mod tests {
     fn copied_rows_of_zero_arity_and_absent_relations() {
         let mut db = Database::new();
         db.insert("flag", vec![]).unwrap();
-        let mut flag = db.copy_rows("flag");
-        flag.sort();
+        let flag = db.copy_rows("flag").sorted();
         assert_eq!(flag.tuples().collect::<Vec<_>>(), vec![Vec::<Value>::new()]);
         assert_eq!(db.copy_rows("nosuch"), Rows::default());
     }

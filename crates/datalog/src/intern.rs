@@ -297,6 +297,16 @@ pub enum ValueRef {
     Int(i64),
 }
 
+impl ValueRef {
+    /// Decodes to an owned [`Value`].
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Sym(s) => Value::Sym(s.to_string()),
+            ValueRef::Int(i) => Value::Int(i),
+        }
+    }
+}
+
 impl std::fmt::Display for ValueRef {
     /// Renders like the decoded [`Value`].
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -788,6 +788,35 @@ mod tests {
         server.join().expect("server thread");
     }
 
+    /// The wire bytes are unchanged: for every golden request row, what
+    /// `roundtrip` sends is byte for byte `write_record` around the
+    /// row's encoding.
+    #[test]
+    fn every_golden_request_is_sent_as_the_record_of_its_encoding() {
+        let golden = include_str!("../../../tests/fixtures/wire/request.hex");
+        let requests = Request::check_golden(golden);
+        let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        let expected = requests.clone();
+        let peer = std::thread::spawn(move || {
+            for req in expected {
+                let mut want = Vec::new();
+                storage::record::write_record(&mut want, &req.encode()).expect("under the cap");
+                let mut sent = vec![0; want.len()];
+                theirs.read_exact(&mut sent).expect("the request's frame");
+                assert_eq!(sent, want, "{req:?}");
+                let done = Response::Done {
+                    text: String::new(),
+                };
+                proto::write_frame(&mut theirs, &done.encode()).expect("reply");
+            }
+        });
+        let mut client = Client::over_pair(ours);
+        for req in &requests {
+            client.roundtrip(req).expect("a reply");
+        }
+        peer.join().expect("every frame as recorded");
+    }
+
     #[test]
     fn exhausted_attempts_surface_the_last_io_error() {
         // Port 1 refuses on loopback; one attempt, no backoff sleep.

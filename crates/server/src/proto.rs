@@ -13,10 +13,18 @@
 //!
 //! `len` is the payload length (capped at
 //! [`storage::record::MAX_RECORD_LEN`], 16 MiB); `crc32` is the IEEE
-//! CRC-32 of the payload. Frames are written with
-//! [`storage::record::write_record`] so the service speaks the same
-//! hand-rolled record dialect as the persistence layer — a corrupted
-//! or truncated frame is detected exactly like a torn log record.
+//! CRC-32 of the payload ([`storage::record::crc32`]: carry-less
+//! multiplication where the CPU has it, slicing-by-8 elsewhere, the
+//! same checksum either way). Frames are laid out by
+//! [`storage::record::encode_with`], the record layout's one
+//! definition, so the service speaks the same hand-rolled record
+//! dialect as the persistence layer — a corrupted or truncated frame is
+//! detected exactly like a torn log record. A server reply is encoded
+//! once, straight into its connection's reply buffer behind the
+//! reserved header, which is then sealed in place, and the frame is sent
+//! with one write; the buffer is reused by every reply on the
+//! connection (`server::write_response`). A client's request is framed
+//! by [`write_frame`].
 //!
 //! # Payload layout
 //!
@@ -93,9 +101,11 @@
 //!
 //! `Names` are encoded straight from interned strings: an `Ask` answer
 //! and a one-column `ViewAsk` row are `Cow::Borrowed` from the symbol
-//! pool, and only a wider row (its values joined by spaces) or a
-//! computed name is an owned `String`. The byte format is unchanged —
-//! each name is a `u32`-length-prefixed UTF-8 string either way.
+//! pool — a view's row as its sorted rows already resolved it, so the
+//! encoder looks no symbol up — and only a wider row (its values joined
+//! by spaces) or a computed name is an owned `String`. The byte format
+//! is unchanged — each name is a `u32`-length-prefixed UTF-8 string
+//! either way.
 //!
 //! # Sessions and snapshot isolation
 //!

@@ -98,7 +98,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use storage::record::{HEADER_LEN, MAX_RECORD_LEN};
+use storage::record::codec::Wire;
+use storage::record::{self, HEADER_LEN};
+use storage::StorageError;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -516,6 +518,8 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
 /// The request loop of one connection, whose reads time out every
 /// [`Config::poll_interval`] so it can notice shutdown.
 fn serve_conn<S: Read + Write>(mut stream: S, shared: &Shared) {
+    // Every reply on the connection is framed in this one buffer.
+    let mut frame = Vec::new();
     loop {
         match proto::read_frame(&mut stream) {
             Ok(FrameRead::Frame(payload)) => {
@@ -543,7 +547,7 @@ fn serve_conn<S: Read + Write>(mut stream: S, shared: &Shared) {
                         (err(ErrorCode::BadRequest, e.to_string()), Then::Serve)
                     }
                 };
-                let Ok(written) = write_response(&mut stream, &resp) else {
+                let Ok(written) = write_response(&mut stream, &resp, &mut frame) else {
                     break;
                 };
                 obs::counter!(
@@ -571,25 +575,40 @@ fn serve_conn<S: Read + Write>(mut stream: S, shared: &Shared) {
     }
 }
 
+/// The largest reply buffer a connection keeps between replies: a
+/// longer reply grows the buffer for itself, and it shrinks back once
+/// the reply is sent, so one huge reply does not pin its size on an
+/// idle connection.
+const FRAME_RETAIN_CAP: usize = 1 << 20;
+
 /// Writes `resp` as one frame and returns the bytes sent, header
-/// included. A response whose encoding exceeds the frame cap (a
-/// `History` or `ViewAsk` over a large enough corpus) cannot be
-/// framed; the client gets a typed `Rejected` naming the size rather
-/// than a dropped connection.
-fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<usize> {
-    let mut encoded = resp.encode();
-    if encoded.len() > MAX_RECORD_LEN {
-        encoded = err(
+/// included. The reply is encoded once, straight into `frame` — the
+/// connection's reply buffer — behind the header that
+/// [`record::encode_with`] reserves and then seals, and sent with one
+/// write. A response whose encoding exceeds the frame cap (a `History`
+/// or `ViewAsk` over a large enough corpus) cannot be framed; the
+/// client gets a typed `Rejected` naming the size, framed in the same
+/// buffer, rather than a dropped connection.
+fn write_response<W: Write>(w: &mut W, resp: &Response, frame: &mut Vec<u8>) -> io::Result<usize> {
+    frame.clear();
+    if let Err(e) = record::encode_with(frame, |out| resp.put(out)) {
+        let refusal = err(
             ErrorCode::Rejected,
-            format!(
-                "response of {} bytes exceeds the 16 MiB frame cap",
-                encoded.len()
-            ),
-        )
-        .encode();
+            match e {
+                StorageError::RecordTooLarge(len) => {
+                    format!("response of {len} bytes exceeds the 16 MiB frame cap")
+                }
+                e => e.to_string(),
+            },
+        );
+        record::encode_with(frame, |out| refusal.put(out))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     }
-    proto::write_frame(w, &encoded)?;
-    Ok(encoded.len() + HEADER_LEN)
+    let sent = w.write_all(frame).and_then(|()| w.flush());
+    let len = frame.len();
+    frame.clear();
+    frame.shrink_to(FRAME_RETAIN_CAP);
+    sent.map(|()| len)
 }
 
 /// Handles one decoded request, recording its per-op metrics
@@ -734,13 +753,32 @@ mod tests {
         }
     }
 
-    fn written_response(resp: &Response) -> (usize, Response) {
+    /// `resp` as the connection path writes it, framed in the
+    /// connection's buffer `frame`: the bytes sent, and the reply a
+    /// client decodes from them.
+    fn written_response(resp: &Response, frame: &mut Vec<u8>) -> (Vec<u8>, Response) {
         let mut wire = Vec::new();
-        let written = write_response(&mut wire, resp).expect("in-memory write");
+        let written = write_response(&mut wire, resp, frame).expect("in-memory write");
         assert_eq!(written, wire.len());
         match proto::read_frame(&mut wire.as_slice()).expect("a well-formed frame") {
-            FrameRead::Frame(p) => (written, Response::decode(&p).expect("a response")),
+            FrameRead::Frame(p) => (wire, Response::decode(&p).expect("a response")),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The wire bytes are unchanged: for every golden response row, the
+    /// frame the connection path writes through its one reused buffer
+    /// is byte for byte `write_record` around the row's encoding.
+    #[test]
+    fn a_reply_framed_in_the_connection_buffer_is_the_record_of_its_encoding() {
+        let mut frame = Vec::new();
+        let golden = include_str!("../../../tests/fixtures/wire/response.hex");
+        for resp in Response::check_golden(golden) {
+            let mut want = Vec::new();
+            record::write_record(&mut want, &resp.encode()).expect("under the cap");
+            let (wire, echoed) = written_response(&resp, &mut frame);
+            assert_eq!(wire, want, "{resp:?}");
+            assert_eq!(echoed, resp);
         }
     }
 
@@ -965,15 +1003,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One connection's replies through its one buffer: a reply at the
+    /// cap is sent whole, one byte over it answers a typed `Rejected`,
+    /// the next reply is whole again, and after each the buffer is back
+    /// at or under its retained cap — while a reply under that cap is
+    /// framed in the allocation the previous one left.
     #[test]
     fn a_response_one_byte_over_the_frame_cap_is_a_typed_error() {
+        use storage::record::MAX_RECORD_LEN;
+        let mut frame = Vec::new();
         let at_cap = table_of_encoded_len(MAX_RECORD_LEN);
-        let (written, echoed) = written_response(&at_cap);
-        assert_eq!(written, MAX_RECORD_LEN + HEADER_LEN);
+        let (wire, echoed) = written_response(&at_cap, &mut frame);
+        assert_eq!(wire.len(), MAX_RECORD_LEN + HEADER_LEN);
         assert_eq!(echoed, at_cap);
+        assert!(frame.capacity() <= FRAME_RETAIN_CAP, "{}", frame.capacity());
 
-        let (written, answer) = written_response(&table_of_encoded_len(MAX_RECORD_LEN + 1));
-        assert!(written < 128, "only the error frame is counted: {written}");
+        let over = table_of_encoded_len(MAX_RECORD_LEN + 1);
+        let (wire, answer) = written_response(&over, &mut frame);
+        assert!(
+            wire.len() < 128,
+            "only the error frame is sent: {}",
+            wire.len()
+        );
         match answer {
             Response::Error {
                 code: ErrorCode::Rejected,
@@ -984,5 +1035,19 @@ mod tests {
             ),
             other => panic!("expected a typed Rejected, got {other:?}"),
         }
+        assert!(frame.capacity() <= FRAME_RETAIN_CAP, "{}", frame.capacity());
+
+        let next = Response::Names {
+            probes: 1,
+            scanned: 2,
+            names: vec!["r0".into(), "r1".into()],
+        };
+        let (_, echoed) = written_response(&next, &mut frame);
+        assert_eq!(echoed, next);
+        let kept = frame.as_ptr();
+        let (_, echoed) = written_response(&next, &mut frame);
+        assert_eq!(echoed, next);
+        assert_eq!(frame.as_ptr(), kept, "the reply reused the buffer");
+        assert!(frame.capacity() <= FRAME_RETAIN_CAP, "{}", frame.capacity());
     }
 }

@@ -13,7 +13,7 @@
 use super::{lock_sessions, Shared, SlowQuery, SLOW_LOG_CAP};
 use crate::proto::{ErrorCode, Request, Response, WireDiagnostic, WireRecallHit};
 use crate::session::SessionErr;
-use datalog::intern::IVal;
+use datalog::intern::ValueRef;
 use gkbms::mvcc::Version;
 use gkbms::{Applied, Gkbms, GkbmsError, GkbmsResult, JournalOp, Published};
 use objectbase::transform::frame_at;
@@ -50,14 +50,14 @@ fn names<S: Into<Cow<'static, str>>>(list: impl IntoIterator<Item = S>) -> Respo
 }
 
 /// A view row as the wire names it: a one-symbol row is the symbol's
-/// interned string, borrowed; any other row is its values joined by
-/// spaces.
-fn row_name(row: &[IVal]) -> Cow<'static, str> {
+/// interned string, borrowed as the sorted rows resolved it; any other
+/// row is its values joined by spaces.
+fn row_name(row: &[ValueRef]) -> Cow<'static, str> {
     match row {
-        [IVal::Sym(s)] => Cow::Borrowed(s.as_str()),
+        [ValueRef::Sym(s)] => Cow::Borrowed(s),
         _ => Cow::Owned(
             row.iter()
-                .map(|v| v.resolve().to_string())
+                .map(ValueRef::to_string)
                 .collect::<Vec<_>>()
                 .join(" "),
         ),

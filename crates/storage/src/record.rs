@@ -70,14 +70,58 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 /// initial and final XOR `0xFFFFFFFF`) of `data`. Every frame, WAL
 /// record, save file and replication message is checked with it.
 ///
-/// Slicing-by-8: each eight-byte word costs eight independent table
-/// reads instead of eight dependent byte steps; the tail of fewer than
-/// eight bytes goes byte at a time. The checksums are bit-identical to
-/// the byte-at-a-time CRC's, so every file and frame written before
-/// still verifies.
+/// Two kernels advance the register, and their checksums are
+/// bit-identical to the byte-at-a-time CRC's, so every file and frame
+/// written before still verifies:
+///
+/// * on x86-64, an input of at least 128 bytes on a CPU with
+///   `pclmulqdq` and `sse4.1` (detected at run time) is folded 64 bytes
+///   at a time by carry-less multiplication (`clmul::update`);
+/// * everything else — short inputs, the kernel's tail of fewer than
+///   16 bytes, other architectures, Miri — runs slicing-by-8
+///   ([`update_sliced`]).
 pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(!0, data)
+}
+
+/// The CRC kernel [`crc32_update`] runs over an input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Slicing-by-8, on every host.
+    Sliced,
+    /// Carry-less-multiply folding (`clmul::update`).
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    Clmul,
+}
+
+/// The kernel this host runs over `len` bytes.
+fn kernel_for(len: usize) -> Kernel {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if len >= clmul::MIN_LEN && clmul::detected() {
+        return Kernel::Clmul;
+    }
+    let _ = len;
+    Kernel::Sliced
+}
+
+/// Advances the raw CRC register `crc` (no initial or final XOR) over
+/// `data` by the fastest kernel this host runs.
+fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    match kernel_for(data.len()) {
+        Kernel::Sliced => update_sliced(crc, data),
+        // SAFETY: `kernel_for` picks the kernel only on a CPU that
+        // reports `pclmulqdq` and `sse4.1` (and only for at least
+        // `clmul::MIN_LEN` bytes).
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        Kernel::Clmul => unsafe { clmul::update(crc, data) },
+    }
+}
+
+/// Slicing-by-8 over the raw register: each eight-byte word costs
+/// eight independent table reads instead of eight dependent byte
+/// steps; the tail of fewer than eight bytes goes byte at a time.
+fn update_sliced(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(8);
     for word in &mut words {
         let w = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ u64::from(crc);
@@ -93,18 +137,142 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
-    crc ^ 0xFFFF_FFFF
+    crc
+}
+
+/// The CRC-32 by carry-less multiplication (PCLMULQDQ): the reflected
+/// fold of Gopal et al., "Fast CRC Computation for Generic Polynomials
+/// Using PCLMULQDQ Instruction" (Intel, 2009), with the constants the
+/// Linux kernel's `crc32-pclmul` uses. Four 128-bit lanes fold 64
+/// bytes per step, then fold into one, which takes the remaining whole
+/// 16-byte words; 128 bits reduce to 64, and a Barrett reduction to the
+/// 32-bit register. The tail goes to [`update_sliced`].
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// The shortest input the kernel takes: one 64-byte block to load
+    /// the lanes and one to fold into them.
+    pub(super) const MIN_LEN: usize = 128;
+
+    // Each fold constant is `x^n mod P`, bit-reflected in 32 bits and
+    // shifted left by one (the tests derive them from the polynomial).
+    /// `n = 4*128+32` and `4*128-32`: a lane's fold across the 64 bytes
+    /// of the four lanes.
+    pub(super) const K1: i64 = 0x1_5444_2bd4;
+    pub(super) const K2: i64 = 0x1_c6e4_1596;
+    /// `n = 128+32` and `128-32`: a fold across 16 bytes.
+    pub(super) const K3: i64 = 0x1_7519_97d0;
+    pub(super) const K4: i64 = 0x0_ccaa_009e;
+    /// `n = 64`: the reduction from 128 to 64 bits.
+    pub(super) const K5: i64 = 0x1_63cd_6124;
+    /// P itself and Barrett's `floor(x^64 / P)`, both bit-reflected in
+    /// 33 bits.
+    pub(super) const P: i64 = 0x1_db71_0641;
+    pub(super) const MU: i64 = 0x1_f701_1641;
+
+    /// Whether this CPU runs the kernel (cached by `std` after the
+    /// first call).
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// [`super::update_sliced`]'s register after `data`, which must
+    /// hold at least [`MIN_LEN`] bytes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` and `sse4.1` ([`detected`]).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) unsafe fn update(crc: u32, data: &[u8]) -> u32 {
+        assert!(data.len() >= MIN_LEN, "{} bytes", data.len());
+        let mut blocks = data.chunks_exact(64);
+        let first = blocks.next().expect("a first block");
+        let mut lanes = [
+            load(first),
+            load(&first[16..]),
+            load(&first[32..]),
+            load(&first[48..]),
+        ];
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for block in &mut blocks {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = fold(*lane, load(&block[16 * i..]), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(lanes[0], lanes[1], k3k4);
+        x = fold(x, lanes[2], k3k4);
+        x = fold(x, lanes[3], k3k4);
+        let mut words = blocks.remainder().chunks_exact(16);
+        for word in &mut words {
+            x = fold(x, load(word), k3k4);
+        }
+
+        // 128 bits to 64: the low half times K4 onto the high half,
+        // then the low 32 bits times K5 onto the rest.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = low32(x) * MU, T2 = low32(T1) * P; the register
+        // is the second 32-bit word of x ^ T2 (reflected, so the upper
+        // half of the 64-bit remainder).
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        super::update_sliced(crc, words.remainder())
+    }
+
+    /// `acc` carried 128 (or 512) bits further by `k`, XORed into `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, k, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// The first 16 bytes of `bytes`, unaligned.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn load(bytes: &[u8]) -> __m128i {
+        assert!(bytes.len() >= 16);
+        _mm_loadu_si128(bytes.as_ptr().cast())
+    }
+}
+
+/// Frames one record in place at the end of `out`: reserves the
+/// header, lets `put` append the payload after it, then seals the
+/// payload's length and CRC into the header. This is the one
+/// definition of the record layout — [`encode`], [`write_record`] and
+/// the server's reused reply buffer all frame through it — and the
+/// payload is written once, where it is sent from. Returns the
+/// record's length, header included. A payload over
+/// [`MAX_RECORD_LEN`] is [`StorageError::RecordTooLarge`], and `out`
+/// is cut back to what it held before.
+pub fn encode_with(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) -> StorageResult<usize> {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    put(out);
+    let len = out.len() - start - HEADER_LEN;
+    if len > MAX_RECORD_LEN {
+        out.truncate(start);
+        return Err(StorageError::RecordTooLarge(len));
+    }
+    let crc = crc32(&out[start + HEADER_LEN..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    Ok(HEADER_LEN + len)
 }
 
 /// Encodes `payload` into the wire format, appending to `out`.
 pub fn encode(payload: &[u8], out: &mut Vec<u8>) -> StorageResult<()> {
-    if payload.len() > MAX_RECORD_LEN {
-        return Err(StorageError::RecordTooLarge(payload.len()));
-    }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(())
+    encode_with(out, |out| out.extend_from_slice(payload)).map(drop)
 }
 
 /// Writes one record to `w`.
@@ -690,13 +858,28 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// Every length up to eight words, starting at every offset within
-    /// a word: each split into whole words and a byte tail.
+    /// `len` bytes of a fixed pseudo-random stream.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Every length up to 1 KiB, starting at every offset within a
+    /// word: both sides of the kernel's 128-byte cut-over and of its
+    /// 64-byte block and 16-byte word edges, each with every tail.
     #[test]
-    fn crc_matches_the_bytewise_reference_at_every_short_length_and_alignment() {
-        let buf: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+    fn crc_matches_the_bytewise_reference_at_every_length_to_1k_and_alignment() {
+        let max = if cfg!(miri) { 136 } else { 1024 };
+        let buf = noise(max + 8);
         for align in 0..8 {
-            for len in 0..=64 {
+            for len in 0..=max {
                 let data = &buf[align..align + len];
                 assert_eq!(
                     crc32(data),
@@ -705,6 +888,149 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn crc_matches_the_bytewise_reference_on_large_buffers() {
+        let lens: &[usize] = if cfg!(miri) {
+            &[4 << 10]
+        } else {
+            &[64 << 10, 1 << 20, 16 << 20]
+        };
+        for &len in lens {
+            let data = noise(len + 3);
+            for data in [&data[..len], &data[3..]] {
+                assert_eq!(crc32(data), crc32_bytewise(data), "length {len}");
+            }
+        }
+    }
+
+    /// The register `kernel` leaves after `data`, fed from the register
+    /// of the bytewise CRC after `prefix`: a kernel must continue any
+    /// register, not only the initial one.
+    fn continued(kernel: impl Fn(u32, &[u8]) -> u32, prefix: &[u8], data: &[u8]) -> u32 {
+        !kernel(!crc32_bytewise(prefix), data)
+    }
+
+    #[test]
+    fn the_portable_kernel_matches_the_reference_directly() {
+        let buf = noise(if cfg!(miri) { 300 } else { 4096 });
+        for len in (0..buf.len()).step_by(if cfg!(miri) { 37 } else { 7 }) {
+            let (prefix, data) = buf.split_at(len / 3);
+            let data = &data[..len - prefix.len()];
+            assert_eq!(
+                continued(update_sliced, prefix, data),
+                crc32_bytewise(&buf[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn the_clmul_kernel_matches_the_reference_directly() {
+        if !clmul::detected() {
+            return;
+        }
+        // SAFETY: the CPU reports the kernel's features (and every
+        // input below is at least `clmul::MIN_LEN` bytes).
+        let kernel = |crc, data: &[u8]| unsafe { clmul::update(crc, data) };
+        let buf = noise(4096 + 64);
+        for len in clmul::MIN_LEN..=1024 {
+            for (prefix, data) in [(&buf[..0], &buf[..len]), (&buf[..5], &buf[5..5 + len])] {
+                let whole = &buf[..prefix.len() + len];
+                assert_eq!(
+                    continued(kernel, prefix, data),
+                    crc32_bytewise(whole),
+                    "prefix {}, length {len}",
+                    prefix.len()
+                );
+            }
+        }
+        let big = noise(1 << 20);
+        assert_eq!(!kernel(!0, &big), crc32_bytewise(&big));
+    }
+
+    /// Derives each fold constant from the polynomial: `x^n mod P`
+    /// bit-reflected in 32 bits and shifted left by one; `P` and
+    /// `floor(x^64 / P)` reflected in 33 bits.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn the_clmul_constants_derive_from_the_polynomial() {
+        const P_NORMAL: u64 = 0x1_04C1_1DB7;
+        let x_mod = |n: u32| {
+            (0..n).fold(1u64, |r, _| {
+                let r = r << 1;
+                if r >> 32 & 1 == 1 {
+                    r ^ P_NORMAL
+                } else {
+                    r
+                }
+            })
+        };
+        let reflect = |v: u64, bits: u32| v.reverse_bits() >> (64 - bits);
+        let k = |n| (reflect(x_mod(n), 32) << 1) as i64;
+        assert_eq!(k(4 * 128 + 32), clmul::K1);
+        assert_eq!(k(4 * 128 - 32), clmul::K2);
+        assert_eq!(k(128 + 32), clmul::K3);
+        assert_eq!(k(128 - 32), clmul::K4);
+        assert_eq!(k(64), clmul::K5);
+        // x^64 / P by long division.
+        let (mut rem, mut quot) = (1u128 << 64, 0u128);
+        while 128 - rem.leading_zeros() >= 33 {
+            let shift = 128 - rem.leading_zeros() - 33;
+            quot |= 1 << shift;
+            rem ^= u128::from(P_NORMAL) << shift;
+        }
+        assert_eq!(reflect(quot as u64, 33) as i64, clmul::MU);
+        assert_eq!(reflect(P_NORMAL, 33) as i64, clmul::P);
+        assert_eq!(u64::from(CRC_POLY), reflect(P_NORMAL, 32));
+    }
+
+    /// On an x86-64 CPU that lists `pclmulqdq` and `sse4_1` (read from
+    /// `/proc/cpuinfo` where there is one, independently of `std`'s
+    /// detection), every input from the cut-over up runs the kernel:
+    /// a build that silently fell back to slicing-by-8 fails here.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn the_clmul_kernel_is_the_path_taken_where_the_cpu_has_it() {
+        let listed = match std::fs::read_to_string("/proc/cpuinfo") {
+            Ok(info) => info.lines().any(|l| {
+                l.starts_with("flags")
+                    && l.split_whitespace().any(|f| f == "pclmulqdq")
+                    && l.split_whitespace().any(|f| f == "sse4_1")
+            }),
+            Err(_) => clmul::detected(),
+        };
+        let want = if listed {
+            Kernel::Clmul
+        } else {
+            Kernel::Sliced
+        };
+        for len in [clmul::MIN_LEN, 4096, MAX_RECORD_LEN] {
+            assert_eq!(kernel_for(len), want, "length {len}");
+        }
+        assert_eq!(kernel_for(clmul::MIN_LEN - 1), Kernel::Sliced);
+    }
+
+    #[test]
+    fn a_record_is_framed_in_place_after_what_the_buffer_holds() {
+        let mut out = b"kept".to_vec();
+        let framed = encode_with(&mut out, |out| out.extend_from_slice(b"hello")).unwrap();
+        assert_eq!(framed, HEADER_LEN + 5);
+        let mut want = b"kept".to_vec();
+        encode(b"hello", &mut want).unwrap();
+        assert_eq!(out, want);
+        let mut written = Vec::new();
+        assert_eq!(write_record(&mut written, b"hello").unwrap(), framed);
+        assert_eq!(out[4..], written[..]);
+
+        // Over the cap: refused, and the buffer is back to what it held.
+        let err = encode_with(&mut out, |out| {
+            out.resize(out.len() + MAX_RECORD_LEN + 1, 7)
+        });
+        assert!(matches!(err, Err(StorageError::RecordTooLarge(n)) if n == MAX_RECORD_LEN + 1));
+        assert_eq!(out, want);
     }
 
     #[test]
