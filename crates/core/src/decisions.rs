@@ -28,19 +28,24 @@ pub enum DecisionDimension {
 
 impl fmt::Display for DecisionDimension {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecisionDimension::Mapping => write!(f, "mapping"),
-            DecisionDimension::Refinement => write!(f, "refinement"),
-            DecisionDimension::Choice => write!(f, "choice"),
-        }
+        f.write_str(self.name())
     }
 }
 
 impl DecisionDimension {
+    /// Its [`Display`](fmt::Display) name.
+    fn name(self) -> &'static str {
+        match self {
+            DecisionDimension::Mapping => "mapping",
+            DecisionDimension::Refinement => "refinement",
+            DecisionDimension::Choice => "choice",
+        }
+    }
+
     /// The dimension whose [`Display`](fmt::Display) name is `name`.
     pub(crate) fn named(name: &str) -> Option<Self> {
         let all = [Self::Mapping, Self::Refinement, Self::Choice];
-        all.into_iter().find(|d| d.to_string() == name)
+        all.into_iter().find(|d| d.name() == name)
     }
 }
 

@@ -3,27 +3,20 @@
 //!
 //! The KB is the one copy of the design record, and a decision's
 //! documentation never changes once told ([`crate::record`]): only
-//! whether it was retracted, and the state of the objects it touches.
-//! So [`DesignIndex`] keeps each executed decision as
-//! [`Record::decision`](crate::record::Record::decision) decodes it
-//! just after its execution committed — a decode of what the commit
-//! told, never a copy of the request — by *ordinal*, its position in
-//! execution order. Beside the decisions it keeps:
-//!
-//! * a name → ordinal map, and per ordinal its class's dimension;
-//! * per design object its state — registered (a premise, current
-//!   whatever is retracted), IN or OUT — and the ordinals of the
-//!   decisions that produced it and of those that used it, read off the
-//!   decoded records' outputs and inputs: the per-object dependencies
-//!   along which Oussalah (PAPERS.md) propagates a change, and which
-//!   the retraction and `consequences_of` walk;
-//! * the recall groups ([`crate::recall`]).
-//!
-//! Three writers fill it, each after its op has committed:
-//! `register_object`, `execute` and `retract_decision`. Replay goes
-//! through the same three, so recovery, snapshot + tail and a follower
-//! rebuild the index as they rebuild the KB, and `Record` over a
-//! `Snapshot` stays its oracle.
+//! whether it was retracted. So [`DesignIndex`] is the fold of
+//! [`Record::step`](crate::record::Record::step) over the anchors each
+//! commit told ([`DesignIndex::file`]). It keeps per decision, by
+//! *ordinal* (its position in execution order), the record
+//! [`Record::decision`](crate::record::Record::decision) decodes and its
+//! class's dimension; a name → ordinal map; per design object whether
+//! it was registered, and the ordinals of the decisions that produced
+//! and used it — the per-object dependencies along which Oussalah
+//! (PAPERS.md) propagates a change; and the recall groups
+//! ([`crate::recall`]). It stores no IN/OUT label: a retraction retracts
+//! every other producer of what it takes OUT, so an object is current
+//! iff it was registered or a decision not retracted produced it.
+//! Replay commits the same ops, so recovery, snapshot + tail and a
+//! follower refill the index as they rebuild the KB.
 //!
 //! # Persistence
 //!
@@ -41,31 +34,29 @@
 
 use crate::decisions::DecisionDimension;
 use crate::recall::RecallIndex;
+use crate::record::{Record, Step};
 use crate::system::DecisionRecord;
 use std::sync::Arc;
 use telos::pvec::PVec;
-use telos::{PropStore, Symbol};
+use telos::{PropId, PropStore, Symbol};
 
-/// A design object's belief: `Registered` (a premise, current whatever
-/// is retracted), or produced and `In` until a retraction takes it `Out`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum ObjectState {
-    Registered,
-    In,
-    #[default]
-    Out,
-}
-
-/// One design object: its name, its state and the decisions that touch
-/// it.
-#[derive(Debug, Clone)]
+/// One design object: its name, whether it was registered (a premise,
+/// current whatever is retracted) and the decisions that touch it.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct DesignObject {
     name: String,
-    state: ObjectState,
+    registered: bool,
     /// Ordinals of the decisions that produced it, in execution order.
     producers: Vec<usize>,
     /// Ordinals of the decisions that used it, in execution order.
     users: Vec<usize>,
+}
+
+impl DesignObject {
+    /// Its label: IN iff registered or produced by a live decision.
+    fn is_current(&self, records: &PVec<Arc<DecisionRecord>>) -> bool {
+        self.registered || self.producers.iter().any(|&at| !records[at].retracted)
+    }
 }
 
 /// Pushes `at` onto `ordinals` unless it is already last: a decision
@@ -87,9 +78,8 @@ fn slot_mut<T: Clone>(slots: &mut PVec<Option<T>>, symbol: Symbol) -> Option<&mu
     slots.get_mut(at)
 }
 
-/// What `slots` files under the symbol `names` numbers `name` by.
-fn slot<'a, T: Clone>(slots: &'a PVec<Option<T>>, names: &PropStore, name: &str) -> Option<&'a T> {
-    let symbol = names.lookup_sym(name)?;
+/// What `slots` files under `symbol`.
+fn slot<T: Clone>(slots: &PVec<Option<T>>, symbol: Symbol) -> Option<&T> {
     slots.get(symbol.0 as usize)?.as_ref()
 }
 
@@ -110,59 +100,86 @@ pub struct DesignIndex {
     pub(crate) recall: RecallIndex,
 }
 
-impl DesignIndex {
-    /// The object `name`, filed under its symbol in `names` — a new OUT
-    /// one unless `existing`. Copies it if an older clone shares it.
-    fn object_mut(
-        &mut self,
-        names: &PropStore,
-        name: &str,
-        existing: bool,
-    ) -> Option<&mut DesignObject> {
-        let symbol = names.lookup_sym(name);
-        debug_assert!(symbol.is_some(), "a committed name `{name}` is interned");
-        let slot = slot_mut(&mut self.objects, symbol?)?;
-        if existing && slot.is_none() {
-            return None;
+/// Equal if they file the same decisions, dimensions, names and
+/// objects, as two folds of one history do. The recall groups follow
+/// from the decisions and their order.
+impl PartialEq for DesignIndex {
+    fn eq(&self, other: &Self) -> bool {
+        fn same<T: Clone + PartialEq>(a: &PVec<T>, b: &PVec<T>) -> bool {
+            a.iter().eq(b.iter())
         }
-        let object = slot.get_or_insert_with(|| {
+        same(&self.records, &other.records)
+            && same(&self.dimensions, &other.dimensions)
+            && same(&self.ordinals, &other.ordinals)
+            && same(&self.objects, &other.objects)
+    }
+}
+
+impl DesignIndex {
+    /// Files the design steps among `told`, the ids of `store`'s
+    /// propositions one commit told, in id order (commit order): an
+    /// execution files its decision, a retraction marks it retracted, a
+    /// registration marks its object registered. Called by
+    /// `Gkbms::commit` only; every id of a store, filed into an empty
+    /// index, gives the index of that store.
+    pub fn file(&mut self, store: &PropStore, told: &[PropId]) {
+        let record = Record::over(store.snapshot());
+        for step in told.iter().filter_map(|&id| record.step(id)) {
+            match step {
+                Step::Executed(d) => {
+                    let r = record.decision(d);
+                    let r = r.and_then(|r| Some((record.dimension_of(&r)?, r)));
+                    debug_assert!(r.is_some(), "a committed execution reads back");
+                    if let Some((dimension, r)) = r {
+                        self.push(store, r, dimension);
+                    }
+                }
+                Step::Retracted(d) => {
+                    let at = store.prop(d).and_then(|d| slot(&self.ordinals, d.label));
+                    if let Some(r) = at.and_then(|&at| self.records.get_mut(at)) {
+                        Arc::make_mut(r).retracted = true;
+                    }
+                }
+                Step::Registered(o) => {
+                    if let Some(o) = store.prop(o).and_then(|o| self.object_mut(store, o.label)) {
+                        o.registered = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The object of name `symbol` in `names`, filed if new. Copies it
+    /// if an older clone shares it.
+    fn object_mut(&mut self, names: &PropStore, symbol: Symbol) -> Option<&mut DesignObject> {
+        let object = slot_mut(&mut self.objects, symbol)?.get_or_insert_with(|| {
+            let name = names.resolve_sym(symbol).to_string();
             Arc::new(DesignObject {
-                name: name.to_string(),
-                state: ObjectState::Out,
-                producers: Vec::new(),
-                users: Vec::new(),
+                name,
+                ..DesignObject::default()
             })
         });
         Some(Arc::make_mut(object))
     }
 
-    /// Files `name` as registered: current whatever is retracted.
-    pub(crate) fn register(&mut self, names: &PropStore, name: &str) {
-        if let Some(object) = self.object_mut(names, name, false) {
-            object.state = ObjectState::Registered;
-        }
-    }
-
-    /// Files the decision `r` whose execution just committed; its class
-    /// has `dimension`. Its inputs are current, so its outputs are IN
-    /// (registered ones stay registered).
-    pub(crate) fn execute(
-        &mut self,
-        names: &PropStore,
-        r: DecisionRecord,
-        dimension: DecisionDimension,
-    ) {
+    /// Files the decision `r`, whose class has `dimension`, at the next
+    /// ordinal: a user of each input (current, so filed already) and a
+    /// producer of each output.
+    fn push(&mut self, names: &PropStore, r: DecisionRecord, dimension: DecisionDimension) {
         let at = self.records.len();
         for input in &r.inputs {
-            if let Some(object) = self.object_mut(names, input, true) {
+            let object = names
+                .lookup_sym(input)
+                .and_then(|s| self.object_mut(names, s));
+            if let Some(object) = object {
                 push_once(&mut object.users, at);
             }
         }
         for output in &r.outputs {
-            if let Some(object) = self.object_mut(names, output, false) {
-                if object.state == ObjectState::Out {
-                    object.state = ObjectState::In;
-                }
+            let object = names
+                .lookup_sym(output)
+                .and_then(|s| self.object_mut(names, s));
+            if let Some(object) = object {
                 push_once(&mut object.producers, at);
             }
         }
@@ -176,21 +193,6 @@ impl DesignIndex {
         self.dimensions.push(dimension);
     }
 
-    /// Marks the decisions at `ordinals` retracted and takes `affected`
-    /// OUT, once their retraction has committed.
-    pub(crate) fn retract(&mut self, names: &PropStore, ordinals: &[usize], affected: &[String]) {
-        for &at in ordinals {
-            if let Some(r) = self.records.get_mut(at) {
-                Arc::make_mut(r).retracted = true;
-            }
-        }
-        for name in affected {
-            if let Some(object) = self.object_mut(names, name, true) {
-                object.state = ObjectState::Out;
-            }
-        }
-    }
-
     /// Every executed decision, in execution order.
     pub fn records(&self) -> &PVec<Arc<DecisionRecord>> {
         &self.records
@@ -198,7 +200,7 @@ impl DesignIndex {
 
     /// The ordinal of the decision named `name`.
     pub(crate) fn ordinal(&self, names: &PropStore, name: &str) -> Option<usize> {
-        slot(&self.ordinals, names, name).copied()
+        slot(&self.ordinals, names.lookup_sym(name)?).copied()
     }
 
     /// The decision named `name`.
@@ -221,7 +223,7 @@ impl DesignIndex {
     }
 
     fn object(&self, names: &PropStore, name: &str) -> Option<&DesignObject> {
-        slot(&self.objects, names, name).map(|o| &**o)
+        slot(&self.objects, names.lookup_sym(name)?).map(|o| &**o)
     }
 
     /// The ordinals of the decisions that produced `object`, in
@@ -259,9 +261,14 @@ impl DesignIndex {
         ordinals.map(|&at| &*self.records[at])
     }
 
-    /// The state of `object`, if it was ever registered or produced.
-    pub(crate) fn state(&self, names: &PropStore, object: &str) -> Option<ObjectState> {
-        self.object(names, object).map(|o| o.state)
+    /// Whether `object` is current, if it was ever registered or produced.
+    pub(crate) fn is_current(&self, names: &PropStore, object: &str) -> Option<bool> {
+        (self.object(names, object)).map(|o| o.is_current(&self.records))
+    }
+
+    /// True if `object` was registered.
+    pub(crate) fn registered(&self, names: &PropStore, object: &str) -> bool {
+        self.object(names, object).is_some_and(|o| o.registered)
     }
 
     /// Every design object ever registered or produced, in name order.
@@ -280,7 +287,7 @@ impl DesignIndex {
     /// of the decisions that produced it.
     pub(crate) fn current(&self) -> impl Iterator<Item = (&str, &[usize])> {
         let current = self.by_name().into_iter();
-        let current = current.filter(|o| o.state != ObjectState::Out);
+        let current = current.filter(|o| o.is_current(&self.records));
         current.map(|o| (o.name.as_str(), &o.producers[..]))
     }
 }

@@ -427,8 +427,9 @@ impl Gkbms {
     /// The commit point — the one place an op enters the history.
     /// Every mutation calls it once its KB work can no longer fail: the
     /// op's encoding is appended to the journal, if one is attached, and
-    /// pushed onto `history`. An op the journal refused is not in the
-    /// history either; its transaction rolls its KB work back.
+    /// pushed onto `history`, and the design index files what the op
+    /// told. An op the journal refused is in neither; its transaction
+    /// rolls its KB work back.
     pub(crate) fn commit(&mut self, op: JournalOp) -> GkbmsResult<()> {
         // A seal is framed with the epoch it opens.
         let epoch = match op {
@@ -445,6 +446,15 @@ impl Gkbms {
             _ => {}
         }
         self.history.push(bytes);
+        // The op's buffers are freed before the index files what it
+        // told, so the filed records reuse them instead of leaving them
+        // as holes between long-lived allocations: a heap fragmented so
+        // slowed every later read that allocates its answer.
+        drop(op);
+        if let Some(mark) = self.kb.txn_mark() {
+            let told = self.kb.delta_since(&mark).told;
+            self.design.file(&self.kb, &told);
+        }
         Ok(())
     }
 

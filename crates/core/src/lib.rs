@@ -24,9 +24,9 @@
 //!   record;
 //! * [`record`] — the design record: every decision class, tool and
 //!   decision as the KB documents it, read back from any snapshot;
-//! * [`design`] — the design index: each executed decision as the
-//!   record decoded it at its commit, and each design object's state
-//!   with its producers and users;
+//! * [`design`] — the design index, the fold of what each commit told:
+//!   each executed decision as the record decodes it, and each design
+//!   object's registration with its producers and users;
 //! * [`depgraph`] — dependency-graph derivation, one pass over the
 //!   design index per call (figs 2-2 … 2-4);
 //! * [`versions`] — version & configuration management from mapping /

@@ -94,7 +94,7 @@ pub fn causal_chain(
     object: &str,
 ) -> GkbmsResult<Vec<String>> {
     let names = snap.store();
-    if design.state(names, object).is_none() {
+    if design.is_current(names, object).is_none() {
         return Err(GkbmsError::Unknown(format!("design object `{object}`")));
     }
     let mut chain = Vec::new();

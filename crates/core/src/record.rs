@@ -11,14 +11,13 @@
 //! the live KB and over a version pinned at any tick.
 //!
 //! `Gkbms` lists decisions from its [`DesignIndex`](crate::design::DesignIndex),
-//! which holds each one as [`Record::decision`] decoded it just after
-//! its execution committed. The reader is the index's rebuild path —
-//! recovery, snapshot + tail and a follower refill the index by
-//! replaying `execute`, which decodes again — and its oracle: the tests
-//! hold every index entry, and every producer and user list, equal to
-//! what a `Record` over the same snapshot reads. It also answers the
-//! reads that take a pinned snapshot (`object_history`,
-//! `applicable_decisions`).
+//! the fold of `Record` over the anchors each commit told:
+//! [`Record::step`] names the design step a told proposition anchors,
+//! and [`Record::decision`] decodes an executed decision. The reader is
+//! also the index's oracle: the tests hold every index entry, and every
+//! producer and user list, equal to what a `Record` over the same
+//! snapshot reads. It also answers the reads that take a pinned
+//! snapshot (`object_history`, `applicable_decisions`).
 //!
 //! Besides the FROM/TO/BY links and the classifications, the KB holds:
 //!
@@ -40,9 +39,11 @@
 //! history time starts at the tick it was told — where every other
 //! write, a raw TELL included, tells propositions that hold `Always`: a
 //! decision class its `dimension`, a tool `automatic`, an execution its
-//! decision's `performer`, a retraction the decision's `status`. Only
-//! an anchor makes an individual a decision class, a tool or a
-//! decision, or a decision retracted, so no client write can forge one.
+//! decision's `performer`, a retraction the decision's `status`, a
+//! registration its object's `source`. Only an anchor makes an
+//! individual a decision class, a tool, a decision or a registered
+//! design object, or a decision retracted, so no client write can forge
+//! one.
 //!
 //! # Read as told
 //!
@@ -97,6 +98,18 @@ fn is_anchor(p: &Proposition) -> bool {
 /// The name of the individual that documents `text`.
 pub(crate) fn quoted(text: &str) -> String {
     format!("\"{text}\"")
+}
+
+/// The design step a told proposition anchors ([`Record::step`]), by
+/// the individual it documents.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step {
+    /// The execution of a decision: its `performer` anchor.
+    Executed(PropId),
+    /// The retraction of a decision: its `status = retracted` anchor.
+    Retracted(PropId),
+    /// The registration of a design object: its `source` anchor.
+    Registered(PropId),
 }
 
 /// The design record as one snapshot of the KB holds it.
@@ -178,6 +191,19 @@ impl<'a> Record<'a> {
         Some(name.strip_prefix('"')?.strip_suffix('"')?.to_string())
     }
 
+    /// The design step proposition `id` anchors, if any. A raw TELL's
+    /// links hold `Always`, so none is a step.
+    pub(crate) fn step(&self, id: PropId) -> Option<Step> {
+        let p = (self.store().prop(id)).filter(|p| !p.is_individual() && is_anchor(p))?;
+        let kind = match self.store().resolve_sym(p.label) {
+            names::PERFORMER => Step::Executed,
+            names::STATUS => Step::Retracted,
+            names::SOURCE_I => Step::Registered,
+            _ => return None,
+        };
+        Some(kind(p.source))
+    }
+
     /// The anchor `<x, label, _>` the snapshot believes.
     fn anchor(&self, x: PropId, label: &str) -> Option<&'a Proposition> {
         self.links(x, label).find(|p| is_anchor(p))
@@ -252,9 +278,17 @@ impl<'a> Record<'a> {
         })
     }
 
-    /// The dimension told of decision class `c`, read at its definition.
+    /// The dimension of decision `r`'s class, as of `r`'s commit.
+    pub(crate) fn dimension_of(&self, r: &DecisionRecord) -> Option<DecisionDimension> {
+        let then = self.at(r.tick);
+        then.dimension(then.snap.lookup(&r.class)?)
+    }
+
+    /// The dimension decision class `c`'s anchor tells.
     fn dimension(&self, c: PropId) -> Option<DecisionDimension> {
-        DecisionDimension::named(&self.text(c, names::DIMENSION)?)
+        let v = self.store().prop(self.anchor(c, names::DIMENSION)?.dest)?;
+        let text = self.store().resolve_sym(v.label);
+        DecisionDimension::named(text.strip_prefix('"')?.strip_suffix('"')?)
     }
 
     /// The decision class `c` specializes, read at its definition.
@@ -421,13 +455,13 @@ impl<'a> Record<'a> {
     }
 
     /// True if an incarnation of `object` was registered as a design
-    /// object by the snapshot's tick: registration tells its `source`.
+    /// object by the snapshot's tick: registration anchors its `source`.
     pub(crate) fn registered(&self, object: &str) -> bool {
         let at = self.snap.at();
         let mut sources = self
             .incarnations(object)
             .flat_map(|o| self.told_links(o, names::SOURCE_I));
-        sources.any(|l| told(l).is_some_and(|t| t <= at))
+        sources.any(|l| is_anchor(l) && told(l).is_some_and(|t| t <= at))
     }
 
     /// The class of decision `r`, as it was defined.

@@ -5,10 +5,10 @@
 //! Every decision class, tool and executed decision is documented in
 //! full in the Telos KB (fig 3-3), the one copy of the design record:
 //! [`crate::record`] reads it back. Beside the KB, `Gkbms` keeps one
-//! [`DesignIndex`]: each executed decision as the record decoded it just
-//! after its commit, and each design object's state — registered (a
-//! premise), IN or OUT — with the decisions that produced and used it.
-//! Every read of the decisions goes through the index. Retracting a
+//! [`DesignIndex`], the fold of what each commit told: each executed
+//! decision as the record decodes it, and each design object's
+//! registration with the decisions that produced and used it. Every
+//! read of the decisions goes through the index. Retracting a
 //! decision takes exactly its consequences OUT, walked along the
 //! index's user and producer lists — "supporting this consistent,
 //! selective backtracking is the main purpose of introducing the
@@ -20,12 +20,12 @@
 //! `history` (and the journal). A mutator that fails commits nothing
 //! and is rolled back to the transaction's mark, clock included, so
 //! the live state is always the replay of the history, tick for tick.
-//! The index is written only after a commit has returned Ok.
+//! The commit files the index from what its op told.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::decisions::{DecisionClass, Discharge, ToolSpec};
-use crate::design::{DesignIndex, ObjectState};
+use crate::design::DesignIndex;
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
@@ -265,14 +265,17 @@ impl Gkbms {
     /// the KB is rolled back to the mark: no proposition, name, closed
     /// interval or tick of the failed write remains, so a failed write
     /// changes nothing a reader, a recovery or a replica can see. `op` changes fields
-    /// other than the KB only after its commit has returned Ok.
+    /// other than the KB only after its commit has returned Ok, and
+    /// commits one op at most: the commit files everything it told.
     pub(crate) fn transaction<T>(
         &mut self,
         op: impl FnOnce(&mut Self) -> GkbmsResult<T>,
     ) -> GkbmsResult<T> {
         self.kb.begin();
+        let ops = self.history.len();
         match op(self) {
             Ok(v) => {
+                debug_assert!(self.history.len() <= ops + 1, "one op per transaction");
                 self.kb.commit();
                 Ok(v)
             }
@@ -579,22 +582,19 @@ impl Gkbms {
         self.kb.instantiate(obj, c)?;
         let src = self.kb.individual(source)?;
         self.kb.instantiate(src, self.pm.source_ref)?;
-        self.kb.put_attr(obj, names::SOURCE_I, src)?;
+        self.anchor(obj, names::SOURCE_I, src)?;
         self.commit(JournalOp::Register {
             name: name.into(),
             class: class.into(),
             source: source.into(),
         })?;
-        self.design.register(&self.kb, name);
         Ok(obj)
     }
 
     /// True if the design object is currently believed: registered, or
-    /// produced and IN.
+    /// produced by a decision that is not retracted.
     pub fn is_current(&self, name: &str) -> bool {
-        self.design
-            .state(&self.kb, name)
-            .is_some_and(|s| s != ObjectState::Out)
+        self.design.is_current(&self.kb, name) == Some(true)
     }
 
     /// Names of all currently believed design objects, sorted.
@@ -632,7 +632,7 @@ impl Gkbms {
         // Inputs must exist, be believed, and satisfy the precondition.
         let mut input_ids = Vec::new();
         for input in &req.inputs {
-            if self.design.state(&self.kb, input) == Some(ObjectState::Out) {
+            if self.design.is_current(&self.kb, input) == Some(false) {
                 return Err(GkbmsError::Precondition(format!(
                     "input `{input}` is not current (retracted)"
                 )));
@@ -715,9 +715,9 @@ impl Gkbms {
     }
 
     /// Documents the decision, ticks once more — a reader finds the
-    /// decision from that tick on (see [`crate::record`]) — and commits.
-    /// Once committed, the decision is filed in the design index as the
-    /// record reads it back.
+    /// decision from that tick on (see [`crate::record`]) — and commits,
+    /// which files the decision in the design index as the record reads
+    /// it back.
     fn execute_body(
         &mut self,
         req: &DecisionRequest,
@@ -798,12 +798,6 @@ impl Gkbms {
         self.commit(JournalOp::Execute {
             request: req.clone(),
         })?;
-        // A committed execution always reads back (see `crate::record`).
-        let told = self.reader().decision(decision);
-        debug_assert!(told.is_some(), "`{}` reads back", req.name);
-        if let Some(r) = told {
-            self.design.execute(&self.kb, r, dc.dimension);
-        }
         obs::counter!(
             "gkbms_decisions_executed_total",
             "Design decisions executed successfully"
@@ -828,8 +822,8 @@ impl Gkbms {
     /// of the design objects that went out of belief — fig 2-4's
     /// highlighted objects.
     ///
-    /// The object states and `retracted` flags change only once the
-    /// retraction has committed.
+    /// The `retracted` flags change only when the retraction commits;
+    /// the objects' labels follow from them.
     pub fn retract_decision(&mut self, name: &str) -> GkbmsResult<Vec<String>> {
         self.transaction(|g| g.retract_inner(name))
     }
@@ -843,7 +837,6 @@ impl Gkbms {
             )));
         }
         let (affected, dangling) = self.consequences(at);
-        let decisions: Vec<usize> = std::iter::once(at).chain(dangling).collect();
 
         // Documentation: close belief of the affected objects and mark
         // the decision instances as retracted; the records stay — the
@@ -854,16 +847,12 @@ impl Gkbms {
             }
         }
         let retracted_status = self.kb.individual(record::RETRACTED)?;
-        for &i in &decisions {
-            self.anchor(
-                self.design.records()[i].prop,
-                names::STATUS,
-                retracted_status,
-            )?;
+        for i in std::iter::once(at).chain(dangling) {
+            let decision = self.design.records()[i].prop;
+            self.anchor(decision, names::STATUS, retracted_status)?;
         }
         self.kb.tick();
         self.commit(JournalOp::Retract { name: name.into() })?;
-        self.design.retract(&self.kb, &decisions, &affected);
         obs::counter!(
             "gkbms_decisions_retracted_total",
             "Design decisions retracted (explicit plus cascaded)"
@@ -879,7 +868,8 @@ impl Gkbms {
     /// Over-delete `at`'s IN outputs and, to a fixpoint, the IN outputs
     /// of each live user of one; then rederive, to a fixpoint, each
     /// object a live producer but `at` derives from current inputs none
-    /// of which is over-deleted.
+    /// of which is over-deleted. Every output of a live decision is
+    /// current, so those outputs are IN unless registered.
     fn consequences(&self, at: usize) -> (Vec<String>, BTreeSet<usize>) {
         let (design, names) = (&self.design, &*self.kb);
         let records = design.records();
@@ -888,7 +878,7 @@ impl Gkbms {
         let mut out: BTreeSet<&str> = BTreeSet::new();
         let mut frontier: Vec<&str> = outputs(at).collect();
         while let Some(o) = frontier.pop() {
-            if design.state(names, o) == Some(ObjectState::In) && out.insert(o) {
+            if !design.registered(names, o) && out.insert(o) {
                 let users = design.used_by(names, o).iter().copied().filter(live);
                 frontier.extend(users.flat_map(outputs));
             }
@@ -1555,6 +1545,26 @@ pub(crate) mod tests {
         assert_eq!(retracted_as_told(&g), ["d1"]);
         let history: Vec<String> = events(&g, "A").collect();
         assert_eq!(history, ["created by d1", "retracted with d1"]);
+    }
+
+    /// A raw TELL of a `source` link registers nothing — nor does an
+    /// object class's `source` declaration: only a registration anchors
+    /// it. Once the forgery is untold, its name is no design object.
+    #[test]
+    fn a_raw_told_source_registers_nothing() {
+        let mut g = design(&["R"], &[]);
+        g.tell_src("TELL Forged with attribute source : R end")
+            .unwrap();
+        assert!(!g.is_current("Forged"));
+        assert!(!g.reader().registered("Forged"));
+        assert!(!g.reader().registered(kernel::DBPL_REL));
+        assert!(g.reader().registered("R"));
+        g.untell("Forged").unwrap();
+        let history = g.object_history("Forged");
+        assert!(
+            matches!(history, Err(GkbmsError::Unknown(_))),
+            "{history:?}"
+        );
     }
 
     /// A raw `status = retracted` retracts nothing: the decision stays

@@ -44,6 +44,12 @@
 //!   what `Record` decodes from the KB, and each streamed object's
 //!   producers and users are the decisions `Record` finds along the
 //!   links into it;
+//! * **the design index is the fold of its store** — wherever the index
+//!   is held against the reader, `DesignIndex::file` over every
+//!   proposition of the store, into an empty index, gives the same
+//!   index: records with their `retracted` flags, dimensions, producer
+//!   and user ordinals, registrations, the current set and the recall
+//!   groups;
 //! * **published indexes are persistent** — the version a server would
 //!   publish after every op of the live instance and of the replica,
 //!   captured as the stream runs and checked once it has ended, still
@@ -56,6 +62,7 @@ use conceptbase::datalog::seminaive::{self, EvalStats};
 use conceptbase::gkbms::design::DesignIndex;
 use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
 use conceptbase::gkbms::metamodel::{kernel, names};
+use conceptbase::gkbms::recall::recall_similar;
 use conceptbase::gkbms::record::Record;
 use conceptbase::gkbms::system::DecisionRecord;
 use conceptbase::gkbms::views::pinned_rows;
@@ -942,8 +949,29 @@ const STREAMED_OBJECTS: [&str; 9] = [
 /// streamed object are the decisions the reader finds along the `to`
 /// and `from` links into it that name it as an output or an input (a
 /// raw TELL can link a decision to an object its execution did not
-/// name).
+/// name). The index is also the one its store files from scratch.
 fn index_agrees(snap: Snapshot<'_>, design: &DesignIndex, ctx: &str) {
+    let store = snap.store();
+    let every: Vec<PropId> = (0..store.len() as u32).map(PropId).collect();
+    let mut folded = DesignIndex::default();
+    folded.file(store, &every);
+    assert!(
+        folded == *design,
+        "{ctx}: the index is not the fold of its store"
+    );
+    let recall = |index| {
+        let rows = design
+            .records()
+            .iter()
+            .map(|r| recall_similar(snap, index, &r.name, 5));
+        rows.map(|hits| hits.expect("recall a record"))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        recall(&folded),
+        recall(design),
+        "{ctx}: the folded recall groups"
+    );
     let reader = Record::over(snap);
     for r in design.records() {
         let decoded = reader.decision(r.prop);

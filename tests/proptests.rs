@@ -229,12 +229,13 @@ proptest! {
     /// the design record documents ([`JtmsOracle`]): registered roots,
     /// decisions with 1–3 inputs whose outputs are new or reused names
     /// (so support cycles and shared outputs occur), retractions,
-    /// replays and raw UNTELLs. After every op, what a retraction took
-    /// out, the retracted and effective decisions and the current
-    /// objects agree.
+    /// replays, raw UNTELLs and raw TELLs of the links a design step
+    /// tells (forgeries, which the oracle never sees). After every op,
+    /// what a retraction took out, the retracted and effective decisions
+    /// and the current objects agree.
     #[test]
     fn selective_backtracking_partitions_exactly(
-        steps in prop::collection::vec((0u8..10, any::<u64>()), 8..32),
+        steps in prop::collection::vec((0u8..11, any::<u64>()), 8..32),
     ) {
         use conceptbase::gkbms::metamodel::kernel;
         use conceptbase::gkbms::{DecisionClass, DecisionDimension, DecisionRequest, Gkbms};
@@ -292,6 +293,17 @@ proptest! {
                     if g.replay_decision(&original, &name).is_ok() {
                         oracle.replay(&original, &name);
                     }
+                }
+                // A forged design step: a raw `source`, `performer`,
+                // `status`, `from` or `to` link on a pool name.
+                10 => {
+                    const LINKS: [&str; 5] = ["source", "performer", "status", "from", "to"];
+                    let label = LINKS[pick.below(LINKS.len())];
+                    let object = POOL[pick.below(POOL.len())];
+                    let value = if label == "status" { "retracted" } else { POOL[pick.below(POOL.len())] };
+                    let _ = g.tell_src(&format!(
+                        "TELL {value} end\nTELL {object} with attribute {label} : {value} end"
+                    ));
                 }
                 _ => {
                     let _ = g.untell(POOL[pick.below(POOL.len())]);
