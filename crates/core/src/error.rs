@@ -32,6 +32,11 @@ pub enum GkbmsError {
     /// but is not a directory — typically a file from another tool or
     /// format. A journal is a directory holding `snapshot` and `wal`.
     NotAJournal(std::path::PathBuf),
+    /// `(record, expected, got)`: a record names op `got` where its
+    /// history puts op `expected` — a snapshot header whose covered
+    /// sequence is not the number of ops the snapshot holds, or a WAL
+    /// record that is not the next op (a hole, or a repeated record).
+    Misplaced(&'static str, u64, u64),
 }
 
 /// Convenient alias used throughout the crate.
@@ -61,6 +66,10 @@ impl fmt::Display for GkbmsError {
                 f,
                 "`{}` is not a journal: a journal is a directory (`snapshot` + `wal`), not a file",
                 path.display()
+            ),
+            GkbmsError::Misplaced(record, expected, got) => write!(
+                f,
+                "misplaced {record}: it names op {got}, its history puts op {expected} there"
             ),
         }
     }

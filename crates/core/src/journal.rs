@@ -18,6 +18,11 @@
 //! * [`Gkbms::recover`] replays the snapshot (if any) and then the
 //!   WAL tail, tolerating a torn final record.
 //!
+//! Op `n` of the journal is the history's `n`th, so a position is the
+//! history's length ([`Gkbms::applied_seq`]): the WAL's frame counter
+//! equals it, and a snapshot header or replayed WAL record that names
+//! another is refused ([`GkbmsError::Misplaced`]).
+//!
 //! The journal makes no fsync decisions of its own beyond flushing
 //! each record into the OS: *when* to fsync (group commit, or never) is
 //! the caller's policy — see [`FsyncPolicy`] and the server's
@@ -123,7 +128,7 @@ pub struct Journal {
 
 impl Journal {
     /// Opens the WAL with zeroed op counters; [`Gkbms::recover`] sets
-    /// them from the sequence numbers found in the snapshot and WAL.
+    /// them from the history it recovered.
     fn open_in(dir: &Path) -> StorageResult<Journal> {
         let wal = AppendLog::open(dir.join(WAL_FILE))?;
         Ok(Journal {
@@ -146,7 +151,6 @@ impl Journal {
     /// byte-identical to the leader's. The record must be the direct
     /// successor of the last appended op.
     pub fn append_replicated(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> StorageResult<()> {
-        debug_assert_eq!(seq, self.appended_ops + 1, "replicated append out of order");
         self.append_at(seq, epoch, payload)
     }
 
@@ -294,7 +298,8 @@ impl Gkbms {
     /// replays the WAL tail (truncating a torn final record), then
     /// attaches the journal so every further committed mutation is
     /// appended at commit time. A `dir` that exists but is not a
-    /// directory is refused with [`GkbmsError::NotAJournal`].
+    /// directory is refused with [`GkbmsError::NotAJournal`], a
+    /// misplaced snapshot header or WAL record with `Misplaced`.
     pub fn recover(dir: impl AsRef<Path>) -> GkbmsResult<(Gkbms, RecoveryReport)> {
         let dir = dir.as_ref();
         if dir.exists() && !dir.is_dir() {
@@ -309,17 +314,17 @@ impl Gkbms {
         } else {
             Gkbms::new()?
         };
-        // WAL records at or below the snapshot's covered op sequence
-        // are the leftovers of a checkpoint that crashed between
-        // publishing its snapshot and truncating the WAL — the snapshot
-        // already holds them, so replaying them would double-apply.
-        let covered = g.snapshot_covers;
+        // WAL records at or below the snapshot's position are the
+        // leftovers of a checkpoint that crashed between publishing its
+        // snapshot and truncating the WAL — the snapshot already holds
+        // them, so replaying them would double-apply.
+        let covered = g.applied_seq();
         let mut journal = Journal::open_in(dir)?;
         let wal_truncated = matches!(journal.wal.tail_state(), TailState::TruncatedAt(_));
         let framed: Vec<(_, Vec<u8>)> = journal.wal.iter()?.collect::<Result<_, _>>()?;
         let mut skipped = 0u64;
-        let mut last_seq = covered;
-        let mut tail = Vec::new();
+        // Replay with the journal still detached: re-applying an op
+        // must not re-append it.
         for (_, f) in &framed {
             let (seq, epoch, payload) = decode_framed(f)?;
             // The epoch of every frame counts, even skipped ones: the
@@ -330,16 +335,16 @@ impl Gkbms {
                 skipped += 1;
                 continue;
             }
-            last_seq = last_seq.max(seq);
-            tail.push(payload);
+            // A hole or a repeated record: a history never committed.
+            let next = g.applied_seq() + 1;
+            if seq != next {
+                return Err(GkbmsError::Misplaced("WAL record", next, seq));
+            }
+            persist::apply_record(&mut g, payload)?;
         }
-        // Replay with the journal still detached: re-applying an op
-        // must not re-append it.
-        let replayed_ops = tail.len() as u64;
-        g.replay(tail)?;
-        journal.appended_ops = last_seq;
+        let replayed_ops = g.applied_seq() - covered;
+        journal.appended_ops = g.applied_seq();
         journal.ops_since_checkpoint = replayed_ops;
-        g.replica_applied = last_seq;
         if skipped > 0 && replayed_ops == 0 {
             // Complete the interrupted checkpoint by finishing its
             // truncation. Only safe when every record is covered (the
@@ -381,17 +386,14 @@ impl Gkbms {
     /// After a checkpoint every op ever appended is durable regardless
     /// of fsync policy. Errors if no journal is attached.
     pub fn checkpoint(&mut self) -> GkbmsResult<CheckpointReport> {
-        let epoch = self.epoch;
+        let (covered_seq, epoch) = (self.applied_seq(), self.epoch);
         let Some(j) = self.journal.as_mut() else {
             return Err(GkbmsError::Unknown(
                 "checkpoint requested but no journal is attached".into(),
             ));
         };
         let start = Instant::now();
-        let header = JournalOp::CheckpointCovers {
-            covered_seq: j.appended_ops,
-            epoch,
-        };
+        let header = JournalOp::CheckpointCovers { covered_seq, epoch };
         persist::write_atomic(&j.snapshot_path(), Some(header), &self.history)?;
         let compacted = j.ops_since_checkpoint;
         j.wal.truncate_all()?;
@@ -446,6 +448,9 @@ impl Gkbms {
             _ => {}
         }
         self.history.push(bytes);
+        // The WAL's frame counter is the history's length.
+        let n = self.applied_seq();
+        debug_assert_eq!(self.journal.as_ref().map_or(n, Journal::appended_ops), n);
         // The op's buffers are freed before the index files what it
         // told, so the filed records reuse them instead of leaving them
         // as holes between long-lived allocations: a heap fragmented so
@@ -462,8 +467,8 @@ impl Gkbms {
     /// the op through the standard replay path and appends the original
     /// frame (same sequence, same epoch) to the local journal, if one
     /// is attached. Sequence/epoch admission checks are the caller's job
-    /// (`replication::admit`) — this method trusts its caller and only keeps the
-    /// applied position and epoch consistent.
+    /// (`replication::admit`): the applied op lands at the history's
+    /// next position, which the caller has checked is `seq`.
     pub fn apply_replicated(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> GkbmsResult<()> {
         // Replay with the journal detached so the op's own commit
         // doesn't append it under a fresh sequence number; the shipped
@@ -474,10 +479,11 @@ impl Gkbms {
         self.journal = journal;
         applied?;
         self.epoch = self.epoch.max(epoch);
-        self.replica_applied = seq;
         if let Some(j) = self.journal.as_mut() {
             j.append_replicated(seq, epoch, payload)?;
         }
+        let n = self.applied_seq();
+        debug_assert_eq!(self.journal.as_ref().map_or(n, Journal::appended_ops), n);
         Ok(())
     }
 
@@ -506,16 +512,6 @@ impl Gkbms {
             std::fs::remove_file(&wal).map_err(storage::StorageError::Io)?;
         }
         Gkbms::recover(dir)
-    }
-
-    /// Builds a journal-less replica directly from a shipped snapshot
-    /// stream: replays the payloads into a fresh instance without
-    /// touching disk. Used by followers running without `--journal`.
-    pub fn replica_from_snapshot(payloads: &[Vec<u8>]) -> GkbmsResult<Gkbms> {
-        let mut g = Gkbms::new()?;
-        g.replay(payloads)?;
-        g.replica_applied = g.snapshot_covers;
-        Ok(g)
     }
 
     /// Raises the sequence epoch to `epoch` and commits the seal that
@@ -749,7 +745,7 @@ mod tests {
                 .map(|r| r.unwrap().1)
                 .collect::<Vec<_>>()
         };
-        let replica = Gkbms::replica_from_snapshot(&payloads).unwrap();
+        let replica = Gkbms::from_records(&payloads).unwrap();
         assert!(replica.kb().lookup("Paper").is_some());
         assert!(replica.applied_seq() > 0);
         assert_eq!(replica.epoch(), 1);

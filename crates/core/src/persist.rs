@@ -37,7 +37,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, ToolSpec};
-use crate::error::GkbmsResult;
+use crate::error::{GkbmsError, GkbmsResult};
 use crate::system::{DecisionRequest, DecisionSummary, Gkbms};
 use std::{path::Path, sync::Arc};
 use storage::record::codec::{Cursor, Wire};
@@ -107,11 +107,12 @@ storage::op_table! {
             name: String,
         },
         /// Snapshot-meta record: the journal op sequence a checkpoint
-        /// snapshot covers. Written as the first record of every
-        /// checkpoint snapshot and never journaled itself; recovery
-        /// skips WAL records at or below the covered sequence, which
-        /// makes the snapshot's atomic rename the commit point of a
-        /// checkpoint (see `Gkbms::checkpoint`).
+        /// snapshot covers — the number of ops it holds, which a load
+        /// checks. Written as the first record of every checkpoint
+        /// snapshot and never journaled itself; recovery skips WAL
+        /// records at or below the covered sequence, which makes the
+        /// snapshot's atomic rename the commit point of a checkpoint
+        /// (see `Gkbms::checkpoint`).
         10 CheckpointCovers "checkpoint_covers" {
             /// The last journal op sequence the snapshot holds.
             covered_seq: u64,
@@ -266,10 +267,10 @@ impl Gkbms {
             }
             JournalOp::Tell { src } => Applied::Count(self.tell_src(&src)?),
             JournalOp::Untell { name } => Applied::Count(self.untell(&name)?),
-            // A header, not an op: it positions the instance and is
-            // never part of the history it leads.
-            JournalOp::CheckpointCovers { covered_seq, epoch } => {
-                self.snapshot_covers = covered_seq;
+            // A header, not an op: never part of the history it leads,
+            // whose length is the position it names (checked by
+            // `Gkbms::from_records`).
+            JournalOp::CheckpointCovers { epoch, .. } => {
                 self.epoch = self.epoch.max(epoch);
                 Applied::Done
             }
@@ -336,16 +337,27 @@ pub fn save_history(history: &PVec<Arc<[u8]>>, path: impl AsRef<Path>) -> GkbmsR
 }
 
 impl Gkbms {
-    /// Replays op records, in order, through [`apply_record`] — the one
-    /// loop behind [`Gkbms::load`], journal recovery and replica
-    /// bootstrap.
-    pub(crate) fn replay<P: AsRef<[u8]>>(
-        &mut self,
-        payloads: impl IntoIterator<Item = P>,
-    ) -> GkbmsResult<()> {
-        payloads
-            .into_iter()
-            .try_for_each(|p| apply_record(self, p.as_ref()))
+    /// A fresh instance with op records — a saved history, or a
+    /// snapshot, local or shipped to a journal-less replica — replayed
+    /// in order through [`apply_record`]: the one loop behind
+    /// [`Gkbms::load`], journal recovery and replica bootstrap. A
+    /// snapshot's leading [`JournalOp::CheckpointCovers`] must name the
+    /// number of ops it holds, the position recovery skips WAL records
+    /// up to; one that names another is refused.
+    pub fn from_records<P: AsRef<[u8]>>(payloads: &[P]) -> GkbmsResult<Gkbms> {
+        let mut g = Gkbms::new()?;
+        for p in payloads {
+            apply_record(&mut g, p.as_ref())?;
+        }
+        match payloads.first().map(|p| JournalOp::decode(p.as_ref())) {
+            Some(Ok(JournalOp::CheckpointCovers { covered_seq, .. }))
+                if covered_seq != g.applied_seq() =>
+            {
+                let held = g.applied_seq();
+                Err(GkbmsError::Misplaced("snapshot header", held, covered_seq))
+            }
+            _ => Ok(g),
+        }
     }
 
     /// Saves the complete history to `path`, crash-atomically replacing
@@ -358,10 +370,7 @@ impl Gkbms {
     /// file is only ever read: a missing path is an error, not an empty
     /// GKBMS.
     pub fn load(path: impl AsRef<Path>) -> GkbmsResult<Gkbms> {
-        let (payloads, _) = storage::log::read_payloads(path)?;
-        let mut g = Gkbms::new()?;
-        g.replay(payloads)?;
-        Ok(g)
+        Gkbms::from_records(&storage::log::read_payloads(path)?.0)
     }
 }
 

@@ -174,21 +174,11 @@ pub struct Gkbms {
     pub(crate) tells_untells: (u64, u64),
     /// Live write-ahead journal, when attached via [`Gkbms::recover`].
     pub(crate) journal: Option<crate::journal::Journal>,
-    /// Journal op sequence covered by the checkpoint snapshot this
-    /// instance was loaded from, 0 otherwise. Set by replaying the
-    /// snapshot's leading coverage record; recovery skips WAL records
-    /// at or below it so an interrupted checkpoint (snapshot renamed,
-    /// WAL not yet truncated) never double-applies history.
-    pub(crate) snapshot_covers: u64,
     /// Sequence epoch: starts at 1 and is bumped by [`Gkbms::promote`]
     /// when a replica takes over as leader. Every WAL record is framed
     /// with the epoch it was written under; a replica's admission check
     /// refuses records from an older epoch (fencing a deposed leader).
     pub(crate) epoch: u64,
-    /// Last op sequence applied from a replication stream — mirrors
-    /// `journal.appended_ops` on journaled replicas, and is the only
-    /// applied-position record on journal-less ones.
-    pub(crate) replica_applied: u64,
     /// The registered views, in registration order (see
     /// [`crate::views`]): replaced, not changed, by a registration, so
     /// every capture shares it.
@@ -216,9 +206,7 @@ impl Gkbms {
             history: PVec::new(),
             tells_untells: (0, 0),
             journal: None,
-            snapshot_covers: 0,
             epoch: 1,
-            replica_applied: 0,
             views: Vec::new().into(),
             lint_cache: Arc::default(),
             captured: None,
@@ -231,14 +219,12 @@ impl Gkbms {
         self.epoch
     }
 
-    /// The last journal op sequence this instance holds: the journal's
-    /// appended-op counter when one is attached, or the position of the
-    /// last replicated record applied into a journal-less replica.
+    /// The last op sequence this instance holds: the length of its
+    /// history, since op `n` of the journal is the `n`th commit. A
+    /// journal's frame counter, a snapshot's header and a replica's
+    /// position all name this one number.
     pub fn applied_seq(&self) -> u64 {
-        match &self.journal {
-            Some(j) => j.appended_ops(),
-            None => self.replica_applied,
-        }
+        self.history.len() as u64
     }
 
     /// Read access to the knowledge base.

@@ -409,10 +409,11 @@ mod tests {
             assert!(diags.iter().any(churn), "{name}: {diags:?}");
         };
         warns(&mut g, "churny");
-        let mut replica = Gkbms::replica_from_snapshot(
-            &g.history.iter().map(|op| op.to_vec()).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let mut replica =
+            Gkbms::from_records(&g.history.iter().map(|op| op.to_vec()).collect::<Vec<_>>())
+                .unwrap();
+        // A history without a header positions the replica at its length.
+        assert_eq!(replica.applied_seq(), g.applied_seq());
         warns(&mut replica, "replicated");
         g.journal_mut().unwrap().sync().unwrap();
         drop(g);

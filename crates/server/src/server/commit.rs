@@ -6,8 +6,9 @@
 //! snapshot install): the only places that publish a store version,
 //! auto-checkpoint, move the watermark and sweep sessions. The
 //! watermark is the one committed `(seq, epoch)`; ship loops ship only
-//! up to it. Positions are the journal's monotonic op sequence, not WAL
-//! byte offsets: a checkpoint truncates the WAL but not the op numbers.
+//! up to it. A position is an op sequence number — the length of the
+//! history that reaches it ([`Gkbms::applied_seq`]) — not a WAL byte
+//! offset: a checkpoint truncates the WAL but not the op numbers.
 
 use super::dispatch::err;
 use super::{lock_sessions, sweep_sessions, Shared};
@@ -135,11 +136,12 @@ impl Writer<'_> {
     }
 
     /// Swaps `fresh` in as the served state: publishes it, hands group
-    /// commit its journal's WAL handle, advances the watermark to its
-    /// applied position, and re-pins every session at the fresh head
-    /// (old pins refer to a store that no longer exists). The pin is
-    /// taken before the guard is let go, so it is the version just
-    /// published.
+    /// commit its journal's WAL handle, moves the watermark to its
+    /// position — down too, after a `Load` of a shorter history: the
+    /// replaced history's count names no state any more — and re-pins
+    /// every session at the fresh head (old pins refer to a store that
+    /// no longer exists). The pin is taken before the guard is let go,
+    /// so it is the version just published.
     pub(super) fn replace(mut self, mut fresh: Gkbms) -> Result<(), Response> {
         let file = fresh
             .journal_mut()
@@ -150,8 +152,7 @@ impl Writer<'_> {
         *self.state = fresh;
         self.publish();
         let shared = self.shared;
-        shared.commit.rebind(file);
-        shared.commit.advance(seq, epoch);
+        shared.commit.rebind(file, seq, epoch);
         let pin = shared.chain.acquire();
         drop(self.state);
         lock_sessions(shared).repin_all(pin.data().kb.now(), pin);
@@ -274,12 +275,16 @@ impl Watermark {
         }
     }
 
-    /// Hands group commit the handle of a WAL that replaced the one it
-    /// held (a replica's snapshot install recreates the file), so later
-    /// fsyncs reach the file the journal appends to. The old handle is
+    /// Rebinds to a state that replaced the served one: its WAL handle
+    /// (a replica's snapshot install recreates the file), so fsyncs
+    /// reach the file its journal appends to, and its `(seq, epoch)`,
+    /// whichever way that moves the position. The old handle is
     /// closed; an fsync in flight on it finishes first.
-    fn rebind(&self, file: Option<File>) {
+    fn rebind(&self, file: Option<File>, seq: u64, epoch: u64) {
         *self.file.lock().unwrap_or_else(|e| e.into_inner()) = file;
+        let mut p = self.lock();
+        (p.seq, p.epoch, p.requested) = (seq, epoch, seq);
+        self.cv.notify_all();
     }
 
     /// Blocks until the committed sequence exceeds `seq` or `timeout`

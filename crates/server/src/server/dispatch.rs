@@ -78,16 +78,16 @@ fn one_lines(diags: &[analysis::Diagnostic]) -> String {
 }
 
 /// The session gate: touches the session (bumping its counters, or
-/// reaping it if it idled out) and returns its watermark plus a handle
-/// to its pinned version, store and design index. The `Arc` clone keeps
-/// the version alive for this request even if the session is reaped
-/// mid-read; the chain mutex is never taken on this path. An unknown or
-/// expired session is the request's (typed) answer.
-fn gate(shared: &Shared, id: u64) -> Result<(i64, Arc<Version<Published>>), Response> {
+/// reaping it if it idled out) and returns a handle to its pinned
+/// version, store and design index, whose capture tick is the session's
+/// watermark. The `Arc` clone keeps the version alive for this request
+/// even if the session is reaped mid-read; the chain mutex is never
+/// taken on this path. An unknown or expired session is the request's
+/// (typed) answer.
+fn gate(shared: &Shared, id: u64) -> Result<Arc<Version<Published>>, Response> {
     let mut sessions = lock_sessions(shared);
     let s = sessions.touch(id).map_err(|e| session_err(e, id))?;
-    debug_assert_eq!(s.watermark, s.pin.data().kb.now(), "watermark == pin tick");
-    Ok((s.watermark, s.pin.version()))
+    Ok(s.pin.version())
 }
 
 /// A journaled mutation: session gate, writer, `op`, then the writer's
@@ -257,17 +257,13 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
             class,
             expr,
         } => {
-            let (watermark, version) = gate(shared, session)?;
+            let version = gate(shared, session)?;
             let started = Instant::now();
             // Served entirely from the session's pinned version: no
             // state lock, unaffected by concurrent writers.
-            let result = objectbase::query::ask_with_stats_version(
-                &version.data().kb,
-                watermark,
-                &var,
-                &class,
-                &expr,
-            );
+            let kb = &version.data().kb;
+            let result =
+                objectbase::query::ask_with_stats_version(kb, kb.now(), &var, &class, &expr);
             let elapsed = started.elapsed();
             let (answers, stats) = result.map_err(rejected)?;
             if shared
@@ -288,9 +284,9 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
             }
         }
         Request::Holds { session, expr } => {
-            let (watermark, version) = gate(shared, session)?;
+            let version = gate(shared, session)?;
             let parsed = telos::assertion::parse(&expr).map_err(rejected)?;
-            let snap = version.data().kb.snapshot_at(watermark);
+            let snap = version.data().kb.snapshot();
             let mut env = telos::assertion::Env::new();
             let value = telos::assertion::eval(&snap, &parsed, &mut env).map_err(rejected)?;
             Response::Truth { value }
@@ -298,8 +294,8 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
         Request::Show { session, name } => {
             // Pinned like Ask: the frame as the session's version
             // believed it at the watermark, with no state guard.
-            let (watermark, version) = gate(shared, session)?;
-            let snap = version.data().kb.snapshot_at(watermark);
+            let version = gate(shared, session)?;
+            let snap = version.data().kb.snapshot();
             let id = snap
                 .lookup(&name)
                 .ok_or_else(|| rejected(format!("unknown object `{name}`")))?;
@@ -309,8 +305,8 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
         }
         Request::ApplicableDecisions { session, object } => {
             // Pinned: the process model is documented in the KB.
-            let (watermark, version) = gate(shared, session)?;
-            let snap = version.data().kb.snapshot_at(watermark);
+            let version = gate(shared, session)?;
+            let snap = version.data().kb.snapshot();
             let rows = gkbms::system::applicable_decisions(snap, &object).map_err(rejected)?;
             names(rows.into_iter().map(|(class, tools)| {
                 if tools.is_empty() {
@@ -322,22 +318,22 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
         }
         Request::History { session } => {
             // Pinned: the design index is published with the version.
-            let (_, version) = gate(shared, session)?;
+            let version = gate(shared, session)?;
             Response::Table {
                 text: gkbms::navigate::process_view(&version.data().design).render(),
             }
         }
         Request::Status { session } => {
-            let (watermark, version) = gate(shared, session)?;
+            let version = gate(shared, session)?;
             let Published { kb, design, .. } = version.data();
             Response::Table {
-                text: gkbms::navigate::status_view(kb.snapshot_at(watermark), design).render(),
+                text: gkbms::navigate::status_view(kb.snapshot(), design).render(),
             }
         }
         Request::ObjectHistory { session, object } => {
             // Pinned: every decision is documented in the KB.
-            let (watermark, version) = gate(shared, session)?;
-            let snap = version.data().kb.snapshot_at(watermark);
+            let version = gate(shared, session)?;
+            let snap = version.data().kb.snapshot();
             let rows = gkbms::navigate::object_history(snap, &object).map_err(rejected)?;
             names(
                 rows.into_iter()
@@ -345,33 +341,28 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
             )
         }
         Request::SessionStats { session } => {
-            let (watermark, requests, probes, scanned, version) = {
+            let (requests, probes, scanned, version) = {
                 let mut sessions = lock_sessions(shared);
                 match sessions.touch(session) {
-                    Ok(s) => (
-                        s.watermark,
-                        s.requests,
-                        s.last_probes,
-                        s.last_scanned,
-                        s.pin.version(),
-                    ),
+                    Ok(s) => (s.requests, s.last_probes, s.last_scanned, s.pin.version()),
                     Err(e) => return Err(session_err(e, session)),
                 }
             };
+            let kb = &version.data().kb;
             Response::SessionInfo {
                 session,
-                watermark,
+                watermark: kb.now(),
                 // The chain head is published per commit, so its
                 // capture clock is the live clock — no state lock.
                 kb_now: shared.chain.head().data().kb.now(),
                 requests,
-                believed: version.data().kb.snapshot_at(watermark).believed_count() as u64,
+                believed: kb.snapshot().believed_count() as u64,
                 probes,
                 scanned,
             }
         }
         Request::Save { session, path } => {
-            let (_, version) = gate(shared, session)?;
+            let version = gate(shared, session)?;
             gkbms::persist::save_history(&version.data().history, &path)
                 .map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
             done(format!("saved to {path}"))
@@ -403,9 +394,9 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
         }
         Request::Lint { session, src } => {
             // Waits on the lint memo's mutex only, never on the writer.
-            let (watermark, version) = gate(shared, session)?;
+            let version = gate(shared, session)?;
             let Published { kb, lint, .. } = version.data();
-            let diags = gkbms::system::lint_src(kb.snapshot_at(watermark), lint, &src);
+            let diags = gkbms::system::lint_src(kb.snapshot(), lint, &src);
             Response::Diagnostics {
                 diags: diags.iter().map(WireDiagnostic::from_diagnostic).collect(),
             }
@@ -424,14 +415,14 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
             // Pinned like every Read: the views the session's version
             // was captured with — so one registered after the pin is
             // unknown at it — read from the lemmas that version holds.
-            let (watermark, version) = gate(shared, session)?;
+            let version = gate(shared, session)?;
             let Published { kb, views, .. } = version.data();
             let view = (views.iter())
                 .find(|v| v.name() == name)
                 .ok_or_else(|| rejected(format!("unknown view `{name}`")))?;
             view.check_pred(&pred).map_err(rejected)?;
             let (mut rows, scratch) =
-                gkbms::views::pinned_rows(kb, watermark, view, &pred).map_err(rejected)?;
+                gkbms::views::pinned_rows(kb, kb.now(), view, &pred).map_err(rejected)?;
             if scratch {
                 obs::counter!(
                     "gkbms_view_asks_pinned_total",
@@ -452,9 +443,9 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
             name,
             limit,
         } => {
-            let (watermark, version) = gate(shared, session)?;
+            let version = gate(shared, session)?;
             let Published { kb, design, .. } = version.data();
-            let snap = kb.snapshot_at(watermark);
+            let snap = kb.snapshot();
             let hits = gkbms::recall::recall_similar(snap, design, &name, limit as usize)
                 .map_err(rejected)?;
             Response::RecallHits {
@@ -471,8 +462,8 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
         Request::Explain { session, src } => {
             // Costed against the pinned version: the O(KB) EDB export
             // neither waits on a writer nor holds one up.
-            let (watermark, version) = gate(shared, session)?;
-            let ctx = analysis::LintContext::at(version.data().kb.snapshot_at(watermark));
+            let version = gate(shared, session)?;
+            let ctx = analysis::LintContext::at(version.data().kb.snapshot());
             let plan = analysis::explain_source(&src, &ctx)
                 .map_err(|e| rejected(GkbmsError::Precondition(format!("explain: {e}"))))?;
             done(plan)
@@ -484,17 +475,17 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
         } => {
             // Pinned like Show: the views of the object as the
             // session's version believed it, with no state guard.
-            let (watermark, version) = gate(shared, session)?;
-            let snap = version.data().kb.snapshot_at(watermark);
+            let version = gate(shared, session)?;
+            let snap = version.data().kb.snapshot();
             Response::Table {
                 text: gkbms::navigate::browse(snap, &view, &name).map_err(rejected)?,
             }
         }
         Request::Check { session } => {
             // Like Explain: the full scan reads the pinned version.
-            let (watermark, version) = gate(shared, session)?;
+            let version = gate(shared, session)?;
             let (violations, stats) =
-                objectbase::consistency::check_full(version.data().kb.snapshot_at(watermark));
+                objectbase::consistency::check_full(version.data().kb.snapshot());
             let text = if violations.is_empty() {
                 format!(
                     "consistent ({} constraints over {} classes)",

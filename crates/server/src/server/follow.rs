@@ -195,7 +195,7 @@ fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<(), ReplE
     let w = shared.writer().map_err(refused)?;
     let fresh = match &shared.journal_dir {
         Some(dir) => Gkbms::install_replica_snapshot(dir, payloads).map(|(g, _)| g),
-        None => Gkbms::replica_from_snapshot(&payloads),
+        None => Gkbms::from_records(&payloads),
     }
     .map_err(|e| ReplError::Protocol(format!("snapshot install: {e}")))?;
     w.replace(fresh).map_err(refused)

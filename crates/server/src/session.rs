@@ -1,17 +1,17 @@
-//! Session management: ids, pinned snapshot versions & watermarks,
-//! per-session statistics, and idle-timeout reaping.
+//! Session management: ids, pinned snapshot versions, per-session
+//! statistics, and idle-timeout reaping.
 //!
 //! A session is the unit of snapshot isolation (see [`crate::proto`]):
-//! at open (or [`SessionTable::refresh`]) it pins a belief-time
-//! watermark *and* a store version (an [`gkbms::mvcc::Pin`] in the
-//! server; the table is generic over the pin type so it stays
-//! testable without a knowledge base). Every read the session performs
-//! is evaluated against its pinned version at its watermark — no
-//! state lock. Sessions are independent of TCP connections — a client
-//! may reconnect and keep using its session id — so liveness is
-//! tracked by *use*, not by the socket: a session untouched for longer
-//! than the idle timeout is reaped, and later requests for it get
-//! [`crate::proto::ErrorCode::SessionExpired`].
+//! at open (or [`SessionTable::refresh`]) it pins a store version (an
+//! [`gkbms::mvcc::Pin`] in the server; the table is generic over the
+//! pin type so it stays testable without a knowledge base). The
+//! version's capture tick is the session's belief-time watermark, and
+//! every read the session performs is evaluated against its pinned
+//! version's own snapshot — no state lock. Sessions are independent
+//! of TCP connections — a client may reconnect and keep using its
+//! session id — so liveness is tracked by *use*, not by the socket: a
+//! session untouched for longer than the idle timeout is reaped, and
+//! later requests for it get [`crate::proto::ErrorCode::SessionExpired`].
 //!
 //! Reaping a session drops its pin, and a store version is freed at
 //! the drop of its last holder — [`SessionTable::sweep`] is therefore
@@ -27,11 +27,12 @@ use std::time::{Duration, Instant};
 pub struct Session<P> {
     /// The session id.
     pub id: u64,
-    /// Belief-time watermark all the session's reads are pinned at. In
-    /// the server `watermark == pin.data().kb.now()` holds from `open`,
-    /// `refresh` and `repin_all` onwards: a session reads its version
-    /// at the tick it was captured, which is the tick whose deductive
-    /// closure the version memoizes.
+    /// The belief tick `open`, `refresh` or `repin_all` was given with
+    /// the pin, kept because the table cannot read a tick out of an
+    /// opaque pin: the server passes its pin's capture tick and reads
+    /// the pin, never this field (a pinned version's snapshot is at the
+    /// tick whose deductive closure it memoizes). The in-process
+    /// benchmark harness reads it.
     pub watermark: i64,
     /// The pinned version — store and design index — the session reads
     /// from.

@@ -67,12 +67,12 @@ use conceptbase::gkbms::record::Record;
 use conceptbase::gkbms::system::DecisionRecord;
 use conceptbase::gkbms::views::pinned_rows;
 use conceptbase::gkbms::{
-    DecisionClass, DecisionDimension, DecisionRequest, Discharge, Gkbms, GkbmsResult, Published,
-    RecallHit, ToolSpec,
+    DecisionClass, DecisionDimension, DecisionRequest, Discharge, Gkbms, GkbmsError, GkbmsResult,
+    JournalOp, Published, RecallHit, ToolSpec,
 };
 use conceptbase::objectbase::query;
-use conceptbase::storage::crash;
 use conceptbase::storage::log::read_payloads;
+use conceptbase::storage::{crash, AppendLog};
 use conceptbase::telos::{Delta, Interval, KbVersion, PropId, Snapshot};
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -364,6 +364,103 @@ fn crash_between_snapshot_rename_and_wal_truncation_never_double_applies() {
         assert_prefix_state(&g, total_steps, &format!("window cut at {cut}"));
     }
 
+    std::fs::remove_dir_all(&base).unwrap();
+    std::fs::remove_dir_all(&work).unwrap();
+}
+
+/// A checkpoint snapshot's header names the number of ops it holds. A
+/// snapshot whose header says otherwise is refused with a typed error,
+/// by recovery and by both kinds of replica snapshot install: trusted,
+/// it would make recovery replay WAL records the snapshot already holds
+/// (a header below the count) or skip ones it does not (above it).
+#[test]
+fn a_snapshot_header_that_miscounts_its_ops_is_refused() {
+    let base = tmp_dir("header-miscount");
+    let total = build_journaled_history(&base).len() as u64;
+    let wal_before = std::fs::read(base.join(WAL_FILE)).unwrap();
+    let (mut g, _) = Gkbms::recover(&base).unwrap();
+    g.checkpoint().unwrap();
+    drop(g);
+    let (records, _) = read_payloads(base.join(SNAPSHOT_FILE)).unwrap();
+    for claimed in [total - 2, total + 1] {
+        let dir = tmp_dir(&format!("header-miscount-{claimed}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut crafted = records.clone();
+        crafted[0] = JournalOp::CheckpointCovers {
+            covered_seq: claimed,
+            epoch: 1,
+        }
+        .encode();
+        let mut log = AppendLog::open(dir.join(SNAPSHOT_FILE)).unwrap();
+        for r in &crafted {
+            log.append(r).unwrap();
+        }
+        log.sync().unwrap();
+        drop(log);
+        // The WAL a checkpoint interrupted before its truncation.
+        std::fs::write(dir.join(WAL_FILE), &wal_before).unwrap();
+        let refused = |what: &str, outcome: Result<(), GkbmsError>| match outcome {
+            Err(GkbmsError::Misplaced("snapshot header", expected, got)) => {
+                assert_eq!((expected, got), (total, claimed), "{what}")
+            }
+            other => panic!("{what}: a header claiming {claimed} of {total} ops gave {other:?}"),
+        };
+        refused("recover", Gkbms::recover(&dir).map(drop));
+        refused(
+            "a journal-less replica",
+            Gkbms::from_records(&crafted).map(drop),
+        );
+        let installed = dir.join("replica");
+        refused(
+            "a journaled replica",
+            Gkbms::install_replica_snapshot(&installed, crafted).map(drop),
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    let (g, report) = Gkbms::recover(&base).expect("the true header recovers");
+    assert!(report.snapshot_loaded);
+    assert_prefix_state(&g, total as usize, "the true header");
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// Recovery replays the WAL's op `n` as the history's `n`th, the check
+/// `replication::admit` makes of a shipped batch: a WAL with a record
+/// left out of its middle, or with one repeated, is refused with a
+/// typed error instead of recovering a history that was never
+/// committed. The same frames rewritten whole recover.
+#[test]
+fn a_wal_with_a_hole_or_a_repeated_record_is_refused() {
+    let base = tmp_dir("wal-hole");
+    let total = build_journaled_history(&base).len();
+    let (frames, _) = read_payloads(base.join(WAL_FILE)).unwrap();
+    let mid = total / 2;
+    let mut hole = frames.clone();
+    hole.remove(mid);
+    let mut repeat = frames.clone();
+    repeat.insert(mid, frames[mid].clone());
+    let work = tmp_dir("wal-hole-work");
+    for (what, rewritten, refused) in [
+        ("intact", &frames, None),
+        ("hole", &hole, Some((mid + 1, mid + 2))),
+        ("repeat", &repeat, Some((mid + 2, mid + 1))),
+    ] {
+        crash::copy_dir(&base, &work).unwrap();
+        let wal = work.join(WAL_FILE);
+        std::fs::remove_file(&wal).unwrap();
+        let mut log = AppendLog::open(&wal).unwrap();
+        for f in rewritten {
+            log.append(f).unwrap();
+        }
+        log.sync().unwrap();
+        drop(log);
+        match (Gkbms::recover(&work), refused) {
+            (Ok((g, _)), None) => assert_prefix_state(&g, total, what),
+            (Err(GkbmsError::Misplaced("WAL record", expected, got)), Some(want)) => {
+                assert_eq!((expected, got), (want.0 as u64, want.1 as u64), "{what}")
+            }
+            (outcome, _) => panic!("{what}: {:?}", outcome.map(drop)),
+        }
+    }
     std::fs::remove_dir_all(&base).unwrap();
     std::fs::remove_dir_all(&work).unwrap();
 }
@@ -729,6 +826,10 @@ struct Digest {
     recall: Vec<Vec<(String, u64, bool)>>,
     nogoods: Vec<Vec<String>>,
     epoch: u64,
+    /// The op position the state reports: the length of its history,
+    /// whatever realization — WAL, snapshot + tail, replica, save +
+    /// load — rebuilt it.
+    applied_seq: u64,
     /// Per view, per predicate, its tuples.
     views: Vec<(String, Vec<Vec<String>>)>,
 }
@@ -784,6 +885,7 @@ impl Digest {
             recall: recall_rows(g),
             nogoods: g.nogoods().to_vec(),
             epoch: g.epoch(),
+            applied_seq: g.applied_seq(),
             views,
         }
     }
@@ -1262,7 +1364,7 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
     // What a leader ships to a follower behind the horizon: the
     // snapshot file's records, then the framed WAL tail.
     let (snapshot, _) = read_payloads(checkpointed.join(SNAPSHOT_FILE)).expect("snapshot");
-    let mut replica = Gkbms::replica_from_snapshot(&snapshot).expect("replica from snapshot");
+    let mut replica = Gkbms::from_records(&snapshot).expect("replica from snapshot");
     published.push(("the replica's snapshot".into(), replica.capture()));
     let (tail, _) = read_payloads(checkpointed.join(WAL_FILE)).expect("wal");
     for framed in &tail {
@@ -1794,7 +1896,6 @@ fn failed_tell_batch_changes_nothing() {
 #[test]
 fn the_process_model_is_built_over_the_wire() {
     use conceptbase::gkbms::scenario::Scenario;
-    use conceptbase::gkbms::JournalOp;
     use conceptbase::server::{Client, Config, Response, Server};
     use std::time::{Duration, Instant};
 

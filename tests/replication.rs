@@ -545,6 +545,46 @@ fn promotion_fences_out_the_old_leader() {
     std::fs::remove_dir_all(fdir).unwrap();
 }
 
+/// A promotion's seal is an op of the history like any other: a
+/// journal-less follower counts it in its position exactly as a
+/// journaled one does, in the promotion's reply and in `ReplStatus`.
+#[test]
+fn a_promoted_follower_counts_its_seal_with_or_without_a_journal() {
+    let ldir = tmp_dir("seal-l");
+    let fdir = tmp_dir("seal-f");
+    let (lsrv, laddr) = leader(&ldir);
+    let (jsrv, jaddr) = follower(&fdir, laddr, None);
+    let cfg = Config {
+        follow: Some(laddr.to_string()),
+        ..quick()
+    };
+    let state = Gkbms::new().unwrap();
+    let msrv = Server::bind("127.0.0.1:0", state, cfg).expect("bind follower");
+    let maddr = msrv.local_addr();
+
+    let mut c = Client::connect(laddr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end").unwrap();
+    c.tell(s, "TELL p1 in Paper end").unwrap();
+    wait_applied(jaddr, 2);
+    wait_applied(maddr, 2);
+    lsrv.shutdown().unwrap();
+
+    for (what, addr) in [("journaled", jaddr), ("journal-less", maddr)] {
+        let mut fc = Client::connect(addr).unwrap();
+        let (fs, _) = fc.hello().unwrap();
+        let msg = fc.promote(fs).unwrap();
+        assert!(msg.ends_with("applied op 3"), "{what}: {msg}");
+        let status = fc.repl_status().unwrap();
+        assert!(status.is_leader, "{what}");
+        assert_eq!((status.applied_seq, status.epoch), (3, 2), "{what}");
+    }
+    jsrv.shutdown().unwrap();
+    msrv.shutdown().unwrap();
+    std::fs::remove_dir_all(ldir).unwrap();
+    std::fs::remove_dir_all(fdir).unwrap();
+}
+
 /// A configured lag bound turns reads on a lagging replica into typed
 /// `StaleRead` errors until the replica catches back up.
 #[test]

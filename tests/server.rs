@@ -253,6 +253,33 @@ fn load_of_a_missing_path_is_an_error_and_keeps_the_state() {
     server.shutdown().unwrap();
 }
 
+/// A journal-less server's position is its history's length, as a
+/// journaled one's is: `ReplStatus` counts the ops committed, and a
+/// `Load` positions the server at the loaded history's length — down
+/// as well as up, since the replaced history names no state any more.
+#[test]
+fn a_journal_less_server_reports_its_history_length() {
+    let path = tmp("position");
+    let (server, addr) = start(quick_cfg());
+    let mut c = Client::connect(addr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end").unwrap();
+    c.refresh(s).unwrap();
+    c.save(s, path.to_str().unwrap()).unwrap();
+    c.tell(s, "TELL p1 in Paper end").unwrap();
+    let status = c.repl_status().unwrap();
+    assert!(status.is_leader);
+    assert_eq!((status.applied_seq, status.leader_seq), (2, 2));
+    c.load(s, path.to_str().unwrap()).unwrap();
+    let status = c.repl_status().unwrap();
+    assert_eq!((status.applied_seq, status.leader_seq), (1, 1));
+    c.tell(s, "TELL p2 in Paper end").unwrap();
+    assert_eq!(c.repl_status().unwrap().applied_seq, 2);
+    c.bye(s).unwrap();
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Graceful shutdown: an in-flight request completes with a response,
 /// new work is refused, and join() drains everything.
 #[test]
