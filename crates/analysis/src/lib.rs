@@ -248,7 +248,7 @@ impl<'a> LintContext<'a> {
         let Some(sym) = store.lookup_sym(label).filter(|&s| !store.is_link_sym(s)) else {
             return false;
         };
-        store.postings_label(sym).iter().any(|&p| {
+        store.postings_label(sym).any(|p| {
             store.prop(p).is_some_and(|attr| {
                 attr.source != p
                     && snap.sees(p)

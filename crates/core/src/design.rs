@@ -23,21 +23,20 @@
 //! The index is published with every store version
 //! ([`Gkbms::capture`](crate::Gkbms::capture)), so a reader pinned at a
 //! version reads the design record of that version, and no later write
-//! shows in it. It is built the way the proposition store is
-//! (`telos::version`): every field is a [`PVec`] or an `Arc`, so a
-//! clone bumps one `Arc` per 512-element chunk, and a write copies only
-//! what it touches. The decisions are `Arc`s by ordinal, so a
+//! shows in it. Every field is a [`PVec`] or an `Arc`, so a clone bumps
+//! one `Arc` per 512-element chunk, and a write copies only what it
+//! touches. The decisions are `Arc`s by ordinal, so a
 //! retraction copies one chunk of pointers and the records it marks.
 //! Names and objects are filed under the KB's dense name [`Symbol`],
 //! one slot each, so reading one by name takes the store whose symbols
 //! numbered it: every read by name takes a [`PropStore`].
 
 use crate::decisions::DecisionDimension;
+use crate::pvec::PVec;
 use crate::recall::RecallIndex;
 use crate::record::{Record, Step};
 use crate::system::DecisionRecord;
 use std::sync::Arc;
-use telos::pvec::PVec;
 use telos::{PropId, PropStore, Symbol};
 
 /// One design object: its name, whether it was registered (a premise,
@@ -67,9 +66,8 @@ fn push_once(ordinals: &mut Vec<usize>, at: usize) {
     }
 }
 
-/// The slot of `symbol` in `slots`, growing the slots to reach it: the
-/// `PIndex` idiom of `telos::version`. Copies the slot's chunk if an
-/// older clone shares it.
+/// The slot of `symbol` in `slots`, growing the slots to reach it.
+/// Copies the slot's chunk if an older clone shares it.
 fn slot_mut<T: Clone>(slots: &mut PVec<Option<T>>, symbol: Symbol) -> Option<&mut Option<T>> {
     let at = symbol.0 as usize;
     while slots.len() <= at {

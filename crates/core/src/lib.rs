@@ -54,6 +54,7 @@ pub mod metamodel;
 pub mod mvcc;
 pub mod navigate;
 pub mod persist;
+pub mod pvec;
 pub mod recall;
 pub mod record;
 pub mod replay;

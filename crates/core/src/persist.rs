@@ -38,11 +38,12 @@
 
 use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, ToolSpec};
 use crate::error::{GkbmsError, GkbmsResult};
+use crate::pvec::PVec;
 use crate::system::{DecisionRequest, DecisionSummary, Gkbms};
 use std::{path::Path, sync::Arc};
 use storage::record::codec::{Cursor, Wire};
 use storage::{AppendLog, StorageResult};
-use telos::{pvec::PVec, PropId};
+use telos::PropId;
 
 storage::op_table! {
     /// One op of the replayable history — an entry of

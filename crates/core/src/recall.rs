@@ -54,8 +54,8 @@ use std::sync::Arc;
 use crate::decisions::{DecisionDimension, Discharge};
 use crate::design::DesignIndex;
 use crate::error::{GkbmsError, GkbmsResult};
+use crate::pvec::PVec;
 use crate::system::{DecisionRecord, Gkbms};
-use telos::pvec::PVec;
 use telos::Snapshot;
 
 /// A scored recall hit.

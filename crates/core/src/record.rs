@@ -71,7 +71,7 @@ use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, 
 use crate::metamodel::names;
 use crate::system::DecisionRecord;
 use telos::kb::{L_INSTANCEOF, L_ISA};
-use telos::{Interval, PropId, PropStore, Proposition, Snapshot};
+use telos::{Interval, Postings, PropId, PropStore, Proposition, Snapshot, TimePoint};
 
 /// The `kind` of a formal discharge; any other kind is a signature.
 pub(crate) const FORMAL: &str = "formal";
@@ -80,11 +80,6 @@ pub(crate) const SIGNATURE: &str = "signature";
 /// The `status` a retraction tells.
 pub(crate) const RETRACTED: &str = "retracted";
 
-/// The tick `p` was told at.
-fn told(p: &Proposition) -> Option<i64> {
-    p.belief.start().tick()
-}
-
 /// The history time of an anchor told at tick `now`.
 pub(crate) fn as_of(now: i64) -> Interval {
     Interval::from_tick(now)
@@ -92,7 +87,7 @@ pub(crate) fn as_of(now: i64) -> Interval {
 
 /// True if `p` is an anchor: told [`as_of`] its telling.
 fn is_anchor(p: &Proposition) -> bool {
-    p.history.start() == p.belief.start()
+    p.history.start() == TimePoint::At(p.told_at())
 }
 
 /// The name of the individual that documents `text`.
@@ -141,9 +136,9 @@ impl<'a> Record<'a> {
     }
 
     /// The propositions `ids` names.
-    fn props(&self, ids: &'a [PropId]) -> impl Iterator<Item = &'a Proposition> + 'a {
+    fn props(&self, ids: Postings<'a>) -> impl Iterator<Item = &'a Proposition> + 'a {
         let store = self.store();
-        ids.iter().filter_map(move |&id| store.prop(id))
+        ids.filter_map(move |id| store.prop(id))
     }
 
     /// Every link `<x, label, _>` ever told, in the order told.
@@ -163,8 +158,7 @@ impl<'a> Record<'a> {
     /// Those of them told at the snapshot's tick: what one step told.
     fn told_now(&self, x: PropId, label: &str) -> impl Iterator<Item = &'a Proposition> + 'a {
         let at = self.snap.at();
-        self.told_links(x, label)
-            .filter(move |p| told(p) == Some(at))
+        self.told_links(x, label).filter(move |p| p.told_at() == at)
     }
 
     /// The names the links `<x, label, _>` told now lead to.
@@ -212,12 +206,12 @@ impl<'a> Record<'a> {
     /// The tick `c` was defined at, if it is a decision class at the
     /// snapshot.
     fn class_defined(&self, c: PropId) -> Option<i64> {
-        told(self.anchor(c, names::DIMENSION)?)
+        Some(self.anchor(c, names::DIMENSION)?.told_at())
     }
 
     /// The tick `t` was registered at, if it is a tool at the snapshot.
     fn tool_registered(&self, t: PropId) -> Option<i64> {
-        told(self.anchor(t, names::AUTOMATIC)?)
+        Some(self.anchor(t, names::AUTOMATIC)?.told_at())
     }
 
     /// The decision class named `name` at the snapshot.
@@ -346,8 +340,7 @@ impl<'a> Record<'a> {
     pub(crate) fn tools_covering(&self, c: PropId) -> Vec<PropId> {
         let classes = std::iter::once(c).chain(self.generalizations(c));
         let by = classes.flat_map(|k| self.links(k, names::BY_I));
-        let registration =
-            |p: &&Proposition| told(p).is_some_and(|at| self.tool_registered(p.dest) == Some(at));
+        let registration = |p: &&Proposition| self.tool_registered(p.dest) == Some(p.told_at());
         by.filter(registration).map(|p| p.dest).collect()
     }
 
@@ -358,7 +351,7 @@ impl<'a> Record<'a> {
             .told_links(d, names::PERFORMER)
             .filter(|p| is_anchor(p));
         anchors.find_map(|anchor| {
-            let at = told(anchor).filter(|&at| at < self.snap.at())?;
+            let at = Some(anchor.told_at()).filter(|&at| at < self.snap.at())?;
             let retracted = self.retracted_at(d).is_some();
             Some(self.at(at).decision_told(d, anchor, retracted))
         })
@@ -418,7 +411,7 @@ impl<'a> Record<'a> {
     pub(crate) fn retracted_at(&self, d: PropId) -> Option<i64> {
         let mut status = self.told_links(d, names::STATUS);
         let retraction = status.find(|p| is_anchor(p))?;
-        told(retraction).filter(|&t| t <= self.snap.at())
+        Some(retraction.told_at()).filter(|&t| t <= self.snap.at())
     }
 
     /// The decisions committed by the snapshot's tick that reach an
@@ -446,10 +439,9 @@ impl<'a> Record<'a> {
     /// Every individual ever named `object`, believed or not.
     fn incarnations(&self, object: &str) -> impl Iterator<Item = PropId> + 'a {
         let store = self.store();
-        let named = store
-            .lookup_sym(object)
-            .map_or(&[][..], |s| store.postings_label(s));
-        self.props(named)
+        let named = store.lookup_sym(object).map(|s| store.postings_label(s));
+        (named.into_iter().flatten())
+            .filter_map(move |id| store.prop(id))
             .filter(|o| o.is_individual())
             .map(|o| o.id)
     }
@@ -461,7 +453,7 @@ impl<'a> Record<'a> {
         let mut sources = self
             .incarnations(object)
             .flat_map(|o| self.told_links(o, names::SOURCE_I));
-        sources.any(|l| is_anchor(l) && told(l).is_some_and(|t| t <= at))
+        sources.any(|l| is_anchor(l) && l.told_at() <= at)
     }
 
     /// The class of decision `r`, as it was defined.

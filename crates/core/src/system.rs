@@ -29,12 +29,12 @@ use crate::design::DesignIndex;
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
+use crate::pvec::PVec;
 use crate::record::{self, Record};
 use crate::views::RegisteredView;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use telos::assertion;
-use telos::pvec::PVec;
 use telos::{Kb, KbVersion, PropId, Snapshot};
 
 /// A request to execute a design decision.
@@ -353,8 +353,9 @@ impl Gkbms {
     /// Captures the state a reader may pin: the store's version, the
     /// design index and the registered views, together — the one
     /// capture site, which the server publishes from on every commit
-    /// and at start. Structural sharing throughout: O(chunks) pointer
-    /// bumps, no per-entry work.
+    /// and at start. The KB's version is a mark over its append-only
+    /// store, O(1); the design index and the history are persistent
+    /// vectors, one pointer bump per chunk. No per-entry work.
     ///
     /// The version inherits the closures of the one captured before it
     /// ([`objectbase::query::inherit`], O(1) in the number of views), so
@@ -1307,7 +1308,7 @@ pub(crate) mod tests {
         assert!(failed.is_err());
         assert_eq!(untouched(&g, "Introduced"), before);
         assert_eq!(g.kb().lookup("Invitation"), Some(invitation));
-        assert!(g.kb().get(invitation).unwrap().is_believed());
+        assert!(g.kb().snapshot().sees(invitation));
     }
 
     #[test]

@@ -182,7 +182,7 @@ fn export(
         Box::new(
             lists
                 .into_iter()
-                .flat_map(|(label, _)| store.postings_label(label).iter().copied()),
+                .flat_map(|(label, _)| store.postings_label(label)),
         )
     };
     let mut duplicates = Vec::new();
@@ -587,65 +587,81 @@ fn patch_extents(
         if ins.is_empty() && del.is_empty() && !stale {
             continue;
         }
+        // A name the delta renamed is looked up again: it stays under
+        // the id it names now, or goes if it names none.
+        for name in &renamed {
+            let Ok(i) = extent.binary_search_by_key(name, |&(n, _)| n) else {
+                continue;
+            };
+            let (name, id) = extent[i];
+            if !del.contains(&name) && view.lookup(name) != Some(id) {
+                del.push(name);
+                ins.push(name);
+            }
+        }
         ins.sort_unstable();
+        ins.dedup();
         del.sort_unstable();
+        del.dedup();
         let ins: Vec<(&'static str, PropId)> = (ins.into_iter())
             .filter_map(|name| Some((name, view.lookup(name)?)))
             .collect();
-        let mut patched = splice(extent, &ins, &del);
-        for name in &renamed {
-            if let Ok(i) = patched.binary_search_by_key(name, |&(n, _)| n) {
-                match view.lookup(name) {
-                    Some(id) => patched[i].1 = id,
-                    None => {
-                        patched.remove(i);
-                    }
-                }
-            }
-        }
         obs::counter!(
             "objectbase_class_extents_patched_total",
             "Class extents a carried closure patched by the rows and names its delta moved"
         )
         .inc();
-        *extent = patched.into();
+        *extent = splice(extent, &ins, &del);
     }
 }
 
-/// `old` (sorted by name) with `ins` (sorted, none of them in `old`)
-/// merged in and the names `del` (sorted) taken out: each change is
-/// placed by binary search and the runs between changes are copied
-/// whole.
+/// `old` (sorted by name) with the names `del` (sorted) taken out and
+/// `ins` (sorted, each in `old` only if also in `del`) merged in, built
+/// straight into the new extent's one allocation: each change is placed
+/// by binary search and the runs between changes are copied whole.
 fn splice(
     old: &[(&'static str, PropId)],
     ins: &[(&'static str, PropId)],
     del: &[&'static str],
-) -> Vec<(&'static str, PropId)> {
-    let mut out = Vec::with_capacity(old.len() + ins.len());
+) -> Extent {
+    let held = |name: &&&str| old.binary_search_by_key(*name, |&(n, _)| n).is_ok();
+    let len = old.len() + ins.len() - del.iter().filter(held).count();
     let (mut rest, mut ins, mut del) = (old, ins, del);
-    loop {
-        // The next change by name: an insert, or a delete.
-        let next = match (ins.first(), del.first()) {
-            (Some(&(i, _)), Some(&d)) => i.min(d),
-            (Some(&(i, _)), None) => i,
-            (None, Some(&d)) => d,
-            (None, None) => break,
-        };
-        let at = rest.partition_point(|&(name, _)| name < next);
-        out.extend_from_slice(&rest[..at]);
-        rest = &rest[at..];
-        if del.first() == Some(&next) {
-            del = &del[1..];
-            if rest.first().is_some_and(|&(name, _)| name == next) {
-                rest = &rest[1..];
+    let (mut run, mut inserted): (&[_], _) = (&[], None);
+    // An exact-length map, so the rows are written into the `Arc` as
+    // they come, with no `Vec` in between.
+    (0..len)
+        .map(|_| loop {
+            if let Some((&row, tail)) = run.split_first() {
+                run = tail;
+                break row;
             }
-        } else {
-            out.push(ins[0]);
-            ins = &ins[1..];
-        }
-    }
-    out.extend_from_slice(rest);
-    out
+            if let Some(row) = inserted.take() {
+                break row;
+            }
+            // The next change by name: an insert, or a delete.
+            let next = match (ins.first(), del.first()) {
+                (Some(&(i, _)), Some(&d)) => i.min(d),
+                (Some(&(i, _)), None) => i,
+                (None, Some(&d)) => d,
+                (None, None) => {
+                    assert!(!rest.is_empty(), "a splice runs past its length");
+                    run = std::mem::take(&mut rest);
+                    continue;
+                }
+            };
+            (run, rest) = rest.split_at(rest.partition_point(|&(name, _)| name < next));
+            if del.first() == Some(&next) {
+                del = &del[1..];
+                if rest.first().is_some_and(|&(name, _)| name == next) {
+                    rest = &rest[1..];
+                }
+            } else {
+                inserted = Some(ins[0]);
+                ins = &ins[1..];
+            }
+        })
+        .collect()
 }
 
 /// Hands `prev`'s closures on to `next` — the ASK's and every view's —
@@ -923,6 +939,22 @@ mod tests {
         kb
     }
 
+    /// A splice takes deletes, inserts and replacements (a name deleted
+    /// and inserted again) in one pass, to exactly the rows it keeps.
+    #[test]
+    fn a_splice_applies_deletes_inserts_and_replacements() {
+        let row = |n: &'static str, id| (n, PropId(id));
+        let old = [row("a", 1), row("c", 3), row("e", 5)];
+        let ins = [row("b", 2), row("c", 9), row("f", 6)];
+        let got = splice(&old, &ins, &["a", "c", "z"]);
+        assert_eq!(
+            got[..],
+            [row("b", 2), row("c", 9), row("e", 5), row("f", 6)]
+        );
+        assert_eq!(splice(&old, &[], &[])[..], old);
+        assert!(splice(&old, &[], &["a", "c", "e"]).is_empty());
+        assert_eq!(splice(&[], &ins, &["a"])[..], ins);
+    }
     #[test]
     fn edb_exports_believed_links() {
         let _serial = serial();
@@ -975,7 +1007,7 @@ mod tests {
         // One fact per believed proposition, duplicates kept.
         let facts: Vec<(String, Vec<Value>)> = (0..kb.len())
             .map(|i| PropId(i as u32))
-            .filter(|&id| kb.prop(id).is_some_and(Proposition::is_believed))
+            .filter(|&id| kb.snapshot().sees(id))
             .filter_map(|id| edb_fact_for(&kb, id))
             .collect();
         let twice = (
@@ -1049,7 +1081,7 @@ mod tests {
             let mut seen = Vec::new();
             let mut dropped: Dropped = Vec::new();
             for id in (0..kb.len()).map(|i| PropId(i as u32)) {
-                if !kb.prop(id).is_some_and(Proposition::is_believed) {
+                if !kb.snapshot().sees(id) {
                     continue;
                 }
                 let Some((pred, tuple)) = edb_fact_for(kb, id) else {

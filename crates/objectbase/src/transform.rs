@@ -281,7 +281,7 @@ mod tests {
         // The attribute proposition itself is an object with a
         // believed identity, per "nodes are also propositions".
         let attr_id = kb.snapshot().attrs_of(invitation)[0];
-        assert!(kb.get(attr_id).unwrap().is_believed());
+        assert!(kb.snapshot().sees(attr_id));
         assert_eq!(kb.display(attr_id), "<Invitation sender Person>");
     }
 

@@ -8,10 +8,10 @@
 //! an immutable [`gkbms::Published`] — the store's [`telos::KbVersion`]
 //! and the design index, captured together — into a
 //! [`gkbms::mvcc::VersionChain`] while still holding the guard, so
-//! versions appear in commit order. The capture is structural sharing:
-//! one `Arc` bump per 512-element chunk of the store and of the index
-//! and per symbol-map shard, O(store / 512); the history and the lint
-//! memo and the registered views ride along. No session read takes the
+//! versions appear in commit order. The store's version is a mark over
+//! its one append-only storage, O(1), and the design index a
+//! structural-sharing clone, one `Arc` bump per 512-element chunk; the
+//! history and the lint memo and the registered views ride along. No session read takes the
 //! state lock: a session pins the chain head at Hello (or Refresh) and
 //! reads its pinned version at its watermark, however many commits land
 //! — so it refreshes before it saves, lints or checks its own writes.

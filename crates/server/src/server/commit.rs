@@ -78,8 +78,8 @@ impl DerefMut for Writer<'_> {
 impl Writer<'_> {
     /// Captures the state's store version and publishes it as the chain
     /// head — the one publish site. It runs under the write guard, so
-    /// versions enter the chain in commit order; the capture is
-    /// O(store / 512) by structural sharing (see `telos::version`).
+    /// versions enter the chain in commit order; the store's version is
+    /// a mark over its append-only storage, O(1) (see `telos::store`).
     /// Timed as `gkbms_version_publish_seconds`: capture, publish, and
     /// the drop of the superseded head inside `VersionChain::publish`.
     fn publish(&mut self) {

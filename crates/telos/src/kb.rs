@@ -33,6 +33,7 @@
 use crate::error::{TelosError, TelosResult};
 use crate::omega::{self, Builtins};
 use crate::prop::{PropId, Proposition};
+use crate::store::{Postings, Writer};
 use crate::symbols::Symbol;
 use crate::time::interval::Interval;
 use crate::version::{KbVersion, Mark, PropStore};
@@ -48,16 +49,16 @@ pub const L_ISA: &str = "isa";
 /// derefs for every raw read, `now()`, `len()`, `display()`,
 /// `snapshot()` and `snapshot_at()`.
 ///
-/// The store is persistent (chunked `Arc` spines — see [`crate::pvec`]),
-/// so [`Kb::version`] freezes an immutable [`KbVersion`] by structural
-/// sharing and later writes copy only the chunks they touch.
+/// The store is append-only (see [`crate::store`]), so [`Kb::version`]
+/// captures an immutable [`KbVersion`] in O(1) and later writes append
+/// above it, copying nothing.
 ///
 /// Current-belief retrieval is `kb.snapshot()`, the [`Snapshot`] at
 /// `now`. That is sound because UNTELL ticks *before* it closes an
-/// interval, so for every proposition at every moment
-/// `is_believed() ≡ believed_at(now)`.
+/// interval, so a proposition is believed now exactly if its interval
+/// is still open.
 pub struct Kb {
-    store: PropStore,
+    store: Writer,
     /// Believed individuals by name: the O(1) path of [`Kb::lookup`].
     by_name: HashMap<Symbol, PropId>,
     builtins: Builtins,
@@ -77,7 +78,7 @@ impl Kb {
     /// A fresh KB with the ω-level bootstrapped.
     pub fn new() -> Self {
         let mut kb = Kb {
-            store: PropStore::new(),
+            store: Writer::new(),
             by_name: HashMap::new(),
             builtins: Builtins::placeholder(),
             txn: None,
@@ -101,44 +102,31 @@ impl Kb {
         dest: PropId,
         history: Interval,
     ) -> PropId {
-        let id = self.next_id();
-        let prop = Proposition {
-            id,
-            source,
-            label,
-            dest,
-            history,
-            belief: Interval::from_tick(self.store.clock),
-        };
-        self.store.by_source.insert(source, id);
-        self.store.by_label.insert(label, id);
-        self.store.by_dest.insert(dest, id);
-        if prop.is_individual() {
+        let id = self.store.append(source, label, dest, history);
+        if source == id && dest == id {
             self.by_name.insert(label, id);
         }
-        self.store.props.push(prop);
         id
     }
 
     fn apply_close(&mut self, id: PropId, at: i64) -> TelosResult<()> {
-        let p = self
-            .store
-            .props
-            .get_mut(id.idx())
-            .ok_or(TelosError::UnknownProposition(id))?;
-        p.belief = p.belief.closed_at(at)?;
+        let p = self.store.close(id, at)?;
         if p.is_individual() && self.by_name.get(&p.label) == Some(&id) {
             self.by_name.remove(&p.label);
         }
-        self.store.closed.push(id);
         Ok(())
+    }
+
+    /// True if proposition `id` is believed now: told, and its interval
+    /// not closed.
+    fn believes(&self, id: PropId) -> bool {
+        self.prop(id).is_some_and(|p| p.believed_at(self.now()))
     }
 
     /// Advances the belief clock (one "transaction boundary") and
     /// returns the new tick.
     pub fn tick(&mut self) -> i64 {
-        self.store.clock += 1;
-        self.store.clock
+        self.store.tick()
     }
 
     // ----- write transactions ----------------------------------------------
@@ -151,7 +139,7 @@ impl Kb {
             self.txn = Some(self.store.mark());
             self.tick();
         }
-        self.store.clock
+        self.now()
     }
 
     /// The mark the open transaction took, if one is open: what the
@@ -171,39 +159,37 @@ impl Kb {
     /// (open-ended) interval is ever closed, so each is reopened to
     /// `[start, +∞)`; a reopened individual is its name's believed one
     /// again (only [`Kb::individual_during`] creates one, when none is).
+    ///
+    /// # Panics
+    /// Panics if a version was captured while the transaction was open:
+    /// the undo would change what it reads.
     pub fn rollback(&mut self) {
         let Some(mark) = self.txn.take() else {
             return;
         };
-        for i in (mark.len..self.len()).rev() {
-            let p = self.store.props[i].clone();
-            self.store.by_source.unfile(p.source, p.id);
-            self.store.by_label.unfile(p.label, p.id);
-            self.store.by_dest.unfile(p.dest, p.id);
+        let store = &self.store;
+        let appended = (mark.len..store.len()).filter_map(|i| store.prop(PropId(i as u32)));
+        for p in appended {
             if self.by_name.get(&p.label) == Some(&p.id) {
                 self.by_name.remove(&p.label);
             }
         }
-        self.store.props.truncate(mark.len);
-        let PropStore { props, closed, .. } = &mut self.store;
-        for &id in (mark.closed..closed.len()).filter_map(|i| closed.get(i)) {
-            if let Some(p) = props.get_mut(id.idx()) {
-                p.belief = p.belief.reopened();
-                if p.is_individual() {
-                    self.by_name.insert(p.label, id);
-                }
+        let reopened = store
+            .closed_from(mark.closed)
+            .filter(|id| id.idx() < mark.len);
+        for p in reopened.filter_map(|id| self.store.prop(id)) {
+            if p.is_individual() {
+                self.by_name.insert(p.label, p.id);
             }
         }
-        self.store.closed.truncate(mark.closed);
-        self.store.symbols.truncate(mark.symbols);
-        self.store.clock = mark.tick;
+        self.store.rollback(mark);
     }
 
     // ----- symbols -------------------------------------------------------
 
     /// Interns a string as a symbol.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        self.store.symbols.intern(s)
+        self.store.intern(s)
     }
 
     /// Resolves a symbol to its string.
@@ -342,7 +328,8 @@ impl Kb {
     /// [`Kb::untell_cascade`].
     pub fn untell(&mut self, id: PropId) -> TelosResult<()> {
         let at = self.tick();
-        if !self.get(id)?.is_believed() {
+        self.get(id)?;
+        if !self.believes(id) {
             return Err(TelosError::NotBelieved(id));
         }
         self.apply_close(id, at)
@@ -353,7 +340,8 @@ impl Kb {
     /// ids untold, in order.
     pub fn untell_cascade(&mut self, id: PropId) -> TelosResult<Vec<PropId>> {
         let at = self.tick();
-        if !self.get(id)?.is_believed() {
+        self.get(id)?;
+        if !self.believes(id) {
             return Err(TelosError::NotBelieved(id));
         }
         let mut untold = Vec::new();
@@ -364,10 +352,8 @@ impl Kb {
             untold.push(cur);
             let dependents: Vec<PropId> = self
                 .postings_from(cur)
-                .iter()
                 .chain(self.postings_to(cur))
-                .copied()
-                .filter(|&p| p != cur && self.prop(p).is_some_and(|p| p.is_believed()))
+                .filter(|&p| p != cur && self.believes(p))
                 .collect();
             for d in dependents {
                 if seen.insert(d) {
@@ -387,18 +373,16 @@ impl Kb {
 
     // ----- versions -------------------------------------------------------
 
-    /// Freezes an immutable [`KbVersion`] of the current state by
-    /// structural sharing: every field of the store is persistent, so
-    /// the capture bumps one `Arc` per 512-element chunk (propositions,
-    /// strings, index slots) and per symbol-map shard, O(len / 512)
-    /// with no per-key work. The next write copies what it touches: the
-    /// tail chunks, one slot chunk and posting list per index key, and
-    /// for a new name one shard. The version is `Send + Sync`, never
-    /// changes, and answers `snapshot_at(w)` byte-identically to this
-    /// KB for every `w ≤ self.now()` — the server's MVCC read path
-    /// hands one to each session so reads never take the writer lock.
+    /// Captures an immutable [`KbVersion`] of the current state: a
+    /// handle on the store's one append-only storage and its current
+    /// mark, O(1). Later writes append above the mark and copy nothing
+    /// the version reads. The version is `Send + Sync`, never changes,
+    /// and answers `snapshot_at(w)` byte-identically to this KB for
+    /// every `w ≤ self.now()` — the server's MVCC read path hands one to
+    /// each session so reads never take the writer lock. No rollback
+    /// may cut below it: capture between write transactions.
     pub fn version(&self) -> KbVersion {
-        KbVersion::freeze(self.store.clone())
+        KbVersion::freeze(PropStore::clone(&self.store))
     }
 }
 
@@ -436,11 +420,9 @@ impl<'a> Snapshot<'a> {
     }
 
     /// Those of `ids` this snapshot sees.
-    fn seen(&self, ids: &'a [PropId]) -> impl DoubleEndedIterator<Item = &'a Proposition> + 'a {
+    fn seen(&self, ids: Postings<'a>) -> impl DoubleEndedIterator<Item = &'a Proposition> + 'a {
         let (store, at) = (self.store, self.at);
-        let prop = move |&id: &PropId| store.prop(id);
-        ids.iter()
-            .filter_map(prop)
+        ids.filter_map(move |id| store.prop(id))
             .filter(move |p| p.believed_at(at))
     }
 
@@ -448,7 +430,7 @@ impl<'a> Snapshot<'a> {
     pub fn believed(&self) -> impl Iterator<Item = PropId> + 'a {
         let at = self.at;
         let believed = move |p: &&Proposition| p.believed_at(at);
-        self.store.props.iter().filter(believed).map(|p| p.id)
+        self.store.props().filter(believed).map(|p| p.id)
     }
 
     /// Number of propositions believed at the pinned tick.
@@ -784,7 +766,7 @@ mod tests {
         let attr = kb.put_attr(a, "rel", b).unwrap();
         let before = kb.now();
         kb.untell(attr).unwrap();
-        assert!(!kb.get(attr).unwrap().is_believed());
+        assert!(!kb.snapshot().sees(attr));
         assert!(kb.snapshot().attr_values(a, "rel").is_empty());
         // Temporal query still sees it.
         assert_eq!(kb.snapshot_at(before).attr_values(a, "rel"), vec![b]);
@@ -816,7 +798,7 @@ mod tests {
         assert!(untold.contains(&ab));
         assert!(untold.contains(&meta), "dependent link cascades");
         assert!(!untold.contains(&bc), "unrelated link survives");
-        assert!(kb.get(bc).unwrap().is_believed());
+        assert!(kb.snapshot().sees(bc));
     }
 
     #[test]
@@ -949,15 +931,28 @@ mod tests {
 
     /// Everything a rollback must restore, as the read surface shows it.
     fn observe(kb: &Kb, names: &[&str]) -> impl PartialEq + std::fmt::Debug {
-        let props: Vec<Proposition> = (0..kb.len()).map(|i| kb.props[i].clone()).collect();
-        let postings = |id: PropId| (kb.postings_from(id).to_vec(), kb.postings_to(id).to_vec());
+        let prop = |p: &Proposition| {
+            (
+                p.id,
+                p.source,
+                p.label,
+                p.dest,
+                p.history,
+                p.belief(kb.now()),
+            )
+        };
+        let props: Vec<_> = kb.props().map(prop).collect();
+        let postings = |id: PropId| {
+            let from: Vec<PropId> = kb.postings_from(id).collect();
+            (from, kb.postings_to(id).collect::<Vec<_>>())
+        };
         let looked: Vec<_> = names
             .iter()
             .map(|n| (kb.lookup(n), kb.lookup_sym(n)))
             .collect();
         let syms = kb.symbol_count() as u32;
         let labels: Vec<Vec<PropId>> = (0..syms)
-            .map(|s| kb.postings_label(Symbol(s)).to_vec())
+            .map(|s| kb.postings_label(Symbol(s)).collect())
             .collect();
         let ids = (0..kb.len() as u32).map(|i| postings(PropId(i)));
         (kb.now(), props, looked, labels, ids.collect::<Vec<_>>())
@@ -988,10 +983,7 @@ mod tests {
         assert_eq!(kb.mark(), logged, "the closed log is truncated");
         assert_eq!(kb.lookup("A"), Some(a));
         assert_eq!(frozen.len(), kb.len());
-        assert!(
-            frozen.prop(ab).unwrap().is_believed(),
-            "the version is untouched"
-        );
+        assert!(frozen.snapshot().sees(ab), "the version is untouched");
 
         kb.begin();
         let mark = kb.txn_mark().expect("open");
@@ -1032,10 +1024,10 @@ mod tests {
         kb.rollback();
         assert_eq!(kb.lookup("x"), Some(x));
         assert_eq!(kb.snapshot().lookup("x"), Some(x));
-        assert!(kb.get(x).unwrap().is_believed());
+        assert!(kb.snapshot().sees(x));
         assert_eq!(kb.lookup("A"), Some(a));
         for id in links.into_iter().chain([a]) {
-            assert!(kb.get(id).unwrap().is_believed(), "{}", kb.display(id));
+            assert!(kb.snapshot().sees(id), "{}", kb.display(id));
         }
         assert_eq!(kb.len(), x2.idx());
         assert_eq!(kb.delta_since(&mark), Delta::default());

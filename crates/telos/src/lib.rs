@@ -23,13 +23,13 @@
 //!   aggregation/typing) as checkable judgements;
 //! * [`assertion`] — the logic-based assertion language used by rule and
 //!   constraint propositions;
-//! * [`pvec`] / [`version`] — the persistent chunked store and its
-//!   immutable [`version::KbVersion`] clones, the basis of the server's
-//!   MVCC read path (readers pin a version; the writer publishes new
-//!   ones).
+//! * [`store`] / [`version`] — the one append-only storage of the
+//!   proposition base and its immutable [`version::KbVersion`]s, each a
+//!   mark over it: the basis of the server's MVCC read path (readers pin
+//!   a version; the writer publishes new ones).
 //!
 //! The proposition base is one in-memory [`PropStore`]: [`Kb`] writes
-//! it, a [`KbVersion`] is a frozen clone of it, and every belief-time
+//! it, a [`KbVersion`] is a mark over the same storage, and every belief-time
 //! read — the assertion evaluator, the axiom checks, every reader in
 //! the crates above — takes a [`Snapshot`] of it, so what reads the
 //! live KB reads any version alike. It does no I/O — a KB is made
@@ -42,7 +42,7 @@ pub mod error;
 pub mod kb;
 pub mod omega;
 pub mod prop;
-pub mod pvec;
+pub mod store;
 pub mod symbols;
 pub mod time;
 pub mod version;
@@ -50,7 +50,8 @@ pub mod version;
 pub use error::{TelosError, TelosResult};
 pub use kb::{Kb, Snapshot};
 pub use prop::{PropId, Proposition};
-pub use symbols::{Symbol, SymbolTable};
+pub use store::Postings;
+pub use symbols::Symbol;
 pub use time::interval::Interval;
 pub use time::point::TimePoint;
 pub use version::{Delta, KbVersion, Mark, PropStore};

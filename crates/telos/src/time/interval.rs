@@ -56,15 +56,6 @@ impl Interval {
         Interval::new(self.start, TimePoint::At(t))
     }
 
-    /// Returns a copy that extends to `+inf` again: the undo of
-    /// [`Interval::closed_at`] on an open-ended interval.
-    pub(crate) fn reopened(self) -> Self {
-        Interval {
-            start: self.start,
-            end: TimePoint::PosInf,
-        }
-    }
-
     /// Start point.
     pub fn start(&self) -> TimePoint {
         self.start

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use telos::{Kb, KbVersion, PropId, PropStore, Proposition, Symbol};
+use telos::{Kb, KbVersion, Postings, PropId, PropStore, Proposition, Symbol};
 
 const NAMES: [&str; 5] = ["N0", "N1", "N2", "N3", "N4"];
 const LABELS: [&str; 3] = ["l0", "l1", "l2"];
@@ -261,23 +261,34 @@ impl Oracle<'_> {
 /// the store only ever appends: each posting list is the live one cut
 /// to the ids the version holds, and a symbol lookup answers as live
 /// if the symbol was interned before the capture, `None` otherwise.
-/// This referees the persistent indexes and the sharded symbol map
-/// without sharing their code: slot growth, empty slots, keys past the
-/// end, and symbols interned after the capture.
+/// This referees the posting chains and the shared symbol map without
+/// sharing their code: slot growth, empty slots, keys past the end,
+/// lists read from both ends, and symbols interned after the capture.
 fn check_prefix(kb: &Kb, ids: &[PropId], version: &KbVersion, when: &str) {
-    let held = |list: &[PropId]| -> Vec<PropId> {
-        let held = list.iter().filter(|p| p.idx() < version.len());
-        held.copied().collect()
+    let held =
+        |list: Postings| -> Vec<PropId> { list.filter(|p| p.idx() < version.len()).collect() };
+    // Read front to back and back to front.
+    let read = |list: Postings| -> Vec<PropId> {
+        let back: Vec<PropId> = list.clone().rev().collect();
+        assert_eq!(list.len(), back.len(), "{when}: the length of a list");
+        assert!(back
+            .iter()
+            .rev()
+            .eq(list.clone().collect::<Vec<_>>().iter()));
+        list.collect()
     };
     for &x in ids {
-        let from = (version.postings_from(x), held(kb.postings_from(x)));
+        let from = (read(version.postings_from(x)), held(kb.postings_from(x)));
         assert_eq!(from.0, from.1, "{when}: postings_from({x:?})");
-        let to = (version.postings_to(x), held(kb.postings_to(x)));
+        let to = (read(version.postings_to(x)), held(kb.postings_to(x)));
         assert_eq!(to.0, to.1, "{when}: postings_to({x:?})");
     }
     // Every symbol the live store has, and one past its last.
     for sym in (0..=kb.symbol_count() as u32).map(Symbol) {
-        let label = (version.postings_label(sym), held(kb.postings_label(sym)));
+        let label = (
+            read(version.postings_label(sym)),
+            held(kb.postings_label(sym)),
+        );
         assert_eq!(label.0, label.1, "{when}: postings_label({sym:?})");
     }
     for name in NAMES.iter().chain(&ASKED_LABELS) {
@@ -291,7 +302,8 @@ fn check_prefix(kb: &Kb, ids: &[PropId], version: &KbVersion, when: &str) {
 /// each other and with the oracle; `when` names the step in a failure.
 fn check(kb: &Kb, ids: &[PropId], captured: &[(KbVersion, i64)], when: &str) {
     for p in (0..kb.len()).filter_map(|i| kb.prop(PropId(i as u32))) {
-        assert_eq!(p.is_believed(), p.believed_at(kb.now()), "{when}: {p:?}");
+        let open = p.belief(kb.now()).is_open_ended();
+        assert_eq!(open, p.believed_at(kb.now()), "{when}: {p:?}");
     }
     let now = kb.now();
     let version = kb.version();
@@ -320,6 +332,7 @@ fn check(kb: &Kb, ids: &[PropId], captured: &[(KbVersion, i64)], when: &str) {
             answers!(kb.snapshot_at(*w), kb, ids),
         ));
     }
+    let mut oracles = std::collections::HashMap::new();
     for (who, at, got) in &views {
         let (first, _, reference) = views.iter().find(|(_, t, _)| t == at).unwrap();
         assert_eq!(got, reference, "{when}: {who} vs {first} at {at}");
@@ -333,8 +346,15 @@ fn check(kb: &Kb, ids: &[PropId], captured: &[(KbVersion, i64)], when: &str) {
                 "{when}: {who} at {at}: find_attr_class({x:?}, {l}) = {found:?}"
             );
         }
-        let (got, want) = (got.clone().unordered(), oracle.answers(ids).unordered());
-        assert_eq!(got, want, "{when}: {who} at {at} vs the oracle");
+        // Readings at one tick are equal (above), so one oracle serves.
+        let want = oracles
+            .entry(*at)
+            .or_insert_with(|| oracle.answers(ids).unordered());
+        assert_eq!(
+            &got.clone().unordered(),
+            want,
+            "{when}: {who} at {at} vs the oracle"
+        );
     }
 }
 
@@ -391,6 +411,80 @@ proptest! {
                 ids.push(id);
             }
             check(&kb, &ids, &captured, &format!("after step {step}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Writes large enough to cross the store's chunk boundaries (32,
+    /// 96, 224, 480, … propositions) and its posting blocks' (4, 12, 28,
+    /// 60, 124, … ids under one key), with captures between them: each
+    /// bulk step is one write transaction of a run of individuals
+    /// classified under one class of the universe (some with an
+    /// attribute), which may also UNTELL a proposition captured
+    /// versions still believe, and which commits or fails and is
+    /// rolled back. The plain UNTELL and cascade steps likewise close
+    /// what earlier captures believe.
+    #[test]
+    fn every_reader_agrees_across_chunk_and_block_boundaries(
+        steps in prop::collection::vec((0u8..5, 1usize..100, any::<usize>(), any::<bool>()), 1..7),
+    ) {
+        let mut kb = Kb::new();
+        let c = kb.individual(NAMES[0]).unwrap();
+        let d = kb.individual(NAMES[1]).unwrap();
+        let cd = kb.specialize(c, d).unwrap();
+        let mut ids = vec![c, d, cd];
+        let mut captured: Vec<(KbVersion, i64)> = Vec::new();
+        for (step, (kind, n, k, fail)) in steps.into_iter().enumerate() {
+            let pick = |k: usize| ids[k % ids.len()];
+            match kind {
+                0 | 1 => {
+                    kb.begin();
+                    let class = pick(k);
+                    let run: Vec<PropId> = (0..n)
+                        .map(|t| {
+                            let x = kb.individual(&format!("b{step}.{t}")).unwrap();
+                            kb.instantiate(x, class).unwrap();
+                            if t % 5 == 0 {
+                                kb.put_attr(x, LABELS[t % LABELS.len()], class).unwrap();
+                            }
+                            x
+                        })
+                        .collect();
+                    if kind == 1 {
+                        kb.untell(pick(k / 7)).ok();
+                    }
+                    if fail {
+                        let len = kb.len() - 2 * n - n.div_ceil(5);
+                        kb.rollback();
+                        prop_assert_eq!(kb.len(), len, "the failed write left a trace");
+                    } else {
+                        kb.commit();
+                        ids.extend([run[0], run[n - 1]]);
+                    }
+                }
+                2 => {
+                    if captured.len() < 4 {
+                        captured.push((kb.version(), kb.now()));
+                        kb.tick();
+                    }
+                }
+                3 => {
+                    kb.untell(pick(k)).ok();
+                }
+                _ => {
+                    kb.begin();
+                    kb.untell_cascade(pick(k)).ok();
+                    if fail {
+                        kb.rollback();
+                    } else {
+                        kb.commit();
+                    }
+                }
+            }
+            check(&kb, &ids, &captured, &format!("after bulk step {step}"));
         }
     }
 }

@@ -58,13 +58,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let p = kb.get(link)?;
     println!("P1  history (valid during)  : {}", p.history);
-    println!("P1' belief  (known since)   : {}", p.belief);
+    println!("P1' belief  (known since)   : {}", p.belief(kb.now()));
     kb.tick();
     kb.untell(link)?;
     let p = kb.get(link)?;
     println!(
         "after UNTELL, belief interval: {} (history untouched: {})",
-        p.belief, p.history
+        p.belief(kb.now()),
+        p.history
     );
     Ok(())
 }

@@ -869,7 +869,7 @@ impl Digest {
         let props = (0..kb.len() as u32).map(|i| {
             let p = kb.get(PropId(i)).expect("in bounds");
             let label = kb.resolve(p.label).to_string();
-            (p.source, label, p.dest, p.history, p.belief)
+            (p.source, label, p.dest, p.history, p.belief(kb.now()))
         });
         Digest {
             len: kb.len(),

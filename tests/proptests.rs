@@ -787,7 +787,7 @@ fn reference_vocabulary(kb: &Kb) -> (HashSet<String>, HashSet<String>, HashMap<S
     for i in 0..kb.len() {
         let id = PropId(i as u32);
         let Ok(p) = kb.get(id) else { continue };
-        if !p.is_believed() {
+        if !p.believed_at(kb.now()) {
             continue;
         }
         if p.is_individual() {
@@ -844,7 +844,7 @@ fn a_label_carried_only_by_an_untold_individual_is_unknown() {
     let carrier = kb.put_attr(x, "sender", y).unwrap();
     // Not a cascade: the attribute stays believed, its owner does not.
     kb.untell(x).unwrap();
-    assert!(kb.get(carrier).unwrap().is_believed());
+    assert!(kb.snapshot().sees(carrier));
     assert_eq!(vocabulary_of(&kb, "sender"), (false, false));
     assert_eq!(vocabulary_of(&kb, "x"), (false, false));
 }

@@ -91,7 +91,10 @@ fn fig_3_2_two_time_dimensions() {
     assert_eq!(p.history, Interval::between(17, 18).unwrap());
     assert!(p.believed_at(told_at));
     assert!(!p.believed_at(told_at - 1));
-    assert!(p.is_believed(), "belief open towards the future");
+    assert!(
+        p.belief(kb.now()).is_open_ended(),
+        "belief open towards the future"
+    );
 }
 
 #[test]
