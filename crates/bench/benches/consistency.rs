@@ -5,7 +5,9 @@
 //! single class. Compares full checking against the set-oriented
 //! touched-only check, sweeping the number of unrelated constrained
 //! classes. Expected shape: full checking grows linearly with KB
-//! size, touched-only stays flat.
+//! size, touched-only stays flat. `unconstrained_batch` checks a batch
+//! that reaches no constrained class, in a KB with 200 constrained
+//! classes and in one with none, where the check walks no class.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use objectbase::consistency::{check_full, check_touched};
@@ -78,6 +80,36 @@ fn bench_checking(c: &mut Criterion) {
     group.finish();
 }
 
+/// A KB with `n` constrained classes and an unconstrained `Memo`, and
+/// the TELL batch of a fresh memo: a batch that reaches no constrained
+/// class, so the set-oriented check evaluates nothing whatever `n` is.
+fn kb_with_unconstrained_batch(n: usize) -> (Kb, Vec<PropId>) {
+    let mut kb = Kb::new();
+    for i in 0..n {
+        let src = format!("TELL Other{i} with constraint c : $ forall x/Other{i} x = x $ end");
+        tell(&mut kb, &ObjectFrame::parse(&src).expect("parse")).expect("tell");
+    }
+    let memo = ObjectFrame::parse("TELL Memo isA Proposition end").expect("parse");
+    tell(&mut kb, &memo).expect("tell");
+    let frame = ObjectFrame::parse("TELL memo1 in Memo end").expect("parse");
+    let receipt = tell(&mut kb, &frame).expect("tell");
+    (kb, receipt.created)
+}
+
+fn bench_unconstrained_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("consistency/unconstrained_batch");
+    for n in [0usize, 200] {
+        let (kb, batch) = kb_with_unconstrained_batch(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let (v, stats) = check_touched(kb.snapshot(), &batch);
+                std::hint::black_box((v.len(), stats.classes_visited))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_per_update_vs_batch(c: &mut Criterion) {
     // One decision creates k propositions: checking after each update
     // vs once for the whole set.
@@ -112,6 +144,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_checking, bench_per_update_vs_batch
+    targets = bench_checking, bench_unconstrained_batch, bench_per_update_vs_batch
 }
 criterion_main!(benches);

@@ -9,7 +9,9 @@
 //!   config are operation-for-operation identical;
 //! - the observability counters the generator and drivers bump are
 //!   nonzero afterwards (the CI job re-asserts them over the wire via
-//!   `\metrics` after recovering the journal under `cbshell --listen`);
+//!   `\metrics` after recovering the journal under `cbshell --listen`),
+//!   and the consistency check's class and constraint counters are
+//!   printed (zero on a corpus without constraints);
 //! - the journal directory recovers to the driven state, so a server
 //!   can serve recall queries, the documented decision history and
 //!   the status of every design object against the corpus.
@@ -120,6 +122,15 @@ fn main() {
         let v = obs::registry().counter_value(name).unwrap_or(0);
         println!("counter {name} = {v}");
         assert!(v > 0, "{name} must be nonzero after the fleet run");
+    }
+    // The consistency check's work: zero on a corpus that carries no
+    // constraint, so printed and not asserted nonzero.
+    for name in [
+        "objectbase_consistency_classes_visited_total",
+        "objectbase_constraints_evaluated_total",
+    ] {
+        let v = obs::registry().counter_value(name).unwrap_or(0);
+        println!("counter {name} = {v}");
     }
 
     // The journal must recover to the driven state.

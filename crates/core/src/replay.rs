@@ -6,7 +6,7 @@
 //! (GKBMS tests their re-applicability)."
 
 use crate::error::{GkbmsError, GkbmsResult};
-use crate::system::{eval_precondition, DecisionRequest, Gkbms};
+use crate::system::{parse_precondition, precondition_holds, DecisionRequest, Gkbms};
 
 /// The outcome of testing one decision for re-applicability.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,9 +36,11 @@ impl Gkbms {
         if !missing.is_empty() {
             return Ok(Replayability::MissingInputs(missing));
         }
-        if let Some(pre) = self.reader().class_of(r).and_then(|dc| dc.precondition) {
+        let pre = self.reader().class_of(r).and_then(|dc| dc.precondition);
+        if let Some(pre) = pre.filter(|_| !r.inputs.is_empty()) {
+            let expr = parse_precondition(&pre)?;
             for input in &r.inputs {
-                if !eval_precondition(self.kb.snapshot(), &pre, self.kb.expect(input)?)? {
+                if !precondition_holds(self.kb.snapshot(), &expr, self.kb.expect(input)?)? {
                     return Ok(Replayability::PreconditionFails(input.clone()));
                 }
             }

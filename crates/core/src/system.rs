@@ -635,9 +635,11 @@ impl Gkbms {
             }
             input_ids.push(id);
         }
-        if let Some(pre) = &dc.precondition {
+        // Parsed once for every input it is checked against.
+        if let Some(pre) = dc.precondition.as_deref().filter(|_| !input_ids.is_empty()) {
+            let expr = parse_precondition(pre)?;
             for (input, &id) in req.inputs.iter().zip(&input_ids) {
-                if !eval_precondition(self.kb.snapshot(), pre, id)? {
+                if !precondition_holds(self.kb.snapshot(), &expr, id)? {
                     return Err(GkbmsError::Precondition(format!(
                         "`{pre}` fails for input `{input}`"
                     )));
@@ -987,7 +989,7 @@ pub fn applicable_decisions(
             continue;
         }
         if let Some(pre) = &dc.precondition {
-            if !eval_precondition(snap, pre, obj)? {
+            if !precondition_holds(snap, &parse_precondition(pre)?, obj)? {
                 continue;
             }
         }
@@ -1000,12 +1002,20 @@ pub fn applicable_decisions(
     Ok(out)
 }
 
-/// True if precondition `pre` holds with `x` bound to `obj`.
-pub(crate) fn eval_precondition(snap: Snapshot<'_>, pre: &str, obj: PropId) -> GkbmsResult<bool> {
-    let expr = assertion::parse(pre).map_err(GkbmsError::Telos)?;
+/// A decision class's precondition text, parsed.
+pub(crate) fn parse_precondition(pre: &str) -> GkbmsResult<assertion::Expr> {
+    assertion::parse(pre).map_err(GkbmsError::Telos)
+}
+
+/// True if the parsed precondition `pre` holds with `x` bound to `obj`.
+pub(crate) fn precondition_holds(
+    snap: Snapshot<'_>,
+    pre: &assertion::Expr,
+    obj: PropId,
+) -> GkbmsResult<bool> {
     let mut env = assertion::Env::new();
     env.insert("x".to_string(), obj);
-    assertion::eval(&snap, &expr, &mut env).map_err(GkbmsError::Telos)
+    assertion::eval(&snap, pre, &mut env).map_err(GkbmsError::Telos)
 }
 
 #[cfg(test)]

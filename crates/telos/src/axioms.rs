@@ -5,9 +5,12 @@
 //! enforce the cheap ones (isa acyclicity, reserved labels); the
 //! functions here validate a whole [`Snapshot`] — the live KB or any
 //! version of it — and are what the object processor's Consistency
-//! Checker calls, set-oriented, after a batch of TELLs.
+//! Checker calls, set-oriented, after a batch of TELLs. The typing and
+//! aggregation judgements read class membership through one
+//! [`ClassClosures`] memo per walk, so an object shared by many
+//! propositions has its class closure computed once.
 
-use crate::kb::Snapshot;
+use crate::kb::{ClassClosures, Snapshot};
 use crate::omega::names;
 use crate::prop::{PropId, Proposition};
 use std::fmt;
@@ -34,9 +37,10 @@ impl fmt::Display for Violation {
 /// `A = <C, m, D>`, `x` must be an instance of `C` and `y` an instance
 /// of `D`.
 pub fn check_attribute_typing(snap: Snapshot<'_>) -> Vec<Violation> {
+    let mut classes = ClassClosures::new(snap);
     let mut out = Vec::new();
     for id in snap.believed() {
-        typing_for(snap, id, &mut out);
+        typing_for(&mut classes, id, &mut out);
     }
     out
 }
@@ -46,7 +50,8 @@ fn seen(snap: Snapshot<'_>, id: PropId) -> Option<&Proposition> {
     snap.store().prop(id).filter(|p| p.believed_at(snap.at()))
 }
 
-fn typing_for(snap: Snapshot<'_>, id: PropId, out: &mut Vec<Violation>) {
+fn typing_for(classes: &mut ClassClosures<'_>, id: PropId, out: &mut Vec<Violation>) {
+    let snap = classes.snapshot();
     let store = snap.store();
     let Some(p) = seen(snap, id).filter(|p| !p.is_individual()) else {
         return;
@@ -61,7 +66,7 @@ fn typing_for(snap: Snapshot<'_>, id: PropId, out: &mut Vec<Violation>) {
         return; // classified under a plain class, not an attribute class
     }
     let (c, d) = (attr_class.source, attr_class.dest);
-    if !snap.is_instance_of(p.source, c) {
+    if !classes.is_instance_of(p.source, c) {
         out.push(Violation {
             axiom: "attribute-typing/source",
             prop: id,
@@ -73,7 +78,7 @@ fn typing_for(snap: Snapshot<'_>, id: PropId, out: &mut Vec<Violation>) {
             ),
         });
     }
-    if !snap.is_instance_of(p.dest, d) {
+    if !classes.is_instance_of(p.dest, d) {
         out.push(Violation {
             axiom: "attribute-typing/dest",
             prop: id,
@@ -92,14 +97,16 @@ fn typing_for(snap: Snapshot<'_>, id: PropId, out: &mut Vec<Violation>) {
 /// (transitively) carries an attribute class with the same label.
 /// Objects with no classes at all (raw network nodes) are exempt.
 pub fn check_attribute_declared(snap: Snapshot<'_>) -> Vec<Violation> {
+    let mut classes = ClassClosures::new(snap);
     let mut out = Vec::new();
     for id in snap.believed() {
-        declared_for(snap, id, &mut out);
+        declared_for(&mut classes, id, &mut out);
     }
     out
 }
 
-fn declared_for(snap: Snapshot<'_>, id: PropId, out: &mut Vec<Violation>) {
+fn declared_for(classes: &mut ClassClosures<'_>, id: PropId, out: &mut Vec<Violation>) {
+    let snap = classes.snapshot();
     let Some(p) = seen(snap, id).filter(|p| !p.is_individual()) else {
         return;
     };
@@ -108,16 +115,16 @@ fn declared_for(snap: Snapshot<'_>, id: PropId, out: &mut Vec<Violation>) {
         return;
     }
     let owner = p.source;
-    if snap.classes_of(owner).is_empty() {
+    if classes.of(owner).is_empty() {
         return; // untyped node: class-level modelling, exempt
     }
     // An attribute *on a class* is an attribute class — a declaration,
     // not a use — and therefore exempt.
     let class = snap.lookup(names::CLASS);
-    if class.is_some_and(|class| snap.is_instance_of(owner, class)) {
+    if class.is_some_and(|class| classes.is_instance_of(owner, class)) {
         return;
     }
-    if snap.find_attr_class(owner, &label).is_none() {
+    if classes.find_attr_class(owner, &label).is_none() {
         out.push(Violation {
             axiom: "aggregation/undeclared",
             prop: id,
@@ -233,14 +240,16 @@ pub fn check_all(snap: Snapshot<'_>) -> Vec<Violation> {
 /// (and for refinement, the individuals they touch) are re-validated.
 /// Sound for incremental use because every axiom here is *local* to a
 /// proposition and the objects it connects: a fresh violation can only
-/// involve a proposition of the batch.
-pub fn check_props(snap: Snapshot<'_>, ids: &[PropId]) -> Vec<Violation> {
+/// involve a proposition of the batch. `classes` is the batch's memo
+/// of class closures, which the caller may read on afterwards.
+pub fn check_props(classes: &mut ClassClosures<'_>, ids: &[PropId]) -> Vec<Violation> {
+    let snap = classes.snapshot();
     let store = snap.store();
     let mut out = Vec::new();
     let mut refinement_roots: Vec<PropId> = Vec::new();
     for &id in ids {
-        typing_for(snap, id, &mut out);
-        declared_for(snap, id, &mut out);
+        typing_for(classes, id, &mut out);
+        declared_for(classes, id, &mut out);
         acyclic_for(snap, id, &mut out);
         let Some(p) = store.prop(id) else { continue };
         let root = if p.is_individual() { id } else { p.source };
@@ -373,7 +382,7 @@ mod tests {
         );
         // The batch: a conflicting declaration on the superclass.
         let decl = kb.put_attr(paper, "author", person).unwrap();
-        let v = check_props(kb.snapshot(), &[decl]);
+        let v = check_props(&mut ClassClosures::new(kb.snapshot()), &[decl]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].axiom, "specialization/attribute-refinement");
     }

@@ -596,14 +596,63 @@ impl<'a> Snapshot<'a> {
     /// Searches the classes of `x` (transitively, through isa) for an
     /// attribute class whose label is `label`.
     pub fn find_attr_class(&self, x: PropId, label: &str) -> Option<PropId> {
+        self.attr_class_among(&self.all_classes_of(x), label)
+    }
+
+    /// The attribute class labelled `label` of the first of `classes`
+    /// that carries one.
+    fn attr_class_among(&self, classes: &[PropId], label: &str) -> Option<PropId> {
         let sym = self.store.lookup_sym(label)?;
         if self.store.is_link_sym(sym) {
             return None;
         }
-        self.all_classes_of(x).into_iter().find_map(|class| {
+        classes.iter().find_map(|&class| {
             let mut attrs = self.seen(self.store.postings_from(class));
             attrs.find(|p| p.label == sym).map(|p| p.id)
         })
+    }
+}
+
+/// [`Snapshot::all_classes_of`] memoized per object: a batch check
+/// whose propositions share endpoints — a decision is the source of
+/// most of what it tells — walks each endpoint's class closure once.
+/// It caches only what the snapshot answers, so it stays valid as long
+/// as the snapshot does; one lives for one batch.
+pub struct ClassClosures<'a> {
+    snap: Snapshot<'a>,
+    memo: HashMap<PropId, Vec<PropId>>,
+}
+
+impl<'a> ClassClosures<'a> {
+    /// An empty memo over `snap`.
+    pub fn new(snap: Snapshot<'a>) -> Self {
+        ClassClosures {
+            snap,
+            memo: HashMap::new(),
+        }
+    }
+
+    /// The snapshot the memo reads.
+    pub fn snapshot(&self) -> Snapshot<'a> {
+        self.snap
+    }
+
+    /// `snapshot().all_classes_of(x)`, walked on the first call for `x`.
+    pub fn of(&mut self, x: PropId) -> &[PropId] {
+        let snap = self.snap;
+        self.memo.entry(x).or_insert_with(|| snap.all_classes_of(x))
+    }
+
+    /// `snapshot().is_instance_of(x, c)`: `c` is among `x`'s classes
+    /// closed under specialization.
+    pub(crate) fn is_instance_of(&mut self, x: PropId, c: PropId) -> bool {
+        self.of(x).contains(&c)
+    }
+
+    /// `snapshot().find_attr_class(x, label)`.
+    pub(crate) fn find_attr_class(&mut self, x: PropId, label: &str) -> Option<PropId> {
+        let snap = self.snap;
+        snap.attr_class_among(self.of(x), label)
     }
 }
 

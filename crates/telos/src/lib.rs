@@ -48,7 +48,7 @@ pub mod time;
 pub mod version;
 
 pub use error::{TelosError, TelosResult};
-pub use kb::{Kb, Snapshot};
+pub use kb::{ClassClosures, Kb, Snapshot};
 pub use prop::{PropId, Proposition};
 pub use store::Postings;
 pub use symbols::Symbol;
