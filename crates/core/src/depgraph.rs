@@ -16,7 +16,8 @@ impl Gkbms {
     /// `input --from--> decision --to--> output`, plus
     /// `tool --by--> decision` edges.
     pub fn dependency_graph(&self) -> Graph {
-        graph_of(self.records().iter().map(|r| &**r))
+        let effective = self.records().iter().filter(|r| !r.retracted);
+        graph_of(effective.map(|r| r.record))
     }
 
     /// The fig 2-4 view: the dependency graph with the objects affected
@@ -43,7 +44,7 @@ impl Gkbms {
         let mut queue = VecDeque::from([object]);
         while let Some(cur) = queue.pop_front() {
             for r in self.design.users(&self.kb, cur).filter(|r| !r.retracted) {
-                let outputs = r.outputs.iter().map(String::as_str);
+                let outputs = r.record.outputs.iter().map(String::as_str);
                 queue.extend(outputs.filter(|&o| seen.insert(o)));
             }
         }
@@ -54,10 +55,10 @@ impl Gkbms {
     }
 }
 
-/// The dependency graph of the effective ones among `decisions`.
+/// The dependency graph of `decisions`.
 fn graph_of<'a>(decisions: impl IntoIterator<Item = &'a DecisionRecord>) -> Graph {
     let mut g = Graph::new();
-    for r in decisions.into_iter().filter(|r| !r.retracted) {
+    for r in decisions {
         let dlabel = format!("{}:{}", r.class, r.name);
         g.node(dlabel.clone());
         for input in &r.inputs {
@@ -211,10 +212,13 @@ mod tests {
         let decoded: Vec<DecisionRecord> = (g.records().iter())
             .map(|r| reader.decision(r.prop).unwrap())
             .collect();
-        let indexed: Vec<DecisionRecord> = g.records().iter().map(|r| (**r).clone()).collect();
+        let indexed: Vec<DecisionRecord> = g.records().iter().map(|r| r.record.clone()).collect();
         assert_eq!(decoded, indexed);
+        let effective: Vec<&DecisionRecord> = (decoded.iter())
+            .filter(|r| reader.retracted_at(r.prop).is_none())
+            .collect();
         let mut edb = Database::new();
-        for r in decoded.iter().filter(|r| !r.retracted) {
+        for r in &effective {
             for (i, o) in (r.inputs.iter()).flat_map(|i| r.outputs.iter().map(move |o| (i, o))) {
                 let edge = vec![Value::sym(i.clone()), Value::sym(o.clone())];
                 edb.insert("dep", edge).unwrap();
@@ -238,7 +242,7 @@ mod tests {
             want.dedup();
             assert_eq!(g.consequences_of(o), want, "downstream of {o}");
         }
-        let (got, want) = (g.dependency_graph(), super::graph_of(&decoded));
+        let (got, want) = (g.dependency_graph(), super::graph_of(effective));
         assert_eq!((got.nodes(), got.edges()), (want.nodes(), want.edges()));
     }
 

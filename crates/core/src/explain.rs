@@ -18,7 +18,8 @@ use std::collections::HashSet;
 impl Gkbms {
     /// Renders the justification tree of a design object.
     pub fn explain(&self, object: &str) -> GkbmsResult<String> {
-        if self.kb.lookup(object).is_none() && self.design.produced_by(&self.kb, object).is_empty()
+        if self.kb.lookup(object).is_none()
+            && self.design.producers(&self.kb, object).next().is_none()
         {
             return Err(GkbmsError::Unknown(format!("design object `{object}`")));
         }
@@ -47,7 +48,7 @@ impl Gkbms {
             return;
         }
         // The creating decision, if any (latest record producing it).
-        match self.design.produced_by(&self.kb, object).last() {
+        match self.design.producers(&self.kb, object).next_back() {
             None => {
                 // A registered object: show its external source.
                 if let Some(id) = self.kb.lookup(object) {
@@ -62,8 +63,8 @@ impl Gkbms {
                 }
                 out.push_str(&format!("{pad}  registered design object\n"));
             }
-            Some(&at) => {
-                let (r, dimension) = self.design.at(at);
+            Some(r) => {
+                let dimension = r.dimension;
                 let retracted = if r.retracted { ", RETRACTED" } else { "" };
                 out.push_str(&format!(
                     "{pad}  justified by `{}` (class {}, {dimension}{retracted})\n",
@@ -78,7 +79,7 @@ impl Gkbms {
                         .map(|t| format!(" using {t}"))
                         .unwrap_or_else(|| " (manually)".to_string())
                 ));
-                self.explain_obligations(r, &pad, out);
+                self.explain_obligations(&r, &pad, out);
                 for input in &r.inputs {
                     self.explain_object(input, depth + 1, seen, out);
                 }
@@ -150,7 +151,7 @@ impl Gkbms {
         ));
         out.push_str(&format!("  from: {}\n", r.inputs.join(", ")));
         out.push_str(&format!("  to:   {}\n", r.outputs.join(", ")));
-        self.explain_obligations(r, "", &mut out);
+        self.explain_obligations(&r, "", &mut out);
         Ok(out)
     }
 }

@@ -394,7 +394,7 @@ impl Gkbms {
         };
         let start = Instant::now();
         let header = JournalOp::CheckpointCovers { covered_seq, epoch };
-        persist::write_atomic(&j.snapshot_path(), Some(header), &self.history)?;
+        persist::write_atomic(&j.snapshot_path(), Some(header), self.history.iter())?;
         let compacted = j.ops_since_checkpoint;
         j.wal.truncate_all()?;
         j.ops_since_checkpoint = 0;

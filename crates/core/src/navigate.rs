@@ -54,13 +54,11 @@ impl Gkbms {
 /// relational display.
 pub fn status_view(snap: Snapshot<'_>, design: &DesignIndex) -> Table {
     let mut t = Table::new(&["object", "level", "justified by"]);
-    let records = design.records();
-    for (obj, producers) in design.current() {
+    for (obj, mut producers) in design.current() {
         let level = level_of(snap, design, obj).unwrap_or_else(|| "-".to_string());
-        let mut producers = producers.iter().map(|&at| &records[at]);
         let justification = producers
             .find(|r| !r.retracted)
-            .map_or("(registered)", |r| &r.name);
+            .map_or("(registered)", |r| &r.record.name);
         t.row(&[obj, &level, justification]);
     }
     t
@@ -71,12 +69,12 @@ pub fn status_view(snap: Snapshot<'_>, design: &DesignIndex) -> Table {
 /// with its dimension, inputs and outputs. It reads the index alone.
 pub fn process_view(design: &DesignIndex) -> Table {
     let mut t = Table::new(&["#", "decision", "dimension", "from", "to", "by"]);
-    let effective = design.with_dimensions().filter(|(r, _)| !r.retracted);
-    for (i, (r, dimension)) in effective.enumerate() {
+    let effective = design.iter().filter(|r| !r.retracted);
+    for (i, r) in effective.enumerate() {
         t.row(&[
             &(i + 1).to_string(),
             &r.name,
-            &dimension.to_string(),
+            &r.dimension.to_string(),
             &r.inputs.join(", "),
             &r.outputs.join(", "),
             r.tool.as_deref().unwrap_or("(manual)"),
@@ -103,7 +101,7 @@ pub fn causal_chain(
         for r in design.producers(names, cur) {
             if !chain.contains(&r.name) {
                 chain.push(r.name.clone());
-                frontier.extend(r.inputs.iter().map(String::as_str));
+                frontier.extend(r.record.inputs.iter().map(String::as_str));
             }
         }
     }

@@ -38,12 +38,11 @@
 
 use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, ToolSpec};
 use crate::error::{GkbmsError, GkbmsResult};
-use crate::pvec::PVec;
 use crate::system::{DecisionRequest, DecisionSummary, Gkbms};
 use std::{path::Path, sync::Arc};
 use storage::record::codec::{Cursor, Wire};
 use storage::{AppendLog, StorageResult};
-use telos::PropId;
+use telos::{Log, PropId};
 
 storage::op_table! {
     /// One op of the replayable history — an entry of
@@ -333,8 +332,8 @@ pub(crate) fn write_atomic<P: AsRef<[u8]>>(
 
 /// Writes one version's history to `path`, crash-atomically replacing
 /// any existing file (the server's `Save`, at the session's pin).
-pub fn save_history(history: &PVec<Arc<[u8]>>, path: impl AsRef<Path>) -> GkbmsResult<()> {
-    write_atomic(path.as_ref(), None, history)
+pub fn save_history(history: &Log<Arc<[u8]>>, path: impl AsRef<Path>) -> GkbmsResult<()> {
+    write_atomic(path.as_ref(), None, history.iter())
 }
 
 impl Gkbms {
@@ -442,7 +441,7 @@ mod tests {
         assert_eq!(loaded.current_objects(), original.current_objects());
         // Same records with same effectiveness.
         assert_eq!(loaded.records().len(), original.records().len());
-        for (a, b) in loaded.records().iter().zip(original.records()) {
+        for (a, b) in loaded.records().iter().zip(original.records().iter()) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.retracted, b.retracted, "{}", a.name);
             assert_eq!(a.outputs, b.outputs);
@@ -599,7 +598,7 @@ mod tests {
         let loaded = Gkbms::load(&path).unwrap();
         assert!(!loaded.is_effective("mapInvitations"));
         assert_eq!(loaded.records().len(), g.records().len());
-        for (a, b) in loaded.records().iter().zip(g.records()) {
+        for (a, b) in loaded.records().iter().zip(g.records().iter()) {
             assert_eq!((&a.name, a.retracted), (&b.name, b.retracted));
         }
         // The retraction replayed where it was committed — after the

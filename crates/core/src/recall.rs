@@ -22,9 +22,18 @@
 //! side effect). A signature is a sorted list of `(Feature, weight)`
 //! pairs, one per distinct feature; decisions with equal signatures
 //! share one *group*, whose members are kept as ordinals in name order.
-//! Nothing else changes a signature: documentation never changes once
-//! told, and a retraction only sets the record's `retracted`, which is
-//! read when the answer is built.
+//! Each filed decision holds its group. Nothing else changes a
+//! signature: documentation never changes once told, and a retraction
+//! only writes the filed decision's retracted-at tick, which is read
+//! when the answer is built.
+//!
+//! Unlike the rest of the design index, the group table and its member
+//! lists are not append-only logs but copy-on-write `Arc`s, so a clone
+//! shares them and a decision's insert after a capture copies the group
+//! table and its own group's member list. An insert keeps a member list
+//! in name order, which a log cannot; a list kept in ordinal order
+//! instead would move the name-order merge into every query, over about
+//! 1 200 members per score level on the benchmark's large corpus.
 //!
 //! A query scores each group once, by one merge of two short sorted
 //! arrays, and then walks the groups best score first, merging the
@@ -54,7 +63,6 @@ use std::sync::Arc;
 use crate::decisions::{DecisionDimension, Discharge};
 use crate::design::DesignIndex;
 use crate::error::{GkbmsError, GkbmsResult};
-use crate::pvec::PVec;
 use crate::system::{DecisionRecord, Gkbms};
 use telos::Snapshot;
 
@@ -99,31 +107,29 @@ struct Group {
     members: Arc<Vec<usize>>,
 }
 
-/// The decisions of a [`Gkbms`] grouped by structural signature. Like
-/// the [`DesignIndex`](crate::design::DesignIndex) it is part of, a
-/// clone shares everything: a decision's insert copies its own group's
-/// member list, and a map only when a new key arrives.
+/// The decisions of a [`Gkbms`] grouped by structural signature. A
+/// clone shares everything: a decision's insert copies the group table
+/// and its own group's member list, and a map only when a new key
+/// arrives (see the module doc).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RecallIndex {
     /// Class, tool and obligation names → feature ids.
     names: Arc<HashMap<String, u32>>,
-    groups: PVec<Group>,
+    groups: Arc<Vec<Group>>,
     group_by_signature: Arc<HashMap<Signature, usize>>,
-    /// Decision ordinal → its group.
-    group_of: PVec<usize>,
 }
 
 impl RecallIndex {
-    /// Files `r`, the decision that follows `records`; its class has
-    /// `dimension`. Called once per decision, in execution order.
-    pub(crate) fn insert(
+    /// Files `r`, the decision at ordinal `at`, and returns its group;
+    /// its class has `dimension`, and `name_of` names each decision
+    /// filed before it. Called once per decision, in execution order.
+    pub(crate) fn insert<'n>(
         &mut self,
         r: &DecisionRecord,
         dimension: DecisionDimension,
-        records: &PVec<Arc<DecisionRecord>>,
-    ) {
-        let at = records.len();
-        debug_assert_eq!(at, self.group_of.len(), "decisions are filed in order");
+        at: usize,
+        name_of: impl Fn(usize) -> &'n str,
+    ) -> usize {
         let signature = self.signature(r, dimension);
         let group = match self.group_by_signature.get(&signature[..]) {
             Some(&g) => g,
@@ -132,7 +138,7 @@ impl RecallIndex {
                 let signature: Signature = signature.into();
                 let g = self.groups.len();
                 Arc::make_mut(&mut self.group_by_signature).insert(Arc::clone(&signature), g);
-                self.groups.push(Group {
+                Arc::make_mut(&mut self.groups).push(Group {
                     signature,
                     weight,
                     members: Arc::default(),
@@ -140,11 +146,14 @@ impl RecallIndex {
                 g
             }
         };
-        if let Some(g) = self.groups.get_mut(group) {
+        if let Some(g) = Arc::make_mut(&mut self.groups).get_mut(group) {
             let members = Arc::make_mut(&mut g.members);
-            members.insert(members.partition_point(|&m| records[m].name < r.name), at);
+            members.insert(
+                members.partition_point(|&m| name_of(m) < r.name.as_str()),
+                at,
+            );
         }
-        self.group_of.push(group);
+        group
     }
 
     /// Class identity weighs heaviest, then dimension and tool, then
@@ -193,15 +202,15 @@ impl RecallIndex {
     }
 
     /// The decisions most similar to the one at ordinal `probe` of
-    /// `records`, best first and by name among equals, at most `limit`
+    /// `design`, best first and by name among equals, at most `limit`
     /// of them. Scores every group once.
-    fn similar(
-        &self,
-        probe: usize,
-        limit: usize,
-        records: &PVec<Arc<DecisionRecord>>,
-    ) -> Vec<RecallHit> {
-        let mine = &self.groups[self.group_of[probe]];
+    fn similar(&self, probe: usize, limit: usize, design: &DesignIndex) -> Vec<RecallHit> {
+        let Some(mine) = design
+            .decision(probe)
+            .and_then(|d| self.groups.get(d.group))
+        else {
+            return Vec::new();
+        };
         // (Σmin, Σmax, group) of every group sharing a feature.
         let mut scored: Vec<(u64, u64, &Group)> = (self.groups.iter())
             .filter_map(|g| {
@@ -218,7 +227,7 @@ impl RecallIndex {
             }
             let score = level[0].0 as f64 / level[0].1 as f64;
             // A k-way merge of the level's name-ordered member lists.
-            let head = |at: usize, i| Reverse((&records[at].name, at, i));
+            let head = |at: usize, i| Reverse((&design[at].name, at, i));
             let mut runs: Vec<_> = level.iter().map(|&(_, _, g)| g.members.iter()).collect();
             let mut heads: BinaryHeap<_> = (runs.iter_mut().enumerate())
                 .filter_map(|(i, run)| run.next().map(|&at| head(at, i)))
@@ -228,7 +237,7 @@ impl RecallIndex {
                     hits.push(RecallHit {
                         decision: name.clone(),
                         score,
-                        retracted: records[at].retracted,
+                        retracted: design.decision(at).is_some_and(|d| d.retracted),
                     });
                     if hits.len() == limit {
                         break 'levels;
@@ -281,7 +290,7 @@ pub fn recall_similar(
 ) -> GkbmsResult<Vec<RecallHit>> {
     let probe = (design.ordinal(snap.store(), name))
         .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
-    let hits = design.recall.similar(probe, limit, design.records());
+    let hits = design.recall.similar(probe, limit, design);
     obs::counter!(
         "gkbms_recall_queries_total",
         "Structure-similarity recall queries answered"
@@ -369,7 +378,7 @@ mod tests {
             .filter(|r| r.name != name)
             .map(|r| RecallHit {
                 decision: r.name.clone(),
-                score: weighted_jaccard(&probe, &bag(g, r)),
+                score: weighted_jaccard(&probe, &bag(g, &r)),
                 retracted: r.retracted,
             })
             .filter(|h| h.score > 0.0)
@@ -393,7 +402,7 @@ mod tests {
     /// Every record as a probe, at several limits, equals the scan.
     fn assert_matches_scan(g: &Gkbms) {
         let n = g.records().len();
-        for r in g.records() {
+        for r in g.records().iter() {
             for limit in [0, 1, 2, 5, n.saturating_sub(1), usize::MAX] {
                 let got = g.recall_similar(&r.name, limit).unwrap();
                 assert_eq!(
@@ -495,7 +504,7 @@ mod tests {
         let hits = g.recall_similar(&retracted, 10).unwrap();
         assert!(!hits.is_empty());
         // ...and shows up as a flagged hit for a live same-class probe.
-        let class = g.record(&retracted).unwrap().class;
+        let class = g.record(&retracted).unwrap().class.clone();
         let live = g
             .records()
             .iter()
@@ -631,7 +640,7 @@ mod tests {
         exec(&mut g, "DBPL_MappingDec", "twin2", "R2", &[rel]);
         exec(&mut g, "DecPlain", "alone", "R3", &[rel]);
         let recall = &g.design.recall;
-        let alone = recall.group_of[g.design.ordinal(g.kb(), "alone").unwrap()];
+        let alone = g.records().get(g.kb(), "alone").unwrap().group;
         assert_eq!(recall.groups[alone].members.len(), 1);
         let hits = g.recall_similar("alone", usize::MAX).unwrap();
         // inputs 1 + out 1 shared; 2 of 7 + 7 − 2.

@@ -345,21 +345,21 @@ impl<'a> Record<'a> {
     }
 
     /// Decision `d` as it was executed, if its execution committed by
-    /// the snapshot's tick. `retracted` is read at the snapshot.
+    /// the snapshot's tick ([`Record::retracted_at`] reads whether it
+    /// was retracted since).
     pub fn decision(&self, d: PropId) -> Option<DecisionRecord> {
         let mut anchors = self
             .told_links(d, names::PERFORMER)
             .filter(|p| is_anchor(p));
         anchors.find_map(|anchor| {
             let at = Some(anchor.told_at()).filter(|&at| at < self.snap.at())?;
-            let retracted = self.retracted_at(d).is_some();
-            Some(self.at(at).decision_told(d, anchor, retracted))
+            Some(self.at(at).decision_told(d, anchor))
         })
     }
 
     /// Decision `d` as its execution told it, read at its `anchor`'s
     /// tick.
-    fn decision_told(&self, d: PropId, anchor: &Proposition, retracted: bool) -> DecisionRecord {
+    fn decision_told(&self, d: PropId, anchor: &Proposition) -> DecisionRecord {
         let store = self.store();
         let outputs: Vec<&Proposition> = self.told_now(d, names::TO_I).collect();
         let discharges = self.told_now(d, names::DISCHARGE);
@@ -376,7 +376,6 @@ impl<'a> Record<'a> {
                 .collect(),
             discharges: discharges.filter_map(|x| self.discharge(x.dest)).collect(),
             tick: self.snap.at() + 1,
-            retracted,
             prop: d,
         }
     }
@@ -408,7 +407,7 @@ impl<'a> Record<'a> {
     /// The tick decision `d` was retracted at, if it was by the
     /// snapshot's tick: a retraction, and nothing else, anchors
     /// `status = retracted`.
-    pub(crate) fn retracted_at(&self, d: PropId) -> Option<i64> {
+    pub fn retracted_at(&self, d: PropId) -> Option<i64> {
         let mut status = self.told_links(d, names::STATUS);
         let retraction = status.find(|p| is_anchor(p))?;
         Some(retraction.told_at()).filter(|&t| t <= self.snap.at())
@@ -448,7 +447,7 @@ impl<'a> Record<'a> {
 
     /// True if an incarnation of `object` was registered as a design
     /// object by the snapshot's tick: registration anchors its `source`.
-    pub(crate) fn registered(&self, object: &str) -> bool {
+    pub fn registered(&self, object: &str) -> bool {
         let at = self.snap.at();
         let mut sources = self
             .incarnations(object)
@@ -479,7 +478,7 @@ mod tests {
             req = req.output(o, c);
         }
         g.execute(req).unwrap();
-        g.record(name).unwrap()
+        g.record(name).unwrap().record.clone()
     }
 
     #[test]
@@ -576,7 +575,10 @@ mod tests {
         let want = req.discharges.clone();
         let summary = g.execute(req).unwrap();
         let r = g.record("n").unwrap();
-        assert_eq!((r.inputs, r.discharges), (vec!["R".to_string(); 2], want));
+        assert_eq!(
+            (&r.inputs, &r.discharges),
+            (&vec!["R".to_string(); 2], &want)
+        );
         assert_eq!(r.tick, summary.tick);
     }
 

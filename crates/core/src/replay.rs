@@ -36,7 +36,7 @@ impl Gkbms {
         if !missing.is_empty() {
             return Ok(Replayability::MissingInputs(missing));
         }
-        let pre = self.reader().class_of(r).and_then(|dc| dc.precondition);
+        let pre = self.reader().class_of(&r).and_then(|dc| dc.precondition);
         if let Some(pre) = pre.filter(|_| !r.inputs.is_empty()) {
             let expr = parse_precondition(&pre)?;
             for input in &r.inputs {
@@ -71,7 +71,9 @@ impl Gkbms {
         }
         let r = self
             .record(name)
-            .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?;
+            .ok_or_else(|| GkbmsError::Unknown(format!("decision `{name}`")))?
+            .record
+            .clone();
         let mut req = DecisionRequest::new(&r.class, as_name, &r.performer);
         req.tool = r.tool;
         req.inputs = r.inputs;

@@ -791,7 +791,7 @@ mod tests {
             g.records().len(),
             g.records()
                 .iter()
-                .map(|r| &r.name)
+                .map(|r| &r.record.name)
                 .collect::<std::collections::HashSet<_>>()
                 .len(),
             "decision names unique"

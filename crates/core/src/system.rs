@@ -25,17 +25,16 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::decisions::{DecisionClass, Discharge, ToolSpec};
-use crate::design::DesignIndex;
+use crate::design::{Decision, DesignIndex, DesignWriter};
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::{self, names, ProcessModel};
 use crate::persist::JournalOp;
-use crate::pvec::PVec;
 use crate::record::{self, Record};
 use crate::views::RegisteredView;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use telos::assertion;
-use telos::{Kb, KbVersion, PropId, Snapshot};
+use telos::{Appender, Kb, KbVersion, Log, PropId, Snapshot};
 
 /// A request to execute a design decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,23 +116,22 @@ pub struct DecisionRecord {
     pub discharges: Vec<Discharge>,
     /// Belief tick at execution: the decision's commit tick.
     pub tick: i64,
-    /// True once retracted.
-    pub retracted: bool,
     /// The decision instance proposition.
     pub prop: PropId,
 }
 
 /// One version of the state as a reader pins it ([`Gkbms::capture`]):
-/// frozen clones, so every read of it answers alike however many
-/// commits land after it — plus the one lint memo, keyed by content.
-#[derive(Debug, Clone)]
+/// handles bounded at the capture, so every read of it answers alike
+/// however many commits land after it — plus the one lint memo, keyed
+/// by content.
+#[derive(Clone)]
 pub struct Published {
     /// The store, as of the capture.
     pub kb: KbVersion,
     /// The design index, as of the capture.
     pub design: DesignIndex,
     /// The history, as of the capture.
-    pub history: PVec<Arc<[u8]>>,
+    pub history: Log<Arc<[u8]>>,
     /// The live state's lint memo ([`lint_src`] at any version).
     pub lint: Arc<Mutex<analysis::AnalysisCache>>,
     /// The registered views, as of the capture (see [`crate::views`]).
@@ -161,14 +159,14 @@ pub struct Gkbms {
     pub(crate) pm: ProcessModel,
     /// The executed decisions and the design objects, as the commits
     /// told them (see [`crate::design`]).
-    pub(crate) design: DesignIndex,
+    pub(crate) design: DesignWriter,
     /// Decision-level nogoods recorded by conflict resolution.
     pub(crate) nogoods: Vec<Vec<String>>,
     /// The history: every committed op, as the journal holds it, in
     /// commit order — what `save` and a snapshot write down. Everything
     /// else in this struct is derived from it by replay. Appended to by
     /// [`Gkbms::commit`] only.
-    pub(crate) history: PVec<Arc<[u8]>>,
+    pub(crate) history: Appender<Log<Arc<[u8]>>>,
     /// Raw TELLs and UNTELLs in `history`, counted by [`Gkbms::commit`]:
     /// the write mix CB013 weighs a view's churn risk by.
     pub(crate) tells_untells: (u64, u64),
@@ -201,9 +199,9 @@ impl Gkbms {
         Ok(Gkbms {
             kb,
             pm,
-            design: DesignIndex::default(),
+            design: DesignWriter::default(),
             nogoods: Vec::new(),
-            history: PVec::new(),
+            history: Appender::default(),
             tells_untells: (0, 0),
             journal: None,
             epoch: 1,
@@ -339,14 +337,10 @@ impl Gkbms {
         &self.pm
     }
 
-    /// The documentation of every executed decision, in execution order,
-    /// as the design index decoded it at each commit.
-    pub fn records(&self) -> &PVec<Arc<DecisionRecord>> {
-        self.design.records()
-    }
-
-    /// The design index: the executed decisions and the design objects.
-    pub fn design(&self) -> &DesignIndex {
+    /// The design index: the documentation of every executed decision,
+    /// in execution order, as decoded at each commit, and the design
+    /// objects.
+    pub fn records(&self) -> &DesignIndex {
         &self.design
     }
 
@@ -354,8 +348,9 @@ impl Gkbms {
     /// design index and the registered views, together — the one
     /// capture site, which the server publishes from on every commit
     /// and at start. The KB's version is a mark over its append-only
-    /// store, O(1); the design index and the history are persistent
-    /// vectors, one pointer bump per chunk. No per-entry work.
+    /// store, and the design index and the history are handles bounded
+    /// over their append-only logs: a few pointer bumps, O(1). A later
+    /// write appends above them and copies nothing they read.
     ///
     /// The version inherits the closures of the one captured before it
     /// ([`objectbase::query::inherit`], O(1) in the number of views), so
@@ -371,8 +366,8 @@ impl Gkbms {
         self.captured = Some(kb.clone());
         Published {
             kb,
-            design: self.design.clone(),
-            history: self.history.clone(),
+            design: DesignIndex::clone(&self.design),
+            history: Log::clone(&self.history),
             lint: Arc::clone(&self.lint_cache),
             views: Arc::clone(&self.views),
         }
@@ -384,8 +379,8 @@ impl Gkbms {
     }
 
     /// The documentation of a named decision.
-    pub fn record(&self, name: &str) -> Option<DecisionRecord> {
-        self.design.get(&self.kb, name).cloned()
+    pub fn record(&self, name: &str) -> Option<Decision<'_>> {
+        self.design.get(&self.kb, name)
     }
 
     // ----- schema-level definitions ---------------------------------------
@@ -820,7 +815,7 @@ impl Gkbms {
     fn retract_inner(&mut self, name: &str) -> GkbmsResult<Vec<String>> {
         let at = (self.design.ordinal(&self.kb, name))
             .ok_or_else(|| GkbmsError::NotRetractable(format!("unknown decision `{name}`")))?;
-        if self.design.records()[at].retracted {
+        if self.design.decision(at).is_some_and(|d| d.retracted) {
             return Err(GkbmsError::NotRetractable(format!(
                 "decision `{name}` already retracted"
             )));
@@ -837,7 +832,7 @@ impl Gkbms {
         }
         let retracted_status = self.kb.individual(record::RETRACTED)?;
         for i in std::iter::once(at).chain(dangling) {
-            let decision = self.design.records()[i].prop;
+            let decision = self.design[i].prop;
             self.anchor(decision, names::STATUS, retracted_status)?;
         }
         self.kb.tick();
@@ -860,27 +855,28 @@ impl Gkbms {
     /// of which is over-deleted. Every output of a live decision is
     /// current, so those outputs are IN unless registered.
     fn consequences(&self, at: usize) -> (Vec<String>, BTreeSet<usize>) {
-        let (design, names) = (&self.design, &*self.kb);
-        let records = design.records();
-        let live = |&i: &usize| !records[i].retracted && i != at;
-        let outputs = |i: usize| records[i].outputs.iter().map(String::as_str);
+        let (design, names): (&DesignIndex, _) = (&self.design, &*self.kb);
+        let live = |r: &Decision<'_>| !r.retracted && r.ordinal != at;
+        fn outputs(r: &DecisionRecord) -> impl Iterator<Item = &str> {
+            r.outputs.iter().map(String::as_str)
+        }
         let mut out: BTreeSet<&str> = BTreeSet::new();
-        let mut frontier: Vec<&str> = outputs(at).collect();
+        let mut frontier: Vec<&str> = outputs(&design[at]).collect();
         while let Some(o) = frontier.pop() {
             if !design.registered(names, o) && out.insert(o) {
-                let users = design.used_by(names, o).iter().copied().filter(live);
-                frontier.extend(users.flat_map(outputs));
+                let users = design.users(names, o).filter(live);
+                frontier.extend(users.flat_map(|r| outputs(r.record)));
             }
         }
-        let producers = |o: &str| design.produced_by(names, o).iter().copied().filter(live);
-        let mut candidates: Vec<(&str, Vec<usize>)> =
+        let producers = |o: &str| design.producers(names, o).filter(live);
+        let mut candidates: Vec<(&str, Vec<Decision<'_>>)> =
             out.iter().map(|&o| (o, producers(o).collect())).collect();
-        let supported = |out: &BTreeSet<&str>, i: usize| {
-            (records[i].inputs.iter()).all(|x| self.is_current(x) && !out.contains(x.as_str()))
+        let supported = |out: &BTreeSet<&str>, r: &Decision<'_>| {
+            (r.inputs.iter()).all(|x| self.is_current(x) && !out.contains(x.as_str()))
         };
         loop {
-            let (back, stay): (Vec<_>, Vec<_>) = (candidates.into_iter())
-                .partition(|(_, ps)| ps.iter().any(|&i| supported(&out, i)));
+            let (back, stay): (Vec<_>, Vec<_>) =
+                (candidates.into_iter()).partition(|(_, ps)| ps.iter().any(|r| supported(&out, r)));
             candidates = stay;
             if back.is_empty() {
                 break;
@@ -889,7 +885,10 @@ impl Gkbms {
                 out.remove(o);
             }
         }
-        let dangling = candidates.into_iter().flat_map(|(_, producers)| producers);
+        let dangling = candidates
+            .into_iter()
+            .flat_map(|(_, ps)| ps)
+            .map(|r| r.ordinal);
         (
             out.into_iter().map(str::to_string).collect(),
             dangling.collect(),
@@ -1395,7 +1394,7 @@ pub(crate) mod tests {
 
     /// The names of the decisions that produced `object`.
     fn producers(g: &Gkbms, object: &str) -> Vec<String> {
-        g.design()
+        g.records()
             .producers(g.kb(), object)
             .map(|r| r.name.clone())
             .collect()
@@ -1505,7 +1504,7 @@ pub(crate) mod tests {
         g.replay_decision("d2", "d2b").unwrap();
         assert_eq!(g.current_objects(), ["A", "B", "R"]);
         // Producers are kept across both incarnations of `A`.
-        let producers: Vec<&DecisionRecord> = g.design().producers(g.kb(), "A").collect();
+        let producers: Vec<Decision<'_>> = g.records().producers(g.kb(), "A").collect();
         assert_eq!(producers.len(), 2);
         assert!(producers[0].retracted && !producers[1].retracted);
         assert_eq!(g.retract_decision("d1b").unwrap(), ["A", "B"]);
@@ -1580,7 +1579,7 @@ pub(crate) mod tests {
         assert_eq!(g.retract_decision("d1").unwrap(), ["A", "B"]);
         let marked = g.records().iter().filter(|r| r.retracted);
         assert_eq!(
-            marked.map(|r| r.name.as_str()).collect::<Vec<_>>(),
+            marked.map(|r| r.record.name.as_str()).collect::<Vec<_>>(),
             ["d1", "d2"]
         );
         assert!(!g.is_current("B"), "the cascade took d2's output out");

@@ -12,10 +12,10 @@
 //! documentation approach."
 
 use crate::decisions::DecisionDimension;
-use crate::design::DesignIndex;
+use crate::design::{Decision, DesignIndex};
 use crate::error::{GkbmsError, GkbmsResult};
 use crate::metamodel::kernel;
-use crate::system::{DecisionRecord, Gkbms};
+use crate::system::Gkbms;
 use std::collections::HashMap;
 use telos::Snapshot;
 
@@ -132,8 +132,8 @@ impl Gkbms {
         let mut gaps = Vec::new();
         for obj in &config.objects {
             let producers = (self.design.producers(&self.kb, obj)).filter(|r| !r.retracted);
-            let producers: Vec<&DecisionRecord> = producers.collect();
-            let supported = |r: &&DecisionRecord| r.inputs.iter().all(|i| self.is_current(i));
+            let producers: Vec<Decision<'_>> = producers.collect();
+            let supported = |r: &Decision<'_>| r.inputs.iter().all(|i| self.is_current(i));
             if !producers.is_empty() && !producers.iter().any(supported) {
                 gaps.push(obj.clone());
             }
@@ -147,8 +147,8 @@ impl Gkbms {
     /// alternative versions (fig 3-4).
     pub fn choice_points(&self) -> Vec<ChoicePoint> {
         let mut groups: HashMap<Vec<String>, Vec<Alternative>> = HashMap::new();
-        for (r, dimension) in self.design.with_dimensions() {
-            if dimension != DecisionDimension::Choice {
+        for r in self.design.iter() {
+            if r.dimension != DecisionDimension::Choice {
                 continue;
             }
             let mut key = r.inputs.clone();
@@ -177,7 +177,8 @@ impl Gkbms {
             };
             out.push_str(&format!("=== {level} ===\n"));
             out.push_str(&format!("  objects: {}\n", config.objects.join(", ")));
-            for (r, dimension) in self.design.with_dimensions() {
+            for r in self.design.iter() {
+                let dimension = r.dimension;
                 let touches = r
                     .outputs
                     .iter()

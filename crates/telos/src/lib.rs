@@ -26,7 +26,10 @@
 //! * [`store`] / [`version`] — the one append-only storage of the
 //!   proposition base and its immutable [`version::KbVersion`]s, each a
 //!   mark over it: the basis of the server's MVCC read path (readers pin
-//!   a version; the writer publishes new ones).
+//!   a version; the writer publishes new ones). Its two kernels, an
+//!   append-only [`Log`] and a [`Chains`] index of ascending values per
+//!   dense key, each with its one [`Appender`], are exported for the
+//!   rest of a published state.
 //!
 //! The proposition base is one in-memory [`PropStore`]: [`Kb`] writes
 //! it, a [`KbVersion`] is a mark over the same storage, and every belief-time
@@ -50,7 +53,7 @@ pub mod version;
 pub use error::{TelosError, TelosResult};
 pub use kb::{ClassClosures, Kb, Snapshot};
 pub use prop::{PropId, Proposition};
-pub use store::Postings;
+pub use store::{Appender, Chains, Log, Postings};
 pub use symbols::Symbol;
 pub use time::interval::Interval;
 pub use time::point::TimePoint;

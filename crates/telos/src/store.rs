@@ -38,6 +38,13 @@
 //!    the reach, but only while no `&mut` to the writer exists, so
 //!    never during a truncation.)
 //!
+//! The two kernels are exported for the rest of a published state: a
+//! [`Log`] reads an append-only log below the length it was made at, a
+//! [`Chains`] a chain index below a bound its caller gives, and each is
+//! written only by the one [`Appender`] made with it, which is not
+//! `Clone` and appends through `&mut self`. Neither is ever truncated,
+//! so invariants 1 and 2 are all they rest on.
+//!
 //! Words a reader may see change — an interval's end tick, a posting
 //! list's length and its entries above a rollback's mark — are atomics.
 
@@ -252,8 +259,8 @@ struct Index {
     words: AppendLog<AtomicU32>,
 }
 
-impl Index {
-    fn new() -> Self {
+impl Default for Index {
+    fn default() -> Self {
         let words = AppendLog::new();
         words.push(AtomicU32::new(0));
         Index {
@@ -261,7 +268,9 @@ impl Index {
             words,
         }
     }
+}
 
+impl Index {
     fn slot(&self, key: usize) -> Option<&Slot> {
         (key < self.slots.len()).then(|| self.slots.get(key))
     }
@@ -478,6 +487,101 @@ impl DoubleEndedIterator for Postings<'_> {
 }
 
 impl ExactSizeIterator for Postings<'_> {}
+
+/// A read handle on an exported append-only log: the elements below
+/// the length the log had when the handle was made, at addresses that
+/// never change. `Clone` bumps one `Arc`.
+pub struct Log<T> {
+    log: Arc<AppendLog<T>>,
+    len: usize,
+}
+
+impl<T> Log<T> {
+    /// The number of elements it reads.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if it reads no element.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The element at `i`, if below the handle's length.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&T> {
+        (i < self.len).then(|| self.log.get(i))
+    }
+
+    /// Every element it reads, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.log.slices(self.len).flatten()
+    }
+}
+
+impl<T> Clone for Log<T> {
+    fn clone(&self) -> Self {
+        let log = Arc::clone(&self.log);
+        Log { log, len: self.len }
+    }
+}
+
+/// An empty log.
+impl<T> Default for Log<T> {
+    fn default() -> Self {
+        let log = Arc::new(AppendLog::new());
+        Log { log, len: 0 }
+    }
+}
+
+/// A read handle on an exported chain index: per dense key, the `u32`s
+/// filed under it in ascending order, read below a bound the caller
+/// gives. `Clone` bumps one `Arc`.
+#[derive(Clone, Default)]
+pub struct Chains(Arc<Index>);
+
+impl Chains {
+    /// The values filed under `key` that are below `bound`, ascending.
+    pub fn get(&self, key: usize, bound: usize) -> impl DoubleEndedIterator<Item = u32> + '_ {
+        self.0.postings(key, bound).map(|v| v.0)
+    }
+
+    /// True if both handles read one index, so every value at one
+    /// address.
+    pub fn ptr_eq(&self, other: &Chains) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+/// The one writer of a new exported [`Log`] or [`Chains`]: it appends,
+/// and derefs to the handle that reads everything appended so far. Not
+/// `Clone` (invariant 1).
+#[derive(Default)]
+pub struct Appender<H>(H);
+
+impl<H> Deref for Appender<H> {
+    type Target = H;
+
+    fn deref(&self) -> &H {
+        &self.0
+    }
+}
+
+impl<T> Appender<Log<T>> {
+    /// Appends `value`, returning its index.
+    pub fn push(&mut self, value: T) -> usize {
+        self.0.len = self.0.log.push(value) + 1;
+        self.0.len - 1
+    }
+}
+
+impl Appender<Chains> {
+    /// Files `value` under `key`, growing the keys to reach it. The
+    /// values filed under one key must ascend.
+    pub fn insert(&mut self, key: usize, value: u32) {
+        self.0 .0.insert(key, PropId(value));
+    }
+}
 
 /// The storage one [`Writer`] appends to and every [`PropStore`] of its
 /// lineage reads.
@@ -696,9 +800,9 @@ impl Writer {
         let shelf = Shelf {
             props: AppendLog::new(),
             closed: AppendLog::new(),
-            by_source: Index::new(),
-            by_label: Index::new(),
-            by_dest: Index::new(),
+            by_source: Index::default(),
+            by_label: Index::default(),
+            by_dest: Index::default(),
             names: AppendLog::new(),
             ids: SymbolMap::default(),
             reach: Reach::default(),
@@ -885,7 +989,7 @@ mod tests {
     /// its position refilled.
     #[test]
     fn an_index_reads_below_a_bound_and_unfiles_from_the_end() {
-        let index = Index::new();
+        let index = Index::default();
         assert_eq!(ids(index.postings(3, 100)), [] as [u32; 0]);
         for id in (0..60).step_by(2) {
             index.insert(3, PropId(id));
@@ -930,6 +1034,78 @@ mod tests {
             12,
             "the refilled id is above the bound"
         );
+    }
+
+    /// A log handle reads the elements below the length it was handed
+    /// out at, at the addresses the writer's own handle reads them.
+    #[test]
+    fn an_exported_log_hands_out_handles_bounded_by_their_length() {
+        let mut log = Appender::<Log<_>>::default();
+        assert!(log.is_empty() && log.get(0).is_none());
+        for i in 0..40 {
+            assert_eq!(log.push(i.to_string()), i);
+        }
+        let held = Log::clone(&log);
+        for i in 40..200 {
+            log.push(i.to_string());
+        }
+        assert_eq!((held.len(), log.len()), (40, 200));
+        assert_eq!(held.get(40), None, "an append after the handle");
+        for i in 0..40 {
+            assert!(ptr::eq(held.get(i).unwrap(), log.get(i).unwrap()));
+        }
+        let read: Vec<usize> = log.iter().map(|s| s.parse().unwrap()).collect();
+        assert_eq!(read, (0..200).collect::<Vec<_>>());
+        assert_eq!(held.iter().count(), 40);
+    }
+
+    /// A chain handle reads, per key, the ascending values below the
+    /// bound it is given, however many were filed since.
+    #[test]
+    fn exported_chains_read_below_a_bound() {
+        let mut chains = Appender::<Chains>::default();
+        for v in 0..50 {
+            chains.insert((v % 3) as usize, v);
+        }
+        let held = Chains::clone(&chains);
+        chains.insert(7, 50);
+        chains.insert(0, 51);
+        let get = |c: &Chains, key, bound| c.get(key, bound).collect::<Vec<_>>();
+        assert_eq!(get(&held, 0, 10), [0, 3, 6, 9]);
+        assert_eq!(get(&held, 0, 50).len(), 17);
+        assert_eq!(get(&chains, 0, 52).last(), Some(&51));
+        assert_eq!(get(&held, 7, 50), [] as [u32; 0], "filed above the bound");
+        assert_eq!(get(&held, 9, 100), [] as [u32; 0], "past the keys");
+        assert_eq!(held.get(1, 50).next_back(), Some(49));
+        assert!(held.ptr_eq(&chains));
+    }
+
+    /// A reader thread reads log and chain handles while the writer
+    /// appends to both: it reads the same answers throughout.
+    #[test]
+    fn a_reader_thread_reads_exported_handles_while_the_writer_appends() {
+        let (n, rounds) = if cfg!(miri) { (40, 20) } else { (500, 400) };
+        let mut log = Appender::<Log<_>>::default();
+        let mut chains = Appender::<Chains>::default();
+        for v in 0..n {
+            log.push(v as u64);
+            chains.insert(v % 5, v as u32);
+        }
+        let (held, held_chains) = (Log::clone(&log), Chains::clone(&chains));
+        let observe = move || {
+            let sum: u64 = held.iter().sum();
+            let lists: Vec<Vec<u32>> = (0..6).map(|k| held_chains.get(k, n).collect()).collect();
+            (sum, lists)
+        };
+        let want = observe();
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| (0..rounds).all(|_| observe() == want));
+            for v in n..n + rounds * 4 {
+                log.push(v as u64);
+                chains.insert(v % 6, v as u32);
+            }
+            assert!(reader.join().unwrap(), "a handle read a later append");
+        });
     }
 
     /// Interning is idempotent and numbers names in order; a capture

@@ -45,21 +45,23 @@
 //!   producers and users are the decisions `Record` finds along the
 //!   links into it;
 //! * **the design index is the fold of its store** — wherever the index
-//!   is held against the reader, `DesignIndex::file` over every
+//!   is held against the reader, `DesignWriter::file` over every
 //!   proposition of the store, into an empty index, gives the same
 //!   index: records with their `retracted` flags, dimensions, producer
 //!   and user ordinals, registrations, the current set and the recall
-//!   groups;
+//!   groups; and its `retracted`, `registered` and current-object reads
+//!   are what `Record` reads at the store's tick;
 //! * **published indexes are persistent** — the version a server would
 //!   publish after every op of the live instance and of the replica,
 //!   captured as the stream runs and checked once it has ended, still
-//!   holds the index of its own tick: no later write leaked into it.
+//!   holds the index of its own tick, the fold of the ids below its
+//!   mark: no later write, retraction or registration leaked into it.
 
 use conceptbase::datalog::ast::Value;
 use conceptbase::datalog::db::Database;
 use conceptbase::datalog::intern;
 use conceptbase::datalog::seminaive::{self, EvalStats};
-use conceptbase::gkbms::design::DesignIndex;
+use conceptbase::gkbms::design::{DesignIndex, DesignWriter};
 use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
 use conceptbase::gkbms::metamodel::{kernel, names};
 use conceptbase::gkbms::recall::recall_similar;
@@ -837,7 +839,7 @@ struct Digest {
 impl Digest {
     /// Also holds `g`'s design index against its KB.
     fn of(g: &Gkbms) -> Digest {
-        index_agrees(g.kb().snapshot(), g.design(), "the digested state");
+        index_agrees(g.kb().snapshot(), g.records(), "the digested state");
         let extents = TOLD_CLASSES
             .iter()
             .map(|class| {
@@ -897,18 +899,20 @@ fn recall_rows(g: &Gkbms) -> Vec<Vec<(String, u64, bool)>> {
     let rows = |name| g.recall_similar(name, 5).expect("recall a record");
     let records = g.records().iter();
     records
-        .map(|r| rows(&r.name).into_iter().map(row).collect())
+        .map(|r| rows(&r.record.name).into_iter().map(row).collect())
         .collect()
 }
 
 // ----- the design record and its oracle ---------------------------------------
 
-/// Every decision class, tool and decision of a design record.
+/// Every decision class, tool and decision of a design record, with
+/// whether each decision was retracted.
 #[derive(Debug, Default, PartialEq)]
 struct Design {
     classes: Vec<DecisionClass>,
     tools: Vec<ToolSpec>,
     decisions: Vec<DecisionRecord>,
+    retracted: Vec<bool>,
 }
 
 impl Design {
@@ -919,22 +923,24 @@ impl Design {
         let reader = Record::over(snap);
         let class = |c| reader.decision_class(c).expect("a class reads back");
         let tool = |t| reader.tool(t).expect("a tool reads back");
+        let decisions: Vec<DecisionRecord> = (g.records().iter())
+            .filter_map(|e| reader.decision(e.prop))
+            .collect();
         Design {
             classes: reader.decision_classes().into_iter().map(class).collect(),
             tools: reader.tools().into_iter().map(tool).collect(),
-            decisions: g
-                .records()
-                .iter()
-                .filter_map(|e| reader.decision(e.prop))
+            retracted: (decisions.iter())
+                .map(|r| reader.retracted_at(r.prop).is_some())
                 .collect(),
+            decisions,
         }
     }
 
     /// Marks `culprit` retracted, and with it every decision that
     /// produced one of the `affected` objects its retraction reported.
     fn retract(&mut self, culprit: &str, affected: &[String]) {
-        for r in &mut self.decisions {
-            r.retracted |= r.name == culprit || r.outputs.iter().any(|o| affected.contains(o));
+        for (r, retracted) in self.decisions.iter().zip(&mut self.retracted) {
+            *retracted |= r.name == culprit || r.outputs.iter().any(|o| affected.contains(o));
         }
     }
 }
@@ -972,7 +978,7 @@ fn retraction_oracle(
 ) -> (Vec<String>, Vec<String>, Vec<String>) {
     let records = &oracle.decisions;
     let mut retracted: BTreeSet<usize> = (0..records.len())
-        .filter(|&i| records[i].retracted)
+        .filter(|&i| oracle.retracted[i])
         .collect();
     let was_current = current_by_fixpoint(oracle, registered, &retracted);
     retracted.extend(records.iter().position(|r| r.name == name));
@@ -1012,7 +1018,7 @@ fn apply_checked(
         *oracle,
         "the design record after {op:?} ({outcome:?})"
     );
-    index_agrees(g.kb().snapshot(), g.design(), &format!("after {op:?}"));
+    index_agrees(g.kb().snapshot(), g.records(), &format!("after {op:?}"));
     // The reads that find decisions by the links into an object, and
     // those that walk the design index, find exactly the executed ones.
     for o in STREAMED_OBJECTS {
@@ -1055,17 +1061,14 @@ const STREAMED_OBJECTS: [&str; 9] = [
 fn index_agrees(snap: Snapshot<'_>, design: &DesignIndex, ctx: &str) {
     let store = snap.store();
     let every: Vec<PropId> = (0..store.len() as u32).map(PropId).collect();
-    let mut folded = DesignIndex::default();
+    let mut folded = DesignWriter::default();
     folded.file(store, &every);
     assert!(
-        folded == *design,
+        *folded == *design,
         "{ctx}: the index is not the fold of its store"
     );
     let recall = |index| {
-        let rows = design
-            .records()
-            .iter()
-            .map(|r| recall_similar(snap, index, &r.name, 5));
+        let rows = (design.iter()).map(|r| recall_similar(snap, index, &r.record.name, 5));
         rows.map(|hits| hits.expect("recall a record"))
             .collect::<Vec<_>>()
     };
@@ -1075,12 +1078,18 @@ fn index_agrees(snap: Snapshot<'_>, design: &DesignIndex, ctx: &str) {
         "{ctx}: the folded recall groups"
     );
     let reader = Record::over(snap);
-    for r in design.records() {
+    for r in design.iter() {
         let decoded = reader.decision(r.prop);
         assert_eq!(
-            Some(&**r),
+            Some(r.record),
             decoded.as_ref(),
             "{ctx}: {} in the index",
+            r.name
+        );
+        assert_eq!(
+            r.retracted,
+            reader.retracted_at(r.prop).is_some(),
+            "{ctx}: {} retracted",
             r.name
         );
     }
@@ -1090,12 +1099,33 @@ fn index_agrees(snap: Snapshot<'_>, design: &DesignIndex, ctx: &str) {
         found
     };
     for o in STREAMED_OBJECTS {
-        let producers: Vec<DecisionRecord> = design.producers(snap.store(), o).cloned().collect();
+        let producers = design.producers(store, o).map(|r| r.record.clone());
         let by_to = reaching(o, names::TO_I, |r| &r.outputs);
-        assert_eq!(producers, by_to, "{ctx}: the producers of {o}");
-        let users: Vec<DecisionRecord> = design.users(snap.store(), o).cloned().collect();
+        assert_eq!(
+            producers.collect::<Vec<_>>(),
+            by_to,
+            "{ctx}: the producers of {o}"
+        );
+        let users = design.users(store, o).map(|r| r.record.clone());
         let by_from = reaching(o, names::FROM_I, |r| &r.inputs);
-        assert_eq!(users, by_from, "{ctx}: the users of {o}");
+        assert_eq!(
+            users.collect::<Vec<_>>(),
+            by_from,
+            "{ctx}: the users of {o}"
+        );
+        let registered = reader.registered(o);
+        assert_eq!(
+            design.registered(store, o),
+            registered,
+            "{ctx}: {o} registered"
+        );
+        let effective = |r: &DecisionRecord| reader.retracted_at(r.prop).is_none();
+        let current = registered || by_to.iter().any(effective);
+        assert_eq!(
+            design.is_current(store, o).unwrap_or(false),
+            current,
+            "{ctx}: {o} current"
+        );
     }
 }
 
@@ -1103,10 +1133,10 @@ fn index_agrees(snap: Snapshot<'_>, design: &DesignIndex, ctx: &str) {
 /// decisions upstream of it, each sorted.
 fn oracle_reads(oracle: &Design, object: &str) -> (Vec<String>, Vec<String>) {
     let mut history = Vec::new();
-    for r in &oracle.decisions {
+    for (r, &retracted) in oracle.decisions.iter().zip(&oracle.retracted) {
         if r.outputs.iter().any(|o| o == object) {
             history.push(format!("created by {}", r.name));
-            if r.retracted {
+            if retracted {
                 history.push(format!("retracted with {}", r.name));
             }
         }
@@ -1161,15 +1191,15 @@ fn apply_documented(
                 output_classes: req.outputs.into_iter().map(|(_, c)| c).collect(),
                 discharges: req.discharges,
                 tick,
-                retracted: false,
             });
+            oracle.retracted.push(false);
         }
         Op::Retract(name) => {
             let (affected, retracted, current) = retraction_oracle(oracle, registered, name);
             let got = g.retract_decision(name)?;
             assert_eq!(got, affected, "affected by retracting {name}");
             let marked = g.records().iter().filter(|r| r.retracted);
-            let marked: Vec<String> = marked.map(|r| r.name.clone()).collect();
+            let marked: Vec<String> = marked.map(|r| r.record.name.clone()).collect();
             assert_eq!(marked, retracted, "retracted with {name}");
             assert_eq!(g.current_objects(), current, "current after {name}");
             oracle.retract(name, &got);
@@ -1307,7 +1337,7 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
         ));
         index_agrees(
             twin.kb().snapshot(),
-            twin.design(),
+            twin.records(),
             &format!("the twin after op {i} {op:?}"),
         );
         assert_eq!(

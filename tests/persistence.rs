@@ -364,7 +364,7 @@ fn a_save_file_from_the_category_log_era_still_loads() {
     let retracted: Vec<_> = g
         .records()
         .iter()
-        .map(|r| (&*r.name, r.retracted))
+        .map(|r| (&*r.record.name, r.retracted))
         .collect();
     assert_eq!(retracted, [("mapInvitations", true), ("mapMinutes", true)]);
     assert_eq!(g.nogoods(), [["mapInvitations", "mapMinutes"]]);

@@ -1117,7 +1117,7 @@ fn recall_by_scan(
     let probe = bag(&g.record(name).expect("probe is recorded"));
     let mut hits: Vec<(String, f64, bool)> = Vec::new();
     for r in g.records().iter().filter(|r| r.name != name) {
-        let other = bag(r);
+        let other = bag(&r);
         let keys: HashSet<&String> = probe.keys().chain(other.keys()).collect();
         let (mut min, mut max) = (0.0, 0.0);
         for k in keys {
@@ -1160,7 +1160,7 @@ proptest! {
         })
         .unwrap();
         let n = g.records().len();
-        for r in g.records() {
+        for r in g.records().iter() {
             for limit in [0, 1, 5, n - 1, usize::MAX] {
                 let got: Vec<(String, u64, bool)> = g
                     .recall_similar(&r.name, limit)

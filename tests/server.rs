@@ -1535,7 +1535,8 @@ fn process_view_at(g: &Gkbms, w: i64) -> String {
     let reader = Record::over(snap);
     let mut table = Table::new(&["#", "decision", "dimension", "from", "to", "by"]);
     let decisions = g.records().iter().filter_map(|r| reader.decision(r.prop));
-    for (i, r) in decisions.filter(|r| !r.retracted).enumerate() {
+    let effective = decisions.filter(|r| reader.retracted_at(r.prop).is_none());
+    for (i, r) in effective.enumerate() {
         let class = snap.lookup(&r.class).and_then(|c| reader.decision_class(c));
         let dimension = class.expect("the decision's class reads back").dimension;
         table.row(&[
@@ -1847,7 +1848,7 @@ proptest! {
                 Observed::Status(seen) => {
                     let g = twin.at(w);
                     let replayed =
-                        conceptbase::gkbms::navigate::status_view(g.kb().snapshot(), g.design())
+                        conceptbase::gkbms::navigate::status_view(g.kb().snapshot(), g.records())
                             .render();
                     prop_assert_eq!(&replayed, &seen, "status diverged at watermark {}", w);
                 }
@@ -1855,7 +1856,7 @@ proptest! {
                     let g = twin.at(w);
                     let replayed = conceptbase::gkbms::recall::recall_similar(
                         g.kb().snapshot(),
-                        g.design(),
+                        g.records(),
                         &decision,
                         5,
                     )

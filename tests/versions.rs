@@ -96,7 +96,7 @@ fn dimensions_partition_the_history() {
     let mut mapping = 0;
     let mut refinement = 0;
     let mut choice = 0;
-    for r in s.gkbms.records() {
+    for r in s.gkbms.records().iter() {
         // Look up the dimension through the public view.
         let vs = s.gkbms.render_version_space();
         let _ = &vs;
