@@ -6,10 +6,12 @@
 //! destructively deleted". Journal mode closes the gap:
 //!
 //! * every mutation ends in [`Gkbms::commit`], the one place an op
-//!   enters the history: it is appended — framed with its sequence
-//!   number and epoch, otherwise the encoding `save` uses — to the
-//!   live WAL and pushed onto the in-memory history, in that order, at
-//!   commit time;
+//!   enters the history: it is framed with its sequence number and
+//!   epoch ([`encode_framed`]; otherwise the encoding `save` uses),
+//!   and that one frame is appended to the live WAL and pushed onto
+//!   the in-memory history, in that order, at commit time — so a
+//!   history entry and a WAL record are one value, and a replication
+//!   leader ships its history's frames;
 //! * [`Gkbms::checkpoint`] moves ops from the WAL to the snapshot
 //!   file: it writes the whole history, unframed and in commit order,
 //!   crash-atomically as the snapshot and truncates the WAL. Nothing
@@ -140,28 +142,15 @@ impl Journal {
         })
     }
 
-    /// Appends one op record and flushes it into the OS page cache (no
-    /// fsync — that is the caller's fsync policy).
-    fn append(&mut self, epoch: u64, payload: &[u8]) -> StorageResult<()> {
-        self.append_at(self.appended_ops + 1, epoch, payload)
-    }
-
-    /// Appends a record shipped from a replication leader, preserving
-    /// its sequence number and epoch so the replica's WAL stays
-    /// byte-identical to the leader's. The record must be the direct
-    /// successor of the last appended op.
-    pub fn append_replicated(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> StorageResult<()> {
-        self.append_at(seq, epoch, payload)
-    }
-
-    /// The one WAL append: one record framed with its journal op
-    /// sequence number and sequence epoch, then a flush. The sequence
-    /// is what lets recovery tell records a checkpoint snapshot already
-    /// covers from genuinely newer ones; the epoch is what lets a
-    /// replica's admission check fence off records written by a deposed
-    /// leader.
-    fn append_at(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> StorageResult<()> {
-        self.wal.append(&encode_framed(seq, epoch, payload))?;
+    /// The one WAL append: one op's frame — its journal op sequence
+    /// number `seq`, its sequence epoch, then its payload — and a
+    /// flush into the OS page cache (no fsync: that is the caller's
+    /// fsync policy). The sequence is what lets recovery tell records a
+    /// checkpoint snapshot already covers from genuinely newer ones;
+    /// the epoch is what lets a replica's admission check fence off
+    /// records written by a deposed leader.
+    fn append(&mut self, seq: u64, frame: &[u8]) -> StorageResult<()> {
+        self.wal.append(frame)?;
         // Counters move with the buffered append, not the flush: once
         // the record is in the writer (and possibly in the file), a
         // failed flush must not let the op sequence drift from it.
@@ -176,20 +165,18 @@ impl Journal {
         Ok(())
     }
 
-    /// Byte offset of the next WAL append — the position a replication
-    /// tail reader resumes from when it has consumed the whole log.
+    /// Byte length of the WAL file: the frames appended since the last
+    /// checkpoint.
     pub fn wal_byte_len(&self) -> u64 {
         self.wal.byte_len()
     }
 
-    /// Path of the WAL file, for read-only tailing by the replication
-    /// shipper.
+    /// Path of the WAL file.
     pub fn wal_path(&self) -> PathBuf {
         self.dir.join(WAL_FILE)
     }
 
-    /// Path of the checkpoint snapshot file (which may not exist yet),
-    /// for snapshot transfer to a far-behind replica.
+    /// Path of the checkpoint snapshot file (which may not exist yet).
     pub fn snapshot_path(&self) -> PathBuf {
         self.dir.join(SNAPSHOT_FILE)
     }
@@ -239,11 +226,15 @@ impl Journal {
     }
 }
 
+/// Bytes in front of an op's payload in its frame: its sequence
+/// number and its epoch.
+pub(crate) const FRAME_HEADER: usize = 16;
+
 /// Frames an op payload with its journal sequence number and epoch —
-/// the exact bytes [`Journal`] appends to the WAL, exposed so a
-/// replica can reproduce the leader's WAL byte-for-byte.
+/// the exact bytes [`Journal`] appends to the WAL and a history entry
+/// holds.
 pub fn encode_framed(seq: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(16 + payload.len());
+    let mut framed = Vec::with_capacity(FRAME_HEADER + payload.len());
     codec::put_u64(&mut framed, seq);
     codec::put_u64(&mut framed, epoch);
     framed.extend_from_slice(payload);
@@ -256,40 +247,7 @@ pub fn decode_framed(bytes: &[u8]) -> StorageResult<(u64, u64, &[u8])> {
     let mut c = Cursor::new(bytes);
     let seq = c.get_u64()?;
     let epoch = c.get_u64()?;
-    Ok((seq, epoch, &bytes[16..]))
-}
-
-/// The checkpoint snapshot of the journal directory `dir`, for a
-/// replication shipper whose subscriber has applied op `seq`: the op
-/// sequence the snapshot covers and all its records, coverage header
-/// first, when it covers ops past `seq`. `None` when it does not, or
-/// when no checkpoint was taken (the WAL then holds every op). The
-/// horizon is the snapshot's own leading [`JournalOp::CheckpointCovers`]
-/// record, and the records are read from the same open file; a
-/// checkpoint renames its snapshot into place whole, so the two agree
-/// without any lock on the journal.
-pub fn snapshot_past(dir: &Path, seq: u64) -> GkbmsResult<Option<(u64, Vec<Vec<u8>>)>> {
-    let mut records = match storage::log::open_records(dir.join(SNAPSHOT_FILE)) {
-        Ok(records) => records.map(|r| r.map(|(_, payload)| payload)),
-        Err(storage::StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(None)
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let header = records.next().transpose()?.unwrap_or_default();
-    let Ok(JournalOp::CheckpointCovers { covered_seq, .. }) = JournalOp::decode(&header) else {
-        return Err(GkbmsError::Unknown(format!(
-            "snapshot in {} has no coverage header",
-            dir.display()
-        )));
-    };
-    if covered_seq <= seq {
-        return Ok(None);
-    }
-    let payloads = std::iter::once(Ok(header))
-        .chain(records)
-        .collect::<StorageResult<_>>()?;
-    Ok(Some((covered_seq, payloads)))
+    Ok((seq, epoch, &bytes[FRAME_HEADER..]))
 }
 
 impl Gkbms {
@@ -329,7 +287,8 @@ impl Gkbms {
             let (seq, epoch, payload) = decode_framed(f)?;
             // The epoch of every frame counts, even skipped ones: the
             // snapshot may predate a promotion whose records the WAL
-            // still holds.
+            // still holds. Raised before the op replays, it is the
+            // epoch the op's commit frames it with in the history.
             g.epoch = g.epoch.max(epoch);
             if seq <= covered {
                 skipped += 1;
@@ -394,7 +353,8 @@ impl Gkbms {
         };
         let start = Instant::now();
         let header = JournalOp::CheckpointCovers { covered_seq, epoch };
-        persist::write_atomic(&j.snapshot_path(), Some(header), self.history.iter())?;
+        let payloads = self.history.iter().map(|frame| &frame[FRAME_HEADER..]);
+        persist::write_atomic(&j.snapshot_path(), Some(header), payloads)?;
         let compacted = j.ops_since_checkpoint;
         j.wal.truncate_all()?;
         j.ops_since_checkpoint = 0;
@@ -428,29 +388,33 @@ impl Gkbms {
 
     /// The commit point — the one place an op enters the history.
     /// Every mutation calls it once its KB work can no longer fail: the
-    /// op's encoding is appended to the journal, if one is attached, and
-    /// pushed onto `history`, and the design index files what the op
-    /// told. An op the journal refused is in neither; its transaction
-    /// rolls its KB work back.
+    /// op is framed with its sequence number and epoch, the frame is
+    /// appended to the journal, if one is attached, and pushed onto
+    /// `history`, and the design index files what the op told. An op
+    /// the journal refused is in neither; its transaction rolls its KB
+    /// work back.
     pub(crate) fn commit(&mut self, op: JournalOp) -> GkbmsResult<()> {
         // A seal is framed with the epoch it opens.
         let epoch = match op {
             JournalOp::Seal { epoch } => self.epoch.max(epoch),
             _ => self.epoch,
         };
-        let bytes: std::sync::Arc<[u8]> = op.encode().into();
+        let seq = self.applied_seq() + 1;
+        let frame: std::sync::Arc<[u8]> = encode_framed(seq, epoch, &op.encode()).into();
         if let Some(j) = self.journal.as_mut() {
-            j.append(epoch, &bytes)?;
+            j.append(seq, &frame)?;
         }
         match op {
             JournalOp::Tell { .. } => self.tells_untells.0 += 1,
             JournalOp::Untell { .. } => self.tells_untells.1 += 1,
             _ => {}
         }
-        self.history.push(bytes);
+        self.history.push(frame);
         // The WAL's frame counter is the history's length.
-        let n = self.applied_seq();
-        debug_assert_eq!(self.journal.as_ref().map_or(n, Journal::appended_ops), n);
+        debug_assert_eq!(
+            self.journal.as_ref().map_or(seq, Journal::appended_ops),
+            seq
+        );
         // The op's buffers are freed before the index files what it
         // told, so the filed records reuse them instead of leaving them
         // as holes between long-lived allocations: a heap fragmented so
@@ -463,55 +427,25 @@ impl Gkbms {
         Ok(())
     }
 
-    /// Applies one record shipped from a replication leader: replays
-    /// the op through the standard replay path and appends the original
-    /// frame (same sequence, same epoch) to the local journal, if one
-    /// is attached. Sequence/epoch admission checks are the caller's job
+    /// Applies one record shipped from a replication leader through the
+    /// standard replay path. The shipped epoch is raised first, so the
+    /// op's commit frames it — in the history and in the local journal,
+    /// if one is attached — with the leader's sequence number and epoch,
+    /// keeping replica WALs byte-identical to the leader's.
+    /// Sequence/epoch admission checks are the caller's job
     /// (`replication::admit`): the applied op lands at the history's
     /// next position, which the caller has checked is `seq`.
     pub fn apply_replicated(&mut self, seq: u64, epoch: u64, payload: &[u8]) -> GkbmsResult<()> {
-        // Replay with the journal detached so the op's own commit
-        // doesn't append it under a fresh sequence number; the shipped
-        // frame is appended verbatim below, keeping replica WALs
-        // byte-identical to the leader's.
-        let journal = self.journal.take();
-        let applied = persist::apply_record(self, payload);
-        self.journal = journal;
-        applied?;
         self.epoch = self.epoch.max(epoch);
-        if let Some(j) = self.journal.as_mut() {
-            j.append_replicated(seq, epoch, payload)?;
-        }
-        let n = self.applied_seq();
-        debug_assert_eq!(self.journal.as_ref().map_or(n, Journal::appended_ops), n);
+        persist::apply_record(self, payload)?;
+        debug_assert_eq!(
+            (self.history.len().checked_sub(1))
+                .and_then(|last| self.history.get(last))
+                .map(|frame| &frame[..]),
+            Some(&encode_framed(seq, epoch, payload)[..]),
+            "a replicated op must commit the frame it was shipped in"
+        );
         Ok(())
-    }
-
-    /// Installs a snapshot stream shipped by a replication leader into
-    /// `dir` and recovers from it: the payloads (a coverage header
-    /// followed by the full history, exactly the records of a
-    /// checkpoint snapshot file) are written crash-atomically as
-    /// `dir/snapshot`,
-    /// any stale local WAL is removed, and the result is opened via
-    /// [`Gkbms::recover`]. The returned instance is positioned at the
-    /// snapshot's covered sequence, ready to apply the WAL tail the
-    /// leader ships next.
-    pub fn install_replica_snapshot(
-        dir: impl AsRef<Path>,
-        payloads: Vec<Vec<u8>>,
-    ) -> GkbmsResult<(Gkbms, RecoveryReport)> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(storage::StorageError::Io)?;
-        persist::write_atomic(&dir.join(SNAPSHOT_FILE), None, payloads)?;
-        // The local WAL (if any) predates the snapshot we were just
-        // shipped — a replica only falls back to snapshot transfer when
-        // its own log is behind the leader's truncation horizon, so the
-        // stale records are covered and must not replay over it.
-        let wal = dir.join(WAL_FILE);
-        if wal.exists() {
-            std::fs::remove_file(&wal).map_err(storage::StorageError::Io)?;
-        }
-        Gkbms::recover(dir)
     }
 
     /// Raises the sequence epoch to `epoch` and commits the seal that
@@ -568,8 +502,8 @@ mod tests {
         // Replay the scenario definitions through the journaled
         // instance so they are captured as ops.
         let donor = scenario_gkbms();
-        for p in donor.history.iter() {
-            persist::apply_record(&mut g, p).unwrap();
+        for frame in donor.history.iter() {
+            persist::apply_record(&mut g, &frame[FRAME_HEADER..]).unwrap();
         }
         g
     }

@@ -3,8 +3,8 @@
 //! "Ex post, it plays the role of a documentation service" — and a
 //! documentation service must outlive the process. The GKBMS *is* its
 //! history: every committed mutation is one [`JournalOp`], encoded once
-//! at the commit point (`Gkbms::commit`) into the journal's bytes, kept
-//! in commit order in `Gkbms::history` and published with each version.
+//! at the commit point (`Gkbms::commit`) into its WAL frame, kept in
+//! commit order in `Gkbms::history` and published with each version.
 //! [`Gkbms::apply`] is the one map from an op to its mutator: a served
 //! `Write` request carries an op and is applied by it, and so is every
 //! replay. Live state is the fold of `apply` over the op stream, so
@@ -25,10 +25,9 @@
 //! names included: it is not in the stream and left no tick gap, so
 //! the records need not carry their ticks.
 //!
-//! A `save` file, a checkpoint snapshot and a snapshot shipped to a
-//! replica are the same thing: the unframed prefix of the journal in
-//! commit order (a snapshot leads with a
-//! [`JournalOp::CheckpointCovers`] header). They are written
+//! A `save` file and a checkpoint snapshot are the same thing: the
+//! unframed prefix of the journal in commit order (a snapshot leads
+//! with a [`JournalOp::CheckpointCovers`] header). They are written
 //! crash-atomically — sibling temp file, fsync, rename over the
 //! target, parent-directory fsync — so at no instant does the old
 //! history cease to exist before the new one is durable, and read
@@ -38,6 +37,7 @@
 
 use crate::decisions::{DecisionClass, DecisionDimension, Discharge, Obligation, ToolSpec};
 use crate::error::{GkbmsError, GkbmsResult};
+use crate::journal::FRAME_HEADER;
 use crate::system::{DecisionRequest, DecisionSummary, Gkbms};
 use std::{path::Path, sync::Arc};
 use storage::record::codec::{Cursor, Wire};
@@ -268,12 +268,9 @@ impl Gkbms {
             JournalOp::Tell { src } => Applied::Count(self.tell_src(&src)?),
             JournalOp::Untell { name } => Applied::Count(self.untell(&name)?),
             // A header, not an op: never part of the history it leads,
-            // whose length is the position it names (checked by
-            // `Gkbms::from_records`).
-            JournalOp::CheckpointCovers { epoch, .. } => {
-                self.epoch = self.epoch.max(epoch);
-                Applied::Done
-            }
+            // whose length is the position and whose epoch the epoch it
+            // names (both taken up by `Gkbms::from_records`).
+            JournalOp::CheckpointCovers { .. } => Applied::Done,
             JournalOp::Seal { epoch } => {
                 self.seal(epoch)?;
                 Applied::Done
@@ -306,8 +303,7 @@ fn save_tmp_path(path: &Path) -> std::path::PathBuf {
 /// `path`, crash-atomically: temp file, fsync, rename over the target,
 /// parent-directory fsync. A crash at any point leaves either the old
 /// complete file or the new one — never a partial or missing file. The
-/// one writer behind `save`, checkpoint snapshots and replica snapshot
-/// installation.
+/// one writer behind `save` and checkpoint snapshots.
 pub(crate) fn write_atomic<P: AsRef<[u8]>>(
     path: &Path,
     header: Option<JournalOp>,
@@ -333,17 +329,20 @@ pub(crate) fn write_atomic<P: AsRef<[u8]>>(
 /// Writes one version's history to `path`, crash-atomically replacing
 /// any existing file (the server's `Save`, at the session's pin).
 pub fn save_history(history: &Log<Arc<[u8]>>, path: impl AsRef<Path>) -> GkbmsResult<()> {
-    write_atomic(path.as_ref(), None, history.iter())
+    let payloads = history.iter().map(|frame| &frame[FRAME_HEADER..]);
+    write_atomic(path.as_ref(), None, payloads)
 }
 
 impl Gkbms {
     /// A fresh instance with op records — a saved history, or a
     /// snapshot, local or shipped to a journal-less replica — replayed
     /// in order through [`apply_record`]: the one loop behind
-    /// [`Gkbms::load`], journal recovery and replica bootstrap. A
-    /// snapshot's leading [`JournalOp::CheckpointCovers`] must name the
-    /// number of ops it holds, the position recovery skips WAL records
-    /// up to; one that names another is refused.
+    /// [`Gkbms::load`] and journal recovery. A snapshot's leading
+    /// [`JournalOp::CheckpointCovers`] must name the number of ops it
+    /// holds, the position recovery skips WAL records up to; one that
+    /// names another is refused. Its epoch is raised only after the
+    /// replay, so each op is framed with the epoch the seals before it
+    /// opened — the frame its WAL record had.
     pub fn from_records<P: AsRef<[u8]>>(payloads: &[P]) -> GkbmsResult<Gkbms> {
         let mut g = Gkbms::new()?;
         for p in payloads {
@@ -355,6 +354,10 @@ impl Gkbms {
             {
                 let held = g.applied_seq();
                 Err(GkbmsError::Misplaced("snapshot header", held, covered_seq))
+            }
+            Some(Ok(JournalOp::CheckpointCovers { epoch, .. })) => {
+                g.epoch = g.epoch.max(epoch);
+                Ok(g)
             }
             _ => Ok(g),
         }

@@ -130,7 +130,8 @@ pub struct Published {
     pub kb: KbVersion,
     /// The design index, as of the capture.
     pub design: DesignIndex,
-    /// The history, as of the capture.
+    /// The history, as of the capture: each op's WAL frame
+    /// ([`crate::journal::encode_framed`]), in commit order.
     pub history: Log<Arc<[u8]>>,
     /// The live state's lint memo ([`lint_src`] at any version).
     pub lint: Arc<Mutex<analysis::AnalysisCache>>,
@@ -162,8 +163,9 @@ pub struct Gkbms {
     pub(crate) design: DesignWriter,
     /// Decision-level nogoods recorded by conflict resolution.
     pub(crate) nogoods: Vec<Vec<String>>,
-    /// The history: every committed op, as the journal holds it, in
-    /// commit order — what `save` and a snapshot write down. Everything
+    /// The history: every committed op's WAL frame, as the journal
+    /// holds it, in commit order — what a leader ships, and, unframed,
+    /// what `save` and a snapshot write down. Everything
     /// else in this struct is derived from it by replay. Appended to by
     /// [`Gkbms::commit`] only.
     pub(crate) history: Appender<Log<Arc<[u8]>>>,

@@ -409,9 +409,8 @@ mod tests {
             assert!(diags.iter().any(churn), "{name}: {diags:?}");
         };
         warns(&mut g, "churny");
-        let mut replica =
-            Gkbms::from_records(&g.history.iter().map(|op| op.to_vec()).collect::<Vec<_>>())
-                .unwrap();
+        let payloads = g.history.iter().map(|f| &f[crate::journal::FRAME_HEADER..]);
+        let mut replica = Gkbms::from_records(&payloads.collect::<Vec<_>>()).unwrap();
         // A history without a header positions the replica at its length.
         assert_eq!(replica.applied_seq(), g.applied_seq());
         warns(&mut replica, "replicated");

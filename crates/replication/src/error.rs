@@ -37,7 +37,7 @@ pub enum ReplError {
     Protocol(String),
     /// Transport failure.
     Io(std::io::Error),
-    /// Log/record-level failure while reading or framing records.
+    /// A stream message that failed to decode.
     Storage(storage::StorageError),
 }
 

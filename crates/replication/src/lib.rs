@@ -2,18 +2,17 @@
 
 //! Replication by prefix shipping.
 //!
-//! The journal already *is* a replication log: every WAL record is
-//! framed with its monotonic op sequence number and sequence epoch,
-//! and checkpoint snapshots name the sequence they cover. This crate
-//! provides the transport-agnostic machinery that turns that log into
-//! a leader/follower fleet:
+//! A GKBMS's history already *is* a replication log: every committed
+//! op is held in memory as its WAL frame — its monotonic op sequence
+//! number, its sequence epoch and its payload — from the first op on,
+//! since nothing is ever compacted away. A leader ships the frames of
+//! its published history at or below its durable watermark; a follower
+//! replays them in order and commits identical frames. This crate
+//! provides the transport-agnostic pieces of that fleet:
 //!
 //! * [`msg`] — the `ReplMsg` wire messages a leader pushes after a
-//!   `Replicate` subscription (snapshot stream, op batches,
-//!   heartbeats), framed exactly like every other protocol frame;
-//! * [`tail`] — [`WalTail`], a read-only cursor over the leader's live
-//!   WAL file that converts durable records into shippable batches and
-//!   detects checkpoint truncation under its feet;
+//!   `Replicate` subscription (op batches and heartbeats), framed
+//!   exactly like every other protocol frame;
 //! * [`admit`] — the follower-side admission check: exactly-once,
 //!   in-order sequence checking plus epoch fencing against the
 //!   replica's own position, so a spliced stream or a deposed leader's
@@ -30,11 +29,9 @@
 
 pub mod error;
 pub mod msg;
-pub mod tail;
 
 pub use error::{ReplError, ReplResult};
 pub use msg::{ReplMsg, ShippedRecord};
-pub use tail::{TailStep, WalTail};
 
 /// Admits a shipped batch into a replica positioned at `applied_seq`
 /// under `epoch`: each record must carry the exact next sequence number

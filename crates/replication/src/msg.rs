@@ -13,9 +13,9 @@ use storage::record::codec::Cursor;
 /// First stream-message opcode; anything below is a `Response`.
 pub const MSG_BASE: u32 = 100;
 
-/// One WAL record in flight: the exact frame fields the leader's
-/// journal holds, so the follower can apply the payload and append an
-/// identical frame to its own WAL.
+/// One op in flight: the fields of the frame the leader's history and
+/// WAL hold for it, so the follower can apply the payload and commit an
+/// identical frame to its own history and WAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShippedRecord {
     /// Journal op sequence number.
@@ -34,6 +34,8 @@ storage::wire_struct!(ShippedRecord {
 
 storage::op_table! {
     /// A message on the replication stream, leader → follower.
+    /// Opcodes 101–103 are retired: a follower of an earlier release
+    /// reads them as a snapshot transfer.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum ReplMsg {
         /// First message after an accepted subscription.
@@ -43,24 +45,8 @@ storage::op_table! {
             /// The leader's sequence epoch.
             epoch: u64,
         },
-        /// The follower is behind the leader's checkpoint truncation
-        /// horizon: a full snapshot follows, then the WAL tail.
-        101 SnapshotStart "snapshot_start" {
-            /// Op sequence the snapshot covers; tail shipping resumes at
-            /// the next sequence.
-            covered_seq: u64,
-            /// Epoch recorded in the snapshot's coverage record.
-            epoch: u64,
-        },
-        /// A batch of snapshot history records (the same payloads a
-        /// checkpoint snapshot file holds, coverage record included).
-        102 SnapshotChunk "snapshot_chunk" {
-            /// History op payloads, in replay order.
-            payloads: Vec<Vec<u8>>,
-        },
-        /// The snapshot stream is complete; WAL records follow.
-        103 SnapshotEnd "snapshot_end",
-        /// A batch of committed WAL records in sequence order.
+        /// A batch of committed ops in sequence order: frames of the
+        /// leader's history at or below its durable watermark.
         104 Ops "ops" {
             /// The leader's last committed op sequence at send time (lets
             /// the follower measure its lag without a round trip).
@@ -99,7 +85,7 @@ mod tests {
     #[test]
     fn message_table_matches_the_golden_bytes() {
         ReplMsg::check_golden(include_str!("../../../tests/fixtures/wire/repl_msg.hex"));
-        assert_eq!(ReplMsg::OPS.len(), 6);
+        assert_eq!(ReplMsg::OPS.len(), 3);
         // A follower tells stream messages from refusals by opcode alone.
         assert!(ReplMsg::OPS.iter().all(|(op, _)| *op >= MSG_BASE));
     }
@@ -112,7 +98,11 @@ mod tests {
             ReplMsg::decode(&p),
             Err(e) if e.to_string().contains("250")
         ));
-        let mut ok = ReplMsg::SnapshotEnd.encode();
+        let mut ok = ReplMsg::Heartbeat {
+            leader_seq: 7,
+            epoch: 1,
+        }
+        .encode();
         ok.push(0);
         assert!(matches!(
             ReplMsg::decode(&ok),

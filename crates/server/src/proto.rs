@@ -50,8 +50,8 @@
 //! either with an `Error` (e.g. [`ErrorCode::Fenced`] when the
 //! subscriber's epoch is newer than the leader's own) or by taking the
 //! connection over as a *push stream* of `replication::ReplMsg`
-//! frames — snapshot transfer if the subscriber is behind the
-//! checkpoint horizon, then the WAL tail, then live group commits.
+//! frames — batches of its history's ops from the subscriber's
+//! position on, up to the durable watermark, then live group commits.
 //! Those stream frames use opcodes at or above
 //! `replication::msg::MSG_BASE` (100) so they can never be confused
 //! with the `Response` opcodes.

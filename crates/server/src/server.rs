@@ -9,9 +9,9 @@
 //! and the design index, captured together — into a
 //! [`gkbms::mvcc::VersionChain`] while still holding the guard, so
 //! versions appear in commit order. The store's version is a mark over
-//! its one append-only storage, O(1), and the design index a
-//! structural-sharing clone, one `Arc` bump per 512-element chunk; the
-//! history and the lint memo and the registered views ride along. No session read takes the
+//! its one append-only storage, and the design index and the history
+//! are handles bounded over their append-only logs, all O(1); the lint
+//! memo and the registered views ride along. No session read takes the
 //! state lock: a session pins the chain head at Hello (or Refresh) and
 //! reads its pinned version at its watermark, however many commits land
 //! — so it refreshes before it saves, lints or checks its own writes.
@@ -23,8 +23,8 @@
 //! The chain supplies the *mechanics*: a superseded version is freed
 //! when its last holder lets go (Bye, Refresh, or the idle-timeout
 //! sweep run on every commit and idle connection poll). Replication
-//! reads the commit watermark and the journal files, so it does not
-//! wait on a writer either. A view's model is a lemma of the version
+//! reads the commit watermark and the published head's history, so it
+//! does not wait on a writer either. A view's model is a lemma of the version
 //! its reader pins, like the ASK's closure (see [`gkbms::views`]).
 //!
 //! A panic inside a write poisons the lock, and may leave the state
@@ -223,9 +223,8 @@ struct Shared {
     /// The committed `(seq, epoch)`: only records at or below it are
     /// ever shipped to subscribers.
     commit: Watermark,
-    /// The journal directory, fixed at start: `Load` is refused on a
-    /// journaled server and a snapshot install reuses it, so the ship
-    /// planner reads the snapshot and WAL files here without the state.
+    /// The journal directory, fixed at start: a journaled server
+    /// refuses `Load`, and only a journaled leader ships.
     journal_dir: Option<PathBuf>,
     repl: ReplState,
     cfg: Config,

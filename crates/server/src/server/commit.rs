@@ -2,8 +2,8 @@
 //!
 //! Every change to the served state is made through a [`Writer`] and
 //! ends in [`Writer::commit`] (a write, a checkpoint, a promotion, an
-//! applied replica batch) or [`Writer::replace`] (a `Load`, a replica's
-//! snapshot install): the only places that publish a store version,
+//! applied replica batch) or [`Writer::replace`] (a `Load`): the only
+//! places that publish a store version,
 //! auto-checkpoint, move the watermark and sweep sessions. The
 //! watermark is the one committed `(seq, epoch)`; ship loops ship only
 //! up to it. A position is an op sequence number — the length of the
@@ -135,28 +135,24 @@ impl Writer<'_> {
         durable
     }
 
-    /// Swaps `fresh` in as the served state: publishes it, hands group
-    /// commit its journal's WAL handle, moves the watermark to its
+    /// Swaps `fresh` in as the served state — a `Load`, which only a
+    /// journal-less server takes, so neither state has a WAL for group
+    /// commit to fsync: publishes it, moves the watermark to its
     /// position — down too, after a `Load` of a shorter history: the
     /// replaced history's count names no state any more — and re-pins
     /// every session at the fresh head (old pins refer to a store that
     /// no longer exists). The pin is taken before the guard is let go,
     /// so it is the version just published.
-    pub(super) fn replace(mut self, mut fresh: Gkbms) -> Result<(), Response> {
-        let file = fresh
-            .journal_mut()
-            .map(|j| j.file())
-            .transpose()
-            .map_err(|e| err(ErrorCode::Internal, format!("WAL handle: {e}")))?;
+    pub(super) fn replace(mut self, fresh: Gkbms) {
+        debug_assert!(fresh.journal().is_none(), "a Load never journals");
         let (seq, epoch) = (fresh.applied_seq(), fresh.epoch());
         *self.state = fresh;
         self.publish();
         let shared = self.shared;
-        shared.commit.rebind(file, seq, epoch);
+        shared.commit.reset(seq, epoch);
         let pin = shared.chain.acquire();
         drop(self.state);
         lock_sessions(shared).repin_all(pin.data().kb.now(), pin);
-        Ok(())
     }
 }
 
@@ -177,9 +173,8 @@ pub(super) struct Watermark {
     /// Clone of the WAL file handle, present iff the served state has a
     /// journal. It shares the open file description with the journal,
     /// so it survives checkpoint truncations and can be fsynced without
-    /// holding the state lock. A replica's snapshot install replaces
-    /// the WAL file, and with it this handle ([`Watermark::rebind`]).
-    file: Mutex<Option<File>>,
+    /// holding the state lock.
+    file: Option<File>,
     position: Mutex<Position>,
     cv: Condvar,
 }
@@ -188,7 +183,7 @@ impl Watermark {
     /// A watermark at `seq` under `epoch`, fsyncing `file` on demand.
     pub(super) fn new(file: Option<File>, seq: u64, epoch: u64) -> Watermark {
         Watermark {
-            file: Mutex::new(file),
+            file,
             position: Mutex::new(Position {
                 seq,
                 epoch,
@@ -228,12 +223,7 @@ impl Watermark {
             // the writer starts waiting), so one fsync covers it all.
             let goal = self.lock().requested;
             let started = Instant::now();
-            let outcome = self
-                .file
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .map_or(Ok(()), File::sync_data);
+            let outcome = self.file.as_ref().map_or(Ok(()), File::sync_data);
             obs::histogram!(
                 "gkbms_journal_fsync_seconds",
                 "Latency of WAL fsyncs (per-op and group-commit)"
@@ -275,13 +265,9 @@ impl Watermark {
         }
     }
 
-    /// Rebinds to a state that replaced the served one: its WAL handle
-    /// (a replica's snapshot install recreates the file), so fsyncs
-    /// reach the file its journal appends to, and its `(seq, epoch)`,
-    /// whichever way that moves the position. The old handle is
-    /// closed; an fsync in flight on it finishes first.
-    fn rebind(&self, file: Option<File>, seq: u64, epoch: u64) {
-        *self.file.lock().unwrap_or_else(|e| e.into_inner()) = file;
+    /// Resets the position to `seq` under `epoch`, whichever way that
+    /// moves it: the served state was replaced.
+    fn reset(&self, seq: u64, epoch: u64) {
         let mut p = self.lock();
         (p.seq, p.epoch, p.requested) = (seq, epoch, seq);
         self.cv.notify_all();

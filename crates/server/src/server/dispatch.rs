@@ -376,7 +376,7 @@ fn handle(shared: &Shared, req: Request, then: &mut Then) -> Result<Response, Re
                 ));
             }
             let fresh = Gkbms::load(&path).map_err(|e| err(ErrorCode::Internal, e.to_string()))?;
-            shared.writer()?.replace(fresh)?;
+            shared.writer()?.replace(fresh);
             done(format!("loaded from {path}"))
         }
         Request::Checkpoint { session } => {

@@ -1,13 +1,12 @@
 //! The follower runtime: subscribe to a leader and apply its stream.
 //!
 //! One thread per follower server: subscribe at the applied position,
-//! apply the pushed snapshot / op batches through the writer, and on
-//! any disconnection resubscribe with capped exponential backoff. Stops
-//! on shutdown or promotion.
+//! apply the pushed op batches through the writer, and on any
+//! disconnection resubscribe with capped exponential backoff. Stops on
+//! shutdown or promotion.
 
 use super::{replica_position, Shared};
 use crate::proto::{self, ErrorCode, FrameRead, Request, Response};
-use gkbms::Gkbms;
 use replication::{ReplError, ReplMsg, ShippedRecord};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -28,8 +27,8 @@ fn follow_done(shared: &Shared) -> bool {
 
 /// The follower thread: subscribe, apply, and on any disconnection
 /// resubscribe from the last applied sequence with capped exponential
-/// backoff — the leader answers from checkpoint + WAL exactly like
-/// local recovery would.
+/// backoff — the leader ships the rest of its history from there,
+/// whatever its checkpoints truncated.
 pub(super) fn follower_loop(shared: &Shared, leader: &str) {
     let mut backoff = FOLLOW_BACKOFF_MIN;
     loop {
@@ -86,7 +85,6 @@ fn follow_once(shared: &Shared, leader: &str) -> Result<(), ReplError> {
         }
         .encode(),
     )?;
-    let mut snapshot: Option<Vec<Vec<u8>>> = None;
     loop {
         if follow_done(shared) {
             return Ok(());
@@ -129,20 +127,6 @@ fn follow_once(shared: &Shared, leader: &str) -> Result<(), ReplError> {
                 .set(1);
                 observe_lag(shared);
             }
-            ReplMsg::SnapshotStart { .. } => snapshot = Some(Vec::new()),
-            ReplMsg::SnapshotChunk { payloads } => match &mut snapshot {
-                Some(acc) => acc.extend(payloads),
-                None => {
-                    return Err(ReplError::Protocol("snapshot chunk before start".into()));
-                }
-            },
-            ReplMsg::SnapshotEnd => {
-                let Some(payloads) = snapshot.take() else {
-                    return Err(ReplError::Protocol("snapshot end before start".into()));
-                };
-                install_snapshot(shared, payloads)?;
-                observe_lag(shared);
-            }
             ReplMsg::Ops {
                 leader_seq,
                 records,
@@ -181,24 +165,6 @@ fn observe_lag(shared: &Shared) {
         "Distribution of replica lag behind the leader's committed sequence, in ops"
     )
     .observe(lag);
-}
-
-/// Replaces the replica's state from a shipped checkpoint snapshot,
-/// installed in the journal directory (if any) and swapped in by the
-/// writer's `replace`, positioned after the snapshot's covered sequence.
-fn install_snapshot(shared: &Shared, payloads: Vec<Vec<u8>>) -> Result<(), ReplError> {
-    obs::counter!(
-        "gkbms_replication_snapshots_installed_total",
-        "Checkpoint snapshots installed by this replica during catch-up"
-    )
-    .inc();
-    let w = shared.writer().map_err(refused)?;
-    let fresh = match &shared.journal_dir {
-        Some(dir) => Gkbms::install_replica_snapshot(dir, payloads).map(|(g, _)| g),
-        None => Gkbms::from_records(&payloads),
-    }
-    .map_err(|e| ReplError::Protocol(format!("snapshot install: {e}")))?;
-    w.replace(fresh).map_err(refused)
 }
 
 /// A writer's refusal (a poisoned state, a commit the replica could

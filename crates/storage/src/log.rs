@@ -65,21 +65,6 @@ pub fn read_payloads(path: impl AsRef<Path>) -> StorageResult<(Vec<Vec<u8>>, Tai
     Ok((payloads, tail))
 }
 
-/// Opens the complete log file at `path` read-only and iterates its
-/// records one at a time, like [`read_payloads`] but lazily: the caller
-/// can stop after the first record. Everything comes from the one open
-/// file, so a file renamed over `path` meanwhile is not seen. A torn
-/// record is an error.
-pub fn open_records(path: impl AsRef<Path>) -> StorageResult<LogIter> {
-    let file = File::open(path)?;
-    let end = file.metadata()?.len();
-    Ok(LogIter {
-        reader: BufReader::new(file),
-        offset: 0,
-        end,
-    })
-}
-
 /// An append-only log of CRC-checked records in a single file.
 pub struct AppendLog {
     path: PathBuf,

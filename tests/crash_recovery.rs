@@ -12,8 +12,9 @@
 //!   prefix or a typed error;
 //! * **one op stream, four realizations** — the live instance, recovery
 //!   from the WAL alone, recovery from a checkpoint snapshot plus the
-//!   WAL tail, and a replica built from the shipped snapshot plus the
-//!   shipped tail all hold the same store — its length, its clock and
+//!   WAL tail, and a replica built op by op from the live history's
+//!   shipped frames (equal to the live state after every op) all hold
+//!   the same store — its length, its clock and
 //!   every proposition with both its intervals — and the same state read
 //!   from it, whatever the interleaving of op kinds (failed, rolled-back
 //!   writes included) and wherever the checkpoint fell;
@@ -78,7 +79,7 @@ use conceptbase::storage::{crash, AppendLog};
 use conceptbase::telos::{Delta, Interval, KbVersion, PropId, Snapshot};
 use proptest::prelude::*;
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -372,9 +373,9 @@ fn crash_between_snapshot_rename_and_wal_truncation_never_double_applies() {
 
 /// A checkpoint snapshot's header names the number of ops it holds. A
 /// snapshot whose header says otherwise is refused with a typed error,
-/// by recovery and by both kinds of replica snapshot install: trusted,
-/// it would make recovery replay WAL records the snapshot already holds
-/// (a header below the count) or skip ones it does not (above it).
+/// by recovery and by a replay of its records alone: trusted, it would
+/// make recovery replay WAL records the snapshot already holds (a
+/// header below the count) or skip ones it does not (above it).
 #[test]
 fn a_snapshot_header_that_miscounts_its_ops_is_refused() {
     let base = tmp_dir("header-miscount");
@@ -409,13 +410,8 @@ fn a_snapshot_header_that_miscounts_its_ops_is_refused() {
         };
         refused("recover", Gkbms::recover(&dir).map(drop));
         refused(
-            "a journal-less replica",
+            "a replay of its records",
             Gkbms::from_records(&crafted).map(drop),
-        );
-        let installed = dir.join("replica");
-        refused(
-            "a journaled replica",
-            Gkbms::install_replica_snapshot(&installed, crafted).map(drop),
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1320,6 +1316,8 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
     // The version a server would publish after each op, checked once
     // every later op has run.
     let mut published: Vec<(String, Published)> = Vec::new();
+    // The live state at each op position an op ended at.
+    let mut digests = BTreeMap::new();
     for (i, op) in ops.iter().enumerate() {
         if i == k {
             live.checkpoint().expect("checkpoint");
@@ -1335,6 +1333,7 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
             format!("the live version after op {i} {op:?}"),
             live.capture(),
         ));
+        digests.insert(live.applied_seq(), Digest::of(&live));
         index_agrees(
             twin.kb().snapshot(),
             twin.records(),
@@ -1391,21 +1390,26 @@ fn four_realizations_agree(tag: &str, ops: &[Op], k: usize) -> (usize, usize) {
     );
     drop(recovered);
 
-    // What a leader ships to a follower behind the horizon: the
-    // snapshot file's records, then the framed WAL tail.
-    let (snapshot, _) = read_payloads(checkpointed.join(SNAPSHOT_FILE)).expect("snapshot");
-    let mut replica = Gkbms::from_records(&snapshot).expect("replica from snapshot");
-    published.push(("the replica's snapshot".into(), replica.capture()));
-    let (tail, _) = read_payloads(checkpointed.join(WAL_FILE)).expect("wal");
-    for framed in &tail {
+    // What a leader ships to a follower from op 1 on, whatever it
+    // checkpointed: its published history's frames.
+    let shipped = published.last().expect("a version").1.history.clone();
+    let mut replica = Gkbms::new().expect("fresh replica");
+    for framed in shipped.iter() {
         let (seq, epoch, payload) = decode_framed(framed).expect("frame");
         replica
             .apply_replicated(seq, epoch, payload)
             .expect("replicated op");
+        if let Some(live) = digests.get(&seq) {
+            assert_eq!(&Digest::of(&replica), live, "the replica at op {seq}");
+        }
         let ctx = format!("the replica's version after shipped op {seq}");
         published.push((ctx, replica.capture()));
     }
-    assert_eq!(Digest::of(&replica), want, "replica from snapshot + tail");
+    assert_eq!(
+        Digest::of(&replica),
+        want,
+        "replica from the shipped history"
+    );
     for (ctx, version) in &published {
         index_agrees(version.kb.snapshot(), &version.design, ctx);
     }

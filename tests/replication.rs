@@ -3,12 +3,13 @@
 //!
 //! The replication contract under test:
 //!
-//! * **convergence** — followers replay the leader's committed WAL
-//!   prefix and end up byte-identical (same WAL file) and
-//!   answer-identical to a serial replay of the same TELLs;
-//! * **catch-up** — a follower that disconnects (or starts far behind
-//!   the checkpoint truncation horizon) resubscribes from its applied
-//!   position and converges, via the WAL tail or a shipped snapshot;
+//! * **convergence** — followers replay the leader's committed history
+//!   and end up byte-identical (same WAL file) and answer-identical to
+//!   a serial replay of the same TELLs;
+//! * **catch-up** — a follower that disconnects (or starts behind the
+//!   leader's last checkpoint) resubscribes from its applied position
+//!   and converges on the ops the leader's history holds from there,
+//!   each shipped in the frame the leader's WAL held for it;
 //! * **redirect** — writes against a follower fail fast with the
 //!   leader's address, as a typed client error;
 //! * **fencing** — after promotion the old sequence epoch is dead: a
@@ -16,9 +17,10 @@
 //! * **bounded staleness** — replica reads carry the applied position,
 //!   and a configured lag bound rejects reads on a lagging replica.
 
-use conceptbase::gkbms::journal::WAL_FILE;
-use conceptbase::gkbms::Gkbms;
+use conceptbase::gkbms::journal::{decode_framed, SNAPSHOT_FILE, WAL_FILE};
+use conceptbase::gkbms::{Gkbms, JournalOp};
 use conceptbase::server::{Client, ClientError, Config, ErrorCode, Server};
+use conceptbase::storage::log::read_payloads;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -79,6 +81,17 @@ fn wait_applied(addr: SocketAddr, want: u64) {
             .map(|s| s.applied_seq >= want)
             .unwrap_or(false)
     });
+}
+
+/// The frames of the WAL in `dir`.
+fn wal_frames(dir: &Path) -> Vec<Vec<u8>> {
+    read_payloads(dir.join(WAL_FILE)).expect("a WAL").0
+}
+
+/// The op sequence numbers of the WAL in `dir`, in file order.
+fn wal_seqs(dir: &Path) -> Vec<u64> {
+    let frames = wal_frames(dir);
+    frames.iter().map(|f| decode_framed(f).unwrap().0).collect()
 }
 
 fn ask_all(c: &mut Client, session: u64) -> Vec<String> {
@@ -274,9 +287,10 @@ fn killed_follower_catches_up_on_restart() {
     std::fs::remove_dir_all(fdir).unwrap();
 }
 
-/// A brand-new follower subscribing behind the checkpoint truncation
-/// horizon gets the covering snapshot first, then the WAL tail; once
-/// promoted, it fsyncs the WAL the install created.
+/// A brand-new follower subscribing behind the leader's last
+/// checkpoint is shipped every op from the first, the ones the
+/// checkpoint truncated out of the leader's WAL included; once
+/// promoted, it fsyncs the WAL it opened at start.
 #[test]
 fn new_follower_catches_up_past_checkpoint_horizon() {
     let ldir = tmp_dir("snap-l");
@@ -289,7 +303,7 @@ fn new_follower_catches_up_past_checkpoint_horizon() {
         c.tell(s, &format!("TELL old{i} in Paper end")).unwrap();
     }
     // The checkpoint truncates the WAL: ops 1..=6 now live only in the
-    // snapshot, so a fresh follower (applied 0) cannot tail its way up.
+    // snapshot and in the leader's history, which ships them.
     c.checkpoint(s).unwrap();
     c.tell(s, "TELL fresh in Paper end").unwrap();
 
@@ -301,22 +315,23 @@ fn new_follower_catches_up_past_checkpoint_horizon() {
     assert_eq!(
         names,
         vec!["fresh", "old0", "old1", "old2", "old3", "old4"],
-        "snapshot + tail must reconstruct the full state"
+        "the shipped history must reconstruct the full state"
     );
     let status = fc.repl_status().unwrap();
     assert!(!status.is_leader);
     assert!(status.connected);
     assert_eq!(status.applied_seq, 7);
+    assert_eq!(wal_seqs(&fdir), [1, 2, 3, 4, 5, 6, 7], "every op replayed");
 
-    // The replica keeps converging after the snapshot install.
+    // The replica keeps converging after the catch-up.
     c.tell(s, "TELL after in Paper end").unwrap();
     wait_applied(faddr, 8);
     fc.refresh(fs).unwrap();
     assert!(ask_all(&mut fc, fs).contains(&"after".to_string()));
 
-    // Promoted, the replica group-commits into the WAL the install
-    // created: no handle of this process still names the one it
-    // unlinked, so no write is acknowledged on an fsync of that file.
+    // Promoted, the replica group-commits into the WAL it appends to:
+    // no handle of this process names a deleted WAL, so no write is
+    // acknowledged on an fsync of a file recovery would not read.
     lsrv.shutdown().unwrap();
     assert!(fc.promote(fs).unwrap().contains("epoch 2"));
     fc.tell(fs, "TELL promoted in Paper end").unwrap();
@@ -336,14 +351,14 @@ fn new_follower_catches_up_past_checkpoint_horizon() {
     std::fs::remove_dir_all(fdir).unwrap();
 }
 
-/// The snapshot a follower behind the horizon installs is the leader's
-/// history in commit order — a class told by a raw TELL before the
-/// object registered under it, an UNTELL before the registration that
-/// reuses its name. Replayed in any other order the install fails (and
-/// the follower resubscribes into the same snapshot forever) or takes
-/// `Thing` back out.
+/// What a follower behind the leader's last checkpoint replays is the
+/// leader's history in commit order — a class told by a raw TELL
+/// before the object registered under it, an UNTELL before the
+/// registration that reuses its name. Replayed in any other order the
+/// catch-up fails (and the follower resubscribes into the same batch
+/// forever) or takes `Thing` back out.
 #[test]
-fn follower_behind_the_horizon_installs_a_commit_ordered_snapshot() {
+fn follower_behind_the_horizon_replays_the_history_in_commit_order() {
     let ldir = tmp_dir("order-l");
     let fdir = tmp_dir("order-f");
     let (lsrv, laddr) = leader(&ldir);
@@ -369,8 +384,8 @@ fn follower_behind_the_horizon_installs_a_commit_ordered_snapshot() {
     let want = (memos(&mut c, s), c.session_stats(s).unwrap().believed);
     assert_eq!(want.0, ["Thing", "memo1", "memo2"]);
 
-    // Ops 1..=5 live only in the snapshot: the fresh follower installs
-    // it, then tails op 6.
+    // Ops 1..=5 live only in the snapshot and the leader's history: the
+    // fresh follower is shipped ops 1..=6 from the history.
     let (fsrv, faddr) = follower(&fdir, laddr, None);
     wait_applied(faddr, 6);
     let mut fc = Client::connect(faddr).unwrap();
@@ -793,11 +808,10 @@ fn a_promotion_publishes_its_seal() {
 /// A follower applies `checkpoint_every` like a leader: after 7 ops
 /// applied one batch at a time with a threshold of 3, its directory
 /// holds a snapshot covering op 6 and a WAL holding only op 7. A
-/// replica chained to it from scratch is behind that horizon, so it
-/// catches up through the snapshot.
+/// replica chained to it from scratch is behind that checkpoint, and
+/// is shipped all 7 ops from the follower's history.
 #[test]
 fn a_follower_checkpoints_every_n_applied_ops() {
-    use conceptbase::gkbms::journal::{decode_framed, snapshot_past};
     let ldir = tmp_dir("fckpt-l");
     let f1dir = tmp_dir("fckpt-f1");
     let f2dir = tmp_dir("fckpt-f2");
@@ -819,19 +833,19 @@ fn a_follower_checkpoints_every_n_applied_ops() {
         c.tell(s, &format!("TELL p{i} in Paper end")).unwrap();
         wait_applied(f1addr, i);
     }
-    let (covered, _) = snapshot_past(&f1dir, 0)
-        .unwrap()
-        .expect("the follower checkpointed");
-    assert_eq!(covered, 6);
-    let (wal, _) = conceptbase::storage::log::read_payloads(f1dir.join(WAL_FILE)).unwrap();
-    let seqs: Vec<u64> = wal.iter().map(|f| decode_framed(f).unwrap().0).collect();
-    assert_eq!(seqs, [7], "the WAL holds only the tail");
+    let (snapshot, _) = read_payloads(f1dir.join(SNAPSHOT_FILE)).expect("a checkpoint");
+    match JournalOp::decode(&snapshot[0]) {
+        Ok(JournalOp::CheckpointCovers { covered_seq, .. }) => assert_eq!(covered_seq, 6),
+        other => panic!("the snapshot leads with {other:?}"),
+    }
+    assert_eq!(wal_seqs(&f1dir), [7], "the WAL holds only the tail");
 
     let (f2srv, f2addr) = follower(&f2dir, f1addr, None);
     wait_applied(f2addr, 7);
-    assert!(
-        f2dir.join("snapshot").exists(),
-        "F2 installed F1's snapshot"
+    assert_eq!(
+        wal_seqs(&f2dir),
+        [1, 2, 3, 4, 5, 6, 7],
+        "F2 replayed ops 1..=7"
     );
     let mut f2c = Client::connect(f2addr).unwrap();
     let (f2s, _) = f2c.hello().unwrap();
@@ -842,6 +856,108 @@ fn a_follower_checkpoints_every_n_applied_ops() {
     f1srv.shutdown().unwrap();
     lsrv.shutdown().unwrap();
     for d in [ldir, f1dir, f2dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
+/// The stream a leader ships is its WAL, whatever its checkpoints and
+/// restarts did: F1, promoted to epoch 2 over L's epoch-1 ops,
+/// checkpointed and restarted from snapshot + WAL, ships a fresh F2
+/// every op from the first, each in the frame F1's WAL held for it —
+/// the epoch-1 ops framed with epoch 1 although F1's snapshot records
+/// no per-op epoch — and F2 ends in F1's state.
+#[test]
+fn the_shipped_stream_is_the_leaders_wal() {
+    let ldir = tmp_dir("wal-stream-l");
+    let f1dir = tmp_dir("wal-stream-f1");
+    let f2dir = tmp_dir("wal-stream-f2");
+    let (lsrv, laddr) = leader(&ldir);
+    let (f1srv, f1addr) = follower(&f1dir, laddr, None);
+    let mut c = Client::connect(laddr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end").unwrap();
+    c.tell(s, "TELL p1 in Paper end").unwrap();
+    c.untell(s, "p1").unwrap();
+    wait_applied(f1addr, 3);
+    drop(c);
+    lsrv.shutdown().unwrap();
+
+    let mut c = Client::connect(f1addr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    assert!(c.promote(s).unwrap().contains("epoch 2"));
+    c.tell(s, "TELL p2 in Paper end").unwrap();
+    c.tell(s, "TELL p3 in Paper end").unwrap();
+    let mut want = wal_frames(&f1dir);
+    assert_eq!(want.len(), 6, "L's 3 ops, the seal and 2 writes");
+    c.checkpoint(s).unwrap();
+    c.tell(s, "TELL p4 in Paper end").unwrap();
+    drop(c);
+    f1srv.shutdown().unwrap();
+
+    let (f1srv, f1addr) = leader(&f1dir);
+    let mut c = Client::connect(f1addr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL p5 in Paper end").unwrap();
+    want.extend(wal_frames(&f1dir));
+    assert_eq!(want.len(), 8, "p4 before the restart, p5 after it");
+
+    let (f2srv, f2addr) = follower(&f2dir, f1addr, None);
+    wait_applied(f2addr, 8);
+    let epochs: Vec<u64> = (want.iter()).map(|f| decode_framed(f).unwrap().1).collect();
+    assert_eq!(epochs, [1, 1, 1, 2, 2, 2, 2, 2]);
+    let got = wal_frames(&f2dir);
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "F2's frame {}", i + 1);
+    }
+    assert_eq!(got.len(), want.len(), "F2's WAL holds ops 1..=8");
+
+    let mut f2c = Client::connect(f2addr).unwrap();
+    let (f2s, _) = f2c.hello().unwrap();
+    assert_eq!(ask_all(&mut f2c, f2s), ["p2", "p3", "p4", "p5"]);
+    let stats = |c: &mut Client, s| {
+        let st = c.session_stats(s).unwrap();
+        (st.kb_now, st.believed)
+    };
+    c.refresh(s).unwrap();
+    assert_eq!(stats(&mut f2c, f2s), stats(&mut c, s));
+    drop((c, f2c));
+    let f2 = f2srv.shutdown().unwrap();
+    let f1 = f1srv.shutdown().unwrap();
+    let position = |g: &Gkbms| (g.applied_seq(), g.epoch(), g.kb().now(), g.kb().len());
+    assert_eq!(position(&f2), position(&f1));
+    drop((f1, f2));
+    for d in [ldir, f1dir, f2dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
+/// A subscription holds a handle on the history's log, never a
+/// version: once a follower has applied 20 writes of an otherwise idle
+/// leader and every session has refreshed, the leader keeps one store
+/// version alive.
+#[test]
+fn a_subscription_holds_no_superseded_version() {
+    let ldir = tmp_dir("no-pin-l");
+    let fdir = tmp_dir("no-pin-f");
+    let (lsrv, laddr) = leader(&ldir);
+    let (fsrv, faddr) = follower(&fdir, laddr, None);
+    let mut fc = Client::connect(faddr).unwrap();
+    wait_for("the follower to subscribe", || {
+        fc.repl_status().map(|st| st.connected).unwrap_or(false)
+    });
+    let mut c = Client::connect(laddr).unwrap();
+    let (s, _) = c.hello().unwrap();
+    c.tell(s, "TELL Paper end").unwrap();
+    for i in 1..20 {
+        c.tell(s, &format!("TELL p{i} in Paper end")).unwrap();
+    }
+    wait_applied(faddr, 20);
+    c.refresh(s).unwrap();
+    assert_eq!(lsrv.store_versions_live(), 1);
+    drop((c, fc));
+    fsrv.shutdown().unwrap();
+    lsrv.shutdown().unwrap();
+    for d in [ldir, fdir] {
         std::fs::remove_dir_all(d).unwrap();
     }
 }

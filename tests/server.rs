@@ -2,6 +2,7 @@
 //! threads against one global knowledge base, with snapshot-isolated
 //! reads (§4's global KBMS serving local workstations).
 
+use conceptbase::gkbms::journal::decode_framed;
 use conceptbase::gkbms::Gkbms;
 use conceptbase::server::{Client, ClientError, Config, ErrorCode, Server};
 use proptest::prelude::*;
@@ -1487,10 +1488,10 @@ impl SerialTwin {
     /// The twin at watermark `w`; watermarks must come in order.
     fn at(&mut self, w: i64) -> &Gkbms {
         while self.twin.kb().now() < w {
-            let op = &self.history[self.applied];
+            let (seq, epoch, op) = decode_framed(&self.history[self.applied]).expect("a frame");
             self.applied += 1;
             self.twin
-                .apply_replicated(self.applied as u64, 1, op)
+                .apply_replicated(seq, epoch, op)
                 .expect("a committed op replays");
         }
         assert_eq!(self.twin.kb().now(), w, "a watermark between two commits");
